@@ -375,8 +375,9 @@ impl Engine {
         self.next_launch += 1;
         self.host_clock += self.cost.launch_host_overhead_ns;
 
-        let spec = self.devices[device.index()].spec().clone();
-        let base_duration = self.cost.kernel_duration_ns(&spec, desc);
+        let base_duration = self
+            .cost
+            .kernel_duration_ns(self.devices[device.index()].spec(), desc);
         let start = self.devices[device.index()]
             .stream_time(stream)
             .max(self.host_clock);

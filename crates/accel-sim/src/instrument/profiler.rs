@@ -161,20 +161,27 @@ impl ProfilerHandle {
     }
 }
 
-/// A vendor instrumentation backend attached to the simulator.
-pub struct TraceProfiler {
-    coverage: InstrCoverage,
+/// What pricing a record takes: the cost model and the in-flight
+/// kernel's buffer-flush bookkeeping. Apart from [`ProfilerShared`] so a
+/// callback can charge while it holds the shared lock.
+struct Meter {
     mode: AnalysisMode,
     costs: BackendCosts,
     /// Per-device host-link bandwidth, GB/s (indexed by device ordinal).
     link_bw: Vec<f64>,
+    /// Records so far in the current kernel (buffer-flush bookkeeping).
+    cur_records: u64,
+    cur_flushes: u64,
+}
+
+/// A vendor instrumentation backend attached to the simulator.
+pub struct TraceProfiler {
+    coverage: InstrCoverage,
+    meter: Meter,
     /// Extra sampling applied on top of whatever the sink requests.
     sampling: u32,
     shared: Arc<Mutex<ProfilerShared>>,
     parsed_kernels: HashSet<Symbol>,
-    /// Records so far in the current kernel (buffer-flush bookkeeping).
-    cur_records: u64,
-    cur_flushes: u64,
     /// Context of the in-flight launch, built (and its name interned)
     /// once at kernel begin so per-batch callbacks never allocate.
     cur_ctx: Option<TraceCtx>,
@@ -184,7 +191,7 @@ impl std::fmt::Debug for TraceProfiler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceProfiler")
             .field("coverage", &self.coverage)
-            .field("mode", &self.mode)
+            .field("mode", &self.meter.mode)
             .field("sampling", &self.sampling)
             .finish()
     }
@@ -215,14 +222,16 @@ impl TraceProfiler {
         (
             TraceProfiler {
                 coverage,
-                mode,
-                costs,
-                link_bw,
+                meter: Meter {
+                    mode,
+                    costs,
+                    link_bw,
+                    cur_records: 0,
+                    cur_flushes: 0,
+                },
                 sampling: sampling.max(1),
                 shared,
                 parsed_kernels: HashSet::new(),
-                cur_records: 0,
-                cur_flushes: 0,
                 cur_ctx: None,
             },
             handle,
@@ -242,29 +251,46 @@ impl TraceProfiler {
 
     /// The cached per-launch context; rebuilt only when `ctx` belongs to a
     /// different launch than the cache (e.g. a probe driven out of band).
-    fn trace_ctx(&mut self, ctx: &KernelCtx<'_>) -> TraceCtx {
-        match &self.cur_ctx {
-            Some(cached) if cached.launch == ctx.launch => cached.clone(),
-            _ => {
-                let built = Self::make_ctx(ctx);
-                self.cur_ctx = Some(built.clone());
-                built
-            }
+    fn cached_ctx<'a>(cur: &'a mut Option<TraceCtx>, ctx: &KernelCtx<'_>) -> &'a TraceCtx {
+        if cur.as_ref().is_some_and(|c| c.launch != ctx.launch) {
+            *cur = None;
         }
+        cur.get_or_insert_with(|| Self::make_ctx(ctx))
     }
 
+    /// One per-batch callback: charges `records` trace records and hands
+    /// the cached context to the sink, under a single acquisition of the
+    /// shared lock.
+    fn deliver(
+        &mut self,
+        ctx: &KernelCtx<'_>,
+        records: Option<u64>,
+        forward: impl FnOnce(&mut dyn DeviceTraceSink, &TraceCtx),
+    ) -> ProbeCosts {
+        let mut shared = self.shared.lock();
+        let costs = match records {
+            Some(n) => self.meter.charge(&mut shared, ctx.device.index(), n),
+            None => ProbeCosts::FREE,
+        };
+        if let Some(sink) = shared.sink.as_deref_mut() {
+            forward(sink, Self::cached_ctx(&mut self.cur_ctx, ctx));
+        }
+        costs
+    }
+}
+
+impl Meter {
     fn link_bw(&self, device: usize) -> f64 {
         self.link_bw.get(device).copied().unwrap_or(16.0)
     }
 
     /// Cost of one batch in the current mode; also updates the breakdown.
-    fn charge_records(&mut self, device: usize, records: u64) -> ProbeCosts {
+    fn charge(&mut self, shared: &mut ProfilerShared, device: usize, records: u64) -> ProbeCosts {
         let callback = (records as f64 * self.costs.device_callback_ns_per_record).ceil() as u64;
         let mut costs = ProbeCosts {
             device_ns: callback,
             host_ns: 0,
         };
-        let mut shared = self.shared.lock();
         shared.breakdown.collection_ns += callback;
         shared.records_total += records;
         match self.mode {
@@ -302,13 +328,12 @@ impl TraceProfiler {
 
 impl DeviceProbe for TraceProfiler {
     fn on_kernel_begin(&mut self, ctx: &KernelCtx<'_>) -> ProbeConfig {
-        self.cur_records = 0;
-        self.cur_flushes = 0;
-        let tctx = Self::make_ctx(ctx);
-        self.cur_ctx = Some(tctx.clone());
+        self.meter.cur_records = 0;
+        self.meter.cur_flushes = 0;
+        let tctx = self.cur_ctx.insert(Self::make_ctx(ctx));
         let mut shared = self.shared.lock();
         let mut config = match shared.sink.as_mut() {
-            Some(sink) => sink.on_kernel_begin(&tctx),
+            Some(sink) => sink.on_kernel_begin(tctx),
             None => ProbeConfig::all(),
         };
         if !config.is_disabled() {
@@ -320,51 +345,37 @@ impl DeviceProbe for TraceProfiler {
     }
 
     fn on_access_batch(&mut self, ctx: &KernelCtx<'_>, batch: &AccessBatch) -> ProbeCosts {
-        let costs = self.charge_records(ctx.device.index(), batch.records);
-        let tctx = self.trace_ctx(ctx);
-        let mut shared = self.shared.lock();
-        if let Some(sink) = shared.sink.as_mut() {
-            sink.on_batch(&tctx, batch);
-        }
-        costs
+        self.deliver(ctx, Some(batch.records), |sink, tctx| {
+            sink.on_batch(tctx, batch)
+        })
     }
 
     fn on_barriers(&mut self, ctx: &KernelCtx<'_>, count: u64) -> ProbeCosts {
-        let costs = self.charge_records(ctx.device.index(), count);
-        let tctx = self.trace_ctx(ctx);
-        let mut shared = self.shared.lock();
-        if let Some(sink) = shared.sink.as_mut() {
-            sink.on_barriers(&tctx, count);
-        }
-        costs
+        self.deliver(ctx, Some(count), |sink, tctx| sink.on_barriers(tctx, count))
     }
 
     fn on_block_boundaries(&mut self, ctx: &KernelCtx<'_>, count: u64) -> ProbeCosts {
         // Block entry/exit callbacks are cheap and are not trace records.
-        let tctx = self.trace_ctx(ctx);
-        let mut shared = self.shared.lock();
-        if let Some(sink) = shared.sink.as_mut() {
-            sink.on_blocks(&tctx, count);
-        }
-        ProbeCosts::FREE
+        self.deliver(ctx, None, |sink, tctx| sink.on_blocks(tctx, count))
     }
 
     fn on_kernel_end(&mut self, ctx: &KernelCtx<'_>, summary: &KernelTraceSummary) -> ProbeCosts {
         let mut costs = ProbeCosts::FREE;
         let device = ctx.device.index();
-        let tctx = self.trace_ctx(ctx);
+        let tctx = Self::cached_ctx(&mut self.cur_ctx, ctx);
+        let meter = &self.meter;
 
         // NVBit pays a one-time SASS dump+parse per unique kernel symbol.
-        if self.costs.sass_parse_ns_per_kernel > 0 && self.parsed_kernels.insert(tctx.name.clone())
+        if meter.costs.sass_parse_ns_per_kernel > 0 && self.parsed_kernels.insert(tctx.name.clone())
         {
-            costs.host_ns += self.costs.sass_parse_ns_per_kernel;
-            self.shared.lock().breakdown.setup_ns += self.costs.sass_parse_ns_per_kernel;
+            costs.host_ns += meter.costs.sass_parse_ns_per_kernel;
+            self.shared.lock().breakdown.setup_ns += meter.costs.sass_parse_ns_per_kernel;
         }
 
-        match self.mode {
+        match meter.mode {
             AnalysisMode::GpuResident => {
                 // Ship the small result buffer back at kernel end.
-                let xfer = (self.costs.result_buffer_bytes as f64 / self.link_bw(device)) as u64;
+                let xfer = (meter.costs.result_buffer_bytes as f64 / meter.link_bw(device)) as u64;
                 costs.device_ns += xfer;
                 self.shared.lock().breakdown.transfer_ns += xfer;
             }
@@ -372,8 +383,8 @@ impl DeviceProbe for TraceProfiler {
                 // Final partial buffer drains after the kernel completes; the
                 // host pays the transfer but the kernel does not stall.
                 let leftover =
-                    self.cur_records - self.cur_flushes * self.costs.buffer.capacity_records;
-                let xfer = (leftover * TRACE_RECORD_BYTES) as f64 / self.link_bw(device);
+                    meter.cur_records - meter.cur_flushes * meter.costs.buffer.capacity_records;
+                let xfer = (leftover * TRACE_RECORD_BYTES) as f64 / meter.link_bw(device);
                 costs.host_ns += xfer as u64;
                 self.shared.lock().breakdown.transfer_ns += xfer as u64;
             }
@@ -382,9 +393,9 @@ impl DeviceProbe for TraceProfiler {
         let mut shared = self.shared.lock();
         if let Some(sink) = shared.sink.as_mut() {
             if self.coverage == InstrCoverage::AllInstructions {
-                sink.on_instructions(&tctx, summary.instructions);
+                sink.on_instructions(tctx, summary.instructions);
             }
-            sink.on_kernel_end(&tctx, summary);
+            sink.on_kernel_end(tctx, summary);
         }
         drop(shared);
         self.cur_ctx = None;
@@ -534,6 +545,115 @@ mod tests {
         p.on_access_batch(&kctx(&d), &batch(10));
         assert_eq!(BATCHES.load(Ordering::Relaxed), 2);
         assert_eq!(h.records_total(), 20);
+    }
+
+    #[test]
+    fn launches_reach_the_sink_in_order_under_one_context_with_exact_charges() {
+        use crate::{DeviceSpec, Engine};
+
+        /// Logs every callback with the context it came with.
+        struct Logging(Arc<Mutex<Vec<(String, TraceCtx)>>>);
+        impl Logging {
+            fn log(&mut self, what: String, ctx: &TraceCtx) {
+                self.0.lock().push((what, ctx.clone()));
+            }
+        }
+        impl DeviceTraceSink for Logging {
+            fn on_kernel_begin(&mut self, ctx: &TraceCtx) -> ProbeConfig {
+                self.log("begin".into(), ctx);
+                ProbeConfig::all()
+            }
+            fn on_batch(&mut self, ctx: &TraceCtx, b: &AccessBatch) {
+                self.log(format!("batch {} x{}", b.spec_index, b.records), ctx);
+            }
+            fn on_barriers(&mut self, ctx: &TraceCtx, count: u64) {
+                self.log(format!("barriers {count}"), ctx);
+            }
+            fn on_blocks(&mut self, ctx: &TraceCtx, count: u64) {
+                self.log(format!("blocks {count}"), ctx);
+            }
+            fn on_instructions(&mut self, ctx: &TraceCtx, count: u64) {
+                self.log(format!("instructions {count}"), ctx);
+            }
+            fn on_kernel_end(&mut self, ctx: &TraceCtx, s: &KernelTraceSummary) {
+                self.log(
+                    format!("end {}+{}", s.global_records, s.shared_records),
+                    ctx,
+                );
+            }
+        }
+
+        // Readings taken before the callbacks shared one lock acquisition
+        // and borrowed the cached context; they must never move.
+        let expected = [
+            (
+                AnalysisMode::CpuPostProcess,
+                OverheadBreakdown {
+                    collection_ns: 135_168,
+                    transfer_ns: 736_896,
+                    analysis_ns: 665_702_400,
+                    setup_ns: 80_000_000,
+                },
+            ),
+            (
+                AnalysisMode::GpuResident,
+                OverheadBreakdown {
+                    collection_ns: 135_178,
+                    transfer_ns: 5_460,
+                    analysis_ns: 0,
+                    setup_ns: 80_000_000,
+                },
+            ),
+        ];
+        for (mode, breakdown) in expected {
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let costs = BackendCosts {
+                buffer: TraceBufferModel {
+                    capacity_records: 1_000,
+                },
+                ..BackendCosts::nvbit()
+            };
+            let (profiler, handle) =
+                TraceProfiler::new(InstrCoverage::AllInstructions, mode, costs, vec![24.0], 1);
+            handle.set_sink(Box::new(Logging(Arc::clone(&log))));
+            let mut engine = Engine::new(vec![DeviceSpec::a100_80gb()]);
+            let device = DeviceId(0);
+            let buf = engine.malloc(device, 1 << 20).unwrap();
+            engine.set_probe(Box::new(profiler));
+            let desc = KernelDesc::new("k", Dim3::linear(64), Dim3::linear(128))
+                .arg(buf, 1 << 20)
+                .body(KernelBody::streaming(1 << 19, 1 << 19).with_barriers(4));
+            for _ in 0..2 {
+                engine.launch(device, 3, &desc).unwrap();
+            }
+
+            let log = log.lock();
+            let calls: Vec<&str> = log.iter().map(|(what, _)| what.as_str()).collect();
+            let one_launch = [
+                "begin",
+                "batch 0 x4096",
+                "batch 1 x4096",
+                "barriers 256",
+                "blocks 64",
+                "instructions 15974",
+                "end 8192+0",
+            ];
+            assert_eq!(calls, [one_launch, one_launch].concat(), "{mode:?}");
+            for (i, (what, ctx)) in log.iter().enumerate() {
+                let launch_ctx = TraceCtx {
+                    launch: LaunchId((i / one_launch.len()) as u64),
+                    device,
+                    stream: 3,
+                    name: "k".into(),
+                    grid: Dim3::linear(64),
+                    block: Dim3::linear(128),
+                };
+                assert_eq!(ctx, &launch_ctx, "{mode:?}: context of `{what}`");
+            }
+            assert_eq!(handle.breakdown(), breakdown, "{mode:?}");
+            assert_eq!(handle.records_total(), 2 * (8192 + 256), "{mode:?}");
+            assert_eq!(handle.kernels(), 2, "{mode:?}");
+        }
     }
 
     #[test]

@@ -347,8 +347,15 @@ impl Hub {
     pub fn merged_report(&self) -> MergedReport {
         let guards: Vec<MutexGuard<'_, EventProcessor>> =
             self.shards.iter().map(DeviceShard::lock).collect();
-        let tools = if guards.len() == 1 {
-            guards[0].tools.reports()
+        let per_device: Vec<(DeviceId, Vec<ToolReport>)> = self
+            .shards
+            .iter()
+            .zip(&guards)
+            .map(|(s, g)| (s.device, g.tools.reports()))
+            .collect();
+        let tools = if let [(_, only)] = per_device.as_slice() {
+            // A lone shard's reports *are* the merged ones: render once.
+            only.clone()
         } else {
             let procs: Vec<&EventProcessor> = guards.iter().map(|g| &**g).collect();
             merge_all_tools(&procs, self.merge_threads())
@@ -358,12 +365,7 @@ impl Hub {
         };
         MergedReport {
             tools,
-            per_device: self
-                .shards
-                .iter()
-                .zip(&guards)
-                .map(|(s, g)| (s.device, g.tools.reports()))
-                .collect(),
+            per_device,
             events_processed: guards.iter().map(|g| g.events_processed()).sum(),
             uvm: None,
             quarantined: collect_quarantines(guards.iter().map(|g| &**g)),

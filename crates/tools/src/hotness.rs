@@ -9,6 +9,9 @@ use pasta_core::{Event, Interest, Tool, ToolReport};
 use std::any::Any;
 use uvm_sim::{BlockHotness, HotnessSeries};
 
+/// Liveness from which the report counts a block as persistent ("HOT").
+const PERSISTENT: f64 = 0.75;
+
 /// The hotness-tracking tool.
 #[derive(Debug)]
 pub struct HotnessTool {
@@ -37,7 +40,13 @@ impl HotnessTool {
     /// Blocks live in at least `threshold` of the bins — the paper's
     /// "frequently accessed throughout the entire execution" set.
     pub fn persistent_blocks(&self, threshold: f64) -> Vec<u64> {
-        self.series().persistent_blocks(threshold)
+        let bins = self.hotness.bins();
+        self.hotness
+            .rows()
+            .iter()
+            .filter(|row| row.liveness(bins) >= threshold)
+            .map(|row| row.block)
+            .collect()
     }
 }
 
@@ -60,25 +69,28 @@ impl Tool for HotnessTool {
     }
 
     fn report(&self) -> ToolReport {
-        let series = self.series();
-        let persistent = series.persistent_blocks(0.75);
+        // Straight from the per-block rows: the dense `series()` grid is
+        // blocks × bins and almost all zeroes.
+        let rows = self.hotness.rows();
+        let bins = self.hotness.bins();
         let mut text = String::new();
-        for (row, &block) in series.blocks.iter().enumerate().take(20) {
-            let marker = if persistent.contains(&block) {
-                "HOT"
-            } else {
-                "   "
-            };
+        for row in rows.iter().take(20) {
+            let liveness = row.liveness(bins);
+            let marker = if liveness >= PERSISTENT { "HOT" } else { "   " };
             text.push_str(&format!(
-                "  block {block:>8} {marker} liveness {:.2} total {}\n",
-                series.block_liveness(row),
-                series.block_total(row)
+                "  block {:>8} {marker} liveness {:.2} total {}\n",
+                row.block, liveness, row.total
             ));
         }
         ToolReport::new(self.name())
-            .metric("blocks", series.blocks.len() as f64)
-            .metric("bins", series.bins() as f64)
-            .metric("persistent_blocks", persistent.len() as f64)
+            .metric("blocks", rows.len() as f64)
+            .metric("bins", bins as f64)
+            .metric(
+                "persistent_blocks",
+                rows.iter()
+                    .filter(|row| row.liveness(bins) >= PERSISTENT)
+                    .count() as f64,
+            )
             .body(text)
     }
 
@@ -143,6 +155,53 @@ mod tests {
         let r = t.report();
         assert_eq!(r.get("blocks"), Some(2.0));
         assert!(r.text.contains("HOT"));
+    }
+
+    /// The report as it was built before `BlockHotness::rows`: from the
+    /// dense series.
+    fn report_from_series(tool: &HotnessTool) -> ToolReport {
+        let series = tool.series();
+        let persistent = series.persistent_blocks(0.75);
+        let mut text = String::new();
+        for (row, &block) in series.blocks.iter().enumerate().take(20) {
+            let marker = if persistent.contains(&block) {
+                "HOT"
+            } else {
+                "   "
+            };
+            text.push_str(&format!(
+                "  block {block:>8} {marker} liveness {:.2} total {}\n",
+                series.block_liveness(row),
+                series.block_total(row)
+            ));
+        }
+        ToolReport::new("hotness")
+            .metric("blocks", series.blocks.len() as f64)
+            .metric("bins", series.bins() as f64)
+            .metric("persistent_blocks", persistent.len() as f64)
+            .body(text)
+    }
+
+    #[test]
+    fn report_is_byte_equal_to_the_one_derived_from_the_series() {
+        let mut t = HotnessTool::new(3);
+        assert_eq!(t.report(), report_from_series(&t), "empty tool");
+        // Weights touched every step on two heaps 2^46 bytes apart,
+        // multi-block activations that move, more than 20 blocks in all,
+        // and a last bin left open.
+        for step in 0..50u64 {
+            t.on_event(&access(0x7000_0000_0000, 3 * BLOCK_SIZE, 900));
+            t.on_event(&access(0x4000_0000_0000 + 7 * BLOCK_SIZE, 64, 5));
+            t.on_event(&access(
+                0x7000_0000_0000 + (4 + step % 30) * BLOCK_SIZE + 4096,
+                (step % 3) * BLOCK_SIZE + 128,
+                40 + step,
+            ));
+            assert_eq!(t.report(), report_from_series(&t), "after step {step}");
+        }
+        let r = t.report();
+        assert_eq!(r.to_string(), report_from_series(&t).to_string());
+        assert!(r.get("blocks").unwrap() > 20.0 && r.get("persistent_blocks").unwrap() >= 4.0);
     }
 
     #[test]

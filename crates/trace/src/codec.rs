@@ -592,13 +592,16 @@ impl ShardDecoder {
 
     fn sym(&self, cur: &mut Cursor<'_>) -> Result<Symbol, TraceError> {
         let id = cur.varint_usize()?;
-        self.symbols.get(id).cloned().ok_or(TraceError::Corrupt {
-            offset: cur.pos(),
-            what: format!(
-                "symbol id {id} out of range (dictionary has {})",
-                self.symbols.len()
-            ),
-        })
+        self.symbols
+            .get(id)
+            .cloned()
+            .ok_or_else(|| TraceError::Corrupt {
+                offset: cur.pos(),
+                what: format!(
+                    "symbol id {id} out of range (dictionary has {})",
+                    self.symbols.len()
+                ),
+            })
     }
 
     fn string(&self, cur: &mut Cursor<'_>) -> Result<String, TraceError> {

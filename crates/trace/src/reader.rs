@@ -94,8 +94,17 @@ impl TraceReader {
                     offset: bytes.len(),
                 });
             }
+            // Every record is at least one byte (its tag), so a count past
+            // the payload length is a lie — caught before it sizes anything.
+            let records = usize::try_from(records)
+                .ok()
+                .filter(|&n| n <= payload_len)
+                .ok_or_else(|| TraceError::Corrupt {
+                    offset: payload_start,
+                    what: format!("{records} records cannot fit a {payload_len}-byte payload"),
+                })?;
             let mut decoder = ShardDecoder::new(intern_dictionary(&symbols, &names));
-            let mut events = Vec::new();
+            let mut events = Vec::with_capacity(records);
             for _ in 0..records {
                 events.push(decoder.decode(&mut cur)?);
             }

@@ -51,7 +51,7 @@ pub mod stats;
 
 pub use coherence::{CoherenceDirectory, RangeDirectory};
 pub use config::UvmConfig;
-pub use hotness::{BlockHotness, HotnessSeries};
+pub use hotness::{BlockHotness, BlockRow, HotnessSeries};
 pub use manager::UvmManager;
 pub use page::{block_of_addr, page_range, PageRange, BLOCK_SIZE, PAGE_SIZE};
 pub use plan::{PrefetchGranularity, PrefetchPlan, Range};

@@ -12,6 +12,40 @@ use pasta::core::Event;
 use pasta::sim::{DeviceId, Dim3, LaunchId, SimTime};
 use pasta::trace::{Trace, TraceError, TraceReader, FORMAT_VERSION};
 use pasta::uvm::UvmStats;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The system allocator, remembering the largest single request: how
+/// the inflated-count case shows that a lying length sized nothing.
+/// Every trace in this file is a few hundred bytes, so whichever tests
+/// share the process, the mark stays small unless a parse over-allocates.
+struct LargestRequest;
+
+static LARGEST_REQUEST: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the only addition is a relaxed counter.
+unsafe impl GlobalAlloc for LargestRequest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST_REQUEST.fetch_max(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller's `layout` is passed through as given.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LARGEST_REQUEST.fetch_max(new_size, Ordering::Relaxed);
+        // SAFETY: `ptr`, `layout` and `new_size` are the caller's, as given.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LargestRequest = LargestRequest;
 
 /// A small but representative trace: two shards, symbols, deltas, a UVM
 /// footer.
@@ -116,6 +150,57 @@ fn future_format_version_is_rejected() {
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
+}
+
+/// `bytes` with the first shard's record count (one varint byte in the
+/// fixture) replaced by `records`; also returns where its payload starts.
+fn with_record_count(bytes: &[u8], records: u64) -> (Vec<u8>, usize) {
+    // magic, version, shard count, device id; then the dictionary, every
+    // count and length in it a single varint byte.
+    let mut at = 8 + 4 + 4 + 4;
+    let symbols = bytes[at];
+    at += 1;
+    for _ in 0..symbols {
+        assert!(bytes[at] < 0x80, "fixture symbols are short");
+        at += 1 + bytes[at] as usize;
+    }
+    assert_eq!(bytes[at], 3, "shard 0 of the fixture holds three records");
+    assert!(bytes[at + 1] < 0x80, "and a payload under 128 bytes");
+    let mut out = bytes[..at].to_vec();
+    let mut v = records;
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+    let payload_start = out.len() + 1;
+    out.extend_from_slice(&bytes[at + 1..]);
+    (out, payload_start)
+}
+
+#[test]
+fn inflated_record_count_is_corruption_and_sizes_nothing() {
+    let bytes = valid_trace().into_bytes();
+    let (same, payload_start) = with_record_count(&bytes, 3);
+    assert_eq!(same, bytes, "the helper rewrites the right byte");
+    let payload_len = u64::from(bytes[payload_start - 1]);
+    // From one record too many for the payload to hold, up to counts
+    // whose reservation alone would abort the process.
+    for records in [payload_len + 1, 1 << 40, u64::MAX] {
+        let (lying, payload_start) = with_record_count(&bytes, records);
+        match TraceReader::parse(&lying) {
+            Err(TraceError::Corrupt { offset, what }) => {
+                assert_eq!(offset, payload_start, "{what}");
+                assert!(what.contains(&format!("{records} records")), "{what}");
+            }
+            other => panic!("{records} records: expected Corrupt, got {other:?}"),
+        }
+    }
+    let largest = LARGEST_REQUEST.load(Ordering::Relaxed);
+    assert!(
+        largest < 1 << 20,
+        "a {largest}-byte allocation was requested"
+    );
 }
 
 #[test]

@@ -23,6 +23,7 @@ use pasta::sim::instrument::{DeviceTraceSink, TraceCtx};
 use pasta::sim::{
     AccessBatch, AccessKind, AccessPattern, DeviceId, Dim3, KernelTraceSummary, LaunchId, MemSpace,
 };
+use pasta::trace::{Trace, TraceReader};
 use std::sync::Arc;
 
 struct CountingAlloc {
@@ -177,6 +178,32 @@ fn untraced_event_path_performs_zero_allocations() {
         .with_tool_mut("flat-counter", |t: &mut FlatCounter| t.seen)
         .unwrap();
     assert_eq!(n, 7 * (1 + 64 + 1), "every warmup+measured event arrived");
+
+    // Phase 5 (ISSUE 12): the read side. Every record here carries a
+    // symbol, and looking one up must cost nothing on success — parsing N
+    // events allocates for the dictionary and the event vector, not once
+    // per record.
+    let stream: Vec<Event> = (0..4096)
+        .map(|i| Event::GlobalAccess {
+            launch: LaunchId(i / 64),
+            kernel: ["gemm", "softmax", "layernorm"][i as usize % 3].into(),
+            batch: AccessBatch {
+                launch: LaunchId(i / 64),
+                base: 0x1000 + i * 128,
+                ..access
+            },
+        })
+        .collect();
+    let trace = Trace::from_shards([(DeviceId(0), stream.as_slice())], None);
+    let before = allocs();
+    let reader = TraceReader::parse(trace.as_bytes()).expect("a fresh trace parses");
+    let parse_allocs = allocs() - before;
+    assert_eq!(reader.events_total(), stream.len() as u64);
+    assert!(
+        parse_allocs < stream.len() as u64 / 4,
+        "parsing {} events allocated {parse_allocs} times",
+        stream.len()
+    );
 }
 
 /// Counts events without touching the heap — safe inside the measured
