@@ -17,6 +17,7 @@ use crate::probe::{DeviceProbe, KernelCtx, ProbeCosts};
 use crate::residency::{AccessOutcome, ResidencyModel};
 use crate::runtime::{CopyDirection, LaunchRecord, RuntimeStats};
 use crate::trace::{AccessBatch, KernelTraceSummary};
+use std::sync::{Arc, OnceLock};
 
 /// Base of the shared managed (UVM) address range.
 pub const MANAGED_BASE: u64 = 0x4000_0000_0000;
@@ -28,7 +29,13 @@ pub const MANAGED_CAPACITY: u64 = 6 << 40;
 ///
 /// See the [crate-level docs](crate) for an end-to-end example.
 pub struct Engine {
-    devices: Vec<Device>,
+    /// The machine's devices; contexts over one machine (a session's
+    /// parallel lanes) share the list.
+    specs: Arc<[DeviceSpec]>,
+    /// One cell per spec. A device's mutable state (allocator, streams)
+    /// is built when the engine first touches the device: a lane's engine
+    /// spans the whole machine and uses one device of it, or two.
+    devices: Vec<OnceLock<Device>>,
     managed: DeviceAllocator,
     host_clock: SimTime,
     cost: CostModel,
@@ -51,20 +58,19 @@ impl std::fmt::Debug for Engine {
 }
 
 impl Engine {
-    /// Creates an engine with one [`Device`] per spec.
+    /// Creates an engine with one [`Device`] per spec (a `Vec` of specs,
+    /// or an `Arc<[DeviceSpec]>` shared with other engines).
     ///
     /// # Panics
     ///
     /// Panics when `specs` is empty — a machine needs at least one device.
-    pub fn new(specs: Vec<DeviceSpec>) -> Self {
+    pub fn new(specs: impl Into<Arc<[DeviceSpec]>>) -> Self {
+        let specs: Arc<[DeviceSpec]> = specs.into();
         assert!(!specs.is_empty(), "engine needs at least one device");
-        let devices: Vec<Device> = specs
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| Device::new(DeviceId(i as u32), s))
-            .collect();
-        let stats = vec![RuntimeStats::default(); devices.len()];
+        let devices = specs.iter().map(|_| OnceLock::new()).collect();
+        let stats = vec![RuntimeStats::default(); specs.len()];
         Engine {
+            specs,
             devices,
             managed: DeviceAllocator::new(MANAGED_BASE, MANAGED_CAPACITY),
             host_clock: SimTime::ZERO,
@@ -94,21 +100,28 @@ impl Engine {
 
     /// Ids of all devices.
     pub fn device_ids(&self) -> Vec<DeviceId> {
-        (0..self.devices.len() as u32).map(DeviceId).collect()
+        (0..self.specs.len() as u32).map(DeviceId).collect()
     }
 
-    /// Immutable device access.
+    /// Static specs of all devices, in id order.
+    pub fn specs(&self) -> &[DeviceSpec] {
+        &self.specs
+    }
+
+    /// Immutable device access; the engine's first touch of a device
+    /// builds its state.
     ///
     /// # Panics
     ///
     /// Panics on an out-of-range id; use [`Engine::try_device`] to probe.
     pub fn device(&self, id: DeviceId) -> &Device {
-        &self.devices[id.index()]
+        let spec = &self.specs[id.index()];
+        self.devices[id.index()].get_or_init(|| Device::new(id, spec.clone()))
     }
 
     /// Fallible device lookup.
     pub fn try_device(&self, id: DeviceId) -> Option<&Device> {
-        self.devices.get(id.index())
+        (id.index() < self.specs.len()).then(|| self.device(id))
     }
 
     /// Mutable device access.
@@ -117,7 +130,12 @@ impl Engine {
     ///
     /// Panics on an out-of-range id.
     pub fn device_mut(&mut self, id: DeviceId) -> &mut Device {
-        &mut self.devices[id.index()]
+        self.device(id);
+        // Audited expect: the line above filled the cell.
+        #[allow(clippy::expect_used)]
+        self.devices[id.index()]
+            .get_mut()
+            .expect("device built on first touch")
     }
 
     /// Current host time.
@@ -171,7 +189,7 @@ impl Engine {
     }
 
     fn check_device(&self, id: DeviceId) -> Result<(), AccelError> {
-        if id.index() < self.devices.len() {
+        if id.index() < self.specs.len() {
             Ok(())
         } else {
             Err(AccelError::UnknownDevice(id))
@@ -195,7 +213,7 @@ impl Engine {
     pub fn malloc_info(&mut self, device: DeviceId, bytes: u64) -> Result<Allocation, AccelError> {
         self.check_device(device)?;
         self.host_clock += self.cost.host_api_overhead_ns;
-        let dev = &mut self.devices[device.index()];
+        let dev = self.device_mut(device);
         let usable = dev.usable_capacity();
         if dev.allocator().used() + bytes > usable {
             return Err(AccelError::OutOfMemory {
@@ -227,7 +245,7 @@ impl Engine {
     pub fn free(&mut self, device: DeviceId, addr: u64) -> Result<Allocation, AccelError> {
         self.check_device(device)?;
         self.host_clock += self.cost.host_api_overhead_ns;
-        let alloc = self.devices[device.index()].allocator_mut().free(addr)?;
+        let alloc = self.device_mut(device).allocator_mut().free(addr)?;
         self.stats[device.index()].frees += 1;
         Ok(alloc)
     }
@@ -276,7 +294,7 @@ impl Engine {
         dir: CopyDirection,
     ) -> Result<u64, AccelError> {
         self.check_device(device)?;
-        let spec = self.devices[device.index()].spec();
+        let spec = &self.specs[device.index()];
         let bw = match dir {
             CopyDirection::HostToDevice | CopyDirection::DeviceToHost => spec.link_bandwidth_gbps,
             CopyDirection::DeviceToDevice => spec.p2p_bandwidth_gbps,
@@ -284,11 +302,9 @@ impl Engine {
         };
         let dur = self.cost.copy_duration_ns(bytes, bw);
         self.host_clock += self.cost.host_api_overhead_ns;
-        let start = self.devices[device.index()]
-            .stream_time(0)
-            .max(self.host_clock);
+        let start = self.device(device).stream_time(0).max(self.host_clock);
         let end = start + dur;
-        self.devices[device.index()].set_stream_time(0, end);
+        self.device_mut(device).set_stream_time(0, end);
         // cudaMemcpy is synchronous with respect to the host.
         self.host_clock = self.host_clock.max(end);
         let st = &mut self.stats[device.index()];
@@ -313,21 +329,20 @@ impl Engine {
         bytes: u64,
     ) -> Result<u64, AccelError> {
         self.check_device(device)?;
-        let spec = self.devices[device.index()].spec();
+        let spec = &self.specs[device.index()];
         let dur =
             (bytes as f64 / spec.mem_bandwidth_gbps) as u64 + self.cost.kernel_fixed_overhead_ns;
         self.host_clock += self.cost.host_api_overhead_ns;
-        let start = self.devices[device.index()]
-            .stream_time(0)
-            .max(self.host_clock);
-        self.devices[device.index()].set_stream_time(0, start + dur);
+        let start = self.device(device).stream_time(0).max(self.host_clock);
+        self.device_mut(device).set_stream_time(0, start + dur);
         Ok(dur)
     }
 
     /// Blocks the host until `device` is idle (like `cudaDeviceSynchronize`).
     pub fn synchronize(&mut self, device: DeviceId) {
         self.host_clock += self.cost.host_api_overhead_ns;
-        if let Some(d) = self.devices.get(device.index()) {
+        // A device the engine never touched has nothing in flight.
+        if let Some(d) = self.devices.get(device.index()).and_then(OnceLock::get) {
             self.host_clock = self.host_clock.max(d.busy_until());
         }
         if let Some(st) = self.stats.get_mut(device.index()) {
@@ -377,10 +392,8 @@ impl Engine {
 
         let base_duration = self
             .cost
-            .kernel_duration_ns(self.devices[device.index()].spec(), desc);
-        let start = self.devices[device.index()]
-            .stream_time(stream)
-            .max(self.host_clock);
+            .kernel_duration_ns(&self.specs[device.index()], desc);
+        let start = self.device(device).stream_time(stream).max(self.host_clock);
 
         // --- UVM residency resolution -----------------------------------
         let mut uvm = AccessOutcome::HIT;
@@ -466,7 +479,7 @@ impl Engine {
         }
 
         let end = start + base_duration + uvm.extra_device_ns + instr.device_ns;
-        self.devices[device.index()].set_stream_time(stream, end);
+        self.device_mut(device).set_stream_time(stream, end);
         self.host_clock += instr.host_ns;
         self.stats[device.index()].launches += 1;
 

@@ -13,8 +13,14 @@
 //! Symbols from *different* tables still compare correctly (content
 //! fallback), so tests may use isolated tables while the runtime uses
 //! [`SymbolTable::global`].
+//!
+//! [`Symbol::intern`] is called once per operator, kernel descriptor and
+//! API name on every lane, so it answers from a small per-thread front
+//! first and takes the global table's lock only for a name the thread has
+//! not seen (or has since displaced).
 
 use std::borrow::Borrow;
+use std::cell::RefCell;
 use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -27,10 +33,56 @@ use std::sync::{Arc, Mutex, OnceLock};
 #[derive(Clone)]
 pub struct Symbol(Arc<str>);
 
+/// Slots in the per-thread intern front.
+const FRONT_SLOTS: usize = 256;
+/// Slots probed from a name's home slot before the home slot is
+/// overwritten — keeps two hot names that share a home from evicting
+/// each other on every call.
+const FRONT_PROBES: usize = 4;
+
+thread_local! {
+    /// The calling thread's front of the global table: symbols *of that
+    /// table* (so [`Symbol::ptr_eq`] stays valid), placed by a hash of
+    /// their content and matched by content.
+    static FRONT: RefCell<[Option<Symbol>; FRONT_SLOTS]> =
+        const { RefCell::new([const { None }; FRONT_SLOTS]) };
+}
+
+/// Home slot of `name` in the front: an FxHash-style fold over the
+/// bytes, eight at a time.
+fn front_home(name: &str) -> usize {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut hash = name.len() as u64;
+    for chunk in name.as_bytes().chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        hash = (hash.rotate_left(5) ^ u64::from_le_bytes(word)).wrapping_mul(K);
+    }
+    (hash >> (u64::BITS - FRONT_SLOTS.trailing_zeros())) as usize
+}
+
 impl Symbol {
-    /// Interns `name` in the process-global table.
+    /// Interns `name` in the process-global table. A name this thread
+    /// interned before is answered from the thread's front — no lock, no
+    /// allocation; [`SymbolTable::intern`] is the one slow path.
     pub fn intern(name: &str) -> Symbol {
-        SymbolTable::global().intern(name)
+        let slow = || SymbolTable::global().intern(name);
+        FRONT
+            .try_with(|front| {
+                let mut front = front.borrow_mut();
+                let home = front_home(name);
+                for probe in 0..FRONT_PROBES {
+                    let slot = &mut front[(home + probe) % FRONT_SLOTS];
+                    match slot {
+                        Some(symbol) if symbol.as_str() == name => return symbol.clone(),
+                        Some(_) => {}
+                        None => return slot.insert(slow()).clone(),
+                    }
+                }
+                front[home].insert(slow()).clone()
+            })
+            // The thread is exiting and its front is gone.
+            .unwrap_or_else(|_| slow())
     }
 
     /// The underlying string.

@@ -9,13 +9,16 @@ use crate::event::Event;
 use accel_sim::Symbol;
 use dl_framework::pycall::{native_frames_for_kernel, CrossLayerStack, PyFrame};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Tracks the live Python stack (from `OpStart` events) and snapshots a
 /// cross-layer stack per kernel of interest.
 #[derive(Debug, Default)]
 pub struct StackCapture {
-    /// Python stack attached to the most recent operator start.
-    current_py: Vec<PyFrame>,
+    /// The most recent operator start: its (shared) Python stack and its
+    /// name. Every operator passes through here and almost none is ever
+    /// captured, so nothing is copied until a capture asks.
+    current_op: Option<(Arc<[PyFrame]>, Symbol)>,
     /// Captured stacks keyed by kernel symbol (first capture wins, as in
     /// the paper: one representative context per kernel).
     captured: HashMap<Symbol, CrossLayerStack>,
@@ -30,11 +33,7 @@ impl StackCapture {
     /// Observes the event stream (needs `OpStart` events flowing).
     pub fn observe(&mut self, event: &Event) {
         if let Event::OpStart { py_stack, name, .. } = event {
-            self.current_py = py_stack.clone();
-            // The operator itself becomes the innermost Python-side frame,
-            // mirroring how torch displays `aten::` ops under module code.
-            self.current_py
-                .push(PyFrame::new("torch/_ops.py", 502, name.as_str()));
+            self.current_op = Some((Arc::clone(py_stack), name.clone()));
         }
     }
 
@@ -43,8 +42,15 @@ impl StackCapture {
         if self.captured.contains_key(kernel.as_str()) {
             return;
         }
+        let mut python = Vec::new();
+        if let Some((py_stack, op)) = &self.current_op {
+            python.extend_from_slice(py_stack);
+            // The operator itself becomes the innermost Python-side frame,
+            // mirroring how torch displays `aten::` ops under module code.
+            python.push(PyFrame::new("torch/_ops.py", 502, op.as_str()));
+        }
         let stack = CrossLayerStack {
-            python: self.current_py.clone(),
+            python,
             native: native_frames_for_kernel(kernel),
         };
         self.captured.insert(kernel.clone(), stack);
@@ -62,7 +68,7 @@ impl StackCapture {
 
     /// Clears all captures.
     pub fn reset(&mut self) {
-        self.current_py.clear();
+        self.current_op = None;
         self.captured.clear();
     }
 }
@@ -77,7 +83,7 @@ mod tests {
             seq: 0,
             name: name.into(),
             device: DeviceId(0),
-            py_stack: stack,
+            py_stack: stack.into(),
         }
     }
 

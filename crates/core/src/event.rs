@@ -14,6 +14,7 @@ use dl_framework::callbacks::Pass;
 use dl_framework::pycall::PyFrame;
 use dl_framework::tensor::TensorId;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Broad event classes, used for interest declarations and filtering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -330,8 +331,9 @@ pub enum Event {
         name: Symbol,
         /// Device.
         device: DeviceId,
-        /// Python stack at the call site.
-        py_stack: Vec<PyFrame>,
+        /// Python stack at the call site, outermost first, shared with
+        /// the framework event it came from.
+        py_stack: Arc<[PyFrame]>,
     },
     /// Operator finished ("Operator End").
     OpEnd {

@@ -9,12 +9,37 @@
 use crate::event::Event;
 use crate::hub::SharedHub;
 use crate::normalize::{normalize_framework, normalize_nv, normalize_roc};
-use accel_sim::{LaunchId, SimTime, Symbol};
+use accel_sim::{DeviceId, LaunchId, SimTime, Symbol};
 use dl_framework::session::Session;
-use std::collections::HashMap;
-use std::sync::Arc;
 use vendor_amd::{HipContext, RocCallback};
 use vendor_nv::{CudaContext, NvCallback};
+
+/// The launch whose begin callback arrived and whose end has not: id,
+/// kernel name, start time. One slot is enough because begin/end adjacency
+/// is the vendor layers' contract — `CudaContext::launch_on` and
+/// `HipContext::launch_on` emit the pair back to back on one thread, with
+/// no other launch's callbacks in between. An end whose id is not the
+/// pending launch's has no begin to pair with and is dropped.
+#[derive(Default)]
+struct PendingLaunch(Option<(LaunchId, Symbol, SimTime)>);
+
+impl PendingLaunch {
+    fn begin(&mut self, launch: LaunchId, name: &Symbol, start: SimTime) {
+        self.0 = Some((launch, name.clone(), start));
+    }
+
+    /// The timed launch event, when `launch` is the pending one.
+    fn end(&mut self, launch: LaunchId, device: DeviceId, end: SimTime) -> Option<Event> {
+        let (_, name, start) = self.0.take_if(|(pending, ..)| *pending == launch)?;
+        Some(Event::KernelLaunchEnd {
+            launch,
+            device,
+            name,
+            start,
+            end,
+        })
+    }
+}
 
 /// Subscribes the hub to a CUDA context's host callbacks.
 ///
@@ -22,30 +47,21 @@ use vendor_nv::{CudaContext, NvCallback};
 /// [`Event::KernelLaunchEnd`]; everything else flows through
 /// [`normalize_nv`].
 pub fn attach_nv(ctx: &mut CudaContext, hub: SharedHub) {
-    let hub = Arc::clone(&hub);
-    let mut pending: HashMap<LaunchId, (Symbol, SimTime)> = HashMap::new();
+    let mut pending = PendingLaunch::default();
     ctx.subscribe(Box::new(move |cb: &NvCallback| match cb {
         NvCallback::LaunchBegin {
             launch,
             name,
             start,
             ..
-        } => {
-            pending.insert(*launch, (name.clone(), *start));
-        }
+        } => pending.begin(*launch, name, *start),
         NvCallback::LaunchEnd {
             launch,
             device,
             end,
         } => {
-            if let Some((name, start)) = pending.remove(launch) {
-                hub.process(&Event::KernelLaunchEnd {
-                    launch: *launch,
-                    device: *device,
-                    name,
-                    start,
-                    end: *end,
-                });
+            if let Some(event) = pending.end(*launch, *device, *end) {
+                hub.process(&event);
             }
         }
         other => {
@@ -58,30 +74,21 @@ pub fn attach_nv(ctx: &mut CudaContext, hub: SharedHub) {
 
 /// Subscribes the hub to a HIP context's host callbacks.
 pub fn attach_roc(ctx: &mut HipContext, hub: SharedHub) {
-    let hub = Arc::clone(&hub);
-    let mut pending: HashMap<LaunchId, (Symbol, SimTime)> = HashMap::new();
+    let mut pending = PendingLaunch::default();
     ctx.subscribe(Box::new(move |cb: &RocCallback| match cb {
         RocCallback::KernelDispatch {
             launch,
             name,
             start,
             ..
-        } => {
-            pending.insert(*launch, (name.clone(), *start));
-        }
+        } => pending.begin(*launch, name, *start),
         RocCallback::KernelComplete {
             launch,
             device,
             end,
         } => {
-            if let Some((name, start)) = pending.remove(launch) {
-                hub.process(&Event::KernelLaunchEnd {
-                    launch: *launch,
-                    device: *device,
-                    name,
-                    start,
-                    end: *end,
-                });
+            if let Some(event) = pending.end(*launch, *device, *end) {
+                hub.process(&event);
             }
         }
         other => {
@@ -95,7 +102,6 @@ pub fn attach_roc(ctx: &mut HipContext, hub: SharedHub) {
 /// Subscribes the hub to a framework session's callbacks (tensor, op,
 /// pass and annotation events).
 pub fn attach_session(session: &mut Session<'_>, hub: SharedHub) {
-    let hub = Arc::clone(&hub);
     session.subscribe(Box::new(move |ev| {
         let event = normalize_framework(ev);
         hub.process(&event);
@@ -110,6 +116,37 @@ mod tests {
     use crate::tool::LaunchCounter;
     use accel_sim::{DeviceRuntime, DeviceSpec, Dim3, KernelBody, KernelDesc};
     use dl_framework::dtype::DType;
+    use std::sync::Arc;
+
+    #[test]
+    fn a_launch_end_pairs_only_with_the_pending_begin() {
+        let mut pending = PendingLaunch::default();
+        let (d, name) = (DeviceId(0), Symbol::intern("k"));
+        assert!(
+            pending.end(LaunchId(0), d, SimTime(9)).is_none(),
+            "an end with no begin before it is dropped"
+        );
+        pending.begin(LaunchId(1), &name, SimTime(10));
+        assert!(
+            pending.end(LaunchId(2), d, SimTime(11)).is_none(),
+            "an end for another launch is dropped"
+        );
+        assert_eq!(
+            pending.end(LaunchId(1), d, SimTime(12)),
+            Some(Event::KernelLaunchEnd {
+                launch: LaunchId(1),
+                device: d,
+                name,
+                start: SimTime(10),
+                end: SimTime(12),
+            }),
+            "and leaves the pending launch for its own end"
+        );
+        assert!(
+            pending.end(LaunchId(1), d, SimTime(13)).is_none(),
+            "which pairs once"
+        );
+    }
 
     #[test]
     fn nv_launches_become_timed_events() {

@@ -71,13 +71,24 @@ impl KnobSet {
         KnobSet::default()
     }
 
-    /// Records one launch completion. The interned key makes this an
-    /// allocation-free hash-map update (and a pointer compare on the fast
-    /// path of probing).
+    /// Updates the aggregate of `kernel`. A kernel seen before — every
+    /// launch but a kernel's first — is looked up by reference: the key is
+    /// cloned (a refcount bump on a line every lane shares) only when it
+    /// is inserted.
+    fn update(&mut self, kernel: &Symbol, f: impl FnOnce(&mut KernelAggregate)) {
+        match self.per_kernel.get_mut(kernel) {
+            Some(agg) => f(agg),
+            None => f(self.per_kernel.entry(kernel.clone()).or_default()),
+        }
+    }
+
+    /// Records one launch completion: an allocation-free hash-map update
+    /// that leaves the key's refcount alone once the kernel is known.
     pub fn record_launch(&mut self, kernel: &Symbol, duration_ns: u64) {
-        let agg = self.per_kernel.entry(kernel.clone()).or_default();
-        agg.calls += 1;
-        agg.duration_ns += duration_ns;
+        self.update(kernel, |agg| {
+            agg.calls += 1;
+            agg.duration_ns += duration_ns;
+        });
     }
 
     /// Records fine-grained counters for a kernel.
@@ -88,10 +99,11 @@ impl KnobSet {
         bytes: u64,
         barriers: u64,
     ) {
-        let agg = self.per_kernel.entry(kernel.clone()).or_default();
-        agg.memory_records += memory_records;
-        agg.bytes += bytes;
-        agg.barriers += barriers;
+        self.update(kernel, |agg| {
+            agg.memory_records += memory_records;
+            agg.bytes += bytes;
+            agg.barriers += barriers;
+        });
     }
 
     /// The kernel selected by `knob`, with its aggregate.

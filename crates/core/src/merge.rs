@@ -23,22 +23,27 @@
 //!   the tests and the `scale_out` bench compare against.
 //! * [`reduce_indexed`] — the plan's scheduling half for *independent*
 //!   reductions (one per registered tool): runs `f(0..n)` on up to
-//!   `max_threads` scoped workers, chunked contiguously so results stay
-//!   in index order.
+//!   `max_threads` threads, chunked contiguously so results stay in index
+//!   order.
 //!
-//! All worker threads the plan spawns are named `merge-{k}` so panic
+//! The calling thread always takes the first share of the work; a plan
+//! with `W` workers spawns `W − 1` helpers, once per reduction whatever
+//! the number of tree rounds. Helpers are named `merge-{k}` so panic
 //! payloads and debugger output attribute to the merge stage.
 //!
 //! Critical-path arithmetic (the `BENCH_scale_out.json` model): a linear
 //! fold of N shards is `(N-1)·M` for per-merge cost M. The tree performs
-//! the same `N-1` merges but round *r* runs its `N/2^r` pairs
-//! concurrently, so with W workers the critical path is
-//! `Σ_r ceil(pairs_r / W) · M` — `≈ (N/W + log₂N)·M`, an
-//! `(N-1) / (N/W + log₂N)` speedup (4.5x at N=64, W=8).
+//! the same `N-1` merges, but W workers fold the subtrees over blocks of
+//! `N/W` leaves concurrently and the block roots then merge pairwise up
+//! the tree, each pair on the thread that holds its left side, so the
+//! critical path is `≈ (N/W + log₂W)·M` — what splitting every round
+//! `W` ways gives, `Σ_r ceil(pairs_r / W) · M`, without a rendezvous per
+//! round: an `(N-1) / (N/W + log₂W)` speedup (6.3x at N=64, W=8).
 //!
 //! [`UvmManager`]: uvm_sim::UvmManager
 
 use accel_sim::resolve_threads;
+use std::panic::resume_unwind;
 
 /// Sequential left fold in input order: `items[0] ∘ items[1] ∘ …` —
 /// the linear-chain reference [`tree_reduce`] is measured against.
@@ -53,8 +58,8 @@ pub fn linear_reduce<T>(items: Vec<T>, merge: impl Fn(&mut T, T)) -> Option<T> {
 }
 
 /// Pairwise binary tree reduction in input order, executed on up to
-/// `max_threads` scoped worker threads per round (`0` = available
-/// parallelism; workers are named `merge-{k}`).
+/// `max_threads` threads (`0` = available parallelism): the caller's plus
+/// helpers named `merge-{k}`, spawned once per reduction.
 ///
 /// Each round merges adjacent pairs of the previous round's survivors —
 /// `merge(&mut left, right)` — and an odd tail element survives to the
@@ -63,57 +68,93 @@ pub fn linear_reduce<T>(items: Vec<T>, merge: impl Fn(&mut T, T)) -> Option<T> {
 /// same list; the tree shape depends only on `items.len()`, so thread
 /// count never changes the bytes. Returns `None` for an empty input.
 ///
-/// A panicking `merge` propagates out of the scope join, exactly like
-/// the pre-existing scoped fold it replaces.
+/// Threads split the tree by subtree, not by round: the tree's last pair
+/// is (everything before the largest power of two below the length,
+/// everything from it on), so a thread hands the right side to a helper,
+/// reduces the left side itself the same way, joins the helper and merges
+/// the two roots — down to blocks of leaves small enough that `W` threads
+/// cover the list, which each thread folds through all their rounds
+/// alone. The joins are the only synchronization.
+///
+/// A panicking `merge` propagates to the caller, through the joins when a
+/// helper ran it.
 pub fn tree_reduce<T: Send>(
-    mut items: Vec<T>,
+    items: Vec<T>,
     max_threads: usize,
     merge: impl Fn(&mut T, T) + Sync,
 ) -> Option<T> {
-    let merge = &merge;
-    while items.len() > 1 {
-        let mut pairs: Vec<(T, Option<T>)> = Vec::with_capacity(items.len().div_ceil(2));
-        let mut it = items.into_iter();
-        while let Some(left) = it.next() {
-            pairs.push((left, it.next()));
-        }
-        let workers = resolve_threads(max_threads).min(pairs.len());
-        if workers <= 1 {
-            for (left, right) in &mut pairs {
-                if let Some(right) = right.take() {
-                    merge(left, right);
-                }
-            }
-        } else {
-            let chunk = pairs.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                for (k, slice) in pairs.chunks_mut(chunk).enumerate() {
-                    // Audited expect: thread spawning fails only on
-                    // resource exhaustion, where the unnamed
-                    // `Scope::spawn` this replaces would panic too.
-                    #[allow(clippy::expect_used)]
-                    std::thread::Builder::new()
-                        .name(format!("merge-{k}"))
-                        .spawn_scoped(scope, move || {
-                            for (left, right) in slice {
-                                if let Some(right) = right.take() {
-                                    merge(left, right);
-                                }
-                            }
-                        })
-                        .expect("spawn merge worker");
-                }
-            });
-        }
-        items = pairs.into_iter().map(|(left, _)| left).collect();
+    let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
+    let workers = resolve_threads(max_threads).min(slots.len() / 2).max(1);
+    let block = slots.len().div_ceil(workers).next_power_of_two();
+    std::thread::scope(|scope| reduce_span(scope, &mut slots, 0, block, &merge))
+}
+
+/// Reduces `slots` — the leaves from `base` on, up to the next boundary
+/// of the tree — to their root: spans of at most `block` leaves on this
+/// thread, longer ones split at the tree's last pair with the right side
+/// on the helper `merge-{k}`, `k` the index of the block it starts at.
+fn reduce_span<'scope, T: Send>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    slots: &'scope mut [Option<T>],
+    base: usize,
+    block: usize,
+    merge: &'scope (impl Fn(&mut T, T) + Sync),
+) -> Option<T> {
+    if slots.len() <= block {
+        fold_rounds(slots, merge);
+        return slots.first_mut()?.take();
     }
-    items.pop()
+    let half = slots.len().next_power_of_two() / 2;
+    let (left, right) = slots.split_at_mut(half);
+    let helper = spawn_merge_worker(scope, (base + half) / block, move || {
+        reduce_span(scope, right, base + half, block, merge)
+    });
+    let mut root = reduce_span(scope, left, base, block, merge);
+    let right = helper
+        .join()
+        .unwrap_or_else(|payload| resume_unwind(payload));
+    if let (Some(root), Some(right)) = (root.as_mut(), right) {
+        merge(root, right);
+    }
+    root
+}
+
+/// Runs every round of the tree over `slots`, leaving the root in the
+/// first: the round of stride `s` folds slot `(2k+1)·s` into slot `2k·s`
+/// for every `k` that has both, which is the adjacent pairing of the
+/// survivors of the round of stride `s/2`.
+fn fold_rounds<T>(slots: &mut [Option<T>], merge: &impl Fn(&mut T, T)) {
+    let mut stride = 1;
+    while stride < slots.len() {
+        for left in (0..slots.len() - stride).step_by(2 * stride) {
+            let right = slots[left + stride].take();
+            if let (Some(left), Some(right)) = (slots[left].as_mut(), right) {
+                merge(left, right);
+            }
+        }
+        stride *= 2;
+    }
+}
+
+/// Spawns the scoped helper `merge-{k}`.
+fn spawn_merge_worker<'scope, R: Send + 'scope>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    k: usize,
+    work: impl FnOnce() -> R + Send + 'scope,
+) -> std::thread::ScopedJoinHandle<'scope, R> {
+    // Audited expect: thread spawning fails only on resource exhaustion,
+    // where the unnamed `Scope::spawn` this replaces would panic too.
+    #[allow(clippy::expect_used)]
+    std::thread::Builder::new()
+        .name(format!("merge-{k}"))
+        .spawn_scoped(scope, work)
+        .expect("spawn merge worker")
 }
 
 /// Runs the independent reductions `f(0), …, f(n-1)` on up to
-/// `max_threads` scoped workers (`0` = available parallelism, workers
-/// named `merge-{k}`), returning results in index order. Indices are
-/// chunked contiguously, so each reduction runs whole on one thread —
+/// `max_threads` threads (`0` = available parallelism; the caller's plus
+/// helpers named `merge-{k}`), returning results in index order. Indices
+/// are chunked contiguously, so each reduction runs whole on one thread —
 /// the scheduler behind the per-tool shard folds, where tools are
 /// independent of each other but each tool's fold must stay ordered.
 pub fn reduce_indexed<T: Send>(
@@ -129,19 +170,18 @@ pub fn reduce_indexed<T: Send>(
     let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let chunk = n.div_ceil(workers);
     std::thread::scope(|scope| {
-        for (k, slots) in out.chunks_mut(chunk).enumerate() {
-            let base = k * chunk;
-            // Audited expect: see `tree_reduce` — same failure mode as
-            // the unnamed `Scope::spawn` this replaces.
-            #[allow(clippy::expect_used)]
-            std::thread::Builder::new()
-                .name(format!("merge-{k}"))
-                .spawn_scoped(scope, move || {
-                    for (j, slot) in slots.iter_mut().enumerate() {
-                        *slot = Some(f(base + j));
-                    }
-                })
-                .expect("spawn merge worker");
+        let fill = |base: usize, slots: &mut [Option<T>]| {
+            for (j, slot) in slots.iter_mut().enumerate() {
+                *slot = Some(f(base + j));
+            }
+        };
+        let mut chunks = out.chunks_mut(chunk).enumerate();
+        let first = chunks.next();
+        for (k, slots) in chunks {
+            spawn_merge_worker(scope, k, move || fill(k * chunk, slots));
+        }
+        if let Some((_, slots)) = first {
+            fill(0, slots);
         }
     });
     out.into_iter()
@@ -170,12 +210,27 @@ mod tests {
         // String concat is associative but NOT commutative — exactly the
         // shape of the device-ordered merges — so this catches any
         // pairing that reorders elements.
-        for n in 1..=33 {
+        for n in 1..=130 {
             let items: Vec<String> = (0..n).map(|i| format!("[{i}]")).collect();
             let linear = linear_reduce(items.clone(), |a, b| a.push_str(&b));
-            for threads in [1, 2, 3, 8] {
+            for threads in [1, 2, 3, 8, 64] {
                 let tree = tree_reduce(items.clone(), threads, |a, b| a.push_str(&b));
                 assert_eq!(tree, linear, "n={n} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_merge_reaches_the_caller_whichever_thread_ran_it() {
+        for threads in [1, 2, 8] {
+            for poisoned in [0u64, 5, 15] {
+                let caught = std::panic::catch_unwind(|| {
+                    tree_reduce((0..16u64).collect(), threads, |a, b| {
+                        assert_ne!(b, poisoned | 1, "merge refuses this pair");
+                        *a += b;
+                    })
+                });
+                assert!(caught.is_err(), "threads={threads} poisoned={poisoned}");
             }
         }
     }

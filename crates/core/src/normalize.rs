@@ -9,6 +9,9 @@
 use crate::event::Event;
 use accel_sim::Symbol;
 use dl_framework::callbacks::FrameworkEvent;
+use std::cell::RefCell;
+use std::sync::Arc;
+use std::thread::LocalKey;
 use vendor_amd::RocCallback;
 use vendor_nv::NvCallback;
 
@@ -35,10 +38,67 @@ pub fn normalize_api_name(raw: &str) -> String {
     out
 }
 
+/// Slots in a [`NameMemo`]; the vendor layers name a few dozen APIs.
+const MEMO_SLOTS: usize = 64;
+/// Slots probed from a name's home slot before the home slot is
+/// overwritten, so two names sharing a home do not evict each other.
+const MEMO_PROBES: usize = 4;
+
+/// A per-thread memo from a raw vendor name to the symbol it normalizes
+/// to. Vendor names are `&'static str`, so the key is the string's address
+/// and length — equal keys are the same bytes — and a name seen before
+/// costs a pointer compare and a refcount bump: no `String`, no interner.
+/// Bounded: a name that finds its probe window full displaces the one in
+/// its home slot and is normalized again when that one returns.
+struct NameMemo {
+    slots: [Option<(&'static str, Symbol)>; MEMO_SLOTS],
+}
+
+impl NameMemo {
+    const fn new() -> Self {
+        NameMemo {
+            slots: [const { None }; MEMO_SLOTS],
+        }
+    }
+
+    fn get(&mut self, raw: &'static str, normalize: fn(&str) -> Symbol) -> Symbol {
+        let home = (raw.as_ptr() as usize).wrapping_mul(0x9e37_79b9_7f4a_7c15_u64 as usize)
+            >> (usize::BITS - MEMO_SLOTS.trailing_zeros());
+        for probe in 0..MEMO_PROBES {
+            let slot = &mut self.slots[(home + probe) % MEMO_SLOTS];
+            match slot {
+                Some((seen, symbol)) if std::ptr::eq(*seen, raw) => return symbol.clone(),
+                Some(_) => {}
+                None => return slot.insert((raw, normalize(raw))).1.clone(),
+            }
+        }
+        self.slots[home].insert((raw, normalize(raw))).1.clone()
+    }
+}
+
+thread_local! {
+    static API_NAMES: RefCell<NameMemo> = const { RefCell::new(NameMemo::new()) };
+    /// Separate from [`API_NAMES`]: `cudaMemPrefetchAsync` is both an API
+    /// name and a batch-op label, and the two normalize differently.
+    static BATCH_OPS: RefCell<NameMemo> = const { RefCell::new(NameMemo::new()) };
+}
+
+fn memoized(
+    memo: &'static LocalKey<RefCell<NameMemo>>,
+    raw: &'static str,
+    normalize: fn(&str) -> Symbol,
+) -> Symbol {
+    memo.try_with(|memo| memo.borrow_mut().get(raw, normalize))
+        // The thread is exiting and its memo is gone.
+        .unwrap_or_else(|_| normalize(raw))
+}
+
 /// Interned form of [`normalize_api_name`] — what the event constructors
 /// use, so repeated calls to the same API share one allocation.
-fn intern_api_name(raw: &str) -> Symbol {
-    Symbol::intern(&normalize_api_name(raw))
+fn intern_api_name(raw: &'static str) -> Symbol {
+    memoized(&API_NAMES, raw, |raw| {
+        Symbol::intern(&normalize_api_name(raw))
+    })
 }
 
 /// True when the API symbol is a *driver*-level entry point (`cu*` on
@@ -292,14 +352,16 @@ pub fn normalize_roc(cb: &RocCallback) -> Option<Event> {
     })
 }
 
-fn normalize_batch_op(raw: &str) -> Symbol {
-    if raw.contains("Prefetch") {
-        Symbol::intern("mem_prefetch")
-    } else if raw.contains("Advise") {
-        Symbol::intern("mem_advise")
-    } else {
-        intern_api_name(raw)
-    }
+fn normalize_batch_op(raw: &'static str) -> Symbol {
+    memoized(&BATCH_OPS, raw, |raw| {
+        if raw.contains("Prefetch") {
+            Symbol::intern("mem_prefetch")
+        } else if raw.contains("Advise") {
+            Symbol::intern("mem_advise")
+        } else {
+            Symbol::intern(&normalize_api_name(raw))
+        }
+    })
 }
 
 /// Normalizes a DL-framework event.
@@ -312,13 +374,13 @@ pub fn normalize_framework(ev: &FrameworkEvent) -> Event {
             py_stack,
         } => Event::OpStart {
             seq: *seq,
-            name: Symbol::intern(name),
+            name: name.clone(),
             device: *device,
-            py_stack: py_stack.clone(),
+            py_stack: Arc::clone(py_stack),
         },
         FrameworkEvent::OpEnd { seq, name, device } => Event::OpEnd {
             seq: *seq,
-            name: Symbol::intern(name),
+            name: name.clone(),
             device: *device,
         },
         FrameworkEvent::TensorAlloc {

@@ -372,6 +372,7 @@ impl PastaBuilder {
             }
             Some(specs) => specs,
         };
+        let specs: Arc<[DeviceSpec]> = specs.into();
         let vendor = specs[0].vendor;
         if specs.iter().any(|s| s.vendor != vendor) {
             return Err(PastaError::Config(
@@ -429,12 +430,12 @@ impl PastaBuilder {
         let mut managed_allocator = false;
         let (runtime, profiler) = match vendor {
             Vendor::Amd => {
-                let mut ctx = HipContext::new(specs.clone());
+                let mut ctx = HipContext::new(Arc::clone(&specs));
                 attach_roc(&mut ctx, Arc::clone(&hub));
                 if let Some(uvm_setup) = &self.uvm {
                     managed_allocator = uvm_setup.managed_allocator;
                     let mut uvm = UvmManager::new(uvm_setup.config.clone());
-                    for spec in &specs {
+                    for spec in specs.iter() {
                         let budget = uvm_setup
                             .budget_bytes
                             .unwrap_or(spec.mem_capacity)
@@ -452,12 +453,12 @@ impl PastaBuilder {
                 (RuntimeBox::Hip(ctx), handle)
             }
             _ => {
-                let mut ctx = CudaContext::new(specs.clone());
+                let mut ctx = CudaContext::new(Arc::clone(&specs));
                 attach_nv(&mut ctx, Arc::clone(&hub));
                 if let Some(uvm_setup) = &self.uvm {
                     managed_allocator = uvm_setup.managed_allocator;
                     let mut uvm = UvmManager::new(uvm_setup.config.clone());
-                    for spec in &specs {
+                    for spec in specs.iter() {
                         let budget = uvm_setup
                             .budget_bytes
                             .unwrap_or(spec.mem_capacity)
@@ -557,9 +558,9 @@ pub struct PastaSession {
     hub: SharedHub,
     profiler: Option<ProfilerHandle>,
     managed_allocator: bool,
-    /// Device specs the session was built with (parallel lanes replicate
-    /// them into per-lane contexts).
-    specs: Vec<DeviceSpec>,
+    /// Device specs the session was built with, shared with every
+    /// per-lane context of a parallel region.
+    specs: Arc<[DeviceSpec]>,
     /// Resolved backend choice, reused by parallel lanes.
     backend: BackendChoice,
     sampling_rate: u32,
@@ -1028,14 +1029,14 @@ impl PastaSession {
         for &device in devices {
             let (ctx, handle) = match self.specs[0].vendor {
                 Vendor::Amd => {
-                    let mut ctx = HipContext::new(self.specs.clone());
+                    let mut ctx = HipContext::new(Arc::clone(&self.specs));
                     ctx.set_device(device).map_err(PastaError::from)?;
                     attach_roc(&mut ctx, Arc::clone(&self.hub));
                     let handle = attach_roc_backend(&mut ctx, &self.backend, self.wants_device)?;
                     (RuntimeBox::Hip(ctx), handle)
                 }
                 _ => {
-                    let mut ctx = CudaContext::new(self.specs.clone());
+                    let mut ctx = CudaContext::new(Arc::clone(&self.specs));
                     ctx.set_device(device).map_err(PastaError::from)?;
                     attach_nv(&mut ctx, Arc::clone(&self.hub));
                     let handle = attach_nv_backend(

@@ -335,12 +335,21 @@ fn drain_ring(ring: &EventRing, processor: &mut EventProcessor) -> u64 {
 #[derive(Debug, Default)]
 pub(crate) struct ShardSpine {
     rings: Mutex<Vec<Arc<EventRing>>>,
+    /// `rings.len()`, readable without the registry mutex: every shard
+    /// lock drains first, and a session whose tools want no device events
+    /// never registers a ring. Written under the registry mutex. The
+    /// release store in `register` pairs with the acquire load in `drain`:
+    /// a drain ordered after a push (same thread, a join, the shard lock)
+    /// is ordered after the registration that preceded the push.
+    live: AtomicUsize,
 }
 
 impl ShardSpine {
     /// Adds a ring feeding this shard.
     pub(crate) fn register(&self, ring: Arc<EventRing>) {
-        self.rings.lock().push(ring);
+        let mut rings = self.rings.lock();
+        rings.push(ring);
+        self.live.store(rings.len(), Ordering::Release);
     }
 
     /// Drains every registered ring into `processor` and prunes rings
@@ -349,12 +358,16 @@ impl ShardSpine {
     ///
     /// The caller must hold the owning shard's processor lock.
     pub(crate) fn drain(&self, processor: &mut EventProcessor) -> u64 {
+        if self.live.load(Ordering::Acquire) == 0 {
+            return 0;
+        }
         let mut rings = self.rings.lock();
         let mut drained = 0;
         rings.retain(|ring| {
             drained += drain_ring(ring, processor);
             !(ring.is_closed() && ring.is_empty())
         });
+        self.live.store(rings.len(), Ordering::Release);
         drained
     }
 }

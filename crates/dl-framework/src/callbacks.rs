@@ -11,6 +11,7 @@ use crate::pycall::PyFrame;
 use crate::tensor::TensorId;
 use accel_sim::{DeviceId, Symbol};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Which pass of training is running (Table II "Forward/Backward Boundary").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -30,19 +31,20 @@ pub enum FrameworkEvent {
     OpStart {
         /// Operator sequence number.
         seq: u64,
-        /// Operator name, e.g. `"aten::conv2d"`.
-        name: String,
+        /// Operator name, e.g. `"aten::conv2d"`, interned.
+        name: Symbol,
         /// Device the operator targets.
         device: DeviceId,
-        /// Python-side stack at the call site.
-        py_stack: Vec<PyFrame>,
+        /// Python-side stack at the call site, outermost first — shared
+        /// with every other operator started at the same stack.
+        py_stack: Arc<[PyFrame]>,
     },
     /// The operator finished (`at::RecordFunction` end).
     OpEnd {
         /// Operator sequence number.
         seq: u64,
-        /// Operator name.
-        name: String,
+        /// Operator name, interned.
+        name: Symbol,
         /// Device.
         device: DeviceId,
     },

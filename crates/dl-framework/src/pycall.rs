@@ -9,6 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// One Python stack frame.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -70,6 +71,9 @@ impl fmt::Display for NativeFrame {
 #[derive(Debug, Default, Clone)]
 pub struct PyStack {
     frames: Vec<PyFrame>,
+    /// The stack as last handed out, until a push or pop changes it:
+    /// operators run by the hundred between two frame changes.
+    snapshot: Option<Arc<[PyFrame]>>,
 }
 
 impl PyStack {
@@ -81,10 +85,12 @@ impl PyStack {
     /// Pushes a frame (entering a Python function).
     pub fn push(&mut self, frame: PyFrame) {
         self.frames.push(frame);
+        self.snapshot = None;
     }
 
     /// Pops the top frame.
     pub fn pop(&mut self) -> Option<PyFrame> {
+        self.snapshot = None;
         self.frames.pop()
     }
 
@@ -93,9 +99,13 @@ impl PyStack {
         self.frames.len()
     }
 
-    /// Snapshot of the stack, outermost first.
-    pub fn snapshot(&self) -> Vec<PyFrame> {
-        self.frames.clone()
+    /// Snapshot of the stack, outermost first: copied once after a push
+    /// or pop, shared until the next.
+    pub fn snapshot(&mut self) -> Arc<[PyFrame]> {
+        Arc::clone(
+            self.snapshot
+                .get_or_insert_with(|| self.frames.as_slice().into()),
+        )
     }
 }
 
@@ -192,6 +202,22 @@ mod tests {
         assert_eq!(snap[0].func, "<module>");
         assert_eq!(s.pop().unwrap().func, "test_bert");
         assert_eq!(s.depth(), 1);
+    }
+
+    #[test]
+    fn snapshot_is_shared_until_the_stack_changes() {
+        let mut s = PyStack::new();
+        s.push(PyFrame::new("run_bert.py", 177, "<module>"));
+        let snap = s.snapshot();
+        assert!(
+            Arc::ptr_eq(&snap, &s.snapshot()),
+            "unchanged stack, one copy"
+        );
+        s.push(PyFrame::new("run_bert.py", 146, "test_bert"));
+        assert_eq!(s.snapshot().len(), 2, "a push invalidates the copy");
+        s.pop();
+        assert_eq!(*s.snapshot(), *snap, "a pop too");
+        assert_eq!(snap.len(), 1, "handed-out snapshots never change");
     }
 
     #[test]

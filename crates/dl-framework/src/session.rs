@@ -12,8 +12,9 @@ use crate::callbacks::{CallbackRegistry, FrameworkEvent, FrameworkSubscriber, Pa
 use crate::dtype::DType;
 use crate::pycall::{PyFrame, PyStack};
 use crate::tensor::{Tensor, TensorId};
-use accel_sim::{AccelError, DeviceId, DeviceRuntime, KernelDesc, LaunchRecord};
+use accel_sim::{AccelError, DeviceId, DeviceRuntime, KernelDesc, LaunchRecord, Symbol};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A live framework session over a device runtime.
 pub struct Session<'rt> {
@@ -225,17 +226,18 @@ impl<'rt> Session<'rt> {
         let seq = self.op_seq;
         self.op_seq += 1;
         let dev = self.rt.current_device();
+        let name = Symbol::intern(name);
         let py_stack = self.py.snapshot();
         self.callbacks.emit(&FrameworkEvent::OpStart {
             seq,
-            name: name.to_owned(),
+            name: name.clone(),
             device: dev,
             py_stack,
         });
         let out = f(self);
         self.callbacks.emit(&FrameworkEvent::OpEnd {
             seq,
-            name: name.to_owned(),
+            name,
             device: dev,
         });
         out
@@ -261,8 +263,8 @@ impl<'rt> Session<'rt> {
         let _ = self.py.pop();
     }
 
-    /// Snapshot of the simulated Python stack.
-    pub fn py_snapshot(&self) -> Vec<PyFrame> {
+    /// Snapshot of the simulated Python stack (see [`PyStack::snapshot`]).
+    pub fn py_snapshot(&mut self) -> Arc<[PyFrame]> {
         self.py.snapshot()
     }
 
@@ -270,7 +272,7 @@ impl<'rt> Session<'rt> {
     pub fn region_start(&mut self, label: &str) {
         let device = self.rt.current_device();
         self.callbacks.emit(&FrameworkEvent::RegionStart {
-            label: accel_sim::Symbol::intern(label),
+            label: Symbol::intern(label),
             device,
         });
     }
@@ -279,7 +281,7 @@ impl<'rt> Session<'rt> {
     pub fn region_end(&mut self, label: &str) {
         let device = self.rt.current_device();
         self.callbacks.emit(&FrameworkEvent::RegionEnd {
-            label: accel_sim::Symbol::intern(label),
+            label: Symbol::intern(label),
             device,
         });
     }
@@ -288,7 +290,7 @@ impl<'rt> Session<'rt> {
     pub fn layer_boundary(&mut self, name: &str, index: usize) {
         let device = self.rt.current_device();
         self.callbacks.emit(&FrameworkEvent::LayerBoundary {
-            name: accel_sim::Symbol::intern(name),
+            name: Symbol::intern(name),
             index,
             device,
         });

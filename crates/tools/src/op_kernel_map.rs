@@ -175,7 +175,7 @@ mod tests {
             seq,
             name: name.into(),
             device: DeviceId(0),
-            py_stack: Vec::new(),
+            py_stack: Vec::new().into(),
         }
     }
 

@@ -500,7 +500,7 @@ impl ShardEncoder {
                 self.sym(name);
                 self.v(device.0.into());
                 self.v(py_stack.len() as u64);
-                for frame in py_stack {
+                for frame in py_stack.iter() {
                     self.sym(&frame.file);
                     self.v(frame.line.into());
                     self.sym(&frame.func);
@@ -839,7 +839,7 @@ impl ShardDecoder {
                     seq,
                     name,
                     device,
-                    py_stack,
+                    py_stack: py_stack.into(),
                 }
             }
             tag::OP_END => Event::OpEnd {

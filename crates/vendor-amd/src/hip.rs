@@ -11,6 +11,7 @@ use accel_sim::{
     AccelError, CopyDirection, DeviceId, DeviceProbe, DeviceRuntime, DeviceSpec, Engine,
     KernelDesc, LaunchRecord, ResidencyAdvice, RuntimeStats, SimTime, StreamId, Vendor,
 };
+use std::sync::Arc;
 use uvm_sim::{PrefetchPlan, UvmManager};
 
 /// The simulated HIP runtime context.
@@ -35,12 +36,14 @@ impl std::fmt::Debug for HipContext {
 }
 
 impl HipContext {
-    /// Creates a context over AMD devices.
+    /// Creates a context over AMD devices (a `Vec` of specs, or an
+    /// `Arc<[DeviceSpec]>` shared with other contexts of the same machine).
     ///
     /// # Panics
     ///
     /// Panics when `specs` is empty or contains a non-AMD device.
-    pub fn new(specs: Vec<DeviceSpec>) -> Self {
+    pub fn new(specs: impl Into<Arc<[DeviceSpec]>>) -> Self {
+        let specs: Arc<[DeviceSpec]> = specs.into();
         assert!(
             specs.iter().all(|s| s.vendor == Vendor::Amd),
             "HipContext requires AMD device specs"
@@ -90,9 +93,9 @@ impl HipContext {
     /// Host-link bandwidths per device, GB/s.
     pub fn link_bandwidths(&self) -> Vec<f64> {
         self.engine
-            .device_ids()
-            .into_iter()
-            .map(|d| self.engine.device(d).spec().link_bandwidth_gbps)
+            .specs()
+            .iter()
+            .map(|spec| spec.link_bandwidth_gbps)
             .collect()
     }
 

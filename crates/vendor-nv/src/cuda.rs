@@ -14,6 +14,7 @@ use accel_sim::{
     AccelError, CopyDirection, DeviceId, DeviceProbe, DeviceRuntime, DeviceSpec, Engine,
     KernelDesc, LaunchRecord, ResidencyAdvice, RuntimeStats, SimTime, StreamId, Vendor,
 };
+use std::sync::Arc;
 use uvm_sim::{PrefetchPlan, UvmManager};
 
 /// The simulated CUDA runtime context.
@@ -38,12 +39,14 @@ impl std::fmt::Debug for CudaContext {
 }
 
 impl CudaContext {
-    /// Creates a context over NVIDIA devices.
+    /// Creates a context over NVIDIA devices (a `Vec` of specs, or an
+    /// `Arc<[DeviceSpec]>` shared with other contexts of the same machine).
     ///
     /// # Panics
     ///
     /// Panics when `specs` is empty or contains a non-NVIDIA device.
-    pub fn new(specs: Vec<DeviceSpec>) -> Self {
+    pub fn new(specs: impl Into<Arc<[DeviceSpec]>>) -> Self {
+        let specs: Arc<[DeviceSpec]> = specs.into();
         assert!(
             specs.iter().all(|s| s.vendor == Vendor::Nvidia),
             "CudaContext requires NVIDIA device specs"
@@ -110,9 +113,9 @@ impl CudaContext {
     /// Host-link bandwidths per device, GB/s (profiler construction input).
     pub fn link_bandwidths(&self) -> Vec<f64> {
         self.engine
-            .device_ids()
-            .into_iter()
-            .map(|d| self.engine.device(d).spec().link_bandwidth_gbps)
+            .specs()
+            .iter()
+            .map(|spec| spec.link_bandwidth_gbps)
             .collect()
     }
 
