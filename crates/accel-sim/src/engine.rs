@@ -402,12 +402,11 @@ impl Engine {
                 if a.space != MemSpace::Global {
                     continue;
                 }
+                // One lookup: the model answers `HIT` for an address
+                // outside every managed allocation.
                 let arg = desc.args[a.arg_index];
                 let base = arg.ptr.addr() + a.offset;
-                if residency.is_managed(base) {
-                    uvm =
-                        uvm.merge(residency.on_kernel_access(device, base, a.len, a.bytes, a.kind));
-                }
+                uvm = uvm.merge(residency.on_kernel_access(device, base, a.len, a.bytes, a.kind));
             }
         }
 

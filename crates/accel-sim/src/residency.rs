@@ -97,7 +97,11 @@ pub trait ResidencyModel: Send {
     fn is_managed(&self, addr: u64) -> bool;
 
     /// Resolves a kernel's access to `[base, base+len)` on `device` moving
-    /// `bytes` in total; migrates/evicts pages and returns the cost.
+    /// `bytes` in total; migrates/evicts pages and returns the cost. The
+    /// engine calls this for every global access without asking
+    /// [`is_managed`](Self::is_managed) first: an address outside every
+    /// managed allocation must resolve to [`AccessOutcome::HIT`] and
+    /// change nothing.
     fn on_kernel_access(
         &mut self,
         device: DeviceId,

@@ -84,10 +84,13 @@ pub struct ServingConfig {
 }
 
 impl ServingConfig {
-    /// A small but oversubscribable scenario: ~8.4 MiB of weights,
-    /// ≤ 768 KiB of KV per request, 64 requests. With `budget_bytes`
-    /// around 4 MiB per device the KV growth of a loaded lane evicts
-    /// cold conversations and weight pages alike.
+    /// A small but oversubscribable scenario: 16 MiB of weights
+    /// (`param_bytes(F32)` — 256 UVM pages, read whole once per scheduler
+    /// step), ≤ 768 KiB of KV per request, 64 requests. With
+    /// `budget_bytes` a little above the weights — `examples/serving.rs`
+    /// and the benchmark use 9/8 of them, 18 MiB per device — the KV
+    /// growth of a loaded lane evicts cold conversations and weight pages
+    /// alike.
     pub fn small() -> ServingConfig {
         ServingConfig {
             seed: 0x5eed_cafe,

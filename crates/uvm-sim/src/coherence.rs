@@ -30,9 +30,10 @@
 //!   ever *served*: the directory's holder set is the source of truth,
 //!   and it is updated under the range lock at write time.
 
+use crate::page::{page_range, PageRange};
 use accel_sim::DeviceId;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -41,6 +42,9 @@ use std::sync::Arc;
 pub struct RangeDirectory {
     base: u64,
     len: u64,
+    /// Every page the byte range overlaps. Allocations are 256-byte
+    /// aligned, so the first and last page may lie partly outside it.
+    pages: PageRange,
     owner: DeviceId,
     /// Live `register_shared` registrations; the directory drops the
     /// range when the count reaches zero (see
@@ -49,12 +53,86 @@ pub struct RangeDirectory {
     state: Mutex<RangeState>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct RangeState {
-    /// page index → devices holding a duplicate (owner included).
-    holders: BTreeMap<u64, BTreeSet<DeviceId>>,
+    holders: Holders,
     /// device → stale pages it must drop before trusting its residency.
     pending: BTreeMap<DeviceId, Vec<u64>>,
+}
+
+/// Which devices hold a duplicate of each page of the range (the owner's
+/// copy included): one bitset row per page, indexed by the page's offset
+/// from the range's first page, bit `d` standing for `DeviceId(d)`. No
+/// node per page and none per holder; the rows are allocated when the
+/// first holder registers and widened when a device id outgrows them.
+#[derive(Debug)]
+struct Holders {
+    /// Rows: the pages the range overlaps.
+    pages: usize,
+    /// 64-bit words per row.
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl Holders {
+    fn new(pages: usize) -> Self {
+        Holders {
+            pages,
+            words: 0,
+            bits: Vec::new(),
+        }
+    }
+
+    fn row(&self, slot: usize) -> &[u64] {
+        &self.bits[slot * self.words..(slot + 1) * self.words]
+    }
+
+    fn row_mut(&mut self, slot: usize) -> &mut [u64] {
+        &mut self.bits[slot * self.words..(slot + 1) * self.words]
+    }
+
+    /// Sets `device`'s bit in row `slot`, allocating or widening the rows
+    /// first when the id outgrows them.
+    fn insert(&mut self, slot: usize, device: DeviceId) {
+        let words = device.index() / 64 + 1;
+        if words > self.words {
+            let mut bits = vec![0u64; self.pages * words];
+            if self.words > 0 {
+                for slot in 0..self.pages {
+                    bits[slot * words..slot * words + self.words].copy_from_slice(self.row(slot));
+                }
+            }
+            self.words = words;
+            self.bits = bits;
+        }
+        self.row_mut(slot)[device.index() / 64] |= 1 << (device.index() % 64);
+    }
+
+    fn remove(&mut self, slot: usize, device: DeviceId) {
+        if let Some(word) = self.row_mut(slot).get_mut(device.index() / 64) {
+            *word &= !(1 << (device.index() % 64));
+        }
+    }
+
+    fn contains(&self, slot: usize, device: DeviceId) -> bool {
+        self.row(slot)
+            .get(device.index() / 64)
+            .is_some_and(|word| word >> (device.index() % 64) & 1 == 1)
+    }
+
+    /// The holders of one page, ascending.
+    fn devices(&self, slot: usize) -> impl Iterator<Item = DeviceId> + '_ {
+        self.row(slot).iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    DeviceId(w as u32 * 64 + bit)
+                })
+            })
+        })
+    }
 }
 
 impl RangeDirectory {
@@ -82,9 +160,22 @@ impl RangeDirectory {
         self.len == 0
     }
 
+    /// The pages the range overlaps — the only pages the directory
+    /// tracks; every operation ignores pages outside this span.
+    pub fn pages(&self) -> PageRange {
+        self.pages
+    }
+
     /// The device holding the range's home copy.
     pub fn owner(&self) -> DeviceId {
         self.owner
+    }
+
+    /// Row index of `page`, if the range overlaps it.
+    fn slot(&self, page: u64) -> Option<usize> {
+        self.pages
+            .contains(page)
+            .then(|| (page - self.pages.first) as usize)
     }
 
     /// Records that `device` now holds a duplicate of `page`.
@@ -96,30 +187,39 @@ impl RangeDirectory {
     /// range-lock acquisition (the fault path registers whole batches).
     pub fn add_holders(&self, pages: impl IntoIterator<Item = u64>, device: DeviceId) {
         let mut st = self.state.lock();
-        for page in pages {
-            st.holders.entry(page).or_default().insert(device);
+        for slot in pages.into_iter().filter_map(|p| self.slot(p)) {
+            st.holders.insert(slot, device);
         }
     }
 
     /// Removes `device` from `page`'s holder set (duplicate evicted).
     pub fn remove_holder(&self, page: u64, device: DeviceId) {
+        self.remove_holders(&[page], device);
+    }
+
+    /// Removes `device` from the holder set of every page in `pages`
+    /// under one range-lock acquisition — an access's evicted duplicates
+    /// leave in one batch.
+    pub fn remove_holders(&self, pages: &[u64], device: DeviceId) {
         let mut st = self.state.lock();
-        if let Some(set) = st.holders.get_mut(&page) {
-            set.remove(&device);
-            if set.is_empty() {
-                st.holders.remove(&page);
-            }
+        for slot in pages.iter().filter_map(|&p| self.slot(p)) {
+            st.holders.remove(slot, device);
         }
     }
 
     /// Devices currently holding `page`, ascending.
     pub fn holders(&self, page: u64) -> Vec<DeviceId> {
-        self.state
-            .lock()
-            .holders
-            .get(&page)
-            .map(|s| s.iter().copied().collect())
+        let st = self.state.lock();
+        self.slot(page)
+            .map(|slot| st.holders.devices(slot).collect())
             .unwrap_or_default()
+    }
+
+    /// True when the directory lists `device` as a holder of `page`.
+    pub fn is_holder(&self, page: u64, device: DeviceId) -> bool {
+        let st = self.state.lock();
+        self.slot(page)
+            .is_some_and(|slot| st.holders.contains(slot, device))
     }
 
     /// A write by `writer` to `page`: every *other* holder is removed
@@ -143,19 +243,18 @@ impl RangeDirectory {
         writer: DeviceId,
     ) -> Vec<(DeviceId, u64)> {
         let mut st = self.state.lock();
+        let RangeState { holders, pending } = &mut *st;
         let mut victims = Vec::new();
         for page in pages {
-            let vs: Vec<DeviceId> = {
-                let set = st.holders.entry(page).or_default();
-                let vs = set.iter().copied().filter(|&d| d != writer).collect();
-                set.clear();
-                set.insert(writer);
-                vs
+            let Some(slot) = self.slot(page) else {
+                continue;
             };
-            for v in vs {
-                st.pending.entry(v).or_default().push(page);
+            for v in holders.devices(slot).filter(|&d| d != writer) {
+                pending.entry(v).or_default().push(page);
                 victims.push((v, page));
             }
+            holders.row_mut(slot).fill(0);
+            holders.insert(slot, writer);
         }
         victims
     }
@@ -163,34 +262,42 @@ impl RangeDirectory {
     /// The read path's single critical section: drains `device`'s
     /// pending invalidations **and** claims holder entries for the pages
     /// of the accessed range that need fetching, under one lock. A page
-    /// is "missing" when `resident` denies it *or* when it was pending
-    /// invalidation (locally present but stale — the caller must drop
-    /// and refetch it). Registering the claim before the data moves
-    /// closes the window in which a concurrent writer could miss this
-    /// reader entirely: any write that lands after the claim sees the
-    /// holder entry and queues a pending invalidation the reader will
-    /// drain on its next visit.
+    /// is "missing" when the caller found it non-resident *or* when it
+    /// was pending invalidation (locally present but stale — the caller
+    /// must drop and refetch it). Registering the claim before the data
+    /// moves closes the window in which a concurrent writer could miss
+    /// this reader entirely: any write that lands after the claim sees
+    /// the holder entry and queues a pending invalidation the reader
+    /// will drain on its next visit.
     ///
-    /// Returns `(stale, missing)`: `stale` is every drained
-    /// pending-invalid page (range or not — drop them all locally),
-    /// `missing` the accessed pages to fetch (claimed, in page order).
+    /// `missing` arrives holding the pages of `accessed` the caller's
+    /// own residency denies, in page order — residency is lane-local, so
+    /// that scan needs no lock and the critical section costs
+    /// O(missing + stale) whatever the access spans. It leaves holding
+    /// the pages to fetch (claimed, in page order): the same, plus the
+    /// drained stale pages that lie in `accessed`. Returns `stale`:
+    /// every drained pending-invalid page (accessed or not — drop them
+    /// all locally).
     pub fn claim_read(
         &self,
         device: DeviceId,
-        pages: impl IntoIterator<Item = u64>,
-        resident: impl Fn(u64) -> bool,
-    ) -> (Vec<u64>, Vec<u64>) {
+        accessed: PageRange,
+        missing: &mut Vec<u64>,
+    ) -> Vec<u64> {
         let mut st = self.state.lock();
         let stale: Vec<u64> = st.pending.remove(&device).unwrap_or_default();
-        let stale_set: BTreeSet<u64> = stale.iter().copied().collect();
-        let mut missing = Vec::new();
-        for p in pages {
-            if !resident(p) || stale_set.contains(&p) {
-                st.holders.entry(p).or_default().insert(device);
-                missing.push(p);
-            }
+        let denied = missing.len();
+        missing.extend(stale.iter().copied().filter(|&p| accessed.contains(p)));
+        if missing.len() > denied {
+            // A stale page may also be one the caller already denied,
+            // and a page invalidated twice is queued twice.
+            missing.sort_unstable();
+            missing.dedup();
         }
-        (stale, missing)
+        for slot in missing.iter().filter_map(|&p| self.slot(p)) {
+            st.holders.insert(slot, device);
+        }
+        stale
     }
 
     /// Drains `device`'s pending stale pages (set by remote writes since
@@ -206,22 +313,22 @@ impl RangeDirectory {
     /// Pages `device` currently holds in this range, ascending — one
     /// lock acquisition (the merge reconciliation's batch query).
     pub fn pages_held_by(&self, device: DeviceId) -> Vec<u64> {
-        self.state
-            .lock()
-            .holders
+        let st = self.state.lock();
+        self.pages
             .iter()
-            .filter(|(_, set)| set.contains(&device))
-            .map(|(&p, _)| p)
+            .enumerate()
+            .filter(|&(slot, _)| st.holders.contains(slot, device))
+            .map(|(_, p)| p)
             .collect()
     }
 
     /// Total duplicate entries across all pages (testing/reporting).
     pub fn holder_entries(&self) -> u64 {
-        self.state
-            .lock()
-            .holders
-            .values()
-            .map(|s| s.len() as u64)
+        let st = self.state.lock();
+        st.holders
+            .bits
+            .iter()
+            .map(|w| u64::from(w.count_ones()))
             .sum()
     }
 }
@@ -246,12 +353,17 @@ impl CoherenceDirectory {
     /// [`CoherenceDirectory::release`].
     pub fn ensure(&self, base: u64, len: u64, owner: DeviceId) -> Arc<RangeDirectory> {
         let entry = Arc::clone(self.ranges.lock().entry(base).or_insert_with(|| {
+            let pages = page_range(base, len);
             Arc::new(RangeDirectory {
                 base,
                 len,
+                pages,
                 owner,
                 registrants: AtomicUsize::new(0),
-                state: Mutex::new(RangeState::default()),
+                state: Mutex::new(RangeState {
+                    holders: Holders::new(pages.count() as usize),
+                    pending: BTreeMap::new(),
+                }),
             })
         }));
         entry.registrants.fetch_add(1, Ordering::AcqRel);
@@ -364,8 +476,9 @@ mod tests {
         r.write(4, DeviceId(0));
         // Device 1 re-reads pages 4..6: page 4 is locally present but
         // stale, pages 5 is absent, page 3 is validly resident.
-        let locally_resident = [3u64, 4];
-        let (stale, missing) = r.claim_read(DeviceId(1), 3..6, |p| locally_resident.contains(&p));
+        let accessed = PageRange { first: 3, end: 6 };
+        let mut missing = vec![5]; // what device 1's own residency denies
+        let stale = r.claim_read(DeviceId(1), accessed, &mut missing);
         assert_eq!(stale, vec![4], "the drained pending page");
         assert_eq!(missing, vec![4, 5], "stale counts as missing");
         // The claim registered device 1 before any data moved.

@@ -3,8 +3,8 @@
 use crate::coherence::{CoherenceDirectory, RangeDirectory};
 use crate::config::UvmConfig;
 use crate::hotness::BlockHotness;
-use crate::page::{page_of_addr, page_range, PAGE_SIZE};
-use crate::state::DeviceState;
+use crate::page::{page_of_addr, page_range, PageRange, PAGE_SIZE};
+use crate::state::{DeviceState, EvictResult};
 use crate::stats::UvmStats;
 use accel_sim::{
     AccessKind, AccessOutcome, DeviceId, PeerTransfer, ResidencyAdvice, ResidencyModel,
@@ -23,18 +23,97 @@ struct SharedEntry {
     dir: Arc<RangeDirectory>,
 }
 
-/// One slice of an access that straddles private and shared territory
-/// (see [`UvmManager::segments`]).
-enum Segment {
-    /// Resolve privately (lock-free demand path).
-    Private { base: u64, len: u64 },
-    /// Resolve through the range's coherence directory.
-    Shared {
-        dir: Arc<RangeDirectory>,
-        owner: DeviceId,
-        base: u64,
-        len: u64,
-    },
+/// The manager's lock-free cache of shared registrations, by base address.
+type SharedMap = BTreeMap<u64, SharedEntry>;
+
+/// The cached shared range containing `addr`, if any, with its base.
+fn range_containing(shared: &SharedMap, addr: u64) -> Option<(u64, &SharedEntry)> {
+    shared
+        .range(..=addr)
+        .next_back()
+        .filter(|&(&base, e)| addr < base + e.len)
+        .map(|(&base, e)| (base, e))
+}
+
+/// Hands `f` the maximal private (`None`) and shared (`Some(entry)`)
+/// segments of `[base, base+len)` in address order — the one place the
+/// straddling-access semantics live, shared by `on_kernel_access` and
+/// `prefetch`. One lookup settles an access lying wholly in private
+/// territory (an empty map included) or wholly in one shared range; only
+/// an access that straddles a boundary walks.
+fn for_each_segment(
+    shared: &SharedMap,
+    base: u64,
+    len: u64,
+    mut f: impl FnMut(Option<&SharedEntry>, u64, u64),
+) {
+    let end = base + len;
+    match shared.range(..end).next_back() {
+        Some((&sbase, e)) if sbase + e.len > base => {
+            if sbase <= base && end <= sbase + e.len {
+                return f(Some(e), base, len);
+            }
+        }
+        // Ranges are disjoint: the last one starting before `end` ends
+        // before `base`, so every earlier one does too.
+        _ => return f(None, base, len),
+    }
+    let mut cur = base;
+    while cur < end {
+        let containing = range_containing(shared, cur);
+        let seg_end = match containing {
+            Some((sbase, e)) => (sbase + e.len).min(end),
+            // Private up to the next shared range (or the end).
+            None => shared.range(cur..end).next().map_or(end, |(&b, _)| b),
+        };
+        f(containing.map(|(_, e)| e), cur, seg_end - cur);
+        cur = seg_end;
+    }
+}
+
+/// The shared ranges whose page span overlaps `pages`. A range's span is
+/// every page its bytes touch: allocations are 256-byte aligned, so a
+/// range may start mid-page, and the start address of its first page
+/// then lies *below* its base — a page belongs to a range by span, never
+/// by the page's start address.
+fn ranges_spanning(shared: &SharedMap, pages: PageRange) -> impl Iterator<Item = &SharedEntry> {
+    // Disjoint ranges ascend by base and by end alike, so walking back
+    // from the last one that starts before the span's end can stop at
+    // the first that ends before the span's start.
+    shared
+        .range(..pages.end * PAGE_SIZE)
+        .rev()
+        .map(|(_, e)| e)
+        .take_while(move |e| e.dir.pages().end > pages.first)
+}
+
+/// Deregisters evicted (or dropped) pages from the directories of the
+/// shared ranges spanning them, so no directory lists a holder whose
+/// copy is gone — one range-lock acquisition per range that lost pages,
+/// however many, and none when no shared range spans a victim.
+fn deregister_evicted(shared: &SharedMap, device: DeviceId, victims: &[u64]) {
+    let (Some(&lo), Some(&hi)) = (victims.iter().min(), victims.iter().max()) else {
+        return;
+    };
+    let span = PageRange {
+        first: lo,
+        end: hi + 1,
+    };
+    for e in ranges_spanning(shared, span) {
+        if victims.iter().any(|&p| e.dir.pages().contains(p)) {
+            e.dir.remove_holders(victims, device);
+        }
+    }
+    debug_assert!(
+        victims.iter().all(|&p| {
+            let page = PageRange {
+                first: p,
+                end: p + 1,
+            };
+            ranges_spanning(shared, page).all(|e| !e.dir.is_holder(p, device))
+        }),
+        "a page {device:?} no longer holds is still in a holder set"
+    );
 }
 
 /// The unified-virtual-memory manager.
@@ -79,29 +158,40 @@ enum Segment {
 /// stays lock-free.
 #[derive(Debug)]
 pub struct UvmManager {
-    config: UvmConfig,
-    devices: Vec<DeviceState>,
     /// Registered managed allocations: base → length.
     allocs: BTreeMap<u64, u64>,
     /// Shared-range cache: base → (len, owner, range directory). Read
     /// lock-free on the access path; empty unless sharing is in use.
-    shared: BTreeMap<u64, SharedEntry>,
+    shared: SharedMap,
     /// Rendezvous for shared registrations: forks clone the `Arc`, so a
     /// range registered by one lane at run time resolves to the same
     /// per-range lock in every lane.
     directory: Arc<CoherenceDirectory>,
+    hotness: BlockHotness,
+    pager: Pager,
+}
+
+/// Everything resolving an access mutates once its allocation and shared
+/// entry are known — kept apart from the registration maps so the access
+/// path can hold a borrowed [`SharedEntry`] (no `Arc` bump, no copy)
+/// while it moves pages.
+#[derive(Debug)]
+struct Pager {
+    config: UvmConfig,
+    devices: Vec<DeviceState>,
     /// Peer coherence operations since the last drain (read duplications
     /// and write invalidations, in order).
     peer_log: Vec<PeerTransfer>,
     /// (src, dst) → bytes read-duplicated over the peer link.
     peer_bytes: BTreeMap<(DeviceId, DeviceId), u64>,
-    /// Global LRU sequence counter.
-    seq: u64,
     stats: UvmStats,
-    hotness: BlockHotness,
     /// The device a forked lane manager serves (`None` for the session's
     /// shared manager).
     home: Option<DeviceId>,
+    /// Scratch for one access's missing pages and eviction victims;
+    /// empty between accesses, capacity kept.
+    missing: Vec<u64>,
+    victims: Vec<u64>,
 }
 
 impl UvmManager {
@@ -114,17 +204,11 @@ impl UvmManager {
         config.validate();
         let bin = config.hotness_bin_events;
         UvmManager {
-            config,
-            devices: Vec::new(),
             allocs: BTreeMap::new(),
             shared: BTreeMap::new(),
             directory: Arc::new(CoherenceDirectory::new()),
-            peer_log: Vec::new(),
-            peer_bytes: BTreeMap::new(),
-            seq: 0,
-            stats: UvmStats::default(),
             hotness: BlockHotness::new(bin),
-            home: None,
+            pager: Pager::new(config, Vec::new(), None),
         }
     }
 
@@ -154,7 +238,7 @@ impl UvmManager {
     ) {
         let mut st = DeviceState::new(budget, link_bandwidth_gbps, fault_latency_ns);
         st.p2p_bandwidth_gbps = p2p_bandwidth_gbps;
-        self.devices.push(st);
+        self.pager.devices.push(st);
     }
 
     /// Shrinks or grows a device's managed budget (oversubscription knob).
@@ -173,7 +257,7 @@ impl UvmManager {
     ///
     /// Panics when the device was never added.
     pub fn set_budget(&mut self, device: DeviceId, budget: u64) {
-        self.devices[device.index()].budget = budget;
+        self.pager.devices[device.index()].budget = budget;
     }
 
     /// The managed budget currently configured for `device` (bytes).
@@ -182,12 +266,12 @@ impl UvmManager {
     ///
     /// Panics when the device was never added.
     pub fn budget(&self, device: DeviceId) -> u64 {
-        self.devices[device.index()].budget
+        self.pager.devices[device.index()].budget
     }
 
     /// Number of devices registered.
     pub fn device_count(&self) -> usize {
-        self.devices.len()
+        self.pager.devices.len()
     }
 
     /// A lane-local manager for `device`, mirroring `Tool::fork` in the
@@ -212,21 +296,20 @@ impl UvmManager {
     /// Panics when `device` was never added.
     pub fn fork(&self, device: DeviceId) -> UvmManager {
         assert!(
-            device.index() < self.devices.len(),
+            device.index() < self.pager.devices.len(),
             "fork target {device:?} is not a registered UVM device"
         );
+        let devices = self
+            .pager
+            .devices
+            .iter()
+            .map(|d| {
+                let mut st = DeviceState::new(d.budget, d.link_bandwidth_gbps, d.fault_latency_ns);
+                st.p2p_bandwidth_gbps = d.p2p_bandwidth_gbps;
+                st
+            })
+            .collect();
         UvmManager {
-            config: self.config.clone(),
-            devices: self
-                .devices
-                .iter()
-                .map(|d| {
-                    let mut st =
-                        DeviceState::new(d.budget, d.link_bandwidth_gbps, d.fault_latency_ns);
-                    st.p2p_bandwidth_gbps = d.p2p_bandwidth_gbps;
-                    st
-                })
-                .collect(),
             allocs: self.allocs.clone(),
             // Shared ranges and the coherence directory are the one thing
             // lanes genuinely share: the cached entries clone their Arcs
@@ -244,20 +327,16 @@ impl UvmManager {
                 shared
             },
             directory: Arc::clone(&self.directory),
-            peer_log: Vec::new(),
-            peer_bytes: BTreeMap::new(),
-            seq: 0,
-            stats: UvmStats::default(),
             // Lane hotness records an event log so the merge can replay
             // the lane's stream exactly, bin boundaries or not.
             hotness: self.hotness.fork_recording(),
-            home: Some(device),
+            pager: Pager::new(self.pager.config.clone(), devices, Some(device)),
         }
     }
 
     /// The home device this manager was forked for, if any.
     pub fn home_device(&self) -> Option<DeviceId> {
-        self.home
+        self.pager.home
     }
 
     /// Folds a lane manager's accumulated state into this one — the merge
@@ -271,10 +350,10 @@ impl UvmManager {
     /// pages belong to its private replica of the managed space and are
     /// dropped with it.
     pub fn merge(&mut self, other: &UvmManager) {
-        self.stats.merge_from(&other.stats);
+        self.pager.stats.merge_from(&other.pager.stats);
         self.hotness.append_from(&other.hotness);
-        for (&pair, &bytes) in &other.peer_bytes {
-            *self.peer_bytes.entry(pair).or_insert(0) += bytes;
+        for (&pair, &bytes) in &other.pager.peer_bytes {
+            *self.pager.peer_bytes.entry(pair).or_insert(0) += bytes;
         }
         // Shared-range registrations a lane made after the fork travel
         // back with the merge, so the parent keeps routing the range
@@ -292,10 +371,10 @@ impl UvmManager {
             .collect();
         for (rbase, e) in imported {
             let range = page_range(rbase, e.len);
-            for (i, st) in self.devices.iter_mut().enumerate() {
+            for (i, st) in self.pager.devices.iter_mut().enumerate() {
                 let device = DeviceId(i as u32);
                 for p in range.iter() {
-                    if st.is_resident(p) && !e.dir.holders(p).contains(&device) {
+                    if st.is_resident(p) && !e.dir.is_holder(p, device) {
                         st.remove(p);
                     }
                 }
@@ -305,27 +384,33 @@ impl UvmManager {
         }
         // Any coherence operations a lane performed after its last
         // launch drain (normally none) surface through the parent.
-        self.peer_log.extend(other.peer_log.iter().copied());
+        self.pager
+            .peer_log
+            .extend(other.pager.peer_log.iter().copied());
     }
 
     /// Aggregate statistics so far.
     pub fn stats(&self) -> UvmStats {
-        self.stats
+        self.pager.stats
     }
 
     /// Resets statistics, the peer-traffic matrix and the undrained peer
     /// log (budgets and residency stay).
     pub fn reset_stats(&mut self) {
-        self.stats = UvmStats::default();
-        self.peer_bytes.clear();
-        self.peer_log.clear();
+        self.pager.stats = UvmStats::default();
+        self.pager.peer_bytes.clear();
+        self.pager.peer_log.clear();
     }
 
     /// Bytes read-duplicated over the peer link, per (src, dst) device
     /// pair, ascending — the session-level peer-traffic matrix behind
     /// `MergedReport::uvm`.
     pub fn peer_matrix(&self) -> Vec<((DeviceId, DeviceId), u64)> {
-        self.peer_bytes.iter().map(|(&p, &b)| (p, b)).collect()
+        self.pager
+            .peer_bytes
+            .iter()
+            .map(|(&p, &b)| (p, b))
+            .collect()
     }
 
     /// The shared-range coherence directory (forks share it).
@@ -335,13 +420,14 @@ impl UvmManager {
 
     /// The owner of the shared range containing `addr`, if any.
     pub fn shared_owner(&self, addr: u64) -> Option<DeviceId> {
-        self.shared_entry_for(addr).map(|(_, _, e)| e.owner)
+        range_containing(&self.shared, addr).map(|(_, e)| e.owner)
     }
 
     /// True when `addr`'s page is resident on `device` (tests and the
     /// conformance suites; private *and* shared pages).
     pub fn page_resident(&self, device: DeviceId, addr: u64) -> bool {
-        self.devices
+        self.pager
+            .devices
             .get(device.index())
             .is_some_and(|st| st.is_resident(page_of_addr(addr)))
     }
@@ -361,7 +447,8 @@ impl UvmManager {
 
     /// Bytes resident on `device`.
     pub fn resident_bytes(&self, device: DeviceId) -> u64 {
-        self.devices
+        self.pager
+            .devices
             .get(device.index())
             .map_or(0, DeviceState::resident_bytes)
     }
@@ -375,6 +462,21 @@ impl UvmManager {
         let end = (base + len).min(abase + alen);
         Some((base, end - base))
     }
+}
+
+impl Pager {
+    fn new(config: UvmConfig, devices: Vec<DeviceState>, home: Option<DeviceId>) -> Self {
+        Pager {
+            config,
+            devices,
+            peer_log: Vec::new(),
+            peer_bytes: BTreeMap::new(),
+            stats: UvmStats::default(),
+            home,
+            missing: Vec::new(),
+            victims: Vec::new(),
+        }
+    }
 
     fn migration_ns(&self, st: &DeviceState, bytes: u64, efficiency: f64) -> u64 {
         (bytes as f64 / (st.link_bandwidth_gbps * efficiency)) as u64
@@ -384,58 +486,29 @@ impl UvmManager {
         (bytes as f64 / (st.p2p_bandwidth_gbps * efficiency)) as u64
     }
 
-    /// The cached shared-range entry containing `addr`, if any.
-    fn shared_entry_for(&self, addr: u64) -> Option<(u64, u64, &SharedEntry)> {
-        self.shared
-            .range(..=addr)
-            .next_back()
-            .filter(|&(&base, e)| addr < base + e.len)
-            .map(|(&base, e)| (base, e.len, e))
-    }
-
-    /// Splits `[base, base+len)` into alternating private/shared
-    /// segments — the one place the straddling-access semantics live,
-    /// shared by `on_kernel_access` and `prefetch`. Only called when the
-    /// shared map is non-empty.
-    fn segments(&self, base: u64, len: u64) -> Vec<Segment> {
-        let end = base + len;
-        let mut out = Vec::new();
-        let mut cur = base;
-        while cur < end {
-            match self.shared_entry_for(cur) {
-                Some((sbase, slen, e)) => {
-                    let seg_end = (sbase + slen).min(end);
-                    out.push(Segment::Shared {
-                        dir: Arc::clone(&e.dir),
-                        owner: e.owner,
-                        base: cur,
-                        len: seg_end - cur,
-                    });
-                    cur = seg_end;
-                }
-                None => {
-                    // Private up to the next shared range (or the end).
-                    let seg_end = self.shared.range(cur..end).next().map_or(end, |(&b, _)| b);
-                    out.push(Segment::Private {
-                        base: cur,
-                        len: seg_end - cur,
-                    });
-                    cur = seg_end;
-                }
+    /// Faults `missing` onto `st` one page at a time, evicting as the
+    /// budget demands, so that a range larger than the budget evicts its
+    /// own earliest pages — the intra-kernel thrashing that makes
+    /// oversubscribed object-level prefetching pathological in the
+    /// paper's Fig. 12. `clean` marks the new pages read-mostly.
+    fn page_in(
+        st: &mut DeviceState,
+        missing: &[u64],
+        writeback_fraction: f64,
+        clean: bool,
+        mut victims: Option<&mut Vec<u64>>,
+    ) -> EvictResult {
+        let mut evict = EvictResult::default();
+        for &p in missing {
+            let e = st.make_room_logged(PAGE_SIZE, writeback_fraction, victims.as_deref_mut());
+            evict.pages += e.pages;
+            evict.writeback_bytes += e.writeback_bytes;
+            st.insert(p);
+            if clean {
+                st.set_read_mostly(p, true);
             }
         }
-        out
-    }
-
-    /// Deregisters evicted duplicate pages from their range directories,
-    /// so the directory never lists a holder whose copy is gone. Only
-    /// called when shared ranges exist at all.
-    fn deregister_evicted(&mut self, device: DeviceId, victims: &[u64]) {
-        for &page in victims {
-            if let Some((_, _, e)) = self.shared_entry_for(page * PAGE_SIZE) {
-                e.dir.remove_holder(page, device);
-            }
-        }
+        evict
     }
 
     /// Migrates the missing pages of `[base, len)` onto `device`.
@@ -443,63 +516,48 @@ impl UvmManager {
     /// Returns `(pages_migrated, evict_result, groups)`.
     fn fault_in(
         &mut self,
+        shared: &SharedMap,
         device: DeviceId,
         base: u64,
         len: u64,
-    ) -> (u64, crate::state::EvictResult, u64) {
+    ) -> (u64, EvictResult, u64) {
         let range = page_range(base, len);
-        let mut seq = self.seq;
-        let missing: Vec<u64> = {
-            let st = &self.devices[device.index()];
-            range.iter().filter(|p| !st.is_resident(*p)).collect()
-        };
-        let wb = self.config.writeback_fraction;
+        let Pager {
+            config,
+            devices,
+            missing,
+            victims,
+            ..
+        } = self;
+        let st = &mut devices[device.index()];
+        // Refresh the already-resident pages first (in page order), then
+        // fault the rest in.
+        missing.extend(range.iter().filter(|&p| !st.touch(p)));
         // Private evictions can evict *shared* duplicates (one budget per
         // device); track victim identities for directory hygiene — but
         // only when sharing is in use, so the private-only hot path stays
-        // allocation- and lock-free.
-        let track_victims = !self.shared.is_empty();
-        let mut victims: Vec<u64> = Vec::new();
-        let st = &mut self.devices[device.index()];
-        // Refresh already-resident pages first (each with a distinct LRU
-        // stamp — the LRU index is keyed by stamp), then fault the missing
-        // pages in one at a time so that a range larger than the budget
-        // evicts its own earliest pages — the intra-kernel thrashing that
-        // makes oversubscribed object-level prefetching pathological in the
-        // paper's Fig. 12.
-        for p in range.iter() {
-            seq += 1;
-            st.touch(p, seq);
-        }
-        let mut evict = crate::state::EvictResult::default();
-        for p in &missing {
-            let e = st.make_room_logged(
-                PAGE_SIZE,
-                wb,
-                if track_victims {
-                    Some(&mut victims)
-                } else {
-                    None
-                },
-            );
-            evict.pages += e.pages;
-            evict.writeback_bytes += e.writeback_bytes;
-            seq += 1;
-            st.insert(*p, seq);
-        }
-        self.seq = seq + 1;
-        if !victims.is_empty() {
-            self.deregister_evicted(device, &victims);
-        }
-        let groups = (missing.len() as u64).div_ceil(self.config.fault_group_pages.max(1));
-        (missing.len() as u64, evict, groups)
+        // lock-free.
+        let track_victims = (!shared.is_empty()).then_some(&mut *victims);
+        let evict = Self::page_in(st, missing, config.writeback_fraction, false, track_victims);
+        deregister_evicted(shared, device, victims);
+        let pages = missing.len() as u64;
+        let groups = pages.div_ceil(config.fault_group_pages.max(1));
+        missing.clear();
+        victims.clear();
+        (pages, evict, groups)
     }
 
     /// The private-range demand path (everything `on_kernel_access` did
     /// before shared ranges existed), factored out so a straddling access
     /// can resolve its private tail here.
-    fn private_access(&mut self, device: DeviceId, base: u64, len: u64) -> AccessOutcome {
-        let (pages, evict, groups) = self.fault_in(device, base, len);
+    fn private_access(
+        &mut self,
+        shared: &SharedMap,
+        device: DeviceId,
+        base: u64,
+        len: u64,
+    ) -> AccessOutcome {
+        let (pages, evict, groups) = self.fault_in(shared, device, base, len);
         if pages == 0 {
             return AccessOutcome::HIT;
         }
@@ -528,8 +586,14 @@ impl UvmManager {
     /// The private-range prefetch core (the pre-shared-range `prefetch`
     /// body), factored out so a prefetch straddling shared territory can
     /// resolve its private segments here.
-    fn private_prefetch(&mut self, device: DeviceId, base: u64, len: u64) -> u64 {
-        let (pages, evict, _groups) = self.fault_in(device, base, len);
+    fn private_prefetch(
+        &mut self,
+        shared: &SharedMap,
+        device: DeviceId,
+        base: u64,
+        len: u64,
+    ) -> u64 {
+        let (pages, evict, _groups) = self.fault_in(shared, device, base, len);
         if pages == 0 {
             self.stats.prefetch_noops += 1;
             return 0;
@@ -558,18 +622,32 @@ impl UvmManager {
     }
 
     /// The shared-range coherence path: home-backed read duplication plus
-    /// write invalidation. `dir`/`owner` come from the caller's cache
-    /// lookup; `[base, len)` lies entirely inside the shared range.
+    /// write invalidation. `entry` comes from the caller's cache lookup;
+    /// `[base, len)` lies entirely inside its range.
     fn shared_access(
         &mut self,
+        shared: &SharedMap,
         device: DeviceId,
-        dir: Arc<RangeDirectory>,
-        owner: DeviceId,
+        entry: &SharedEntry,
         base: u64,
         len: u64,
         kind: AccessKind,
     ) -> AccessOutcome {
-        // 1. One critical section drains this lane's pending
+        let dir = &*entry.dir;
+        let owner = entry.owner;
+        let range = page_range(base, len);
+        let is_owner = device == owner;
+        let Pager {
+            config,
+            devices,
+            missing,
+            victims,
+            ..
+        } = &mut *self;
+        let st = &mut devices[device.index()];
+        // 1. Residency is lane-local, so the scan that refreshes the
+        //    resident pages and finds the rest needs no lock. One
+        //    critical section then drains this lane's pending
         //    invalidations and claims holder entries for the pages about
         //    to be fetched — registering the claim *before* the data
         //    moves, so a write racing in from another lane either
@@ -577,56 +655,36 @@ impl UvmManager {
         //    or sees the claim and queues a pending entry this lane
         //    drains on its next visit. A page drained as stale counts as
         //    missing even while locally present: it must refetch.
-        let range = page_range(base, len);
-        let is_owner = device == owner;
-        let wb = self.config.writeback_fraction;
-        let (stale, missing) = {
-            let st = &self.devices[device.index()];
-            dir.claim_read(device, range.iter(), |p| st.is_resident(p))
-        };
-        if !stale.is_empty() {
-            let st = &mut self.devices[device.index()];
-            for p in stale {
-                st.remove(p);
-            }
+        missing.extend(range.iter().filter(|&p| !st.touch(p)));
+        for p in dir.claim_read(device, range, missing) {
+            st.remove(p);
         }
 
         // 2. Fault the missing pages in: from the host on the owner, as
-        //    clean peer duplicates everywhere else. Classification is
+        //    clean peer duplicates everywhere else (evicting one needs no
+        //    write-back; a write below dirties it). Classification is
         //    static (owner vs. not), so under read-only sharing a lane's
         //    counters depend only on its own stream — the determinism
         //    contract (writes make invalidation effects cross-lane).
-        let mut seq = self.seq;
-        let mut victims: Vec<u64> = Vec::new();
-        let mut evict = crate::state::EvictResult::default();
-        {
-            let st = &mut self.devices[device.index()];
-            for p in range.iter() {
-                seq += 1;
-                st.touch(p, seq);
-            }
-            for p in &missing {
-                let e = st.make_room_logged(PAGE_SIZE, wb, Some(&mut victims));
-                evict.pages += e.pages;
-                evict.writeback_bytes += e.writeback_bytes;
-                seq += 1;
-                st.insert(*p, seq);
-                if !is_owner {
-                    // Read duplicates are clean copies: evicting one
-                    // needs no write-back (a write below dirties it).
-                    st.set_read_mostly(*p, true);
-                }
-            }
-        }
-        self.seq = seq + 1;
-
+        let evict = Self::page_in(
+            st,
+            missing,
+            config.writeback_fraction,
+            !is_owner,
+            Some(&mut *victims),
+        );
+        // Holder claims were registered up front; an access larger than
+        // the budget evicts its own earliest pages mid-loop, and those
+        // must end up out of the holder set again.
+        deregister_evicted(shared, device, victims);
         let pages = missing.len() as u64;
+        missing.clear();
+        victims.clear();
+
         let groups = pages.div_ceil(self.config.fault_group_pages.max(1));
         let moved = pages * PAGE_SIZE;
-        let evict_ns = {
-            let st = &self.devices[device.index()];
-            self.migration_ns(st, evict.writeback_bytes, 1.0)
-        };
+        let st = &self.devices[device.index()];
+        let evict_ns = self.migration_ns(st, evict.writeback_bytes, 1.0);
         let mut out = AccessOutcome {
             extra_device_ns: evict_ns,
             faults: 0,
@@ -636,14 +694,7 @@ impl UvmManager {
         };
         self.stats.pages_evicted += evict.pages;
         self.stats.evict_stall_ns += evict_ns;
-        // Holder claims were registered up front; an access larger than
-        // the budget evicts its own earliest pages mid-loop, and those
-        // must end up out of the holder set again.
-        if !victims.is_empty() {
-            self.deregister_evicted(device, &victims);
-        }
         if pages > 0 {
-            let st = &self.devices[device.index()];
             if is_owner {
                 let stall = groups * st.fault_latency_ns
                     + self.migration_ns(st, moved, self.config.demand_bw_efficiency);
@@ -690,19 +741,13 @@ impl UvmManager {
             // where the writer's own copy was evicted mid-access (range
             // larger than the budget), the claim must not outlive it.
             // Everything still resident is now dirty.
-            let mut unclaim: Vec<u64> = Vec::new();
-            {
-                let st = &mut self.devices[device.index()];
-                for p in range.iter() {
-                    if st.is_resident(p) {
-                        st.set_read_mostly(p, false);
-                    } else {
-                        unclaim.push(p);
-                    }
-                }
-            }
-            for p in unclaim {
-                dir.remove_holder(p, device);
+            let st = &mut self.devices[device.index()];
+            let unclaim: Vec<u64> = range
+                .iter()
+                .filter(|&p| !st.set_read_mostly(p, false))
+                .collect();
+            if !unclaim.is_empty() {
+                dir.remove_holders(&unclaim, device);
             }
             if self.home.is_none() {
                 for &v in victim_pages.keys() {
@@ -723,6 +768,15 @@ impl UvmManager {
                 });
             }
         }
+        debug_assert!(
+            {
+                let st = &self.devices[device.index()];
+                range
+                    .iter()
+                    .all(|p| st.is_resident(p) || !dir.is_holder(p, device))
+            },
+            "a page {device:?} does not hold is in its holder set"
+        );
         out
     }
 }
@@ -743,7 +797,7 @@ impl ResidencyModel for UvmManager {
         bytes: u64,
         kind: AccessKind,
     ) -> AccessOutcome {
-        if device.index() >= self.devices.len() {
+        if device.index() >= self.pager.devices.len() {
             return AccessOutcome::HIT;
         }
         let Some((base, len)) = self.clamp_to_alloc(base, len) else {
@@ -759,21 +813,14 @@ impl ResidencyModel for UvmManager {
         // run past its end, span several); each segment resolves under
         // its own semantics so shared pages can never slip through the
         // private path and bypass the directory.
-        if self.shared.is_empty() {
-            return self.private_access(device, base, len);
-        }
+        let UvmManager { shared, pager, .. } = self;
         let mut out = AccessOutcome::HIT;
-        for seg in self.segments(base, len) {
-            out = out.merge(match seg {
-                Segment::Private { base, len } => self.private_access(device, base, len),
-                Segment::Shared {
-                    dir,
-                    owner,
-                    base,
-                    len,
-                } => self.shared_access(device, dir, owner, base, len, kind),
+        for_each_segment(shared, base, len, |entry, base, len| {
+            out = out.merge(match entry {
+                None => pager.private_access(shared, device, base, len),
+                Some(e) => pager.shared_access(shared, device, e, base, len, kind),
             });
-        }
+        });
         out
     }
 
@@ -786,7 +833,7 @@ impl ResidencyModel for UvmManager {
     fn unregister(&mut self, base: u64) {
         if let Some(len) = self.allocs.remove(&base) {
             let range = page_range(base, len);
-            for st in &mut self.devices {
+            for st in &mut self.pager.devices {
                 for p in range.iter() {
                     st.remove(p);
                 }
@@ -822,7 +869,7 @@ impl ResidencyModel for UvmManager {
         // invalidate them — otherwise the old copies would survive as
         // served-stale data the directory never knew about.
         let range = page_range(dir.base(), dir.len());
-        for (i, st) in self.devices.iter().enumerate() {
+        for (i, st) in self.pager.devices.iter().enumerate() {
             let resident: Vec<u64> = range.iter().filter(|&p| st.is_resident(p)).collect();
             if !resident.is_empty() {
                 dir.add_holders(resident, DeviceId(i as u32));
@@ -851,97 +898,92 @@ impl ResidencyModel for UvmManager {
     }
 
     fn take_peer_transfers(&mut self) -> Vec<PeerTransfer> {
-        std::mem::take(&mut self.peer_log)
+        std::mem::take(&mut self.pager.peer_log)
     }
 
     fn prefetch(&mut self, device: DeviceId, base: u64, len: u64) -> u64 {
-        if device.index() >= self.devices.len() {
+        if device.index() >= self.pager.devices.len() {
             return 0;
         }
         let Some((base, len)) = self.clamp_to_alloc(base, len) else {
             return 0;
         };
-        if self.shared.is_empty() {
-            return self.private_prefetch(device, base, len);
-        }
         // Prefetching a shared segment behaves like a read access: the
         // owner pulls from the host, everyone else read-duplicates —
         // counted under the demand/peer counters, and the directory
         // learns the new holders either way. Private segments (before,
         // between or after shared ranges) keep the prefetch cost model.
+        let UvmManager { shared, pager, .. } = self;
         let mut stall = 0u64;
-        for seg in self.segments(base, len) {
-            stall += match seg {
-                Segment::Private { base, len } => self.private_prefetch(device, base, len),
-                Segment::Shared {
-                    dir,
-                    owner,
-                    base,
-                    len,
-                } => {
-                    self.shared_access(device, dir, owner, base, len, AccessKind::Load)
+        for_each_segment(shared, base, len, |entry, base, len| {
+            stall += match entry {
+                None => pager.private_prefetch(shared, device, base, len),
+                Some(e) => {
+                    pager
+                        .shared_access(shared, device, e, base, len, AccessKind::Load)
                         .extra_device_ns
                 }
             };
-        }
+        });
         stall
     }
 
     fn advise(&mut self, device: DeviceId, base: u64, len: u64, advice: ResidencyAdvice) {
-        if device.index() >= self.devices.len() {
+        if device.index() >= self.pager.devices.len() {
             return;
         }
         let Some((base, len)) = self.clamp_to_alloc(base, len) else {
             return;
         };
+        let UvmManager { shared, pager, .. } = self;
         let range = page_range(base, len);
         match advice {
             ResidencyAdvice::PinOnDevice => {
-                // Pinning implies making the range resident first.
-                let _ = self.fault_in(device, base, len);
-                {
-                    let st = &mut self.devices[device.index()];
-                    for p in range.iter() {
-                        st.set_pinned(p, true);
+                // A forked lane's invalidated copies stay resident until
+                // it drains its pending list; pinning one as it is would
+                // list a stale copy as a valid duplicate.
+                let st = &mut pager.devices[device.index()];
+                for e in ranges_spanning(shared, range) {
+                    for p in e.dir.drain_pending(device) {
+                        st.remove(p);
                     }
                 }
+                // Pinning implies making the range resident first.
+                let _ = pager.fault_in(shared, device, base, len);
+                let st = &mut pager.devices[device.index()];
+                for p in range.iter() {
+                    st.set_pinned(p, true);
+                }
                 // Pinned shared pages are duplicates like any other: the
-                // directory must list them or a write cannot see them.
-                if !self.shared.is_empty() {
-                    for p in range.iter() {
-                        if let Some((_, _, e)) = self.shared_entry_for(p * PAGE_SIZE) {
-                            e.dir.add_holder(p, device);
-                        }
-                    }
+                // directory must list them or a write cannot see them
+                // (a range larger than the budget evicted its own head;
+                // those pages are not held).
+                for e in ranges_spanning(shared, range) {
+                    e.dir
+                        .add_holders(range.iter().filter(|&p| st.is_resident(p)), device);
                 }
             }
             ResidencyAdvice::PreferHost => {
-                let dropped: Vec<u64> = {
-                    let st = &mut self.devices[device.index()];
-                    range
-                        .iter()
-                        .filter(|&p| {
-                            st.set_pinned(p, false);
-                            let was = st.is_resident(p);
-                            st.remove(p);
-                            was
-                        })
-                        .collect()
-                };
+                let st = &mut pager.devices[device.index()];
+                let dropped: Vec<u64> = range
+                    .iter()
+                    .filter(|&p| {
+                        st.set_pinned(p, false);
+                        st.remove(p)
+                    })
+                    .collect();
                 // Dropped shared duplicates leave the holder set, so the
                 // directory census keeps matching actual residency.
-                if !self.shared.is_empty() {
-                    self.deregister_evicted(device, &dropped);
-                }
+                deregister_evicted(shared, device, &dropped);
             }
             ResidencyAdvice::ReadMostly => {
-                let st = &mut self.devices[device.index()];
+                let st = &mut pager.devices[device.index()];
                 for p in range.iter() {
                     st.set_read_mostly(p, true);
                 }
             }
             ResidencyAdvice::Unset => {
-                let st = &mut self.devices[device.index()];
+                let st = &mut pager.devices[device.index()];
                 for p in range.iter() {
                     st.set_pinned(p, false);
                     st.set_read_mostly(p, false);
@@ -1604,6 +1646,56 @@ mod tests {
             Vec::<DeviceId>::new(),
             "evicted duplicate left the holder set"
         );
+    }
+
+    #[test]
+    fn shared_range_starting_mid_page_is_resolved_by_page_span() {
+        // Allocations are 256-byte aligned, so a shared range may start
+        // mid-page: the start address of its first page then lies below
+        // the range base, and looking the page up by that address finds
+        // no range. The evicted duplicate used to stay in the holder set
+        // forever, an owner write then counted and logged an
+        // invalidation of a copy that no longer existed, and a pinned
+        // first page was never listed.
+        let mut m = UvmManager::new(UvmConfig::default());
+        m.add_device(512 * MB, 24.0, 25_000);
+        m.add_device(MB, 24.0, 25_000);
+        let shared = BASE + 4096;
+        let first_page = page_of_addr(shared);
+        m.register(shared, MB);
+        m.register_shared(shared, MB, DeviceId(0));
+        m.register(BASE + 16 * MB, 4 * MB);
+        let dir = m.directory().range_containing(shared).unwrap();
+
+        m.on_kernel_access(DeviceId(1), shared, 4096, 4096, AccessKind::Load);
+        assert_eq!(dir.holders(first_page), vec![DeviceId(1)]);
+        // Private traffic through device 1's 1 MiB budget evicts it.
+        m.on_kernel_access(DeviceId(1), BASE + 16 * MB, MB, MB, AccessKind::Load);
+        assert!(!m.page_resident(DeviceId(1), shared));
+        assert_eq!(
+            dir.holders(first_page),
+            Vec::<DeviceId>::new(),
+            "the evicted duplicate left the holder set"
+        );
+
+        m.take_peer_transfers();
+        m.on_kernel_access(DeviceId(0), shared, 4096, 4096, AccessKind::Store);
+        assert_eq!(m.stats().duplicates_invalidated, 0, "nothing to invalidate");
+        assert!(
+            m.take_peer_transfers()
+                .iter()
+                .all(|t| t.invalidated_pages == 0),
+            "no invalidation of a copy that is gone"
+        );
+
+        m.advise(DeviceId(1), shared, 4096, ResidencyAdvice::PinOnDevice);
+        assert_eq!(
+            dir.holders(first_page),
+            vec![DeviceId(0), DeviceId(1)],
+            "the pinned first page is listed"
+        );
+        m.advise(DeviceId(1), shared, 4096, ResidencyAdvice::PreferHost);
+        assert_eq!(dir.holders(first_page), vec![DeviceId(0)]);
     }
 
     #[test]

@@ -37,6 +37,11 @@ impl PageRange {
         self.end - self.first
     }
 
+    /// True when `page` lies in the range.
+    pub fn contains(self, page: u64) -> bool {
+        (self.first..self.end).contains(&page)
+    }
+
     /// Iterates the page indices.
     pub fn iter(self) -> impl Iterator<Item = u64> {
         self.first..self.end

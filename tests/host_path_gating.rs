@@ -458,6 +458,121 @@ fn lanes_touching_a_peer_device_price_links_identically() {
     assert_eq!(visits, expected);
 }
 
+/// Phase 7: the memory side of a managed launch. Once the pages are
+/// resident, resolving an access — private, shared with nothing pending,
+/// or a whole serve-shaped launch through `CudaContext` — walks the LRU
+/// list in place and allocates nothing: no segment list, no `missing` or
+/// stale set, no `Arc` bump, no tree node.
+fn resident_managed_accesses_allocate_nothing() {
+    use pasta::sim::{AccessKind, AccessSpec, KernelBody, ResidencyModel};
+    use pasta::uvm::{UvmConfig, UvmManager, PAGE_SIZE};
+
+    const BASE: u64 = 0x4000_0000_0000;
+    const WEIGHT_PAGES: u64 = 256;
+    const KV_PAGES: u64 = 6;
+    // Hotness is an accumulating log and grows by design; one bin wider
+    // than the whole phase keeps its open buffer — sized by the warm-up
+    // passes — the only thing it writes.
+    const WARM_UP: usize = 1200;
+    const COUNTED: usize = 64;
+    let manager = || {
+        let mut m = UvmManager::new(UvmConfig {
+            hotness_bin_events: 1 << 40,
+            ..UvmConfig::default()
+        });
+        for _ in 0..2 {
+            m.add_device_p2p((WEIGHT_PAGES + 32) * PAGE_SIZE, 24.0, 300.0, 25_000);
+        }
+        m
+    };
+
+    // The manager alone: device 1 re-reads a private range, then a range
+    // device 0 owns and shares.
+    let mut m = manager();
+    let (d0, d1) = (DeviceId(0), DeviceId(1));
+    let shared_len = WEIGHT_PAGES * PAGE_SIZE;
+    let private = BASE + shared_len;
+    let private_len = KV_PAGES * PAGE_SIZE;
+    m.register(BASE, shared_len);
+    m.register_shared(BASE, shared_len, d0);
+    m.register(private, private_len);
+    m.on_kernel_access(d0, BASE, shared_len, shared_len, AccessKind::Load);
+    let pass = |m: &mut UvmManager| {
+        let a = m.on_kernel_access(d1, private, private_len, private_len, AccessKind::Load);
+        let b = m.on_kernel_access(d1, BASE, shared_len, shared_len, AccessKind::Load);
+        (a, b)
+    };
+    let (cold_private, cold_shared) = pass(&mut m);
+    assert_eq!(cold_private.migrated_in_bytes, private_len);
+    assert_eq!(cold_shared.peer_in_bytes, shared_len);
+    for _ in 0..WARM_UP / 2 {
+        pass(&mut m);
+    }
+    let before = allocs();
+    for _ in 0..COUNTED {
+        let (a, b) = pass(&mut m);
+        assert_eq!((a.faults, b.peer_in_bytes), (0, 0), "resident hits");
+    }
+    assert_eq!(
+        allocs() - before,
+        0,
+        "resident-hit accesses, private and shared, must not allocate"
+    );
+
+    // The same through the vendor layer: one scheduler step of a serving
+    // lane — the shared weights read, then a decode over a 6-page KV
+    // cache that appends to its newest page.
+    let mut cuda = CudaContext::new(vec![DeviceSpec::a100_80gb(), DeviceSpec::a100_80gb()]);
+    cuda.set_device(d1).expect("device 1 exists");
+    cuda.attach_uvm(manager());
+    let weights = cuda.malloc_managed(shared_len).expect("weights");
+    cuda.engine_mut()
+        .residency_mut()
+        .expect("uvm attached")
+        .register_shared(weights.addr(), shared_len, d0);
+    let kv: Vec<DevicePtr> = (0..KV_PAGES)
+        .map(|_| cuda.malloc_managed(PAGE_SIZE).expect("kv page"))
+        .collect();
+    let step = || {
+        let weights_read =
+            KernelDesc::new("serving_weights_read", Dim3::linear(32), Dim3::linear(128))
+                .arg(weights, shared_len)
+                .body(KernelBody::default().access(AccessSpec::load(0, shared_len)));
+        let mut body = KernelBody::default();
+        for page in 0..kv.len() {
+            body = body.access(AccessSpec::load(page, PAGE_SIZE));
+        }
+        body = body.access(AccessSpec::store(kv.len() - 1, 1024));
+        let mut decode = KernelDesc::new("serving_decode_attn", Dim3::linear(4), Dim3::linear(128));
+        for &page in &kv {
+            decode = decode.arg(page, PAGE_SIZE);
+        }
+        [weights_read, decode.body(body)]
+    };
+    let cold: Vec<_> = step()
+        .into_iter()
+        .map(|desc| cuda.launch(desc).expect("cold launch"))
+        .collect();
+    assert_eq!(cold[0].uvm_peer_bytes, shared_len, "weights duplicated");
+    assert_eq!(cold[1].uvm_migrated_bytes, KV_PAGES * PAGE_SIZE);
+    for desc in (0..WARM_UP / 8).flat_map(|_| step()) {
+        cuda.launch(desc).expect("warm launch");
+    }
+    // Building a kernel description allocates (its argument and access
+    // lists); launching one must not.
+    let steps: Vec<KernelDesc> = (0..COUNTED).flat_map(|_| step()).collect();
+    let before = allocs();
+    for desc in steps {
+        let record = cuda.launch(desc).expect("resident launch");
+        assert_eq!(record.uvm_stall_ns, 0, "everything resident");
+    }
+    assert_eq!(
+        allocs() - before,
+        0,
+        "a serve-shaped launch over resident pages must not allocate"
+    );
+}
+
 #[test]
 fn host_event_path_is_allocation_free_and_changes_no_result() {
     replayed_host_events_allocate_only_on_first_sight();
@@ -466,4 +581,5 @@ fn host_event_path_is_allocation_free_and_changes_no_result() {
     memoized_names_equal_normalize_api_name();
     lazily_captured_stacks_equal_eager_ones();
     lanes_touching_a_peer_device_price_links_identically();
+    resident_managed_accesses_allocate_nothing();
 }

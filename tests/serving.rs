@@ -22,6 +22,7 @@
 
 use pasta::core::{ParallelConfig, Pasta, PastaSession, UvmSetup};
 use pasta::dl::serving::{self, RequestTrace, ServingConfig, ServingRun};
+use pasta::dl::DType;
 use pasta::prelude::*;
 use pasta::tools::ServingReport;
 
@@ -50,14 +51,29 @@ fn serve_on(
     budget: Option<u64>,
     pooled: bool,
 ) -> (ServingRun, PastaSession) {
-    let cfg = ServingConfig::tiny();
+    serve_config_on(
+        &ServingConfig::tiny(),
+        devices_n,
+        lane_threads,
+        budget,
+        pooled,
+    )
+}
+
+fn serve_config_on(
+    cfg: &ServingConfig,
+    devices_n: usize,
+    lane_threads: usize,
+    budget: Option<u64>,
+    pooled: bool,
+) -> (ServingRun, PastaSession) {
     let mut s = session(devices_n, lane_threads, budget);
     let run = s
         .run_parallel(&devices(devices_n), |lanes| {
             if pooled {
-                serving::serve(lanes, &cfg)
+                serving::serve(lanes, cfg)
             } else {
-                serving::serve_sequential_reference(lanes, &cfg)
+                serving::serve_sequential_reference(lanes, cfg)
             }
         })
         .expect("serving completes");
@@ -90,6 +106,48 @@ fn pooled_serving_is_byte_identical_to_sequential_reference() {
         (1..=3).contains(&high),
         "pool high water {high} must stay within max_lane_threads = 3"
     );
+}
+
+/// The replay gate where the benchmark runs it: `ServingConfig::small()`
+/// at one arrival per step, the budget at 9/8 of the weights — the shared
+/// weights fit, weights plus live KV do not, so every lane keeps evicting
+/// weight duplicates and re-fetching them over the peer link while its
+/// siblings claim and drop holders of the same range directory. Whatever
+/// the pool width, the scheduler's output, the merged report and the
+/// `UvmReport` (per-lane statistics and the peer-traffic matrix included)
+/// equal the lane-at-a-time reference byte for byte.
+#[test]
+fn pooled_serving_is_byte_identical_at_every_pool_width_while_duplicates_churn() {
+    let cfg = ServingConfig {
+        mean_interarrival_steps: 1,
+        ..ServingConfig::small()
+    };
+    let weights = cfg.dims.param_bytes(DType::F32);
+    let budget = Some(weights * 9 / 8);
+    let (reference_run, reference) = serve_config_on(&cfg, 4, 1, budget, false);
+    let reference_uvm = reference.uvm_report().expect("uvm attached");
+    assert!(reference_uvm.stats.pages_evicted > 0, "the budget binds");
+    let cold_duplicates = 3 * weights.div_ceil(pasta::uvm::PAGE_SIZE);
+    assert!(
+        reference_uvm.stats.peer_pages_in > cold_duplicates,
+        "evicted duplicates travel the peer link again ({} pages in, {cold_duplicates} cold)",
+        reference_uvm.stats.peer_pages_in
+    );
+
+    for width in [1, 2, 4] {
+        let (run, pooled) = serve_config_on(&cfg, 4, width, budget, true);
+        assert_eq!(run, reference_run, "serving run at pool width {width}");
+        assert_eq!(
+            format!("{:?}", pooled.uvm_report().expect("uvm attached")),
+            format!("{reference_uvm:?}"),
+            "UVM report at pool width {width}"
+        );
+        assert_eq!(
+            pooled.merged_report(),
+            reference.merged_report(),
+            "merged report at pool width {width}"
+        );
+    }
 }
 
 /// Re-serving the same config in a fresh session replays byte-for-byte:
