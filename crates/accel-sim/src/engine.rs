@@ -227,14 +227,20 @@ impl Engine {
         Ok(alloc)
     }
 
-    /// Allocates `bytes` of managed (UVM) memory, visible to all devices.
+    /// Allocates `bytes` of managed (UVM) memory, visible to all devices,
+    /// and registers the range with the residency model, if one is
+    /// attached.
     ///
     /// # Errors
     ///
     /// [`AccelError::OutOfMemory`] when the virtual managed space is gone.
     pub fn malloc_managed(&mut self, bytes: u64) -> Result<Allocation, AccelError> {
         self.host_clock += self.cost.host_api_overhead_ns;
-        self.managed.alloc(DeviceId(0), bytes, true)
+        let alloc = self.managed.alloc(DeviceId(0), bytes, true);
+        if let (Ok(alloc), Some(residency)) = (&alloc, self.residency.as_deref_mut()) {
+            residency.register(alloc.addr, bytes);
+        }
+        alloc
     }
 
     /// Frees device memory at `addr` on `device`, returning its metadata.
@@ -250,14 +256,33 @@ impl Engine {
         Ok(alloc)
     }
 
-    /// Frees managed memory at `addr`.
+    /// Frees managed memory at `addr` and unregisters the range from the
+    /// residency model, if one is attached.
     ///
     /// # Errors
     ///
     /// [`AccelError::InvalidAddress`] on double-free or junk pointers.
     pub fn free_managed(&mut self, addr: u64) -> Result<Allocation, AccelError> {
         self.host_clock += self.cost.host_api_overhead_ns;
-        self.managed.free(addr)
+        let alloc = self.managed.free(addr);
+        if let (Ok(_), Some(residency)) = (&alloc, self.residency.as_deref_mut()) {
+            residency.unregister(addr);
+        }
+        alloc
+    }
+
+    /// Prefetches the managed range `[addr, addr + bytes)` to `device`
+    /// through the residency model, charging the non-overlapped stall to
+    /// `stream`. A no-op without a residency model.
+    pub fn prefetch(&mut self, device: DeviceId, stream: StreamId, addr: u64, bytes: u64) {
+        let Some(residency) = self.residency.as_deref_mut() else {
+            return;
+        };
+        let stall = residency.prefetch(device, addr, bytes);
+        if stall > 0 {
+            let t = self.device(device).stream_time(stream);
+            self.device_mut(device).set_stream_time(stream, t + stall);
+        }
     }
 
     /// True when `addr` lies inside the managed address range.

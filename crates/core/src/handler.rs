@@ -11,15 +11,16 @@ use crate::hub::SharedHub;
 use crate::normalize::{normalize_framework, normalize_nv, normalize_roc};
 use accel_sim::{DeviceId, LaunchId, SimTime, Symbol};
 use dl_framework::session::Session;
-use vendor_amd::{HipContext, RocCallback};
-use vendor_nv::{CudaContext, NvCallback};
+use uvm_sim::runtime::{Context, LaunchEdge, Vocabulary};
+use vendor_amd::HipContext;
+use vendor_nv::CudaContext;
 
 /// The launch whose begin callback arrived and whose end has not: id,
 /// kernel name, start time. One slot is enough because begin/end adjacency
-/// is the vendor layers' contract — `CudaContext::launch_on` and
-/// `HipContext::launch_on` emit the pair back to back on one thread, with
-/// no other launch's callbacks in between. An end whose id is not the
-/// pending launch's has no begin to pair with and is dropped.
+/// is the vendor layer's contract — `Context::launch_on` emits the pair
+/// back to back on one thread, with no other launch's callbacks in
+/// between. An end whose id is not the pending launch's has no begin to
+/// pair with and is dropped.
 #[derive(Default)]
 struct PendingLaunch(Option<(LaunchId, Symbol, SimTime)>);
 
@@ -41,62 +42,38 @@ impl PendingLaunch {
     }
 }
 
-/// Subscribes the hub to a CUDA context's host callbacks.
-///
-/// Launch begin/end pairs are merged into one timed
-/// [`Event::KernelLaunchEnd`]; everything else flows through
-/// [`normalize_nv`].
-pub fn attach_nv(ctx: &mut CudaContext, hub: SharedHub) {
+/// Subscribes the hub to a vendor context's host callbacks, whichever
+/// vocabulary it speaks: launch begin/end pairs are merged into one timed
+/// [`Event::KernelLaunchEnd`]; everything else flows through `normalize`.
+fn attach<C: Vocabulary>(
+    ctx: &mut Context<C>,
+    hub: SharedHub,
+    normalize: impl Fn(&C) -> Option<Event> + Send + 'static,
+) {
     let mut pending = PendingLaunch::default();
-    ctx.subscribe(Box::new(move |cb: &NvCallback| match cb {
-        NvCallback::LaunchBegin {
-            launch,
-            name,
-            start,
-            ..
-        } => pending.begin(*launch, name, *start),
-        NvCallback::LaunchEnd {
-            launch,
-            device,
-            end,
-        } => {
-            if let Some(event) = pending.end(*launch, *device, *end) {
-                hub.process(&event);
+    ctx.subscribe(Box::new(move |cb: &C| {
+        let event = match cb.launch_edge() {
+            Some(LaunchEdge::Begin(launch, name, start)) => {
+                pending.begin(launch, name, start);
+                None
             }
-        }
-        other => {
-            if let Some(event) = normalize_nv(other) {
-                hub.process(&event);
-            }
+            Some(LaunchEdge::End(launch, device, end)) => pending.end(launch, device, end),
+            None => normalize(cb),
+        };
+        if let Some(event) = event {
+            hub.process(&event);
         }
     }));
 }
 
+/// Subscribes the hub to a CUDA context's host callbacks.
+pub fn attach_nv(ctx: &mut CudaContext, hub: SharedHub) {
+    attach(ctx, hub, normalize_nv);
+}
+
 /// Subscribes the hub to a HIP context's host callbacks.
 pub fn attach_roc(ctx: &mut HipContext, hub: SharedHub) {
-    let mut pending = PendingLaunch::default();
-    ctx.subscribe(Box::new(move |cb: &RocCallback| match cb {
-        RocCallback::KernelDispatch {
-            launch,
-            name,
-            start,
-            ..
-        } => pending.begin(*launch, name, *start),
-        RocCallback::KernelComplete {
-            launch,
-            device,
-            end,
-        } => {
-            if let Some(event) = pending.end(*launch, *device, *end) {
-                hub.process(&event);
-            }
-        }
-        other => {
-            if let Some(event) = normalize_roc(other) {
-                hub.process(&event);
-            }
-        }
-    }));
+    attach(ctx, hub, normalize_roc);
 }
 
 /// Subscribes the hub to a framework session's callbacks (tensor, op,

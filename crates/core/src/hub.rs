@@ -18,7 +18,7 @@
 //!
 //! 1. **Interest gate** — at kernel begin the sink caches the launch's
 //!    [`ProbeConfig`] together with the shard's per-class tool
-//!    subscriptions in a [`LaunchGate`]; `on_batch`/`on_barriers`/
+//!    subscriptions in a `LaunchGate`; `on_batch`/`on_barriers`/
 //!    `on_blocks`/`on_instructions` return *before* taking any lock or
 //!    constructing an [`Event`] when nothing downstream wants the class.
 //! 2. **Interned names** — [`TraceCtx::name`] is a [`Symbol`], so events

@@ -27,7 +27,7 @@ use crate::tool::Tool;
 use crate::workload::{ModelWorkload, Workload, WorkloadCx};
 use accel_sim::instrument::ProfilerHandle;
 use accel_sim::{
-    panic_message, AccelError, AnalysisMode, DeviceId, DeviceRuntime, DeviceSpec,
+    panic_message, AccelError, AnalysisMode, DeviceId, DeviceRuntime, DeviceSpec, Engine,
     OverheadBreakdown, Vendor,
 };
 use dl_framework::alloc::AllocatorConfig;
@@ -40,6 +40,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use uvm_sim::runtime::{Context, Vocabulary};
 use uvm_sim::{PrefetchPlan, UvmConfig, UvmManager, UvmStats};
 use vendor_amd::rocprofiler::RocProfilerConfig;
 use vendor_amd::HipContext;
@@ -95,53 +96,33 @@ impl Default for UvmSetup {
     }
 }
 
-enum RuntimeBox {
-    Cuda(CudaContext),
-    Hip(HipContext),
+/// What a session asks of its vendor context beyond [`DeviceRuntime`],
+/// whichever vocabulary the context speaks.
+trait SessionRuntime: DeviceRuntime {
+    fn engine_mut(&mut self) -> &mut Engine;
+    fn set_prefetch_plan(&mut self, plan: PrefetchPlan);
 }
 
-impl RuntimeBox {
-    fn as_runtime_mut(&mut self) -> &mut dyn DeviceRuntime {
-        match self {
-            RuntimeBox::Cuda(c) => c,
-            RuntimeBox::Hip(h) => h,
-        }
+impl<C: Vocabulary> SessionRuntime for Context<C> {
+    fn engine_mut(&mut self) -> &mut Engine {
+        Context::engine_mut(self)
     }
 
-    fn engine(&self) -> &accel_sim::Engine {
-        match self {
-            RuntimeBox::Cuda(c) => c.engine(),
-            RuntimeBox::Hip(h) => h.engine(),
-        }
+    fn set_prefetch_plan(&mut self, plan: PrefetchPlan) {
+        Context::set_prefetch_plan(self, plan);
     }
+}
 
-    fn engine_mut(&mut self) -> &mut accel_sim::Engine {
-        match self {
-            RuntimeBox::Cuda(c) => c.engine_mut(),
-            RuntimeBox::Hip(h) => h.engine_mut(),
-        }
-    }
-
+impl dyn SessionRuntime {
     /// The attached UVM manager, if any.
     fn uvm_manager(&self) -> Option<&UvmManager> {
-        self.engine()
-            .residency()
-            .and_then(|r| r.as_any().downcast_ref())
+        self.residency().and_then(|r| r.as_any().downcast_ref())
     }
 
     /// Mutable access to the attached UVM manager, if any.
     fn uvm_manager_mut(&mut self) -> Option<&mut UvmManager> {
-        self.engine_mut()
-            .residency_mut()
+        self.residency_mut()
             .and_then(|r| r.as_any_mut().downcast_mut())
-    }
-
-    /// Attaches `uvm` as the context's residency model.
-    fn attach_uvm(&mut self, uvm: UvmManager) {
-        match self {
-            RuntimeBox::Cuda(c) => c.attach_uvm(uvm),
-            RuntimeBox::Hip(h) => h.attach_uvm(uvm),
-        }
     }
 }
 
@@ -427,76 +408,42 @@ impl PastaBuilder {
             }
         });
 
-        let mut managed_allocator = false;
-        let (runtime, profiler) = match vendor {
-            Vendor::Amd => {
-                let mut ctx = HipContext::new(Arc::clone(&specs));
-                attach_roc(&mut ctx, Arc::clone(&hub));
-                if let Some(uvm_setup) = &self.uvm {
-                    managed_allocator = uvm_setup.managed_allocator;
-                    let mut uvm = UvmManager::new(uvm_setup.config.clone());
-                    for spec in specs.iter() {
-                        let budget = uvm_setup
-                            .budget_bytes
-                            .unwrap_or(spec.mem_capacity)
-                            .min(spec.mem_capacity);
-                        uvm.add_device_p2p(
-                            budget,
-                            spec.link_bandwidth_gbps,
-                            spec.p2p_bandwidth_gbps,
-                            spec.fault_latency_ns,
-                        );
-                    }
-                    ctx.attach_uvm(uvm);
-                }
-                let handle = attach_roc_backend(&mut ctx, &backend, wants_device)?;
-                (RuntimeBox::Hip(ctx), handle)
+        // The residency model is the same whichever vocabulary the context
+        // speaks, so it is built before one is chosen.
+        let uvm = self.uvm.as_ref().map(|uvm_setup| {
+            let mut uvm = UvmManager::new(uvm_setup.config.clone());
+            for spec in specs.iter() {
+                let budget = uvm_setup
+                    .budget_bytes
+                    .unwrap_or(spec.mem_capacity)
+                    .min(spec.mem_capacity);
+                uvm.add_device_p2p(
+                    budget,
+                    spec.link_bandwidth_gbps,
+                    spec.p2p_bandwidth_gbps,
+                    spec.fault_latency_ns,
+                );
             }
-            _ => {
-                let mut ctx = CudaContext::new(Arc::clone(&specs));
-                attach_nv(&mut ctx, Arc::clone(&hub));
-                if let Some(uvm_setup) = &self.uvm {
-                    managed_allocator = uvm_setup.managed_allocator;
-                    let mut uvm = UvmManager::new(uvm_setup.config.clone());
-                    for spec in specs.iter() {
-                        let budget = uvm_setup
-                            .budget_bytes
-                            .unwrap_or(spec.mem_capacity)
-                            .min(spec.mem_capacity);
-                        uvm.add_device_p2p(
-                            budget,
-                            spec.link_bandwidth_gbps,
-                            spec.p2p_bandwidth_gbps,
-                            spec.fault_latency_ns,
-                        );
-                    }
-                    ctx.attach_uvm(uvm);
-                }
-                let handle =
-                    attach_nv_backend(&mut ctx, &backend, self.sampling_rate, wants_device)?;
-                (RuntimeBox::Cuda(ctx), handle)
-            }
-        };
-
-        if let Some(handle) = &profiler {
-            handle.set_sink(Box::new(HubSink::with_spine(
-                Arc::clone(&hub),
-                self.spine_mode,
-                self.spine_config,
-            )));
-        }
-
-        Ok(PastaSession {
-            runtime,
-            hub,
-            profiler,
-            managed_allocator,
+            uvm
+        });
+        let recipe = ContextRecipe {
             specs,
             backend,
             sampling_rate: self.sampling_rate,
             wants_device,
             spine_mode: self.spine_mode,
             spine_config: self.spine_config,
+        };
+        let (runtime, profiler) = recipe.build(&hub, DeviceId(0), uvm)?;
+
+        Ok(PastaSession {
+            runtime,
+            hub,
+            profiler,
+            managed_allocator: self
+                .uvm
+                .is_some_and(|uvm_setup| uvm_setup.managed_allocator),
+            recipe,
             parallel: self.parallel,
             lane_overhead: OverheadBreakdown::default(),
             lane_records: 0,
@@ -507,70 +454,99 @@ impl PastaBuilder {
     }
 }
 
-/// Attaches the chosen NVIDIA backend to a CUDA context (shared between
-/// the builder and per-lane parallel contexts).
-fn attach_nv_backend(
-    ctx: &mut CudaContext,
-    backend: &BackendChoice,
-    sampling: u32,
+/// What every vendor context of a session is built from: the session's
+/// own context and each parallel lane's come out of
+/// [`ContextRecipe::build`].
+struct ContextRecipe {
+    /// Device specs the session was built with, shared with every
+    /// per-lane context of a parallel region.
+    specs: Arc<[DeviceSpec]>,
+    /// Resolved backend choice.
+    backend: BackendChoice,
+    sampling_rate: u32,
     wants_device: bool,
-) -> Result<Option<ProfilerHandle>, PastaError> {
-    Ok(match backend {
-        BackendChoice::Sanitizer(cfg) if wants_device => Some(vendor_nv::sanitizer::attach(
-            ctx,
-            cfg.clone().with_sampling(sampling),
-        )),
-        BackendChoice::Nvbit(cfg) if wants_device => Some(vendor_nv::nvbit::attach(
-            ctx,
-            cfg.clone().with_sampling(sampling),
-        )),
-        BackendChoice::HostOnly | BackendChoice::Sanitizer(_) | BackendChoice::Nvbit(_) => None,
-        BackendChoice::RocProfiler(_) => {
-            return Err(PastaError::Config(
-                "ROCProfiler cannot attach to NVIDIA devices".into(),
-            ))
-        }
-    })
+    /// How the session's sinks hand events to their shards.
+    spine_mode: SpineMode,
+    /// Ring geometry for every sink the session creates.
+    spine_config: SpineConfig,
 }
 
-/// Attaches the chosen AMD backend to a HIP context.
-fn attach_roc_backend(
-    ctx: &mut HipContext,
-    backend: &BackendChoice,
-    wants_device: bool,
-) -> Result<Option<ProfilerHandle>, PastaError> {
-    Ok(match backend {
-        BackendChoice::RocProfiler(cfg) if wants_device => {
-            Some(vendor_amd::rocprofiler::attach(ctx, cfg.clone()))
+impl ContextRecipe {
+    /// A context over the full device list, pinned to `device`: host
+    /// callbacks normalized into `hub`, `uvm` as the residency model and,
+    /// when tools want device events, the backend's profiler with a sink
+    /// wired into `hub`.
+    fn build(
+        &self,
+        hub: &SharedHub,
+        device: DeviceId,
+        uvm: Option<UvmManager>,
+    ) -> Result<(Box<dyn SessionRuntime>, Option<ProfilerHandle>), PastaError> {
+        let specs = Arc::clone(&self.specs);
+        let (mut runtime, profiler): (Box<dyn SessionRuntime>, _) = match specs[0].vendor {
+            Vendor::Amd => {
+                let mut ctx = HipContext::new(specs);
+                attach_roc(&mut ctx, Arc::clone(hub));
+                let profiler = match &self.backend {
+                    BackendChoice::RocProfiler(cfg) if self.wants_device => {
+                        Some(vendor_amd::rocprofiler::attach(&mut ctx, cfg.clone()))
+                    }
+                    BackendChoice::HostOnly | BackendChoice::RocProfiler(_) => None,
+                    _ => {
+                        return Err(PastaError::Config(
+                            "NVIDIA backends cannot attach to AMD devices".into(),
+                        ))
+                    }
+                };
+                (Box::new(ctx), profiler)
+            }
+            _ => {
+                let mut ctx = CudaContext::new(specs);
+                attach_nv(&mut ctx, Arc::clone(hub));
+                let sampling = self.sampling_rate;
+                let profiler = match &self.backend {
+                    BackendChoice::Sanitizer(cfg) if self.wants_device => Some(
+                        vendor_nv::sanitizer::attach(&mut ctx, cfg.clone().with_sampling(sampling)),
+                    ),
+                    BackendChoice::Nvbit(cfg) if self.wants_device => Some(
+                        vendor_nv::nvbit::attach(&mut ctx, cfg.clone().with_sampling(sampling)),
+                    ),
+                    BackendChoice::HostOnly
+                    | BackendChoice::Sanitizer(_)
+                    | BackendChoice::Nvbit(_) => None,
+                    BackendChoice::RocProfiler(_) => {
+                        return Err(PastaError::Config(
+                            "ROCProfiler cannot attach to NVIDIA devices".into(),
+                        ))
+                    }
+                };
+                (Box::new(ctx), profiler)
+            }
+        };
+        runtime.set_device(device)?;
+        if let Some(uvm) = uvm {
+            runtime.engine_mut().set_residency(Box::new(uvm));
         }
-        BackendChoice::HostOnly | BackendChoice::RocProfiler(_) => None,
-        _ => {
-            return Err(PastaError::Config(
-                "NVIDIA backends cannot attach to AMD devices".into(),
-            ))
+        if let Some(handle) = &profiler {
+            handle.set_sink(Box::new(HubSink::with_spine(
+                Arc::clone(hub),
+                self.spine_mode,
+                self.spine_config,
+            )));
         }
-    })
+        Ok((runtime, profiler))
+    }
 }
 
 /// A live PASTA profiling session.
 pub struct PastaSession {
-    runtime: RuntimeBox,
+    runtime: Box<dyn SessionRuntime>,
     hub: SharedHub,
     profiler: Option<ProfilerHandle>,
     managed_allocator: bool,
-    /// Device specs the session was built with, shared with every
-    /// per-lane context of a parallel region.
-    specs: Arc<[DeviceSpec]>,
-    /// Resolved backend choice, reused by parallel lanes.
-    backend: BackendChoice,
-    sampling_rate: u32,
-    wants_device: bool,
-    /// How this session's sinks hand events to their shards (parallel
-    /// lanes inherit it).
-    spine_mode: SpineMode,
-    /// Ring geometry for every sink this session creates (parallel lanes
-    /// inherit it).
-    spine_config: SpineConfig,
+    /// How this session's context was built; parallel lanes build theirs
+    /// the same way.
+    recipe: ContextRecipe,
     /// Thread budgets for parallel regions and the session-end merge.
     parallel: ParallelConfig,
     /// Overhead accumulated by finished parallel-lane profilers.
@@ -587,8 +563,7 @@ pub struct PastaSession {
     /// Peak pooled lane concurrency across this session's parallel
     /// regions ([`PastaSession::pool_high_water`]): every lane pool this
     /// session runs `fetch_max`es its per-pool high water here, so the
-    /// reading is per-session — immune to other sessions' pools, unlike
-    /// the process-global `lane_exec::pool_high_water`.
+    /// reading is per-session — immune to other sessions' pools.
     pool_watermark: Arc<AtomicUsize>,
 }
 
@@ -610,7 +585,7 @@ impl PastaSession {
     ) -> Result<R, PastaError> {
         let hub = Arc::clone(&self.hub);
         let managed = self.managed_allocator;
-        let rt = self.runtime.as_runtime_mut();
+        let rt: &mut dyn DeviceRuntime = &mut *self.runtime;
         let alloc_config = if managed {
             AllocatorConfig::managed()
         } else {
@@ -888,24 +863,15 @@ impl PastaSession {
 
     /// Installs a UVM prefetch plan to replay before upcoming launches.
     pub fn set_prefetch_plan(&mut self, plan: PrefetchPlan) {
-        match &mut self.runtime {
-            RuntimeBox::Cuda(c) => c.set_prefetch_plan(plan),
-            RuntimeBox::Hip(h) => h.set_prefetch_plan(plan),
-        }
+        self.runtime.set_prefetch_plan(plan);
     }
 
     /// Restricts a device's usable memory (oversubscription methodology).
     pub fn limit_device_memory(&mut self, device: DeviceId, bytes: u64) {
-        match &mut self.runtime {
-            RuntimeBox::Cuda(c) => c
-                .engine_mut()
-                .device_mut(device)
-                .limit_usable_capacity(bytes),
-            RuntimeBox::Hip(h) => h
-                .engine_mut()
-                .device_mut(device)
-                .limit_usable_capacity(bytes),
-        }
+        self.runtime
+            .engine_mut()
+            .device_mut(device)
+            .limit_usable_capacity(bytes);
     }
 
     /// The knob-selected kernel and its aggregate, merged across shards.
@@ -949,9 +915,8 @@ impl PastaSession {
     /// parallel region of this session runs — `run_parallel_each`'s own
     /// pool and any `drive_lanes` pool the stamped lanes ride inside
     /// [`PastaSession::run_parallel`] — folds its per-pool high water in
-    /// with a `fetch_max`. Unlike the process-global
-    /// `lane_exec::pool_high_water`, concurrent sessions (or parallel
-    /// tests) cannot contaminate this reading.
+    /// with a `fetch_max`. Concurrent sessions (or parallel tests) cannot
+    /// contaminate this reading.
     pub fn pool_high_water(&self) -> usize {
         self.pool_watermark.load(Ordering::Acquire)
     }
@@ -1013,10 +978,10 @@ impl PastaSession {
                      each device gets exactly one lane"
                 )));
             }
-            if device.index() >= self.specs.len() {
+            if device.index() >= self.recipe.specs.len() {
                 return Err(PastaError::Config(format!(
                     "device {device} is not part of this session ({} device(s) configured)",
-                    self.specs.len()
+                    self.recipe.specs.len()
                 )));
             }
         }
@@ -1027,48 +992,16 @@ impl PastaSession {
         let mut contexts = Vec::with_capacity(devices.len());
         let mut handles = Vec::new();
         for &device in devices {
-            let (ctx, handle) = match self.specs[0].vendor {
-                Vendor::Amd => {
-                    let mut ctx = HipContext::new(Arc::clone(&self.specs));
-                    ctx.set_device(device).map_err(PastaError::from)?;
-                    attach_roc(&mut ctx, Arc::clone(&self.hub));
-                    let handle = attach_roc_backend(&mut ctx, &self.backend, self.wants_device)?;
-                    (RuntimeBox::Hip(ctx), handle)
-                }
-                _ => {
-                    let mut ctx = CudaContext::new(Arc::clone(&self.specs));
-                    ctx.set_device(device).map_err(PastaError::from)?;
-                    attach_nv(&mut ctx, Arc::clone(&self.hub));
-                    let handle = attach_nv_backend(
-                        &mut ctx,
-                        &self.backend,
-                        self.sampling_rate,
-                        self.wants_device,
-                    )?;
-                    (RuntimeBox::Cuda(ctx), handle)
-                }
-            };
-            if let Some(handle) = &handle {
-                handle.set_sink(Box::new(HubSink::with_spine(
-                    Arc::clone(&self.hub),
-                    self.spine_mode,
-                    self.spine_config,
-                )));
-            }
             // A UVM session replicates into its lanes: each lane carries a
             // manager forked from the session's (same config, budgets and
             // registrations, fresh residency and counters), so managed
             // allocations made on the lane fault, migrate and evict with
             // no lock shared across lanes. Lane state merges back into
             // the session manager when `f` returns.
-            let mut ctx = ctx;
-            if let Some(manager) = self.runtime.uvm_manager() {
-                ctx.attach_uvm(manager.fork(device));
-            }
+            let uvm = self.runtime.uvm_manager().map(|m| m.fork(device));
+            let (ctx, handle) = self.recipe.build(&self.hub, device, uvm)?;
             contexts.push(ctx);
-            if let Some(handle) = handle {
-                handles.push(handle);
-            }
+            handles.extend(handle);
         }
 
         let alloc_config = if self.managed_allocator {
@@ -1080,7 +1013,7 @@ impl PastaSession {
             .iter_mut()
             .zip(devices)
             .map(|(ctx, &device)| {
-                let rt = ctx.as_runtime_mut();
+                let rt: &mut dyn DeviceRuntime = &mut **ctx;
                 let backend = dl_framework::backend::BackendProfile::for_vendor(rt.vendor());
                 let mut session = Session::with_config(rt, backend, alloc_config.clone());
                 attach_session(&mut session, Arc::clone(&self.hub));
@@ -1114,8 +1047,8 @@ impl PastaSession {
         } else {
             self.parallel.max_drain_threads
         };
-        let drainer = (self.wants_device
-            && self.spine_mode == SpineMode::Ring
+        let drainer = (self.recipe.wants_device
+            && self.recipe.spine_mode == SpineMode::Ring
             && drain_policy == DrainPolicy::Background)
             .then(|| SpineDrainer::start_bounded(Arc::clone(&self.hub), devices, drain_width));
 
@@ -1236,8 +1169,9 @@ impl PastaSession {
         work: impl Fn(usize, &mut DeviceLane<'_>) -> Result<(), AccelError> + Sync,
     ) -> Result<(), PastaError> {
         let hub = Arc::clone(&self.hub);
-        let drain_devices: Option<Vec<DeviceId>> =
-            (self.wants_device && self.spine_mode == SpineMode::Ring).then(|| devices.to_vec());
+        let drain_devices: Option<Vec<DeviceId>> = (self.recipe.wants_device
+            && self.recipe.spine_mode == SpineMode::Ring)
+            .then(|| devices.to_vec());
         let pool_limit = self.parallel.max_lane_threads;
         let watermark = Arc::clone(&self.pool_watermark);
         self.run_parallel_impl(devices, DrainPolicy::PoolIdle, |lanes| {

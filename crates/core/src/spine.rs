@@ -11,7 +11,7 @@
 //!   (single events or whole per-class batches), paired with a reverse
 //!   *free ring* that recycles drained batch buffers back to the
 //!   producer, keeping the steady state allocation-free.
-//! * [`ShardSpine`] — the per-shard registry of rings feeding it. Rings
+//! * `ShardSpine` — the per-shard registry of rings feeding it. Rings
 //!   are drained **only while holding the shard's processor lock** (the
 //!   "consumer = lock holder" protocol), which serializes consumers
 //!   without adding any atomics beyond the ring's own head/tail.

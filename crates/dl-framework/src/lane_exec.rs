@@ -64,27 +64,6 @@ impl<T> std::fmt::Debug for PoolTask<'_, T> {
     }
 }
 
-/// High-water mark of concurrently *running* pool tasks since the last
-/// [`reset_pool_high_water`], **across every pool in the process** — a
-/// cross-pool diagnostic only. Two pools running at once (concurrent
-/// sessions, parallel tests) both feed it, so a reading can exceed any
-/// single pool's budget; anything that pins "at most `max_lane_threads`
-/// workers" must use the per-pool [`PoolRun::high_water`] instead.
-static POOL_HIGH_WATER: AtomicUsize = AtomicUsize::new(0);
-
-/// The peak number of lane tasks that ran concurrently since the last
-/// reset, across every pool in the process. Cross-pool diagnostic: with
-/// two pools live at once this exceeds either pool's own budget — use
-/// [`PoolRun::high_water`] for per-pool assertions.
-pub fn pool_high_water() -> usize {
-    POOL_HIGH_WATER.load(Ordering::Acquire)
-}
-
-/// Resets [`pool_high_water`] to zero.
-pub fn reset_pool_high_water() {
-    POOL_HIGH_WATER.store(0, Ordering::Release);
-}
-
 /// What one [`run_pool`] call produced: the per-task results plus the
 /// pool's own concurrency and fault diagnostics.
 #[derive(Debug)]
@@ -92,9 +71,8 @@ pub struct PoolRun<T> {
     /// Per-task results, **in task order** (lane order everywhere this
     /// is used), regardless of which worker ran what.
     pub results: Vec<Result<T, AccelError>>,
-    /// Peak number of *this pool's* tasks that ran concurrently — the
-    /// per-pool counterpart of the process-global [`pool_high_water`],
-    /// immune to contamination from other pools running in parallel.
+    /// Peak number of *this pool's* tasks that ran concurrently; other
+    /// pools running in parallel cannot contaminate it.
     pub high_water: usize,
     /// Payload of the first `idle`-hook panic, if any. The panic was
     /// contained and the hook disarmed for the remainder of the pool
@@ -155,7 +133,6 @@ pub fn run_pool<'a, T: Send>(
         let device = task.device;
         let concurrent = live.fetch_add(1, Ordering::SeqCst) + 1;
         pool_high.fetch_max(concurrent, Ordering::SeqCst);
-        POOL_HIGH_WATER.fetch_max(concurrent, Ordering::SeqCst);
         let run = task.run;
         let result = catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
             Err(AccelError::LanePanic {
@@ -330,8 +307,7 @@ mod tests {
     }
 
     /// The per-pool high-water mark is immune to other pools running
-    /// concurrently — the process-global `pool_high_water` is not, which
-    /// is exactly why the assertion surface moved.
+    /// concurrently.
     #[test]
     fn per_pool_high_water_is_uncontaminated_by_concurrent_pools() {
         let runs: Vec<PoolRun<u32>> = std::thread::scope(|scope| {

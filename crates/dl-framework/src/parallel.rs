@@ -65,7 +65,7 @@ pub struct DeviceLane<'rt> {
     pool_limit: usize,
     /// Where pooled schedules fold their per-pool high-water mark
     /// (`fetch_max`), when an owner wants to observe peak lane
-    /// concurrency without the contaminable process-global diagnostic.
+    /// concurrency.
     pool_watermark: Option<Arc<AtomicUsize>>,
 }
 
@@ -118,7 +118,7 @@ impl<'rt> DeviceLane<'rt> {
     /// `watermark` with a `fetch_max`. `PastaSession::run_parallel`
     /// stamps every lane with one shared counter so the session can
     /// report peak lane concurrency per session, immune to other
-    /// sessions' pools (unlike [`lane_exec::pool_high_water`]).
+    /// sessions' pools.
     pub fn set_pool_watermark(&mut self, watermark: Arc<AtomicUsize>) {
         self.pool_watermark = Some(watermark);
     }
@@ -219,8 +219,8 @@ fn megatron_spec() -> ModelSpec {
 
 /// How [`drive_lanes`] schedules the per-lane work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LaneSchedule {
-    /// One OS thread per lane — the production path.
+pub(crate) enum LaneSchedule {
+    /// On the bounded lane pool — the production path.
     Threaded,
     /// One lane at a time on the calling thread — the reference run the
     /// shard-merge tests compare concurrent output against.
@@ -231,7 +231,7 @@ enum LaneSchedule {
 /// [`AccelError::LanePanic`] attributed to `device` instead of unwinding
 /// into the join. The non-panic path costs nothing (`catch_unwind` is
 /// zero-overhead until a panic actually lands).
-pub(crate) fn catch_lane<T>(
+fn catch_lane<T>(
     device: DeviceId,
     f: impl FnOnce() -> Result<T, AccelError>,
 ) -> Result<T, AccelError> {
@@ -255,13 +255,14 @@ pub(crate) fn catch_lane<T>(
 /// what makes the bounded pool deadlock-free at any worker count; the
 /// pipeline driver, whose stages *do* block on each other, keeps its
 /// dedicated two-thread scope instead.
-fn drive_lanes<F>(
+pub(crate) fn drive_lanes<T, F>(
     lanes: &mut [DeviceLane<'_>],
     schedule: LaneSchedule,
     work: F,
-) -> Result<Vec<LaneStats>, AccelError>
+) -> Result<Vec<T>, AccelError>
 where
-    F: Fn(usize, &mut DeviceLane<'_>) -> Result<LaneStats, AccelError> + Sync,
+    T: Send,
+    F: Fn(usize, &mut DeviceLane<'_>) -> Result<T, AccelError> + Sync,
 {
     if schedule == LaneSchedule::Sequential {
         return lanes
@@ -279,7 +280,7 @@ where
         .find(|&n| n > 0)
         .unwrap_or(0);
     let work = &work;
-    let tasks: Vec<lane_exec::PoolTask<'_, LaneStats>> = lanes
+    let tasks: Vec<lane_exec::PoolTask<'_, T>> = lanes
         .iter_mut()
         .enumerate()
         .map(|(i, lane)| lane_exec::PoolTask {

@@ -46,13 +46,11 @@
 //! `tests/serving.rs`.
 
 use crate::dtype::DType;
-use crate::lane_exec;
 use crate::models::transformer::LmDims;
-use crate::parallel::{catch_lane, DeviceLane};
+use crate::parallel::{drive_lanes, DeviceLane, LaneSchedule};
 use accel_sim::{AccelError, AccessSpec, DeviceId, DevicePtr, Dim3, KernelBody, KernelDesc};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
 
 /// The serving scenario: request mix, arrival process, batching limits
 /// and the model served. Everything is seeded — the same config always
@@ -493,7 +491,7 @@ fn grow_kv(
 /// Propagates allocation/launch failures; a panicking lane surfaces as
 /// [`AccelError::LanePanic`] for its device. Requires ≥ 1 lane.
 pub fn serve(lanes: &mut [DeviceLane<'_>], cfg: &ServingConfig) -> Result<ServingRun, AccelError> {
-    dispatch(lanes, cfg, true)
+    dispatch(lanes, cfg, LaneSchedule::Threaded)
 }
 
 /// The lane-at-a-time reference schedule: same shards, same per-lane
@@ -509,13 +507,13 @@ pub fn serve_sequential_reference(
     lanes: &mut [DeviceLane<'_>],
     cfg: &ServingConfig,
 ) -> Result<ServingRun, AccelError> {
-    dispatch(lanes, cfg, false)
+    dispatch(lanes, cfg, LaneSchedule::Sequential)
 }
 
 fn dispatch(
     lanes: &mut [DeviceLane<'_>],
     cfg: &ServingConfig,
-    pooled: bool,
+    schedule: LaneSchedule,
 ) -> Result<ServingRun, AccelError> {
     if lanes.is_empty() {
         return Err(AccelError::Config(
@@ -530,37 +528,10 @@ fn dispatch(
         .min()
         .expect("lane count checked above");
     let shards: Vec<Vec<Request>> = (0..n).map(|i| trace.lane_requests(i, n)).collect();
-
-    let results: Result<Vec<LaneServing>, AccelError> = if pooled {
-        let limit = lanes
-            .iter()
-            .map(DeviceLane::pool_limit)
-            .find(|&l| l > 0)
-            .unwrap_or(0);
-        let tasks: Vec<lane_exec::PoolTask<'_, LaneServing>> = lanes
-            .iter_mut()
-            .zip(&shards)
-            .map(|(lane, shard)| lane_exec::PoolTask {
-                device: lane.device(),
-                run: Box::new(move || serve_lane(lane, shard, cfg, weight_owner)),
-            })
-            .collect();
-        let run = lane_exec::run_pool(limit, tasks, None);
-        if let Some(watermark) = lanes.iter().find_map(DeviceLane::pool_watermark) {
-            watermark.fetch_max(run.high_water, Ordering::AcqRel);
-        }
-        run.results.into_iter().collect()
-    } else {
-        lanes
-            .iter_mut()
-            .zip(&shards)
-            .map(|(lane, shard)| {
-                let device = lane.device();
-                catch_lane(device, || serve_lane(lane, shard, cfg, weight_owner))
-            })
-            .collect()
-    };
-    Ok(ServingRun { lanes: results? })
+    let lanes = drive_lanes(lanes, schedule, |i, lane| {
+        serve_lane(lane, &shards[i], cfg, weight_owner)
+    })?;
+    Ok(ServingRun { lanes })
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! The per-range coherence directory behind shared managed ranges.
 //!
-//! A managed range marked *shared* ([`crate::UvmManager::register_shared`])
-//! is visible to every lane of a parallel run: remote reads
+//! A managed range marked *shared*
+//! ([`accel_sim::ResidencyModel::register_shared`]) is visible to every
+//! lane of a parallel run: remote reads
 //! **read-duplicate** the owner's home copy over the peer link, remote
 //! writes **invalidate** the other devices' duplicates. The directory is
 //! the one piece of state the lane managers genuinely share — an

@@ -7,17 +7,17 @@
 //!
 //! * 64 KiB pages grouped into 2 MiB blocks ([`page`]);
 //! * demand faulting with fault-group latency plus migration bandwidth
-//!   ([`UvmManager::on_kernel_access`]);
+//!   ([`accel_sim::ResidencyModel::on_kernel_access`]);
 //! * LRU eviction with write-back under memory pressure ([`state`]);
 //! * asynchronous prefetch with a compute-overlap discount
-//!   ([`UvmManager::prefetch`]);
+//!   ([`accel_sim::ResidencyModel::prefetch`]);
 //! * pinning/advice ([`accel_sim::ResidencyAdvice`]);
 //! * per-2 MiB-block hotness accounting ([`hotness`]);
 //! * peer-to-peer coherence for managed ranges *shared* across devices
 //!   or parallel lanes ([`coherence`]): remote reads read-duplicate the
 //!   owner's home copy over the peer link, remote writes invalidate the
 //!   other devices' duplicates — see
-//!   [`UvmManager::register_shared`](manager::UvmManager::register_shared).
+//!   [`accel_sim::ResidencyModel::register_shared`].
 //!
 //! [`UvmManager`] implements [`accel_sim::ResidencyModel`], so plugging it
 //! into an engine turns every kernel access to managed ranges into faults,
@@ -46,6 +46,7 @@ pub mod hotness;
 pub mod manager;
 pub mod page;
 pub mod plan;
+pub mod runtime;
 pub mod state;
 pub mod stats;
 

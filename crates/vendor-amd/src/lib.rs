@@ -1,12 +1,13 @@
 //! # vendor-amd — simulated AMD ROCm profiling stack
 //!
-//! The AMD counterpart of `vendor-nv`, reproducing the pieces the paper
-//! integrates for MI300X support (§III-D):
+//! The pieces the paper integrates for MI300X support (§III-D):
 //!
 //! * the **HIP runtime** ([`hip::HipContext`]) — `hipMalloc`,
-//!   `hipMallocManaged`, `hipLaunchKernel`, `hipMemcpy` … — implementing
-//!   the same [`accel_sim::DeviceRuntime`] trait as the CUDA facade, so DL
-//!   models run unchanged on either vendor;
+//!   `hipMallocManaged`, `hipLaunchKernel`, `hipMemcpy` … — the same
+//!   [`uvm_sim::runtime::Context`] (and so the same
+//!   [`accel_sim::DeviceRuntime`] impl) `vendor-nv` instantiates, here
+//!   with the HIP *vocabulary* ([`hip`]), so DL models run unchanged on
+//!   either vendor;
 //! * **ROCProfiler-SDK** ([`rocprofiler`]) — callback registration
 //!   (`rocprofiler_configure_callback…`) and device-trace attachment,
 //!   "analogous to NVIDIA's Compute Sanitizer callbacks" per the paper.

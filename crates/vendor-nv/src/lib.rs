@@ -7,7 +7,9 @@
 //!   `cudaMallocManaged`, `cuLaunchKernel`, `cudaMemcpy`,
 //!   `cudaMemPrefetchAsync`, `cudaMemAdvise` … — which emits
 //!   [`callbacks::NvCallback`] events to subscribers exactly where the real
-//!   runtime triggers Compute Sanitizer callbacks;
+//!   runtime triggers Compute Sanitizer callbacks. The runtime itself is
+//!   [`uvm_sim::runtime::Context`], shared with `vendor-amd`; this crate
+//!   holds its CUDA *vocabulary* ([`cuda`]);
 //! * **Compute Sanitizer** ([`sanitizer`]) — lightweight callbacks that can
 //!   patch *memory and barrier* instructions only (the paper's §III-D
 //!   coverage limitation), with either GPU-resident or CPU-post-process
