@@ -511,7 +511,7 @@ impl Engine {
             launch,
             device,
             stream,
-            name: desc.name.clone(),
+            name: desc.name,
             grid: desc.grid,
             block: desc.block,
             start,

@@ -243,7 +243,7 @@ impl TraceProfiler {
             launch: ctx.launch,
             device: ctx.device,
             stream: ctx.stream,
-            name: ctx.desc.name.clone(),
+            name: ctx.desc.name,
             grid: ctx.desc.grid,
             block: ctx.desc.block,
         }
@@ -366,8 +366,7 @@ impl DeviceProbe for TraceProfiler {
         let meter = &self.meter;
 
         // NVBit pays a one-time SASS dump+parse per unique kernel symbol.
-        if meter.costs.sass_parse_ns_per_kernel > 0 && self.parsed_kernels.insert(tctx.name.clone())
-        {
+        if meter.costs.sass_parse_ns_per_kernel > 0 && self.parsed_kernels.insert(tctx.name) {
             costs.host_ns += meter.costs.sass_parse_ns_per_kernel;
             self.shared.lock().breakdown.setup_ns += meter.costs.sass_parse_ns_per_kernel;
         }

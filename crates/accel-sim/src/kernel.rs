@@ -236,7 +236,7 @@ pub struct KernelDesc {
     /// Kernel symbol name (demangled), e.g.
     /// `"ampere_sgemm_128x64_tn"` or `"at::native::im2col_kernel"`.
     /// Interned: launching the same kernel repeatedly shares one
-    /// allocation, and every downstream event clones a refcount.
+    /// allocation, and every downstream event copies the handle.
     pub name: Symbol,
     /// Grid dimensions.
     pub grid: Dim3,

@@ -2,17 +2,21 @@
 //!
 //! The event hot path used to clone a heap `String` kernel name into every
 //! fine-grained event — millions of allocations per profiled run. A
-//! [`Symbol`] is an `Arc<str>` handed out by a [`SymbolTable`]: interning a
-//! name allocates once, every subsequent event carries a reference-count
-//! bump, and equality between symbols of the same table is a pointer
-//! compare. This crate hosts the type (rather than pasta-core) because
+//! [`Symbol`] is a `Copy` handle onto a string its [`SymbolTable`] owns
+//! forever: interning a name allocates (and leaks) it once, every
+//! subsequent event carries a 16-byte copy that writes nothing — no
+//! refcount, so lanes on different cores never share a written cache line
+//! over a name — and equality between symbols of the same table is a
+//! pointer compare. Names are immortal on purpose: the global table never
+//! forgot one anyway, so a count protected nothing. This crate hosts the
+//! type (rather than pasta-core) because
 //! [`crate::instrument::TraceCtx`] — the per-launch context every sink
 //! callback receives — is the first place a kernel name enters the event
 //! pipeline.
 //!
 //! Symbols from *different* tables still compare correctly (content
-//! fallback), so tests may use isolated tables while the runtime uses
-//! [`SymbolTable::global`].
+//! fallback), so unit tests may use isolated tables while the runtime —
+//! live sessions and decoded traces alike — uses [`SymbolTable::global`].
 //!
 //! [`Symbol::intern`] is called once per operator, kernel descriptor and
 //! API name on every lane, so it answers from a small per-thread front
@@ -25,13 +29,14 @@ use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
-/// An interned, cheaply clonable string (kernel symbol, API name, operator
-/// name). `Clone` is an atomic refcount bump; comparing two symbols of the
-/// same table is O(1).
-#[derive(Clone)]
-pub struct Symbol(Arc<str>);
+/// An interned string (kernel symbol, API name, operator name): a `Copy`
+/// handle onto text its table leaked once. Copying writes nothing,
+/// dropping does nothing, and comparing two symbols of the same table is
+/// O(1).
+#[derive(Clone, Copy)]
+pub struct Symbol(&'static str);
 
 /// Slots in the per-thread intern front.
 const FRONT_SLOTS: usize = 256;
@@ -74,47 +79,47 @@ impl Symbol {
                 for probe in 0..FRONT_PROBES {
                     let slot = &mut front[(home + probe) % FRONT_SLOTS];
                     match slot {
-                        Some(symbol) if symbol.as_str() == name => return symbol.clone(),
+                        Some(symbol) if symbol.as_str() == name => return *symbol,
                         Some(_) => {}
-                        None => return slot.insert(slow()).clone(),
+                        None => return *slot.insert(slow()),
                     }
                 }
-                front[home].insert(slow()).clone()
+                *front[home].insert(slow())
             })
             // The thread is exiting and its front is gone.
             .unwrap_or_else(|_| slow())
     }
 
     /// The underlying string.
-    pub fn as_str(&self) -> &str {
-        &self.0
+    pub fn as_str(&self) -> &'static str {
+        self.0
     }
 
     /// True when both symbols share one allocation — the O(1) fast path
     /// that also proves a name was interned once, not re-allocated per
     /// event.
     pub fn ptr_eq(a: &Symbol, b: &Symbol) -> bool {
-        Arc::ptr_eq(&a.0, &b.0)
+        std::ptr::eq(a.0, b.0)
     }
 }
 
 impl Deref for Symbol {
     type Target = str;
     fn deref(&self) -> &str {
-        &self.0
+        self.0
     }
 }
 
 impl AsRef<str> for Symbol {
     fn as_ref(&self) -> &str {
-        &self.0
+        self.0
     }
 }
 
 /// Lets `HashMap<Symbol, _>` answer `&str` lookups without interning.
 impl Borrow<str> for Symbol {
     fn borrow(&self) -> &str {
-        &self.0
+        self.0
     }
 }
 
@@ -130,13 +135,13 @@ impl Eq for Symbol {}
 
 impl PartialEq<str> for Symbol {
     fn eq(&self, other: &str) -> bool {
-        &*self.0 == other
+        self.0 == other
     }
 }
 
 impl PartialEq<&str> for Symbol {
     fn eq(&self, other: &&str) -> bool {
-        &*self.0 == *other
+        self.0 == *other
     }
 }
 
@@ -148,7 +153,7 @@ impl PartialOrd for Symbol {
 
 impl Ord for Symbol {
     fn cmp(&self, other: &Symbol) -> std::cmp::Ordering {
-        self.0.cmp(&other.0)
+        self.0.cmp(other.0)
     }
 }
 
@@ -161,13 +166,13 @@ impl Hash for Symbol {
 
 impl fmt::Debug for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&*self.0, f)
+        fmt::Debug::fmt(self.0, f)
     }
 }
 
 impl fmt::Display for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.0)
     }
 }
 
@@ -193,14 +198,17 @@ impl serde::Serialize for Symbol {}
 impl<'de> serde::Deserialize<'de> for Symbol {}
 
 /// A deduplicating string interner. Thread-safe; `intern` takes a lock, so
-/// hot paths should intern once per launch and clone the [`Symbol`].
+/// hot paths should intern once per launch and copy the [`Symbol`].
 #[derive(Debug, Default)]
 pub struct SymbolTable {
-    entries: Mutex<HashSet<Arc<str>>>,
+    entries: Mutex<HashSet<&'static str>>,
 }
 
 impl SymbolTable {
-    /// An empty table (isolated, for tests).
+    /// An empty table (isolated, for unit tests). Each distinct name a
+    /// table interns is leaked once and outlives the table, so nothing
+    /// outside tests should make one: the runtime interns into
+    /// [`SymbolTable::global`].
     pub fn new() -> Self {
         SymbolTable::default()
     }
@@ -212,15 +220,16 @@ impl SymbolTable {
     }
 
     /// Interns `name`: returns the existing symbol when the table has seen
-    /// the name before, otherwise allocates it once.
+    /// the name before, otherwise allocates it once, for the life of the
+    /// process.
     pub fn intern(&self, name: &str) -> Symbol {
         let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(existing) = entries.get(name) {
-            return Symbol(Arc::clone(existing));
+            return Symbol(existing);
         }
-        let arc: Arc<str> = Arc::from(name);
-        entries.insert(Arc::clone(&arc));
-        Symbol(arc)
+        let text: &'static str = Box::leak(Box::from(name));
+        entries.insert(text);
+        Symbol(text)
     }
 
     /// Number of distinct names interned.
@@ -237,6 +246,16 @@ impl SymbolTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    #[test]
+    fn symbol_is_a_sixteen_byte_copy_handle_without_drop_glue() {
+        fn assert_copy<T: Copy>() {}
+        assert_copy::<Symbol>();
+        assert!(!std::mem::needs_drop::<Symbol>());
+        assert_eq!(std::mem::size_of::<Symbol>(), 16);
+        assert_eq!(std::mem::size_of::<Option<Symbol>>(), 16);
+    }
 
     #[test]
     fn interning_dedups_to_one_allocation() {
@@ -250,9 +269,9 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_the_allocation() {
+    fn copies_share_the_allocation() {
         let a = Symbol::intern("clone_shares");
-        let b = a.clone();
+        let b = a;
         assert!(Symbol::ptr_eq(&a, &b));
     }
 
@@ -317,7 +336,7 @@ mod tests {
         let a = Symbol::intern("alpha");
         let z = Symbol::intern("zeta");
         assert!(a < z);
-        let mut v = vec![z.clone(), a.clone()];
+        let mut v = vec![z, a];
         v.sort();
         assert_eq!(v, vec![a, z]);
     }

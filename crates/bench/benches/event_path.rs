@@ -228,7 +228,7 @@ fn coarse_launch_events(c: &mut Criterion) {
                 hub.process(&Event::KernelLaunchEnd {
                     launch: LaunchId(launch),
                     device: DeviceId(0),
-                    name: name.clone(),
+                    name,
                     start: SimTime(0),
                     end: SimTime(1000),
                 });

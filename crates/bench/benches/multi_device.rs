@@ -345,7 +345,7 @@ fn per_device_drain_under_lock(c: &mut Criterion) {
     let access_events: Vec<Event> = (0..BATCHES)
         .map(|i| Event::GlobalAccess {
             launch: LaunchId(0),
-            kernel: tctx.name.clone(),
+            kernel: tctx.name,
             batch: batch(0, i),
         })
         .collect();
@@ -372,7 +372,7 @@ fn per_device_drain_under_lock(c: &mut Criterion) {
                 launch: LaunchId(launch),
                 device: DeviceId(0),
                 stream: 0,
-                name: tctx.name.clone(),
+                name: tctx.name,
                 grid: tctx.grid,
                 block: tctx.block,
             });
@@ -383,7 +383,7 @@ fn per_device_drain_under_lock(c: &mut Criterion) {
             p.process_class_batch(EventClass::DeviceControl, &control_events);
             p.process(&Event::KernelTrace {
                 launch: LaunchId(launch),
-                kernel: tctx.name.clone(),
+                kernel: tctx.name,
                 summary: KernelTraceSummary::default(),
             });
             launch += 1;

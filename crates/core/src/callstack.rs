@@ -33,7 +33,7 @@ impl StackCapture {
     /// Observes the event stream (needs `OpStart` events flowing).
     pub fn observe(&mut self, event: &Event) {
         if let Event::OpStart { py_stack, name, .. } = event {
-            self.current_op = Some((Arc::clone(py_stack), name.clone()));
+            self.current_op = Some((Arc::clone(py_stack), *name));
         }
     }
 
@@ -53,7 +53,7 @@ impl StackCapture {
             python,
             native: native_frames_for_kernel(kernel),
         };
-        self.captured.insert(kernel.clone(), stack);
+        self.captured.insert(*kernel, stack);
     }
 
     /// The captured stack for `kernel`, if any.

@@ -488,6 +488,13 @@ mod tests {
     use super::*;
 
     #[test]
+    fn event_stays_within_104_bytes() {
+        // Names are 16-byte `Copy` handles; a wider `Event` is a wider
+        // move per slot of every 256-event batch on the spine.
+        assert!(std::mem::size_of::<Event>() <= 104);
+    }
+
+    #[test]
     fn table_ii_event_coverage() {
         // Every Table II row maps onto at least one Event variant; this
         // test is the executable version of that claim.

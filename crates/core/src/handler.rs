@@ -26,7 +26,7 @@ struct PendingLaunch(Option<(LaunchId, Symbol, SimTime)>);
 
 impl PendingLaunch {
     fn begin(&mut self, launch: LaunchId, name: &Symbol, start: SimTime) {
-        self.0 = Some((launch, name.clone(), start));
+        self.0 = Some((launch, *name, start));
     }
 
     /// The timed launch event, when `launch` is the pending one.

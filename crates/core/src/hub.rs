@@ -22,7 +22,7 @@
 //!    `on_blocks`/`on_instructions` return *before* taking any lock or
 //!    constructing an [`Event`] when nothing downstream wants the class.
 //! 2. **Interned names** — [`TraceCtx::name`] is a [`Symbol`], so events
-//!    carry a refcount bump instead of a fresh `String` per event.
+//!    carry a `Copy` handle instead of a fresh `String` per event.
 //! 3. **Per-class spill buffers** — admitted events accumulate in
 //!    sink-local fixed-capacity buffers segregated by [`EventClass`]
 //!    (mirroring the simulated device-side trace buffer), so the drain
@@ -59,7 +59,14 @@ use std::sync::Arc;
 
 /// One device's slice of the hub: its event processor behind its own
 /// lock, plus the spine registry of SPSC rings feeding it.
+///
+/// Shards sit side by side in the hub's `Vec` and pool workers claim
+/// lanes in order, so neighbouring shards are written from different
+/// cores at the same time. Aligned (and thereby padded) to 128 bytes —
+/// two lines, because the adjacent-line prefetcher pairs them — no shard's
+/// lock word, counters or ring count share a line with a neighbour's.
 #[derive(Debug)]
+#[repr(align(128))]
 pub struct DeviceShard {
     device: DeviceId,
     processor: Mutex<EventProcessor>,
@@ -820,7 +827,7 @@ impl DeviceTraceSink for HubSink {
                 launch: ctx.launch,
                 device: ctx.device,
                 stream: ctx.stream,
-                name: ctx.name.clone(),
+                name: ctx.name,
                 grid: ctx.grid,
                 block: ctx.block,
             });
@@ -840,7 +847,7 @@ impl DeviceTraceSink for HubSink {
             launch: ctx.launch,
             device: ctx.device,
             stream: ctx.stream,
-            name: ctx.name.clone(),
+            name: ctx.name,
             grid: ctx.grid,
             block: ctx.block,
         });
@@ -857,12 +864,12 @@ impl DeviceTraceSink for HubSink {
         let event = match batch.space {
             MemSpace::Shared | MemSpace::RemoteShared => Event::SharedAccess {
                 launch: ctx.launch,
-                kernel: ctx.name.clone(),
+                kernel: ctx.name,
                 batch: batch.clone(),
             },
             _ => Event::GlobalAccess {
                 launch: ctx.launch,
-                kernel: ctx.name.clone(),
+                kernel: ctx.name,
                 batch: batch.clone(),
             },
         };
@@ -908,7 +915,7 @@ impl DeviceTraceSink for HubSink {
         self.rebind(ctx.device);
         let trace = Event::KernelTrace {
             launch: ctx.launch,
-            kernel: ctx.name.clone(),
+            kernel: ctx.name,
             summary: summary.clone(),
         };
         if self.mode == SpineMode::Ring {
@@ -927,6 +934,12 @@ impl DeviceTraceSink for HubSink {
 mod tests {
     use super::*;
     use accel_sim::{AccessKind, AccessPattern, DeviceId, Dim3, LaunchId, Symbol};
+
+    #[test]
+    fn shards_never_share_a_cache_line_pair() {
+        assert!(std::mem::align_of::<DeviceShard>() >= 128);
+        assert_eq!(std::mem::size_of::<DeviceShard>() % 128, 0);
+    }
 
     fn ctx() -> TraceCtx {
         ctx_on(0)
@@ -1143,7 +1156,7 @@ mod tests {
     #[test]
     fn event_names_share_one_interned_allocation_per_launch() {
         // The ISSUE-2 acceptance check: zero per-event String allocations —
-        // every event of a launch carries the *same* Arc<str>.
+        // every event of a launch carries the *same* interned string.
         #[derive(Default)]
         struct NameCollector {
             names: Vec<Symbol>,
@@ -1157,10 +1170,10 @@ mod tests {
             }
             fn on_event(&mut self, event: &Event) {
                 match event {
-                    Event::KernelLaunchBegin { name, .. } => self.names.push(name.clone()),
+                    Event::KernelLaunchBegin { name, .. } => self.names.push(*name),
                     Event::GlobalAccess { kernel, .. }
                     | Event::SharedAccess { kernel, .. }
-                    | Event::KernelTrace { kernel, .. } => self.names.push(kernel.clone()),
+                    | Event::KernelTrace { kernel, .. } => self.names.push(*kernel),
                     _ => {}
                 }
             }

@@ -39,6 +39,14 @@ pub enum Knob {
 }
 
 impl Knob {
+    /// Every built-in knob; a knob's discriminant is its index here.
+    const ALL: [Knob; 4] = [
+        Knob::MaxMemReferencedKernel,
+        Knob::MaxCalledKernel,
+        Knob::MaxBarrierKernel,
+        Knob::MaxDurationKernel,
+    ];
+
     /// Environment-variable style name.
     pub fn env_name(self) -> &'static str {
         match self {
@@ -59,10 +67,21 @@ impl Knob {
     }
 }
 
+/// The order every selection maximizes: highest score, ties to the
+/// lexicographically smallest name.
+fn rank(score: u64, name: &Symbol) -> (u64, std::cmp::Reverse<&str>) {
+    (score, std::cmp::Reverse(name.as_str()))
+}
+
 /// Accumulates per-kernel aggregates and answers knob queries.
 #[derive(Debug, Default, Clone)]
 pub struct KnobSet {
     per_kernel: HashMap<Symbol, KernelAggregate>,
+    /// What [`KnobSet::select`] answers for each built-in knob, indexed by
+    /// discriminant. Aggregates only grow, so after an update the arg-max
+    /// is the old one or the kernel just touched: `offer` keeps it current
+    /// and the stack-capture check on every launch end never scans the map.
+    best: [Option<(Symbol, KernelAggregate)>; Knob::ALL.len()],
 }
 
 impl KnobSet {
@@ -71,19 +90,32 @@ impl KnobSet {
         KnobSet::default()
     }
 
-    /// Updates the aggregate of `kernel`. A kernel seen before — every
-    /// launch but a kernel's first — is looked up by reference: the key is
-    /// cloned (a refcount bump on a line every lane shares) only when it
-    /// is inserted.
-    fn update(&mut self, kernel: &Symbol, f: impl FnOnce(&mut KernelAggregate)) {
-        match self.per_kernel.get_mut(kernel) {
-            Some(agg) => f(agg),
-            None => f(self.per_kernel.entry(kernel.clone()).or_default()),
+    /// Re-ranks `kernel`, whose aggregate just became `agg`, against each
+    /// knob's running arg-max (refreshing the stored aggregate when
+    /// `kernel` already is the arg-max).
+    fn offer(&mut self, kernel: Symbol, agg: KernelAggregate) {
+        for knob in Knob::ALL {
+            let slot = &mut self.best[knob as usize];
+            let wins = slot.as_ref().is_none_or(|(best, best_agg)| {
+                *best == kernel
+                    || rank(knob.score(&agg), &kernel) > rank(knob.score(best_agg), best)
+            });
+            if wins {
+                *slot = Some((kernel, agg));
+            }
         }
     }
 
-    /// Records one launch completion: an allocation-free hash-map update
-    /// that leaves the key's refcount alone once the kernel is known.
+    /// Updates the aggregate of `kernel`: one allocation-free hash-map
+    /// update once the kernel is known.
+    fn update(&mut self, kernel: &Symbol, f: impl FnOnce(&mut KernelAggregate)) {
+        let agg = self.per_kernel.entry(*kernel).or_default();
+        f(agg);
+        let agg = *agg;
+        self.offer(*kernel, agg);
+    }
+
+    /// Records one launch completion.
     pub fn record_launch(&mut self, kernel: &Symbol, duration_ns: u64) {
         self.update(kernel, |agg| {
             agg.calls += 1;
@@ -106,12 +138,10 @@ impl KnobSet {
         });
     }
 
-    /// The kernel selected by `knob`, with its aggregate.
+    /// The kernel selected by `knob`, with its aggregate: the running
+    /// arg-max, read without touching the map.
     pub fn select(&self, knob: Knob) -> Option<(&Symbol, KernelAggregate)> {
-        self.per_kernel
-            .iter()
-            .max_by_key(|(name, agg)| (knob.score(agg), std::cmp::Reverse(name.as_str())))
-            .map(|(n, a)| (n, *a))
+        self.best[knob as usize].as_ref().map(|(n, a)| (n, *a))
     }
 
     /// Custom knob: the kernel maximizing an arbitrary score.
@@ -121,7 +151,7 @@ impl KnobSet {
     ) -> Option<(&Symbol, KernelAggregate)> {
         self.per_kernel
             .iter()
-            .max_by_key(|(name, agg)| (score(agg), std::cmp::Reverse(name.as_str())))
+            .max_by_key(|(name, agg)| rank(score(agg), name))
             .map(|(n, a)| (n, *a))
     }
 
@@ -130,12 +160,13 @@ impl KnobSet {
     /// the device-ordered merge is deterministic).
     pub fn merge_from(&mut self, other: &KnobSet) {
         for (kernel, theirs) in &other.per_kernel {
-            let agg = self.per_kernel.entry(kernel.clone()).or_default();
-            agg.calls += theirs.calls;
-            agg.memory_records += theirs.memory_records;
-            agg.bytes += theirs.bytes;
-            agg.barriers += theirs.barriers;
-            agg.duration_ns += theirs.duration_ns;
+            self.update(kernel, |agg| {
+                agg.calls += theirs.calls;
+                agg.memory_records += theirs.memory_records;
+                agg.bytes += theirs.bytes;
+                agg.barriers += theirs.barriers;
+                agg.duration_ns += theirs.duration_ns;
+            });
         }
     }
 
@@ -152,12 +183,14 @@ impl KnobSet {
     /// Clears all aggregates.
     pub fn reset(&mut self) {
         self.per_kernel.clear();
+        self.best = Default::default();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn set() -> KnobSet {
         let mut k = KnobSet::new();
@@ -224,5 +257,65 @@ mod tests {
         assert!(k.kernel_count() > 0);
         k.reset();
         assert_eq!(k.kernel_count(), 0);
+        assert!(k.select(Knob::MaxCalledKernel).is_none());
+    }
+
+    /// The map scan `select` used to be: the reference the running
+    /// arg-max is checked against.
+    fn select_scan(set: &KnobSet, knob: Knob) -> Option<(&Symbol, KernelAggregate)> {
+        set.select_by(|agg| knob.score(agg))
+    }
+
+    fn assert_matches_scan(set: &KnobSet) {
+        for knob in Knob::ALL {
+            prop_assert_eq!(set.select(knob), select_scan(set, knob), "{:?}", knob);
+        }
+    }
+
+    /// One recording step: `(op, kernel, a, b)`; the tiny value ranges
+    /// make most scores tie, so the name order decides.
+    fn apply(set: &mut KnobSet, names: &[Symbol], &(op, kernel, a, b): &(u8, usize, u64, u64)) {
+        let kernel = &names[kernel % names.len()];
+        match op % 2 {
+            0 => set.record_launch(kernel, a),
+            _ => set.record_trace(kernel, a, 64 * b, b),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// After every step of any record / merge / reset sequence, each
+        /// built-in knob's running arg-max is what the scan selects.
+        #[test]
+        fn running_arg_max_matches_the_scan(
+            steps in prop::collection::vec(
+                (
+                    0u8..8,
+                    (0u8..2, 0usize..12, 0u64..3, 0u64..3),
+                    prop::collection::vec((0u8..2, 0usize..12, 0u64..3, 0u64..3), 0..6),
+                ),
+                1..48,
+            )
+        ) {
+            let names: Vec<Symbol> =
+                (0..12).map(|i| Symbol::intern(&format!("knob_prop_kernel_{i}"))).collect();
+            let mut set = KnobSet::new();
+            for (step, record, other) in &steps {
+                match step {
+                    0 => set.reset(),
+                    1 | 2 => {
+                        let mut theirs = KnobSet::new();
+                        for record in other {
+                            apply(&mut theirs, &names, record);
+                        }
+                        assert_matches_scan(&theirs);
+                        set.merge_from(&theirs);
+                    }
+                    _ => apply(&mut set, &names, record),
+                }
+                assert_matches_scan(&set);
+            }
+        }
     }
 }

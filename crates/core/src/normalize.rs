@@ -47,7 +47,7 @@ const MEMO_PROBES: usize = 4;
 /// A per-thread memo from a raw vendor name to the symbol it normalizes
 /// to. Vendor names are `&'static str`, so the key is the string's address
 /// and length — equal keys are the same bytes — and a name seen before
-/// costs a pointer compare and a refcount bump: no `String`, no interner.
+/// costs a pointer compare and a 16-byte copy: no `String`, no interner.
 /// Bounded: a name that finds its probe window full displaces the one in
 /// its home slot and is normalized again when that one returns.
 struct NameMemo {
@@ -67,12 +67,12 @@ impl NameMemo {
         for probe in 0..MEMO_PROBES {
             let slot = &mut self.slots[(home + probe) % MEMO_SLOTS];
             match slot {
-                Some((seen, symbol)) if std::ptr::eq(*seen, raw) => return symbol.clone(),
+                Some((seen, symbol)) if std::ptr::eq(*seen, raw) => return *symbol,
                 Some(_) => {}
-                None => return slot.insert((raw, normalize(raw))).1.clone(),
+                None => return slot.insert((raw, normalize(raw))).1,
             }
         }
-        self.slots[home].insert((raw, normalize(raw))).1.clone()
+        self.slots[home].insert((raw, normalize(raw))).1
     }
 }
 
@@ -374,13 +374,13 @@ pub fn normalize_framework(ev: &FrameworkEvent) -> Event {
             py_stack,
         } => Event::OpStart {
             seq: *seq,
-            name: name.clone(),
+            name: *name,
             device: *device,
             py_stack: Arc::clone(py_stack),
         },
         FrameworkEvent::OpEnd { seq, name, device } => Event::OpEnd {
             seq: *seq,
-            name: name.clone(),
+            name: *name,
             device: *device,
         },
         FrameworkEvent::TensorAlloc {
@@ -418,7 +418,7 @@ pub fn normalize_framework(ev: &FrameworkEvent) -> Event {
             index,
             device,
         } => Event::LayerBoundary {
-            name: name.clone(),
+            name: *name,
             index: *index,
             device: *device,
         },
@@ -427,11 +427,11 @@ pub fn normalize_framework(ev: &FrameworkEvent) -> Event {
             device: *device,
         },
         FrameworkEvent::RegionStart { label, device } => Event::RegionStart {
-            label: label.clone(),
+            label: *label,
             device: *device,
         },
         FrameworkEvent::RegionEnd { label, device } => Event::RegionEnd {
-            label: label.clone(),
+            label: *label,
             device: *device,
         },
     }

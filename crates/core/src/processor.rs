@@ -32,6 +32,16 @@ use accel_sim::{LaunchId, ProbeConfig, Symbol};
 pub trait EventRecorder: Send + Sync + std::fmt::Debug {
     /// Called for each event, before tool dispatch, under the shard lock.
     fn record(&mut self, event: &Event);
+
+    /// Called with a whole same-class batch, in order, where `record`
+    /// would have been called once per event. A recorder with per-call
+    /// set-up (a lock, a buffer reservation) overrides this to pay it once
+    /// per batch.
+    fn record_batch(&mut self, events: &[Event]) {
+        for event in events {
+            self.record(event);
+        }
+    }
 }
 
 /// The dispatch-and-preprocess core shared by handler and sink.
@@ -149,9 +159,7 @@ impl EventProcessor {
             "only launch-scoped fine-grained classes may take the fast drain"
         );
         if let Some(recorder) = &mut self.recorder {
-            for event in events {
-                recorder.record(event);
-            }
+            recorder.record_batch(events);
         }
         self.events_processed += events.len() as u64;
         self.tools.dispatch_class_batch(class, events);

@@ -119,11 +119,21 @@ impl SpineMsg {
 /// shard's processor lock.
 struct Spsc<T> {
     slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    /// Next slot to pop (monotonic; slot index is `head % cap`).
-    head: AtomicUsize,
-    /// Next slot to push (monotonic).
-    tail: AtomicUsize,
+    /// Next slot to pop (monotonic; slot index is `head % cap`). Written
+    /// by the consumer only.
+    head: LineIsolated<AtomicUsize>,
+    /// Next slot to push (monotonic). Written by the producer only.
+    tail: LineIsolated<AtomicUsize>,
 }
+
+/// Gives `T` a 128-byte line pair of its own (two lines: the
+/// adjacent-line prefetcher pairs them), so the producer's `tail` stores
+/// and the consumer's `head` stores — and, in an [`EventRing`], the
+/// message ring's and the free ring's — never invalidate each other's
+/// line.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct LineIsolated<T>(T);
 
 // SAFETY: `slots` is only touched through the SPSC protocol above —
 // the producer writes slots in `[head, head+cap)` it observed free, the
@@ -140,8 +150,8 @@ impl<T> Spsc<T> {
                 .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(0),
+            head: LineIsolated::default(),
+            tail: LineIsolated::default(),
         }
     }
 
@@ -152,10 +162,10 @@ impl<T> Spsc<T> {
     /// Producer side: publishes `value`, or returns it when the ring is
     /// full (the caller applies backpressure — values are never dropped).
     fn push(&self, value: T) -> Result<(), T> {
-        let tail = self.tail.load(Ordering::Relaxed);
+        let tail = self.tail.0.load(Ordering::Relaxed);
         // Acquire pairs with the consumer's release in `pop`: once we see
         // head advanced past a slot, its old value is fully read out.
-        let head = self.head.load(Ordering::Acquire);
+        let head = self.head.0.load(Ordering::Acquire);
         if tail.wrapping_sub(head) >= self.capacity() {
             return Err(value);
         }
@@ -166,15 +176,15 @@ impl<T> Spsc<T> {
             (*self.slots[tail % self.capacity()].get()).write(value);
         }
         // Release publishes the slot write to the consumer's acquire load.
-        self.tail.store(tail.wrapping_add(1), Ordering::Release);
+        self.tail.0.store(tail.wrapping_add(1), Ordering::Release);
         Ok(())
     }
 
     /// Consumer side: takes the oldest value, or `None` when empty.
     fn pop(&self) -> Option<T> {
-        let head = self.head.load(Ordering::Relaxed);
+        let head = self.head.0.load(Ordering::Relaxed);
         // Acquire pairs with the producer's release in `push`.
-        let tail = self.tail.load(Ordering::Acquire);
+        let tail = self.tail.0.load(Ordering::Acquire);
         if head == tail {
             return None;
         }
@@ -183,7 +193,7 @@ impl<T> Spsc<T> {
         // contract), so reading the value out exactly once is sound.
         let value = unsafe { (*self.slots[head % self.capacity()].get()).assume_init_read() };
         // Release hands the slot back to the producer's acquire load.
-        self.head.store(head.wrapping_add(1), Ordering::Release);
+        self.head.0.store(head.wrapping_add(1), Ordering::Release);
         Some(value)
     }
 
@@ -191,8 +201,9 @@ impl<T> Spsc<T> {
     /// side is quiescent).
     fn len(&self) -> usize {
         self.tail
+            .0
             .load(Ordering::Acquire)
-            .wrapping_sub(self.head.load(Ordering::Acquire))
+            .wrapping_sub(self.head.0.load(Ordering::Acquire))
     }
 }
 
@@ -486,6 +497,18 @@ mod tests {
             launch: LaunchId(0),
             count: i,
         }
+    }
+
+    #[test]
+    fn spsc_head_and_tail_sit_on_separate_lines() {
+        let (head, tail) = (
+            std::mem::offset_of!(Spsc<SpineMsg>, head),
+            std::mem::offset_of!(Spsc<SpineMsg>, tail),
+        );
+        assert!(head.abs_diff(tail) >= 64, "head at {head}, tail at {tail}");
+        // Each index owns its lines outright, so an `EventRing`'s message
+        // ring and free ring cannot share one either.
+        assert!(std::mem::align_of::<LineIsolated<AtomicUsize>>() >= 128);
     }
 
     #[test]

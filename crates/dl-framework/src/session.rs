@@ -230,7 +230,7 @@ impl<'rt> Session<'rt> {
         let py_stack = self.py.snapshot();
         self.callbacks.emit(&FrameworkEvent::OpStart {
             seq,
-            name: name.clone(),
+            name,
             device: dev,
             py_stack,
         });

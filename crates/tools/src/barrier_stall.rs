@@ -57,11 +57,8 @@ impl BarrierStallTool {
 
     /// Kernels ranked by estimated stall time, descending.
     pub fn ranking(&self) -> Vec<(Symbol, BarrierStats)> {
-        let mut v: Vec<(Symbol, BarrierStats)> = self
-            .per_kernel
-            .iter()
-            .map(|(k, &s)| (k.clone(), s))
-            .collect();
+        let mut v: Vec<(Symbol, BarrierStats)> =
+            self.per_kernel.iter().map(|(k, &s)| (*k, s)).collect();
         v.sort_by(|a, b| {
             b.1.stall_ns()
                 .cmp(&a.1.stall_ns())
@@ -87,11 +84,11 @@ impl Tool for BarrierStallTool {
     fn on_event(&mut self, event: &Event) {
         match event {
             Event::KernelLaunchBegin { launch, name, .. } => {
-                self.current_kernel.insert(launch.value(), name.clone());
+                self.current_kernel.insert(launch.value(), *name);
             }
             Event::Barrier { launch, count, .. } => {
                 if let Some(name) = self.current_kernel.get(&launch.value()) {
-                    let s = self.per_kernel.entry(name.clone()).or_default();
+                    let s = self.per_kernel.entry(*name).or_default();
                     s.barriers += count;
                 }
             }
@@ -102,7 +99,7 @@ impl Tool for BarrierStallTool {
                 end,
                 ..
             } => {
-                let s = self.per_kernel.entry(name.clone()).or_default();
+                let s = self.per_kernel.entry(*name).or_default();
                 s.calls += 1;
                 s.duration_ns += *end - *start;
                 self.current_kernel.remove(&launch.value());
@@ -144,7 +141,7 @@ impl Tool for BarrierStallTool {
         };
         // `current_kernel` is in-flight launch state and never merges.
         for (kernel, theirs) in &other.per_kernel {
-            let s = self.per_kernel.entry(kernel.clone()).or_default();
+            let s = self.per_kernel.entry(*kernel).or_default();
             s.barriers += theirs.barriers;
             s.calls += theirs.calls;
             s.duration_ns += theirs.duration_ns;

@@ -42,7 +42,7 @@ impl KernelFrequencyTool {
     /// `(kernel, count)` pairs sorted by descending count (name breaks
     /// ties deterministically).
     pub fn ranking(&self) -> Vec<(Symbol, u64)> {
-        let mut v: Vec<(Symbol, u64)> = self.counts.iter().map(|(k, &c)| (k.clone(), c)).collect();
+        let mut v: Vec<(Symbol, u64)> = self.counts.iter().map(|(k, &c)| (*k, c)).collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         v
     }
@@ -69,7 +69,7 @@ impl Tool for KernelFrequencyTool {
 
     fn on_event(&mut self, event: &Event) {
         if let Event::KernelLaunchEnd { name, .. } = event {
-            *self.counts.entry(name.clone()).or_insert(0) += 1;
+            *self.counts.entry(*name).or_insert(0) += 1;
             self.total += 1;
         }
     }
@@ -99,7 +99,7 @@ impl Tool for KernelFrequencyTool {
             return;
         };
         for (kernel, &count) in &other.counts {
-            *self.counts.entry(kernel.clone()).or_insert(0) += count;
+            *self.counts.entry(*kernel).or_insert(0) += count;
         }
         self.total += other.total;
     }

@@ -56,11 +56,8 @@ impl OpKernelMapTool {
 
     /// Operators ranked by total device time, descending.
     pub fn ranking(&self) -> Vec<(Symbol, OpProfile)> {
-        let mut v: Vec<(Symbol, OpProfile)> = self
-            .per_op
-            .iter()
-            .map(|(k, p)| (k.clone(), p.clone()))
-            .collect();
+        let mut v: Vec<(Symbol, OpProfile)> =
+            self.per_op.iter().map(|(k, p)| (*k, p.clone())).collect();
         v.sort_by(|a, b| {
             b.1.device_ns
                 .cmp(&a.1.device_ns)
@@ -87,8 +84,8 @@ impl Tool for OpKernelMapTool {
     fn on_event(&mut self, event: &Event) {
         match event {
             Event::OpStart { name, .. } => {
-                self.per_op.entry(name.clone()).or_default().calls += 1;
-                self.stack.push(name.clone());
+                self.per_op.entry(*name).or_default().calls += 1;
+                self.stack.push(*name);
             }
             Event::OpEnd { .. } => {
                 self.stack.pop();
@@ -102,7 +99,7 @@ impl Tool for OpKernelMapTool {
                         .get_mut(op.as_str())
                         .expect("op on stack was started");
                     p.kernels += 1;
-                    *p.kernel_counts.entry(name.clone()).or_insert(0) += 1;
+                    *p.kernel_counts.entry(*name).or_insert(0) += 1;
                     p.device_ns += *end - *start;
                 }
             }
@@ -146,12 +143,12 @@ impl Tool for OpKernelMapTool {
         };
         // `stack` is in-flight operator nesting and never merges.
         for (op, theirs) in &other.per_op {
-            let p = self.per_op.entry(op.clone()).or_default();
+            let p = self.per_op.entry(*op).or_default();
             p.calls += theirs.calls;
             p.kernels += theirs.kernels;
             p.device_ns += theirs.device_ns;
             for (kernel, &count) in &theirs.kernel_counts {
-                *p.kernel_counts.entry(kernel.clone()).or_insert(0) += count;
+                *p.kernel_counts.entry(*kernel).or_insert(0) += count;
             }
         }
     }

@@ -56,7 +56,7 @@ impl OverflowSanitizerTool {
                 c.bytes_stored > 0
                     && c.instructions_checked as f64 / c.bytes_stored as f64 > RISK_FLOPS_PER_BYTE
             })
-            .map(|(k, _)| k.clone())
+            .map(|(k, _)| *k)
             .collect();
         v.sort();
         v
@@ -80,12 +80,12 @@ impl Tool for OverflowSanitizerTool {
     fn on_event(&mut self, event: &Event) {
         match event {
             Event::KernelLaunchBegin { launch, name, .. } => {
-                self.current_kernel.insert(launch.value(), name.clone());
+                self.current_kernel.insert(launch.value(), *name);
             }
             Event::Instructions { launch, count } => {
                 if let Some(name) = self.current_kernel.get(&launch.value()) {
                     self.per_kernel
-                        .entry(name.clone())
+                        .entry(*name)
                         .or_default()
                         .instructions_checked += count;
                 }
@@ -94,10 +94,7 @@ impl Tool for OverflowSanitizerTool {
                 if batch.kind == accel_sim::AccessKind::Store =>
             {
                 if let Some(name) = self.current_kernel.get(&launch.value()) {
-                    self.per_kernel
-                        .entry(name.clone())
-                        .or_default()
-                        .bytes_stored += batch.bytes;
+                    self.per_kernel.entry(*name).or_default().bytes_stored += batch.bytes;
                 }
             }
             Event::KernelLaunchEnd { launch, .. } => {

@@ -21,7 +21,7 @@ use crate::error::TraceError;
 use crate::wire::{put_varint, unzigzag, zigzag, Cursor};
 use accel_sim::{
     AccessBatch, AccessKind, AccessPattern, CopyDirection, DeviceId, Dim3, KernelTraceSummary,
-    LaunchId, MemSpace, SimTime, Symbol, SymbolTable,
+    LaunchId, MemSpace, SimTime, Symbol,
 };
 use dl_framework::callbacks::Pass;
 use dl_framework::pycall::PyFrame;
@@ -170,7 +170,14 @@ pub(crate) struct ShardEncoder {
     /// Dictionary, in first-appearance order; snapshotted into the shard
     /// header so ids resolve on read.
     symbols: Vec<String>,
+    /// Content → id. Python-frame strings always resolve here; an interned
+    /// name does once, on first sight of its address, so symbols of
+    /// different tables with one content still share an id.
     ids: HashMap<String, u64>,
+    /// Address → id of every interned name seen before: the per-event
+    /// lookup hashes one word, not a 30–60-byte kernel name. Interned text
+    /// is immortal, so an address never comes to mean another name.
+    seen: HashMap<usize, u64>,
     payload: Vec<u8>,
     records: u64,
     last_time: u64,
@@ -183,6 +190,7 @@ impl ShardEncoder {
             device,
             symbols: Vec::new(),
             ids: HashMap::new(),
+            seen: HashMap::new(),
             payload: Vec::new(),
             records: 0,
             last_time: 0,
@@ -202,8 +210,9 @@ impl ShardEncoder {
         put_varint(&mut self.payload, v);
     }
 
-    fn sym(&mut self, s: &str) {
-        let id = match self.ids.get(s) {
+    /// The dictionary id of `s`, assigned in first-appearance order.
+    fn id_of(&mut self, s: &str) -> u64 {
+        match self.ids.get(s) {
             Some(&id) => id,
             None => {
                 let id = self.symbols.len() as u64;
@@ -211,7 +220,26 @@ impl ShardEncoder {
                 self.ids.insert(s.to_owned(), id);
                 id
             }
+        }
+    }
+
+    /// Writes the id of an interned name.
+    fn sym(&mut self, s: &Symbol) {
+        let addr = s.as_str().as_ptr() as usize;
+        let id = match self.seen.get(&addr) {
+            Some(&id) => id,
+            None => {
+                let id = self.id_of(s);
+                self.seen.insert(addr, id);
+                id
+            }
         };
+        self.v(id);
+    }
+
+    /// Writes the id of a string that is not interned (Python frames).
+    fn text(&mut self, s: &str) {
+        let id = self.id_of(s);
         self.v(id);
     }
 
@@ -501,9 +529,9 @@ impl ShardEncoder {
                 self.v(device.0.into());
                 self.v(py_stack.len() as u64);
                 for frame in py_stack.iter() {
-                    self.sym(&frame.file);
+                    self.text(&frame.file);
                     self.v(frame.line.into());
-                    self.sym(&frame.func);
+                    self.text(&frame.func);
                 }
             }
             Event::OpEnd { seq, name, device } => {
@@ -574,15 +602,15 @@ impl ShardEncoder {
 }
 
 /// Decodes one shard's payload back into events, resolving dictionary ids
-/// through symbols freshly interned into the reader's table.
-pub(crate) struct ShardDecoder {
-    symbols: Vec<Symbol>,
+/// through the shard's interned dictionary.
+pub(crate) struct ShardDecoder<'a> {
+    symbols: &'a [Symbol],
     last_time: u64,
     last_launch: u64,
 }
 
-impl ShardDecoder {
-    pub(crate) fn new(symbols: Vec<Symbol>) -> Self {
+impl<'a> ShardDecoder<'a> {
+    pub(crate) fn new(symbols: &'a [Symbol]) -> Self {
         ShardDecoder {
             symbols,
             last_time: 0,
@@ -594,7 +622,7 @@ impl ShardDecoder {
         let id = cur.varint_usize()?;
         self.symbols
             .get(id)
-            .cloned()
+            .copied()
             .ok_or_else(|| TraceError::Corrupt {
                 offset: cur.pos(),
                 what: format!(
@@ -889,12 +917,6 @@ impl ShardDecoder {
         };
         Ok(event)
     }
-}
-
-/// Interns a shard dictionary into `table`, yielding the decoder's symbol
-/// vector.
-pub(crate) fn intern_dictionary(table: &SymbolTable, names: &[String]) -> Vec<Symbol> {
-    names.iter().map(|n| table.intern(n)).collect()
 }
 
 fn put_stats(buf: &mut Vec<u8>, s: &UvmStats) {

@@ -3,16 +3,16 @@
 //! Parsing is eager and fully validated: magic, version, every shard
 //! dictionary, every record, the UVM footer and the end marker. The
 //! input is treated as untrusted — any malformation yields a typed
-//! [`TraceError`], never a panic. Symbol ids are re-interned into a
-//! fresh [`SymbolTable`] owned by the reader; cross-table symbol
-//! equality is by content, so replayed events compare equal to their
-//! live originals.
+//! [`TraceError`], never a panic. Dictionary names are interned into the
+//! process-global symbol table, the one live sessions use: a decoded
+//! name is pointer-equal to its live original, and parsing the same
+//! trace again interns nothing.
 
-use crate::codec::{decode_uvm, intern_dictionary, ShardDecoder};
+use crate::codec::{decode_uvm, ShardDecoder};
 use crate::error::TraceError;
 use crate::wire::Cursor;
 use crate::writer::{END_MAGIC, FORMAT_VERSION, MAGIC};
-use accel_sim::{DeviceId, SymbolTable};
+use accel_sim::{DeviceId, Symbol};
 use pasta_core::report::UvmReport;
 use pasta_core::Event;
 
@@ -30,7 +30,7 @@ pub struct TraceShard {
 pub struct TraceReader {
     shards: Vec<TraceShard>,
     uvm: Option<UvmReport>,
-    symbols: SymbolTable,
+    symbol_count: usize,
 }
 
 impl TraceReader {
@@ -42,6 +42,15 @@ impl TraceReader {
     /// foreign or future files, [`TraceError::Truncated`] when the input
     /// ends mid-structure, [`TraceError::Corrupt`] for structurally
     /// invalid bytes.
+    ///
+    /// # Memory
+    ///
+    /// Interned names live as long as the process. Each distinct name is
+    /// stored once however many traces or parses carry it, so what
+    /// untrusted input can pin is bounded by the dictionary bytes of the
+    /// traces that parsed as far as their dictionaries — a trace rejected
+    /// later (bad record, truncation) has still interned the dictionaries
+    /// read before the error.
     pub fn parse(bytes: &[u8]) -> Result<TraceReader, TraceError> {
         let mut cur = Cursor::new(bytes);
         let magic = cur.take(8)?;
@@ -71,12 +80,12 @@ impl TraceReader {
             });
         }
 
-        let symbols = SymbolTable::new();
+        let mut dictionary: Vec<Symbol> = Vec::new();
         let mut shards = Vec::with_capacity(shard_count as usize);
         for _ in 0..shard_count {
             let device = DeviceId(cur.u32_le()?);
             let sym_count = cur.varint_usize()?;
-            let mut names = Vec::new();
+            let shard_names = dictionary.len();
             for _ in 0..sym_count {
                 let len = cur.varint_usize()?;
                 let raw = cur.take(len)?;
@@ -84,7 +93,7 @@ impl TraceReader {
                     offset: cur.pos(),
                     what: format!("symbol is not utf-8: {e}"),
                 })?;
-                names.push(name.to_owned());
+                dictionary.push(Symbol::intern(name));
             }
             let records = cur.varint()?;
             let payload_len = cur.varint_usize()?;
@@ -103,7 +112,7 @@ impl TraceReader {
                     offset: payload_start,
                     what: format!("{records} records cannot fit a {payload_len}-byte payload"),
                 })?;
-            let mut decoder = ShardDecoder::new(intern_dictionary(&symbols, &names));
+            let mut decoder = ShardDecoder::new(&dictionary[shard_names..]);
             let mut events = Vec::with_capacity(records);
             for _ in 0..records {
                 events.push(decoder.decode(&mut cur)?);
@@ -144,10 +153,13 @@ impl TraceReader {
                 what: format!("{} trailing bytes after end marker", cur.remaining()),
             });
         }
+        // One table, so distinct names are distinct addresses.
+        dictionary.sort_unstable_by_key(|name| name.as_str().as_ptr());
+        dictionary.dedup_by(|a, b| Symbol::ptr_eq(a, b));
         Ok(TraceReader {
             shards,
             uvm,
-            symbols,
+            symbol_count: dictionary.len(),
         })
     }
 
@@ -166,9 +178,8 @@ impl TraceReader {
         self.shards.iter().map(|s| s.events.len() as u64).sum()
     }
 
-    /// The reader's own symbol table — every name in the decoded events
-    /// is interned here, independent of the process-global table.
-    pub fn symbols(&self) -> &SymbolTable {
-        &self.symbols
+    /// Distinct names across every shard's dictionary.
+    pub fn symbol_count(&self) -> usize {
+        self.symbol_count
     }
 }

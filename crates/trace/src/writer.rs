@@ -46,6 +46,13 @@ impl EventRecorder for ShardRecorder {
     fn record(&mut self, event: &Event) {
         self.enc.lock().encode(event);
     }
+
+    fn record_batch(&mut self, events: &[Event]) {
+        let mut enc = self.enc.lock();
+        for event in events {
+            enc.encode(event);
+        }
+    }
 }
 
 /// Captures a session's normalized event streams into a binary trace.

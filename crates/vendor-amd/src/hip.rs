@@ -77,7 +77,7 @@ impl Vocabulary for RocCallback {
             launch: record.launch,
             device: record.device,
             stream: record.stream,
-            name: record.name.clone(),
+            name: record.name,
             workgroups: record.grid,
             workgroup_size: record.block,
             start: record.start,

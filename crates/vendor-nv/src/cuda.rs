@@ -75,7 +75,7 @@ impl Vocabulary for NvCallback {
             launch: record.launch,
             device: record.device,
             stream: record.stream,
-            name: record.name.clone(),
+            name: record.name,
             grid: record.grid,
             block: record.block,
             start: record.start,

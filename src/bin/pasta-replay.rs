@@ -169,7 +169,7 @@ fn info(args: &[String]) -> Result<(), String> {
         "  {} shard(s), {} events, {} interned symbols, uvm footer: {}",
         reader.shards().len(),
         reader.events_total(),
-        reader.symbols().len(),
+        reader.symbol_count(),
         if reader.uvm().is_some() { "yes" } else { "no" }
     );
     for shard in reader.shards() {

@@ -108,7 +108,7 @@ fn framework_sample() -> Vec<FrameworkEvent> {
         },
         FrameworkEvent::OpStart {
             seq: 7,
-            name: name.clone(),
+            name,
             device,
             py_stack: py.snapshot(),
         },

@@ -22,6 +22,7 @@ use pasta::core::{Event, EventClass, EventProcessor, EventRecorder};
 use pasta::sim::instrument::{DeviceTraceSink, TraceCtx};
 use pasta::sim::{
     AccessBatch, AccessKind, AccessPattern, DeviceId, Dim3, KernelTraceSummary, LaunchId, MemSpace,
+    SymbolTable,
 };
 use pasta::trace::{Trace, TraceReader};
 use std::sync::Arc;
@@ -203,6 +204,21 @@ fn untraced_event_path_performs_zero_allocations() {
         parse_allocs < stream.len() as u64 / 4,
         "parsing {} events allocated {parse_allocs} times",
         stream.len()
+    );
+
+    // Phase 6 (ISSUE 16): decoded names go into the process-global table
+    // and stay there for good, so a parse may only ever add names the
+    // table has not seen — a service re-reading one trace grows nothing.
+    let small = Trace::from_shards([(DeviceId(0), &stream[..64])], None);
+    TraceReader::parse(small.as_bytes()).expect("a fresh trace parses");
+    let interned = SymbolTable::global().len();
+    for _ in 0..1_000 {
+        TraceReader::parse(small.as_bytes()).expect("the same trace parses again");
+    }
+    assert_eq!(
+        SymbolTable::global().len(),
+        interned,
+        "1,000 parses of one trace interned new names"
     );
 }
 

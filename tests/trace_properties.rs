@@ -19,7 +19,7 @@ use pasta::dl::pycall::PyFrame;
 use pasta::dl::tensor::TensorId;
 use pasta::sim::{
     AccessBatch, AccessKind, AccessPattern, DeviceId, Dim3, KernelTraceSummary, LaunchId, MemSpace,
-    SimTime,
+    SimTime, Symbol,
 };
 use pasta::trace::{Trace, TraceReader};
 use proptest::prelude::*;
@@ -329,14 +329,19 @@ fn every_variant_round_trips() {
     assert_eq!(reader.events_total() as usize, VARIANTS);
 }
 
-/// Symbols decoded from a trace live in the reader's own table, not the
-/// process-global one — and still compare equal by content.
+/// Symbols decoded from a trace are the process-global table's — the
+/// very allocation a live session's events carry — not content-equal
+/// copies in a table of the reader's own.
 #[test]
-fn replayed_symbols_re_intern_into_a_fresh_table() {
+fn replayed_symbols_are_the_live_interned_ones() {
     let original = make_event(4, 1, 2, 3); // KernelLaunchEnd carries a Symbol
     let events = [original.clone()];
     let trace = Trace::from_shards([(DeviceId(0), events.as_slice())], None);
     let reader = TraceReader::parse(trace.as_bytes()).expect("parses");
-    assert!(!reader.symbols().is_empty(), "dictionary was re-interned");
+    assert_eq!(reader.symbol_count(), 1, "one distinct dictionary name");
     assert_eq!(reader.shards()[0].events[0], original);
+    let Event::KernelLaunchEnd { name: decoded, .. } = &reader.shards()[0].events[0] else {
+        panic!("variant 4 is KernelLaunchEnd");
+    };
+    assert!(Symbol::ptr_eq(decoded, &Symbol::intern(name(1))));
 }

@@ -185,7 +185,7 @@ fn untimed(event: &Event) -> Event {
     match &mut event {
         Event::DriverApi { name, device, .. } => {
             return Event::RuntimeApi {
-                name: name.clone(),
+                name: *name,
                 device: *device,
                 at: zero,
             }
