@@ -65,9 +65,20 @@ impl CostModel {
 
     /// Uninstrumented kernel duration on `spec`, ns.
     pub fn kernel_duration_ns(&self, spec: &DeviceSpec, desc: &KernelDesc) -> u64 {
+        self.kernel_duration_given(spec, desc, desc.body.global_bytes())
+    }
+
+    /// [`CostModel::kernel_duration_ns`] for a caller that already holds
+    /// the body's `global_bytes` (the engine sums them while validating).
+    pub(crate) fn kernel_duration_given(
+        &self,
+        spec: &DeviceSpec,
+        desc: &KernelDesc,
+        global_bytes: u64,
+    ) -> u64 {
         let util = self.utilization(spec, desc);
         let compute = self.compute_ns(spec, desc.body.flops) / util;
-        let memory = self.memory_ns(spec, desc.body.global_bytes()) / util;
+        let memory = self.memory_ns(spec, global_bytes) / util;
         compute.max(memory) as u64 + self.kernel_fixed_overhead_ns
     }
 

@@ -43,6 +43,10 @@ pub struct Engine {
     residency: Option<Box<dyn ResidencyModel>>,
     next_launch: u64,
     stats: Vec<RuntimeStats>,
+    /// The in-flight launch's observed access streams, handed to the probe
+    /// in one call; kept between launches so a steady state allocates
+    /// nothing.
+    batches: Vec<AccessBatch>,
 }
 
 impl std::fmt::Debug for Engine {
@@ -79,6 +83,7 @@ impl Engine {
             residency: None,
             next_launch: 0,
             stats,
+            batches: Vec::new(),
         }
     }
 
@@ -377,8 +382,8 @@ impl Engine {
 
     /// Synchronizes every device.
     pub fn synchronize_all(&mut self) {
-        for id in self.device_ids() {
-            self.synchronize(id);
+        for id in 0..self.specs.len() as u32 {
+            self.synchronize(DeviceId(id));
         }
     }
 
@@ -402,6 +407,9 @@ impl Engine {
         if desc.grid.is_empty() || desc.block.is_empty() {
             return Err(AccelError::EmptyLaunch(desc.name.to_string()));
         }
+        // One walk validates every stream and sums what the cost model,
+        // the trace summary and the launch record all read.
+        let mut global_bytes = 0;
         for a in &desc.body.accesses {
             if a.arg_index >= desc.args.len() {
                 return Err(AccelError::InvalidKernelArg {
@@ -409,15 +417,18 @@ impl Engine {
                     arg_index: a.arg_index,
                 });
             }
+            if a.space == MemSpace::Global {
+                global_bytes += a.bytes;
+            }
         }
 
         let launch = LaunchId(self.next_launch);
         self.next_launch += 1;
         self.host_clock += self.cost.launch_host_overhead_ns;
 
-        let base_duration = self
-            .cost
-            .kernel_duration_ns(&self.specs[device.index()], desc);
+        let base_duration =
+            self.cost
+                .kernel_duration_given(&self.specs[device.index()], desc, global_bytes);
         let start = self.device(device).stream_time(stream).max(self.host_clock);
 
         // --- UVM residency resolution -----------------------------------
@@ -449,25 +460,38 @@ impl Engine {
             let config = probe.on_kernel_begin(&ctx);
             if !config.is_disabled() {
                 let rate = config.sampling_rate.max(1) as u64;
+                // A second walk builds the observed streams' batches in the
+                // engine's scratch; the probe hears of them once.
+                let batches = &mut self.batches;
+                batches.clear();
+                batches.reserve(desc.body.accesses.len());
+                let mut memory_records = 0;
                 for (i, a) in desc.body.accesses.iter().enumerate() {
-                    let observe = match a.space {
-                        MemSpace::Global | MemSpace::Local => config.global_accesses,
-                        MemSpace::Shared | MemSpace::RemoteShared => config.shared_accesses,
+                    let full = a.record_count();
+                    memory_records += full;
+                    let shared = matches!(a.space, MemSpace::Shared | MemSpace::RemoteShared);
+                    let observe = if shared {
+                        config.shared_accesses
+                    } else {
+                        config.global_accesses
                     };
                     if !observe {
                         continue;
                     }
-                    let full = a.record_count();
                     let records = if rate == 1 {
                         full
                     } else {
                         (full / rate).max(u64::from(full > 0))
                     };
-                    let arg = desc.args[a.arg_index];
-                    let batch = AccessBatch {
+                    if shared {
+                        summary.shared_records += records;
+                    } else {
+                        summary.global_records += records;
+                    }
+                    batches.push(AccessBatch {
                         launch,
                         spec_index: i,
-                        base: arg.ptr.addr() + a.offset,
+                        base: desc.args[a.arg_index].ptr.addr() + a.offset,
                         len: a.len,
                         records,
                         bytes: a.bytes,
@@ -475,14 +499,10 @@ impl Engine {
                         kind: a.kind,
                         space: a.space,
                         pattern: a.pattern,
-                    };
-                    match a.space {
-                        MemSpace::Shared | MemSpace::RemoteShared => {
-                            summary.shared_records += records
-                        }
-                        _ => summary.global_records += records,
-                    }
-                    instr = instr.merge(probe.on_access_batch(&ctx, &batch));
+                    });
+                }
+                if !batches.is_empty() {
+                    instr = instr.merge(probe.on_access_batches(&ctx, batches));
                 }
                 if config.barriers {
                     let n = desc.total_barriers();
@@ -496,8 +516,8 @@ impl Engine {
                     summary.blocks = n;
                     instr = instr.merge(probe.on_block_boundaries(&ctx, n));
                 }
-                summary.instructions = desc.body.dynamic_instructions();
-                summary.global_bytes = desc.body.global_bytes();
+                summary.instructions = desc.body.instructions_given(memory_records);
+                summary.global_bytes = global_bytes;
                 instr = instr.merge(probe.on_kernel_end(&ctx, &summary));
             }
         }
@@ -525,7 +545,7 @@ impl Engine {
             uvm_evicted_bytes: uvm.evicted_bytes,
             uvm_peer_bytes: uvm.peer_in_bytes,
             records_emitted: summary.global_records + summary.shared_records,
-            global_bytes: desc.body.global_bytes(),
+            global_bytes,
         })
     }
 }
@@ -627,10 +647,14 @@ mod tests {
                 self.0.lock().kernels += 1;
                 crate::probe::ProbeConfig::all()
             }
-            fn on_access_batch(&mut self, _ctx: &KernelCtx<'_>, batch: &AccessBatch) -> ProbeCosts {
+            fn on_access_batches(
+                &mut self,
+                _ctx: &KernelCtx<'_>,
+                batches: &[AccessBatch],
+            ) -> ProbeCosts {
                 let mut s = self.0.lock();
-                s.batches += 1;
-                s.records += batch.records;
+                s.batches += batches.len() as u64;
+                s.records += batches.iter().map(|b| b.records).sum::<u64>();
                 ProbeCosts::FREE
             }
             fn on_barriers(&mut self, _ctx: &KernelCtx<'_>, count: u64) -> ProbeCosts {
@@ -714,8 +738,12 @@ mod tests {
             fn on_kernel_begin(&mut self, _ctx: &KernelCtx<'_>) -> crate::probe::ProbeConfig {
                 crate::probe::ProbeConfig::global_only().with_sampling(10)
             }
-            fn on_access_batch(&mut self, _ctx: &KernelCtx<'_>, batch: &AccessBatch) -> ProbeCosts {
-                self.records += batch.records;
+            fn on_access_batches(
+                &mut self,
+                _ctx: &KernelCtx<'_>,
+                batches: &[AccessBatch],
+            ) -> ProbeCosts {
+                self.records += batches.iter().map(|b| b.records).sum::<u64>();
                 ProbeCosts::FREE
             }
         }

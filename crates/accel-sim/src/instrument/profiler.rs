@@ -258,25 +258,34 @@ impl TraceProfiler {
         cur.get_or_insert_with(|| Self::make_ctx(ctx))
     }
 
-    /// One per-batch callback: charges `records` trace records and hands
-    /// the cached context to the sink, under a single acquisition of the
-    /// shared lock.
+    /// One callback: charges each count in `records` as one batch of trace
+    /// records and hands the cached context to the sink, under a single
+    /// acquisition of the shared lock.
     fn deliver(
         &mut self,
         ctx: &KernelCtx<'_>,
-        records: Option<u64>,
+        records: impl IntoIterator<Item = u64>,
         forward: impl FnOnce(&mut dyn DeviceTraceSink, &TraceCtx),
     ) -> ProbeCosts {
         let mut shared = self.shared.lock();
-        let costs = match records {
-            Some(n) => self.meter.charge(&mut shared, ctx.device.index(), n),
-            None => ProbeCosts::FREE,
-        };
+        let device = ctx.device.index();
+        let costs = records.into_iter().fold(ProbeCosts::FREE, |costs, n| {
+            costs.merge(self.meter.charge(&mut shared, device, n))
+        });
         if let Some(sink) = shared.sink.as_deref_mut() {
             forward(sink, Self::cached_ctx(&mut self.cur_ctx, ctx));
         }
         costs
     }
+}
+
+/// `x.ceil() as u64` without the call into libm the baseline x86-64
+/// target makes of `ceil`: truncate, then add one when that dropped a
+/// fraction. Equal for every `f64` — NaN and negatives give 0, and past
+/// `u64::MAX` both saturate.
+fn ceil_u64(x: f64) -> u64 {
+    let floor = x as u64;
+    floor.saturating_add(u64::from((floor as f64) < x))
 }
 
 impl Meter {
@@ -286,7 +295,7 @@ impl Meter {
 
     /// Cost of one batch in the current mode; also updates the breakdown.
     fn charge(&mut self, shared: &mut ProfilerShared, device: usize, records: u64) -> ProbeCosts {
-        let callback = (records as f64 * self.costs.device_callback_ns_per_record).ceil() as u64;
+        let callback = ceil_u64(records as f64 * self.costs.device_callback_ns_per_record);
         let mut costs = ProbeCosts {
             device_ns: callback,
             host_ns: 0,
@@ -295,9 +304,10 @@ impl Meter {
         shared.records_total += records;
         match self.mode {
             AnalysisMode::GpuResident => {
-                let analyze = (records as f64 * self.costs.gpu_analysis_ns_per_record
-                    / self.costs.gpu_analysis_threads as f64)
-                    .ceil() as u64;
+                let analyze = ceil_u64(
+                    records as f64 * self.costs.gpu_analysis_ns_per_record
+                        / self.costs.gpu_analysis_threads as f64,
+                );
                 costs.device_ns += analyze;
                 // Fused collect-and-analyze: the paper reports both under
                 // "collection" for the GPU-resident variant.
@@ -315,9 +325,11 @@ impl Meter {
                     costs.device_ns += stall;
                     shared.breakdown.transfer_ns += stall;
                 }
-                let host = (records as f64
-                    * (self.costs.cpu_drain_ns_per_record + self.costs.cpu_analysis_ns_per_record))
-                    .ceil() as u64;
+                let host = ceil_u64(
+                    records as f64
+                        * (self.costs.cpu_drain_ns_per_record
+                            + self.costs.cpu_analysis_ns_per_record),
+                );
                 costs.host_ns += host;
                 shared.breakdown.analysis_ns += host;
             }
@@ -344,9 +356,9 @@ impl DeviceProbe for TraceProfiler {
         config
     }
 
-    fn on_access_batch(&mut self, ctx: &KernelCtx<'_>, batch: &AccessBatch) -> ProbeCosts {
-        self.deliver(ctx, Some(batch.records), |sink, tctx| {
-            sink.on_batch(tctx, batch)
+    fn on_access_batches(&mut self, ctx: &KernelCtx<'_>, batches: &[AccessBatch]) -> ProbeCosts {
+        self.deliver(ctx, batches.iter().map(|b| b.records), |sink, tctx| {
+            sink.on_batches(tctx, batches)
         })
     }
 
@@ -449,7 +461,7 @@ mod tests {
             1,
         );
         gpu.on_kernel_begin(&kctx(&d));
-        let gc = gpu.on_access_batch(&kctx(&d), &batch(records));
+        let gc = gpu.on_access_batches(&kctx(&d), &[batch(records)]);
         gpu.on_kernel_end(&kctx(&d), &KernelTraceSummary::default());
 
         let (mut cpu, ch) = TraceProfiler::new(
@@ -460,7 +472,7 @@ mod tests {
             1,
         );
         cpu.on_kernel_begin(&kctx(&d));
-        let cc = cpu.on_access_batch(&kctx(&d), &batch(records));
+        let cc = cpu.on_access_batches(&kctx(&d), &[batch(records)]);
         cpu.on_kernel_end(&kctx(&d), &KernelTraceSummary::default());
 
         let gpu_total = gh.breakdown().total_ns();
@@ -490,7 +502,7 @@ mod tests {
             1,
         );
         p.on_kernel_begin(&kctx(&d));
-        let c = p.on_access_batch(&kctx(&d), &batch(10_000));
+        let c = p.on_access_batches(&kctx(&d), &[batch(10_000)]);
         assert!(
             c.device_ns > 10 * 30_000,
             "10 flushes worth of stalls expected, got {}",
@@ -540,8 +552,8 @@ mod tests {
         );
         h.set_sink(Box::new(Counting));
         p.on_kernel_begin(&kctx(&d));
-        p.on_access_batch(&kctx(&d), &batch(10));
-        p.on_access_batch(&kctx(&d), &batch(10));
+        p.on_access_batches(&kctx(&d), &[batch(10)]);
+        p.on_access_batches(&kctx(&d), &[batch(10)]);
         assert_eq!(BATCHES.load(Ordering::Relaxed), 2);
         assert_eq!(h.records_total(), 20);
     }
@@ -655,6 +667,59 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        /// Every product `Meter::charge` rounds: a record count times a
+        /// shipped per-record constant (or a random positive rate), also
+        /// past 2^53 where `f64` holds integers only and past 2^64 where
+        /// the cast saturates.
+        #[test]
+        fn ceil_u64_is_f64_ceil(
+            records in 0u64..(1 << 52) + 1,
+            shift in 0u32..53,
+            rate_bits in proptest::any::<u64>(),
+        ) {
+            let rate = (rate_bits >> 11) as f64 / (1u64 << 53) as f64 * 50_000.0;
+            // Small counts are the common case; `shift` reaches them.
+            for records in [records, records >> shift] {
+                let n = records as f64;
+                let mut products = vec![n * rate, n * rate / 4_096.0];
+                for c in [BackendCosts::sanitizer(), BackendCosts::nvbit()] {
+                    products.extend([
+                        n * c.device_callback_ns_per_record,
+                        n * c.gpu_analysis_ns_per_record / c.gpu_analysis_threads as f64,
+                        n * (c.cpu_drain_ns_per_record + c.cpu_analysis_ns_per_record),
+                    ]);
+                }
+                for x in products {
+                    proptest::prop_assert_eq!(ceil_u64(x), x.ceil() as u64, "{records}: {x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ceil_u64_agrees_at_the_edges() {
+        for x in [
+            0.0,
+            -0.0,
+            -0.5,
+            -3.0,
+            0.1,
+            1.0,
+            (1u64 << 53) as f64 - 0.5,
+            (1u64 << 53) as f64,
+            u64::MAX as f64,
+            1e30,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            assert_eq!(ceil_u64(x), x.ceil() as u64, "{x}");
+        }
+    }
+
     #[test]
     fn handle_reset_clears_counters() {
         let d = desc();
@@ -666,7 +731,7 @@ mod tests {
             1,
         );
         p.on_kernel_begin(&kctx(&d));
-        p.on_access_batch(&kctx(&d), &batch(100));
+        p.on_access_batches(&kctx(&d), &[batch(100)]);
         assert!(h.records_total() > 0);
         h.reset();
         assert_eq!(h.records_total(), 0);

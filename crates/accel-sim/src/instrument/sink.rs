@@ -47,6 +47,16 @@ pub trait DeviceTraceSink: Send {
         let _ = (ctx, batch);
     }
 
+    /// A launch's batches, in stream order — what a profiler delivers. A
+    /// sink with per-call costs (a gate, a lock) overrides this to pay
+    /// them once; the default hands the batches to
+    /// [`DeviceTraceSink::on_batch`] one by one.
+    fn on_batches(&mut self, ctx: &TraceCtx, batches: &[AccessBatch]) {
+        for batch in batches {
+            self.on_batch(ctx, batch);
+        }
+    }
+
     /// Barrier executions in the launch.
     fn on_barriers(&mut self, ctx: &TraceCtx, count: u64) {
         let _ = (ctx, count);

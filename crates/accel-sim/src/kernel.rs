@@ -213,10 +213,16 @@ impl KernelBody {
     /// 30% control-flow/addressing surcharge — the population NVBit-style
     /// instrumentation must consider.
     pub fn dynamic_instructions(&self) -> u64 {
+        self.instructions_given(self.memory_records())
+    }
+
+    /// [`KernelBody::dynamic_instructions`] for a caller that already
+    /// holds [`KernelBody::memory_records`] (the engine sums it while it
+    /// feeds the probe, so the accesses are not walked again).
+    pub fn instructions_given(&self, memory_records: u64) -> u64 {
         self.instruction_count.unwrap_or_else(|| {
-            let mem = self.memory_records();
             let alu = self.flops / 2 / 32; // warp-level FMA instructions
-            ((mem + alu) as f64 * 1.3) as u64
+            ((memory_records + alu) as f64 * 1.3) as u64
         })
     }
 }

@@ -1,12 +1,12 @@
 //! Instrumentation probe interface.
 //!
 //! A [`DeviceProbe`] is the simulator-side attachment point for profiling
-//! backends. The engine drives the probe with the kernel's access batches,
-//! barrier counts and block boundaries; the probe returns the virtual time
-//! its processing costs on the device and on the host, which the engine
-//! folds into the simulated clocks. The vendor facades (Compute Sanitizer,
-//! NVBit, ROCProfiler) implement this trait with their respective coverage
-//! and cost characteristics.
+//! backends. The engine drives the probe with the kernel's access batches
+//! (all of a launch's in one call), barrier counts and block boundaries;
+//! the probe returns the virtual time its processing costs on the device
+//! and on the host, which the engine folds into the simulated clocks. The
+//! vendor facades (Compute Sanitizer, NVBit, ROCProfiler) implement this
+//! trait with their respective coverage and cost characteristics.
 
 use crate::clock::SimTime;
 use crate::id::{DeviceId, LaunchId, StreamId};
@@ -161,9 +161,11 @@ pub trait DeviceProbe: Send {
         ProbeConfig::all()
     }
 
-    /// Called once per access stream with the batch of records it produced.
-    fn on_access_batch(&mut self, ctx: &KernelCtx<'_>, batch: &AccessBatch) -> ProbeCosts {
-        let _ = (ctx, batch);
+    /// Called once per launch with one batch of records per observed
+    /// access stream, in stream order; not called for a launch that has
+    /// none. Returns the summed cost of the batches.
+    fn on_access_batches(&mut self, ctx: &KernelCtx<'_>, batches: &[AccessBatch]) -> ProbeCosts {
+        let _ = (ctx, batches);
         ProbeCosts::FREE
     }
 
@@ -206,9 +208,9 @@ impl DeviceProbe for CountingProbe {
         ProbeConfig::all()
     }
 
-    fn on_access_batch(&mut self, _ctx: &KernelCtx<'_>, batch: &AccessBatch) -> ProbeCosts {
-        self.batches += 1;
-        self.records += batch.records;
+    fn on_access_batches(&mut self, _ctx: &KernelCtx<'_>, batches: &[AccessBatch]) -> ProbeCosts {
+        self.batches += batches.len() as u64;
+        self.records += batches.iter().map(|b| b.records).sum::<u64>();
         ProbeCosts::FREE
     }
 

@@ -18,7 +18,7 @@
 //!
 //! 1. **Interest gate** — at kernel begin the sink caches the launch's
 //!    [`ProbeConfig`] together with the shard's per-class tool
-//!    subscriptions in a `LaunchGate`; `on_batch`/`on_barriers`/
+//!    subscriptions in a `LaunchGate`; `on_batches`/`on_barriers`/
 //!    `on_blocks`/`on_instructions` return *before* taking any lock or
 //!    constructing an [`Event`] when nothing downstream wants the class.
 //! 2. **Interned names** — [`TraceCtx::name`] is a [`Symbol`], so events
@@ -731,13 +731,6 @@ impl HubSink {
         self.ring_send(&ring, SpineMsg::One(event));
     }
 
-    fn push_access(&mut self, event: Event) {
-        self.access_buf.push(event);
-        if self.access_buf.len() >= self.config.batch_events.max(1) {
-            self.flush();
-        }
-    }
-
     fn push_control(&mut self, event: Event) {
         self.control_buf.push(event);
         if self.control_buf.len() >= self.config.batch_events.max(1) {
@@ -858,22 +851,39 @@ impl DeviceTraceSink for HubSink {
     }
 
     fn on_batch(&mut self, ctx: &TraceCtx, batch: &AccessBatch) {
+        self.on_batches(ctx, std::slice::from_ref(batch));
+    }
+
+    fn on_batches(&mut self, ctx: &TraceCtx, batches: &[AccessBatch]) {
         if !self.gate_for(ctx).wants_batches() {
             return; // no lock taken, no event constructed
         }
-        let event = match batch.space {
-            MemSpace::Shared | MemSpace::RemoteShared => Event::SharedAccess {
-                launch: ctx.launch,
-                kernel: ctx.name,
-                batch: batch.clone(),
-            },
-            _ => Event::GlobalAccess {
-                launch: ctx.launch,
-                kernel: ctx.name,
-                batch: batch.clone(),
-            },
-        };
-        self.push_access(event);
+        let capacity = self.config.batch_events.max(1);
+        let mut rest = batches;
+        while !rest.is_empty() {
+            // Fill the spill buffer to where a push-and-check per event
+            // would have flushed it, so every spine geometry cuts the
+            // stream at the same offsets whatever the slice lengths.
+            let room = capacity.saturating_sub(self.access_buf.len()).max(1);
+            let (fill, later) = rest.split_at(room.min(rest.len()));
+            self.access_buf
+                .extend(fill.iter().map(|batch| match batch.space {
+                    MemSpace::Shared | MemSpace::RemoteShared => Event::SharedAccess {
+                        launch: ctx.launch,
+                        kernel: ctx.name,
+                        batch: batch.clone(),
+                    },
+                    _ => Event::GlobalAccess {
+                        launch: ctx.launch,
+                        kernel: ctx.name,
+                        batch: batch.clone(),
+                    },
+                }));
+            if self.access_buf.len() >= capacity {
+                self.flush();
+            }
+            rest = later;
+        }
     }
 
     fn on_barriers(&mut self, ctx: &TraceCtx, count: u64) {

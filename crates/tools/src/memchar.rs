@@ -60,7 +60,8 @@ impl MemoryCharacteristicsTool {
 
     fn finish_launch(&mut self) {
         if self.current_launch.take().is_some() {
-            let ws = merged_extent(std::mem::take(&mut self.current_ranges));
+            let ws = merged_extent(&mut self.current_ranges);
+            self.current_ranges.clear();
             if ws > 0 {
                 self.per_kernel_ws.push(ws);
             }

@@ -20,8 +20,10 @@ pub fn mb(bytes: u64) -> f64 {
 }
 
 /// Merges possibly-overlapping `(base, len)` intervals and returns the
-/// total distinct bytes covered — the working-set arithmetic.
-pub fn merged_extent(mut ranges: Vec<(u64, u64)>) -> u64 {
+/// total distinct bytes covered — the working-set arithmetic. Works in
+/// place (empty intervals dropped, the rest sorted by base) so a caller
+/// that measures launch after launch keeps one buffer.
+pub fn merged_extent(ranges: &mut Vec<(u64, u64)>) -> u64 {
     ranges.retain(|&(_, len)| len > 0);
     if ranges.is_empty() {
         return 0;
@@ -71,17 +73,21 @@ mod tests {
 
     #[test]
     fn merging_handles_overlap_and_gaps() {
-        assert_eq!(merged_extent(vec![]), 0);
-        assert_eq!(merged_extent(vec![(0, 10)]), 10);
-        assert_eq!(merged_extent(vec![(0, 10), (5, 10)]), 15, "overlap");
-        assert_eq!(merged_extent(vec![(0, 10), (20, 10)]), 20, "gap");
-        assert_eq!(merged_extent(vec![(0, 10), (10, 10)]), 20, "adjacent");
+        assert_eq!(merged_extent(&mut vec![]), 0);
+        assert_eq!(merged_extent(&mut vec![(0, 10)]), 10);
+        assert_eq!(merged_extent(&mut vec![(0, 10), (5, 10)]), 15, "overlap");
+        assert_eq!(merged_extent(&mut vec![(0, 10), (20, 10)]), 20, "gap");
+        assert_eq!(merged_extent(&mut vec![(0, 10), (10, 10)]), 20, "adjacent");
         assert_eq!(
-            merged_extent(vec![(20, 5), (0, 10), (22, 1), (0, 3)]),
+            merged_extent(&mut vec![(20, 5), (0, 10), (22, 1), (0, 3)]),
             15,
             "unsorted with containment"
         );
-        assert_eq!(merged_extent(vec![(5, 0), (10, 2)]), 2, "zero-len dropped");
+        assert_eq!(
+            merged_extent(&mut vec![(5, 0), (10, 2)]),
+            2,
+            "zero-len dropped"
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! right here, instead of silently dropping the variant from traces.
 
 use crate::error::TraceError;
-use crate::wire::{put_varint, unzigzag, zigzag, Cursor};
+use crate::wire::{put_varint, unzigzag, zigzag, Cursor, Scratch};
 use accel_sim::{
     AccessBatch, AccessKind, AccessPattern, CopyDirection, DeviceId, Dim3, KernelTraceSummary,
     LaunchId, MemSpace, SimTime, Symbol,
@@ -178,6 +178,10 @@ pub(crate) struct ShardEncoder {
     /// lookup hashes one word, not a 30–60-byte kernel name. Interned text
     /// is immortal, so an address never comes to mean another name.
     seen: HashMap<usize, u64>,
+    /// The last `(address, id)` answered from `seen`: a launch's events all
+    /// carry its kernel's name, so a run of them hashes it once. No text
+    /// lives at address 0, so the initial entry matches nothing.
+    last_sym: (usize, u64),
     payload: Vec<u8>,
     records: u64,
     last_time: u64,
@@ -191,6 +195,7 @@ impl ShardEncoder {
             symbols: Vec::new(),
             ids: HashMap::new(),
             seen: HashMap::new(),
+            last_sym: (0, 0),
             payload: Vec::new(),
             records: 0,
             last_time: 0,
@@ -226,15 +231,18 @@ impl ShardEncoder {
     /// Writes the id of an interned name.
     fn sym(&mut self, s: &Symbol) {
         let addr = s.as_str().as_ptr() as usize;
-        let id = match self.seen.get(&addr) {
-            Some(&id) => id,
-            None => {
-                let id = self.id_of(s);
-                self.seen.insert(addr, id);
-                id
-            }
-        };
-        self.v(id);
+        if addr != self.last_sym.0 {
+            let id = match self.seen.get(&addr) {
+                Some(&id) => id,
+                None => {
+                    let id = self.id_of(s);
+                    self.seen.insert(addr, id);
+                    id
+                }
+            };
+            self.last_sym = (addr, id);
+        }
+        self.v(self.last_sym.1);
     }
 
     /// Writes the id of a string that is not interned (Python frames).
@@ -249,10 +257,16 @@ impl ShardEncoder {
         self.v(zigzag(delta));
     }
 
-    fn launch(&mut self, l: LaunchId) {
+    /// The zigzag-mapped step from the previous launch id to `l`.
+    fn launch_delta(&mut self, l: LaunchId) -> u64 {
         let delta = l.0.wrapping_sub(self.last_launch) as i64;
         self.last_launch = l.0;
-        self.v(zigzag(delta));
+        zigzag(delta)
+    }
+
+    fn launch(&mut self, l: LaunchId) {
+        let delta = self.launch_delta(l);
+        self.v(delta);
     }
 
     fn dim3(&mut self, d: Dim3) {
@@ -262,23 +276,26 @@ impl ShardEncoder {
     }
 
     fn batch(&mut self, b: &AccessBatch) {
-        self.launch(b.launch);
-        self.v(b.spec_index as u64);
-        self.v(b.base);
-        self.v(b.len);
-        self.v(b.records);
-        self.v(b.bytes);
-        self.v(b.elem_size.into());
-        self.payload.push(kind_code(b.kind));
-        self.payload.push(space_code(b.space));
+        // Eight varints (one of them a `u32`) and three code bytes.
+        let mut rec = Scratch::<{ 7 * 10 + 5 + 3 }>::new();
+        rec.varint(self.launch_delta(b.launch));
+        rec.varint(b.spec_index as u64);
+        rec.varint(b.base);
+        rec.varint(b.len);
+        rec.varint(b.records);
+        rec.varint(b.bytes);
+        rec.varint(b.elem_size.into());
+        rec.byte(kind_code(b.kind));
+        rec.byte(space_code(b.space));
         match b.pattern {
-            AccessPattern::Sequential => self.payload.push(0),
+            AccessPattern::Sequential => rec.byte(0),
             AccessPattern::Strided { stride } => {
-                self.payload.push(1);
-                self.v(stride);
+                rec.byte(1);
+                rec.varint(stride);
             }
-            AccessPattern::Random => self.payload.push(2),
+            AccessPattern::Random => rec.byte(2),
         }
+        self.payload.extend_from_slice(rec.as_slice());
     }
 
     /// Appends one event. The match is exhaustive *without* a wildcard on
@@ -1023,6 +1040,74 @@ mod tests {
         let (_, symbols, records, _) = enc.into_parts();
         assert_eq!(records, 4);
         assert_eq!(symbols, vec!["ampere_sgemm".to_owned()]);
+    }
+
+    /// The encoder as it was before `last_sym`: forgetting the memo ahead
+    /// of every event sends each name through `seen`.
+    fn encode_without_memo(events: &[Event]) -> (Vec<String>, Vec<u8>) {
+        let mut enc = ShardEncoder::new(DeviceId(0));
+        for event in events {
+            enc.last_sym = (0, 0);
+            enc.encode(event);
+        }
+        let (_, symbols, _, payload) = enc.into_parts();
+        (symbols, payload)
+    }
+
+    #[test]
+    fn symbol_memo_changes_no_byte() {
+        let access = |launch: u64, kernel: Symbol| Event::GlobalAccess {
+            launch: LaunchId(launch),
+            kernel,
+            batch: AccessBatch {
+                launch: LaunchId(launch),
+                spec_index: launch as usize,
+                base: 0x1000 * launch,
+                len: 4096,
+                records: 32,
+                bytes: 4096,
+                elem_size: 4,
+                kind: AccessKind::Load,
+                space: MemSpace::Global,
+                pattern: AccessPattern::Strided { stride: 1 << 40 },
+            },
+        };
+        // Equal text at other addresses: the memo may not mistake either
+        // for a new name, nor a new name for the one it holds.
+        let other = accel_sim::SymbolTable::new();
+        let names: [Symbol; 6] = [
+            "gemm".into(),
+            "softmax".into(),
+            "".into(),
+            other.intern("gemm"),
+            other.intern(""),
+            other.intern("only_in_the_other_table"),
+        ];
+        assert!(!Symbol::ptr_eq(&names[0], &names[3]));
+        let mut events = Vec::new();
+        // Runs of one name, two names alternating, then every hand-over
+        // between two of the six.
+        events.extend((0..8).map(|l| access(l, names[0])));
+        events.extend((8..24).map(|l| access(l, names[l as usize % 2])));
+        for (i, from) in names.iter().enumerate() {
+            for to in &names {
+                events.push(access(100 + i as u64, *from));
+                events.push(Event::RegionStart {
+                    label: *to,
+                    device: DeviceId(0),
+                });
+            }
+        }
+        let mut enc = ShardEncoder::new(DeviceId(0));
+        events.iter().for_each(|e| enc.encode(e));
+        let (_, symbols, records, payload) = enc.into_parts();
+        assert_eq!(records, events.len() as u64);
+        assert_eq!(
+            symbols,
+            ["gemm", "softmax", "", "only_in_the_other_table"],
+            "first-appearance order, one slot per text"
+        );
+        assert_eq!((symbols, payload), encode_without_memo(&events));
     }
 
     #[test]

@@ -11,17 +11,55 @@
 
 use crate::error::TraceError;
 
-/// Appends `v` as an LEB128 varint (1–10 bytes).
-pub(crate) fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
+/// Hands `put` the LEB128 bytes of `v` (1–10), low group first.
+fn leb128(mut v: u64, mut put: impl FnMut(u8)) {
+    while v >= 0x80 {
+        put(v as u8 | 0x80);
         v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
     }
+    put(v as u8);
+}
+
+/// Appends `v` as an LEB128 varint (1–10 bytes).
+pub(crate) fn put_varint(buf: &mut Vec<u8>, v: u64) {
+    leb128(v, |byte| buf.push(byte));
+}
+
+/// A record of at most `N` bytes built on the stack, for the caller to
+/// append in one copy: the buffer it goes to checks its capacity once per
+/// record, not once per byte.
+pub(crate) struct Scratch<const N: usize> {
+    bytes: [u8; N],
+    len: usize,
+}
+
+impl<const N: usize> Scratch<N> {
+    pub(crate) fn new() -> Self {
+        Scratch {
+            bytes: [0; N],
+            len: 0,
+        }
+    }
+
+    pub(crate) fn byte(&mut self, byte: u8) {
+        self.bytes[self.len] = byte;
+        self.len += 1;
+    }
+
+    /// [`put_varint`] into the scratch.
+    pub(crate) fn varint(&mut self, v: u64) {
+        leb128(v, |byte| self.byte(byte));
+    }
+
+    pub(crate) fn as_slice(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+}
+
+/// Bytes [`put_varint`] writes for `v`: one per started group of seven
+/// significant bits.
+pub(crate) fn varint_len(v: u64) -> usize {
+    (u64::BITS - (v | 1).leading_zeros()).div_ceil(7) as usize
 }
 
 /// Maps a signed delta onto the unsigned varint space: 0, -1, 1, -2, …
@@ -125,6 +163,7 @@ mod tests {
         for v in cases {
             let mut buf = Vec::new();
             put_varint(&mut buf, v);
+            assert_eq!(varint_len(v), buf.len(), "length of {v}");
             let mut cur = Cursor::new(&buf);
             assert_eq!(cur.varint().unwrap(), v);
             assert_eq!(cur.remaining(), 0);

@@ -9,6 +9,7 @@
 
 use crate::codec::{encode_uvm, ShardEncoder};
 use crate::error::TraceError;
+use crate::wire::{put_varint, varint_len};
 use accel_sim::DeviceId;
 use parking_lot::Mutex;
 use pasta_core::hub::SharedHub;
@@ -172,30 +173,46 @@ impl Trace {
         // Deterministic layout: shards in ascending device order, the same
         // order the hub merges in.
         encoders.sort_by_key(|e| e.device);
-        let mut bytes = Vec::new();
+        let shards: Vec<_> = encoders.into_iter().map(ShardEncoder::into_parts).collect();
+        let mut footer = vec![u8::from(uvm.is_some())];
+        if let Some(report) = uvm {
+            encode_uvm(&mut footer, report);
+        }
+        // The payloads are most of a trace: size the buffer for all of it
+        // up front instead of regrowing it under them.
+        let shard_bytes: usize = shards
+            .iter()
+            .map(|(_, symbols, records, payload)| {
+                let names: usize = symbols
+                    .iter()
+                    .map(|name| varint_len(name.len() as u64) + name.len())
+                    .sum();
+                4 + varint_len(symbols.len() as u64)
+                    + names
+                    + varint_len(*records)
+                    + varint_len(payload.len() as u64)
+                    + payload.len()
+            })
+            .sum();
+        let total = MAGIC.len() + 4 + 4 + shard_bytes + footer.len() + END_MAGIC.len();
+        let mut bytes = Vec::with_capacity(total);
         bytes.extend_from_slice(&MAGIC);
         bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(encoders.len() as u32).to_le_bytes());
-        for enc in encoders {
-            let (device, symbols, records, payload) = enc.into_parts();
+        bytes.extend_from_slice(&(shards.len() as u32).to_le_bytes());
+        for (device, symbols, records, payload) in shards {
             bytes.extend_from_slice(&device.0.to_le_bytes());
-            crate::wire::put_varint(&mut bytes, symbols.len() as u64);
+            put_varint(&mut bytes, symbols.len() as u64);
             for name in &symbols {
-                crate::wire::put_varint(&mut bytes, name.len() as u64);
+                put_varint(&mut bytes, name.len() as u64);
                 bytes.extend_from_slice(name.as_bytes());
             }
-            crate::wire::put_varint(&mut bytes, records);
-            crate::wire::put_varint(&mut bytes, payload.len() as u64);
+            put_varint(&mut bytes, records);
+            put_varint(&mut bytes, payload.len() as u64);
             bytes.extend_from_slice(&payload);
         }
-        match uvm {
-            Some(report) => {
-                bytes.push(1);
-                encode_uvm(&mut bytes, report);
-            }
-            None => bytes.push(0),
-        }
+        bytes.extend_from_slice(&footer);
         bytes.extend_from_slice(&END_MAGIC);
+        debug_assert_eq!(bytes.len(), total, "assemble sized the trace exactly");
         Trace { bytes }
     }
 

@@ -232,7 +232,7 @@ impl<C: Vocabulary> DeviceRuntime for Context<C> {
     }
 
     fn device_count(&self) -> usize {
-        self.engine.device_ids().len()
+        self.engine.specs().len()
     }
 
     fn set_device(&mut self, device: DeviceId) -> Result<(), AccelError> {

@@ -1,0 +1,179 @@
+//! How much of a profiled op is not PASTA at all?
+//!
+//! Runs each workload twice — bare (the dl-framework over a CUDA context,
+//! nothing attached) and profiled (the benchmark's op: build the session,
+//! run, merge, render) — interleaved round by round, and prints both
+//! medians, both heap-allocation counts (a counting global allocator, so
+//! build without one of your own) and the share of the profiled op the
+//! bare run already accounts for. A workload whose substrate share is
+//! high cannot get much faster, or allocate much less, from `pasta-core`
+//! (ROADMAP item 3; README, "Launch-granular delivery"). Rows: the
+//! 64-lane tiny expert-parallel MoE region (`scale_out_moe`, pool width
+//! 2) and one inference batch of each `profile_fine` model under the
+//! six-tool suite.
+//!
+//! ```sh
+//! cargo run --release --example overhead_probe            # 21 rounds
+//! cargo run --release --example overhead_probe -- 51      # more rounds
+//! ```
+
+use pasta::core::tool::LaunchCounter;
+use pasta::dl::parallel::{self, DeviceLane, MoeConfig};
+use pasta::dl::{runner, Session};
+use pasta::nv::CudaContext;
+use pasta::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call goes to `System` with the arguments it came with;
+// the counter is the only thing added.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+type Outcome = Result<(), Box<dyn std::error::Error>>;
+
+const LANES: u32 = 64;
+const POOL_WIDTH: usize = 2;
+
+/// The MoE region on bare lanes: one CUDA context per lane over the
+/// shared 64-device machine, as `run_parallel` builds them.
+fn moe_bare() -> Outcome {
+    let specs: Arc<[DeviceSpec]> = vec![DeviceSpec::a100_80gb(); LANES as usize].into();
+    let mut contexts: Vec<CudaContext> = (0..LANES)
+        .map(|_| CudaContext::new(Arc::clone(&specs)))
+        .collect();
+    let mut lanes = Vec::with_capacity(contexts.len());
+    for (device, context) in (0..LANES).map(DeviceId).zip(&mut contexts) {
+        let mut lane = DeviceLane::pin(device, Session::new(context))?;
+        lane.set_pool_limit(POOL_WIDTH);
+        lanes.push(lane);
+    }
+    parallel::train_iter_expert_parallel_with(&mut lanes, 1, &MoeConfig::tiny())?;
+    Ok(())
+}
+
+fn moe_profiled() -> Outcome {
+    let devices: Vec<DeviceId> = (0..LANES).map(DeviceId).collect();
+    let mut session = Pasta::builder()
+        .devices(vec![DeviceSpec::a100_80gb(); LANES as usize])
+        .tool(LaunchCounter::default())
+        .parallel(ParallelConfig {
+            max_lane_threads: POOL_WIDTH,
+            max_merge_threads: POOL_WIDTH,
+            max_drain_threads: 1,
+        })
+        .build()?;
+    session.run_parallel(&devices, |lanes| {
+        parallel::train_iter_expert_parallel_with(lanes, 1, &MoeConfig::tiny())
+    })?;
+    std::hint::black_box(session.merged_report().to_string());
+    Ok(())
+}
+
+fn model_bare(model: ModelZoo) -> Outcome {
+    let mut context = CudaContext::new(vec![DeviceSpec::rtx_3060()]);
+    let mut session = Session::new(&mut context);
+    runner::run_model(&mut session, model, RunKind::Inference, 1, 1)?;
+    Ok(())
+}
+
+fn model_profiled(model: ModelZoo) -> Outcome {
+    let mut session = Pasta::builder()
+        .rtx_3060()
+        .tool(KernelFrequencyTool::new())
+        .tool(BarrierStallTool::new())
+        .tool(HotnessTool::new(64))
+        .tool(OpKernelMapTool::new())
+        .tool(MemoryCharacteristicsTool::new())
+        .tool(MemoryTimelineTool::new())
+        .build()?;
+    let report = session.run(&mut ModelWorkload::new(model, RunKind::Inference))?;
+    std::hint::black_box((session.merged_report().to_string(), report));
+    Ok(())
+}
+
+/// Wall and heap allocations of one call.
+fn measured(op: &dyn Fn() -> Outcome) -> Result<(Duration, u64), Box<dyn std::error::Error>> {
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+    let started = Instant::now();
+    op()?;
+    Ok((started.elapsed(), ALLOCS.load(Ordering::Relaxed) - allocs))
+}
+
+fn main() -> Outcome {
+    let rounds: usize = match std::env::args().nth(1) {
+        Some(arg) => arg.parse::<usize>()?.max(1),
+        None => 21,
+    };
+    type Op = Box<dyn Fn() -> Outcome>;
+    let mut rows: Vec<(String, Op, Op)> = vec![(
+        format!("{LANES}-lane tiny MoE"),
+        Box::new(moe_bare),
+        Box::new(moe_profiled),
+    )];
+    for model in [ModelZoo::Bert, ModelZoo::Gpt2, ModelZoo::ResNet18] {
+        rows.push((
+            format!("{model:?} inference"),
+            Box::new(move || model_bare(model)),
+            Box::new(move || model_profiled(model)),
+        ));
+    }
+
+    println!(
+        "bare vs profiled, {rounds} interleaved rounds, available_parallelism {}",
+        std::thread::available_parallelism().map_or(1, usize::from)
+    );
+    println!(
+        "  {:<22} {:>10} {:>8}   {:>10} {:>8}   substrate share",
+        "", "bare us", "allocs", "prof. us", "allocs"
+    );
+    for (label, bare, profiled) in &rows {
+        let mut walls = [Vec::with_capacity(rounds), Vec::with_capacity(rounds)];
+        let mut allocs = [0, 0];
+        // Round 0 warms the symbol table, the allocator and the page cache.
+        for round in 0..=rounds {
+            for (side, op) in [bare, profiled].into_iter().enumerate() {
+                let (wall, count) = measured(op)?;
+                if round > 0 {
+                    walls[side].push(wall);
+                }
+                allocs[side] = count;
+            }
+        }
+        let [bare_us, profiled_us] = walls.map(|mut w| {
+            w.sort_unstable();
+            w[w.len() / 2].as_secs_f64() * 1e6
+        });
+        println!(
+            "  {label:<22} {bare_us:>10.1} {:>8}   {profiled_us:>10.1} {:>8}   \
+             {:.0} % of the wall, {:.0} % of the allocations",
+            allocs[0],
+            allocs[1],
+            100.0 * bare_us / profiled_us,
+            100.0 * allocs[0] as f64 / allocs[1] as f64,
+        );
+    }
+    Ok(())
+}

@@ -26,7 +26,7 @@ proptest! {
     fn merged_extent_matches_brute_force(
         ranges in prop::collection::vec((0u64..500, 0u64..50), 0..12)
     ) {
-        let merged = pasta::tools::util::merged_extent(ranges.clone());
+        let merged = pasta::tools::util::merged_extent(&mut ranges.clone());
         prop_assert_eq!(merged, brute_force_extent(&ranges));
     }
 

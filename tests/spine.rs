@@ -336,6 +336,127 @@ proptest! {
     }
 }
 
+/// How one launch's access batches reach the sink.
+#[derive(Debug, Clone, Copy)]
+enum Delivery {
+    /// One `on_batch` per stream — what the engine did before it
+    /// delivered per launch, and what out-of-tree sinks' callers still do.
+    OneByOne,
+    /// One `on_batches` per launch — what the profiler does.
+    PerLaunch,
+    /// `on_batches` over slices of the launch's chunk lengths (empty ones
+    /// included), then the rest: where the spill buffer is cut may not
+    /// depend on slice boundaries.
+    Chunked,
+}
+
+/// A generated launch: per stream whether it is shared-memory, the
+/// chunk lengths [`Delivery::Chunked`] slices it by, and a small number
+/// that shapes its control events.
+type Launch = (Vec<bool>, Vec<usize>, u64);
+
+/// Everything the shard's recorder saw, and the merged report, after
+/// `launches` went through a sink of this geometry.
+fn delivered(
+    launches: &[Launch],
+    mode: SpineMode,
+    batch_events: usize,
+    delivery: Delivery,
+) -> (Vec<Event>, MergedReport) {
+    let (hub, seen) = recording_hub();
+    let config = SpineConfig {
+        ring_slots: 2,
+        pool_buffers: 1,
+        batch_events,
+    };
+    let mut sink = HubSink::with_spine(Arc::clone(&hub), mode, config);
+    for (l, (shared, chunks, shape)) in launches.iter().enumerate() {
+        let c = ctx(0, l as u64);
+        let batches: Vec<AccessBatch> = shared
+            .iter()
+            .enumerate()
+            .map(|(i, &shared)| AccessBatch {
+                spec_index: i,
+                space: if shared {
+                    MemSpace::Shared
+                } else {
+                    MemSpace::Global
+                },
+                ..batch(l as u64, i as u64)
+            })
+            .collect();
+        sink.on_kernel_begin(&c);
+        // A control event ahead of the accesses: the first cut of the
+        // access buffer takes it along.
+        sink.on_barriers(&c, 1 + shape % 3);
+        match delivery {
+            Delivery::OneByOne => batches.iter().for_each(|b| sink.on_batch(&c, b)),
+            Delivery::PerLaunch => sink.on_batches(&c, &batches),
+            Delivery::Chunked => {
+                let mut rest = batches.as_slice();
+                for &n in chunks {
+                    let (chunk, later) = rest.split_at(n.min(rest.len()));
+                    sink.on_batches(&c, chunk);
+                    rest = later;
+                }
+                sink.on_batches(&c, rest);
+            }
+        }
+        sink.on_blocks(&c, 16);
+        // A launch whose end never arrives leaves its tail to the next
+        // launch's begin, or to the drop.
+        if shape % 4 != 0 {
+            sink.on_kernel_end(&c, &KernelTraceSummary::default());
+        }
+    }
+    drop(sink);
+    hub.quiesce();
+    let events = seen.lock().unwrap().clone();
+    (events, hub.merged_report())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The launch-granular sink body against the per-stream entry it
+    /// replaced: the same events in the same order reach the recorder —
+    /// so a trace is the same bytes — and the same report comes out, at
+    /// every flush threshold, over the ring and under the lock.
+    #[test]
+    fn per_launch_delivery_matches_one_batch_at_a_time(
+        launches in prop::collection::vec(
+            (
+                prop::collection::vec(any::<bool>(), 1..601),
+                prop::collection::vec(0usize..9, 0..80),
+                0u64..12,
+            ),
+            1..4,
+        )
+    ) {
+        let accesses: usize = launches.iter().map(|l| l.0.len()).sum();
+        for batch_events in [1, 2, 3, 7, 256] {
+            let reference =
+                delivered(&launches, SpineMode::Inline, batch_events, Delivery::OneByOne);
+            let fine = |e: &&Event| {
+                matches!(e, Event::GlobalAccess { .. } | Event::SharedAccess { .. })
+            };
+            prop_assert_eq!(reference.0.iter().filter(fine).count(), accesses);
+            for mode in [SpineMode::Ring, SpineMode::Inline] {
+                for delivery in [Delivery::OneByOne, Delivery::PerLaunch, Delivery::Chunked] {
+                    let got = delivered(&launches, mode, batch_events, delivery);
+                    // Thousands of events a side: name where they part
+                    // rather than print both.
+                    let parts_at = got.0.iter().zip(&reference.0).position(|(a, b)| a != b);
+                    prop_assert_eq!(
+                        (parts_at, got.0.len(), &got.1), (None, reference.0.len(), &reference.1),
+                        "{:?} {:?} batch_events={}", mode, delivery, batch_events
+                    );
+                }
+            }
+        }
+    }
+}
+
 fn parallel_session(mode: SpineMode) -> PastaSession {
     Pasta::builder()
         .a100_x2()

@@ -19,9 +19,10 @@ use pasta::core::hub::{Hub, HubSink};
 use pasta::core::spine::{SpineConfig, SpineMode};
 use pasta::core::tool::{Interest, Tool};
 use pasta::core::{Event, EventClass, EventProcessor, EventRecorder};
-use pasta::sim::instrument::{DeviceTraceSink, TraceCtx};
+use pasta::sim::instrument::{BackendCosts, DeviceTraceSink, TraceCtx, TraceProfiler};
 use pasta::sim::{
-    AccessBatch, AccessKind, AccessPattern, DeviceId, Dim3, KernelTraceSummary, LaunchId, MemSpace,
+    AccessBatch, AccessKind, AccessPattern, AccessSpec, AnalysisMode, DeviceId, DeviceSpec, Dim3,
+    Engine, InstrCoverage, KernelBody, KernelDesc, KernelTraceSummary, LaunchId, MemSpace,
     SymbolTable,
 };
 use pasta::trace::{Trace, TraceReader};
@@ -179,6 +180,55 @@ fn untraced_event_path_performs_zero_allocations() {
         .with_tool_mut("flat-counter", |t: &mut FlatCounter| t.seen)
         .unwrap();
     assert_eq!(n, 7 * (1 + 64 + 1), "every warmup+measured event arrived");
+
+    // Phase 4b (ISSUE 17): the same steady state from the engine down.
+    // `Engine::launch` builds a launch's batches in a scratch it keeps, the
+    // profiler charges and forwards them under one lock, the sink cuts
+    // them into its spill buffers: a 320-stream launch — the widest the
+    // flood makes — allocates nothing once one like it has run, whether
+    // or not a narrower launch came in between.
+    let (profiler, handle) = TraceProfiler::new(
+        InstrCoverage::MemoryAndBarrier,
+        AnalysisMode::GpuResident,
+        BackendCosts::sanitizer(),
+        vec![24.0],
+        1,
+    );
+    handle.set_sink(Box::new(sink));
+    let mut engine = Engine::new(vec![DeviceSpec::rtx_3060()]);
+    let buf = engine.malloc(DeviceId(0), 1 << 24).expect("device buffer");
+    engine.set_probe(Box::new(profiler));
+    let kernel = |streams: u64| {
+        let body = (0..streams).fold(KernelBody::compute(1 << 20), |body, i| {
+            body.access(AccessSpec::load(0, 4096).with_range(i * 4096, 4096))
+        });
+        KernelDesc::new("engine_kernel", Dim3::linear(8), Dim3::linear(64))
+            .arg(buf, 1 << 24)
+            .body(body.with_barriers(4))
+    };
+    let (wide, narrow) = (kernel(320), kernel(64));
+    for _ in 0..3 {
+        engine.launch(DeviceId(0), 0, &wide).expect("warmup launch");
+    }
+    let before = allocs();
+    for desc in [&wide, &narrow, &wide, &wide] {
+        let record = engine.launch(DeviceId(0), 0, desc).expect("steady launch");
+        assert_eq!(record.records_emitted, 32 * desc.body.accesses.len() as u64);
+    }
+    assert_eq!(
+        allocs() - before,
+        0,
+        "a steady-state launch through engine, profiler and sink must not allocate"
+    );
+    hub.quiesce();
+    let fine = hub
+        .primary()
+        .tools
+        .with_tool_mut("flat-counter", |t: &mut FlatCounter| t.seen)
+        .unwrap()
+        - n;
+    // Per launch: begin, one event per stream, barriers, blocks, trace.
+    assert_eq!(fine, 6 * (320 + 4) + (64 + 4), "every engine event arrived");
 
     // Phase 5 (ISSUE 12): the read side. Every record here carries a
     // symbol, and looking one up must cost nothing on success — parsing N
