@@ -461,10 +461,14 @@ impl Engine {
             if !config.is_disabled() {
                 let rate = config.sampling_rate.max(1) as u64;
                 // A second walk builds the observed streams' batches in the
-                // engine's scratch; the probe hears of them once.
+                // engine's scratch; the probe hears of them once. A config
+                // that observes no access class (coarse tools: block
+                // boundaries only) never gives the scratch a heap block.
                 let batches = &mut self.batches;
                 batches.clear();
-                batches.reserve(desc.body.accesses.len());
+                if config.global_accesses || config.shared_accesses {
+                    batches.reserve(desc.body.accesses.len());
+                }
                 let mut memory_records = 0;
                 for (i, a) in desc.body.accesses.iter().enumerate() {
                     let full = a.record_count();
@@ -755,5 +759,33 @@ mod tests {
         let rec = e.launch(dev, 0, &desc).unwrap();
         let full = desc.body.memory_records();
         assert!(rec.records_emitted <= full / 10 + 2);
+    }
+
+    #[test]
+    fn a_launch_that_observes_no_access_class_leaves_the_scratch_unallocated() {
+        // Coarse tools ask for block boundaries only. The batch scratch is
+        // for observed streams and must not cost such a session a heap
+        // block: per `event_flood_gated` op that one block decided whether
+        // glibc trimmed and regrew the heap top (README "Launch-granular
+        // delivery", *Steadiness*).
+        struct BlocksOnly;
+        impl DeviceProbe for BlocksOnly {
+            fn on_kernel_begin(&mut self, _ctx: &KernelCtx<'_>) -> crate::probe::ProbeConfig {
+                crate::probe::ProbeConfig {
+                    block_boundaries: true,
+                    ..crate::probe::ProbeConfig::disabled()
+                }
+            }
+            fn on_access_batches(&mut self, _: &KernelCtx<'_>, _: &[AccessBatch]) -> ProbeCosts {
+                panic!("no access class is observed");
+            }
+        }
+        let mut e = engine();
+        let dev = DeviceId(0);
+        let buf = e.malloc(dev, 1 << 20).unwrap();
+        e.set_probe(Box::new(BlocksOnly));
+        let rec = e.launch(dev, 0, &simple_kernel(buf, 1 << 20)).unwrap();
+        assert_eq!(rec.records_emitted, 0);
+        assert_eq!(e.batches.capacity(), 0);
     }
 }
