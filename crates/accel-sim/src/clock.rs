@@ -5,24 +5,16 @@
 //! overhead experiments (paper Figs. 9–10) report multi-day CPU-analysis
 //! times without actually waiting for them.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A point in virtual time, in nanoseconds since simulation start.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimTime(pub u64);
 
 impl SimTime {
     /// The simulation epoch.
     pub const ZERO: SimTime = SimTime(0);
-
-    /// Creates a time from whole nanoseconds.
-    pub fn from_nanos(ns: u64) -> Self {
-        SimTime(ns)
-    }
 
     /// Creates a time from whole microseconds.
     pub fn from_micros(us: u64) -> Self {
@@ -47,11 +39,6 @@ impl SimTime {
     /// Seconds as a float (for reports).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Milliseconds as a float (for reports).
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
     }
 
     /// Returns the later of two times.
@@ -99,11 +86,6 @@ impl fmt::Display for SimTime {
             write!(f, "{ns}ns")
         }
     }
-}
-
-/// Formats a duration in nanoseconds with an adaptive unit, used by reports.
-pub fn format_ns(ns: u64) -> String {
-    SimTime(ns).to_string()
 }
 
 #[cfg(test)]

@@ -9,10 +9,9 @@
 
 use crate::device::DeviceSpec;
 use crate::kernel::KernelDesc;
-use serde::{Deserialize, Serialize};
 
 /// All tunable timing constants of the simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Host-side cost of any runtime API call (ns).
     pub host_api_overhead_ns: u64,
@@ -33,9 +32,6 @@ pub struct CostModel {
     pub gpu_analysis_ns_per_record: f64,
     /// Number of concurrent on-device analysis threads PASTA launches.
     pub gpu_analysis_threads: u64,
-    /// Host-side per-record touch cost while draining a fetched trace
-    /// buffer into analysis-ready form (ns/record).
-    pub cpu_drain_ns_per_record: f64,
     /// Stall latency each time the trace buffer fills and must round-trip
     /// to the host before the kernel resumes (ns/flush).
     pub buffer_flush_latency_ns: u64,
@@ -98,11 +94,6 @@ impl CostModel {
         (records as f64 * self.cpu_analysis_ns_per_record).ceil() as u64
     }
 
-    /// Host time to drain `records` records out of fetched buffers, ns.
-    pub fn cpu_drain_ns(&self, records: u64) -> u64 {
-        (records as f64 * self.cpu_drain_ns_per_record).ceil() as u64
-    }
-
     /// Device time spent executing inline instrumentation callbacks for
     /// `records` records, ns.
     pub fn device_callback_ns(&self, records: u64) -> u64 {
@@ -121,7 +112,6 @@ impl Default for CostModel {
             cpu_analysis_ns_per_record: 110.0,
             gpu_analysis_ns_per_record: 0.9,
             gpu_analysis_threads: 4_096,
-            cpu_drain_ns_per_record: 18.0,
             buffer_flush_latency_ns: 30_000,
             min_utilization: 0.02,
         }

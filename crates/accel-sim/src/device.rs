@@ -6,14 +6,13 @@
 use crate::clock::SimTime;
 use crate::id::{DeviceId, StreamId, Vendor};
 use crate::mem::DeviceAllocator;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Static description of a simulated accelerator.
 ///
 /// The numbers are public datasheet values; the cost model only uses them
 /// for *relative* timing, so modest inaccuracy is harmless.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     /// Marketing name, e.g. `"NVIDIA A100 80GB"`.
     pub name: String,

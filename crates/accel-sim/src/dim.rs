@@ -1,10 +1,9 @@
 //! Launch geometry (grid/block dimensions).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A three-dimensional launch extent, as in CUDA's `dim3`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Dim3 {
     /// Extent along x.
     pub x: u32,

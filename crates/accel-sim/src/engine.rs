@@ -87,20 +87,9 @@ impl Engine {
         }
     }
 
-    /// Replaces the cost model (builder-style).
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// The cost model in effect.
     pub fn cost(&self) -> &CostModel {
         &self.cost
-    }
-
-    /// Mutable cost model (calibration hooks).
-    pub fn cost_mut(&mut self) -> &mut CostModel {
-        &mut self.cost
     }
 
     /// Ids of all devices.
@@ -148,19 +137,9 @@ impl Engine {
         self.host_clock
     }
 
-    /// Advances the host clock by `ns` (modeling host-side work).
-    pub fn advance_host(&mut self, ns: u64) {
-        self.host_clock += ns;
-    }
-
     /// Attaches an instrumentation probe (replacing any existing one).
     pub fn set_probe(&mut self, probe: Box<dyn DeviceProbe>) {
         self.probe = Some(probe);
-    }
-
-    /// Detaches and returns the probe.
-    pub fn take_probe(&mut self) -> Option<Box<dyn DeviceProbe>> {
-        self.probe.take()
     }
 
     /// True when a probe is attached.
@@ -377,13 +356,6 @@ impl Engine {
         }
         if let Some(st) = self.stats.get_mut(device.index()) {
             st.syncs += 1;
-        }
-    }
-
-    /// Synchronizes every device.
-    pub fn synchronize_all(&mut self) {
-        for id in 0..self.specs.len() as u32 {
-            self.synchronize(DeviceId(id));
         }
     }
 

@@ -5,11 +5,10 @@
 //!
 //! [C-NEWTYPE]: https://rust-lang.github.io/api-guidelines/type-safety.html
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a simulated accelerator device within an [`crate::Engine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DeviceId(pub u32);
 
 impl DeviceId {
@@ -34,7 +33,7 @@ pub type StreamId = u32;
 ///
 /// The paper's range-specific analysis selects launches by "grid id"
 /// (`START_GRID_ID`/`END_GRID_ID`); `LaunchId` is that grid id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LaunchId(pub u64);
 
 impl LaunchId {
@@ -51,7 +50,7 @@ impl fmt::Display for LaunchId {
 }
 
 /// Identifier of a device memory allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AllocId(pub u64);
 
 impl fmt::Display for AllocId {
@@ -62,7 +61,7 @@ impl fmt::Display for AllocId {
 
 /// Accelerator vendor, used to pick event-naming conventions and
 /// normalization rules in the PASTA event handler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Vendor {
     /// NVIDIA GPUs (CUDA runtime, Compute Sanitizer, NVBit).
     Nvidia,

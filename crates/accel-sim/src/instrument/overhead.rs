@@ -5,10 +5,8 @@
 //! *analysis*. [`OverheadBreakdown`] accumulates the last three; execution
 //! time comes from an uninstrumented reference run.
 
-use serde::{Deserialize, Serialize};
-
 /// Accumulated instrumentation overhead, split the way Fig. 10 reports it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OverheadBreakdown {
     /// Device time executing instrumentation callbacks and (in the
     /// GPU-resident mode) fused on-device analysis, ns.

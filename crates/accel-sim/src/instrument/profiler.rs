@@ -132,11 +132,6 @@ impl ProfilerHandle {
         self.shared.lock().sink = Some(sink);
     }
 
-    /// Removes and returns the sink.
-    pub fn take_sink(&self) -> Option<Box<dyn DeviceTraceSink>> {
-        self.shared.lock().sink.take()
-    }
-
     /// Snapshot of the overhead breakdown.
     pub fn breakdown(&self) -> OverheadBreakdown {
         self.shared.lock().breakdown

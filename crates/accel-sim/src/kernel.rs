@@ -10,10 +10,9 @@
 use crate::dim::Dim3;
 use crate::mem::DevicePtr;
 use crate::symbol::Symbol;
-use serde::{Deserialize, Serialize};
 
 /// Direction of a memory access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A load instruction.
     Load,
@@ -25,7 +24,7 @@ pub enum AccessKind {
 
 /// Memory space targeted by an access, mirroring the paper's Table II
 /// fine-grained event list (global, shared, remote shared).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemSpace {
     /// Device global memory (HBM/GDDR).
     Global,
@@ -38,7 +37,7 @@ pub enum MemSpace {
 }
 
 /// Spatial pattern of an access stream within its region.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AccessPattern {
     /// Fully coalesced sequential sweep.
     Sequential,
@@ -54,7 +53,7 @@ pub enum AccessPattern {
 /// One logical access stream of a kernel: which argument buffer it touches,
 /// the extent touched, and how many bytes move in total (reuse makes
 /// `bytes > len` common, e.g. GEMM operands).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccessSpec {
     /// Index into [`KernelDesc::args`].
     pub arg_index: usize,
@@ -131,7 +130,7 @@ impl AccessSpec {
 }
 
 /// Summary of a kernel's dynamic behaviour.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct KernelBody {
     /// Floating-point operations executed.
     pub flops: u64,
@@ -228,7 +227,7 @@ impl KernelBody {
 }
 
 /// A kernel argument: a device buffer the kernel may touch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelArg {
     /// Base device pointer.
     pub ptr: DevicePtr,
@@ -237,7 +236,7 @@ pub struct KernelArg {
 }
 
 /// Full description of a kernel launch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelDesc {
     /// Kernel symbol name (demangled), e.g.
     /// `"ampere_sgemm_128x64_tn"` or `"at::native::im2col_kernel"`.

@@ -8,7 +8,6 @@
 
 use crate::error::AccelError;
 use crate::id::{AllocId, DeviceId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -16,7 +15,7 @@ use std::fmt;
 pub const ALLOC_ALIGN: u64 = 256;
 
 /// A pointer into simulated device (or managed) memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DevicePtr(pub u64);
 
 impl DevicePtr {
@@ -38,7 +37,7 @@ impl fmt::Display for DevicePtr {
 }
 
 /// Metadata of a live allocation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allocation {
     /// Unique id of the allocation.
     pub id: AllocId,

@@ -12,14 +12,13 @@ use crate::clock::SimTime;
 use crate::id::{DeviceId, LaunchId, StreamId};
 use crate::kernel::KernelDesc;
 use crate::trace::{AccessBatch, KernelTraceSummary};
-use serde::{Deserialize, Serialize};
 
 /// Which dynamic instructions an instrumentation backend can observe.
 ///
 /// The paper (§III-D) contrasts Compute Sanitizer — "only a subset of
 /// instructions, such as memory and barrier operations" — with NVBit, which
 /// covers "all SASS instructions" at higher cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstrCoverage {
     /// Memory and barrier instructions only (Compute Sanitizer style).
     MemoryAndBarrier,
@@ -28,7 +27,7 @@ pub enum InstrCoverage {
 }
 
 /// Where trace analysis runs (paper Fig. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AnalysisMode {
     /// PASTA's GPU-resident collect-and-analyze model: analysis threads
     /// consume records in situ; only a small result buffer returns to the
@@ -42,7 +41,7 @@ pub enum AnalysisMode {
 
 /// Per-launch instrumentation selection, returned by
 /// [`DeviceProbe::on_kernel_begin`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeConfig {
     /// Instrument global-memory accesses.
     pub global_accesses: bool,
@@ -110,7 +109,7 @@ impl Default for ProbeConfig {
 }
 
 /// Virtual-time cost of a probe callback.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbeCosts {
     /// Time added to the kernel's device-side duration.
     pub device_ns: u64,

@@ -8,10 +8,9 @@
 
 use crate::id::DeviceId;
 use crate::kernel::AccessKind;
-use serde::{Deserialize, Serialize};
 
 /// Result of resolving one kernel access stream against managed memory.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccessOutcome {
     /// Extra device time the kernel stalls for (fault handling + migration).
     pub extra_device_ns: u64,
@@ -56,7 +55,7 @@ impl AccessOutcome {
 /// [`ResidencyModel::take_peer_transfers`] and surface them as host
 /// callbacks carrying both devices, so the sharded hub can route the
 /// event to the *destination* device's shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeerTransfer {
     /// Device the data (or the invalidating write) came from.
     pub src: DeviceId,
@@ -74,7 +73,7 @@ pub struct PeerTransfer {
 
 /// UVM advice values understood by residency models, mirroring
 /// `cudaMemAdvise`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResidencyAdvice {
     /// Pin the range on the device (never evict).
     PinOnDevice,

@@ -12,10 +12,9 @@ use crate::id::{DeviceId, LaunchId, StreamId, Vendor};
 use crate::kernel::KernelDesc;
 use crate::mem::DevicePtr;
 use crate::symbol::Symbol;
-use serde::{Deserialize, Serialize};
 
 /// Direction of a memory copy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CopyDirection {
     /// Host to device.
     HostToDevice,
@@ -28,7 +27,7 @@ pub enum CopyDirection {
 }
 
 /// UVM advice values, mirroring `cudaMemAdvise`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemAdvise {
     /// Prefer keeping the range resident on the device.
     PreferredLocationDevice,
@@ -41,7 +40,7 @@ pub enum MemAdvise {
 }
 
 /// Result of a kernel launch: timing plus instrumentation accounting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaunchRecord {
     /// Launch sequence number ("grid id").
     pub launch: LaunchId,
@@ -91,7 +90,7 @@ impl LaunchRecord {
 }
 
 /// Aggregate counters a runtime keeps per device.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuntimeStats {
     /// Kernel launches.
     pub launches: u64,

@@ -194,9 +194,6 @@ impl From<&String> for Symbol {
     }
 }
 
-impl serde::Serialize for Symbol {}
-impl<'de> serde::Deserialize<'de> for Symbol {}
-
 /// A deduplicating string interner. Thread-safe; `intern` takes a lock, so
 /// hot paths should intern once per launch and copy the [`Symbol`].
 #[derive(Debug, Default)]

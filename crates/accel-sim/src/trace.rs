@@ -9,7 +9,6 @@
 
 use crate::id::LaunchId;
 use crate::kernel::{AccessKind, AccessPattern, MemSpace};
-use serde::{Deserialize, Serialize};
 
 /// Size in bytes of one on-device trace record, used to model trace-buffer
 /// capacity and PCIe transfer volume (matches NVBit MemTrace's 24-byte
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 pub const TRACE_RECORD_BYTES: u64 = 24;
 
 /// A batch of warp-level access records sharing one access stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccessBatch {
     /// Launch that produced the batch.
     pub launch: LaunchId,
@@ -64,7 +63,7 @@ impl AccessBatch {
 }
 
 /// Per-kernel summary the engine hands to the probe at kernel end.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct KernelTraceSummary {
     /// Warp-level global-memory records emitted.
     pub global_records: u64,
@@ -83,7 +82,7 @@ pub struct KernelTraceSummary {
 /// Models the fixed-capacity on-device trace buffer of CPU-analysis tools
 /// (paper Fig. 2a): when the buffer fills, the kernel stalls while the
 /// buffer is shipped to the host and drained.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceBufferModel {
     /// Buffer capacity in records.
     pub capacity_records: u64,

@@ -12,7 +12,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dl_framework::models::{ModelZoo, RunKind};
 use pasta_bench::ExpScale;
-use pasta_core::{BackendChoice, Pasta, UvmSetup};
+use pasta_core::{BackendChoice, ModelWorkload, Pasta, UvmSetup};
 use pasta_tools::{MemoryCharacteristicsTool, UvmPrefetchAdvisor};
 use uvm_sim::PrefetchGranularity;
 use vendor_nv::sanitizer::SanitizerConfig;
@@ -31,7 +31,10 @@ fn overhead_with(config: SanitizerConfig) -> u64 {
         .expect("build");
     let s = scale();
     let report = session
-        .run_model_scaled(ModelZoo::Bert, RunKind::Inference, 1, s.batch_divisor)
+        .run(
+            &mut ModelWorkload::new(ModelZoo::Bert, RunKind::Inference)
+                .batch_divisor(s.batch_divisor),
+        )
         .expect("run");
     report.overhead.total_ns()
 }
@@ -83,7 +86,10 @@ fn ablate_sampling(c: &mut Criterion) {
                     .expect("build");
                 let s = scale();
                 session
-                    .run_model_scaled(ModelZoo::Bert, RunKind::Inference, 1, s.batch_divisor)
+                    .run(
+                        &mut ModelWorkload::new(ModelZoo::Bert, RunKind::Inference)
+                            .batch_divisor(s.batch_divisor),
+                    )
                     .expect("run")
                     .records
             });
@@ -114,7 +120,10 @@ fn uvm_cell(oversubscription: f64) -> (f64, f64) {
             session.set_prefetch_plan(p);
         }
         let r = session
-            .run_model_scaled(ModelZoo::ResNet18, RunKind::Inference, 1, s.batch_divisor)
+            .run(
+                &mut ModelWorkload::new(ModelZoo::ResNet18, RunKind::Inference)
+                    .batch_divisor(s.batch_divisor),
+            )
             .expect("run");
         let advisor = session
             .with_tool_mut("uvm-prefetch-advisor", |t: &mut UvmPrefetchAdvisor| {

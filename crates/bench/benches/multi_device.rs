@@ -289,8 +289,9 @@ fn bench_contended(c: &mut Criterion, emitters: u32, mode: SpineMode) {
     let mut iter = 0u64;
     g.bench_function(&label, |b| {
         b.iter(|| {
-            let drainer = (mode == SpineMode::Ring)
-                .then(|| SpineDrainer::start(Arc::clone(&hub), &device_ids));
+            let drainer = (mode == SpineMode::Ring).then(|| {
+                SpineDrainer::start_bounded(Arc::clone(&hub), &device_ids, device_ids.len())
+            });
             std::thread::scope(|scope| {
                 for d in 0..devices {
                     for e in 0..emitters {

@@ -25,7 +25,7 @@
 use accel_sim::{AccelError, DeviceId};
 use criterion::{criterion_group, criterion_main, Criterion};
 use dl_framework::lane_exec::{self, PoolTask};
-use pasta_core::merge::{linear_reduce, tree_reduce};
+use pasta_core::merge::tree_reduce;
 use uvm_sim::BlockHotness;
 
 /// Access records per shard tracker — enough distinct (block, bin)
@@ -78,10 +78,14 @@ fn bench_merge(c: &mut Criterion, shards: u64) {
 
     g.bench_function(format!("linear-{shards}"), |b| {
         b.iter(|| {
-            let merged = linear_reduce(items.clone(), |acc: &mut BlockHotness, next| {
-                acc.merge_from(&next);
-            })
-            .expect("non-empty");
+            let merged = items
+                .iter()
+                .cloned()
+                .reduce(|mut acc, next| {
+                    acc.merge_from(&next);
+                    acc
+                })
+                .expect("non-empty");
             criterion::black_box(merged.events_seen())
         })
     });

@@ -25,7 +25,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dl_framework::models::{ModelZoo, RunKind};
 use pasta_core::processor::EventProcessor;
 use pasta_core::tool::{Tool, ToolCollection};
-use pasta_core::{Event, Pasta, PastaSession};
+use pasta_core::{Event, ModelWorkload, Pasta, PastaSession};
 use pasta_tools::{
     BarrierStallTool, HotnessTool, KernelFrequencyTool, MemoryCharacteristicsTool, OpKernelMapTool,
 };
@@ -59,7 +59,7 @@ fn captured() -> (Trace, Vec<(accel_sim::DeviceId, Vec<Event>)>) {
     let mut session = session();
     let writer = TraceWriter::attach(&session);
     session
-        .run_model_scaled(ModelZoo::Bert, RunKind::Inference, 1, 8)
+        .run(&mut ModelWorkload::new(ModelZoo::Bert, RunKind::Inference).batch_divisor(8))
         .expect("profiled run succeeds");
     let trace = writer.finish(&session);
     let reader = TraceReader::parse(trace.as_bytes()).expect("own trace parses");

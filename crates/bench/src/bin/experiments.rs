@@ -1,26 +1,21 @@
-//! Runs every experiment in sequence and prints all tables/figures —
-//! the artifact-evaluation "run everything" entry point.
+//! Prints the paper's tables and figures: `experiments [NAME…]`, where each
+//! `NAME` is an entry of [`pasta_bench::ARTIFACTS`] or `all`. With no
+//! argument it runs everything — the artifact-evaluation entry point.
+//! An unknown name exits with status 2 and the list of known ones.
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    use pasta_bench as b;
-    let scale = b::ExpScale::from_env();
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    let selected = pasta_bench::select(&names).unwrap_or_else(|unknown| {
+        let known: Vec<&str> = pasta_bench::ARTIFACTS.iter().map(|(n, _)| *n).collect();
+        eprintln!(
+            "unknown artifact `{unknown}`: expected `all` or any of {}",
+            known.join(" ")
+        );
+        std::process::exit(2)
+    });
+    let scale = pasta_bench::ExpScale::from_env();
     println!("PASTA experiment suite (scale {scale:?})\n");
-
-    print!("{}\n\n", b::fig4::render(&b::fig4::run(scale)?));
-    print!("{}\n\n", b::fig7::render(&b::fig7::run(scale)?));
-    print!("{}\n\n", b::table5::render(&b::table5::run(scale)?));
-    let overheads = b::fig9_10::run(scale)?;
-    print!("{}\n\n", b::fig9_10::render_fig9(&overheads));
-    print!("{}\n\n", b::fig9_10::render_fig10(&overheads));
-    print!(
-        "{}\n\n",
-        b::fig11_12::render("Figure 11", &b::fig11_12::run(1.0, scale)?)
-    );
-    print!(
-        "{}\n\n",
-        b::fig11_12::render("Figure 12", &b::fig11_12::run(3.0, scale)?)
-    );
-    print!("{}\n\n", b::fig13::render(&b::fig13::run(scale)?));
-    print!("{}\n\n", b::fig14::render(&b::fig14::run(scale)?));
-    print!("{}\n\n", b::fig15::render(&b::fig15::run(scale)?));
+    for (_, run) in selected {
+        print!("{}\n\n", run(scale)?);
+    }
     Ok(())
 }

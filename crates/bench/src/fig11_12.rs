@@ -8,13 +8,12 @@
 use crate::scale::ExpScale;
 use accel_sim::DeviceSpec;
 use dl_framework::models::{ModelZoo, RunKind};
-use pasta_core::{Pasta, PastaError, UvmSetup};
+use pasta_core::{ModelWorkload, Pasta, PastaError, UvmSetup};
 use pasta_tools::UvmPrefetchAdvisor;
-use serde::{Deserialize, Serialize};
 use uvm_sim::PrefetchGranularity;
 
 /// One model × device × oversubscription measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PrefetchResult {
     /// Model abbreviation.
     pub model: String,
@@ -73,7 +72,11 @@ pub fn measure(
         if let Some(p) = plan {
             session.set_prefetch_plan(p);
         }
-        let r = session.run_model_scaled(model, RunKind::Inference, steps, scale.batch_divisor)?;
+        let r = session.run(
+            &mut ModelWorkload::new(model, RunKind::Inference)
+                .steps(steps)
+                .batch_divisor(scale.batch_divisor),
+        )?;
         let advisor = session
             .with_tool_mut("uvm-prefetch-advisor", |t: &mut UvmPrefetchAdvisor| {
                 std::mem::take(t)

@@ -3,13 +3,12 @@
 
 use crate::scale::ExpScale;
 use dl_framework::models::{ModelZoo, RunKind};
-use pasta_core::{Pasta, PastaError};
+use pasta_core::{ModelWorkload, Pasta, PastaError};
 use pasta_tools::HotnessTool;
-use serde::{Deserialize, Serialize};
 use uvm_sim::HotnessSeries;
 
 /// The Fig. 13 data: the series plus derived classifications.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HotnessResult {
     /// Dense (block × time-bin) matrix.
     pub series: HotnessSeries,
@@ -27,11 +26,10 @@ pub struct HotnessResult {
 /// Propagates session failures.
 pub fn run(scale: ExpScale) -> Result<HotnessResult, PastaError> {
     let mut session = Pasta::builder().a100().tool(HotnessTool::new(32)).build()?;
-    session.run_model_scaled(
-        ModelZoo::Bert,
-        RunKind::Inference,
-        scale.inference_steps.min(3),
-        scale.batch_divisor,
+    session.run(
+        &mut ModelWorkload::new(ModelZoo::Bert, RunKind::Inference)
+            .steps(scale.inference_steps.min(3))
+            .batch_divisor(scale.batch_divisor),
     )?;
     let series = session
         .with_tool_mut("hotness", |t: &mut HotnessTool| t.series())

@@ -5,12 +5,11 @@
 use crate::scale::ExpScale;
 use accel_sim::DeviceId;
 use dl_framework::models::{ModelZoo, RunKind};
-use pasta_core::{Pasta, PastaError};
+use pasta_core::{ModelWorkload, Pasta, PastaError};
 use pasta_tools::{MemoryTimelineTool, TimelinePoint};
-use serde::{Deserialize, Serialize};
 
 /// One backend's curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BackendCurve {
     /// `NVIDIA` / `AMD`.
     pub backend: String,
@@ -23,7 +22,7 @@ pub struct BackendCurve {
 }
 
 /// The Fig. 14 result pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig14Result {
     /// NVIDIA curve.
     pub nvidia: BackendCurve,
@@ -40,7 +39,10 @@ fn run_backend(amd: bool, scale: ExpScale) -> Result<BackendCurve, PastaError> {
     let mut session = builder.tool(MemoryTimelineTool::new()).build()?;
     // Fig. 14 is defined over exactly one training iteration.
     let _ = scale.training_steps;
-    session.run_model_scaled(ModelZoo::Gpt2, RunKind::Training, 1, scale.batch_divisor)?;
+    session.run(
+        &mut ModelWorkload::new(ModelZoo::Gpt2, RunKind::Training)
+            .batch_divisor(scale.batch_divisor),
+    )?;
     let (series, peak, events) = session
         .with_tool_mut("memory-timeline", |t: &mut MemoryTimelineTool| {
             (

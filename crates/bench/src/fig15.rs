@@ -6,10 +6,9 @@ use accel_sim::DeviceId;
 use dl_framework::parallel::{self, Parallelism};
 use pasta_core::{Pasta, PastaError};
 use pasta_tools::{MemoryTimelineTool, TimelinePoint};
-use serde::{Deserialize, Serialize};
 
 /// One strategy's per-GPU curves.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StrategyCurves {
     /// Strategy label.
     pub strategy: String,

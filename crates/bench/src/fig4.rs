@@ -5,7 +5,7 @@ use crate::scale::ExpScale;
 use dl_framework::models::{ModelZoo, RunKind};
 use dl_framework::pycall::CrossLayerStack;
 use pasta_core::knob::KernelAggregate;
-use pasta_core::{Knob, Pasta, PastaError};
+use pasta_core::{Knob, ModelWorkload, Pasta, PastaError};
 use pasta_tools::MemoryCharacteristicsTool;
 
 /// The Fig. 4 result: the hot kernel, its aggregate and its joined stack.
@@ -30,11 +30,10 @@ pub fn run(scale: ExpScale) -> Result<Fig4Result, PastaError> {
         .tool(MemoryCharacteristicsTool::new())
         .capture_knob(Some(Knob::MaxMemReferencedKernel))
         .build()?;
-    session.run_model_scaled(
-        ModelZoo::Bert,
-        RunKind::Inference,
-        scale.inference_steps.min(2),
-        scale.batch_divisor,
+    session.run(
+        &mut ModelWorkload::new(ModelZoo::Bert, RunKind::Inference)
+            .steps(scale.inference_steps.min(2))
+            .batch_divisor(scale.batch_divisor),
     )?;
     let (kernel, aggregate) = session
         .knob_selection(Knob::MaxMemReferencedKernel)

@@ -3,12 +3,11 @@
 
 use crate::scale::ExpScale;
 use dl_framework::models::{ModelZoo, RunKind};
-use pasta_core::{Pasta, PastaError};
+use pasta_core::{ModelWorkload, Pasta, PastaError};
 use pasta_tools::KernelFrequencyTool;
-use serde::{Deserialize, Serialize};
 
 /// Frequencies of one (model, run-kind) pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FreqResult {
     /// Model abbreviation.
     pub model: String,
@@ -38,7 +37,11 @@ pub fn run(scale: ExpScale) -> Result<Vec<FreqResult>, PastaError> {
                 .a100()
                 .tool(KernelFrequencyTool::new())
                 .build()?;
-            session.run_model_scaled(model, kind, steps, scale.batch_divisor)?;
+            session.run(
+                &mut ModelWorkload::new(model, kind)
+                    .steps(steps)
+                    .batch_divisor(scale.batch_divisor),
+            )?;
             let (total, unique, top) = session
                 .with_tool_mut("kernel-frequency", |t: &mut KernelFrequencyTool| {
                     let top = t

@@ -17,9 +17,8 @@
 use crate::scale::ExpScale;
 use accel_sim::{DeviceSpec, OverheadBreakdown};
 use dl_framework::models::{ModelZoo, RunKind};
-use pasta_core::{BackendChoice, Pasta, PastaError};
+use pasta_core::{BackendChoice, ModelWorkload, Pasta, PastaError};
 use pasta_tools::MemoryCharacteristicsTool;
-use serde::{Deserialize, Serialize};
 use vendor_nv::nvbit::NvbitConfig;
 use vendor_nv::sanitizer::SanitizerConfig;
 
@@ -27,7 +26,7 @@ use vendor_nv::sanitizer::SanitizerConfig;
 pub const CUTOFF_NS: u64 = 7 * 24 * 3600 * 1_000_000_000;
 
 /// The three analysis variants of Fig. 9.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Variant {
     /// GPU-resident Compute Sanitizer (PASTA's design).
     CsGpu,
@@ -62,7 +61,7 @@ impl Variant {
 }
 
 /// One measurement: model × device × variant.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OverheadResult {
     /// Model abbreviation.
     pub model: String,
@@ -112,11 +111,10 @@ pub fn measure(
         .devices(vec![spec.clone()])
         .backend(BackendChoice::HostOnly)
         .build()?;
-    let base_report = baseline.run_model_scaled(
-        model,
-        RunKind::Inference,
-        scale.inference_steps,
-        scale.batch_divisor,
+    let base_report = baseline.run(
+        &mut ModelWorkload::new(model, RunKind::Inference)
+            .steps(scale.inference_steps)
+            .batch_divisor(scale.batch_divisor),
     )?;
     let execution_ns = base_report.profiled_time.as_nanos();
 
@@ -126,11 +124,10 @@ pub fn measure(
         .tool(MemoryCharacteristicsTool::new())
         .backend(variant.backend())
         .build()?;
-    let report = session.run_model_scaled(
-        model,
-        RunKind::Inference,
-        scale.inference_steps,
-        scale.batch_divisor,
+    let report = session.run(
+        &mut ModelWorkload::new(model, RunKind::Inference)
+            .steps(scale.inference_steps)
+            .batch_divisor(scale.batch_divisor),
     )?;
     let profiled_ns = report.profiled_time.as_nanos();
     let overhead = if profiled_ns > CUTOFF_NS {

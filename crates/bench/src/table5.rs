@@ -2,13 +2,12 @@
 
 use crate::scale::ExpScale;
 use dl_framework::models::{ModelZoo, RunKind};
-use pasta_core::{Pasta, PastaError};
+use pasta_core::{ModelWorkload, Pasta, PastaError};
 use pasta_tools::memchar::{MemoryCharacteristics, MemoryCharacteristicsTool};
 use pasta_tools::util::format_bytes;
-use serde::{Deserialize, Serialize};
 
 /// One Table V row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TableVRow {
     /// Model abbreviation.
     pub model: String,
@@ -63,7 +62,11 @@ pub fn run(scale: ExpScale) -> Result<Vec<TableVRow>, PastaError> {
                 .a100()
                 .tool(MemoryCharacteristicsTool::new())
                 .build()?;
-            session.run_model_scaled(model, kind, steps, scale.batch_divisor)?;
+            session.run(
+                &mut ModelWorkload::new(model, kind)
+                    .steps(steps)
+                    .batch_divisor(scale.batch_divisor),
+            )?;
             let c = session
                 .with_tool_mut(
                     "memory-characteristics",

@@ -10,7 +10,6 @@
 
 use crate::report::{MergedReport, ToolQuarantine};
 use accel_sim::{AccelError, DeviceId};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -21,7 +20,7 @@ use std::fmt;
 /// lane — e.g. it unwound out of the orchestration closure passed to
 /// [`crate::PastaSession::run_parallel`] rather than out of a per-lane
 /// thread, or out of a sequential [`crate::Workload`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaneFailure {
     /// Device whose lane panicked, when attributable.
     pub device: Option<DeviceId>,

@@ -13,11 +13,10 @@ use accel_sim::{
 use dl_framework::callbacks::Pass;
 use dl_framework::pycall::PyFrame;
 use dl_framework::tensor::TensorId;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Broad event classes, used for interest declarations and filtering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventClass {
     /// Driver/runtime API enter-exit events.
     HostApi,
@@ -67,7 +66,7 @@ impl EventClass {
 }
 
 /// A normalized runtime event (paper Table II).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     // --- Coarse-grained host-called API events ---------------------------
     /// Any driver-level API function ("All Driver Functions").
@@ -608,13 +607,9 @@ mod tests {
 
     #[test]
     fn symbol_events_round_trip_through_serialized_names() {
-        // The offline serde shim is marker-only (no wire format exists in
-        // this environment), so the round-trip a real serializer would do —
-        // Symbol → string → re-interned Symbol on deserialization — is
-        // exercised directly: detaching the name to a plain String and
-        // re-interning must reconstruct an equal event, and symbols that
-        // went through the "wire" must dedup back to the original
-        // allocation.
+        // Symbol → string → re-interned Symbol, the round-trip a trace
+        // goes through: the revived event must be equal, and its name must
+        // dedup back to the original allocation.
         let original = Event::KernelLaunchEnd {
             launch: LaunchId(3),
             device: DeviceId(0),

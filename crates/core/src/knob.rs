@@ -7,11 +7,10 @@
 //! kernel's aggregate statistics.
 
 use accel_sim::Symbol;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Aggregate per-kernel statistics the knobs score.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelAggregate {
     /// Invocations.
     pub calls: u64,
@@ -26,7 +25,7 @@ pub struct KernelAggregate {
 }
 
 /// A built-in or custom kernel-selection knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Knob {
     /// The paper's `MAX_MEM_REFERENCED_KERNEL`.
     MaxMemReferencedKernel,

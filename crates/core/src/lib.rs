@@ -31,14 +31,15 @@
 //!    proportional to the analysis.
 //!
 //! [`Pasta`] ties it together: a builder that assembles devices, backend,
-//! analysis mode, UVM and tools into a [`PastaSession`] that runs models
-//! (or custom workloads) and yields tool reports plus the Fig. 10 overhead
+//! analysis mode, UVM and tools into a [`PastaSession`] whose
+//! [`PastaSession::run`] profiles any [`Workload`] — a zoo model, a kernel
+//! sweep, a closure — and yields tool reports plus the Fig. 10 overhead
 //! breakdown.
 //!
 //! ## Example
 //!
 //! ```
-//! use pasta_core::{Pasta, AnalysisMode};
+//! use pasta_core::{AnalysisMode, ModelWorkload, Pasta};
 //! use pasta_core::tool::LaunchCounter;
 //! use dl_framework::models::{ModelZoo, RunKind};
 //!
@@ -48,7 +49,8 @@
 //!     .tool(LaunchCounter::default())
 //!     .analysis_mode(AnalysisMode::GpuResident)
 //!     .build()?;
-//! let report = session.run_model_scaled(ModelZoo::Bert, RunKind::Inference, 1, 8)?;
+//! let mut bert = ModelWorkload::new(ModelZoo::Bert, RunKind::Inference).batch_divisor(8);
+//! let report = session.run(&mut bert)?;
 //! assert!(report.kernel_launches > 0);
 //! let n = session
 //!     .with_tool_mut("launch-counter", |t: &mut LaunchCounter| t.launches)

@@ -14,13 +14,11 @@
 //!   previous round's survivors, left absorbing right, so for an
 //!   associative, order-respecting merge the result is byte-identical to
 //!   the linear fold — which is exactly the property the byte-identity
-//!   suites (`tests/concurrency.rs`, `tests/uvm_parallelism.rs`,
+//!   suites (`tests/concurrency.rs`, `tests/uvm_parallel.rs`,
 //!   `tests/spine.rs`, `tests/scale_out.rs`) pin. The tree's *shape* is a
 //!   function of the input length alone, never of thread count: worker
 //!   counts only change which thread executes a pair, so any
 //!   `max_threads` produces the same bytes.
-//! * [`linear_reduce`] — the sequential left fold, kept as the reference
-//!   the tests and the `scale_out` bench compare against.
 //! * [`reduce_indexed`] — the plan's scheduling half for *independent*
 //!   reductions (one per registered tool): runs `f(0..n)` on up to
 //!   `max_threads` threads, chunked contiguously so results stay in index
@@ -45,18 +43,6 @@
 use accel_sim::resolve_threads;
 use std::panic::resume_unwind;
 
-/// Sequential left fold in input order: `items[0] ∘ items[1] ∘ …` —
-/// the linear-chain reference [`tree_reduce`] is measured against.
-/// Returns `None` for an empty input.
-pub fn linear_reduce<T>(items: Vec<T>, merge: impl Fn(&mut T, T)) -> Option<T> {
-    let mut it = items.into_iter();
-    let mut acc = it.next()?;
-    for item in it {
-        merge(&mut acc, item);
-    }
-    Some(acc)
-}
-
 /// Pairwise binary tree reduction in input order, executed on up to
 /// `max_threads` threads (`0` = available parallelism): the caller's plus
 /// helpers named `merge-{k}`, spawned once per reduction.
@@ -64,8 +50,8 @@ pub fn linear_reduce<T>(items: Vec<T>, merge: impl Fn(&mut T, T)) -> Option<T> {
 /// Each round merges adjacent pairs of the previous round's survivors —
 /// `merge(&mut left, right)` — and an odd tail element survives to the
 /// next round unmerged, so element order is preserved all the way up.
-/// For an associative `merge` the result equals [`linear_reduce`] of the
-/// same list; the tree shape depends only on `items.len()`, so thread
+/// For an associative `merge` the result equals the sequential left fold
+/// ([`Iterator::reduce`]) of the same list; the tree shape depends only on `items.len()`, so thread
 /// count never changes the bytes. Returns `None` for an empty input.
 ///
 /// Threads split the tree by subtree, not by round: the tree's last pair
@@ -202,7 +188,6 @@ mod tests {
     fn empty_and_singleton() {
         assert_eq!(tree_reduce(Vec::<u64>::new(), 4, |a, b| *a += b), None);
         assert_eq!(tree_reduce(vec![7u64], 4, |a, b| *a += b), Some(7));
-        assert_eq!(linear_reduce(Vec::<u64>::new(), |a, b| *a += b), None);
     }
 
     #[test]
@@ -212,7 +197,7 @@ mod tests {
         // pairing that reorders elements.
         for n in 1..=130 {
             let items: Vec<String> = (0..n).map(|i| format!("[{i}]")).collect();
-            let linear = linear_reduce(items.clone(), |a, b| a.push_str(&b));
+            let linear = Some(items.concat());
             for threads in [1, 2, 3, 8, 64] {
                 let tree = tree_reduce(items.clone(), threads, |a, b| a.push_str(&b));
                 assert_eq!(tree, linear, "n={n} threads={threads}");

@@ -11,10 +11,9 @@
 
 use crate::event::Event;
 use accel_sim::LaunchId;
-use serde::{Deserialize, Serialize};
 
 /// Decides which launches/events fall inside the analyzed range.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RangeFilter {
     /// First launch id to analyze (`START_GRID_ID`).
     pub start_grid_id: Option<u64>,

@@ -2,7 +2,6 @@
 
 use crate::error::LaneFailure;
 use accel_sim::{DeviceId, OverheadBreakdown, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use uvm_sim::UvmStats;
 
@@ -12,7 +11,7 @@ use uvm_sim::UvmStats;
 /// dispatch row (the hot path pays nothing for it afterwards) and records
 /// the *first* panic message here; sibling tools and the trace recorder
 /// keep running. [`crate::ToolCollection::reset`] re-arms the tool.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ToolQuarantine {
     /// Name of the quarantined tool.
     pub tool: String,
@@ -33,7 +32,7 @@ impl fmt::Display for ToolQuarantine {
 impl std::error::Error for ToolQuarantine {}
 
 /// A tool's findings: named metrics plus free-form rendered text.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ToolReport {
     /// Tool name.
     pub tool: String,
@@ -95,7 +94,7 @@ impl fmt::Display for ToolReport {
 /// state is internally launch-ordered, shards combine by ascending device
 /// id — so repeated runs of the same workload yield byte-identical merged
 /// reports regardless of how the emitting threads interleaved.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MergedReport {
     /// Tool reports merged across every shard, in registration order.
     pub tools: Vec<ToolReport>,
@@ -124,7 +123,7 @@ pub struct MergedReport {
 /// (per-lane statistics already folded in, ascending device id — the same
 /// deterministic order as the tool merge) plus the unmerged per-lane
 /// breakdown.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UvmReport {
     /// Aggregate UVM statistics across the session, lanes included —
     /// peer-traffic totals ride in
@@ -195,7 +194,7 @@ impl fmt::Display for MergedReport {
 }
 
 /// Summary of one profiled run through a [`crate::PastaSession`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionReport {
     /// Workload label.
     pub workload: String,

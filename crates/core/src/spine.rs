@@ -402,13 +402,6 @@ pub struct SpineDrainer {
 }
 
 impl SpineDrainer {
-    /// Spawns one drainer per device in `devices`, servicing `hub`'s
-    /// shards. Spawn failures are tolerated silently: the spine is
-    /// correct without drainers, just slower under contention.
-    pub fn start(hub: SharedHub, devices: &[DeviceId]) -> SpineDrainer {
-        Self::start_bounded(hub, devices, devices.len())
-    }
-
     /// Spawns at most `max_threads` drainer threads (`0` = one per
     /// device), each servicing an interleaved slice of `devices`: thread
     /// `j` sweeps `devices[j], devices[j + W], …`, so at 256 lanes the

@@ -8,12 +8,11 @@
 use crate::event::{Event, EventClass};
 use crate::report::{ToolQuarantine, ToolReport};
 use accel_sim::{panic_message, AccessBatch, KernelTraceSummary, LaunchId, ProbeConfig, Symbol};
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Event classes a tool wants delivered.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Interest {
     /// Global-memory access batches (fine-grained, device-side).
     pub global_accesses: bool,

@@ -13,7 +13,7 @@
 //! Three implementations ship in-tree:
 //!
 //! * [`ModelWorkload`] — the Table IV model-zoo path every figure and
-//!   bench uses ([`crate::PastaSession::run_model`] forwards here);
+//!   bench uses;
 //! * [`KernelSweepWorkload`] — raw [`KernelDesc`] launches straight at
 //!   the engine, for custom-kernel and microbenchmark profiling the
 //!   model zoo cannot express;

@@ -18,11 +18,10 @@
 //!   and retries before failing.
 
 use accel_sim::{AccelError, DevicePtr, DeviceRuntime};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Allocator tuning knobs (PyTorch defaults).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllocatorConfig {
     /// Granularity of size rounding, bytes.
     pub round: u64,
@@ -69,7 +68,7 @@ impl AllocatorConfig {
 }
 
 /// Which pool a segment belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 enum Pool {
     Small,
     Large,
@@ -91,7 +90,7 @@ struct Segment {
 
 /// Aggregate allocator statistics (the numbers `reportMemoryUsage` events
 /// carry, plus peaks).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocatorStats {
     /// Live tensor bytes.
     pub allocated: u64,

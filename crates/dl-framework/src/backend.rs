@@ -9,10 +9,9 @@
 //! convolution workspace sizing.
 
 use accel_sim::Vendor;
-use serde::{Deserialize, Serialize};
 
 /// Vendor-specific operator decomposition profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BackendProfile {
     /// Which vendor's library stack this models.
     pub vendor: Vendor,

@@ -10,11 +10,10 @@
 use crate::pycall::PyFrame;
 use crate::tensor::TensorId;
 use accel_sim::{DeviceId, Symbol};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Which pass of training is running (Table II "Forward/Backward Boundary").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Pass {
     /// Forward pass.
     Forward,
@@ -25,7 +24,7 @@ pub enum Pass {
 }
 
 /// A high-level DL framework event (paper Table II, bottom section).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FrameworkEvent {
     /// An operator began executing (`at::RecordFunction` start).
     OpStart {

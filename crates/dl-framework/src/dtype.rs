@@ -1,10 +1,9 @@
 //! Element data types.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Tensor element type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DType {
     /// 32-bit float (the workhorse of the paper's FP32 runs).
     F32,

@@ -57,11 +57,6 @@ impl Param {
         Ok(())
     }
 
-    /// True when a gradient is pending.
-    pub fn has_grad(&self) -> bool {
-        self.grad.is_some()
-    }
-
     /// Applies one fused Adam step and frees the gradient.
     ///
     /// # Errors

@@ -20,10 +20,9 @@ pub mod transformer;
 
 use crate::session::Session;
 use accel_sim::AccelError;
-use serde::{Deserialize, Serialize};
 
 /// Model family, as listed in Table IV.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Convolutional network.
     Cnn,
@@ -32,7 +31,7 @@ pub enum ModelKind {
 }
 
 /// Whether a run is inference or training.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RunKind {
     /// Forward only.
     Inference,
@@ -51,7 +50,7 @@ impl RunKind {
 }
 
 /// Table IV metadata for one model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelSpec {
     /// Full name.
     pub name: &'static str,
@@ -93,7 +92,7 @@ pub trait Workload: Send {
 }
 
 /// The model zoo: constructors for every Table IV model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelZoo {
     /// AlexNet, batch 128.
     AlexNet,

@@ -48,7 +48,6 @@ use crate::models::{ModelKind, ModelSpec, Workload};
 use crate::ops::{self, Act};
 use crate::session::Session;
 use accel_sim::{panic_message, AccelError, AccessSpec, DeviceId, Dim3, KernelBody, KernelDesc};
-use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -130,7 +129,7 @@ impl<'rt> DeviceLane<'rt> {
 }
 
 /// Parallelization strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Parallelism {
     /// Replicated model, all-reduced gradients (DP).
     Data,
@@ -168,7 +167,7 @@ pub fn megatron_345m_dims() -> LmDims {
 }
 
 /// Per-device outcome of a parallel training iteration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParallelReport {
     /// Strategy executed.
     pub strategy: Parallelism,
@@ -305,7 +304,8 @@ fn require_lanes(lanes: &[DeviceLane<'_>], n: usize, strategy: &str) -> Result<(
     Ok(())
 }
 
-/// Runs one data-parallel training iteration, one OS thread per lane.
+/// Runs one data-parallel training iteration, lanes multiplexed onto the
+/// bounded lane pool.
 ///
 /// # Errors
 ///
@@ -347,7 +347,7 @@ fn data_parallel(
 }
 
 /// Runs one tensor-parallel training iteration (2-way Megatron sharding),
-/// one OS thread per lane.
+/// lanes multiplexed onto the bounded lane pool.
 ///
 /// # Errors
 ///

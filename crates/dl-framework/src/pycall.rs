@@ -7,12 +7,11 @@
 //! kind maps to a representative native frame chain — the same shape as
 //! the paper's Fig. 4 BERT example.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// One Python stack frame.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PyFrame {
     /// Source file, e.g. `"torch/nn/modules/linear.py"`.
     pub file: String,
@@ -40,7 +39,7 @@ impl fmt::Display for PyFrame {
 }
 
 /// One native (C/C++) frame.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NativeFrame {
     /// Source file, e.g. `"aten/src/ATen/cuda/CUDABlas.cpp"`.
     pub file: String,
@@ -110,7 +109,7 @@ impl PyStack {
 }
 
 /// A joined Python + native stack, as printed in the paper's Fig. 4.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrossLayerStack {
     /// Python frames, outermost first.
     pub python: Vec<PyFrame>,

@@ -3,10 +3,9 @@
 use crate::models::{ModelZoo, RunKind};
 use crate::session::Session;
 use accel_sim::{AccelError, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Summary of one model run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunReport {
     /// Model name.
     pub model: String,

@@ -49,7 +49,6 @@ use crate::dtype::DType;
 use crate::models::transformer::LmDims;
 use crate::parallel::{drive_lanes, DeviceLane, LaneSchedule};
 use accel_sim::{AccelError, AccessSpec, DeviceId, DevicePtr, Dim3, KernelBody, KernelDesc};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// The serving scenario: request mix, arrival process, batching limits
@@ -137,10 +136,35 @@ impl ServingConfig {
     pub fn kv_page_bytes(&self) -> u64 {
         u64::from(self.kv_page_tokens) * self.dims.kv_bytes_per_token(self.kv_dtype)
     }
+
+    /// Rejects the field values the scheduler cannot run — every field is
+    /// `pub`, so they are reachable: a zero-token KV page never fills (the
+    /// cache would grow by empty pages forever), a zero-slot batch admits
+    /// nothing, and a reversed or zero-based token range has no sample.
+    /// [`serve`] and [`serve_sequential_reference`] check once, up front.
+    ///
+    /// # Errors
+    ///
+    /// [`AccelError::Config`] naming the field and its value.
+    pub fn validate(&self) -> Result<(), AccelError> {
+        let (prompt, decode) = (self.prompt_tokens, self.decode_tokens);
+        let problem = if self.kv_page_tokens == 0 {
+            "kv_page_tokens = 0: a KV page must hold at least one token".into()
+        } else if self.max_batch == 0 {
+            "max_batch = 0: no request could ever be admitted".into()
+        } else if prompt.0 > prompt.1 {
+            format!("prompt_tokens = {prompt:?}: the range is (min, max)")
+        } else if decode.0 == 0 || decode.0 > decode.1 {
+            format!("decode_tokens = {decode:?}: the range is (min, max) with min >= 1")
+        } else {
+            return Ok(());
+        };
+        Err(AccelError::Config(format!("serving config: {problem}")))
+    }
 }
 
 /// One serving request of the seeded trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
     /// Trace-global id; `id % lanes` is the lane assignment.
     pub id: u64,
@@ -153,7 +177,7 @@ pub struct Request {
 }
 
 /// The full seeded request stream, in arrival order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestTrace {
     /// All requests, ascending `id` and non-decreasing `arrival_step`.
     pub requests: Vec<Request>,
@@ -177,6 +201,11 @@ fn lcg_range(state: &mut u64, lo: u64, hi: u64) -> u64 {
 impl RequestTrace {
     /// Generates the seeded stream: a new trace from the same config is
     /// identical, byte for byte — the replay contract rests on this.
+    ///
+    /// # Panics
+    ///
+    /// Expects a config that passes [`ServingConfig::validate`]: a
+    /// reversed token range has no sample to draw.
     pub fn generate(cfg: &ServingConfig) -> RequestTrace {
         let mut state = cfg.seed ^ 0x9e37_79b9_7f4a_7c15;
         // Warm the LCG so nearby seeds diverge immediately.
@@ -223,7 +252,7 @@ impl RequestTrace {
 }
 
 /// One lane's serving outcome: latency samples plus cache accounting.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaneServing {
     /// Device the lane served on.
     pub device: DeviceId,
@@ -245,7 +274,7 @@ pub struct LaneServing {
 }
 
 /// Outcome of a serving run: one entry per lane, in lane order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServingRun {
     /// Per-lane outcomes, lane order.
     pub lanes: Vec<LaneServing>,
@@ -488,8 +517,9 @@ fn grow_kv(
 ///
 /// # Errors
 ///
-/// Propagates allocation/launch failures; a panicking lane surfaces as
-/// [`AccelError::LanePanic`] for its device. Requires ≥ 1 lane.
+/// [`AccelError::Config`] for a config [`ServingConfig::validate`]
+/// rejects, or no lane at all. Propagates allocation/launch failures; a
+/// panicking lane surfaces as [`AccelError::LanePanic`] for its device.
 pub fn serve(lanes: &mut [DeviceLane<'_>], cfg: &ServingConfig) -> Result<ServingRun, AccelError> {
     dispatch(lanes, cfg, LaneSchedule::Threaded)
 }
@@ -515,6 +545,7 @@ fn dispatch(
     cfg: &ServingConfig,
     schedule: LaneSchedule,
 ) -> Result<ServingRun, AccelError> {
+    cfg.validate()?;
     if lanes.is_empty() {
         return Err(AccelError::Config(
             "serving needs at least one device lane".into(),

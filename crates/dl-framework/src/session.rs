@@ -14,7 +14,6 @@ use crate::pycall::{PyFrame, PyStack};
 use crate::tensor::{Tensor, TensorId};
 use accel_sim::{AccelError, DeviceId, DeviceRuntime, KernelDesc, LaunchRecord, Symbol};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// A live framework session over a device runtime.
 pub struct Session<'rt> {
@@ -261,11 +260,6 @@ impl<'rt> Session<'rt> {
     /// Pops the top Python frame.
     pub fn py_pop(&mut self) {
         let _ = self.py.pop();
-    }
-
-    /// Snapshot of the simulated Python stack (see [`PyStack::snapshot`]).
-    pub fn py_snapshot(&mut self) -> Arc<[PyFrame]> {
-        self.py.snapshot()
     }
 
     /// Emits a `pasta.start()`-style region annotation.

@@ -2,11 +2,10 @@
 
 use crate::dtype::DType;
 use accel_sim::DevicePtr;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Unique tensor identifier within a session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TensorId(pub u64);
 
 impl fmt::Display for TensorId {
@@ -16,7 +15,7 @@ impl fmt::Display for TensorId {
 }
 
 /// A dense tensor. Cheap to clone: it is a handle, not the data.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tensor {
     /// Session-unique id.
     pub id: TensorId,

@@ -7,12 +7,11 @@
 
 use accel_sim::DeviceId;
 use pasta_core::{Event, Interest, Tool, ToolReport};
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::HashMap;
 
 /// One point of the timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimelinePoint {
     /// Logical timestamp: tensor alloc/free event index (the paper's
     /// x-axis).
@@ -26,7 +25,7 @@ pub struct TimelinePoint {
 /// Cumulative UVM traffic one device's launches generated — the managed
 /// -memory overlay of the per-device timeline (Fig. 15 under
 /// oversubscription).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UvmTraffic {
     /// Bytes migrated host→device.
     pub migrated_bytes: u64,

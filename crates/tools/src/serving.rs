@@ -11,11 +11,10 @@
 use crate::util::{format_bytes, percentile};
 use dl_framework::serving::ServingRun;
 use pasta_core::report::UvmReport;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Latency tails of one serving run beside its UVM traffic.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServingReport {
     /// Lanes the run served on.
     pub lanes: usize,

@@ -161,7 +161,7 @@ fn bool_from(b: u8, offset: usize) -> Result<bool, TraceError> {
     }
 }
 
-/// Serializes one shard's event stream. Holds only growable in-memory
+/// Encodes one shard's event stream. Holds only growable in-memory
 /// buffers — the hot [`ShardEncoder::encode`] path never touches the
 /// filesystem (all I/O happens in [`crate::Trace::save`], after capture).
 #[derive(Debug)]
@@ -980,7 +980,7 @@ fn device(cur: &mut Cursor<'_>) -> Result<DeviceId, TraceError> {
         })
 }
 
-/// Serializes the UVM footer — the session-layer residency totals that
+/// Encodes the UVM footer — the session-layer residency totals that
 /// live *outside* the event stream (the manager overlay, not events), so
 /// replay can restore [`pasta_core::MergedReport::uvm`] exactly.
 pub(crate) fn encode_uvm(buf: &mut Vec<u8>, uvm: &UvmReport) {

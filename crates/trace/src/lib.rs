@@ -49,7 +49,7 @@
 //! ```
 //! use dl_framework::models::{ModelZoo, RunKind};
 //! use pasta_core::tool::LaunchCounter;
-//! use pasta_core::{Pasta, ToolCollection};
+//! use pasta_core::{ModelWorkload, Pasta, ToolCollection};
 //! use pasta_trace::{replay, TraceWriter};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -58,7 +58,7 @@
 //!     .tool(LaunchCounter::default())
 //!     .build()?;
 //! let writer = TraceWriter::attach(&session);
-//! session.run_model_scaled(ModelZoo::Bert, RunKind::Inference, 1, 8)?;
+//! session.run(&mut ModelWorkload::new(ModelZoo::Bert, RunKind::Inference).batch_divisor(8))?;
 //! let live = session.merged_report();
 //! let trace = writer.finish(&session);
 //!

@@ -1,14 +1,12 @@
 //! UVM cost-model configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Tunable constants of the UVM simulator.
 ///
 /// Defaults are calibrated against public UVM measurements (Allen & Ge,
 /// SC'21): demand paging achieves roughly half of link bandwidth because
 /// fault handling serializes with transfer, while explicit prefetch
 /// saturates the link and largely overlaps with compute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UvmConfig {
     /// Pages migrated per fault group (the driver batches neighbouring
     /// faults; 16 × 64 KiB = 1 MiB per group).

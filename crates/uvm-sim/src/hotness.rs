@@ -13,8 +13,7 @@
 //! passes over the run. Nothing is indexed by block over the address
 //! space: the device heap and the managed heap sit 2^46 bytes apart.
 
-use crate::page::{block_of_addr, BLOCK_SIZE};
-use serde::{Deserialize, Serialize};
+use crate::page::block_of_addr;
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
@@ -399,7 +398,7 @@ impl BlockRow {
 }
 
 /// Dense (block × time-bin) hotness matrix.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HotnessSeries {
     /// Block indices (rows), ascending.
     pub blocks: Vec<u64>,
@@ -438,16 +437,12 @@ impl HotnessSeries {
             .map(|r| self.blocks[r])
             .collect()
     }
-
-    /// Base address of row `row`'s block.
-    pub fn block_addr(&self, row: usize) -> u64 {
-        self.blocks[row] * BLOCK_SIZE
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::BLOCK_SIZE;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 

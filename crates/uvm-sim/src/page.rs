@@ -4,8 +4,6 @@
 //! unit) and the paper's hotness analysis (Fig. 13) bins by 2 MiB virtual
 //! blocks; both constants live here.
 
-use serde::{Deserialize, Serialize};
-
 /// Migration granularity: 64 KiB.
 pub const PAGE_SIZE: u64 = 64 << 10;
 
@@ -23,7 +21,7 @@ pub fn block_of_addr(addr: u64) -> u64 {
 }
 
 /// A half-open range of page indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PageRange {
     /// First page index.
     pub first: u64,

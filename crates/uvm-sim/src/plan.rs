@@ -7,10 +7,8 @@
 //! (object-level) or only the *tensors* it touches (tensor-level). A
 //! [`PrefetchPlan`] is that scheme; the vendor runtimes replay it.
 
-use serde::{Deserialize, Serialize};
-
 /// A contiguous byte range in managed memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Range {
     /// Base address.
     pub base: u64,
@@ -36,7 +34,7 @@ impl Range {
 }
 
 /// Granularity of a prefetch plan, matching the paper's comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrefetchGranularity {
     /// No prefetching (the baseline: pure demand paging).
     None,
@@ -61,7 +59,7 @@ impl PrefetchGranularity {
 
 /// Ranges to prefetch before each kernel launch, indexed by the launch
 /// sequence number local to the planned run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PrefetchPlan {
     /// Strategy that produced the plan.
     pub granularity: Option<PrefetchGranularity>,

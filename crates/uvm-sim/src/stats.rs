@@ -1,9 +1,7 @@
 //! UVM activity counters.
 
-use serde::{Deserialize, Serialize};
-
 /// Aggregate UVM statistics across a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UvmStats {
     /// Fault groups serviced.
     pub fault_groups: u64,

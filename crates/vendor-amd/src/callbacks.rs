@@ -10,10 +10,9 @@
 //!   with grids (same semantics, different vocabulary).
 
 use accel_sim::{CopyDirection, DeviceId, Dim3, LaunchId, SimTime, StreamId, Symbol};
-use serde::{Deserialize, Serialize};
 
 /// A host-side callback from the simulated ROCm runtime.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RocCallback {
     /// HIP API entry (`ApiEnter("hipMalloc")`).
     ApiEnter {

@@ -10,10 +10,9 @@ use crate::hip::HipContext;
 use accel_sim::instrument::{BackendCosts, ProfilerHandle, TraceProfiler};
 use accel_sim::trace::TraceBufferModel;
 use accel_sim::{AnalysisMode, InstrCoverage};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a ROCProfiler-SDK device-trace attachment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RocProfilerConfig {
     /// Where trace analysis runs.
     pub mode: AnalysisMode,

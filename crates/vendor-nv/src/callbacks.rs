@@ -11,10 +11,9 @@
 //! normalization layer has real work to do.
 
 use accel_sim::{CopyDirection, DeviceId, Dim3, LaunchId, SimTime, StreamId, Symbol};
-use serde::{Deserialize, Serialize};
 
 /// A host-side callback event from the simulated CUDA runtime.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NvCallback {
     /// A driver/runtime API call is entered (`ApiEnter("cudaMalloc")`).
     ApiEnter {

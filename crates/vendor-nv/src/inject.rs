@@ -8,10 +8,8 @@
 //! in processes that actually initialize CUDA. This module captures that
 //! decision table so the multi-GPU harness can assert it.
 
-use serde::{Deserialize, Serialize};
-
 /// How the profiler shared library reaches the target process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InjectionMethod {
     /// Loader-level preload: injected into every process of the tree.
     LdPreload,
@@ -20,7 +18,7 @@ pub enum InjectionMethod {
 }
 
 /// What a process in the launch tree does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProcessKind {
     /// A worker that creates a CUDA context (one per GPU, typically).
     CudaContextCreator,

@@ -11,10 +11,9 @@ use crate::cuda::CudaContext;
 use accel_sim::instrument::{BackendCosts, ProfilerHandle, TraceProfiler};
 use accel_sim::trace::TraceBufferModel;
 use accel_sim::{AnalysisMode, InstrCoverage};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a Compute Sanitizer attachment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SanitizerConfig {
     /// Where trace analysis runs (paper Fig. 2).
     pub mode: AnalysisMode,

@@ -6,7 +6,7 @@
 //! cargo run --example cross_stack
 //! ```
 
-use pasta::core::{Knob, Pasta};
+use pasta::core::{Knob, ModelWorkload, Pasta};
 use pasta::dl::models::{ModelZoo, RunKind};
 use pasta::tools::MemoryCharacteristicsTool;
 
@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .tool(MemoryCharacteristicsTool::new())
         .capture_knob(Some(Knob::MaxMemReferencedKernel))
         .build()?;
-    session.run_model_scaled(ModelZoo::Bert, RunKind::Inference, 1, 2)?;
+    session.run(&mut ModelWorkload::new(ModelZoo::Bert, RunKind::Inference).batch_divisor(2))?;
 
     let (kernel, agg) = session
         .knob_selection(Knob::MaxMemReferencedKernel)

@@ -5,7 +5,7 @@
 //! cargo run --example kernel_census
 //! ```
 
-use pasta::core::Pasta;
+use pasta::core::{ModelWorkload, Pasta};
 use pasta::dl::models::{ModelZoo, RunKind};
 use pasta::tools::KernelFrequencyTool;
 
@@ -17,7 +17,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .build()?;
         // Batch divided by 4 to keep the example snappy; experiments use
         // the paper's full batch sizes.
-        let report = session.run_model_scaled(model, RunKind::Inference, 1, 4)?;
+        let report =
+            session.run(&mut ModelWorkload::new(model, RunKind::Inference).batch_divisor(4))?;
         let top = session
             .with_tool_mut("kernel-frequency", |t: &mut KernelFrequencyTool| t.top(5))
             .expect("tool registered");

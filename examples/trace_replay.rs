@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .tool(MemoryCharacteristicsTool::new())
         .build()?;
     let writer = TraceWriter::attach(&session);
-    session.run_model_scaled(ModelZoo::Bert, RunKind::Inference, 1, 8)?;
+    session.run(&mut ModelWorkload::new(ModelZoo::Bert, RunKind::Inference).batch_divisor(8))?;
     let trace = writer.finish(&session);
     let live = session.merged_report();
 

@@ -10,7 +10,7 @@
 //! cargo run --example uvm_advisor
 //! ```
 
-use pasta::core::{Pasta, UvmSetup};
+use pasta::core::{ModelWorkload, Pasta, UvmSetup};
 use pasta::dl::models::{ModelZoo, RunKind};
 use pasta::tools::UvmPrefetchAdvisor;
 use pasta::uvm::PrefetchGranularity;
@@ -35,7 +35,8 @@ fn profiled_run(
     if let Some(plan) = plan {
         session.set_prefetch_plan(plan);
     }
-    let report = session.run_model_scaled(MODEL, RunKind::Inference, 1, BATCH_DIVISOR)?;
+    let report = session
+        .run(&mut ModelWorkload::new(MODEL, RunKind::Inference).batch_divisor(BATCH_DIVISOR))?;
     let advisor = session
         .with_tool_mut("uvm-prefetch-advisor", |t: &mut UvmPrefetchAdvisor| {
             std::mem::take(t)

@@ -139,7 +139,11 @@ fn capture(args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let writer = TraceWriter::attach(&session);
     session
-        .run_model_scaled(ModelZoo::Bert, RunKind::Inference, steps, 8)
+        .run(
+            &mut ModelWorkload::new(ModelZoo::Bert, RunKind::Inference)
+                .steps(steps)
+                .batch_divisor(8),
+        )
         .map_err(|e| e.to_string())?;
     let events = writer.events_captured();
     let trace = writer.finish(&session);

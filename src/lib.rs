@@ -38,15 +38,16 @@
 //! # }
 //! ```
 //!
-//! The historical model-only entry point forwards through the same path
-//! and produces an identical report:
+//! `steps` and `batch_divisor` scale a model run down for tests and
+//! smoke runs; the report keeps the model's label:
 //!
 //! ```
 //! use pasta::prelude::*;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut session = Pasta::builder().rtx_3060().build()?;
-//! let report = session.run_model_scaled(ModelZoo::Bert, RunKind::Inference, 1, 8)?;
+//! let mut bert = ModelWorkload::new(ModelZoo::Bert, RunKind::Inference).batch_divisor(8);
+//! let report = session.run(&mut bert)?;
 //! assert!(report.workload.contains("BERT"));
 //! # Ok(())
 //! # }

@@ -2,7 +2,7 @@
 //! analysis via `pasta.start()/stop()`-style annotations and grid-id
 //! windows, plus the operator→kernel and transfer tools over real runs.
 
-use pasta::core::{Pasta, RangeFilter};
+use pasta::core::{FnWorkload, ModelWorkload, Pasta, RangeFilter, WorkloadStats};
 use pasta::dl::dtype::DType;
 use pasta::dl::models::{ModelZoo, RunKind};
 use pasta::dl::ops::{self, Act};
@@ -23,7 +23,8 @@ fn annotated_region_gates_device_collection() {
             .build()
             .unwrap();
         session
-            .run_custom(|s| {
+            .run(&mut FnWorkload::new("listing-1", |cx| {
+                let s = cx.session();
                 let x = s.alloc_tensor(&[64, 512], DType::F32)?;
                 let w1 = s.alloc_tensor(&[512, 512], DType::F32)?;
                 let w2 = s.alloc_tensor(&[512, 512], DType::F32)?;
@@ -39,8 +40,8 @@ fn annotated_region_gates_device_collection() {
                     s.free_tensor(t);
                 }
                 s.release_workspaces();
-                Ok(())
-            })
+                Ok(WorkloadStats::new(0))
+            }))
             .unwrap();
         session.records()
     };
@@ -61,7 +62,7 @@ fn op_kernel_map_exposes_hidden_mapping() {
         .build()
         .unwrap();
     session
-        .run_model_scaled(ModelZoo::Bert, RunKind::Inference, 1, 8)
+        .run(&mut ModelWorkload::new(ModelZoo::Bert, RunKind::Inference).batch_divisor(8))
         .unwrap();
     let ranking = session
         .with_tool_mut("op-kernel-map", |t: &mut OpKernelMapTool| t.ranking())
@@ -106,7 +107,8 @@ fn transfer_tool_sees_explicit_copies_and_uvm_ops() {
         .build()
         .unwrap();
     session
-        .run_custom(|s| {
+        .run(&mut FnWorkload::new("copies", |cx| {
+            let s = cx.session();
             let t = s.alloc_tensor(&[1 << 20], DType::F32)?;
             let rt = s.runtime_mut();
             rt.memcpy(
@@ -118,8 +120,8 @@ fn transfer_tool_sees_explicit_copies_and_uvm_ops() {
             rt.memcpy(DevicePtr(0x1000), t.ptr, 1024, CopyDirection::DeviceToHost)?;
             rt.mem_prefetch(t.ptr, 4 << 20)?;
             s.free_tensor(&t);
-            Ok(())
-        })
+            Ok(WorkloadStats::new(0))
+        }))
         .unwrap();
     let stats = session
         .with_tool_mut("transfer-analysis", |t: &mut TransferTool| t.stats())
@@ -145,7 +147,7 @@ fn grid_window_composes_with_model_runs() {
             .build()
             .unwrap();
         let r = session
-            .run_model_scaled(ModelZoo::AlexNet, RunKind::Inference, 1, 16)
+            .run(&mut ModelWorkload::new(ModelZoo::AlexNet, RunKind::Inference).batch_divisor(16))
             .unwrap();
         (r.records, r.kernel_launches)
     };

@@ -2,7 +2,7 @@
 //! stack, exercising vendor backends, analysis modes, range filtering,
 //! sampling, UVM and the tool collection together.
 
-use pasta::core::{AnalysisMode, BackendChoice, Knob, Pasta, RangeFilter, UvmSetup};
+use pasta::core::{AnalysisMode, BackendChoice, Knob, ModelWorkload, Pasta, RangeFilter, UvmSetup};
 use pasta::dl::models::{ModelZoo, RunKind};
 use pasta::nv::sanitizer::SanitizerConfig;
 use pasta::sim::DeviceId;
@@ -22,7 +22,7 @@ fn same_model_runs_on_both_vendors() {
         .build()
         .unwrap();
     let nv_report = nv
-        .run_model_scaled(ModelZoo::ResNet18, RunKind::Inference, 1, DIV)
+        .run(&mut ModelWorkload::new(ModelZoo::ResNet18, RunKind::Inference).batch_divisor(DIV))
         .unwrap();
 
     let mut amd = Pasta::builder()
@@ -31,7 +31,7 @@ fn same_model_runs_on_both_vendors() {
         .build()
         .unwrap();
     let amd_report = amd
-        .run_model_scaled(ModelZoo::ResNet18, RunKind::Inference, 1, DIV)
+        .run(&mut ModelWorkload::new(ModelZoo::ResNet18, RunKind::Inference).batch_divisor(DIV))
         .unwrap();
 
     assert!(nv_report.kernel_launches > 40);
@@ -54,7 +54,7 @@ fn amd_peak_memory_is_slightly_lower_than_nvidia() {
         .tool(MemoryTimelineTool::new())
         .build()
         .unwrap();
-    nv.run_model_scaled(ModelZoo::ResNet18, RunKind::Training, 1, DIV)
+    nv.run(&mut ModelWorkload::new(ModelZoo::ResNet18, RunKind::Training).batch_divisor(DIV))
         .unwrap();
     let (nv_peak, nv_events) = nv
         .with_tool_mut("memory-timeline", |t: &mut MemoryTimelineTool| {
@@ -67,7 +67,7 @@ fn amd_peak_memory_is_slightly_lower_than_nvidia() {
         .tool(MemoryTimelineTool::new())
         .build()
         .unwrap();
-    amd.run_model_scaled(ModelZoo::ResNet18, RunKind::Training, 1, DIV)
+    amd.run(&mut ModelWorkload::new(ModelZoo::ResNet18, RunKind::Training).batch_divisor(DIV))
         .unwrap();
     let (amd_peak, amd_events) = amd
         .with_tool_mut("memory-timeline", |t: &mut MemoryTimelineTool| {
@@ -92,7 +92,7 @@ fn gpu_resident_analysis_is_orders_of_magnitude_cheaper() {
             .build()
             .unwrap();
         let r = session
-            .run_model_scaled(ModelZoo::AlexNet, RunKind::Inference, 1, DIV)
+            .run(&mut ModelWorkload::new(ModelZoo::AlexNet, RunKind::Inference).batch_divisor(DIV))
             .unwrap();
         (r.overhead.total_ns(), r.records)
     };
@@ -115,7 +115,7 @@ fn nvbit_costs_more_than_sanitizer() {
             .backend(BackendChoice::Sanitizer(SanitizerConfig::cpu_post_process()))
             .build()
             .unwrap();
-        s.run_model_scaled(ModelZoo::Bert, RunKind::Inference, 1, DIV)
+        s.run(&mut ModelWorkload::new(ModelZoo::Bert, RunKind::Inference).batch_divisor(DIV))
             .unwrap()
             .overhead
             .total_ns()
@@ -127,7 +127,7 @@ fn nvbit_costs_more_than_sanitizer() {
             .backend(BackendChoice::Nvbit(pasta::nv::NvbitConfig::default()))
             .build()
             .unwrap();
-        s.run_model_scaled(ModelZoo::Bert, RunKind::Inference, 1, DIV)
+        s.run(&mut ModelWorkload::new(ModelZoo::Bert, RunKind::Inference).batch_divisor(DIV))
             .unwrap()
             .overhead
             .total_ns()
@@ -148,7 +148,7 @@ fn sampling_reduces_records_proportionally() {
             .build()
             .unwrap();
         session
-            .run_model_scaled(ModelZoo::ResNet18, RunKind::Inference, 1, DIV)
+            .run(&mut ModelWorkload::new(ModelZoo::ResNet18, RunKind::Inference).batch_divisor(DIV))
             .unwrap()
             .records
     };
@@ -172,7 +172,7 @@ fn grid_window_restricts_instrumentation() {
             .build()
             .unwrap();
         session
-            .run_model_scaled(ModelZoo::ResNet18, RunKind::Inference, 1, DIV)
+            .run(&mut ModelWorkload::new(ModelZoo::ResNet18, RunKind::Inference).batch_divisor(DIV))
             .unwrap()
             .records
     };
@@ -193,7 +193,7 @@ fn knob_finds_hot_kernel_and_stack() {
         .build()
         .unwrap();
     session
-        .run_model_scaled(ModelZoo::Bert, RunKind::Inference, 1, DIV)
+        .run(&mut ModelWorkload::new(ModelZoo::Bert, RunKind::Inference).batch_divisor(DIV))
         .unwrap();
     let (kernel, agg) = session
         .knob_selection(Knob::MaxMemReferencedKernel)
@@ -226,7 +226,7 @@ fn uvm_run(plan: Option<pasta::uvm::PrefetchPlan>, budget: u64) -> (u64, UvmPref
         session.set_prefetch_plan(p);
     }
     let r = session
-        .run_model_scaled(ModelZoo::ResNet18, RunKind::Inference, 1, 4)
+        .run(&mut ModelWorkload::new(ModelZoo::ResNet18, RunKind::Inference).batch_divisor(4))
         .unwrap();
     let advisor = session
         .with_tool_mut("uvm-prefetch-advisor", |t: &mut UvmPrefetchAdvisor| {
@@ -294,7 +294,11 @@ fn hotness_tool_sees_persistent_parameter_blocks() {
         .build()
         .unwrap();
     session
-        .run_model_scaled(ModelZoo::Bert, RunKind::Inference, 2, DIV)
+        .run(
+            &mut ModelWorkload::new(ModelZoo::Bert, RunKind::Inference)
+                .steps(2)
+                .batch_divisor(DIV),
+        )
         .unwrap();
     let (blocks, persistent) = session
         .with_tool_mut("hotness", |t: &mut HotnessTool| {
@@ -318,7 +322,7 @@ fn barrier_tool_attributes_stalls_to_gemms() {
         .build()
         .unwrap();
     session
-        .run_model_scaled(ModelZoo::Bert, RunKind::Inference, 1, DIV)
+        .run(&mut ModelWorkload::new(ModelZoo::Bert, RunKind::Inference).batch_divisor(DIV))
         .unwrap();
     let ranking = session
         .with_tool_mut("barrier-stall", |t: &mut BarrierStallTool| t.ranking())
@@ -339,7 +343,7 @@ fn training_emits_balanced_tensor_events() {
         .build()
         .unwrap();
     session
-        .run_model_scaled(ModelZoo::Gpt2, RunKind::Training, 1, 2)
+        .run(&mut ModelWorkload::new(ModelZoo::Gpt2, RunKind::Training).batch_divisor(2))
         .unwrap();
     let series: Vec<_> = session
         .with_tool_mut("memory-timeline", |t: &mut MemoryTimelineTool| {
@@ -372,7 +376,7 @@ fn whisper_runs_all_components() {
         .build()
         .unwrap();
     let r = session
-        .run_model_scaled(ModelZoo::Whisper, RunKind::Inference, 1, 8)
+        .run(&mut ModelWorkload::new(ModelZoo::Whisper, RunKind::Inference).batch_divisor(8))
         .unwrap();
     assert!(r.kernel_launches > 200);
     let has_xattn = session

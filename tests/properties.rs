@@ -173,11 +173,12 @@ fn simulator_is_deterministic_across_runs() {
             .build()
             .unwrap();
         let r = session
-            .run_model_scaled(
-                pasta::dl::models::ModelZoo::Bert,
-                pasta::dl::models::RunKind::Inference,
-                1,
-                8,
+            .run(
+                &mut pasta::core::ModelWorkload::new(
+                    pasta::dl::models::ModelZoo::Bert,
+                    pasta::dl::models::RunKind::Inference,
+                )
+                .batch_divisor(8),
             )
             .unwrap();
         (

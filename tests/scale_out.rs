@@ -5,7 +5,7 @@
 //! * **Tree merges are byte-identical to linear folds.** The session-end
 //!   merge of shards, UVM managers, and hotness trackers was rewritten as
 //!   a pairwise tree reduction; the proptests here pit `tree_reduce`
-//!   against `linear_reduce` over 2–64 shards and 1–8 worker threads.
+//!   against the sequential fold over 2–64 shards and 1–8 worker threads.
 //! * **Lane concurrency is bounded by the pool, not the device count.**
 //!   A 256-device run must complete with at most `max_lane_threads` lane
 //!   workers live at any instant — pinned on the *per-session*
@@ -23,7 +23,7 @@
 
 use std::sync::Mutex;
 
-use pasta::core::merge::{linear_reduce, tree_reduce};
+use pasta::core::merge::tree_reduce;
 use pasta::core::tool::LaunchCounter;
 use pasta::core::{LaneFailure, Pasta, PastaError, PastaSession};
 use pasta::dl::parallel::{self, MoeConfig, Parallelism};
@@ -70,10 +70,14 @@ proptest! {
         threads in 1usize..9,
     ) {
         let items: Vec<UvmStats> = raw.iter().copied().map(stats_from).collect();
-        let linear = linear_reduce(items.clone(), |acc: &mut UvmStats, next| {
-            acc.merge_from(&next);
-        })
-        .expect("non-empty");
+        let linear = items
+            .iter()
+            .copied()
+            .reduce(|mut acc, next| {
+                acc.merge_from(&next);
+                acc
+            })
+            .expect("non-empty");
         let tree = tree_reduce(items, threads, |acc: &mut UvmStats, next| {
             acc.merge_from(&next);
         })

@@ -67,16 +67,25 @@ fn serve_config_on(
     budget: Option<u64>,
     pooled: bool,
 ) -> (ServingRun, PastaSession) {
+    let (run, s) = try_serve_config_on(cfg, devices_n, lane_threads, budget, pooled);
+    (run.expect("serving completes"), s)
+}
+
+fn try_serve_config_on(
+    cfg: &ServingConfig,
+    devices_n: usize,
+    lane_threads: usize,
+    budget: Option<u64>,
+    pooled: bool,
+) -> (Result<ServingRun, PastaError>, PastaSession) {
     let mut s = session(devices_n, lane_threads, budget);
-    let run = s
-        .run_parallel(&devices(devices_n), |lanes| {
-            if pooled {
-                serving::serve(lanes, cfg)
-            } else {
-                serving::serve_sequential_reference(lanes, cfg)
-            }
-        })
-        .expect("serving completes");
+    let run = s.run_parallel(&devices(devices_n), |lanes| {
+        if pooled {
+            serving::serve(lanes, cfg)
+        } else {
+            serving::serve_sequential_reference(lanes, cfg)
+        }
+    });
     (run, s)
 }
 
@@ -238,4 +247,66 @@ fn bigger_budget_means_less_uvm_traffic() {
         tight.demand_pages_in,
         roomy.demand_pages_in
     );
+}
+
+/// `ServingConfig`'s fields are all `pub`; the values the scheduler cannot
+/// run — a KV page that never fills, a batch that admits nothing, a token
+/// range with no sample — are typed config errors from the top of the
+/// dispatch on either schedule, not a hang, a silently empty run or a
+/// salvaged lane panic. An empty request stream is a valid, empty run.
+#[test]
+fn hostile_configs_are_config_errors_and_an_empty_stream_is_an_empty_run() {
+    use pasta::sim::AccelError;
+    let tiny = ServingConfig::tiny();
+    let hostile = [
+        (
+            "kv_page_tokens = 0",
+            ServingConfig {
+                kv_page_tokens: 0,
+                ..tiny.clone()
+            },
+        ),
+        (
+            "max_batch = 0",
+            ServingConfig {
+                max_batch: 0,
+                ..tiny.clone()
+            },
+        ),
+        (
+            "prompt_tokens = (32, 8)",
+            ServingConfig {
+                prompt_tokens: (32, 8),
+                ..tiny.clone()
+            },
+        ),
+        (
+            "decode_tokens = (0, 16)",
+            ServingConfig {
+                decode_tokens: (0, 16),
+                ..tiny.clone()
+            },
+        ),
+    ];
+    for (named, cfg) in &hostile {
+        for pooled in [true, false] {
+            let (result, session) = try_serve_config_on(cfg, 2, 2, None, pooled);
+            let Err(PastaError::Accel(AccelError::Config(message))) = result else {
+                panic!("{named} (pooled={pooled}) must be a config error, got {result:?}");
+            };
+            assert!(message.contains(named), "unhelpful message: {message}");
+            assert!(session.lane_failures().is_empty(), "no lane ever ran");
+        }
+    }
+
+    let empty = ServingConfig {
+        requests: 0,
+        ..tiny
+    };
+    for pooled in [true, false] {
+        let (run, _) = serve_config_on(&empty, 2, 2, None, pooled);
+        assert_eq!(run.lanes.len(), 2, "one entry per lane");
+        assert_eq!(run.completed(), 0);
+        assert!(run.ttft_sorted().is_empty() && run.decode_sorted().is_empty());
+    }
 }

@@ -229,7 +229,7 @@ fn background_drainer_matches_inline_reference() {
     let reference = merged_after(2, 12, SpineMode::Inline, SpineConfig::default(), false);
     let hub = sharded_hub(2);
     let devices = [DeviceId(0), DeviceId(1)];
-    let drainer = SpineDrainer::start(Arc::clone(&hub), &devices);
+    let drainer = SpineDrainer::start_bounded(Arc::clone(&hub), &devices, devices.len());
     std::thread::scope(|scope| {
         for d in 0..2 {
             let hub = &hub;

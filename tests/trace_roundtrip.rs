@@ -55,7 +55,7 @@ fn sequential_run_replays_byte_identically() {
     let mut session = suite_session(Pasta::builder().rtx_3060());
     let writer = TraceWriter::attach(&session);
     session
-        .run_model_scaled(ModelZoo::Bert, RunKind::Inference, 1, 8)
+        .run(&mut ModelWorkload::new(ModelZoo::Bert, RunKind::Inference).batch_divisor(8))
         .expect("profiled run succeeds");
     let captured = writer.events_captured();
     let trace = writer.finish(&session);
@@ -80,7 +80,7 @@ fn trace_survives_a_disk_round_trip() {
     let mut session = suite_session(Pasta::builder().rtx_3060());
     let writer = TraceWriter::attach(&session);
     session
-        .run_model_scaled(ModelZoo::Bert, RunKind::Inference, 1, 4)
+        .run(&mut ModelWorkload::new(ModelZoo::Bert, RunKind::Inference).batch_divisor(4))
         .expect("profiled run succeeds");
     let trace = writer.finish(&session);
     let live = session.merged_report();
@@ -198,14 +198,14 @@ fn detach_stops_capture_mid_session() {
     let mut session = suite_session(Pasta::builder().rtx_3060());
     let writer = TraceWriter::attach(&session);
     session
-        .run_model_scaled(ModelZoo::Bert, RunKind::Inference, 1, 4)
+        .run(&mut ModelWorkload::new(ModelZoo::Bert, RunKind::Inference).batch_divisor(4))
         .expect("first run succeeds");
     let trace = writer.finish(&session);
     let after_first = session.merged_report().events_processed;
 
     // A second run after finish() must not grow the trace.
     session
-        .run_model_scaled(ModelZoo::Bert, RunKind::Inference, 1, 4)
+        .run(&mut ModelWorkload::new(ModelZoo::Bert, RunKind::Inference).batch_divisor(4))
         .expect("second run succeeds");
     assert!(
         session.merged_report().events_processed > after_first,

@@ -1,27 +1,9 @@
 //! Integration tests for the `Workload`-trait session API: arbitrary
 //! workloads run through the same instrumented pipeline as the zoo
-//! models, and the historical model entry points forward losslessly.
+//! models.
 
 use pasta::dl::dtype::DType;
 use pasta::prelude::*;
-
-#[test]
-fn run_model_forwards_identically_through_run() {
-    let build = || {
-        Pasta::builder()
-            .a100()
-            .tool(KernelFrequencyTool::new())
-            .build()
-            .unwrap()
-    };
-    let legacy = build()
-        .run_model_scaled(ModelZoo::Bert, RunKind::Inference, 1, 8)
-        .unwrap();
-    let mut workload = ModelWorkload::new(ModelZoo::Bert, RunKind::Inference).batch_divisor(8);
-    let via_trait = build().run(&mut workload).unwrap();
-    assert_eq!(legacy, via_trait);
-    assert_eq!(via_trait.workload, "BERT inference");
-}
 
 #[test]
 fn kernel_sweep_is_profiled_like_any_model() {
@@ -34,12 +16,15 @@ fn kernel_sweep_is_profiled_like_any_model() {
 
     // Allocate a buffer first so the sweep kernels have real operands the
     // memory tools can characterize.
-    let (ptr, bytes) = session
-        .run_custom(|s| {
-            let t = s.alloc_tensor(&[1 << 18], DType::F32)?;
-            Ok((t.ptr, t.bytes))
-        })
+    let mut operand = None;
+    session
+        .run(&mut FnWorkload::new("alloc-operand", |cx| {
+            let t = cx.alloc_tensor(&[1 << 18], DType::F32)?;
+            operand = Some((t.ptr, t.bytes));
+            Ok(WorkloadStats::new(0))
+        }))
         .unwrap();
+    let (ptr, bytes) = operand.expect("the workload ran");
 
     let mut sweep = KernelSweepWorkload::new("saxpy-sweep")
         .kernels((0..3).map(|i| {
