@@ -621,13 +621,14 @@ impl HubSink {
     /// Creates a sink with an explicit spine mode and ring geometry
     /// (tests shrink the geometry to force wraparound and backpressure).
     pub fn with_spine(hub: SharedHub, mode: SpineMode, config: SpineConfig) -> Self {
-        let batch = config.batch_events.max(1);
         HubSink {
             hub,
             mode,
             config,
-            access_buf: Vec::with_capacity(batch),
-            control_buf: Vec::with_capacity(batch),
+            // Each sized by `reserve_spill` at its class's first event: a
+            // coarse session never sees an access, so never pays for it.
+            access_buf: Vec::new(),
+            control_buf: Vec::new(),
             gate: None,
             bound: DeviceId(0),
             rings: Vec::new(),
@@ -732,6 +733,7 @@ impl HubSink {
     }
 
     fn push_control(&mut self, event: Event) {
+        reserve_spill(&mut self.control_buf, &self.config);
         self.control_buf.push(event);
         if self.control_buf.len() >= self.config.batch_events.max(1) {
             self.flush();
@@ -768,6 +770,14 @@ impl HubSink {
             self.flush();
             self.bound = device;
         }
+    }
+}
+
+/// Gives a spill buffer that has held nothing yet its one batch of room
+/// (every later buffer in that place comes from the ring's pool, sized).
+fn reserve_spill(buf: &mut Vec<Event>, config: &SpineConfig) {
+    if buf.capacity() == 0 {
+        buf.reserve_exact(config.batch_events.max(1));
     }
 }
 
@@ -859,6 +869,7 @@ impl DeviceTraceSink for HubSink {
             return; // no lock taken, no event constructed
         }
         let capacity = self.config.batch_events.max(1);
+        reserve_spill(&mut self.access_buf, &self.config);
         let mut rest = batches;
         while !rest.is_empty() {
             // Fill the spill buffer to where a push-and-check per event
@@ -1087,6 +1098,20 @@ mod tests {
         sink.on_kernel_end(&ctx(), &KernelTraceSummary::default());
         // KernelLaunchBegin + KernelTrace only.
         assert_eq!(hub.events_processed(), 2);
+    }
+
+    #[test]
+    fn a_class_that_never_arrives_leaves_its_spill_buffer_unallocated() {
+        // A coarse session's heap must stay under glibc's trim threshold
+        // (README *Steadiness*): no buffer for a class it never buffers.
+        let hub = new_shared(space_counter_processor());
+        let mut sink = HubSink::new(Arc::clone(&hub));
+        sink.on_kernel_begin(&ctx());
+        sink.on_blocks(&ctx(), 8);
+        sink.on_kernel_end(&ctx(), &KernelTraceSummary::default());
+        assert!(sink.control_buf.capacity() >= SpineConfig::default().batch_events);
+        assert_eq!(sink.access_buf.capacity(), 0);
+        assert_eq!(hub.events_processed(), 3, "begin, block boundary, trace");
     }
 
     #[test]

@@ -64,7 +64,8 @@ pub struct SpineConfig {
     /// Message slots per ring. A slot holds a whole batch, so the default
     /// buffers `ring_slots × batch_events` fine-grained events.
     pub ring_slots: usize,
-    /// Batch buffers preallocated into the free ring.
+    /// Batch buffers a ring's pool may hold, each allocated the first
+    /// time the producer needs one more.
     pub pool_buffers: usize,
     /// Events per batch buffer (the sink's flush threshold).
     pub batch_events: usize,
@@ -243,25 +244,25 @@ pub struct EventRing {
     free: Spsc<Vec<Event>>,
     /// Producer dropped: once also empty, the shard registry prunes it.
     closed: AtomicBool,
-    /// Events per batch buffer, so recycling can restore capacity.
+    /// Events per batch buffer.
     batch_events: usize,
+    /// Pool buffers not allocated yet (producer role only). Eight 26 KB
+    /// blocks built and freed per session put a coarse session's short
+    /// ops at the mercy of glibc's heap trimming (README *Steadiness*).
+    unminted: AtomicUsize,
 }
 
 impl EventRing {
-    /// A ring with the given geometry, its free ring preloaded with
-    /// `pool_buffers` empty batch buffers.
+    /// A ring with the given geometry and a pool of `pool_buffers` batch
+    /// buffers, none of them allocated yet.
     pub fn with_config(config: &SpineConfig) -> EventRing {
-        let ring = EventRing {
+        EventRing {
             msgs: Spsc::new(config.ring_slots),
             free: Spsc::new(config.pool_buffers + 2),
             closed: AtomicBool::new(false),
             batch_events: config.batch_events.max(1),
-        };
-        for _ in 0..config.pool_buffers.max(1) {
-            // Construction precedes sharing, so pushing here is sound.
-            let _ = ring.free.push(Vec::with_capacity(ring.batch_events));
+            unminted: AtomicUsize::new(config.pool_buffers.max(1)),
         }
-        ring
     }
 
     /// Producer: queues `msg`, or hands it back when the ring is full.
@@ -280,10 +281,19 @@ impl EventRing {
         self.msgs.pop()
     }
 
-    /// Producer: a recycled (cleared, preallocated) batch buffer, if the
-    /// consumer has returned one.
+    /// Producer: an empty batch buffer — one the consumer has recycled,
+    /// else the pool's next unallocated one — or `None` when every pool
+    /// buffer is in flight. Dry exactly when a pool allocated up front
+    /// would be, so backpressure sets in at the same message.
     pub fn take_buffer(&self) -> Option<Vec<Event>> {
-        self.free.pop()
+        self.free.pop().or_else(|| {
+            // Relaxed: only the producer reads or writes the count.
+            let unminted = self.unminted.load(Ordering::Relaxed);
+            (unminted > 0).then(|| {
+                self.unminted.store(unminted - 1, Ordering::Relaxed);
+                Vec::with_capacity(self.batch_events)
+            })
+        })
     }
 
     /// Consumer: clears `buf` and returns it to the producer through the
@@ -594,8 +604,13 @@ mod tests {
         };
         let ring = EventRing::with_config(&config);
         let mut processor = EventProcessor::new();
+        assert_eq!(
+            ring.free.len(),
+            0,
+            "no buffer allocated before its first use"
+        );
 
-        let buf = ring.take_buffer().expect("pool preloaded");
+        let buf = ring.take_buffer().expect("pool buffer available");
         assert_eq!(buf.capacity(), 16);
         let mut buf = buf;
         buf.push(event(1));
@@ -606,8 +621,8 @@ mod tests {
         assert_eq!(processor.events_processed(), 2);
 
         // The drained buffer came back through the free ring, cleared,
-        // with its capacity intact: the remaining preloaded buffer plus
-        // the recycled one = 2 takes before the pool runs dry.
+        // with its capacity intact: the pool's second buffer plus the
+        // recycled one = 2 takes before the pool runs dry.
         let mut takes = 0;
         while let Some(b) = ring.take_buffer() {
             assert!(b.is_empty());
