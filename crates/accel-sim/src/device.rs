@@ -6,7 +6,6 @@
 use crate::clock::SimTime;
 use crate::id::{DeviceId, StreamId, Vendor};
 use crate::mem::DeviceAllocator;
-use std::collections::HashMap;
 
 /// Static description of a simulated accelerator.
 ///
@@ -97,8 +96,10 @@ pub struct Device {
     id: DeviceId,
     spec: DeviceSpec,
     allocator: DeviceAllocator,
-    /// Per-stream busy-until times; stream 0 always exists.
-    streams: HashMap<StreamId, SimTime>,
+    /// Per-stream busy-until times in first-use order, stream 0 first (it
+    /// always exists). A device runs a handful of streams, read and
+    /// written once per launch and per copy: a scan beats a hash.
+    streams: Vec<(StreamId, SimTime)>,
     /// Artificial cap on usable memory, used by the UVM experiments to
     /// create oversubscription (the paper pre-allocates to shrink memory).
     usable_capacity: u64,
@@ -113,13 +114,11 @@ impl Device {
         let base = 0x7000_0000_0000u64 + (id.0 as u64) * 0x100_0000_0000;
         let allocator = DeviceAllocator::new(base, spec.mem_capacity);
         let usable = spec.mem_capacity;
-        let mut streams = HashMap::new();
-        streams.insert(0, SimTime::ZERO);
         Device {
             id,
             spec,
             allocator,
-            streams,
+            streams: vec![(0, SimTime::ZERO)],
             usable_capacity: usable,
         }
     }
@@ -146,20 +145,25 @@ impl Device {
 
     /// Busy-until time of `stream` (idle streams report `SimTime::ZERO`).
     pub fn stream_time(&self, stream: StreamId) -> SimTime {
-        self.streams.get(&stream).copied().unwrap_or(SimTime::ZERO)
+        self.streams
+            .iter()
+            .find(|&&(id, _)| id == stream)
+            .map_or(SimTime::ZERO, |&(_, busy)| busy)
     }
 
     /// Advances `stream`'s busy-until time to at least `t`.
     pub fn set_stream_time(&mut self, stream: StreamId, t: SimTime) {
-        let entry = self.streams.entry(stream).or_insert(SimTime::ZERO);
-        *entry = (*entry).max(t);
+        match self.streams.iter_mut().find(|(id, _)| *id == stream) {
+            Some((_, busy)) => *busy = (*busy).max(t),
+            None => self.streams.push((stream, t)),
+        }
     }
 
     /// The latest busy-until time across all streams (device idle time).
     pub fn busy_until(&self) -> SimTime {
         self.streams
-            .values()
-            .copied()
+            .iter()
+            .map(|&(_, busy)| busy)
             .fold(SimTime::ZERO, SimTime::max)
     }
 
@@ -223,6 +227,31 @@ mod tests {
         assert_eq!(d.stream_time(0), SimTime(100));
         d.set_stream_time(3, SimTime(500));
         assert_eq!(d.busy_until(), SimTime(500));
+    }
+
+    #[test]
+    fn sparse_stream_ids_keep_their_own_clocks() {
+        let mut d = Device::new(DeviceId(0), DeviceSpec::rtx_3060());
+        for stream in [0, 3, u32::MAX] {
+            assert_eq!(d.stream_time(stream), SimTime::ZERO, "idle stream");
+        }
+        d.set_stream_time(u32::MAX, SimTime(700));
+        d.set_stream_time(3, SimTime(300));
+        d.set_stream_time(0, SimTime(40));
+        assert_eq!(d.stream_time(0), SimTime(40));
+        assert_eq!(d.stream_time(3), SimTime(300));
+        assert_eq!(d.stream_time(u32::MAX), SimTime(700));
+        assert_eq!(d.stream_time(4), SimTime::ZERO, "never used, still idle");
+        // No clock regresses, on any stream, whatever the order of use.
+        d.set_stream_time(u32::MAX, SimTime(1));
+        d.set_stream_time(3, SimTime(299));
+        d.set_stream_time(0, SimTime(0));
+        assert_eq!(d.stream_time(u32::MAX), SimTime(700));
+        assert_eq!(d.stream_time(3), SimTime(300));
+        assert_eq!(d.stream_time(0), SimTime(40));
+        assert_eq!(d.busy_until(), SimTime(700));
+        d.set_stream_time(3, SimTime(900));
+        assert_eq!(d.busy_until(), SimTime(900));
     }
 
     #[test]

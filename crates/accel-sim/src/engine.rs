@@ -379,11 +379,13 @@ impl Engine {
         if desc.grid.is_empty() || desc.block.is_empty() {
             return Err(AccelError::EmptyLaunch(desc.name.to_string()));
         }
+        // Resolved once: an inline-first list picks its storage per deref.
+        let (args, accesses): (&[_], &[_]) = (&desc.args, &desc.body.accesses);
         // One walk validates every stream and sums what the cost model,
         // the trace summary and the launch record all read.
         let mut global_bytes = 0;
-        for a in &desc.body.accesses {
-            if a.arg_index >= desc.args.len() {
+        for a in accesses {
+            if a.arg_index >= args.len() {
                 return Err(AccelError::InvalidKernelArg {
                     kernel: desc.name.to_string(),
                     arg_index: a.arg_index,
@@ -406,13 +408,13 @@ impl Engine {
         // --- UVM residency resolution -----------------------------------
         let mut uvm = AccessOutcome::HIT;
         if let Some(residency) = self.residency.as_deref_mut() {
-            for a in &desc.body.accesses {
+            for a in accesses {
                 if a.space != MemSpace::Global {
                     continue;
                 }
                 // One lookup: the model answers `HIT` for an address
                 // outside every managed allocation.
-                let arg = desc.args[a.arg_index];
+                let arg = args[a.arg_index];
                 let base = arg.ptr.addr() + a.offset;
                 uvm = uvm.merge(residency.on_kernel_access(device, base, a.len, a.bytes, a.kind));
             }
@@ -439,10 +441,10 @@ impl Engine {
                 let batches = &mut self.batches;
                 batches.clear();
                 if config.global_accesses || config.shared_accesses {
-                    batches.reserve(desc.body.accesses.len());
+                    batches.reserve(accesses.len());
                 }
                 let mut memory_records = 0;
-                for (i, a) in desc.body.accesses.iter().enumerate() {
+                for (i, a) in accesses.iter().enumerate() {
                     let full = a.record_count();
                     memory_records += full;
                     let shared = matches!(a.space, MemSpace::Shared | MemSpace::RemoteShared);
@@ -467,7 +469,7 @@ impl Engine {
                     batches.push(AccessBatch {
                         launch,
                         spec_index: i,
-                        base: desc.args[a.arg_index].ptr.addr() + a.offset,
+                        base: args[a.arg_index].ptr.addr() + a.offset,
                         len: a.len,
                         records,
                         bytes: a.bytes,

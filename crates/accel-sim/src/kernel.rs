@@ -8,6 +8,7 @@
 //! running kernel, produced analytically.
 
 use crate::dim::Dim3;
+use crate::inline_vec::InlineVec;
 use crate::mem::DevicePtr;
 use crate::symbol::Symbol;
 
@@ -53,7 +54,7 @@ pub enum AccessPattern {
 /// One logical access stream of a kernel: which argument buffer it touches,
 /// the extent touched, and how many bytes move in total (reuse makes
 /// `bytes > len` common, e.g. GEMM operands).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessSpec {
     /// Index into [`KernelDesc::args`].
     pub arg_index: usize,
@@ -71,6 +72,14 @@ pub struct AccessSpec {
     pub pattern: AccessPattern,
     /// Element size per lane access, bytes (4 for `f32`, 16 for `float4`).
     pub elem_size: u32,
+}
+
+/// An empty load of argument 0 — the filler of an [`InlineVec`]'s unused
+/// slots, never read as a stream.
+impl Default for AccessSpec {
+    fn default() -> Self {
+        AccessSpec::load(0, 0)
+    }
 }
 
 impl AccessSpec {
@@ -134,8 +143,9 @@ impl AccessSpec {
 pub struct KernelBody {
     /// Floating-point operations executed.
     pub flops: u64,
-    /// Memory access streams.
-    pub accesses: Vec<AccessSpec>,
+    /// Memory access streams; up to eight (the widest operator,
+    /// `adam_step`, has seven) live in the body itself.
+    pub accesses: InlineVec<AccessSpec, 8>,
     /// Static shared memory per block, bytes.
     pub shared_mem_per_block: u64,
     /// `__syncthreads()` executions per block.
@@ -161,33 +171,37 @@ impl KernelBody {
     pub fn streaming(read_bytes: u64, write_bytes: u64) -> Self {
         KernelBody {
             flops: (read_bytes + write_bytes) / 4,
-            accesses: vec![
+            accesses: InlineVec::from_iter([
                 AccessSpec::load(0, read_bytes),
                 AccessSpec::store(usize::MAX, write_bytes), // resolved at launch
-            ],
+            ]),
             ..KernelBody::default()
         }
     }
 
     /// Adds an access stream.
+    #[inline]
     pub fn access(mut self, spec: AccessSpec) -> Self {
         self.accesses.push(spec);
         self
     }
 
     /// Sets FLOPs.
+    #[inline]
     pub fn with_flops(mut self, flops: u64) -> Self {
         self.flops = flops;
         self
     }
 
     /// Sets barriers per block.
+    #[inline]
     pub fn with_barriers(mut self, n: u32) -> Self {
         self.barriers_per_block = n;
         self
     }
 
     /// Sets shared memory per block.
+    #[inline]
     pub fn with_shared_mem(mut self, bytes: u64) -> Self {
         self.shared_mem_per_block = bytes;
         self
@@ -235,6 +249,16 @@ pub struct KernelArg {
     pub len: u64,
 }
 
+/// A null, empty buffer — the filler of an [`InlineVec`]'s unused slots.
+impl Default for KernelArg {
+    fn default() -> Self {
+        KernelArg {
+            ptr: DevicePtr(0),
+            len: 0,
+        }
+    }
+}
+
 /// Full description of a kernel launch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelDesc {
@@ -247,25 +271,27 @@ pub struct KernelDesc {
     pub grid: Dim3,
     /// Block dimensions.
     pub block: Dim3,
-    /// Argument buffers.
-    pub args: Vec<KernelArg>,
+    /// Argument buffers; up to eight live in the descriptor itself.
+    pub args: InlineVec<KernelArg, 8>,
     /// Dynamic behaviour summary.
     pub body: KernelBody,
 }
 
 impl KernelDesc {
     /// Creates a kernel description with no arguments and an empty body.
+    #[inline]
     pub fn new(name: impl Into<Symbol>, grid: Dim3, block: Dim3) -> Self {
         KernelDesc {
             name: name.into(),
             grid,
             block,
-            args: Vec::new(),
+            args: InlineVec::new(),
             body: KernelBody::default(),
         }
     }
 
     /// Appends an argument buffer.
+    #[inline]
     pub fn arg(mut self, ptr: DevicePtr, len: u64) -> Self {
         self.args.push(KernelArg { ptr, len });
         self
@@ -273,6 +299,7 @@ impl KernelDesc {
 
     /// Sets the body, resolving any `usize::MAX` arg indices (used by
     /// [`KernelBody::streaming`]) to the last bound argument.
+    #[inline]
     pub fn body(mut self, mut body: KernelBody) -> Self {
         let last = self.args.len().saturating_sub(1);
         for a in &mut body.accesses {

@@ -54,6 +54,7 @@ pub mod dim;
 pub mod engine;
 pub mod error;
 pub mod id;
+pub mod inline_vec;
 pub mod instrument;
 pub mod kernel;
 pub mod mem;
@@ -71,6 +72,7 @@ pub use dim::Dim3;
 pub use engine::Engine;
 pub use error::{panic_message, AccelError};
 pub use id::{AllocId, DeviceId, LaunchId, StreamId, Vendor};
+pub use inline_vec::InlineVec;
 pub use instrument::{
     BackendCosts, DeviceTraceSink, OverheadBreakdown, ProfilerHandle, TraceCtx, TraceProfiler,
 };

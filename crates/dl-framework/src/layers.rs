@@ -1628,7 +1628,7 @@ mod tests {
 
         let input = s.alloc_tensor(&[32, 512], DType::F32).unwrap();
         let out = seq.forward(&mut s, input, true).unwrap();
-        assert_eq!(out.shape, vec![32, 10]);
+        assert_eq!(out.shape.to_vec(), vec![32, 10]);
         let grad = s.alloc_tensor(&[32, 10], DType::F32).unwrap();
         let g_in = seq.backward(&mut s, grad).unwrap();
         s.free_tensor(&g_in);
@@ -1674,7 +1674,7 @@ mod tests {
         let params = s.allocator_stats().allocated;
         let input = s.alloc_tensor(&[2, 16, 128], DType::F32).unwrap();
         let out = seq.forward(&mut s, input, true).unwrap();
-        assert_eq!(out.shape, vec![2, 16, 128]);
+        assert_eq!(out.shape.to_vec(), vec![2, 16, 128]);
         let grad = s.alloc_tensor(&[2, 16, 128], DType::F32).unwrap();
         let g_in = seq.backward(&mut s, grad).unwrap();
         s.free_tensor(&g_in);
@@ -1697,7 +1697,7 @@ mod tests {
         let params = s.allocator_stats().allocated;
         let input = s.alloc_tensor(&[4, 64, 56, 56], DType::F32).unwrap();
         let out = seq.forward(&mut s, input, true).unwrap();
-        assert_eq!(out.shape, vec![4, 128, 28, 28]);
+        assert_eq!(out.shape.to_vec(), vec![4, 128, 28, 28]);
         let grad = s.alloc_tensor(&out.shape, DType::F32).unwrap();
         let g_in = seq.backward(&mut s, grad).unwrap();
         s.free_tensor(&g_in);

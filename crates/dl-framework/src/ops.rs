@@ -11,6 +11,7 @@
 use crate::dtype::DType;
 use crate::session::Session;
 use crate::tensor::Tensor;
+use accel_sim::kernel::KernelArg;
 use accel_sim::{
     AccelError, AccessKind, AccessPattern, AccessSpec, Dim3, KernelBody, KernelDesc, MemSpace,
 };
@@ -27,11 +28,22 @@ pub enum Act {
 }
 
 impl Act {
-    fn kernel_suffix(self) -> &'static str {
+    /// GEMM kernel-name suffix: the operand layout, then the epilogue
+    /// this activation fuses in.
+    fn gemm_suffix(self) -> &'static str {
         match self {
-            Act::None => "",
-            Act::Relu => "_relu",
-            Act::Gelu => "_gelu",
+            Act::None => "_tn",
+            Act::Relu => "_tn_relu",
+            Act::Gelu => "_tn_gelu",
+        }
+    }
+
+    /// Implicit-GEMM convolution kernel with this activation fused in.
+    fn fused_conv_name(self) -> &'static str {
+        match self {
+            Act::None => "implicit_convolve_sgemm",
+            Act::Relu => "implicit_convolve_sgemm_relu",
+            Act::Gelu => "implicit_convolve_sgemm_gelu",
         }
     }
 
@@ -86,15 +98,8 @@ pub fn gemm_kernel(
     } else {
         None
     };
-    let name = if fused {
-        format!(
-            "{}{}",
-            s.backend().gemm_kernel(&format!("{tile_label}_tn")),
-            act.kernel_suffix()
-        )
-    } else {
-        s.backend().gemm_kernel(&format!("{tile_label}_tn"))
-    };
+    let epilogue = if fused { act } else { Act::None };
+    let name = s.backend().gemm_kernel(tile_label, epilogue.gemm_suffix());
     let grid = Dim3::plane(
         ceil_div(n, TILE).max(1) as u32,
         ceil_div(m, 64).max(1) as u32,
@@ -118,16 +123,23 @@ pub fn gemm_kernel(
         );
     if fused {
         if let Some(bias) = bias {
-            desc = desc.arg(bias.ptr, bias.bytes);
-            body = body.access(
+            desc.args.push(KernelArg {
+                ptr: bias.ptr,
+                len: bias.bytes,
+            });
+            body.accesses.push(
                 AccessSpec::load(3, bias.bytes).with_bytes(bias.bytes * ceil_div(m, TILE).max(1)),
             );
         }
     }
     if let Some(ws) = &workspace {
         let idx = desc.args.len();
-        desc = desc.arg(ws.ptr, ws.bytes);
-        body = body.access(AccessSpec::load(idx, ws.bytes.min(c_bytes)).with_bytes(c_bytes / 8));
+        desc.args.push(KernelArg {
+            ptr: ws.ptr,
+            len: ws.bytes,
+        });
+        body.accesses
+            .push(AccessSpec::load(idx, ws.bytes.min(c_bytes)).with_bytes(c_bytes / 8));
     }
     s.launch(desc.body(body))?;
 
@@ -215,11 +227,18 @@ pub fn elementwise(
     let mut desc = KernelDesc::new(name, g, blk);
     let mut body = KernelBody::default().with_flops(out.numel());
     for (i, t) in inputs.iter().enumerate() {
-        desc = desc.arg(t.ptr, t.bytes);
-        body = body.access(AccessSpec::load(i, t.bytes));
+        desc.args.push(KernelArg {
+            ptr: t.ptr,
+            len: t.bytes,
+        });
+        body.accesses.push(AccessSpec::load(i, t.bytes));
     }
-    desc = desc.arg(out.ptr, out.bytes);
-    body = body.access(AccessSpec::store(inputs.len(), out.bytes));
+    desc.args.push(KernelArg {
+        ptr: out.ptr,
+        len: out.bytes,
+    });
+    body.accesses
+        .push(AccessSpec::store(inputs.len(), out.bytes));
     s.launch(desc.body(body))?;
     Ok(out)
 }
@@ -394,11 +413,8 @@ pub fn conv2d(
                 ceil_div(m, 64).max(1) as u32,
             );
             let fused = s.backend().fused_epilogue;
-            let name = if fused && (bias.is_some() || act != Act::None) {
-                format!("implicit_convolve_sgemm{}", act.kernel_suffix())
-            } else {
-                "implicit_convolve_sgemm".to_owned()
-            };
+            let epilogue = if fused { act } else { Act::None };
+            let name = epilogue.fused_conv_name();
             let mut desc = KernelDesc::new(name, grid, Dim3::linear(256))
                 .arg(x.ptr, x.bytes)
                 .arg(w.ptr, w.bytes)
@@ -414,8 +430,11 @@ pub fn conv2d(
                 .access(AccessSpec::load(3, ws.bytes).with_bytes(ws.bytes / 2));
             if fused {
                 if let Some(b) = bias {
-                    desc = desc.arg(b.ptr, b.bytes);
-                    body = body.access(AccessSpec::load(4, b.bytes));
+                    desc.args.push(KernelArg {
+                        ptr: b.ptr,
+                        len: b.bytes,
+                    });
+                    body.accesses.push(AccessSpec::load(4, b.bytes));
                 }
             }
             s.launch(desc.body(body))?;
@@ -908,15 +927,13 @@ pub fn allreduce(s: &mut Session<'_>, t: &Tensor) -> Result<(), AccelError> {
     let name = s.backend().collective_kernel("AllReduce_RING_LL");
     s.with_op("c10d::allreduce_", |s| {
         let (g, blk) = launch_cfg(t.numel() / 8);
-        let desc = KernelDesc::new(name.clone(), g, blk)
-            .arg(t.ptr, t.bytes)
-            .body(
-                KernelBody::default()
-                    .with_flops(t.numel())
-                    // Ring all-reduce moves ~2× the payload per rank.
-                    .access(AccessSpec::load(0, t.bytes).with_bytes(2 * t.bytes))
-                    .access(AccessSpec::store(0, t.bytes)),
-            );
+        let desc = KernelDesc::new(name, g, blk).arg(t.ptr, t.bytes).body(
+            KernelBody::default()
+                .with_flops(t.numel())
+                // Ring all-reduce moves ~2× the payload per rank.
+                .access(AccessSpec::load(0, t.bytes).with_bytes(2 * t.bytes))
+                .access(AccessSpec::store(0, t.bytes)),
+        );
         s.launch(desc)?;
         Ok(())
     })
@@ -946,13 +963,11 @@ pub fn all_to_all(s: &mut Session<'_>, t: &Tensor, world: usize) -> Result<(), A
             }
         }
         let (g, blk) = launch_cfg(t.numel() / 8);
-        let desc = KernelDesc::new(name.clone(), g, blk)
-            .arg(t.ptr, t.bytes)
-            .body(
-                KernelBody::default()
-                    .access(AccessSpec::load(0, t.bytes))
-                    .access(AccessSpec::store(0, t.bytes)),
-            );
+        let desc = KernelDesc::new(name, g, blk).arg(t.ptr, t.bytes).body(
+            KernelBody::default()
+                .access(AccessSpec::load(0, t.bytes))
+                .access(AccessSpec::store(0, t.bytes)),
+        );
         s.launch(desc)?;
         Ok(())
     })
@@ -963,13 +978,11 @@ pub fn send_recv(s: &mut Session<'_>, t: &Tensor) -> Result<(), AccelError> {
     let name = s.backend().collective_kernel("SendRecv");
     s.with_op("c10d::send", |s| {
         let (g, blk) = launch_cfg(t.numel() / 8);
-        let desc = KernelDesc::new(name.clone(), g, blk)
-            .arg(t.ptr, t.bytes)
-            .body(
-                KernelBody::default()
-                    .access(AccessSpec::load(0, t.bytes))
-                    .access(AccessSpec::store(0, t.bytes)),
-            );
+        let desc = KernelDesc::new(name, g, blk).arg(t.ptr, t.bytes).body(
+            KernelBody::default()
+                .access(AccessSpec::load(0, t.bytes))
+                .access(AccessSpec::store(0, t.bytes)),
+        );
         s.launch(desc)?;
         Ok(())
     })
@@ -994,7 +1007,7 @@ mod tests {
             let w = s.alloc_tensor(&[3072, 768], DType::F32).unwrap();
             let b = s.alloc_tensor(&[3072], DType::F32).unwrap();
             let y = linear(s, &x, &w, Some(&b), Act::Gelu).unwrap();
-            assert_eq!(y.shape, vec![16, 128, 3072]);
+            assert_eq!(y.shape.to_vec(), vec![16, 128, 3072]);
             // NVIDIA backend fuses: one GEMM kernel only.
             assert_eq!(s.kernels_launched(), 1);
         });
@@ -1029,7 +1042,7 @@ mod tests {
             let w = s.alloc_tensor(&[64, 3 * 11 * 11], DType::F32).unwrap();
             let before = s.allocator_stats().allocated;
             let y = conv2d(s, &x, &w, None, cfg, Act::None).unwrap();
-            assert_eq!(y.shape, vec![8, 64, 55, 55]);
+            assert_eq!(y.shape.to_vec(), vec![8, 64, 55, 55]);
             // im2col + gemm, and the column buffer was freed.
             assert_eq!(s.kernels_launched(), 2);
             s.release_workspaces();
@@ -1059,7 +1072,7 @@ mod tests {
             };
             let w = s.alloc_tensor(&[64, 64 * 9], DType::F32).unwrap();
             let y = conv2d(s, &x, &w, None, cfg, Act::None).unwrap();
-            assert_eq!(y.shape, vec![8, 64, 56, 56]);
+            assert_eq!(y.shape.to_vec(), vec![8, 64, 56, 56]);
             assert_eq!(s.kernels_launched(), 1, "single implicit-gemm kernel");
         });
     }
@@ -1070,7 +1083,7 @@ mod tests {
             let table = s.alloc_tensor(&[50257, 768], DType::F32).unwrap();
             let idx = s.alloc_tensor(&[8, 1024], DType::I64).unwrap();
             let y = embedding(s, &table, &idx).unwrap();
-            assert_eq!(y.shape, vec![8, 1024, 768]);
+            assert_eq!(y.shape.to_vec(), vec![8, 1024, 768]);
         });
     }
 
@@ -1083,7 +1096,7 @@ mod tests {
             let (gx, gw, gb) = linear_backward(s, &x, &w, &gy, true).unwrap();
             assert_eq!(gx.shape, x.shape);
             assert_eq!(gw.shape, w.shape);
-            assert_eq!(gb.unwrap().shape, vec![256]);
+            assert_eq!(gb.unwrap().shape.to_vec(), vec![256]);
             assert_eq!(s.kernels_launched(), 3, "dgrad + wgrad + bias reduce");
         });
     }
@@ -1094,7 +1107,7 @@ mod tests {
             let logits = s.alloc_tensor(&[128, 1000], DType::F32).unwrap();
             let before = s.allocator_stats().allocated;
             let loss = cross_entropy(s, &logits).unwrap();
-            assert_eq!(loss.shape, vec![1]);
+            assert_eq!(loss.shape.to_vec(), vec![1]);
             let after = s.allocator_stats().allocated;
             assert_eq!(after, before + 512, "only the scalar loss survives");
         });
@@ -1105,7 +1118,7 @@ mod tests {
         with_session(|s| {
             let x = s.alloc_tensor(&[4, 64, 55, 55], DType::F32).unwrap();
             let y = maxpool2d(s, &x, 3, 2).unwrap();
-            assert_eq!(y.shape, vec![4, 64, 27, 27]);
+            assert_eq!(y.shape.to_vec(), vec![4, 64, 27, 27]);
         });
     }
 

@@ -48,6 +48,7 @@
 use crate::dtype::DType;
 use crate::models::transformer::LmDims;
 use crate::parallel::{drive_lanes, DeviceLane, LaneSchedule};
+use accel_sim::kernel::KernelArg;
 use accel_sim::{AccelError, AccessSpec, DeviceId, DevicePtr, Dim3, KernelBody, KernelDesc};
 use std::collections::VecDeque;
 
@@ -414,12 +415,15 @@ fn serve_lane(
                     let mut body = KernelBody::default()
                         .with_flops(u64::from(slot.req.prompt_tokens) * prompt_bytes);
                     for (i, &(_, used)) in slot.pages.iter().enumerate() {
-                        body = body.access(AccessSpec::store(i, used));
+                        body.accesses.push(AccessSpec::store(i, used));
                     }
                     let mut desc =
                         KernelDesc::new("serving_prefill", Dim3::linear(8), Dim3::linear(128));
                     for &(ptr, _) in &slot.pages {
-                        desc = desc.arg(ptr, page_bytes);
+                        desc.args.push(KernelArg {
+                            ptr,
+                            len: page_bytes,
+                        });
                     }
                     let rec = s.launch(desc.body(body))?;
                     clock_ns += rec.end - rec.start;
@@ -438,14 +442,17 @@ fn serve_lane(
                     // appends this token's KV to the newest page.
                     let mut body = KernelBody::default().with_flops(slot.kv_bytes);
                     for (j, &(_, used)) in slot.pages.iter().enumerate() {
-                        body = body.access(AccessSpec::load(j, used));
+                        body.accesses.push(AccessSpec::load(j, used));
                     }
                     let last = slot.pages.len() - 1;
-                    body = body.access(AccessSpec::store(last, kv_per_token));
+                    body.accesses.push(AccessSpec::store(last, kv_per_token));
                     let mut desc =
                         KernelDesc::new("serving_decode_attn", Dim3::linear(4), Dim3::linear(128));
                     for &(ptr, _) in &slot.pages {
-                        desc = desc.arg(ptr, page_bytes);
+                        desc.args.push(KernelArg {
+                            ptr,
+                            len: page_bytes,
+                        });
                     }
                     let rec = s.launch(desc.body(body))?;
                     let attn_ns = rec.end - rec.start;

@@ -13,12 +13,13 @@ use crate::dtype::DType;
 use crate::pycall::{PyFrame, PyStack};
 use crate::tensor::{Tensor, TensorId};
 use accel_sim::{AccelError, DeviceId, DeviceRuntime, KernelDesc, LaunchRecord, Symbol};
-use std::collections::HashMap;
 
 /// A live framework session over a device runtime.
 pub struct Session<'rt> {
     rt: &'rt mut dyn DeviceRuntime,
-    allocators: HashMap<DeviceId, CachingAllocator>,
+    /// One allocator per device that ever allocated, in ascending device
+    /// order (one entry in every lane).
+    allocators: Vec<(DeviceId, CachingAllocator)>,
     allocator_config: AllocatorConfig,
     callbacks: CallbackRegistry,
     py: PyStack,
@@ -29,8 +30,9 @@ pub struct Session<'rt> {
     /// cuBLASLt-style GEMM workspace per device: allocated lazily, grown
     /// (free + realloc) when a larger GEMM arrives, and held for the
     /// session — the fused NVIDIA path's "slightly higher peak memory"
-    /// of the paper's Fig. 14.
-    gemm_workspace: HashMap<DeviceId, Tensor>,
+    /// of the paper's Fig. 14. Ascending device order, which is the order
+    /// [`Session::release_workspaces`] frees them in.
+    gemm_workspace: Vec<(DeviceId, Tensor)>,
 }
 
 impl std::fmt::Debug for Session<'_> {
@@ -60,7 +62,7 @@ impl<'rt> Session<'rt> {
     ) -> Self {
         Session {
             rt,
-            allocators: HashMap::new(),
+            allocators: Vec::new(),
             allocator_config,
             callbacks: CallbackRegistry::new(),
             py: PyStack::new(),
@@ -68,7 +70,7 @@ impl<'rt> Session<'rt> {
             next_tensor: 0,
             op_seq: 0,
             kernels_launched: 0,
-            gemm_workspace: HashMap::new(),
+            gemm_workspace: Vec::new(),
         }
     }
 
@@ -109,18 +111,26 @@ impl<'rt> Session<'rt> {
 
     /// Allocator statistics for a specific device (multi-GPU reports).
     pub fn allocator_stats_for(&self, device: DeviceId) -> AllocatorStats {
-        self.allocators
-            .get(&device)
+        self.allocator_for(device)
             .map(CachingAllocator::stats)
             .unwrap_or_default()
+    }
+
+    /// Where `device`'s allocator is in `allocators`, or where it would go.
+    fn allocator_slot(&self, device: DeviceId) -> Result<usize, usize> {
+        self.allocators.binary_search_by_key(&device, |&(d, _)| d)
+    }
+
+    /// `device`'s allocator, if the device ever allocated.
+    fn allocator_for(&self, device: DeviceId) -> Option<&CachingAllocator> {
+        let slot = self.allocator_slot(device).ok()?;
+        Some(&self.allocators[slot].1)
     }
 
     /// Live allocator segment ranges on the current device — the memory
     /// *objects* that object-level UVM prefetching moves wholesale.
     pub fn allocator_segments(&self) -> Vec<(u64, u64)> {
-        let dev = self.rt.current_device();
-        self.allocators
-            .get(&dev)
+        self.allocator_for(self.rt.current_device())
             .map(CachingAllocator::segments)
             .unwrap_or_default()
     }
@@ -130,22 +140,29 @@ impl<'rt> Session<'rt> {
     ///
     /// # Errors
     ///
-    /// Propagates allocator out-of-memory.
+    /// Propagates allocator out-of-memory, and — on a device's first
+    /// allocation — [`AccelError::Config`] from
+    /// [`AllocatorConfig::validate`].
     pub fn alloc_tensor(&mut self, shape: &[usize], dtype: DType) -> Result<Tensor, AccelError> {
         let bytes = Tensor::bytes_for(shape, dtype);
         let dev = self.rt.current_device();
-        let config = self.allocator_config.clone();
-        let allocator = self
-            .allocators
-            .entry(dev)
-            .or_insert_with(|| CachingAllocator::new(config));
+        let slot = match self.allocator_slot(dev) {
+            Ok(slot) => slot,
+            Err(slot) => {
+                self.allocator_config.validate()?;
+                let allocator = CachingAllocator::new(self.allocator_config.clone());
+                self.allocators.insert(slot, (dev, allocator));
+                slot
+            }
+        };
+        let allocator = &mut self.allocators[slot].1;
         let (ptr, _rounded) = allocator.alloc(&mut *self.rt, bytes)?;
-        let stats = self.allocators[&dev].stats();
+        let stats = allocator.stats();
         let id = TensorId(self.next_tensor);
         self.next_tensor += 1;
         let tensor = Tensor {
             id,
-            shape: shape.to_vec(),
+            shape: shape.into(),
             dtype,
             ptr,
             bytes,
@@ -174,13 +191,14 @@ impl<'rt> Session<'rt> {
     /// get a value-level error instead.
     pub fn free_tensor(&mut self, tensor: &Tensor) {
         let dev = self.rt.current_device();
-        let allocator = self.allocators.get_mut(&dev).unwrap_or_else(|| {
+        let Ok(slot) = self.allocator_slot(dev) else {
             panic!(
                 "free_tensor on {dev}: no allocation ever happened on this \
                  device (was the tensor allocated while another device was \
                  current?)"
             )
-        });
+        };
+        let allocator = &mut self.allocators[slot].1;
         allocator.free(tensor.ptr);
         let stats = allocator.stats();
         self.callbacks.emit(&FrameworkEvent::TensorFree {
@@ -205,7 +223,7 @@ impl<'rt> Session<'rt> {
     /// PyTorch).
     pub fn try_free_tensor(&mut self, tensor: &Tensor) -> Result<(), AccelError> {
         let dev = self.rt.current_device();
-        if !self.allocators.contains_key(&dev) {
+        if self.allocator_slot(dev).is_err() {
             return Err(AccelError::UnknownDevice(dev));
         }
         self.free_tensor(tensor);
@@ -311,25 +329,28 @@ impl<'rt> Session<'rt> {
     /// Propagates allocator out-of-memory.
     pub fn ensure_gemm_workspace(&mut self, bytes: u64) -> Result<Tensor, AccelError> {
         let dev = self.rt.current_device();
-        if let Some(ws) = self.gemm_workspace.get(&dev) {
-            if ws.bytes >= bytes {
-                return Ok(ws.clone());
+        let slot = match self.gemm_workspace.binary_search_by_key(&dev, |&(d, _)| d) {
+            Ok(slot) => {
+                let ws = self.gemm_workspace[slot].1.clone();
+                if ws.bytes >= bytes {
+                    return Ok(ws);
+                }
+                self.free_tensor(&ws);
+                self.gemm_workspace.remove(slot);
+                slot
             }
-            let old = ws.clone();
-            self.free_tensor(&old);
-            self.gemm_workspace.remove(&dev);
-        }
+            Err(slot) => slot,
+        };
         let ws = self.alloc_tensor(&[(bytes / 4).max(1) as usize], DType::F32)?;
-        self.gemm_workspace.insert(dev, ws.clone());
+        self.gemm_workspace.insert(slot, (dev, ws.clone()));
         Ok(ws)
     }
 
-    /// Frees all cached GEMM workspaces (call before final memory
-    /// accounting; the runner does this automatically).
+    /// Frees all cached GEMM workspaces, lowest device first (call before
+    /// final memory accounting; the runner does this automatically).
     pub fn release_workspaces(&mut self) {
-        let entries: Vec<(DeviceId, Tensor)> = self.gemm_workspace.drain().collect();
         let current = self.rt.current_device();
-        for (dev, ws) in entries {
+        for (dev, ws) in std::mem::take(&mut self.gemm_workspace) {
             let _ = self.rt.set_device(dev);
             self.free_tensor(&ws);
         }
@@ -416,6 +437,83 @@ mod tests {
         let s = Session::new(&mut rt);
         assert_eq!(s.backend().vendor, accel_sim::Vendor::Amd);
         assert!(!s.backend().fused_epilogue);
+    }
+
+    #[test]
+    fn workspaces_release_lowest_device_first_in_every_session() {
+        // (device, addr, freed?) of every tensor event of one session that
+        // ran a GEMM on device 1, then on device 0.
+        let run = || {
+            let mut rt = CudaContext::new(vec![DeviceSpec::a100_80gb(); 2]);
+            let mut s = Session::new(&mut rt);
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let l2 = Arc::clone(&log);
+            s.subscribe(Box::new(move |e| match e {
+                FrameworkEvent::TensorAlloc { device, addr, .. } => {
+                    l2.lock().push((*device, *addr, false))
+                }
+                FrameworkEvent::TensorFree { device, addr, .. } => {
+                    l2.lock().push((*device, *addr, true))
+                }
+                _ => {}
+            }));
+            for device in [DeviceId(1), DeviceId(0)] {
+                s.runtime_mut().set_device(device).unwrap();
+                s.ensure_gemm_workspace(4 << 20).unwrap();
+            }
+            s.release_workspaces();
+            assert_eq!(s.runtime().current_device(), DeviceId(0), "restored");
+            for device in [DeviceId(0), DeviceId(1)] {
+                assert_eq!(s.allocator_stats_for(device).allocated, 0);
+            }
+            let events = log.lock().clone();
+            events
+        };
+        let first = run();
+        let freed: Vec<DeviceId> = first
+            .iter()
+            .filter(|(_, _, freed)| *freed)
+            .map(|(device, ..)| *device)
+            .collect();
+        assert_eq!(freed, [DeviceId(0), DeviceId(1)]);
+        for session in 1..20 {
+            assert_eq!(run(), first, "session {session} emitted another order");
+        }
+    }
+
+    #[test]
+    fn a_hostile_allocator_config_is_a_typed_error_on_the_first_allocation() {
+        let hostile = [
+            AllocatorConfig {
+                round: 0,
+                ..AllocatorConfig::default()
+            },
+            AllocatorConfig {
+                round: 768,
+                ..AllocatorConfig::default()
+            },
+            AllocatorConfig {
+                large_segment: 4 << 20,
+                ..AllocatorConfig::default()
+            },
+            AllocatorConfig {
+                small_segment: 64 << 10,
+                ..AllocatorConfig::managed()
+            },
+        ];
+        for config in hostile {
+            let mut rt = CudaContext::new(vec![DeviceSpec::rtx_3060()]);
+            let mut s = Session::with_config(&mut rt, BackendProfile::nvidia(), config.clone());
+            for _ in 0..2 {
+                let refused = s.alloc_tensor(&[9 << 20], DType::F32);
+                assert!(
+                    matches!(&refused, Err(AccelError::Config(m)) if m.contains("AllocatorConfig::")),
+                    "{config:?}: {refused:?}"
+                );
+            }
+            assert_eq!(s.allocator_stats(), AllocatorStats::default());
+            assert!(s.allocator_segments().is_empty(), "no allocator was built");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Tensors: shaped, typed views over caching-allocator blocks.
 
 use crate::dtype::DType;
-use accel_sim::DevicePtr;
+use accel_sim::{DevicePtr, InlineVec};
 use std::fmt;
 
 /// Unique tensor identifier within a session.
@@ -14,13 +14,14 @@ impl fmt::Display for TensorId {
     }
 }
 
-/// A dense tensor. Cheap to clone: it is a handle, not the data.
+/// A dense tensor. Cheap to clone: it is a handle, not the data, and up to
+/// rank four the handle owns no heap block — a clone is a 64-byte copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tensor {
     /// Session-unique id.
     pub id: TensorId,
-    /// Dimension extents.
-    pub shape: Vec<usize>,
+    /// Dimension extents; ranks above four spill to the heap.
+    pub shape: InlineVec<usize, 4>,
     /// Element type.
     pub dtype: DType,
     /// Base device pointer (inside a caching-allocator segment).
@@ -73,7 +74,7 @@ mod tests {
         let bytes = Tensor::bytes_for(&shape, DType::F32);
         Tensor {
             id: TensorId(1),
-            shape,
+            shape: shape.into(),
             dtype: DType::F32,
             ptr: DevicePtr(0x1000),
             bytes,

@@ -183,6 +183,21 @@ impl<C: Vocabulary> Context<C> {
         self.emit(C::api_exit(name, self.current, self.engine.host_now()));
     }
 
+    /// Brackets a fallible API call: the exit callback follows the enter
+    /// whether `call` succeeded or not, so a subscriber pairing the two
+    /// (an API-latency tool, a call-stack tracker) never holds an open
+    /// call after an out-of-memory `malloc` or a rejected launch.
+    fn api_call<T>(
+        &mut self,
+        name: &'static str,
+        call: impl FnOnce(&mut Self) -> Result<T, AccelError>,
+    ) -> Result<T, AccelError> {
+        self.emit_api(name);
+        let outcome = call(self);
+        self.emit_api_exit(name);
+        outcome
+    }
+
     /// Drains the residency model's peer-to-peer coherence log (shared
     /// managed ranges: read duplications, write invalidations).
     fn take_peer_transfers(&mut self) -> Vec<PeerTransfer> {
@@ -248,35 +263,35 @@ impl<C: Vocabulary> DeviceRuntime for Context<C> {
     }
 
     fn malloc(&mut self, bytes: u64) -> Result<DevicePtr, AccelError> {
-        self.emit_api(C::MALLOC);
-        let addr = self.engine.malloc_info(self.current, bytes)?.addr;
-        let at = self.engine.host_now();
-        self.emit(C::alloc(self.current, addr, bytes, false, at));
-        self.emit_api_exit(C::MALLOC);
-        Ok(DevicePtr(addr))
+        self.api_call(C::MALLOC, |this| {
+            let addr = this.engine.malloc_info(this.current, bytes)?.addr;
+            let at = this.engine.host_now();
+            this.emit(C::alloc(this.current, addr, bytes, false, at));
+            Ok(DevicePtr(addr))
+        })
     }
 
     fn malloc_managed(&mut self, bytes: u64) -> Result<DevicePtr, AccelError> {
-        self.emit_api(C::MALLOC_MANAGED);
-        let addr = self.engine.malloc_managed(bytes)?.addr;
-        let at = self.engine.host_now();
-        self.emit(C::alloc(self.current, addr, bytes, true, at));
-        self.emit_api_exit(C::MALLOC_MANAGED);
-        Ok(DevicePtr(addr))
+        self.api_call(C::MALLOC_MANAGED, |this| {
+            let addr = this.engine.malloc_managed(bytes)?.addr;
+            let at = this.engine.host_now();
+            this.emit(C::alloc(this.current, addr, bytes, true, at));
+            Ok(DevicePtr(addr))
+        })
     }
 
     fn free(&mut self, ptr: DevicePtr) -> Result<(), AccelError> {
-        self.emit_api(C::FREE);
-        let addr = ptr.addr();
-        let alloc = if Engine::is_managed_addr(addr) {
-            self.engine.free_managed(addr)?
-        } else {
-            self.engine.free(self.current, addr)?
-        };
-        let at = self.engine.host_now();
-        self.emit(C::free(self.current, addr, alloc.size, alloc.managed, at));
-        self.emit_api_exit(C::FREE);
-        Ok(())
+        self.api_call(C::FREE, |this| {
+            let addr = ptr.addr();
+            let alloc = if Engine::is_managed_addr(addr) {
+                this.engine.free_managed(addr)?
+            } else {
+                this.engine.free(this.current, addr)?
+            };
+            let at = this.engine.host_now();
+            this.emit(C::free(this.current, addr, alloc.size, alloc.managed, at));
+            Ok(())
+        })
     }
 
     fn memcpy(
@@ -286,20 +301,20 @@ impl<C: Vocabulary> DeviceRuntime for Context<C> {
         bytes: u64,
         dir: CopyDirection,
     ) -> Result<(), AccelError> {
-        self.emit_api(C::MEMCPY);
-        self.engine.memcpy(self.current, dst, src, bytes, dir)?;
-        self.emit(C::copy(self.current, dir, bytes, self.engine.host_now()));
-        self.emit_api_exit(C::MEMCPY);
-        Ok(())
+        self.api_call(C::MEMCPY, |this| {
+            this.engine.memcpy(this.current, dst, src, bytes, dir)?;
+            this.emit(C::copy(this.current, dir, bytes, this.engine.host_now()));
+            Ok(())
+        })
     }
 
     fn memset(&mut self, dst: DevicePtr, bytes: u64) -> Result<(), AccelError> {
-        self.emit_api(C::MEMSET);
-        self.engine.memset(self.current, dst, bytes)?;
-        let at = self.engine.host_now();
-        self.emit(C::set(self.current, dst.addr(), bytes, at));
-        self.emit_api_exit(C::MEMSET);
-        Ok(())
+        self.api_call(C::MEMSET, |this| {
+            this.engine.memset(this.current, dst, bytes)?;
+            let at = this.engine.host_now();
+            this.emit(C::set(this.current, dst.addr(), bytes, at));
+            Ok(())
+        })
     }
 
     fn launch_on(
@@ -307,29 +322,32 @@ impl<C: Vocabulary> DeviceRuntime for Context<C> {
         stream: StreamId,
         desc: KernelDesc,
     ) -> Result<LaunchRecord, AccelError> {
-        self.emit_api(C::LAUNCH);
-        self.run_prefetch_plan(stream);
-        let record = self.engine.launch(self.current, stream, &desc)?;
-        self.launches_seen += 1;
-        self.emit(C::launch_begin(&record));
-        self.emit(C::launch_end(&record));
-        // UVM activity reports the *faulting* device — the device the
-        // kernel ran on (`record.device`), never `self.current`, which on
-        // a shared multi-device context may point elsewhere by the time
-        // the fault buffer drains. The sharded hub routes on this field.
-        // The launch's total UVM stall covers host faulting AND peer
-        // coherence; the peer share is reported by the peer callbacks
-        // below, so the fault callback carries only the host remainder —
-        // tools summing both streams must not double-count.
-        let transfers = self.take_peer_transfers();
-        let peer_stall: u64 = transfers.iter().map(|t| t.stall_ns).sum();
-        if record.uvm_faults > 0 || record.uvm_migrated_bytes > 0 || record.uvm_evicted_bytes > 0 {
-            let stall_ns = record.uvm_stall_ns.saturating_sub(peer_stall);
-            self.emit(C::fault(&record, stall_ns, self.engine.host_now()));
-        }
-        self.emit_peer_transfers(record.launch, transfers);
-        self.emit_api_exit(C::LAUNCH);
-        Ok(record)
+        self.api_call(C::LAUNCH, |this| {
+            this.run_prefetch_plan(stream);
+            let record = this.engine.launch(this.current, stream, &desc)?;
+            this.launches_seen += 1;
+            this.emit(C::launch_begin(&record));
+            this.emit(C::launch_end(&record));
+            // UVM activity reports the *faulting* device — the device the
+            // kernel ran on (`record.device`), never `this.current`, which
+            // on a shared multi-device context may point elsewhere by the
+            // time the fault buffer drains. The sharded hub routes on this
+            // field. The launch's total UVM stall covers host faulting AND
+            // peer coherence; the peer share is reported by the peer
+            // callbacks below, so the fault callback carries only the host
+            // remainder — tools summing both streams must not double-count.
+            let transfers = this.take_peer_transfers();
+            let peer_stall: u64 = transfers.iter().map(|t| t.stall_ns).sum();
+            if record.uvm_faults > 0
+                || record.uvm_migrated_bytes > 0
+                || record.uvm_evicted_bytes > 0
+            {
+                let stall_ns = record.uvm_stall_ns.saturating_sub(peer_stall);
+                this.emit(C::fault(&record, stall_ns, this.engine.host_now()));
+            }
+            this.emit_peer_transfers(record.launch, transfers);
+            Ok(record)
+        })
     }
 
     fn synchronize(&mut self) {

@@ -17,14 +17,11 @@
 //! cargo run --release --example overhead_probe -- 51      # more rounds
 //! ```
 
-use pasta::core::tool::LaunchCounter;
-use pasta::dl::parallel::{self, DeviceLane, MoeConfig};
-use pasta::dl::{runner, Session};
-use pasta::nv::CudaContext;
-use pasta::prelude::*;
+mod common;
+
+use common::{model_bare, model_profiled, moe_bare, moe_profiled, Outcome, FINE_MODELS, LANES};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 struct CountingAlloc;
@@ -52,68 +49,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-type Outcome = Result<(), Box<dyn std::error::Error>>;
-
-const LANES: u32 = 64;
-const POOL_WIDTH: usize = 2;
-
-/// The MoE region on bare lanes: one CUDA context per lane over the
-/// shared 64-device machine, as `run_parallel` builds them.
-fn moe_bare() -> Outcome {
-    let specs: Arc<[DeviceSpec]> = vec![DeviceSpec::a100_80gb(); LANES as usize].into();
-    let mut contexts: Vec<CudaContext> = (0..LANES)
-        .map(|_| CudaContext::new(Arc::clone(&specs)))
-        .collect();
-    let mut lanes = Vec::with_capacity(contexts.len());
-    for (device, context) in (0..LANES).map(DeviceId).zip(&mut contexts) {
-        let mut lane = DeviceLane::pin(device, Session::new(context))?;
-        lane.set_pool_limit(POOL_WIDTH);
-        lanes.push(lane);
-    }
-    parallel::train_iter_expert_parallel_with(&mut lanes, 1, &MoeConfig::tiny())?;
-    Ok(())
-}
-
-fn moe_profiled() -> Outcome {
-    let devices: Vec<DeviceId> = (0..LANES).map(DeviceId).collect();
-    let mut session = Pasta::builder()
-        .devices(vec![DeviceSpec::a100_80gb(); LANES as usize])
-        .tool(LaunchCounter::default())
-        .parallel(ParallelConfig {
-            max_lane_threads: POOL_WIDTH,
-            max_merge_threads: POOL_WIDTH,
-            max_drain_threads: 1,
-        })
-        .build()?;
-    session.run_parallel(&devices, |lanes| {
-        parallel::train_iter_expert_parallel_with(lanes, 1, &MoeConfig::tiny())
-    })?;
-    std::hint::black_box(session.merged_report().to_string());
-    Ok(())
-}
-
-fn model_bare(model: ModelZoo) -> Outcome {
-    let mut context = CudaContext::new(vec![DeviceSpec::rtx_3060()]);
-    let mut session = Session::new(&mut context);
-    runner::run_model(&mut session, model, RunKind::Inference, 1, 1)?;
-    Ok(())
-}
-
-fn model_profiled(model: ModelZoo) -> Outcome {
-    let mut session = Pasta::builder()
-        .rtx_3060()
-        .tool(KernelFrequencyTool::new())
-        .tool(BarrierStallTool::new())
-        .tool(HotnessTool::new(64))
-        .tool(OpKernelMapTool::new())
-        .tool(MemoryCharacteristicsTool::new())
-        .tool(MemoryTimelineTool::new())
-        .build()?;
-    let report = session.run(&mut ModelWorkload::new(model, RunKind::Inference))?;
-    std::hint::black_box((session.merged_report().to_string(), report));
-    Ok(())
-}
-
 /// Wall and heap allocations of one call.
 fn measured(op: &dyn Fn() -> Outcome) -> Result<(Duration, u64), Box<dyn std::error::Error>> {
     let allocs = ALLOCS.load(Ordering::Relaxed);
@@ -133,7 +68,7 @@ fn main() -> Outcome {
         Box::new(moe_bare),
         Box::new(moe_profiled),
     )];
-    for model in [ModelZoo::Bert, ModelZoo::Gpt2, ModelZoo::ResNet18] {
+    for model in FINE_MODELS {
         rows.push((
             format!("{model:?} inference"),
             Box::new(move || model_bare(model)),

@@ -30,12 +30,16 @@ use pasta::core::normalize::{
 use pasta::core::tool::LaunchCounter;
 use pasta::core::{Event, EventProcessor, Knob, Symbol, SymbolTable};
 use pasta::dl::callbacks::FrameworkEvent;
+use pasta::dl::dtype::DType;
+use pasta::dl::ops::{self, Act};
 use pasta::dl::pycall::{native_frames_for_kernel, CrossLayerStack, PyFrame, PyStack};
-use pasta::dl::tensor::TensorId;
+use pasta::dl::tensor::{Tensor, TensorId};
 use pasta::dl::{runner, Session};
 use pasta::nv::{CudaContext, NvCallback};
 use pasta::prelude::*;
-use pasta::sim::{CopyDirection, DevicePtr, DeviceRuntime, LaunchId, RuntimeStats, SimTime};
+use pasta::sim::{
+    AccelError, CopyDirection, DevicePtr, DeviceRuntime, LaunchId, RuntimeStats, SimTime,
+};
 use proptest::prelude::*;
 
 struct CountingAlloc {
@@ -218,6 +222,100 @@ fn live_operators_allocate_only_on_first_sight() {
         .tools
         .with_tool_mut("launch-counter", |t: &mut LaunchCounter| t.launches);
     assert_eq!(launches, Some(65), "begin/end pairs all became launches");
+}
+
+/// What [`operator_step`] reads and updates: an activation, a weight with
+/// its bias, gradient and Adam moments, and a layer norm's scale and shift.
+struct StepTensors {
+    x: Tensor,
+    w: Tensor,
+    bias: Tensor,
+    grad: Tensor,
+    m: Tensor,
+    v: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+}
+
+impl StepTensors {
+    fn new(s: &mut Session<'_>) -> Result<Self, AccelError> {
+        let mut tensor = |shape: &[usize]| s.alloc_tensor(shape, DType::F32);
+        Ok(StepTensors {
+            x: tensor(&[8, 128, 256])?,
+            w: tensor(&[256, 256])?,
+            bias: tensor(&[256])?,
+            grad: tensor(&[256, 256])?,
+            m: tensor(&[256, 256])?,
+            v: tensor(&[256, 256])?,
+            gamma: tensor(&[256])?,
+            beta: tensor(&[256])?,
+        })
+    }
+}
+
+/// Real operators, as a training lane runs them: a linear with bias and
+/// GELU fused in, a layer norm, a fused Adam step, a 64-rank all-to-all
+/// (63 peer copies and a collective kernel), and the frees of what they
+/// allocated. Ten tensor events, four launches, 63 copies.
+fn operator_step(s: &mut Session<'_>, t: &StepTensors) -> Result<(), AccelError> {
+    let y = ops::linear(s, &t.x, &t.w, Some(&t.bias), Act::Gelu)?;
+    let z = ops::layernorm(s, &y, &t.gamma, &t.beta)?;
+    ops::adam_step(s, &t.w, &t.grad, &t.m, &t.v)?;
+    ops::all_to_all(s, &z, 64)?;
+    s.free_tensor(&z);
+    s.free_tensor(&y);
+    Ok(())
+}
+
+/// Heap allocations of `steps` operator steps on `s`, after two that warm
+/// the caching allocator's segments, the GEMM workspace and the names.
+fn warmed_operator_steps(s: &mut Session<'_>, steps: u64) -> Result<u64, AccelError> {
+    let tensors = StepTensors::new(s)?;
+    s.py_push(PyFrame::new("run.py", 10, "main"));
+    s.py_push(PyFrame::new("model.py", 20, "forward"));
+    operator_step(s, &tensors)?;
+    operator_step(s, &tensors)?;
+    let before = allocs();
+    for _ in 0..steps {
+        operator_step(s, &tensors)?;
+    }
+    Ok(allocs() - before)
+}
+
+/// Phase 2b: the substrate under the host path. Phase 2 launches a kernel
+/// with no arguments and no body because, until ISSUE 19, anything real
+/// allocated dozens of times in the framework and the engine — names
+/// `format!`ed per launch, argument and access `Vec`s, shape `Vec`s, tree
+/// nodes in the caching allocator: 25 allocations a step at `cdd42be`,
+/// bare and profiled alike, so `pasta-core`'s own share of this loop —
+/// the capture knob's stack included, once the hot kernel has settled —
+/// was already nothing. Now the whole step is.
+fn real_operators_allocate_nothing_once_warm() {
+    const STEPS: u64 = 32;
+    let mut cuda = CudaContext::new(vec![DeviceSpec::a100_80gb()]);
+    let mut bare = Session::new(&mut cuda);
+    let bare_allocs = warmed_operator_steps(&mut bare, STEPS).expect("operators run");
+    assert_eq!(
+        bare_allocs, 0,
+        "linear, layernorm, adam_step, all_to_all and their frees must not allocate once warm"
+    );
+
+    let mut session = Pasta::builder()
+        .a100()
+        .tool(LaunchCounter::default())
+        .build()
+        .expect("profiled session");
+    let mut profiled_allocs = 0;
+    session
+        .run(&mut FnWorkload::new("operators", |cx| {
+            profiled_allocs = warmed_operator_steps(cx.session(), STEPS)?;
+            Ok(WorkloadStats::new(STEPS))
+        }))
+        .expect("profiled operators run");
+    assert_eq!(
+        profiled_allocs, 0,
+        "the same steps under a LaunchCounter session must not allocate either"
+    );
 }
 
 /// Phase 3: the per-thread intern front hands out the global table's
@@ -577,6 +675,7 @@ fn resident_managed_accesses_allocate_nothing() {
 fn host_event_path_is_allocation_free_and_changes_no_result() {
     replayed_host_events_allocate_only_on_first_sight();
     live_operators_allocate_only_on_first_sight();
+    real_operators_allocate_nothing_once_warm();
     interning_from_many_threads_yields_the_global_symbols();
     memoized_names_equal_normalize_api_name();
     lazily_captured_stacks_equal_eager_ones();

@@ -26,6 +26,7 @@ use pasta::sim::{
     KernelBody, KernelDesc, SimTime,
 };
 use pasta::tools::{MemoryTimelineTool, TransferTool};
+use pasta::uvm::runtime::{Context, Vocabulary};
 use pasta::uvm::{PrefetchPlan, Range, UvmConfig, UvmManager};
 use std::sync::{Arc, Mutex};
 
@@ -298,6 +299,73 @@ fn unified_streams_agree_and_raw_streams_keep_their_conventions() {
         }
     )));
     assert_eq!(nv_raw.len(), roc_raw.len(), "callback for callback");
+}
+
+/// A `malloc` past the device's usable capacity, then one that fits — what
+/// the caching allocator's flush-and-retry does — as `C` tells it: every
+/// callback built by the vocabulary's own constructors, so the assertion
+/// is the same for both vendors.
+fn failed_malloc_then_retry<C>(spec: DeviceSpec)
+where
+    C: Vocabulary + Clone + PartialEq + std::fmt::Debug + Send,
+{
+    let mut ctx = Context::<C>::new(vec![spec]);
+    ctx.engine_mut()
+        .device_mut(DeviceId(0))
+        .limit_usable_capacity(4 * MIB);
+    let raw = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&raw);
+    ctx.subscribe(Box::new(move |cb: &C| {
+        sink.lock().unwrap().push(cb.clone())
+    }));
+
+    let device = DeviceId(0);
+    let entered = ctx.host_time();
+    let refused = ctx.malloc(8 * MIB);
+    assert!(matches!(refused, Err(AccelError::OutOfMemory { .. })));
+    let returned = ctx.host_time();
+    let ptr = ctx.malloc(MIB).expect("the retry fits");
+    let done = ctx.host_time();
+    assert_eq!(
+        *raw.lock().unwrap(),
+        [
+            C::api_enter(C::MALLOC, device, entered),
+            C::api_exit(C::MALLOC, device, returned),
+            C::api_enter(C::MALLOC, device, returned),
+            C::alloc(device, ptr.addr(), MIB, false, done),
+            C::api_exit(C::MALLOC, device, done),
+        ],
+        "{}: a refused call still returns",
+        C::CONTEXT
+    );
+
+    // The other refusals close the same way: a free of a pointer nobody
+    // allocated, a launch with an empty grid.
+    for name in [C::FREE, C::LAUNCH] {
+        raw.lock().unwrap().clear();
+        let entered = ctx.host_time();
+        if name == C::FREE {
+            assert!(ctx.free(DevicePtr(ptr.addr() + 1)).is_err());
+        } else {
+            let empty = KernelDesc::new("empty", Dim3::linear(0), Dim3::linear(32));
+            assert!(ctx.launch(empty).is_err());
+        }
+        assert_eq!(
+            *raw.lock().unwrap(),
+            [
+                C::api_enter(name, device, entered),
+                C::api_exit(name, device, ctx.host_time()),
+            ],
+            "{}: {name}",
+            C::CONTEXT
+        );
+    }
+}
+
+#[test]
+fn a_failed_api_call_still_exits_on_both_vendors() {
+    failed_malloc_then_retry::<NvCallback>(DeviceSpec::rtx_3060());
+    failed_malloc_then_retry::<RocCallback>(DeviceSpec::mi300x());
 }
 
 /// `TransferTool`'s `uvm_batch_ops` after one managed launch under a
