@@ -3,14 +3,16 @@
 //! A roofline-style model: kernel duration is the maximum of its compute
 //! time and its memory time, scaled by an occupancy-derived utilization
 //! factor, plus fixed launch overhead. Copies are bandwidth/latency bound.
-//! The analysis-cost constants model the per-record price of trace
-//! processing on a single CPU thread versus parallel on-device analysis
-//! threads — the knob behind the paper's Fig. 9 overhead gap.
+//!
+//! What instrumentation costs — per-record callback, analysis, drain and
+//! buffer-flush prices, the paper's Fig. 9 overhead gap — is not modelled
+//! here: [`crate::BackendCosts`] is the one place those are written down,
+//! one preset per backend.
 
 use crate::device::DeviceSpec;
 use crate::kernel::KernelDesc;
 
-/// All tunable timing constants of the simulator.
+/// The timing constants of an uninstrumented run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     /// Host-side cost of any runtime API call (ns).
@@ -21,20 +23,6 @@ pub struct CostModel {
     pub kernel_fixed_overhead_ns: u64,
     /// Fixed latency of any memcpy (ns).
     pub memcpy_fixed_overhead_ns: u64,
-    /// Device time per instrumented record: the inline callback executed by
-    /// patched instructions (ns/record). Applies to both analysis modes.
-    pub device_callback_ns_per_record: f64,
-    /// Single-thread CPU time to analyze one trace record (ns/record) —
-    /// the paper's CPU-analysis bottleneck.
-    pub cpu_analysis_ns_per_record: f64,
-    /// Device time for one GPU-resident analysis thread to process one
-    /// record (ns/record), before dividing by the thread-group width.
-    pub gpu_analysis_ns_per_record: f64,
-    /// Number of concurrent on-device analysis threads PASTA launches.
-    pub gpu_analysis_threads: u64,
-    /// Stall latency each time the trace buffer fills and must round-trip
-    /// to the host before the kernel resumes (ns/flush).
-    pub buffer_flush_latency_ns: u64,
     /// Floor on achievable utilization for tiny launches.
     pub min_utilization: f64,
 }
@@ -82,23 +70,6 @@ impl CostModel {
     pub fn copy_duration_ns(&self, bytes: u64, bandwidth_gbps: f64) -> u64 {
         (bytes as f64 / bandwidth_gbps) as u64 + self.memcpy_fixed_overhead_ns
     }
-
-    /// Device time for GPU-resident analysis of `records` records, ns.
-    pub fn gpu_analysis_ns(&self, records: u64) -> u64 {
-        (records as f64 * self.gpu_analysis_ns_per_record / self.gpu_analysis_threads as f64).ceil()
-            as u64
-    }
-
-    /// Host time for single-thread CPU analysis of `records` records, ns.
-    pub fn cpu_analysis_ns(&self, records: u64) -> u64 {
-        (records as f64 * self.cpu_analysis_ns_per_record).ceil() as u64
-    }
-
-    /// Device time spent executing inline instrumentation callbacks for
-    /// `records` records, ns.
-    pub fn device_callback_ns(&self, records: u64) -> u64 {
-        (records as f64 * self.device_callback_ns_per_record).ceil() as u64
-    }
 }
 
 impl Default for CostModel {
@@ -108,11 +79,6 @@ impl Default for CostModel {
             launch_host_overhead_ns: 6_000,
             kernel_fixed_overhead_ns: 3_000,
             memcpy_fixed_overhead_ns: 9_000,
-            device_callback_ns_per_record: 1.6,
-            cpu_analysis_ns_per_record: 110.0,
-            gpu_analysis_ns_per_record: 0.9,
-            gpu_analysis_threads: 4_096,
-            buffer_flush_latency_ns: 30_000,
             min_utilization: 0.02,
         }
     }
@@ -170,31 +136,10 @@ mod tests {
     }
 
     #[test]
-    fn gpu_analysis_is_orders_of_magnitude_cheaper_than_cpu() {
-        let m = CostModel::default();
-        let records = 100_000_000u64;
-        let cpu = m.cpu_analysis_ns(records);
-        let gpu = m.gpu_analysis_ns(records);
-        let ratio = cpu as f64 / gpu as f64;
-        assert!(
-            ratio > 1_000.0,
-            "CPU/GPU analysis ratio {ratio} too small for Fig. 9 shapes"
-        );
-    }
-
-    #[test]
     fn copy_includes_fixed_latency() {
         let m = CostModel::default();
         assert_eq!(m.copy_duration_ns(0, 24.0), m.memcpy_fixed_overhead_ns);
         let big = m.copy_duration_ns(24 << 30, 24.0);
         assert!(big > 1_000_000_000, "24 GiB at 24 GB/s is about a second");
-    }
-
-    #[test]
-    fn analysis_costs_round_up() {
-        let m = CostModel::default();
-        assert!(m.cpu_analysis_ns(1) >= 1);
-        assert!(m.gpu_analysis_ns(1) >= 1);
-        assert!(m.device_callback_ns(1) >= 1);
     }
 }

@@ -11,9 +11,10 @@ use crate::cost::CostModel;
 use crate::device::{Device, DeviceSpec};
 use crate::error::AccelError;
 use crate::id::{DeviceId, LaunchId, StreamId};
+use crate::instrument::TraceCtx;
 use crate::kernel::{KernelDesc, MemSpace};
 use crate::mem::{Allocation, DeviceAllocator, DevicePtr};
-use crate::probe::{DeviceProbe, KernelCtx, ProbeCosts};
+use crate::probe::{DeviceProbe, ProbeCosts};
 use crate::residency::{AccessOutcome, ResidencyModel};
 use crate::runtime::{CopyDirection, LaunchRecord, RuntimeStats};
 use crate::trace::{AccessBatch, KernelTraceSummary};
@@ -424,12 +425,13 @@ impl Engine {
         let mut instr = ProbeCosts::FREE;
         let mut summary = KernelTraceSummary::default();
         if let Some(probe) = self.probe.as_deref_mut() {
-            let ctx = KernelCtx {
+            let ctx = TraceCtx {
                 launch,
                 device,
                 stream,
-                desc,
-                start,
+                name: desc.name,
+                grid: desc.grid,
+                block: desc.block,
             };
             let config = probe.on_kernel_begin(&ctx);
             if !config.is_disabled() {
@@ -621,13 +623,13 @@ mod tests {
         }
         struct SharedProbe(Arc<Mutex<Shared>>);
         impl DeviceProbe for SharedProbe {
-            fn on_kernel_begin(&mut self, _ctx: &KernelCtx<'_>) -> crate::probe::ProbeConfig {
+            fn on_kernel_begin(&mut self, _ctx: &TraceCtx) -> crate::probe::ProbeConfig {
                 self.0.lock().kernels += 1;
                 crate::probe::ProbeConfig::all()
             }
             fn on_access_batches(
                 &mut self,
-                _ctx: &KernelCtx<'_>,
+                _ctx: &TraceCtx,
                 batches: &[AccessBatch],
             ) -> ProbeCosts {
                 let mut s = self.0.lock();
@@ -635,7 +637,7 @@ mod tests {
                 s.records += batches.iter().map(|b| b.records).sum::<u64>();
                 ProbeCosts::FREE
             }
-            fn on_barriers(&mut self, _ctx: &KernelCtx<'_>, count: u64) -> ProbeCosts {
+            fn on_barriers(&mut self, _ctx: &TraceCtx, count: u64) -> ProbeCosts {
                 self.0.lock().barriers += count;
                 ProbeCosts::FREE
             }
@@ -713,12 +715,12 @@ mod tests {
             records: u64,
         }
         impl DeviceProbe for SamplingProbe {
-            fn on_kernel_begin(&mut self, _ctx: &KernelCtx<'_>) -> crate::probe::ProbeConfig {
+            fn on_kernel_begin(&mut self, _ctx: &TraceCtx) -> crate::probe::ProbeConfig {
                 crate::probe::ProbeConfig::global_only().with_sampling(10)
             }
             fn on_access_batches(
                 &mut self,
-                _ctx: &KernelCtx<'_>,
+                _ctx: &TraceCtx,
                 batches: &[AccessBatch],
             ) -> ProbeCosts {
                 self.records += batches.iter().map(|b| b.records).sum::<u64>();
@@ -744,13 +746,13 @@ mod tests {
         // delivery", *Steadiness*).
         struct BlocksOnly;
         impl DeviceProbe for BlocksOnly {
-            fn on_kernel_begin(&mut self, _ctx: &KernelCtx<'_>) -> crate::probe::ProbeConfig {
+            fn on_kernel_begin(&mut self, _ctx: &TraceCtx) -> crate::probe::ProbeConfig {
                 crate::probe::ProbeConfig {
                     block_boundaries: true,
                     ..crate::probe::ProbeConfig::disabled()
                 }
             }
-            fn on_access_batches(&mut self, _: &KernelCtx<'_>, _: &[AccessBatch]) -> ProbeCosts {
+            fn on_access_batches(&mut self, _: &TraceCtx, _: &[AccessBatch]) -> ProbeCosts {
                 panic!("no access class is observed");
             }
         }

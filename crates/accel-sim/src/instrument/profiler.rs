@@ -20,7 +20,6 @@
 
 use super::overhead::OverheadBreakdown;
 use super::sink::{DeviceTraceSink, TraceCtx};
-use crate::probe::KernelCtx;
 use crate::symbol::Symbol;
 use crate::trace::{TraceBufferModel, TRACE_RECORD_BYTES};
 use crate::{
@@ -31,7 +30,11 @@ use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// Backend-specific cost constants.
+/// Backend-specific cost constants — the only place a per-record
+/// instrumentation or analysis cost is written down: one preset per
+/// backend ([`BackendCosts::sanitizer`], [`BackendCosts::nvbit`], and
+/// ROCProfiler's in `vendor_amd::rocprofiler`), from which the backends'
+/// configs also read their defaults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackendCosts {
     /// Device time per instrumented record for the inline callback, ns.
@@ -173,13 +176,8 @@ struct Meter {
 pub struct TraceProfiler {
     coverage: InstrCoverage,
     meter: Meter,
-    /// Extra sampling applied on top of whatever the sink requests.
-    sampling: u32,
     shared: Arc<Mutex<ProfilerShared>>,
     parsed_kernels: HashSet<Symbol>,
-    /// Context of the in-flight launch, built (and its name interned)
-    /// once at kernel begin so per-batch callbacks never allocate.
-    cur_ctx: Option<TraceCtx>,
 }
 
 impl std::fmt::Debug for TraceProfiler {
@@ -187,7 +185,6 @@ impl std::fmt::Debug for TraceProfiler {
         f.debug_struct("TraceProfiler")
             .field("coverage", &self.coverage)
             .field("mode", &self.meter.mode)
-            .field("sampling", &self.sampling)
             .finish()
     }
 }
@@ -196,14 +193,13 @@ impl TraceProfiler {
     /// Creates a profiler and its handle.
     ///
     /// `link_bw` carries the host-link bandwidth of each device, in device
-    /// order; `sampling` is the global `ACCEL_PROF_ENV_SAMPLE_RATE`-style
-    /// record sampling factor.
+    /// order. Record sampling is the sink's to ask for: the rate arrives in
+    /// the [`ProbeConfig`] it returns at kernel begin.
     pub fn new(
         coverage: InstrCoverage,
         mode: AnalysisMode,
         costs: BackendCosts,
         link_bw: Vec<f64>,
-        sampling: u32,
     ) -> (Self, ProfilerHandle) {
         let shared = Arc::new(Mutex::new(ProfilerShared {
             breakdown: OverheadBreakdown::default(),
@@ -224,43 +220,21 @@ impl TraceProfiler {
                     cur_records: 0,
                     cur_flushes: 0,
                 },
-                sampling: sampling.max(1),
                 shared,
                 parsed_kernels: HashSet::new(),
-                cur_ctx: None,
             },
             handle,
         )
     }
 
-    fn make_ctx(ctx: &KernelCtx<'_>) -> TraceCtx {
-        TraceCtx {
-            launch: ctx.launch,
-            device: ctx.device,
-            stream: ctx.stream,
-            name: ctx.desc.name,
-            grid: ctx.desc.grid,
-            block: ctx.desc.block,
-        }
-    }
-
-    /// The cached per-launch context; rebuilt only when `ctx` belongs to a
-    /// different launch than the cache (e.g. a probe driven out of band).
-    fn cached_ctx<'a>(cur: &'a mut Option<TraceCtx>, ctx: &KernelCtx<'_>) -> &'a TraceCtx {
-        if cur.as_ref().is_some_and(|c| c.launch != ctx.launch) {
-            *cur = None;
-        }
-        cur.get_or_insert_with(|| Self::make_ctx(ctx))
-    }
-
     /// One callback: charges each count in `records` as one batch of trace
-    /// records and hands the cached context to the sink, under a single
-    /// acquisition of the shared lock.
+    /// records and forwards to the sink, under a single acquisition of the
+    /// shared lock.
     fn deliver(
         &mut self,
-        ctx: &KernelCtx<'_>,
+        ctx: &TraceCtx,
         records: impl IntoIterator<Item = u64>,
-        forward: impl FnOnce(&mut dyn DeviceTraceSink, &TraceCtx),
+        forward: impl FnOnce(&mut dyn DeviceTraceSink),
     ) -> ProbeCosts {
         let mut shared = self.shared.lock();
         let device = ctx.device.index();
@@ -268,7 +242,7 @@ impl TraceProfiler {
             costs.merge(self.meter.charge(&mut shared, device, n))
         });
         if let Some(sink) = shared.sink.as_deref_mut() {
-            forward(sink, Self::cached_ctx(&mut self.cur_ctx, ctx));
+            forward(sink);
         }
         costs
     }
@@ -334,46 +308,42 @@ impl Meter {
 }
 
 impl DeviceProbe for TraceProfiler {
-    fn on_kernel_begin(&mut self, ctx: &KernelCtx<'_>) -> ProbeConfig {
+    fn on_kernel_begin(&mut self, ctx: &TraceCtx) -> ProbeConfig {
         self.meter.cur_records = 0;
         self.meter.cur_flushes = 0;
-        let tctx = self.cur_ctx.insert(Self::make_ctx(ctx));
         let mut shared = self.shared.lock();
-        let mut config = match shared.sink.as_mut() {
-            Some(sink) => sink.on_kernel_begin(tctx),
+        let config = match shared.sink.as_mut() {
+            Some(sink) => sink.on_kernel_begin(ctx),
             None => ProbeConfig::all(),
         };
         if !config.is_disabled() {
             shared.kernels += 1;
         }
-        drop(shared);
-        config.sampling_rate = config.sampling_rate.max(self.sampling);
         config
     }
 
-    fn on_access_batches(&mut self, ctx: &KernelCtx<'_>, batches: &[AccessBatch]) -> ProbeCosts {
-        self.deliver(ctx, batches.iter().map(|b| b.records), |sink, tctx| {
-            sink.on_batches(tctx, batches)
+    fn on_access_batches(&mut self, ctx: &TraceCtx, batches: &[AccessBatch]) -> ProbeCosts {
+        self.deliver(ctx, batches.iter().map(|b| b.records), |sink| {
+            sink.on_batches(ctx, batches)
         })
     }
 
-    fn on_barriers(&mut self, ctx: &KernelCtx<'_>, count: u64) -> ProbeCosts {
-        self.deliver(ctx, Some(count), |sink, tctx| sink.on_barriers(tctx, count))
+    fn on_barriers(&mut self, ctx: &TraceCtx, count: u64) -> ProbeCosts {
+        self.deliver(ctx, Some(count), |sink| sink.on_barriers(ctx, count))
     }
 
-    fn on_block_boundaries(&mut self, ctx: &KernelCtx<'_>, count: u64) -> ProbeCosts {
+    fn on_block_boundaries(&mut self, ctx: &TraceCtx, count: u64) -> ProbeCosts {
         // Block entry/exit callbacks are cheap and are not trace records.
-        self.deliver(ctx, None, |sink, tctx| sink.on_blocks(tctx, count))
+        self.deliver(ctx, None, |sink| sink.on_blocks(ctx, count))
     }
 
-    fn on_kernel_end(&mut self, ctx: &KernelCtx<'_>, summary: &KernelTraceSummary) -> ProbeCosts {
+    fn on_kernel_end(&mut self, ctx: &TraceCtx, summary: &KernelTraceSummary) -> ProbeCosts {
         let mut costs = ProbeCosts::FREE;
         let device = ctx.device.index();
-        let tctx = Self::cached_ctx(&mut self.cur_ctx, ctx);
         let meter = &self.meter;
 
         // NVBit pays a one-time SASS dump+parse per unique kernel symbol.
-        if meter.costs.sass_parse_ns_per_kernel > 0 && self.parsed_kernels.insert(tctx.name) {
+        if meter.costs.sass_parse_ns_per_kernel > 0 && self.parsed_kernels.insert(ctx.name) {
             costs.host_ns += meter.costs.sass_parse_ns_per_kernel;
             self.shared.lock().breakdown.setup_ns += meter.costs.sass_parse_ns_per_kernel;
         }
@@ -399,12 +369,10 @@ impl DeviceProbe for TraceProfiler {
         let mut shared = self.shared.lock();
         if let Some(sink) = shared.sink.as_mut() {
             if self.coverage == InstrCoverage::AllInstructions {
-                sink.on_instructions(tctx, summary.instructions);
+                sink.on_instructions(ctx, summary.instructions);
             }
-            sink.on_kernel_end(tctx, summary);
+            sink.on_kernel_end(ctx, summary);
         }
-        drop(shared);
-        self.cur_ctx = None;
         costs
     }
 }
@@ -412,15 +380,16 @@ impl DeviceProbe for TraceProfiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DeviceId, Dim3, KernelBody, KernelDesc, LaunchId, SimTime};
+    use crate::{DeviceId, Dim3, KernelBody, KernelDesc, LaunchId};
 
-    fn kctx<'a>(desc: &'a KernelDesc) -> KernelCtx<'a> {
-        KernelCtx {
+    fn kctx(desc: &KernelDesc) -> TraceCtx {
+        TraceCtx {
             launch: LaunchId(1),
             device: DeviceId(0),
             stream: 0,
-            desc,
-            start: SimTime(0),
+            name: desc.name,
+            grid: desc.grid,
+            block: desc.block,
         }
     }
 
@@ -453,7 +422,6 @@ mod tests {
             AnalysisMode::GpuResident,
             BackendCosts::sanitizer(),
             vec![24.0],
-            1,
         );
         gpu.on_kernel_begin(&kctx(&d));
         let gc = gpu.on_access_batches(&kctx(&d), &[batch(records)]);
@@ -464,7 +432,6 @@ mod tests {
             AnalysisMode::CpuPostProcess,
             BackendCosts::sanitizer(),
             vec![24.0],
-            1,
         );
         cpu.on_kernel_begin(&kctx(&d));
         let cc = cpu.on_access_batches(&kctx(&d), &[batch(records)]);
@@ -494,7 +461,6 @@ mod tests {
             AnalysisMode::CpuPostProcess,
             costs,
             vec![24.0],
-            1,
         );
         p.on_kernel_begin(&kctx(&d));
         let c = p.on_access_batches(&kctx(&d), &[batch(10_000)]);
@@ -514,7 +480,6 @@ mod tests {
             AnalysisMode::CpuPostProcess,
             BackendCosts::nvbit(),
             vec![24.0],
-            1,
         );
         for _ in 0..3 {
             p.on_kernel_begin(&kctx(&d));
@@ -543,7 +508,6 @@ mod tests {
             AnalysisMode::GpuResident,
             BackendCosts::sanitizer(),
             vec![24.0],
-            1,
         );
         h.set_sink(Box::new(Counting));
         p.on_kernel_begin(&kctx(&d));
@@ -620,7 +584,7 @@ mod tests {
                 ..BackendCosts::nvbit()
             };
             let (profiler, handle) =
-                TraceProfiler::new(InstrCoverage::AllInstructions, mode, costs, vec![24.0], 1);
+                TraceProfiler::new(InstrCoverage::AllInstructions, mode, costs, vec![24.0]);
             handle.set_sink(Box::new(Logging(Arc::clone(&log))));
             let mut engine = Engine::new(vec![DeviceSpec::a100_80gb()]);
             let device = DeviceId(0);
@@ -723,7 +687,6 @@ mod tests {
             AnalysisMode::GpuResident,
             BackendCosts::sanitizer(),
             vec![24.0],
-            1,
         );
         p.on_kernel_begin(&kctx(&d));
         p.on_access_batches(&kctx(&d), &[batch(100)]);
@@ -731,19 +694,5 @@ mod tests {
         h.reset();
         assert_eq!(h.records_total(), 0);
         assert_eq!(h.breakdown().total_ns(), 0);
-    }
-
-    #[test]
-    fn profiler_sampling_floors_sink_request() {
-        let d = desc();
-        let (mut p, _h) = TraceProfiler::new(
-            InstrCoverage::MemoryAndBarrier,
-            AnalysisMode::GpuResident,
-            BackendCosts::sanitizer(),
-            vec![24.0],
-            50,
-        );
-        let config = p.on_kernel_begin(&kctx(&d));
-        assert_eq!(config.sampling_rate, 50);
     }
 }

@@ -9,11 +9,12 @@
 use crate::symbol::Symbol;
 use crate::{AccessBatch, DeviceId, Dim3, KernelTraceSummary, LaunchId, ProbeConfig, StreamId};
 
-/// Owned per-kernel context handed to sink callbacks.
+/// Per-launch context handed to every probe and sink callback.
 ///
-/// Cloning is cheap: the kernel name is an interned [`Symbol`], so the
-/// profiler builds this once per launch and every downstream event shares
-/// the same name allocation.
+/// The engine builds it once per probed launch and the whole chain —
+/// [`crate::DeviceProbe`], [`super::TraceProfiler`], the sink — borrows
+/// that one value. Cloning is cheap: the kernel name is an interned
+/// [`Symbol`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceCtx {
     /// Launch sequence number ("grid id").

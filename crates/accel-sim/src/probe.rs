@@ -8,9 +8,7 @@
 //! vendor facades (Compute Sanitizer, NVBit, ROCProfiler) implement this
 //! trait with their respective coverage and cost characteristics.
 
-use crate::clock::SimTime;
-use crate::id::{DeviceId, LaunchId, StreamId};
-use crate::kernel::KernelDesc;
+use crate::instrument::TraceCtx;
 use crate::trace::{AccessBatch, KernelTraceSummary};
 
 /// Which dynamic instructions an instrumentation backend can observe.
@@ -90,7 +88,8 @@ impl ProbeConfig {
         }
     }
 
-    /// Sets the sampling rate (clamped to ≥ 1).
+    /// Sets the sampling rate — the one place a session's rate is clamped
+    /// to ≥ 1 (0 means "every record", like 1).
     pub fn with_sampling(mut self, rate: u32) -> Self {
         self.sampling_rate = rate.max(1);
         self
@@ -133,21 +132,6 @@ impl ProbeCosts {
     }
 }
 
-/// Context handed to every probe callback of one launch.
-#[derive(Debug)]
-pub struct KernelCtx<'a> {
-    /// Launch sequence number (the paper's "grid id").
-    pub launch: LaunchId,
-    /// Device executing the kernel.
-    pub device: DeviceId,
-    /// Stream the kernel was enqueued on.
-    pub stream: StreamId,
-    /// The full kernel description.
-    pub desc: &'a KernelDesc,
-    /// Device-time at which the kernel starts.
-    pub start: SimTime,
-}
-
 /// A device-side instrumentation consumer.
 ///
 /// All methods have defaults so implementors override only what they need —
@@ -155,7 +139,7 @@ pub struct KernelCtx<'a> {
 /// collection offers one level up.
 pub trait DeviceProbe: Send {
     /// Called before the kernel runs; selects what to instrument.
-    fn on_kernel_begin(&mut self, ctx: &KernelCtx<'_>) -> ProbeConfig {
+    fn on_kernel_begin(&mut self, ctx: &TraceCtx) -> ProbeConfig {
         let _ = ctx;
         ProbeConfig::all()
     }
@@ -163,25 +147,25 @@ pub trait DeviceProbe: Send {
     /// Called once per launch with one batch of records per observed
     /// access stream, in stream order; not called for a launch that has
     /// none. Returns the summed cost of the batches.
-    fn on_access_batches(&mut self, ctx: &KernelCtx<'_>, batches: &[AccessBatch]) -> ProbeCosts {
+    fn on_access_batches(&mut self, ctx: &TraceCtx, batches: &[AccessBatch]) -> ProbeCosts {
         let _ = (ctx, batches);
         ProbeCosts::FREE
     }
 
     /// Called with the number of barrier executions in the launch.
-    fn on_barriers(&mut self, ctx: &KernelCtx<'_>, count: u64) -> ProbeCosts {
+    fn on_barriers(&mut self, ctx: &TraceCtx, count: u64) -> ProbeCosts {
         let _ = (ctx, count);
         ProbeCosts::FREE
     }
 
     /// Called with the number of thread blocks (entry/exit pairs).
-    fn on_block_boundaries(&mut self, ctx: &KernelCtx<'_>, count: u64) -> ProbeCosts {
+    fn on_block_boundaries(&mut self, ctx: &TraceCtx, count: u64) -> ProbeCosts {
         let _ = (ctx, count);
         ProbeCosts::FREE
     }
 
     /// Called after all batches with the kernel's trace summary.
-    fn on_kernel_end(&mut self, ctx: &KernelCtx<'_>, summary: &KernelTraceSummary) -> ProbeCosts {
+    fn on_kernel_end(&mut self, ctx: &TraceCtx, summary: &KernelTraceSummary) -> ProbeCosts {
         let _ = (ctx, summary);
         ProbeCosts::FREE
     }
@@ -202,18 +186,18 @@ pub struct CountingProbe {
 }
 
 impl DeviceProbe for CountingProbe {
-    fn on_kernel_begin(&mut self, _ctx: &KernelCtx<'_>) -> ProbeConfig {
+    fn on_kernel_begin(&mut self, _ctx: &TraceCtx) -> ProbeConfig {
         self.kernels += 1;
         ProbeConfig::all()
     }
 
-    fn on_access_batches(&mut self, _ctx: &KernelCtx<'_>, batches: &[AccessBatch]) -> ProbeCosts {
+    fn on_access_batches(&mut self, _ctx: &TraceCtx, batches: &[AccessBatch]) -> ProbeCosts {
         self.batches += batches.len() as u64;
         self.records += batches.iter().map(|b| b.records).sum::<u64>();
         ProbeCosts::FREE
     }
 
-    fn on_barriers(&mut self, _ctx: &KernelCtx<'_>, count: u64) -> ProbeCosts {
+    fn on_barriers(&mut self, _ctx: &TraceCtx, count: u64) -> ProbeCosts {
         self.barriers += count;
         ProbeCosts::FREE
     }

@@ -96,18 +96,6 @@ impl TraceBufferModel {
         }
     }
 
-    /// Creates a model with an explicit byte capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is smaller than one record.
-    pub fn with_bytes(bytes: u64) -> Self {
-        assert!(bytes >= TRACE_RECORD_BYTES, "buffer below one record");
-        TraceBufferModel {
-            capacity_records: bytes / TRACE_RECORD_BYTES,
-        }
-    }
-
     /// Number of full-buffer flushes needed for `records`, i.e. the number
     /// of kernel stalls in the CPU-analysis model. The final partial buffer
     /// flushes at kernel completion without stalling the kernel.
@@ -187,11 +175,5 @@ mod tests {
         let spec = AccessSpec::load(0, 1 << 20);
         let b = batch(0, 1 << 20, spec.record_count());
         assert_eq!(b.records, (1 << 20) / 128);
-    }
-
-    #[test]
-    #[should_panic(expected = "below one record")]
-    fn with_bytes_validates() {
-        let _ = TraceBufferModel::with_bytes(8);
     }
 }

@@ -19,7 +19,6 @@ use accel_sim::{DeviceSpec, OverheadBreakdown};
 use dl_framework::models::{ModelZoo, RunKind};
 use pasta_core::{BackendChoice, ModelWorkload, Pasta, PastaError};
 use pasta_tools::MemoryCharacteristicsTool;
-use vendor_nv::nvbit::NvbitConfig;
 use vendor_nv::sanitizer::SanitizerConfig;
 
 /// Seven simulated days — the paper's did-not-finish cutoff.
@@ -55,7 +54,7 @@ impl Variant {
         match self {
             Variant::CsGpu => BackendChoice::Sanitizer(SanitizerConfig::gpu_resident()),
             Variant::CsCpu => BackendChoice::Sanitizer(SanitizerConfig::cpu_post_process()),
-            Variant::NvbitCpu => BackendChoice::Nvbit(NvbitConfig::default()),
+            Variant::NvbitCpu => BackendChoice::Nvbit,
         }
     }
 }

@@ -338,8 +338,16 @@ impl Hub {
         if !self.is_sharded() {
             return self.primary().tools.reports();
         }
-        let guards: Vec<MutexGuard<'_, EventProcessor>> =
-            self.shards.iter().map(DeviceShard::lock).collect();
+        self.merged_tool_reports(&self.lock_all())
+    }
+
+    /// Every shard locked (and so drained), ascending device id.
+    fn lock_all(&self) -> Vec<MutexGuard<'_, EventProcessor>> {
+        self.shards.iter().map(DeviceShard::lock).collect()
+    }
+
+    /// The reports of every tool merged across the locked shards.
+    fn merged_tool_reports(&self, guards: &[MutexGuard<'_, EventProcessor>]) -> Vec<ToolReport> {
         let procs: Vec<&EventProcessor> = guards.iter().map(|g| &**g).collect();
         merge_all_tools(&procs, self.merge_threads())
             .iter()
@@ -352,8 +360,7 @@ impl Hub {
     /// locks, so the snapshot is internally consistent even while
     /// emitters are still running (`sum(per_device) == merged totals`).
     pub fn merged_report(&self) -> MergedReport {
-        let guards: Vec<MutexGuard<'_, EventProcessor>> =
-            self.shards.iter().map(DeviceShard::lock).collect();
+        let guards = self.lock_all();
         let per_device: Vec<(DeviceId, Vec<ToolReport>)> = self
             .shards
             .iter()
@@ -364,11 +371,7 @@ impl Hub {
             // A lone shard's reports *are* the merged ones: render once.
             only.clone()
         } else {
-            let procs: Vec<&EventProcessor> = guards.iter().map(|g| &**g).collect();
-            merge_all_tools(&procs, self.merge_threads())
-                .iter()
-                .map(|t| t.report())
-                .collect()
+            self.merged_tool_reports(&guards)
         };
         MergedReport {
             tools,
@@ -386,8 +389,7 @@ impl Hub {
     /// (ascending device id, first shard's message wins). Empty on a
     /// healthy run.
     pub fn quarantines(&self) -> Vec<ToolQuarantine> {
-        let guards: Vec<MutexGuard<'_, EventProcessor>> =
-            self.shards.iter().map(DeviceShard::lock).collect();
+        let guards = self.lock_all();
         collect_quarantines(guards.iter().map(|g| &**g))
     }
 
@@ -403,8 +405,7 @@ impl Hub {
             let mut guard = self.primary();
             return guard.tools.with_tool_mut(name, |t: &mut T| f(t));
         }
-        let guards: Vec<MutexGuard<'_, EventProcessor>> =
-            self.shards.iter().map(DeviceShard::lock).collect();
+        let guards = self.lock_all();
         let procs: Vec<&EventProcessor> = guards.iter().map(|g| &**g).collect();
         let i = (0..procs[0].tools.len())
             .find(|&i| procs[0].tools.tool_at(i).is_some_and(|t| t.name() == name))?;

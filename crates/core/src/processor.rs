@@ -57,6 +57,11 @@ pub struct EventProcessor {
     pub stacks: StackCapture,
     /// When set, capture stacks for the kernel this knob currently selects.
     pub capture_knob: Option<Knob>,
+    /// The session's record-sampling factor (`ACCEL_PROF_ENV_SAMPLE_RATE`),
+    /// kept with the analysis range because it travels the same way: out
+    /// to the engine in every launch's [`ProbeConfig`], into every lane by
+    /// [`EventProcessor::fork`]. 0 samples nothing out, like 1.
+    pub(crate) sampling_rate: u32,
     /// Attached trace recorder, if any. With no recorder the event path
     /// pays exactly one `Option` discriminant check.
     recorder: Option<Box<dyn EventRecorder>>,
@@ -75,12 +80,16 @@ impl EventProcessor {
     }
 
     /// Probe configuration for an upcoming launch: disabled outside the
-    /// analysis range, otherwise the union of tool interests.
+    /// analysis range, otherwise the union of tool interests at the
+    /// session's sampling rate.
     pub fn probe_config_for(&self, launch: LaunchId) -> ProbeConfig {
         if !self.range.covers_launch(launch) {
             return ProbeConfig::disabled();
         }
-        self.tools.interest().probe_config()
+        self.tools
+            .interest()
+            .probe_config()
+            .with_sampling(self.sampling_rate)
     }
 
     /// True when some registered tool subscribes to `class` — the O(1)
@@ -175,9 +184,9 @@ impl EventProcessor {
 
     /// A state-empty processor for another device shard: same registered
     /// tool set (via [`crate::tool::Tool::fork`]), same range
-    /// configuration and capture knob, fresh accumulators. `None` when
-    /// some tool declines to fork (the session then keeps one shared
-    /// shard).
+    /// configuration, sampling rate and capture knob, fresh accumulators.
+    /// `None` when some tool declines to fork (the session then keeps one
+    /// shared shard).
     pub fn fork(&self) -> Option<EventProcessor> {
         // A fork never inherits the recorder: each trace stream belongs to
         // exactly one shard, and capture attachment is the hub's job.
@@ -187,6 +196,7 @@ impl EventProcessor {
             knobs: KnobSet::new(),
             stacks: StackCapture::new(),
             capture_knob: self.capture_knob,
+            sampling_rate: self.sampling_rate,
             recorder: None,
             events_processed: 0,
         })
@@ -289,6 +299,9 @@ mod tests {
         p.range = RangeFilter::grid_window(10, 20);
         assert!(p.probe_config_for(LaunchId(5)).is_disabled());
         assert!(p.probe_config_for(LaunchId(15)).global_accesses);
+        assert_eq!(p.probe_config_for(LaunchId(15)).sampling_rate, 1);
+        p.sampling_rate = 4;
+        assert_eq!(p.probe_config_for(LaunchId(15)).sampling_rate, 4);
     }
 
     #[derive(Debug, Default, Clone)]

@@ -13,9 +13,10 @@ use crate::processor::EventProcessor;
 use crate::range::RangeFilter;
 use crate::spine::{SpineConfig, SpineMode};
 use crate::tool::Tool;
-use accel_sim::instrument::ProfilerHandle;
+use accel_sim::instrument::{BackendCosts, ProfilerHandle};
 use accel_sim::{
-    AnalysisMode, DeviceId, DeviceRuntime, DeviceSpec, Engine, OverheadBreakdown, Vendor,
+    AccelError, AnalysisMode, DeviceId, DeviceRuntime, DeviceSpec, Engine, InstrCoverage,
+    OverheadBreakdown, Vendor,
 };
 use dl_framework::alloc::AllocatorConfig;
 use dl_framework::backend::BackendProfile;
@@ -26,10 +27,7 @@ use std::sync::Arc;
 use uvm_sim::runtime::{Context, Vocabulary};
 use uvm_sim::{PrefetchPlan, UvmConfig, UvmManager};
 use vendor_amd::rocprofiler::RocProfilerConfig;
-use vendor_amd::HipContext;
-use vendor_nv::nvbit::NvbitConfig;
 use vendor_nv::sanitizer::SanitizerConfig;
-use vendor_nv::CudaContext;
 
 /// Which instrumentation backend to attach (paper §III-D: users "choose
 /// either of these libraries independently or use both in conjunction").
@@ -38,11 +36,34 @@ pub enum BackendChoice {
     /// NVIDIA Compute Sanitizer (memory/barrier coverage).
     Sanitizer(SanitizerConfig),
     /// NVIDIA NVBit (all-instruction coverage, CPU analysis).
-    Nvbit(NvbitConfig),
+    Nvbit,
     /// AMD ROCProfiler-SDK.
     RocProfiler(RocProfilerConfig),
     /// Host callbacks only — no device instrumentation.
     HostOnly,
+}
+
+impl BackendChoice {
+    /// What a context of `vendor` attaches for this choice (`None`: host
+    /// callbacks only), read from the backend's own module.
+    fn resolve(
+        &self,
+        vendor: Vendor,
+    ) -> Result<Option<(InstrCoverage, AnalysisMode, BackendCosts)>, PastaError> {
+        let (home, backend) = match self {
+            BackendChoice::Sanitizer(cfg) => (Vendor::Nvidia, cfg.backend()),
+            BackendChoice::Nvbit => (Vendor::Nvidia, vendor_nv::nvbit::backend()),
+            BackendChoice::RocProfiler(cfg) => (Vendor::Amd, cfg.backend()),
+            BackendChoice::HostOnly => return Ok(None),
+        };
+        // Anything that is not AMD runs on the CUDA context.
+        if (home == Vendor::Amd) != (vendor == Vendor::Amd) {
+            return Err(PastaError::Config(format!(
+                "{home} backends cannot attach to {vendor} devices"
+            )));
+        }
+        Ok(Some(backend))
+    }
 }
 
 /// UVM attachment configuration.
@@ -221,9 +242,11 @@ impl PastaBuilder {
         self
     }
 
-    /// Record-sampling factor (`ACCEL_PROF_ENV_SAMPLE_RATE`).
+    /// Record-sampling factor (`ACCEL_PROF_ENV_SAMPLE_RATE`): every
+    /// backend of either vendor processes one record in `rate` (0, like 1,
+    /// keeps them all).
     pub fn sampling(mut self, rate: u32) -> Self {
-        self.sampling_rate = rate.max(1);
+        self.sampling_rate = rate;
         self
     }
 
@@ -275,8 +298,9 @@ impl PastaBuilder {
     /// # Errors
     ///
     /// [`PastaError::Config`] on an explicitly empty device list, mixed
-    /// vendors, duplicate tool names, a backend/vendor mismatch, or an
-    /// invalid spine geometry (rings need ≥ 2 slots).
+    /// vendors, duplicate tool names, a backend/vendor mismatch, a trace
+    /// buffer smaller than one record, or an invalid spine geometry (rings
+    /// need ≥ 2 slots).
     /// (No device selection at all defaults to one A100.)
     pub fn build(self) -> Result<PastaSession, PastaError> {
         if self.spine_config.ring_slots < 2 {
@@ -319,6 +343,7 @@ impl PastaBuilder {
         let mut processor = EventProcessor::new();
         processor.range = self.range;
         processor.capture_knob = self.capture_knob;
+        processor.sampling_rate = self.sampling_rate;
         for tool in self.tools {
             processor.tools.register(tool);
         }
@@ -342,17 +367,13 @@ impl PastaBuilder {
         };
         hub.set_merge_threads(self.parallel.max_merge_threads);
 
+        let mode = self.analysis_mode;
         let backend = self.backend.unwrap_or(match vendor {
-            Vendor::Amd => BackendChoice::RocProfiler(
-                RocProfilerConfig::default().with_mode(self.analysis_mode),
-            ),
-            _ => {
-                let cfg = match self.analysis_mode {
-                    AnalysisMode::GpuResident => SanitizerConfig::gpu_resident(),
-                    AnalysisMode::CpuPostProcess => SanitizerConfig::cpu_post_process(),
-                };
-                BackendChoice::Sanitizer(cfg)
-            }
+            Vendor::Amd => BackendChoice::RocProfiler(RocProfilerConfig { mode }),
+            _ => BackendChoice::Sanitizer(SanitizerConfig {
+                mode,
+                ..SanitizerConfig::default()
+            }),
         });
 
         // The residency model is the same whichever vocabulary the context
@@ -375,8 +396,7 @@ impl PastaBuilder {
         });
         let recipe = ContextRecipe {
             specs,
-            backend,
-            sampling_rate: self.sampling_rate,
+            backend: backend.resolve(vendor)?.filter(|_| wants_device),
             wants_device,
             spine_mode: self.spine_mode,
             spine_config: self.spine_config,
@@ -409,9 +429,9 @@ pub(super) struct ContextRecipe {
     /// Device specs the session was built with, shared with every
     /// per-lane context of a parallel region.
     pub(super) specs: Arc<[DeviceSpec]>,
-    /// Resolved backend choice.
-    backend: BackendChoice,
-    sampling_rate: u32,
+    /// What a context attaches — coverage, analysis mode, costs — when the
+    /// backend choice instruments the device and a tool wants its events.
+    backend: Option<(InstrCoverage, AnalysisMode, BackendCosts)>,
     pub(super) wants_device: bool,
     /// How the session's sinks hand events to their shards.
     pub(super) spine_mode: SpineMode,
@@ -433,46 +453,9 @@ impl ContextRecipe {
         device: DeviceId,
         uvm: Option<UvmManager>,
     ) -> Result<(Box<dyn SessionRuntime>, Option<ProfilerHandle>), PastaError> {
-        let specs = Arc::clone(&self.specs);
-        let (mut runtime, profiler): (Box<dyn SessionRuntime>, _) = match specs[0].vendor {
-            Vendor::Amd => {
-                let mut ctx = HipContext::new(specs);
-                attach_roc(&mut ctx, Arc::clone(hub));
-                let profiler = match &self.backend {
-                    BackendChoice::RocProfiler(cfg) if self.wants_device => {
-                        Some(vendor_amd::rocprofiler::attach(&mut ctx, cfg.clone()))
-                    }
-                    BackendChoice::HostOnly | BackendChoice::RocProfiler(_) => None,
-                    _ => {
-                        return Err(PastaError::Config(
-                            "NVIDIA backends cannot attach to AMD devices".into(),
-                        ))
-                    }
-                };
-                (Box::new(ctx), profiler)
-            }
-            _ => {
-                let mut ctx = CudaContext::new(specs);
-                attach_nv(&mut ctx, Arc::clone(hub));
-                let sampling = self.sampling_rate;
-                let profiler = match &self.backend {
-                    BackendChoice::Sanitizer(cfg) if self.wants_device => Some(
-                        vendor_nv::sanitizer::attach(&mut ctx, cfg.clone().with_sampling(sampling)),
-                    ),
-                    BackendChoice::Nvbit(cfg) if self.wants_device => Some(
-                        vendor_nv::nvbit::attach(&mut ctx, cfg.clone().with_sampling(sampling)),
-                    ),
-                    BackendChoice::HostOnly
-                    | BackendChoice::Sanitizer(_)
-                    | BackendChoice::Nvbit(_) => None,
-                    BackendChoice::RocProfiler(_) => {
-                        return Err(PastaError::Config(
-                            "ROCProfiler cannot attach to NVIDIA devices".into(),
-                        ))
-                    }
-                };
-                (Box::new(ctx), profiler)
-            }
+        let (mut runtime, profiler) = match self.specs[0].vendor {
+            Vendor::Amd => self.context(hub, attach_roc)?,
+            _ => self.context(hub, attach_nv)?,
         };
         runtime.set_device(device)?;
         if let Some(uvm) = uvm {
@@ -486,6 +469,29 @@ impl ContextRecipe {
             )));
         }
         Ok((runtime, profiler))
+    }
+
+    /// A context speaking `C` over the recipe's devices: host callbacks
+    /// normalized into `hub` by `attach_host`, the recipe's backend
+    /// attached.
+    fn context<C: Vocabulary + Send>(
+        &self,
+        hub: &SharedHub,
+        attach_host: fn(&mut Context<C>, SharedHub),
+    ) -> Result<(Box<dyn SessionRuntime>, Option<ProfilerHandle>), PastaError> {
+        let mut ctx = Context::<C>::new(Arc::clone(&self.specs));
+        attach_host(&mut ctx, Arc::clone(hub));
+        let profiler = match &self.backend {
+            Some((coverage, mode, costs)) => Some(
+                ctx.attach_profiler(*coverage, *mode, costs.clone())
+                    .map_err(|e| match e {
+                        AccelError::Config(msg) => PastaError::Config(msg),
+                        other => other.into(),
+                    })?,
+            ),
+            None => None,
+        };
+        Ok((Box::new(ctx), profiler))
     }
 
     /// A fresh framework session over `rt` — the recipe's allocator
@@ -558,6 +564,45 @@ mod tests {
             .backend(BackendChoice::RocProfiler(RocProfilerConfig::default()))
             .build();
         assert!(matches!(r, Err(PastaError::Config(_))));
+    }
+
+    #[test]
+    fn sub_record_trace_buffer_is_a_config_error_naming_the_field() {
+        let config = SanitizerConfig::cpu_post_process().with_buffer_bytes(8);
+        let r = Pasta::builder()
+            .tool(DeviceHungry)
+            .backend(BackendChoice::Sanitizer(config))
+            .build();
+        let Err(PastaError::Config(msg)) = r else {
+            panic!("a trace buffer below one record must be a config error");
+        };
+        assert!(msg.contains("buffer_bytes"), "unhelpful message: {msg}");
+    }
+
+    #[test]
+    fn no_amd_backend_or_uvm_setup_a_caller_can_write_fails_the_build() {
+        // `RocProfilerConfig` carries a mode and `UvmConfig` a bin width;
+        // the buffer and the UVM cost model are constants checked at
+        // compile time, so the extremes of what is left build.
+        for (mode, bin) in [
+            (AnalysisMode::GpuResident, 0),
+            (AnalysisMode::CpuPostProcess, u64::MAX),
+        ] {
+            let config = UvmConfig {
+                hotness_bin_events: bin,
+            };
+            let session = Pasta::builder()
+                .mi300x()
+                .tool(DeviceHungry)
+                .backend(BackendChoice::RocProfiler(RocProfilerConfig { mode }))
+                .uvm(UvmSetup {
+                    config,
+                    budget_bytes: Some(bin),
+                    managed_allocator: bin == 0,
+                })
+                .build();
+            assert!(session.is_ok_and(|s| s.profiler.is_some()));
+        }
     }
 
     #[test]

@@ -45,6 +45,7 @@ pub mod config;
 pub mod hotness;
 pub mod manager;
 pub mod page;
+mod pager;
 pub mod plan;
 pub mod runtime;
 pub mod state;

@@ -9,11 +9,13 @@
 //! so nothing on the emission path is dispatched at run time.
 
 use crate::{PrefetchPlan, UvmManager};
+use accel_sim::instrument::{BackendCosts, ProfilerHandle, TraceProfiler};
 use accel_sim::runtime::MemAdvise;
+use accel_sim::trace::TRACE_RECORD_BYTES;
 use accel_sim::{
-    AccelError, CopyDirection, DeviceId, DeviceProbe, DevicePtr, DeviceRuntime, DeviceSpec, Engine,
-    KernelDesc, LaunchId, LaunchRecord, PeerTransfer, ResidencyAdvice, ResidencyModel,
-    RuntimeStats, SimTime, StreamId, Symbol, Vendor,
+    AccelError, AnalysisMode, CopyDirection, DeviceId, DevicePtr, DeviceRuntime, DeviceSpec,
+    Engine, InstrCoverage, KernelDesc, LaunchId, LaunchRecord, PeerTransfer, ResidencyAdvice,
+    ResidencyModel, RuntimeStats, SimTime, StreamId, Symbol, Vendor,
 };
 use std::sync::Arc;
 
@@ -128,9 +130,34 @@ impl<C: Vocabulary> Context<C> {
         self.subscribers.push(subscriber);
     }
 
-    /// Installs a device instrumentation probe (the backends' `attach`).
-    pub fn install_profiler(&mut self, probe: Box<dyn DeviceProbe>) {
-        self.engine.set_probe(probe);
+    /// Attaches a device-trace backend — the one body behind Compute
+    /// Sanitizer, NVBit and ROCProfiler-SDK, which differ only in what
+    /// they cover, where they analyze and what that costs: every later
+    /// launch is probed by a [`TraceProfiler`] priced over this machine's
+    /// host links. The handle wires a sink and reads the overhead back.
+    ///
+    /// # Errors
+    ///
+    /// [`AccelError::Config`] when `costs.buffer` holds no record — a
+    /// backend's `buffer_bytes` below one record — which would divide the
+    /// flush count by zero.
+    pub fn attach_profiler(
+        &mut self,
+        coverage: InstrCoverage,
+        mode: AnalysisMode,
+        costs: BackendCosts,
+    ) -> Result<ProfilerHandle, AccelError> {
+        if costs.buffer.capacity_records == 0 {
+            return Err(AccelError::Config(format!(
+                "trace buffer capacity_records is 0: buffer_bytes must be at least \
+                 {TRACE_RECORD_BYTES} (one record)"
+            )));
+        }
+        let specs = self.engine.specs();
+        let link_bw = specs.iter().map(|spec| spec.link_bandwidth_gbps).collect();
+        let (profiler, handle) = TraceProfiler::new(coverage, mode, costs, link_bw);
+        self.engine.set_probe(Box::new(profiler));
+        Ok(handle)
     }
 
     /// True when a device probe is installed.
@@ -148,15 +175,6 @@ impl<C: Vocabulary> Context<C> {
     pub fn set_prefetch_plan(&mut self, plan: PrefetchPlan) {
         self.prefetch_plan = Some(plan);
         self.launches_seen = 0;
-    }
-
-    /// Host-link bandwidths per device, GB/s (profiler construction input).
-    pub fn link_bandwidths(&self) -> Vec<f64> {
-        self.engine
-            .specs()
-            .iter()
-            .map(|spec| spec.link_bandwidth_gbps)
-            .collect()
     }
 
     /// The underlying engine.

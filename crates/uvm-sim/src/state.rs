@@ -46,6 +46,11 @@ struct Slot {
     read_mostly: bool,
 }
 
+/// Fraction of evicted bytes that are dirty and must be written back
+/// (pages marked read-mostly are always clean).
+const WRITEBACK_FRACTION: f64 = 0.5;
+const _: () = assert!(0.0 <= WRITEBACK_FRACTION && WRITEBACK_FRACTION <= 1.0);
+
 /// Result of an eviction pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvictResult {
@@ -254,10 +259,10 @@ impl DeviceState {
 
     /// Evicts least-recently-used unpinned pages until `need_bytes` fit in
     /// the budget. Returns how many pages went and how many bytes need
-    /// write-back. `writeback_fraction` models the dirty ratio for pages
-    /// not marked read-mostly.
-    pub fn make_room(&mut self, need_bytes: u64, writeback_fraction: f64) -> EvictResult {
-        self.make_room_logged(need_bytes, writeback_fraction, None)
+    /// write-back (`WRITEBACK_FRACTION` of each page not marked
+    /// read-mostly).
+    pub fn make_room(&mut self, need_bytes: u64) -> EvictResult {
+        self.make_room_logged(need_bytes, None)
     }
 
     /// Like [`DeviceState::make_room`], additionally appending each
@@ -268,7 +273,6 @@ impl DeviceState {
     pub fn make_room_logged(
         &mut self,
         need_bytes: u64,
-        writeback_fraction: f64,
         mut victims: Option<&mut Vec<u64>>,
     ) -> EvictResult {
         let mut result = EvictResult::default();
@@ -291,7 +295,7 @@ impl DeviceState {
             cursor = victim.next;
             result.pages += 1;
             if !victim.read_mostly {
-                result.writeback_bytes += (PAGE_SIZE as f64 * writeback_fraction) as u64;
+                result.writeback_bytes += (PAGE_SIZE as f64 * WRITEBACK_FRACTION) as u64;
             }
             if let Some(log) = victims.as_deref_mut() {
                 log.push(victim.page);
@@ -389,7 +393,7 @@ mod tests {
         s.insert(2);
         // Touch page 1 so page 2 becomes the LRU victim.
         s.touch(1);
-        let r = s.make_room(PAGE_SIZE, 0.5);
+        let r = s.make_room(PAGE_SIZE);
         assert_eq!(r.pages, 1);
         assert!(s.is_resident(1), "recently-touched page survives");
         assert!(!s.is_resident(2), "LRU page evicted");
@@ -401,7 +405,7 @@ mod tests {
         s.insert(1);
         s.insert(2);
         s.set_pinned(1, true);
-        let r = s.make_room(PAGE_SIZE, 0.5);
+        let r = s.make_room(PAGE_SIZE);
         assert_eq!(r.pages, 1);
         assert!(s.is_resident(1));
         assert!(!s.is_resident(2));
@@ -412,7 +416,7 @@ mod tests {
         let mut s = state(1);
         s.insert(1);
         s.set_read_mostly(1, true);
-        let r = s.make_room(PAGE_SIZE, 0.5);
+        let r = s.make_room(PAGE_SIZE);
         assert_eq!(r.pages, 1);
         assert_eq!(r.writeback_bytes, 0);
     }
@@ -421,7 +425,7 @@ mod tests {
     fn writeback_fraction_applies() {
         let mut s = state(1);
         s.insert(1);
-        let r = s.make_room(PAGE_SIZE, 0.5);
+        let r = s.make_room(PAGE_SIZE);
         assert_eq!(r.writeback_bytes, PAGE_SIZE / 2);
     }
 
@@ -429,7 +433,7 @@ mod tests {
     fn make_room_is_noop_when_space_exists() {
         let mut s = state(10);
         s.insert(1);
-        let r = s.make_room(PAGE_SIZE, 0.5);
+        let r = s.make_room(PAGE_SIZE);
         assert_eq!(r.pages, 0);
         assert!(s.is_resident(1));
     }
@@ -439,7 +443,7 @@ mod tests {
         let mut s = state(1);
         s.insert(1);
         s.set_pinned(1, true);
-        let r = s.make_room(PAGE_SIZE, 0.5);
+        let r = s.make_room(PAGE_SIZE);
         assert_eq!(r.pages, 0, "pinned page may not be evicted");
         assert!(s.is_resident(1));
     }
@@ -450,14 +454,14 @@ mod tests {
         s.insert(3);
         s.insert(9);
         let mut victims = Vec::new();
-        let r = s.make_room_logged(2 * PAGE_SIZE, 0.0, Some(&mut victims));
+        let r = s.make_room_logged(2 * PAGE_SIZE, Some(&mut victims));
         assert_eq!(r.pages, 2);
         assert_eq!(victims, vec![3, 9], "LRU order, oldest first");
         // The unlogged variant is byte-identical in effect.
         let mut t = state(2);
         t.insert(3);
         t.insert(9);
-        assert_eq!(t.make_room(2 * PAGE_SIZE, 0.0), r);
+        assert_eq!(t.make_room(2 * PAGE_SIZE), r);
     }
 
     #[test]
@@ -467,7 +471,7 @@ mod tests {
         s.insert(7);
         assert_eq!(s.resident_pages(), 1);
         // The old stamp must be gone from the LRU index.
-        let r = s.make_room(4 * PAGE_SIZE, 0.0);
+        let r = s.make_room(4 * PAGE_SIZE);
         assert_eq!(r.pages, 1);
     }
 
@@ -562,8 +566,8 @@ mod tests {
             };
             let evict = |slab: &mut DeviceState, reference: &mut StampedState, need: u64| {
                 let (mut got, mut want) = (Vec::new(), Vec::new());
-                let a = slab.make_room_logged(need, 0.5, Some(&mut got));
-                let b = reference.make_room_logged(need, 0.5, &mut want);
+                let a = slab.make_room_logged(need, Some(&mut got));
+                let b = reference.make_room_logged(need, WRITEBACK_FRACTION, &mut want);
                 (a, got, b, want)
             };
             for &(op, page, flag) in &ops {

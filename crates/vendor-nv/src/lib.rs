@@ -30,11 +30,4 @@ pub mod sanitizer;
 pub use callbacks::{NvCallback, NvSubscriber};
 pub use cuda::CudaContext;
 pub use inject::{is_spurious, should_instrument, InjectionMethod, ProcessKind};
-pub use nvbit::NvbitConfig;
 pub use sanitizer::SanitizerConfig;
-
-// Re-export the shared instrumentation machinery under the vendor crate so
-// downstream code can name it next to the configs that drive it.
-pub use accel_sim::instrument::{
-    DeviceTraceSink, OverheadBreakdown, ProfilerHandle, TraceCtx, TraceProfiler,
-};

@@ -6,10 +6,16 @@
 //! side — patching memory/barrier instructions and collecting their traces
 //! — via [`attach`], the analogue of `sanitizerEnableDomain` +
 //! `sanitizerPatchModule`.
+//!
+//! The per-record cost constants are [`BackendCosts::sanitizer`]; a
+//! [`SanitizerConfig`] holds the three values callers vary on top of that
+//! preset and defaults the two numeric ones from it. Record sampling is
+//! not a backend setting: the session's rate reaches every backend in the
+//! [`accel_sim::ProbeConfig`] its sink returns at kernel begin.
 
 use crate::cuda::CudaContext;
-use accel_sim::instrument::{BackendCosts, ProfilerHandle, TraceProfiler};
-use accel_sim::trace::TraceBufferModel;
+use accel_sim::instrument::{BackendCosts, ProfilerHandle};
+use accel_sim::trace::{TraceBufferModel, TRACE_RECORD_BYTES};
 use accel_sim::{AnalysisMode, InstrCoverage};
 
 /// Configuration of a Compute Sanitizer attachment.
@@ -17,8 +23,6 @@ use accel_sim::{AnalysisMode, InstrCoverage};
 pub struct SanitizerConfig {
     /// Where trace analysis runs (paper Fig. 2).
     pub mode: AnalysisMode,
-    /// Record sampling factor (`ACCEL_PROF_ENV_SAMPLE_RATE`); 1 = all.
-    pub sampling_rate: u32,
     /// Device trace-buffer size in bytes (CPU-post-process mode).
     pub buffer_bytes: u64,
     /// Width of the on-device analysis thread group (GPU-resident mode).
@@ -28,11 +32,11 @@ pub struct SanitizerConfig {
 impl SanitizerConfig {
     /// PASTA's GPU-resident collect-and-analyze configuration (CS-GPU).
     pub fn gpu_resident() -> Self {
+        let preset = BackendCosts::sanitizer();
         SanitizerConfig {
             mode: AnalysisMode::GpuResident,
-            sampling_rate: 1,
-            buffer_bytes: 4 << 20,
-            gpu_analysis_threads: 4_096,
+            buffer_bytes: preset.buffer.capacity_records * TRACE_RECORD_BYTES,
+            gpu_analysis_threads: preset.gpu_analysis_threads,
         }
     }
 
@@ -45,12 +49,6 @@ impl SanitizerConfig {
         }
     }
 
-    /// Overrides the sampling rate.
-    pub fn with_sampling(mut self, rate: u32) -> Self {
-        self.sampling_rate = rate.max(1);
-        self
-    }
-
     /// Overrides the analysis thread-group width (ablation knob).
     pub fn with_analysis_threads(mut self, threads: u64) -> Self {
         self.gpu_analysis_threads = threads.max(1);
@@ -61,6 +59,21 @@ impl SanitizerConfig {
     pub fn with_buffer_bytes(mut self, bytes: u64) -> Self {
         self.buffer_bytes = bytes;
         self
+    }
+
+    /// The backend this config describes, as
+    /// [`CudaContext::attach_profiler`] takes it: memory/barrier coverage,
+    /// the chosen mode, the Compute Sanitizer preset with this config's
+    /// buffer and thread-group width.
+    pub fn backend(&self) -> (InstrCoverage, AnalysisMode, BackendCosts) {
+        let costs = BackendCosts {
+            buffer: TraceBufferModel {
+                capacity_records: self.buffer_bytes / TRACE_RECORD_BYTES,
+            },
+            gpu_analysis_threads: self.gpu_analysis_threads,
+            ..BackendCosts::sanitizer()
+        };
+        (InstrCoverage::MemoryAndBarrier, self.mode, costs)
     }
 }
 
@@ -76,22 +89,16 @@ impl Default for SanitizerConfig {
 /// Equivalent to `sanitizerEnableDomain` + `sanitizerPatchModule` in the
 /// real API: after this call, every kernel's memory and barrier
 /// instructions are patched.
+///
+/// # Panics
+///
+/// Panics when `config.buffer_bytes` is smaller than one trace record; a
+/// caller that wants the error calls [`CudaContext::attach_profiler`] with
+/// [`SanitizerConfig::backend`], as the session builder does.
 pub fn attach(ctx: &mut CudaContext, config: SanitizerConfig) -> ProfilerHandle {
-    let costs = BackendCosts {
-        buffer: TraceBufferModel::with_bytes(config.buffer_bytes),
-        gpu_analysis_threads: config.gpu_analysis_threads,
-        ..BackendCosts::sanitizer()
-    };
-    let link_bw = ctx.link_bandwidths();
-    let (profiler, handle) = TraceProfiler::new(
-        InstrCoverage::MemoryAndBarrier,
-        config.mode,
-        costs,
-        link_bw,
-        config.sampling_rate,
-    );
-    ctx.install_profiler(Box::new(profiler));
-    handle
+    let (coverage, mode, costs) = config.backend();
+    ctx.attach_profiler(coverage, mode, costs)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -111,10 +118,8 @@ mod tests {
     #[test]
     fn builder_knobs() {
         let c = SanitizerConfig::gpu_resident()
-            .with_sampling(0)
             .with_analysis_threads(0)
             .with_buffer_bytes(1 << 20);
-        assert_eq!(c.sampling_rate, 1, "sampling clamps to 1");
         assert_eq!(c.gpu_analysis_threads, 1, "threads clamp to 1");
         assert_eq!(c.buffer_bytes, 1 << 20);
     }
@@ -125,5 +130,15 @@ mod tests {
         assert!(!ctx.has_profiler());
         let _handle = attach(&mut ctx, SanitizerConfig::gpu_resident());
         assert!(ctx.has_profiler());
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer_bytes must be at least")]
+    fn a_sub_record_buffer_panics_the_direct_attach() {
+        let mut ctx = CudaContext::new(vec![DeviceSpec::rtx_3060()]);
+        attach(
+            &mut ctx,
+            SanitizerConfig::gpu_resident().with_buffer_bytes(8),
+        );
     }
 }

@@ -2,24 +2,29 @@
 //!
 //! Runs the 64-lane tiny expert-parallel MoE iteration — the benchmark's
 //! `scale_out_moe` op: build the session, run the region, merge and
-//! render — lane-at-a-time on one thread and on the bounded pool at
-//! widths 1, 2 and `available_parallelism`, interleaved round by round so
-//! the box's drift lands on every schedule alike, and prints each
-//! schedule's median wall and its speed-up over the sequential one. That
-//! ratio is what ROADMAP item 3 is judged by and no benchmark metric
-//! reports (README, "Why two workers were no faster than one").
+//! render — under ONE schedule per process, lane-at-a-time on one thread
+//! (`seq`) or on the bounded pool (`pool`), and prints that schedule's
+//! median wall. Interleaving the two in one process made the
+//! single-threaded ops decide what the second core was doing when the
+//! pooled ones started, and a 5 ms op is too short to hide that (ROADMAP,
+//! standing perf guard), so the speed-up — what ROADMAP item 3 is judged
+//! by and no benchmark metric reports (README, "Why two workers were no
+//! faster than one") — is two invocations divided by hand:
 //!
 //! ```sh
-//! cargo run --release --example scale_probe            # 21 rounds
-//! cargo run --release --example scale_probe -- 51      # more rounds
+//! cargo run --release --example scale_probe -- seq          # width 1, 21 rounds
+//! cargo run --release --example scale_probe -- pool 2       # pool of 2, 21 rounds
+//! cargo run --release --example scale_probe -- pool 2 51    # more rounds
 //! ```
 
 use pasta::core::tool::LaunchCounter;
 use pasta::dl::parallel::{self, MoeConfig};
 use pasta::prelude::*;
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 const LANES: u32 = 64;
+const USAGE: &str = "usage: scale_probe <seq|pool> [width] [rounds]";
 
 /// One whole op under `width` lane and merge workers; `pooled: false` is
 /// the lane-at-a-time reference schedule. Returns its wall and the events
@@ -50,52 +55,43 @@ fn op(pooled: bool, width: usize) -> Result<(Duration, u64), Box<dyn std::error:
     Ok((started.elapsed(), merged.events_processed))
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let rounds: usize = match std::env::args().nth(1) {
-        Some(arg) => arg.parse::<usize>()?.max(1),
-        None => 21,
-    };
+fn main() -> Result<ExitCode, Box<dyn std::error::Error>> {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let mut schedules = vec![("sequential".to_owned(), false, 1)];
-    let mut widths = vec![1, 2, cores];
-    widths.dedup();
-    for width in widths {
-        schedules.push((format!("pool width {width}"), true, width));
-    }
+    let mut args = std::env::args().skip(1);
+    let (pooled, default_width) = match args.next().as_deref() {
+        Some("seq") => (false, 1),
+        Some("pool") => (true, cores),
+        _ => {
+            eprintln!("{USAGE}");
+            return Ok(ExitCode::from(2));
+        }
+    };
+    let mut number = |default: usize| match args.next() {
+        Some(arg) => arg.parse::<usize>().map(|n| n.max(1)),
+        None => Ok(default),
+    };
+    let (width, rounds) = (number(default_width)?, number(21)?);
 
-    let mut walls: Vec<Vec<Duration>> = vec![Vec::with_capacity(rounds); schedules.len()];
+    let mut walls = Vec::with_capacity(rounds);
     let mut events = 0;
     // Round 0 warms the symbol table, the allocator and the page cache.
     for round in 0..=rounds {
-        for (i, (_, pooled, width)) in schedules.iter().enumerate() {
-            let (wall, counted) = op(*pooled, *width)?;
-            if round > 0 {
-                walls[i].push(wall);
-            }
-            events = counted;
+        let (wall, counted) = op(pooled, width)?;
+        if round > 0 {
+            walls.push(wall);
         }
+        events = counted;
     }
+    walls.sort_unstable();
 
+    let schedule = if pooled { "pool" } else { "sequential" };
     println!(
-        "{LANES}-lane tiny MoE, {events} events per op, {rounds} interleaved rounds, \
-         available_parallelism {cores}"
+        "{LANES}-lane tiny MoE, {events} events per op, {schedule} width {width}, {rounds} \
+         rounds, available_parallelism {cores}: median {:.1} us",
+        walls[walls.len() / 2].as_secs_f64() * 1e6
     );
-    let medians: Vec<Duration> = walls
-        .iter_mut()
-        .map(|w| {
-            w.sort_unstable();
-            w[w.len() / 2]
-        })
-        .collect();
-    for ((label, _, _), median) in schedules.iter().zip(&medians) {
-        println!(
-            "  {label:<14} median {:>9.1} us   {:.2}x the sequential schedule",
-            median.as_secs_f64() * 1e6,
-            medians[0].as_secs_f64() / median.as_secs_f64()
-        );
+    if pooled && cores < 2 {
+        println!("  one core: this wall says nothing about parallel speed-up");
     }
-    if cores < 2 {
-        println!("  one core: the ratios above say nothing about parallel speed-up");
-    }
-    Ok(())
+    Ok(ExitCode::SUCCESS)
 }

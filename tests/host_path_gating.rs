@@ -576,7 +576,6 @@ fn resident_managed_accesses_allocate_nothing() {
     let manager = || {
         let mut m = UvmManager::new(UvmConfig {
             hotness_bin_events: 1 << 40,
-            ..UvmConfig::default()
         });
         for _ in 0..2 {
             m.add_device_p2p((WEIGHT_PAGES + 32) * PAGE_SIZE, 24.0, 300.0, 25_000);

@@ -2,7 +2,9 @@
 //! stack, exercising vendor backends, analysis modes, range filtering,
 //! sampling, UVM and the tool collection together.
 
-use pasta::core::{AnalysisMode, BackendChoice, Knob, ModelWorkload, Pasta, RangeFilter, UvmSetup};
+use pasta::core::{
+    AnalysisMode, BackendChoice, Knob, ModelWorkload, Pasta, PastaBuilder, RangeFilter, UvmSetup,
+};
 use pasta::dl::models::{ModelZoo, RunKind};
 use pasta::nv::sanitizer::SanitizerConfig;
 use pasta::sim::DeviceId;
@@ -124,7 +126,7 @@ fn nvbit_costs_more_than_sanitizer() {
         let mut s = Pasta::builder()
             .rtx_3060()
             .tool(MemoryCharacteristicsTool::new())
-            .backend(BackendChoice::Nvbit(pasta::nv::NvbitConfig::default()))
+            .backend(BackendChoice::Nvbit)
             .build()
             .unwrap();
         s.run(&mut ModelWorkload::new(ModelZoo::Bert, RunKind::Inference).batch_divisor(DIV))
@@ -140,26 +142,30 @@ fn nvbit_costs_more_than_sanitizer() {
 
 #[test]
 fn sampling_reduces_records_proportionally() {
-    let run = |rate: u32| {
-        let mut session = Pasta::builder()
-            .rtx_3060()
-            .tool(MemoryCharacteristicsTool::new())
-            .sampling(rate)
-            .build()
-            .unwrap();
-        session
-            .run(&mut ModelWorkload::new(ModelZoo::ResNet18, RunKind::Inference).batch_divisor(DIV))
-            .unwrap()
-            .records
-    };
-    let full = run(1);
-    let sampled = run(100);
-    assert!(full > 0);
-    let ratio = full as f64 / sampled.max(1) as f64;
-    assert!(
-        (20.0..500.0).contains(&ratio),
-        "100x sampling should cut records ~100x, got {ratio} ({full} vs {sampled})"
-    );
+    for device in [PastaBuilder::rtx_3060, PastaBuilder::mi300x] {
+        let run = |rate: u32| {
+            let mut session = device(Pasta::builder())
+                .tool(MemoryCharacteristicsTool::new())
+                .sampling(rate)
+                .build()
+                .unwrap();
+            session
+                .run(
+                    &mut ModelWorkload::new(ModelZoo::ResNet18, RunKind::Inference)
+                        .batch_divisor(DIV),
+                )
+                .unwrap()
+                .records
+        };
+        let full = run(1);
+        let sampled = run(100);
+        assert!(full > 0);
+        let ratio = full as f64 / sampled.max(1) as f64;
+        assert!(
+            (20.0..500.0).contains(&ratio),
+            "100x sampling should cut records ~100x, got {ratio} ({full} vs {sampled})"
+        );
+    }
 }
 
 #[test]

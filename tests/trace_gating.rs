@@ -192,7 +192,6 @@ fn untraced_event_path_performs_zero_allocations() {
         AnalysisMode::GpuResident,
         BackendCosts::sanitizer(),
         vec![24.0],
-        1,
     );
     handle.set_sink(Box::new(sink));
     let mut engine = Engine::new(vec![DeviceSpec::rtx_3060()]);

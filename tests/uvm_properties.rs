@@ -30,7 +30,6 @@ type LaneStream = Vec<(u64, u64)>;
 fn manager(lanes: usize, budget_pages: u64, bin_events: u64) -> UvmManager {
     let config = UvmConfig {
         hotness_bin_events: bin_events,
-        ..UvmConfig::default()
     };
     let mut m = UvmManager::new(config);
     for _ in 0..lanes {

@@ -15,9 +15,11 @@ use pasta::core::handler::{attach_nv, attach_roc};
 use pasta::core::hub::new_shared;
 use pasta::core::tool::{Interest, LaunchCounter, Tool};
 use pasta::core::{
-    Event, EventProcessor, FnWorkload, Pasta, PastaBuilder, ToolReport, UvmSetup, WorkloadStats,
+    Event, EventProcessor, FnWorkload, ModelWorkload, Pasta, PastaBuilder, ToolReport, UvmSetup,
+    WorkloadStats,
 };
 use pasta::dl::dtype::DType;
+use pasta::dl::models::{ModelZoo, RunKind};
 use pasta::dl::parallel::{self, DeviceLane, Parallelism};
 use pasta::nv::{CudaContext, NvCallback};
 use pasta::sim::runtime::MemAdvise;
@@ -25,7 +27,7 @@ use pasta::sim::{
     AccelError, AccessSpec, CopyDirection, DeviceId, DevicePtr, DeviceRuntime, DeviceSpec, Dim3,
     KernelBody, KernelDesc, SimTime,
 };
-use pasta::tools::{MemoryTimelineTool, TransferTool};
+use pasta::tools::{HotnessTool, MemoryTimelineTool, TransferTool};
 use pasta::uvm::runtime::{Context, Vocabulary};
 use pasta::uvm::{PrefetchPlan, Range, UvmConfig, UvmManager};
 use std::sync::{Arc, Mutex};
@@ -503,4 +505,85 @@ fn amd_lanes_merge_like_nvidia_lanes() {
     }
     assert!(amd.tool_launches > nv.tool_launches);
     assert!(amd.tensor_events[0] >= nv.tensor_events[0]);
+}
+
+/// Launches and post-sampling records of a ResNet-18 inference under
+/// `HotnessTool` (global accesses only, so every record is a sampled one).
+fn model_records(builder: PastaBuilder, rate: u32) -> (u64, u64) {
+    let mut session = builder
+        .tool(HotnessTool::new(64))
+        .sampling(rate)
+        .build()
+        .unwrap();
+    let report = session
+        .run(&mut ModelWorkload::new(ModelZoo::ResNet18, RunKind::Inference).batch_divisor(8))
+        .unwrap();
+    (report.kernel_launches, report.records)
+}
+
+/// What each of two lanes of `spec` records for three 8,192-record
+/// launches at `rate`, as its own engine counted them, and what the
+/// session reports for both together.
+fn lane_records(spec: DeviceSpec, rate: u32) -> (Vec<u64>, u64) {
+    let mut session = Pasta::builder()
+        .devices(vec![spec.clone(), spec])
+        .tool(HotnessTool::new(64))
+        .sampling(rate)
+        .build()
+        .unwrap();
+    let per_lane = session
+        .run_parallel(&[DeviceId(0), DeviceId(1)], |lanes| {
+            lanes
+                .iter_mut()
+                .map(|lane| {
+                    let s = &mut lane.session;
+                    let t = s.alloc_tensor(&[1 << 18], DType::F32)?;
+                    let mut records = 0;
+                    for name in ["scale", "shift", "reduce"] {
+                        records += s.launch(kernel(name, t.ptr, t.bytes))?.records_emitted;
+                    }
+                    s.free_tensor(&t);
+                    Ok(records)
+                })
+                .collect()
+        })
+        .unwrap();
+    (per_lane, session.records())
+}
+
+/// The session's sampling rate is one setting over two vendors. It used to
+/// be copied into each backend's config, and the AMD copy was forgotten:
+/// `mi300x().sampling(4)` recorded what `.sampling(1)` did.
+#[test]
+fn sampling_is_a_cross_vendor_contract() {
+    let mut ratios = Vec::new();
+    for (vendor, select) in [
+        (
+            "a100",
+            PastaBuilder::a100 as fn(PastaBuilder) -> PastaBuilder,
+        ),
+        ("mi300x", PastaBuilder::mi300x),
+    ] {
+        let device = || select(Pasta::builder());
+        let (launches, full) = model_records(device(), 1);
+        let (_, quarter) = model_records(device(), 4);
+        // A stream keeps `records / 4`, at least one: each is off by less
+        // than one record, and no operator here has more than eight.
+        assert!(
+            (4 * quarter).abs_diff(full) <= 4 * 8 * launches,
+            "{vendor}: {full} records at rate 1, {quarter} at rate 4"
+        );
+        assert_eq!(model_records(device(), 0).1, full, "{vendor}: 0 is 1");
+        ratios.push(full as f64 / quarter as f64);
+    }
+    assert!(
+        (ratios[0] - ratios[1]).abs() < 0.01 * ratios[0],
+        "the vendors sample alike: {ratios:?}"
+    );
+
+    // Lanes take their rate from their shard's fork of the processor.
+    for spec in [DeviceSpec::a100_80gb(), DeviceSpec::mi300x()] {
+        assert_eq!(lane_records(spec.clone(), 1), (vec![3 * 8192; 2], 6 * 8192));
+        assert_eq!(lane_records(spec, 4), (vec![3 * 2048; 2], 6 * 2048));
+    }
 }
