@@ -18,7 +18,7 @@
 //! right here, instead of silently dropping the variant from traces.
 
 use crate::error::TraceError;
-use crate::wire::{put_varint, unzigzag, zigzag, Cursor, Scratch};
+use crate::wire::{corrupt, put_varint, unzigzag, zigzag, Cursor, Scratch};
 use accel_sim::{
     AccessBatch, AccessKind, AccessPattern, CopyDirection, DeviceId, Dim3, KernelTraceSummary,
     LaunchId, MemSpace, SimTime, Symbol,
@@ -74,15 +74,13 @@ fn kind_code(k: AccessKind) -> u8 {
     }
 }
 
+#[inline]
 fn kind_from(b: u8, offset: usize) -> Result<AccessKind, TraceError> {
     match b {
         0 => Ok(AccessKind::Load),
         1 => Ok(AccessKind::Store),
         2 => Ok(AccessKind::Atomic),
-        _ => Err(TraceError::Corrupt {
-            offset,
-            what: format!("bad AccessKind code {b}"),
-        }),
+        _ => Err(corrupt(offset, format_args!("bad AccessKind code {b}"))),
     }
 }
 
@@ -95,16 +93,14 @@ fn space_code(s: MemSpace) -> u8 {
     }
 }
 
+#[inline]
 fn space_from(b: u8, offset: usize) -> Result<MemSpace, TraceError> {
     match b {
         0 => Ok(MemSpace::Global),
         1 => Ok(MemSpace::Shared),
         2 => Ok(MemSpace::RemoteShared),
         3 => Ok(MemSpace::Local),
-        _ => Err(TraceError::Corrupt {
-            offset,
-            what: format!("bad MemSpace code {b}"),
-        }),
+        _ => Err(corrupt(offset, format_args!("bad MemSpace code {b}"))),
     }
 }
 
@@ -117,16 +113,14 @@ fn direction_code(d: CopyDirection) -> u8 {
     }
 }
 
+#[inline]
 fn direction_from(b: u8, offset: usize) -> Result<CopyDirection, TraceError> {
     match b {
         0 => Ok(CopyDirection::HostToDevice),
         1 => Ok(CopyDirection::DeviceToHost),
         2 => Ok(CopyDirection::DeviceToDevice),
         3 => Ok(CopyDirection::HostToHost),
-        _ => Err(TraceError::Corrupt {
-            offset,
-            what: format!("bad CopyDirection code {b}"),
-        }),
+        _ => Err(corrupt(offset, format_args!("bad CopyDirection code {b}"))),
     }
 }
 
@@ -138,26 +132,22 @@ fn pass_code(p: Pass) -> u8 {
     }
 }
 
+#[inline]
 fn pass_from(b: u8, offset: usize) -> Result<Pass, TraceError> {
     match b {
         0 => Ok(Pass::Forward),
         1 => Ok(Pass::Backward),
         2 => Ok(Pass::Optimizer),
-        _ => Err(TraceError::Corrupt {
-            offset,
-            what: format!("bad Pass code {b}"),
-        }),
+        _ => Err(corrupt(offset, format_args!("bad Pass code {b}"))),
     }
 }
 
+#[inline]
 fn bool_from(b: u8, offset: usize) -> Result<bool, TraceError> {
     match b {
         0 => Ok(false),
         1 => Ok(true),
-        _ => Err(TraceError::Corrupt {
-            offset,
-            what: format!("bad bool byte {b}"),
-        }),
+        _ => Err(corrupt(offset, format_args!("bad bool byte {b}"))),
     }
 }
 
@@ -618,6 +608,35 @@ impl ShardEncoder {
     }
 }
 
+/// Bytes of the shortest record: a tag and two one-byte fields (`Sync`,
+/// `BlockBoundary`, `PassBoundary`, …). A shard holds at most its payload
+/// length over this many records.
+pub(crate) const MIN_RECORD_BYTES: usize = 3;
+
+/// A varint that must fit a `u32` (dimensions, streams, line numbers).
+#[inline]
+fn u32v(cur: &mut Cursor<'_>) -> Result<u32, TraceError> {
+    let v = cur.varint()?;
+    u32::try_from(v).map_err(|_| corrupt(cur.pos(), format_args!("value {v} exceeds u32")))
+}
+
+#[inline]
+fn device(cur: &mut Cursor<'_>) -> Result<DeviceId, TraceError> {
+    let v = cur.varint()?;
+    u32::try_from(v)
+        .map(DeviceId)
+        .map_err(|_| corrupt(cur.pos(), format_args!("device id {v} exceeds u32")))
+}
+
+#[inline]
+fn dim3(cur: &mut Cursor<'_>) -> Result<Dim3, TraceError> {
+    Ok(Dim3 {
+        x: u32v(cur)?,
+        y: u32v(cur)?,
+        z: u32v(cur)?,
+    })
+}
+
 /// Decodes one shard's payload back into events, resolving dictionary ids
 /// through the shard's interned dictionary.
 pub(crate) struct ShardDecoder<'a> {
@@ -635,62 +654,39 @@ impl<'a> ShardDecoder<'a> {
         }
     }
 
+    #[inline]
     fn sym(&self, cur: &mut Cursor<'_>) -> Result<Symbol, TraceError> {
         let id = cur.varint_usize()?;
-        self.symbols
-            .get(id)
-            .copied()
-            .ok_or_else(|| TraceError::Corrupt {
-                offset: cur.pos(),
-                what: format!(
+        self.symbols.get(id).copied().ok_or_else(|| {
+            corrupt(
+                cur.pos(),
+                format_args!(
                     "symbol id {id} out of range (dictionary has {})",
                     self.symbols.len()
                 ),
-            })
+            )
+        })
     }
 
     fn string(&self, cur: &mut Cursor<'_>) -> Result<String, TraceError> {
         Ok(self.sym(cur)?.as_str().to_owned())
     }
 
-    fn device(&self, cur: &mut Cursor<'_>) -> Result<DeviceId, TraceError> {
-        let v = cur.varint()?;
-        u32::try_from(v)
-            .map(DeviceId)
-            .map_err(|_| TraceError::Corrupt {
-                offset: cur.pos(),
-                what: format!("device id {v} exceeds u32"),
-            })
-    }
-
-    fn u32v(&self, cur: &mut Cursor<'_>) -> Result<u32, TraceError> {
-        let v = cur.varint()?;
-        u32::try_from(v).map_err(|_| TraceError::Corrupt {
-            offset: cur.pos(),
-            what: format!("value {v} exceeds u32"),
-        })
-    }
-
+    #[inline]
     fn time(&mut self, cur: &mut Cursor<'_>) -> Result<SimTime, TraceError> {
         let delta = unzigzag(cur.varint()?);
         self.last_time = self.last_time.wrapping_add(delta as u64);
         Ok(SimTime(self.last_time))
     }
 
+    #[inline]
     fn launch(&mut self, cur: &mut Cursor<'_>) -> Result<LaunchId, TraceError> {
         let delta = unzigzag(cur.varint()?);
         self.last_launch = self.last_launch.wrapping_add(delta as u64);
         Ok(LaunchId(self.last_launch))
     }
 
-    fn dim3(&self, cur: &mut Cursor<'_>) -> Result<Dim3, TraceError> {
-        Ok(Dim3 {
-            x: self.u32v(cur)?,
-            y: self.u32v(cur)?,
-            z: self.u32v(cur)?,
-        })
-    }
-
+    #[inline]
     fn batch(&mut self, cur: &mut Cursor<'_>) -> Result<AccessBatch, TraceError> {
         let launch = self.launch(cur)?;
         let spec_index = cur.varint_usize()?;
@@ -698,7 +694,7 @@ impl<'a> ShardDecoder<'a> {
         let len = cur.varint()?;
         let records = cur.varint()?;
         let bytes = cur.varint()?;
-        let elem_size = self.u32v(cur)?;
+        let elem_size = u32v(cur)?;
         let kind = kind_from(cur.u8()?, cur.pos())?;
         let space = space_from(cur.u8()?, cur.pos())?;
         let pattern = match cur.u8()? {
@@ -708,10 +704,10 @@ impl<'a> ShardDecoder<'a> {
             },
             2 => AccessPattern::Random,
             b => {
-                return Err(TraceError::Corrupt {
-                    offset: cur.pos(),
-                    what: format!("bad AccessPattern code {b}"),
-                })
+                return Err(corrupt(
+                    cur.pos(),
+                    format_args!("bad AccessPattern code {b}"),
+                ))
             }
         };
         Ok(AccessBatch {
@@ -728,134 +724,155 @@ impl<'a> ShardDecoder<'a> {
         })
     }
 
-    /// Decodes the next record.
-    pub(crate) fn decode(&mut self, cur: &mut Cursor<'_>) -> Result<Event, TraceError> {
+    /// Decodes the next `max` records onto the end of `out`. On an error
+    /// `out` holds every record before the bad one.
+    pub(crate) fn decode_batch(
+        &mut self,
+        cur: &mut Cursor<'_>,
+        out: &mut Vec<Event>,
+        max: usize,
+    ) -> Result<(), TraceError> {
+        for _ in 0..max {
+            self.decode_onto(cur, out)?;
+        }
+        Ok(())
+    }
+
+    /// Decodes the next record onto the end of `out`. Each arm reads its
+    /// fields and pushes the event they make, so the event is written once,
+    /// into the vector's spare capacity — it is never returned by value.
+    #[inline(always)]
+    fn decode_onto(
+        &mut self,
+        cur: &mut Cursor<'_>,
+        out: &mut Vec<Event>,
+    ) -> Result<(), TraceError> {
         let t = cur.u8()?;
-        let event = match t {
-            tag::DRIVER_API => Event::DriverApi {
+        match t {
+            tag::DRIVER_API => out.push(Event::DriverApi {
                 name: self.sym(cur)?,
-                device: self.device(cur)?,
+                device: device(cur)?,
                 at: self.time(cur)?,
-            },
-            tag::RUNTIME_API => Event::RuntimeApi {
+            }),
+            tag::RUNTIME_API => out.push(Event::RuntimeApi {
                 name: self.sym(cur)?,
-                device: self.device(cur)?,
+                device: device(cur)?,
                 at: self.time(cur)?,
-            },
-            tag::SYNC => Event::Sync {
-                device: self.device(cur)?,
+            }),
+            tag::SYNC => out.push(Event::Sync {
+                device: device(cur)?,
                 at: self.time(cur)?,
-            },
-            tag::KERNEL_LAUNCH_BEGIN => Event::KernelLaunchBegin {
+            }),
+            tag::KERNEL_LAUNCH_BEGIN => out.push(Event::KernelLaunchBegin {
                 launch: self.launch(cur)?,
-                device: self.device(cur)?,
-                stream: self.u32v(cur)?,
+                device: device(cur)?,
+                stream: u32v(cur)?,
                 name: self.sym(cur)?,
-                grid: self.dim3(cur)?,
-                block: self.dim3(cur)?,
-            },
-            tag::KERNEL_LAUNCH_END => Event::KernelLaunchEnd {
+                grid: dim3(cur)?,
+                block: dim3(cur)?,
+            }),
+            tag::KERNEL_LAUNCH_END => out.push(Event::KernelLaunchEnd {
                 launch: self.launch(cur)?,
-                device: self.device(cur)?,
+                device: device(cur)?,
                 name: self.sym(cur)?,
                 start: self.time(cur)?,
                 end: self.time(cur)?,
-            },
-            tag::MEM_COPY => Event::MemCopy {
-                device: self.device(cur)?,
+            }),
+            tag::MEM_COPY => out.push(Event::MemCopy {
+                device: device(cur)?,
                 direction: direction_from(cur.u8()?, cur.pos())?,
                 bytes: cur.varint()?,
                 at: self.time(cur)?,
-            },
-            tag::MEM_SET => Event::MemSet {
-                device: self.device(cur)?,
+            }),
+            tag::MEM_SET => out.push(Event::MemSet {
+                device: device(cur)?,
                 addr: cur.varint()?,
                 bytes: cur.varint()?,
                 at: self.time(cur)?,
-            },
-            tag::RESOURCE_ALLOC => Event::ResourceAlloc {
-                device: self.device(cur)?,
+            }),
+            tag::RESOURCE_ALLOC => out.push(Event::ResourceAlloc {
+                device: device(cur)?,
                 addr: cur.varint()?,
                 bytes: cur.varint()?,
                 managed: bool_from(cur.u8()?, cur.pos())?,
                 at: self.time(cur)?,
-            },
-            tag::RESOURCE_FREE => Event::ResourceFree {
-                device: self.device(cur)?,
+            }),
+            tag::RESOURCE_FREE => out.push(Event::ResourceFree {
+                device: device(cur)?,
                 addr: cur.varint()?,
                 bytes: cur.varint()?,
                 at: self.time(cur)?,
-            },
-            tag::BATCH_MEM_OP => Event::BatchMemOp {
-                device: self.device(cur)?,
+            }),
+            tag::BATCH_MEM_OP => out.push(Event::BatchMemOp {
+                device: device(cur)?,
                 op: self.sym(cur)?,
                 addr: cur.varint()?,
                 bytes: cur.varint()?,
                 at: self.time(cur)?,
-            },
-            tag::UVM_FAULT => Event::UvmFault {
+            }),
+            tag::UVM_FAULT => out.push(Event::UvmFault {
                 launch: self.launch(cur)?,
-                device: self.device(cur)?,
+                device: device(cur)?,
                 groups: cur.varint()?,
                 migrated_bytes: cur.varint()?,
                 evicted_bytes: cur.varint()?,
                 stall_ns: cur.varint()?,
                 at: self.time(cur)?,
-            },
-            tag::UVM_PEER_MIGRATE => Event::UvmPeerMigrate {
+            }),
+            tag::UVM_PEER_MIGRATE => out.push(Event::UvmPeerMigrate {
                 launch: self.launch(cur)?,
-                src: self.device(cur)?,
-                dst: self.device(cur)?,
+                src: device(cur)?,
+                dst: device(cur)?,
                 duplicated_pages: cur.varint()?,
                 invalidated_pages: cur.varint()?,
                 bytes: cur.varint()?,
                 stall_ns: cur.varint()?,
                 at: self.time(cur)?,
-            },
-            tag::BLOCK_BOUNDARY => Event::BlockBoundary {
+            }),
+            tag::BLOCK_BOUNDARY => out.push(Event::BlockBoundary {
                 launch: self.launch(cur)?,
                 count: cur.varint()?,
-            },
-            tag::GLOBAL_ACCESS => Event::GlobalAccess {
+            }),
+            tag::GLOBAL_ACCESS => out.push(Event::GlobalAccess {
                 launch: self.launch(cur)?,
                 kernel: self.sym(cur)?,
                 batch: self.batch(cur)?,
-            },
-            tag::SHARED_ACCESS => Event::SharedAccess {
+            }),
+            tag::SHARED_ACCESS => out.push(Event::SharedAccess {
                 launch: self.launch(cur)?,
                 kernel: self.sym(cur)?,
                 batch: self.batch(cur)?,
-            },
-            tag::BARRIER => Event::Barrier {
+            }),
+            tag::BARRIER => out.push(Event::Barrier {
                 launch: self.launch(cur)?,
                 count: cur.varint()?,
                 cluster: bool_from(cur.u8()?, cur.pos())?,
-            },
-            tag::DEVICE_FUNC_CALL => Event::DeviceFuncCall {
+            }),
+            tag::DEVICE_FUNC_CALL => out.push(Event::DeviceFuncCall {
                 launch: self.launch(cur)?,
                 count: cur.varint()?,
-            },
-            tag::DEVICE_MALLOC => Event::DeviceMalloc {
+            }),
+            tag::DEVICE_MALLOC => out.push(Event::DeviceMalloc {
                 launch: self.launch(cur)?,
                 bytes: cur.varint()?,
-            },
-            tag::DEVICE_FREE => Event::DeviceFree {
+            }),
+            tag::DEVICE_FREE => out.push(Event::DeviceFree {
                 launch: self.launch(cur)?,
                 bytes: cur.varint()?,
-            },
-            tag::GLOBAL_TO_SHARED_COPY => Event::GlobalToSharedCopy {
+            }),
+            tag::GLOBAL_TO_SHARED_COPY => out.push(Event::GlobalToSharedCopy {
                 launch: self.launch(cur)?,
                 bytes: cur.varint()?,
-            },
-            tag::PIPELINE_OP => Event::PipelineOp {
+            }),
+            tag::PIPELINE_OP => out.push(Event::PipelineOp {
                 launch: self.launch(cur)?,
                 count: cur.varint()?,
-            },
-            tag::INSTRUCTIONS => Event::Instructions {
+            }),
+            tag::INSTRUCTIONS => out.push(Event::Instructions {
                 launch: self.launch(cur)?,
                 count: cur.varint()?,
-            },
-            tag::KERNEL_TRACE => Event::KernelTrace {
+            }),
+            tag::KERNEL_TRACE => out.push(Event::KernelTrace {
                 launch: self.launch(cur)?,
                 kernel: self.sym(cur)?,
                 summary: KernelTraceSummary {
@@ -866,73 +883,68 @@ impl<'a> ShardDecoder<'a> {
                     instructions: cur.varint()?,
                     global_bytes: cur.varint()?,
                 },
-            },
+            }),
             tag::OP_START => {
                 let seq = cur.varint()?;
                 let name = self.sym(cur)?;
-                let device = self.device(cur)?;
+                let device = device(cur)?;
                 let frames = cur.varint_usize()?;
                 let mut py_stack = Vec::new();
                 for _ in 0..frames {
                     py_stack.push(PyFrame {
                         file: self.string(cur)?,
-                        line: self.u32v(cur)?,
+                        line: u32v(cur)?,
                         func: self.string(cur)?,
                     });
                 }
-                Event::OpStart {
+                out.push(Event::OpStart {
                     seq,
                     name,
                     device,
                     py_stack: py_stack.into(),
-                }
-            }
-            tag::OP_END => Event::OpEnd {
-                seq: cur.varint()?,
-                name: self.sym(cur)?,
-                device: self.device(cur)?,
-            },
-            tag::TENSOR_ALLOC => Event::TensorAlloc {
-                tensor: TensorId(cur.varint()?),
-                addr: cur.varint()?,
-                bytes: cur.varint()?,
-                allocated_total: cur.varint()?,
-                reserved_total: cur.varint()?,
-                device: self.device(cur)?,
-            },
-            tag::TENSOR_FREE => Event::TensorFree {
-                tensor: TensorId(cur.varint()?),
-                addr: cur.varint()?,
-                bytes: cur.varint()?,
-                allocated_total: cur.varint()?,
-                reserved_total: cur.varint()?,
-                device: self.device(cur)?,
-            },
-            tag::LAYER_BOUNDARY => Event::LayerBoundary {
-                name: self.sym(cur)?,
-                index: cur.varint_usize()?,
-                device: self.device(cur)?,
-            },
-            tag::PASS_BOUNDARY => Event::PassBoundary {
-                pass: pass_from(cur.u8()?, cur.pos())?,
-                device: self.device(cur)?,
-            },
-            tag::REGION_START => Event::RegionStart {
-                label: self.sym(cur)?,
-                device: self.device(cur)?,
-            },
-            tag::REGION_END => Event::RegionEnd {
-                label: self.sym(cur)?,
-                device: self.device(cur)?,
-            },
-            _ => {
-                return Err(TraceError::Corrupt {
-                    offset: cur.pos(),
-                    what: format!("unknown event tag {t}"),
                 })
             }
+            tag::OP_END => out.push(Event::OpEnd {
+                seq: cur.varint()?,
+                name: self.sym(cur)?,
+                device: device(cur)?,
+            }),
+            tag::TENSOR_ALLOC => out.push(Event::TensorAlloc {
+                tensor: TensorId(cur.varint()?),
+                addr: cur.varint()?,
+                bytes: cur.varint()?,
+                allocated_total: cur.varint()?,
+                reserved_total: cur.varint()?,
+                device: device(cur)?,
+            }),
+            tag::TENSOR_FREE => out.push(Event::TensorFree {
+                tensor: TensorId(cur.varint()?),
+                addr: cur.varint()?,
+                bytes: cur.varint()?,
+                allocated_total: cur.varint()?,
+                reserved_total: cur.varint()?,
+                device: device(cur)?,
+            }),
+            tag::LAYER_BOUNDARY => out.push(Event::LayerBoundary {
+                name: self.sym(cur)?,
+                index: cur.varint_usize()?,
+                device: device(cur)?,
+            }),
+            tag::PASS_BOUNDARY => out.push(Event::PassBoundary {
+                pass: pass_from(cur.u8()?, cur.pos())?,
+                device: device(cur)?,
+            }),
+            tag::REGION_START => out.push(Event::RegionStart {
+                label: self.sym(cur)?,
+                device: device(cur)?,
+            }),
+            tag::REGION_END => out.push(Event::RegionEnd {
+                label: self.sym(cur)?,
+                device: device(cur)?,
+            }),
+            _ => return Err(corrupt(cur.pos(), format_args!("unknown event tag {t}"))),
         };
-        Ok(event)
+        Ok(())
     }
 }
 
@@ -968,16 +980,6 @@ fn stats(cur: &mut Cursor<'_>) -> Result<UvmStats, TraceError> {
         peer_stall_ns: cur.varint()?,
         duplicates_invalidated: cur.varint()?,
     })
-}
-
-fn device(cur: &mut Cursor<'_>) -> Result<DeviceId, TraceError> {
-    let v = cur.varint()?;
-    u32::try_from(v)
-        .map(DeviceId)
-        .map_err(|_| TraceError::Corrupt {
-            offset: cur.pos(),
-            what: format!("device id {v} exceeds u32"),
-        })
 }
 
 /// Encodes the UVM footer — the session-layer residency totals that
@@ -1019,6 +1021,473 @@ pub(crate) fn decode_uvm(cur: &mut Cursor<'_>) -> Result<UvmReport, TraceError> 
         per_device,
         peer_bytes,
     })
+}
+
+#[cfg(test)]
+pub(crate) mod reference {
+    //! The reader this module and `wire.rs` held through PR 20 — a cursor
+    //! that goes through `take(1)` and a `Result` for every byte, a decoder
+    //! that returns each event by value — kept as the reference
+    //! [`ShardDecoder::decode_batch`](super::ShardDecoder::decode_batch) is
+    //! checked against: event for event on well-formed streams, error for
+    //! error (variant and offset) on damaged ones.
+
+    use super::tag;
+    use crate::error::TraceError;
+    use crate::wire::unzigzag;
+    use accel_sim::{
+        AccessBatch, AccessKind, AccessPattern, CopyDirection, DeviceId, Dim3, KernelTraceSummary,
+        LaunchId, MemSpace, SimTime, Symbol,
+    };
+    use dl_framework::callbacks::Pass;
+    use dl_framework::pycall::PyFrame;
+    use dl_framework::tensor::TensorId;
+    use pasta_core::Event;
+
+    /// A bounds-checked reading position over an untrusted byte slice. Every
+    /// read either yields bytes or a typed [`TraceError`] carrying the offset
+    /// where input ran out — never a panic, never an out-of-bounds slice.
+    pub(crate) struct Cursor<'a> {
+        bytes: &'a [u8],
+        pos: usize,
+    }
+
+    impl<'a> Cursor<'a> {
+        pub(crate) fn new(bytes: &'a [u8]) -> Self {
+            Cursor { bytes, pos: 0 }
+        }
+
+        /// Current byte offset from the start of the input.
+        pub(crate) fn pos(&self) -> usize {
+            self.pos
+        }
+
+        /// Bytes left to read.
+        pub(crate) fn remaining(&self) -> usize {
+            self.bytes.len() - self.pos
+        }
+
+        /// Takes the next `n` bytes, or reports where the input ended.
+        pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], TraceError> {
+            if self.remaining() < n {
+                return Err(TraceError::Truncated {
+                    offset: self.bytes.len(),
+                });
+            }
+            let slice = &self.bytes[self.pos..self.pos + n];
+            self.pos += n;
+            Ok(slice)
+        }
+
+        pub(crate) fn u8(&mut self) -> Result<u8, TraceError> {
+            Ok(self.take(1)?[0])
+        }
+
+        /// Reads an LEB128 varint. A continuation past 10 bytes cannot encode
+        /// a `u64` and is corruption, not truncation.
+        pub(crate) fn varint(&mut self) -> Result<u64, TraceError> {
+            let mut v: u64 = 0;
+            for i in 0..10 {
+                let byte = self.u8()?;
+                v |= u64::from(byte & 0x7f) << (7 * i);
+                if byte & 0x80 == 0 {
+                    return Ok(v);
+                }
+            }
+            Err(TraceError::Corrupt {
+                offset: self.pos,
+                what: "varint longer than 10 bytes".into(),
+            })
+        }
+
+        /// A varint that must fit the platform `usize` (lengths, counts).
+        pub(crate) fn varint_usize(&mut self) -> Result<usize, TraceError> {
+            let v = self.varint()?;
+            usize::try_from(v).map_err(|_| TraceError::Corrupt {
+                offset: self.pos,
+                what: format!("count {v} does not fit usize"),
+            })
+        }
+    }
+
+    fn kind_from(b: u8, offset: usize) -> Result<AccessKind, TraceError> {
+        match b {
+            0 => Ok(AccessKind::Load),
+            1 => Ok(AccessKind::Store),
+            2 => Ok(AccessKind::Atomic),
+            _ => Err(TraceError::Corrupt {
+                offset,
+                what: format!("bad AccessKind code {b}"),
+            }),
+        }
+    }
+
+    fn space_from(b: u8, offset: usize) -> Result<MemSpace, TraceError> {
+        match b {
+            0 => Ok(MemSpace::Global),
+            1 => Ok(MemSpace::Shared),
+            2 => Ok(MemSpace::RemoteShared),
+            3 => Ok(MemSpace::Local),
+            _ => Err(TraceError::Corrupt {
+                offset,
+                what: format!("bad MemSpace code {b}"),
+            }),
+        }
+    }
+
+    fn direction_from(b: u8, offset: usize) -> Result<CopyDirection, TraceError> {
+        match b {
+            0 => Ok(CopyDirection::HostToDevice),
+            1 => Ok(CopyDirection::DeviceToHost),
+            2 => Ok(CopyDirection::DeviceToDevice),
+            3 => Ok(CopyDirection::HostToHost),
+            _ => Err(TraceError::Corrupt {
+                offset,
+                what: format!("bad CopyDirection code {b}"),
+            }),
+        }
+    }
+
+    fn pass_from(b: u8, offset: usize) -> Result<Pass, TraceError> {
+        match b {
+            0 => Ok(Pass::Forward),
+            1 => Ok(Pass::Backward),
+            2 => Ok(Pass::Optimizer),
+            _ => Err(TraceError::Corrupt {
+                offset,
+                what: format!("bad Pass code {b}"),
+            }),
+        }
+    }
+
+    fn bool_from(b: u8, offset: usize) -> Result<bool, TraceError> {
+        match b {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(TraceError::Corrupt {
+                offset,
+                what: format!("bad bool byte {b}"),
+            }),
+        }
+    }
+
+    /// Decodes one shard's payload back into events, resolving dictionary ids
+    /// through the shard's interned dictionary.
+    pub(crate) struct ShardDecoder<'a> {
+        symbols: &'a [Symbol],
+        last_time: u64,
+        last_launch: u64,
+    }
+
+    impl<'a> ShardDecoder<'a> {
+        pub(crate) fn new(symbols: &'a [Symbol]) -> Self {
+            ShardDecoder {
+                symbols,
+                last_time: 0,
+                last_launch: 0,
+            }
+        }
+
+        fn sym(&self, cur: &mut Cursor<'_>) -> Result<Symbol, TraceError> {
+            let id = cur.varint_usize()?;
+            self.symbols
+                .get(id)
+                .copied()
+                .ok_or_else(|| TraceError::Corrupt {
+                    offset: cur.pos(),
+                    what: format!(
+                        "symbol id {id} out of range (dictionary has {})",
+                        self.symbols.len()
+                    ),
+                })
+        }
+
+        fn string(&self, cur: &mut Cursor<'_>) -> Result<String, TraceError> {
+            Ok(self.sym(cur)?.as_str().to_owned())
+        }
+
+        fn device(&self, cur: &mut Cursor<'_>) -> Result<DeviceId, TraceError> {
+            let v = cur.varint()?;
+            u32::try_from(v)
+                .map(DeviceId)
+                .map_err(|_| TraceError::Corrupt {
+                    offset: cur.pos(),
+                    what: format!("device id {v} exceeds u32"),
+                })
+        }
+
+        fn u32v(&self, cur: &mut Cursor<'_>) -> Result<u32, TraceError> {
+            let v = cur.varint()?;
+            u32::try_from(v).map_err(|_| TraceError::Corrupt {
+                offset: cur.pos(),
+                what: format!("value {v} exceeds u32"),
+            })
+        }
+
+        fn time(&mut self, cur: &mut Cursor<'_>) -> Result<SimTime, TraceError> {
+            let delta = unzigzag(cur.varint()?);
+            self.last_time = self.last_time.wrapping_add(delta as u64);
+            Ok(SimTime(self.last_time))
+        }
+
+        fn launch(&mut self, cur: &mut Cursor<'_>) -> Result<LaunchId, TraceError> {
+            let delta = unzigzag(cur.varint()?);
+            self.last_launch = self.last_launch.wrapping_add(delta as u64);
+            Ok(LaunchId(self.last_launch))
+        }
+
+        fn dim3(&self, cur: &mut Cursor<'_>) -> Result<Dim3, TraceError> {
+            Ok(Dim3 {
+                x: self.u32v(cur)?,
+                y: self.u32v(cur)?,
+                z: self.u32v(cur)?,
+            })
+        }
+
+        fn batch(&mut self, cur: &mut Cursor<'_>) -> Result<AccessBatch, TraceError> {
+            let launch = self.launch(cur)?;
+            let spec_index = cur.varint_usize()?;
+            let base = cur.varint()?;
+            let len = cur.varint()?;
+            let records = cur.varint()?;
+            let bytes = cur.varint()?;
+            let elem_size = self.u32v(cur)?;
+            let kind = kind_from(cur.u8()?, cur.pos())?;
+            let space = space_from(cur.u8()?, cur.pos())?;
+            let pattern = match cur.u8()? {
+                0 => AccessPattern::Sequential,
+                1 => AccessPattern::Strided {
+                    stride: cur.varint()?,
+                },
+                2 => AccessPattern::Random,
+                b => {
+                    return Err(TraceError::Corrupt {
+                        offset: cur.pos(),
+                        what: format!("bad AccessPattern code {b}"),
+                    })
+                }
+            };
+            Ok(AccessBatch {
+                launch,
+                spec_index,
+                base,
+                len,
+                records,
+                bytes,
+                elem_size,
+                kind,
+                space,
+                pattern,
+            })
+        }
+
+        /// Decodes the next record.
+        pub(crate) fn decode(&mut self, cur: &mut Cursor<'_>) -> Result<Event, TraceError> {
+            let t = cur.u8()?;
+            let event = match t {
+                tag::DRIVER_API => Event::DriverApi {
+                    name: self.sym(cur)?,
+                    device: self.device(cur)?,
+                    at: self.time(cur)?,
+                },
+                tag::RUNTIME_API => Event::RuntimeApi {
+                    name: self.sym(cur)?,
+                    device: self.device(cur)?,
+                    at: self.time(cur)?,
+                },
+                tag::SYNC => Event::Sync {
+                    device: self.device(cur)?,
+                    at: self.time(cur)?,
+                },
+                tag::KERNEL_LAUNCH_BEGIN => Event::KernelLaunchBegin {
+                    launch: self.launch(cur)?,
+                    device: self.device(cur)?,
+                    stream: self.u32v(cur)?,
+                    name: self.sym(cur)?,
+                    grid: self.dim3(cur)?,
+                    block: self.dim3(cur)?,
+                },
+                tag::KERNEL_LAUNCH_END => Event::KernelLaunchEnd {
+                    launch: self.launch(cur)?,
+                    device: self.device(cur)?,
+                    name: self.sym(cur)?,
+                    start: self.time(cur)?,
+                    end: self.time(cur)?,
+                },
+                tag::MEM_COPY => Event::MemCopy {
+                    device: self.device(cur)?,
+                    direction: direction_from(cur.u8()?, cur.pos())?,
+                    bytes: cur.varint()?,
+                    at: self.time(cur)?,
+                },
+                tag::MEM_SET => Event::MemSet {
+                    device: self.device(cur)?,
+                    addr: cur.varint()?,
+                    bytes: cur.varint()?,
+                    at: self.time(cur)?,
+                },
+                tag::RESOURCE_ALLOC => Event::ResourceAlloc {
+                    device: self.device(cur)?,
+                    addr: cur.varint()?,
+                    bytes: cur.varint()?,
+                    managed: bool_from(cur.u8()?, cur.pos())?,
+                    at: self.time(cur)?,
+                },
+                tag::RESOURCE_FREE => Event::ResourceFree {
+                    device: self.device(cur)?,
+                    addr: cur.varint()?,
+                    bytes: cur.varint()?,
+                    at: self.time(cur)?,
+                },
+                tag::BATCH_MEM_OP => Event::BatchMemOp {
+                    device: self.device(cur)?,
+                    op: self.sym(cur)?,
+                    addr: cur.varint()?,
+                    bytes: cur.varint()?,
+                    at: self.time(cur)?,
+                },
+                tag::UVM_FAULT => Event::UvmFault {
+                    launch: self.launch(cur)?,
+                    device: self.device(cur)?,
+                    groups: cur.varint()?,
+                    migrated_bytes: cur.varint()?,
+                    evicted_bytes: cur.varint()?,
+                    stall_ns: cur.varint()?,
+                    at: self.time(cur)?,
+                },
+                tag::UVM_PEER_MIGRATE => Event::UvmPeerMigrate {
+                    launch: self.launch(cur)?,
+                    src: self.device(cur)?,
+                    dst: self.device(cur)?,
+                    duplicated_pages: cur.varint()?,
+                    invalidated_pages: cur.varint()?,
+                    bytes: cur.varint()?,
+                    stall_ns: cur.varint()?,
+                    at: self.time(cur)?,
+                },
+                tag::BLOCK_BOUNDARY => Event::BlockBoundary {
+                    launch: self.launch(cur)?,
+                    count: cur.varint()?,
+                },
+                tag::GLOBAL_ACCESS => Event::GlobalAccess {
+                    launch: self.launch(cur)?,
+                    kernel: self.sym(cur)?,
+                    batch: self.batch(cur)?,
+                },
+                tag::SHARED_ACCESS => Event::SharedAccess {
+                    launch: self.launch(cur)?,
+                    kernel: self.sym(cur)?,
+                    batch: self.batch(cur)?,
+                },
+                tag::BARRIER => Event::Barrier {
+                    launch: self.launch(cur)?,
+                    count: cur.varint()?,
+                    cluster: bool_from(cur.u8()?, cur.pos())?,
+                },
+                tag::DEVICE_FUNC_CALL => Event::DeviceFuncCall {
+                    launch: self.launch(cur)?,
+                    count: cur.varint()?,
+                },
+                tag::DEVICE_MALLOC => Event::DeviceMalloc {
+                    launch: self.launch(cur)?,
+                    bytes: cur.varint()?,
+                },
+                tag::DEVICE_FREE => Event::DeviceFree {
+                    launch: self.launch(cur)?,
+                    bytes: cur.varint()?,
+                },
+                tag::GLOBAL_TO_SHARED_COPY => Event::GlobalToSharedCopy {
+                    launch: self.launch(cur)?,
+                    bytes: cur.varint()?,
+                },
+                tag::PIPELINE_OP => Event::PipelineOp {
+                    launch: self.launch(cur)?,
+                    count: cur.varint()?,
+                },
+                tag::INSTRUCTIONS => Event::Instructions {
+                    launch: self.launch(cur)?,
+                    count: cur.varint()?,
+                },
+                tag::KERNEL_TRACE => Event::KernelTrace {
+                    launch: self.launch(cur)?,
+                    kernel: self.sym(cur)?,
+                    summary: KernelTraceSummary {
+                        global_records: cur.varint()?,
+                        shared_records: cur.varint()?,
+                        barriers: cur.varint()?,
+                        blocks: cur.varint()?,
+                        instructions: cur.varint()?,
+                        global_bytes: cur.varint()?,
+                    },
+                },
+                tag::OP_START => {
+                    let seq = cur.varint()?;
+                    let name = self.sym(cur)?;
+                    let device = self.device(cur)?;
+                    let frames = cur.varint_usize()?;
+                    let mut py_stack = Vec::new();
+                    for _ in 0..frames {
+                        py_stack.push(PyFrame {
+                            file: self.string(cur)?,
+                            line: self.u32v(cur)?,
+                            func: self.string(cur)?,
+                        });
+                    }
+                    Event::OpStart {
+                        seq,
+                        name,
+                        device,
+                        py_stack: py_stack.into(),
+                    }
+                }
+                tag::OP_END => Event::OpEnd {
+                    seq: cur.varint()?,
+                    name: self.sym(cur)?,
+                    device: self.device(cur)?,
+                },
+                tag::TENSOR_ALLOC => Event::TensorAlloc {
+                    tensor: TensorId(cur.varint()?),
+                    addr: cur.varint()?,
+                    bytes: cur.varint()?,
+                    allocated_total: cur.varint()?,
+                    reserved_total: cur.varint()?,
+                    device: self.device(cur)?,
+                },
+                tag::TENSOR_FREE => Event::TensorFree {
+                    tensor: TensorId(cur.varint()?),
+                    addr: cur.varint()?,
+                    bytes: cur.varint()?,
+                    allocated_total: cur.varint()?,
+                    reserved_total: cur.varint()?,
+                    device: self.device(cur)?,
+                },
+                tag::LAYER_BOUNDARY => Event::LayerBoundary {
+                    name: self.sym(cur)?,
+                    index: cur.varint_usize()?,
+                    device: self.device(cur)?,
+                },
+                tag::PASS_BOUNDARY => Event::PassBoundary {
+                    pass: pass_from(cur.u8()?, cur.pos())?,
+                    device: self.device(cur)?,
+                },
+                tag::REGION_START => Event::RegionStart {
+                    label: self.sym(cur)?,
+                    device: self.device(cur)?,
+                },
+                tag::REGION_END => Event::RegionEnd {
+                    label: self.sym(cur)?,
+                    device: self.device(cur)?,
+                },
+                _ => {
+                    return Err(TraceError::Corrupt {
+                        offset: cur.pos(),
+                        what: format!("unknown event tag {t}"),
+                    })
+                }
+            };
+            Ok(event)
+        }
+    }
 }
 
 #[cfg(test)]

@@ -44,6 +44,16 @@
 //! writer attached the event path pays exactly one `Option` discriminant
 //! check (see the gating regression test in the workspace root).
 //!
+//! ## Reading
+//!
+//! Every reader walks the framing first — header, dictionaries, shard
+//! lengths, footer, end marker — so a truncated trace is refused before
+//! a record is decoded. [`TraceReader::scan`] returns what that walk
+//! found (the shard headers; nothing decoded), [`TraceReader::parse`]
+//! decodes every shard for [`replay_decoded`], and [`replay`] decodes a
+//! fixed batch at a time into one reused buffer and feeds it straight to
+//! the tools: its memory is the trace's bytes plus one batch.
+//!
 //! ## Example
 //!
 //! ```
@@ -76,12 +86,14 @@
 
 mod codec;
 mod error;
+#[cfg(test)]
+mod read_path_tests;
 mod reader;
 mod replay;
 mod wire;
 mod writer;
 
 pub use error::TraceError;
-pub use reader::{TraceReader, TraceShard};
+pub use reader::{ShardSummary, TraceReader, TraceShard, TraceSummary};
 pub use replay::{replay, replay_decoded};
 pub use writer::{Trace, TraceWriter, FORMAT_VERSION, MAGIC};

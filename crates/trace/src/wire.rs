@@ -75,14 +75,53 @@ pub(crate) fn unzigzag(v: u64) -> i64 {
 /// A bounds-checked reading position over an untrusted byte slice. Every
 /// read either yields bytes or a typed [`TraceError`] carrying the offset
 /// where input ran out — never a panic, never an out-of-bounds slice.
+///
+/// The happy paths are small enough to inline into the record decoder;
+/// every error is built out of line, in a `#[cold]` function, so a read
+/// that succeeds never touches a `TraceError`.
 pub(crate) struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
+/// The most bytes an LEB128 `u64` takes.
+const MAX_VARINT_BYTES: usize = 10;
+
+/// Decodes the LEB128 varint at the head of `bytes` into its value and
+/// length. A length of 0 says there is none: the input ends inside it or
+/// it runs past ten bytes ([`Cursor::varint_error`] tells which).
+#[inline(always)]
+fn varint_prefix(bytes: &[u8]) -> (u64, usize) {
+    let mut v: u64 = 0;
+    for (i, &byte) in bytes.iter().take(MAX_VARINT_BYTES).enumerate() {
+        v |= u64::from(byte & 0x7f) << (7 * i);
+        if byte & 0x80 == 0 {
+            return (v, i + 1);
+        }
+    }
+    (0, 0)
+}
+
+/// [`varint_prefix`], out of line for the varints longer than a byte.
+/// With ten bytes of input left — everywhere but a trace's last few bytes
+/// — the loop runs over a fixed-size window and checks no bound.
+fn varint_multi(rest: &[u8]) -> (u64, usize) {
+    match rest.first_chunk::<MAX_VARINT_BYTES>() {
+        Some(window) => varint_prefix(window),
+        None => varint_prefix(rest),
+    }
+}
+
 impl<'a> Cursor<'a> {
     pub(crate) fn new(bytes: &'a [u8]) -> Self {
         Cursor { bytes, pos: 0 }
+    }
+
+    /// A cursor over `bytes` that starts reading at `pos`; offsets in
+    /// errors stay offsets into `bytes`.
+    pub(crate) fn at(bytes: &'a [u8], pos: usize) -> Self {
+        debug_assert!(pos <= bytes.len());
+        Cursor { bytes, pos }
     }
 
     /// Current byte offset from the start of the input.
@@ -95,20 +134,33 @@ impl<'a> Cursor<'a> {
         self.bytes.len() - self.pos
     }
 
+    #[cold]
+    fn truncated(&self) -> TraceError {
+        TraceError::Truncated {
+            offset: self.bytes.len(),
+        }
+    }
+
     /// Takes the next `n` bytes, or reports where the input ended.
+    #[inline]
     pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], TraceError> {
         if self.remaining() < n {
-            return Err(TraceError::Truncated {
-                offset: self.bytes.len(),
-            });
+            return Err(self.truncated());
         }
         let slice = &self.bytes[self.pos..self.pos + n];
         self.pos += n;
         Ok(slice)
     }
 
+    #[inline]
     pub(crate) fn u8(&mut self) -> Result<u8, TraceError> {
-        Ok(self.take(1)?[0])
+        match self.bytes.get(self.pos) {
+            Some(&byte) => {
+                self.pos += 1;
+                Ok(byte)
+            }
+            None => Err(self.truncated()),
+        }
     }
 
     pub(crate) fn u32_le(&mut self) -> Result<u32, TraceError> {
@@ -118,28 +170,54 @@ impl<'a> Cursor<'a> {
 
     /// Reads an LEB128 varint. A continuation past 10 bytes cannot encode
     /// a `u64` and is corruption, not truncation.
+    #[inline]
     pub(crate) fn varint(&mut self) -> Result<u64, TraceError> {
-        let mut v: u64 = 0;
-        for i in 0..10 {
-            let byte = self.u8()?;
-            v |= u64::from(byte & 0x7f) << (7 * i);
-            if byte & 0x80 == 0 {
-                return Ok(v);
+        // Most fields of a record fit seven bits.
+        if let Some(&byte) = self.bytes.get(self.pos) {
+            if byte < 0x80 {
+                self.pos += 1;
+                return Ok(byte.into());
             }
         }
-        Err(TraceError::Corrupt {
-            offset: self.pos,
+        let (v, len) = varint_multi(&self.bytes[self.pos..]);
+        if len == 0 {
+            return Err(self.varint_error());
+        }
+        self.pos += len;
+        Ok(v)
+    }
+
+    /// Why no varint could be read at the cursor: the input ends inside
+    /// it, or it is an eleventh continuation byte long.
+    #[cold]
+    fn varint_error(&self) -> TraceError {
+        let rest = &self.bytes[self.pos..];
+        if rest.len() < MAX_VARINT_BYTES {
+            return self.truncated();
+        }
+        TraceError::Corrupt {
+            offset: self.pos + MAX_VARINT_BYTES,
             what: "varint longer than 10 bytes".into(),
-        })
+        }
     }
 
     /// A varint that must fit the platform `usize` (lengths, counts).
+    #[inline]
     pub(crate) fn varint_usize(&mut self) -> Result<usize, TraceError> {
         let v = self.varint()?;
-        usize::try_from(v).map_err(|_| TraceError::Corrupt {
-            offset: self.pos,
-            what: format!("count {v} does not fit usize"),
-        })
+        usize::try_from(v)
+            .map_err(|_| corrupt(self.pos, format_args!("count {v} does not fit usize")))
+    }
+}
+
+/// [`TraceError::Corrupt`], built out of line: the decoder's checks
+/// compile to a compare and a branch to here.
+#[cold]
+#[inline(never)]
+pub(crate) fn corrupt(offset: usize, what: std::fmt::Arguments<'_>) -> TraceError {
+    TraceError::Corrupt {
+        offset,
+        what: what.to_string(),
     }
 }
 
@@ -157,6 +235,9 @@ mod tests {
             16_383,
             16_384,
             u32::MAX as u64,
+            // Nine bytes: read from the tail of the input, where no
+            // ten-byte window fits.
+            1 << 62,
             u64::MAX - 1,
             u64::MAX,
         ];
@@ -208,6 +289,15 @@ mod tests {
         // An 11-byte continuation run is corruption, not truncation.
         let overlong = [0x80u8; 11];
         let mut cur = Cursor::new(&overlong);
-        assert!(matches!(cur.varint(), Err(TraceError::Corrupt { .. })));
+        assert!(matches!(
+            cur.varint(),
+            Err(TraceError::Corrupt { offset: 10, .. })
+        ));
+        // Nine continuation bytes and nothing after: the input ended first.
+        let mut cur = Cursor::new(&overlong[..9]);
+        assert!(matches!(
+            cur.varint(),
+            Err(TraceError::Truncated { offset: 9 })
+        ));
     }
 }

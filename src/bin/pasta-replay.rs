@@ -7,11 +7,12 @@
 //!
 //! pasta-replay info <trace.pastatrace>
 //!     Print the header, per-shard stream sizes and the UVM footer flag
-//!     without running any analysis.
+//!     from the shard headers alone: no record is decoded.
 //!
 //! pasta-replay run <trace.pastatrace> [--suite standard|census|memory|uvm]
 //!     Replay the trace through a tool suite and print the merged report.
-//!     Analysis happens entirely offline: no simulator, no workload.
+//!     Analysis happens entirely offline: no simulator, no workload. The
+//!     trace is decoded a batch at a time, never held decoded whole.
 //! ```
 //!
 //! Argument parsing is hand-rolled: the workspace builds offline and the
@@ -23,7 +24,7 @@ use pasta::core::{Pasta, ToolCollection};
 use pasta::dl::models::{ModelZoo, RunKind};
 use pasta::prelude::*;
 use pasta::tools::{LaunchCensusTool, MemoryTimelineTool, TransferTool};
-use pasta::trace::{replay_decoded, Trace, TraceReader, TraceWriter, FORMAT_VERSION};
+use pasta::trace::{replay, Trace, TraceReader, TraceWriter, FORMAT_VERSION};
 
 const USAGE: &str = "usage:
   pasta-replay capture <out.pastatrace> [--steps N]
@@ -167,17 +168,22 @@ fn info(args: &[String]) -> Result<(), String> {
         return Err(USAGE.into());
     };
     let (trace, len) = load(path)?;
-    let reader = TraceReader::parse(trace.as_bytes()).map_err(|e| format!("{path}: {e}"))?;
+    let summary = TraceReader::scan(trace.as_bytes()).map_err(|e| format!("{path}: {e}"))?;
     println!("{path}: pasta trace v{FORMAT_VERSION}, {len} bytes");
     println!(
-        "  {} shard(s), {} events, {} interned symbols, uvm footer: {}",
-        reader.shards().len(),
-        reader.events_total(),
-        reader.symbol_count(),
-        if reader.uvm().is_some() { "yes" } else { "no" }
+        "  {} shard(s), {} events, uvm footer: {}",
+        summary.shards.len(),
+        summary.events_total(),
+        if summary.uvm.is_some() { "yes" } else { "no" }
     );
-    for shard in reader.shards() {
-        println!("  {:?}: {} events", shard.device, shard.events.len());
+    for shard in &summary.shards {
+        println!(
+            "  {:?}: {} events in {} bytes, {} symbols",
+            shard.device,
+            shard.records,
+            shard.payload.len(),
+            shard.symbols
+        );
     }
     Ok(())
 }
@@ -188,9 +194,8 @@ fn run(args: &[String]) -> Result<(), String> {
         return Err(USAGE.into());
     };
     let (trace, _) = load(path)?;
-    let reader = TraceReader::parse(trace.as_bytes()).map_err(|e| format!("{path}: {e}"))?;
     let mut tools = suite(suite_name.unwrap_or("standard"))?;
-    let report = replay_decoded(&reader, &mut tools).map_err(|e| e.to_string())?;
+    let report = replay(&trace, &mut tools).map_err(|e| format!("{path}: {e}"))?;
     println!("{report}");
     Ok(())
 }

@@ -184,9 +184,16 @@ fn inflated_record_count_is_corruption_and_sizes_nothing() {
     let (same, payload_start) = with_record_count(&bytes, 3);
     assert_eq!(same, bytes, "the helper rewrites the right byte");
     let payload_len = u64::from(bytes[payload_start - 1]);
-    // From one record too many for the payload to hold, up to counts
-    // whose reservation alone would abort the process.
-    for records in [payload_len + 1, 1 << 40, u64::MAX] {
+    // From one record too many for the payload to hold — no record is
+    // shorter than three bytes — up to counts whose reservation alone
+    // would abort the process.
+    for records in [
+        payload_len / 3 + 1,
+        payload_len,
+        payload_len + 1,
+        1 << 40,
+        u64::MAX,
+    ] {
         let (lying, payload_start) = with_record_count(&bytes, records);
         match TraceReader::parse(&lying) {
             Err(TraceError::Corrupt { offset, what }) => {
