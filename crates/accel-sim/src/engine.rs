@@ -611,7 +611,7 @@ mod tests {
 
     #[test]
     fn probe_sees_batches_and_barriers() {
-        use parking_lot::Mutex;
+        use crate::sync::Mutex;
         use std::sync::Arc;
 
         #[derive(Default)]
@@ -742,8 +742,8 @@ mod tests {
         // Coarse tools ask for block boundaries only. The batch scratch is
         // for observed streams and must not cost such a session a heap
         // block: per `event_flood_gated` op that one block decided whether
-        // glibc trimmed and regrew the heap top (README "Launch-granular
-        // delivery", *Steadiness*).
+        // glibc trimmed and regrew the heap top (`docs/perf-log/ISSUE-17.md`,
+        // *Steadiness*).
         struct BlocksOnly;
         impl DeviceProbe for BlocksOnly {
             fn on_kernel_begin(&mut self, _ctx: &TraceCtx) -> crate::probe::ProbeConfig {

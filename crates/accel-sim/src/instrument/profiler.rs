@@ -21,12 +21,12 @@
 use super::overhead::OverheadBreakdown;
 use super::sink::{DeviceTraceSink, TraceCtx};
 use crate::symbol::Symbol;
+use crate::sync::Mutex;
 use crate::trace::{TraceBufferModel, TRACE_RECORD_BYTES};
 use crate::{
     AccessBatch, AnalysisMode, DeviceProbe, InstrCoverage, KernelTraceSummary, ProbeConfig,
     ProbeCosts,
 };
-use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::Arc;
 

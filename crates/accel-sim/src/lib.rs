@@ -62,6 +62,7 @@ pub mod probe;
 pub mod residency;
 pub mod runtime;
 pub mod symbol;
+pub mod sync;
 pub mod threads;
 pub mod trace;
 

@@ -49,6 +49,10 @@ pub struct ProbeConfig {
     pub barriers: bool,
     /// Instrument thread-block entry/exit.
     pub block_boundaries: bool,
+    /// Count every dynamic instruction — only a full-coverage backend
+    /// ([`InstrCoverage::AllInstructions`]) can deliver the count, but any
+    /// backend walks the launch and reports its trace summary for it.
+    pub instructions: bool,
     /// Process only one in `sampling_rate` records (1 = every record);
     /// mirrors `ACCEL_PROF_ENV_SAMPLE_RATE` from the paper's artifact.
     pub sampling_rate: u32,
@@ -62,6 +66,7 @@ impl ProbeConfig {
             shared_accesses: true,
             barriers: true,
             block_boundaries: true,
+            instructions: true,
             sampling_rate: 1,
         }
     }
@@ -73,6 +78,7 @@ impl ProbeConfig {
             shared_accesses: false,
             barriers: false,
             block_boundaries: false,
+            instructions: false,
             sampling_rate: 1,
         }
     }
@@ -84,6 +90,7 @@ impl ProbeConfig {
             shared_accesses: false,
             barriers: false,
             block_boundaries: false,
+            instructions: false,
             sampling_rate: 1,
         }
     }
@@ -97,7 +104,11 @@ impl ProbeConfig {
 
     /// True when no event class is instrumented.
     pub fn is_disabled(&self) -> bool {
-        !self.global_accesses && !self.shared_accesses && !self.barriers && !self.block_boundaries
+        !(self.global_accesses
+            || self.shared_accesses
+            || self.barriers
+            || self.block_boundaries
+            || self.instructions)
     }
 }
 
@@ -214,6 +225,11 @@ mod tests {
         assert!(!ProbeConfig::global_only().barriers);
         assert!(ProbeConfig::disabled().is_disabled());
         assert!(!ProbeConfig::global_only().is_disabled());
+        let instructions_only = ProbeConfig {
+            instructions: true,
+            ..ProbeConfig::disabled()
+        };
+        assert!(!instructions_only.is_disabled());
     }
 
     #[test]

@@ -23,13 +23,14 @@
 //! first and takes the global table's lock only for a name the thread has
 //! not seen (or has since displaced).
 
+use crate::sync::Mutex;
 use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// An interned string (kernel symbol, API name, operator name): a `Copy`
 /// handle onto text its table leaked once. Copying writes nothing,
@@ -220,7 +221,7 @@ impl SymbolTable {
     /// the name before, otherwise allocates it once, for the life of the
     /// process.
     pub fn intern(&self, name: &str) -> Symbol {
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        let mut entries = self.entries.lock();
         if let Some(existing) = entries.get(name) {
             return Symbol(existing);
         }
@@ -231,7 +232,7 @@ impl SymbolTable {
 
     /// Number of distinct names interned.
     pub fn len(&self) -> usize {
-        self.entries.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.entries.lock().len()
     }
 
     /// True when nothing has been interned.

@@ -54,10 +54,7 @@ use pasta_core::hub::{new_shared, Hub, HubSink, SharedHub};
 use pasta_core::processor::EventProcessor;
 use pasta_core::spine::{EventRing, SpineConfig, SpineDrainer, SpineMode, SpineMsg};
 use pasta_core::{Event, EventClass};
-use pasta_tools::{
-    BarrierStallTool, HotnessTool, KernelFrequencyTool, MemoryCharacteristicsTool, OpKernelMapTool,
-    UvmPrefetchAdvisor,
-};
+use pasta_tools::{standard_suite, UvmPrefetchAdvisor};
 use std::sync::Arc;
 
 /// Access batches per simulated launch.
@@ -101,11 +98,7 @@ fn batch(launch: u64, i: u64) -> AccessBatch {
 /// session shards it per device).
 fn processor() -> EventProcessor {
     let mut p = EventProcessor::new();
-    p.tools.register(Box::new(KernelFrequencyTool::new()));
-    p.tools.register(Box::new(BarrierStallTool::new()));
-    p.tools.register(Box::new(HotnessTool::new(64)));
-    p.tools.register(Box::new(OpKernelMapTool::new()));
-    p.tools.register(Box::new(MemoryCharacteristicsTool::new()));
+    p.tools = standard_suite().into_iter().collect();
     p.tools.register(Box::new(UvmPrefetchAdvisor::new()));
     p
 }
@@ -246,12 +239,12 @@ fn spine_ring_hop(c: &mut Criterion) {
     g.finish();
 }
 
-/// The same payload through a `parking_lot` mutex round-trip — what the
+/// The same payload through a mutex round-trip — what the
 /// inline spine pays per flush before any processing happens.
 fn spine_mutex_hop(c: &mut Criterion) {
     let mut g = c.benchmark_group("spine");
     g.sample_size(200);
-    let slot = parking_lot::Mutex::new(Vec::with_capacity(1));
+    let slot = accel_sim::sync::Mutex::new(Vec::with_capacity(1));
     g.bench_function("mutex-hop", |b| {
         b.iter(|| {
             for i in 0..1024u64 {

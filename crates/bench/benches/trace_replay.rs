@@ -24,31 +24,15 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dl_framework::models::{ModelZoo, RunKind};
 use pasta_core::processor::EventProcessor;
-use pasta_core::tool::{Tool, ToolCollection};
+use pasta_core::tool::ToolCollection;
 use pasta_core::{Event, ModelWorkload, Pasta, PastaSession};
-use pasta_tools::{
-    BarrierStallTool, HotnessTool, KernelFrequencyTool, MemoryCharacteristicsTool, OpKernelMapTool,
-};
+use pasta_tools::standard_suite;
 use pasta_trace::{replay, replay_decoded, Trace, TraceReader, TraceWriter};
-
-fn suite() -> Vec<Box<dyn Tool>> {
-    vec![
-        Box::new(KernelFrequencyTool::new()),
-        Box::new(BarrierStallTool::new()),
-        Box::new(HotnessTool::new(64)),
-        Box::new(OpKernelMapTool::new()),
-        Box::new(MemoryCharacteristicsTool::new()),
-    ]
-}
 
 fn session() -> PastaSession {
     Pasta::builder()
         .rtx_3060()
-        .tool(KernelFrequencyTool::new())
-        .tool(BarrierStallTool::new())
-        .tool(HotnessTool::new(64))
-        .tool(OpKernelMapTool::new())
-        .tool(MemoryCharacteristicsTool::new())
+        .tools(standard_suite())
         .build()
         .expect("session builds")
 }
@@ -72,11 +56,7 @@ fn captured() -> (Trace, Vec<(accel_sim::DeviceId, Vec<Event>)>) {
 }
 
 fn fresh_tools() -> ToolCollection {
-    let mut tools = ToolCollection::new();
-    for tool in suite() {
-        tools.register(tool);
-    }
-    tools
+    standard_suite().into_iter().collect()
 }
 
 fn bench_all(c: &mut Criterion) {

@@ -33,12 +33,12 @@
 //! Numbers land in `BENCH_uvm_parallel.json`; run with
 //! `cargo bench -p pasta-bench --bench uvm_parallel`.
 
+use accel_sim::sync::Mutex;
 use accel_sim::{
     AccessKind, AccessOutcome, AccessSpec, DeviceId, DeviceRuntime, DeviceSpec, Dim3, KernelBody,
     KernelDesc, ResidencyAdvice, ResidencyModel,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
-use parking_lot::Mutex;
 use pasta_core::handler::attach_nv;
 use pasta_core::hub::{new_shared, Hub, SharedHub};
 use pasta_core::processor::EventProcessor;

@@ -306,7 +306,7 @@ mod tests {
 
     #[derive(Debug, Default, Clone)]
     struct CountingRecorder {
-        seen: std::sync::Arc<parking_lot::Mutex<Vec<Event>>>,
+        seen: std::sync::Arc<accel_sim::sync::Mutex<Vec<Event>>>,
     }
     impl EventRecorder for CountingRecorder {
         fn record(&mut self, event: &Event) {

@@ -230,6 +230,12 @@ impl PastaBuilder {
         self
     }
 
+    /// Registers every tool of `tools`, in order (a named suite, say).
+    pub fn tools(mut self, tools: impl IntoIterator<Item = Box<dyn Tool>>) -> Self {
+        self.tools.extend(tools);
+        self
+    }
+
     /// Chooses the instrumentation backend explicitly.
     pub fn backend(mut self, backend: BackendChoice) -> Self {
         self.backend = Some(backend);

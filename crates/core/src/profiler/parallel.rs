@@ -161,11 +161,7 @@ impl PastaSession {
         // (or host-only) sessions also skip them: there is nothing to
         // drain off-path. Either way the spine's producer-side
         // backpressure keeps the path lossless without any drainer.
-        let drain_width = if self.parallel.max_drain_threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.parallel.max_drain_threads
-        };
+        let drain_width = accel_sim::resolve_threads(self.parallel.max_drain_threads);
         let drainer = (self.recipe.wants_device
             && self.recipe.spine_mode == SpineMode::Ring
             && drain_policy == DrainPolicy::Background)

@@ -36,8 +36,8 @@
 use crate::event::{Event, EventClass};
 use crate::hub::{Hub, SharedHub};
 use crate::processor::EventProcessor;
+use accel_sim::sync::Mutex;
 use accel_sim::DeviceId;
-use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -248,7 +248,8 @@ pub struct EventRing {
     batch_events: usize,
     /// Pool buffers not allocated yet (producer role only). Eight 26 KB
     /// blocks built and freed per session put a coarse session's short
-    /// ops at the mercy of glibc's heap trimming (README *Steadiness*).
+    /// ops at the mercy of glibc's heap trimming
+    /// (`docs/perf-log/ISSUE-17.md`, *Steadiness*).
     unminted: AtomicUsize,
 }
 
@@ -327,21 +328,33 @@ impl EventRing {
     }
 }
 
+/// Consumes one message into `processor` — the only place a message is
+/// taken apart, whoever the consumer is (a drain, a backpressured
+/// producer, an inline sink). A batch goes through one dispatch-row
+/// lookup and its buffer comes back emptied, for the caller to recycle to
+/// wherever the producer draws its next one from.
+pub(crate) fn consume(msg: SpineMsg, processor: &mut EventProcessor) -> Option<Vec<Event>> {
+    match msg {
+        SpineMsg::One(event) => {
+            processor.process(&event);
+            None
+        }
+        SpineMsg::Batch(class, mut events) => {
+            processor.process_class_batch(class, &events);
+            events.clear();
+            Some(events)
+        }
+    }
+}
+
 /// Drains one ring into `processor`, recycling batch buffers. The caller
 /// must hold the owning shard's processor lock (consumer role).
 fn drain_ring(ring: &EventRing, processor: &mut EventProcessor) -> u64 {
     let mut drained = 0;
     while let Some(msg) = ring.pop() {
-        match msg {
-            SpineMsg::One(event) => {
-                processor.process(&event);
-                drained += 1;
-            }
-            SpineMsg::Batch(class, events) => {
-                processor.process_class_batch(class, &events);
-                drained += events.len() as u64;
-                ring.recycle(events);
-            }
+        drained += msg.len() as u64;
+        if let Some(buf) = consume(msg, processor) {
+            ring.recycle(buf);
         }
     }
     drained
@@ -412,10 +425,13 @@ pub struct SpineDrainer {
 }
 
 impl SpineDrainer {
-    /// Spawns at most `max_threads` drainer threads (`0` = one per
-    /// device), each servicing an interleaved slice of `devices`: thread
-    /// `j` sweeps `devices[j], devices[j + W], …`, so at 256 lanes the
-    /// drain side costs `max_drain_threads` OS threads instead of 256.
+    /// Spawns at most `max_threads` drainer threads, never more than one
+    /// per device, each servicing an interleaved slice of `devices`:
+    /// thread `j` sweeps `devices[j], devices[j + W], …`, so at 256 lanes
+    /// the drain side costs `max_drain_threads` OS threads instead of 256.
+    /// Here `0` means one per device. `ParallelConfig::max_drain_threads`'s
+    /// `0` means available parallelism: `PastaSession::run_parallel`
+    /// resolves that before it calls this and never passes `0`.
     /// Threads are named `drain-dev{N}` after the first device they
     /// service. Spawn failures are tolerated silently — the spine is
     /// correct without drainers, just slower under contention.

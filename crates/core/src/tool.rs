@@ -73,6 +73,7 @@ impl Interest {
         c.shared_accesses = self.shared_accesses;
         c.barriers = self.barriers;
         c.block_boundaries = self.block_boundaries;
+        c.instructions = self.instructions;
         c
     }
 
@@ -245,6 +246,17 @@ impl std::fmt::Debug for ToolCollection {
                     .collect::<Vec<_>>(),
             )
             .finish()
+    }
+}
+
+impl FromIterator<Box<dyn Tool>> for ToolCollection {
+    /// Registers `tools` in iteration order.
+    fn from_iter<I: IntoIterator<Item = Box<dyn Tool>>>(tools: I) -> Self {
+        let mut collection = ToolCollection::new();
+        for tool in tools {
+            collection.register(tool);
+        }
+        collection
     }
 }
 
@@ -606,23 +618,24 @@ mod tests {
 
     #[test]
     fn probe_config_covers_exactly_the_device_access_classes() {
-        // Every probe-visible class maps through; the host/framework/
-        // instruction classes never enable device probes.
-        let pc = Interest::all().probe_config();
-        assert!(pc.global_accesses && pc.shared_accesses && pc.barriers && pc.block_boundaries);
-        let none = Interest {
+        // Every device class maps through — instruction counts included:
+        // a tool that wants nothing else must still get its launches
+        // walked — and the host/framework classes never enable a probe.
+        assert_eq!(Interest::all().probe_config(), ProbeConfig::all());
+        let instructions_only = Interest {
             instructions: true,
-            host_events: true,
-            framework_events: true,
-            ..Interest::default()
+            ..Interest::coarse()
         }
         .probe_config();
-        assert!(
-            !none.global_accesses
-                && !none.shared_accesses
-                && !none.barriers
-                && !none.block_boundaries
+        assert!(instructions_only.instructions && !instructions_only.is_disabled());
+        assert_eq!(
+            ProbeConfig {
+                instructions: false,
+                ..instructions_only
+            },
+            ProbeConfig::disabled()
         );
+        assert_eq!(Interest::coarse().probe_config(), ProbeConfig::disabled());
         assert_eq!(Interest::default().probe_config(), ProbeConfig::disabled());
     }
 

@@ -161,7 +161,7 @@ impl CallbackRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
+    use accel_sim::sync::Mutex;
     use std::sync::Arc;
 
     #[test]

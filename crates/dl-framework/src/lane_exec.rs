@@ -42,10 +42,10 @@
 //! thread-per-lane scope for exactly this reason.
 
 pub use accel_sim::resolve_threads;
+use accel_sim::sync::Mutex;
 use accel_sim::{panic_message, AccelError, DeviceId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// One lane's unit of work: the device it drives (for panic attribution
 /// and worker naming) and the closure that drives it.
@@ -125,9 +125,7 @@ pub fn run_pool<'a, T: Send>(
     let idle_panic: Mutex<Option<String>> = Mutex::new(None);
 
     let run_task = |i: usize| {
-        // A poisoned slot mutex is unreachable: the take happens before
-        // any user code runs, so no panic can unwind through the lock.
-        let Ok(Some(task)) = slots[i].lock().map(|mut s| s.take()) else {
+        let Some(task) = slots[i].lock().take() else {
             return;
         };
         let device = task.device;
@@ -141,9 +139,7 @@ pub fn run_pool<'a, T: Send>(
             })
         });
         live.fetch_sub(1, Ordering::SeqCst);
-        if let Ok(mut slot) = results[i].lock() {
-            *slot = Some(result);
-        }
+        *results[i].lock() = Some(result);
         done.fetch_add(1, Ordering::Release);
     };
 
@@ -181,11 +177,9 @@ pub fn run_pool<'a, T: Send>(
                                     Ok(found) => found,
                                     Err(payload) => {
                                         idle_armed.store(false, Ordering::Release);
-                                        if let Ok(mut slot) = idle_panic.lock() {
-                                            slot.get_or_insert_with(|| {
-                                                panic_message(payload.as_ref())
-                                            });
-                                        }
+                                        idle_panic
+                                            .lock()
+                                            .get_or_insert_with(|| panic_message(payload.as_ref()));
                                         false
                                     }
                                 };
@@ -214,7 +208,7 @@ pub fn run_pool<'a, T: Send>(
             // Every index in 0..n is claimed exactly once (seeds cover
             // 0..workers, the counter covers the rest) and panics are
             // contained, so an unfilled slot is defensive cover only.
-            slot.into_inner().ok().flatten().unwrap_or_else(|| {
+            slot.into_inner().unwrap_or_else(|| {
                 Err(AccelError::LanePanic {
                     device: devices[i],
                     payload: "lane task never ran (worker lost)".into(),
@@ -225,9 +219,7 @@ pub fn run_pool<'a, T: Send>(
     PoolRun {
         results,
         high_water: pool_high.into_inner(),
-        idle_panic: idle_panic
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner),
+        idle_panic: idle_panic.into_inner(),
     }
 }
 

@@ -361,8 +361,8 @@ impl<'rt> Session<'rt> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use accel_sim::sync::Mutex;
     use accel_sim::DeviceSpec;
-    use parking_lot::Mutex;
     use std::sync::Arc;
     use vendor_nv::CudaContext;
 

@@ -23,6 +23,9 @@
 //!   frameworks hide from users;
 //! * [`TransferTool`] — CPU↔GPU transfer analysis in the spirit of the
 //!   cited DrGPUM/Diogenes tools.
+//!
+//! [`suite`] names the usual combinations (`standard`, `census`, `memory`,
+//! `uvm`).
 
 pub mod barrier_stall;
 pub mod hotness;
@@ -33,6 +36,7 @@ pub mod memchar;
 pub mod op_kernel_map;
 pub mod overflow_sanitizer;
 pub mod serving;
+pub mod suites;
 pub mod transfer;
 pub mod util;
 pub mod uvm_advisor;
@@ -46,5 +50,6 @@ pub use memchar::{MemoryCharacteristics, MemoryCharacteristicsTool};
 pub use op_kernel_map::OpKernelMapTool;
 pub use overflow_sanitizer::OverflowSanitizerTool;
 pub use serving::ServingReport;
+pub use suites::{standard_suite, suite, SUITE_NAMES};
 pub use transfer::TransferTool;
 pub use uvm_advisor::{PeerTraffic, UvmActivity, UvmPrefetchAdvisor};

@@ -39,10 +39,7 @@ use pasta_core::{
     Event, FnWorkload, MergedReport, Pasta, PastaBuilder, PastaError, PastaSession, Tool,
     ToolCollection, WorkloadStats,
 };
-use pasta_tools::{
-    BarrierStallTool, HotnessTool, KernelFrequencyTool, MemoryCharacteristicsTool,
-    MemoryTimelineTool, OpKernelMapTool,
-};
+use pasta_tools::{HotnessTool, MemoryCharacteristicsTool, MemoryTimelineTool};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use uvm_sim::UvmStats;
@@ -119,29 +116,17 @@ fn peak_heap_of<T>(f: impl FnOnce() -> T) -> (T, usize) {
 // ---------------------------------------------------------------------------
 
 fn suite() -> Vec<Box<dyn Tool>> {
-    vec![
-        Box::new(KernelFrequencyTool::new()),
-        Box::new(BarrierStallTool::new()),
-        Box::new(HotnessTool::new(64)),
-        Box::new(OpKernelMapTool::new()),
-        Box::new(MemoryCharacteristicsTool::new()),
-        Box::new(MemoryTimelineTool::new()),
-    ]
+    let mut tools = pasta_tools::standard_suite();
+    tools.push(Box::new(MemoryTimelineTool::new()));
+    tools
 }
 
 fn collection(tools: Vec<Box<dyn Tool>>) -> ToolCollection {
-    let mut collection = ToolCollection::new();
-    for tool in tools {
-        collection.register(tool);
-    }
-    collection
+    tools.into_iter().collect()
 }
 
-fn session(mut builder: PastaBuilder, tools: Vec<Box<dyn Tool>>) -> PastaSession {
-    for tool in tools {
-        builder = builder.boxed_tool(tool);
-    }
-    builder.build().expect("session builds")
+fn session(builder: PastaBuilder, tools: Vec<Box<dyn Tool>>) -> PastaSession {
+    builder.tools(tools).build().expect("session builds")
 }
 
 /// A seeded word stream (splitmix64).

@@ -10,8 +10,8 @@
 use crate::codec::{encode_uvm, ShardEncoder};
 use crate::error::TraceError;
 use crate::wire::{put_varint, varint_len};
+use accel_sim::sync::Mutex;
 use accel_sim::DeviceId;
-use parking_lot::Mutex;
 use pasta_core::hub::SharedHub;
 use pasta_core::processor::EventRecorder;
 use pasta_core::report::UvmReport;

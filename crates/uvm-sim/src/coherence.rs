@@ -32,8 +32,8 @@
 //!   and it is updated under the range lock at write time.
 
 use crate::page::{page_range, PageRange};
+use accel_sim::sync::Mutex;
 use accel_sim::DeviceId;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

@@ -152,8 +152,8 @@ impl Vocabulary for RocCallback {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use accel_sim::sync::Mutex;
     use accel_sim::{DeviceRuntime, DeviceSpec, Dim3, KernelBody, KernelDesc};
-    use parking_lot::Mutex;
     use std::sync::Arc;
 
     fn ctx() -> HipContext {

@@ -151,8 +151,8 @@ impl Vocabulary for NvCallback {
 mod tests {
     use super::*;
     use accel_sim::runtime::MemAdvise;
+    use accel_sim::sync::Mutex;
     use accel_sim::{DeviceRuntime, DeviceSpec, Dim3, Engine, KernelBody, KernelDesc};
-    use parking_lot::Mutex;
     use std::sync::Arc;
     use uvm_sim::{PrefetchPlan, Range, UvmConfig, UvmManager};
 

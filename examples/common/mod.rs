@@ -71,11 +71,7 @@ pub fn model_bare(model: ModelZoo) -> Outcome {
 pub fn model_profiled(model: ModelZoo) -> Outcome {
     let mut session = Pasta::builder()
         .rtx_3060()
-        .tool(KernelFrequencyTool::new())
-        .tool(BarrierStallTool::new())
-        .tool(HotnessTool::new(64))
-        .tool(OpKernelMapTool::new())
-        .tool(MemoryCharacteristicsTool::new())
+        .tools(pasta::tools::standard_suite())
         .tool(MemoryTimelineTool::new())
         .build()?;
     let report = session.run(&mut ModelWorkload::new(model, RunKind::Inference))?;

@@ -7,7 +7,7 @@
 //! build without one of your own) and the share of the profiled op the
 //! bare run already accounts for. A workload whose substrate share is
 //! high cannot get much faster, or allocate much less, from `pasta-core`
-//! (ROADMAP item 3; README, "Launch-granular delivery"). Rows: the
+//! (ROADMAP item 3; `docs/perf-log/ISSUE-17.md`). Rows: the
 //! 64-lane tiny expert-parallel MoE region (`scale_out_moe`, pool width
 //! 2) and one inference batch of each `profile_fine` model under the
 //! six-tool suite.

@@ -8,8 +8,8 @@
 //! single-threaded ops decide what the second core was doing when the
 //! pooled ones started, and a 5 ms op is too short to hide that (ROADMAP,
 //! standing perf guard), so the speed-up — what ROADMAP item 3 is judged
-//! by and no benchmark metric reports (README, "Why two workers were no
-//! faster than one") — is two invocations divided by hand:
+//! by and no benchmark metric reports (`docs/perf-log/ISSUE-16.md`) — is two
+//! invocations divided by hand:
 //!
 //! ```sh
 //! cargo run --release --example scale_probe -- seq          # width 1, 21 rounds

@@ -15,15 +15,14 @@
 use pasta::core::{Pasta, ToolCollection};
 use pasta::dl::models::{ModelZoo, RunKind};
 use pasta::prelude::*;
+use pasta::tools::standard_suite;
 use pasta::trace::{replay, Trace, TraceWriter};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ── Capture ─────────────────────────────────────────────────────────
     let mut session = Pasta::builder()
         .rtx_3060()
-        .tool(KernelFrequencyTool::new())
-        .tool(BarrierStallTool::new())
-        .tool(MemoryCharacteristicsTool::new())
+        .tools(standard_suite())
         .build()?;
     let writer = TraceWriter::attach(&session);
     session.run(&mut ModelWorkload::new(ModelZoo::Bert, RunKind::Inference).batch_divisor(8))?;
@@ -44,10 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let loaded = Trace::load(&path)?;
     std::fs::remove_file(&path).ok();
 
-    let mut tools = ToolCollection::new();
-    tools.register(Box::new(KernelFrequencyTool::new()));
-    tools.register(Box::new(BarrierStallTool::new()));
-    tools.register(Box::new(MemoryCharacteristicsTool::new()));
+    let mut tools: ToolCollection = standard_suite().into_iter().collect();
     let replayed = replay(&loaded, &mut tools)?;
 
     assert_eq!(live, replayed, "offline replay matches the live report");

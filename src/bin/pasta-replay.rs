@@ -23,7 +23,7 @@ use std::process::ExitCode;
 use pasta::core::{Pasta, ToolCollection};
 use pasta::dl::models::{ModelZoo, RunKind};
 use pasta::prelude::*;
-use pasta::tools::{LaunchCensusTool, MemoryTimelineTool, TransferTool};
+use pasta::tools::{standard_suite, suite, SUITE_NAMES};
 use pasta::trace::{replay, Trace, TraceReader, TraceWriter, FORMAT_VERSION};
 
 const USAGE: &str = "usage:
@@ -82,43 +82,6 @@ fn split_flag<'a>(
     Ok((positional, value))
 }
 
-fn standard_suite() -> ToolCollection {
-    let mut tools = ToolCollection::new();
-    tools.register(Box::new(KernelFrequencyTool::new()));
-    tools.register(Box::new(BarrierStallTool::new()));
-    tools.register(Box::new(HotnessTool::new(64)));
-    tools.register(Box::new(OpKernelMapTool::new()));
-    tools.register(Box::new(MemoryCharacteristicsTool::new()));
-    tools
-}
-
-fn suite(name: &str) -> Result<ToolCollection, String> {
-    let mut tools = ToolCollection::new();
-    match name {
-        "standard" => return Ok(standard_suite()),
-        "census" => {
-            tools.register(Box::new(LaunchCensusTool::new()));
-            tools.register(Box::new(KernelFrequencyTool::new()));
-        }
-        "memory" => {
-            tools.register(Box::new(MemoryCharacteristicsTool::new()));
-            tools.register(Box::new(MemoryTimelineTool::new()));
-            tools.register(Box::new(TransferTool::new()));
-        }
-        "uvm" => {
-            tools.register(Box::new(UvmPrefetchAdvisor::new()));
-            tools.register(Box::new(MemoryTimelineTool::new()));
-            tools.register(Box::new(MemoryCharacteristicsTool::new()));
-        }
-        other => {
-            return Err(format!(
-                "unknown suite '{other}' (standard|census|memory|uvm)"
-            ))
-        }
-    }
-    Ok(tools)
-}
-
 fn capture(args: &[String]) -> Result<(), String> {
     let (positional, steps) = split_flag(args, "--steps")?;
     let [out] = positional[..] else {
@@ -131,11 +94,7 @@ fn capture(args: &[String]) -> Result<(), String> {
 
     let mut session = Pasta::builder()
         .rtx_3060()
-        .tool(KernelFrequencyTool::new())
-        .tool(BarrierStallTool::new())
-        .tool(HotnessTool::new(64))
-        .tool(OpKernelMapTool::new())
-        .tool(MemoryCharacteristicsTool::new())
+        .tools(standard_suite())
         .build()
         .map_err(|e| e.to_string())?;
     let writer = TraceWriter::attach(&session);
@@ -194,7 +153,11 @@ fn run(args: &[String]) -> Result<(), String> {
         return Err(USAGE.into());
     };
     let (trace, _) = load(path)?;
-    let mut tools = suite(suite_name.unwrap_or("standard"))?;
+    let name = suite_name.unwrap_or("standard");
+    let mut tools: ToolCollection = suite(name)
+        .ok_or_else(|| format!("unknown suite '{name}' ({SUITE_NAMES})"))?
+        .into_iter()
+        .collect();
     let report = replay(&trace, &mut tools).map_err(|e| format!("{path}: {e}"))?;
     println!("{report}");
     Ok(())

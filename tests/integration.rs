@@ -417,3 +417,103 @@ fn injection_model_skips_cuda_less_helpers() {
     assert_eq!(count(InjectionMethod::CudaInjection64Path), 2);
     assert_eq!(spurious(InjectionMethod::CudaInjection64Path), 0);
 }
+
+/// Sums what a session delivers for its instruction interest: the counts
+/// of `Event::Instructions` and how many kernel trace summaries arrived.
+#[derive(Debug, Default)]
+struct InstructionCounter {
+    also_blocks: bool,
+    instructions: u64,
+    instruction_events: u64,
+    traces: u64,
+}
+
+impl pasta::core::Tool for InstructionCounter {
+    fn name(&self) -> &str {
+        "instruction-counter"
+    }
+    fn interest(&self) -> pasta::core::tool::Interest {
+        pasta::core::tool::Interest {
+            instructions: true,
+            host_events: true,
+            block_boundaries: self.also_blocks,
+            ..Default::default()
+        }
+    }
+    fn on_event(&mut self, event: &pasta::core::Event) {
+        match event {
+            pasta::core::Event::Instructions { count, .. } => {
+                self.instructions += count;
+                self.instruction_events += 1;
+            }
+            pasta::core::Event::KernelTrace { .. } => self.traces += 1,
+            _ => {}
+        }
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// (instructions counted, `Instructions` events, `KernelTrace` events,
+/// kernel launches) for one ResNet-18 inference under `backend`.
+fn instructions_seen(
+    also_blocks: bool,
+    backend: BackendChoice,
+    range: RangeFilter,
+) -> (u64, u64, u64, u64) {
+    let mut session = Pasta::builder()
+        .rtx_3060()
+        .tool(InstructionCounter {
+            also_blocks,
+            ..Default::default()
+        })
+        .backend(backend)
+        .range(range)
+        .build()
+        .unwrap();
+    let launches = session
+        .run(&mut ModelWorkload::new(ModelZoo::ResNet18, RunKind::Inference).batch_divisor(DIV))
+        .unwrap()
+        .kernel_launches;
+    session
+        .with_tool_mut("instruction-counter", |t: &mut InstructionCounter| {
+            (t.instructions, t.instruction_events, t.traces, launches)
+        })
+        .unwrap()
+}
+
+#[test]
+fn an_instructions_only_tool_gets_its_launches_walked() {
+    // Regression: `instructions` had no field in the launch's probe config,
+    // so a tool wanting nothing else from the device got a disabled config,
+    // the engine skipped the probed walk, and no `Instructions` (NVBit's
+    // all-instruction coverage, §III-D) or `KernelTrace` ever reached it.
+    let alone = instructions_seen(false, BackendChoice::Nvbit, RangeFilter::all());
+    let with_blocks = instructions_seen(true, BackendChoice::Nvbit, RangeFilter::all());
+    assert!(alone.0 > 0, "no instruction counted: {alone:?}");
+    assert_eq!(
+        alone, with_blocks,
+        "asking for block boundaries too changes nothing"
+    );
+    assert_eq!(
+        (alone.1, alone.2),
+        (alone.3, alone.3),
+        "one of each per launch"
+    );
+
+    // Compute Sanitizer sees memory and barrier instructions only: the
+    // launch is still walked and summarised, nothing is counted.
+    let sanitizer = BackendChoice::Sanitizer(SanitizerConfig::default());
+    let (count, events, traces, launches) = instructions_seen(false, sanitizer, RangeFilter::all());
+    assert_eq!((count, events, traces), (0, 0, launches));
+
+    // Outside the analysis range a launch emits neither.
+    let (_, events, traces, launches) =
+        instructions_seen(false, BackendChoice::Nvbit, RangeFilter::grid_window(0, 10));
+    assert!(launches > 10);
+    assert_eq!((events, traces), (10, 10));
+}

@@ -457,6 +457,190 @@ proptest! {
     }
 }
 
+/// A tool that wants exactly the classes it is told to and does nothing
+/// with them: the launch gate's input, nothing else.
+#[derive(Debug, Clone, Copy)]
+struct Wants(Interest);
+
+impl Tool for Wants {
+    fn name(&self) -> &str {
+        "wants"
+    }
+    fn interest(&self) -> Interest {
+        self.0
+    }
+    fn fork(&self) -> Option<Box<dyn Tool>> {
+        Some(Box::new(*self))
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// The interest sets the generated sequences run under: everything;
+/// accesses and instruction counts (barriers and blocks turned away);
+/// control events only (accesses turned away); nothing from the device.
+fn interest_variant(i: u8) -> Interest {
+    match i {
+        0 => Interest::all(),
+        1 => Interest {
+            global_accesses: true,
+            shared_accesses: true,
+            instructions: true,
+            ..Interest::coarse()
+        },
+        2 => Interest {
+            barriers: true,
+            block_boundaries: true,
+            instructions: true,
+            ..Interest::coarse()
+        },
+        _ => Interest::coarse(),
+    }
+}
+
+/// One generated sink call: what to call, on which device, and a number
+/// that sizes it.
+type SinkCall = (u8, u32, u64);
+
+/// Drives `calls` through one sink over a two-shard hub and drops the sink
+/// wherever the sequence stops — launches still open included. Returns
+/// each shard's recorded stream and `events_processed`, and how many
+/// events the gate should have let through.
+fn drive_calls(
+    calls: &[SinkCall],
+    interest: Interest,
+    mode: SpineMode,
+    config: SpineConfig,
+) -> (Vec<(Vec<Event>, u64)>, u64) {
+    const SPACES: [MemSpace; 4] = [
+        MemSpace::Global,
+        MemSpace::Shared,
+        MemSpace::RemoteShared,
+        MemSpace::Local,
+    ];
+    let streams: Vec<Arc<Mutex<Vec<Event>>>> = (0..2).map(|_| Arc::default()).collect();
+    let shards = streams
+        .iter()
+        .zip(0u32..)
+        .map(|(seen, d)| {
+            let mut p = EventProcessor::new();
+            p.tools.register(Box::new(Wants(interest)));
+            p.set_recorder(Box::new(CollectingRecorder {
+                seen: Arc::clone(seen),
+            }));
+            (DeviceId(d), p)
+        })
+        .collect();
+    let hub: SharedHub = Arc::new(Hub::sharded(shards).unwrap());
+    let mut sink = HubSink::with_spine(Arc::clone(&hub), mode, config);
+
+    // The launch a device has open, if any. A call on a device with none
+    // open goes out under a launch id that never had a begin; a begin on a
+    // device with one open orphans it (its end never arrives).
+    let mut open: [Option<u64>; 2] = [None, None];
+    let mut next_launch = 0u64;
+    let mut admitted = 0u64;
+    for &(kind, device, n) in calls {
+        let slot = device as usize;
+        let launch = match open[slot] {
+            Some(launch) if kind != 0 => launch,
+            _ => {
+                next_launch += 1;
+                u64::from(device) * 10_000 + next_launch
+            }
+        };
+        let c = ctx(device, launch);
+        match kind {
+            0 => {
+                sink.on_kernel_begin(&c);
+                open[slot] = Some(launch);
+                admitted += 1;
+            }
+            1 => {
+                let batches: Vec<AccessBatch> = (0..n)
+                    .map(|i| AccessBatch {
+                        space: SPACES[((n + i) % 4) as usize],
+                        ..batch(launch, i)
+                    })
+                    .collect();
+                sink.on_batches(&c, &batches);
+                if interest.global_accesses || interest.shared_accesses {
+                    admitted += n;
+                }
+            }
+            2 => {
+                sink.on_barriers(&c, 1 + n);
+                admitted += u64::from(interest.barriers);
+            }
+            3 => {
+                sink.on_blocks(&c, 1 + n);
+                admitted += u64::from(interest.block_boundaries);
+            }
+            4 => {
+                sink.on_instructions(&c, 1_000 + n);
+                admitted += u64::from(interest.instructions);
+            }
+            5 => sink.flush(),
+            _ => {
+                sink.on_kernel_end(&c, &KernelTraceSummary::default());
+                open[slot] = None;
+                admitted += 1;
+            }
+        }
+    }
+    drop(sink);
+    hub.quiesce();
+    let per_shard = streams
+        .iter()
+        .zip(hub.shards())
+        .map(|(seen, shard)| {
+            (
+                seen.lock().unwrap().clone(),
+                shard.lock().events_processed(),
+            )
+        })
+        .collect();
+    (per_shard, admitted)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The oracle for a sink with one body: any sequence of sink calls —
+    /// begins, batches of mixed memory spaces, barriers, blocks,
+    /// instruction counts, explicit flushes, ends; launches whose end
+    /// never arrives, calls under a launch that never began, the other
+    /// device's calls arriving mid-buffer — reaches each shard as the same
+    /// events in the same order over the ring and under the lock, at every
+    /// flush threshold and ring size, and a sink dropped mid-launch leaves
+    /// nothing behind.
+    #[test]
+    fn random_call_sequences_deliver_identically_on_both_spines(
+        calls in prop::collection::vec((0u8..7, 0u32..2, 0u64..9), 1..60),
+        interest in 0u8..4,
+    ) {
+        let interest = interest_variant(interest);
+        for (ring_slots, pool_buffers) in [(2, 1), (64, 8)] {
+            for batch_events in [1, 3, 256] {
+                let config = SpineConfig { ring_slots, pool_buffers, batch_events };
+                let (inline, admitted) = drive_calls(&calls, interest, SpineMode::Inline, config);
+                let (ring, _) = drive_calls(&calls, interest, SpineMode::Ring, config);
+                prop_assert_eq!(&ring, &inline, "{:?} {:?}", config, interest);
+                let seen: u64 = ring.iter().map(|(events, _)| events.len() as u64).sum();
+                let counted: u64 = ring.iter().map(|(_, processed)| processed).sum();
+                prop_assert_eq!(
+                    (seen, counted), (admitted, admitted),
+                    "{:?} {:?}", config, interest
+                );
+            }
+        }
+    }
+}
+
 fn parallel_session(mode: SpineMode) -> PastaSession {
     Pasta::builder()
         .a100_x2()

@@ -15,39 +15,22 @@
 //!
 //! [`MergedReport`]: pasta::core::report::MergedReport
 
-use pasta::core::{Event, Pasta, PastaSession, Tool, ToolCollection, UvmSetup};
+use pasta::core::{Event, Pasta, PastaSession, ToolCollection, UvmSetup};
 use pasta::dl::parallel::{self, Parallelism};
 use pasta::prelude::*;
-use pasta::tools::MemoryTimelineTool;
+use pasta::tools::{standard_suite, suite};
 use pasta::trace::{replay, Trace, TraceReader, TraceWriter};
-
-fn suite() -> Vec<Box<dyn Tool>> {
-    vec![
-        Box::new(KernelFrequencyTool::new()),
-        Box::new(BarrierStallTool::new()),
-        Box::new(HotnessTool::new(64)),
-        Box::new(OpKernelMapTool::new()),
-        Box::new(MemoryCharacteristicsTool::new()),
-    ]
-}
 
 fn suite_session(builder: PastaBuilder) -> PastaSession {
     builder
-        .tool(KernelFrequencyTool::new())
-        .tool(BarrierStallTool::new())
-        .tool(HotnessTool::new(64))
-        .tool(OpKernelMapTool::new())
-        .tool(MemoryCharacteristicsTool::new())
+        .tools(standard_suite())
         .build()
         .expect("session builds")
 }
 
-fn fresh_tools(tools: Vec<Box<dyn Tool>>) -> ToolCollection {
-    let mut collection = ToolCollection::new();
-    for tool in tools {
-        collection.register(tool);
-    }
-    collection
+/// A fresh, empty instance of the named suite to replay into.
+fn fresh_tools(name: &str) -> ToolCollection {
+    suite(name).expect("a listed suite").into_iter().collect()
 }
 
 #[test]
@@ -66,7 +49,7 @@ fn sequential_run_replays_byte_identically() {
         "the recorder sees exactly the counted events"
     );
 
-    let mut tools = fresh_tools(suite());
+    let mut tools = fresh_tools("standard");
     let replayed = replay(&trace, &mut tools).expect("replay succeeds");
     assert_eq!(live, replayed, "offline replay must match live to the byte");
 
@@ -94,7 +77,7 @@ fn trace_survives_a_disk_round_trip() {
     std::fs::remove_file(&path).ok();
     assert_eq!(trace, loaded, "bytes identical after the disk round trip");
 
-    let mut tools = fresh_tools(suite());
+    let mut tools = fresh_tools("standard");
     assert_eq!(live, replay(&loaded, &mut tools).expect("replay succeeds"));
 }
 
@@ -124,7 +107,7 @@ fn two_device_megatron_run_replays_byte_identically() {
         );
     }
 
-    let mut tools = fresh_tools(suite());
+    let mut tools = fresh_tools("standard");
     let replayed = replay(&trace, &mut tools).expect("replay succeeds");
     assert_eq!(
         live, replayed,
@@ -136,19 +119,9 @@ fn uvm_session() -> PastaSession {
     Pasta::builder()
         .a100_x2()
         .uvm(UvmSetup::default())
-        .tool(UvmPrefetchAdvisor::new())
-        .tool(MemoryTimelineTool::new())
-        .tool(MemoryCharacteristicsTool::new())
+        .tools(suite("uvm").expect("a listed suite"))
         .build()
         .expect("session builds")
-}
-
-fn uvm_fresh_tools() -> ToolCollection {
-    let mut collection = ToolCollection::new();
-    collection.register(Box::new(UvmPrefetchAdvisor::new()));
-    collection.register(Box::new(MemoryTimelineTool::new()));
-    collection.register(Box::new(MemoryCharacteristicsTool::new()));
-    collection
 }
 
 #[test]
@@ -185,7 +158,7 @@ fn uvm_run_replays_byte_identically_with_the_footer_overlay() {
     // ...while the manager overlay rides in the footer.
     assert_eq!(reader.uvm(), Some(live_uvm));
 
-    let mut tools = uvm_fresh_tools();
+    let mut tools = fresh_tools("uvm");
     let replayed = replay(&trace, &mut tools).expect("replay succeeds");
     assert_eq!(
         live, replayed,
