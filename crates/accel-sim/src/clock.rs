@@ -45,12 +45,6 @@ impl SimTime {
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
-
-    /// Saturating difference (`self - earlier`), useful when clocks may
-    /// legitimately be re-ordered by asynchronous overlap.
-    pub fn saturating_since(self, earlier: SimTime) -> u64 {
-        self.0.saturating_sub(earlier.0)
-    }
 }
 
 impl Add<u64> for SimTime {
@@ -116,9 +110,7 @@ mod tests {
     }
 
     #[test]
-    fn max_and_since() {
+    fn max_picks_the_later_time() {
         assert_eq!(SimTime(3).max(SimTime(9)), SimTime(9));
-        assert_eq!(SimTime(9).saturating_since(SimTime(3)), 6);
-        assert_eq!(SimTime(3).saturating_since(SimTime(9)), 0);
     }
 }

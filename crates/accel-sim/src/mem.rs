@@ -49,13 +49,6 @@ pub struct Allocation {
     pub managed: bool,
 }
 
-impl Allocation {
-    /// True if `[addr, addr+len)` lies within this allocation.
-    pub fn contains_range(&self, addr: u64, len: u64) -> bool {
-        addr >= self.addr && addr + len <= self.addr + self.size
-    }
-}
-
 /// First-fit free-list allocator over `[base, base + capacity)`.
 #[derive(Debug)]
 pub struct DeviceAllocator {
@@ -293,19 +286,5 @@ mod tests {
         let peak = a.used();
         a.free(x.addr).unwrap();
         assert_eq!(a.peak_used(), peak);
-    }
-
-    #[test]
-    fn contains_range_checks_extent() {
-        let alloc = Allocation {
-            id: AllocId(1),
-            addr: 100,
-            size: 50,
-            managed: false,
-        };
-        assert!(alloc.contains_range(100, 50));
-        assert!(alloc.contains_range(120, 10));
-        assert!(!alloc.contains_range(120, 40));
-        assert!(!alloc.contains_range(99, 2));
     }
 }

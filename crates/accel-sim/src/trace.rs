@@ -45,21 +45,6 @@ impl AccessBatch {
     pub fn end(&self) -> u64 {
         self.base + self.len
     }
-
-    /// Approximate number of records that fall in `[lo, hi)`, assuming
-    /// records are distributed across the region per the pattern. Used by
-    /// block-granular analyses (hotness heat-maps).
-    pub fn records_in_range(&self, lo: u64, hi: u64) -> u64 {
-        if self.len == 0 || hi <= self.base || lo >= self.end() {
-            return 0;
-        }
-        let lo = lo.max(self.base);
-        let hi = hi.min(self.end());
-        // Sequential, strided and random patterns all spread records
-        // uniformly over the touched extent at batch granularity.
-        let frac = (hi - lo) as f64 / self.len as f64;
-        ((self.records as f64) * frac).round() as u64
-    }
 }
 
 /// Per-kernel summary the engine hands to the probe at kernel end.
@@ -102,11 +87,6 @@ impl TraceBufferModel {
     pub fn stall_flushes(&self, records: u64) -> u64 {
         records / self.capacity_records
     }
-
-    /// Total bytes shipped over the host link for `records`.
-    pub fn transfer_bytes(&self, records: u64) -> u64 {
-        records * TRACE_RECORD_BYTES
-    }
 }
 
 impl Default for TraceBufferModel {
@@ -136,24 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn records_in_range_partitions() {
-        let b = batch(1000, 1000, 100);
-        let total: u64 = (0..10)
-            .map(|i| b.records_in_range(1000 + i * 100, 1000 + (i + 1) * 100))
-            .sum();
-        assert_eq!(total, 100);
-        assert_eq!(b.records_in_range(0, 1000), 0);
-        assert_eq!(b.records_in_range(2000, 3000), 0);
-        assert_eq!(b.records_in_range(0, 10_000), 100);
-    }
-
-    #[test]
-    fn records_in_range_clamps_partial_overlap() {
-        let b = batch(0, 1000, 1000);
-        assert_eq!(b.records_in_range(900, 1100), 100);
-    }
-
-    #[test]
     fn buffer_stalls_only_on_full_buffers() {
         let m = TraceBufferModel {
             capacity_records: 100,
@@ -161,13 +123,7 @@ mod tests {
         assert_eq!(m.stall_flushes(99), 0);
         assert_eq!(m.stall_flushes(100), 1);
         assert_eq!(m.stall_flushes(1000), 10);
-    }
-
-    #[test]
-    fn transfer_volume_scales_with_records() {
-        let m = TraceBufferModel::new_4mib();
-        assert_eq!(m.transfer_bytes(10), 10 * TRACE_RECORD_BYTES);
-        assert!(m.capacity_records > 100_000);
+        assert!(TraceBufferModel::new_4mib().capacity_records > 100_000);
     }
 
     #[test]

@@ -17,20 +17,18 @@
 //!   range: every step pays demand faults, evictions and peer
 //!   re-duplication, pricing the full eviction machinery under KV
 //!   churn.
-//! * `kv/page-churn` — the unit cost the serving loop leans on: one
-//!   managed page malloc (UVM registration) + free (teardown) through
-//!   the runtime facade.
 //!
 //! Numbers land in `BENCH_serving.json`; run with
-//! `cargo bench -p pasta-bench --bench serving`.
+//! `cargo bench -p pasta-bench --bench serving`. The managed-page
+//! register + teardown unit cost this file also timed is
+//! `vendor_nv.cuda.managed_churn_ns` in the benchmark
+//! (`docs/perf-log/ISSUE-23.md`).
 
-use accel_sim::{DeviceId, DeviceRuntime, DeviceSpec};
+use accel_sim::{DeviceId, DeviceSpec};
 use criterion::{criterion_group, criterion_main, Criterion};
 use dl_framework::serving::{serve, serve_sequential_reference, ServingConfig};
 use dl_framework::DType;
 use pasta_core::{ParallelConfig, Pasta, PastaSession, UvmSetup};
-use uvm_sim::{UvmConfig, UvmManager};
-use vendor_nv::CudaContext;
 
 fn session(lanes: usize, budget: Option<u64>) -> PastaSession {
     Pasta::builder()
@@ -84,23 +82,5 @@ fn bench_serve(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_kv_churn(c: &mut Criterion) {
-    let mut g = c.benchmark_group("kv");
-    let page = ServingConfig::tiny().kv_page_bytes();
-    let mut ctx = CudaContext::new(vec![DeviceSpec::a100_80gb()]);
-    let mut uvm = UvmManager::new(UvmConfig::default());
-    uvm.add_device(64 << 20, 24.0, 25_000);
-    ctx.attach_uvm(uvm);
-    g.bench_function("page-churn", |b| {
-        b.iter(|| {
-            // One conversation's lifecycle at the memory layer: managed
-            // page in (registers with residency), page out (unregisters).
-            let ptr = ctx.malloc_managed(page).expect("managed page");
-            ctx.free(ptr).expect("teardown");
-        });
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_serve, bench_kv_churn);
+criterion_group!(benches, bench_serve);
 criterion_main!(benches);

@@ -19,11 +19,6 @@
 //!   window over the peer link (directory lock, holder registration,
 //!   eviction deregistration included).
 //!
-//! `2dev-shared-read` is the threaded topology: two lanes, one shared
-//! region (owner = device 0), both streaming it concurrently through
-//! their own hub shards. On the 1-CPU build container it timeslices; on
-//! multi-core hosts it shows the per-range lock is off the private path.
-//!
 //! Numbers land in `BENCH_uvm_p2p.json`; run with
 //! `cargo bench -p pasta-bench --bench uvm_p2p`.
 
@@ -43,8 +38,6 @@ const REGION: u64 = 64 << 20;
 const WINDOW: u64 = 8 << 20;
 /// Managed budget per device — 2x oversubscribed, so rotation evicts.
 const BUDGET: u64 = 32 << 20;
-/// Launches per device thread per threaded iteration.
-const LAUNCHES_PER_ITER: u64 = 8;
 
 fn processor() -> EventProcessor {
     let mut p = EventProcessor::new();
@@ -171,42 +164,10 @@ fn per_launch_peer_duplicate(c: &mut Criterion) {
     g.finish();
 }
 
-/// `uvm-p2p/2dev-shared-read`: both lanes stream the shared region
-/// concurrently — device 0 as the owner (host faults), device 1
-/// read-duplicating, each through its own hub shard.
-fn two_device_shared_read(c: &mut Criterion) {
-    let mut g = c.benchmark_group("uvm-p2p");
-    g.sample_size(40);
-    let parent = parent_manager();
-    let hub = sharded_hub(2);
-    let mut contexts: Vec<_> = (0..2).map(|d| lane_context(d, &hub, &parent)).collect();
-    for (ctx, buf) in contexts.iter_mut() {
-        share_region(ctx, *buf, DeviceId(0));
-    }
-    let mut iter = 0u64;
-    g.bench_function("2dev-shared-read", |b| {
-        b.iter(|| {
-            std::thread::scope(|scope| {
-                for (ctx, buf) in contexts.iter_mut() {
-                    let buf = *buf;
-                    scope.spawn(move || {
-                        for l in 0..LAUNCHES_PER_ITER {
-                            drive_launch(ctx, buf, iter * LAUNCHES_PER_ITER + l);
-                        }
-                    });
-                }
-            });
-            iter += 1;
-        })
-    });
-    g.finish();
-}
-
 criterion_group!(
     uvm_p2p,
     per_launch_private_no_shared,
     per_launch_private_shared_present,
-    per_launch_peer_duplicate,
-    two_device_shared_read
+    per_launch_peer_duplicate
 );
 criterion_main!(uvm_p2p);

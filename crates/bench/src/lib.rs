@@ -4,7 +4,9 @@
 //! `run()` that regenerates the result and a `render()` producing the rows
 //! the paper reports. [`ARTIFACTS`] names them; the one binary,
 //! `experiments [NAME…]`, prints the named ones (all of them by default).
-//! Criterion benches under `benches/` time the framework itself.
+//! The framework's own timings are the repository's `benchmark/`
+//! package; `benches/` keeps the settings ablations and the four cuts
+//! that package has no metric for yet (`docs/perf-log/ISSUE-23.md`).
 //!
 //! Experiment scale comes from [`scale::ExpScale`]: `PASTA_SCALE=quick`
 //! shrinks batch sizes and step counts for smoke runs, the default `full`

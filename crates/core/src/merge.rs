@@ -29,8 +29,8 @@
 //! the number of tree rounds. Helpers are named `merge-{k}` so panic
 //! payloads and debugger output attribute to the merge stage.
 //!
-//! Critical-path arithmetic (the `BENCH_scale_out.json` model): a linear
-//! fold of N shards is `(N-1)·M` for per-merge cost M. The tree performs
+//! Critical-path arithmetic: a linear fold of N shards is `(N-1)·M`
+//! for per-merge cost M. The tree performs
 //! the same `N-1` merges, but W workers fold the subtrees over blocks of
 //! `N/W` leaves concurrently and the block roots then merge pairwise up
 //! the tree, each pair on the thread that holds its left side, so the

@@ -1,8 +1,8 @@
 //! The lock-free event spine: bounded SPSC rings between sinks and shards.
 //!
-//! The serialization decompositions in `BENCH_multi_device.json` showed
-//! the under-mutex drain (`process_class_batch` under each shard's lock)
-//! at 80–94% of an instrumented launch. Sinks are per-launch and shards
+//! ISSUE 3's and ISSUE 8's serialization decompositions showed the
+//! under-mutex drain (`process_class_batch` under each shard's lock) at
+//! 80–94% of an instrumented launch. Sinks are per-launch and shards
 //! are per-device, so every sink→shard pair is single-producer /
 //! single-consumer *by construction* — the mutex on the emission path was
 //! pure overhead. This module replaces it:
@@ -429,19 +429,12 @@ impl SpineDrainer {
     /// per device, each servicing an interleaved slice of `devices`:
     /// thread `j` sweeps `devices[j], devices[j + W], …`, so at 256 lanes
     /// the drain side costs `max_drain_threads` OS threads instead of 256.
-    /// Here `0` means one per device. `ParallelConfig::max_drain_threads`'s
-    /// `0` means available parallelism: `PastaSession::run_parallel`
-    /// resolves that before it calls this and never passes `0`.
     /// Threads are named `drain-dev{N}` after the first device they
     /// service. Spawn failures are tolerated silently — the spine is
     /// correct without drainers, just slower under contention.
     pub fn start_bounded(hub: SharedHub, devices: &[DeviceId], max_threads: usize) -> SpineDrainer {
         let stop = Arc::new(AtomicBool::new(false));
-        let width = if max_threads == 0 {
-            devices.len()
-        } else {
-            max_threads.min(devices.len())
-        };
+        let width = max_threads.min(devices.len());
         let threads = (0..width)
             .filter_map(|j| {
                 let slice: Vec<DeviceId> = devices

@@ -23,7 +23,7 @@ use crate::error::PastaError;
 use accel_sim::{KernelDesc, LaunchRecord};
 use dl_framework::models::{ModelZoo, RunKind};
 use dl_framework::parallel::DeviceLane;
-use dl_framework::runner::{self, RunReport};
+use dl_framework::runner;
 use dl_framework::session::Session;
 use uvm_sim::UvmManager;
 
@@ -152,7 +152,6 @@ pub struct ModelWorkload {
     steps: usize,
     batch_divisor: usize,
     name: String,
-    last: Option<RunReport>,
 }
 
 impl ModelWorkload {
@@ -164,7 +163,6 @@ impl ModelWorkload {
             steps: 1,
             batch_divisor: 1,
             name: format!("{} {}", model.spec().abbr, kind.label()),
-            last: None,
         }
     }
 
@@ -178,11 +176,6 @@ impl ModelWorkload {
     pub fn batch_divisor(mut self, divisor: usize) -> Self {
         self.batch_divisor = divisor.max(1);
         self
-    }
-
-    /// The [`RunReport`] of the most recent run, if any.
-    pub fn last_report(&self) -> Option<&RunReport> {
-        self.last.as_ref()
     }
 }
 
@@ -204,7 +197,6 @@ impl Workload for ModelWorkload {
             report.abbr,
             self.kind.label()
         ));
-        self.last = Some(report);
         Ok(stats)
     }
 }
@@ -338,7 +330,6 @@ mod tests {
         assert_eq!(w.name(), "BERT inference");
         assert_eq!(w.steps, 2);
         assert_eq!(w.batch_divisor, 8);
-        assert!(w.last_report().is_none());
     }
 
     #[test]

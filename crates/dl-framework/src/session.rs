@@ -186,9 +186,7 @@ impl<'rt> Session<'rt> {
     /// Panics on double-free (a framework bug, as in PyTorch) and when
     /// the *current* device never allocated — freeing a tensor after
     /// switching devices. Both unwind into the session boundary, where
-    /// PASTA contains them as a typed lane failure; workloads that free
-    /// across device switches can use [`Session::try_free_tensor`] to
-    /// get a value-level error instead.
+    /// PASTA contains them as a typed lane failure.
     pub fn free_tensor(&mut self, tensor: &Tensor) {
         let dev = self.rt.current_device();
         let Ok(slot) = self.allocator_slot(dev) else {
@@ -209,25 +207,6 @@ impl<'rt> Session<'rt> {
             reserved_total: stats.reserved,
             device: dev,
         });
-    }
-
-    /// Fallible twin of [`Session::free_tensor`]: returns
-    /// [`AccelError::UnknownDevice`] instead of panicking when the
-    /// current device has no allocator (the tensor was allocated while a
-    /// different device was current).
-    ///
-    /// # Errors
-    ///
-    /// [`AccelError::UnknownDevice`] when the current device never
-    /// allocated. Double-free still panics (a framework bug, as in
-    /// PyTorch).
-    pub fn try_free_tensor(&mut self, tensor: &Tensor) -> Result<(), AccelError> {
-        let dev = self.rt.current_device();
-        if self.allocator_slot(dev).is_err() {
-            return Err(AccelError::UnknownDevice(dev));
-        }
-        self.free_tensor(tensor);
-        Ok(())
     }
 
     /// Brackets an operator: emits `OpStart`, runs `f`, emits `OpEnd`.

@@ -1,7 +1,7 @@
 //! Wall-clock benchmarking shim covering the criterion 0.5 API surface
 //! the `pasta-bench` benches use: `criterion_group!`/`criterion_main!`,
-//! `Criterion::benchmark_group`, `bench_function`, `bench_with_input`,
-//! `BenchmarkId`, and `Bencher::iter`.
+//! `Criterion::benchmark_group`, a group's `bench_function` and
+//! `bench_with_input`, `BenchmarkId::from_parameter`, and `Bencher::iter`.
 //!
 //! Each benchmark closure runs `sample_size` times and the mean
 //! wall-clock time per iteration is printed. There is no statistical
@@ -22,11 +22,6 @@ pub fn black_box<T>(x: T) -> T {
 pub struct BenchmarkId(String);
 
 impl BenchmarkId {
-    /// `function_name/parameter` form.
-    pub fn new(function: impl Into<String>, parameter: impl Display) -> Self {
-        BenchmarkId(format!("{}/{}", function.into(), parameter))
-    }
-
     /// Parameter-only form.
     pub fn from_parameter(parameter: impl Display) -> Self {
         BenchmarkId(parameter.to_string())
@@ -83,12 +78,6 @@ impl Criterion {
             sample_size: self.sample_size,
             _parent: self,
         }
-    }
-
-    /// Runs a single named benchmark.
-    pub fn bench_function(&mut self, name: &str, f: impl FnMut(&mut Bencher)) -> &mut Self {
-        run_one(name, self.sample_size, f);
-        self
     }
 }
 

@@ -237,12 +237,6 @@ impl Trace {
         Trace::assemble(encoders, uvm)
     }
 
-    /// Wraps raw bytes (e.g. received over a socket). Validation happens
-    /// at parse time, not here.
-    pub fn from_bytes(bytes: Vec<u8>) -> Trace {
-        Trace { bytes }
-    }
-
     /// The serialized form.
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes

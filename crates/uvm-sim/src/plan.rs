@@ -26,11 +26,6 @@ impl Range {
     pub fn end(&self) -> u64 {
         self.base + self.len
     }
-
-    /// True when the ranges overlap.
-    pub fn overlaps(&self, other: &Range) -> bool {
-        self.base < other.end() && other.base < self.end()
-    }
 }
 
 /// Granularity of a prefetch plan, matching the paper's comparison.
@@ -116,13 +111,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn range_overlap() {
-        let a = Range::new(0, 100);
-        let b = Range::new(50, 100);
-        let c = Range::new(100, 10);
-        assert!(a.overlaps(&b));
-        assert!(!a.overlaps(&c), "half-open ranges: end is exclusive");
-        assert_eq!(a.end(), 100);
+    fn range_end_is_exclusive() {
+        assert_eq!(Range::new(0, 100).end(), 100);
     }
 
     #[test]

@@ -9,11 +9,14 @@
 //!     Print the header, per-shard stream sizes and the UVM footer flag
 //!     from the shard headers alone: no record is decoded.
 //!
-//! pasta-replay run <trace.pastatrace> [--suite standard|census|memory|uvm]
+//! pasta-replay run <trace.pastatrace> [--suite NAME]
 //!     Replay the trace through a tool suite and print the merged report.
 //!     Analysis happens entirely offline: no simulator, no workload. The
 //!     trace is decoded a batch at a time, never held decoded whole.
 //! ```
+//!
+//! `NAME` is one of [`SUITE_NAMES`] (default `standard`); the usage line
+//! and the unknown-suite error are built from that table.
 //!
 //! Argument parsing is hand-rolled: the workspace builds offline and the
 //! two-flag surface does not justify a dependency.
@@ -26,10 +29,14 @@ use pasta::prelude::*;
 use pasta::tools::{standard_suite, suite, SUITE_NAMES};
 use pasta::trace::{replay, Trace, TraceReader, TraceWriter, FORMAT_VERSION};
 
-const USAGE: &str = "usage:
+fn usage() -> String {
+    format!(
+        "usage:
   pasta-replay capture <out.pastatrace> [--steps N]
   pasta-replay info <trace.pastatrace>
-  pasta-replay run <trace.pastatrace> [--suite standard|census|memory|uvm]";
+  pasta-replay run <trace.pastatrace> [--suite {SUITE_NAMES}]"
+    )
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -38,10 +45,10 @@ fn main() -> ExitCode {
         Some("info") => info(&args[1..]),
         Some("run") => run(&args[1..]),
         Some("--help" | "-h" | "help") => {
-            println!("{USAGE}");
+            println!("{}", usage());
             Ok(())
         }
-        _ => Err(USAGE.into()),
+        _ => Err(usage()),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -85,7 +92,7 @@ fn split_flag<'a>(
 fn capture(args: &[String]) -> Result<(), String> {
     let (positional, steps) = split_flag(args, "--steps")?;
     let [out] = positional[..] else {
-        return Err(USAGE.into());
+        return Err(usage());
     };
     let steps: usize = steps
         .map(|s| s.parse().map_err(|_| format!("bad --steps value '{s}'")))
@@ -124,7 +131,7 @@ fn load(path: &str) -> Result<(Trace, usize), String> {
 
 fn info(args: &[String]) -> Result<(), String> {
     let [path] = args.iter().map(String::as_str).collect::<Vec<_>>()[..] else {
-        return Err(USAGE.into());
+        return Err(usage());
     };
     let (trace, len) = load(path)?;
     let summary = TraceReader::scan(trace.as_bytes()).map_err(|e| format!("{path}: {e}"))?;
@@ -150,15 +157,29 @@ fn info(args: &[String]) -> Result<(), String> {
 fn run(args: &[String]) -> Result<(), String> {
     let (positional, suite_name) = split_flag(args, "--suite")?;
     let [path] = positional[..] else {
-        return Err(USAGE.into());
+        return Err(usage());
     };
-    let (trace, _) = load(path)?;
     let name = suite_name.unwrap_or("standard");
     let mut tools: ToolCollection = suite(name)
         .ok_or_else(|| format!("unknown suite '{name}' ({SUITE_NAMES})"))?
         .into_iter()
         .collect();
+    let (trace, _) = load(path)?;
     let report = replay(&trace, &mut tools).map_err(|e| format!("{path}: {e}"))?;
     println!("{report}");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_unknown_suite_is_refused_naming_every_suite_before_the_trace_is_read() {
+        let args = ["x", "--suite", "nope"].map(String::from);
+        let message = run(&args).unwrap_err();
+        for name in SUITE_NAMES.split('|') {
+            assert!(message.contains(name), "`{name}` missing from: {message}");
+        }
+    }
 }

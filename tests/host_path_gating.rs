@@ -17,8 +17,9 @@
 //! process-global: parallel test threads would attribute each other's
 //! allocations to the wrong phase.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
+
+use common::CountingAlloc;
 use std::sync::{Arc, Barrier, Mutex};
 
 use pasta::amd::{HipContext, RocCallback};
@@ -42,33 +43,11 @@ use pasta::sim::{
 };
 use proptest::prelude::*;
 
-struct CountingAlloc {
-    allocs: AtomicU64,
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc {
-    allocs: AtomicU64::new(0),
-};
+static GLOBAL: CountingAlloc = CountingAlloc::new();
 
 fn allocs() -> u64 {
-    GLOBAL.allocs.load(Ordering::Relaxed)
+    GLOBAL.allocs()
 }
 
 const MODELS: [ModelZoo; 3] = [ModelZoo::Bert, ModelZoo::Gpt2, ModelZoo::ResNet18];

@@ -11,6 +11,9 @@
 //! Run with `--test-threads=1` in CI: the stress tests spawn their own
 //! emitter threads and time-share poorly with sibling tests.
 
+mod common;
+
+use common::{sharded_hub, FineAggregator};
 use pasta::core::hub::{Hub, HubSink, SharedHub};
 use pasta::core::processor::{EventProcessor, EventRecorder};
 use pasta::core::report::MergedReport;
@@ -33,69 +36,6 @@ fn tiny() -> SpineConfig {
         pool_buffers: 1,
         batch_events: 3,
     }
-}
-
-/// Order-independent aggregate of everything the fine path delivers.
-#[derive(Debug, Default)]
-struct FineAggregator {
-    batches: u64,
-    records: u64,
-    barriers: u64,
-    launches: u64,
-}
-
-impl Tool for FineAggregator {
-    fn name(&self) -> &str {
-        "fine-aggregator"
-    }
-    fn interest(&self) -> Interest {
-        Interest::all()
-    }
-    fn on_event(&mut self, event: &Event) {
-        match event {
-            Event::GlobalAccess { batch, .. } | Event::SharedAccess { batch, .. } => {
-                self.batches += 1;
-                self.records += batch.records;
-            }
-            Event::Barrier { count, .. } => self.barriers += count,
-            Event::KernelLaunchBegin { .. } => self.launches += 1,
-            _ => {}
-        }
-    }
-    fn report(&self) -> pasta::core::ToolReport {
-        pasta::core::ToolReport::new(self.name())
-            .metric("batches", self.batches as f64)
-            .metric("records", self.records as f64)
-            .metric("barriers", self.barriers as f64)
-            .metric("launches", self.launches as f64)
-    }
-    fn fork(&self) -> Option<Box<dyn Tool>> {
-        Some(Box::<FineAggregator>::default())
-    }
-    fn merge(&mut self, other: &dyn Tool) {
-        let other = other.as_any().downcast_ref::<FineAggregator>().unwrap();
-        self.batches += other.batches;
-        self.records += other.records;
-        self.barriers += other.barriers;
-        self.launches += other.launches;
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
-fn sharded_hub(devices: u32) -> SharedHub {
-    let shards: Vec<(DeviceId, EventProcessor)> = (0..devices)
-        .map(|d| {
-            let mut p = EventProcessor::new();
-            p.tools.register(Box::<FineAggregator>::default());
-            (DeviceId(d), p)
-        })
-        .collect();
-    Arc::new(Hub::sharded(shards).unwrap())
 }
 
 fn ctx(device: u32, launch: u64) -> TraceCtx {

@@ -6,15 +6,16 @@
 //! drain over a recorder-free processor performs **zero** heap
 //! allocations, attaching a recorder makes the very same drain allocate,
 //! and detaching restores zero. The throughput side of the same gate is
-//! `BENCH_event_path.json`, which must stay within noise of its baseline.
+//! the benchmark's `event_flood_gated` workload and its
+//! `core.hub.gate_reject_ns_per_callback` row.
 //!
 //! Everything lives in one `#[test]` because the allocation counter is
 //! process-global: parallel test threads would attribute each other's
 //! allocations to the wrong phase.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
 
+use common::CountingAlloc;
 use pasta::core::hub::{Hub, HubSink};
 use pasta::core::spine::{SpineConfig, SpineMode};
 use pasta::core::tool::{Interest, Tool};
@@ -28,33 +29,11 @@ use pasta::sim::{
 use pasta::trace::{Trace, TraceReader};
 use std::sync::Arc;
 
-struct CountingAlloc {
-    allocs: AtomicU64,
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc {
-    allocs: AtomicU64::new(0),
-};
+static GLOBAL: CountingAlloc = CountingAlloc::new();
 
 fn allocs() -> u64 {
-    GLOBAL.allocs.load(Ordering::Relaxed)
+    GLOBAL.allocs()
 }
 
 /// A recorder that buffers events the simplest possible way — enough to
