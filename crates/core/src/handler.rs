@@ -1,15 +1,21 @@
 //! The event handler: vendor/framework subscription glue.
 //!
 //! These functions wire the simulated vendor runtimes and the DL framework
-//! into a [`SharedHub`], normalizing every callback on the way in — the
-//! "interface standardization" box of the paper's Fig. 1. Every normalized
-//! event carries its device, so the hub routes it to that device's shard
-//! ([`crate::hub::Hub::process`]) and concurrent lanes never share a lock.
+//! into a [`SharedHub`], normalizing every callback something reads on the
+//! way in — the "interface standardization" box of the paper's Fig. 1.
+//! Every callback names its class and device (`class_of_*`), so the
+//! handler finds the device's shard first and asks its host gate: a class
+//! no tool, recorder or knob of that shard reads is counted there and
+//! returns — no [`Event`], no lock, no dispatch. What passes is normalized
+//! and processed on that shard, so concurrent lanes never share a lock.
 
-use crate::event::Event;
-use crate::hub::SharedHub;
-use crate::normalize::{normalize_framework, normalize_nv, normalize_roc};
+use crate::event::{Event, EventClass};
+use crate::hub::{DeviceShard, Hub, SharedHub};
+use crate::normalize::{
+    class_of_framework, class_of_nv, class_of_roc, normalize_framework, normalize_nv, normalize_roc,
+};
 use accel_sim::{DeviceId, LaunchId, SimTime, Symbol};
+use dl_framework::callbacks::FrameworkEvent;
 use dl_framework::session::Session;
 use uvm_sim::runtime::{Context, LaunchEdge, Vocabulary};
 use vendor_amd::HipContext;
@@ -42,46 +48,75 @@ impl PendingLaunch {
     }
 }
 
+/// The shard a callback of `class` on `device` is processed on, or `None`
+/// after counting it there because nothing on that shard reads it.
+fn admit(
+    hub: &Hub,
+    class: EventClass,
+    device: DeviceId,
+    is_op_start: bool,
+) -> Option<&DeviceShard> {
+    let shard = hub.shard_for(device);
+    let gate = shard.gate();
+    if gate.admits(class) || (is_op_start && gate.admits_op_start()) {
+        Some(shard)
+    } else {
+        shard.count_gated();
+        None
+    }
+}
+
 /// Subscribes the hub to a vendor context's host callbacks, whichever
 /// vocabulary it speaks: launch begin/end pairs are merged into one timed
-/// [`Event::KernelLaunchEnd`]; everything else flows through `normalize`.
+/// [`Event::KernelLaunchEnd`] (the knobs read every launch, so these never
+/// meet the gate); everything else is gated on `class_of` and, when
+/// admitted, built by `normalize`.
 fn attach<C: Vocabulary>(
     ctx: &mut Context<C>,
     hub: SharedHub,
+    class_of: impl Fn(&C) -> Option<(EventClass, DeviceId)> + Send + 'static,
     normalize: impl Fn(&C) -> Option<Event> + Send + 'static,
 ) {
     let mut pending = PendingLaunch::default();
-    ctx.subscribe(Box::new(move |cb: &C| {
-        let event = match cb.launch_edge() {
-            Some(LaunchEdge::Begin(launch, name, start)) => {
-                pending.begin(launch, name, start);
-                None
+    ctx.subscribe(Box::new(move |cb: &C| match cb.launch_edge() {
+        Some(LaunchEdge::Begin(launch, name, start)) => pending.begin(launch, name, start),
+        Some(LaunchEdge::End(launch, device, end)) => {
+            if let Some(event) = pending.end(launch, device, end) {
+                hub.process(&event);
             }
-            Some(LaunchEdge::End(launch, device, end)) => pending.end(launch, device, end),
-            None => normalize(cb),
-        };
-        if let Some(event) = event {
-            hub.process(&event);
+        }
+        None => {
+            let Some((class, device)) = class_of(cb) else {
+                return;
+            };
+            if let Some(shard) = admit(&hub, class, device, false) {
+                if let Some(event) = normalize(cb) {
+                    hub.process_on(shard, &event);
+                }
+            }
         }
     }));
 }
 
 /// Subscribes the hub to a CUDA context's host callbacks.
 pub fn attach_nv(ctx: &mut CudaContext, hub: SharedHub) {
-    attach(ctx, hub, normalize_nv);
+    attach(ctx, hub, class_of_nv, normalize_nv);
 }
 
 /// Subscribes the hub to a HIP context's host callbacks.
 pub fn attach_roc(ctx: &mut HipContext, hub: SharedHub) {
-    attach(ctx, hub, normalize_roc);
+    attach(ctx, hub, class_of_roc, normalize_roc);
 }
 
 /// Subscribes the hub to a framework session's callbacks (tensor, op,
-/// pass and annotation events).
+/// pass and annotation events), behind the same gate.
 pub fn attach_session(session: &mut Session<'_>, hub: SharedHub) {
     session.subscribe(Box::new(move |ev| {
-        let event = normalize_framework(ev);
-        hub.process(&event);
+        let (class, device) = class_of_framework(ev);
+        let is_op_start = matches!(ev, FrameworkEvent::OpStart { .. });
+        if let Some(shard) = admit(&hub, class, device, is_op_start) {
+            hub.process_on(shard, &normalize_framework(ev));
+        }
     }));
 }
 
@@ -144,6 +179,11 @@ mod tests {
             .with_tool_mut("launch-counter", |t: &mut LaunchCounter| t.launches)
             .unwrap();
         assert_eq!(n, 2);
+        // The malloc's API entry and allocation and the launches' two API
+        // entries are classes a launch counter does not read: counted at
+        // the gate, and counted as events all the same.
+        assert_eq!(hub.host_events_gated(), 4);
+        assert_eq!(hub.events_processed(), 6);
     }
 
     #[test]
@@ -196,7 +236,9 @@ mod tests {
         attach_session(&mut session, Arc::clone(&hub));
         let t = session.alloc_tensor(&[64], DType::F32).unwrap();
         session.free_tensor(&t);
-        // TensorAlloc + TensorFree.
+        // TensorAlloc + TensorFree, which a hub without tools counts and
+        // never builds.
         assert_eq!(hub.events_processed(), 2);
+        assert_eq!(hub.host_events_gated(), 2);
     }
 }

@@ -12,8 +12,24 @@
 //! deterministically (launch order within a device, ascending device id
 //! across devices) at session end.
 //!
+//! The host path — vendor and framework callbacks through
+//! [`crate::handler`] — meets a gate of its own before any of that: each
+//! shard publishes which coarse classes its processor reads
+//! ([`EventProcessor::host_gate`]: the classes its armed tools subscribe
+//! to, kernel launches for the knobs, annotations for the range filter,
+//! operator starts while a capture knob is set, everything while a
+//! recorder is attached), and a callback of a class nothing reads bumps
+//! the shard's tally and returns — no [`Event`], no lock, no dispatch. The
+//! tally folds into `events_processed` on every [`DeviceShard::lock`], so
+//! every count reads as if the event had been processed. The gate is
+//! recomputed when a [`ShardGuard`] is released and stored only if it
+//! changed, which covers every way it can: `register`, a quarantine inside
+//! `process`, [`Hub::reset_all`], [`Hub::attach_recorders`] /
+//! [`Hub::detach_recorders`], a recorder or the capture knob set through
+//! the guard directly.
+//!
 //! The fine-grained path through [`HubSink`] is the hottest code in the
-//! system (millions of events per profiled run) and is kept cheap by four
+//! system (millions of events per profiled run) and is kept cheap by five
 //! cooperating mechanisms:
 //!
 //! 1. **Interest gate** — at kernel begin the sink caches the launch's
@@ -46,8 +62,8 @@
 //!    pushed event exactly once — [`Hub::quiesce`] is the explicit entry
 //!    point.
 //!
-//! The shards, routing, recorders and the merge live in this file; the
-//! launch gate and the sink in `sink.rs`.
+//! The shards, the host gate, routing, recorders and the merge live in
+//! this file; the launch gate and the sink in `sink.rs`.
 //!
 //! [`Symbol`]: accel_sim::Symbol
 //! [`SpineMode::Ring`]: crate::spine::SpineMode::Ring
@@ -57,13 +73,15 @@
 //! [`EventClass`]: crate::event::EventClass
 
 use crate::event::Event;
-use crate::processor::EventProcessor;
+use crate::processor::{EventProcessor, HostGate};
 use crate::report::{MergedReport, ToolQuarantine, ToolReport};
 use crate::spine::{EventRing, ShardSpine};
 use crate::tool::Tool;
 use accel_sim::sync::{Mutex, MutexGuard};
 use accel_sim::DeviceId;
 use dl_framework::pycall::CrossLayerStack;
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
 use std::sync::Arc;
 
 mod sink;
@@ -86,12 +104,60 @@ pub struct DeviceShard {
     device: DeviceId,
     processor: Mutex<EventProcessor>,
     spine: ShardSpine,
+    /// The processor's [`EventProcessor::host_gate`] as of the last
+    /// [`ShardGuard`] released: read by every host callback, written only
+    /// when a guard saw it change.
+    gate: AtomicU16,
+    /// Host callbacks turned away at the gate, ever. Written by the lanes
+    /// emitting on this device — one, in a sharded region.
+    gated: AtomicU64,
+}
+
+/// [`DeviceShard::lock`]'s guard: the shard's processor, and on release
+/// the shard's host gate brought up to date with whatever the holder did
+/// to it — a tool registered, quarantined or re-armed by a reset, a
+/// recorder attached or detached, the capture knob set. Every such change
+/// needs this guard, so none can leave the gate closed on a class
+/// something now reads.
+#[derive(Debug)]
+pub struct ShardGuard<'a> {
+    processor: MutexGuard<'a, EventProcessor>,
+    gate: &'a AtomicU16,
+}
+
+impl Deref for ShardGuard<'_> {
+    type Target = EventProcessor;
+
+    fn deref(&self) -> &EventProcessor {
+        &self.processor
+    }
+}
+
+impl DerefMut for ShardGuard<'_> {
+    fn deref_mut(&mut self) -> &mut EventProcessor {
+        &mut self.processor
+    }
+}
+
+impl Drop for ShardGuard<'_> {
+    fn drop(&mut self) {
+        // Relaxed: the word publishes nothing but itself. A lane that
+        // reads it stale either processes an event nobody reads any more
+        // or counts one whose reader arrived while it was in flight — the
+        // same race the lock itself would have decided either way.
+        let gate = self.processor.host_gate().0;
+        if self.gate.load(Ordering::Relaxed) != gate {
+            self.gate.store(gate, Ordering::Relaxed);
+        }
+    }
 }
 
 impl DeviceShard {
     fn new(device: DeviceId, processor: EventProcessor) -> DeviceShard {
         DeviceShard {
             device,
+            gate: AtomicU16::new(processor.host_gate().0),
+            gated: AtomicU64::new(0),
             processor: Mutex::new(processor),
             spine: ShardSpine::default(),
         }
@@ -103,13 +169,31 @@ impl DeviceShard {
     }
 
     /// Locks this shard's processor, draining any spine messages queued
-    /// by ring-mode sinks first — the guard therefore always observes a
-    /// state that includes every event pushed before the acquisition
-    /// (the exactly-once contract for reports and recorders).
-    pub fn lock(&self) -> MutexGuard<'_, EventProcessor> {
-        let mut guard = self.processor.lock();
-        self.spine.drain(&mut guard);
-        guard
+    /// by ring-mode sinks and folding the host gate's tally into
+    /// `events_processed` first — the guard therefore always observes a
+    /// state that includes every event pushed, and every callback counted,
+    /// before the acquisition (the exactly-once contract for reports and
+    /// recorders). Releasing the guard republishes the gate
+    /// ([`ShardGuard`]).
+    pub fn lock(&self) -> ShardGuard<'_> {
+        let mut processor = self.processor.lock();
+        self.spine.drain(&mut processor);
+        processor.count_gated(self.gated.load(Ordering::Relaxed));
+        ShardGuard {
+            processor,
+            gate: &self.gate,
+        }
+    }
+
+    /// What this shard reads of the host path, as last published.
+    pub(crate) fn gate(&self) -> HostGate {
+        HostGate(self.gate.load(Ordering::Relaxed))
+    }
+
+    /// Counts one host callback the gate turned away. Relaxed: a tally,
+    /// read under the shard lock by whoever asks for a count.
+    pub(crate) fn count_gated(&self) {
+        self.gated.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Locks without draining — for reads that depend only on state the
@@ -247,14 +331,14 @@ impl Hub {
 
     /// Locks the shard serving `device`, draining its pending spine
     /// messages first (see [`DeviceShard::lock`]).
-    pub fn lock_device(&self, device: DeviceId) -> MutexGuard<'_, EventProcessor> {
+    pub fn lock_device(&self, device: DeviceId) -> ShardGuard<'_> {
         self.shard_for(device).lock()
     }
 
     /// Locks the primary (lowest-device) shard — where deviceless state
     /// like builder-registered tool instances lives. Drain-first like
     /// every shard lock, so the guard's view is quiescent.
-    pub fn primary(&self) -> MutexGuard<'_, EventProcessor> {
+    pub fn primary(&self) -> ShardGuard<'_> {
         self.shards[0].lock()
     }
 
@@ -272,6 +356,12 @@ impl Hub {
             Some(device) => self.shard_for(device),
             None => &self.shards[0],
         };
+        self.process_on(home, event);
+    }
+
+    /// [`Hub::process`] for a caller that already holds the event's home
+    /// shard (the handler looked it up to read its gate).
+    pub(crate) fn process_on(&self, home: &DeviceShard, event: &Event) {
         home.lock().process(event);
         if self.is_sharded() && matches!(event, Event::RegionStart { .. } | Event::RegionEnd { .. })
         {
@@ -338,6 +428,13 @@ impl Hub {
             .sum()
     }
 
+    /// Of [`Hub::events_processed`], the host and framework callbacks no
+    /// tool, recorder or knob read: counted at the gate, never built.
+    /// Zeroed by [`Hub::reset_all`].
+    pub fn host_events_gated(&self) -> u64 {
+        self.shards.iter().map(|s| s.lock().events_gated()).sum()
+    }
+
     /// Resets every shard's accumulated analysis state.
     pub fn reset_all(&self) {
         for shard in &self.shards {
@@ -357,12 +454,12 @@ impl Hub {
     }
 
     /// Every shard locked (and so drained), ascending device id.
-    fn lock_all(&self) -> Vec<MutexGuard<'_, EventProcessor>> {
+    fn lock_all(&self) -> Vec<ShardGuard<'_>> {
         self.shards.iter().map(DeviceShard::lock).collect()
     }
 
     /// The reports of every tool merged across the locked shards.
-    fn merged_tool_reports(&self, guards: &[MutexGuard<'_, EventProcessor>]) -> Vec<ToolReport> {
+    fn merged_tool_reports(&self, guards: &[ShardGuard<'_>]) -> Vec<ToolReport> {
         let procs: Vec<&EventProcessor> = guards.iter().map(|g| &**g).collect();
         merge_all_tools(&procs, self.merge_threads())
             .iter()

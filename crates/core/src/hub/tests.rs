@@ -561,3 +561,112 @@ fn merged_knobs_sum_across_shards() {
     assert_eq!(knobs.get("gemm").unwrap().calls, 2);
     assert_eq!(knobs.get("gemm").unwrap().duration_ns, 200);
 }
+
+/// The coarse classes `shard`'s published gate admits, in index order,
+/// and whether operator starts pass on their own.
+fn admitted(shard: &DeviceShard) -> (Vec<EventClass>, bool) {
+    let gate = shard.gate();
+    let classes = EventClass::ALL
+        .into_iter()
+        .filter(|class| gate.admits(*class))
+        .collect();
+    (classes, gate.admits_op_start())
+}
+
+#[test]
+fn the_host_gate_follows_whatever_a_guard_did_to_the_processor() {
+    use EventClass::*;
+    /// A default-interest tool that panics on a sync.
+    struct PanicsOnSync;
+    impl Tool for PanicsOnSync {
+        fn name(&self) -> &str {
+            "panics-on-sync"
+        }
+        fn on_event(&mut self, event: &Event) {
+            assert!(!matches!(event, Event::Sync { .. }), "fault-injection");
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+    #[derive(Debug)]
+    struct NullRecorder;
+    impl crate::processor::EventRecorder for NullRecorder {
+        fn record(&mut self, _event: &Event) {}
+    }
+
+    let mut processor = EventProcessor::new();
+    processor
+        .tools
+        .register(Box::<crate::tool::LaunchCounter>::default());
+    let hub = new_shared(processor);
+    let shard = &hub.shards()[0];
+    let own = (vec![Kernel, Annotation], false);
+    let coarse = vec![HostApi, Kernel, Memory, Sync, Framework, Annotation];
+    assert_eq!(
+        admitted(shard),
+        own,
+        "the knobs, the range filter, a launch counter"
+    );
+
+    // register
+    hub.primary().tools.register(Box::new(PanicsOnSync));
+    assert_eq!(admitted(shard), (coarse.clone(), false));
+    // quarantine, from inside `process`
+    hub.process(&Event::Sync {
+        device: DeviceId(0),
+        at: accel_sim::SimTime(1),
+    });
+    assert_eq!(hub.quarantines().len(), 1);
+    assert_eq!(admitted(shard), own, "a quarantined tool reads nothing");
+    // reset re-arms
+    hub.reset_all();
+    assert_eq!(admitted(shard), (coarse, false));
+    hub.process(&Event::Sync {
+        device: DeviceId(0),
+        at: accel_sim::SimTime(2),
+    });
+    assert_eq!(admitted(shard), own);
+    // the capture knob
+    hub.primary().capture_knob = Some(crate::knob::Knob::MaxCalledKernel);
+    assert_eq!(admitted(shard), (own.0.clone(), true));
+    hub.primary().capture_knob = None;
+    // a recorder holds every class open, however it got there
+    hub.attach_recorders(|_| Box::new(NullRecorder));
+    assert_eq!(admitted(shard), (EventClass::ALL.to_vec(), true));
+    assert_eq!(hub.detach_recorders().len(), 1);
+    assert_eq!(admitted(shard), own);
+    shard.lock().set_recorder(Box::new(NullRecorder));
+    assert_eq!(admitted(shard), (EventClass::ALL.to_vec(), true));
+}
+
+#[test]
+fn the_gate_tally_folds_into_its_own_shard_exactly_once() {
+    let hub = sharded_hub(2);
+    let (near, far) = (&hub.shards()[0], &hub.shards()[1]);
+    for _ in 0..3 {
+        far.count_gated();
+    }
+    near.count_gated();
+    assert_eq!(far.lock().events_processed(), 3);
+    assert_eq!(
+        far.lock().events_processed(),
+        3,
+        "folded once, not per lock"
+    );
+    assert_eq!(near.lock().events_processed(), 1);
+    hub.process(&Event::Sync {
+        device: DeviceId(1),
+        at: accel_sim::SimTime(1),
+    });
+    assert_eq!((hub.events_processed(), hub.host_events_gated()), (5, 4));
+    assert_eq!(hub.merged_report().events_processed, 5);
+    // A reset zeroes what was counted; the tally itself only grows.
+    hub.reset_all();
+    assert_eq!((hub.events_processed(), hub.host_events_gated()), (0, 0));
+    far.count_gated();
+    assert_eq!((hub.events_processed(), hub.host_events_gated()), (1, 1));
+}

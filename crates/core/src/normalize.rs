@@ -6,8 +6,8 @@
 //! exposes a consistent interface". These functions are that layer: one
 //! per vendor, mapping raw callbacks to [`Event`]s.
 
-use crate::event::Event;
-use accel_sim::Symbol;
+use crate::event::{Event, EventClass};
+use accel_sim::{DeviceId, Symbol};
 use dl_framework::callbacks::FrameworkEvent;
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -232,6 +232,29 @@ pub fn normalize_nv(cb: &NvCallback) -> Option<Event> {
     })
 }
 
+/// The class and routing device of the event [`normalize_nv`] builds from
+/// `cb` — `None` where it builds none — read off the variant alone, so the
+/// handler can ask the device's shard whether anything reads the class
+/// before paying for the event. Every variant is named: a new callback
+/// does not compile until both functions place it, and the oracle in this
+/// file's tests holds the two to each other.
+pub fn class_of_nv(cb: &NvCallback) -> Option<(EventClass, DeviceId)> {
+    Some(match cb {
+        NvCallback::ApiEnter { device, .. } => (EventClass::HostApi, *device),
+        NvCallback::ApiExit { .. }
+        | NvCallback::LaunchBegin { .. }
+        | NvCallback::LaunchEnd { .. } => return None,
+        NvCallback::MemoryAlloc { device, .. }
+        | NvCallback::MemoryFree { device, .. }
+        | NvCallback::Memcpy { device, .. }
+        | NvCallback::Memset { device, .. }
+        | NvCallback::BatchMemOp { device, .. }
+        | NvCallback::UvmFault { device, .. }
+        | NvCallback::PeerMigrate { dst: device, .. } => (EventClass::Memory, *device),
+        NvCallback::Synchronize { device, .. } => (EventClass::Sync, *device),
+    })
+}
+
 /// Normalizes one AMD host callback. The signed `MemoryDelta` becomes
 /// either `ResourceAlloc` or `ResourceFree` with positive bytes.
 pub fn normalize_roc(cb: &RocCallback) -> Option<Event> {
@@ -352,6 +375,23 @@ pub fn normalize_roc(cb: &RocCallback) -> Option<Event> {
     })
 }
 
+/// [`class_of_nv`] for [`normalize_roc`].
+pub fn class_of_roc(cb: &RocCallback) -> Option<(EventClass, DeviceId)> {
+    Some(match cb {
+        RocCallback::ApiEnter { device, .. } => (EventClass::HostApi, *device),
+        RocCallback::ApiExit { .. }
+        | RocCallback::KernelDispatch { .. }
+        | RocCallback::KernelComplete { .. } => return None,
+        RocCallback::MemoryDelta { device, .. }
+        | RocCallback::MemoryCopy { device, .. }
+        | RocCallback::MemorySet { device, .. }
+        | RocCallback::BatchMemOp { device, .. }
+        | RocCallback::PageMigrate { device, .. }
+        | RocCallback::PeerCopy { dst: device, .. } => (EventClass::Memory, *device),
+        RocCallback::Synchronize { device, .. } => (EventClass::Sync, *device),
+    })
+}
+
 fn normalize_batch_op(raw: &'static str) -> Symbol {
     memoized(&BATCH_OPS, raw, |raw| {
         if raw.contains("Prefetch") {
@@ -437,10 +477,344 @@ pub fn normalize_framework(ev: &FrameworkEvent) -> Event {
     }
 }
 
+/// [`class_of_nv`] for [`normalize_framework`], which builds an event from
+/// every variant.
+pub fn class_of_framework(ev: &FrameworkEvent) -> (EventClass, DeviceId) {
+    match ev {
+        FrameworkEvent::OpStart { device, .. }
+        | FrameworkEvent::OpEnd { device, .. }
+        | FrameworkEvent::TensorAlloc { device, .. }
+        | FrameworkEvent::TensorFree { device, .. }
+        | FrameworkEvent::PassBoundary { device, .. } => (EventClass::Framework, *device),
+        FrameworkEvent::LayerBoundary { device, .. }
+        | FrameworkEvent::RegionStart { device, .. }
+        | FrameworkEvent::RegionEnd { device, .. } => (EventClass::Annotation, *device),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accel_sim::{DeviceId, SimTime};
+    use accel_sim::SimTime;
+
+    /// Every callback variant once (twice where a field picks the event),
+    /// in declaration order; the index functions below have no wildcard
+    /// arm, so a new variant stops compiling here until it joins its list.
+    fn nv_callbacks() -> Vec<NvCallback> {
+        use accel_sim::{CopyDirection, Dim3, LaunchId};
+        let (device, at, launch) = (DeviceId(3), SimTime(9), LaunchId(4));
+        let (addr, bytes) = (0x1000, 4096);
+        vec![
+            NvCallback::ApiEnter {
+                name: "cudaMalloc",
+                device,
+                at,
+            },
+            NvCallback::ApiEnter {
+                name: "cuLaunchKernel",
+                device,
+                at,
+            },
+            NvCallback::ApiExit {
+                name: "cudaMalloc",
+                device,
+                at,
+            },
+            NvCallback::LaunchBegin {
+                launch,
+                device,
+                stream: 0,
+                name: "k".into(),
+                grid: Dim3::linear(1),
+                block: Dim3::linear(32),
+                start: at,
+            },
+            NvCallback::LaunchEnd {
+                launch,
+                device,
+                end: at,
+            },
+            NvCallback::MemoryAlloc {
+                device,
+                addr,
+                bytes,
+                managed: true,
+                at,
+            },
+            NvCallback::MemoryFree {
+                device,
+                addr,
+                bytes,
+                at,
+            },
+            NvCallback::Memcpy {
+                device,
+                direction: CopyDirection::HostToDevice,
+                bytes,
+                at,
+            },
+            NvCallback::Memset {
+                device,
+                addr,
+                bytes,
+                at,
+            },
+            NvCallback::Synchronize { device, at },
+            NvCallback::BatchMemOp {
+                device,
+                op: "cudaMemPrefetchAsync",
+                addr,
+                bytes,
+                at,
+            },
+            NvCallback::UvmFault {
+                launch,
+                device,
+                groups: 1,
+                migrated_bytes: bytes,
+                evicted_bytes: 0,
+                stall_ns: 5,
+                at,
+            },
+            NvCallback::PeerMigrate {
+                launch,
+                src: DeviceId(1),
+                dst: device,
+                duplicated_pages: 1,
+                invalidated_pages: 0,
+                bytes,
+                stall_ns: 5,
+                at,
+            },
+        ]
+    }
+
+    fn nv_index(cb: &NvCallback) -> usize {
+        match cb {
+            NvCallback::ApiEnter { .. } => 0,
+            NvCallback::ApiExit { .. } => 1,
+            NvCallback::LaunchBegin { .. } => 2,
+            NvCallback::LaunchEnd { .. } => 3,
+            NvCallback::MemoryAlloc { .. } => 4,
+            NvCallback::MemoryFree { .. } => 5,
+            NvCallback::Memcpy { .. } => 6,
+            NvCallback::Memset { .. } => 7,
+            NvCallback::Synchronize { .. } => 8,
+            NvCallback::BatchMemOp { .. } => 9,
+            NvCallback::UvmFault { .. } => 10,
+            NvCallback::PeerMigrate { .. } => 11,
+        }
+    }
+
+    fn roc_callbacks() -> Vec<RocCallback> {
+        use accel_sim::{CopyDirection, Dim3, LaunchId};
+        let (device, at, launch) = (DeviceId(2), SimTime(9), LaunchId(4));
+        let (addr, bytes) = (0x1000, 4096);
+        let delta = |delta| RocCallback::MemoryDelta {
+            device,
+            addr,
+            delta,
+            managed: false,
+            at,
+        };
+        vec![
+            RocCallback::ApiEnter {
+                name: "hipMalloc",
+                device,
+                at,
+            },
+            RocCallback::ApiExit {
+                name: "hipMalloc",
+                device,
+                at,
+            },
+            RocCallback::KernelDispatch {
+                launch,
+                device,
+                stream: 0,
+                name: "k".into(),
+                workgroups: Dim3::linear(1),
+                workgroup_size: Dim3::linear(64),
+                start: at,
+            },
+            RocCallback::KernelComplete {
+                launch,
+                device,
+                end: at,
+            },
+            delta(4096),
+            delta(-4096),
+            RocCallback::MemoryCopy {
+                device,
+                direction: CopyDirection::DeviceToHost,
+                bytes,
+                at,
+            },
+            RocCallback::MemorySet {
+                device,
+                addr,
+                bytes,
+                at,
+            },
+            RocCallback::Synchronize { device, at },
+            RocCallback::BatchMemOp {
+                device,
+                op: "hipMemAdvise",
+                addr,
+                bytes,
+                at,
+            },
+            RocCallback::PageMigrate {
+                launch,
+                device,
+                groups: 1,
+                migrated_bytes: bytes,
+                evicted_bytes: 0,
+                stall_ns: 5,
+                at,
+            },
+            RocCallback::PeerCopy {
+                launch,
+                src: DeviceId(1),
+                dst: device,
+                duplicated_pages: 0,
+                invalidated_pages: 2,
+                bytes: 0,
+                stall_ns: 5,
+                at,
+            },
+        ]
+    }
+
+    fn roc_index(cb: &RocCallback) -> usize {
+        match cb {
+            RocCallback::ApiEnter { .. } => 0,
+            RocCallback::ApiExit { .. } => 1,
+            RocCallback::KernelDispatch { .. } => 2,
+            RocCallback::KernelComplete { .. } => 3,
+            RocCallback::MemoryDelta { .. } => 4,
+            RocCallback::MemoryCopy { .. } => 5,
+            RocCallback::MemorySet { .. } => 6,
+            RocCallback::Synchronize { .. } => 7,
+            RocCallback::BatchMemOp { .. } => 8,
+            RocCallback::PageMigrate { .. } => 9,
+            RocCallback::PeerCopy { .. } => 10,
+        }
+    }
+
+    fn framework_events() -> Vec<FrameworkEvent> {
+        use dl_framework::callbacks::Pass;
+        use dl_framework::tensor::TensorId;
+        let (device, name) = (DeviceId(1), Symbol::intern("aten::linear"));
+        let tensor = |alloc: bool| {
+            let (tensor, addr, bytes) = (TensorId(1), 0x2000, 512);
+            let (allocated_total, reserved_total) = (512, 1 << 21);
+            if alloc {
+                FrameworkEvent::TensorAlloc {
+                    tensor,
+                    addr,
+                    bytes,
+                    allocated_total,
+                    reserved_total,
+                    device,
+                }
+            } else {
+                FrameworkEvent::TensorFree {
+                    tensor,
+                    addr,
+                    bytes,
+                    allocated_total,
+                    reserved_total,
+                    device,
+                }
+            }
+        };
+        vec![
+            FrameworkEvent::OpStart {
+                seq: 1,
+                name,
+                device,
+                py_stack: Arc::new([]),
+            },
+            FrameworkEvent::OpEnd {
+                seq: 1,
+                name,
+                device,
+            },
+            tensor(true),
+            tensor(false),
+            FrameworkEvent::LayerBoundary {
+                name,
+                index: 0,
+                device,
+            },
+            FrameworkEvent::PassBoundary {
+                pass: Pass::Backward,
+                device,
+            },
+            FrameworkEvent::RegionStart {
+                label: name,
+                device,
+            },
+            FrameworkEvent::RegionEnd {
+                label: name,
+                device,
+            },
+        ]
+    }
+
+    fn framework_index(ev: &FrameworkEvent) -> usize {
+        match ev {
+            FrameworkEvent::OpStart { .. } => 0,
+            FrameworkEvent::OpEnd { .. } => 1,
+            FrameworkEvent::TensorAlloc { .. } => 2,
+            FrameworkEvent::TensorFree { .. } => 3,
+            FrameworkEvent::LayerBoundary { .. } => 4,
+            FrameworkEvent::PassBoundary { .. } => 5,
+            FrameworkEvent::RegionStart { .. } => 6,
+            FrameworkEvent::RegionEnd { .. } => 7,
+        }
+    }
+
+    /// True when `indices`, in list order, name each of `variants`
+    /// variants (the arm count of the index function that made them).
+    fn covers_every_variant(mut indices: Vec<usize>, variants: usize) -> bool {
+        indices.dedup();
+        indices.into_iter().eq(0..variants)
+    }
+
+    #[test]
+    fn class_of_agrees_with_normalize_on_every_variant() {
+        // What the handler's gate decides on must be what the event would
+        // have said of itself: class, routing device, and whether there is
+        // an event at all.
+        let of_event = |e: Event| (e.class(), e.device().expect("host events carry a device"));
+        let nv = nv_callbacks();
+        assert!(covers_every_variant(nv.iter().map(nv_index).collect(), 12));
+        for cb in &nv {
+            assert_eq!(class_of_nv(cb), normalize_nv(cb).map(of_event), "{cb:?}");
+        }
+        let roc = roc_callbacks();
+        assert!(covers_every_variant(
+            roc.iter().map(roc_index).collect(),
+            11
+        ));
+        for cb in &roc {
+            assert_eq!(class_of_roc(cb), normalize_roc(cb).map(of_event), "{cb:?}");
+        }
+        let framework = framework_events();
+        assert!(covers_every_variant(
+            framework.iter().map(framework_index).collect(),
+            8
+        ));
+        for ev in &framework {
+            assert_eq!(
+                class_of_framework(ev),
+                of_event(normalize_framework(ev)),
+                "{ev:?}"
+            );
+        }
+    }
 
     #[test]
     fn api_names_unify_across_vendors() {

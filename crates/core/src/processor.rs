@@ -17,12 +17,16 @@ use accel_sim::{LaunchId, ProbeConfig, Symbol};
 /// capture hook behind binary trace writers (`pasta-trace`).
 ///
 /// A recorder sees exactly the events that bump
-/// [`EventProcessor::events_processed`]: everything delivered through
-/// [`EventProcessor::process`] and [`EventProcessor::process_class_batch`],
-/// and nothing from [`EventProcessor::observe_range`] (range bookkeeping is
-/// not part of the dispatched stream). Replaying a recorded stream through
-/// a fresh processor therefore reproduces the tool-visible history of the
-/// shard exactly.
+/// [`EventProcessor::events_processed`] while it is attached: everything
+/// delivered through [`EventProcessor::process`] and
+/// [`EventProcessor::process_class_batch`], and nothing from
+/// [`EventProcessor::observe_range`] (range bookkeeping is not part of the
+/// dispatched stream). Replaying a recorded stream through a fresh
+/// processor therefore reproduces the tool-visible history of the shard
+/// exactly. The host gate's tally ([`HostGate`]) also counts towards
+/// `events_processed`, but an attached recorder holds the gate fully open,
+/// so nothing is tallied from the moment the guard that attached it is
+/// released until the one that detaches it is.
 ///
 /// `Send + Sync` because processors live inside hub shards shared across
 /// lane threads and borrowed by the pooled session-end merge (recording
@@ -41,6 +45,30 @@ pub trait EventRecorder: Send + Sync + std::fmt::Debug {
         for event in events {
             self.record(event);
         }
+    }
+}
+
+/// What of the host path a processor reads: one bit per [`EventClass`]
+/// (bit [`EventClass::index`]) and one for operator starts. The handler
+/// tests a callback's class against its shard's copy *before* building the
+/// event; a callback nothing reads is counted and dropped there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HostGate(pub(crate) u16);
+
+impl HostGate {
+    const OP_START: u16 = 1 << EventClass::ALL.len();
+    /// Every class: a recorder must see the whole stream.
+    const OPEN: HostGate = HostGate(u16::MAX);
+
+    /// True when events of `class` are read by someone.
+    pub fn admits(self, class: EventClass) -> bool {
+        self.0 & (1 << class.index()) != 0
+    }
+
+    /// True when `OpStart` is read even if the rest of its class is not:
+    /// stack capture keeps the operator current at a launch.
+    pub fn admits_op_start(self) -> bool {
+        self.0 & HostGate::OP_START != 0
     }
 }
 
@@ -66,6 +94,12 @@ pub struct EventProcessor {
     /// pays exactly one `Option` discriminant check.
     recorder: Option<Box<dyn EventRecorder>>,
     events_processed: u64,
+    /// Of `events_processed`, how many the host gate counted in place of
+    /// processing.
+    events_gated: u64,
+    /// The shard's gate tally as of the last [`EventProcessor::count_gated`]
+    /// — the tally only grows, so the difference is what is new.
+    gated_seen: u64,
 }
 
 impl EventProcessor {
@@ -74,9 +108,41 @@ impl EventProcessor {
         EventProcessor::default()
     }
 
-    /// Total events processed.
+    /// Total events processed, those the host gate counted included.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
+    }
+
+    /// Host and framework callbacks the gate counted without building
+    /// their events, since the last reset.
+    pub fn events_gated(&self) -> u64 {
+        self.events_gated
+    }
+
+    /// What this processor reads of the host path right now: the classes
+    /// its armed tools subscribe to, kernel launches for the knobs,
+    /// annotations for the range filter, operator starts when a capture
+    /// knob may ask for the stack — and everything while a recorder is
+    /// attached.
+    pub fn host_gate(&self) -> HostGate {
+        if self.recorder.is_some() {
+            return HostGate::OPEN;
+        }
+        let mut bits = u16::from(self.tools.wanted_classes())
+            | 1 << EventClass::Kernel.index()
+            | 1 << EventClass::Annotation.index();
+        if self.capture_knob.is_some() {
+            bits |= HostGate::OP_START;
+        }
+        HostGate(bits)
+    }
+
+    /// Folds the shard's gate tally, now at `total`, into the counters.
+    pub(crate) fn count_gated(&mut self, total: u64) {
+        let fresh = total - self.gated_seen;
+        self.gated_seen = total;
+        self.events_gated += fresh;
+        self.events_processed += fresh;
     }
 
     /// Probe configuration for an upcoming launch: disabled outside the
@@ -199,6 +265,8 @@ impl EventProcessor {
             sampling_rate: self.sampling_rate,
             recorder: None,
             events_processed: 0,
+            events_gated: 0,
+            gated_seen: 0,
         })
     }
 
@@ -231,6 +299,7 @@ impl EventProcessor {
         self.stacks.reset();
         self.range.reset_observation();
         self.events_processed = 0;
+        self.events_gated = 0;
     }
 }
 

@@ -247,6 +247,13 @@ impl PastaSession {
         self.hub.events_processed()
     }
 
+    /// Of [`PastaSession::events_processed`], the host and framework
+    /// callbacks nothing read: counted at the host gate, never built
+    /// ([`crate::hub::Hub::host_events_gated`]).
+    pub fn host_events_gated(&self) -> u64 {
+        self.hub.host_events_gated()
+    }
+
     /// Attaches one trace recorder per hub shard (ascending device order).
     /// Every event a shard processes from now on — sequential runs and
     /// [`PastaSession::run_parallel`] lanes alike, since lanes feed the

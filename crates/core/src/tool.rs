@@ -24,10 +24,28 @@ pub struct Interest {
     pub block_boundaries: bool,
     /// Dynamic-instruction counts (requires a full-coverage backend).
     pub instructions: bool,
-    /// Coarse host events (launches, copies, allocs, syncs).
+    /// Every coarse host class at once — API calls, kernel launches,
+    /// memory operations and syncs. A tool that reads one of them names
+    /// that one below instead, so the host gate can turn the rest away.
     pub host_events: bool,
-    /// DL-framework events (ops, tensors, passes, annotations).
+    /// Both DL-framework classes at once — ops/tensors/passes and
+    /// annotations.
     pub framework_events: bool,
+    /// Driver/runtime API entries alone ([`EventClass::HostApi`]).
+    pub api_calls: bool,
+    /// Kernel launch begin/end alone ([`EventClass::Kernel`]).
+    pub kernel_launches: bool,
+    /// Allocations, frees, copies, sets, batch ops and UVM traffic alone
+    /// ([`EventClass::Memory`]).
+    pub memory_ops: bool,
+    /// Synchronization alone ([`EventClass::Sync`]).
+    pub syncs: bool,
+    /// Operators, tensors and pass boundaries alone
+    /// ([`EventClass::Framework`]).
+    pub framework_ops: bool,
+    /// Layer boundaries and `pasta.start()`/`pasta.stop()` regions alone
+    /// ([`EventClass::Annotation`]).
+    pub annotations: bool,
 }
 
 impl Interest {
@@ -50,6 +68,12 @@ impl Interest {
             instructions: true,
             host_events: true,
             framework_events: true,
+            api_calls: true,
+            kernel_launches: true,
+            memory_ops: true,
+            syncs: true,
+            framework_ops: true,
+            annotations: true,
         }
     }
 
@@ -63,6 +87,12 @@ impl Interest {
             instructions: self.instructions || o.instructions,
             host_events: self.host_events || o.host_events,
             framework_events: self.framework_events || o.framework_events,
+            api_calls: self.api_calls || o.api_calls,
+            kernel_launches: self.kernel_launches || o.kernel_launches,
+            memory_ops: self.memory_ops || o.memory_ops,
+            syncs: self.syncs || o.syncs,
+            framework_ops: self.framework_ops || o.framework_ops,
+            annotations: self.annotations || o.annotations,
         }
     }
 
@@ -101,10 +131,12 @@ impl Interest {
                     || self.global_accesses
                     || self.shared_accesses
             }
-            EventClass::Framework | EventClass::Annotation => self.framework_events,
-            EventClass::HostApi | EventClass::Kernel | EventClass::Memory | EventClass::Sync => {
-                self.host_events
-            }
+            EventClass::HostApi => self.host_events || self.api_calls,
+            EventClass::Kernel => self.host_events || self.kernel_launches,
+            EventClass::Memory => self.host_events || self.memory_ops,
+            EventClass::Sync => self.host_events || self.syncs,
+            EventClass::Framework => self.framework_events || self.framework_ops,
+            EventClass::Annotation => self.framework_events || self.annotations,
         }
     }
 }
@@ -122,7 +154,11 @@ pub trait Tool: Send + Sync {
     /// `accelprof -t <tool>` flag).
     fn name(&self) -> &str;
 
-    /// Which event classes to deliver (and therefore instrument).
+    /// Which event classes to deliver (and therefore instrument). What a
+    /// shard's armed tools declare is also what opens its host gate
+    /// ([`crate::hub::DeviceShard::lock`]): a host or framework callback of
+    /// a class none of them names is counted, not built. The default asks
+    /// for every host and framework event.
     fn interest(&self) -> Interest {
         Interest::coarse()
     }
@@ -228,6 +264,8 @@ pub struct ToolCollection {
     tools: Vec<Box<dyn Tool>>,
     /// `class_tools[class.index()]` = indices of tools wanting that class.
     class_tools: [Vec<usize>; EventClass::ALL.len()],
+    /// Bit `class.index()` is set when that row is not empty.
+    wanted: u8,
     /// Tools disarmed after a panicking callback: registration index plus
     /// the first panic message. Cleared (re-armed) by
     /// [`ToolCollection::reset`].
@@ -276,6 +314,7 @@ impl ToolCollection {
     /// Quarantined tools are left out of every row, so the hot path never
     /// revisits them.
     fn rebuild_dispatch(&mut self) {
+        self.wanted = 0;
         for class in EventClass::ALL {
             let row = &mut self.class_tools[class.index()];
             row.clear();
@@ -289,12 +328,18 @@ impl ToolCollection {
                     })
                     .map(|(i, _)| i),
             );
+            self.wanted |= u8::from(!row.is_empty()) << class.index();
         }
     }
 
-    /// True when at least one registered tool wants events of `class`.
+    /// True when at least one armed tool wants events of `class`.
     pub fn wants_class(&self, class: EventClass) -> bool {
-        !self.class_tools[class.index()].is_empty()
+        self.wanted & (1 << class.index()) != 0
+    }
+
+    /// The classes some armed tool wants, bit [`EventClass::index`] each.
+    pub(crate) fn wanted_classes(&self) -> u8 {
+        self.wanted
     }
 
     /// Number of registered tools.
@@ -528,6 +573,13 @@ impl Tool for LaunchCounter {
         "launch-counter"
     }
 
+    fn interest(&self) -> Interest {
+        Interest {
+            kernel_launches: true,
+            ..Interest::default()
+        }
+    }
+
     fn on_event(&mut self, event: &Event) {
         if matches!(event, Event::KernelLaunchEnd { .. }) {
             self.launches += 1;
@@ -614,6 +666,64 @@ mod tests {
         assert_eq!(a.union(Interest::default()), a);
         // `all` absorbs everything.
         assert_eq!(a.union(Interest::all()), Interest::all());
+    }
+
+    #[test]
+    fn coarse_classes_are_named_one_by_one_and_the_umbrellas_keep_their_meaning() {
+        use EventClass::*;
+        let none = Interest::default();
+        let wanted = |interest: Interest| -> Vec<EventClass> {
+            EventClass::ALL
+                .into_iter()
+                .filter(|class| interest.wants_class(*class))
+                .collect()
+        };
+        let host = [HostApi, Kernel, Memory, Sync];
+        let coarse = [HostApi, Kernel, Memory, Sync, Framework, Annotation];
+        #[rustfmt::skip]
+        let table: [(Interest, &[EventClass]); 11] = [
+            (none, &[]),
+            (Interest { api_calls: true, ..none }, &[HostApi]),
+            (Interest { kernel_launches: true, ..none }, &[Kernel]),
+            (Interest { memory_ops: true, ..none }, &[Memory]),
+            (Interest { syncs: true, ..none }, &[Sync]),
+            (Interest { framework_ops: true, ..none }, &[Framework]),
+            (Interest { annotations: true, ..none }, &[Annotation]),
+            (Interest { host_events: true, ..none }, &host),
+            (Interest { framework_events: true, ..none }, &[Framework, Annotation]),
+            (Interest::coarse(), &coarse),
+            (Interest::all(), &EventClass::ALL),
+        ];
+        for (interest, classes) in table {
+            assert_eq!(wanted(interest), classes, "{interest:?}");
+            assert!(
+                !interest.wants_device_events() || interest == Interest::all(),
+                "a coarse class never enables a probe: {interest:?}"
+            );
+        }
+
+        // A tool that overrides `on_event` alone declares nothing and is
+        // still sent every host and framework event.
+        struct OnEventOnly;
+        impl Tool for OnEventOnly {
+            fn name(&self) -> &str {
+                "on-event-only"
+            }
+            fn on_event(&mut self, _event: &Event) {}
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let mut c = ToolCollection::new();
+        c.register(Box::new(OnEventOnly));
+        assert_eq!(wanted(c.interest()), coarse);
+        let bits = coarse
+            .iter()
+            .fold(0, |bits, class| bits | 1 << class.index());
+        assert_eq!(c.wanted_classes(), bits);
     }
 
     #[test]
@@ -959,7 +1069,10 @@ mod tests {
         assert!(!c.wants_class(EventClass::Kernel));
         c.register(Box::<LaunchCounter>::default());
         assert!(c.wants_class(EventClass::Kernel));
-        assert!(c.wants_class(EventClass::HostApi));
+        assert!(
+            !c.wants_class(EventClass::HostApi),
+            "a launch counter reads launches alone"
+        );
         assert!(!c.wants_class(EventClass::DeviceAccess));
         assert!(!c.wants_class(EventClass::DeviceControl));
         c.reset();

@@ -76,7 +76,7 @@ impl Tool for BarrierStallTool {
     fn interest(&self) -> Interest {
         Interest {
             barriers: true,
-            host_events: true,
+            kernel_launches: true,
             ..Interest::default()
         }
     }

@@ -62,7 +62,7 @@ impl Tool for KernelFrequencyTool {
 
     fn interest(&self) -> Interest {
         Interest {
-            host_events: true,
+            kernel_launches: true,
             ..Interest::default()
         }
     }

@@ -51,7 +51,7 @@ impl Tool for LaunchCensusTool {
 
     fn interest(&self) -> Interest {
         Interest {
-            host_events: true,
+            kernel_launches: true,
             block_boundaries: true,
             ..Interest::default()
         }

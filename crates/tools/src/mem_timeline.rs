@@ -107,9 +107,9 @@ impl Tool for MemoryTimelineTool {
 
     fn interest(&self) -> Interest {
         Interest {
-            framework_events: true,
+            framework_ops: true,
             // Host memory events carry the UVM fault/migration stream.
-            host_events: true,
+            memory_ops: true,
             ..Interest::default()
         }
     }

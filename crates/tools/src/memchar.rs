@@ -109,8 +109,9 @@ impl Tool for MemoryCharacteristicsTool {
     fn interest(&self) -> Interest {
         Interest {
             global_accesses: true,
-            host_events: true,
-            framework_events: true,
+            // Host memory events carry the UVM fault/migration stream.
+            memory_ops: true,
+            framework_ops: true,
             ..Interest::default()
         }
     }

@@ -78,7 +78,11 @@ impl Tool for OpKernelMapTool {
     }
 
     fn interest(&self) -> Interest {
-        Interest::coarse()
+        Interest {
+            kernel_launches: true,
+            framework_ops: true,
+            ..Interest::default()
+        }
     }
 
     fn on_event(&mut self, event: &Event) {

@@ -72,7 +72,7 @@ impl Tool for OverflowSanitizerTool {
         Interest {
             instructions: true,
             global_accesses: true,
-            host_events: true,
+            kernel_launches: true,
             ..Interest::default()
         }
     }

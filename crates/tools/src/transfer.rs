@@ -57,7 +57,7 @@ impl Tool for TransferTool {
 
     fn interest(&self) -> Interest {
         Interest {
-            host_events: true,
+            memory_ops: true,
             ..Interest::default()
         }
     }

@@ -173,8 +173,8 @@ impl Tool for UvmPrefetchAdvisor {
     fn interest(&self) -> Interest {
         Interest {
             global_accesses: true,
-            host_events: true,
-            framework_events: true,
+            memory_ops: true,
+            framework_ops: true,
             ..Interest::default()
         }
     }

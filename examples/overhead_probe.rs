@@ -7,7 +7,10 @@
 //! build without one of your own) and the share of the profiled op the
 //! bare run already accounts for. A workload whose substrate share is
 //! high cannot get much faster, or allocate much less, from `pasta-core`
-//! (ROADMAP item 3; `docs/perf-log/ISSUE-17.md`). Rows: the
+//! (ROADMAP item 3; `docs/perf-log/ISSUE-17.md`). Each row ends with the
+//! profiled op's host gate: `gated G / processed P` — of the P events its
+//! session counted, the G host and framework callbacks nothing read, which
+//! were never built (`docs/perf-log/ISSUE-24.md`). Rows: the
 //! 64-lane tiny expert-parallel MoE region (`scale_out_moe`, pool width
 //! 2) and one inference batch of each `profile_fine` model under the
 //! six-tool suite.
@@ -19,7 +22,10 @@
 
 mod common;
 
-use common::{model_bare, model_profiled, moe_bare, moe_profiled, Outcome, FINE_MODELS, LANES};
+use common::{
+    model_bare, model_profiled, moe_bare, moe_profiled, EventCounts, OpOutcome, Outcome,
+    FINE_MODELS, LANES,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -49,12 +55,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Wall and heap allocations of one call.
-fn measured(op: &dyn Fn() -> Outcome) -> Result<(Duration, u64), Box<dyn std::error::Error>> {
+/// Wall, heap allocations and event counts of one call.
+fn measured(
+    op: &dyn Fn() -> OpOutcome,
+) -> Result<(Duration, u64, EventCounts), Box<dyn std::error::Error>> {
     let allocs = ALLOCS.load(Ordering::Relaxed);
     let started = Instant::now();
-    op()?;
-    Ok((started.elapsed(), ALLOCS.load(Ordering::Relaxed) - allocs))
+    let events = op()?;
+    let wall = started.elapsed();
+    Ok((wall, ALLOCS.load(Ordering::Relaxed) - allocs, events))
 }
 
 fn main() -> Outcome {
@@ -62,7 +71,7 @@ fn main() -> Outcome {
         Some(arg) => arg.parse::<usize>()?.max(1),
         None => 21,
     };
-    type Op = Box<dyn Fn() -> Outcome>;
+    type Op = Box<dyn Fn() -> OpOutcome>;
     let mut rows: Vec<(String, Op, Op)> = vec![(
         format!("{LANES}-lane tiny MoE"),
         Box::new(moe_bare),
@@ -87,14 +96,16 @@ fn main() -> Outcome {
     for (label, bare, profiled) in &rows {
         let mut walls = [Vec::with_capacity(rounds), Vec::with_capacity(rounds)];
         let mut allocs = [0, 0];
+        let mut events = EventCounts::default();
         // Round 0 warms the symbol table, the allocator and the page cache.
         for round in 0..=rounds {
             for (side, op) in [bare, profiled].into_iter().enumerate() {
-                let (wall, count) = measured(op)?;
+                let (wall, count, counted) = measured(op)?;
                 if round > 0 {
                     walls[side].push(wall);
                 }
                 allocs[side] = count;
+                events = counted;
             }
         }
         let [bare_us, profiled_us] = walls.map(|mut w| {
@@ -103,11 +114,13 @@ fn main() -> Outcome {
         });
         println!(
             "  {label:<22} {bare_us:>10.1} {:>8}   {profiled_us:>10.1} {:>8}   \
-             {:.0} % of the wall, {:.0} % of the allocations",
+             {:.0} % of the wall, {:.0} % of the allocations; gated {} / processed {}",
             allocs[0],
             allocs[1],
             100.0 * bare_us / profiled_us,
             100.0 * allocs[0] as f64 / allocs[1] as f64,
+            events.gated,
+            events.processed,
         );
     }
     Ok(())

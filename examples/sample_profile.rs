@@ -14,6 +14,8 @@
 //! cargo run --release --example sample_profile -- moe        # scale_out_moe's op, 5 s
 //! cargo run --release --example sample_profile -- moe_bare 8 # the same lanes, no PASTA
 //! cargo run --release --example sample_profile -- fine       # profile_fine's three models
+//! cargo run --release --example sample_profile -- flood      # event_flood's shape
+//! cargo run --release --example sample_profile -- serve 5 80 # serve_oversub, 80 rows a table
 //! ```
 //!
 //! Needs line tables to name inlined frames: the root manifest's release
@@ -25,7 +27,7 @@ mod common;
 
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
 mod sampler {
-    use super::common::{self, Outcome};
+    use super::common::{self, OpOutcome, Outcome};
     use std::collections::HashMap;
     use std::ffi::{c_int, c_void};
     use std::io::Write;
@@ -395,25 +397,29 @@ mod sampler {
             .then(|| caller.map_or("[none]", String::as_str))
     }
 
-    fn print_top(title: &str, counts: HashMap<&str, usize>, total: usize) {
+    fn print_top(title: &str, counts: HashMap<&str, usize>, total: usize, cap: usize) {
         let mut rows: Vec<(&str, usize)> = counts.into_iter().collect();
         rows.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         println!("\n{title}");
-        for (name, count) in rows.into_iter().take(30) {
+        for (name, count) in rows.into_iter().take(cap) {
             println!("  {:>5.1} %  {name}", 100.0 * count as f64 / total as f64);
         }
     }
 
-    fn op_named(name: &str) -> Option<fn() -> Outcome> {
-        fn fine() -> Outcome {
-            common::FINE_MODELS
-                .into_iter()
-                .try_for_each(common::model_profiled)
+    fn op_named(name: &str) -> Option<fn() -> OpOutcome> {
+        fn fine() -> OpOutcome {
+            let mut counts = common::EventCounts::default();
+            for model in common::FINE_MODELS {
+                counts = common::model_profiled(model)?;
+            }
+            Ok(counts)
         }
         match name {
             "moe" => Some(common::moe_profiled),
             "moe_bare" => Some(common::moe_bare),
             "fine" => Some(fine),
+            "flood" => Some(common::flood_profiled),
+            "serve" => Some(common::serve_profiled),
             _ => None,
         }
     }
@@ -422,11 +428,19 @@ mod sampler {
         let mut args = std::env::args().skip(1);
         let name = args.next().unwrap_or_default();
         let Some(op) = op_named(&name) else {
-            return Err("usage: sample_profile <moe|moe_bare|fine> [seconds]".into());
+            return Err(
+                "usage: sample_profile <moe|moe_bare|fine|flood|serve> [seconds] [rows]".into(),
+            );
         };
         let seconds: f64 = match args.next() {
             Some(arg) => arg.parse()?,
             None => 5.0,
+        };
+        // Rows a table prints: the inclusive one needs more than the
+        // default to reach below the frames every sample shares.
+        let cap: usize = match args.next() {
+            Some(arg) => arg.parse()?,
+            None => 30,
         };
         // Warm the symbol table, the allocator and the page cache.
         op()?;
@@ -482,6 +496,7 @@ mod sampler {
             "self (innermost frame, inlined frames named)",
             self_counts,
             total,
+            cap,
         );
         let mut callers: HashMap<&str, usize> = HashMap::new();
         for caller in stacks.iter().filter_map(|stack| called_in(stack)) {
@@ -491,8 +506,9 @@ mod sampler {
             "self inside a system library, by the frame that called in",
             callers,
             total,
+            cap,
         );
-        print_top("inclusive", inclusive, total);
+        print_top("inclusive", inclusive, total, cap);
         Ok(())
     }
 }

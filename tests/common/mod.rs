@@ -118,3 +118,28 @@ pub fn sharded_hub(devices: u32) -> SharedHub {
         .collect();
     Arc::new(Hub::sharded(shards).unwrap())
 }
+
+/// Suppresses panic output for payloads carrying the `fault-injection`
+/// marker; everything else goes to the default hook unchanged.
+pub fn quiet_injected_panics() {
+    use std::sync::Once;
+    static ONCE: Once = Once::new();
+    ONCE.call_once(|| {
+        let default = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let injected = info
+                .payload()
+                .downcast_ref::<&str>()
+                .map(|s| s.contains("fault-injection"))
+                .or_else(|| {
+                    info.payload()
+                        .downcast_ref::<String>()
+                        .map(|s| s.contains("fault-injection"))
+                })
+                .unwrap_or(false);
+            if !injected {
+                default(info);
+            }
+        }));
+    });
+}

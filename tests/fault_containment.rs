@@ -10,11 +10,14 @@
 //!   parseable trace / a recorder-free session behind.
 //!
 //! Every injected panic carries the `fault-injection` marker so the quiet
-//! panic hook below can suppress its backtrace noise without hiding real
-//! failures. CI runs this suite single-threaded (`--test-threads=1`): the
+//! panic hook (`common::quiet_injected_panics`) can suppress its backtrace
+//! noise without hiding real failures. CI runs this suite single-threaded (`--test-threads=1`): the
 //! process-global panic hook and the deliberately panicking threads must
 //! not interleave with unrelated tests' output.
 
+mod common;
+
+use common::quiet_injected_panics;
 use pasta::core::tool::{Interest, LaunchCounter};
 use pasta::core::{
     Event, LaneFailure, Pasta, PastaError, PastaSession, Tool, ToolCollection, UvmSetup,
@@ -22,31 +25,6 @@ use pasta::core::{
 use pasta::prelude::*;
 use pasta::sim::{DeviceId, Dim3, KernelBody, KernelDesc};
 use pasta::trace::{replay, TraceReader, TraceWriter};
-
-/// Suppresses panic output for payloads carrying the `fault-injection`
-/// marker; everything else goes to the default hook unchanged.
-fn quiet_injected_panics() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let default = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<&str>()
-                .map(|s| s.contains("fault-injection"))
-                .or_else(|| {
-                    info.payload()
-                        .downcast_ref::<String>()
-                        .map(|s| s.contains("fault-injection"))
-                })
-                .unwrap_or(false);
-            if !injected {
-                default(info);
-            }
-        }));
-    });
-}
 
 fn lane_kernel(t: &pasta::dl::tensor::Tensor) -> KernelDesc {
     KernelDesc::new("lane_kernel", Dim3::linear(8), Dim3::linear(128))

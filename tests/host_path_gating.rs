@@ -1,17 +1,20 @@
-//! Allocation-free host event path (ISSUE 13).
+//! Allocation-free, gated host event path (ISSUES 13 and 24).
 //!
 //! The coarse path — vendor callback → `normalize_*` → `Hub::process` →
 //! `EventProcessor::process`, and the framework's `Session::with_op` →
-//! `normalize_framework` leg — is the one layer every session pays, tools
-//! or no tools. In steady state it must build no `String`, take no
-//! process-global lock and allocate nothing: API names and operator names
-//! are interned at the source, Python stacks are shared, the launch
-//! pairing is one slot. A counting global allocator pins the allocation
-//! half; the rest of the file pins that the shortcuts changed no result —
-//! interned symbols are the global table's, memoized names equal
-//! `normalize_api_name`, lazily materialized stacks equal eager ones, and
-//! devices built on first touch price and place like devices built up
-//! front.
+//! `normalize_framework` leg — is what a session pays for every host and
+//! framework callback some tool, recorder or knob of its shard reads; the
+//! rest stop at the shard's host gate, counted and never built. In steady
+//! state the path must build no `String`, take no process-global lock and
+//! allocate nothing: API names and operator names are interned at the
+//! source, Python stacks are shared, the launch pairing is one slot. A
+//! counting global allocator pins the allocation half; the rest of the
+//! file pins that the shortcuts changed no result — interned symbols are
+//! the global table's, memoized names equal `normalize_api_name`, lazily
+//! materialized stacks equal eager ones, devices built on first touch
+//! price and place like devices built up front, and a gated hub reports,
+//! counts, aggregates, captures and records what the same callbacks fed
+//! straight into ungated processors do.
 //!
 //! Everything lives in one `#[test]` because the allocation counter is
 //! process-global: parallel test threads would attribute each other's
@@ -19,20 +22,25 @@
 
 mod common;
 
-use common::CountingAlloc;
+use common::{quiet_injected_panics, CountingAlloc};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
 use pasta::amd::{HipContext, RocCallback};
-use pasta::core::handler::{attach_nv, attach_session};
-use pasta::core::hub::{new_shared, SharedHub};
+use pasta::core::handler::{attach_nv, attach_roc, attach_session};
+use pasta::core::hub::{new_shared, Hub, SharedHub};
 use pasta::core::normalize::{
     normalize_api_name, normalize_framework, normalize_nv, normalize_roc,
 };
 use pasta::core::tool::LaunchCounter;
-use pasta::core::{Event, EventProcessor, Knob, Symbol, SymbolTable};
-use pasta::dl::callbacks::FrameworkEvent;
+use pasta::core::{
+    Event, EventClass, EventProcessor, EventRecorder, Knob, PastaError, Symbol, SymbolTable, Tool,
+    ToolReport,
+};
+use pasta::dl::callbacks::{FrameworkEvent, Pass};
 use pasta::dl::dtype::DType;
 use pasta::dl::ops::{self, Act};
+use pasta::dl::parallel::DeviceLane;
 use pasta::dl::pycall::{native_frames_for_kernel, CrossLayerStack, PyFrame, PyStack};
 use pasta::dl::tensor::{Tensor, TensorId};
 use pasta::dl::{runner, Session};
@@ -41,6 +49,7 @@ use pasta::prelude::*;
 use pasta::sim::{
     AccelError, CopyDirection, DevicePtr, DeviceRuntime, LaunchId, RuntimeStats, SimTime,
 };
+use pasta::uvm::runtime::{Context, LaunchEdge, Vocabulary};
 use proptest::prelude::*;
 
 #[global_allocator]
@@ -649,6 +658,594 @@ fn resident_managed_accesses_allocate_nothing() {
     );
 }
 
+// ---------------------------------------------------------------------------
+// Phase 8 (ISSUE 24): the host gate changes no result.
+// ---------------------------------------------------------------------------
+
+const GATE_KERNELS: [&str; 3] = ["gate_gemm", "gate_relu", "gate_softmax"];
+const KNOBS: [Knob; 4] = [
+    Knob::MaxMemReferencedKernel,
+    Knob::MaxCalledKernel,
+    Knob::MaxBarrierKernel,
+    Knob::MaxDurationKernel,
+];
+
+/// A tool with a generated coarse interest that digests, in order,
+/// everything it is sent — and, if told to, panics on its nth delivery.
+#[derive(Debug, Clone)]
+struct Spy {
+    name: &'static str,
+    interest: Interest,
+    forks: bool,
+    panic_at: Option<u64>,
+    seen: u64,
+    digest: u64,
+    launches: u64,
+    /// Deliveries the processor does not read for itself: not a launch,
+    /// not an annotation, not an operator start.
+    tools_only: u64,
+}
+
+impl Spy {
+    fn new(name: &'static str, interest: Interest) -> Spy {
+        Spy {
+            name,
+            interest,
+            forks: true,
+            panic_at: None,
+            seen: 0,
+            digest: 0,
+            launches: 0,
+            tools_only: 0,
+        }
+    }
+
+    /// The six coarse classes from the low bits of `classes`, or one of
+    /// the two umbrellas, or `Interest::coarse()` whole, by `flavour`.
+    fn generated(name: &'static str, classes: u16, flavour: u8, panic: u8) -> Spy {
+        let bit = |b: u16| classes & (1 << b) != 0;
+        let named = Interest {
+            api_calls: bit(0),
+            kernel_launches: bit(1),
+            memory_ops: bit(2),
+            syncs: bit(3),
+            framework_ops: bit(4),
+            annotations: bit(5),
+            ..Interest::default()
+        };
+        let interest = match flavour {
+            0 => Interest::coarse(),
+            1 => Interest {
+                host_events: true,
+                ..named
+            },
+            2 => Interest {
+                framework_events: true,
+                ..named
+            },
+            _ => named,
+        };
+        Spy {
+            panic_at: (panic < 6).then_some(u64::from(panic) * 3),
+            ..Spy::new(name, interest)
+        }
+    }
+
+    fn fresh(&self) -> Spy {
+        Spy {
+            seen: 0,
+            digest: 0,
+            launches: 0,
+            tools_only: 0,
+            ..self.clone()
+        }
+    }
+}
+
+impl Tool for Spy {
+    fn name(&self) -> &str {
+        self.name
+    }
+    fn interest(&self) -> Interest {
+        self.interest
+    }
+    fn on_event(&mut self, event: &Event) {
+        assert!(self.panic_at != Some(self.seen), "fault-injection: spy");
+        self.seen += 1;
+        for byte in format!("{event:?}").bytes() {
+            self.digest = (self.digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+        }
+        let own = matches!(event.class(), EventClass::Kernel | EventClass::Annotation)
+            || matches!(event, Event::OpStart { .. });
+        self.tools_only += u64::from(!own);
+        self.launches += u64::from(matches!(event, Event::KernelLaunchEnd { .. }));
+    }
+    fn report(&self) -> ToolReport {
+        ToolReport::new(self.name)
+            .metric("seen", self.seen as f64)
+            .metric("launches", self.launches as f64)
+            .metric("tools_only", self.tools_only as f64)
+            .body(format!("{:016x}", self.digest))
+    }
+    fn reset(&mut self) {
+        *self = self.fresh();
+    }
+    fn fork(&self) -> Option<Box<dyn Tool>> {
+        self.forks.then(|| Box::new(self.fresh()) as Box<dyn Tool>)
+    }
+    fn merge(&mut self, other: &dyn Tool) {
+        let other = other.as_any().downcast_ref::<Spy>().expect("a spy");
+        self.seen += other.seen;
+        self.launches += other.launches;
+        self.tools_only += other.tools_only;
+        self.digest = self.digest.rotate_left(9) ^ other.digest;
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+type Tape = Arc<Mutex<Vec<(DeviceId, Event)>>>;
+
+#[derive(Debug)]
+struct TapeRecorder {
+    device: DeviceId,
+    tape: Tape,
+}
+
+impl EventRecorder for TapeRecorder {
+    fn record(&mut self, event: &Event) {
+        self.tape.lock().unwrap().push((self.device, event.clone()));
+    }
+}
+
+/// What a script does to its hub between two operations.
+#[derive(Debug, Clone, Copy)]
+enum Action {
+    AttachRecorders,
+    DetachRecorders,
+    Reset,
+}
+
+/// A hub and the tape its recorders write.
+struct Rig {
+    hub: SharedHub,
+    tape: Tape,
+}
+
+impl Rig {
+    /// One shard per device, as a session builds them — or the single
+    /// shared shard when a spy declines to fork.
+    fn new(spies: &[Spy], devices: u32, capture: bool) -> Rig {
+        let mut primary = EventProcessor::new();
+        primary.capture_knob = capture.then_some(Knob::MaxCalledKernel);
+        for spy in spies {
+            primary.tools.register(Box::new(spy.clone()));
+        }
+        let forks: Option<Vec<_>> = (1..devices)
+            .map(|d| primary.fork().map(|fork| (DeviceId(d), fork)))
+            .collect();
+        let hub = match forks {
+            Some(forks) if devices > 1 => {
+                let shards = std::iter::once((DeviceId(0), primary)).chain(forks);
+                Arc::new(Hub::sharded(shards.collect()).expect("distinct devices"))
+            }
+            _ => new_shared(primary),
+        };
+        Rig {
+            hub,
+            tape: Tape::default(),
+        }
+    }
+
+    fn apply(&self, action: Action) {
+        match action {
+            Action::AttachRecorders => self.hub.attach_recorders(|device| {
+                Box::new(TapeRecorder {
+                    device,
+                    tape: Arc::clone(&self.tape),
+                })
+            }),
+            Action::DetachRecorders => drop(self.hub.detach_recorders()),
+            Action::Reset => self.hub.reset_all(),
+        }
+    }
+}
+
+/// A host callback or a framework event, as its subscriber saw it.
+enum Raw<C> {
+    Vendor(C),
+    Framework(FrameworkEvent),
+}
+
+/// One scripted operation. Failures (a free on the wrong device, a copy
+/// between devices without peer access) are part of the stream: the
+/// callbacks they emit reach both sides.
+fn scripted_op(
+    s: &mut Session<'_>,
+    devices: u32,
+    (op, arg): (u8, u8),
+    ptrs: &mut Vec<DevicePtr>,
+    tensors: &mut Vec<(DeviceId, Tensor)>,
+) {
+    let kernel = KernelDesc::new(
+        GATE_KERNELS[arg as usize % GATE_KERNELS.len()],
+        Dim3::linear(1 + u32::from(arg)),
+        Dim3::linear(32),
+    );
+    let _ = match op {
+        0 => s
+            .runtime_mut()
+            .malloc(4096 * (1 + u64::from(arg)))
+            .map(|p| ptrs.push(p)),
+        1 => ptrs.pop().map_or(Ok(()), |p| s.runtime_mut().free(p)),
+        2 => ptrs
+            .last()
+            .map_or(Ok(()), |&p| s.runtime_mut().memset(p, 1024)),
+        3 => match ptrs[..] {
+            [.., from, to] => s
+                .runtime_mut()
+                .memcpy(to, from, 1024, CopyDirection::DeviceToDevice),
+            _ => Ok(()),
+        },
+        4 => {
+            s.synchronize();
+            Ok(())
+        }
+        5 => s.launch(kernel).map(drop),
+        6 => s.with_op(["aten::linear", "aten::relu"][arg as usize % 2], |s| {
+            s.with_op("aten::addmm", |s| s.launch(kernel).map(drop))
+        }),
+        7 => {
+            let here = s.runtime().current_device();
+            s.alloc_tensor(&[64 * (1 + arg as usize)], DType::F32)
+                .map(|t| tensors.push((here, t)))
+        }
+        // A tensor goes back to the pool of the device it came from.
+        8 => tensors.pop().map_or(Ok(()), |(home, t)| {
+            s.runtime_mut().set_device(home)?;
+            s.free_tensor(&t);
+            Ok(())
+        }),
+        9 => {
+            if arg % 2 == 0 {
+                s.region_start("scripted");
+            } else {
+                s.region_end("scripted");
+            }
+            Ok(())
+        }
+        10 => {
+            if arg % 2 == 0 {
+                s.layer_boundary("scripted.layer", arg as usize);
+            } else {
+                s.pass_boundary(Pass::Backward);
+            }
+            Ok(())
+        }
+        _ => s
+            .runtime_mut()
+            .set_device(DeviceId(u32::from(arg) % devices)),
+    };
+}
+
+/// Runs `script` on a context speaking `C` whose callbacks and framework
+/// events go through `attach` / `attach_session` into `live` — with each
+/// action applied before the script step it names — and, logged by a
+/// second subscriber, through `normalize` straight into `reference`'s
+/// processors, the actions falling between the same two events.
+fn drive<C: Vocabulary + Clone + Send>(
+    (live, reference): (&Rig, &Rig),
+    attach: fn(&mut Context<C>, SharedHub),
+    normalize: fn(&C) -> Option<Event>,
+    specs: Vec<DeviceSpec>,
+    script: &[(u8, u8)],
+    actions: &[(usize, Action)],
+) {
+    let log: Arc<Mutex<Vec<Raw<C>>>> = Arc::default();
+    let devices = specs.len() as u32;
+    let mut context = Context::<C>::new(specs);
+    attach(&mut context, Arc::clone(&live.hub));
+    let sink = Arc::clone(&log);
+    context.subscribe(Box::new(move |cb: &C| {
+        sink.lock().unwrap().push(Raw::Vendor(cb.clone()))
+    }));
+    let mut session = Session::new(&mut context);
+    attach_session(&mut session, Arc::clone(&live.hub));
+    let sink = Arc::clone(&log);
+    session.subscribe(Box::new(move |ev| {
+        sink.lock().unwrap().push(Raw::Framework(ev.clone()))
+    }));
+    session.py_push(PyFrame::new("run.py", 10, "main"));
+
+    let mut placed: Vec<(usize, Action)> = Vec::new();
+    let (mut ptrs, mut tensors) = (Vec::new(), Vec::new());
+    for (step, &op) in script.iter().enumerate() {
+        for &(_, action) in actions.iter().filter(|(at, _)| *at == step) {
+            live.apply(action);
+            placed.push((log.lock().unwrap().len(), action));
+        }
+        scripted_op(&mut session, devices, op, &mut ptrs, &mut tensors);
+    }
+    drop(session);
+    drop(context);
+
+    let log = std::mem::take(&mut *log.lock().unwrap());
+    let mut pending = None;
+    for at in 0..=log.len() {
+        for &(_, action) in placed.iter().filter(|(placed_at, _)| *placed_at == at) {
+            reference.apply(action);
+        }
+        let event = match log.get(at) {
+            None => None,
+            Some(Raw::Framework(ev)) => Some(normalize_framework(ev)),
+            Some(Raw::Vendor(cb)) => match cb.launch_edge() {
+                Some(LaunchEdge::Begin(launch, name, start)) => {
+                    pending = Some((launch, *name, start));
+                    None
+                }
+                Some(LaunchEdge::End(launch, device, end)) => pending
+                    .take_if(|(begun, ..)| *begun == launch)
+                    .map(|(_, name, start)| Event::KernelLaunchEnd {
+                        launch,
+                        device,
+                        name,
+                        start,
+                        end,
+                    }),
+                None => normalize(cb),
+            },
+        };
+        if let Some(event) = event {
+            reference.hub.process(&event);
+        }
+    }
+}
+
+/// Gated callbacks over every generated case: the property is vacuous if
+/// nothing was ever turned away.
+static GATED: AtomicU64 = AtomicU64::new(0);
+
+fn assert_same_results(live: &Rig, reference: &Rig) {
+    assert_eq!(reference.hub.host_events_gated(), 0, "fed past the gate");
+    GATED.fetch_add(live.hub.host_events_gated(), Ordering::Relaxed);
+    assert_eq!(live.hub.merged_report(), reference.hub.merged_report());
+    for (a, b) in live.hub.shards().iter().zip(reference.hub.shards()) {
+        let counts = (a.lock().events_processed(), b.lock().events_processed());
+        assert_eq!(counts.0, counts.1, "shard {}", a.device());
+    }
+    let (a, b) = (live.hub.merged_knobs(), reference.hub.merged_knobs());
+    let selected = |knobs: &pasta::core::KnobSet, knob| {
+        knobs
+            .select(knob)
+            .map(|(name, agg)| (name.to_string(), agg))
+    };
+    for knob in KNOBS {
+        assert_eq!(selected(&a, knob), selected(&b, knob), "{knob:?}");
+    }
+    for kernel in GATE_KERNELS {
+        assert_eq!(a.get(kernel), b.get(kernel), "{kernel}");
+        assert_eq!(
+            live.hub.merged_stack_for(kernel),
+            reference.hub.merged_stack_for(kernel),
+            "{kernel}"
+        );
+    }
+    assert_eq!(
+        *live.tape.lock().unwrap(),
+        *reference.tape.lock().unwrap(),
+        "recorded from each attach to the next detach, nothing else"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random tool sets with random coarse interests × random callback
+    /// sequences × both vendors × one shard or two × capture knob on or
+    /// off, with recorders attached and detached, the analysis reset and
+    /// a tool quarantined wherever the generator puts them.
+    fn gated_hubs_equal_ungated_processors(
+        spies in prop::collection::vec((0u16..64, 0u8..8, 0u8..24), 0..4),
+        script in prop::collection::vec((0u8..12, 0u8..8), 0..80),
+        actions in prop::collection::vec((0usize..80, 0u8..3), 0..4),
+        shape in 0u8..8,
+    ) {
+        let (amd, devices, capture) = (shape & 1 != 0, 1 + u32::from(shape >> 1 & 1), shape & 4 != 0);
+        let spies: Vec<Spy> = spies
+            .into_iter()
+            .zip(["spy-0", "spy-1", "spy-2"])
+            .map(|((classes, flavour, panic), name)| Spy::generated(name, classes, flavour, panic))
+            .collect();
+        let actions: Vec<(usize, Action)> = actions
+            .into_iter()
+            .map(|(at, what)| {
+                let action = [Action::AttachRecorders, Action::DetachRecorders, Action::Reset];
+                (at, action[what as usize])
+            })
+            .collect();
+        let rigs = (Rig::new(&spies, devices, capture), Rig::new(&spies, devices, capture));
+        let both = (&rigs.0, &rigs.1);
+        if amd {
+            let specs = vec![DeviceSpec::mi300x(); devices as usize];
+            drive(both, attach_roc, normalize_roc, specs, &script, &actions);
+        } else {
+            let specs = vec![DeviceSpec::a100_80gb(); devices as usize];
+            drive(both, attach_nv, normalize_nv, specs, &script, &actions);
+        }
+        assert_same_results(&rigs.0, &rigs.1);
+    }
+}
+
+/// A tool that reads launches alone and says so (`narrow`) or asks for
+/// every coarse class anyway: the same reports either way, with the gate
+/// shut on one side and open on the other.
+fn launch_reader(narrow: bool, forks: bool) -> Spy {
+    let interest = if narrow {
+        Interest {
+            kernel_launches: true,
+            ..Interest::default()
+        }
+    } else {
+        Interest::coarse()
+    };
+    Spy {
+        forks,
+        ..Spy::new("launch-reader", interest)
+    }
+}
+
+/// What a session-level leg compares. Not the spy's digest — a wide spy
+/// is sent more, and a second run's launches carry later ids and times.
+#[derive(Debug, PartialEq)]
+struct SessionCounts {
+    events: u64,
+    gated: u64,
+    /// Launches the spy read.
+    launches: u64,
+    /// What the spy was sent that only a tool reads.
+    tools_only: u64,
+    /// The lanes that failed.
+    failures: Vec<String>,
+}
+
+impl SessionCounts {
+    fn of(report: &pasta::core::MergedReport, gated: u64) -> SessionCounts {
+        let metric = |name| report.tools[0].get(name).expect("the spy reports it") as u64;
+        SessionCounts {
+            events: report.events_processed,
+            gated,
+            launches: metric("launches"),
+            tools_only: metric("tools_only"),
+            failures: report.lane_failures.iter().map(|f| f.to_string()).collect(),
+        }
+    }
+
+    /// `self` under a tool that reads launches and says so, `wide` under
+    /// the same tool asking for every coarse class: the same events and
+    /// launches, and gated exactly what only a tool could have read.
+    fn check_against(&self, wide: &SessionCounts, what: &str) {
+        assert_eq!(
+            (self.events, self.launches, &self.failures),
+            (wide.events, wide.launches, &wide.failures),
+            "{what}"
+        );
+        assert_eq!((self.tools_only, wide.gated), (0, 0), "{what}");
+        assert_eq!(self.gated, wide.tools_only, "{what}");
+        assert!(self.gated > 0, "{what}");
+    }
+}
+
+/// Session legs: `reset_analysis`, two lanes racing into the single shard
+/// a tool that declines to fork leaves them, and a lane that panics.
+fn gated_sessions_equal_wide_open_ones() {
+    let two_a100s = |narrow: bool, forks: bool| {
+        Pasta::builder()
+            .a100_x2()
+            .tool(launch_reader(narrow, forks))
+            .build()
+            .expect("two-device session")
+    };
+    let devices = [DeviceId(0), DeviceId(1)];
+    let lane_work = |lane: &mut DeviceLane<'_>, steps: usize| -> Result<(), AccelError> {
+        let s = &mut lane.session;
+        for step in 0..steps {
+            let t = s.alloc_tensor(&[256], DType::F32)?;
+            s.with_op("aten::relu", |s| {
+                s.launch(KernelDesc::new(
+                    "gate_relu",
+                    Dim3::linear(1),
+                    Dim3::linear(32),
+                ))
+                .map(drop)
+            })?;
+            if step % 8 == 0 {
+                s.synchronize();
+            }
+            s.free_tensor(&t);
+        }
+        Ok(())
+    };
+
+    // reset_analysis: a second run after a reset counts what a first run
+    // does, the gated callbacks included.
+    let mut runs = Vec::new();
+    for narrow in [true, false] {
+        let mut session = two_a100s(narrow, true);
+        let run = |session: &mut PastaSession| {
+            let mut model =
+                ModelWorkload::new(ModelZoo::ResNet18, RunKind::Inference).batch_divisor(8);
+            session.run(&mut model).expect("the model runs");
+            SessionCounts::of(&session.merged_report(), session.host_events_gated())
+        };
+        let first = run(&mut session);
+        session.reset_analysis();
+        assert_eq!(
+            (session.events_processed(), session.host_events_gated()),
+            (0, 0)
+        );
+        assert_eq!(first, run(&mut session), "narrow {narrow}");
+        runs.push(first);
+    }
+    runs[0].check_against(&runs[1], "reset_analysis");
+
+    // Two lanes, one shared shard, both emitting at once: the tally is
+    // two threads' fetch_adds on one word and must lose none.
+    let mut runs = Vec::new();
+    for narrow in [true, false] {
+        let mut session = two_a100s(narrow, false);
+        let start = Barrier::new(2);
+        session
+            .run_parallel(&devices, |lanes| {
+                std::thread::scope(|scope| {
+                    let workers: Vec<_> = lanes
+                        .iter_mut()
+                        .map(|lane| {
+                            let start = &start;
+                            scope.spawn(move || {
+                                start.wait();
+                                lane_work(lane, 1500)
+                            })
+                        })
+                        .collect();
+                    workers
+                        .into_iter()
+                        .try_for_each(|w| w.join().expect("no lane panics"))
+                })
+            })
+            .expect("the region runs");
+        let report = session.merged_report();
+        assert_eq!(report.per_device.len(), 1, "the tool declined to fork");
+        runs.push(SessionCounts::of(&report, session.host_events_gated()));
+    }
+    runs[0].check_against(&runs[1], "two lanes, one shard");
+    assert_eq!(runs[0].launches, 3000, "one launch a step a lane");
+
+    // A lane that panics half-way: the salvaged report counts what both
+    // lanes emitted up to then, gated or not.
+    let mut runs = Vec::new();
+    for narrow in [true, false] {
+        let mut session = two_a100s(narrow, true);
+        let err = session
+            .run_parallel_each(&devices, |_, lane| {
+                lane_work(lane, 40)?;
+                assert!(lane.device() != DeviceId(1), "fault-injection: lane 1 dies");
+                lane_work(lane, 40)
+            })
+            .expect_err("a panicking lane fails the run");
+        let PastaError::Salvaged(run) = err else {
+            panic!("expected a salvaged run, got {err:?}");
+        };
+        runs.push(SessionCounts::of(&run.report, session.host_events_gated()));
+    }
+    runs[0].check_against(&runs[1], "a salvaged run");
+    assert_eq!(runs[0].launches, 80 + 40);
+    assert_eq!(runs[0].failures.len(), 1);
+}
+
 #[test]
 fn host_event_path_is_allocation_free_and_changes_no_result() {
     replayed_host_events_allocate_only_on_first_sight();
@@ -659,4 +1256,11 @@ fn host_event_path_is_allocation_free_and_changes_no_result() {
     lazily_captured_stacks_equal_eager_ones();
     lanes_touching_a_peer_device_price_links_identically();
     resident_managed_accesses_allocate_nothing();
+    quiet_injected_panics();
+    gated_hubs_equal_ungated_processors();
+    assert!(
+        GATED.load(Ordering::Relaxed) > 1000,
+        "the generated cases must meet a shut gate"
+    );
+    gated_sessions_equal_wide_open_ones();
 }
