@@ -83,5 +83,5 @@ pub use probe::{AnalysisMode, DeviceProbe, InstrCoverage, ProbeConfig, ProbeCost
 pub use residency::{AccessOutcome, PeerTransfer, ResidencyAdvice, ResidencyModel};
 pub use runtime::{CopyDirection, DeviceRuntime, LaunchRecord, RuntimeStats};
 pub use symbol::{Symbol, SymbolTable};
-pub use threads::resolve_threads;
+pub use threads::{idle_until, resolve_threads};
 pub use trace::{AccessBatch, KernelTraceSummary};

@@ -7,12 +7,11 @@
 
 use super::session::PastaSession;
 use crate::error::{LaneFailure, PastaError};
-use crate::spine::{SpineDrainer, SpineMode};
+use crate::spine::{self, SpineDrainer, SpineMode};
 use accel_sim::{panic_message, AccelError, DeviceId};
-use dl_framework::lane_exec;
+use dl_framework::lane_exec::{self, LaneSchedule};
 use dl_framework::parallel::DeviceLane;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use uvm_sim::UvmManager;
 
@@ -265,9 +264,10 @@ impl PastaSession {
     /// itself. A panicking lane becomes a [`LaneFailure`] attributed to
     /// its device; the surviving lanes run to completion and their shard
     /// and UVM state still merges into the session, so the resulting
-    /// [`PastaError::Salvaged`] carries a usable report. When several
-    /// lanes fail, the first panic (ascending device position in
-    /// `devices`) is reported.
+    /// [`PastaError::Salvaged`] carries a usable report. Failure follows
+    /// the lane executor's one precedence rule: every lane runs; the
+    /// first panic (ascending position in `devices`) is the root cause,
+    /// otherwise the first lane error.
     ///
     /// # Errors
     ///
@@ -280,52 +280,11 @@ impl PastaSession {
         work: impl Fn(usize, &mut DeviceLane<'_>) -> Result<(), AccelError> + Sync,
     ) -> Result<(), PastaError> {
         let hub = Arc::clone(&self.hub);
-        let drain_devices: Option<Vec<DeviceId>> = (self.recipe.wants_device
-            && self.recipe.spine_mode == SpineMode::Ring)
-            .then(|| devices.to_vec());
-        let pool_limit = self.parallel.max_lane_threads;
-        let watermark = Arc::clone(&self.pool_watermark);
+        let rings = self.recipe.wants_device && self.recipe.spine_mode == SpineMode::Ring;
         self.run_parallel_impl(devices, DrainPolicy::PoolIdle, |lanes| {
-            let idle = drain_devices.as_ref().map(|ds| {
-                let hub = &hub;
-                move || -> bool {
-                    ds.iter()
-                        .map(|&d| hub.shard_for(d).try_drain())
-                        .sum::<u64>()
-                        > 0
-                }
-            });
-            let work = &work;
-            let tasks: Vec<lane_exec::PoolTask<'_, ()>> = lanes
-                .iter_mut()
-                .enumerate()
-                .map(|(i, lane)| lane_exec::PoolTask {
-                    device: lane.device(),
-                    run: Box::new(move || work(i, lane)),
-                })
-                .collect();
-            let run = lane_exec::run_pool(
-                pool_limit,
-                tasks,
-                idle.as_ref().map(|h| h as &(dyn Fn() -> bool + Sync)),
-            );
-            watermark.fetch_max(run.high_water, Ordering::AcqRel);
-            // An idle-hook panic (`run.idle_panic`) is contained inside
-            // the pool and the hook disarmed; correctness needs nothing
-            // more — producer-side backpressure plus the session's final
-            // quiesce drain every ring the disarmed sweeper abandoned.
-            let results = run.results;
-            // A contained panic is the root cause — report it ahead of
-            // secondary errors surviving lanes hit because a peer died.
-            for r in &results {
-                if let Err(e @ AccelError::LanePanic { .. }) = r {
-                    return Err(e.clone());
-                }
-            }
-            for r in results {
-                r?;
-            }
-            Ok(())
+            let sweep = || spine::sweep(&hub, devices);
+            let idle = rings.then_some(&sweep as &(dyn Fn() -> bool + Sync));
+            lane_exec::drive_lanes(lanes, LaneSchedule::Threaded, idle, work).map(drop)
         })
     }
 }

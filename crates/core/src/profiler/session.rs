@@ -314,12 +314,12 @@ impl PastaSession {
     }
 
     /// Peak number of *this session's* pooled lane tasks that ran
-    /// concurrently since the session was built: every lane pool a
-    /// parallel region of this session runs — `run_parallel_each`'s own
-    /// pool and any `drive_lanes` pool the stamped lanes ride inside
-    /// [`PastaSession::run_parallel`] — folds its per-pool high water in
-    /// with a `fetch_max`. Concurrent sessions (or parallel tests) cannot
-    /// contaminate this reading.
+    /// concurrently since the session was built: the lane pool
+    /// (`dl_framework::lane_exec::drive_lanes`) folds each run's high
+    /// water in with a `fetch_max`, whichever parallel region drove the
+    /// session's lanes through it. The pipeline stages' fixed two-worker
+    /// pool is outside the lane pool's limit and not counted. Concurrent
+    /// sessions (or parallel tests) cannot contaminate this reading.
     pub fn pool_high_water(&self) -> usize {
         self.pool_watermark.load(Ordering::Acquire)
     }

@@ -476,27 +476,22 @@ impl Drop for SpineDrainer {
     }
 }
 
-/// One drainer thread's loop: opportunistically sweep every assigned
-/// shard (skipping beats where an emitter or harvest holds a lock),
-/// backing off from a spin to short sleeps when the whole slice runs dry.
+/// One drainer thread's loop: sweep the assigned shards under the shared
+/// idle backoff until stopped.
 fn drain_loop(hub: &Hub, devices: &[DeviceId], stop: &AtomicBool) {
-    let mut idle_beats = 0u32;
-    while !stop.load(Ordering::Acquire) {
-        let drained: u64 = devices
-            .iter()
-            .map(|&device| hub.shard_for(device).try_drain())
-            .sum();
-        if drained > 0 {
-            idle_beats = 0;
-        } else {
-            idle_beats = idle_beats.saturating_add(1);
-            if idle_beats < 16 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(std::time::Duration::from_micros(50));
-            }
-        }
-    }
+    accel_sim::idle_until(|| stop.load(Ordering::Acquire), || sweep(hub, devices));
+}
+
+/// One opportunistic sweep of `devices`' shards (skipping shards where an
+/// emitter or harvest holds the lock); whether it drained anything. The
+/// beat of both the background drainers and the lane pool's idle workers
+/// (`PastaSession::run_parallel_each`).
+pub(crate) fn sweep(hub: &Hub, devices: &[DeviceId]) -> bool {
+    devices
+        .iter()
+        .map(|&device| hub.shard_for(device).try_drain())
+        .sum::<u64>()
+        > 0
 }
 
 #[cfg(test)]

@@ -1,18 +1,20 @@
-//! Bounded lane executor: multiplexes per-device lane tasks onto a
-//! fixed-size worker pool.
+//! The lane executor: every multi-device schedule runs, contains and
+//! reports its lanes here.
 //!
-//! Before the scale-out rework every parallel surface spawned one OS
-//! thread per device lane — fine for the paper's 2-GPU experiments,
-//! hopeless at 256 simulated devices (2N threads once the per-device
-//! spine drainers are counted). [`run_pool`] replaces thread-per-lane
-//! everywhere lanes are *independent*: at most `max_threads` worker
-//! threads are live at once, each seeded with one lane and then claiming
-//! further lanes from a shared queue in lane order.
+//! **One failure-precedence rule.** Every lane runs, whatever its
+//! siblings do. A lane that panics is contained at the lane boundary and
+//! becomes a typed [`AccelError::LanePanic`] attributed to *its* device.
+//! The schedule then reports the first contained panic in lane order as
+//! the root cause, ahead of the ordinary errors sibling lanes hit because
+//! a peer died; with no panic, the first error in lane order. Pooled and
+//! lane-at-a-time [`drive_lanes`], the pipeline-parallel stage pair and
+//! `PastaSession::run_parallel_each` all return through that one rule.
 //!
-//! **Fault containment is preserved per lane, not per thread**: every
-//! task runs under its own `catch_unwind`, so a panicking lane becomes a
-//! typed [`AccelError::LanePanic`] attributed to *its* device and the
-//! worker thread survives to run the remaining lanes.
+//! **Bounded pool.** [`run_pool`] multiplexes lane tasks onto at most
+//! `max_threads` worker threads, each seeded with one lane and then
+//! claiming further lanes from a shared queue in lane order. Containment
+//! is per lane, not per thread, so a worker survives a panicking lane to
+//! run the remaining ones.
 //!
 //! **Thread naming**: worker threads are named `lane-dev{N}` after the
 //! device of the first lane they run (thread names are fixed at spawn;
@@ -23,27 +25,29 @@
 //! pins.
 //!
 //! **Idle duty**: a worker that finds the queue empty while siblings are
-//! still running calls the caller's `idle` hook in a backoff loop — this
-//! is how `run_parallel_each` folds spine-drainer duty into the pool
-//! instead of spawning one drainer thread per device (see
-//! `pasta_core::spine`). Emitters that outrun the idle drainers fall
-//! back to the spine's lossless producer-side drain, so a pool with no
-//! idle capacity costs correctness nothing. The hook is contained like a
-//! lane: a panicking `idle` (e.g. a spine `try_drain` tripping a
-//! poisoned lock during lane salvage) is caught, the hook is disarmed
-//! for the remainder of that pool, and the first payload is reported in
-//! [`PoolRun::idle_panic`] — it never unwinds the scoped worker, so it
-//! cannot abort sibling lanes.
+//! still running calls the caller's `idle` hook under
+//! [`accel_sim::idle_until`]'s backoff — this is how `run_parallel_each`
+//! folds spine-drainer duty into the pool instead of spawning drainer
+//! threads (see `pasta_core::spine`). Emitters that outrun the idle
+//! drainers fall back to the spine's lossless producer-side drain, so a
+//! pool with no idle capacity costs correctness nothing. The hook is
+//! contained like a lane: a panicking `idle` (e.g. a spine `try_drain`
+//! tripping a poisoned lock during lane salvage) is caught, the hook is
+//! disarmed for the remainder of that pool, and the first payload is
+//! reported in [`PoolRun::idle_panic`] — it never unwinds the scoped
+//! worker, so it cannot abort sibling lanes.
 //!
 //! **Scheduling caveat**: lanes on a bounded pool must not block on each
 //! other — with fewer workers than lanes, a lane waiting for a lane that
-//! has not been scheduled yet deadlocks. Cross-lane protocols (the
-//! pipeline-parallel activation handoff) keep their dedicated
-//! thread-per-lane scope for exactly this reason.
+//! has not been scheduled yet deadlocks. The pipeline-parallel stages,
+//! which do block on each other's handoffs, therefore ride a pool exactly
+//! two workers wide whatever the lanes' pool limit: the one documented
+//! exception to it.
 
+use crate::parallel::DeviceLane;
 pub use accel_sim::resolve_threads;
 use accel_sim::sync::Mutex;
-use accel_sim::{panic_message, AccelError, DeviceId};
+use accel_sim::{idle_until, panic_message, AccelError, DeviceId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -81,17 +85,113 @@ pub struct PoolRun<T> {
     pub idle_panic: Option<String>,
 }
 
+/// How [`drive_lanes`] schedules the per-lane work.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaneSchedule {
+    /// On the bounded lane pool — the production path.
+    Threaded,
+    /// One lane at a time on the calling thread — the reference run the
+    /// shard-merge tests compare concurrent output against.
+    Sequential,
+}
+
+/// Runs `work` once per lane — on the bounded lane pool ([`run_pool`],
+/// at most the lanes' pool limit worker threads live at once, with
+/// `idle` as the idle workers' hook) or lane-at-a-time on the calling
+/// thread, per `schedule` — and returns the per-lane results in lane
+/// order. A pooled run folds its high water into the lanes' stamped
+/// watermark.
+///
+/// Lanes driven here must be independent (no cross-lane blocking), which
+/// is what makes the bounded pool deadlock-free at any worker count.
+///
+/// # Errors
+///
+/// Every lane runs either way; then a panicking lane's
+/// [`AccelError::LanePanic`] wins, otherwise the first error in lane
+/// order (the module's one precedence rule).
+pub fn drive_lanes<T, F>(
+    lanes: &mut [DeviceLane<'_>],
+    schedule: LaneSchedule,
+    idle: Option<&(dyn Fn() -> bool + Sync)>,
+    work: F,
+) -> Result<Vec<T>, AccelError>
+where
+    T: Send,
+    F: Fn(usize, &mut DeviceLane<'_>) -> Result<T, AccelError> + Sync,
+{
+    if schedule == LaneSchedule::Sequential {
+        let results = lanes
+            .iter_mut()
+            .enumerate()
+            .map(|(i, lane)| contain(lane.device(), || work(i, lane)))
+            .collect();
+        return settle(results);
+    }
+    let limit = lanes
+        .iter()
+        .map(DeviceLane::pool_limit)
+        .find(|&n| n > 0)
+        .unwrap_or(0);
+    let work = &work;
+    let tasks: Vec<PoolTask<'_, T>> = lanes
+        .iter_mut()
+        .enumerate()
+        .map(|(i, lane)| PoolTask {
+            device: lane.device(),
+            run: Box::new(move || work(i, lane)),
+        })
+        .collect();
+    let run = run_pool(limit, tasks, idle);
+    if let Some(watermark) = lanes.iter().find_map(DeviceLane::pool_watermark) {
+        watermark.fetch_max(run.high_water, Ordering::AcqRel);
+    }
+    // An idle-hook panic (`run.idle_panic`) was contained inside the pool
+    // and the hook disarmed; correctness needs nothing more — the spine's
+    // producer-side backpressure plus the session's final quiesce drain
+    // every ring the disarmed sweeper abandoned.
+    settle(run.results)
+}
+
+/// The one failure-precedence rule: given every lane's result in lane
+/// order, the first contained panic is the root cause, otherwise the
+/// first error; all-`Ok` yields the values in lane order.
+pub(crate) fn settle<T>(results: Vec<Result<T, AccelError>>) -> Result<Vec<T>, AccelError> {
+    let root = results
+        .iter()
+        .find(|r| matches!(r, Err(AccelError::LanePanic { .. })));
+    if let Some(Err(panic)) = root {
+        return Err(panic.clone());
+    }
+    results.into_iter().collect()
+}
+
+/// Contains a panic at the lane boundary: `f`'s panic becomes a typed
+/// [`AccelError::LanePanic`] attributed to `device` instead of unwinding
+/// further. The non-panic path costs nothing (`catch_unwind` is
+/// zero-overhead until a panic actually lands).
+fn contain<T>(
+    device: DeviceId,
+    f: impl FnOnce() -> Result<T, AccelError>,
+) -> Result<T, AccelError> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(AccelError::LanePanic {
+            device,
+            payload: panic_message(payload.as_ref()),
+        })
+    })
+}
+
 /// Runs every task on a bounded worker pool and returns the per-task
-/// results **in task order** (which is lane order everywhere this is
-/// used — error precedence stays deterministic regardless of which
-/// worker ran what), together with the pool's own high-water mark.
+/// results **in task order**, together with the pool's own high-water
+/// mark.
 ///
 /// At most `resolve_threads(max_threads).min(tasks.len())` worker
 /// threads exist at any moment. Worker `w` is seeded with task `w` and
 /// named `lane-dev{N}` after that task's device; exhausted workers claim
 /// remaining tasks in index order, then run `idle` (if any) until every
-/// task has finished — `idle` returns whether it found work, driving a
-/// yield-then-sleep backoff.
+/// task has finished — `idle` returns whether it found work, driving
+/// [`accel_sim::idle_until`]'s backoff.
 ///
 /// A panicking task is contained at the task boundary and surfaces as
 /// [`AccelError::LanePanic`] for its device; remaining tasks still run.
@@ -128,26 +228,33 @@ pub fn run_pool<'a, T: Send>(
         let Some(task) = slots[i].lock().take() else {
             return;
         };
-        let device = task.device;
         let concurrent = live.fetch_add(1, Ordering::SeqCst) + 1;
         pool_high.fetch_max(concurrent, Ordering::SeqCst);
-        let run = task.run;
-        let result = catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
-            Err(AccelError::LanePanic {
-                device,
-                payload: panic_message(payload.as_ref()),
-            })
-        });
+        let result = contain(task.device, task.run);
         live.fetch_sub(1, Ordering::SeqCst);
         *results[i].lock() = Some(result);
         done.fetch_add(1, Ordering::Release);
     };
+    // One idle beat: the hook under its own catch_unwind — a panic here
+    // would otherwise unwind the scoped worker and abort the whole pool
+    // scope, taking sibling lanes down with it. The first panic disarms
+    // the hook for this pool; the spine's producer-side drain keeps the
+    // path lossless without it.
+    let idle_beat = |idle: &(dyn Fn() -> bool + Sync)| {
+        idle_armed.load(Ordering::Acquire)
+            && catch_unwind(AssertUnwindSafe(idle)).unwrap_or_else(|payload| {
+                idle_armed.store(false, Ordering::Release);
+                idle_panic
+                    .lock()
+                    .get_or_insert_with(|| panic_message(payload.as_ref()));
+                false
+            })
+    };
 
     std::thread::scope(|scope| {
         for (w, seed_device) in devices.iter().enumerate().take(workers) {
-            let run_task = &run_task;
+            let (run_task, idle_beat) = (&run_task, &idle_beat);
             let (next, done) = (&next, &done);
-            let (idle_armed, idle_panic) = (&idle_armed, &idle_panic);
             // Thread spawning fails only on resource exhaustion, where
             // the unnamed `Scope::spawn` this replaces would panic too.
             std::thread::Builder::new()
@@ -156,45 +263,15 @@ pub fn run_pool<'a, T: Send>(
                     run_task(w);
                     loop {
                         let claim = next.fetch_add(1, Ordering::SeqCst);
-                        if claim < n {
-                            run_task(claim);
-                            continue;
+                        if claim >= n {
+                            break;
                         }
-                        // Queue exhausted: fold idle duty (spine
-                        // draining) into this worker until the last
-                        // sibling finishes its lane. The hook runs under
-                        // its own catch_unwind — a panic here would
-                        // otherwise unwind the scoped worker and abort
-                        // the whole pool scope, taking sibling lanes
-                        // down with it. First panic disarms the hook for
-                        // this pool; the spine's producer-side drain
-                        // keeps the path lossless without it.
-                        let Some(idle) = idle else { break };
-                        let mut idle_beats = 0u32;
-                        while done.load(Ordering::Acquire) < n {
-                            let found = idle_armed.load(Ordering::Acquire)
-                                && match catch_unwind(AssertUnwindSafe(idle)) {
-                                    Ok(found) => found,
-                                    Err(payload) => {
-                                        idle_armed.store(false, Ordering::Release);
-                                        idle_panic
-                                            .lock()
-                                            .get_or_insert_with(|| panic_message(payload.as_ref()));
-                                        false
-                                    }
-                                };
-                            if found {
-                                idle_beats = 0;
-                            } else {
-                                idle_beats = idle_beats.saturating_add(1);
-                                if idle_beats < 16 {
-                                    std::thread::yield_now();
-                                } else {
-                                    std::thread::sleep(std::time::Duration::from_micros(50));
-                                }
-                            }
-                        }
-                        break;
+                        run_task(claim);
+                    }
+                    // Queue exhausted: fold idle duty (spine draining)
+                    // into this worker until the last sibling finishes.
+                    if let Some(idle) = idle {
+                        idle_until(|| done.load(Ordering::Acquire) >= n, || idle_beat(idle));
                     }
                 })
                 .expect("spawn lane worker");

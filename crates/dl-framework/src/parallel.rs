@@ -2,25 +2,19 @@
 //! pipeline (two devices, paper §V-D2, Fig. 15) and expert parallelism
 //! (the 64–256-device scale-out workload).
 //!
-//! Since the sharded-hub rework these are *genuinely concurrent* emission
-//! scenarios: every device is driven over its own [`DeviceLane`] (a
-//! framework [`Session`] pinned to one device), so tensor traffic,
-//! operator brackets and fine-grained device events from different GPUs
-//! really do race into the profiling layer — which the per-device hub
-//! shards absorb without a shared lock. Since the lock-free spine rework
-//! the lane threads do not even take their own shard's lock on the hot
-//! path: sinks push batched spills onto SPSC rings that background
-//! drainers consume off the emission critical path (with the
-//! producer-side backpressure fallback keeping the path lossless when a
-//! drainer falls behind — see `pasta_core::spine`). Since the scale-out
-//! rework lanes no longer get one OS thread each: independent lanes are
-//! multiplexed onto the bounded worker pool in [`lane_exec`] (budget =
-//! each lane's [`DeviceLane::set_pool_limit`], stamped by
-//! `PastaSession::run_parallel` from its `ParallelConfig`), which is what
-//! makes 256-lane runs tractable. Pipeline parallelism sequences its
+//! Every device is driven over its own [`DeviceLane`] (a framework
+//! [`Session`] pinned to one device), so tensor traffic, operator
+//! brackets and fine-grained device events from different GPUs really do
+//! race into the profiling layer, one hub shard per device. Every
+//! strategy runs its lanes through [`lane_exec`] and reports failure by
+//! its one rule: every lane runs; a lane's contained panic is the root
+//! cause and wins, otherwise the first error in lane order. Independent
+//! lanes ride the bounded pool (budget = each lane's
+//! [`DeviceLane::set_pool_limit`], stamped by `PastaSession::run_parallel`
+//! from its `ParallelConfig`); pipeline parallelism sequences its
 //! cross-stage activation handoffs with channels, exactly where a real
-//! run would block on send/recv — and for that reason keeps dedicated
-//! stage threads rather than the pool.
+//! run would block on send/recv, so its two stages ride a pool exactly
+//! two workers wide instead.
 //!
 //! The strategies shard differently and therefore leave different
 //! per-GPU memory signatures:
@@ -41,15 +35,14 @@
 
 use crate::callbacks::Pass;
 use crate::dtype::DType;
-use crate::lane_exec;
+use crate::lane_exec::{self, drive_lanes, LaneSchedule};
 use crate::layers::{Layer, LayerNorm, Param, Sequential, TransformerBlock};
 use crate::models::transformer::{custom_lm, LmDims};
 use crate::models::{ModelKind, ModelSpec, Workload};
 use crate::ops::{self, Act};
 use crate::session::Session;
-use accel_sim::{panic_message, AccelError, AccessSpec, DeviceId, Dim3, KernelBody, KernelDesc};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use accel_sim::{AccelError, AccessSpec, DeviceId, Dim3, KernelBody, KernelDesc};
+use std::sync::atomic::AtomicUsize;
 use std::sync::{mpsc, Arc};
 
 /// One lane of a multi-device parallel run: a framework session pinned to
@@ -216,84 +209,6 @@ fn megatron_spec() -> ModelSpec {
     }
 }
 
-/// How [`drive_lanes`] schedules the per-lane work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LaneSchedule {
-    /// On the bounded lane pool — the production path.
-    Threaded,
-    /// One lane at a time on the calling thread — the reference run the
-    /// shard-merge tests compare concurrent output against.
-    Sequential,
-}
-
-/// Contains a panic at the lane boundary: `f`'s panic becomes a typed
-/// [`AccelError::LanePanic`] attributed to `device` instead of unwinding
-/// into the join. The non-panic path costs nothing (`catch_unwind` is
-/// zero-overhead until a panic actually lands).
-fn catch_lane<T>(
-    device: DeviceId,
-    f: impl FnOnce() -> Result<T, AccelError>,
-) -> Result<T, AccelError> {
-    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
-        Err(AccelError::LanePanic {
-            device,
-            payload: panic_message(payload.as_ref()),
-        })
-    })
-}
-
-/// Runs every lane's closure — on the bounded lane pool
-/// ([`lane_exec::run_pool`], at most the lanes' pool limit worker
-/// threads live at once) or lane-at-a-time, per `schedule` — and
-/// collects the per-lane results in lane order. The first failing lane
-/// (by lane order, deterministically) wins error propagation. A
-/// panicking lane surfaces as [`AccelError::LanePanic`] for its device;
-/// the other lanes run to completion either way.
-///
-/// Lanes driven here are independent (no cross-lane blocking), which is
-/// what makes the bounded pool deadlock-free at any worker count; the
-/// pipeline driver, whose stages *do* block on each other, keeps its
-/// dedicated two-thread scope instead.
-pub(crate) fn drive_lanes<T, F>(
-    lanes: &mut [DeviceLane<'_>],
-    schedule: LaneSchedule,
-    work: F,
-) -> Result<Vec<T>, AccelError>
-where
-    T: Send,
-    F: Fn(usize, &mut DeviceLane<'_>) -> Result<T, AccelError> + Sync,
-{
-    if schedule == LaneSchedule::Sequential {
-        return lanes
-            .iter_mut()
-            .enumerate()
-            .map(|(i, lane)| {
-                let device = lane.device();
-                catch_lane(device, || work(i, lane))
-            })
-            .collect();
-    }
-    let limit = lanes
-        .iter()
-        .map(DeviceLane::pool_limit)
-        .find(|&n| n > 0)
-        .unwrap_or(0);
-    let work = &work;
-    let tasks: Vec<lane_exec::PoolTask<'_, T>> = lanes
-        .iter_mut()
-        .enumerate()
-        .map(|(i, lane)| lane_exec::PoolTask {
-            device: lane.device(),
-            run: Box::new(move || work(i, lane)),
-        })
-        .collect();
-    let run = lane_exec::run_pool(limit, tasks, None);
-    if let Some(watermark) = lanes.iter().find_map(DeviceLane::pool_watermark) {
-        watermark.fetch_max(run.high_water, Ordering::AcqRel);
-    }
-    run.results.into_iter().collect()
-}
-
 fn require_lanes(lanes: &[DeviceLane<'_>], n: usize, strategy: &str) -> Result<(), AccelError> {
     if lanes.len() < n {
         return Err(AccelError::Config(format!(
@@ -304,19 +219,6 @@ fn require_lanes(lanes: &[DeviceLane<'_>], n: usize, strategy: &str) -> Result<(
     Ok(())
 }
 
-/// Runs one data-parallel training iteration, lanes multiplexed onto the
-/// bounded lane pool.
-///
-/// # Errors
-///
-/// Propagates allocation/launch failures; requires ≥ 2 lanes.
-pub fn train_iter_data_parallel(
-    lanes: &mut [DeviceLane<'_>],
-    batch: usize,
-) -> Result<ParallelReport, AccelError> {
-    data_parallel(lanes, batch, LaneSchedule::Threaded)
-}
-
 fn data_parallel(
     lanes: &mut [DeviceLane<'_>],
     batch: usize,
@@ -324,7 +226,7 @@ fn data_parallel(
 ) -> Result<ParallelReport, AccelError> {
     require_lanes(lanes, 2, "data parallelism")?;
     let dims = megatron_345m_dims();
-    let stats = drive_lanes(lanes, schedule, |_i, lane| {
+    let stats = drive_lanes(lanes, schedule, None, |_i, lane| {
         let s = &mut lane.session;
         let mut replica = custom_lm(s, megatron_spec(), dims, batch, "megatron/pretrain_gpt2.py")?;
         // Persistent DDP gradient bucket (the long-lived communication
@@ -344,19 +246,6 @@ fn data_parallel(
         Ok(stats)
     })?;
     Ok(report(Parallelism::Data, stats))
-}
-
-/// Runs one tensor-parallel training iteration (2-way Megatron sharding),
-/// lanes multiplexed onto the bounded lane pool.
-///
-/// # Errors
-///
-/// Propagates allocation/launch failures; requires exactly 2 lanes.
-pub fn train_iter_tensor_parallel(
-    lanes: &mut [DeviceLane<'_>],
-    batch: usize,
-) -> Result<ParallelReport, AccelError> {
-    tensor_parallel(lanes, batch, LaneSchedule::Threaded)
 }
 
 fn tensor_parallel(
@@ -381,7 +270,7 @@ fn tensor_parallel(
         .map(DeviceLane::device)
         .min()
         .expect("lane count checked above");
-    let stats = drive_lanes(lanes, schedule, |_i, lane| {
+    let stats = drive_lanes(lanes, schedule, None, |_i, lane| {
         let s = &mut lane.session;
         let mut shard = custom_lm(
             s,
@@ -494,26 +383,8 @@ fn moe_spec(layers: usize, batch: usize) -> ModelSpec {
     }
 }
 
-/// Runs one expert-parallel (MoE) training iteration at full Megatron
-/// 345M scale ([`MoeConfig::megatron_345m`]), lanes multiplexed onto the
-/// bounded pool.
-///
-/// # Errors
-///
-/// Propagates allocation/launch failures; requires ≥ 2 lanes.
-pub fn train_iter_expert_parallel(
-    lanes: &mut [DeviceLane<'_>],
-    batch: usize,
-) -> Result<ParallelReport, AccelError> {
-    expert_parallel(
-        lanes,
-        batch,
-        &MoeConfig::megatron_345m(),
-        LaneSchedule::Threaded,
-    )
-}
-
-/// [`train_iter_expert_parallel`] with an explicit [`MoeConfig`] — the
+/// [`train_iter`]'s expert-parallel iteration with an explicit
+/// [`MoeConfig`] (`train_iter` uses [`MoeConfig::megatron_345m`]) — the
 /// entry the 64–256-lane scale tests and the `scale_out` bench drive.
 ///
 /// # Errors
@@ -569,7 +440,7 @@ fn expert_parallel(
     let world = lanes.len();
     let dims = cfg.dims;
     let experts_total = world * cfg.experts_per_lane;
-    let stats = drive_lanes(lanes, schedule, |_i, lane| {
+    let stats = drive_lanes(lanes, schedule, None, |_i, lane| {
         let s = &mut lane.session;
         let mut replica = custom_lm(
             s,
@@ -655,7 +526,7 @@ impl PipelineStage {
     }
 }
 
-/// The front pipeline stage's thread: blocks 0–11 plus the embeddings.
+/// The front pipeline stage: blocks 0–11 plus the embeddings.
 fn pipeline_stage0(
     lane: &mut DeviceLane<'_>,
     batch: usize,
@@ -736,7 +607,7 @@ fn pipeline_stage0(
     Ok(stats)
 }
 
-/// The back pipeline stage's thread: blocks 12–23, final norm, logits
+/// The back pipeline stage: blocks 12–23, final norm, logits
 /// head and the loss.
 fn pipeline_stage1(
     lane: &mut DeviceLane<'_>,
@@ -811,88 +682,74 @@ fn pipeline_stage1(
 }
 
 /// Runs one pipeline-parallel training iteration: blocks 0–11 on the
-/// first lane, blocks 12–23 plus the logits head on the second, each on
-/// its own OS thread, sequenced by activation/gradient handoff channels.
-///
-/// # Errors
-///
-/// Propagates allocation/launch failures; requires exactly 2 lanes.
-pub fn train_iter_pipeline_parallel(
+/// first lane, blocks 12–23 plus the logits head on the second,
+/// sequenced by activation/gradient handoff channels.
+fn pipeline_parallel(
     lanes: &mut [DeviceLane<'_>],
     batch: usize,
 ) -> Result<ParallelReport, AccelError> {
+    let stats = run_stages(
+        lanes,
+        |lane, fwd_sent, bwd_ready| pipeline_stage0(lane, batch, fwd_sent, bwd_ready),
+        |lane, fwd_ready, bwd_sent| pipeline_stage1(lane, batch, fwd_ready, bwd_sent),
+    )?;
+    Ok(report(Parallelism::Pipeline, stats))
+}
+
+/// Runs a two-stage pipeline on the first two lanes: `front` gets the
+/// forward handoff's sender and the backward handoff's receiver, `back`
+/// the other ends. The stages block on each other's handoffs, so they
+/// ride a pool exactly two workers wide whatever the lanes' pool limit —
+/// a narrower pool would strand a stage behind its unscheduled peer. A
+/// stage that dies drops its channel ends, so its peer fails with
+/// "pipeline peer vanished"; the lane executor's precedence rule reports
+/// the panic instead.
+fn run_stages<'l, T, F0, F1>(
+    lanes: &'l mut [DeviceLane<'_>],
+    front: F0,
+    back: F1,
+) -> Result<Vec<T>, AccelError>
+where
+    T: Send,
+    F0: FnOnce(&mut DeviceLane<'_>, mpsc::Sender<()>, mpsc::Receiver<()>) -> Result<T, AccelError>
+        + Send
+        + 'l,
+    F1: FnOnce(&mut DeviceLane<'_>, mpsc::Receiver<()>, mpsc::Sender<()>) -> Result<T, AccelError>
+        + Send
+        + 'l,
+{
     require_lanes(lanes, 2, "pipeline parallelism")?;
     let (fwd_tx, fwd_rx) = mpsc::channel::<()>();
     let (bwd_tx, bwd_rx) = mpsc::channel::<()>();
     let [lane0, lane1, ..] = lanes else {
         unreachable!("length checked above");
     };
-    let (d0, d1) = (lane0.device(), lane1.device());
-    let (r0, r1) = std::thread::scope(|scope| {
-        // The stages block on each other's handoffs, so each keeps a
-        // dedicated thread (a bounded pool could strand a stage behind
-        // its unscheduled peer); named like pool workers so panics and
-        // debugger output attribute to the lane. Audited expects: thread
-        // spawning fails only on resource exhaustion, where the unnamed
-        // `Scope::spawn` this replaces would panic too.
-        #[allow(clippy::expect_used)]
-        let h0 = std::thread::Builder::new()
-            .name(format!("lane-dev{}", d0.index()))
-            .spawn_scoped(scope, move || {
-                catch_lane(d0, || pipeline_stage0(lane0, batch, fwd_tx, bwd_rx))
-            })
-            .expect("spawn pipeline stage");
-        #[allow(clippy::expect_used)]
-        let h1 = std::thread::Builder::new()
-            .name(format!("lane-dev{}", d1.index()))
-            .spawn_scoped(scope, move || {
-                catch_lane(d1, || pipeline_stage1(lane1, batch, fwd_rx, bwd_tx))
-            })
-            .expect("spawn pipeline stage");
-        let join = |device, h: std::thread::ScopedJoinHandle<'_, Result<LaneStats, AccelError>>| {
-            h.join().unwrap_or_else(|payload| {
-                Err(AccelError::LanePanic {
-                    device,
-                    payload: panic_message(payload.as_ref()),
-                })
-            })
-        };
-        (join(d0, h0), join(d1, h1))
-    });
-    match (r0, r1) {
-        (Ok(s0), Ok(s1)) => Ok(report(Parallelism::Pipeline, vec![s0, s1])),
-        (r0, r1) => {
-            // A stage panic is the root cause: the surviving peer fails
-            // secondarily with "pipeline peer vanished" when the panicked
-            // stage drops its handoff channel — report the panic first.
-            for r in [&r0, &r1] {
-                if let Err(e @ AccelError::LanePanic { .. }) = r {
-                    return Err(e.clone());
-                }
-            }
-            r0?;
-            r1?;
-            unreachable!("at least one stage failed in this branch");
-        }
-    }
+    let tasks = vec![
+        lane_exec::PoolTask {
+            device: lane0.device(),
+            run: Box::new(move || front(lane0, fwd_tx, bwd_rx)),
+        },
+        lane_exec::PoolTask {
+            device: lane1.device(),
+            run: Box::new(move || back(lane1, fwd_rx, bwd_tx)),
+        },
+    ];
+    lane_exec::settle(lane_exec::run_pool(2, tasks, None).results)
 }
 
-/// Dispatches one training iteration under `strategy`.
+/// Dispatches one training iteration under `strategy`, independent lanes
+/// multiplexed onto the bounded lane pool.
 ///
 /// # Errors
 ///
-/// Propagates allocation/launch failures; requires ≥ 2 lanes.
+/// Propagates allocation/launch failures; requires ≥ 2 lanes (exactly 2
+/// are used by tensor and pipeline parallelism).
 pub fn train_iter(
     lanes: &mut [DeviceLane<'_>],
     strategy: Parallelism,
     batch: usize,
 ) -> Result<ParallelReport, AccelError> {
-    match strategy {
-        Parallelism::Data => train_iter_data_parallel(lanes, batch),
-        Parallelism::Tensor => train_iter_tensor_parallel(lanes, batch),
-        Parallelism::Pipeline => train_iter_pipeline_parallel(lanes, batch),
-        Parallelism::Expert => train_iter_expert_parallel(lanes, batch),
-    }
+    dispatch(lanes, strategy, batch, LaneSchedule::Threaded)
 }
 
 /// The sequential single-device-at-a-time reference for [`train_iter`]:
@@ -921,22 +778,26 @@ pub fn train_iter(
 ///
 /// # Errors
 ///
-/// Propagates allocation/launch failures; requires ≥ 2 lanes.
+/// As [`train_iter`].
 pub fn train_iter_sequential_reference(
     lanes: &mut [DeviceLane<'_>],
     strategy: Parallelism,
     batch: usize,
 ) -> Result<ParallelReport, AccelError> {
+    dispatch(lanes, strategy, batch, LaneSchedule::Sequential)
+}
+
+fn dispatch(
+    lanes: &mut [DeviceLane<'_>],
+    strategy: Parallelism,
+    batch: usize,
+    schedule: LaneSchedule,
+) -> Result<ParallelReport, AccelError> {
     match strategy {
-        Parallelism::Data => data_parallel(lanes, batch, LaneSchedule::Sequential),
-        Parallelism::Tensor => tensor_parallel(lanes, batch, LaneSchedule::Sequential),
-        Parallelism::Pipeline => train_iter_pipeline_parallel(lanes, batch),
-        Parallelism::Expert => expert_parallel(
-            lanes,
-            batch,
-            &MoeConfig::megatron_345m(),
-            LaneSchedule::Sequential,
-        ),
+        Parallelism::Data => data_parallel(lanes, batch, schedule),
+        Parallelism::Tensor => tensor_parallel(lanes, batch, schedule),
+        Parallelism::Pipeline => pipeline_parallel(lanes, batch),
+        Parallelism::Expert => expert_parallel(lanes, batch, &MoeConfig::megatron_345m(), schedule),
     }
 }
 
@@ -960,7 +821,7 @@ mod tests {
     #[test]
     fn dp_peaks_are_symmetric() {
         two_lanes(|lanes| {
-            let r = train_iter_data_parallel(lanes, 1).unwrap();
+            let r = train_iter(lanes, Parallelism::Data, 1).unwrap();
             let (a, b) = (r.peak_allocated[0], r.peak_allocated[1]);
             let ratio = a as f64 / b as f64;
             assert!(
@@ -974,8 +835,8 @@ mod tests {
     fn tp_halves_the_peak() {
         // Peaks are per-session high-water marks, so each strategy runs in
         // fresh lanes.
-        let dp = two_lanes(|lanes| train_iter_data_parallel(lanes, 1).unwrap());
-        let tp = two_lanes(|lanes| train_iter_tensor_parallel(lanes, 1).unwrap());
+        let dp = two_lanes(|lanes| train_iter(lanes, Parallelism::Data, 1).unwrap());
+        let tp = two_lanes(|lanes| train_iter(lanes, Parallelism::Tensor, 1).unwrap());
         let ratio = tp.peak_allocated[0] as f64 / dp.peak_allocated[0] as f64;
         assert!(
             (0.35..0.75).contains(&ratio),
@@ -989,7 +850,7 @@ mod tests {
     #[test]
     fn pp_is_asymmetric_with_heavier_tail_gpu() {
         two_lanes(|lanes| {
-            let pp = train_iter_pipeline_parallel(lanes, 1).unwrap();
+            let pp = train_iter(lanes, Parallelism::Pipeline, 1).unwrap();
             assert!(
                 pp.peak_allocated[1] > pp.peak_allocated[0],
                 "GPU1 runs the logits head: {} vs {}",
@@ -1027,8 +888,8 @@ mod tests {
         // Two fresh DP runs driven by racing threads must report the same
         // per-device numbers: each lane's stream is deterministic and the
         // lanes never share state.
-        let a = two_lanes(|lanes| train_iter_data_parallel(lanes, 1).unwrap());
-        let b = two_lanes(|lanes| train_iter_data_parallel(lanes, 1).unwrap());
+        let a = two_lanes(|lanes| train_iter(lanes, Parallelism::Data, 1).unwrap());
+        let b = two_lanes(|lanes| train_iter(lanes, Parallelism::Data, 1).unwrap());
         assert_eq!(a, b);
     }
 
@@ -1049,7 +910,7 @@ mod tests {
         let a = two_lanes(|lanes| {
             train_iter_sequential_reference(lanes, Parallelism::Pipeline, 1).unwrap()
         });
-        let b = two_lanes(|lanes| train_iter_pipeline_parallel(lanes, 1).unwrap());
+        let b = two_lanes(|lanes| train_iter(lanes, Parallelism::Pipeline, 1).unwrap());
         assert_eq!(a, b);
     }
 
@@ -1058,7 +919,7 @@ mod tests {
         let specs = vec![DeviceSpec::a100_80gb()];
         let mut rt = CudaContext::new(specs);
         let mut lanes = [DeviceLane::pin(DeviceId(0), Session::new(&mut rt)).unwrap()];
-        let err = train_iter_data_parallel(&mut lanes, 1).unwrap_err();
+        let err = train_iter(&mut lanes, Parallelism::Data, 1).unwrap_err();
         assert!(err.to_string().contains("at least 2"));
     }
 
@@ -1089,5 +950,91 @@ mod tests {
                 );
             }
         });
+    }
+
+    /// The pipeline stages ride the lane pool: a back stage that panics
+    /// is reported for its own device — not as the front stage's "peer
+    /// vanished" that the panic causes — from a thread named after its
+    /// lane.
+    #[test]
+    fn pipeline_stage_panic_is_the_root_cause_on_its_lane_thread() {
+        use accel_sim::sync::Mutex;
+        let front_err: Mutex<Option<AccelError>> = Mutex::new(None);
+        let back_thread: Mutex<Option<String>> = Mutex::new(None);
+        let err = two_lanes(|lanes| {
+            run_stages(
+                lanes,
+                |_lane, fwd_sent, bwd_ready| {
+                    let _ = fwd_sent.send(());
+                    let r = bwd_ready.recv().map_err(|_| {
+                        AccelError::Config("pipeline peer vanished before backward".into())
+                    });
+                    *front_err.lock() = r.clone().err();
+                    r
+                },
+                |_lane, fwd_ready, _bwd_sent| {
+                    let _ = fwd_ready.recv();
+                    *back_thread.lock() = std::thread::current().name().map(str::to_owned);
+                    panic!("fault-injection: back stage dies");
+                },
+            )
+            .unwrap_err()
+        });
+        match err {
+            AccelError::LanePanic { device, payload } => {
+                assert_eq!(device, DeviceId(1));
+                assert!(payload.contains("back stage dies"), "{payload}");
+            }
+            other => panic!("expected the back stage's LanePanic, got {other:?}"),
+        }
+        let front = front_err
+            .into_inner()
+            .expect("front stage saw its peer vanish");
+        assert!(front.to_string().contains("peer vanished"), "{front}");
+        assert_eq!(back_thread.into_inner().as_deref(), Some("lane-dev1"));
+    }
+
+    /// Drives two lanes under `schedule`: lane 0 fails with an ordinary
+    /// error, lane 1 panics. Returns the run's result and how many lanes
+    /// ran.
+    fn error_then_panic(schedule: LaneSchedule) -> (Result<Vec<()>, AccelError>, usize) {
+        use std::sync::atomic::Ordering;
+        let ran = AtomicUsize::new(0);
+        let result = two_lanes(|lanes| {
+            drive_lanes(lanes, schedule, None, |i, _lane| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                if i == 0 {
+                    return Err(AccelError::Config("lane 0 fails first".into()));
+                }
+                panic!("fault-injection: lane 1 dies");
+            })
+        });
+        (result, ran.into_inner())
+    }
+
+    /// Regression (ISSUE 25): the pooled schedule reported lane 0's
+    /// ordinary error over lane 1's panic, so the root cause never
+    /// reached the salvage path.
+    #[test]
+    fn threaded_lanes_report_a_later_panic_over_an_earlier_error() {
+        let (result, ran) = error_then_panic(LaneSchedule::Threaded);
+        assert_eq!(ran, 2);
+        match result {
+            Err(AccelError::LanePanic { device, payload }) => {
+                assert_eq!(device, DeviceId(1));
+                assert!(payload.contains("lane 1 dies"), "{payload}");
+            }
+            other => panic!("expected lane 1's LanePanic, got {other:?}"),
+        }
+    }
+
+    /// Regression (ISSUE 25): the lane-at-a-time schedule stopped at the
+    /// first failing lane, so lane 1 never ran and the two schedules
+    /// disagreed.
+    #[test]
+    fn sequential_lanes_all_run_and_fail_like_the_pool() {
+        let (sequential, ran) = error_then_panic(LaneSchedule::Sequential);
+        assert_eq!(ran, 2, "lane 1 must run although lane 0 failed");
+        assert_eq!(sequential, error_then_panic(LaneSchedule::Threaded).0);
     }
 }

@@ -46,8 +46,9 @@
 //! `tests/serving.rs`.
 
 use crate::dtype::DType;
+use crate::lane_exec::{drive_lanes, LaneSchedule};
 use crate::models::transformer::LmDims;
-use crate::parallel::{drive_lanes, DeviceLane, LaneSchedule};
+use crate::parallel::DeviceLane;
 use accel_sim::kernel::KernelArg;
 use accel_sim::{AccelError, AccessSpec, DeviceId, DevicePtr, Dim3, KernelBody, KernelDesc};
 use std::collections::VecDeque;
@@ -566,7 +567,7 @@ fn dispatch(
         .min()
         .expect("lane count checked above");
     let shards: Vec<Vec<Request>> = (0..n).map(|i| trace.lane_requests(i, n)).collect();
-    let lanes = drive_lanes(lanes, schedule, |i, lane| {
+    let lanes = drive_lanes(lanes, schedule, None, |i, lane| {
         serve_lane(lane, &shards[i], cfg, weight_owner)
     })?;
     Ok(ServingRun { lanes })
