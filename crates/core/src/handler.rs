@@ -3,11 +3,13 @@
 //! These functions wire the simulated vendor runtimes and the DL framework
 //! into a [`SharedHub`], normalizing every callback something reads on the
 //! way in — the "interface standardization" box of the paper's Fig. 1.
-//! Every callback names its class and device (`class_of_*`), so the
-//! handler finds the device's shard first and asks its host gate: a class
-//! no tool, recorder or knob of that shard reads is counted there and
-//! returns — no [`Event`], no lock, no dispatch. What passes is normalized
-//! and processed on that shard, so concurrent lanes never share a lock.
+//! Every callback names its class and device (`class_of_*`, generated
+//! from the same mapping row as its `normalize_*` arm and read off the
+//! event table), so the handler finds the device's shard first and asks
+//! its host gate: a class no tool, recorder or knob of that shard reads is
+//! counted there and returns — no [`Event`], no lock, no dispatch. What
+//! passes is normalized and processed on that shard, so concurrent lanes
+//! never share a lock.
 
 use crate::event::{Event, EventClass};
 use crate::hub::{DeviceShard, Hub, SharedHub};

@@ -5,12 +5,18 @@
 //! conventions differ; PASTA "unifies semantically equivalent events and
 //! exposes a consistent interface". These functions are that layer: one
 //! per vendor, mapping raw callbacks to [`Event`]s.
+//!
+//! Each vendor's mapping is one list of rows, one row per callback kind
+//! (`Memcpy { device, direction, bytes, at } => MemCopy`). Both the
+//! normalizer and the handler's gate (`class_of_*`) are generated from
+//! it, and the gate reads its class and routing field off the event table
+//! (`crate::event_table!`), so it cannot drift from the event that
+//! normalization builds.
 
 use crate::event::{Event, EventClass};
 use accel_sim::{DeviceId, Symbol};
 use dl_framework::callbacks::FrameworkEvent;
 use std::cell::RefCell;
-use std::sync::Arc;
 use std::thread::LocalKey;
 use vendor_amd::RocCallback;
 use vendor_nv::NvCallback;
@@ -107,289 +113,147 @@ fn is_driver_api(raw: &str) -> bool {
     raw.starts_with("cu") && !raw.starts_with("cuda")
 }
 
-/// Normalizes one NVIDIA host callback. Returns `None` for events the
-/// unified model covers elsewhere (e.g. `LaunchBegin`, which the fine
-/// event path reports with more detail).
-pub fn normalize_nv(cb: &NvCallback) -> Option<Event> {
-    Some(match cb {
-        NvCallback::ApiEnter { name, device, at } => {
-            if is_driver_api(name) {
-                Event::DriverApi {
-                    name: intern_api_name(name),
-                    device: *device,
-                    at: *at,
-                }
-            } else {
-                Event::RuntimeApi {
-                    name: intern_api_name(name),
-                    device: *device,
-                    at: *at,
-                }
+// `gate!(Variant)` is the class of the event variant; `gate!(Variant,
+// Callback::Kind, device)` is the pattern binding `device` to the routing
+// field of a callback that normalizes to it — a callback's copy of that
+// field carries the event field's name.
+macro_rules! define_gate {
+    ($d:tt $(
+        $(#[$doc:meta])*
+        $variant:ident [$tag:literal, $class:ident $(, $route:ident)?] { $($fields:tt)* }
+    )*) => {
+        macro_rules! gate {
+            $(
+                ($variant) => { EventClass::$class };
+                $(($variant, $d kind:path, $d device:ident) => { $d kind { $route: $d device, .. } };)?
+            )*
+        }
+    };
+}
+
+crate::event_table!(define_gate $);
+
+/// Generates a normalizer and its gate from one list of rows, one per
+/// callback kind. `Kind { fields } => Variant` copies the fields into the
+/// event variant of that name; a row may instead spell the event's fields
+/// (`field` copies, `field: expr` computes) and split on a guard into two
+/// variants of one class (`if guard => A { … } else B { … }`). Kinds that
+/// normalize to nothing come first, `(A | B) => None`. Every arm's value
+/// converts `into` the return type, so maps that drop nothing return the
+/// event bare.
+///
+/// The gate reads the class and routing field off the row's event variant
+/// in the event table, so it builds no event, interns no name and
+/// evaluates no guard — and cannot disagree with the event it stands for.
+macro_rules! vendor_map {
+    (@build $binds:tt if ($guard:expr) $a:ident { $($af:tt)* } else $b:ident { $($bf:tt)* }) => {
+        if $guard {
+            vendor_map!(@event $a { $($af)* })
+        } else {
+            vendor_map!(@event $b { $($bf)* })
+        }
+    };
+    (@build [$($bind:ident),*] $variant:ident) => {
+        vendor_map!(@event $variant { $($bind),* })
+    };
+    (@build $binds:tt $variant:ident { $($fields:tt)* }) => {
+        vendor_map!(@event $variant { $($fields)* })
+    };
+    (@event $variant:ident { $($field:ident $(: $value:expr)?),* $(,)? }) => {
+        Event::$variant { $($field: vendor_map!(@field $field $(: $value)?)),* }
+    };
+    (@field $field:ident) => {
+        Clone::clone($field)
+    };
+    (@field $field:ident: $value:expr) => {
+        $value
+    };
+    (
+        $(#[$normalize_doc:meta])*
+        $vis:vis fn $normalize:ident($cb:ident: &$callback:ident) -> $event:ty;
+        $(#[$class_of_doc:meta])*
+        $class_vis:vis fn $class_of:ident($class_cb:ident: &$class_callback:ident) -> $class:ty;
+        $(($($none:ident)|+) => None,)?
+        $(
+            $kind:ident { $($bind:ident),* } $(if $guard:expr)?
+                => $variant:ident $({ $($fields:tt)* })? $(else $other:ident { $($other_fields:tt)* })?
+        ),* $(,)?
+    ) => {
+        $(#[$normalize_doc])*
+        $vis fn $normalize($cb: &$callback) -> $event {
+            match $cb {
+                $($($callback::$none { .. } => None,)+)?
+                $($callback::$kind { $($bind),* } => vendor_map!(
+                    @build [$($bind),*] $(if ($guard))? $variant $({ $($fields)* })?
+                    $(else $other { $($other_fields)* })?
+                )
+                .into(),)*
             }
         }
-        NvCallback::ApiExit { .. } => return None,
-        NvCallback::LaunchBegin { .. } => return None, // device path reports it
-        NvCallback::LaunchEnd { .. } => return None,   // merged into KernelLaunchEnd upstream
-        NvCallback::MemoryAlloc {
-            device,
-            addr,
-            bytes,
-            managed,
-            at,
-        } => Event::ResourceAlloc {
-            device: *device,
-            addr: *addr,
-            bytes: *bytes,
-            managed: *managed,
-            at: *at,
-        },
-        NvCallback::MemoryFree {
-            device,
-            addr,
-            bytes,
-            at,
-        } => Event::ResourceFree {
-            device: *device,
-            addr: *addr,
-            bytes: *bytes,
-            at: *at,
-        },
-        NvCallback::Memcpy {
-            device,
-            direction,
-            bytes,
-            at,
-        } => Event::MemCopy {
-            device: *device,
-            direction: *direction,
-            bytes: *bytes,
-            at: *at,
-        },
-        NvCallback::Memset {
-            device,
-            addr,
-            bytes,
-            at,
-        } => Event::MemSet {
-            device: *device,
-            addr: *addr,
-            bytes: *bytes,
-            at: *at,
-        },
-        NvCallback::Synchronize { device, at } => Event::Sync {
-            device: *device,
-            at: *at,
-        },
-        NvCallback::BatchMemOp {
-            device,
-            op,
-            addr,
-            bytes,
-            at,
-        } => Event::BatchMemOp {
-            device: *device,
-            op: normalize_batch_op(op),
-            addr: *addr,
-            bytes: *bytes,
-            at: *at,
-        },
-        NvCallback::UvmFault {
-            launch,
-            device,
-            groups,
-            migrated_bytes,
-            evicted_bytes,
-            stall_ns,
-            at,
-        } => Event::UvmFault {
-            launch: *launch,
-            device: *device,
-            groups: *groups,
-            migrated_bytes: *migrated_bytes,
-            evicted_bytes: *evicted_bytes,
-            stall_ns: *stall_ns,
-            at: *at,
-        },
-        NvCallback::PeerMigrate {
-            launch,
-            src,
-            dst,
-            duplicated_pages,
-            invalidated_pages,
-            bytes,
-            stall_ns,
-            at,
-        } => Event::UvmPeerMigrate {
-            launch: *launch,
-            src: *src,
-            dst: *dst,
-            duplicated_pages: *duplicated_pages,
-            invalidated_pages: *invalidated_pages,
-            bytes: *bytes,
-            stall_ns: *stall_ns,
-            at: *at,
-        },
-    })
-}
 
-/// The class and routing device of the event [`normalize_nv`] builds from
-/// `cb` — `None` where it builds none — read off the variant alone, so the
-/// handler can ask the device's shard whether anything reads the class
-/// before paying for the event. Every variant is named: a new callback
-/// does not compile until both functions place it, and the oracle in this
-/// file's tests holds the two to each other.
-pub fn class_of_nv(cb: &NvCallback) -> Option<(EventClass, DeviceId)> {
-    Some(match cb {
-        NvCallback::ApiEnter { device, .. } => (EventClass::HostApi, *device),
-        NvCallback::ApiExit { .. }
-        | NvCallback::LaunchBegin { .. }
-        | NvCallback::LaunchEnd { .. } => return None,
-        NvCallback::MemoryAlloc { device, .. }
-        | NvCallback::MemoryFree { device, .. }
-        | NvCallback::Memcpy { device, .. }
-        | NvCallback::Memset { device, .. }
-        | NvCallback::BatchMemOp { device, .. }
-        | NvCallback::UvmFault { device, .. }
-        | NvCallback::PeerMigrate { dst: device, .. } => (EventClass::Memory, *device),
-        NvCallback::Synchronize { device, .. } => (EventClass::Sync, *device),
-    })
-}
-
-/// Normalizes one AMD host callback. The signed `MemoryDelta` becomes
-/// either `ResourceAlloc` or `ResourceFree` with positive bytes.
-pub fn normalize_roc(cb: &RocCallback) -> Option<Event> {
-    Some(match cb {
-        RocCallback::ApiEnter { name, device, at } => Event::RuntimeApi {
-            name: intern_api_name(name),
-            device: *device,
-            at: *at,
-        },
-        RocCallback::ApiExit { .. } => return None,
-        RocCallback::KernelDispatch { .. } => return None, // device path
-        RocCallback::KernelComplete { .. } => return None,
-        RocCallback::MemoryDelta {
-            device,
-            addr,
-            delta,
-            managed,
-            at,
-        } => {
-            if *delta >= 0 {
-                Event::ResourceAlloc {
-                    device: *device,
-                    addr: *addr,
-                    bytes: *delta as u64,
-                    managed: *managed,
-                    at: *at,
-                }
-            } else {
-                Event::ResourceFree {
-                    device: *device,
-                    addr: *addr,
-                    bytes: delta.unsigned_abs(),
-                    at: *at,
-                }
+        $(#[$class_of_doc])*
+        $class_vis fn $class_of($class_cb: &$class_callback) -> $class {
+            match $class_cb {
+                $($($class_callback::$none { .. } => None,)+)?
+                $(gate!($variant, $class_callback::$kind, device) => {
+                    $(const _: () = assert!(gate!($variant) as u8 == gate!($other) as u8);)?
+                    (gate!($variant), *device).into()
+                })*
             }
         }
-        RocCallback::MemoryCopy {
-            device,
-            direction,
-            bytes,
-            at,
-        } => Event::MemCopy {
-            device: *device,
-            direction: *direction,
-            bytes: *bytes,
-            at: *at,
-        },
-        RocCallback::MemorySet {
-            device,
-            addr,
-            bytes,
-            at,
-        } => Event::MemSet {
-            device: *device,
-            addr: *addr,
-            bytes: *bytes,
-            at: *at,
-        },
-        RocCallback::Synchronize { device, at } => Event::Sync {
-            device: *device,
-            at: *at,
-        },
-        RocCallback::BatchMemOp {
-            device,
-            op,
-            addr,
-            bytes,
-            at,
-        } => Event::BatchMemOp {
-            device: *device,
-            op: normalize_batch_op(op),
-            addr: *addr,
-            bytes: *bytes,
-            at: *at,
-        },
-        // ROCm's SVM page-migration vocabulary and CUDA's UVM faults are
-        // the same semantic event; both normalize onto `Event::UvmFault`
-        // carrying the faulting device.
-        RocCallback::PageMigrate {
-            launch,
-            device,
-            groups,
-            migrated_bytes,
-            evicted_bytes,
-            stall_ns,
-            at,
-        } => Event::UvmFault {
-            launch: *launch,
-            device: *device,
-            groups: *groups,
-            migrated_bytes: *migrated_bytes,
-            evicted_bytes: *evicted_bytes,
-            stall_ns: *stall_ns,
-            at: *at,
-        },
-        // xGMI peer copies and CUDA's UVM peer migrations are the same
-        // semantic event; both normalize onto `Event::UvmPeerMigrate`
-        // carrying source and destination devices.
-        RocCallback::PeerCopy {
-            launch,
-            src,
-            dst,
-            duplicated_pages,
-            invalidated_pages,
-            bytes,
-            stall_ns,
-            at,
-        } => Event::UvmPeerMigrate {
-            launch: *launch,
-            src: *src,
-            dst: *dst,
-            duplicated_pages: *duplicated_pages,
-            invalidated_pages: *invalidated_pages,
-            bytes: *bytes,
-            stall_ns: *stall_ns,
-            at: *at,
-        },
-    })
+    };
 }
 
-/// [`class_of_nv`] for [`normalize_roc`].
-pub fn class_of_roc(cb: &RocCallback) -> Option<(EventClass, DeviceId)> {
-    Some(match cb {
-        RocCallback::ApiEnter { device, .. } => (EventClass::HostApi, *device),
-        RocCallback::ApiExit { .. }
-        | RocCallback::KernelDispatch { .. }
-        | RocCallback::KernelComplete { .. } => return None,
-        RocCallback::MemoryDelta { device, .. }
-        | RocCallback::MemoryCopy { device, .. }
-        | RocCallback::MemorySet { device, .. }
-        | RocCallback::BatchMemOp { device, .. }
-        | RocCallback::PageMigrate { device, .. }
-        | RocCallback::PeerCopy { dst: device, .. } => (EventClass::Memory, *device),
-        RocCallback::Synchronize { device, .. } => (EventClass::Sync, *device),
-    })
+vendor_map! {
+    /// Normalizes one NVIDIA host callback. Returns `None` for callbacks
+    /// the unified model covers elsewhere: the device path reports
+    /// `LaunchBegin`, and `LaunchEnd` is merged into the timed launch event
+    /// upstream.
+    pub fn normalize_nv(cb: &NvCallback) -> Option<Event>;
+    /// The class and routing device of the event [`normalize_nv`] builds
+    /// from `cb` — `None` where it builds none — so the handler can ask the
+    /// device's shard whether anything reads the class before paying for
+    /// the event.
+    pub(crate) fn class_of_nv(cb: &NvCallback) -> Option<(EventClass, DeviceId)>;
+    (ApiExit | LaunchBegin | LaunchEnd) => None,
+    ApiEnter { name, device, at } if is_driver_api(name)
+        => DriverApi { name: intern_api_name(name), device, at }
+        else RuntimeApi { name: intern_api_name(name), device, at },
+    MemoryAlloc { device, addr, bytes, managed, at } => ResourceAlloc,
+    MemoryFree { device, addr, bytes, at } => ResourceFree,
+    Memcpy { device, direction, bytes, at } => MemCopy,
+    Memset { device, addr, bytes, at } => MemSet,
+    Synchronize { device, at } => Sync,
+    BatchMemOp { device, op, addr, bytes, at }
+        => BatchMemOp { device, op: normalize_batch_op(op), addr, bytes, at },
+    UvmFault { launch, device, groups, migrated_bytes, evicted_bytes, stall_ns, at } => UvmFault,
+    PeerMigrate {
+        launch, src, dst, duplicated_pages, invalidated_pages, bytes, stall_ns, at
+    } => UvmPeerMigrate,
+}
+
+// ROCm's SVM page migrations and xGMI peer copies are CUDA's UVM faults
+// and peer migrations under other names; the signed `MemoryDelta` becomes
+// an alloc or a free with positive bytes.
+vendor_map! {
+    /// Normalizes one AMD host callback.
+    pub fn normalize_roc(cb: &RocCallback) -> Option<Event>;
+    /// [`class_of_nv`] for [`normalize_roc`].
+    pub(crate) fn class_of_roc(cb: &RocCallback) -> Option<(EventClass, DeviceId)>;
+    (ApiExit | KernelDispatch | KernelComplete) => None,
+    ApiEnter { name, device, at } => RuntimeApi { name: intern_api_name(name), device, at },
+    MemoryDelta { device, addr, delta, managed, at } if *delta >= 0
+        => ResourceAlloc { device, addr, bytes: *delta as u64, managed, at }
+        else ResourceFree { device, addr, bytes: delta.unsigned_abs(), at },
+    MemoryCopy { device, direction, bytes, at } => MemCopy,
+    MemorySet { device, addr, bytes, at } => MemSet,
+    Synchronize { device, at } => Sync,
+    BatchMemOp { device, op, addr, bytes, at }
+        => BatchMemOp { device, op: normalize_batch_op(op), addr, bytes, at },
+    PageMigrate { launch, device, groups, migrated_bytes, evicted_bytes, stall_ns, at } => UvmFault,
+    PeerCopy {
+        launch, src, dst, duplicated_pages, invalidated_pages, bytes, stall_ns, at
+    } => UvmPeerMigrate,
 }
 
 fn normalize_batch_op(raw: &'static str) -> Symbol {
@@ -404,98 +268,27 @@ fn normalize_batch_op(raw: &'static str) -> Symbol {
     })
 }
 
-/// Normalizes a DL-framework event.
-pub fn normalize_framework(ev: &FrameworkEvent) -> Event {
-    match ev {
-        FrameworkEvent::OpStart {
-            seq,
-            name,
-            device,
-            py_stack,
-        } => Event::OpStart {
-            seq: *seq,
-            name: *name,
-            device: *device,
-            py_stack: Arc::clone(py_stack),
-        },
-        FrameworkEvent::OpEnd { seq, name, device } => Event::OpEnd {
-            seq: *seq,
-            name: *name,
-            device: *device,
-        },
-        FrameworkEvent::TensorAlloc {
-            tensor,
-            addr,
-            bytes,
-            allocated_total,
-            reserved_total,
-            device,
-        } => Event::TensorAlloc {
-            tensor: *tensor,
-            addr: *addr,
-            bytes: *bytes,
-            allocated_total: *allocated_total,
-            reserved_total: *reserved_total,
-            device: *device,
-        },
-        FrameworkEvent::TensorFree {
-            tensor,
-            addr,
-            bytes,
-            allocated_total,
-            reserved_total,
-            device,
-        } => Event::TensorFree {
-            tensor: *tensor,
-            addr: *addr,
-            bytes: *bytes,
-            allocated_total: *allocated_total,
-            reserved_total: *reserved_total,
-            device: *device,
-        },
-        FrameworkEvent::LayerBoundary {
-            name,
-            index,
-            device,
-        } => Event::LayerBoundary {
-            name: *name,
-            index: *index,
-            device: *device,
-        },
-        FrameworkEvent::PassBoundary { pass, device } => Event::PassBoundary {
-            pass: *pass,
-            device: *device,
-        },
-        FrameworkEvent::RegionStart { label, device } => Event::RegionStart {
-            label: *label,
-            device: *device,
-        },
-        FrameworkEvent::RegionEnd { label, device } => Event::RegionEnd {
-            label: *label,
-            device: *device,
-        },
-    }
-}
-
-/// [`class_of_nv`] for [`normalize_framework`], which builds an event from
-/// every variant.
-pub fn class_of_framework(ev: &FrameworkEvent) -> (EventClass, DeviceId) {
-    match ev {
-        FrameworkEvent::OpStart { device, .. }
-        | FrameworkEvent::OpEnd { device, .. }
-        | FrameworkEvent::TensorAlloc { device, .. }
-        | FrameworkEvent::TensorFree { device, .. }
-        | FrameworkEvent::PassBoundary { device, .. } => (EventClass::Framework, *device),
-        FrameworkEvent::LayerBoundary { device, .. }
-        | FrameworkEvent::RegionStart { device, .. }
-        | FrameworkEvent::RegionEnd { device, .. } => (EventClass::Annotation, *device),
-    }
+vendor_map! {
+    /// Normalizes a DL-framework event.
+    pub fn normalize_framework(ev: &FrameworkEvent) -> Event;
+    /// [`class_of_nv`] for [`normalize_framework`], which builds an event
+    /// from every kind.
+    pub(crate) fn class_of_framework(ev: &FrameworkEvent) -> (EventClass, DeviceId);
+    OpStart { seq, name, device, py_stack } => OpStart,
+    OpEnd { seq, name, device } => OpEnd,
+    TensorAlloc { tensor, addr, bytes, allocated_total, reserved_total, device } => TensorAlloc,
+    TensorFree { tensor, addr, bytes, allocated_total, reserved_total, device } => TensorFree,
+    LayerBoundary { name, index, device } => LayerBoundary,
+    PassBoundary { pass, device } => PassBoundary,
+    RegionStart { label, device } => RegionStart,
+    RegionEnd { label, device } => RegionEnd,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use accel_sim::SimTime;
+    use std::sync::Arc;
 
     /// Every callback variant once (twice where a field picks the event),
     /// in declaration order; the index functions below have no wildcard

@@ -13,9 +13,11 @@
 //! * each record starts with a one-byte variant tag; fixed enums
 //!   (`AccessKind`, `CopyDirection`, …) are single bytes.
 //!
-//! The encode match over [`Event`] is deliberately wildcard-free: adding
-//! an event variant without teaching the codec about it fails compilation
-//! right here, instead of silently dropping the variant from traces.
+//! The record layout is the event table's (`pasta_core::event_table!`):
+//! its wire tag, then every field in declaration order, each encoded as
+//! its Rust type says ([`Field`]). Encoder and decoder are both generated
+//! from that table, so a new variant is one row there — and a row whose
+//! field type has no encoding here does not compile.
 
 use crate::error::TraceError;
 use crate::wire::{corrupt, put_varint, unzigzag, zigzag, Cursor, Scratch};
@@ -29,126 +31,56 @@ use dl_framework::tensor::TensorId;
 use pasta_core::report::UvmReport;
 use pasta_core::Event;
 use std::collections::HashMap;
+use std::sync::Arc;
 use uvm_sim::UvmStats;
 
-/// One-byte record tags, one per [`Event`] variant.
-mod tag {
-    pub const DRIVER_API: u8 = 0;
-    pub const RUNTIME_API: u8 = 1;
-    pub const SYNC: u8 = 2;
-    pub const KERNEL_LAUNCH_BEGIN: u8 = 3;
-    pub const KERNEL_LAUNCH_END: u8 = 4;
-    pub const MEM_COPY: u8 = 5;
-    pub const MEM_SET: u8 = 6;
-    pub const RESOURCE_ALLOC: u8 = 7;
-    pub const RESOURCE_FREE: u8 = 8;
-    pub const BATCH_MEM_OP: u8 = 9;
-    pub const UVM_FAULT: u8 = 10;
-    pub const UVM_PEER_MIGRATE: u8 = 11;
-    pub const BLOCK_BOUNDARY: u8 = 12;
-    pub const GLOBAL_ACCESS: u8 = 13;
-    pub const SHARED_ACCESS: u8 = 14;
-    pub const BARRIER: u8 = 15;
-    pub const DEVICE_FUNC_CALL: u8 = 16;
-    pub const DEVICE_MALLOC: u8 = 17;
-    pub const DEVICE_FREE: u8 = 18;
-    pub const GLOBAL_TO_SHARED_COPY: u8 = 19;
-    pub const PIPELINE_OP: u8 = 20;
-    pub const INSTRUCTIONS: u8 = 21;
-    pub const KERNEL_TRACE: u8 = 22;
-    pub const OP_START: u8 = 23;
-    pub const OP_END: u8 = 24;
-    pub const TENSOR_ALLOC: u8 = 25;
-    pub const TENSOR_FREE: u8 = 26;
-    pub const LAYER_BOUNDARY: u8 = 27;
-    pub const PASS_BOUNDARY: u8 = 28;
-    pub const REGION_START: u8 = 29;
-    pub const REGION_END: u8 = 30;
+/// A fieldless enum that travels as one code byte.
+trait Code: Copy {
+    fn code(self) -> u8;
+    fn from_code(b: u8, offset: usize) -> Result<Self, TraceError>;
 }
 
-fn kind_code(k: AccessKind) -> u8 {
-    match k {
-        AccessKind::Load => 0,
-        AccessKind::Store => 1,
-        AccessKind::Atomic => 2,
-    }
+macro_rules! code_bytes {
+    ($($ty:ident { $($variant:ident = $code:literal),* })*) => {$(
+        impl Code for $ty {
+            #[inline]
+            fn code(self) -> u8 {
+                match self {
+                    $($ty::$variant => $code,)*
+                }
+            }
+
+            #[inline]
+            fn from_code(b: u8, offset: usize) -> Result<Self, TraceError> {
+                match b {
+                    $($code => Ok($ty::$variant),)*
+                    _ => Err(corrupt(offset, format_args!(concat!("bad ", stringify!($ty), " code {}"), b))),
+                }
+            }
+        }
+    )*};
+}
+
+code_bytes! {
+    AccessKind { Load = 0, Store = 1, Atomic = 2 }
+    MemSpace { Global = 0, Shared = 1, RemoteShared = 2, Local = 3 }
+    CopyDirection { HostToDevice = 0, DeviceToHost = 1, DeviceToDevice = 2, HostToHost = 3 }
+    Pass { Forward = 0, Backward = 1, Optimizer = 2 }
+}
+
+/// A varint that must fit a `u32` (dimensions, streams, line numbers).
+#[inline]
+fn u32v(cur: &mut Cursor<'_>) -> Result<u32, TraceError> {
+    let v = cur.varint()?;
+    u32::try_from(v).map_err(|_| corrupt(cur.pos(), format_args!("value {v} exceeds u32")))
 }
 
 #[inline]
-fn kind_from(b: u8, offset: usize) -> Result<AccessKind, TraceError> {
-    match b {
-        0 => Ok(AccessKind::Load),
-        1 => Ok(AccessKind::Store),
-        2 => Ok(AccessKind::Atomic),
-        _ => Err(corrupt(offset, format_args!("bad AccessKind code {b}"))),
-    }
-}
-
-fn space_code(s: MemSpace) -> u8 {
-    match s {
-        MemSpace::Global => 0,
-        MemSpace::Shared => 1,
-        MemSpace::RemoteShared => 2,
-        MemSpace::Local => 3,
-    }
-}
-
-#[inline]
-fn space_from(b: u8, offset: usize) -> Result<MemSpace, TraceError> {
-    match b {
-        0 => Ok(MemSpace::Global),
-        1 => Ok(MemSpace::Shared),
-        2 => Ok(MemSpace::RemoteShared),
-        3 => Ok(MemSpace::Local),
-        _ => Err(corrupt(offset, format_args!("bad MemSpace code {b}"))),
-    }
-}
-
-fn direction_code(d: CopyDirection) -> u8 {
-    match d {
-        CopyDirection::HostToDevice => 0,
-        CopyDirection::DeviceToHost => 1,
-        CopyDirection::DeviceToDevice => 2,
-        CopyDirection::HostToHost => 3,
-    }
-}
-
-#[inline]
-fn direction_from(b: u8, offset: usize) -> Result<CopyDirection, TraceError> {
-    match b {
-        0 => Ok(CopyDirection::HostToDevice),
-        1 => Ok(CopyDirection::DeviceToHost),
-        2 => Ok(CopyDirection::DeviceToDevice),
-        3 => Ok(CopyDirection::HostToHost),
-        _ => Err(corrupt(offset, format_args!("bad CopyDirection code {b}"))),
-    }
-}
-
-fn pass_code(p: Pass) -> u8 {
-    match p {
-        Pass::Forward => 0,
-        Pass::Backward => 1,
-        Pass::Optimizer => 2,
-    }
-}
-
-#[inline]
-fn pass_from(b: u8, offset: usize) -> Result<Pass, TraceError> {
-    match b {
-        0 => Ok(Pass::Forward),
-        1 => Ok(Pass::Backward),
-        2 => Ok(Pass::Optimizer),
-        _ => Err(corrupt(offset, format_args!("bad Pass code {b}"))),
-    }
-}
-
-#[inline]
-fn bool_from(b: u8, offset: usize) -> Result<bool, TraceError> {
-    match b {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(corrupt(offset, format_args!("bad bool byte {b}"))),
-    }
+fn device(cur: &mut Cursor<'_>) -> Result<DeviceId, TraceError> {
+    let v = cur.varint()?;
+    u32::try_from(v)
+        .map(DeviceId)
+        .map_err(|_| corrupt(cur.pos(), format_args!("device id {v} exceeds u32")))
 }
 
 /// Encodes one shard's event stream. Holds only growable in-memory
@@ -218,393 +150,11 @@ impl ShardEncoder {
         }
     }
 
-    /// Writes the id of an interned name.
-    fn sym(&mut self, s: &Symbol) {
-        let addr = s.as_str().as_ptr() as usize;
-        if addr != self.last_sym.0 {
-            let id = match self.seen.get(&addr) {
-                Some(&id) => id,
-                None => {
-                    let id = self.id_of(s);
-                    self.seen.insert(addr, id);
-                    id
-                }
-            };
-            self.last_sym = (addr, id);
-        }
-        self.v(self.last_sym.1);
-    }
-
-    /// Writes the id of a string that is not interned (Python frames).
-    fn text(&mut self, s: &str) {
-        let id = self.id_of(s);
-        self.v(id);
-    }
-
-    fn time(&mut self, t: SimTime) {
-        let delta = t.0.wrapping_sub(self.last_time) as i64;
-        self.last_time = t.0;
-        self.v(zigzag(delta));
-    }
-
     /// The zigzag-mapped step from the previous launch id to `l`.
     fn launch_delta(&mut self, l: LaunchId) -> u64 {
         let delta = l.0.wrapping_sub(self.last_launch) as i64;
         self.last_launch = l.0;
         zigzag(delta)
-    }
-
-    fn launch(&mut self, l: LaunchId) {
-        let delta = self.launch_delta(l);
-        self.v(delta);
-    }
-
-    fn dim3(&mut self, d: Dim3) {
-        self.v(d.x.into());
-        self.v(d.y.into());
-        self.v(d.z.into());
-    }
-
-    fn batch(&mut self, b: &AccessBatch) {
-        // Eight varints (one of them a `u32`) and three code bytes.
-        let mut rec = Scratch::<{ 7 * 10 + 5 + 3 }>::new();
-        rec.varint(self.launch_delta(b.launch));
-        rec.varint(b.spec_index as u64);
-        rec.varint(b.base);
-        rec.varint(b.len);
-        rec.varint(b.records);
-        rec.varint(b.bytes);
-        rec.varint(b.elem_size.into());
-        rec.byte(kind_code(b.kind));
-        rec.byte(space_code(b.space));
-        match b.pattern {
-            AccessPattern::Sequential => rec.byte(0),
-            AccessPattern::Strided { stride } => {
-                rec.byte(1);
-                rec.varint(stride);
-            }
-            AccessPattern::Random => rec.byte(2),
-        }
-        self.payload.extend_from_slice(rec.as_slice());
-    }
-
-    /// Appends one event. The match is exhaustive *without* a wildcard on
-    /// purpose — a new [`Event`] variant must get a codec arm (and a tag)
-    /// before it compiles, so variants can never silently vanish from
-    /// traces.
-    pub(crate) fn encode(&mut self, event: &Event) {
-        self.records += 1;
-        match event {
-            Event::DriverApi { name, device, at } => {
-                self.payload.push(tag::DRIVER_API);
-                self.sym(name);
-                self.v(device.0.into());
-                self.time(*at);
-            }
-            Event::RuntimeApi { name, device, at } => {
-                self.payload.push(tag::RUNTIME_API);
-                self.sym(name);
-                self.v(device.0.into());
-                self.time(*at);
-            }
-            Event::Sync { device, at } => {
-                self.payload.push(tag::SYNC);
-                self.v(device.0.into());
-                self.time(*at);
-            }
-            Event::KernelLaunchBegin {
-                launch,
-                device,
-                stream,
-                name,
-                grid,
-                block,
-            } => {
-                self.payload.push(tag::KERNEL_LAUNCH_BEGIN);
-                self.launch(*launch);
-                self.v(device.0.into());
-                self.v((*stream).into());
-                self.sym(name);
-                self.dim3(*grid);
-                self.dim3(*block);
-            }
-            Event::KernelLaunchEnd {
-                launch,
-                device,
-                name,
-                start,
-                end,
-            } => {
-                self.payload.push(tag::KERNEL_LAUNCH_END);
-                self.launch(*launch);
-                self.v(device.0.into());
-                self.sym(name);
-                self.time(*start);
-                self.time(*end);
-            }
-            Event::MemCopy {
-                device,
-                direction,
-                bytes,
-                at,
-            } => {
-                self.payload.push(tag::MEM_COPY);
-                self.v(device.0.into());
-                self.payload.push(direction_code(*direction));
-                self.v(*bytes);
-                self.time(*at);
-            }
-            Event::MemSet {
-                device,
-                addr,
-                bytes,
-                at,
-            } => {
-                self.payload.push(tag::MEM_SET);
-                self.v(device.0.into());
-                self.v(*addr);
-                self.v(*bytes);
-                self.time(*at);
-            }
-            Event::ResourceAlloc {
-                device,
-                addr,
-                bytes,
-                managed,
-                at,
-            } => {
-                self.payload.push(tag::RESOURCE_ALLOC);
-                self.v(device.0.into());
-                self.v(*addr);
-                self.v(*bytes);
-                self.payload.push(u8::from(*managed));
-                self.time(*at);
-            }
-            Event::ResourceFree {
-                device,
-                addr,
-                bytes,
-                at,
-            } => {
-                self.payload.push(tag::RESOURCE_FREE);
-                self.v(device.0.into());
-                self.v(*addr);
-                self.v(*bytes);
-                self.time(*at);
-            }
-            Event::BatchMemOp {
-                device,
-                op,
-                addr,
-                bytes,
-                at,
-            } => {
-                self.payload.push(tag::BATCH_MEM_OP);
-                self.v(device.0.into());
-                self.sym(op);
-                self.v(*addr);
-                self.v(*bytes);
-                self.time(*at);
-            }
-            Event::UvmFault {
-                launch,
-                device,
-                groups,
-                migrated_bytes,
-                evicted_bytes,
-                stall_ns,
-                at,
-            } => {
-                self.payload.push(tag::UVM_FAULT);
-                self.launch(*launch);
-                self.v(device.0.into());
-                self.v(*groups);
-                self.v(*migrated_bytes);
-                self.v(*evicted_bytes);
-                self.v(*stall_ns);
-                self.time(*at);
-            }
-            Event::UvmPeerMigrate {
-                launch,
-                src,
-                dst,
-                duplicated_pages,
-                invalidated_pages,
-                bytes,
-                stall_ns,
-                at,
-            } => {
-                self.payload.push(tag::UVM_PEER_MIGRATE);
-                self.launch(*launch);
-                self.v(src.0.into());
-                self.v(dst.0.into());
-                self.v(*duplicated_pages);
-                self.v(*invalidated_pages);
-                self.v(*bytes);
-                self.v(*stall_ns);
-                self.time(*at);
-            }
-            Event::BlockBoundary { launch, count } => {
-                self.payload.push(tag::BLOCK_BOUNDARY);
-                self.launch(*launch);
-                self.v(*count);
-            }
-            Event::GlobalAccess {
-                launch,
-                kernel,
-                batch,
-            } => {
-                self.payload.push(tag::GLOBAL_ACCESS);
-                self.launch(*launch);
-                self.sym(kernel);
-                self.batch(batch);
-            }
-            Event::SharedAccess {
-                launch,
-                kernel,
-                batch,
-            } => {
-                self.payload.push(tag::SHARED_ACCESS);
-                self.launch(*launch);
-                self.sym(kernel);
-                self.batch(batch);
-            }
-            Event::Barrier {
-                launch,
-                count,
-                cluster,
-            } => {
-                self.payload.push(tag::BARRIER);
-                self.launch(*launch);
-                self.v(*count);
-                self.payload.push(u8::from(*cluster));
-            }
-            Event::DeviceFuncCall { launch, count } => {
-                self.payload.push(tag::DEVICE_FUNC_CALL);
-                self.launch(*launch);
-                self.v(*count);
-            }
-            Event::DeviceMalloc { launch, bytes } => {
-                self.payload.push(tag::DEVICE_MALLOC);
-                self.launch(*launch);
-                self.v(*bytes);
-            }
-            Event::DeviceFree { launch, bytes } => {
-                self.payload.push(tag::DEVICE_FREE);
-                self.launch(*launch);
-                self.v(*bytes);
-            }
-            Event::GlobalToSharedCopy { launch, bytes } => {
-                self.payload.push(tag::GLOBAL_TO_SHARED_COPY);
-                self.launch(*launch);
-                self.v(*bytes);
-            }
-            Event::PipelineOp { launch, count } => {
-                self.payload.push(tag::PIPELINE_OP);
-                self.launch(*launch);
-                self.v(*count);
-            }
-            Event::Instructions { launch, count } => {
-                self.payload.push(tag::INSTRUCTIONS);
-                self.launch(*launch);
-                self.v(*count);
-            }
-            Event::KernelTrace {
-                launch,
-                kernel,
-                summary,
-            } => {
-                self.payload.push(tag::KERNEL_TRACE);
-                self.launch(*launch);
-                self.sym(kernel);
-                self.v(summary.global_records);
-                self.v(summary.shared_records);
-                self.v(summary.barriers);
-                self.v(summary.blocks);
-                self.v(summary.instructions);
-                self.v(summary.global_bytes);
-            }
-            Event::OpStart {
-                seq,
-                name,
-                device,
-                py_stack,
-            } => {
-                self.payload.push(tag::OP_START);
-                self.v(*seq);
-                self.sym(name);
-                self.v(device.0.into());
-                self.v(py_stack.len() as u64);
-                for frame in py_stack.iter() {
-                    self.text(&frame.file);
-                    self.v(frame.line.into());
-                    self.text(&frame.func);
-                }
-            }
-            Event::OpEnd { seq, name, device } => {
-                self.payload.push(tag::OP_END);
-                self.v(*seq);
-                self.sym(name);
-                self.v(device.0.into());
-            }
-            Event::TensorAlloc {
-                tensor,
-                addr,
-                bytes,
-                allocated_total,
-                reserved_total,
-                device,
-            } => {
-                self.payload.push(tag::TENSOR_ALLOC);
-                self.v(tensor.0);
-                self.v(*addr);
-                self.v(*bytes);
-                self.v(*allocated_total);
-                self.v(*reserved_total);
-                self.v(device.0.into());
-            }
-            Event::TensorFree {
-                tensor,
-                addr,
-                bytes,
-                allocated_total,
-                reserved_total,
-                device,
-            } => {
-                self.payload.push(tag::TENSOR_FREE);
-                self.v(tensor.0);
-                self.v(*addr);
-                self.v(*bytes);
-                self.v(*allocated_total);
-                self.v(*reserved_total);
-                self.v(device.0.into());
-            }
-            Event::LayerBoundary {
-                name,
-                index,
-                device,
-            } => {
-                self.payload.push(tag::LAYER_BOUNDARY);
-                self.sym(name);
-                self.v(*index as u64);
-                self.v(device.0.into());
-            }
-            Event::PassBoundary { pass, device } => {
-                self.payload.push(tag::PASS_BOUNDARY);
-                self.payload.push(pass_code(*pass));
-                self.v(device.0.into());
-            }
-            Event::RegionStart { label, device } => {
-                self.payload.push(tag::REGION_START);
-                self.sym(label);
-                self.v(device.0.into());
-            }
-            Event::RegionEnd { label, device } => {
-                self.payload.push(tag::REGION_END);
-                self.sym(label);
-                self.v(device.0.into());
-            }
-        }
     }
 }
 
@@ -612,30 +162,6 @@ impl ShardEncoder {
 /// `BlockBoundary`, `PassBoundary`, …). A shard holds at most its payload
 /// length over this many records.
 pub(crate) const MIN_RECORD_BYTES: usize = 3;
-
-/// A varint that must fit a `u32` (dimensions, streams, line numbers).
-#[inline]
-fn u32v(cur: &mut Cursor<'_>) -> Result<u32, TraceError> {
-    let v = cur.varint()?;
-    u32::try_from(v).map_err(|_| corrupt(cur.pos(), format_args!("value {v} exceeds u32")))
-}
-
-#[inline]
-fn device(cur: &mut Cursor<'_>) -> Result<DeviceId, TraceError> {
-    let v = cur.varint()?;
-    u32::try_from(v)
-        .map(DeviceId)
-        .map_err(|_| corrupt(cur.pos(), format_args!("device id {v} exceeds u32")))
-}
-
-#[inline]
-fn dim3(cur: &mut Cursor<'_>) -> Result<Dim3, TraceError> {
-    Ok(Dim3 {
-        x: u32v(cur)?,
-        y: u32v(cur)?,
-        z: u32v(cur)?,
-    })
-}
 
 /// Decodes one shard's payload back into events, resolving dictionary ids
 /// through the shard's interned dictionary.
@@ -654,76 +180,6 @@ impl<'a> ShardDecoder<'a> {
         }
     }
 
-    #[inline]
-    fn sym(&self, cur: &mut Cursor<'_>) -> Result<Symbol, TraceError> {
-        let id = cur.varint_usize()?;
-        self.symbols.get(id).copied().ok_or_else(|| {
-            corrupt(
-                cur.pos(),
-                format_args!(
-                    "symbol id {id} out of range (dictionary has {})",
-                    self.symbols.len()
-                ),
-            )
-        })
-    }
-
-    fn string(&self, cur: &mut Cursor<'_>) -> Result<String, TraceError> {
-        Ok(self.sym(cur)?.as_str().to_owned())
-    }
-
-    #[inline]
-    fn time(&mut self, cur: &mut Cursor<'_>) -> Result<SimTime, TraceError> {
-        let delta = unzigzag(cur.varint()?);
-        self.last_time = self.last_time.wrapping_add(delta as u64);
-        Ok(SimTime(self.last_time))
-    }
-
-    #[inline]
-    fn launch(&mut self, cur: &mut Cursor<'_>) -> Result<LaunchId, TraceError> {
-        let delta = unzigzag(cur.varint()?);
-        self.last_launch = self.last_launch.wrapping_add(delta as u64);
-        Ok(LaunchId(self.last_launch))
-    }
-
-    #[inline]
-    fn batch(&mut self, cur: &mut Cursor<'_>) -> Result<AccessBatch, TraceError> {
-        let launch = self.launch(cur)?;
-        let spec_index = cur.varint_usize()?;
-        let base = cur.varint()?;
-        let len = cur.varint()?;
-        let records = cur.varint()?;
-        let bytes = cur.varint()?;
-        let elem_size = u32v(cur)?;
-        let kind = kind_from(cur.u8()?, cur.pos())?;
-        let space = space_from(cur.u8()?, cur.pos())?;
-        let pattern = match cur.u8()? {
-            0 => AccessPattern::Sequential,
-            1 => AccessPattern::Strided {
-                stride: cur.varint()?,
-            },
-            2 => AccessPattern::Random,
-            b => {
-                return Err(corrupt(
-                    cur.pos(),
-                    format_args!("bad AccessPattern code {b}"),
-                ))
-            }
-        };
-        Ok(AccessBatch {
-            launch,
-            spec_index,
-            base,
-            len,
-            records,
-            bytes,
-            elem_size,
-            kind,
-            space,
-            pattern,
-        })
-    }
-
     /// Decodes the next `max` records onto the end of `out`. On an error
     /// `out` holds every record before the bad one.
     pub(crate) fn decode_batch(
@@ -737,216 +193,348 @@ impl<'a> ShardDecoder<'a> {
         }
         Ok(())
     }
+}
 
-    /// Decodes the next record onto the end of `out`. Each arm reads its
-    /// fields and pushes the event they make, so the event is written once,
-    /// into the vector's spare capacity — it is never returned by value.
-    #[inline(always)]
-    fn decode_onto(
-        &mut self,
-        cur: &mut Cursor<'_>,
-        out: &mut Vec<Event>,
-    ) -> Result<(), TraceError> {
-        let t = cur.u8()?;
-        match t {
-            tag::DRIVER_API => out.push(Event::DriverApi {
-                name: self.sym(cur)?,
-                device: device(cur)?,
-                at: self.time(cur)?,
-            }),
-            tag::RUNTIME_API => out.push(Event::RuntimeApi {
-                name: self.sym(cur)?,
-                device: device(cur)?,
-                at: self.time(cur)?,
-            }),
-            tag::SYNC => out.push(Event::Sync {
-                device: device(cur)?,
-                at: self.time(cur)?,
-            }),
-            tag::KERNEL_LAUNCH_BEGIN => out.push(Event::KernelLaunchBegin {
-                launch: self.launch(cur)?,
-                device: device(cur)?,
-                stream: u32v(cur)?,
-                name: self.sym(cur)?,
-                grid: dim3(cur)?,
-                block: dim3(cur)?,
-            }),
-            tag::KERNEL_LAUNCH_END => out.push(Event::KernelLaunchEnd {
-                launch: self.launch(cur)?,
-                device: device(cur)?,
-                name: self.sym(cur)?,
-                start: self.time(cur)?,
-                end: self.time(cur)?,
-            }),
-            tag::MEM_COPY => out.push(Event::MemCopy {
-                device: device(cur)?,
-                direction: direction_from(cur.u8()?, cur.pos())?,
-                bytes: cur.varint()?,
-                at: self.time(cur)?,
-            }),
-            tag::MEM_SET => out.push(Event::MemSet {
-                device: device(cur)?,
-                addr: cur.varint()?,
-                bytes: cur.varint()?,
-                at: self.time(cur)?,
-            }),
-            tag::RESOURCE_ALLOC => out.push(Event::ResourceAlloc {
-                device: device(cur)?,
-                addr: cur.varint()?,
-                bytes: cur.varint()?,
-                managed: bool_from(cur.u8()?, cur.pos())?,
-                at: self.time(cur)?,
-            }),
-            tag::RESOURCE_FREE => out.push(Event::ResourceFree {
-                device: device(cur)?,
-                addr: cur.varint()?,
-                bytes: cur.varint()?,
-                at: self.time(cur)?,
-            }),
-            tag::BATCH_MEM_OP => out.push(Event::BatchMemOp {
-                device: device(cur)?,
-                op: self.sym(cur)?,
-                addr: cur.varint()?,
-                bytes: cur.varint()?,
-                at: self.time(cur)?,
-            }),
-            tag::UVM_FAULT => out.push(Event::UvmFault {
-                launch: self.launch(cur)?,
-                device: device(cur)?,
-                groups: cur.varint()?,
-                migrated_bytes: cur.varint()?,
-                evicted_bytes: cur.varint()?,
-                stall_ns: cur.varint()?,
-                at: self.time(cur)?,
-            }),
-            tag::UVM_PEER_MIGRATE => out.push(Event::UvmPeerMigrate {
-                launch: self.launch(cur)?,
-                src: device(cur)?,
-                dst: device(cur)?,
-                duplicated_pages: cur.varint()?,
-                invalidated_pages: cur.varint()?,
-                bytes: cur.varint()?,
-                stall_ns: cur.varint()?,
-                at: self.time(cur)?,
-            }),
-            tag::BLOCK_BOUNDARY => out.push(Event::BlockBoundary {
-                launch: self.launch(cur)?,
-                count: cur.varint()?,
-            }),
-            tag::GLOBAL_ACCESS => out.push(Event::GlobalAccess {
-                launch: self.launch(cur)?,
-                kernel: self.sym(cur)?,
-                batch: self.batch(cur)?,
-            }),
-            tag::SHARED_ACCESS => out.push(Event::SharedAccess {
-                launch: self.launch(cur)?,
-                kernel: self.sym(cur)?,
-                batch: self.batch(cur)?,
-            }),
-            tag::BARRIER => out.push(Event::Barrier {
-                launch: self.launch(cur)?,
-                count: cur.varint()?,
-                cluster: bool_from(cur.u8()?, cur.pos())?,
-            }),
-            tag::DEVICE_FUNC_CALL => out.push(Event::DeviceFuncCall {
-                launch: self.launch(cur)?,
-                count: cur.varint()?,
-            }),
-            tag::DEVICE_MALLOC => out.push(Event::DeviceMalloc {
-                launch: self.launch(cur)?,
-                bytes: cur.varint()?,
-            }),
-            tag::DEVICE_FREE => out.push(Event::DeviceFree {
-                launch: self.launch(cur)?,
-                bytes: cur.varint()?,
-            }),
-            tag::GLOBAL_TO_SHARED_COPY => out.push(Event::GlobalToSharedCopy {
-                launch: self.launch(cur)?,
-                bytes: cur.varint()?,
-            }),
-            tag::PIPELINE_OP => out.push(Event::PipelineOp {
-                launch: self.launch(cur)?,
-                count: cur.varint()?,
-            }),
-            tag::INSTRUCTIONS => out.push(Event::Instructions {
-                launch: self.launch(cur)?,
-                count: cur.varint()?,
-            }),
-            tag::KERNEL_TRACE => out.push(Event::KernelTrace {
-                launch: self.launch(cur)?,
-                kernel: self.sym(cur)?,
-                summary: KernelTraceSummary {
-                    global_records: cur.varint()?,
-                    shared_records: cur.varint()?,
-                    barriers: cur.varint()?,
-                    blocks: cur.varint()?,
-                    instructions: cur.varint()?,
-                    global_bytes: cur.varint()?,
-                },
-            }),
-            tag::OP_START => {
-                let seq = cur.varint()?;
-                let name = self.sym(cur)?;
-                let device = device(cur)?;
-                let frames = cur.varint_usize()?;
-                let mut py_stack = Vec::new();
-                for _ in 0..frames {
-                    py_stack.push(PyFrame {
-                        file: self.string(cur)?,
-                        line: u32v(cur)?,
-                        func: self.string(cur)?,
-                    });
-                }
-                out.push(Event::OpStart {
-                    seq,
-                    name,
-                    device,
-                    py_stack: py_stack.into(),
-                })
-            }
-            tag::OP_END => out.push(Event::OpEnd {
-                seq: cur.varint()?,
-                name: self.sym(cur)?,
-                device: device(cur)?,
-            }),
-            tag::TENSOR_ALLOC => out.push(Event::TensorAlloc {
-                tensor: TensorId(cur.varint()?),
-                addr: cur.varint()?,
-                bytes: cur.varint()?,
-                allocated_total: cur.varint()?,
-                reserved_total: cur.varint()?,
-                device: device(cur)?,
-            }),
-            tag::TENSOR_FREE => out.push(Event::TensorFree {
-                tensor: TensorId(cur.varint()?),
-                addr: cur.varint()?,
-                bytes: cur.varint()?,
-                allocated_total: cur.varint()?,
-                reserved_total: cur.varint()?,
-                device: device(cur)?,
-            }),
-            tag::LAYER_BOUNDARY => out.push(Event::LayerBoundary {
-                name: self.sym(cur)?,
-                index: cur.varint_usize()?,
-                device: device(cur)?,
-            }),
-            tag::PASS_BOUNDARY => out.push(Event::PassBoundary {
-                pass: pass_from(cur.u8()?, cur.pos())?,
-                device: device(cur)?,
-            }),
-            tag::REGION_START => out.push(Event::RegionStart {
-                label: self.sym(cur)?,
-                device: device(cur)?,
-            }),
-            tag::REGION_END => out.push(Event::RegionEnd {
-                label: self.sym(cur)?,
-                device: device(cur)?,
-            }),
-            _ => return Err(corrupt(cur.pos(), format_args!("unknown event tag {t}"))),
-        };
-        Ok(())
+/// An event field's wire encoding, picked by its Rust type.
+trait Field: Sized {
+    fn put(&self, enc: &mut ShardEncoder);
+    fn get(dec: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError>;
+}
+
+/// Delta time: the zigzag step from the stream's previous timestamp.
+impl Field for SimTime {
+    #[inline]
+    fn put(&self, enc: &mut ShardEncoder) {
+        let delta = self.0.wrapping_sub(enc.last_time) as i64;
+        enc.last_time = self.0;
+        enc.v(zigzag(delta));
+    }
+
+    #[inline]
+    fn get(dec: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
+        let delta = unzigzag(cur.varint()?);
+        dec.last_time = dec.last_time.wrapping_add(delta as u64);
+        Ok(SimTime(dec.last_time))
     }
 }
+
+/// Delta launch: the zigzag step from the stream's previous launch id.
+impl Field for LaunchId {
+    #[inline]
+    fn put(&self, enc: &mut ShardEncoder) {
+        let delta = enc.launch_delta(*self);
+        enc.v(delta);
+    }
+
+    #[inline]
+    fn get(dec: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
+        let delta = unzigzag(cur.varint()?);
+        dec.last_launch = dec.last_launch.wrapping_add(delta as u64);
+        Ok(LaunchId(dec.last_launch))
+    }
+}
+
+/// Dictionary id.
+impl Field for Symbol {
+    #[inline]
+    fn put(&self, enc: &mut ShardEncoder) {
+        let addr = self.as_str().as_ptr() as usize;
+        if addr != enc.last_sym.0 {
+            let id = match enc.seen.get(&addr) {
+                Some(&id) => id,
+                None => {
+                    let id = enc.id_of(self);
+                    enc.seen.insert(addr, id);
+                    id
+                }
+            };
+            enc.last_sym = (addr, id);
+        }
+        enc.v(enc.last_sym.1);
+    }
+
+    #[inline]
+    fn get(dec: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
+        let id = cur.varint_usize()?;
+        dec.symbols.get(id).copied().ok_or_else(|| {
+            corrupt(
+                cur.pos(),
+                format_args!(
+                    "symbol id {id} out of range (dictionary has {})",
+                    dec.symbols.len()
+                ),
+            )
+        })
+    }
+}
+
+/// Varint, checked to fit a `u32` on read.
+impl Field for DeviceId {
+    #[inline]
+    fn put(&self, enc: &mut ShardEncoder) {
+        enc.v(self.0.into());
+    }
+
+    #[inline]
+    fn get(_: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
+        device(cur)
+    }
+}
+
+/// Varint, checked to fit a `u32` on read (`StreamId` is one).
+impl Field for u32 {
+    #[inline]
+    fn put(&self, enc: &mut ShardEncoder) {
+        enc.v((*self).into());
+    }
+
+    #[inline]
+    fn get(_: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
+        u32v(cur)
+    }
+}
+
+impl Field for u64 {
+    #[inline]
+    fn put(&self, enc: &mut ShardEncoder) {
+        enc.v(*self);
+    }
+
+    #[inline]
+    fn get(_: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
+        cur.varint()
+    }
+}
+
+/// Varint, checked to fit the platform `usize` on read.
+impl Field for usize {
+    #[inline]
+    fn put(&self, enc: &mut ShardEncoder) {
+        enc.v(*self as u64);
+    }
+
+    #[inline]
+    fn get(_: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
+        cur.varint_usize()
+    }
+}
+
+/// One byte, 0 or 1.
+impl Field for bool {
+    #[inline]
+    fn put(&self, enc: &mut ShardEncoder) {
+        enc.payload.push(u8::from(*self));
+    }
+
+    #[inline]
+    fn get(_: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
+        match cur.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(corrupt(cur.pos(), format_args!("bad bool byte {b}"))),
+        }
+    }
+}
+
+/// One code byte.
+impl<T: Code> Field for T {
+    #[inline]
+    fn put(&self, enc: &mut ShardEncoder) {
+        enc.payload.push(self.code());
+    }
+
+    #[inline]
+    fn get(_: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
+        let b = cur.u8()?;
+        T::from_code(b, cur.pos())
+    }
+}
+
+/// Three `u32` varints.
+impl Field for Dim3 {
+    #[inline]
+    fn put(&self, enc: &mut ShardEncoder) {
+        [self.x, self.y, self.z].iter().for_each(|d| d.put(enc));
+    }
+
+    #[inline]
+    fn get(_: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
+        Ok(Dim3 {
+            x: u32v(cur)?,
+            y: u32v(cur)?,
+            z: u32v(cur)?,
+        })
+    }
+}
+
+impl Field for TensorId {
+    #[inline]
+    fn put(&self, enc: &mut ShardEncoder) {
+        enc.v(self.0);
+    }
+
+    #[inline]
+    fn get(_: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
+        Ok(TensorId(cur.varint()?))
+    }
+}
+
+/// Delta launch, seven varints (one a `usize`, one a `u32`), kind and
+/// space code bytes, then the pattern's code byte and its stride.
+impl Field for AccessBatch {
+    #[inline]
+    fn put(&self, enc: &mut ShardEncoder) {
+        let mut rec = Scratch::<{ 7 * 10 + 5 + 3 }>::new();
+        rec.varint(enc.launch_delta(self.launch));
+        rec.varint(self.spec_index as u64);
+        rec.varint(self.base);
+        rec.varint(self.len);
+        rec.varint(self.records);
+        rec.varint(self.bytes);
+        rec.varint(self.elem_size.into());
+        rec.byte(self.kind.code());
+        rec.byte(self.space.code());
+        match self.pattern {
+            AccessPattern::Sequential => rec.byte(0),
+            AccessPattern::Strided { stride } => {
+                rec.byte(1);
+                rec.varint(stride);
+            }
+            AccessPattern::Random => rec.byte(2),
+        }
+        enc.payload.extend_from_slice(rec.as_slice());
+    }
+
+    #[inline]
+    fn get(dec: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
+        Ok(AccessBatch {
+            launch: LaunchId::get(dec, cur)?,
+            spec_index: cur.varint_usize()?,
+            base: cur.varint()?,
+            len: cur.varint()?,
+            records: cur.varint()?,
+            bytes: cur.varint()?,
+            elem_size: u32v(cur)?,
+            kind: AccessKind::from_code(cur.u8()?, cur.pos())?,
+            space: MemSpace::from_code(cur.u8()?, cur.pos())?,
+            pattern: match cur.u8()? {
+                0 => AccessPattern::Sequential,
+                1 => AccessPattern::Strided {
+                    stride: cur.varint()?,
+                },
+                2 => AccessPattern::Random,
+                b => {
+                    return Err(corrupt(
+                        cur.pos(),
+                        format_args!("bad AccessPattern code {b}"),
+                    ))
+                }
+            },
+        })
+    }
+}
+
+/// Six varints, in declaration order.
+impl Field for KernelTraceSummary {
+    #[inline]
+    fn put(&self, enc: &mut ShardEncoder) {
+        for v in [
+            self.global_records,
+            self.shared_records,
+            self.barriers,
+            self.blocks,
+            self.instructions,
+            self.global_bytes,
+        ] {
+            enc.v(v);
+        }
+    }
+
+    #[inline]
+    fn get(_: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
+        Ok(KernelTraceSummary {
+            global_records: cur.varint()?,
+            shared_records: cur.varint()?,
+            barriers: cur.varint()?,
+            blocks: cur.varint()?,
+            instructions: cur.varint()?,
+            global_bytes: cur.varint()?,
+        })
+    }
+}
+
+/// A frame count, then each frame's file and function as dictionary ids
+/// around its line as a `u32` varint.
+impl Field for Arc<[PyFrame]> {
+    fn put(&self, enc: &mut ShardEncoder) {
+        enc.v(self.len() as u64);
+        for frame in self.iter() {
+            let file = enc.id_of(&frame.file);
+            enc.v(file);
+            enc.v(frame.line.into());
+            let func = enc.id_of(&frame.func);
+            enc.v(func);
+        }
+    }
+
+    #[inline]
+    fn get(dec: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
+        let frames = cur.varint_usize()?;
+        let mut py_stack = Vec::new();
+        for _ in 0..frames {
+            py_stack.push(PyFrame {
+                file: Symbol::get(dec, cur)?.as_str().to_owned(),
+                line: u32v(cur)?,
+                func: Symbol::get(dec, cur)?.as_str().to_owned(),
+            });
+        }
+        Ok(py_stack.into())
+    }
+}
+
+macro_rules! wire_codec {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident [$tag:literal, $class:ident $(, $route:ident)?] {
+            $($(#[$field_doc:meta])* $field:ident: $ty:ty,)*
+        }
+    )*) => {
+        impl ShardEncoder {
+            /// Appends one event: its tag, then its fields in declaration
+            /// order, each as its type's [`Field`] encoding.
+            pub(crate) fn encode(&mut self, event: &Event) {
+                self.records += 1;
+                match event {
+                    $(Event::$variant { $($field),* } => {
+                        self.payload.push($tag);
+                        $(Field::put($field, self);)*
+                    })*
+                }
+            }
+        }
+
+        impl ShardDecoder<'_> {
+            /// Decodes the next record onto the end of `out`. Each arm reads
+            /// its fields and pushes the event they make, so the event is
+            /// written once, into the vector's spare capacity — it is never
+            /// returned by value.
+            #[inline(always)]
+            fn decode_onto(
+                &mut self,
+                cur: &mut Cursor<'_>,
+                out: &mut Vec<Event>,
+            ) -> Result<(), TraceError> {
+                match cur.u8()? {
+                    $($tag => out.push(Event::$variant { $($field: Field::get(self, cur)?),* }),)*
+                    t => return Err(corrupt(cur.pos(), format_args!("unknown event tag {t}"))),
+                }
+                Ok(())
+            }
+        }
+    };
+}
+
+pasta_core::event_table!(wire_codec);
 
 fn put_stats(buf: &mut Vec<u8>, s: &UvmStats) {
     for v in [
@@ -1032,7 +620,6 @@ pub(crate) mod reference {
     //! checked against: event for event on well-formed streams, error for
     //! error (variant and offset) on damaged ones.
 
-    use super::tag;
     use crate::error::TraceError;
     use crate::wire::unzigzag;
     use accel_sim::{
@@ -1285,21 +872,21 @@ pub(crate) mod reference {
         pub(crate) fn decode(&mut self, cur: &mut Cursor<'_>) -> Result<Event, TraceError> {
             let t = cur.u8()?;
             let event = match t {
-                tag::DRIVER_API => Event::DriverApi {
+                0 => Event::DriverApi {
                     name: self.sym(cur)?,
                     device: self.device(cur)?,
                     at: self.time(cur)?,
                 },
-                tag::RUNTIME_API => Event::RuntimeApi {
+                1 => Event::RuntimeApi {
                     name: self.sym(cur)?,
                     device: self.device(cur)?,
                     at: self.time(cur)?,
                 },
-                tag::SYNC => Event::Sync {
+                2 => Event::Sync {
                     device: self.device(cur)?,
                     at: self.time(cur)?,
                 },
-                tag::KERNEL_LAUNCH_BEGIN => Event::KernelLaunchBegin {
+                3 => Event::KernelLaunchBegin {
                     launch: self.launch(cur)?,
                     device: self.device(cur)?,
                     stream: self.u32v(cur)?,
@@ -1307,46 +894,46 @@ pub(crate) mod reference {
                     grid: self.dim3(cur)?,
                     block: self.dim3(cur)?,
                 },
-                tag::KERNEL_LAUNCH_END => Event::KernelLaunchEnd {
+                4 => Event::KernelLaunchEnd {
                     launch: self.launch(cur)?,
                     device: self.device(cur)?,
                     name: self.sym(cur)?,
                     start: self.time(cur)?,
                     end: self.time(cur)?,
                 },
-                tag::MEM_COPY => Event::MemCopy {
+                5 => Event::MemCopy {
                     device: self.device(cur)?,
                     direction: direction_from(cur.u8()?, cur.pos())?,
                     bytes: cur.varint()?,
                     at: self.time(cur)?,
                 },
-                tag::MEM_SET => Event::MemSet {
+                6 => Event::MemSet {
                     device: self.device(cur)?,
                     addr: cur.varint()?,
                     bytes: cur.varint()?,
                     at: self.time(cur)?,
                 },
-                tag::RESOURCE_ALLOC => Event::ResourceAlloc {
+                7 => Event::ResourceAlloc {
                     device: self.device(cur)?,
                     addr: cur.varint()?,
                     bytes: cur.varint()?,
                     managed: bool_from(cur.u8()?, cur.pos())?,
                     at: self.time(cur)?,
                 },
-                tag::RESOURCE_FREE => Event::ResourceFree {
+                8 => Event::ResourceFree {
                     device: self.device(cur)?,
                     addr: cur.varint()?,
                     bytes: cur.varint()?,
                     at: self.time(cur)?,
                 },
-                tag::BATCH_MEM_OP => Event::BatchMemOp {
+                9 => Event::BatchMemOp {
                     device: self.device(cur)?,
                     op: self.sym(cur)?,
                     addr: cur.varint()?,
                     bytes: cur.varint()?,
                     at: self.time(cur)?,
                 },
-                tag::UVM_FAULT => Event::UvmFault {
+                10 => Event::UvmFault {
                     launch: self.launch(cur)?,
                     device: self.device(cur)?,
                     groups: cur.varint()?,
@@ -1355,7 +942,7 @@ pub(crate) mod reference {
                     stall_ns: cur.varint()?,
                     at: self.time(cur)?,
                 },
-                tag::UVM_PEER_MIGRATE => Event::UvmPeerMigrate {
+                11 => Event::UvmPeerMigrate {
                     launch: self.launch(cur)?,
                     src: self.device(cur)?,
                     dst: self.device(cur)?,
@@ -1365,50 +952,50 @@ pub(crate) mod reference {
                     stall_ns: cur.varint()?,
                     at: self.time(cur)?,
                 },
-                tag::BLOCK_BOUNDARY => Event::BlockBoundary {
+                12 => Event::BlockBoundary {
                     launch: self.launch(cur)?,
                     count: cur.varint()?,
                 },
-                tag::GLOBAL_ACCESS => Event::GlobalAccess {
+                13 => Event::GlobalAccess {
                     launch: self.launch(cur)?,
                     kernel: self.sym(cur)?,
                     batch: self.batch(cur)?,
                 },
-                tag::SHARED_ACCESS => Event::SharedAccess {
+                14 => Event::SharedAccess {
                     launch: self.launch(cur)?,
                     kernel: self.sym(cur)?,
                     batch: self.batch(cur)?,
                 },
-                tag::BARRIER => Event::Barrier {
+                15 => Event::Barrier {
                     launch: self.launch(cur)?,
                     count: cur.varint()?,
                     cluster: bool_from(cur.u8()?, cur.pos())?,
                 },
-                tag::DEVICE_FUNC_CALL => Event::DeviceFuncCall {
+                16 => Event::DeviceFuncCall {
                     launch: self.launch(cur)?,
                     count: cur.varint()?,
                 },
-                tag::DEVICE_MALLOC => Event::DeviceMalloc {
+                17 => Event::DeviceMalloc {
                     launch: self.launch(cur)?,
                     bytes: cur.varint()?,
                 },
-                tag::DEVICE_FREE => Event::DeviceFree {
+                18 => Event::DeviceFree {
                     launch: self.launch(cur)?,
                     bytes: cur.varint()?,
                 },
-                tag::GLOBAL_TO_SHARED_COPY => Event::GlobalToSharedCopy {
+                19 => Event::GlobalToSharedCopy {
                     launch: self.launch(cur)?,
                     bytes: cur.varint()?,
                 },
-                tag::PIPELINE_OP => Event::PipelineOp {
+                20 => Event::PipelineOp {
                     launch: self.launch(cur)?,
                     count: cur.varint()?,
                 },
-                tag::INSTRUCTIONS => Event::Instructions {
+                21 => Event::Instructions {
                     launch: self.launch(cur)?,
                     count: cur.varint()?,
                 },
-                tag::KERNEL_TRACE => Event::KernelTrace {
+                22 => Event::KernelTrace {
                     launch: self.launch(cur)?,
                     kernel: self.sym(cur)?,
                     summary: KernelTraceSummary {
@@ -1420,7 +1007,7 @@ pub(crate) mod reference {
                         global_bytes: cur.varint()?,
                     },
                 },
-                tag::OP_START => {
+                23 => {
                     let seq = cur.varint()?;
                     let name = self.sym(cur)?;
                     let device = self.device(cur)?;
@@ -1440,12 +1027,12 @@ pub(crate) mod reference {
                         py_stack: py_stack.into(),
                     }
                 }
-                tag::OP_END => Event::OpEnd {
+                24 => Event::OpEnd {
                     seq: cur.varint()?,
                     name: self.sym(cur)?,
                     device: self.device(cur)?,
                 },
-                tag::TENSOR_ALLOC => Event::TensorAlloc {
+                25 => Event::TensorAlloc {
                     tensor: TensorId(cur.varint()?),
                     addr: cur.varint()?,
                     bytes: cur.varint()?,
@@ -1453,7 +1040,7 @@ pub(crate) mod reference {
                     reserved_total: cur.varint()?,
                     device: self.device(cur)?,
                 },
-                tag::TENSOR_FREE => Event::TensorFree {
+                26 => Event::TensorFree {
                     tensor: TensorId(cur.varint()?),
                     addr: cur.varint()?,
                     bytes: cur.varint()?,
@@ -1461,20 +1048,20 @@ pub(crate) mod reference {
                     reserved_total: cur.varint()?,
                     device: self.device(cur)?,
                 },
-                tag::LAYER_BOUNDARY => Event::LayerBoundary {
+                27 => Event::LayerBoundary {
                     name: self.sym(cur)?,
                     index: cur.varint_usize()?,
                     device: self.device(cur)?,
                 },
-                tag::PASS_BOUNDARY => Event::PassBoundary {
+                28 => Event::PassBoundary {
                     pass: pass_from(cur.u8()?, cur.pos())?,
                     device: self.device(cur)?,
                 },
-                tag::REGION_START => Event::RegionStart {
+                29 => Event::RegionStart {
                     label: self.sym(cur)?,
                     device: self.device(cur)?,
                 },
-                tag::REGION_END => Event::RegionEnd {
+                30 => Event::RegionEnd {
                     label: self.sym(cur)?,
                     device: self.device(cur)?,
                 },
@@ -1577,6 +1164,42 @@ mod tests {
             "first-appearance order, one slot per text"
         );
         assert_eq!((symbols, payload), encode_without_memo(&events));
+    }
+
+    /// Every variant of the table, decoded from a record of zeros — each
+    /// field zero or empty — and encoded again. A record shorter than
+    /// `MIN_RECORD_BYTES` would make `parse` refuse valid traces of it.
+    #[test]
+    fn no_record_is_shorter_than_min_record_bytes() {
+        macro_rules! count_rows {
+            ($($(#[$doc:meta])* $variant:ident [$($columns:tt)*] { $($fields:tt)* })*) => {
+                [$(stringify!($variant)),*].len()
+            };
+        }
+        let symbols = [Symbol::intern("")];
+        let mut variants = 0;
+        for tag in 0..=u8::MAX {
+            let mut record = [0u8; 64];
+            record[0] = tag;
+            let mut cur = Cursor::new(&record);
+            let mut events = Vec::new();
+            let mut dec = ShardDecoder::new(&symbols);
+            if dec.decode_onto(&mut cur, &mut events).is_err() {
+                continue;
+            }
+            variants += 1;
+            let mut enc = ShardEncoder::new(DeviceId(0));
+            enc.encode(&events[0]);
+            let (_, _, _, payload) = enc.into_parts();
+            assert_eq!(payload, record[..cur.pos()], "{:?}", events[0]);
+            assert!(
+                payload.len() >= MIN_RECORD_BYTES,
+                "{:?} is a {}-byte record",
+                events[0],
+                payload.len()
+            );
+        }
+        assert_eq!(variants, pasta_core::event_table!(count_rows));
     }
 
     #[test]

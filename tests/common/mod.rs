@@ -5,7 +5,8 @@
 use pasta::core::hub::{Hub, SharedHub};
 use pasta::core::processor::EventProcessor;
 use pasta::core::tool::{Interest, Tool};
-use pasta::core::Event;
+use pasta::core::{Event, Pasta, PastaSession, UvmSetup};
+use pasta::dl::parallel::{self, Parallelism};
 use pasta::sim::DeviceId;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -117,6 +118,26 @@ pub fn sharded_hub(devices: u32) -> SharedHub {
         .chain(forks)
         .collect();
     Arc::new(Hub::sharded(shards).unwrap())
+}
+
+/// Two A100s with UVM on and the `uvm` suite attached: the trace suites'
+/// managed-memory session.
+pub fn uvm_session() -> PastaSession {
+    Pasta::builder()
+        .a100_x2()
+        .uvm(UvmSetup::default())
+        .tools(pasta::tools::suite("uvm").expect("a listed suite"))
+        .build()
+        .expect("session builds")
+}
+
+/// One Megatron tensor-parallel training iteration over devices 0 and 1.
+pub fn tensor_parallel_iteration(session: &mut PastaSession) {
+    session
+        .run_parallel(&[DeviceId(0), DeviceId(1)], |lanes| {
+            parallel::train_iter(lanes, Parallelism::Tensor, 1).map(|_| ())
+        })
+        .expect("parallel run succeeds");
 }
 
 /// Suppresses panic output for payloads carrying the `fault-injection`

@@ -6,12 +6,15 @@
 //! monotone — neither within a shard nor across shards, exactly what a
 //! multi-lane capture interleaves.
 //!
-//! Variant exhaustiveness is pinned twice: the encoder's match over
-//! [`Event`] has no wildcard arm, so adding a variant without a codec
-//! breaks the *build* (not silently drops the variant from traces); and
+//! Encoder and decoder are generated from one event table, each record
+//! its row's tag and then its fields as their types encode, so a variant
+//! cannot reach [`Event`] without a codec. What that leaves to pin here:
 //! [`every_variant_round_trips`] drives one of each through the full
-//! pipeline at runtime, with the constructor list below failing to cover
-//! a new variant only by failing to compile against `VARIANTS`.
+//! pipeline, and [`trace_bytes_match_the_wire_golden`] pins the bytes
+//! themselves, which a round trip through a drifted encoder and its
+//! equally drifted decoder would not notice.
+
+mod common;
 
 use pasta::core::Event;
 use pasta::dl::callbacks::Pass;
@@ -21,12 +24,10 @@ use pasta::sim::{
     AccessBatch, AccessKind, AccessPattern, DeviceId, Dim3, KernelTraceSummary, LaunchId, MemSpace,
     SimTime, Symbol,
 };
-use pasta::trace::{Trace, TraceReader};
+use pasta::trace::{Trace, TraceReader, TraceWriter};
 use proptest::prelude::*;
 
-/// Number of [`Event`] variants the generator below covers. The codec's
-/// own exhaustive match is the primary pin; this constant keeps the
-/// *generator* honest alongside it.
+/// Number of [`Event`] variants the generator below covers.
 const VARIANTS: usize = 31;
 
 /// Symbol palette: empty, ascii, unicode, and collision-prone names.
@@ -315,9 +316,7 @@ proptest! {
 }
 
 /// One of each variant through the full pipeline: if the generator above
-/// and the codec disagree about the variant universe, this fails at
-/// runtime; if the `Event` enum grows a variant without a codec arm, the
-/// build fails inside the encoder first.
+/// and the codec disagree about the variant universe, this fails.
 #[test]
 fn every_variant_round_trips() {
     let events: Vec<Event> = (0..VARIANTS)
@@ -344,4 +343,45 @@ fn replayed_symbols_are_the_live_interned_ones() {
         panic!("variant 4 is KernelLaunchEnd");
     };
     assert!(Symbol::ptr_eq(decoded, &Symbol::intern(name(1))));
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The wire golden: trace *bytes*, not just a round trip an encoder and
+/// decoder could agree on while both drift. The digests were taken before
+/// the codec was generated from the event table; a change to any tag,
+/// field order or field encoding moves one of them.
+#[test]
+fn trace_bytes_match_the_wire_golden() {
+    // Every variant twice, with words that step times and launch ids both
+    // up and down.
+    let words = [(0xDEAD_BEEF_0BAD_F00D, 7, u64::MAX), (3, 1 << 40, 5)];
+    let events: Vec<Event> = words
+        .iter()
+        .flat_map(|&(a, b, c)| (0..VARIANTS).map(move |v| make_event(v, a, b, c)))
+        .collect();
+    let synthetic = Trace::from_shards([(DeviceId(0), events.as_slice())], None);
+
+    let mut session = common::uvm_session();
+    let writer = TraceWriter::attach(&session);
+    common::tensor_parallel_iteration(&mut session);
+    let live = writer.finish(&session);
+    let reader = TraceReader::parse(live.as_bytes()).expect("parses");
+    let live_events = || reader.shards().iter().flat_map(|s| &s.events);
+    assert!(
+        live_events().any(|e| matches!(e, Event::OpStart { py_stack, .. } if !py_stack.is_empty()))
+    );
+    assert!(live_events().any(|e| matches!(e, Event::UvmFault { .. })));
+    assert!(live_events().any(|e| matches!(e, Event::UvmPeerMigrate { .. })));
+
+    assert_eq!(
+        (fnv1a64(synthetic.as_bytes()), fnv1a64(live.as_bytes())),
+        (0x5131_973e_a9ae_ad0a, 0x2af3_af64_1853_d618),
+        "trace bytes moved"
+    );
 }

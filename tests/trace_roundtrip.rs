@@ -15,8 +15,9 @@
 //!
 //! [`MergedReport`]: pasta::core::report::MergedReport
 
-use pasta::core::{Event, Pasta, PastaSession, ToolCollection, UvmSetup};
-use pasta::dl::parallel::{self, Parallelism};
+mod common;
+
+use pasta::core::{Event, Pasta, PastaSession, ToolCollection};
 use pasta::prelude::*;
 use pasta::tools::{standard_suite, suite};
 use pasta::trace::{replay, Trace, TraceReader, TraceWriter};
@@ -85,11 +86,7 @@ fn trace_survives_a_disk_round_trip() {
 fn two_device_megatron_run_replays_byte_identically() {
     let mut session = suite_session(Pasta::builder().a100_x2());
     let writer = TraceWriter::attach(&session);
-    session
-        .run_parallel(&[DeviceId(0), DeviceId(1)], |lanes| {
-            parallel::train_iter(lanes, Parallelism::Tensor, 1).map(|_| ())
-        })
-        .expect("parallel run succeeds");
+    common::tensor_parallel_iteration(&mut session);
     let trace = writer.finish(&session);
     let live = session.merged_report();
     assert_eq!(live.per_device.len(), 2, "two shards merged live");
@@ -115,24 +112,11 @@ fn two_device_megatron_run_replays_byte_identically() {
     );
 }
 
-fn uvm_session() -> PastaSession {
-    Pasta::builder()
-        .a100_x2()
-        .uvm(UvmSetup::default())
-        .tools(suite("uvm").expect("a listed suite"))
-        .build()
-        .expect("session builds")
-}
-
 #[test]
 fn uvm_run_replays_byte_identically_with_the_footer_overlay() {
-    let mut session = uvm_session();
+    let mut session = common::uvm_session();
     let writer = TraceWriter::attach(&session);
-    session
-        .run_parallel(&[DeviceId(0), DeviceId(1)], |lanes| {
-            parallel::train_iter(lanes, Parallelism::Tensor, 1).map(|_| ())
-        })
-        .expect("uvm run succeeds");
+    common::tensor_parallel_iteration(&mut session);
     let trace = writer.finish(&session);
     let live = session.merged_report();
     let live_uvm = live.uvm.as_ref().expect("uvm attached");
