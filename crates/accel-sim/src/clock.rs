@@ -14,12 +14,7 @@ pub struct SimTime(pub u64);
 
 impl SimTime {
     /// The simulation epoch.
-    pub const ZERO: SimTime = SimTime(0);
-
-    /// Creates a time from whole microseconds.
-    pub fn from_micros(us: u64) -> Self {
-        SimTime(us * 1_000)
-    }
+    pub(crate) const ZERO: SimTime = SimTime(0);
 
     /// Creates a time from whole milliseconds.
     pub fn from_millis(ms: u64) -> Self {
@@ -88,7 +83,6 @@ mod tests {
 
     #[test]
     fn conversions_round_trip() {
-        assert_eq!(SimTime::from_micros(3).as_nanos(), 3_000);
         assert_eq!(SimTime::from_millis(2).as_nanos(), 2_000_000);
         assert!((SimTime::from_secs_f64(1.5).as_secs_f64() - 1.5).abs() < 1e-9);
     }

@@ -14,7 +14,7 @@ use crate::kernel::KernelDesc;
 
 /// The timing constants of an uninstrumented run.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CostModel {
+pub(crate) struct CostModel {
     /// Host-side cost of any runtime API call (ns).
     pub host_api_overhead_ns: u64,
     /// Host-side cost of enqueuing a kernel launch (ns).
@@ -41,19 +41,20 @@ impl CostModel {
     }
 
     /// Utilization factor in `[min_utilization, 1]` from launch occupancy.
-    pub fn utilization(&self, spec: &DeviceSpec, desc: &KernelDesc) -> f64 {
+    pub(crate) fn utilization(&self, spec: &DeviceSpec, desc: &KernelDesc) -> f64 {
         let resident = spec.max_resident_threads() as f64 / 2.0;
         let occ = desc.total_threads() as f64 / resident;
         occ.min(1.0).max(self.min_utilization)
     }
 
     /// Uninstrumented kernel duration on `spec`, ns.
-    pub fn kernel_duration_ns(&self, spec: &DeviceSpec, desc: &KernelDesc) -> u64 {
+    #[cfg(test)]
+    fn kernel_duration_ns(&self, spec: &DeviceSpec, desc: &KernelDesc) -> u64 {
         self.kernel_duration_given(spec, desc, desc.body.global_bytes())
     }
 
-    /// [`CostModel::kernel_duration_ns`] for a caller that already holds
-    /// the body's `global_bytes` (the engine sums them while validating).
+    /// Uninstrumented kernel duration on `spec`, ns, given the body's
+    /// `global_bytes` (the engine sums them while validating).
     pub(crate) fn kernel_duration_given(
         &self,
         spec: &DeviceSpec,
@@ -67,7 +68,7 @@ impl CostModel {
     }
 
     /// Duration of a `bytes`-long copy over a link of `bandwidth_gbps`, ns.
-    pub fn copy_duration_ns(&self, bytes: u64, bandwidth_gbps: f64) -> u64 {
+    pub(crate) fn copy_duration_ns(&self, bytes: u64, bandwidth_gbps: f64) -> u64 {
         (bytes as f64 / bandwidth_gbps) as u64 + self.memcpy_fixed_overhead_ns
     }
 }

@@ -85,7 +85,7 @@ impl DeviceSpec {
     }
 
     /// Maximum concurrently resident threads on the whole device.
-    pub fn max_resident_threads(&self) -> u64 {
+    pub(crate) fn max_resident_threads(&self) -> u64 {
         self.sm_count as u64 * self.max_threads_per_sm as u64
     }
 }
@@ -134,17 +134,17 @@ impl Device {
     }
 
     /// The device memory allocator.
-    pub fn allocator(&self) -> &DeviceAllocator {
+    pub(crate) fn allocator(&self) -> &DeviceAllocator {
         &self.allocator
     }
 
     /// Mutable access to the allocator.
-    pub fn allocator_mut(&mut self) -> &mut DeviceAllocator {
+    pub(crate) fn allocator_mut(&mut self) -> &mut DeviceAllocator {
         &mut self.allocator
     }
 
     /// Busy-until time of `stream` (idle streams report `SimTime::ZERO`).
-    pub fn stream_time(&self, stream: StreamId) -> SimTime {
+    pub(crate) fn stream_time(&self, stream: StreamId) -> SimTime {
         self.streams
             .iter()
             .find(|&&(id, _)| id == stream)
@@ -152,7 +152,7 @@ impl Device {
     }
 
     /// Advances `stream`'s busy-until time to at least `t`.
-    pub fn set_stream_time(&mut self, stream: StreamId, t: SimTime) {
+    pub(crate) fn set_stream_time(&mut self, stream: StreamId, t: SimTime) {
         match self.streams.iter_mut().find(|(id, _)| *id == stream) {
             Some((_, busy)) => *busy = (*busy).max(t),
             None => self.streams.push((stream, t)),
@@ -160,7 +160,7 @@ impl Device {
     }
 
     /// The latest busy-until time across all streams (device idle time).
-    pub fn busy_until(&self) -> SimTime {
+    pub(crate) fn busy_until(&self) -> SimTime {
         self.streams
             .iter()
             .map(|&(_, busy)| busy)
@@ -212,10 +212,12 @@ mod tests {
 
     #[test]
     fn device_address_spaces_are_disjoint() {
-        let d0 = Device::new(DeviceId(0), DeviceSpec::a100_80gb());
-        let d1 = Device::new(DeviceId(1), DeviceSpec::a100_80gb());
-        let end0 = d0.allocator().base() + d0.spec().mem_capacity;
-        assert!(end0 <= d1.allocator().base());
+        let mut d0 = Device::new(DeviceId(0), DeviceSpec::a100_80gb());
+        let mut d1 = Device::new(DeviceId(1), DeviceSpec::a100_80gb());
+        // First fit hands out each allocator's base address.
+        let a0 = d0.allocator_mut().alloc(DeviceId(0), 1, false).unwrap();
+        let a1 = d1.allocator_mut().alloc(DeviceId(1), 1, false).unwrap();
+        assert!(a0.addr + d0.spec().mem_capacity <= a1.addr);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::sync::{Arc, OnceLock};
 pub const MANAGED_BASE: u64 = 0x4000_0000_0000;
 /// Capacity of the managed range: far above any device so oversubscription
 /// experiments never exhaust *virtual* space.
-pub const MANAGED_CAPACITY: u64 = 6 << 40;
+pub(crate) const MANAGED_CAPACITY: u64 = 6 << 40;
 
 /// The central simulator.
 ///
@@ -88,11 +88,6 @@ impl Engine {
         }
     }
 
-    /// The cost model in effect.
-    pub fn cost(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Ids of all devices.
     pub fn device_ids(&self) -> Vec<DeviceId> {
         (0..self.specs.len() as u32).map(DeviceId).collect()
@@ -108,14 +103,14 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics on an out-of-range id; use [`Engine::try_device`] to probe.
+    /// Panics on an out-of-range id; use `Engine::try_device` to probe.
     pub fn device(&self, id: DeviceId) -> &Device {
         let spec = &self.specs[id.index()];
         self.devices[id.index()].get_or_init(|| Device::new(id, spec.clone()))
     }
 
     /// Fallible device lookup.
-    pub fn try_device(&self, id: DeviceId) -> Option<&Device> {
+    pub(crate) fn try_device(&self, id: DeviceId) -> Option<&Device> {
         (id.index() < self.specs.len()).then(|| self.device(id))
     }
 
@@ -159,13 +154,13 @@ impl Engine {
     }
 
     /// Mutable access to the residency model, if attached.
-    pub fn residency_mut(&mut self) -> Option<&mut (dyn ResidencyModel + '_)> {
-        self.residency.as_deref_mut().map(|m| m as _)
+    pub fn residency_mut(&mut self) -> Option<&mut dyn ResidencyModel> {
+        self.residency.as_deref_mut()
     }
 
     /// Shared access to the residency model, if attached.
-    pub fn residency(&self) -> Option<&(dyn ResidencyModel + '_)> {
-        self.residency.as_deref().map(|m| m as _)
+    pub fn residency(&self) -> Option<&dyn ResidencyModel> {
+        self.residency.as_deref()
     }
 
     /// Aggregate runtime counters for `device`.
@@ -283,11 +278,6 @@ impl Engine {
             self.try_device(device)
                 .and_then(|d| d.allocator().find_containing(addr))
         }
-    }
-
-    /// The managed-space allocator (UVM bookkeeping reads it).
-    pub fn managed_allocator(&self) -> &DeviceAllocator {
-        &self.managed
     }
 
     /// Synchronous memory copy.

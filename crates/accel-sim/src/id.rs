@@ -51,7 +51,7 @@ impl fmt::Display for LaunchId {
 
 /// Identifier of a device memory allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct AllocId(pub u64);
+pub(crate) struct AllocId(pub u64);
 
 impl fmt::Display for AllocId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -18,5 +18,5 @@ pub mod profiler;
 pub mod sink;
 
 pub use overhead::OverheadBreakdown;
-pub use profiler::{BackendCosts, ProfilerHandle, ProfilerShared, TraceProfiler};
+pub use profiler::{BackendCosts, ProfilerHandle, TraceProfiler};
 pub use sink::{DeviceTraceSink, NullSink, TraceCtx};

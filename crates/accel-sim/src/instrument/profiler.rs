@@ -20,13 +20,11 @@
 
 use super::overhead::OverheadBreakdown;
 use super::sink::{DeviceTraceSink, TraceCtx};
+use crate::probe::{DeviceProbe, ProbeCosts};
 use crate::symbol::Symbol;
 use crate::sync::Mutex;
 use crate::trace::{TraceBufferModel, TRACE_RECORD_BYTES};
-use crate::{
-    AccessBatch, AnalysisMode, DeviceProbe, InstrCoverage, KernelTraceSummary, ProbeConfig,
-    ProbeCosts,
-};
+use crate::{AccessBatch, AnalysisMode, InstrCoverage, KernelTraceSummary, ProbeConfig};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -101,7 +99,7 @@ impl BackendCosts {
 }
 
 /// State shared between a running profiler and its [`ProfilerHandle`].
-pub struct ProfilerShared {
+pub(crate) struct ProfilerShared {
     /// Accumulated overhead, Fig. 10 style.
     pub breakdown: OverheadBreakdown,
     /// Downstream consumer (the PASTA event processor), if attached.

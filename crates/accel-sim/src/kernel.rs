@@ -224,15 +224,10 @@ impl KernelBody {
     /// Dynamic instruction estimate: explicit count when provided, else
     /// memory instructions plus one instruction per 2 FLOPs (FMA) plus a
     /// 30% control-flow/addressing surcharge — the population NVBit-style
-    /// instrumentation must consider.
-    pub fn dynamic_instructions(&self) -> u64 {
-        self.instructions_given(self.memory_records())
-    }
-
-    /// [`KernelBody::dynamic_instructions`] for a caller that already
-    /// holds [`KernelBody::memory_records`] (the engine sums it while it
-    /// feeds the probe, so the accesses are not walked again).
-    pub fn instructions_given(&self, memory_records: u64) -> u64 {
+    /// instrumentation must consider. Takes [`KernelBody::memory_records`]
+    /// from the caller (the engine sums it while it feeds the probe, so the
+    /// accesses are not walked again).
+    pub(crate) fn instructions_given(&self, memory_records: u64) -> u64 {
         self.instruction_count.unwrap_or_else(|| {
             let alu = self.flops / 2 / 32; // warp-level FMA instructions
             ((memory_records + alu) as f64 * 1.3) as u64
@@ -322,7 +317,7 @@ impl KernelDesc {
     }
 
     /// Total barrier executions across the launch.
-    pub fn total_barriers(&self) -> u64 {
+    pub(crate) fn total_barriers(&self) -> u64 {
         self.total_blocks() * self.body.barriers_per_block as u64
     }
 }
@@ -369,12 +364,13 @@ mod tests {
     #[test]
     fn dynamic_instructions_exceed_memory_records() {
         let body = KernelBody::streaming(1 << 20, 1 << 20).with_flops(1 << 22);
-        assert!(body.dynamic_instructions() > body.memory_records());
+        let records = body.memory_records();
+        assert!(body.instructions_given(records) > records);
         let explicit = KernelBody {
             instruction_count: Some(42),
             ..body
         };
-        assert_eq!(explicit.dynamic_instructions(), 42);
+        assert_eq!(explicit.instructions_given(records), 42);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! * **Devices** with calibrated specs ([`DeviceSpec::a100_80gb`],
 //!   [`DeviceSpec::rtx_3060`], [`DeviceSpec::mi300x`]) — SM count, memory
 //!   capacity and bandwidth, interconnect bandwidth, peak FLOP/s.
-//! * **A device memory allocator** ([`mem::DeviceAllocator`]) handing out
+//! * **A device memory allocator** (`mem::DeviceAllocator`) handing out
 //!   virtual addresses, so memory events carry realistic pointers.
 //! * **Kernels** described by [`KernelDesc`]: a grid/block shape plus a
 //!   [`KernelBody`] of [`AccessSpec`]s that determine both the simulated
@@ -67,12 +67,11 @@ pub mod threads;
 pub mod trace;
 
 pub use clock::SimTime;
-pub use cost::CostModel;
 pub use device::{Device, DeviceSpec};
 pub use dim::Dim3;
 pub use engine::Engine;
 pub use error::{panic_message, AccelError};
-pub use id::{AllocId, DeviceId, LaunchId, StreamId, Vendor};
+pub use id::{DeviceId, LaunchId, StreamId, Vendor};
 pub use inline_vec::InlineVec;
 pub use instrument::{
     BackendCosts, DeviceTraceSink, OverheadBreakdown, ProfilerHandle, TraceCtx, TraceProfiler,

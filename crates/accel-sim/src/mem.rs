@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// Alignment of all device allocations, matching CUDA's 256-byte guarantee.
-pub const ALLOC_ALIGN: u64 = 256;
+pub(crate) const ALLOC_ALIGN: u64 = 256;
 
 /// A pointer into simulated device (or managed) memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -40,7 +40,7 @@ impl fmt::Display for DevicePtr {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allocation {
     /// Unique id of the allocation.
-    pub id: AllocId,
+    pub(crate) id: AllocId,
     /// Base address.
     pub addr: u64,
     /// Size in bytes (as requested, before alignment padding).
@@ -51,8 +51,7 @@ pub struct Allocation {
 
 /// First-fit free-list allocator over `[base, base + capacity)`.
 #[derive(Debug)]
-pub struct DeviceAllocator {
-    base: u64,
+pub(crate) struct DeviceAllocator {
     capacity: u64,
     /// Free chunks keyed by start address (BTreeMap keeps them sorted for
     /// neighbour coalescing).
@@ -61,7 +60,6 @@ pub struct DeviceAllocator {
     live: BTreeMap<u64, Allocation>,
     used: u64,
     next_id: u64,
-    peak_used: u64,
 }
 
 impl DeviceAllocator {
@@ -70,24 +68,12 @@ impl DeviceAllocator {
         let mut free = BTreeMap::new();
         free.insert(base, capacity);
         DeviceAllocator {
-            base,
             capacity,
             free,
             live: BTreeMap::new(),
             used: 0,
             next_id: 1,
-            peak_used: 0,
         }
-    }
-
-    /// Base address of the managed range.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
     }
 
     /// Bytes currently allocated (including alignment padding).
@@ -95,18 +81,14 @@ impl DeviceAllocator {
         self.used
     }
 
-    /// High-water mark of [`used`](Self::used).
-    pub fn peak_used(&self) -> u64 {
-        self.peak_used
-    }
-
     /// Bytes available for new allocations.
-    pub fn free_bytes(&self) -> u64 {
+    pub(crate) fn free_bytes(&self) -> u64 {
         self.capacity - self.used
     }
 
     /// Number of live allocations.
-    pub fn live_count(&self) -> usize {
+    #[cfg(test)]
+    fn live_count(&self) -> usize {
         self.live.len()
     }
 
@@ -139,7 +121,6 @@ impl DeviceAllocator {
             self.free.insert(addr + padded, len - padded);
         }
         self.used += padded;
-        self.peak_used = self.peak_used.max(self.used);
         let id = AllocId(self.next_id);
         self.next_id += 1;
         let alloc = Allocation {
@@ -185,17 +166,12 @@ impl DeviceAllocator {
     }
 
     /// Looks up the live allocation containing `addr`, if any.
-    pub fn find_containing(&self, addr: u64) -> Option<&Allocation> {
+    pub(crate) fn find_containing(&self, addr: u64) -> Option<&Allocation> {
         self.live
             .range(..=addr)
             .next_back()
             .map(|(_, a)| a)
             .filter(|a| addr < a.addr + a.size)
-    }
-
-    /// Iterates over live allocations in address order.
-    pub fn iter(&self) -> impl Iterator<Item = &Allocation> {
-        self.live.values()
     }
 }
 
@@ -276,15 +252,5 @@ mod tests {
         assert!(a.find_containing(x.addr).is_some());
         assert!(a.find_containing(x.addr + 99).is_some());
         assert!(a.find_containing(x.addr + 100).is_none());
-    }
-
-    #[test]
-    fn peak_tracks_high_water_mark() {
-        let mut a = DeviceAllocator::new(0, 1 << 20);
-        let x = alloc(&mut a, 1000);
-        let _y = alloc(&mut a, 2000);
-        let peak = a.used();
-        a.free(x.addr).unwrap();
-        assert_eq!(a.peak_used(), peak);
     }
 }

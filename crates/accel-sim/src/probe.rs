@@ -72,7 +72,8 @@ impl ProbeConfig {
     }
 
     /// Instrument global memory only.
-    pub fn global_only() -> Self {
+    #[cfg(test)]
+    pub(crate) fn global_only() -> Self {
         ProbeConfig {
             global_accesses: true,
             shared_accesses: false,

@@ -8,6 +8,7 @@
 
 use crate::id::DeviceId;
 use crate::kernel::AccessKind;
+use std::any::Any;
 
 /// Result of resolving one kernel access stream against managed memory.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -91,7 +92,13 @@ pub enum ResidencyAdvice {
 /// the trait carries the full UVM control surface — registration of managed
 /// allocations, asynchronous prefetch and advice — with no-op defaults so
 /// simple models stay simple.
-pub trait ResidencyModel: Send {
+///
+/// `Any` lets a session layer reach the concrete model (e.g.
+/// `uvm_sim::UvmManager`) behind the trait object by upcasting: a
+/// `&dyn ResidencyModel` coerces to `&dyn Any`, and a lane's boxed model to
+/// `Box<dyn Any + Send>` when its forked manager is taken back at the end of
+/// a parallel region.
+pub trait ResidencyModel: Any + Send {
     /// True when `addr` lies in a live managed allocation.
     fn is_managed(&self, addr: u64) -> bool;
 
@@ -154,58 +161,31 @@ pub trait ResidencyModel: Send {
     fn advise(&mut self, device: DeviceId, base: u64, len: u64, advice: ResidencyAdvice) {
         let _ = (device, base, len, advice);
     }
-
-    /// Downcasting support, so session layers can reach the concrete
-    /// model (e.g. `uvm_sim::UvmManager`) behind the trait object.
-    fn as_any(&self) -> &dyn std::any::Any;
-
-    /// Mutable downcasting support.
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
-
-    /// Consuming downcasting support: recovers the concrete model from a
-    /// boxed trait object. The session layer uses this to take a lane's
-    /// forked UVM manager back out of the lane runtime at the end of a
-    /// parallel region and fold its statistics into the session manager.
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any + Send>;
-}
-
-/// A trivial residency model where everything is always resident; useful
-/// in tests and as the behaviour of non-UVM runs.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct AlwaysResident;
-
-impl ResidencyModel for AlwaysResident {
-    fn is_managed(&self, _addr: u64) -> bool {
-        false
-    }
-
-    fn on_kernel_access(
-        &mut self,
-        _device: DeviceId,
-        _base: u64,
-        _len: u64,
-        _bytes: u64,
-        _kind: AccessKind,
-    ) -> AccessOutcome {
-        AccessOutcome::HIT
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any + Send> {
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A trivial residency model where everything is always resident.
+    struct AlwaysResident;
+
+    impl ResidencyModel for AlwaysResident {
+        fn is_managed(&self, _addr: u64) -> bool {
+            false
+        }
+
+        fn on_kernel_access(
+            &mut self,
+            _device: DeviceId,
+            _base: u64,
+            _len: u64,
+            _bytes: u64,
+            _kind: AccessKind,
+        ) -> AccessOutcome {
+            AccessOutcome::HIT
+        }
+    }
 
     #[test]
     fn outcomes_add() {
@@ -243,8 +223,10 @@ mod tests {
     }
 
     #[test]
-    fn model_is_object_safe() {
+    fn model_is_object_safe_and_upcasts_to_any() {
         let m: Box<dyn ResidencyModel> = Box::new(AlwaysResident);
-        drop(m);
+        assert!((&*m as &dyn Any).is::<AlwaysResident>());
+        let any: Box<dyn Any + Send> = m;
+        assert!(any.downcast::<AlwaysResident>().is_ok());
     }
 }

@@ -75,7 +75,7 @@ pub struct TraceBufferModel {
 
 impl TraceBufferModel {
     /// Default 4 MiB buffer, matching the paper's §VI-A footprint remark.
-    pub fn new_4mib() -> Self {
+    pub(crate) fn new_4mib() -> Self {
         TraceBufferModel {
             capacity_records: (4 << 20) / TRACE_RECORD_BYTES,
         }
@@ -84,7 +84,7 @@ impl TraceBufferModel {
     /// Number of full-buffer flushes needed for `records`, i.e. the number
     /// of kernel stalls in the CPU-analysis model. The final partial buffer
     /// flushes at kernel completion without stalling the kernel.
-    pub fn stall_flushes(&self, records: u64) -> u64 {
+    pub(crate) fn stall_flushes(&self, records: u64) -> u64 {
         records / self.capacity_records
     }
 }

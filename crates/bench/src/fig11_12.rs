@@ -14,7 +14,7 @@ use uvm_sim::PrefetchGranularity;
 
 /// One model × device × oversubscription measurement.
 #[derive(Debug, Clone)]
-pub struct PrefetchResult {
+pub(crate) struct PrefetchResult {
     /// Model abbreviation.
     pub model: String,
     /// Device name.
@@ -31,12 +31,12 @@ pub struct PrefetchResult {
 
 impl PrefetchResult {
     /// Object-level time normalized to the baseline.
-    pub fn object_norm(&self) -> f64 {
+    pub(crate) fn object_norm(&self) -> f64 {
         self.object_ns as f64 / self.baseline_ns.max(1) as f64
     }
 
     /// Tensor-level time normalized to the baseline.
-    pub fn tensor_norm(&self) -> f64 {
+    pub(crate) fn tensor_norm(&self) -> f64 {
         self.tensor_ns as f64 / self.baseline_ns.max(1) as f64
     }
 }
@@ -57,7 +57,7 @@ fn uvm_session(spec: DeviceSpec, budget: u64) -> Result<pasta_core::PastaSession
 /// # Errors
 ///
 /// Propagates session failures.
-pub fn measure(
+pub(crate) fn measure(
     model: ModelZoo,
     device_name: &str,
     spec: DeviceSpec,
@@ -114,7 +114,10 @@ pub fn measure(
 /// # Errors
 ///
 /// Propagates session failures.
-pub fn run(oversubscription: f64, scale: ExpScale) -> Result<Vec<PrefetchResult>, PastaError> {
+pub(crate) fn run(
+    oversubscription: f64,
+    scale: ExpScale,
+) -> Result<Vec<PrefetchResult>, PastaError> {
     let mut out = Vec::new();
     for model in ModelZoo::all() {
         for (name, spec) in [
@@ -128,7 +131,7 @@ pub fn run(oversubscription: f64, scale: ExpScale) -> Result<Vec<PrefetchResult>
 }
 
 /// Renders a figure's rows plus the cross-model average.
-pub fn render(figure: &str, results: &[PrefetchResult]) -> String {
+pub(crate) fn render(figure: &str, results: &[PrefetchResult]) -> String {
     let mut s = format!(
         "{figure}: execution time normalized to no-prefetch \
          (oversubscription {:.0}x)\n\

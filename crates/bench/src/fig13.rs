@@ -9,7 +9,7 @@ use uvm_sim::HotnessSeries;
 
 /// The Fig. 13 data: the series plus derived classifications.
 #[derive(Debug, Clone)]
-pub struct HotnessResult {
+pub(crate) struct HotnessResult {
     /// Dense (block × time-bin) matrix.
     pub series: HotnessSeries,
     /// Blocks hot throughout execution (pin/prefetch candidates — the
@@ -24,7 +24,7 @@ pub struct HotnessResult {
 /// # Errors
 ///
 /// Propagates session failures.
-pub fn run(scale: ExpScale) -> Result<HotnessResult, PastaError> {
+pub(crate) fn run(scale: ExpScale) -> Result<HotnessResult, PastaError> {
     let mut session = Pasta::builder().a100().tool(HotnessTool::new(32)).build()?;
     session.run(
         &mut ModelWorkload::new(ModelZoo::Bert, RunKind::Inference)
@@ -50,7 +50,7 @@ pub fn run(scale: ExpScale) -> Result<HotnessResult, PastaError> {
 }
 
 /// Renders an ASCII heat-map sketch of the hotness matrix.
-pub fn render(result: &HotnessResult) -> String {
+pub(crate) fn render(result: &HotnessResult) -> String {
     let s = &result.series;
     let mut out = format!(
         "Figure 13: BERT inference hotness — {} blocks x {} time bins\n\

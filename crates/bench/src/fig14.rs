@@ -10,7 +10,7 @@ use pasta_tools::{MemoryTimelineTool, TimelinePoint};
 
 /// One backend's curve.
 #[derive(Debug, Clone)]
-pub struct BackendCurve {
+pub(crate) struct BackendCurve {
     /// `NVIDIA` / `AMD`.
     pub backend: String,
     /// The memory curve (logical event index → live bytes).
@@ -23,7 +23,7 @@ pub struct BackendCurve {
 
 /// The Fig. 14 result pair.
 #[derive(Debug, Clone)]
-pub struct Fig14Result {
+pub(crate) struct Fig14Result {
     /// NVIDIA curve.
     pub nvidia: BackendCurve,
     /// AMD curve.
@@ -65,7 +65,7 @@ fn run_backend(amd: bool, scale: ExpScale) -> Result<BackendCurve, PastaError> {
 /// # Errors
 ///
 /// Propagates session failures.
-pub fn run(scale: ExpScale) -> Result<Fig14Result, PastaError> {
+pub(crate) fn run(scale: ExpScale) -> Result<Fig14Result, PastaError> {
     Ok(Fig14Result {
         nvidia: run_backend(false, scale)?,
         amd: run_backend(true, scale)?,
@@ -73,7 +73,7 @@ pub fn run(scale: ExpScale) -> Result<Fig14Result, PastaError> {
 }
 
 /// Renders the Fig. 14 comparison.
-pub fn render(r: &Fig14Result) -> String {
+pub(crate) fn render(r: &Fig14Result) -> String {
     let mut s = String::from("Figure 14: GPT-2 training memory, NVIDIA vs AMD\n");
     for c in [&r.nvidia, &r.amd] {
         s.push_str(&format!(

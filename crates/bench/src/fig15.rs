@@ -5,15 +5,13 @@ use crate::scale::ExpScale;
 use accel_sim::DeviceId;
 use dl_framework::parallel::{self, Parallelism};
 use pasta_core::{Pasta, PastaError};
-use pasta_tools::{MemoryTimelineTool, TimelinePoint};
+use pasta_tools::MemoryTimelineTool;
 
 /// One strategy's per-GPU curves.
 #[derive(Debug, Clone)]
-pub struct StrategyCurves {
+pub(crate) struct StrategyCurves {
     /// Strategy label.
     pub strategy: String,
-    /// Per-GPU memory curves.
-    pub series: [Vec<TimelinePoint>; 2],
     /// Per-GPU peaks, bytes.
     pub peaks: [u64; 2],
     /// Per-GPU tensor event counts.
@@ -22,7 +20,7 @@ pub struct StrategyCurves {
 
 impl StrategyCurves {
     /// GPU1/GPU0 peak ratio (1.0 = symmetric).
-    pub fn asymmetry(&self) -> f64 {
+    pub(crate) fn asymmetry(&self) -> f64 {
         self.peaks[1] as f64 / self.peaks[0].max(1) as f64
     }
 }
@@ -32,7 +30,10 @@ impl StrategyCurves {
 /// # Errors
 ///
 /// Propagates session failures.
-pub fn measure(strategy: Parallelism, scale: ExpScale) -> Result<StrategyCurves, PastaError> {
+pub(crate) fn measure(
+    strategy: Parallelism,
+    scale: ExpScale,
+) -> Result<StrategyCurves, PastaError> {
     let batch = (4 / scale.batch_divisor.min(4)).max(1);
     let mut session = Pasta::builder()
         .a100_x2()
@@ -43,11 +44,9 @@ pub fn measure(strategy: Parallelism, scale: ExpScale) -> Result<StrategyCurves,
     session.run_parallel(&[DeviceId(0), DeviceId(1)], |lanes| {
         parallel::train_iter(lanes, strategy, batch).map(|_| ())
     })?;
-    let (s0, s1, p0, p1, e0, e1) = session
+    let (p0, p1, e0, e1) = session
         .with_merged_tool("memory-timeline", |t: &MemoryTimelineTool| {
             (
-                t.series_for(DeviceId(0)).to_vec(),
-                t.series_for(DeviceId(1)).to_vec(),
                 t.peak_for(DeviceId(0)),
                 t.peak_for(DeviceId(1)),
                 t.events_for(DeviceId(0)),
@@ -57,7 +56,6 @@ pub fn measure(strategy: Parallelism, scale: ExpScale) -> Result<StrategyCurves,
         .expect("tool registered");
     Ok(StrategyCurves {
         strategy: strategy.label().to_owned(),
-        series: [s0, s1],
         peaks: [p0, p1],
         events: [e0, e1],
     })
@@ -68,7 +66,7 @@ pub fn measure(strategy: Parallelism, scale: ExpScale) -> Result<StrategyCurves,
 /// # Errors
 ///
 /// Propagates session failures.
-pub fn run(scale: ExpScale) -> Result<Vec<StrategyCurves>, PastaError> {
+pub(crate) fn run(scale: ExpScale) -> Result<Vec<StrategyCurves>, PastaError> {
     [
         Parallelism::Data,
         Parallelism::Tensor,
@@ -80,7 +78,7 @@ pub fn run(scale: ExpScale) -> Result<Vec<StrategyCurves>, PastaError> {
 }
 
 /// Renders the Fig. 15 summary.
-pub fn render(results: &[StrategyCurves]) -> String {
+pub(crate) fn render(results: &[StrategyCurves]) -> String {
     let mut s = String::from("Figure 15: Megatron GPT-2 345M per-GPU memory, one train iter\n");
     for r in results {
         s.push_str(&format!(

@@ -10,7 +10,7 @@ use pasta_tools::MemoryCharacteristicsTool;
 
 /// The Fig. 4 result: the hot kernel, its aggregate and its joined stack.
 #[derive(Debug, Clone)]
-pub struct Fig4Result {
+pub(crate) struct Fig4Result {
     /// The `MAX_MEM_REFERENCED_KERNEL` selection.
     pub kernel: String,
     /// Its aggregate counters.
@@ -24,7 +24,7 @@ pub struct Fig4Result {
 /// # Errors
 ///
 /// Propagates session failures; fails if no stack was captured.
-pub fn run(scale: ExpScale) -> Result<Fig4Result, PastaError> {
+pub(crate) fn run(scale: ExpScale) -> Result<Fig4Result, PastaError> {
     let mut session = Pasta::builder()
         .a100()
         .tool(MemoryCharacteristicsTool::new())
@@ -49,7 +49,7 @@ pub fn run(scale: ExpScale) -> Result<Fig4Result, PastaError> {
 }
 
 /// Renders the Fig. 4 stack.
-pub fn render(r: &Fig4Result) -> String {
+pub(crate) fn render(r: &Fig4Result) -> String {
     format!(
         "Figure 4: cross-layer call stack of MAX_MEM_REFERENCED_KERNEL\n\
          kernel: {}\n\

@@ -8,7 +8,7 @@ use pasta_tools::KernelFrequencyTool;
 
 /// Frequencies of one (model, run-kind) pair.
 #[derive(Debug, Clone)]
-pub struct FreqResult {
+pub(crate) struct FreqResult {
     /// Model abbreviation.
     pub model: String,
     /// `inference` / `train`.
@@ -26,7 +26,7 @@ pub struct FreqResult {
 /// # Errors
 ///
 /// Propagates session failures.
-pub fn run(scale: ExpScale) -> Result<Vec<FreqResult>, PastaError> {
+pub(crate) fn run(scale: ExpScale) -> Result<Vec<FreqResult>, PastaError> {
     let mut out = Vec::new();
     for model in ModelZoo::all() {
         for (kind, steps) in [
@@ -66,7 +66,7 @@ pub fn run(scale: ExpScale) -> Result<Vec<FreqResult>, PastaError> {
 
 /// Renders the Fig. 7 rows (bubble sizes = counts in the paper; here the
 /// counts themselves, per model × run).
-pub fn render(results: &[FreqResult]) -> String {
+pub(crate) fn render(results: &[FreqResult]) -> String {
     let mut s =
         String::from("Figure 7: kernel invocation frequency (per model, inference+training)\n");
     for r in results {

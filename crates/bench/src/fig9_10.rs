@@ -22,11 +22,11 @@ use pasta_tools::MemoryCharacteristicsTool;
 use vendor_nv::sanitizer::SanitizerConfig;
 
 /// Seven simulated days — the paper's did-not-finish cutoff.
-pub const CUTOFF_NS: u64 = 7 * 24 * 3600 * 1_000_000_000;
+pub(crate) const CUTOFF_NS: u64 = 7 * 24 * 3600 * 1_000_000_000;
 
 /// The three analysis variants of Fig. 9.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Variant {
+pub(crate) enum Variant {
     /// GPU-resident Compute Sanitizer (PASTA's design).
     CsGpu,
     /// CPU-analysis Compute Sanitizer (conventional).
@@ -61,7 +61,7 @@ impl Variant {
 
 /// One measurement: model × device × variant.
 #[derive(Debug, Clone)]
-pub struct OverheadResult {
+pub(crate) struct OverheadResult {
     /// Model abbreviation.
     pub model: String,
     /// Device name.
@@ -70,8 +70,6 @@ pub struct OverheadResult {
     pub variant: &'static str,
     /// Uninstrumented execution time, ns.
     pub execution_ns: u64,
-    /// Instrumented (profiled) total time, ns.
-    pub profiled_ns: u64,
     /// Overhead factor (`profiled / execution`); `None` = exceeded the
     /// 7-day cutoff (the paper's ∞).
     pub overhead: Option<f64>,
@@ -98,7 +96,7 @@ fn device_pair() -> [(&'static str, DeviceSpec); 2] {
 /// # Errors
 ///
 /// Propagates session failures.
-pub fn measure(
+pub(crate) fn measure(
     model: ModelZoo,
     device: &'static str,
     spec: DeviceSpec,
@@ -139,7 +137,6 @@ pub fn measure(
         device,
         variant: variant.label(),
         execution_ns,
-        profiled_ns,
         overhead,
         breakdown: report.overhead,
     })
@@ -150,7 +147,7 @@ pub fn measure(
 /// # Errors
 ///
 /// Propagates session failures.
-pub fn run(scale: ExpScale) -> Result<Vec<OverheadResult>, PastaError> {
+pub(crate) fn run(scale: ExpScale) -> Result<Vec<OverheadResult>, PastaError> {
     let mut out = Vec::new();
     for model in ModelZoo::all() {
         for (device, spec) in device_pair() {
@@ -164,7 +161,7 @@ pub fn run(scale: ExpScale) -> Result<Vec<OverheadResult>, PastaError> {
 
 /// Geometric mean of the overhead factors for `(device, variant)` pairs
 /// (skipping ∞ entries), as the paper's "Geo." column.
-pub fn geomean(results: &[OverheadResult], device: &str, variant: &str) -> Option<f64> {
+pub(crate) fn geomean(results: &[OverheadResult], device: &str, variant: &str) -> Option<f64> {
     let factors: Vec<f64> = results
         .iter()
         .filter(|r| r.device == device && r.variant == variant)
@@ -177,7 +174,7 @@ pub fn geomean(results: &[OverheadResult], device: &str, variant: &str) -> Optio
 }
 
 /// Renders the Fig. 9 rows.
-pub fn render_fig9(results: &[OverheadResult]) -> String {
+pub(crate) fn render_fig9(results: &[OverheadResult]) -> String {
     let mut s = String::from(
         "Figure 9: overhead vs model execution time (x; ∞ = > 7 simulated days)\n\
          model     device  CS-GPU        CS-CPU        NVBIT-CPU\n",
@@ -218,7 +215,7 @@ pub fn render_fig9(results: &[OverheadResult]) -> String {
 }
 
 /// Renders the Fig. 10 breakdown rows.
-pub fn render_fig10(results: &[OverheadResult]) -> String {
+pub(crate) fn render_fig10(results: &[OverheadResult]) -> String {
     let mut s = String::from(
         "Figure 10: profiling-time breakdown (fractions of total)\n\
          model     device  variant     execution  collection  transfer  analysis\n",

@@ -12,15 +12,15 @@
 //! shrinks batch sizes and step counts for smoke runs, the default `full`
 //! uses the paper's batch sizes (Table IV).
 
-pub mod fig11_12;
-pub mod fig13;
-pub mod fig14;
-pub mod fig15;
-pub mod fig4;
-pub mod fig7;
-pub mod fig9_10;
+mod fig11_12;
+mod fig13;
+mod fig14;
+mod fig15;
+mod fig4;
+mod fig7;
+mod fig9_10;
 pub mod scale;
-pub mod table5;
+mod table5;
 
 pub use scale::ExpScale;
 
@@ -28,7 +28,7 @@ use pasta_core::PastaError;
 
 /// One paper artifact: its command-line name, and the experiment that
 /// regenerates it and renders the rows the paper reports.
-pub type Artifact = (&'static str, fn(ExpScale) -> Result<String, PastaError>);
+pub(crate) type Artifact = (&'static str, fn(ExpScale) -> Result<String, PastaError>);
 
 /// Every artifact of the evaluation, in the paper's order. Every entry
 /// stands alone, so `fig9` and `fig10` each take the measurement they

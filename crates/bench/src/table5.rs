@@ -8,7 +8,7 @@ use pasta_tools::util::format_bytes;
 
 /// One Table V row.
 #[derive(Debug, Clone)]
-pub struct TableVRow {
+pub(crate) struct TableVRow {
     /// Model abbreviation.
     pub model: String,
     /// `inference` / `train`.
@@ -50,7 +50,7 @@ impl From<(String, String, MemoryCharacteristics)> for TableVRow {
 /// # Errors
 ///
 /// Propagates session failures.
-pub fn run(scale: ExpScale) -> Result<Vec<TableVRow>, PastaError> {
+pub(crate) fn run(scale: ExpScale) -> Result<Vec<TableVRow>, PastaError> {
     let mut rows = Vec::new();
     for kind in [RunKind::Inference, RunKind::Training] {
         for model in ModelZoo::all() {
@@ -84,7 +84,7 @@ pub fn run(scale: ExpScale) -> Result<Vec<TableVRow>, PastaError> {
 }
 
 /// Renders Table V in the paper's column layout.
-pub fn render(rows: &[TableVRow]) -> String {
+pub(crate) fn render(rows: &[TableVRow]) -> String {
     let mut s = String::from(
         "Table V: memory characteristics (sizes adaptive units)\n\
          model     run        kernels  footprint    WS(max)     min WS      avg WS     med WS      p90 WS\n",

@@ -14,7 +14,7 @@ use std::sync::Arc;
 /// Tracks the live Python stack (from `OpStart` events) and snapshots a
 /// cross-layer stack per kernel of interest.
 #[derive(Debug, Default)]
-pub struct StackCapture {
+pub(crate) struct StackCapture {
     /// The most recent operator start: its (shared) Python stack and its
     /// name. Every operator passes through here and almost none is ever
     /// captured, so nothing is copied until a capture asks.
@@ -38,7 +38,7 @@ impl StackCapture {
     }
 
     /// Captures the cross-layer stack for `kernel` if not already present.
-    pub fn capture_for_kernel(&mut self, kernel: &Symbol) {
+    pub(crate) fn capture_for_kernel(&mut self, kernel: &Symbol) {
         if self.captured.contains_key(kernel.as_str()) {
             return;
         }
@@ -57,12 +57,13 @@ impl StackCapture {
     }
 
     /// The captured stack for `kernel`, if any.
-    pub fn stack_for(&self, kernel: &str) -> Option<&CrossLayerStack> {
+    pub(crate) fn stack_for(&self, kernel: &str) -> Option<&CrossLayerStack> {
         self.captured.get(kernel)
     }
 
     /// Number of kernels with captured stacks.
-    pub fn captured_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn captured_count(&self) -> usize {
         self.captured.len()
     }
 

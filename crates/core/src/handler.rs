@@ -207,12 +207,6 @@ mod tests {
                     self.frees.push(*bytes);
                 }
             }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
         }
         let mut processor = EventProcessor::new();
         processor.tools.register(Box::<FreeWatcher>::default());

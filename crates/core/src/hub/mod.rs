@@ -15,7 +15,7 @@
 //! The host path — vendor and framework callbacks through
 //! [`crate::handler`] — meets a gate of its own before any of that: each
 //! shard publishes which coarse classes its processor reads
-//! ([`EventProcessor::host_gate`]: the classes its armed tools subscribe
+//! (`EventProcessor::host_gate`: the classes its armed tools subscribe
 //! to, kernel launches for the knobs, annotations for the range filter,
 //! operator starts while a capture knob is set, everything while a
 //! recorder is attached), and a callback of a class nothing reads bumps
@@ -208,7 +208,7 @@ impl DeviceShard {
     /// when someone else holds the processor lock — they will drain.
     /// Returns the number of events drained. The [`crate::spine::SpineDrainer`]
     /// heartbeat.
-    pub fn try_drain(&self) -> u64 {
+    pub(crate) fn try_drain(&self) -> u64 {
         match self.processor.try_lock() {
             Some(mut guard) => self.spine.drain(&mut guard),
             None => 0,
@@ -248,7 +248,7 @@ pub fn new_shared(processor: EventProcessor) -> SharedHub {
 
 impl Hub {
     /// A single-shard hub serving every device.
-    pub fn single(processor: EventProcessor) -> Hub {
+    pub(crate) fn single(processor: EventProcessor) -> Hub {
         Hub {
             shards: vec![DeviceShard::new(DeviceId(0), processor)],
             merge_threads: std::sync::atomic::AtomicUsize::new(0),
@@ -297,13 +297,13 @@ impl Hub {
     }
 
     /// The merge plan's worker budget (`0` = available parallelism).
-    pub fn merge_threads(&self) -> usize {
+    pub(crate) fn merge_threads(&self) -> usize {
         self.merge_threads
             .load(std::sync::atomic::Ordering::Acquire)
     }
 
     /// True when the hub routes devices to distinct shards.
-    pub fn is_sharded(&self) -> bool {
+    pub(crate) fn is_sharded(&self) -> bool {
         self.shards.len() > 1
     }
 
@@ -314,7 +314,7 @@ impl Hub {
 
     /// The shard serving `device`. Single-shard hubs (and unknown
     /// devices) fall back to the first shard.
-    pub fn shard_for(&self, device: DeviceId) -> &DeviceShard {
+    pub(crate) fn shard_for(&self, device: DeviceId) -> &DeviceShard {
         // Builder-made hubs hold devices 0..n in order, so the common case
         // is a direct index; anything else scans.
         let i = device.index();
@@ -331,7 +331,7 @@ impl Hub {
 
     /// Locks the shard serving `device`, draining its pending spine
     /// messages first (see [`DeviceShard::lock`]).
-    pub fn lock_device(&self, device: DeviceId) -> ShardGuard<'_> {
+    pub(crate) fn lock_device(&self, device: DeviceId) -> ShardGuard<'_> {
         self.shard_for(device).lock()
     }
 
@@ -446,7 +446,7 @@ impl Hub {
     /// directly; sharded hubs fold every shard's instance of each tool
     /// into a fresh fork, ascending device id, leaving shard state
     /// untouched (the merge is repeatable).
-    pub fn merged_reports(&self) -> Vec<ToolReport> {
+    pub(crate) fn merged_reports(&self) -> Vec<ToolReport> {
         if !self.is_sharded() {
             return self.primary().tools.reports();
         }
@@ -508,11 +508,7 @@ impl Hub {
     /// Runs `f` against the *merged* view of the named tool: every
     /// shard's instance folded into a fresh fork (ascending device id).
     /// On single-shard hubs `f` sees the live instance directly.
-    pub fn with_merged_tool<T: Tool + 'static, R>(
-        &self,
-        name: &str,
-        f: impl FnOnce(&T) -> R,
-    ) -> Option<R> {
+    pub fn with_merged_tool<T: Tool, R>(&self, name: &str, f: impl FnOnce(&T) -> R) -> Option<R> {
         if !self.is_sharded() {
             let mut guard = self.primary();
             return guard.tools.with_tool_mut(name, |t: &mut T| f(t));
@@ -522,7 +518,7 @@ impl Hub {
         let i = (0..procs[0].tools.len())
             .find(|&i| procs[0].tools.tool_at(i).is_some_and(|t| t.name() == name))?;
         let merged = merge_tool_index(&procs, i, self.merge_threads());
-        merged.as_any().downcast_ref::<T>().map(f)
+        merged.downcast_ref::<T>().map(f)
     }
 
     /// Knob aggregates merged across shards (per-kernel sums commute, so

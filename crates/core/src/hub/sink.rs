@@ -109,7 +109,8 @@ impl HubSink {
     }
 
     /// Events currently buffered (not yet visible to any processor).
-    pub fn buffered(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn buffered(&self) -> usize {
         self.access_buf.len() + self.control_buf.len()
     }
 

@@ -67,15 +67,9 @@ impl crate::tool::Tool for SpaceCounter {
         Some(Box::<SpaceCounter>::default())
     }
     fn merge(&mut self, other: &dyn Tool) {
-        let other = other.as_any().downcast_ref::<SpaceCounter>().unwrap();
+        let other = other.downcast_ref::<SpaceCounter>().unwrap();
         self.global += other.global;
         self.shared += other.shared;
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -183,12 +177,6 @@ fn buffered_events_flush_at_kernel_end_in_class_major_order() {
         fn on_event(&mut self, event: &Event) {
             self.classes.push(event.class());
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
     let mut processor = EventProcessor::new();
     processor.tools.register(Box::<OrderProbe>::default());
@@ -264,12 +252,6 @@ fn event_names_share_one_interned_allocation_per_launch() {
                 | Event::KernelTrace { kernel, .. } => self.names.push(*kernel),
                 _ => {}
             }
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
     let mut processor = EventProcessor::new();
@@ -584,12 +566,6 @@ fn the_host_gate_follows_whatever_a_guard_did_to_the_processor() {
         }
         fn on_event(&mut self, event: &Event) {
             assert!(!matches!(event, Event::Sync { .. }), "fault-injection");
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
     #[derive(Debug)]

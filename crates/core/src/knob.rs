@@ -47,7 +47,8 @@ impl Knob {
     ];
 
     /// Environment-variable style name.
-    pub fn env_name(self) -> &'static str {
+    #[cfg(test)]
+    pub(crate) fn env_name(self) -> &'static str {
         match self {
             Knob::MaxMemReferencedKernel => "MAX_MEM_REFERENCED_KERNEL",
             Knob::MaxCalledKernel => "MAX_CALLED_KERNEL",
@@ -115,7 +116,7 @@ impl KnobSet {
     }
 
     /// Records one launch completion.
-    pub fn record_launch(&mut self, kernel: &Symbol, duration_ns: u64) {
+    pub(crate) fn record_launch(&mut self, kernel: &Symbol, duration_ns: u64) {
         self.update(kernel, |agg| {
             agg.calls += 1;
             agg.duration_ns += duration_ns;
@@ -123,7 +124,7 @@ impl KnobSet {
     }
 
     /// Records fine-grained counters for a kernel.
-    pub fn record_trace(
+    pub(crate) fn record_trace(
         &mut self,
         kernel: &Symbol,
         memory_records: u64,
@@ -144,7 +145,8 @@ impl KnobSet {
     }
 
     /// Custom knob: the kernel maximizing an arbitrary score.
-    pub fn select_by<F: Fn(&KernelAggregate) -> u64>(
+    #[cfg(test)]
+    pub(crate) fn select_by<F: Fn(&KernelAggregate) -> u64>(
         &self,
         score: F,
     ) -> Option<(&Symbol, KernelAggregate)> {

@@ -19,7 +19,7 @@
 //!   function of the input length alone, never of thread count: worker
 //!   counts only change which thread executes a pair, so any
 //!   `max_threads` produces the same bytes.
-//! * [`reduce_indexed`] — the plan's scheduling half for *independent*
+//! * `reduce_indexed` — the plan's scheduling half for *independent*
 //!   reductions (one per registered tool): runs `f(0..n)` on up to
 //!   `max_threads` threads, chunked contiguously so results stay in index
 //!   order.
@@ -143,7 +143,7 @@ fn spawn_merge_worker<'scope, R: Send + 'scope>(
 /// are chunked contiguously, so each reduction runs whole on one thread —
 /// the scheduler behind the per-tool shard folds, where tools are
 /// independent of each other but each tool's fold must stay ordered.
-pub fn reduce_indexed<T: Send>(
+pub(crate) fn reduce_indexed<T: Send>(
     n: usize,
     max_threads: usize,
     f: impl Fn(usize) -> T + Sync,

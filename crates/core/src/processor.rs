@@ -20,10 +20,10 @@ use accel_sim::{LaunchId, ProbeConfig, Symbol};
 /// [`EventProcessor::events_processed`] while it is attached: everything
 /// delivered through [`EventProcessor::process`] and
 /// [`EventProcessor::process_class_batch`], and nothing from
-/// [`EventProcessor::observe_range`] (range bookkeeping is not part of the
+/// `EventProcessor::observe_range` (range bookkeeping is not part of the
 /// dispatched stream). Replaying a recorded stream through a fresh
 /// processor therefore reproduces the tool-visible history of the shard
-/// exactly. The host gate's tally ([`HostGate`]) also counts towards
+/// exactly. The host gate's tally (`HostGate`) also counts towards
 /// `events_processed`, but an attached recorder holds the gate fully open,
 /// so nothing is tallied from the moment the guard that attached it is
 /// released until the one that detaches it is.
@@ -53,7 +53,7 @@ pub trait EventRecorder: Send + Sync + std::fmt::Debug {
 /// tests a callback's class against its shard's copy *before* building the
 /// event; a callback nothing reads is counted and dropped there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HostGate(pub(crate) u16);
+pub(crate) struct HostGate(pub(crate) u16);
 
 impl HostGate {
     const OP_START: u16 = 1 << EventClass::ALL.len();
@@ -61,13 +61,13 @@ impl HostGate {
     const OPEN: HostGate = HostGate(u16::MAX);
 
     /// True when events of `class` are read by someone.
-    pub fn admits(self, class: EventClass) -> bool {
+    pub(crate) fn admits(self, class: EventClass) -> bool {
         self.0 & (1 << class.index()) != 0
     }
 
     /// True when `OpStart` is read even if the rest of its class is not:
     /// stack capture keeps the operator current at a launch.
-    pub fn admits_op_start(self) -> bool {
+    pub(crate) fn admits_op_start(self) -> bool {
         self.0 & HostGate::OP_START != 0
     }
 }
@@ -82,7 +82,7 @@ pub struct EventProcessor {
     /// Per-kernel aggregates backing the location knobs.
     pub knobs: KnobSet,
     /// Cross-layer stack capture.
-    pub stacks: StackCapture,
+    pub(crate) stacks: StackCapture,
     /// When set, capture stacks for the kernel this knob currently selects.
     pub capture_knob: Option<Knob>,
     /// The session's record-sampling factor (`ACCEL_PROF_ENV_SAMPLE_RATE`),
@@ -115,7 +115,7 @@ impl EventProcessor {
 
     /// Host and framework callbacks the gate counted without building
     /// their events, since the last reset.
-    pub fn events_gated(&self) -> u64 {
+    pub(crate) fn events_gated(&self) -> u64 {
         self.events_gated
     }
 
@@ -124,7 +124,7 @@ impl EventProcessor {
     /// annotations for the range filter, operator starts when a capture
     /// knob may ask for the stack — and everything while a recorder is
     /// attached.
-    pub fn host_gate(&self) -> HostGate {
+    pub(crate) fn host_gate(&self) -> HostGate {
         if self.recorder.is_some() {
             return HostGate::OPEN;
         }
@@ -148,7 +148,7 @@ impl EventProcessor {
     /// Probe configuration for an upcoming launch: disabled outside the
     /// analysis range, otherwise the union of tool interests at the
     /// session's sampling rate.
-    pub fn probe_config_for(&self, launch: LaunchId) -> ProbeConfig {
+    pub(crate) fn probe_config_for(&self, launch: LaunchId) -> ProbeConfig {
         if !self.range.covers_launch(launch) {
             return ProbeConfig::disabled();
         }
@@ -161,7 +161,7 @@ impl EventProcessor {
     /// True when some registered tool subscribes to `class` — the O(1)
     /// answer the sink's interest gate consults when deciding whether a
     /// fine-grained event is worth constructing at all.
-    pub fn class_wanted(&self, class: EventClass) -> bool {
+    pub(crate) fn class_wanted(&self, class: EventClass) -> bool {
         self.tools.wants_class(class)
     }
 
@@ -244,7 +244,7 @@ impl EventProcessor {
     /// dispatching it — how the hub keeps every shard's analysis-range
     /// observation in sync while the event's home shard alone delivers it
     /// to tools.
-    pub fn observe_range(&mut self, event: &Event) {
+    pub(crate) fn observe_range(&mut self, event: &Event) {
         self.range.observe(event);
     }
 
@@ -356,12 +356,6 @@ mod tests {
             }
             fn interest(&self) -> crate::tool::Interest {
                 crate::tool::Interest::all()
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
             }
         }
         p.tools.register(Box::new(DeviceHungry));

@@ -21,6 +21,7 @@ use accel_sim::{
 use dl_framework::alloc::AllocatorConfig;
 use dl_framework::backend::BackendProfile;
 use dl_framework::session::Session;
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
@@ -71,8 +72,8 @@ impl BackendChoice {
 /// Managed ranges default to *private* (per-device demand paging). A
 /// workload — or a parallel lane — can additionally mark a range
 /// **shared** across devices through
-/// [`accel_sim::ResidencyModel::register_shared`] (reachable via
-/// [`crate::WorkloadCx::uvm_mut`] or the lane session's runtime): remote
+/// [`accel_sim::ResidencyModel::register_shared`] (reachable through the
+/// session's `runtime_mut().residency_mut()`): remote
 /// reads then read-duplicate the owner's copy over the peer link and
 /// remote writes invalidate the other devices' duplicates, with the
 /// traffic surfacing in [`crate::UvmReport::peer_bytes`] and
@@ -120,13 +121,14 @@ impl<C: Vocabulary> SessionRuntime for Context<C> {
 impl dyn SessionRuntime {
     /// The attached UVM manager, if any.
     pub(super) fn uvm_manager(&self) -> Option<&UvmManager> {
-        self.residency().and_then(|r| r.as_any().downcast_ref())
+        self.residency()
+            .and_then(|r| (r as &dyn Any).downcast_ref())
     }
 
     /// Mutable access to the attached UVM manager, if any.
     pub(super) fn uvm_manager_mut(&mut self) -> Option<&mut UvmManager> {
         self.residency_mut()
-            .and_then(|r| r.as_any_mut().downcast_mut())
+            .and_then(|r| (r as &mut dyn Any).downcast_mut())
     }
 }
 

@@ -35,10 +35,4 @@ impl crate::tool::Tool for DeviceHungry {
     fn interest(&self) -> crate::tool::Interest {
         crate::tool::Interest::all()
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }

@@ -11,6 +11,7 @@ use crate::spine::{self, SpineDrainer, SpineMode};
 use accel_sim::{panic_message, AccelError, DeviceId};
 use dl_framework::lane_exec::{self, LaneSchedule};
 use dl_framework::parallel::DeviceLane;
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use uvm_sim::UvmManager;
@@ -210,7 +211,8 @@ impl PastaSession {
             let Some(model) = ctx.engine_mut().take_residency() else {
                 continue;
             };
-            if let Ok(manager) = model.into_any().downcast::<UvmManager>() {
+            let model: Box<dyn Any + Send> = model;
+            if let Ok(manager) = model.downcast::<UvmManager>() {
                 lane_managers.push((device, *manager));
             }
         }

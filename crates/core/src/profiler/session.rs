@@ -193,7 +193,7 @@ impl PastaSession {
     /// shard (device 0). On sharded multi-device sessions this sees only
     /// device 0's slice of the stream — use
     /// [`PastaSession::with_merged_tool`] for the cross-device view.
-    pub fn with_tool_mut<T: Tool + 'static, R>(
+    pub fn with_tool_mut<T: Tool, R>(
         &mut self,
         name: &str,
         f: impl FnOnce(&mut T) -> R,
@@ -204,11 +204,7 @@ impl PastaSession {
     /// Runs `f` against the merged cross-shard view of the named tool
     /// (every device's instance folded into a fresh copy, ascending
     /// device order).
-    pub fn with_merged_tool<T: Tool + 'static, R>(
-        &self,
-        name: &str,
-        f: impl FnOnce(&T) -> R,
-    ) -> Option<R> {
+    pub fn with_merged_tool<T: Tool, R>(&self, name: &str, f: impl FnOnce(&T) -> R) -> Option<R> {
         self.hub.with_merged_tool(name, f)
     }
 
@@ -353,6 +349,26 @@ mod tests {
     }
 
     #[test]
+    fn merged_tool_lookup_misses_on_an_unknown_name_or_the_wrong_type() {
+        for (builder, sharded) in [
+            (Pasta::builder().rtx_3060(), false),
+            (Pasta::builder().a100_x2(), true),
+        ] {
+            let session = builder.tool(LaunchCounter::default()).build().unwrap();
+            assert_eq!(session.hub.is_sharded(), sharded);
+            let merged = |name| session.with_merged_tool(name, |t: &LaunchCounter| t.launches);
+            assert_eq!(merged("launch-counter"), Some(0));
+            assert_eq!(merged("missing"), None, "unknown name");
+            assert!(
+                session
+                    .with_merged_tool("launch-counter", |_: &DeviceHungry| ())
+                    .is_none(),
+                "right name, wrong type"
+            );
+        }
+    }
+
+    #[test]
     fn kernel_sweep_workload_profiles_raw_kernels() {
         use crate::workload::KernelSweepWorkload;
         use accel_sim::{Dim3, KernelBody, KernelDesc};
@@ -430,8 +446,7 @@ mod tests {
             .unwrap();
         let mut probe = FnWorkload::new("uvm-probe", |cx| {
             assert!(cx.uvm().is_some(), "UVM sessions expose the manager");
-            let resident = cx.uvm_mut().unwrap().resident_bytes(accel_sim::DeviceId(0));
-            let _ = resident;
+            let _ = cx.uvm().unwrap().resident_bytes(accel_sim::DeviceId(0));
             Ok(WorkloadStats::new(0))
         });
         with_uvm.run(&mut probe).unwrap();

@@ -60,7 +60,7 @@ impl RangeFilter {
     }
 
     /// True when a launch with this grid id should be instrumented.
-    pub fn covers_launch(&self, launch: LaunchId) -> bool {
+    pub(crate) fn covers_launch(&self, launch: LaunchId) -> bool {
         let id = launch.value();
         if let Some(s) = self.start_grid_id {
             if id < s {
@@ -79,14 +79,15 @@ impl RangeFilter {
     }
 
     /// True when currently inside an annotated region.
-    pub fn in_region(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn in_region(&self) -> bool {
         self.region_depth > 0
     }
 
     /// Clears the *observed* state (region nesting) while keeping the
     /// configured window and gating mode. Called by the processor's reset:
     /// configuration belongs to the session, observation to the run.
-    pub fn reset_observation(&mut self) {
+    pub(crate) fn reset_observation(&mut self) {
         self.region_depth = 0;
     }
 }

@@ -313,7 +313,7 @@ impl EventRing {
     }
 
     /// True when the producer dropped the ring.
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         self.closed.load(Ordering::Acquire)
     }
 

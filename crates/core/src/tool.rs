@@ -78,7 +78,7 @@ impl Interest {
     }
 
     /// Union of two interest sets.
-    pub fn union(self, o: Interest) -> Interest {
+    pub(crate) fn union(self, o: Interest) -> Interest {
         Interest {
             global_accesses: self.global_accesses || o.global_accesses,
             shared_accesses: self.shared_accesses || o.shared_accesses,
@@ -97,7 +97,7 @@ impl Interest {
     }
 
     /// Device-side probe configuration implied by this interest set.
-    pub fn probe_config(self) -> ProbeConfig {
+    pub(crate) fn probe_config(self) -> ProbeConfig {
         let mut c = ProbeConfig::disabled();
         c.global_accesses = self.global_accesses;
         c.shared_accesses = self.shared_accesses;
@@ -118,7 +118,7 @@ impl Interest {
 
     /// Whether events of `class` should be delivered to a tool with this
     /// interest set — the single source of truth behind the dispatch table.
-    pub fn wants_class(self, class: EventClass) -> bool {
+    pub(crate) fn wants_class(self, class: EventClass) -> bool {
         match class {
             EventClass::DeviceAccess => self.global_accesses || self.shared_accesses,
             EventClass::DeviceControl => {
@@ -143,13 +143,60 @@ impl Interest {
 
 /// The analysis-tool template. All handlers default to no-ops.
 ///
+/// A complete tool that also runs sharded across devices — one instance
+/// per device via [`Tool::fork`], folded back together by [`Tool::merge`]:
+///
+/// ```
+/// use dl_framework::models::{ModelZoo, RunKind};
+/// use pasta_core::{Event, Interest, ModelWorkload, Pasta, Tool, ToolReport};
+///
+/// #[derive(Default)]
+/// struct Launches(u64);
+///
+/// impl Tool for Launches {
+///     fn name(&self) -> &str {
+///         "launches"
+///     }
+///     fn interest(&self) -> Interest {
+///         Interest { kernel_launches: true, ..Interest::default() }
+///     }
+///     fn on_event(&mut self, event: &Event) {
+///         if matches!(event, Event::KernelLaunchEnd { .. }) {
+///             self.0 += 1;
+///         }
+///     }
+///     fn report(&self) -> ToolReport {
+///         ToolReport::new(self.name()).metric("launches", self.0 as f64)
+///     }
+///     fn fork(&self) -> Option<Box<dyn Tool>> {
+///         Some(Box::<Launches>::default())
+///     }
+///     fn merge(&mut self, other: &dyn Tool) {
+///         if let Some(other) = other.downcast_ref::<Self>() {
+///             self.0 += other.0;
+///         }
+///     }
+/// }
+///
+/// # fn main() -> Result<(), pasta_core::PastaError> {
+/// let mut session = Pasta::builder().a100_x2().tool(Launches::default()).build()?;
+/// let mut bert = ModelWorkload::new(ModelZoo::Bert, RunKind::Inference).batch_divisor(8);
+/// let report = session.run(&mut bert)?;
+/// let merged = session.with_merged_tool("launches", |t: &Launches| t.0);
+/// assert_eq!(merged, Some(report.kernel_launches));
+/// # Ok(())
+/// # }
+/// ```
+///
 /// `Send + Sync` because tool instances live inside per-device hub
 /// shards: `Send` moves them across lane threads, and `Sync` lets the
 /// session-end merge stage fold several shards' instances from a small
 /// thread pool (tools only ever receive `&mut self` event delivery
 /// under their shard's lock, so the bounds cost implementations
-/// nothing — plain data structs satisfy both automatically).
-pub trait Tool: Send + Sync {
+/// nothing — plain data structs satisfy both automatically). `Any` lets a
+/// `&dyn Tool` be downcast to its concrete type, so a tool writes no
+/// downcasting code of its own.
+pub trait Tool: Any + Send + Sync {
     /// Unique tool name (used for selection, like the paper's
     /// `accelprof -t <tool>` flag).
     fn name(&self) -> &str;
@@ -228,19 +275,45 @@ pub trait Tool: Send + Sync {
     /// device id across devices).
     ///
     /// `other` is always an instance of the same concrete type (produced
-    /// by [`Tool::fork`]); implementations downcast it via
-    /// [`Tool::as_any`]. The default is a no-op, which is only sound for
-    /// tools that never fork.
+    /// by [`Tool::fork`]); implementations reach its state with
+    /// `other.downcast_ref::<Self>()`. The default is a no-op, which is
+    /// only sound for tools that never fork.
     fn merge(&mut self, other: &dyn Tool) {
         let _ = other;
     }
 
-    /// Downcasting support (used by
-    /// [`crate::PastaSession::with_tool_mut`]).
-    fn as_any(&self) -> &dyn Any;
+    /// Not called anywhere: a `&dyn Tool` upcasts to `&dyn Any`, and
+    /// `dyn Tool`'s `downcast_ref` / `downcast_mut` do the rest. Kept so
+    /// implementations that still override it compile.
+    #[doc(hidden)]
+    fn as_any(&self) -> &dyn Any
+    where
+        Self: Sized,
+    {
+        self
+    }
 
-    /// Mutable downcasting support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+    /// The `&mut` twin of `as_any`; likewise uncalled.
+    #[doc(hidden)]
+    fn as_any_mut(&mut self) -> &mut dyn Any
+    where
+        Self: Sized,
+    {
+        self
+    }
+}
+
+impl dyn Tool {
+    /// This tool as a `T`, when `T` is its concrete type: how
+    /// [`Tool::merge`] reaches the other instance's state.
+    pub fn downcast_ref<T: Tool>(&self) -> Option<&T> {
+        (self as &dyn Any).downcast_ref()
+    }
+
+    /// This tool as a mutable `T`, when `T` is its concrete type.
+    pub(crate) fn downcast_mut<T: Tool>(&mut self) -> Option<&mut T> {
+        (self as &mut dyn Any).downcast_mut()
+    }
 }
 
 /// An ordered collection of tools sharing one event stream.
@@ -248,7 +321,7 @@ pub trait Tool: Send + Sync {
 /// Dispatch is driven by a per-[`EventClass`] table precomputed from each
 /// tool's [`Tool::interest`] at registration (and rebuilt on
 /// [`ToolCollection::reset`]): delivering an event touches only the tools
-/// subscribed to its class, and [`ToolCollection::wants_class`] answers
+/// subscribed to its class, and `ToolCollection::wants_class` answers
 /// "does anyone care?" in O(1) so the sink can drop uninteresting device
 /// events before they are ever constructed. Interests are therefore
 /// sampled at registration/reset, not per event.
@@ -333,7 +406,7 @@ impl ToolCollection {
     }
 
     /// True when at least one armed tool wants events of `class`.
-    pub fn wants_class(&self, class: EventClass) -> bool {
+    pub(crate) fn wants_class(&self, class: EventClass) -> bool {
         self.wanted & (1 << class.index()) != 0
     }
 
@@ -467,13 +540,13 @@ impl ToolCollection {
     }
 
     /// True when the tool at registration index `i` is quarantined.
-    pub fn is_quarantined(&self, i: usize) -> bool {
+    pub(crate) fn is_quarantined(&self, i: usize) -> bool {
         self.quarantined.iter().any(|&(q, _)| q == i)
     }
 
     /// The quarantine record for the tool at registration index `i`, if
     /// it is quarantined.
-    pub fn quarantine_of(&self, i: usize) -> Option<&ToolQuarantine> {
+    pub(crate) fn quarantine_of(&self, i: usize) -> Option<&ToolQuarantine> {
         self.quarantined
             .iter()
             .find(|&&(q, _)| q == i)
@@ -509,7 +582,7 @@ impl ToolCollection {
     }
 
     /// The tool at registration index `i`.
-    pub fn tool_at(&self, i: usize) -> Option<&dyn Tool> {
+    pub(crate) fn tool_at(&self, i: usize) -> Option<&dyn Tool> {
         self.tools.get(i).map(|t| &**t)
     }
 
@@ -547,7 +620,7 @@ impl ToolCollection {
     }
 
     /// Runs `f` against the named tool downcast to `T`.
-    pub fn with_tool_mut<T: Tool + 'static, R>(
+    pub fn with_tool_mut<T: Tool, R>(
         &mut self,
         name: &str,
         f: impl FnOnce(&mut T) -> R,
@@ -555,7 +628,7 @@ impl ToolCollection {
         self.tools
             .iter_mut()
             .find(|t| t.name() == name)
-            .and_then(|t| t.as_any_mut().downcast_mut::<T>())
+            .and_then(|t| t.downcast_mut::<T>())
             .map(f)
     }
 }
@@ -599,17 +672,9 @@ impl Tool for LaunchCounter {
     }
 
     fn merge(&mut self, other: &dyn Tool) {
-        if let Some(other) = other.as_any().downcast_ref::<LaunchCounter>() {
+        if let Some(other) = other.downcast_ref::<LaunchCounter>() {
             self.launches += other.launches;
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -710,12 +775,6 @@ mod tests {
                 "on-event-only"
             }
             fn on_event(&mut self, _event: &Event) {}
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         let mut c = ToolCollection::new();
         c.register(Box::new(OnEventOnly));
@@ -763,6 +822,11 @@ mod tests {
         assert!(c
             .with_tool_mut("missing", |t: &mut LaunchCounter| t.launches)
             .is_none());
+        assert!(
+            c.with_tool_mut("launch-counter", |t: &mut PanicOnNth| t.seen)
+                .is_none(),
+            "right name, wrong type"
+        );
         let reports = c.reports();
         assert_eq!(reports[0].get("launches"), Some(2.0));
         c.reset();
@@ -794,12 +858,6 @@ mod tests {
                     crate::event::EventClass::Framework => self.framework += 1,
                     _ => self.other += 1,
                 }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         let mut c = ToolCollection::new();
@@ -839,12 +897,6 @@ mod tests {
                     self.device_access += 1;
                 }
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         #[derive(Default)]
         struct Hungry {
@@ -861,12 +913,6 @@ mod tests {
                 if event.class() == EventClass::DeviceAccess {
                     self.device_access += 1;
                 }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
 
@@ -937,12 +983,6 @@ mod tests {
         fn reset(&mut self) {
             self.seen = 0;
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     #[test]
@@ -1001,12 +1041,6 @@ mod tests {
             fn on_event(&mut self, _event: &Event) {
                 panic!("fault-injection");
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
         }
         let mut c = ToolCollection::new();
         c.register(Box::new(HungryPanicker));
@@ -1042,12 +1076,6 @@ mod tests {
             }
             fn report(&self) -> ToolReport {
                 panic!("fault-injection: report exploded");
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         let mut c = ToolCollection::new();

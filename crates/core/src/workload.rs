@@ -22,9 +22,9 @@
 use crate::error::PastaError;
 use accel_sim::{KernelDesc, LaunchRecord};
 use dl_framework::models::{ModelZoo, RunKind};
-use dl_framework::parallel::DeviceLane;
 use dl_framework::runner;
 use dl_framework::session::Session;
+use std::any::Any;
 use uvm_sim::UvmManager;
 
 /// Everything a [`Workload`] may touch while it runs.
@@ -42,13 +42,11 @@ impl<'a, 'rt> WorkloadCx<'a, 'rt> {
         WorkloadCx { session }
     }
 
-    /// Wraps one parallel lane's session, giving per-lane code inside
-    /// [`crate::PastaSession::run_parallel`] the same instrumented
-    /// surface a [`Workload`] gets — including [`WorkloadCx::uvm`] /
-    /// [`WorkloadCx::uvm_mut`] access to the lane's *own* forked UVM
-    /// manager (each lane carries a private fork of the session manager,
-    /// so touching it from the lane's thread contends on nothing).
-    pub fn for_lane(lane: &'a mut DeviceLane<'rt>) -> Self {
+    /// Wraps one parallel lane's session, so a test's per-lane code inside
+    /// [`crate::PastaSession::run_parallel`] can reach the lane's *own*
+    /// forked UVM manager through [`WorkloadCx::uvm`].
+    #[cfg(test)]
+    pub(crate) fn for_lane(lane: &'a mut dl_framework::parallel::DeviceLane<'rt>) -> Self {
         WorkloadCx {
             session: &mut lane.session,
         }
@@ -75,15 +73,7 @@ impl<'a, 'rt> WorkloadCx<'a, 'rt> {
         self.session
             .runtime()
             .residency()
-            .and_then(|r| r.as_any().downcast_ref())
-    }
-
-    /// Mutable access to the attached UVM manager.
-    pub fn uvm_mut(&mut self) -> Option<&mut UvmManager> {
-        self.session
-            .runtime_mut()
-            .residency_mut()
-            .and_then(|r| r.as_any_mut().downcast_mut())
+            .and_then(|r| (r as &dyn Any).downcast_ref())
     }
 }
 
@@ -119,7 +109,7 @@ impl WorkloadStats {
     }
 
     /// Overrides the report label (builder style).
-    pub fn labeled(mut self, label: impl Into<String>) -> Self {
+    pub(crate) fn labeled(mut self, label: impl Into<String>) -> Self {
         self.label = Some(label.into());
         self
     }

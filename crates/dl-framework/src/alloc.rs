@@ -28,7 +28,7 @@
 //! is how a release finds its block and tells a double free from a pointer
 //! the allocator never produced. Segments are a `Vec` in base order. Every
 //! size the allocator holds is a multiple of [`AllocatorConfig::round`]
-//! ([`AllocatorConfig::validate`] is what makes that an invariant), so a
+//! (`AllocatorConfig::validate` is what makes that an invariant), so a
 //! split never leaves a remainder the pool could not hand out.
 
 use accel_sim::{AccelError, DevicePtr, DeviceRuntime};
@@ -96,7 +96,7 @@ impl AllocatorConfig {
     /// (a split would leave a remainder smaller than `round`), or when a
     /// pool's segment size is not a multiple of `round` or is smaller than
     /// the largest request routed to that pool.
-    pub fn validate(&self) -> Result<(), AccelError> {
+    pub(crate) fn validate(&self) -> Result<(), AccelError> {
         let bad = |field: &str, value: u64, rule: &str| {
             Err(AccelError::Config(format!(
                 "AllocatorConfig::{field} = {value}: {rule}"
@@ -254,12 +254,14 @@ impl CachingAllocator {
 
     /// Live segment ranges `(base, size)` — the "memory objects" that
     /// object-level UVM prefetching operates on.
-    pub fn segments(&self) -> Vec<(u64, u64)> {
+    #[cfg(test)]
+    pub(crate) fn segments(&self) -> Vec<(u64, u64)> {
         self.segments.iter().map(|s| (s.base, s.size)).collect()
     }
 
     /// The segment containing `addr`, if any.
-    pub fn segment_of(&self, addr: u64) -> Option<(u64, u64)> {
+    #[cfg(test)]
+    pub(crate) fn segment_of(&self, addr: u64) -> Option<(u64, u64)> {
         let after = self.segments.partition_point(|s| s.base <= addr);
         let seg = self.segments[..after].last()?;
         (addr < seg.base + seg.size).then_some((seg.base, seg.size))
@@ -587,12 +589,12 @@ mod reference {
 
         /// Live segment ranges `(base, size)` — the "memory objects" that
         /// object-level UVM prefetching operates on.
-        pub fn segments(&self) -> Vec<(u64, u64)> {
+        pub(crate) fn segments(&self) -> Vec<(u64, u64)> {
             self.segments.values().map(|s| (s.base, s.size)).collect()
         }
 
         /// The segment containing `addr`, if any.
-        pub fn segment_of(&self, addr: u64) -> Option<(u64, u64)> {
+        pub(crate) fn segment_of(&self, addr: u64) -> Option<(u64, u64)> {
             self.segments
                 .range(..=addr)
                 .next_back()

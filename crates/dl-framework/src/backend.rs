@@ -85,12 +85,12 @@ impl BackendProfile {
     /// GEMM kernel symbol for a tile flavour and a `suffix` naming the
     /// operand layout and any fused epilogue (`"_tn"`, `"_tn_relu"`):
     /// `"ampere_sgemm_128x64_tn_relu"`.
-    pub fn gemm_kernel(&self, tile: &str, suffix: &str) -> Symbol {
+    pub(crate) fn gemm_kernel(&self, tile: &str, suffix: &str) -> Symbol {
         intern_concat(&[self.gemm_prefix, "_", tile, suffix])
     }
 
     /// Collective kernel symbol (e.g. `"ncclDevKernel_AllReduce_Sum_f32"`).
-    pub fn collective_kernel(&self, op: &str) -> Symbol {
+    pub(crate) fn collective_kernel(&self, op: &str) -> Symbol {
         intern_concat(&[self.nccl_prefix, "_", op, "_Sum_f32"])
     }
 }

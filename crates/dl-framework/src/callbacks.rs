@@ -112,12 +112,12 @@ pub enum FrameworkEvent {
 }
 
 /// A framework-event subscriber.
-pub type FrameworkSubscriber = Box<dyn FnMut(&FrameworkEvent) + Send>;
+pub(crate) type FrameworkSubscriber = Box<dyn FnMut(&FrameworkEvent) + Send>;
 
 /// Registry of framework-event subscribers (the analogue of
 /// `at::addGlobalCallback`).
 #[derive(Default)]
-pub struct CallbackRegistry {
+pub(crate) struct CallbackRegistry {
     subscribers: Vec<FrameworkSubscriber>,
 }
 
@@ -138,16 +138,6 @@ impl CallbackRegistry {
     /// Adds a subscriber.
     pub fn subscribe(&mut self, subscriber: FrameworkSubscriber) {
         self.subscribers.push(subscriber);
-    }
-
-    /// Number of subscribers.
-    pub fn len(&self) -> usize {
-        self.subscribers.len()
-    }
-
-    /// True when nobody is listening.
-    pub fn is_empty(&self) -> bool {
-        self.subscribers.is_empty()
     }
 
     /// Delivers an event to every subscriber, in registration order.
@@ -172,7 +162,6 @@ mod tests {
             let log = Arc::clone(&log);
             reg.subscribe(Box::new(move |_e| log.lock().push(i)));
         }
-        assert_eq!(reg.len(), 3);
         reg.emit(&FrameworkEvent::PassBoundary {
             pass: Pass::Forward,
             device: DeviceId(0),
@@ -203,7 +192,6 @@ mod tests {
     #[test]
     fn empty_registry_is_fine() {
         let mut reg = CallbackRegistry::new();
-        assert!(reg.is_empty());
         reg.emit(&FrameworkEvent::RegionStart {
             label: "x".into(),
             device: DeviceId(0),

@@ -19,7 +19,7 @@ pub enum DType {
 
 impl DType {
     /// Bytes per element.
-    pub fn size_bytes(self) -> u64 {
+    pub(crate) fn size_bytes(self) -> u64 {
         match self {
             DType::F32 | DType::I32 => 4,
             DType::F16 => 2,

@@ -3,7 +3,7 @@
 //! Layers manage their parameters (and Adam moments), launch their kernels
 //! through [`ops`], and cooperate with the container on activation
 //! lifetimes: a layer's `forward` never frees its input — the container
-//! ([`Sequential`] or a model) owns activations and frees them on the
+//! (`Sequential` or a model) owns activations and frees them on the
 //! schedule that reproduces real frameworks' memory curves (eager freeing
 //! in inference; free-as-you-backprop in training, which produces the
 //! ramp-up/peak/ramp-down of the paper's Fig. 14).
@@ -16,7 +16,7 @@ use accel_sim::AccelError;
 
 /// A trainable parameter with lazily-created gradient and Adam moments.
 #[derive(Debug)]
-pub struct Param {
+pub(crate) struct Param {
     /// The parameter tensor.
     pub tensor: Tensor,
     grad: Option<Tensor>,
@@ -44,7 +44,7 @@ impl Param {
     /// # Errors
     ///
     /// Propagates launch failures from the accumulation kernel.
-    pub fn set_grad(&mut self, s: &mut Session<'_>, grad: Tensor) -> Result<(), AccelError> {
+    pub(crate) fn set_grad(&mut self, s: &mut Session<'_>, grad: Tensor) -> Result<(), AccelError> {
         match &self.grad {
             None => self.grad = Some(grad),
             Some(existing) => {
@@ -80,7 +80,7 @@ impl Param {
     }
 
     /// Frees the parameter, moments and any pending gradient.
-    pub fn destroy(&mut self, s: &mut Session<'_>) {
+    pub(crate) fn destroy(&mut self, s: &mut Session<'_>) {
         if let Some(g) = self.grad.take() {
             s.free_tensor(&g);
         }
@@ -104,7 +104,7 @@ impl Param {
 /// Contract: `forward`/`backward` never free their *arguments*; tensors a
 /// layer allocates internally and keeps for backward are freed by
 /// `backward` or `release_saved`.
-pub trait Layer: Send {
+pub(crate) trait Layer: Send {
     /// Human-readable label (used for layer-boundary events).
     fn label(&self) -> String;
 
@@ -163,7 +163,7 @@ pub trait Layer: Send {
 
 /// Fully-connected layer with optional fused activation.
 #[derive(Debug)]
-pub struct Linear {
+pub(crate) struct Linear {
     name: String,
     w: Param,
     b: Option<Param>,
@@ -260,7 +260,7 @@ impl Layer for Linear {
 
 /// 2-D convolution with optional fused activation.
 #[derive(Debug)]
-pub struct Conv2d {
+pub(crate) struct Conv2d {
     name: String,
     w: Param,
     b: Param,
@@ -345,7 +345,7 @@ impl Layer for Conv2d {
 
 /// 2-D batch normalization.
 #[derive(Debug)]
-pub struct BatchNorm2d {
+pub(crate) struct BatchNorm2d {
     name: String,
     gamma: Param,
     beta: Param,
@@ -418,7 +418,7 @@ impl Layer for BatchNorm2d {
 
 /// Max pooling (no parameters).
 #[derive(Debug)]
-pub struct MaxPool2d {
+pub(crate) struct MaxPool2d {
     name: String,
     k: usize,
     stride: usize,
@@ -469,7 +469,7 @@ impl Layer for MaxPool2d {
 /// (`aten::contiguous` launches a real copy kernel in NCHW → FC
 /// transitions, which is what this models).
 #[derive(Debug)]
-pub struct Flatten {
+pub(crate) struct Flatten {
     name: String,
 }
 
@@ -514,7 +514,7 @@ impl Layer for Flatten {
 
 /// Adaptive average pooling to a 1×1 spatial output (ResNet's final pool).
 #[derive(Debug)]
-pub struct GlobalAvgPool {
+pub(crate) struct GlobalAvgPool {
     name: String,
 }
 
@@ -572,7 +572,7 @@ impl Layer for GlobalAvgPool {
 
 /// Layer normalization over the last dimension.
 #[derive(Debug)]
-pub struct LayerNorm {
+pub(crate) struct LayerNorm {
     name: String,
     gamma: Param,
     beta: Param,
@@ -651,7 +651,7 @@ impl Layer for LayerNorm {
 /// `heads/shard` heads and a `dim/shard`-wide projection, while the output
 /// projection restores the full model width.
 #[derive(Debug)]
-pub struct MultiHeadAttention {
+pub(crate) struct MultiHeadAttention {
     name: String,
     wqkv: Param,
     wo: Param,
@@ -664,20 +664,6 @@ pub struct MultiHeadAttention {
 }
 
 impl MultiHeadAttention {
-    /// Creates an attention block of `dim` split over `heads`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocator out-of-memory.
-    pub fn new(
-        s: &mut Session<'_>,
-        name: impl Into<String>,
-        dim: usize,
-        heads: usize,
-    ) -> Result<Self, AccelError> {
-        Self::new_sharded(s, name, dim, heads, 1)
-    }
-
     /// Creates one tensor-parallel shard: `heads/shard` local heads over a
     /// `dim/shard` projection width.
     ///
@@ -688,7 +674,7 @@ impl MultiHeadAttention {
     /// # Panics
     ///
     /// Panics when `shard` does not divide `heads` and `dim`.
-    pub fn new_sharded(
+    pub(crate) fn new_sharded(
         s: &mut Session<'_>,
         name: impl Into<String>,
         dim: usize,
@@ -1013,7 +999,7 @@ impl Layer for MultiHeadAttention {
 // ---------------------------------------------------------------------------
 
 /// Pre-norm transformer block: `x + attn(ln1(x))`, then `x + mlp(ln2(x))`.
-pub struct TransformerBlock {
+pub(crate) struct TransformerBlock {
     name: String,
     ln1: LayerNorm,
     attn: MultiHeadAttention,
@@ -1048,7 +1034,7 @@ impl TransformerBlock {
     /// # Errors
     ///
     /// Propagates allocator out-of-memory.
-    pub fn new_sharded(
+    pub(crate) fn new_sharded(
         s: &mut Session<'_>,
         name: impl Into<String>,
         dim: usize,
@@ -1213,7 +1199,7 @@ impl Layer for TransformerBlock {
 
 /// ResNet basic block: two 3×3 convolutions with batch norm and an
 /// identity (or 1×1 projection) shortcut.
-pub struct BasicBlock {
+pub(crate) struct BasicBlock {
     name: String,
     conv1: Conv2d,
     bn1: BatchNorm2d,
@@ -1461,7 +1447,7 @@ impl Layer for BasicBlock {
 // ---------------------------------------------------------------------------
 
 /// An owning sequence of layers with activation-lifetime management.
-pub struct Sequential {
+pub(crate) struct Sequential {
     label: String,
     layers: Vec<Box<dyn Layer>>,
     /// Training-mode activations: `acts[i]` is the *input* of layer `i`.
@@ -1495,23 +1481,13 @@ impl Sequential {
 
     /// Mutable access to the layers (models with non-sequential dataflow,
     /// e.g. Whisper's cross-attention decoder, drive layers directly).
-    pub fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
+    pub(crate) fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
         &mut self.layers
     }
 
     /// Number of layers.
     pub fn len(&self) -> usize {
         self.layers.len()
-    }
-
-    /// True when no layers are present.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-
-    /// Container label.
-    pub fn label(&self) -> &str {
-        &self.label
     }
 
     /// Runs the forward pass, taking ownership of `input`. In inference
@@ -1552,7 +1528,7 @@ impl Sequential {
     /// # Errors
     ///
     /// Propagates allocation/launch failures.
-    pub fn backward(
+    pub(crate) fn backward(
         &mut self,
         s: &mut Session<'_>,
         grad_output: Tensor,
@@ -1586,7 +1562,7 @@ impl Sequential {
     }
 
     /// Frees all parameters and any dangling activations.
-    pub fn destroy(&mut self, s: &mut Session<'_>) {
+    pub(crate) fn destroy(&mut self, s: &mut Session<'_>) {
         for t in self.acts.drain(..) {
             s.free_tensor(&t);
         }

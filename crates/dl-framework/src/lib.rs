@@ -49,7 +49,7 @@ pub mod tensor;
 
 pub use alloc::{AllocatorConfig, AllocatorStats, CachingAllocator};
 pub use backend::BackendProfile;
-pub use callbacks::{CallbackRegistry, FrameworkEvent, FrameworkSubscriber};
+pub use callbacks::FrameworkEvent;
 pub use dtype::DType;
 pub use models::{ModelZoo, RunKind};
 pub use pycall::{CrossLayerStack, NativeFrame, PyFrame, PyStack};

@@ -11,7 +11,7 @@ use crate::session::Session;
 use accel_sim::AccelError;
 
 /// A CNN classifier: a [`Sequential`] body plus a cross-entropy head.
-pub struct CnnModel {
+pub(crate) struct CnnModel {
     spec: ModelSpec,
     body: Sequential,
     input_shape: Vec<usize>,
@@ -78,7 +78,7 @@ impl Workload for CnnModel {
 /// # Errors
 ///
 /// Propagates allocator out-of-memory while creating parameters.
-pub fn alexnet(s: &mut Session<'_>, batch: usize) -> Result<CnnModel, AccelError> {
+pub(crate) fn alexnet(s: &mut Session<'_>, batch: usize) -> Result<CnnModel, AccelError> {
     let mut body = Sequential::new("alexnet");
     let conv = |s: &mut Session<'_>, name: &str, cin, cout, k, stride, pad| {
         Conv2d::new(
@@ -147,7 +147,7 @@ pub fn alexnet(s: &mut Session<'_>, batch: usize) -> Result<CnnModel, AccelError
 /// # Errors
 ///
 /// Propagates allocator out-of-memory while creating parameters.
-pub fn resnet(
+pub(crate) fn resnet(
     s: &mut Session<'_>,
     batch: usize,
     blocks: &[usize; 4],

@@ -23,7 +23,7 @@ use accel_sim::AccelError;
 
 /// Model family, as listed in Table IV.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ModelKind {
+pub(crate) enum ModelKind {
     /// Convolutional network.
     Cnn,
     /// Transformer.
@@ -57,7 +57,7 @@ pub struct ModelSpec {
     /// Paper abbreviation (`AN`, `RN-18`, …).
     pub abbr: &'static str,
     /// Family.
-    pub kind: ModelKind,
+    pub(crate) kind: ModelKind,
     /// Layer count as the paper counts it.
     pub layers: usize,
     /// Batch size used in the evaluation.
@@ -189,7 +189,7 @@ impl ModelZoo {
     /// # Errors
     ///
     /// Propagates allocator out-of-memory while creating parameters.
-    pub fn build_scaled(
+    pub(crate) fn build_scaled(
         self,
         s: &mut Session<'_>,
         divisor: usize,

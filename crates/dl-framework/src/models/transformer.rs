@@ -1,8 +1,8 @@
 //! Transformer models: GPT-2 (decoder), BERT (encoder), Whisper-small
 //! (encoder/decoder).
 //!
-//! All three share [`TransformerLm`]: token + positional embeddings, a
-//! stack of [`TransformerBlock`]s, a final layer norm, and a weight-tied
+//! All three share `TransformerLm`: token + positional embeddings, a
+//! stack of `TransformerBlock`s, a final layer norm, and a weight-tied
 //! vocabulary projection. Whisper adds an audio encoder whose output the
 //! decoder's cross-attention layers consume.
 
@@ -38,7 +38,7 @@ impl LmDims {
     /// key and a value vector of width `d` per layer, in `dtype` — the
     /// per-decode-step growth rate of a serving request's paged cache
     /// (`crate::serving`).
-    pub fn kv_bytes_per_token(&self, dtype: DType) -> u64 {
+    pub(crate) fn kv_bytes_per_token(&self, dtype: DType) -> u64 {
         2 * self.layers as u64 * self.d as u64 * dtype.size_bytes()
     }
 
@@ -55,7 +55,7 @@ impl LmDims {
 }
 
 /// A decoder- or encoder-only transformer language model.
-pub struct TransformerLm {
+pub(crate) struct TransformerLm {
     spec: ModelSpec,
     dims: LmDims,
     batch: usize,
@@ -79,7 +79,7 @@ impl std::fmt::Debug for TransformerLm {
 }
 
 /// Whisper's convolutional-front-end audio encoder.
-pub struct AudioEncoder {
+pub(crate) struct AudioEncoder {
     proj1: Linear,
     proj2: Linear,
     blocks: Sequential,
@@ -96,7 +96,7 @@ pub struct AudioEncoder {
 /// memory; scores are `[b·h, seq_q, seq_kv]`, so the kernel's working set
 /// includes the (large) encoder memory — the access-pattern fidelity the
 /// Whisper rows of Table V need.
-pub struct CrossAttention {
+pub(crate) struct CrossAttention {
     wq: Param,
     wkv: Param,
     wo: Param,
@@ -603,7 +603,7 @@ impl AudioEncoder {
 /// # Errors
 ///
 /// Propagates allocator out-of-memory.
-pub fn custom_lm(
+pub(crate) fn custom_lm(
     s: &mut Session<'_>,
     spec: ModelSpec,
     dims: LmDims,
@@ -651,7 +651,7 @@ fn build_lm(
 /// # Errors
 ///
 /// Propagates allocator out-of-memory.
-pub fn gpt2(s: &mut Session<'_>, batch: usize) -> Result<TransformerLm, AccelError> {
+pub(crate) fn gpt2(s: &mut Session<'_>, batch: usize) -> Result<TransformerLm, AccelError> {
     build_lm(
         s,
         ModelSpec {
@@ -679,7 +679,7 @@ pub fn gpt2(s: &mut Session<'_>, batch: usize) -> Result<TransformerLm, AccelErr
 /// # Errors
 ///
 /// Propagates allocator out-of-memory.
-pub fn bert(s: &mut Session<'_>, batch: usize) -> Result<TransformerLm, AccelError> {
+pub(crate) fn bert(s: &mut Session<'_>, batch: usize) -> Result<TransformerLm, AccelError> {
     build_lm(
         s,
         ModelSpec {
@@ -708,7 +708,10 @@ pub fn bert(s: &mut Session<'_>, batch: usize) -> Result<TransformerLm, AccelErr
 /// # Errors
 ///
 /// Propagates allocator out-of-memory.
-pub fn whisper_small(s: &mut Session<'_>, batch: usize) -> Result<TransformerLm, AccelError> {
+pub(crate) fn whisper_small(
+    s: &mut Session<'_>,
+    batch: usize,
+) -> Result<TransformerLm, AccelError> {
     let mut lm = build_lm(
         s,
         ModelSpec {

@@ -73,7 +73,7 @@ const TILE: u64 = 128;
 /// bias/activation epilogue. Memory traffic uses the tiled-reuse estimate:
 /// A is streamed `⌈n/T⌉` times, B `⌈m/T⌉` times.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_kernel(
+pub(crate) fn gemm_kernel(
     s: &mut Session<'_>,
     tile_label: &str,
     a: &Tensor,
@@ -202,7 +202,11 @@ fn unfused_epilogue(
 }
 
 /// In-place elementwise kernel over one tensor (activation, scale, …).
-pub fn elementwise_inplace(s: &mut Session<'_>, name: &str, t: &Tensor) -> Result<(), AccelError> {
+pub(crate) fn elementwise_inplace(
+    s: &mut Session<'_>,
+    name: &str,
+    t: &Tensor,
+) -> Result<(), AccelError> {
     let (g, blk) = launch_cfg(t.numel() / 4);
     let desc = KernelDesc::new(name, g, blk).arg(t.ptr, t.bytes).body(
         KernelBody::default()
@@ -216,7 +220,7 @@ pub fn elementwise_inplace(s: &mut Session<'_>, name: &str, t: &Tensor) -> Resul
 
 /// Elementwise kernel reading `inputs` and writing a fresh output of
 /// `shape` (binary add, dropout, casts, …).
-pub fn elementwise(
+pub(crate) fn elementwise(
     s: &mut Session<'_>,
     name: &str,
     inputs: &[&Tensor],
@@ -278,7 +282,7 @@ pub fn linear(
 }
 
 /// Backward of [`linear`]: returns `(grad_x, grad_w, grad_b)`.
-pub fn linear_backward(
+pub(crate) fn linear_backward(
     s: &mut Session<'_>,
     x: &Tensor,
     w: &Tensor,
@@ -341,7 +345,7 @@ pub fn linear_backward(
 
 /// Convolution configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Conv2dCfg {
+pub(crate) struct Conv2dCfg {
     /// Input channels.
     pub cin: usize,
     /// Output channels.
@@ -356,7 +360,7 @@ pub struct Conv2dCfg {
 
 impl Conv2dCfg {
     /// Output spatial edge for an input edge `h`.
-    pub fn out_edge(&self, h: usize) -> usize {
+    pub(crate) fn out_edge(&self, h: usize) -> usize {
         (h + 2 * self.pad - self.k) / self.stride + 1
     }
 }
@@ -366,7 +370,7 @@ impl Conv2dCfg {
 /// implicit GEMM for small kernels (the ResNet path).
 ///
 /// `x: [n, cin, h, w]` → `[n, cout, oh, ow]`.
-pub fn conv2d(
+pub(crate) fn conv2d(
     s: &mut Session<'_>,
     x: &Tensor,
     w: &Tensor,
@@ -448,7 +452,7 @@ pub fn conv2d(
 }
 
 /// Backward of [`conv2d`]: returns `(grad_x, grad_w, grad_b)`.
-pub fn conv2d_backward(
+pub(crate) fn conv2d_backward(
     s: &mut Session<'_>,
     x: &Tensor,
     w: &Tensor,
@@ -519,7 +523,7 @@ pub fn conv2d_backward(
 }
 
 /// `aten::max_pool2d` (square window).
-pub fn maxpool2d(
+pub(crate) fn maxpool2d(
     s: &mut Session<'_>,
     x: &Tensor,
     k: usize,
@@ -550,7 +554,7 @@ pub fn maxpool2d(
 }
 
 /// Backward of [`maxpool2d`].
-pub fn maxpool2d_backward(
+pub(crate) fn maxpool2d_backward(
     s: &mut Session<'_>,
     x: &Tensor,
     grad_out: &Tensor,
@@ -578,7 +582,7 @@ pub fn maxpool2d_backward(
 
 /// `aten::batch_norm` forward: two kernels (statistics + transform),
 /// matching cuDNN's decomposition.
-pub fn batchnorm2d(
+pub(crate) fn batchnorm2d(
     s: &mut Session<'_>,
     x: &Tensor,
     gamma: &Tensor,
@@ -620,7 +624,7 @@ pub fn batchnorm2d(
 }
 
 /// Backward of [`batchnorm2d`]: returns `(grad_x, grad_gamma, grad_beta)`.
-pub fn batchnorm2d_backward(
+pub(crate) fn batchnorm2d_backward(
     s: &mut Session<'_>,
     x: &Tensor,
     grad_out: &Tensor,
@@ -686,7 +690,7 @@ pub fn layernorm(
 }
 
 /// Backward of [`layernorm`]: returns `(grad_x, grad_gamma, grad_beta)`.
-pub fn layernorm_backward(
+pub(crate) fn layernorm_backward(
     s: &mut Session<'_>,
     x: &Tensor,
     grad_out: &Tensor,
@@ -719,7 +723,7 @@ pub fn layernorm_backward(
 }
 
 /// `aten::softmax` over the last dimension (fresh output tensor).
-pub fn softmax(s: &mut Session<'_>, x: &Tensor) -> Result<Tensor, AccelError> {
+pub(crate) fn softmax(s: &mut Session<'_>, x: &Tensor) -> Result<Tensor, AccelError> {
     s.with_op("aten::softmax", |s| {
         let y = s.alloc_tensor(&x.shape, DType::F32)?;
         let rows = x.numel() / *x.shape.last().expect("rank>0") as u64;
@@ -743,7 +747,7 @@ pub fn softmax(s: &mut Session<'_>, x: &Tensor) -> Result<Tensor, AccelError> {
 }
 
 /// Backward of [`softmax`].
-pub fn softmax_backward(
+pub(crate) fn softmax_backward(
     s: &mut Session<'_>,
     y: &Tensor,
     grad_out: &Tensor,
@@ -769,7 +773,7 @@ pub fn softmax_backward(
 
 /// `aten::embedding`: gather rows of `table[vocab, dim]` for
 /// `indices: [batch…] (i64)` → `[batch…, dim]`.
-pub fn embedding(
+pub(crate) fn embedding(
     s: &mut Session<'_>,
     table: &Tensor,
     indices: &Tensor,
@@ -806,7 +810,7 @@ pub fn embedding(
 }
 
 /// Backward of [`embedding`]: scatter-add into the table gradient.
-pub fn embedding_backward(
+pub(crate) fn embedding_backward(
     s: &mut Session<'_>,
     table: &Tensor,
     indices: &Tensor,
@@ -839,7 +843,7 @@ pub fn embedding_backward(
 }
 
 /// Cross-entropy forward over `logits: [rows, classes]` → scalar loss.
-pub fn cross_entropy(s: &mut Session<'_>, logits: &Tensor) -> Result<Tensor, AccelError> {
+pub(crate) fn cross_entropy(s: &mut Session<'_>, logits: &Tensor) -> Result<Tensor, AccelError> {
     s.with_op("aten::cross_entropy_loss", |s| {
         let sm = softmax(s, logits)?;
         let loss = s.alloc_tensor(&[1], DType::F32)?;
@@ -864,7 +868,10 @@ pub fn cross_entropy(s: &mut Session<'_>, logits: &Tensor) -> Result<Tensor, Acc
 }
 
 /// Cross-entropy backward: gradient of the logits.
-pub fn cross_entropy_backward(s: &mut Session<'_>, logits: &Tensor) -> Result<Tensor, AccelError> {
+pub(crate) fn cross_entropy_backward(
+    s: &mut Session<'_>,
+    logits: &Tensor,
+) -> Result<Tensor, AccelError> {
     s.with_op("aten::nll_loss_backward", |s| {
         let grad = s.alloc_tensor(&logits.shape, DType::F32)?;
         let (g, blk) = launch_cfg(grad.numel() / 4);
@@ -923,7 +930,7 @@ pub fn adam_step(
 }
 
 /// A ring all-reduce collective over `t` (NCCL/RCCL flavoured name).
-pub fn allreduce(s: &mut Session<'_>, t: &Tensor) -> Result<(), AccelError> {
+pub(crate) fn allreduce(s: &mut Session<'_>, t: &Tensor) -> Result<(), AccelError> {
     let name = s.backend().collective_kernel("AllReduce_RING_LL");
     s.with_op("c10d::allreduce_", |s| {
         let (g, blk) = launch_cfg(t.numel() / 8);
@@ -974,7 +981,7 @@ pub fn all_to_all(s: &mut Session<'_>, t: &Tensor, world: usize) -> Result<(), A
 }
 
 /// Point-to-point activation send/recv (pipeline parallelism).
-pub fn send_recv(s: &mut Session<'_>, t: &Tensor) -> Result<(), AccelError> {
+pub(crate) fn send_recv(s: &mut Session<'_>, t: &Tensor) -> Result<(), AccelError> {
     let name = s.backend().collective_kernel("SendRecv");
     s.with_op("c10d::send", |s| {
         let (g, blk) = launch_cfg(t.numel() / 8);

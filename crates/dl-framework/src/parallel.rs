@@ -101,7 +101,7 @@ impl<'rt> DeviceLane<'rt> {
     }
 
     /// The pooled-schedule worker budget (`0` = available parallelism).
-    pub fn pool_limit(&self) -> usize {
+    pub(crate) fn pool_limit(&self) -> usize {
         self.pool_limit
     }
 
@@ -148,7 +148,7 @@ impl Parallelism {
 }
 
 /// Megatron GPT-2 345M dimensions (24 layers, d=1024, 16 heads).
-pub fn megatron_345m_dims() -> LmDims {
+pub(crate) fn megatron_345m_dims() -> LmDims {
     LmDims {
         d: 1024,
         heads: 16,
@@ -348,7 +348,7 @@ pub struct MoeConfig {
 impl MoeConfig {
     /// The Megatron GPT-2 345M trunk with two experts per lane — the
     /// full-size variant of the paper-scale experiments.
-    pub fn megatron_345m() -> MoeConfig {
+    pub(crate) fn megatron_345m() -> MoeConfig {
         MoeConfig {
             dims: megatron_345m_dims(),
             experts_per_lane: 2,
@@ -384,7 +384,7 @@ fn moe_spec(layers: usize, batch: usize) -> ModelSpec {
 }
 
 /// [`train_iter`]'s expert-parallel iteration with an explicit
-/// [`MoeConfig`] (`train_iter` uses [`MoeConfig::megatron_345m`]) — the
+/// [`MoeConfig`] (`train_iter` uses `MoeConfig::megatron_345m`) — the
 /// entry the 64–256-lane scale tests and the `scale_out` bench drive.
 ///
 /// # Errors

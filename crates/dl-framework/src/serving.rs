@@ -18,7 +18,7 @@
 //!   residency model and unregisters when the conversation retires —
 //!   real registration/teardown churn, not allocator cache reuse).
 //!   TTFT is stamped when the prefill kernel completes.
-//! * **Decode**: each step appends [`LmDims::kv_bytes_per_token`] to the
+//! * **Decode**: each step appends `LmDims::kv_bytes_per_token` to the
 //!   request's cache (growing onto fresh pages as they fill) and
 //!   launches an attention kernel that reads the request's *entire*
 //!   cache — so a conversation paged out while it sat cold pays demand
@@ -148,7 +148,7 @@ impl ServingConfig {
     /// # Errors
     ///
     /// [`AccelError::Config`] naming the field and its value.
-    pub fn validate(&self) -> Result<(), AccelError> {
+    pub(crate) fn validate(&self) -> Result<(), AccelError> {
         let (prompt, decode) = (self.prompt_tokens, self.decode_tokens);
         let problem = if self.kv_page_tokens == 0 {
             "kv_page_tokens = 0: a KV page must hold at least one token".into()
@@ -206,7 +206,7 @@ impl RequestTrace {
     ///
     /// # Panics
     ///
-    /// Expects a config that passes [`ServingConfig::validate`]: a
+    /// Expects a config that passes `ServingConfig::validate`: a
     /// reversed token range has no sample to draw.
     pub fn generate(cfg: &ServingConfig) -> RequestTrace {
         let mut state = cfg.seed ^ 0x9e37_79b9_7f4a_7c15;
@@ -525,7 +525,7 @@ fn grow_kv(
 ///
 /// # Errors
 ///
-/// [`AccelError::Config`] for a config [`ServingConfig::validate`]
+/// [`AccelError::Config`] for a config `ServingConfig::validate`
 /// rejects, or no lane at all. Propagates allocation/launch failures; a
 /// panicking lane surfaces as [`AccelError::LanePanic`] for its device.
 pub fn serve(lanes: &mut [DeviceLane<'_>], cfg: &ServingConfig) -> Result<ServingRun, AccelError> {

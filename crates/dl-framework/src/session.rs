@@ -100,7 +100,7 @@ impl<'rt> Session<'rt> {
     }
 
     /// Total kernels launched through this session.
-    pub fn kernels_launched(&self) -> u64 {
+    pub(crate) fn kernels_launched(&self) -> u64 {
         self.kernels_launched
     }
 
@@ -110,7 +110,7 @@ impl<'rt> Session<'rt> {
     }
 
     /// Allocator statistics for a specific device (multi-GPU reports).
-    pub fn allocator_stats_for(&self, device: DeviceId) -> AllocatorStats {
+    pub(crate) fn allocator_stats_for(&self, device: DeviceId) -> AllocatorStats {
         self.allocator_for(device)
             .map(CachingAllocator::stats)
             .unwrap_or_default()
@@ -129,7 +129,8 @@ impl<'rt> Session<'rt> {
 
     /// Live allocator segment ranges on the current device — the memory
     /// *objects* that object-level UVM prefetching moves wholesale.
-    pub fn allocator_segments(&self) -> Vec<(u64, u64)> {
+    #[cfg(test)]
+    pub(crate) fn allocator_segments(&self) -> Vec<(u64, u64)> {
         self.allocator_for(self.rt.current_device())
             .map(CachingAllocator::segments)
             .unwrap_or_default()
@@ -142,7 +143,7 @@ impl<'rt> Session<'rt> {
     ///
     /// Propagates allocator out-of-memory, and — on a device's first
     /// allocation — [`AccelError::Config`] from
-    /// [`AllocatorConfig::validate`].
+    /// `AllocatorConfig::validate`.
     pub fn alloc_tensor(&mut self, shape: &[usize], dtype: DType) -> Result<Tensor, AccelError> {
         let bytes = Tensor::bytes_for(shape, dtype);
         let dev = self.rt.current_device();
@@ -255,7 +256,7 @@ impl<'rt> Session<'rt> {
     }
 
     /// Pops the top Python frame.
-    pub fn py_pop(&mut self) {
+    pub(crate) fn py_pop(&mut self) {
         let _ = self.py.pop();
     }
 
@@ -306,7 +307,7 @@ impl<'rt> Session<'rt> {
     /// # Errors
     ///
     /// Propagates allocator out-of-memory.
-    pub fn ensure_gemm_workspace(&mut self, bytes: u64) -> Result<Tensor, AccelError> {
+    pub(crate) fn ensure_gemm_workspace(&mut self, bytes: u64) -> Result<Tensor, AccelError> {
         let dev = self.rt.current_device();
         let slot = match self.gemm_workspace.binary_search_by_key(&dev, |&(d, _)| d) {
             Ok(slot) => {

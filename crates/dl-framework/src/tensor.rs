@@ -32,7 +32,7 @@ pub struct Tensor {
 
 impl Tensor {
     /// Number of elements.
-    pub fn numel(&self) -> u64 {
+    pub(crate) fn numel(&self) -> u64 {
         self.shape.iter().map(|&d| d as u64).product()
     }
 
@@ -51,7 +51,7 @@ impl Tensor {
     }
 
     /// Computes the byte size a tensor of `shape`/`dtype` occupies.
-    pub fn bytes_for(shape: &[usize], dtype: DType) -> u64 {
+    pub(crate) fn bytes_for(shape: &[usize], dtype: DType) -> u64 {
         shape.iter().map(|&d| d as u64).product::<u64>() * dtype.size_bytes()
     }
 }

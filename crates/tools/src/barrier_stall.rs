@@ -4,7 +4,6 @@
 
 use accel_sim::Symbol;
 use pasta_core::{Event, Interest, Tool, ToolReport};
-use std::any::Any;
 use std::collections::HashMap;
 
 /// Estimated stall per barrier execution, ns (warp re-convergence plus
@@ -29,7 +28,7 @@ impl BarrierStats {
     }
 
     /// Stall as a fraction of kernel time.
-    pub fn stall_fraction(&self) -> f64 {
+    pub(crate) fn stall_fraction(&self) -> f64 {
         if self.duration_ns == 0 {
             return 0.0;
         }
@@ -51,7 +50,8 @@ impl BarrierStallTool {
     }
 
     /// Statistics for one kernel.
-    pub fn stats_for(&self, kernel: &str) -> Option<BarrierStats> {
+    #[cfg(test)]
+    pub(crate) fn stats_for(&self, kernel: &str) -> Option<BarrierStats> {
         self.per_kernel.get(kernel).copied()
     }
 
@@ -136,7 +136,7 @@ impl Tool for BarrierStallTool {
     }
 
     fn merge(&mut self, other: &dyn Tool) {
-        let Some(other) = other.as_any().downcast_ref::<BarrierStallTool>() else {
+        let Some(other) = other.downcast_ref::<BarrierStallTool>() else {
             return;
         };
         // `current_kernel` is in-flight launch state and never merges.
@@ -146,14 +146,6 @@ impl Tool for BarrierStallTool {
             s.calls += theirs.calls;
             s.duration_ns += theirs.duration_ns;
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -221,7 +213,7 @@ mod tests {
         let mut merged = a.fork().unwrap();
         merged.merge(&a);
         merged.merge(&b);
-        let merged = merged.as_any().downcast_ref::<BarrierStallTool>().unwrap();
+        let merged = merged.downcast_ref::<BarrierStallTool>().unwrap();
         let s = merged.stats_for("gemm").unwrap();
         assert_eq!(s.barriers, 150);
         assert_eq!(s.calls, 2);

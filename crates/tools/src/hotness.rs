@@ -6,7 +6,6 @@
 //! signal an efficient UVM prefetching algorithm needs.
 
 use pasta_core::{Event, Interest, Tool, ToolReport};
-use std::any::Any;
 use uvm_sim::{BlockHotness, HotnessSeries};
 
 /// Liveness from which the report counts a block as persistent ("HOT").
@@ -103,18 +102,10 @@ impl Tool for HotnessTool {
     }
 
     fn merge(&mut self, other: &dyn Tool) {
-        let Some(other) = other.as_any().downcast_ref::<HotnessTool>() else {
+        let Some(other) = other.downcast_ref::<HotnessTool>() else {
             return;
         };
         self.hotness.merge_from(&other.hotness);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -225,7 +216,7 @@ mod tests {
         let mut merged = a.fork().unwrap();
         merged.merge(&a);
         merged.merge(&b);
-        let merged = merged.as_any().downcast_ref::<HotnessTool>().unwrap();
+        let merged = merged.downcast_ref::<HotnessTool>().unwrap();
         let s = merged.series();
         assert_eq!(s.blocks, vec![0, 5]);
         assert_eq!(s.block_total(0), 150, "bin 0 of both shards sums");

@@ -7,7 +7,6 @@
 
 use accel_sim::Symbol;
 use pasta_core::{Event, Interest, Tool, ToolReport};
-use std::any::Any;
 use std::collections::HashMap;
 
 /// Counts kernel invocations by symbol name. Keys are interned
@@ -35,7 +34,8 @@ impl KernelFrequencyTool {
     }
 
     /// Invocations of one kernel.
-    pub fn count_of(&self, kernel: &str) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn count_of(&self, kernel: &str) -> u64 {
         self.counts.get(kernel).copied().unwrap_or(0)
     }
 
@@ -95,21 +95,13 @@ impl Tool for KernelFrequencyTool {
     }
 
     fn merge(&mut self, other: &dyn Tool) {
-        let Some(other) = other.as_any().downcast_ref::<KernelFrequencyTool>() else {
+        let Some(other) = other.downcast_ref::<KernelFrequencyTool>() else {
             return;
         };
         for (kernel, &count) in &other.counts {
             *self.counts.entry(*kernel).or_insert(0) += count;
         }
         self.total += other.total;
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -174,10 +166,7 @@ mod tests {
         let mut merged = a.fork().unwrap();
         merged.merge(&a);
         merged.merge(&*b);
-        let merged = merged
-            .as_any()
-            .downcast_ref::<KernelFrequencyTool>()
-            .unwrap();
+        let merged = merged.downcast_ref::<KernelFrequencyTool>().unwrap();
         assert_eq!(merged.count_of("gemm"), 4);
         assert_eq!(merged.count_of("relu"), 1);
         assert_eq!(merged.total(), 5);

@@ -4,7 +4,6 @@
 //! minimal extension surface: one overridden handler, one report.
 
 use pasta_core::{Event, Interest, Tool, ToolReport};
-use std::any::Any;
 
 /// Aggregate launch-geometry statistics.
 #[derive(Debug, Default)]
@@ -28,7 +27,7 @@ impl LaunchCensusTool {
     }
 
     /// Mean threads per launch.
-    pub fn avg_threads(&self) -> f64 {
+    pub(crate) fn avg_threads(&self) -> f64 {
         if self.launches == 0 {
             return 0.0;
         }
@@ -36,7 +35,7 @@ impl LaunchCensusTool {
     }
 
     /// Fraction of launches with a single block (under-occupancy signal).
-    pub fn single_block_fraction(&self) -> f64 {
+    pub(crate) fn single_block_fraction(&self) -> f64 {
         if self.launches == 0 {
             return 0.0;
         }
@@ -88,7 +87,7 @@ impl Tool for LaunchCensusTool {
     }
 
     fn merge(&mut self, other: &dyn Tool) {
-        let Some(other) = other.as_any().downcast_ref::<LaunchCensusTool>() else {
+        let Some(other) = other.downcast_ref::<LaunchCensusTool>() else {
             return;
         };
         self.launches += other.launches;
@@ -96,14 +95,6 @@ impl Tool for LaunchCensusTool {
         self.total_threads += other.total_threads;
         self.max_threads = self.max_threads.max(other.max_threads);
         self.single_block_launches += other.single_block_launches;
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

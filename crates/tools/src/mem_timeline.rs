@@ -7,7 +7,6 @@
 
 use accel_sim::DeviceId;
 use pasta_core::{Event, Interest, Tool, ToolReport};
-use std::any::Any;
 use std::collections::HashMap;
 
 /// One point of the timeline.
@@ -213,7 +212,7 @@ impl Tool for MemoryTimelineTool {
     }
 
     fn merge(&mut self, other: &dyn Tool) {
-        let Some(other) = other.as_any().downcast_ref::<MemoryTimelineTool>() else {
+        let Some(other) = other.downcast_ref::<MemoryTimelineTool>() else {
             return;
         };
         // Shards see disjoint devices, so this is normally a plain union;
@@ -236,14 +235,6 @@ impl Tool for MemoryTimelineTool {
             mine.stall_ns += traffic.stall_ns;
         }
         self.counter += other.counter;
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -315,10 +306,7 @@ mod tests {
         let mut merged = a.fork().unwrap();
         merged.merge(&a);
         merged.merge(&b);
-        let merged = merged
-            .as_any()
-            .downcast_ref::<MemoryTimelineTool>()
-            .unwrap();
+        let merged = merged.downcast_ref::<MemoryTimelineTool>().unwrap();
         assert_eq!(merged.devices(), vec![DeviceId(0), DeviceId(1)]);
         assert_eq!(merged.events_for(DeviceId(1)), 2);
         assert_eq!(merged.series_for(DeviceId(1))[1].event_index, 1);
@@ -358,10 +346,7 @@ mod tests {
         let mut merged = t.fork().unwrap();
         merged.merge(&t);
         merged.merge(&other);
-        let merged = merged
-            .as_any()
-            .downcast_ref::<MemoryTimelineTool>()
-            .unwrap();
+        let merged = merged.downcast_ref::<MemoryTimelineTool>().unwrap();
         assert_eq!(merged.uvm_for(DeviceId(1)).migrated_bytes, 8 << 20);
     }
 
@@ -389,10 +374,7 @@ mod tests {
         let mut merged = t.fork().unwrap();
         merged.merge(&t);
         merged.merge(&t);
-        let merged = merged
-            .as_any()
-            .downcast_ref::<MemoryTimelineTool>()
-            .unwrap();
+        let merged = merged.downcast_ref::<MemoryTimelineTool>().unwrap();
         assert_eq!(merged.uvm_for(DeviceId(1)).peer_in_bytes, 4 << 20);
     }
 

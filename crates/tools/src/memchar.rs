@@ -10,7 +10,6 @@
 use crate::util::{mb, merged_extent, percentile};
 use accel_sim::{AccessBatch, LaunchId};
 use pasta_core::{Event, Interest, Tool, ToolReport};
-use std::any::Any;
 
 /// Table V's row for one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -186,7 +185,7 @@ impl Tool for MemoryCharacteristicsTool {
     }
 
     fn merge(&mut self, other: &dyn Tool) {
-        let Some(other) = other.as_any().downcast_ref::<MemoryCharacteristicsTool>() else {
+        let Some(other) = other.downcast_ref::<MemoryCharacteristicsTool>() else {
             return;
         };
         // Close the other shard's in-flight launch on a snapshot so its
@@ -210,14 +209,6 @@ impl Tool for MemoryCharacteristicsTool {
         self.uvm_migrated_bytes += other.uvm_migrated_bytes;
         self.uvm_peer_bytes += other.uvm_peer_bytes;
         self.uvm_invalidated_pages += other.uvm_invalidated_pages;
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -334,10 +325,7 @@ mod tests {
         let mut merged = t.fork().unwrap();
         merged.merge(&t);
         merged.merge(&t);
-        let merged = merged
-            .as_any()
-            .downcast_ref::<MemoryCharacteristicsTool>()
-            .unwrap();
+        let merged = merged.downcast_ref::<MemoryCharacteristicsTool>().unwrap();
         let mut merged = MemoryCharacteristicsTool {
             current_launch: merged.current_launch,
             current_ranges: merged.current_ranges.clone(),

@@ -9,7 +9,6 @@
 
 use accel_sim::Symbol;
 use pasta_core::{Event, Interest, Tool, ToolReport};
-use std::any::Any;
 use std::collections::HashMap;
 
 /// Aggregate of one operator's kernel usage.
@@ -50,7 +49,8 @@ impl OpKernelMapTool {
     }
 
     /// Profile of one operator.
-    pub fn profile(&self, op: &str) -> Option<&OpProfile> {
+    #[cfg(test)]
+    pub(crate) fn profile(&self, op: &str) -> Option<&OpProfile> {
         self.per_op.get(op)
     }
 
@@ -67,7 +67,7 @@ impl OpKernelMapTool {
     }
 
     /// Number of distinct operators observed.
-    pub fn op_count(&self) -> usize {
+    pub(crate) fn op_count(&self) -> usize {
         self.per_op.len()
     }
 }
@@ -142,7 +142,7 @@ impl Tool for OpKernelMapTool {
     }
 
     fn merge(&mut self, other: &dyn Tool) {
-        let Some(other) = other.as_any().downcast_ref::<OpKernelMapTool>() else {
+        let Some(other) = other.downcast_ref::<OpKernelMapTool>() else {
             return;
         };
         // `stack` is in-flight operator nesting and never merges.
@@ -155,14 +155,6 @@ impl Tool for OpKernelMapTool {
                 *p.kernel_counts.entry(*kernel).or_insert(0) += count;
             }
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -238,7 +230,7 @@ mod tests {
         let mut merged = a.fork().unwrap();
         merged.merge(&a);
         merged.merge(&b);
-        let merged = merged.as_any().downcast_ref::<OpKernelMapTool>().unwrap();
+        let merged = merged.downcast_ref::<OpKernelMapTool>().unwrap();
         let p = merged.profile("aten::linear").unwrap();
         assert_eq!(p.calls, 2);
         assert_eq!(p.kernels, 3);

@@ -11,7 +11,6 @@
 
 use accel_sim::Symbol;
 use pasta_core::{Event, Interest, Tool, ToolReport};
-use std::any::Any;
 use std::collections::HashMap;
 
 /// Accumulation-depth threshold above which a kernel is flagged.
@@ -19,7 +18,7 @@ const RISK_FLOPS_PER_BYTE: f64 = 64.0;
 
 /// Per-kernel sanitizer coverage.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SanitizerCoverage {
+pub(crate) struct SanitizerCoverage {
     /// Dynamic instructions checked.
     pub instructions_checked: u64,
     /// Bytes written by the kernel.
@@ -40,7 +39,7 @@ impl OverflowSanitizerTool {
     }
 
     /// Total instructions checked across all kernels.
-    pub fn instructions_checked(&self) -> u64 {
+    pub(crate) fn instructions_checked(&self) -> u64 {
         self.per_kernel
             .values()
             .map(|c| c.instructions_checked)
@@ -48,7 +47,7 @@ impl OverflowSanitizerTool {
     }
 
     /// Kernels flagged as overflow-risk (deep accumulation).
-    pub fn flagged(&self) -> Vec<Symbol> {
+    pub(crate) fn flagged(&self) -> Vec<Symbol> {
         let mut v: Vec<Symbol> = self
             .per_kernel
             .iter()
@@ -120,14 +119,6 @@ impl Tool for OverflowSanitizerTool {
     fn reset(&mut self) {
         self.per_kernel.clear();
         self.current_kernel.clear();
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -5,7 +5,6 @@
 
 use accel_sim::CopyDirection;
 use pasta_core::{Event, Interest, Tool, ToolReport};
-use std::any::Any;
 
 /// Aggregate transfer statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -41,7 +40,7 @@ impl TransferTool {
     }
 
     /// Fraction of explicit copies that are latency-bound (< 64 KiB).
-    pub fn small_copy_fraction(&self) -> f64 {
+    pub(crate) fn small_copy_fraction(&self) -> f64 {
         let total = self.stats.h2d.0 + self.stats.d2h.0 + self.stats.d2d.0;
         if total == 0 {
             return 0.0;
@@ -107,7 +106,7 @@ impl Tool for TransferTool {
     }
 
     fn merge(&mut self, other: &dyn Tool) {
-        let Some(other) = other.as_any().downcast_ref::<TransferTool>() else {
+        let Some(other) = other.downcast_ref::<TransferTool>() else {
             return;
         };
         let o = &other.stats;
@@ -117,14 +116,6 @@ impl Tool for TransferTool {
         s.d2d = (s.d2d.0 + o.d2d.0, s.d2d.1 + o.d2d.1);
         s.small_copies += o.small_copies;
         s.batch_ops = (s.batch_ops.0 + o.batch_ops.0, s.batch_ops.1 + o.batch_ops.1);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

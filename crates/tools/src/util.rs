@@ -50,7 +50,7 @@ pub fn merged_extent(ranges: &mut Vec<(u64, u64)>) -> u64 {
 /// Returns `None` for an empty slice — "no samples" must not read as
 /// "0 ns" in a latency column (a serving run that admitted no requests
 /// has no p99, not a zero one).
-pub fn percentile(sorted: &[u64], p: f64) -> Option<u64> {
+pub(crate) fn percentile(sorted: &[u64], p: f64) -> Option<u64> {
     if sorted.is_empty() {
         return None;
     }

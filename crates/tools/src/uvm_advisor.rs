@@ -15,7 +15,6 @@
 //! Fig. 11/12 comparisons.
 
 use pasta_core::{Event, Interest, Tool, ToolReport};
-use std::any::Any;
 use std::collections::BTreeMap;
 use uvm_sim::{PrefetchGranularity, PrefetchPlan, Range};
 
@@ -110,7 +109,7 @@ impl UvmPrefetchAdvisor {
     }
 
     /// Number of launches profiled.
-    pub fn launches_profiled(&self) -> usize {
+    pub(crate) fn launches_profiled(&self) -> usize {
         self.launch_objects.len()
     }
 
@@ -146,12 +145,14 @@ impl UvmPrefetchAdvisor {
     }
 
     /// Devices with observed UVM activity, ascending.
-    pub fn uvm_devices(&self) -> Vec<accel_sim::DeviceId> {
+    #[cfg(test)]
+    pub(crate) fn uvm_devices(&self) -> Vec<accel_sim::DeviceId> {
         self.uvm.keys().copied().collect()
     }
 
     /// Observed peer traffic of one (src, dst) device pair.
-    pub fn peer_traffic_for(
+    #[cfg(test)]
+    pub(crate) fn peer_traffic_for(
         &self,
         src: accel_sim::DeviceId,
         dst: accel_sim::DeviceId,
@@ -311,7 +312,7 @@ impl Tool for UvmPrefetchAdvisor {
     }
 
     fn merge(&mut self, other: &dyn Tool) {
-        let Some(other) = other.as_any().downcast_ref::<UvmPrefetchAdvisor>() else {
+        let Some(other) = other.downcast_ref::<UvmPrefetchAdvisor>() else {
             return;
         };
         for (&base, &len) in &other.objects {
@@ -342,14 +343,6 @@ impl Tool for UvmPrefetchAdvisor {
         for (pair, traffic) in &other.peer {
             self.peer.entry(*pair).or_default().merge_from(traffic);
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -485,10 +478,7 @@ mod tests {
         let mut merged = shard0.fork().unwrap();
         merged.merge(&shard0);
         merged.merge(&shard1);
-        let merged = merged
-            .as_any()
-            .downcast_ref::<UvmPrefetchAdvisor>()
-            .unwrap();
+        let merged = merged.downcast_ref::<UvmPrefetchAdvisor>().unwrap();
         assert_eq!(merged.uvm_devices(), vec![DeviceId(0), DeviceId(1)]);
         assert_eq!(merged.uvm_activity_for(DeviceId(0)).fault_groups, 3);
         assert_eq!(merged.uvm_activity_for(DeviceId(1)).fault_groups, 5);
@@ -529,10 +519,7 @@ mod tests {
         let mut merged = shard0.fork().unwrap();
         merged.merge(&shard0);
         merged.merge(&shard1);
-        let merged = merged
-            .as_any()
-            .downcast_ref::<UvmPrefetchAdvisor>()
-            .unwrap();
+        let merged = merged.downcast_ref::<UvmPrefetchAdvisor>().unwrap();
         assert_eq!(
             merged
                 .peer_matrix()

@@ -22,7 +22,6 @@ use pasta_tools::{
     MemoryCharacteristicsTool, MemoryTimelineTool, OpKernelMapTool, OverflowSanitizerTool,
     TransferTool, UvmPrefetchAdvisor,
 };
-use std::any::Any;
 
 /// Keeps every event it is sent, and asks for all of them.
 #[derive(Default)]
@@ -37,12 +36,6 @@ impl Tool for Recorder {
     }
     fn on_event(&mut self, event: &Event) {
         self.0.push(event.clone());
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -61,12 +54,6 @@ impl Tool for Wide {
     }
     fn report(&self) -> ToolReport {
         self.0.report()
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

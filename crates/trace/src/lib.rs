@@ -96,4 +96,4 @@ mod writer;
 pub use error::TraceError;
 pub use reader::{ShardSummary, TraceReader, TraceShard, TraceSummary};
 pub use replay::{replay, replay_decoded};
-pub use writer::{Trace, TraceWriter, FORMAT_VERSION, MAGIC};
+pub use writer::{Trace, TraceWriter, FORMAT_VERSION};

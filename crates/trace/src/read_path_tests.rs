@@ -785,12 +785,6 @@ impl Tool for DiesOnAccess {
     fn fork(&self) -> Option<Box<dyn Tool>> {
         Some(Box::new(DiesOnAccess { n: self.n, seen: 0 }))
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// Keeps the injected panics of this file off the test output.

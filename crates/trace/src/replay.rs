@@ -93,14 +93,6 @@ pub fn replay_decoded(
     tools: &mut ToolCollection,
 ) -> Result<MergedReport, TraceError> {
     let shards = reader.shards();
-    if shards.is_empty() {
-        // Unreachable via parse() (which rejects zero shards), but a
-        // hand-built reader must not panic below.
-        return Err(TraceError::Corrupt {
-            offset: 0,
-            what: "no shards to replay".into(),
-        });
-    }
     let mut procs = processors(shards.iter().map(|shard| shard.device), tools)?;
     for ((_, processor), shard) in procs.iter_mut().zip(shards) {
         replay_events(processor, &shard.events);

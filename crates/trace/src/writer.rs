@@ -23,7 +23,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// First bytes of every trace file.
-pub const MAGIC: [u8; 8] = *b"PASTATRC";
+pub(crate) const MAGIC: [u8; 8] = *b"PASTATRC";
 /// Trailing end marker — proves the writer finished the file.
 pub(crate) const END_MAGIC: [u8; 8] = *b"PTRCEND\0";
 /// The on-disk format revision this build reads and writes.

@@ -143,7 +143,7 @@ impl RangeDirectory {
     }
 
     /// Adds one registration to this range without going through
-    /// [`CoherenceDirectory::ensure`] — how [`crate::UvmManager::fork`]
+    /// `CoherenceDirectory::ensure` — how [`crate::UvmManager::fork`]
     /// and merge-imported cache entries keep the range alive, so an
     /// inheritor calling `unregister_shared` cannot tear the directory
     /// down under the managers it inherited from.
@@ -180,13 +180,14 @@ impl RangeDirectory {
     }
 
     /// Records that `device` now holds a duplicate of `page`.
-    pub fn add_holder(&self, page: u64, device: DeviceId) {
+    #[cfg(test)]
+    pub(crate) fn add_holder(&self, page: u64, device: DeviceId) {
         self.add_holders(std::iter::once(page), device);
     }
 
     /// Records `device` as a holder of every page in `pages` under one
     /// range-lock acquisition (the fault path registers whole batches).
-    pub fn add_holders(&self, pages: impl IntoIterator<Item = u64>, device: DeviceId) {
+    pub(crate) fn add_holders(&self, pages: impl IntoIterator<Item = u64>, device: DeviceId) {
         let mut st = self.state.lock();
         for slot in pages.into_iter().filter_map(|p| self.slot(p)) {
             st.holders.insert(slot, device);
@@ -194,14 +195,15 @@ impl RangeDirectory {
     }
 
     /// Removes `device` from `page`'s holder set (duplicate evicted).
-    pub fn remove_holder(&self, page: u64, device: DeviceId) {
+    #[cfg(test)]
+    pub(crate) fn remove_holder(&self, page: u64, device: DeviceId) {
         self.remove_holders(&[page], device);
     }
 
     /// Removes `device` from the holder set of every page in `pages`
     /// under one range-lock acquisition — an access's evicted duplicates
     /// leave in one batch.
-    pub fn remove_holders(&self, pages: &[u64], device: DeviceId) {
+    pub(crate) fn remove_holders(&self, pages: &[u64], device: DeviceId) {
         let mut st = self.state.lock();
         for slot in pages.iter().filter_map(|&p| self.slot(p)) {
             st.holders.remove(slot, device);
@@ -217,7 +219,7 @@ impl RangeDirectory {
     }
 
     /// True when the directory lists `device` as a holder of `page`.
-    pub fn is_holder(&self, page: u64, device: DeviceId) -> bool {
+    pub(crate) fn is_holder(&self, page: u64, device: DeviceId) -> bool {
         let st = self.state.lock();
         self.slot(page)
             .is_some_and(|slot| st.holders.contains(slot, device))
@@ -238,7 +240,7 @@ impl RangeDirectory {
     /// Batched form of [`RangeDirectory::write`]: one lock acquisition
     /// over the whole written page range. Returns `(victim, page)` pairs
     /// in page order (victims ascending within a page).
-    pub fn write_range(
+    pub(crate) fn write_range(
         &self,
         pages: impl IntoIterator<Item = u64>,
         writer: DeviceId,
@@ -279,7 +281,7 @@ impl RangeDirectory {
     /// drained stale pages that lie in `accessed`. Returns `stale`:
     /// every drained pending-invalid page (accessed or not — drop them
     /// all locally).
-    pub fn claim_read(
+    pub(crate) fn claim_read(
         &self,
         device: DeviceId,
         accessed: PageRange,
@@ -303,7 +305,7 @@ impl RangeDirectory {
 
     /// Drains `device`'s pending stale pages (set by remote writes since
     /// the last drain). The caller drops them from its local residency.
-    pub fn drain_pending(&self, device: DeviceId) -> Vec<u64> {
+    pub(crate) fn drain_pending(&self, device: DeviceId) -> Vec<u64> {
         self.state
             .lock()
             .pending
@@ -352,7 +354,7 @@ impl CoherenceDirectory {
     /// entry, so every lane resolves against one range lock. Each call
     /// counts as one registration; pair it with
     /// [`CoherenceDirectory::release`].
-    pub fn ensure(&self, base: u64, len: u64, owner: DeviceId) -> Arc<RangeDirectory> {
+    pub(crate) fn ensure(&self, base: u64, len: u64, owner: DeviceId) -> Arc<RangeDirectory> {
         let entry = Arc::clone(self.ranges.lock().entry(base).or_insert_with(|| {
             let pages = page_range(base, len);
             Arc::new(RangeDirectory {
@@ -407,7 +409,8 @@ impl CoherenceDirectory {
     }
 
     /// Number of registered shared ranges.
-    pub fn range_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn range_count(&self) -> usize {
         self.ranges.lock().len()
     }
 }

@@ -55,6 +55,6 @@ pub use coherence::{CoherenceDirectory, RangeDirectory};
 pub use config::UvmConfig;
 pub use hotness::{BlockHotness, BlockRow, HotnessSeries};
 pub use manager::UvmManager;
-pub use page::{block_of_addr, page_range, PageRange, BLOCK_SIZE, PAGE_SIZE};
+pub use page::{page_range, PageRange, BLOCK_SIZE, PAGE_SIZE};
 pub use plan::{PrefetchGranularity, PrefetchPlan, Range};
 pub use stats::UvmStats;

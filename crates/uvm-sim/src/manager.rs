@@ -5,8 +5,7 @@ use crate::config::UvmConfig;
 use crate::hotness::BlockHotness;
 use crate::page::{page_of_addr, page_range};
 use crate::pager::{
-    deregister_evicted, for_each_segment, range_containing, ranges_spanning, Pager, SharedEntry,
-    SharedMap,
+    deregister_evicted, for_each_segment, ranges_spanning, Pager, SharedEntry, SharedMap,
 };
 use crate::state::DeviceState;
 use crate::stats::UvmStats;
@@ -127,7 +126,8 @@ impl UvmManager {
     /// # Panics
     ///
     /// Panics when the device was never added.
-    pub fn set_budget(&mut self, device: DeviceId, budget: u64) {
+    #[cfg(test)]
+    pub(crate) fn set_budget(&mut self, device: DeviceId, budget: u64) {
         self.pager.devices[device.index()].budget = budget;
     }
 
@@ -154,11 +154,9 @@ impl UvmManager {
     /// shared lock. Lane state folds back via [`UvmManager::merge`] at
     /// session end.
     ///
-    /// The device table is a **snapshot**: a later
-    /// [`UvmManager::set_budget`] on the parent never reaches a manager
-    /// forked before the call (and a fork's `set_budget` never reaches
-    /// the parent). Budget changes must land before the forks that
-    /// should observe them are taken.
+    /// The device table is a **snapshot**: a later budget change on the
+    /// parent never reaches a manager forked before it (and a fork's never
+    /// reaches the parent).
     ///
     /// `device` names the lane's home device; it is recorded for merge
     /// ordering and asserted to exist so a mis-pinned lane fails fast.
@@ -207,7 +205,8 @@ impl UvmManager {
     }
 
     /// The home device this manager was forked for, if any.
-    pub fn home_device(&self) -> Option<DeviceId> {
+    #[cfg(test)]
+    pub(crate) fn home_device(&self) -> Option<DeviceId> {
         self.pager.home
     }
 
@@ -291,8 +290,9 @@ impl UvmManager {
     }
 
     /// The owner of the shared range containing `addr`, if any.
-    pub fn shared_owner(&self, addr: u64) -> Option<DeviceId> {
-        range_containing(&self.shared, addr).map(|(_, e)| e.owner)
+    #[cfg(test)]
+    pub(crate) fn shared_owner(&self, addr: u64) -> Option<DeviceId> {
+        crate::pager::range_containing(&self.shared, addr).map(|(_, e)| e.owner)
     }
 
     /// True when `addr`'s page is resident on `device` (tests and the
@@ -545,18 +545,6 @@ impl ResidencyModel for UvmManager {
                 }
             }
         }
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any + Send> {
-        self
     }
 }
 

@@ -11,12 +11,12 @@ pub const PAGE_SIZE: u64 = 64 << 10;
 pub const BLOCK_SIZE: u64 = 2 << 20;
 
 /// Index of the page containing `addr`.
-pub fn page_of_addr(addr: u64) -> u64 {
+pub(crate) fn page_of_addr(addr: u64) -> u64 {
     addr / PAGE_SIZE
 }
 
 /// Index of the 2 MiB block containing `addr`.
-pub fn block_of_addr(addr: u64) -> u64 {
+pub(crate) fn block_of_addr(addr: u64) -> u64 {
     addr / BLOCK_SIZE
 }
 

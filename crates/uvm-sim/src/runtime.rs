@@ -79,7 +79,7 @@ pub enum LaunchEdge<'a> {
 }
 
 /// A host-callback subscriber (the vendor crates name theirs).
-pub type Subscriber<C> = Box<dyn FnMut(&C) + Send>;
+pub(crate) type Subscriber<C> = Box<dyn FnMut(&C) + Send>;
 
 /// The simulated runtime context speaking vocabulary `C`.
 pub struct Context<C: Vocabulary> {

@@ -53,7 +53,7 @@ const _: () = assert!(0.0 <= WRITEBACK_FRACTION && WRITEBACK_FRACTION <= 1.0);
 
 /// Result of an eviction pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EvictResult {
+pub(crate) struct EvictResult {
     /// Pages evicted.
     pub pages: u64,
     /// Bytes that required write-back (dirty, not read-mostly).
@@ -73,7 +73,7 @@ pub struct EvictResult {
 /// from `head`, each once (pinned ones included; the pinned flag is
 /// honoured at eviction time).
 #[derive(Debug)]
-pub struct DeviceState {
+pub(crate) struct DeviceState {
     /// Memory budget for managed pages, bytes.
     pub budget: u64,
     /// Host-link bandwidth, GB/s.
@@ -127,17 +127,19 @@ impl DeviceState {
     }
 
     /// Number of resident pages.
-    pub fn resident_pages(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn resident_pages(&self) -> usize {
         self.index.len()
     }
 
     /// True when `page` is resident on this device.
-    pub fn is_resident(&self, page: u64) -> bool {
+    pub(crate) fn is_resident(&self, page: u64) -> bool {
         self.index.contains_key(&page)
     }
 
     /// True when `page` is pinned.
-    pub fn is_pinned(&self, page: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_pinned(&self, page: u64) -> bool {
         self.index
             .get(&page)
             .is_some_and(|&i| self.slots[i as usize].pinned)
@@ -230,7 +232,7 @@ impl DeviceState {
     }
 
     /// Pins or unpins a resident page.
-    pub fn set_pinned(&mut self, page: u64, pinned: bool) {
+    pub(crate) fn set_pinned(&mut self, page: u64, pinned: bool) {
         if let Some(&i) = self.index.get(&page) {
             self.slots[i as usize].pinned = pinned;
         }
@@ -238,7 +240,7 @@ impl DeviceState {
 
     /// Marks a resident page read-mostly (no write-back on eviction).
     /// Returns whether the page was resident.
-    pub fn set_read_mostly(&mut self, page: u64, read_mostly: bool) -> bool {
+    pub(crate) fn set_read_mostly(&mut self, page: u64, read_mostly: bool) -> bool {
         let Some(&i) = self.index.get(&page) else {
             return false;
         };
@@ -261,7 +263,8 @@ impl DeviceState {
     /// the budget. Returns how many pages went and how many bytes need
     /// write-back (`WRITEBACK_FRACTION` of each page not marked
     /// read-mostly).
-    pub fn make_room(&mut self, need_bytes: u64) -> EvictResult {
+    #[cfg(test)]
+    pub(crate) fn make_room(&mut self, need_bytes: u64) -> EvictResult {
         self.make_room_logged(need_bytes, None)
     }
 
@@ -270,7 +273,7 @@ impl DeviceState {
     /// coherence path needs the identities to deregister evicted
     /// duplicates from the directory; the private path passes `None` and
     /// pays nothing.
-    pub fn make_room_logged(
+    pub(crate) fn make_room_logged(
         &mut self,
         need_bytes: u64,
         mut victims: Option<&mut Vec<u64>>,

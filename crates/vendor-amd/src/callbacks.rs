@@ -177,9 +177,6 @@ impl RocCallback {
     }
 }
 
-/// A host-callback subscriber.
-pub type RocSubscriber = Box<dyn FnMut(&RocCallback) + Send>;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -21,6 +21,6 @@ pub mod callbacks;
 pub mod hip;
 pub mod rocprofiler;
 
-pub use callbacks::{RocCallback, RocSubscriber};
+pub use callbacks::RocCallback;
 pub use hip::HipContext;
 pub use rocprofiler::RocProfilerConfig;

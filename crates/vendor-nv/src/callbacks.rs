@@ -174,7 +174,8 @@ pub enum NvCallback {
 
 impl NvCallback {
     /// Short callback-id-like label (for logs and tests).
-    pub fn cbid(&self) -> &'static str {
+    #[cfg(test)]
+    pub(crate) fn cbid(&self) -> &'static str {
         match self {
             NvCallback::ApiEnter { .. } => "NV_API_ENTER",
             NvCallback::ApiExit { .. } => "NV_API_EXIT",
@@ -191,9 +192,6 @@ impl NvCallback {
         }
     }
 }
-
-/// A host-callback subscriber.
-pub type NvSubscriber = Box<dyn FnMut(&NvCallback) + Send>;
 
 #[cfg(test)]
 mod tests {

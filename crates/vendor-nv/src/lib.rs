@@ -27,7 +27,7 @@ pub mod inject;
 pub mod nvbit;
 pub mod sanitizer;
 
-pub use callbacks::{NvCallback, NvSubscriber};
+pub use callbacks::NvCallback;
 pub use cuda::CudaContext;
 pub use inject::{is_spurious, should_instrument, InjectionMethod, ProcessKind};
 pub use sanitizer::SanitizerConfig;

@@ -88,17 +88,11 @@ impl Tool for FineAggregator {
         Some(Box::<FineAggregator>::default())
     }
     fn merge(&mut self, other: &dyn Tool) {
-        let other = other.as_any().downcast_ref::<FineAggregator>().unwrap();
+        let other = other.downcast_ref::<FineAggregator>().unwrap();
         self.batches += other.batches;
         self.records += other.records;
         self.barriers += other.barriers;
         self.launches += other.launches;
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

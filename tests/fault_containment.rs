@@ -177,12 +177,6 @@ impl Tool for PanickyTool {
             seen: 0,
         }))
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[test]

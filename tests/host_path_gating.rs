@@ -774,17 +774,11 @@ impl Tool for Spy {
         self.forks.then(|| Box::new(self.fresh()) as Box<dyn Tool>)
     }
     fn merge(&mut self, other: &dyn Tool) {
-        let other = other.as_any().downcast_ref::<Spy>().expect("a spy");
+        let other = other.downcast_ref::<Spy>().expect("a spy");
         self.seen += other.seen;
         self.launches += other.launches;
         self.tools_only += other.tools_only;
         self.digest = self.digest.rotate_left(9) ^ other.digest;
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

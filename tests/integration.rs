@@ -450,12 +450,6 @@ impl pasta::core::Tool for InstructionCounter {
             _ => {}
         }
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// (instructions counted, `Instructions` events, `KernelTrace` events,

@@ -412,12 +412,6 @@ impl Tool for Wants {
     fn fork(&self) -> Option<Box<dyn Tool>> {
         Some(Box::new(*self))
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// The interest sets the generated sequences run under: everything;

@@ -267,10 +267,4 @@ impl Tool for FlatCounter {
     fn on_event(&mut self, _event: &Event) {
         self.seen += 1;
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }

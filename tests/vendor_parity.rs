@@ -57,12 +57,6 @@ impl Tool for EventLog {
     fn report(&self) -> ToolReport {
         ToolReport::new(self.name())
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// The residency model both vendors get: same budgets, links and fault
