@@ -6,22 +6,28 @@
 //! stack only for launches of that kernel.
 
 use crate::event::Event;
+use crate::knob::SymbolMap;
 use accel_sim::Symbol;
 use dl_framework::pycall::{native_frames_for_kernel, CrossLayerStack, PyFrame};
-use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Tracks the live Python stack (from `OpStart` events) and snapshots a
-/// cross-layer stack per kernel of interest.
+/// An operator as a launch saw it: its (shared) Python stack and its name.
+type Op = (Arc<[PyFrame]>, Symbol);
+
+/// Tracks the live Python stack (from `OpStart` events) and remembers, per
+/// kernel of interest, the operator current at its capture. The
+/// cross-layer stack itself is built only when someone asks for it.
 #[derive(Debug, Default)]
 pub(crate) struct StackCapture {
-    /// The most recent operator start: its (shared) Python stack and its
-    /// name. Every operator passes through here and almost none is ever
-    /// captured, so nothing is copied until a capture asks.
-    current_op: Option<(Arc<[PyFrame]>, Symbol)>,
-    /// Captured stacks keyed by kernel symbol (first capture wins, as in
-    /// the paper: one representative context per kernel).
-    captured: HashMap<Symbol, CrossLayerStack>,
+    /// The most recent operator start. Every operator passes through here
+    /// and almost none is ever captured, so nothing is copied until a
+    /// capture asks.
+    current_op: Option<Op>,
+    /// The operator current at each captured kernel's capture, keyed by
+    /// kernel symbol (first capture wins, as in the paper: one
+    /// representative context per kernel). `None` when no operator had
+    /// started.
+    captured: SymbolMap<Option<Op>>,
 }
 
 impl StackCapture {
@@ -30,35 +36,40 @@ impl StackCapture {
         StackCapture::default()
     }
 
-    /// Observes the event stream (needs `OpStart` events flowing).
+    /// Observes the event stream (needs `OpStart` events flowing). An
+    /// operator on the stack its predecessor shared keeps the `Arc` held,
+    /// so most operators cost no refcount traffic.
     pub fn observe(&mut self, event: &Event) {
         if let Event::OpStart { py_stack, name, .. } = event {
-            self.current_op = Some((Arc::clone(py_stack), *name));
+            match &mut self.current_op {
+                Some((stack, op)) if Arc::ptr_eq(stack, py_stack) => *op = *name,
+                current => *current = Some((Arc::clone(py_stack), *name)),
+            }
         }
     }
 
-    /// Captures the cross-layer stack for `kernel` if not already present.
+    /// Captures the current operator for `kernel` if nothing is captured
+    /// for it yet.
     pub(crate) fn capture_for_kernel(&mut self, kernel: &Symbol) {
-        if self.captured.contains_key(kernel.as_str()) {
-            return;
-        }
+        self.captured
+            .with_entry(kernel, || self.current_op.clone(), |_, _| ());
+    }
+
+    /// The cross-layer stack captured for `kernel`, if any: the captured
+    /// operator's Python frames, the operator itself as the innermost
+    /// Python-side frame (how torch displays `aten::` ops under module
+    /// code), and the kernel's native frames.
+    pub(crate) fn stack_for(&self, kernel: &str) -> Option<CrossLayerStack> {
+        let (kernel, op) = self.captured.iter().find(|(k, _)| *k == kernel)?;
         let mut python = Vec::new();
-        if let Some((py_stack, op)) = &self.current_op {
+        if let Some((py_stack, op)) = op {
             python.extend_from_slice(py_stack);
-            // The operator itself becomes the innermost Python-side frame,
-            // mirroring how torch displays `aten::` ops under module code.
             python.push(PyFrame::new("torch/_ops.py", 502, op.as_str()));
         }
-        let stack = CrossLayerStack {
+        Some(CrossLayerStack {
             python,
             native: native_frames_for_kernel(kernel),
-        };
-        self.captured.insert(*kernel, stack);
-    }
-
-    /// The captured stack for `kernel`, if any.
-    pub(crate) fn stack_for(&self, kernel: &str) -> Option<&CrossLayerStack> {
-        self.captured.get(kernel)
+        })
     }
 
     /// Number of kernels with captured stacks.
@@ -121,6 +132,28 @@ mod tests {
         let stack = sc.stack_for("k").unwrap();
         assert!(stack.python.iter().any(|f| f.file == "a.py"));
         assert_eq!(sc.captured_count(), 1);
+    }
+
+    #[test]
+    fn an_unchanged_stack_is_kept_and_another_tables_kernel_is_one_capture() {
+        let stack: Arc<[PyFrame]> = vec![PyFrame::new("a.py", 1, "fa")].into();
+        let op = |name: &str| Event::OpStart {
+            seq: 0,
+            name: name.into(),
+            device: DeviceId(0),
+            py_stack: Arc::clone(&stack),
+        };
+        let mut sc = StackCapture::new();
+        sc.observe(&op("aten::a"));
+        let table = accel_sim::SymbolTable::new();
+        sc.capture_for_kernel(&table.intern("k"));
+        sc.observe(&op("aten::b"));
+        let (held, current) = sc.current_op.as_ref().unwrap();
+        assert!(Arc::ptr_eq(held, &stack) && *current == "aten::b");
+        sc.capture_for_kernel(&Symbol::intern("k"));
+        assert_eq!(sc.captured_count(), 1);
+        let python = sc.stack_for("k").unwrap().python;
+        assert_eq!(python.last().unwrap().func, "aten::a", "first capture wins");
     }
 
     #[test]

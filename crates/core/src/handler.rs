@@ -9,7 +9,9 @@
 //! its host gate: a class no tool, recorder or knob of that shard reads is
 //! counted there and returns — no [`Event`], no lock, no dispatch. What
 //! passes is normalized and processed on that shard, so concurrent lanes
-//! never share a lock.
+//! never share a lock. A lane of a sharded region subscribes with its
+//! device as `home`, and counts what its home shard turns away without a
+//! locked add (`DeviceShard::count_gated`).
 
 use crate::event::{Event, EventClass};
 use crate::hub::{DeviceShard, Hub, SharedHub};
@@ -52,8 +54,10 @@ impl PendingLaunch {
 
 /// The shard a callback of `class` on `device` is processed on, or `None`
 /// after counting it there because nothing on that shard reads it.
+/// `home` is the subscriber's home device, if it has one.
 fn admit(
     hub: &Hub,
+    home: Option<DeviceId>,
     class: EventClass,
     device: DeviceId,
     is_op_start: bool,
@@ -63,7 +67,7 @@ fn admit(
     if gate.admits(class) || (is_op_start && gate.admits_op_start()) {
         Some(shard)
     } else {
-        shard.count_gated();
+        shard.count_gated(home);
         None
     }
 }
@@ -72,10 +76,13 @@ fn admit(
 /// vocabulary it speaks: launch begin/end pairs are merged into one timed
 /// [`Event::KernelLaunchEnd`] (the knobs read every launch, so these never
 /// meet the gate); everything else is gated on `class_of` and, when
-/// admitted, built by `normalize`.
-fn attach<C: Vocabulary>(
+/// admitted, built by `normalize`. `home` is `Some(device)` only for a
+/// lane of a sharded region pinned to `device`
+/// (`DeviceShard::count_gated`).
+pub(crate) fn attach<C: Vocabulary>(
     ctx: &mut Context<C>,
     hub: SharedHub,
+    home: Option<DeviceId>,
     class_of: impl Fn(&C) -> Option<(EventClass, DeviceId)> + Send + 'static,
     normalize: impl Fn(&C) -> Option<Event> + Send + 'static,
 ) {
@@ -91,7 +98,7 @@ fn attach<C: Vocabulary>(
             let Some((class, device)) = class_of(cb) else {
                 return;
             };
-            if let Some(shard) = admit(&hub, class, device, false) {
+            if let Some(shard) = admit(&hub, home, class, device, false) {
                 if let Some(event) = normalize(cb) {
                     hub.process_on(shard, &event);
                 }
@@ -102,21 +109,27 @@ fn attach<C: Vocabulary>(
 
 /// Subscribes the hub to a CUDA context's host callbacks.
 pub fn attach_nv(ctx: &mut CudaContext, hub: SharedHub) {
-    attach(ctx, hub, class_of_nv, normalize_nv);
+    attach(ctx, hub, None, class_of_nv, normalize_nv);
 }
 
 /// Subscribes the hub to a HIP context's host callbacks.
 pub fn attach_roc(ctx: &mut HipContext, hub: SharedHub) {
-    attach(ctx, hub, class_of_roc, normalize_roc);
+    attach(ctx, hub, None, class_of_roc, normalize_roc);
 }
 
 /// Subscribes the hub to a framework session's callbacks (tensor, op,
 /// pass and annotation events), behind the same gate.
 pub fn attach_session(session: &mut Session<'_>, hub: SharedHub) {
+    attach_framework(session, hub, None);
+}
+
+/// [`attach_session`] for a subscriber whose home device is `home` (see
+/// [`attach`]).
+pub(crate) fn attach_framework(session: &mut Session<'_>, hub: SharedHub, home: Option<DeviceId>) {
     session.subscribe(Box::new(move |ev| {
         let (class, device) = class_of_framework(ev);
         let is_op_start = matches!(ev, FrameworkEvent::OpStart { .. });
-        if let Some(shard) = admit(&hub, class, device, is_op_start) {
+        if let Some(shard) = admit(&hub, home, class, device, is_op_start) {
             hub.process_on(shard, &normalize_framework(ev));
         }
     }));

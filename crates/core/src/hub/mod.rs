@@ -108,9 +108,24 @@ pub struct DeviceShard {
     /// [`ShardGuard`] released: read by every host callback, written only
     /// when a guard saw it change.
     gate: AtomicU16,
-    /// Host callbacks turned away at the gate, ever. Written by the lanes
-    /// emitting on this device — one, in a sharded region.
+    /// Host callbacks turned away at the gate, ever, by any emitter: the
+    /// session's own context (which switches devices), every lane of a
+    /// single-shard hub, and a lane's callbacks for a device other than its
+    /// home. A locked add, so any number may write at once.
     gated: AtomicU64,
+    /// The same tally for the one lane whose home this device is, in a
+    /// sharded region: written as a plain `store(load + 1)`, no locked add.
+    ///
+    /// That is sound because this word has one writer at a time. Only a
+    /// lane built with `home == Some(device)` writes it, and such lanes
+    /// exist only in a region of a sharded hub. `run_parallel` rejects a
+    /// device listed twice, so a region has at most one lane per home. A
+    /// region needs `&mut PastaSession`, so two regions never overlap, and
+    /// its lanes are dropped at harvest, before the next can start. A
+    /// lane's two subscriber closures (vendor and framework) only run from
+    /// the thread holding `&mut DeviceLane`. Everyone else only loads it,
+    /// under the shard lock ([`DeviceShard::lock`]).
+    gated_home: AtomicU64,
 }
 
 /// [`DeviceShard::lock`]'s guard: the shard's processor, and on release
@@ -158,6 +173,7 @@ impl DeviceShard {
             device,
             gate: AtomicU16::new(processor.host_gate().0),
             gated: AtomicU64::new(0),
+            gated_home: AtomicU64::new(0),
             processor: Mutex::new(processor),
             spine: ShardSpine::default(),
         }
@@ -178,7 +194,9 @@ impl DeviceShard {
     pub fn lock(&self) -> ShardGuard<'_> {
         let mut processor = self.processor.lock();
         self.spine.drain(&mut processor);
-        processor.count_gated(self.gated.load(Ordering::Relaxed));
+        processor.count_gated(
+            self.gated.load(Ordering::Relaxed) + self.gated_home.load(Ordering::Relaxed),
+        );
         ShardGuard {
             processor,
             gate: &self.gate,
@@ -190,10 +208,17 @@ impl DeviceShard {
         HostGate(self.gate.load(Ordering::Relaxed))
     }
 
-    /// Counts one host callback the gate turned away. Relaxed: a tally,
-    /// read under the shard lock by whoever asks for a count.
-    pub(crate) fn count_gated(&self) {
-        self.gated.fetch_add(1, Ordering::Relaxed);
+    /// Counts one host callback the gate turned away, for an emitter whose
+    /// home device is `home` (`None`: the emitter has none). Relaxed: a
+    /// tally, read under the shard lock by whoever asks for a count.
+    pub(crate) fn count_gated(&self, home: Option<DeviceId>) {
+        if home == Some(self.device) {
+            // The home lane is this word's only writer (`gated_home`).
+            let tally = self.gated_home.load(Ordering::Relaxed);
+            self.gated_home.store(tally + 1, Ordering::Relaxed);
+        } else {
+            self.gated.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Locks without draining — for reads that depend only on state the
@@ -537,7 +562,7 @@ impl Hub {
     pub fn merged_stack_for(&self, kernel: &str) -> Option<CrossLayerStack> {
         self.shards
             .iter()
-            .find_map(|s| s.lock().stacks.stack_for(kernel).cloned())
+            .find_map(|s| s.lock().stacks.stack_for(kernel))
     }
 }
 

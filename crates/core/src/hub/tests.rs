@@ -623,10 +623,12 @@ fn the_host_gate_follows_whatever_a_guard_did_to_the_processor() {
 fn the_gate_tally_folds_into_its_own_shard_exactly_once() {
     let hub = sharded_hub(2);
     let (near, far) = (&hub.shards()[0], &hub.shards()[1]);
-    for _ in 0..3 {
-        far.count_gated();
-    }
-    near.count_gated();
+    // Two from emitters without a home, one from far's home lane; near's
+    // one comes from far's lane, for which near is not home.
+    far.count_gated(None);
+    far.count_gated(Some(far.device()));
+    far.count_gated(None);
+    near.count_gated(Some(far.device()));
     assert_eq!(far.lock().events_processed(), 3);
     assert_eq!(
         far.lock().events_processed(),
@@ -643,6 +645,6 @@ fn the_gate_tally_folds_into_its_own_shard_exactly_once() {
     // A reset zeroes what was counted; the tally itself only grows.
     hub.reset_all();
     assert_eq!((hub.events_processed(), hub.host_events_gated()), (0, 0));
-    far.count_gated();
+    far.count_gated(Some(far.device()));
     assert_eq!((hub.events_processed(), hub.host_events_gated()), (1, 1));
 }

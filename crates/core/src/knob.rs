@@ -8,6 +8,7 @@
 
 use accel_sim::Symbol;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Aggregate per-kernel statistics the knobs score.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -73,10 +74,122 @@ fn rank(score: u64, name: &Symbol) -> (u64, std::cmp::Reverse<&str>) {
     (score, std::cmp::Reverse(name.as_str()))
 }
 
+/// Hashes a symbol's address: one multiply, where hashing its name would
+/// read every byte.
+#[derive(Default)]
+struct AddressHasher(u64);
+
+impl Hasher for AddressHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_usize(self.0 as usize ^ usize::from(byte));
+        }
+    }
+
+    fn write_usize(&mut self, address: usize) {
+        // Each symbol's text is its own heap allocation, aligned by the
+        // allocator (16 bytes under glibc), so the low bits carry nothing:
+        // the rotation brings the product's well-mixed middle bits down.
+        self.0 = (address as u64)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(26);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A symbol's identity: the address of the text its table leaked.
+fn address(symbol: &Symbol) -> usize {
+    symbol.as_str().as_ptr() as usize
+}
+
+/// Per-kernel state keyed by symbol identity, never by the name's bytes:
+/// a lookup hashes one address. Entries are keyed by the global table's
+/// symbol; a symbol of another table (an isolated test table) is
+/// canonicalised through [`Symbol::intern`] the first time it is seen and
+/// remembered as an alias, so the alias map stays empty — unallocated —
+/// at run time.
+#[derive(Debug, Clone)]
+pub(crate) struct SymbolMap<V> {
+    /// Global-table address → the global symbol and its state.
+    entries: HashMap<usize, (Symbol, V), BuildHasherDefault<AddressHasher>>,
+    /// Another table's symbol address → the global symbol.
+    aliases: HashMap<usize, Symbol, BuildHasherDefault<AddressHasher>>,
+}
+
+impl<V> Default for SymbolMap<V> {
+    fn default() -> Self {
+        SymbolMap {
+            entries: HashMap::default(),
+            aliases: HashMap::default(),
+        }
+    }
+}
+
+impl<V> SymbolMap<V> {
+    /// Runs `f` on the canonical symbol and state of `symbol`, the state
+    /// made by `default` if there was none. A hit does not call `default`.
+    pub(crate) fn with_entry<R>(
+        &mut self,
+        symbol: &Symbol,
+        default: impl FnOnce() -> V,
+        f: impl FnOnce(&Symbol, &mut V) -> R,
+    ) -> R {
+        if let Some((canonical, value)) = self.entries.get_mut(&address(symbol)) {
+            return f(canonical, value);
+        }
+        self.with_new_entry(symbol, default, f)
+    }
+
+    /// [`SymbolMap::with_entry`] for an address not (yet) keyed: another
+    /// table's symbol, or a kernel not seen before.
+    #[cold]
+    fn with_new_entry<R>(
+        &mut self,
+        symbol: &Symbol,
+        default: impl FnOnce() -> V,
+        f: impl FnOnce(&Symbol, &mut V) -> R,
+    ) -> R {
+        let canonical = match self.aliases.get(&address(symbol)) {
+            Some(canonical) => *canonical,
+            None => {
+                let canonical = Symbol::intern(symbol);
+                if !Symbol::ptr_eq(&canonical, symbol) {
+                    self.aliases.insert(address(symbol), canonical);
+                }
+                canonical
+            }
+        };
+        let (canonical, value) = self
+            .entries
+            .entry(address(&canonical))
+            .or_insert_with(|| (canonical, default()));
+        f(canonical, value)
+    }
+
+    /// Every entry, in no particular order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &(Symbol, V)> {
+        self.entries.values()
+    }
+
+    /// Number of entries.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Drops every entry.
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+        self.aliases.clear();
+    }
+}
+
 /// Accumulates per-kernel aggregates and answers knob queries.
 #[derive(Debug, Default, Clone)]
 pub struct KnobSet {
-    per_kernel: HashMap<Symbol, KernelAggregate>,
+    per_kernel: SymbolMap<KernelAggregate>,
     /// What [`KnobSet::select`] answers for each built-in knob, indexed by
     /// discriminant. Aggregates only grow, so after an update the arg-max
     /// is the old one or the kernel just touched: `offer` keeps it current
@@ -106,13 +219,16 @@ impl KnobSet {
         }
     }
 
-    /// Updates the aggregate of `kernel`: one allocation-free hash-map
-    /// update once the kernel is known.
+    /// Updates the aggregate of `kernel`: one allocation-free lookup by
+    /// address once the kernel is known.
     fn update(&mut self, kernel: &Symbol, f: impl FnOnce(&mut KernelAggregate)) {
-        let agg = self.per_kernel.entry(*kernel).or_default();
-        f(agg);
-        let agg = *agg;
-        self.offer(*kernel, agg);
+        let (kernel, agg) =
+            self.per_kernel
+                .with_entry(kernel, KernelAggregate::default, |kernel, agg| {
+                    f(agg);
+                    (*kernel, *agg)
+                });
+        self.offer(kernel, agg);
     }
 
     /// Records one launch completion.
@@ -160,7 +276,7 @@ impl KnobSet {
     /// knob merge: per-kernel counters are sums, so the fold commutes and
     /// the device-ordered merge is deterministic).
     pub fn merge_from(&mut self, other: &KnobSet) {
-        for (kernel, theirs) in &other.per_kernel {
+        for (kernel, theirs) in other.per_kernel.iter() {
             self.update(kernel, |agg| {
                 agg.calls += theirs.calls;
                 agg.memory_records += theirs.memory_records;
@@ -171,9 +287,12 @@ impl KnobSet {
         }
     }
 
-    /// Aggregate for one kernel.
+    /// Aggregate for one kernel: a scan by name, off the launch path.
     pub fn get(&self, kernel: &str) -> Option<KernelAggregate> {
-        self.per_kernel.get(kernel).copied()
+        self.per_kernel
+            .iter()
+            .find(|(name, _)| *name == kernel)
+            .map(|(_, agg)| *agg)
     }
 
     /// Number of distinct kernels seen.
@@ -271,6 +390,42 @@ mod tests {
         for knob in Knob::ALL {
             prop_assert_eq!(set.select(knob), select_scan(set, knob), "{:?}", knob);
         }
+    }
+
+    /// Two tables' `"gemm"` are one kernel: updates through either land in
+    /// one entry, keyed by the global table's symbol, and `select`,
+    /// `merge_from` and `get` agree with the scan over it.
+    #[test]
+    fn two_tables_symbols_aggregate_into_one_entry() {
+        let (t1, t2) = (accel_sim::SymbolTable::new(), accel_sim::SymbolTable::new());
+        let (a, b) = (t1.intern("gemm"), t2.intern("gemm"));
+        assert!(!Symbol::ptr_eq(&a, &b));
+        let mut k = KnobSet::new();
+        k.record_launch(&a, 100);
+        k.record_launch(&b, 50);
+        k.record_trace(&b, 10, 640, 1);
+        k.record_launch(&Symbol::intern("relu"), 10);
+        assert_eq!(k.kernel_count(), 2);
+        let gemm = k.get("gemm").unwrap();
+        assert_eq!(
+            (gemm.calls, gemm.duration_ns, gemm.memory_records),
+            (2, 150, 10)
+        );
+        let (selected, _) = k.select(Knob::MaxCalledKernel).unwrap();
+        assert!(Symbol::ptr_eq(selected, &Symbol::intern("gemm")));
+        assert_matches_scan(&k);
+
+        let mut theirs = KnobSet::new();
+        theirs.record_launch(&a, 1);
+        theirs.record_trace(&t2.intern("relu"), 99, 0, 0);
+        assert_matches_scan(&theirs);
+        k.merge_from(&theirs);
+        assert_eq!(k.kernel_count(), 2);
+        assert_eq!(k.get("gemm").unwrap().calls, 3);
+        assert_eq!(k.get("relu").unwrap().memory_records, 99);
+        assert_eq!(k.get("softmax"), None);
+        assert_matches_scan(&k);
+        assert_eq!(k.select(Knob::MaxMemReferencedKernel).unwrap().0, "relu");
     }
 
     /// One recording step: `(op, kernel, a, b)`; the tiny value ranges

@@ -6,9 +6,11 @@
 use super::parallel::ParallelConfig;
 use super::session::PastaSession;
 use crate::error::PastaError;
-use crate::handler::{attach_nv, attach_roc, attach_session};
+use crate::event::{Event, EventClass};
+use crate::handler::{attach, attach_framework};
 use crate::hub::{new_shared, Hub, HubSink, SharedHub};
 use crate::knob::Knob;
+use crate::normalize::{class_of_nv, class_of_roc, normalize_nv, normalize_roc};
 use crate::processor::EventProcessor;
 use crate::range::RangeFilter;
 use crate::spine::{SpineConfig, SpineMode};
@@ -412,7 +414,7 @@ impl PastaBuilder {
                 .uvm
                 .is_some_and(|uvm_setup| uvm_setup.managed_allocator),
         };
-        let (runtime, profiler) = recipe.build(&hub, DeviceId(0), uvm)?;
+        let (runtime, profiler) = recipe.build(&hub, DeviceId(0), None, uvm)?;
 
         Ok(PastaSession {
             runtime,
@@ -454,16 +456,19 @@ impl ContextRecipe {
     /// A context over the full device list, pinned to `device`: host
     /// callbacks normalized into `hub`, `uvm` as the residency model and,
     /// when tools want device events, the backend's profiler with a sink
-    /// wired into `hub`.
+    /// wired into `hub`. `home` is `Some(device)` only for a lane of a
+    /// sharded hub: its host callbacks then tally what its own shard turns
+    /// away without a locked add (`DeviceShard::count_gated`).
     pub(super) fn build(
         &self,
         hub: &SharedHub,
         device: DeviceId,
+        home: Option<DeviceId>,
         uvm: Option<UvmManager>,
     ) -> Result<(Box<dyn SessionRuntime>, Option<ProfilerHandle>), PastaError> {
         let (mut runtime, profiler) = match self.specs[0].vendor {
-            Vendor::Amd => self.context(hub, attach_roc)?,
-            _ => self.context(hub, attach_nv)?,
+            Vendor::Amd => self.context(hub, home, class_of_roc, normalize_roc)?,
+            _ => self.context(hub, home, class_of_nv, normalize_nv)?,
         };
         runtime.set_device(device)?;
         if let Some(uvm) = uvm {
@@ -480,15 +485,17 @@ impl ContextRecipe {
     }
 
     /// A context speaking `C` over the recipe's devices: host callbacks
-    /// normalized into `hub` by `attach_host`, the recipe's backend
-    /// attached.
+    /// gated by `class_of` and normalized into `hub` by `normalize`, the
+    /// recipe's backend attached.
     fn context<C: Vocabulary + Send>(
         &self,
         hub: &SharedHub,
-        attach_host: fn(&mut Context<C>, SharedHub),
+        home: Option<DeviceId>,
+        class_of: fn(&C) -> Option<(EventClass, DeviceId)>,
+        normalize: fn(&C) -> Option<Event>,
     ) -> Result<(Box<dyn SessionRuntime>, Option<ProfilerHandle>), PastaError> {
         let mut ctx = Context::<C>::new(Arc::clone(&self.specs));
-        attach_host(&mut ctx, Arc::clone(hub));
+        attach(&mut ctx, Arc::clone(hub), home, class_of, normalize);
         let profiler = match &self.backend {
             Some((coverage, mode, costs)) => Some(
                 ctx.attach_profiler(*coverage, *mode, costs.clone())
@@ -504,11 +511,13 @@ impl ContextRecipe {
 
     /// A fresh framework session over `rt` — the recipe's allocator
     /// backing, the vendor's backend profile — with its callbacks
-    /// normalized into `hub`.
+    /// normalized into `hub`, for a subscriber whose home is `home` (as in
+    /// [`ContextRecipe::build`]).
     pub(super) fn framework_session<'rt>(
         &self,
         rt: &'rt mut dyn DeviceRuntime,
         hub: &SharedHub,
+        home: Option<DeviceId>,
     ) -> Session<'rt> {
         let alloc_config = if self.managed_allocator {
             AllocatorConfig::managed()
@@ -517,7 +526,7 @@ impl ContextRecipe {
         };
         let backend = BackendProfile::for_vendor(rt.vendor());
         let mut session = Session::with_config(rt, backend, alloc_config);
-        attach_session(&mut session, Arc::clone(hub));
+        attach_framework(&mut session, Arc::clone(hub), home);
         session
     }
 }

@@ -115,7 +115,10 @@ impl PastaSession {
 
         // Per-lane contexts: the full device list each, pinned to the
         // lane's device, host callbacks and (when tools want device
-        // events) a profiler+sink wired into the shared hub.
+        // events) a profiler+sink wired into the shared hub. In a sharded
+        // hub each lane is its device shard's home lane, the one writer of
+        // that shard's plain gate tally (`DeviceShard::count_gated`).
+        let home = |device| self.hub.is_sharded().then_some(device);
         let mut contexts = Vec::with_capacity(devices.len());
         let mut handles = Vec::new();
         for &device in devices {
@@ -126,7 +129,7 @@ impl PastaSession {
             // no lock shared across lanes. Lane state merges back into
             // the session manager when `f` returns.
             let uvm = self.runtime.uvm_manager().map(|m| m.fork(device));
-            let (ctx, handle) = self.recipe.build(&self.hub, device, uvm)?;
+            let (ctx, handle) = self.recipe.build(&self.hub, device, home(device), uvm)?;
             contexts.push(ctx);
             handles.extend(handle);
         }
@@ -135,7 +138,9 @@ impl PastaSession {
             .iter_mut()
             .zip(devices)
             .map(|(ctx, &device)| {
-                let session = self.recipe.framework_session(&mut **ctx, &self.hub);
+                let session = self
+                    .recipe
+                    .framework_session(&mut **ctx, &self.hub, home(device));
                 DeviceLane::pin(device, session)
                     .map(|mut lane| {
                         // Stamp the session's lane budget so pooled lane

@@ -77,7 +77,9 @@ impl PastaSession {
         let records_before = self.records();
         let name = workload.name().to_owned();
         let (result, elapsed, alloc) = {
-            let mut session = self.recipe.framework_session(&mut *self.runtime, &self.hub);
+            let mut session = self
+                .recipe
+                .framework_session(&mut *self.runtime, &self.hub, None);
             let t0 = session.runtime().host_time();
             let result = match catch_unwind(AssertUnwindSafe(|| {
                 workload.run(&mut WorkloadCx::new(&mut session))

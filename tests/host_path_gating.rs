@@ -40,7 +40,7 @@ use pasta::core::{
 use pasta::dl::callbacks::{FrameworkEvent, Pass};
 use pasta::dl::dtype::DType;
 use pasta::dl::ops::{self, Act};
-use pasta::dl::parallel::DeviceLane;
+use pasta::dl::parallel::{self, DeviceLane, MoeConfig};
 use pasta::dl::pycall::{native_frames_for_kernel, CrossLayerStack, PyFrame, PyStack};
 use pasta::dl::tensor::{Tensor, TensorId};
 use pasta::dl::{runner, Session};
@@ -459,6 +459,180 @@ fn lazily_captured_stacks_equal_eager_ones() {
     assert_eq!(captured, eager);
     assert_eq!(captured.render(), eager.render());
     assert_eq!(hub.merged_stack_for("never_launched"), None);
+}
+
+/// Phase 5b: under the builder's default capture knob, a launch end of a
+/// kernel already captured allocates nothing, an operator start on the
+/// stack the last one shared takes no reference to it, and a capture holds
+/// the operator's stack instead of copying its frames.
+fn captured_kernels_cost_no_allocation_and_no_reference() {
+    let mut processor = EventProcessor::new();
+    // The builder's default knob.
+    processor.capture_knob = Some(Knob::MaxMemReferencedKernel);
+    let hub = new_shared(processor);
+    let stack: Arc<[PyFrame]> = vec![
+        PyFrame::new("run.py", 10, "main"),
+        PyFrame::new("model.py", 20, "forward"),
+    ]
+    .into();
+    let op_start = Event::OpStart {
+        seq: 0,
+        name: "aten::linear".into(),
+        device: DeviceId(0),
+        py_stack: Arc::clone(&stack),
+    };
+    let launch_ends: Vec<Event> = ["ampere_sgemm_128x64_tn", "vectorized_elementwise_kernel"]
+        .into_iter()
+        .enumerate()
+        .map(|(i, name)| Event::KernelLaunchEnd {
+            launch: LaunchId(i as u64),
+            device: DeviceId(0),
+            name: name.into(),
+            start: SimTime(0),
+            end: SimTime(100),
+        })
+        .collect();
+    let step = || {
+        hub.process(&op_start);
+        for event in &launch_ends {
+            hub.process(event);
+        }
+    };
+    step();
+    assert!(
+        hub.merged_stack_for("ampere_sgemm_128x64_tn").is_some(),
+        "the knob's kernel was captured"
+    );
+    let held = Arc::strong_count(&stack);
+    let before = allocs();
+    for _ in 0..256 {
+        step();
+    }
+    assert_eq!(
+        allocs() - before,
+        0,
+        "operator starts and launch ends of captured kernels must not allocate"
+    );
+    assert_eq!(Arc::strong_count(&stack), held, "over many steps");
+    hub.process(&op_start);
+    assert_eq!(
+        Arc::strong_count(&stack),
+        held,
+        "an operator start on an unchanged stack"
+    );
+
+    // A capture copies no frame: under a deep stack, each of 16 new
+    // kernels — every one the knob's pick when it lands, since unscored
+    // ties go to the smallest name — costs at most its share of the two
+    // maps' growth, not the ~70 strings an eager cross-layer stack holds.
+    let deep: Arc<[PyFrame]> = (0..32)
+        .map(|line| PyFrame::new("model.py", line, "forward"))
+        .collect();
+    let fresh: Vec<Event> = (0..16)
+        .map(|i| Event::KernelLaunchEnd {
+            launch: LaunchId(100 + i),
+            device: DeviceId(0),
+            name: format!("a_fresh_kernel_{:02}", 15 - i).into(),
+            start: SimTime(0),
+            end: SimTime(100),
+        })
+        .collect();
+    hub.process(&Event::OpStart {
+        seq: 1,
+        name: "aten::bmm".into(),
+        device: DeviceId(0),
+        py_stack: Arc::clone(&deep),
+    });
+    let before = allocs();
+    for event in &fresh {
+        hub.process(event);
+    }
+    let spent = allocs() - before;
+    assert!(spent < 16, "16 captures under 32 frames allocated {spent}");
+    assert_eq!(
+        Arc::strong_count(&deep),
+        2 + 16,
+        "each capture holds the op"
+    );
+    let python = hub
+        .merged_stack_for("a_fresh_kernel_07")
+        .expect("captured")
+        .python;
+    assert_eq!((python.len(), python[32].func.as_str()), (33, "aten::bmm"));
+}
+
+/// A kernel-launch reader that keeps every kernel name it is sent.
+#[derive(Debug, Default, Clone)]
+struct KernelNames(std::collections::BTreeSet<String>);
+
+impl Tool for KernelNames {
+    fn name(&self) -> &str {
+        "kernel-names"
+    }
+    fn interest(&self) -> Interest {
+        Interest {
+            kernel_launches: true,
+            ..Interest::default()
+        }
+    }
+    fn on_event(&mut self, event: &Event) {
+        if let Event::KernelLaunchEnd { name, .. } = event {
+            self.0.insert(name.to_string());
+        }
+    }
+    fn report(&self) -> ToolReport {
+        ToolReport::new("kernel-names").metric("kernels", self.0.len() as f64)
+    }
+    fn fork(&self) -> Option<Box<dyn Tool>> {
+        Some(Box::<KernelNames>::default())
+    }
+    fn merge(&mut self, other: &dyn Tool) {
+        let other = other.downcast_ref::<KernelNames>().expect("kernel names");
+        self.0.extend(other.0.iter().cloned());
+    }
+}
+
+/// Phase 5c: the cross-layer stack of every kernel of the 64-lane MoE
+/// region (`scale_out_moe`'s op), captured under the default knob, by
+/// digest — `None` for a kernel no lane captured.
+fn moe_cross_layer_stacks_match_their_golden_digest() {
+    const GOLDEN: u64 = 0x8e3f_634e_bcbc_a334;
+    let devices: Vec<DeviceId> = (0..64).map(DeviceId).collect();
+    let mut session = Pasta::builder()
+        .devices(vec![DeviceSpec::a100_80gb(); devices.len()])
+        .tool(LaunchCounter::default())
+        .tool(KernelNames::default())
+        .parallel(ParallelConfig {
+            max_lane_threads: 2,
+            max_merge_threads: 2,
+            max_drain_threads: 1,
+        })
+        .build()
+        .expect("64-device session");
+    session
+        .run_parallel(&devices, |lanes| {
+            parallel::train_iter_expert_parallel_with(lanes, 1, &MoeConfig::tiny())
+        })
+        .expect("the MoE region runs");
+    let kernels = session
+        .with_merged_tool("kernel-names", |t: &KernelNames| t.0.clone())
+        .expect("the tool is registered");
+    let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+    let mut captured = 0;
+    for kernel in &kernels {
+        let stack = session.cross_layer_stack(kernel);
+        captured += usize::from(stack.is_some());
+        for byte in format!("{kernel}: {stack:?}\n").bytes() {
+            digest = (digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    assert!(kernels.len() > 8 && captured > 0, "{kernels:?}");
+    assert_eq!(
+        digest,
+        GOLDEN,
+        "{} kernels, {captured} captured: {digest:#018x}",
+        kernels.len()
+    );
 }
 
 /// What a lane saw when it reached over to a peer device.
@@ -1218,6 +1392,60 @@ fn gated_sessions_equal_wide_open_ones() {
     runs[0].check_against(&runs[1], "two lanes, one shard");
     assert_eq!(runs[0].launches, 3000, "one launch a step a lane");
 
+    // Two lanes, two shards, both emitting at once, each reaching over to
+    // its neighbour's device: a lane tallies what its own shard turns away
+    // with a plain add and what its neighbour's does with a locked one.
+    // Every repetition counts what the same lanes count one at a time.
+    let reach_over = |lane: &mut DeviceLane<'_>| -> Result<(), AccelError> {
+        let home = lane.device();
+        let peer = DeviceId(1 - home.0);
+        for _ in 0..120 {
+            lane_work(lane, 1)?;
+            let rt = lane.session.runtime_mut();
+            let here = rt.malloc(4096)?;
+            rt.set_device(peer)?;
+            let there = rt.malloc(4096)?;
+            rt.memcpy(there, here, 4096, CopyDirection::DeviceToDevice)?;
+            rt.free(there)?;
+            rt.set_device(home)?;
+            rt.free(here)?;
+        }
+        Ok(())
+    };
+    let region = |concurrent: bool| {
+        let mut session = two_a100s(true, true);
+        session
+            .run_parallel(&devices, |lanes| {
+                if !concurrent {
+                    return lanes.iter_mut().try_for_each(reach_over);
+                }
+                let start = Barrier::new(2);
+                std::thread::scope(|scope| {
+                    let workers: Vec<_> = lanes
+                        .iter_mut()
+                        .map(|lane| {
+                            let start = &start;
+                            scope.spawn(move || {
+                                start.wait();
+                                reach_over(lane)
+                            })
+                        })
+                        .collect();
+                    workers
+                        .into_iter()
+                        .try_for_each(|w| w.join().expect("no lane panics"))
+                })
+            })
+            .expect("the region runs");
+        assert_eq!(session.merged_report().per_device.len(), 2, "sharded");
+        (session.events_processed(), session.host_events_gated())
+    };
+    let reference = region(false);
+    assert!(reference.1 > 0, "the gate turned callbacks away");
+    for repetition in 0..64 {
+        assert_eq!(region(true), reference, "repetition {repetition}");
+    }
+
     // A lane that panics half-way: the salvaged report counts what both
     // lanes emitted up to then, gated or not.
     let mut runs = Vec::new();
@@ -1248,6 +1476,8 @@ fn host_event_path_is_allocation_free_and_changes_no_result() {
     interning_from_many_threads_yields_the_global_symbols();
     memoized_names_equal_normalize_api_name();
     lazily_captured_stacks_equal_eager_ones();
+    captured_kernels_cost_no_allocation_and_no_reference();
+    moe_cross_layer_stacks_match_their_golden_digest();
     lanes_touching_a_peer_device_price_links_identically();
     resident_managed_accesses_allocate_nothing();
     quiet_injected_panics();
