@@ -75,10 +75,30 @@ impl MemoryCharacteristicsTool {
         self.current_ranges.push((batch.base, batch.len));
     }
 
+    /// The working set of the launch in flight, measured on a copy of its
+    /// ranges with the room `merged_extent` sorts in; `None` when no
+    /// launch is in flight or it touched nothing.
+    fn in_flight_ws(&self) -> Option<u64> {
+        self.current_launch?;
+        let mut ranges = Vec::with_capacity(2 * self.current_ranges.len());
+        ranges.extend_from_slice(&self.current_ranges);
+        Some(merged_extent(&mut ranges)).filter(|&ws| ws > 0)
+    }
+
     /// Closes the in-flight launch and computes the Table V row.
     pub fn characteristics(&mut self) -> MemoryCharacteristics {
         self.finish_launch();
-        let mut sorted = self.per_kernel_ws.clone();
+        self.row(None)
+    }
+
+    /// The Table V row over the finished launches and `in_flight`.
+    fn row(&self, in_flight: Option<u64>) -> MemoryCharacteristics {
+        let mut sorted: Vec<u64> = self
+            .per_kernel_ws
+            .iter()
+            .copied()
+            .chain(in_flight)
+            .collect();
         sorted.sort_unstable();
         let count = sorted.len() as u64;
         let sum: u64 = sorted.iter().sum();
@@ -143,18 +163,7 @@ impl Tool for MemoryCharacteristicsTool {
     }
 
     fn report(&self) -> ToolReport {
-        // `report` takes &self; clone to finish the in-flight launch.
-        let mut snapshot = MemoryCharacteristicsTool {
-            current_launch: self.current_launch,
-            current_ranges: self.current_ranges.clone(),
-            per_kernel_ws: self.per_kernel_ws.clone(),
-            peak_reserved: self.peak_reserved,
-            uvm_fault_groups: self.uvm_fault_groups,
-            uvm_migrated_bytes: self.uvm_migrated_bytes,
-            uvm_peer_bytes: self.uvm_peer_bytes,
-            uvm_invalidated_pages: self.uvm_invalidated_pages,
-        };
-        let c = snapshot.characteristics();
+        let c = self.row(self.in_flight_ws());
         ToolReport::new(self.name())
             .metric("kernel_count", c.kernel_count as f64)
             .metric("footprint_mb", mb(c.footprint))
@@ -188,22 +197,14 @@ impl Tool for MemoryCharacteristicsTool {
         let Some(other) = other.downcast_ref::<MemoryCharacteristicsTool>() else {
             return;
         };
-        // Close the other shard's in-flight launch on a snapshot so its
-        // working set joins the distribution.
-        let mut snapshot = MemoryCharacteristicsTool {
-            current_launch: other.current_launch,
-            current_ranges: other.current_ranges.clone(),
-            per_kernel_ws: Vec::new(),
-            peak_reserved: 0,
-            uvm_fault_groups: 0,
-            uvm_migrated_bytes: 0,
-            uvm_peer_bytes: 0,
-            uvm_invalidated_pages: 0,
-        };
-        snapshot.finish_launch();
-        self.per_kernel_ws
-            .extend(other.per_kernel_ws.iter().copied());
-        self.per_kernel_ws.extend(snapshot.per_kernel_ws);
+        // The other shard's in-flight launch joins the distribution too.
+        self.per_kernel_ws.extend(
+            other
+                .per_kernel_ws
+                .iter()
+                .copied()
+                .chain(other.in_flight_ws()),
+        );
         self.peak_reserved = self.peak_reserved.max(other.peak_reserved);
         self.uvm_fault_groups += other.uvm_fault_groups;
         self.uvm_migrated_bytes += other.uvm_migrated_bytes;
@@ -340,6 +341,27 @@ mod tests {
         assert_eq!(merged.characteristics().uvm_invalidated_pages, 10);
         t.reset();
         assert_eq!(t.characteristics().uvm_peer_bytes, 0);
+    }
+
+    #[test]
+    fn report_and_merge_count_the_launch_in_flight() {
+        // Both launches are wide enough for the radix sort; the second is
+        // still open when the report and the merge read the tool.
+        let mut t = MemoryCharacteristicsTool::new();
+        for i in 0..40u64 {
+            t.on_event(&access(0, i * 4096, 8192));
+        }
+        for i in 0..40u64 {
+            t.on_event(&access(1, i * 8192, 4096));
+        }
+        let mut merged = t.fork().unwrap();
+        merged.merge(&t);
+        let reported = t.report();
+        let closed = t.characteristics();
+        assert_eq!((closed.kernel_count, closed.min_ws), (2, 40 * 4096));
+        assert_eq!(closed.working_set, 41 * 4096);
+        assert_eq!(reported, t.report(), "closing the launch changes nothing");
+        assert_eq!(merged.report(), reported);
     }
 
     #[test]

@@ -48,6 +48,16 @@ pub struct BlockHotness {
     open_bin: u64,
     events_seen: u64,
     bin_events: u64,
+    /// The clock's bin, `events_seen / bin_events`, valid while
+    /// `events_seen < clock_bin_end` (the bin's exclusive end, saturated
+    /// at `u64::MAX`; 0 until the first `record` computes it). Checking the
+    /// upper end alone is sound because `events_seen` never decreases:
+    /// `record` adds 1, `merge_from` adds `other`'s count, `append_from`
+    /// sets it to at least its current value (a bin boundary at or past
+    /// it, plus `other`'s count), and `fork` / `fork_recording` / `new`
+    /// start a fresh tracker with the cache empty.
+    clock_bin: u64,
+    clock_bin_end: u64,
     /// Per-event `(base, len, records)` log, kept only by *lane* trackers
     /// ([`BlockHotness::fork_recording`]). It lets [`append_from`] replay
     /// the lane's stream event by event on the merged clock, which is the
@@ -61,10 +71,13 @@ pub struct BlockHotness {
 
 /// Orders `marks` by block, leaving one mark per block; returns how many.
 fn sort_marks(marks: &mut [(u64, u64)]) -> usize {
-    let blocks = marks.iter().map(|&(block, _)| block);
-    let (Some(lo), Some(hi)) = (blocks.clone().min(), blocks.max()) else {
+    let Some(&(first, _)) = marks.first() else {
         return 0;
     };
+    let (mut lo, mut hi) = (first, first);
+    for &(block, _) in marks.iter() {
+        (lo, hi) = (lo.min(block), hi.max(block));
+    }
     let mut kept = 0;
     if hi - lo < COUNTING_WINDOW as u64 {
         let mut window = [0u64; COUNTING_WINDOW];
@@ -159,19 +172,28 @@ impl BlockHotness {
         }
     }
 
-    /// Records `records` accesses spread uniformly over `[base, base+len)`.
+    /// Records `records` accesses spread uniformly over `[base, base+len)`;
+    /// a range reaching past the address space ends at `u64::MAX`.
     pub fn record(&mut self, base: u64, len: u64, records: u64) {
         if let Some(log) = &mut self.log {
             log.push((base, len, records));
         }
-        let bin = self.events_seen / self.bin_events;
+        if self.events_seen >= self.clock_bin_end {
+            self.clock_bin = self.events_seen / self.bin_events;
+            self.clock_bin_end = (self.clock_bin + 1).saturating_mul(self.bin_events);
+        }
+        let bin = self.clock_bin;
         self.events_seen += 1;
         if len == 0 || records == 0 {
             return;
         }
         let first = block_of_addr(base);
-        let last = block_of_addr(base + len - 1);
-        let per_block = (records / (last - first + 1)).max(1);
+        let last = block_of_addr(base.saturating_add(len - 1));
+        let per_block = if first == last {
+            records
+        } else {
+            (records / (last - first + 1)).max(1)
+        };
         if bin != self.open_bin || self.open.len() >= OPEN_MARKS_MAX {
             self.resolve_open();
             self.open_bin = bin;
@@ -580,6 +602,69 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_widest_bin_never_closes() {
+        // Bin 0 ends at u64::MAX itself: the cached end must not wrap,
+        // and no clock reaches it, through records or merges.
+        let mut run = BlockHotness::new(u64::MAX);
+        let mut reference = Reference::new(u64::MAX);
+        let mut lane = run.fork_recording();
+        let mut lane_reference = reference.fork_recording();
+        for i in 0..5u64 {
+            run.record(HEAPS[0] + i * BLOCK_SIZE, 64, 3 + i);
+            reference.record(HEAPS[0] + i * BLOCK_SIZE, 64, 3 + i);
+            lane.record(HEAPS[1], 2 * BLOCK_SIZE, 10);
+            lane_reference.record(HEAPS[1], 2 * BLOCK_SIZE, 10);
+        }
+        run.merge_from(&lane);
+        reference.merge_from(&lane_reference);
+        run.append_from(&lane);
+        reference.append_from(&lane_reference);
+        run.record(HEAPS[0], 64, 1);
+        reference.record(HEAPS[0], 64, 1);
+        assert_eq!(run.series(), reference.series());
+        assert_eq!(run.events_seen(), reference.events_seen);
+        assert_eq!(run.bins(), 1);
+    }
+
+    #[test]
+    fn the_clock_follows_merges_into_and_across_bins() {
+        // Bin width 4. Merges move the clock without a `record`: into the
+        // middle of the open bin, then across several bins; a log-less
+        // append rounds up and lands mid-bin again. Each next `record`
+        // must bin by the moved clock.
+        let mut run = BlockHotness::new(4);
+        let mut reference = Reference::new(4);
+        let other = |events: u64| {
+            let (mut run, mut reference) = (BlockHotness::new(4), Reference::new(4));
+            for i in 0..events {
+                run.record(HEAPS[1] + i * BLOCK_SIZE, 64, 2);
+                reference.record(HEAPS[1] + i * BLOCK_SIZE, 64, 2);
+            }
+            (run, reference)
+        };
+        let check = |run: &mut BlockHotness, reference: &mut Reference, seen: u64, bin: u64| {
+            assert_eq!(run.events_seen(), seen);
+            run.record(HEAPS[0], 64, 5);
+            reference.record(HEAPS[0], 64, 5);
+            assert_eq!(run.series(), reference.series());
+            assert_eq!(run.bins(), bin + 1, "recorded at clock {seen}");
+        };
+        check(&mut run, &mut reference, 0, 0);
+        let (lane, lane_reference) = other(2);
+        run.merge_from(&lane);
+        reference.merge_from(&lane_reference);
+        check(&mut run, &mut reference, 3, 0);
+        let (lane, lane_reference) = other(9);
+        run.merge_from(&lane);
+        reference.merge_from(&lane_reference);
+        check(&mut run, &mut reference, 13, 3);
+        let (lane, lane_reference) = other(6);
+        run.append_from(&lane);
+        reference.append_from(&lane_reference);
+        check(&mut run, &mut reference, 22, 5);
     }
 
     #[test]

@@ -53,6 +53,9 @@ const THREADS: ParallelConfig = ParallelConfig {
 /// The three `profile_fine` models.
 pub const FINE_MODELS: [ModelZoo; 3] = [ModelZoo::Bert, ModelZoo::Gpt2, ModelZoo::ResNet18];
 
+/// The one tensor the flood's kernels access.
+const FLOOD_TENSOR_BYTES: u64 = 16 << 20;
+
 /// The MoE region on bare lanes: one CUDA context per lane over the
 /// shared 64-device machine, as `run_parallel` builds them.
 pub fn moe_bare() -> OpOutcome {
@@ -111,21 +114,18 @@ pub fn model_profiled(model: ModelZoo) -> OpOutcome {
     Ok(EventCounts::of(&session))
 }
 
-/// The shape of the benchmark's `event_flood` op under the same suite: 32
-/// kernels of 256 access streams over one 16 MiB tensor (60/40 load/store,
-/// every fourth stream shared-memory, four barriers a block). The
-/// benchmark seeds offsets and extents; these step through the tensor.
-pub fn flood_profiled() -> OpOutcome {
-    const TENSOR_BYTES: u64 = 16 << 20;
-    let mut session = suite_session()?;
-    let report = session.run(&mut FnWorkload::new("event-flood", |cx| {
-        let s = cx.session();
-        let t = s.alloc_tensor(&[(TENSOR_BYTES / 4) as usize], DType::F32)?;
-        for k in 0..32u64 {
+/// The kernels of the benchmark's `event_flood` op, built once as the
+/// benchmark builds them at set-up: 32 kernels of 256 access streams over
+/// one 16 MiB tensor (60/40 load/store, every fourth stream shared-memory,
+/// four barriers a block). The benchmark seeds offsets and extents; these
+/// step through the tensor.
+pub fn flood_kernels() -> Vec<KernelDesc> {
+    (0..32u64)
+        .map(|k| {
             let mut body = KernelBody::compute(1 << 20).with_barriers(4);
             for i in 0..256u64 {
                 let len = (1 + (i + k) % 16) * 4096;
-                let offset = (i * 61 + k * 977) * 4096 % (TENSOR_BYTES - len);
+                let offset = (i * 61 + k * 977) * 4096 % (FLOOD_TENSOR_BYTES - len);
                 let spec = if i % 5 < 3 {
                     AccessSpec::load(0, len)
                 } else {
@@ -144,14 +144,23 @@ pub fn flood_profiled() -> OpOutcome {
                 "flood_layernorm",
                 "flood_reduce",
             ][k as usize % 4];
-            s.launch(
-                KernelDesc::new(name, Dim3::linear(64), Dim3::linear(128))
-                    .body(body)
-                    .arg(t.ptr, t.bytes),
-            )?;
+            KernelDesc::new(name, Dim3::linear(64), Dim3::linear(128)).body(body)
+        })
+        .collect()
+}
+
+/// The benchmark's `event_flood` op under the same suite: `kernels`
+/// ([`flood_kernels`]) launched over one fresh tensor.
+pub fn flood_profiled(kernels: &[KernelDesc]) -> OpOutcome {
+    let mut session = suite_session()?;
+    let report = session.run(&mut FnWorkload::new("event-flood", |cx| {
+        let s = cx.session();
+        let t = s.alloc_tensor(&[(FLOOD_TENSOR_BYTES / 4) as usize], DType::F32)?;
+        for kernel in kernels {
+            s.launch(kernel.clone().arg(t.ptr, t.bytes))?;
         }
         s.free_tensor(&t);
-        Ok(WorkloadStats::new(32))
+        Ok(WorkloadStats::new(kernels.len() as u64))
     }))?;
     std::hint::black_box((session.merged_report().to_string(), report));
     Ok(EventCounts::of(&session))

@@ -7,8 +7,8 @@
 //! resolves the executable's addresses with one `addr2line -f -C -i`, and
 //! prints self shares, inclusive shares, and the inclusive share under
 //! a fixed list of frames — the caching allocator, `BTreeMap`, `format!`,
-//! SipHash, the heap, `Hub::process`, the vendor runtime's `emit` — alone
-//! and by the module that called them.
+//! SipHash, the heap, `Hub::process`, the tool bodies, hotness' tracker,
+//! the vendor runtime's `emit` — alone and by the module that called them.
 //!
 //! ```sh
 //! cargo run --release --example sample_profile -- moe        # scale_out_moe's op, 5 s
@@ -361,6 +361,16 @@ mod sampler {
             from: &[],
         },
         Share {
+            label: "pasta_tools:: (tool bodies)",
+            inner: &["pasta_tools::"],
+            from: &[],
+        },
+        Share {
+            label: "uvm_sim::hotness:: (HotnessTool's tracker)",
+            inner: &["uvm_sim::hotness::"],
+            from: &[],
+        },
+        Share {
             label: "uvm_sim::runtime::Context::emit",
             inner: &[
                 "uvm_sim::runtime::Context<C>::emit",
@@ -406,7 +416,9 @@ mod sampler {
         }
     }
 
-    fn op_named(name: &str) -> Option<fn() -> OpOutcome> {
+    /// The named op; inputs the benchmark builds at set-up are built here,
+    /// once, so the op's samples are the op's alone.
+    fn op_named(name: &str) -> Option<Box<dyn Fn() -> OpOutcome>> {
         fn fine() -> OpOutcome {
             let mut counts = common::EventCounts::default();
             for model in common::FINE_MODELS {
@@ -414,14 +426,17 @@ mod sampler {
             }
             Ok(counts)
         }
-        match name {
-            "moe" => Some(common::moe_profiled),
-            "moe_bare" => Some(common::moe_bare),
-            "fine" => Some(fine),
-            "flood" => Some(common::flood_profiled),
-            "serve" => Some(common::serve_profiled),
-            _ => None,
-        }
+        Some(match name {
+            "moe" => Box::new(common::moe_profiled),
+            "moe_bare" => Box::new(common::moe_bare),
+            "fine" => Box::new(fine),
+            "flood" => {
+                let kernels = common::flood_kernels();
+                Box::new(move || common::flood_profiled(&kernels))
+            }
+            "serve" => Box::new(common::serve_profiled),
+            _ => return None,
+        })
     }
 
     pub fn main() -> Outcome {

@@ -8,9 +8,12 @@
 //! and mid-header cut at once.
 
 use pasta::core::report::UvmReport;
-use pasta::core::Event;
-use pasta::sim::{DeviceId, Dim3, LaunchId, SimTime};
-use pasta::trace::{Trace, TraceError, TraceReader, FORMAT_VERSION};
+use pasta::core::{Event, ToolCollection};
+use pasta::sim::{
+    AccessBatch, AccessKind, AccessPattern, DeviceId, Dim3, LaunchId, MemSpace, SimTime,
+};
+use pasta::tools::{standard_suite, MemoryTimelineTool};
+use pasta::trace::{replay, Trace, TraceError, TraceReader, FORMAT_VERSION};
 use pasta::uvm::UvmStats;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -237,6 +240,50 @@ fn empty_input_is_truncated_not_bad_magic() {
         TraceReader::parse(&[]),
         Err(TraceError::Truncated { .. })
     ));
+}
+
+/// A well-formed record can still carry a hostile range: one ending past
+/// `u64::MAX` decodes (the codec reads plain varints), and the tools that
+/// measure ranges — memchar's working set and hotness — clamp its end at
+/// the top of the address space instead of overflowing. Unclamped, a
+/// debug build panicked (the tool was quarantined) and a release build
+/// wrapped the end below the start and aborted asking for 211 TB.
+#[test]
+fn a_range_past_the_address_space_replays_through_the_suite() {
+    let access = |launch: u64, base: u64, len: u64| Event::GlobalAccess {
+        launch: LaunchId(launch),
+        kernel: "hostile".into(),
+        batch: AccessBatch {
+            launch: LaunchId(launch),
+            spec_index: 0,
+            base,
+            len,
+            records: 5,
+            bytes: len,
+            elem_size: 4,
+            kind: AccessKind::Load,
+            space: MemSpace::Global,
+            pattern: AccessPattern::Sequential,
+        },
+    };
+    // One hostile event alone, then among 40 ranges of a launch: both
+    // sides of memchar's radix cutoff.
+    let mut events = vec![access(0, u64::MAX - 10, 100)];
+    events.extend((0..40).map(|i| access(1, u64::MAX - 4096 * i, 1 << 20)));
+    let trace = Trace::from_shards([(DeviceId(0), events.as_slice())], None);
+    let mut tools: ToolCollection = standard_suite().into_iter().collect();
+    tools.register(Box::new(MemoryTimelineTool::new()));
+    let report = replay(&trace, &mut tools).expect("a well-formed trace replays");
+    assert_eq!(tools.quarantines().count(), 0, "no tool panicked");
+    let memchar = report
+        .tools
+        .iter()
+        .find(|r| r.tool == "memory-characteristics")
+        .expect("memchar reports");
+    assert_eq!(memchar.get("kernel_count"), Some(2.0));
+    assert_eq!(memchar.get("min_ws_bytes"), Some(10.0));
+    let hotness = report.tools.iter().find(|r| r.tool == "hotness");
+    assert_eq!(hotness.and_then(|r| r.get("blocks")), Some(1.0));
 }
 
 #[test]
