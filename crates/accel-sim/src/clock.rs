@@ -16,11 +16,6 @@ impl SimTime {
     /// The simulation epoch.
     pub(crate) const ZERO: SimTime = SimTime(0);
 
-    /// Creates a time from whole milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
-        SimTime(ms * 1_000_000)
-    }
-
     /// Creates a time from seconds (saturating on overflow).
     pub fn from_secs_f64(secs: f64) -> Self {
         SimTime((secs * 1e9).min(u64::MAX as f64).max(0.0) as u64)
@@ -83,7 +78,6 @@ mod tests {
 
     #[test]
     fn conversions_round_trip() {
-        assert_eq!(SimTime::from_millis(2).as_nanos(), 2_000_000);
         assert!((SimTime::from_secs_f64(1.5).as_secs_f64() - 1.5).abs() < 1e-9);
     }
 

@@ -82,5 +82,5 @@ pub use probe::{AnalysisMode, DeviceProbe, InstrCoverage, ProbeConfig, ProbeCost
 pub use residency::{AccessOutcome, PeerTransfer, ResidencyAdvice, ResidencyModel};
 pub use runtime::{CopyDirection, DeviceRuntime, LaunchRecord, RuntimeStats};
 pub use symbol::{Symbol, SymbolTable};
-pub use threads::{idle_until, resolve_threads};
+pub use threads::{contain, idle_until, resolve_threads, run_pool, PoolRun, PoolTask};
 pub use trace::{AccessBatch, KernelTraceSummary};

@@ -1,14 +1,47 @@
-//! Thread-budget resolution and the idle backoff shared by every pooled
-//! surface.
+//! The one worker pool, its thread-budget rule and its idle backoff.
 //!
-//! The `0 = available parallelism` rule appears on every knob of
-//! `ParallelConfig` (lane pool, merge plan, drain workers), and the idle
-//! backoff drives both the lane pool's idle workers and the spine's
-//! background drainers. Each used to be re-implemented privately by its
-//! consumers, which is exactly how such a rule drifts; this is now the one
-//! copy of both (`pasta_core::merge`, `pasta_core::spine` and
-//! `dl_framework::lane_exec` delegate here).
+//! Every PASTA thread outside the spine's background drainers is a worker
+//! of [`run_pool`]: the lanes of a parallel region
+//! (`dl_framework::lane_exec`, workers `lane-dev{N}`), the two pipeline
+//! stages, and the session-end merge (`pasta_core::merge`, workers
+//! `merge-{k}`). The `0 = available parallelism` rule ([`resolve_threads`])
+//! appears on every knob of `ParallelConfig`, and the idle backoff
+//! ([`idle_until`]) drives both the pool's idle workers and the spine's
+//! drainers.
+//!
+//! **Bounded pool.** [`run_pool`] multiplexes tasks onto at most
+//! `max_threads` workers, each seeded with one task and then claiming
+//! further tasks from a shared queue in task order. The calling thread is
+//! worker 0, so a pool of `W` spawns `W − 1` threads and a pool of one
+//! spawns none. Containment is per task, not per thread, so a worker
+//! survives a panicking task to run the remaining ones.
+//!
+//! **Thread naming**: a spawned worker is named after its role and the
+//! first task it runs (`lane-dev3`, `merge-1`). Names are fixed at spawn;
+//! a worker that later claims other tasks keeps its name, but the
+//! [`AccelError::LanePanic`] it reports always carries the right task's
+//! device. With `max_threads >= tasks` every task after the first runs on
+//! a thread bearing its own number — the configuration the
+//! fault-containment name test pins.
+//!
+//! **Idle duty**: a worker that finds the queue empty while siblings are
+//! still running calls the caller's `idle` hook under [`idle_until`]'s
+//! backoff — this is how `run_parallel_each` folds spine-drainer duty into
+//! the pool instead of spawning drainer threads. The hook is contained
+//! like a task: a panicking `idle` is caught, the hook is disarmed for the
+//! remainder of that pool, and the first payload is reported in
+//! [`PoolRun::idle_panic`] — it never unwinds a worker, so it cannot
+//! abort sibling tasks.
+//!
+//! **Scheduling caveat**: tasks on a bounded pool must not block on each
+//! other — with fewer workers than tasks, a task waiting for one that has
+//! not been scheduled yet deadlocks.
 
+use crate::error::{panic_message, AccelError};
+use crate::id::DeviceId;
+use crate::sync::Mutex;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Resolves a thread budget: `0` means "available parallelism" (1 if the
@@ -41,6 +74,179 @@ pub fn idle_until(done: impl Fn() -> bool, mut work: impl FnMut() -> bool) {
     }
 }
 
+/// One unit of pool work: the device it stands for (its worker's name
+/// and its panic's attribution — a lane's device, a merge block's index)
+/// and the closure that does it.
+pub struct PoolTask<'a, T> {
+    /// Device the task stands for.
+    pub device: DeviceId,
+    /// The task's work; runs exactly once, contained by `catch_unwind`.
+    pub run: Box<dyn FnOnce() -> Result<T, AccelError> + Send + 'a>,
+}
+
+impl<T> std::fmt::Debug for PoolTask<'_, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PoolTask")
+            .field("device", &self.device)
+            .finish()
+    }
+}
+
+/// What one [`run_pool`] call produced: the per-task results plus the
+/// pool's own concurrency and fault diagnostics.
+#[derive(Debug)]
+pub struct PoolRun<T> {
+    /// Per-task results, **in task order**, regardless of which worker
+    /// ran what.
+    pub results: Vec<Result<T, AccelError>>,
+    /// Peak number of *this pool's* tasks that ran concurrently; other
+    /// pools running in parallel cannot contaminate it.
+    pub high_water: usize,
+    /// Payload of the first `idle`-hook panic, if any. The panic was
+    /// contained and the hook disarmed for the remainder of the pool
+    /// (idle workers fell back to plain backoff); task results are
+    /// unaffected.
+    pub idle_panic: Option<String>,
+}
+
+/// Contains a panic at the task boundary: `f`'s panic becomes a typed
+/// [`AccelError::LanePanic`] attributed to `device` instead of unwinding
+/// further. The non-panic path costs nothing (`catch_unwind` is
+/// zero-overhead until a panic actually lands).
+pub fn contain<T>(
+    device: DeviceId,
+    f: impl FnOnce() -> Result<T, AccelError>,
+) -> Result<T, AccelError> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(AccelError::LanePanic {
+            device,
+            payload: panic_message(payload.as_ref()),
+        })
+    })
+}
+
+/// Runs every task on a bounded worker pool and returns the per-task
+/// results **in task order**, together with the pool's own high-water
+/// mark.
+///
+/// `resolve_threads(max_threads).min(tasks.len())` workers run the tasks:
+/// the calling thread as worker 0, the others spawned for this call and
+/// joined before it returns. Worker `w` is seeded with task `w`, and a
+/// spawned one is named `{role}{N}` after that task's device; exhausted
+/// workers claim remaining tasks in index order, then run `idle` (if any)
+/// until every task has finished — `idle` returns whether it found work,
+/// driving [`idle_until`]'s backoff.
+///
+/// A panicking task is contained at the task boundary and surfaces as
+/// [`AccelError::LanePanic`] for its device; remaining tasks still run.
+/// A panicking `idle` hook is likewise contained: the hook is disarmed
+/// for the rest of this pool and the first payload is reported in
+/// [`PoolRun::idle_panic`] instead of unwinding the pool scope.
+pub fn run_pool<'a, T: Send>(
+    role: &str,
+    max_threads: usize,
+    tasks: Vec<PoolTask<'a, T>>,
+    idle: Option<&(dyn Fn() -> bool + Sync)>,
+) -> PoolRun<T> {
+    let n = tasks.len();
+    if n == 0 {
+        return PoolRun {
+            results: Vec::new(),
+            high_water: 0,
+            idle_panic: None,
+        };
+    }
+    let workers = resolve_threads(max_threads).min(n);
+    let devices: Vec<DeviceId> = tasks.iter().map(|t| t.device).collect();
+    let slots: Vec<Mutex<Option<PoolTask<'a, T>>>> =
+        tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let results: Vec<Mutex<Option<Result<T, AccelError>>>> =
+        (0..n).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(workers);
+    let done = AtomicUsize::new(0);
+    let live = AtomicUsize::new(0);
+    let pool_high = AtomicUsize::new(0);
+    let idle_armed = AtomicBool::new(true);
+    let idle_panic: Mutex<Option<String>> = Mutex::new(None);
+
+    let run_task = |i: usize| {
+        let Some(task) = slots[i].lock().take() else {
+            return;
+        };
+        let concurrent = live.fetch_add(1, Ordering::SeqCst) + 1;
+        pool_high.fetch_max(concurrent, Ordering::SeqCst);
+        let result = contain(task.device, task.run);
+        live.fetch_sub(1, Ordering::SeqCst);
+        *results[i].lock() = Some(result);
+        done.fetch_add(1, Ordering::Release);
+    };
+    // One idle beat: the hook under its own catch_unwind — a panic here
+    // would otherwise unwind the worker and abort the whole pool
+    // scope, taking sibling tasks down with it. The first panic disarms
+    // the hook for this pool; the spine's producer-side drain keeps the
+    // path lossless without it.
+    let idle_beat = |idle: &(dyn Fn() -> bool + Sync)| {
+        idle_armed.load(Ordering::Acquire)
+            && catch_unwind(AssertUnwindSafe(idle)).unwrap_or_else(|payload| {
+                idle_armed.store(false, Ordering::Release);
+                idle_panic
+                    .lock()
+                    .get_or_insert_with(|| panic_message(payload.as_ref()));
+                false
+            })
+    };
+
+    // Worker `w`: its seed task, then claims in task order, then — queue
+    // exhausted — idle duty (spine draining) until the last sibling
+    // finishes.
+    let worker = |w: usize| {
+        run_task(w);
+        loop {
+            let claim = next.fetch_add(1, Ordering::SeqCst);
+            if claim >= n {
+                break;
+            }
+            run_task(claim);
+        }
+        if let Some(idle) = idle {
+            idle_until(|| done.load(Ordering::Acquire) >= n, || idle_beat(idle));
+        }
+    };
+    std::thread::scope(|scope| {
+        let worker = &worker;
+        for (w, seed_device) in devices.iter().enumerate().take(workers).skip(1) {
+            // Thread spawning fails only on resource exhaustion, where
+            // the unnamed `Scope::spawn` would panic too.
+            std::thread::Builder::new()
+                .name(format!("{role}{}", seed_device.index()))
+                .spawn_scoped(scope, move || worker(w))
+                .expect("spawn pool worker");
+        }
+        worker(0);
+    });
+
+    let results = results
+        .into_iter()
+        .enumerate()
+        .map(|(i, slot)| {
+            // Every index in 0..n is claimed exactly once (seeds cover
+            // 0..workers, the counter covers the rest) and panics are
+            // contained, so an unfilled slot is defensive cover only.
+            slot.into_inner().unwrap_or_else(|| {
+                Err(AccelError::LanePanic {
+                    device: devices[i],
+                    payload: "pool task never ran (worker lost)".into(),
+                })
+            })
+        })
+        .collect();
+    PoolRun {
+        results,
+        high_water: pool_high.into_inner(),
+        idle_panic: idle_panic.into_inner(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,5 +256,180 @@ mod tests {
         assert_eq!(resolve_threads(1), 1);
         assert_eq!(resolve_threads(7), 7);
         assert!(resolve_threads(0) >= 1, "0 resolves to at least one");
+    }
+
+    fn task<'a>(
+        device: u32,
+        run: impl FnOnce() -> Result<u32, AccelError> + Send + 'a,
+    ) -> PoolTask<'a, u32> {
+        PoolTask {
+            device: DeviceId(device),
+            run: Box::new(run),
+        }
+    }
+
+    #[test]
+    fn results_stay_in_task_order_at_every_pool_size() {
+        for threads in [1, 2, 3, 16] {
+            let tasks: Vec<PoolTask<'_, u32>> =
+                (0..7).map(|i| task(i, move || Ok(i * 10))).collect();
+            let out = run_pool("t-", threads, tasks, None);
+            let values: Vec<u32> = out.results.into_iter().map(|r| r.unwrap()).collect();
+            assert_eq!(values, vec![0, 10, 20, 30, 40, 50, 60], "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn panic_is_contained_and_attributed_and_siblings_run() {
+        let tasks = vec![
+            task(0, || Ok(1)),
+            task(1, || panic!("fault-injection: pooled lane dies")),
+            task(2, || Ok(3)),
+        ];
+        let out = run_pool("t-", 1, tasks, None).results;
+        assert_eq!(*out[0].as_ref().unwrap(), 1);
+        match &out[1] {
+            Err(AccelError::LanePanic { device, payload }) => {
+                assert_eq!(*device, DeviceId(1));
+                assert!(payload.contains("pooled lane dies"));
+            }
+            other => panic!("expected LanePanic, got {other:?}"),
+        }
+        assert_eq!(*out[2].as_ref().unwrap(), 3);
+    }
+
+    #[test]
+    fn the_caller_is_worker_zero_and_spawned_workers_carry_role_and_seed() {
+        let name = || std::thread::current().name().unwrap_or("").to_owned();
+        let tasks: Vec<PoolTask<'_, String>> = (0..3)
+            .map(|d| PoolTask {
+                device: DeviceId(d),
+                run: Box::new(move || Ok(name())),
+            })
+            .collect();
+        let names: Vec<String> = run_pool("merge-", 3, tasks, None)
+            .results
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
+        assert_eq!(names, [name(), "merge-1".into(), "merge-2".into()]);
+    }
+
+    #[test]
+    fn concurrency_never_exceeds_the_budget() {
+        let cur = AtomicUsize::new(0);
+        let max = AtomicUsize::new(0);
+        let tasks: Vec<PoolTask<'_, u32>> = (0..12)
+            .map(|i| {
+                let (cur, max) = (&cur, &max);
+                task(i, move || {
+                    let c = cur.fetch_add(1, Ordering::SeqCst) + 1;
+                    max.fetch_max(c, Ordering::SeqCst);
+                    std::thread::sleep(Duration::from_millis(1));
+                    cur.fetch_sub(1, Ordering::SeqCst);
+                    Ok(i)
+                })
+            })
+            .collect();
+        let out = run_pool("t-", 3, tasks, None);
+        assert!(out.results.iter().all(Result::is_ok));
+        assert!(max.load(Ordering::SeqCst) <= 3, "budget exceeded");
+        assert!(
+            (1..=3).contains(&out.high_water),
+            "per-pool high water {} must stay within the budget",
+            out.high_water
+        );
+        assert!(
+            out.high_water <= max.load(Ordering::SeqCst),
+            "pool high water cannot exceed what the tasks themselves observed"
+        );
+    }
+
+    /// The per-pool high-water mark is immune to other pools running
+    /// concurrently.
+    #[test]
+    fn per_pool_high_water_is_uncontaminated_by_concurrent_pools() {
+        let runs: Vec<PoolRun<u32>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let tasks: Vec<PoolTask<'_, u32>> = (0..6)
+                            .map(|i| {
+                                task(i, move || {
+                                    std::thread::sleep(Duration::from_millis(2));
+                                    Ok(i)
+                                })
+                            })
+                            .collect();
+                        run_pool("t-", 2, tasks, None)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for run in &runs {
+            assert!(run.results.iter().all(Result::is_ok));
+            assert!(
+                (1..=2).contains(&run.high_water),
+                "pool high water {} leaked across pools",
+                run.high_water
+            );
+        }
+    }
+
+    #[test]
+    fn idle_hook_runs_while_stragglers_finish() {
+        let idle_calls = AtomicUsize::new(0);
+        let tasks = vec![
+            task(0, || {
+                std::thread::sleep(Duration::from_millis(5));
+                Ok(0)
+            }),
+            task(1, || Ok(1)),
+        ];
+        let hook = || {
+            idle_calls.fetch_add(1, Ordering::SeqCst);
+            false
+        };
+        let out = run_pool("t-", 2, tasks, Some(&hook));
+        assert!(out.results.iter().all(Result::is_ok));
+        assert!(
+            idle_calls.load(Ordering::SeqCst) > 0,
+            "idle worker never drained"
+        );
+        assert_eq!(out.idle_panic, None);
+    }
+
+    /// Regression: a panicking idle hook used to unwind the scoped worker
+    /// and abort the whole pool scope, killing sibling tasks that were
+    /// mid-flight. Now the panic is contained, the hook is disarmed for
+    /// the rest of the pool, and every task result survives.
+    #[test]
+    fn idle_hook_panic_is_contained_and_disarms_the_hook() {
+        let idle_calls = AtomicUsize::new(0);
+        let tasks = vec![
+            task(0, || {
+                std::thread::sleep(Duration::from_millis(10));
+                Ok(0)
+            }),
+            task(1, || Ok(1)),
+        ];
+        let hook = || -> bool {
+            idle_calls.fetch_add(1, Ordering::SeqCst);
+            panic!("fault-injection: idle drain dies");
+        };
+        let out = run_pool("t-", 2, tasks, Some(&hook));
+        assert!(
+            out.results.iter().all(Result::is_ok),
+            "task results must survive an idle-hook panic: {:?}",
+            out.results
+        );
+        assert_eq!(
+            idle_calls.load(Ordering::SeqCst),
+            1,
+            "first panic must disarm the hook for the rest of the pool"
+        );
+        let payload = out.idle_panic.expect("idle panic reported");
+        assert!(payload.contains("idle drain dies"), "{payload}");
     }
 }

@@ -582,7 +582,7 @@ fn collect_quarantines<'a>(procs: impl Iterator<Item = &'a EventProcessor>) -> V
 }
 
 /// Folds every shard's instance of tool `i` into a fresh fork via the
-/// shared merge plan ([`crate::merge::tree_reduce`]), ascending device id
+/// session-end merge's tree ([`crate::merge::tree_reduce`]), ascending device id
 /// (the callers pass `procs` in shard order, which is device order).
 ///
 /// Each non-quarantined shard contributes one leaf — a fresh fork of the
@@ -624,20 +624,23 @@ fn merge_tool_index(procs: &[&EventProcessor], i: usize, max_threads: usize) -> 
 }
 
 /// Merged boxes of every registered tool across `procs` (registration
-/// order), scheduled by the shared merge plan. Hubs with more than two
+/// order), on the merge's pool ([`crate::merge`]). Hubs with more than two
 /// shards spend `max_threads` workers (`0` = available parallelism):
-/// across tools when there are several ([`crate::merge::reduce_indexed`],
-/// each tool's shard tree running whole on one worker), or *within* the
-/// shard tree when a single tool spans many shards — the 256-shard,
-/// one-tool teardown the scale-out workload produces. Two-shard hubs
-/// merge sequentially, exactly as before the pool existed. Either way
-/// the bytes match the fully sequential merge — the plan only changes
-/// which thread executes a pair, never the pairing order.
+/// across tools when there are several, one task per tool with each
+/// tool's shard tree running whole on one worker, or *within* the shard
+/// tree when a single tool spans many shards — the 256-shard, one-tool
+/// teardown the scale-out workload produces. Two-shard hubs merge on the
+/// calling thread. Either way the bytes match the fully sequential merge —
+/// the pool only changes which thread executes a pair, never the pairing
+/// order.
 fn merge_all_tools(procs: &[&EventProcessor], max_threads: usize) -> Vec<Box<dyn Tool>> {
     let n = procs[0].tools.len();
     let workers = if procs.len() > 2 { max_threads } else { 1 };
     if n == 1 {
         return vec![merge_tool_index(procs, 0, workers)];
     }
-    crate::merge::reduce_indexed(n, workers, |i| merge_tool_index(procs, i, 1))
+    crate::merge::on_pool(
+        workers,
+        (0..n).map(|i| move || merge_tool_index(procs, i, 1)),
+    )
 }

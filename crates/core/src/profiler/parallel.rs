@@ -38,13 +38,14 @@ use uvm_sim::UvmManager;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ParallelConfig {
     /// Lane worker threads for `run_parallel`/`run_parallel_each`: lanes
-    /// are multiplexed onto at most this many pooled workers (named
-    /// `lane-dev{N}` after their first lane) instead of one thread per
-    /// device. Idle workers absorb spine-drain duty.
+    /// are multiplexed onto at most this many pooled workers (the calling
+    /// thread plus threads named `lane-dev{N}` after their first lane)
+    /// instead of one thread per device. Idle workers absorb spine-drain
+    /// duty.
     pub max_lane_threads: usize,
-    /// Worker threads for the session-end merge plan (tool folds across
+    /// Worker threads for the session-end merge (tool folds across
     /// shards, forked UVM managers) — the tree reduction in
-    /// [`crate::merge`], workers named `merge-{k}`.
+    /// [`crate::merge`], on workers of the lanes' pool named `merge-{k}`.
     pub max_merge_threads: usize,
     /// Background spine-drainer threads for `run_parallel` (named
     /// `drain-dev{N}`); each services an interleaved slice of the lane
@@ -259,8 +260,8 @@ impl PastaSession {
     /// [`PastaSession::run_parallel`].
     ///
     /// Lanes are multiplexed onto at most
-    /// [`ParallelConfig::max_lane_threads`] pooled workers (named
-    /// `lane-dev{N}` after the first lane each runs), so a 256-device
+    /// [`ParallelConfig::max_lane_threads`] pooled workers (the caller and
+    /// threads named `lane-dev{N}` after their first lane), so a 256-device
     /// region costs a handful of OS threads, not 256. No background
     /// drainer threads are spawned either: a pool worker that runs out of
     /// lanes sweeps the lane shards' spine rings until the stragglers

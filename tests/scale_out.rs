@@ -282,8 +282,8 @@ fn record_injected_panics() {
 /// it was seeded with, so crash logs attribute the panic to a device.
 ///
 /// `max_lane_threads` is explicit: the auto width on a 1-CPU runner is a
-/// single worker, which would run lane 1 on `lane-dev0` after finishing
-/// lane 0. Two workers pin the seeded name.
+/// single worker — the calling thread — which would run lane 1 after
+/// finishing lane 0. Two workers pin the seeded name.
 #[test]
 fn pooled_lane_panic_is_salvaged_and_names_its_worker() {
     record_injected_panics();
@@ -335,6 +335,141 @@ fn pooled_lane_panic_is_salvaged_and_names_its_worker() {
         .and_then(|r| r.get("launches"))
         .expect("survivor merged");
     assert_eq!(launches, 1.0);
+}
+
+// ---------------------------------------------------------------------------
+// One worker pool: lanes and the session-end merge keep to their budgets.
+// ---------------------------------------------------------------------------
+
+/// Where and how concurrently a [`MergeWatch`] family ran its code.
+#[derive(Default)]
+struct WatchProbe {
+    merging: std::sync::atomic::AtomicUsize,
+    merge_peak: std::sync::atomic::AtomicUsize,
+    threads: Mutex<std::collections::BTreeSet<String>>,
+}
+
+impl WatchProbe {
+    fn saw(&self, thread: &str) {
+        self.threads.lock().unwrap().insert(thread.to_owned());
+    }
+}
+
+/// A forkable launch counter whose instances share one probe: every
+/// thread that runs its code, and how many of its merges run at once
+/// (each merge sleeps, so merges the pool could overlap do overlap).
+struct MergeWatch {
+    launches: u64,
+    probe: std::sync::Arc<WatchProbe>,
+}
+
+impl Tool for MergeWatch {
+    fn name(&self) -> &str {
+        "merge-watch"
+    }
+    fn interest(&self) -> Interest {
+        Interest {
+            kernel_launches: true,
+            ..Interest::default()
+        }
+    }
+    fn on_event(&mut self, event: &pasta::core::Event) {
+        if matches!(event, pasta::core::Event::KernelLaunchEnd { .. }) {
+            self.launches += 1;
+            self.probe
+                .saw(std::thread::current().name().unwrap_or("unnamed"));
+        }
+    }
+    fn report(&self) -> ToolReport {
+        ToolReport::new(self.name()).metric("launches", self.launches as f64)
+    }
+    fn fork(&self) -> Option<Box<dyn Tool>> {
+        Some(Box::new(MergeWatch {
+            launches: 0,
+            probe: std::sync::Arc::clone(&self.probe),
+        }))
+    }
+    fn merge(&mut self, other: &dyn Tool) {
+        use std::sync::atomic::Ordering::SeqCst;
+        let probe = &self.probe;
+        let now = probe.merging.fetch_add(1, SeqCst) + 1;
+        probe.merge_peak.fetch_max(now, SeqCst);
+        probe.saw(std::thread::current().name().unwrap_or("unnamed"));
+        std::thread::sleep(std::time::Duration::from_micros(100));
+        if let Some(other) = other.downcast_ref::<Self>() {
+            self.launches += other.launches;
+        }
+        probe.merging.fetch_sub(1, SeqCst);
+    }
+}
+
+/// Every thread a 64-device session runs tool code on is a worker of the
+/// one pool — `lane-dev{N}` for the lanes, `merge-{k}` for the
+/// session-end merge — or the caller; at most `max_lane_threads` lanes
+/// and `max_merge_threads` merges run at once; and the merged report is
+/// the same at every merge budget.
+#[test]
+fn lanes_and_the_merge_run_on_the_pool_within_their_budgets() {
+    let mut reports = Vec::new();
+    for merge_threads in [1, 2, 4] {
+        let probe = std::sync::Arc::new(WatchProbe::default());
+        let mut session = Pasta::builder()
+            .devices(vec![DeviceSpec::a100_80gb(); 64])
+            .tool(MergeWatch {
+                launches: 0,
+                probe: std::sync::Arc::clone(&probe),
+            })
+            .parallel(ParallelConfig {
+                max_lane_threads: 3,
+                max_merge_threads: merge_threads,
+                max_drain_threads: 1,
+            })
+            .build()
+            .expect("session builds");
+        session
+            .run_parallel_each(&devices(64), |_i, lane| {
+                lane.session.launch(
+                    KernelDesc::new("budget_probe", Dim3::linear(2), Dim3::linear(64))
+                        .body(KernelBody::compute(1 << 10)),
+                )?;
+                Ok(())
+            })
+            .expect("64-lane run completes");
+        let report = session.merged_report();
+
+        let lanes = session.pool_high_water();
+        assert!((1..=3).contains(&lanes), "{lanes} lanes at once, budget 3");
+        let merges = probe.merge_peak.load(std::sync::atomic::Ordering::SeqCst);
+        assert!(
+            (1..=merge_threads).contains(&merges),
+            "{merges} merges at once, budget {merge_threads}"
+        );
+        let caller = std::thread::current()
+            .name()
+            .unwrap_or("unnamed")
+            .to_owned();
+        for thread in probe.threads.lock().unwrap().iter() {
+            assert!(
+                thread.starts_with("lane-dev") || thread.starts_with("merge-") || *thread == caller,
+                "tool code ran on `{thread}`, outside the pool (budget {merge_threads})"
+            );
+        }
+        reports.push(report);
+    }
+    assert!(
+        reports.windows(2).all(|w| w[0] == w[1]),
+        "the merge budget moved the merged report"
+    );
+    let launches = reports[0]
+        .tools
+        .iter()
+        .find(|r| r.tool == "merge-watch")
+        .and_then(|r| r.get("launches"));
+    assert_eq!(
+        launches,
+        Some(64.0),
+        "one launch per lane survived the merge"
+    );
 }
 
 // ---------------------------------------------------------------------------
