@@ -63,7 +63,7 @@ fn sharded_hub(devices: u32) -> SharedHub {
 }
 
 fn parent_manager() -> UvmManager {
-    let mut m = UvmManager::new(UvmConfig::default());
+    let mut m = UvmManager::new(UvmConfig);
     // NVLink-class peer link, as the session builder configures from the
     // A100 spec.
     m.add_device_p2p(BUDGET, 24.0, 300.0, 25_000);

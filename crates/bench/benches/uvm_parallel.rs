@@ -68,7 +68,7 @@ fn sharded_hub(devices: u32) -> SharedHub {
 }
 
 fn parent_manager() -> UvmManager {
-    let mut m = UvmManager::new(UvmConfig::default());
+    let mut m = UvmManager::new(UvmConfig);
     m.add_device(BUDGET, 24.0, 25_000);
     m.add_device(BUDGET, 24.0, 25_000);
     m

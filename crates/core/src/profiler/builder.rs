@@ -82,8 +82,6 @@ impl BackendChoice {
 /// `Event::UvmPeerMigrate`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UvmSetup {
-    /// UVM cost-model config.
-    pub config: UvmConfig,
     /// Managed-memory budget per device; `None` = full usable capacity.
     /// Setting this below the workload footprint creates oversubscription
     /// (paper §V-A methodology).
@@ -96,7 +94,6 @@ pub struct UvmSetup {
 impl Default for UvmSetup {
     fn default() -> Self {
         UvmSetup {
-            config: UvmConfig::default(),
             budget_bytes: None,
             managed_allocator: true,
         }
@@ -389,7 +386,7 @@ impl PastaBuilder {
         // The residency model is the same whichever vocabulary the context
         // speaks, so it is built before one is chosen.
         let uvm = self.uvm.as_ref().map(|uvm_setup| {
-            let mut uvm = UvmManager::new(uvm_setup.config.clone());
+            let mut uvm = UvmManager::new(UvmConfig);
             for spec in specs.iter() {
                 let budget = uvm_setup
                     .budget_bytes
@@ -598,24 +595,21 @@ mod tests {
 
     #[test]
     fn no_amd_backend_or_uvm_setup_a_caller_can_write_fails_the_build() {
-        // `RocProfilerConfig` carries a mode and `UvmConfig` a bin width;
-        // the buffer and the UVM cost model are constants checked at
-        // compile time, so the extremes of what is left build.
-        for (mode, bin) in [
+        // `RocProfilerConfig` carries a mode and `UvmSetup` a budget and
+        // an allocator flag; the buffer and the UVM cost model are
+        // constants checked at compile time, so the extremes of what is
+        // left build.
+        for (mode, budget) in [
             (AnalysisMode::GpuResident, 0),
             (AnalysisMode::CpuPostProcess, u64::MAX),
         ] {
-            let config = UvmConfig {
-                hotness_bin_events: bin,
-            };
             let session = Pasta::builder()
                 .mi300x()
                 .tool(DeviceHungry)
                 .backend(BackendChoice::RocProfiler(RocProfilerConfig { mode }))
                 .uvm(UvmSetup {
-                    config,
-                    budget_bytes: Some(bin),
-                    managed_allocator: bin == 0,
+                    budget_bytes: Some(budget),
+                    managed_allocator: budget == 0,
                 })
                 .build();
             assert!(session.is_ok_and(|s| s.profiler.is_some()));

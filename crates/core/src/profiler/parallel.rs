@@ -65,7 +65,7 @@ impl PastaSession {
     /// Lanes inherit the session's backend, sampling and allocator
     /// configuration. A session built with [`crate::UvmSetup`] replicates its
     /// UVM manager into every lane via [`UvmManager::fork`] — same
-    /// config, budgets and registrations, fresh residency and counters —
+    /// budgets and registrations, fresh residency and counters —
     /// so lane tensor traffic faults and migrates with no cross-lane
     /// lock; lane UVM state merges back into the session manager
     /// (ascending device id) when `f` returns, and surfaces through
@@ -124,7 +124,7 @@ impl PastaSession {
         let mut handles = Vec::new();
         for &device in devices {
             // A UVM session replicates into its lanes: each lane carries a
-            // manager forked from the session's (same config, budgets and
+            // manager forked from the session's (same budgets and
             // registrations, fresh residency and counters), so managed
             // allocations made on the lane fault, migrate and evict with
             // no lock shared across lanes. Lane state merges back into
@@ -205,13 +205,12 @@ impl PastaSession {
         // as the session-end tool merge, regardless of the order the
         // caller listed the devices in. The fold runs through the shared
         // merge plan: lane managers tree-reduce pairwise in device order
-        // (`UvmManager::merge` is associative — stats sum, hotness lanes
-        // replay their recording logs in device order, shared-range
-        // import is order-independent), then the single combined manager
-        // merges into the session's, byte-identical to the linear chain
-        // this replaces but with an O(N/W + log N) critical path at 64+
-        // lanes. Per-device stats are captured *before* the reduction —
-        // the tree consumes the lane managers.
+        // (`UvmManager::merge` is associative — stats and peer bytes sum,
+        // shared-range import is order-independent), then the single
+        // combined manager merges into the session's, byte-identical to
+        // the linear chain this replaces but with an O(N/W + log N)
+        // critical path at 64+ lanes. Per-device stats are captured
+        // *before* the reduction — the tree consumes the lane managers.
         let mut lane_managers: Vec<(DeviceId, UvmManager)> = Vec::new();
         for (ctx, &device) in contexts.iter_mut().zip(devices) {
             let Some(model) = ctx.engine_mut().take_residency() else {
@@ -465,17 +464,11 @@ mod tests {
         );
         let merged = session.merged_report();
         assert_eq!(merged.uvm, Some(report), "merged report carries the slice");
-        // Analysis reset clears the UVM window too — counters, the
-        // per-lane breakdown and the hotness clock together.
+        // Analysis reset clears the UVM window too — counters and the
+        // per-lane breakdown together.
         session.reset_analysis();
         let after = session.uvm_report().expect("manager still attached");
         assert_eq!(after.stats, uvm_sim::UvmStats::default());
         assert!(after.per_device.is_empty());
-        let mut probe = crate::workload::FnWorkload::new("hotness-probe", |cx| {
-            let hotness = cx.uvm().expect("uvm attached").hotness();
-            assert_eq!(hotness.events_seen(), 0, "hotness clock reset with stats");
-            Ok(crate::workload::WorkloadStats::new(0))
-        });
-        session.run(&mut probe).unwrap();
     }
 }

@@ -303,11 +303,6 @@ impl PastaSession {
         self.lane_failures.clear();
         if let Some(manager) = self.runtime.uvm_manager_mut() {
             manager.reset_stats();
-            // Hotness resets with the stats: a pre-reset parallel region
-            // concatenated lane time axes into the accumulator, and
-            // leaving them would make stats and hotness describe
-            // different analysis windows.
-            manager.reset_hotness();
         }
     }
 

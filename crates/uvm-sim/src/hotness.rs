@@ -3,7 +3,10 @@
 //! Reproduces the data behind the paper's Fig. 13: access counts per 2 MiB
 //! virtual block, binned by logical time (access-event index), revealing
 //! long-lived hot blocks (parameters — prefetch/pin candidates) versus
-//! short-lived bursts (transient data — eviction candidates).
+//! short-lived bursts (transient data — eviction candidates). The
+//! analysis is `pasta_tools::HotnessTool`, which owns one tracker per
+//! device shard and folds shards with [`BlockHotness::merge_from`]; the
+//! simulator itself records nothing here.
 //!
 //! The accumulator is a flat run of `(bin, block, count)` cells kept
 //! ascending by `(bin, block)`. Recording an access is O(1) whatever the
@@ -52,21 +55,10 @@ pub struct BlockHotness {
     /// `events_seen < clock_bin_end` (the bin's exclusive end, saturated
     /// at `u64::MAX`; 0 until the first `record` computes it). Checking the
     /// upper end alone is sound because `events_seen` never decreases:
-    /// `record` adds 1, `merge_from` adds `other`'s count, `append_from`
-    /// sets it to at least its current value (a bin boundary at or past
-    /// it, plus `other`'s count), and `fork` / `fork_recording` / `new`
-    /// start a fresh tracker with the cache empty.
+    /// `record` adds 1, `merge_from` adds `other`'s count, and `new`
+    /// starts a fresh tracker with the cache empty.
     clock_bin: u64,
     clock_bin_end: u64,
-    /// Per-event `(base, len, records)` log, kept only by *lane* trackers
-    /// ([`BlockHotness::fork_recording`]). It lets [`append_from`] replay
-    /// the lane's stream event by event on the merged clock, which is the
-    /// only way to reproduce the sequential single-manager reference when
-    /// the seam between streams does not land on a bin boundary — binned
-    /// counts cannot be split across a bin cut after the fact.
-    ///
-    /// [`append_from`]: BlockHotness::append_from
-    log: Option<Vec<(u64, u64, u64)>>,
 }
 
 /// Orders `marks` by block, leaving one mark per block; returns how many.
@@ -175,9 +167,6 @@ impl BlockHotness {
     /// Records `records` accesses spread uniformly over `[base, base+len)`;
     /// a range reaching past the address space ends at `u64::MAX`.
     pub fn record(&mut self, base: u64, len: u64, records: u64) {
-        if let Some(log) = &mut self.log {
-            log.push((base, len, records));
-        }
         if self.events_seen >= self.clock_bin_end {
             self.clock_bin = self.events_seen / self.bin_events;
             self.clock_bin_end = (self.clock_bin + 1).saturating_mul(self.bin_events);
@@ -235,26 +224,6 @@ impl BlockHotness {
         }
     }
 
-    /// Sums `other`'s cells into this run, `other`'s bin *t* landing in
-    /// bin `bin_offset + t`.
-    fn absorb(&mut self, other: &BlockHotness, bin_offset: u64) {
-        self.resolve_open();
-        let theirs: Vec<Cell> = other
-            .resolved()
-            .iter()
-            .map(|c| Cell {
-                bin: c.bin + bin_offset,
-                ..c
-            })
-            .collect();
-        self.cells = merge_runs(&self.cells, &theirs);
-    }
-
-    /// Number of record() calls so far (the logical clock).
-    pub fn events_seen(&self) -> u64 {
-        self.events_seen
-    }
-
     /// The configured bin width, in events.
     pub fn bin_events(&self) -> u64 {
         self.bin_events
@@ -265,58 +234,10 @@ impl BlockHotness {
     /// bin *t* of `other` lands in bin *t* here — the device-shard merge,
     /// where each shard binned its own device's access stream.
     pub fn merge_from(&mut self, other: &BlockHotness) {
-        self.absorb(other, 0);
+        self.resolve_open();
+        let theirs: Vec<Cell> = other.resolved().iter().collect();
+        self.cells = merge_runs(&self.cells, &theirs);
         self.events_seen += other.events_seen;
-    }
-
-    /// A fresh, state-empty tracker with the same bin width — the reset
-    /// half of [`crate::UvmManager::reset_hotness`]. The fork keeps no
-    /// event log, so a long-lived session accumulator stays O(bins).
-    pub fn fork(&self) -> BlockHotness {
-        BlockHotness::new(self.bin_events)
-    }
-
-    /// A fresh tracker with the same bin width that additionally logs
-    /// every `record()` call — the hotness half of
-    /// [`crate::UvmManager::fork`]. A lane lives for one parallel region,
-    /// so the log is bounded by the lane's access count, and it buys the
-    /// merge exact equality with the sequential reference at *any* seam
-    /// (see [`BlockHotness::append_from`]).
-    pub fn fork_recording(&self) -> BlockHotness {
-        BlockHotness {
-            log: Some(Vec::new()),
-            ..BlockHotness::new(self.bin_events)
-        }
-    }
-
-    /// Concatenates another tracker's logical time axis after this one —
-    /// the deterministic per-lane UVM merge, laying lane streams one
-    /// after another in merge (ascending device) order.
-    ///
-    /// When `other` carries an event log ([`fork_recording`]), the log is
-    /// **replayed** through this tracker's own clock, reproducing a
-    /// sequential single-manager reference run *exactly*: `other`'s first
-    /// events continue this tracker's partial bin instead of being padded
-    /// past it. (The padded concatenation shipped first — ISSUE 4 — was
-    /// only equal to the reference when every lane stream happened to end
-    /// on a bin boundary; off-boundary streams shifted every later bin.)
-    ///
-    /// A log-less `other` falls back to the padded concatenation:
-    /// `other`'s bin *t* lands at `own_bins + t`, where `own_bins` is
-    /// this tracker's clock rounded up to a bin boundary, and the clock
-    /// pads to that boundary.
-    ///
-    /// [`fork_recording`]: BlockHotness::fork_recording
-    pub fn append_from(&mut self, other: &BlockHotness) {
-        if let Some(log) = &other.log {
-            for &(base, len, records) in log {
-                self.record(base, len, records);
-            }
-            return;
-        }
-        let offset = self.events_seen.div_ceil(self.bin_events);
-        self.absorb(other, offset);
-        self.events_seen = offset * self.bin_events + other.events_seen;
     }
 
     /// Number of time bins: one past the last bin any block was accessed
@@ -475,7 +396,6 @@ mod tests {
         counts: BTreeMap<(u64, u64), u64>,
         events_seen: u64,
         bin_events: u64,
-        log: Option<Vec<(u64, u64, u64)>>,
     }
 
     impl Reference {
@@ -484,14 +404,10 @@ mod tests {
                 counts: BTreeMap::new(),
                 events_seen: 0,
                 bin_events: bin_events.max(1),
-                log: None,
             }
         }
 
         fn record(&mut self, base: u64, len: u64, records: u64) {
-            if let Some(log) = &mut self.log {
-                log.push((base, len, records));
-            }
             let bin = self.events_seen / self.bin_events;
             self.events_seen += 1;
             if len == 0 || records == 0 {
@@ -510,27 +426,6 @@ mod tests {
                 *self.counts.entry(key).or_insert(0) += count;
             }
             self.events_seen += other.events_seen;
-        }
-
-        fn fork_recording(&self) -> Reference {
-            Reference {
-                log: Some(Vec::new()),
-                ..Reference::new(self.bin_events)
-            }
-        }
-
-        fn append_from(&mut self, other: &Reference) {
-            if let Some(log) = &other.log {
-                for &(base, len, records) in log {
-                    self.record(base, len, records);
-                }
-                return;
-            }
-            let offset = self.events_seen.div_ceil(self.bin_events);
-            for (&(block, bin), &count) in &other.counts {
-                *self.counts.entry((block, offset + bin)).or_insert(0) += count;
-            }
-            self.events_seen = offset * self.bin_events + other.events_seen;
         }
 
         fn series(&self) -> HotnessSeries {
@@ -556,14 +451,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Random `record` / `merge_from` / `append_from` / `fork` /
-        /// `fork_recording` sequences over three trackers: after every
-        /// step each one reads the same as the reference.
+        /// Random `record` / `merge_from` sequences over three trackers:
+        /// after every step each one reads the same as the reference.
         #[test]
         fn sorted_run_equals_the_btreemap_reference(
             width in 0usize..4,
             ops in prop::collection::vec(
-                ((0u8..8, 0usize..3, 0usize..3), (0usize..2, 0u64..6, 0usize..5, 0usize..4)),
+                ((0u8..5, 0usize..3, 0usize..3), (0usize..2, 0u64..6, 0usize..5, 0usize..4)),
                 1..48,
             ),
         ) {
@@ -571,34 +465,18 @@ mod tests {
             let mut runs = vec![BlockHotness::new(bin_events); 3];
             let mut refs = vec![Reference::new(bin_events); 3];
             for ((op, a, b), (heap, block, len, records)) in ops {
-                match op {
-                    0..=3 => {
-                        let base = HEAPS[heap] + block * BLOCK_SIZE + 4096;
-                        runs[a].record(base, LENS[len], RECORDS[records]);
-                        refs[a].record(base, LENS[len], RECORDS[records]);
-                    }
-                    4 => {
-                        let (run, reference) = (runs[b].clone(), refs[b].clone());
-                        runs[a].merge_from(&run);
-                        refs[a].merge_from(&reference);
-                    }
-                    5 => {
-                        let (run, reference) = (runs[b].clone(), refs[b].clone());
-                        runs[a].append_from(&run);
-                        refs[a].append_from(&reference);
-                    }
-                    6 => {
-                        runs[a] = runs[b].fork_recording();
-                        refs[a] = refs[b].fork_recording();
-                    }
-                    _ => {
-                        runs[a] = runs[b].fork();
-                        refs[a] = Reference::new(bin_events);
-                    }
+                if op < 4 {
+                    let base = HEAPS[heap] + block * BLOCK_SIZE + 4096;
+                    runs[a].record(base, LENS[len], RECORDS[records]);
+                    refs[a].record(base, LENS[len], RECORDS[records]);
+                } else {
+                    let (run, reference) = (runs[b].clone(), refs[b].clone());
+                    runs[a].merge_from(&run);
+                    refs[a].merge_from(&reference);
                 }
                 for (run, reference) in runs.iter().zip(&refs) {
                     prop_assert_eq!(run.series(), reference.series());
-                    prop_assert_eq!(run.events_seen(), reference.events_seen);
+                    prop_assert_eq!(run.events_seen, reference.events_seen);
                 }
             }
         }
@@ -610,31 +488,28 @@ mod tests {
         // and no clock reaches it, through records or merges.
         let mut run = BlockHotness::new(u64::MAX);
         let mut reference = Reference::new(u64::MAX);
-        let mut lane = run.fork_recording();
-        let mut lane_reference = reference.fork_recording();
+        let mut shard = BlockHotness::new(u64::MAX);
+        let mut shard_reference = Reference::new(u64::MAX);
         for i in 0..5u64 {
             run.record(HEAPS[0] + i * BLOCK_SIZE, 64, 3 + i);
             reference.record(HEAPS[0] + i * BLOCK_SIZE, 64, 3 + i);
-            lane.record(HEAPS[1], 2 * BLOCK_SIZE, 10);
-            lane_reference.record(HEAPS[1], 2 * BLOCK_SIZE, 10);
+            shard.record(HEAPS[1], 2 * BLOCK_SIZE, 10);
+            shard_reference.record(HEAPS[1], 2 * BLOCK_SIZE, 10);
         }
-        run.merge_from(&lane);
-        reference.merge_from(&lane_reference);
-        run.append_from(&lane);
-        reference.append_from(&lane_reference);
+        run.merge_from(&shard);
+        reference.merge_from(&shard_reference);
         run.record(HEAPS[0], 64, 1);
         reference.record(HEAPS[0], 64, 1);
         assert_eq!(run.series(), reference.series());
-        assert_eq!(run.events_seen(), reference.events_seen);
+        assert_eq!(run.events_seen, reference.events_seen);
         assert_eq!(run.bins(), 1);
     }
 
     #[test]
     fn the_clock_follows_merges_into_and_across_bins() {
         // Bin width 4. Merges move the clock without a `record`: into the
-        // middle of the open bin, then across several bins; a log-less
-        // append rounds up and lands mid-bin again. Each next `record`
-        // must bin by the moved clock.
+        // middle of the open bin, then across several bins. Each next
+        // `record` must bin by the moved clock.
         let mut run = BlockHotness::new(4);
         let mut reference = Reference::new(4);
         let other = |events: u64| {
@@ -646,25 +521,21 @@ mod tests {
             (run, reference)
         };
         let check = |run: &mut BlockHotness, reference: &mut Reference, seen: u64, bin: u64| {
-            assert_eq!(run.events_seen(), seen);
+            assert_eq!(run.events_seen, seen);
             run.record(HEAPS[0], 64, 5);
             reference.record(HEAPS[0], 64, 5);
             assert_eq!(run.series(), reference.series());
             assert_eq!(run.bins(), bin + 1, "recorded at clock {seen}");
         };
         check(&mut run, &mut reference, 0, 0);
-        let (lane, lane_reference) = other(2);
-        run.merge_from(&lane);
-        reference.merge_from(&lane_reference);
+        let (shard, shard_reference) = other(2);
+        run.merge_from(&shard);
+        reference.merge_from(&shard_reference);
         check(&mut run, &mut reference, 3, 0);
-        let (lane, lane_reference) = other(9);
-        run.merge_from(&lane);
-        reference.merge_from(&lane_reference);
+        let (shard, shard_reference) = other(9);
+        run.merge_from(&shard);
+        reference.merge_from(&shard_reference);
         check(&mut run, &mut reference, 13, 3);
-        let (lane, lane_reference) = other(6);
-        run.append_from(&lane);
-        reference.append_from(&lane_reference);
-        check(&mut run, &mut reference, 22, 5);
     }
 
     #[test]
@@ -746,7 +617,7 @@ mod tests {
         let mut h = BlockHotness::new(1);
         h.record(0, 0, 0);
         h.record(0, 100, 0);
-        assert_eq!(h.events_seen(), 2);
+        assert_eq!(h.events_seen, 2);
         assert_eq!(h.series().blocks.len(), 0);
     }
 
@@ -755,138 +626,5 @@ mod tests {
         let s = BlockHotness::new(4).series();
         assert_eq!(s.bins(), 0);
         assert!(s.persistent_blocks(0.5).is_empty());
-    }
-
-    #[test]
-    fn fork_is_empty_with_same_bin_width() {
-        let mut h = BlockHotness::new(7);
-        h.record(0, 100, 10);
-        let f = h.fork();
-        assert_eq!(f.bin_events(), 7);
-        assert_eq!(f.events_seen(), 0);
-        assert!(f.series().blocks.is_empty());
-    }
-
-    #[test]
-    fn append_concatenates_lane_time_axes() {
-        // Lane 0: 2 events in bin 0 (bin width 2). Lane 1: 2 events,
-        // also its own bin 0 — appended, they land in bin 1.
-        let mut a = BlockHotness::new(2);
-        a.record(0, 100, 10);
-        a.record(0, 100, 10);
-        let mut b = BlockHotness::new(2);
-        b.record(BLOCK_SIZE, 100, 5);
-        b.record(BLOCK_SIZE, 100, 5);
-        a.append_from(&b);
-        let s = a.series();
-        assert_eq!(s.blocks, vec![0, 1]);
-        assert_eq!(s.grid[0], vec![20, 0], "lane 0 stays in bin 0");
-        assert_eq!(s.grid[1], vec![0, 10], "lane 1 shifted to bin 1");
-        assert_eq!(a.events_seen(), 4);
-    }
-
-    #[test]
-    fn append_equals_sequential_single_clock_on_bin_boundaries() {
-        // When each lane's event count is a multiple of the bin width,
-        // fork+append reproduces one tracker that processed the lanes
-        // back to back — the sequential single-manager reference.
-        let mut reference = BlockHotness::new(2);
-        let mut lane0 = BlockHotness::new(2);
-        let mut lane1 = BlockHotness::new(2);
-        for i in 0..4u64 {
-            reference.record(i * BLOCK_SIZE, 64, 3);
-            lane0.record(i * BLOCK_SIZE, 64, 3);
-        }
-        for i in 0..6u64 {
-            reference.record(i * BLOCK_SIZE, 64, 9);
-            lane1.record(i * BLOCK_SIZE, 64, 9);
-        }
-        let mut merged = lane0.fork();
-        merged.append_from(&lane0);
-        merged.append_from(&lane1);
-        assert_eq!(merged.series(), reference.series());
-        assert_eq!(merged.events_seen(), reference.events_seen());
-    }
-
-    #[test]
-    fn recorded_fork_replays_exactly_across_partial_bins() {
-        // The ISSUE 5 satellite bugfix: lane streams that do NOT land on
-        // bin boundaries. Bin width 4; the parent ends mid-bin (3 events)
-        // and both lanes end mid-bin too (5 and 2 events). The padded
-        // concatenation shifted every appended bin; the replay path must
-        // be byte-identical to one tracker that saw the whole stream on a
-        // single clock.
-        let mut reference = BlockHotness::new(4);
-        let mut parent = BlockHotness::new(4);
-        for i in 0..3u64 {
-            reference.record(i * BLOCK_SIZE, 64, 2);
-            parent.record(i * BLOCK_SIZE, 64, 2);
-        }
-        let mut lane0 = parent.fork_recording();
-        for i in 0..5u64 {
-            reference.record(i * BLOCK_SIZE, 64, 7);
-            lane0.record(i * BLOCK_SIZE, 64, 7);
-        }
-        let mut lane1 = parent.fork_recording();
-        for i in 0..2u64 {
-            reference.record((i + 1) * BLOCK_SIZE, 64, 11);
-            lane1.record((i + 1) * BLOCK_SIZE, 64, 11);
-        }
-        parent.append_from(&lane0);
-        parent.append_from(&lane1);
-        assert_eq!(parent.series(), reference.series());
-        assert_eq!(parent.events_seen(), reference.events_seen());
-        assert_eq!(parent.events_seen(), 10, "no boundary padding");
-    }
-
-    #[test]
-    fn recorded_fork_replays_zero_record_clock_ticks() {
-        // Clock-only events (len/records 0) must survive the replay, or
-        // the merged clock drifts from the reference.
-        let mut reference = BlockHotness::new(2);
-        reference.record(0, 64, 1);
-        reference.record(0, 0, 0);
-        reference.record(BLOCK_SIZE, 64, 3);
-        let mut parent = BlockHotness::new(2);
-        parent.record(0, 64, 1);
-        let mut lane = parent.fork_recording();
-        lane.record(0, 0, 0);
-        lane.record(BLOCK_SIZE, 64, 3);
-        parent.append_from(&lane);
-        assert_eq!(parent.series(), reference.series());
-        assert_eq!(parent.events_seen(), 3);
-    }
-
-    #[test]
-    fn fork_recording_chains_through_intermediate_merges() {
-        // A recording tracker that absorbed another recording tracker can
-        // itself be appended later — the replay appends into the log.
-        let mut a = BlockHotness::new(3);
-        let mut b = a.fork_recording();
-        let mut c = a.fork_recording();
-        b.record(0, 64, 1);
-        c.record(BLOCK_SIZE, 64, 2);
-        b.append_from(&c);
-        let mut reference = BlockHotness::new(3);
-        reference.record(0, 64, 1);
-        reference.record(BLOCK_SIZE, 64, 2);
-        a.append_from(&b);
-        assert_eq!(a.series(), reference.series());
-    }
-
-    #[test]
-    fn append_rounds_a_partial_bin_up() {
-        // 3 events at bin width 2 occupy bins 0..2; the appended lane
-        // must start at bin 2, not overlap the partial bin 1.
-        let mut a = BlockHotness::new(2);
-        for _ in 0..3 {
-            a.record(0, 64, 1);
-        }
-        let mut b = BlockHotness::new(2);
-        b.record(0, 64, 1);
-        a.append_from(&b);
-        let s = a.series();
-        assert_eq!(s.grid[0], vec![2, 1, 1]);
-        assert_eq!(a.events_seen(), 5, "clock padded to the bin boundary");
     }
 }

@@ -12,7 +12,9 @@
 //! * asynchronous prefetch with a compute-overlap discount
 //!   ([`accel_sim::ResidencyModel::prefetch`]);
 //! * pinning/advice ([`accel_sim::ResidencyAdvice`]);
-//! * per-2 MiB-block hotness accounting ([`hotness`]);
+//! * the per-2 MiB-block hotness tracker ([`hotness`]) behind
+//!   `pasta_tools::HotnessTool`, where hotness is computed — the manager
+//!   itself records none;
 //! * peer-to-peer coherence for managed ranges *shared* across devices
 //!   or parallel lanes ([`coherence`]): remote reads read-duplicate the
 //!   owner's home copy over the peer link, remote writes invalidate the
@@ -32,7 +34,7 @@
 //! use uvm_sim::{UvmConfig, UvmManager};
 //! use accel_sim::{DeviceId, ResidencyModel, AccessKind};
 //!
-//! let mut uvm = UvmManager::new(UvmConfig::default());
+//! let mut uvm = UvmManager::new(UvmConfig);
 //! uvm.add_device(512 << 20, 24.0, 25_000); // 512 MiB budget, PCIe 24 GB/s
 //! uvm.register(0x4000_0000_0000, 64 << 20);
 //! let out = uvm.on_kernel_access(

@@ -2,7 +2,6 @@
 
 use crate::coherence::CoherenceDirectory;
 use crate::config::UvmConfig;
-use crate::hotness::BlockHotness;
 use crate::page::{page_of_addr, page_range};
 use crate::pager::{
     deregister_evicted, for_each_segment, ranges_spanning, Pager, SharedEntry, SharedMap,
@@ -19,7 +18,10 @@ use std::sync::Arc;
 ///
 /// Implements [`ResidencyModel`], so an [`accel_sim::Engine`] with a
 /// `UvmManager` attached charges kernels for page faults, migrations and
-/// evictions on every access to a registered managed range.
+/// evictions on every access to a registered managed range. It keeps
+/// residency and its counters only: analyses run as tools over the event
+/// stream, so per-block access hotness (Fig. 13) is
+/// `pasta_tools::HotnessTool`'s.
 ///
 /// # Shared managed ranges
 ///
@@ -66,18 +68,16 @@ pub struct UvmManager {
     /// range registered by one lane at run time resolves to the same
     /// per-range lock in every lane.
     directory: Arc<CoherenceDirectory>,
-    hotness: BlockHotness,
     pager: Pager,
 }
 
 impl UvmManager {
     /// Creates a manager with no devices registered.
-    pub fn new(config: UvmConfig) -> Self {
+    pub fn new(_config: UvmConfig) -> Self {
         UvmManager {
             allocs: BTreeMap::new(),
             shared: BTreeMap::new(),
             directory: Arc::new(CoherenceDirectory::new()),
-            hotness: BlockHotness::new(config.hotness_bin_events),
             pager: Pager::new(Vec::new(), None),
         }
     }
@@ -146,13 +146,11 @@ impl UvmManager {
     }
 
     /// A lane-local manager for `device`, mirroring `Tool::fork` in the
-    /// sharded event hub: same hotness bin width, same device table
-    /// (budgets, link bandwidths, fault latencies), same registered managed
-    /// allocations —
-    /// but fresh residency, statistics and hotness, so a parallel lane
-    /// driving `device` starts cold and accumulates its own state with no
-    /// shared lock. Lane state folds back via [`UvmManager::merge`] at
-    /// session end.
+    /// sharded event hub: same device table (budgets, link bandwidths,
+    /// fault latencies), same registered managed allocations — but fresh
+    /// residency and statistics, so a parallel lane driving `device`
+    /// starts cold and accumulates its own state with no shared lock.
+    /// Lane state folds back via [`UvmManager::merge`] at session end.
     ///
     /// The device table is a **snapshot**: a later budget change on the
     /// parent never reaches a manager forked before it (and a fork's never
@@ -197,9 +195,6 @@ impl UvmManager {
                 shared
             },
             directory: Arc::clone(&self.directory),
-            // Lane hotness records an event log so the merge can replay
-            // the lane's stream exactly, bin boundaries or not.
-            hotness: self.hotness.fork_recording(),
             pager: Pager::new(devices, Some(device)),
         }
     }
@@ -213,16 +208,13 @@ impl UvmManager {
     /// Folds a lane manager's accumulated state into this one — the merge
     /// stage of the per-lane UVM shards, invoked at session end in
     /// ascending device-id order (each lane's stream is internally
-    /// ordered, so the fold is deterministic). Statistics sum field-wise;
-    /// hotness concatenates the lane's logical time axis after this one
-    /// ([`BlockHotness::append_from`]), reproducing a sequential
-    /// single-manager reference run that processed the lanes
-    /// device-at-a-time. Residency state is *not* imported: a lane's
-    /// pages belong to its private replica of the managed space and are
-    /// dropped with it.
+    /// ordered, so the fold is deterministic). Statistics and the
+    /// peer-traffic matrix sum, reproducing a sequential single-manager
+    /// reference run that processed the lanes device-at-a-time.
+    /// Residency state is *not* imported: a lane's pages belong to its
+    /// private replica of the managed space and are dropped with it.
     pub fn merge(&mut self, other: &UvmManager) {
         self.pager.stats.merge_from(&other.pager.stats);
-        self.hotness.append_from(&other.hotness);
         for (&pair, &bytes) in &other.pager.peer_bytes {
             *self.pager.peer_bytes.entry(pair).or_insert(0) += bytes;
         }
@@ -304,19 +296,6 @@ impl UvmManager {
             .is_some_and(|st| st.is_resident(page_of_addr(addr)))
     }
 
-    /// Resets the hotness accumulator (same bin width, fresh counts and
-    /// clock). Paired with [`UvmManager::reset_stats`] by the session's
-    /// analysis reset, so statistics and hotness always describe the
-    /// same analysis window.
-    pub fn reset_hotness(&mut self) {
-        self.hotness = self.hotness.fork();
-    }
-
-    /// The hotness accumulator (Fig. 13 data source).
-    pub fn hotness(&self) -> &BlockHotness {
-        &self.hotness
-    }
-
     /// Bytes resident on `device`.
     pub fn resident_bytes(&self, device: DeviceId) -> u64 {
         self.pager
@@ -349,7 +328,7 @@ impl ResidencyModel for UvmManager {
         device: DeviceId,
         base: u64,
         len: u64,
-        bytes: u64,
+        _bytes: u64,
         kind: AccessKind,
     ) -> AccessOutcome {
         if device.index() >= self.pager.devices.len() {
@@ -358,8 +337,6 @@ impl ResidencyModel for UvmManager {
         let Some((base, len)) = self.clamp_to_alloc(base, len) else {
             return AccessOutcome::HIT;
         };
-        let records = bytes / 128; // warp-level records, for hotness only
-        self.hotness.record(base, len, records.max(1));
 
         // Shared ranges go through the coherence path; everything else —
         // including the shared map being empty, the common case — stays
@@ -557,7 +534,7 @@ mod tests {
     const MB: u64 = 1 << 20;
 
     fn manager(budget_mb: u64) -> UvmManager {
-        let mut m = UvmManager::new(UvmConfig::default());
+        let mut m = UvmManager::new(UvmConfig);
         m.add_device(budget_mb * MB, 24.0, 25_000);
         m
     }
@@ -723,7 +700,7 @@ mod tests {
     }
 
     fn two_device_manager(budget_mb: u64) -> UvmManager {
-        let mut m = UvmManager::new(UvmConfig::default());
+        let mut m = UvmManager::new(UvmConfig);
         m.add_device(budget_mb * MB, 24.0, 25_000);
         m.add_device(budget_mb * MB, 24.0, 25_000);
         m
@@ -752,21 +729,12 @@ mod tests {
     }
 
     #[test]
-    fn reset_hotness_clears_counts_and_clock_with_stats() {
+    fn reset_stats_clears_the_counters() {
         let mut m = manager(64);
         m.register(BASE, 4 * MB);
         m.on_kernel_access(DeviceId(0), BASE, 2 * MB, 2 * MB, AccessKind::Load);
-        assert!(m.hotness().events_seen() > 0);
         m.reset_stats();
-        m.reset_hotness();
         assert_eq!(m.stats(), UvmStats::default());
-        assert_eq!(m.hotness().events_seen(), 0);
-        assert!(m.hotness().series().blocks.is_empty());
-        assert_eq!(
-            m.hotness().bin_events(),
-            UvmConfig::default().hotness_bin_events,
-            "bin width survives the reset"
-        );
     }
 
     #[test]
@@ -824,7 +792,7 @@ mod tests {
     fn peer_link_bandwidth_prices_duplication() {
         // NVLink-class peer link: duplication must stall far less than a
         // host demand fault of the same bytes.
-        let mut m = UvmManager::new(UvmConfig::default());
+        let mut m = UvmManager::new(UvmConfig);
         m.add_device_p2p(512 * MB, 24.0, 300.0, 25_000);
         m.add_device_p2p(512 * MB, 24.0, 300.0, 25_000);
         m.register(BASE, 8 * MB);
@@ -1170,7 +1138,7 @@ mod tests {
         // 1 MiB budget on device 1, 2 MiB shared range: duplicating the
         // second half evicts the first — with no write-back (duplicates
         // are clean) and with the directory updated.
-        let mut m = UvmManager::new(UvmConfig::default());
+        let mut m = UvmManager::new(UvmConfig);
         m.add_device(512 * MB, 24.0, 25_000);
         m.add_device(MB, 24.0, 25_000);
         m.register(BASE, 2 * MB);
@@ -1201,7 +1169,7 @@ mod tests {
         // forever, an owner write then counted and logged an
         // invalidation of a copy that no longer existed, and a pinned
         // first page was never listed.
-        let mut m = UvmManager::new(UvmConfig::default());
+        let mut m = UvmManager::new(UvmConfig);
         m.add_device(512 * MB, 24.0, 25_000);
         m.add_device(MB, 24.0, 25_000);
         let shared = BASE + 4096;
@@ -1243,20 +1211,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_folds_lane_stats_and_hotness_deterministically() {
-        // Bin width 1 puts every lane stream on a bin boundary, so the
-        // appended hotness axes line up exactly with the reference's
-        // single clock (wider bins align whenever a lane's event count is
-        // a bin multiple — see `BlockHotness::append_from`).
-        let config = UvmConfig {
-            hotness_bin_events: 1,
-        };
-        let two_device_manager = |budget_mb: u64| {
-            let mut m = UvmManager::new(config.clone());
-            m.add_device(budget_mb * MB, 24.0, 25_000);
-            m.add_device(budget_mb * MB, 24.0, 25_000);
-            m
-        };
+    fn merge_folds_lane_stats_deterministically() {
         let mut parent = two_device_manager(512);
         parent.register(BASE, 8 * MB);
         let mut lane0 = parent.fork(DeviceId(0));
@@ -1274,7 +1229,6 @@ mod tests {
         parent.merge(&lane0);
         parent.merge(&lane1);
         assert_eq!(parent.stats(), reference.stats());
-        assert_eq!(parent.hotness().series(), reference.hotness().series());
         // Lane residency is private and never imported.
         assert_eq!(parent.resident_bytes(DeviceId(0)), 0);
         assert_eq!(parent.resident_bytes(DeviceId(1)), 0);

@@ -56,7 +56,7 @@ impl Layout {
 }
 
 fn manager(devices: u32, budget_pages: u64, layout: &Layout) -> UvmManager {
-    let mut m = UvmManager::new(UvmConfig::default());
+    let mut m = UvmManager::new(UvmConfig);
     for _ in 0..devices {
         m.add_device(budget_pages * PAGE_SIZE, 24.0, 25_000);
     }

@@ -197,7 +197,7 @@ mod tests {
     #[test]
     fn managed_alloc_round_trips_through_uvm() {
         let mut c = ctx();
-        let mut uvm = UvmManager::new(UvmConfig::default());
+        let mut uvm = UvmManager::new(UvmConfig);
         uvm.add_device(1 << 30, 12.0, 35_000);
         c.attach_uvm(uvm);
         let p = c.malloc_managed(32 << 20).unwrap();
@@ -223,7 +223,7 @@ mod tests {
         use uvm_sim::UvmConfig;
         let mut c = CudaContext::new(vec![DeviceSpec::rtx_3060(), DeviceSpec::rtx_3060()]);
         c.set_device(DeviceId(1)).unwrap();
-        let mut uvm = UvmManager::new(UvmConfig::default());
+        let mut uvm = UvmManager::new(UvmConfig);
         uvm.add_device(1 << 30, 12.0, 35_000);
         uvm.add_device(1 << 30, 12.0, 35_000);
         c.attach_uvm(uvm);
@@ -260,7 +260,7 @@ mod tests {
     #[test]
     fn prefetch_plan_runs_before_launch() {
         let mut c = ctx();
-        let mut uvm = UvmManager::new(UvmConfig::default());
+        let mut uvm = UvmManager::new(UvmConfig);
         uvm.add_device(1 << 30, 12.0, 35_000);
         c.attach_uvm(uvm);
         let p = c.malloc_managed(32 << 20).unwrap();
@@ -277,7 +277,7 @@ mod tests {
     #[test]
     fn mem_prefetch_and_advise_emit_batch_ops() {
         let mut c = ctx();
-        let mut uvm = UvmManager::new(UvmConfig::default());
+        let mut uvm = UvmManager::new(UvmConfig);
         uvm.add_device(1 << 30, 12.0, 35_000);
         c.attach_uvm(uvm);
         let log = collect_callbacks(&mut c);

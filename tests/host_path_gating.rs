@@ -730,15 +730,10 @@ fn resident_managed_accesses_allocate_nothing() {
     const BASE: u64 = 0x4000_0000_0000;
     const WEIGHT_PAGES: u64 = 256;
     const KV_PAGES: u64 = 6;
-    // Hotness is an accumulating log and grows by design; one bin wider
-    // than the whole phase keeps its open buffer — sized by the warm-up
-    // passes — the only thing it writes.
     const WARM_UP: usize = 1200;
     const COUNTED: usize = 64;
     let manager = || {
-        let mut m = UvmManager::new(UvmConfig {
-            hotness_bin_events: 1 << 40,
-        });
+        let mut m = UvmManager::new(UvmConfig);
         for _ in 0..2 {
             m.add_device_p2p((WEIGHT_PAGES + 32) * PAGE_SIZE, 24.0, 300.0, 25_000);
         }

@@ -91,7 +91,7 @@ proptest! {
     ) {
         let base = 0x4000_0000_0000u64;
         let budget = budget_pages * PAGE_SIZE;
-        let mut uvm = UvmManager::new(UvmConfig::default());
+        let mut uvm = UvmManager::new(UvmConfig);
         uvm.add_device(budget, 24.0, 25_000);
         uvm.register(base, 64 << 20);
         for (off, len) in accesses {
@@ -111,7 +111,7 @@ proptest! {
         len in 1u64..(1 << 20)
     ) {
         let base = 0x4000_0000_0000u64;
-        let mut uvm = UvmManager::new(UvmConfig::default());
+        let mut uvm = UvmManager::new(UvmConfig);
         uvm.add_device(1 << 30, 24.0, 25_000); // plenty of room
         uvm.register(base, 4 << 20);
         uvm.on_kernel_access(DeviceId(0), base + off, len, len, AccessKind::Load);

@@ -85,37 +85,36 @@ proptest! {
         prop_assert_eq!(linear, tree);
     }
 
-    /// Hotness trackers merge through `append_from` (log replay), which
-    /// is associative over adjacent lanes: reducing the recording forks
-    /// as a tree and replaying the combined log into a fresh parent must
-    /// reproduce the lane-at-a-time linear append exactly, bin for bin.
+    /// Hotness trackers — `HotnessTool`'s per-shard state — merge
+    /// through `merge_from`, summing cells on each shard's own clock:
+    /// reducing the shards as a tree and folding the result into a fresh
+    /// tracker must reproduce the shard-at-a-time linear merge exactly,
+    /// bin for bin.
     #[test]
-    fn hotness_tree_append_matches_linear_append(
+    fn hotness_tree_merge_matches_linear_merge(
         records in prop::collection::vec((0u64..1_000_000, 1u64..5000, 1u64..64), 8..64),
         lanes in 2usize..9,
         threads in 1usize..9,
     ) {
-        let parent = BlockHotness::new(4);
-        let make_forks = || -> Vec<BlockHotness> {
-            let mut forks: Vec<BlockHotness> =
-                (0..lanes).map(|_| parent.fork_recording()).collect();
+        let make_shards = || -> Vec<BlockHotness> {
+            let mut shards = vec![BlockHotness::new(4); lanes];
             for (i, &(base, len, n)) in records.iter().enumerate() {
-                forks[i % lanes].record(base, len, n);
+                shards[i % lanes].record(base, len, n);
             }
-            forks
+            shards
         };
 
-        let mut linear = parent.fork();
-        for fork in &make_forks() {
-            linear.append_from(fork);
+        let mut linear = BlockHotness::new(4);
+        for shard in &make_shards() {
+            linear.merge_from(shard);
         }
 
-        let combined = tree_reduce(make_forks(), threads, |acc: &mut BlockHotness, next| {
-            acc.append_from(&next);
+        let combined = tree_reduce(make_shards(), threads, |acc: &mut BlockHotness, next| {
+            acc.merge_from(&next);
         })
         .expect("non-empty");
-        let mut tree = parent.fork();
-        tree.append_from(&combined);
+        let mut tree = BlockHotness::new(4);
+        tree.merge_from(&combined);
 
         prop_assert_eq!(linear.series(), tree.series());
     }

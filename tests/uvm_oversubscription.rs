@@ -129,7 +129,7 @@ fn faults_and_evictions_grow_monotonically_as_budget_shrinks() {
 fn four_device_shared_sweep_is_monotone_in_peer_traffic() {
     const BASE: u64 = 0x4000_0000_0000;
     let run = |budget: u64| -> UvmStats {
-        let mut m = UvmManager::new(UvmConfig::default());
+        let mut m = UvmManager::new(UvmConfig);
         for _ in 0..4 {
             m.add_device_p2p(budget, 24.0, 300.0, 25_000);
         }

@@ -164,7 +164,7 @@ fn tp_owner_derives_from_the_lane_set() {
 const BASE: u64 = 0x4000_0000_0000;
 
 fn two_device_manager() -> UvmManager {
-    let mut m = UvmManager::new(UvmConfig::default());
+    let mut m = UvmManager::new(UvmConfig);
     m.add_device(512 << 20, 24.0, 25_000);
     m.add_device(512 << 20, 24.0, 25_000);
     m.register(BASE, 2 << 20);

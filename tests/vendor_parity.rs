@@ -62,7 +62,7 @@ impl Tool for EventLog {
 /// The residency model both vendors get: same budgets, links and fault
 /// latency, so UVM byte counts and stalls cannot differ by device spec.
 fn undersized_uvm() -> UvmManager {
-    let mut uvm = UvmManager::new(UvmConfig::default());
+    let mut uvm = UvmManager::new(UvmConfig);
     uvm.add_device_p2p(BUDGET, 12.0, 50.0, 30_000);
     uvm.add_device_p2p(BUDGET, 12.0, 50.0, 30_000);
     uvm
