@@ -1,34 +1,216 @@
-//! Where does an op's CPU go? A SIGPROF sampler for the ops the roadmap
-//! keeps quoting shares of.
+//! What the benchmark reports no metric on, for any op of the scenario
+//! catalogue (`pasta::scenarios`) at seed 1:
 //!
-//! Runs the named op in a loop for a few seconds under `ITIMER_PROF`
-//! (process CPU time, so both pool workers are sampled), records the stack
-//! at every tick with glibc's `backtrace` into a preallocated array,
-//! resolves the executable's addresses with one `addr2line -f -C -i`, and
-//! prints self shares, inclusive shares, and the inclusive share under
-//! a fixed list of frames — the caching allocator, `BTreeMap`, `format!`,
-//! SipHash, the heap, `Hub::process`, the tool bodies, hotness' tracker,
-//! the vendor runtime's `emit` — alone and by the module that called them.
+//! * `sample [seconds] [rows]` — where the op's CPU goes. A SIGPROF sampler
+//!   (`ITIMER_PROF`, process CPU time, so both pool workers are sampled)
+//!   records the stack at every tick with glibc's `backtrace` into a
+//!   preallocated array, resolves the executable's addresses with one
+//!   `addr2line -f -C -i`, and prints self shares, inclusive shares, and
+//!   the inclusive share under a fixed list of frames — the caching
+//!   allocator, `BTreeMap`, `format!`, SipHash, the heap, `Hub::process`,
+//!   the tool bodies, hotness' tracker, the vendor runtime's `emit` —
+//!   alone and by the module that called them. `sample-bare` samples the
+//!   op's bare run. Line tables name inlined frames: the root release
+//!   profile keeps them; under another profile build with
+//!   `CARGO_PROFILE_RELEASE_DEBUG=1`. Linux with glibc only, and
+//!   `addr2line` on the `PATH`.
+//! * `overhead [rounds]` — how much of the op is not PASTA at all: the op
+//!   and its bare run (the dl-framework over CUDA contexts, nothing
+//!   attached) interleaved round by round, both medians, both heap
+//!   allocation counts, and the op's host gate, `gated G / processed P`
+//!   (of the P events its session counted, the G callbacks nothing read,
+//!   which were never built; `docs/perf-log/ISSUE-24.md`).
+//! * `scale <seq|pool> [width] [rounds]` — whether `scale_out_moe` or
+//!   `serve_oversub` gains from the pool: ONE schedule per process, lane
+//!   at a time or pooled, with `width` lane and merge workers. Interleaved
+//!   in one process the two disturbed each other, so the speed-up is two
+//!   medians divided by hand (`docs/perf-log/ISSUE-16.md`).
 //!
 //! ```sh
-//! cargo run --release --example sample_profile -- moe        # scale_out_moe's op, 5 s
-//! cargo run --release --example sample_profile -- moe_bare 8 # the same lanes, no PASTA
-//! cargo run --release --example sample_profile -- fine       # profile_fine's three models
-//! cargo run --release --example sample_profile -- flood      # event_flood's shape
-//! cargo run --release --example sample_profile -- serve 5 80 # serve_oversub, 80 rows a table
+//! cargo run --release --example probe -- scale_out_moe sample 5 80
+//! cargo run --release --example probe -- scale_out_moe overhead
+//! cargo run --release --example probe -- scale_out_moe scale pool 2
 //! ```
-//!
-//! Needs line tables to name inlined frames: the root manifest's release
-//! profile keeps them (`debug = true`); under a profile that does not,
-//! build with `CARGO_PROFILE_RELEASE_DEBUG=1`. Linux with glibc only
-//! (`backtrace`, `/proc/self/maps`), and `addr2line` on the `PATH`.
 
-mod common;
+use pasta::prelude::ParallelConfig;
+use pasta::scenarios::{Scenario, Schedule, PARALLEL};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::error::Error;
+use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::{Duration, Instant};
+
+/// The benchmark's default seed.
+const SEED: u64 = 1;
+const USAGE: &str = "usage: probe <scenario> sample|sample-bare [seconds] [rows]
+       probe <scenario> overhead [rounds]
+       probe <scenario> scale seq|pool [width] [rounds]";
+
+/// Counts heap allocations while `COUNTING` is set (`overhead` only, so
+/// the other modes' pool workers do not share the counter's cache line).
+struct CountingAlloc;
+
+static COUNTING: AtomicBool = AtomicBool::new(false);
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call goes to `System` with the arguments it came with;
+// the counter is the only thing added.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if COUNTING.load(Ordering::Relaxed) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if COUNTING.load(Ordering::Relaxed) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn main() -> Result<ExitCode, Box<dyn Error>> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let arg = |at: usize| args.get(at).map(String::as_str);
+    let number = |at: usize, default: usize| {
+        arg(at).map_or(Ok(default), |n| n.parse::<usize>().map(|n| n.max(1)))
+    };
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let (Some(name), Some(mode)) = (arg(0), arg(1)) else {
+        eprintln!("{USAGE}");
+        return Ok(ExitCode::from(2));
+    };
+    let scenario = Scenario::setup(name, SEED)?;
+    match (mode, arg(2)) {
+        ("sample" | "sample-bare", _) => {
+            let seconds: f64 = arg(2).map_or(Ok(5.0), str::parse)?;
+            // Rows a table prints: the inclusive one needs more than the
+            // default to reach below the frames every sample shares.
+            let rows = number(3, 30)?;
+            let mut i = 0;
+            let mut op = || match mode {
+                "sample" => scenario.op(i).map(|_| i += 1),
+                _ => scenario.bare(),
+            };
+            sampler::sample(&format!("{name} {mode}"), &mut op, seconds, rows)?;
+        }
+        ("overhead", _) => overhead(&scenario, number(2, 21)?)?,
+        ("scale", Some("seq")) => scale(
+            &scenario,
+            Schedule::Sequential,
+            number(3, 1)?,
+            number(4, 21)?,
+        )?,
+        ("scale", Some("pool")) => {
+            scale(&scenario, Schedule::Pool, number(3, cores)?, number(4, 21)?)?
+        }
+        _ => {
+            eprintln!("{USAGE}");
+            return Ok(ExitCode::from(2));
+        }
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The median of `walls`, microseconds.
+fn median_us(walls: &mut [Duration]) -> f64 {
+    walls.sort_unstable();
+    walls[walls.len() / 2].as_secs_f64() * 1e6
+}
+
+/// Bare vs profiled: median walls, heap allocations of the last round,
+/// and the profiled op's gate counts.
+fn overhead(scenario: &Scenario, rounds: usize) -> Result<(), Box<dyn Error>> {
+    COUNTING.store(true, Ordering::Relaxed);
+    let mut walls = [Vec::with_capacity(rounds), Vec::with_capacity(rounds)];
+    let mut allocs = [0, 0];
+    let (mut gated, mut processed) = (0, 0);
+    // Round 0 warms the symbol table, the allocator and the page cache.
+    for round in 0..=rounds {
+        for side in 0..2 {
+            let before = ALLOCS.load(Ordering::Relaxed);
+            let started = Instant::now();
+            if side == 0 {
+                scenario.bare()?;
+            } else {
+                let out = scenario.op(0)?;
+                (gated, processed) = (out.gated, out.events);
+            }
+            if round > 0 {
+                walls[side].push(started.elapsed());
+            }
+            allocs[side] = ALLOCS.load(Ordering::Relaxed) - before;
+        }
+    }
+    let [bare_us, profiled_us] = walls.map(|mut w| median_us(&mut w));
+    println!(
+        "bare vs profiled, {rounds} interleaved rounds, available_parallelism {}",
+        std::thread::available_parallelism().map_or(1, usize::from)
+    );
+    println!(
+        "  {:<18} {:>10} {:>8}   {:>10} {:>8}   substrate share",
+        "", "bare us", "allocs", "prof. us", "allocs"
+    );
+    println!(
+        "  {:<18} {bare_us:>10.1} {:>8}   {profiled_us:>10.1} {:>8}   \
+         {:.0} % of the wall, {:.0} % of the allocations; gated {gated} / processed {processed}",
+        scenario.name(),
+        allocs[0],
+        allocs[1],
+        100.0 * bare_us / profiled_us,
+        100.0 * allocs[0] as f64 / allocs[1] as f64,
+    );
+    Ok(())
+}
+
+/// One schedule's median wall over `rounds` whole ops.
+fn scale(
+    scenario: &Scenario,
+    schedule: Schedule,
+    width: usize,
+    rounds: usize,
+) -> Result<(), Box<dyn Error>> {
+    let threads = ParallelConfig {
+        max_lane_threads: width,
+        max_merge_threads: width,
+        ..PARALLEL
+    };
+    let mut walls = Vec::with_capacity(rounds);
+    let mut events = 0;
+    // Round 0 warms the symbol table, the allocator and the page cache.
+    for round in 0..=rounds {
+        let started = Instant::now();
+        events = scenario.op_on(round as u64, schedule, threads)?.events;
+        if round > 0 {
+            walls.push(started.elapsed());
+        }
+    }
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    println!(
+        "{}, {events} events per op, {schedule:?} width {width}, {rounds} rounds, \
+         available_parallelism {cores}: median {:.1} us",
+        scenario.name(),
+        median_us(&mut walls)
+    );
+    if schedule == Schedule::Pool && cores < 2 {
+        println!("  one core: this wall says nothing about parallel speed-up");
+    }
+    Ok(())
+}
 
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
 mod sampler {
-    use super::common::{self, OpOutcome, Outcome};
     use std::collections::HashMap;
+    use std::error::Error;
     use std::ffi::{c_int, c_void};
     use std::io::Write;
     use std::process::{Command, Stdio};
@@ -293,7 +475,7 @@ mod sampler {
         "pasta_tools::",
         "pasta_trace::",
         "pasta::",
-        "sample_profile::",
+        "probe::",
     ];
 
     const HEAP: &[&str] = &[
@@ -416,47 +598,14 @@ mod sampler {
         }
     }
 
-    /// The named op; inputs the benchmark builds at set-up are built here,
-    /// once, so the op's samples are the op's alone.
-    fn op_named(name: &str) -> Option<Box<dyn Fn() -> OpOutcome>> {
-        fn fine() -> OpOutcome {
-            let mut counts = common::EventCounts::default();
-            for model in common::FINE_MODELS {
-                counts = common::model_profiled(model)?;
-            }
-            Ok(counts)
-        }
-        Some(match name {
-            "moe" => Box::new(common::moe_profiled),
-            "moe_bare" => Box::new(common::moe_bare),
-            "fine" => Box::new(fine),
-            "flood" => {
-                let kernels = common::flood_kernels();
-                Box::new(move || common::flood_profiled(&kernels))
-            }
-            "serve" => Box::new(common::serve_profiled),
-            _ => return None,
-        })
-    }
-
-    pub fn main() -> Outcome {
-        let mut args = std::env::args().skip(1);
-        let name = args.next().unwrap_or_default();
-        let Some(op) = op_named(&name) else {
-            return Err(
-                "usage: sample_profile <moe|moe_bare|fine|flood|serve> [seconds] [rows]".into(),
-            );
-        };
-        let seconds: f64 = match args.next() {
-            Some(arg) => arg.parse()?,
-            None => 5.0,
-        };
-        // Rows a table prints: the inclusive one needs more than the
-        // default to reach below the frames every sample shares.
-        let cap: usize = match args.next() {
-            Some(arg) => arg.parse()?,
-            None => 30,
-        };
+    /// Samples `op`, run in a loop for `seconds`, and prints the tables,
+    /// `rows` lines each.
+    pub fn sample(
+        label: &str,
+        op: &mut dyn FnMut() -> Result<(), Box<dyn Error>>,
+        seconds: f64,
+        cap: usize,
+    ) -> Result<(), Box<dyn Error>> {
         // Warm the symbol table, the allocator and the page cache.
         op()?;
         arm();
@@ -473,7 +622,7 @@ mod sampler {
             return Err("no samples: did the op run?".into());
         }
         println!(
-            "{name}: {total} samples over {ops} ops in {:.1} s ({:.0} us an op), \
+            "{label}: {total} samples over {ops} ops in {:.1} s ({:.0} us an op), \
              timer at {TICK_US} us of process CPU, available_parallelism {}",
             wall.as_secs_f64(),
             wall.as_secs_f64() * 1e6 / ops as f64,
@@ -528,12 +677,17 @@ mod sampler {
     }
 }
 
-#[cfg(all(target_os = "linux", target_env = "gnu"))]
-fn main() -> common::Outcome {
-    sampler::main()
-}
-
 #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
-fn main() {
-    println!("unsupported: sample_profile needs Linux with glibc (backtrace, /proc/self/maps)");
+mod sampler {
+    use std::error::Error;
+
+    pub fn sample(
+        _: &str,
+        _: &mut dyn FnMut() -> Result<(), Box<dyn Error>>,
+        _: f64,
+        _: usize,
+    ) -> Result<(), Box<dyn Error>> {
+        println!("unsupported: sampling needs Linux with glibc (backtrace, /proc/self/maps)");
+        Ok(())
+    }
 }

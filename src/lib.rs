@@ -15,6 +15,8 @@
 //!   tool templates, workloads ([`pasta_core`]).
 //! * [`tools`] — the paper's case-study tools ([`pasta_tools`]).
 //! * [`trace`] — binary trace capture + offline replay ([`pasta_trace`]).
+//! * [`scenarios`] — the seven canonical ops the benchmark times, with
+//!   their seeded inputs and digests.
 //!
 //! ## Quickstart
 //!
@@ -61,6 +63,8 @@ pub use pasta_trace as trace;
 pub use uvm_sim as uvm;
 pub use vendor_amd as amd;
 pub use vendor_nv as nv;
+
+pub mod scenarios;
 
 /// One-stop imports for the common profiling flow.
 pub mod prelude {

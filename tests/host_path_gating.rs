@@ -46,6 +46,7 @@ use pasta::dl::tensor::{Tensor, TensorId};
 use pasta::dl::{runner, Session};
 use pasta::nv::{CudaContext, NvCallback};
 use pasta::prelude::*;
+use pasta::scenarios;
 use pasta::sim::{
     AccelError, CopyDirection, DevicePtr, DeviceRuntime, LaunchId, RuntimeStats, SimTime,
 };
@@ -602,11 +603,7 @@ fn moe_cross_layer_stacks_match_their_golden_digest() {
         .devices(vec![DeviceSpec::a100_80gb(); devices.len()])
         .tool(LaunchCounter::default())
         .tool(KernelNames::default())
-        .parallel(ParallelConfig {
-            max_lane_threads: 2,
-            max_merge_threads: 2,
-            max_drain_threads: 1,
-        })
+        .parallel(scenarios::PARALLEL)
         .build()
         .expect("64-device session");
     session
@@ -617,15 +614,14 @@ fn moe_cross_layer_stacks_match_their_golden_digest() {
     let kernels = session
         .with_merged_tool("kernel-names", |t: &KernelNames| t.0.clone())
         .expect("the tool is registered");
-    let mut digest = 0xcbf2_9ce4_8422_2325_u64;
+    let mut listed = String::new();
     let mut captured = 0;
     for kernel in &kernels {
         let stack = session.cross_layer_stack(kernel);
         captured += usize::from(stack.is_some());
-        for byte in format!("{kernel}: {stack:?}\n").bytes() {
-            digest = (digest ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
-        }
+        listed += &format!("{kernel}: {stack:?}\n");
     }
+    let digest = scenarios::fnv1a(listed.as_bytes());
     assert!(kernels.len() > 8 && captured > 0, "{kernels:?}");
     assert_eq!(
         digest,

@@ -20,6 +20,7 @@ use pasta::core::Event;
 use pasta::dl::callbacks::Pass;
 use pasta::dl::pycall::PyFrame;
 use pasta::dl::tensor::TensorId;
+use pasta::scenarios::fnv1a;
 use pasta::sim::{
     AccessBatch, AccessKind, AccessPattern, DeviceId, Dim3, KernelTraceSummary, LaunchId, MemSpace,
     SimTime, Symbol,
@@ -345,13 +346,6 @@ fn replayed_symbols_are_the_live_interned_ones() {
     assert!(Symbol::ptr_eq(decoded, &Symbol::intern(name(1))));
 }
 
-/// FNV-1a, 64-bit.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
-
 /// The wire golden: trace *bytes*, not just a round trip an encoder and
 /// decoder could agree on while both drift. The digests were taken before
 /// the codec was generated from the event table; a change to any tag,
@@ -380,7 +374,7 @@ fn trace_bytes_match_the_wire_golden() {
     assert!(live_events().any(|e| matches!(e, Event::UvmPeerMigrate { .. })));
 
     assert_eq!(
-        (fnv1a64(synthetic.as_bytes()), fnv1a64(live.as_bytes())),
+        (fnv1a(synthetic.as_bytes()), fnv1a(live.as_bytes())),
         (0x5131_973e_a9ae_ad0a, 0x2af3_af64_1853_d618),
         "trace bytes moved"
     );
