@@ -21,11 +21,10 @@
 use super::overhead::OverheadBreakdown;
 use super::sink::{DeviceTraceSink, TraceCtx};
 use crate::probe::{DeviceProbe, ProbeCosts};
-use crate::symbol::Symbol;
+use crate::symbol::SymbolMap;
 use crate::sync::Mutex;
 use crate::trace::{TraceBufferModel, TRACE_RECORD_BYTES};
 use crate::{AccessBatch, AnalysisMode, InstrCoverage, KernelTraceSummary, ProbeConfig};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Backend-specific cost constants — the only place a per-record
@@ -175,7 +174,8 @@ pub struct TraceProfiler {
     coverage: InstrCoverage,
     meter: Meter,
     shared: Arc<Mutex<ProfilerShared>>,
-    parsed_kernels: HashSet<Symbol>,
+    /// Kernels whose SASS was parsed: `true` once seen.
+    parsed_kernels: SymbolMap<bool>,
 }
 
 impl std::fmt::Debug for TraceProfiler {
@@ -219,7 +219,7 @@ impl TraceProfiler {
                     cur_flushes: 0,
                 },
                 shared,
-                parsed_kernels: HashSet::new(),
+                parsed_kernels: SymbolMap::new(),
             },
             handle,
         )
@@ -341,7 +341,11 @@ impl DeviceProbe for TraceProfiler {
         let meter = &self.meter;
 
         // NVBit pays a one-time SASS dump+parse per unique kernel symbol.
-        if meter.costs.sass_parse_ns_per_kernel > 0 && self.parsed_kernels.insert(ctx.name) {
+        if meter.costs.sass_parse_ns_per_kernel > 0
+            && !self
+                .parsed_kernels
+                .update(&ctx.name, |parsed| std::mem::replace(parsed, true))
+        {
             costs.host_ns += meter.costs.sass_parse_ns_per_kernel;
             self.shared.lock().breakdown.setup_ns += meter.costs.sass_parse_ns_per_kernel;
         }

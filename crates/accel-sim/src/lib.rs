@@ -59,6 +59,7 @@ pub mod instrument;
 pub mod kernel;
 pub mod mem;
 pub mod probe;
+pub mod radix;
 pub mod residency;
 pub mod runtime;
 pub mod symbol;
@@ -81,6 +82,6 @@ pub use mem::{Allocation, DevicePtr};
 pub use probe::{AnalysisMode, DeviceProbe, InstrCoverage, ProbeConfig, ProbeCosts};
 pub use residency::{AccessOutcome, PeerTransfer, ResidencyAdvice, ResidencyModel};
 pub use runtime::{CopyDirection, DeviceRuntime, LaunchRecord, RuntimeStats};
-pub use symbol::{Symbol, SymbolTable};
+pub use symbol::{Symbol, SymbolMap, SymbolTable};
 pub use threads::{contain, idle_until, resolve_threads, run_pool, PoolRun, PoolTask};
 pub use trace::{AccessBatch, KernelTraceSummary};

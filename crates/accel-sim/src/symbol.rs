@@ -22,13 +22,18 @@
 //! API name on every lane, so it answers from a small per-thread front
 //! first and takes the global table's lock only for a name the thread has
 //! not seen (or has since displaced).
+//!
+//! Per-symbol state — per-kernel counters in the tools, the knobs, the
+//! profiler's parsed-kernel set — lives in a [`SymbolMap`], keyed by the
+//! address of the symbol's text: a lookup hashes one word instead of the
+//! name's bytes.
 
 use crate::sync::Mutex;
 use std::borrow::Borrow;
 use std::cell::RefCell;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::Deref;
 use std::sync::OnceLock;
 
@@ -117,7 +122,7 @@ impl AsRef<str> for Symbol {
     }
 }
 
-/// Lets `HashMap<Symbol, _>` answer `&str` lookups without interning.
+/// Lets a map keyed by `Symbol` answer `&str` lookups without interning.
 impl Borrow<str> for Symbol {
     fn borrow(&self) -> &str {
         self.0
@@ -241,6 +246,147 @@ impl SymbolTable {
     }
 }
 
+/// Hashes a symbol's address: one multiply, where hashing its name would
+/// read every byte.
+#[derive(Default)]
+struct AddressHasher(u64);
+
+impl Hasher for AddressHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_usize(self.0 as usize ^ usize::from(byte));
+        }
+    }
+
+    fn write_usize(&mut self, address: usize) {
+        // Each symbol's text is its own heap allocation, aligned by the
+        // allocator (16 bytes under glibc), so the low bits carry nothing:
+        // the rotation brings the product's well-mixed middle bits down.
+        self.0 = (address as u64)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(26);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A symbol's identity: the address of the text its table leaked.
+fn address(symbol: &Symbol) -> usize {
+    symbol.0.as_ptr() as usize
+}
+
+/// Per-symbol state keyed by symbol identity, never by the name's bytes:
+/// a lookup hashes one address. Entries are keyed by the global table's
+/// symbol; a symbol of another table (an isolated test table) is
+/// canonicalised through [`Symbol::intern`] the first time it is seen and
+/// remembered as an alias, so the alias map stays empty — unallocated —
+/// at run time. Iteration order is unspecified: a caller that reports
+/// sorts what it reads.
+#[derive(Debug, Clone)]
+pub struct SymbolMap<V> {
+    /// Global-table address → the global symbol and its state.
+    entries: HashMap<usize, (Symbol, V), BuildHasherDefault<AddressHasher>>,
+    /// Another table's symbol address → the global symbol.
+    aliases: HashMap<usize, Symbol, BuildHasherDefault<AddressHasher>>,
+}
+
+impl<V> Default for SymbolMap<V> {
+    fn default() -> Self {
+        SymbolMap {
+            entries: HashMap::default(),
+            aliases: HashMap::default(),
+        }
+    }
+}
+
+impl<V> SymbolMap<V> {
+    /// An empty map; allocates nothing until the first entry.
+    pub fn new() -> Self {
+        SymbolMap::default()
+    }
+
+    /// Runs `f` on the canonical symbol and state of `symbol`, the state
+    /// made by `default` if there was none. A hit does not call `default`.
+    pub fn with_entry<R>(
+        &mut self,
+        symbol: &Symbol,
+        default: impl FnOnce() -> V,
+        f: impl FnOnce(&Symbol, &mut V) -> R,
+    ) -> R {
+        if let Some((canonical, value)) = self.entries.get_mut(&address(symbol)) {
+            return f(canonical, value);
+        }
+        self.with_new_entry(symbol, default, f)
+    }
+
+    /// [`SymbolMap::with_entry`] for an address not (yet) keyed: another
+    /// table's symbol, or a symbol not seen before.
+    #[cold]
+    fn with_new_entry<R>(
+        &mut self,
+        symbol: &Symbol,
+        default: impl FnOnce() -> V,
+        f: impl FnOnce(&Symbol, &mut V) -> R,
+    ) -> R {
+        let canonical = match self.aliases.get(&address(symbol)) {
+            Some(canonical) => *canonical,
+            None => {
+                let canonical = Symbol::intern(symbol);
+                if !Symbol::ptr_eq(&canonical, symbol) {
+                    self.aliases.insert(address(symbol), canonical);
+                }
+                canonical
+            }
+        };
+        let (canonical, value) = self
+            .entries
+            .entry(address(&canonical))
+            .or_insert_with(|| (canonical, default()));
+        f(canonical, value)
+    }
+
+    /// Runs `f` on the state of `symbol`, made by `V::default` if there
+    /// was none.
+    pub fn update<R>(&mut self, symbol: &Symbol, f: impl FnOnce(&mut V) -> R) -> R
+    where
+        V: Default,
+    {
+        self.with_entry(symbol, V::default, |_, value| f(value))
+    }
+
+    /// The state of the symbol named `name`: a scan by name, for queries
+    /// off the event path.
+    pub fn get(&self, name: &str) -> Option<&V> {
+        self.iter()
+            .find(|(symbol, _)| symbol.as_str() == name)
+            .map(|(_, value)| value)
+    }
+
+    /// Every entry, keyed by its global-table symbol, in no particular
+    /// order.
+    pub fn iter(&self) -> impl Iterator<Item = (&Symbol, &V)> {
+        self.entries.values().map(|(symbol, value)| (symbol, value))
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when the map holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Drops every entry.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.aliases.clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,6 +446,30 @@ mod tests {
         m.insert(Symbol::intern("gemm"), 3);
         assert_eq!(m.get("gemm"), Some(&3));
         assert_eq!(m.get("missing"), None);
+    }
+
+    #[test]
+    fn a_symbol_map_keys_two_tables_names_as_one_global_entry() {
+        let (t1, t2) = (SymbolTable::new(), SymbolTable::new());
+        let (a, b) = (t1.intern("gemm"), t2.intern("gemm"));
+        let mut map: SymbolMap<u64> = SymbolMap::new();
+        map.update(&a, |n| *n += 1);
+        map.update(&b, |n| *n += 2);
+        map.update(&Symbol::intern("gemm"), |n| *n += 4);
+        map.update(&Symbol::intern("relu"), |n| *n += 8);
+        assert_eq!(map.len(), 2);
+        assert_eq!(map.get("gemm"), Some(&7));
+        assert_eq!(map.get("softmax"), None);
+        for (symbol, _) in map.iter() {
+            assert!(
+                Symbol::ptr_eq(symbol, &Symbol::intern(symbol)),
+                "keyed globally"
+            );
+        }
+        let fresh = map.with_entry(&Symbol::intern("relu"), || unreachable!(), |_, n| *n);
+        assert_eq!(fresh, 8, "a hit does not call `default`");
+        map.clear();
+        assert!(map.is_empty());
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! stack only for launches of that kernel.
 
 use crate::event::Event;
-use crate::knob::SymbolMap;
-use accel_sim::Symbol;
+use accel_sim::{Symbol, SymbolMap};
 use dl_framework::pycall::{native_frames_for_kernel, CrossLayerStack, PyFrame};
 use std::sync::Arc;
 

@@ -6,9 +6,7 @@
 //! extend the mechanism with custom knobs — here, any function scoring a
 //! kernel's aggregate statistics.
 
-use accel_sim::Symbol;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use accel_sim::{Symbol, SymbolMap};
 
 /// Aggregate per-kernel statistics the knobs score.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -72,118 +70,6 @@ impl Knob {
 /// lexicographically smallest name.
 fn rank(score: u64, name: &Symbol) -> (u64, std::cmp::Reverse<&str>) {
     (score, std::cmp::Reverse(name.as_str()))
-}
-
-/// Hashes a symbol's address: one multiply, where hashing its name would
-/// read every byte.
-#[derive(Default)]
-struct AddressHasher(u64);
-
-impl Hasher for AddressHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_usize(self.0 as usize ^ usize::from(byte));
-        }
-    }
-
-    fn write_usize(&mut self, address: usize) {
-        // Each symbol's text is its own heap allocation, aligned by the
-        // allocator (16 bytes under glibc), so the low bits carry nothing:
-        // the rotation brings the product's well-mixed middle bits down.
-        self.0 = (address as u64)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .rotate_left(26);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A symbol's identity: the address of the text its table leaked.
-fn address(symbol: &Symbol) -> usize {
-    symbol.as_str().as_ptr() as usize
-}
-
-/// Per-kernel state keyed by symbol identity, never by the name's bytes:
-/// a lookup hashes one address. Entries are keyed by the global table's
-/// symbol; a symbol of another table (an isolated test table) is
-/// canonicalised through [`Symbol::intern`] the first time it is seen and
-/// remembered as an alias, so the alias map stays empty — unallocated —
-/// at run time.
-#[derive(Debug, Clone)]
-pub(crate) struct SymbolMap<V> {
-    /// Global-table address → the global symbol and its state.
-    entries: HashMap<usize, (Symbol, V), BuildHasherDefault<AddressHasher>>,
-    /// Another table's symbol address → the global symbol.
-    aliases: HashMap<usize, Symbol, BuildHasherDefault<AddressHasher>>,
-}
-
-impl<V> Default for SymbolMap<V> {
-    fn default() -> Self {
-        SymbolMap {
-            entries: HashMap::default(),
-            aliases: HashMap::default(),
-        }
-    }
-}
-
-impl<V> SymbolMap<V> {
-    /// Runs `f` on the canonical symbol and state of `symbol`, the state
-    /// made by `default` if there was none. A hit does not call `default`.
-    pub(crate) fn with_entry<R>(
-        &mut self,
-        symbol: &Symbol,
-        default: impl FnOnce() -> V,
-        f: impl FnOnce(&Symbol, &mut V) -> R,
-    ) -> R {
-        if let Some((canonical, value)) = self.entries.get_mut(&address(symbol)) {
-            return f(canonical, value);
-        }
-        self.with_new_entry(symbol, default, f)
-    }
-
-    /// [`SymbolMap::with_entry`] for an address not (yet) keyed: another
-    /// table's symbol, or a kernel not seen before.
-    #[cold]
-    fn with_new_entry<R>(
-        &mut self,
-        symbol: &Symbol,
-        default: impl FnOnce() -> V,
-        f: impl FnOnce(&Symbol, &mut V) -> R,
-    ) -> R {
-        let canonical = match self.aliases.get(&address(symbol)) {
-            Some(canonical) => *canonical,
-            None => {
-                let canonical = Symbol::intern(symbol);
-                if !Symbol::ptr_eq(&canonical, symbol) {
-                    self.aliases.insert(address(symbol), canonical);
-                }
-                canonical
-            }
-        };
-        let (canonical, value) = self
-            .entries
-            .entry(address(&canonical))
-            .or_insert_with(|| (canonical, default()));
-        f(canonical, value)
-    }
-
-    /// Every entry, in no particular order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &(Symbol, V)> {
-        self.entries.values()
-    }
-
-    /// Number of entries.
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Drops every entry.
-    pub(crate) fn clear(&mut self) {
-        self.entries.clear();
-        self.aliases.clear();
-    }
 }
 
 /// Accumulates per-kernel aggregates and answers knob queries.
@@ -289,10 +175,7 @@ impl KnobSet {
 
     /// Aggregate for one kernel: a scan by name, off the launch path.
     pub fn get(&self, kernel: &str) -> Option<KernelAggregate> {
-        self.per_kernel
-            .iter()
-            .find(|(name, _)| *name == kernel)
-            .map(|(_, agg)| *agg)
+        self.per_kernel.get(kernel).copied()
     }
 
     /// Number of distinct kernels seen.

@@ -339,6 +339,9 @@ pub struct ToolCollection {
     class_tools: [Vec<usize>; EventClass::ALL.len()],
     /// Bit `class.index()` is set when that row is not empty.
     wanted: u8,
+    /// Union of the armed tools' interests, as sampled by the last
+    /// rebuild.
+    interest: Interest,
     /// Tools disarmed after a panicking callback: registration index plus
     /// the first panic message. Cleared (re-armed) by
     /// [`ToolCollection::reset`].
@@ -388,6 +391,12 @@ impl ToolCollection {
     /// revisits them.
     fn rebuild_dispatch(&mut self) {
         self.wanted = 0;
+        self.interest = self
+            .tools
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !self.is_quarantined(*i))
+            .fold(Interest::default(), |acc, (_, t)| acc.union(t.interest()));
         for class in EventClass::ALL {
             let row = &mut self.class_tools[class.index()];
             row.clear();
@@ -427,13 +436,10 @@ impl ToolCollection {
 
     /// Union of all *armed* tools' interests — a quarantined tool no
     /// longer contributes, so instrumentation it alone requested can be
-    /// withdrawn at the next probe reconfiguration.
+    /// withdrawn at the next probe reconfiguration. Sampled when the
+    /// dispatch table is built, like the table itself.
     pub fn interest(&self) -> Interest {
-        self.tools
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.is_quarantined(*i))
-            .fold(Interest::default(), |acc, (_, t)| acc.union(t.interest()))
+        self.interest
     }
 
     /// Delivers an event to every tool whose interest covers its class,

@@ -2,9 +2,8 @@
 //! extensibility example: "quantify synchronization delays … identify
 //! kernels or layers that suffer from excessive synchronization overhead".
 
-use accel_sim::Symbol;
+use accel_sim::{LaunchId, Symbol, SymbolMap};
 use pasta_core::{Event, Interest, Tool, ToolReport};
-use std::collections::HashMap;
 
 /// Estimated stall per barrier execution, ns (warp re-convergence plus
 /// scheduler latency at typical occupancy).
@@ -39,8 +38,11 @@ impl BarrierStats {
 /// The barrier-stall tool.
 #[derive(Debug, Default)]
 pub struct BarrierStallTool {
-    per_kernel: HashMap<Symbol, BarrierStats>,
-    current_kernel: HashMap<u64, Symbol>,
+    per_kernel: SymbolMap<BarrierStats>,
+    /// The launch in flight and its kernel, from `KernelLaunchBegin` to
+    /// `KernelLaunchEnd`. A shard's stream carries one launch at a time,
+    /// so one slot holds it; barriers of any other launch go unattributed.
+    in_flight: Option<(LaunchId, Symbol)>,
 }
 
 impl BarrierStallTool {
@@ -84,12 +86,11 @@ impl Tool for BarrierStallTool {
     fn on_event(&mut self, event: &Event) {
         match event {
             Event::KernelLaunchBegin { launch, name, .. } => {
-                self.current_kernel.insert(launch.value(), *name);
+                self.in_flight = Some((*launch, *name));
             }
             Event::Barrier { launch, count, .. } => {
-                if let Some(name) = self.current_kernel.get(&launch.value()) {
-                    let s = self.per_kernel.entry(*name).or_default();
-                    s.barriers += count;
+                if let Some((_, name)) = self.in_flight.filter(|(l, _)| l == launch) {
+                    self.per_kernel.update(&name, |s| s.barriers += count);
                 }
             }
             Event::KernelLaunchEnd {
@@ -99,10 +100,13 @@ impl Tool for BarrierStallTool {
                 end,
                 ..
             } => {
-                let s = self.per_kernel.entry(*name).or_default();
-                s.calls += 1;
-                s.duration_ns += *end - *start;
-                self.current_kernel.remove(&launch.value());
+                self.per_kernel.update(name, |s| {
+                    s.calls += 1;
+                    s.duration_ns += *end - *start;
+                });
+                if self.in_flight.is_some_and(|(l, _)| l == *launch) {
+                    self.in_flight = None;
+                }
             }
             _ => {}
         }
@@ -128,7 +132,7 @@ impl Tool for BarrierStallTool {
 
     fn reset(&mut self) {
         self.per_kernel.clear();
-        self.current_kernel.clear();
+        self.in_flight = None;
     }
 
     fn fork(&self) -> Option<Box<dyn Tool>> {
@@ -139,12 +143,13 @@ impl Tool for BarrierStallTool {
         let Some(other) = other.downcast_ref::<BarrierStallTool>() else {
             return;
         };
-        // `current_kernel` is in-flight launch state and never merges.
-        for (kernel, theirs) in &other.per_kernel {
-            let s = self.per_kernel.entry(*kernel).or_default();
-            s.barriers += theirs.barriers;
-            s.calls += theirs.calls;
-            s.duration_ns += theirs.duration_ns;
+        // `in_flight` is launch state and never merges.
+        for (kernel, theirs) in other.per_kernel.iter() {
+            self.per_kernel.update(kernel, |s| {
+                s.barriers += theirs.barriers;
+                s.calls += theirs.calls;
+                s.duration_ns += theirs.duration_ns;
+            });
         }
     }
 }

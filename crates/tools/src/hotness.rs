@@ -68,28 +68,32 @@ impl Tool for HotnessTool {
     }
 
     fn report(&self) -> ToolReport {
-        // Straight from the per-block rows: the dense `series()` grid is
-        // blocks × bins and almost all zeroes.
-        let rows = self.hotness.rows();
+        // Straight from the spans of equal per-block rows, so a range of
+        // 2^39 blocks costs what a range of one does: neither the rows
+        // nor the dense `series()` grid (blocks × bins, almost all
+        // zeroes) are built.
         let bins = self.hotness.bins();
         let mut text = String::new();
-        for row in rows.iter().take(20) {
-            let liveness = row.liveness(bins);
-            let marker = if liveness >= PERSISTENT { "HOT" } else { "   " };
-            text.push_str(&format!(
-                "  block {:>8} {marker} liveness {:.2} total {}\n",
-                row.block, liveness, row.total
-            ));
+        let (mut blocks, mut persistent) = (0u64, 0u64);
+        for span in self.hotness.spans() {
+            let shown = 20u64.saturating_sub(blocks) as usize;
+            for row in span.rows().take(shown) {
+                let liveness = row.liveness(bins);
+                let marker = if liveness >= PERSISTENT { "HOT" } else { "   " };
+                text.push_str(&format!(
+                    "  block {:>8} {marker} liveness {:.2} total {}\n",
+                    row.block, liveness, row.total
+                ));
+            }
+            blocks += span.blocks();
+            if span.liveness(bins) >= PERSISTENT {
+                persistent += span.blocks();
+            }
         }
         ToolReport::new(self.name())
-            .metric("blocks", rows.len() as f64)
+            .metric("blocks", blocks as f64)
             .metric("bins", bins as f64)
-            .metric(
-                "persistent_blocks",
-                rows.iter()
-                    .filter(|row| row.liveness(bins) >= PERSISTENT)
-                    .count() as f64,
-            )
+            .metric("persistent_blocks", persistent as f64)
             .body(text)
     }
 

@@ -5,15 +5,15 @@
 //! kernels launch, but a handful (`at::native::im2col_kernel`,
 //! `ampere_sgemm_*`) dominate — directs optimization effort.
 
-use accel_sim::Symbol;
+use accel_sim::{Symbol, SymbolMap};
 use pasta_core::{Event, Interest, Tool, ToolReport};
-use std::collections::HashMap;
 
-/// Counts kernel invocations by symbol name. Keys are interned
-/// [`Symbol`]s, so counting a launch is allocation-free.
+/// Counts kernel invocations by symbol. Keys are interned [`Symbol`]s
+/// hashed by address, so counting a launch neither allocates nor reads
+/// the name.
 #[derive(Debug, Default)]
 pub struct KernelFrequencyTool {
-    counts: HashMap<Symbol, u64>,
+    counts: SymbolMap<u64>,
     total: u64,
 }
 
@@ -69,7 +69,7 @@ impl Tool for KernelFrequencyTool {
 
     fn on_event(&mut self, event: &Event) {
         if let Event::KernelLaunchEnd { name, .. } = event {
-            *self.counts.entry(*name).or_insert(0) += 1;
+            self.counts.update(name, |count| *count += 1);
             self.total += 1;
         }
     }
@@ -98,8 +98,8 @@ impl Tool for KernelFrequencyTool {
         let Some(other) = other.downcast_ref::<KernelFrequencyTool>() else {
             return;
         };
-        for (kernel, &count) in &other.counts {
-            *self.counts.entry(*kernel).or_insert(0) += count;
+        for (kernel, &count) in other.counts.iter() {
+            self.counts.update(kernel, |mine| *mine += count);
         }
         self.total += other.total;
     }

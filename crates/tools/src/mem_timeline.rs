@@ -7,7 +7,6 @@
 
 use accel_sim::DeviceId;
 use pasta_core::{Event, Interest, Tool, ToolReport};
-use std::collections::HashMap;
 
 /// One point of the timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,12 +38,23 @@ pub struct UvmTraffic {
     pub stall_ns: u64,
 }
 
+/// One device's timeline and managed-memory overlay.
+#[derive(Debug, Default)]
+struct DeviceTimeline {
+    points: Vec<TimelinePoint>,
+    /// Managed-memory traffic of the launches that *faulted* here.
+    uvm: UvmTraffic,
+}
+
 /// The memory-timeline tool.
 #[derive(Debug, Default)]
 pub struct MemoryTimelineTool {
-    series: HashMap<DeviceId, Vec<TimelinePoint>>,
-    /// Managed-memory traffic keyed by the *faulting* device.
-    uvm: HashMap<DeviceId, UvmTraffic>,
+    /// Every device with activity (tensor events or UVM traffic),
+    /// ascending by ordinal. A session has a handful of devices, so a
+    /// lookup is a short binary search with no hashing; and unlike a table
+    /// indexed by ordinal, an ordinal read from a trace file (any `u32`)
+    /// sizes nothing.
+    devices: Vec<(DeviceId, DeviceTimeline)>,
     counter: u64,
 }
 
@@ -54,23 +64,39 @@ impl MemoryTimelineTool {
         MemoryTimelineTool::default()
     }
 
+    fn device(&self, device: DeviceId) -> Option<&DeviceTimeline> {
+        let at = self
+            .devices
+            .binary_search_by_key(&device, |&(d, _)| d)
+            .ok()?;
+        Some(&self.devices[at].1)
+    }
+
+    /// The timeline of `device`, made empty if it had none.
+    fn device_mut(&mut self, device: DeviceId) -> &mut DeviceTimeline {
+        let at = self
+            .devices
+            .binary_search_by_key(&device, |&(d, _)| d)
+            .unwrap_or_else(|at| {
+                self.devices.insert(at, (device, DeviceTimeline::default()));
+                at
+            });
+        &mut self.devices[at].1
+    }
+
     /// The timeline of one device.
     pub fn series_for(&self, device: DeviceId) -> &[TimelinePoint] {
-        self.series.get(&device).map_or(&[], Vec::as_slice)
+        self.device(device).map_or(&[], |d| d.points.as_slice())
     }
 
     /// Devices with recorded activity (tensor events or UVM traffic).
     pub fn devices(&self) -> Vec<DeviceId> {
-        let mut v: Vec<DeviceId> = self.series.keys().copied().collect();
-        v.extend(self.uvm.keys().copied());
-        v.sort();
-        v.dedup();
-        v
+        self.devices.iter().map(|&(d, _)| d).collect()
     }
 
     /// Cumulative UVM traffic of one device's launches.
     pub fn uvm_for(&self, device: DeviceId) -> UvmTraffic {
-        self.uvm.get(&device).copied().unwrap_or_default()
+        self.device(device).map(|d| d.uvm).unwrap_or_default()
     }
 
     /// Peak live bytes on one device.
@@ -132,7 +158,7 @@ impl Tool for MemoryTimelineTool {
                 stall_ns,
                 ..
             } => {
-                let traffic = self.uvm.entry(*device).or_default();
+                let traffic = &mut self.device_mut(*device).uvm;
                 traffic.migrated_bytes += migrated_bytes;
                 traffic.evicted_bytes += evicted_bytes;
                 traffic.stall_ns += stall_ns;
@@ -147,7 +173,7 @@ impl Tool for MemoryTimelineTool {
             } => {
                 // Peer traffic lands on the *destination* device's
                 // overlay — that is whose residency changed.
-                let traffic = self.uvm.entry(*dst).or_default();
+                let traffic = &mut self.device_mut(*dst).uvm;
                 traffic.peer_in_bytes += bytes;
                 traffic.invalidated_pages += invalidated_pages;
                 traffic.stall_ns += stall_ns;
@@ -155,9 +181,9 @@ impl Tool for MemoryTimelineTool {
             }
             _ => return,
         };
-        let series = self.series.entry(device).or_default();
-        let event_index = series.len() as u64;
         self.counter += 1;
+        let series = &mut self.device_mut(device).points;
+        let event_index = series.len() as u64;
         series.push(TimelinePoint {
             event_index,
             allocated,
@@ -202,8 +228,7 @@ impl Tool for MemoryTimelineTool {
     }
 
     fn reset(&mut self) {
-        self.series.clear();
-        self.uvm.clear();
+        self.devices.clear();
         self.counter = 0;
     }
 
@@ -218,21 +243,25 @@ impl Tool for MemoryTimelineTool {
         // Shards see disjoint devices, so this is normally a plain union;
         // overlapping devices append after the existing points, reindexed
         // to keep per-device event indices dense.
-        for (device, points) in &other.series {
-            let series = self.series.entry(*device).or_default();
-            let base = series.len() as u64;
-            series.extend(points.iter().enumerate().map(|(i, p)| TimelinePoint {
-                event_index: base + i as u64,
-                ..*p
-            }));
-        }
-        for (device, traffic) in &other.uvm {
-            let mine = self.uvm.entry(*device).or_default();
-            mine.migrated_bytes += traffic.migrated_bytes;
-            mine.evicted_bytes += traffic.evicted_bytes;
-            mine.peer_in_bytes += traffic.peer_in_bytes;
-            mine.invalidated_pages += traffic.invalidated_pages;
-            mine.stall_ns += traffic.stall_ns;
+        for (device, theirs) in &other.devices {
+            let mine = self.device_mut(*device);
+            let base = mine.points.len() as u64;
+            mine.points.extend(
+                theirs
+                    .points
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| TimelinePoint {
+                        event_index: base + i as u64,
+                        ..*p
+                    }),
+            );
+            let (uvm, traffic) = (&mut mine.uvm, &theirs.uvm);
+            uvm.migrated_bytes += traffic.migrated_bytes;
+            uvm.evicted_bytes += traffic.evicted_bytes;
+            uvm.peer_in_bytes += traffic.peer_in_bytes;
+            uvm.invalidated_pages += traffic.invalidated_pages;
+            uvm.stall_ns += traffic.stall_ns;
         }
         self.counter += other.counter;
     }

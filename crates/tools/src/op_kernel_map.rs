@@ -7,19 +7,18 @@
 //! the kernel launches between them, so the mapping falls out of event
 //! ordering.
 
-use accel_sim::Symbol;
+use accel_sim::{Symbol, SymbolMap};
 use pasta_core::{Event, Interest, Tool, ToolReport};
-use std::collections::HashMap;
 
 /// Aggregate of one operator's kernel usage.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct OpProfile {
     /// Times the operator executed.
     pub calls: u64,
     /// Total kernels launched inside it.
     pub kernels: u64,
     /// Distinct kernel symbols it launched, with counts.
-    pub kernel_counts: HashMap<Symbol, u64>,
+    pub kernel_counts: SymbolMap<u64>,
     /// Total device time of its kernels, ns.
     pub device_ns: u64,
 }
@@ -34,10 +33,11 @@ impl OpProfile {
     }
 }
 
-/// The operator→kernel mapping tool.
+/// The operator→kernel mapping tool. Both levels — operators, and each
+/// operator's kernels — are keyed by symbol address.
 #[derive(Debug, Default)]
 pub struct OpKernelMapTool {
-    per_op: HashMap<Symbol, OpProfile>,
+    per_op: SymbolMap<OpProfile>,
     /// Operator nesting stack: kernels attribute to the innermost op.
     stack: Vec<Symbol>,
 }
@@ -56,13 +56,16 @@ impl OpKernelMapTool {
 
     /// Operators ranked by total device time, descending.
     pub fn ranking(&self) -> Vec<(Symbol, OpProfile)> {
-        let mut v: Vec<(Symbol, OpProfile)> =
-            self.per_op.iter().map(|(k, p)| (*k, p.clone())).collect();
-        v.sort_by(|a, b| {
-            b.1.device_ns
-                .cmp(&a.1.device_ns)
-                .then_with(|| a.0.cmp(&b.0))
-        });
+        self.ranked()
+            .into_iter()
+            .map(|(op, p)| (*op, p.clone()))
+            .collect()
+    }
+
+    /// [`OpKernelMapTool::ranking`] by reference.
+    fn ranked(&self) -> Vec<(&Symbol, &OpProfile)> {
+        let mut v: Vec<(&Symbol, &OpProfile)> = self.per_op.iter().collect();
+        v.sort_by(|a, b| b.1.device_ns.cmp(&a.1.device_ns).then_with(|| a.0.cmp(b.0)));
         v
     }
 
@@ -88,7 +91,7 @@ impl Tool for OpKernelMapTool {
     fn on_event(&mut self, event: &Event) {
         match event {
             Event::OpStart { name, .. } => {
-                self.per_op.entry(*name).or_default().calls += 1;
+                self.per_op.update(name, |p| p.calls += 1);
                 self.stack.push(*name);
             }
             Event::OpEnd { .. } => {
@@ -98,13 +101,12 @@ impl Tool for OpKernelMapTool {
                 name, start, end, ..
             } => {
                 if let Some(op) = self.stack.last() {
-                    let p = self
-                        .per_op
-                        .get_mut(op.as_str())
-                        .expect("op on stack was started");
-                    p.kernels += 1;
-                    *p.kernel_counts.entry(*name).or_insert(0) += 1;
-                    p.device_ns += *end - *start;
+                    // The op's `OpStart` made its entry: this is a hit.
+                    self.per_op.update(op, |p| {
+                        p.kernels += 1;
+                        p.kernel_counts.update(name, |count| *count += 1);
+                        p.device_ns += *end - *start;
+                    });
                 }
             }
             _ => {}
@@ -112,7 +114,7 @@ impl Tool for OpKernelMapTool {
     }
 
     fn report(&self) -> ToolReport {
-        let ranking = self.ranking();
+        let ranking = self.ranked();
         let mut text = String::new();
         for (op, p) in ranking.iter().take(12) {
             text.push_str(&format!(
@@ -127,7 +129,7 @@ impl Tool for OpKernelMapTool {
             .metric("operators", self.op_count() as f64)
             .metric(
                 "total_kernels",
-                self.per_op.values().map(|p| p.kernels).sum::<u64>() as f64,
+                self.per_op.iter().map(|(_, p)| p.kernels).sum::<u64>() as f64,
             )
             .body(text)
     }
@@ -146,14 +148,15 @@ impl Tool for OpKernelMapTool {
             return;
         };
         // `stack` is in-flight operator nesting and never merges.
-        for (op, theirs) in &other.per_op {
-            let p = self.per_op.entry(*op).or_default();
-            p.calls += theirs.calls;
-            p.kernels += theirs.kernels;
-            p.device_ns += theirs.device_ns;
-            for (kernel, &count) in &theirs.kernel_counts {
-                *p.kernel_counts.entry(*kernel).or_insert(0) += count;
-            }
+        for (op, theirs) in other.per_op.iter() {
+            self.per_op.update(op, |p| {
+                p.calls += theirs.calls;
+                p.kernels += theirs.kernels;
+                p.device_ns += theirs.device_ns;
+                for (kernel, &count) in theirs.kernel_counts.iter() {
+                    p.kernel_counts.update(kernel, |mine| *mine += count);
+                }
+            });
         }
     }
 }
@@ -206,7 +209,7 @@ mod tests {
         assert_eq!(lin.device_ns, 105);
         let add = t.profile("aten::add").unwrap();
         assert_eq!(add.kernels, 1);
-        assert_eq!(add.kernel_counts["elementwise"], 1);
+        assert_eq!(add.kernel_counts.get("elementwise"), Some(&1));
     }
 
     #[test]
@@ -235,7 +238,7 @@ mod tests {
         assert_eq!(p.calls, 2);
         assert_eq!(p.kernels, 3);
         assert_eq!(p.device_ns, 155);
-        assert_eq!(p.kernel_counts["sgemm"], 2);
+        assert_eq!(p.kernel_counts.get("sgemm"), Some(&2));
     }
 
     #[test]

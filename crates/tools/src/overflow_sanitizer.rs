@@ -9,7 +9,7 @@
 //! exceeds a threshold are flagged as overflow-risk candidates — the same
 //! population a real sanitizer watches hardest.
 
-use accel_sim::Symbol;
+use accel_sim::{Symbol, SymbolMap};
 use pasta_core::{Event, Interest, Tool, ToolReport};
 use std::collections::HashMap;
 
@@ -28,7 +28,7 @@ pub(crate) struct SanitizerCoverage {
 /// The overflow-sanitizer tool.
 #[derive(Debug, Default)]
 pub struct OverflowSanitizerTool {
-    per_kernel: HashMap<Symbol, SanitizerCoverage>,
+    per_kernel: SymbolMap<SanitizerCoverage>,
     current_kernel: HashMap<u64, Symbol>,
 }
 
@@ -41,8 +41,8 @@ impl OverflowSanitizerTool {
     /// Total instructions checked across all kernels.
     pub(crate) fn instructions_checked(&self) -> u64 {
         self.per_kernel
-            .values()
-            .map(|c| c.instructions_checked)
+            .iter()
+            .map(|(_, c)| c.instructions_checked)
             .sum()
     }
 
@@ -84,16 +84,15 @@ impl Tool for OverflowSanitizerTool {
             Event::Instructions { launch, count } => {
                 if let Some(name) = self.current_kernel.get(&launch.value()) {
                     self.per_kernel
-                        .entry(*name)
-                        .or_default()
-                        .instructions_checked += count;
+                        .update(name, |c| c.instructions_checked += count);
                 }
             }
             Event::GlobalAccess { launch, batch, .. }
                 if batch.kind == accel_sim::AccessKind::Store =>
             {
                 if let Some(name) = self.current_kernel.get(&launch.value()) {
-                    self.per_kernel.entry(*name).or_default().bytes_stored += batch.bytes;
+                    self.per_kernel
+                        .update(name, |c| c.bytes_stored += batch.bytes);
                 }
             }
             Event::KernelLaunchEnd { launch, .. } => {

@@ -1,5 +1,7 @@
 //! Formatting and interval helpers shared by the tools.
 
+use accel_sim::radix;
+
 /// Formats bytes with an adaptive binary unit (Table V prints MB).
 pub fn format_bytes(bytes: u64) -> String {
     let b = bytes as f64;
@@ -19,10 +21,6 @@ pub fn mb(bytes: u64) -> f64 {
     bytes as f64 / (1u64 << 20) as f64
 }
 
-/// Below this many ranges a comparison sort costs less than the radix
-/// sort's fixed cost per pass (clearing and summing its histogram).
-const RADIX_MIN: usize = 32;
-
 /// Merges possibly-overlapping `(base, len)` intervals and returns the
 /// total distinct bytes covered — the working-set arithmetic. Works in
 /// place (empty intervals dropped, the rest sorted by base) so a caller
@@ -37,11 +35,7 @@ pub fn merged_extent(ranges: &mut Vec<(u64, u64)>) -> u64 {
     }
     // The sweep below folds ranges of equal base by `max`, so their order
     // after the sort does not matter and an unstable sort is exact.
-    if ranges.len() < RADIX_MIN {
-        ranges.sort_unstable_by_key(|&(base, _)| base);
-    } else {
-        radix_sort_by_base(ranges);
-    }
+    radix::sort_by_key(ranges, |&(base, _)| base);
     let mut total = 0u64;
     let (mut cur_base, mut cur_end) = (ranges[0].0, ranges[0].0.saturating_add(ranges[0].1));
     for &(base, len) in &ranges[1..] {
@@ -55,62 +49,6 @@ pub fn merged_extent(ranges: &mut Vec<(u64, u64)>) -> u64 {
         }
     }
     total + (cur_end - cur_base)
-}
-
-/// Sorts `ranges` by base with an LSD radix sort on `base − min(base)`,
-/// over only the bits in which the keys differ: the low bits every base
-/// shares (alignment) and the high bits no key reaches are never visited.
-/// Those bits go in as few passes of at most eight as they fit, split
-/// evenly, so a pass's histogram is no wider than it needs to be. Passes
-/// alternate between the ranges and a scratch half appended behind them,
-/// which is cut off again at the end.
-fn radix_sort_by_base(ranges: &mut Vec<(u64, u64)>) {
-    let first = ranges.first().map_or(0, |&(base, _)| base);
-    let (mut min, mut max, mut differ) = (first, first, 0);
-    for &(base, _) in ranges.iter() {
-        (min, max, differ) = (min.min(base), max.max(base), differ | (base ^ first));
-    }
-    if differ == 0 {
-        return;
-    }
-    // Every base agrees with every other below bit `shift`, so every key
-    // is a multiple of `1 << shift`; every key is below `1 << top`.
-    let (mut shift, top) = (
-        differ.trailing_zeros(),
-        u64::BITS - (max - min).leading_zeros(),
-    );
-    let passes = (top - shift).div_ceil(8);
-    let width = (top - shift).div_ceil(passes);
-    let mask = (1 << width) - 1;
-    let n = ranges.len();
-    // Both halves start as the ranges, and the first pass reads the half
-    // from which the last one writes the front.
-    ranges.extend_from_within(..);
-    let (front, back) = ranges.split_at_mut(n);
-    let (mut from, mut to) = if passes % 2 == 0 {
-        (front, back)
-    } else {
-        (back, front)
-    };
-    while shift < top {
-        let digit = |base: u64| (((base - min) >> shift) & mask) as u8 as usize;
-        let mut starts = [0usize; 256];
-        for &(base, _) in from.iter() {
-            starts[digit(base)] += 1;
-        }
-        let mut at = 0;
-        for start in &mut starts[..=mask as usize] {
-            (*start, at) = (at, at + *start);
-        }
-        for &range in from.iter() {
-            let slot = &mut starts[digit(range.0)];
-            to[*slot] = range;
-            *slot += 1;
-        }
-        std::mem::swap(&mut from, &mut to);
-        shift += width;
-    }
-    ranges.truncate(n);
 }
 
 /// Percentile of a sorted slice (nearest-rank; `p` in `[0, 100]`, with
@@ -187,7 +125,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// 0–600 ranges, either side of `RADIX_MIN`, in four shapes:
+        /// 0–600 ranges, either side of the radix cutoff, in four shapes:
         /// bases anywhere in the address space; 128-B-aligned ranges in one
         /// tensor (nested, adjacent, equal bases); one base for all; a
         /// dense tangle of tiny ranges. Every shape draws zero lengths.

@@ -8,47 +8,48 @@
 //! device shard and folds shards with [`BlockHotness::merge_from`]; the
 //! simulator itself records nothing here.
 //!
-//! The accumulator is a flat run of `(bin, block, count)` cells kept
-//! ascending by `(bin, block)`. Recording an access is O(1) whatever the
-//! number of blocks it spans: the range goes into a buffer local to the
-//! open time bin, and the buffer is resolved into cells once per bin by a
-//! sort-and-sweep. Merging trackers and summing the rows are linear
-//! passes over the run. Nothing is indexed by block over the address
-//! space: the device heap and the managed heap sit 2^46 bytes apart.
+//! The accumulator is a log of cells `(bin, first..=last, count)`: `count`
+//! records for each block of one recorded range, in one time bin. A range
+//! recorded again in the same bin adds to its cell (unless a table of
+//! recent ranges has lost track of it), so a bin keeps about one cell per
+//! distinct range it saw; the cells of a bin may overlap.
+//! Recording is O(1) whatever the number of blocks a range spans, merging
+//! trackers appends one log to the other, and the per-block statistics
+//! come from one sort-and-sweep over the cells' ends
+//! ([`BlockHotness::spans`]). So recording, merging and reporting cost
+//! O(ranges) in time and memory, however many blocks a range spans; only
+//! [`BlockHotness::rows`] and [`BlockHotness::series`] expand per block.
+//! Nothing is indexed by block over the address space: the device heap
+//! and the managed heap sit 2^46 bytes apart.
 
 use crate::page::block_of_addr;
-use std::borrow::Cow;
-use std::cmp::Ordering;
+use accel_sim::radix;
 
-/// `count` access records of `block` in time bin `bin`; always positive.
+/// `count` access records of each of the blocks `first..=last` in time
+/// bin `bin`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Cell {
     bin: u64,
-    block: u64,
+    first: u64,
+    last: u64,
     count: u64,
 }
 
-/// Open-bin marks held before [`BlockHotness::record`] resolves them
-/// early, so a bin wider than any run (`bin_events` of 2^40, say) still
-/// buffers a bounded amount.
-const OPEN_MARKS_MAX: usize = 4096;
-
-/// Marks spread over at most this many blocks are ordered by a counting
-/// sort over that window instead of a comparison sort — the cheaper of
-/// the two when a bin's accesses stay within a few blocks.
-const COUNTING_WINDOW: usize = 64;
+/// Slots of the recent-range table [`BlockHotness::record`] dedups by.
+const RECENT_SLOTS: usize = 64;
 
 /// Running hotness accumulator.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct BlockHotness {
-    /// Resolved cells, strictly ascending by `(bin, block)`.
+    /// Every cell, in recording order; a merge appends the other
+    /// tracker's.
     cells: Vec<Cell>,
-    /// Ranges recorded in bin `open_bin` and not yet resolved. A range
-    /// adding `n` to each of the blocks `first..=last` is the two marks
-    /// `(first, n)` and `(last + 1, n.wrapping_neg())`: the running
-    /// (wrapping) sum of the marks up to a block is that block's count.
-    open: Vec<(u64, u64)>,
-    open_bin: u64,
+    /// Index into `cells` of a recently recorded range, by a hash of its
+    /// ends. A hit is only used when the cell holds the same range in the
+    /// same bin — whichever cell that is, adding to it is exact.
+    recent: [u32; RECENT_SLOTS],
+    /// One past the last bin of any cell.
+    bins: u64,
     events_seen: u64,
     bin_events: u64,
     /// The clock's bin, `events_seen / bin_events`, valid while
@@ -61,106 +62,17 @@ pub struct BlockHotness {
     clock_bin_end: u64,
 }
 
-/// Orders `marks` by block, leaving one mark per block; returns how many.
-fn sort_marks(marks: &mut [(u64, u64)]) -> usize {
-    let Some(&(first, _)) = marks.first() else {
-        return 0;
-    };
-    let (mut lo, mut hi) = (first, first);
-    for &(block, _) in marks.iter() {
-        (lo, hi) = (lo.min(block), hi.max(block));
-    }
-    let mut kept = 0;
-    if hi - lo < COUNTING_WINDOW as u64 {
-        let mut window = [0u64; COUNTING_WINDOW];
-        for &(block, delta) in marks.iter() {
-            let slot = &mut window[(block - lo) as usize];
-            *slot = slot.wrapping_add(delta);
-        }
-        for (block, &delta) in (lo..=hi).zip(&window) {
-            if delta != 0 {
-                marks[kept] = (block, delta);
-                kept += 1;
-            }
-        }
-    } else {
-        marks.sort_unstable_by_key(|&(block, _)| block);
-        for i in 0..marks.len() {
-            if kept > 0 && marks[kept - 1].0 == marks[i].0 {
-                marks[kept - 1].1 = marks[kept - 1].1.wrapping_add(marks[i].1);
-            } else {
-                marks[kept] = marks[i];
-                kept += 1;
-            }
-        }
-    }
-    kept
-}
-
-/// Resolves one bin's `marks` into cells pushed onto `out`, ascending by
-/// block.
-fn sweep(bin: u64, marks: &mut [(u64, u64)], out: &mut Vec<Cell>) {
-    let kept = sort_marks(marks);
-    let mut count = 0u64;
-    for (i, &(block, delta)) in marks[..kept].iter().enumerate() {
-        count = count.wrapping_add(delta);
-        if count > 0 {
-            // A positive count is a range still open, so its end mark
-            // follows: `marks[i + 1]` exists.
-            out.extend((block..marks[i + 1].0).map(|block| Cell { bin, block, count }));
-        }
-    }
-}
-
-/// Merges two runs ascending by `(bin, block)` into one, summing the
-/// counts of equal keys.
-fn merge_runs(a: &[Cell], b: &[Cell]) -> Vec<Cell> {
-    let mut merged = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match (a[i].bin, a[i].block).cmp(&(b[j].bin, b[j].block)) {
-            Ordering::Less => {
-                merged.push(a[i]);
-                i += 1;
-            }
-            Ordering::Greater => {
-                merged.push(b[j]);
-                j += 1;
-            }
-            Ordering::Equal => {
-                merged.push(Cell {
-                    count: a[i].count + b[j].count,
-                    ..a[i]
-                });
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    merged.extend_from_slice(&a[i..]);
-    merged.extend_from_slice(&b[j..]);
-    merged
-}
-
-/// Every cell of a tracker, ascending by `(bin, block)`: `run`, then the
-/// open bin's cells in `open`.
-struct Resolved<'a> {
-    run: Cow<'a, [Cell]>,
-    open: Vec<Cell>,
-}
-
-impl Resolved<'_> {
-    fn iter(&self) -> impl Iterator<Item = Cell> + '_ {
-        self.run.iter().chain(&self.open).copied()
-    }
-}
-
 impl BlockHotness {
     /// Creates a tracker that bins logical time every `bin_events` events.
     pub fn new(bin_events: u64) -> Self {
         BlockHotness {
+            cells: Vec::new(),
+            recent: [0; RECENT_SLOTS],
+            bins: 0,
+            events_seen: 0,
             bin_events: bin_events.max(1),
-            ..BlockHotness::default()
+            clock_bin: 0,
+            clock_bin_end: 0,
         }
     }
 
@@ -183,45 +95,22 @@ impl BlockHotness {
         } else {
             (records / (last - first + 1)).max(1)
         };
-        if bin != self.open_bin || self.open.len() >= OPEN_MARKS_MAX {
-            self.resolve_open();
-            self.open_bin = bin;
-        }
-        self.open.push((first, per_block));
-        self.open.push((last + 1, per_block.wrapping_neg()));
-    }
-
-    /// Whether the open bin comes after every resolved cell — it does,
-    /// unless it was resolved early or a merge brought in later bins.
-    fn open_is_newest(&self) -> bool {
-        self.cells.last().is_none_or(|c| c.bin < self.open_bin)
-    }
-
-    /// Moves the open bin's marks into `cells`.
-    fn resolve_open(&mut self) {
-        if self.open_is_newest() {
-            sweep(self.open_bin, &mut self.open, &mut self.cells);
-        } else if !self.open.is_empty() {
-            self.cells = self.resolved().run.into_owned();
-        }
-        self.open.clear();
-    }
-
-    /// A view of every cell, open bin included.
-    fn resolved(&self) -> Resolved<'_> {
-        let mut open = Vec::new();
-        sweep(self.open_bin, &mut self.open.clone(), &mut open);
-        if open.is_empty() || self.open_is_newest() {
-            Resolved {
-                run: Cow::Borrowed(&self.cells),
-                open,
-            }
-        } else {
-            Resolved {
-                run: Cow::Owned(merge_runs(&self.cells, &open)),
-                open: Vec::new(),
+        let hash = (first ^ last.rotate_left(32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let slot = &mut self.recent[(hash >> (u64::BITS - RECENT_SLOTS.trailing_zeros())) as usize];
+        if let Some(cell) = self.cells.get_mut(*slot as usize) {
+            if (cell.bin, cell.first, cell.last) == (bin, first, last) {
+                cell.count = cell.count.wrapping_add(per_block);
+                return;
             }
         }
+        *slot = self.cells.len() as u32;
+        self.cells.push(Cell {
+            bin,
+            first,
+            last,
+            count: per_block,
+        });
+        self.bins = self.bins.max(bin + 1);
     }
 
     /// The configured bin width, in events.
@@ -230,93 +119,130 @@ impl BlockHotness {
     }
 
     /// Folds another tracker's counts into this one, summing per
-    /// (block, bin) cell. Both trackers keep their own logical clocks, so
-    /// bin *t* of `other` lands in bin *t* here — the device-shard merge,
+    /// (block, bin). Both trackers keep their own logical clocks, so bin
+    /// *t* of `other` lands in bin *t* here — the device-shard merge,
     /// where each shard binned its own device's access stream.
     pub fn merge_from(&mut self, other: &BlockHotness) {
-        self.resolve_open();
-        let theirs: Vec<Cell> = other.resolved().iter().collect();
-        self.cells = merge_runs(&self.cells, &theirs);
+        self.cells.extend_from_slice(&other.cells);
+        self.bins = self.bins.max(other.bins);
         self.events_seen += other.events_seen;
     }
 
     /// Number of time bins: one past the last bin any block was accessed
     /// in.
     pub fn bins(&self) -> u64 {
-        let resolved = self.cells.last().map_or(0, |c| c.bin + 1);
-        if self.open.is_empty() {
-            resolved
-        } else {
-            resolved.max(self.open_bin + 1)
+        self.bins
+    }
+
+    /// The accessed blocks, ascending, as spans of neighbouring blocks
+    /// whose [`BlockRow`]s agree but for the block. One sort of the cells'
+    /// ends and one sweep over them, keeping a count per bin, so the cost
+    /// is O(cells) however many blocks the cells span; a span ends
+    /// wherever some cell starts or ends.
+    pub fn spans(&self) -> impl Iterator<Item = BlockSpan> + '_ {
+        // Cell `i` adds its count to its bin from `first` on and takes it
+        // away again past `last`: marks `(block, i << 1 | closes)`, with
+        // room for twice as many so the radix sort allocates nothing.
+        let mut marks = Vec::with_capacity(4 * self.cells.len());
+        for (i, cell) in self.cells.iter().enumerate() {
+            marks.push((cell.first, i << 1));
+            marks.push((cell.last + 1, i << 1 | 1));
         }
+        radix::sort_by_key(&mut marks, |&(block, _)| block);
+        let mut per_bin = vec![0u64; self.bins as usize];
+        let (mut live_bins, mut total) = (0u64, 0u64);
+        let mut marks = marks.into_iter().peekable();
+        std::iter::from_fn(move || {
+            while let Some((block, mark)) = marks.next() {
+                let cell = &self.cells[mark >> 1];
+                let delta = if mark & 1 == 0 {
+                    cell.count
+                } else {
+                    cell.count.wrapping_neg()
+                };
+                let count = &mut per_bin[cell.bin as usize];
+                let was_live = *count != 0;
+                *count = count.wrapping_add(delta);
+                live_bins = live_bins + u64::from(!was_live) - u64::from(*count == 0);
+                total = total.wrapping_add(delta);
+                // A live span is still open, so a later mark ends it.
+                match marks.peek() {
+                    Some(&(next, _)) if next > block && live_bins > 0 => {
+                        return Some(BlockSpan {
+                            first: block,
+                            last: next - 1,
+                            live_bins,
+                            total,
+                        })
+                    }
+                    _ => {}
+                }
+            }
+            None
+        })
     }
 
     /// One [`BlockRow`] per accessed block, ascending by block: the rows
     /// of [`BlockHotness::series`] summed over time, without the grid.
-    ///
-    /// Accesses cover runs of neighbouring blocks, so the rows are laid
-    /// out from the union of those runs — far fewer than the cells — and
-    /// each cell then lands in its row by offset; the cells themselves
-    /// are never sorted by block.
     pub fn rows(&self) -> Vec<BlockRow> {
-        let cells = self.resolved();
-        // Maximal runs of neighbouring blocks within a bin, as
-        // `(first, last)`.
-        let mut runs: Vec<(u64, u64)> = Vec::new();
-        let mut bin = 0;
-        for cell in cells.iter() {
-            match runs.last_mut() {
-                Some(run) if cell.bin == bin && cell.block == run.1 + 1 => run.1 = cell.block,
-                _ => runs.push((cell.block, cell.block)),
-            }
-            bin = cell.bin;
-        }
-        // Their union: disjoint extents `(first, last, first's row)`.
-        runs.sort_unstable();
-        let mut extents: Vec<(u64, u64, usize)> = Vec::new();
-        let mut rows: Vec<BlockRow> = Vec::new();
-        for (first, last) in runs {
-            let covered = match extents.last_mut() {
-                Some(extent) if first <= extent.1 + 1 => {
-                    let covered = extent.1 + 1;
-                    extent.1 = extent.1.max(last);
-                    covered
-                }
-                _ => {
-                    extents.push((first, last, rows.len()));
-                    first
-                }
-            };
-            rows.extend((covered..=last).map(|block| BlockRow {
-                block,
-                live_bins: 0,
-                total: 0,
-            }));
-        }
-        let mut at = 0;
-        for cell in cells.iter() {
-            if !(extents[at].0..=extents[at].1).contains(&cell.block) {
-                at = extents.partition_point(|extent| extent.1 < cell.block);
-            }
-            let row = &mut rows[extents[at].2 + (cell.block - extents[at].0) as usize];
-            row.live_bins += 1;
-            row.total += cell.count;
-        }
-        rows
+        self.spans().flat_map(BlockSpan::rows).collect()
     }
 
     /// Finalizes into a dense series for reporting.
     pub fn series(&self) -> HotnessSeries {
-        let blocks: Vec<u64> = self.rows().iter().map(|row| row.block).collect();
-        let mut grid = vec![vec![0u64; self.bins() as usize]; blocks.len()];
-        for cell in self.resolved().iter() {
-            // Audited expect: `blocks` holds the block of every cell
-            // (`rows` is built from the same cells), so every lookup hits
-            // by construction — no input can make it miss.
-            let row = blocks.binary_search(&cell.block).expect("block present");
-            grid[row][cell.bin as usize] = cell.count;
+        let blocks: Vec<u64> = self
+            .spans()
+            .flat_map(|span| span.first..=span.last)
+            .collect();
+        let mut grid = vec![vec![0u64; self.bins as usize]; blocks.len()];
+        for cell in &self.cells {
+            // Audited expect: `blocks` holds every block of every cell
+            // (`spans` is built from the same cells), so every lookup hits
+            // by construction — no input can make it miss. The cell's
+            // blocks are neighbours, so their rows are too.
+            let row = blocks.binary_search(&cell.first).expect("block present");
+            for line in &mut grid[row..=row + (cell.last - cell.first) as usize] {
+                let slot = &mut line[cell.bin as usize];
+                *slot = slot.wrapping_add(cell.count);
+            }
         }
         HotnessSeries { blocks, grid }
+    }
+}
+
+/// Neighbouring blocks `first..=last` accessed in the same bins with the
+/// same totals — [`BlockRow`]s that differ only in the block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockSpan {
+    /// First block index.
+    pub first: u64,
+    /// Last block index (inclusive).
+    pub last: u64,
+    /// Bins in which each block was accessed at all.
+    pub live_bins: u64,
+    /// Total records of each block across all bins.
+    pub total: u64,
+}
+
+impl BlockSpan {
+    /// Number of blocks in the span.
+    pub fn blocks(&self) -> u64 {
+        self.last - self.first + 1
+    }
+
+    /// Fraction of the tracker's `bins` in which each block was accessed
+    /// (see [`BlockRow::liveness`]).
+    pub fn liveness(&self, bins: u64) -> f64 {
+        self.live_bins as f64 / bins as f64
+    }
+
+    /// The span's rows, one per block.
+    pub fn rows(self) -> impl Iterator<Item = BlockRow> {
+        (self.first..=self.last).map(move |block| BlockRow {
+            block,
+            live_bins: self.live_bins,
+            total: self.total,
+        })
     }
 }
 
@@ -539,20 +465,64 @@ mod tests {
     }
 
     #[test]
-    fn a_bin_wider_than_the_run_buffers_a_bounded_amount() {
-        // Three buffers' worth of accesses in one 2^40-event bin: the
-        // marks are resolved early, twice, and the counts stay exact.
+    fn a_bin_wider_than_any_run_stays_exact() {
+        // 12,288 accesses in one 2^40-event bin, over 90 ranges that
+        // recur in a cycle longer than the recent-range table.
         let mut run = BlockHotness::new(1 << 40);
         let mut reference = Reference::new(1 << 40);
-        for i in 0..3 * OPEN_MARKS_MAX as u64 {
+        for i in 0..12_288u64 {
             let base = HEAPS[(i % 2) as usize] + (i * 7 % 90) * BLOCK_SIZE;
             let len = (i % 5) * BLOCK_SIZE + 64;
             run.record(base, len, 100 + i);
             reference.record(base, len, 100 + i);
-            assert!(run.open.len() <= OPEN_MARKS_MAX);
         }
         assert_eq!(run.series(), reference.series());
         assert_eq!(run.series().bins(), 1);
+    }
+
+    #[test]
+    fn a_range_recorded_again_in_its_bin_adds_to_its_cell() {
+        let mut h = BlockHotness::new(1000);
+        for _ in 0..1000 {
+            h.record(HEAPS[0], 3 * BLOCK_SIZE, 30);
+        }
+        assert_eq!(h.cells.len(), 1);
+        // The next bin, and a range with the same first block, are cells
+        // of their own.
+        h.record(HEAPS[0], 3 * BLOCK_SIZE, 30);
+        h.record(HEAPS[0], BLOCK_SIZE, 30);
+        assert_eq!(h.cells.len(), 3);
+        let rows = h.rows();
+        assert_eq!(rows.len(), 3);
+        assert_eq!((rows[0].live_bins, rows[0].total), (2, 10_000 + 10 + 30));
+        assert_eq!((rows[1].live_bins, rows[1].total), (2, 10_000 + 10));
+    }
+
+    #[test]
+    fn a_range_of_2_39_blocks_is_one_cell_through_merge_and_report() {
+        // `len = 1 << 60` spans 2^39 blocks, recorded twice in one bin
+        // around a merge of a shard's smaller ranges.
+        let mut run = BlockHotness::new(4);
+        run.record(0, 1 << 60, 5);
+        let mut shard = BlockHotness::new(4);
+        shard.record(3 * BLOCK_SIZE, 2 * BLOCK_SIZE, 8);
+        shard.record(u64::MAX - 10, 100, 1);
+        run.merge_from(&shard);
+        run.record(0, 1 << 60, 5);
+        assert_eq!(run.cells.len(), 3, "{:?}", run.cells);
+        let spans: Vec<BlockSpan> = run.spans().collect();
+        assert_eq!(
+            spans.iter().map(BlockSpan::blocks).sum::<u64>(),
+            (1 << 39) + 1
+        );
+        let first: Vec<BlockRow> = spans
+            .into_iter()
+            .flat_map(BlockSpan::rows)
+            .take(6)
+            .collect();
+        let totals: Vec<u64> = first.iter().map(|row| row.total).collect();
+        assert_eq!(totals, [2, 2, 2, 6, 6, 2], "1 + 1, plus 8 over two blocks");
+        assert_eq!(first[3].live_bins, 1);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod stats;
 
 pub use coherence::{CoherenceDirectory, RangeDirectory};
 pub use config::UvmConfig;
-pub use hotness::{BlockHotness, BlockRow, HotnessSeries};
+pub use hotness::{BlockHotness, BlockRow, BlockSpan, HotnessSeries};
 pub use manager::UvmManager;
 pub use page::{page_range, PageRange, BLOCK_SIZE, PAGE_SIZE};
 pub use plan::{PrefetchGranularity, PrefetchPlan, Range};

@@ -9,21 +9,24 @@ use pasta::core::{Event, Pasta, PastaSession, UvmSetup};
 use pasta::dl::parallel::{self, Parallelism};
 use pasta::sim::DeviceId;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Counts heap allocations (reallocations included) on their way to the
-/// system allocator. The counter is process-global once a suite installs
-/// one as its `#[global_allocator]`, which is why such a suite keeps its
-/// phases in one `#[test]`.
+/// system allocator, and keeps the largest single request. The counters
+/// are process-global once a suite installs one as its
+/// `#[global_allocator]`, which is why such a suite keeps its phases in
+/// one `#[test]`.
 pub struct CountingAlloc {
     allocs: AtomicU64,
+    largest: AtomicUsize,
 }
 
 impl CountingAlloc {
     pub const fn new() -> Self {
         CountingAlloc {
             allocs: AtomicU64::new(0),
+            largest: AtomicUsize::new(0),
         }
     }
 
@@ -31,11 +34,18 @@ impl CountingAlloc {
     pub fn allocs(&self) -> u64 {
         self.allocs.load(Ordering::Relaxed)
     }
+
+    /// The largest request, in bytes, an allocation or reallocation made
+    /// since the previous call; restarts the high-water at 0.
+    pub fn take_largest(&self) -> usize {
+        self.largest.swap(0, Ordering::Relaxed)
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         self.allocs.fetch_add(1, Ordering::Relaxed);
+        self.largest.fetch_max(layout.size(), Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -45,6 +55,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         self.allocs.fetch_add(1, Ordering::Relaxed);
+        self.largest.fetch_max(new_size, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }

@@ -247,7 +247,10 @@ fn empty_input_is_truncated_not_bad_magic() {
 /// measure ranges — memchar's working set and hotness — clamp its end at
 /// the top of the address space instead of overflowing. Unclamped, a
 /// debug build panicked (the tool was quarantined) and a release build
-/// wrapped the end below the start and aborted asking for 211 TB.
+/// wrapped the end below the start and aborted asking for 211 TB. A range
+/// that stays inside the address space but spans 2^39 blocks
+/// (`len = 1 << 60`) is one hotness cell, not one per block: when hotness
+/// kept a cell per block, the replay aborted on that allocation.
 #[test]
 fn a_range_past_the_address_space_replays_through_the_suite() {
     let access = |launch: u64, base: u64, len: u64| Event::GlobalAccess {
@@ -266,24 +269,34 @@ fn a_range_past_the_address_space_replays_through_the_suite() {
             pattern: AccessPattern::Sequential,
         },
     };
+    let replay_suite = |events: &[Event]| {
+        let trace = Trace::from_shards([(DeviceId(0), events)], None);
+        let mut tools: ToolCollection = standard_suite().into_iter().collect();
+        tools.register(Box::new(MemoryTimelineTool::new()));
+        let report = replay(&trace, &mut tools).expect("a well-formed trace replays");
+        assert_eq!(tools.quarantines().count(), 0, "no tool panicked");
+        let tool = |name: &str| {
+            report
+                .tools
+                .iter()
+                .find(|r| r.tool == name)
+                .cloned()
+                .unwrap_or_else(|| panic!("{name} reports"))
+        };
+        (tool("memory-characteristics"), tool("hotness"))
+    };
     // One hostile event alone, then among 40 ranges of a launch: both
     // sides of memchar's radix cutoff.
     let mut events = vec![access(0, u64::MAX - 10, 100)];
     events.extend((0..40).map(|i| access(1, u64::MAX - 4096 * i, 1 << 20)));
-    let trace = Trace::from_shards([(DeviceId(0), events.as_slice())], None);
-    let mut tools: ToolCollection = standard_suite().into_iter().collect();
-    tools.register(Box::new(MemoryTimelineTool::new()));
-    let report = replay(&trace, &mut tools).expect("a well-formed trace replays");
-    assert_eq!(tools.quarantines().count(), 0, "no tool panicked");
-    let memchar = report
-        .tools
-        .iter()
-        .find(|r| r.tool == "memory-characteristics")
-        .expect("memchar reports");
+    let (memchar, hotness) = replay_suite(&events);
     assert_eq!(memchar.get("kernel_count"), Some(2.0));
     assert_eq!(memchar.get("min_ws_bytes"), Some(10.0));
-    let hotness = report.tools.iter().find(|r| r.tool == "hotness");
-    assert_eq!(hotness.and_then(|r| r.get("blocks")), Some(1.0));
+    assert_eq!(hotness.get("blocks"), Some(1.0));
+
+    let (memchar, hotness) = replay_suite(&[access(0, 0, 1 << 60)]);
+    assert_eq!(memchar.get("min_ws_bytes"), Some((1u64 << 60) as f64));
+    assert_eq!(hotness.get("blocks"), Some((1u64 << 39) as f64));
 }
 
 #[test]
