@@ -2,15 +2,16 @@
 
 use crate::coherence::CoherenceDirectory;
 use crate::config::UvmConfig;
-use crate::page::{page_of_addr, page_range};
+use crate::page::{page_of_addr, page_range, PageRange};
 use crate::pager::{
     deregister_evicted, for_each_segment, ranges_spanning, Pager, SharedEntry, SharedMap,
 };
-use crate::state::DeviceState;
+use crate::state::{DeviceState, PINNED, READ_MOSTLY};
 use crate::stats::UvmStats;
 use accel_sim::{
     AccessKind, AccessOutcome, DeviceId, PeerTransfer, ResidencyAdvice, ResidencyModel,
 };
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -59,8 +60,11 @@ use std::sync::Arc;
 /// stays lock-free.
 #[derive(Debug)]
 pub struct UvmManager {
-    /// Registered managed allocations: base → length.
-    allocs: BTreeMap<u64, u64>,
+    /// Registered managed allocations, (base, length) ascending by base.
+    allocs: Vec<(u64, u64)>,
+    /// Where in `allocs` the last lookup landed: the next mostly lands
+    /// there or one further.
+    last_alloc: Cell<usize>,
     /// Shared-range cache: base → (len, owner, range directory). Read
     /// lock-free on the access path; empty unless sharing is in use.
     shared: SharedMap,
@@ -75,7 +79,8 @@ impl UvmManager {
     /// Creates a manager with no devices registered.
     pub fn new(_config: UvmConfig) -> Self {
         UvmManager {
-            allocs: BTreeMap::new(),
+            allocs: Vec::new(),
+            last_alloc: Cell::new(0),
             shared: BTreeMap::new(),
             directory: Arc::new(CoherenceDirectory::new()),
             pager: Pager::new(Vec::new(), None),
@@ -109,26 +114,6 @@ impl UvmManager {
         let mut st = DeviceState::new(budget, link_bandwidth_gbps, fault_latency_ns);
         st.p2p_bandwidth_gbps = p2p_bandwidth_gbps;
         self.pager.devices.push(st);
-    }
-
-    /// Shrinks or grows a device's managed budget (oversubscription knob).
-    ///
-    /// **Snapshot semantics with forked lanes**: [`UvmManager::fork`]
-    /// copies the device table, budgets included, at fork time. Setting a
-    /// budget on the parent afterwards does *not* reach managers already
-    /// forked — a sweep that tightens `budget_bytes` between load waves
-    /// must do so on the managers that will actually run the next wave
-    /// (in practice: reconfigure before the parallel region opens, so the
-    /// next round of forks inherits the new budget, or build a fresh
-    /// session per budget point the way the oversubscription examples
-    /// do).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the device was never added.
-    #[cfg(test)]
-    pub(crate) fn set_budget(&mut self, device: DeviceId, budget: u64) {
-        self.pager.devices[device.index()].budget = budget;
     }
 
     /// The managed budget currently configured for `device` (bytes).
@@ -179,6 +164,7 @@ impl UvmManager {
             .collect();
         UvmManager {
             allocs: self.allocs.clone(),
+            last_alloc: Cell::new(0),
             // Shared ranges and the coherence directory are the one thing
             // lanes genuinely share: the cached entries clone their Arcs
             // and the directory handle is the rendezvous for ranges a
@@ -199,12 +185,6 @@ impl UvmManager {
         }
     }
 
-    /// The home device this manager was forked for, if any.
-    #[cfg(test)]
-    pub(crate) fn home_device(&self) -> Option<DeviceId> {
-        self.pager.home
-    }
-
     /// Folds a lane manager's accumulated state into this one — the merge
     /// stage of the per-lane UVM shards, invoked at session end in
     /// ascending device-id order (each lane's stream is internally
@@ -215,6 +195,13 @@ impl UvmManager {
     /// private replica of the managed space and are dropped with it.
     pub fn merge(&mut self, other: &UvmManager) {
         self.pager.stats.merge_from(&other.pager.stats);
+        #[cfg(debug_assertions)]
+        {
+            let lane = other.pager.devices.iter();
+            let lane = lane.map(|d| d.resident_bytes() / crate::PAGE_SIZE + d.dropped);
+            self.pager.unseen.0 += other.pager.unseen.0;
+            self.pager.unseen.1 += other.pager.unseen.1 + lane.sum::<u64>();
+        }
         for (&pair, &bytes) in &other.pager.peer_bytes {
             *self.pager.peer_bytes.entry(pair).or_insert(0) += bytes;
         }
@@ -250,6 +237,7 @@ impl UvmManager {
         self.pager
             .peer_log
             .extend(other.pager.peer_log.iter().copied());
+        self.pager.check_conservation();
     }
 
     /// Aggregate statistics so far.
@@ -261,6 +249,13 @@ impl UvmManager {
     /// log (budgets and residency stay).
     pub fn reset_stats(&mut self) {
         self.pager.stats = UvmStats::default();
+        #[cfg(debug_assertions)]
+        {
+            // What stays resident counts as having come in unseen.
+            let held = self.pager.devices.iter();
+            let held = held.map(|d| d.resident_bytes() / crate::PAGE_SIZE + d.dropped);
+            self.pager.unseen = (held.sum(), 0);
+        }
         self.pager.peer_bytes.clear();
         self.pager.peer_log.clear();
     }
@@ -281,12 +276,6 @@ impl UvmManager {
         &self.directory
     }
 
-    /// The owner of the shared range containing `addr`, if any.
-    #[cfg(test)]
-    pub(crate) fn shared_owner(&self, addr: u64) -> Option<DeviceId> {
-        crate::pager::range_containing(&self.shared, addr).map(|(_, e)| e.owner)
-    }
-
     /// True when `addr`'s page is resident on `device` (tests and the
     /// conformance suites; private *and* shared pages).
     pub fn page_resident(&self, device: DeviceId, addr: u64) -> bool {
@@ -304,12 +293,23 @@ impl UvmManager {
             .map_or(0, DeviceState::resident_bytes)
     }
 
+    /// The registered allocation containing `addr`, as (base, length).
+    fn alloc_containing(&self, addr: u64) -> Option<(u64, u64)> {
+        // The one with the greatest base at or below `addr`.
+        let at = |i: usize| {
+            self.allocs.get(i).is_some_and(|a| a.0 <= addr)
+                && self.allocs.get(i + 1).is_none_or(|a| addr < a.0)
+        };
+        let i = (0..2).map(|d| self.last_alloc.get() + d).find(|&i| at(i));
+        let i = i.or_else(|| self.allocs.partition_point(|a| a.0 <= addr).checked_sub(1))?;
+        self.last_alloc.set(i);
+        let (base, len) = self.allocs[i];
+        (addr < base + len).then_some((base, len))
+    }
+
     /// Clamps `[base, len)` to the registered allocation containing `base`.
     fn clamp_to_alloc(&self, base: u64, len: u64) -> Option<(u64, u64)> {
-        let (&abase, &alen) = self.allocs.range(..=base).next_back()?;
-        if base >= abase + alen {
-            return None;
-        }
+        let (abase, alen) = self.alloc_containing(base)?;
         let end = (base + len).min(abase + alen);
         Some((base, end - base))
     }
@@ -317,10 +317,7 @@ impl UvmManager {
 
 impl ResidencyModel for UvmManager {
     fn is_managed(&self, addr: u64) -> bool {
-        self.allocs
-            .range(..=addr)
-            .next_back()
-            .is_some_and(|(&base, &len)| addr < base + len)
+        self.alloc_containing(addr).is_some()
     }
 
     fn on_kernel_access(
@@ -353,23 +350,27 @@ impl ResidencyModel for UvmManager {
                 Some(e) => pager.shared_access(shared, device, e, base, len, kind),
             });
         });
+        pager.check_conservation();
         out
     }
 
     fn register(&mut self, base: u64, len: u64) {
         if len > 0 {
-            self.allocs.insert(base, len);
+            match self.allocs.binary_search_by_key(&base, |a| a.0) {
+                Ok(i) => self.allocs[i].1 = len,
+                Err(i) => self.allocs.insert(i, (base, len)),
+            }
         }
     }
 
     fn unregister(&mut self, base: u64) {
-        if let Some(len) = self.allocs.remove(&base) {
+        if let Ok(i) = self.allocs.binary_search_by_key(&base, |a| a.0) {
+            let (_, len) = self.allocs.remove(i);
             let range = page_range(base, len);
             for st in &mut self.pager.devices {
-                for p in range.iter() {
-                    st.remove(p);
-                }
+                st.remove_range(range, None);
             }
+            self.pager.check_conservation();
             // Shared subranges die with the allocation that held them —
             // force-removed from the directory regardless of registrant
             // count, because the backing address range is gone and may
@@ -402,10 +403,8 @@ impl ResidencyModel for UvmManager {
         // served-stale data the directory never knew about.
         let range = page_range(dir.base(), dir.len());
         for (i, st) in self.pager.devices.iter().enumerate() {
-            let resident: Vec<u64> = range.iter().filter(|&p| st.is_resident(p)).collect();
-            if !resident.is_empty() {
-                dir.add_holders(resident, DeviceId(i as u32));
-            }
+            let held = st.resident_in(range).flat_map(PageRange::iter);
+            dir.add_holders(held, DeviceId(i as u32));
         }
         self.shared.insert(
             dir.base(),
@@ -457,6 +456,7 @@ impl ResidencyModel for UvmManager {
                 }
             };
         });
+        pager.check_conservation();
         stall
     }
 
@@ -469,59 +469,46 @@ impl ResidencyModel for UvmManager {
         };
         let UvmManager { shared, pager, .. } = self;
         let range = page_range(base, len);
+        let st = &mut pager.devices[device.index()];
         match advice {
             ResidencyAdvice::PinOnDevice => {
                 // A forked lane's invalidated copies stay resident until
                 // it drains its pending list; pinning one as it is would
                 // list a stale copy as a valid duplicate.
-                let st = &mut pager.devices[device.index()];
                 for e in ranges_spanning(shared, range) {
                     for p in e.dir.drain_pending(device) {
                         st.remove(p);
                     }
                 }
                 // Pinning implies making the range resident first.
-                let _ = pager.fault_in(shared, device, base, len);
-                let st = &mut pager.devices[device.index()];
-                for p in range.iter() {
-                    st.set_pinned(p, true);
+                let (_pages, _evict, _) = pager.fault_in(shared, device, base, len);
+                #[cfg(debug_assertions)]
+                {
+                    pager.unseen.0 += _pages;
+                    pager.unseen.1 += _evict.pages;
                 }
+                let st = &mut pager.devices[device.index()];
+                st.set_advice(range, PINNED, PINNED, None);
                 // Pinned shared pages are duplicates like any other: the
                 // directory must list them or a write cannot see them
                 // (a range larger than the budget evicted its own head;
                 // those pages are not held).
                 for e in ranges_spanning(shared, range) {
                     e.dir
-                        .add_holders(range.iter().filter(|&p| st.is_resident(p)), device);
+                        .add_holders(st.resident_in(range).flat_map(PageRange::iter), device);
                 }
             }
             ResidencyAdvice::PreferHost => {
-                let st = &mut pager.devices[device.index()];
-                let dropped: Vec<u64> = range
-                    .iter()
-                    .filter(|&p| {
-                        st.set_pinned(p, false);
-                        st.remove(p)
-                    })
-                    .collect();
+                st.remove_range(range, Some(&mut pager.victims));
                 // Dropped shared duplicates leave the holder set, so the
                 // directory census keeps matching actual residency.
-                deregister_evicted(shared, device, &dropped);
+                deregister_evicted(shared, device, &pager.victims, &mut pager.missing);
+                pager.victims.clear();
             }
-            ResidencyAdvice::ReadMostly => {
-                let st = &mut pager.devices[device.index()];
-                for p in range.iter() {
-                    st.set_read_mostly(p, true);
-                }
-            }
-            ResidencyAdvice::Unset => {
-                let st = &mut pager.devices[device.index()];
-                for p in range.iter() {
-                    st.set_pinned(p, false);
-                    st.set_read_mostly(p, false);
-                }
-            }
+            ResidencyAdvice::ReadMostly => st.set_advice(range, READ_MOSTLY, READ_MOSTLY, None),
+            ResidencyAdvice::Unset => st.set_advice(range, PINNED | READ_MOSTLY, 0, None),
         }
+        pager.check_conservation();
     }
 }
 
@@ -529,6 +516,30 @@ impl ResidencyModel for UvmManager {
 mod tests {
     use super::*;
     use crate::page::PAGE_SIZE;
+
+    impl UvmManager {
+        /// Shrinks or grows a device's managed budget (oversubscription
+        /// knob). **Snapshot semantics with forked lanes**:
+        /// [`UvmManager::fork`] copies the device table, budgets included,
+        /// at fork time, so setting a budget on the parent afterwards does
+        /// *not* reach managers already forked — a sweep that tightens
+        /// budgets between load waves must reconfigure before the parallel
+        /// region opens, or build a fresh session per budget point the way
+        /// the oversubscription examples do.
+        fn set_budget(&mut self, device: DeviceId, budget: u64) {
+            self.pager.devices[device.index()].budget = budget;
+        }
+
+        /// The home device this manager was forked for, if any.
+        fn home_device(&self) -> Option<DeviceId> {
+            self.pager.home
+        }
+
+        /// The owner of the shared range containing `addr`, if any.
+        fn shared_owner(&self, addr: u64) -> Option<DeviceId> {
+            crate::pager::range_containing(&self.shared, addr).map(|(_, e)| e.owner)
+        }
+    }
 
     const BASE: u64 = 0x4000_0000_0000;
     const MB: u64 = 1 << 20;
@@ -577,6 +588,30 @@ mod tests {
             32 * MB,
             "a fork's set_budget must not reach the parent"
         );
+    }
+
+    #[test]
+    fn alloc_lookups_agree_with_a_search_wherever_the_hint_sits() {
+        let mut m = manager(64);
+        let allocs =
+            [(0, MB), (2, MB), (3, 2 * MB), (8, MB)].map(|(at, len)| (BASE + at * MB, len));
+        for (base, len) in allocs {
+            m.register(base, len);
+        }
+        let want = |addr: u64| allocs.into_iter().find(|&(b, l)| b <= addr && addr < b + l);
+        // Probe pairs in every order, so the hint sits before, on, just
+        // behind and far from each answer, and on gaps between them.
+        let probes: Vec<u64> = (0..24)
+            .map(|i| BASE + i * MB / 2)
+            .chain([0, BASE - 1])
+            .collect();
+        for &a in &probes {
+            for &b in &probes {
+                for addr in [a, b] {
+                    assert_eq!(m.alloc_containing(addr), want(addr), "{addr:#x}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -735,6 +770,11 @@ mod tests {
         m.on_kernel_access(DeviceId(0), BASE, 2 * MB, 2 * MB, AccessKind::Load);
         m.reset_stats();
         assert_eq!(m.stats(), UvmStats::default());
+        // The residency outlives the counters, and the debug builds'
+        // conservation check keeps holding across the reset.
+        m.on_kernel_access(DeviceId(0), BASE, 4 * MB, 4 * MB, AccessKind::Load);
+        assert_eq!(m.stats().demand_pages_in, 2 * MB / PAGE_SIZE);
+        m.unregister(BASE);
     }
 
     #[test]

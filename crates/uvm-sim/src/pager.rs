@@ -9,7 +9,7 @@
 
 use crate::coherence::RangeDirectory;
 use crate::page::{page_range, PageRange, PAGE_SIZE};
-use crate::state::{DeviceState, EvictResult};
+use crate::state::{DeviceState, EvictResult, READ_MOSTLY};
 use crate::stats::UvmStats;
 use accel_sim::{AccessKind, AccessOutcome, DeviceId, PeerTransfer};
 use std::collections::BTreeMap;
@@ -93,31 +93,36 @@ pub(crate) fn ranges_spanning(
         .take_while(move |e| e.dir.pages().end > pages.first)
 }
 
-/// Deregisters evicted (or dropped) pages from the directories of the
-/// shared ranges spanning them, so no directory lists a holder whose
-/// copy is gone — one range-lock acquisition per range that lost pages,
-/// however many, and none when no shared range spans a victim.
-pub(crate) fn deregister_evicted(shared: &SharedMap, device: DeviceId, victims: &[u64]) {
-    let (Some(&lo), Some(&hi)) = (victims.iter().min(), victims.iter().max()) else {
+/// Deregisters evicted (or dropped) pages, given as runs, from the
+/// directories of the shared ranges spanning them, so no directory lists
+/// a holder whose copy is gone — one range-lock acquisition per range
+/// that lost pages, however many, and none when no shared range spans a
+/// victim. `pages` is scratch, left empty.
+pub(crate) fn deregister_evicted(
+    shared: &SharedMap,
+    device: DeviceId,
+    victims: &[PageRange],
+    pages: &mut Vec<u64>,
+) {
+    let Some(first) = victims.iter().map(|r| r.first).min() else {
         return;
     };
-    let span = PageRange {
-        first: lo,
-        end: hi + 1,
-    };
-    for e in ranges_spanning(shared, span) {
-        if victims.iter().any(|&p| e.dir.pages().contains(p)) {
-            e.dir.remove_holders(victims, device);
+    let end = victims.iter().map(|r| r.end).max().unwrap_or(0);
+    for e in ranges_spanning(shared, PageRange { first, end }) {
+        let span = e.dir.pages();
+        pages.extend(
+            victims
+                .iter()
+                .flat_map(|r| r.first.max(span.first)..r.end.min(span.end)),
+        );
+        if !pages.is_empty() {
+            e.dir.remove_holders(pages, device);
+            pages.clear();
         }
     }
     debug_assert!(
-        victims.iter().all(|&p| {
-            let page = PageRange {
-                first: p,
-                end: p + 1,
-            };
-            ranges_spanning(shared, page).all(|e| !e.dir.is_holder(p, device))
-        }),
+        victims.iter().all(|&run| ranges_spanning(shared, run)
+            .all(|e| run.iter().all(|p| !e.dir.is_holder(p, device)))),
         "a page {device:?} no longer holds is still in a holder set"
     );
 }
@@ -138,10 +143,14 @@ pub(crate) struct Pager {
     /// The device a forked lane manager serves (`None` for the session's
     /// shared manager).
     pub(crate) home: Option<DeviceId>,
-    /// Scratch for one access's missing pages and eviction victims;
-    /// empty between accesses, capacity kept.
-    missing: Vec<u64>,
-    victims: Vec<u64>,
+    /// Scratch for one access's missing pages and its eviction victims
+    /// (as runs); empty between calls, capacity kept.
+    pub(crate) missing: Vec<u64>,
+    pub(crate) victims: Vec<PageRange>,
+    /// Debug builds: pages in and out that no counter saw (a pin's fault,
+    /// a merged lane), beside each device's `dropped`.
+    #[cfg(debug_assertions)]
+    pub(crate) unseen: (u64, u64),
 }
 
 // The migration cost model, calibrated against public UVM measurements
@@ -200,6 +209,22 @@ impl Pager {
             home,
             missing: Vec::new(),
             victims: Vec::new(),
+            #[cfg(debug_assertions)]
+            unseen: (0, 0),
+        }
+    }
+
+    /// Debug builds: every page in is resident, evicted or dropped.
+    pub(crate) fn check_conservation(&self) {
+        #[cfg(debug_assertions)]
+        {
+            let (s, (came, went)) = (&self.stats, self.unseen);
+            let held = |d: &DeviceState| d.resident_bytes() / PAGE_SIZE + d.dropped;
+            debug_assert_eq!(
+                s.demand_pages_in + s.prefetch_pages_in + s.peer_pages_in + came,
+                self.devices.iter().map(held).sum::<u64>() + s.pages_evicted + went,
+                "pages in = resident + evicted + dropped"
+            );
         }
     }
 
@@ -209,30 +234,6 @@ impl Pager {
 
     fn peer_migration_ns(&self, st: &DeviceState, bytes: u64, efficiency: f64) -> u64 {
         (bytes as f64 / (st.p2p_bandwidth_gbps * efficiency)) as u64
-    }
-
-    /// Faults `missing` onto `st` one page at a time, evicting as the
-    /// budget demands, so that a range larger than the budget evicts its
-    /// own earliest pages — the intra-kernel thrashing that makes
-    /// oversubscribed object-level prefetching pathological in the
-    /// paper's Fig. 12. `clean` marks the new pages read-mostly.
-    fn page_in(
-        st: &mut DeviceState,
-        missing: &[u64],
-        clean: bool,
-        mut victims: Option<&mut Vec<u64>>,
-    ) -> EvictResult {
-        let mut evict = EvictResult::default();
-        for &p in missing {
-            let e = st.make_room_logged(PAGE_SIZE, victims.as_deref_mut());
-            evict.pages += e.pages;
-            evict.writeback_bytes += e.writeback_bytes;
-            st.insert(p);
-            if clean {
-                st.set_read_mostly(p, true);
-            }
-        }
-        evict
     }
 
     /// Migrates the missing pages of `[base, len)` onto `device`.
@@ -254,18 +255,18 @@ impl Pager {
         } = self;
         let st = &mut devices[device.index()];
         // Refresh the already-resident pages first (in page order), then
-        // fault the rest in.
-        missing.extend(range.iter().filter(|&p| !st.touch(p)));
+        // fault the rest in (`DeviceState::page_in` says how).
+        st.touch_range(range, missing);
         // Private evictions can evict *shared* duplicates (one budget per
         // device); track victim identities for directory hygiene — but
         // only when sharing is in use, so the private-only hot path stays
         // lock-free.
         let track_victims = (!shared.is_empty()).then_some(&mut *victims);
-        let evict = Self::page_in(st, missing, false, track_victims);
-        deregister_evicted(shared, device, victims);
+        let evict = st.page_in(missing, 0, track_victims);
         let pages = missing.len() as u64;
         let groups = pages.div_ceil(FAULT_GROUP_PAGES);
         missing.clear();
+        deregister_evicted(shared, device, victims, missing);
         victims.clear();
         (pages, evict, groups)
     }
@@ -377,7 +378,7 @@ impl Pager {
         //    or sees the claim and queues a pending entry this lane
         //    drains on its next visit. A page drained as stale counts as
         //    missing even while locally present: it must refetch.
-        missing.extend(range.iter().filter(|&p| !st.touch(p)));
+        st.touch_range(range, missing);
         for p in dir.claim_read(device, range, missing) {
             st.remove(p);
         }
@@ -388,13 +389,14 @@ impl Pager {
         //    static (owner vs. not), so under read-only sharing a lane's
         //    counters depend only on its own stream — the determinism
         //    contract (writes make invalidation effects cross-lane).
-        let evict = Self::page_in(st, missing, !is_owner, Some(&mut *victims));
+        let clean = if is_owner { 0 } else { READ_MOSTLY };
+        let evict = st.page_in(missing, clean, Some(&mut *victims));
         // Holder claims were registered up front; an access larger than
         // the budget evicts its own earliest pages mid-loop, and those
         // must end up out of the holder set again.
-        deregister_evicted(shared, device, victims);
         let pages = missing.len() as u64;
         missing.clear();
+        deregister_evicted(shared, device, victims, missing);
         victims.clear();
 
         let groups = pages.div_ceil(FAULT_GROUP_PAGES);
@@ -445,25 +447,26 @@ impl Pager {
         //    later re-duplication faults).
         if kind != AccessKind::Load {
             let mut victim_pages: BTreeMap<DeviceId, u64> = BTreeMap::new();
-            for &(v, p) in &dir.write_range(range.iter(), device) {
-                *victim_pages.entry(v).or_insert(0) += 1;
+            let invalidated = dir.write_range(range.iter(), device);
+            // One victim's consecutive pages come as one run of pairs.
+            for w in invalidated.chunk_by(|a, b| a.0 == b.0 && a.1 + 1 == b.1) {
+                let (v, first) = w[0];
+                *victim_pages.entry(v).or_insert(0) += w.len() as u64;
                 if self.home.is_none() {
-                    // Unforked manager: every device state is local, so
-                    // the stale duplicate drops eagerly.
-                    self.devices[v.index()].remove(p);
+                    // Unforked: every state is local, stale copies drop now.
+                    let end = first + w.len() as u64;
+                    self.devices[v.index()].remove_range(PageRange { first, end }, None);
                 }
             }
             // `write_range` claims every written page for the writer;
             // where the writer's own copy was evicted mid-access (range
             // larger than the budget), the claim must not outlive it.
             // Everything still resident is now dirty.
-            let st = &mut self.devices[device.index()];
-            let unclaim: Vec<u64> = range
-                .iter()
-                .filter(|&p| !st.set_read_mostly(p, false))
-                .collect();
+            let unclaim = &mut self.missing;
+            self.devices[device.index()].set_advice(range, READ_MOSTLY, 0, Some(unclaim));
             if !unclaim.is_empty() {
-                dir.remove_holders(&unclaim, device);
+                dir.remove_holders(unclaim, device);
+                unclaim.clear();
             }
             if self.home.is_none() {
                 for &v in victim_pages.keys() {

@@ -1,49 +1,112 @@
-//! Per-device residency state with LRU eviction.
+//! Per-device residency state with LRU eviction, kept as runs of pages.
+//!
+//! Accesses touch ranges in page order, so the LRU list links **runs**:
+//! pages consecutive in address and recency, with the same advice. A
+//! touch cuts the runs a range covers at its ends and splices each to the
+//! tail whole, joining its address predecessor there; eviction shrinks
+//! the oldest unpinned run from its front. Each operation leaves the
+//! order, flags and victims a page-by-page one would (the tests' stamped
+//! reference checks it). The **index** maps a page to its run without
+//! hashing: a table of run slots per live 512-page (32 MiB) chunk, found
+//! among the live chunks' numbers. Its memory follows the resident pages,
+//! not the managed window, and emptied tables are reused.
 
-use crate::page::PAGE_SIZE;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use crate::page::{PageRange, PAGE_SIZE};
 
-/// Multiplicative hasher for page indices — the FxHash fold
-/// `accel_sim::symbol` places names with. Page indices come from the
-/// simulator's own allocator, never from outside the program, so the
-/// default hasher's collision resistance buys nothing here.
-#[derive(Debug, Default, Clone, Copy)]
-struct PageHasher(u64);
-
-impl Hasher for PageHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        const K: u64 = 0x9e37_79b9_7f4a_7c15;
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(K);
-    }
-}
-
-/// "No slot": the list's end marker and the empty list's head/tail.
+/// "No slot": the list's end, an empty list's head/tail, a missing page.
 const NIL: u32 = u32::MAX;
 
-/// One resident page, threaded on the LRU list.
+/// Pages per index chunk: one table is 2 KiB and covers 32 MiB.
+const CHUNK_PAGES: u64 = 512;
+
+/// Advice flag: pinned pages are never evicted (`cudaMemAdvise` preferred location).
+pub(crate) const PINNED: u8 = 1;
+/// Advice flag: read-mostly pages evict without write-back.
+pub(crate) const READ_MOSTLY: u8 = 2;
+
+/// Resident pages consecutive in address and in LRU order, one advice.
 #[derive(Debug, Clone, Copy)]
-struct Slot {
-    page: u64,
+struct Run {
+    pages: PageRange,
     /// Neighbour towards the head (older); `NIL` at the head.
     prev: u32,
     /// Neighbour towards the tail (younger); `NIL` at the tail. A free
     /// slot keeps the next free slot here.
     next: u32,
-    /// Pinned pages are never evicted (`cudaMemAdvise` preferred-location).
-    pinned: bool,
-    /// Read-mostly pages evict without write-back.
-    read_mostly: bool,
+    /// `PINNED` and `READ_MOSTLY` bits.
+    advice: u8,
+}
+
+/// One chunk's run slots, `NIL` where a page is not resident.
+type Table = Box<[u32; CHUNK_PAGES as usize]>;
+
+/// Page → run slot (see the module doc).
+#[derive(Debug, Default)]
+struct PageIndex {
+    /// (chunk number, resident pages, table) per live chunk, ascending.
+    live: Vec<(u64, u32, Table)>,
+    /// Tables no live chunk uses (every slot `NIL`).
+    spare: Vec<Table>,
+    /// Where in `live` the last lookup landed; the next mostly lands there.
+    last: std::cell::Cell<usize>,
+}
+
+impl PageIndex {
+    /// Where `chunk` is in `live`, or where it would go.
+    fn find(&self, chunk: u64) -> Result<usize, usize> {
+        let k = self.last.get();
+        if self.live.get(k).is_some_and(|e| e.0 == chunk) {
+            return Ok(k);
+        }
+        let found = self.live.binary_search_by_key(&chunk, |e| e.0);
+        self.last.set(found.unwrap_or(k));
+        found
+    }
+
+    /// The run slot of the first resident page in `[page, end)`.
+    fn first_in(&self, mut page: u64, end: u64) -> Option<u32> {
+        while page < end {
+            let (chunk, base) = (page / CHUNK_PAGES, page / CHUNK_PAGES * CHUNK_PAGES);
+            match self.find(chunk) {
+                Ok(k) => {
+                    let hi = (end - base).min(CHUNK_PAGES) as usize;
+                    let slots = &self.live[k].2[(page - base) as usize..hi];
+                    if let Some(&slot) = slots.iter().find(|&&s| s != NIL) {
+                        return Some(slot);
+                    }
+                    page = base + CHUNK_PAGES;
+                }
+                Err(k) => page = self.live.get(k)?.0 * CHUNK_PAGES,
+            }
+        }
+        None
+    }
+
+    /// Points every page of `pages` at `slot`, moving each chunk's count
+    /// by `delta` per page: +1 arriving, −1 leaving (`slot` = `NIL`), 0
+    /// relabelling.
+    fn write(&mut self, pages: PageRange, slot: u32, delta: i32) {
+        let mut page = pages.first;
+        while page < pages.end {
+            let chunk = page / CHUNK_PAGES;
+            let base = chunk * CHUNK_PAGES;
+            let hi = pages.end.min(base + CHUNK_PAGES);
+            let k = self.find(chunk);
+            let k = k.unwrap_or_else(|k| {
+                let table = self.spare.pop();
+                let table = table.unwrap_or_else(|| Box::new([NIL; CHUNK_PAGES as usize]));
+                self.live.insert(k, (chunk, 0, table));
+                k
+            });
+            let (_, resident, slots) = &mut self.live[k];
+            slots[(page - base) as usize..(hi - base) as usize].fill(slot);
+            *resident = resident.wrapping_add_signed(delta * (hi - page) as i32);
+            if *resident == 0 {
+                self.spare.push(self.live.remove(k).2);
+            }
+            page = hi;
+        }
+    }
 }
 
 /// Fraction of evicted bytes that are dirty and must be written back
@@ -60,18 +123,11 @@ pub(crate) struct EvictResult {
     pub writeback_bytes: u64,
 }
 
-/// Residency and LRU bookkeeping for one device.
-///
-/// Resident pages live in a slab of slots threaded on an intrusive
-/// doubly-linked list, least recently used at the head; `index` finds a
-/// page's slot. A touch is an unlink and a push at the tail, an eviction
-/// walks from the head past pinned slots — both O(1) per page. List
-/// order *is* recency order: every `insert`/`touch` stamps "now", and
-/// now only moves forward, so no stamp needs storing or comparing.
-///
-/// Invariant: `index` holds exactly the pages of the slots reachable
-/// from `head`, each once (pinned ones included; the pinned flag is
-/// honoured at eviction time).
+/// Residency and LRU bookkeeping for one device: a slab of runs on an
+/// intrusive doubly-linked list, least recently used at the head, whose
+/// order *is* recency order (no stamps). Invariant: the listed runs are
+/// non-empty, disjoint and hold `resident` pages, and `index` maps exactly
+/// those pages, each to its run.
 #[derive(Debug)]
 pub(crate) struct DeviceState {
     /// Memory budget for managed pages, bytes.
@@ -83,24 +139,22 @@ pub(crate) struct DeviceState {
     pub p2p_bandwidth_gbps: f64,
     /// Latency of one fault group, ns.
     pub fault_latency_ns: u64,
-    slots: Vec<Slot>,
-    index: HashMap<u64, u32, BuildHasherDefault<PageHasher>>,
-    /// Least recently used slot.
+    runs: Vec<Run>,
+    index: PageIndex,
+    /// Least recently used run.
     head: u32,
-    /// Most recently used slot.
+    /// Most recently used run.
     tail: u32,
-    /// First free slot of the slab, chained through `Slot::next`.
+    /// First free slot of the slab, chained through `Run::next`.
     free: u32,
+    /// Pages resident.
+    resident: u64,
+    /// Debug builds: pages removed outright, not evicted.
+    #[cfg(debug_assertions)]
+    pub(crate) dropped: u64,
     /// Mutations since the last full list walk (see `check_invariants`).
     #[cfg(debug_assertions)]
-    unwalked: usize,
-}
-
-impl Default for DeviceState {
-    /// No budget, no bandwidth, nothing resident.
-    fn default() -> Self {
-        DeviceState::new(0, 0.0, 0)
-    }
+    unwalked: u64,
 }
 
 impl DeviceState {
@@ -111,11 +165,14 @@ impl DeviceState {
             link_bandwidth_gbps,
             p2p_bandwidth_gbps: link_bandwidth_gbps,
             fault_latency_ns,
-            slots: Vec::new(),
-            index: HashMap::default(),
+            runs: Vec::new(),
+            index: PageIndex::default(),
             head: NIL,
             tail: NIL,
             free: NIL,
+            resident: 0,
+            #[cfg(debug_assertions)]
+            dropped: 0,
             #[cfg(debug_assertions)]
             unwalked: 0,
         }
@@ -123,244 +180,347 @@ impl DeviceState {
 
     /// Bytes of managed pages currently resident.
     pub fn resident_bytes(&self) -> u64 {
-        self.index.len() as u64 * PAGE_SIZE
-    }
-
-    /// Number of resident pages.
-    #[cfg(test)]
-    pub(crate) fn resident_pages(&self) -> usize {
-        self.index.len()
+        self.resident * PAGE_SIZE
     }
 
     /// True when `page` is resident on this device.
     pub(crate) fn is_resident(&self, page: u64) -> bool {
-        self.index.contains_key(&page)
+        self.index.first_in(page, page + 1).is_some()
     }
 
-    /// True when `page` is pinned.
-    #[cfg(test)]
-    pub(crate) fn is_pinned(&self, page: u64) -> bool {
-        self.index
-            .get(&page)
-            .is_some_and(|&i| self.slots[i as usize].pinned)
+    /// The resident stretches of `pages`, ascending.
+    pub(crate) fn resident_in(&self, pages: PageRange) -> impl Iterator<Item = PageRange> + '_ {
+        let mut first = pages.first;
+        std::iter::from_fn(move || {
+            let run = self.runs[self.index.first_in(first, pages.end)? as usize].pages;
+            let (at, end) = (run.first.max(first), run.end.min(pages.end));
+            first = end;
+            Some(PageRange { first: at, end })
+        })
     }
 
-    /// Takes slot `i` out of the list (its own links are left stale).
+    /// Takes run `i` out of the list (its own links are left stale).
     fn unlink(&mut self, i: u32) {
-        let Slot { prev, next, .. } = self.slots[i as usize];
+        let Run { prev, next, .. } = self.runs[i as usize];
         match prev {
             NIL => self.head = next,
-            p => self.slots[p as usize].next = next,
+            p => self.runs[p as usize].next = next,
         }
         match next {
             NIL => self.tail = prev,
-            n => self.slots[n as usize].prev = prev,
+            n => self.runs[n as usize].prev = prev,
         }
     }
 
-    /// Appends slot `i` at the tail — the most recently used end.
-    fn push_back(&mut self, i: u32) {
-        let tail = self.tail;
-        let slot = &mut self.slots[i as usize];
-        slot.prev = tail;
-        slot.next = NIL;
-        match tail {
-            NIL => self.head = i,
-            t => self.slots[t as usize].next = i,
+    /// Links run `i` in behind `prev` (`NIL`: at the head).
+    fn link(&mut self, i: u32, prev: u32) {
+        let next = match prev {
+            NIL => std::mem::replace(&mut self.head, i),
+            p => std::mem::replace(&mut self.runs[p as usize].next, i),
+        };
+        match next {
+            NIL => self.tail = i,
+            n => self.runs[n as usize].prev = i,
         }
-        self.tail = i;
+        (self.runs[i as usize].prev, self.runs[i as usize].next) = (prev, next);
     }
 
-    /// Unlinks slot `i` and returns it to the slab's free chain.
+    /// A new run of `pages` with `advice`, linked behind `prev`, its
+    /// pages indexed.
+    fn alloc(&mut self, pages: PageRange, advice: u8, prev: u32) -> u32 {
+        let run = Run {
+            pages,
+            prev,
+            next: NIL,
+            advice,
+        };
+        let i = match self.free {
+            NIL => {
+                self.runs.push(run);
+                self.runs.len() as u32 - 1
+            }
+            i => {
+                self.free = std::mem::replace(&mut self.runs[i as usize], run).next;
+                i
+            }
+        };
+        self.link(i, prev);
+        self.index.write(pages, i, 0);
+        i
+    }
+
+    /// Unlinks run `i` and returns its slot to the free chain.
     fn release(&mut self, i: u32) {
         self.unlink(i);
-        self.slots[i as usize].next = self.free;
-        self.free = i;
+        self.runs[i as usize].next = std::mem::replace(&mut self.free, i);
     }
 
-    /// Marks `page` resident and most recently used, with no advice set
-    /// (re-inserting a resident page clears its flags).
-    pub fn insert(&mut self, page: u64) {
-        let fresh = Slot {
-            page,
-            prev: NIL,
-            next: NIL,
-            pinned: false,
-            read_mostly: false,
-        };
-        let i = match self.index.get(&page) {
-            Some(&i) => {
-                self.unlink(i);
-                self.slots[i as usize] = fresh;
-                i
-            }
-            None => {
-                let i = match self.free {
-                    NIL => {
-                        let i = u32::try_from(self.slots.len())
-                            .ok()
-                            .filter(|&i| i != NIL)
-                            .expect("fewer than u32::MAX resident pages per device");
-                        self.slots.push(fresh);
-                        i
-                    }
-                    i => {
-                        self.free = self.slots[i as usize].next;
-                        self.slots[i as usize] = fresh;
-                        i
-                    }
-                };
-                self.index.insert(page, i);
-                i
-            }
-        };
-        self.push_back(i);
-        self.check_invariants();
-    }
-
-    /// Makes a resident page the most recently used one. Returns whether
-    /// the page was resident; no-op otherwise.
-    pub fn touch(&mut self, page: u64) -> bool {
-        let Some(&i) = self.index.get(&page) else {
-            return false;
-        };
-        if i != self.tail {
-            self.unlink(i);
-            self.push_back(i);
-        }
-        true
-    }
-
-    /// Pins or unpins a resident page.
-    pub(crate) fn set_pinned(&mut self, page: u64, pinned: bool) {
-        if let Some(&i) = self.index.get(&page) {
-            self.slots[i as usize].pinned = pinned;
+    /// Cuts run `i` at `at`, strictly inside it, into two runs adjacent in
+    /// LRU order, the smaller piece in a new slot. Returns the slots of
+    /// the pieces below and above `at`.
+    fn split(&mut self, i: u32, at: u64) -> (u32, u32) {
+        let Run { pages, advice, .. } = self.runs[i as usize];
+        let (below, above) = (
+            PageRange { end: at, ..pages },
+            PageRange { first: at, ..pages },
+        );
+        if below.count() < above.count() {
+            self.runs[i as usize].pages = above;
+            (self.alloc(below, advice, self.runs[i as usize].prev), i)
+        } else {
+            self.runs[i as usize].pages = below;
+            (i, self.alloc(above, advice, i))
         }
     }
 
-    /// Marks a resident page read-mostly (no write-back on eviction).
-    /// Returns whether the page was resident.
-    pub(crate) fn set_read_mostly(&mut self, page: u64, read_mostly: bool) -> bool {
-        let Some(&i) = self.index.get(&page) else {
-            return false;
+    /// Joins run `b` to its LRU predecessor `a` when `a` ends where `b`
+    /// starts with the same advice, keeping the larger one's slot.
+    /// Returns the slot now holding `b`'s pages.
+    fn join(&mut self, a: u32, b: u32) -> u32 {
+        let (Some(&ra), Some(&rb)) = (self.runs.get(a as usize), self.runs.get(b as usize)) else {
+            return b;
         };
-        self.slots[i as usize].read_mostly = read_mostly;
-        true
+        if ra.pages.end != rb.pages.first || ra.advice != rb.advice {
+            return b;
+        }
+        let (keep, gone) = match ra.pages.count() >= rb.pages.count() {
+            true => (a, b),
+            false => (b, a),
+        };
+        self.release(gone);
+        self.index.write(self.runs[gone as usize].pages, keep, 0);
+        self.runs[keep as usize].pages = PageRange {
+            end: rb.pages.end,
+            ..ra.pages
+        };
+        keep
     }
 
-    /// Drops a page outright (allocation freed), without write-back.
-    /// Returns whether the page was resident.
-    pub fn remove(&mut self, page: u64) -> bool {
-        let Some(i) = self.index.remove(&page) else {
-            return false;
-        };
-        self.release(i);
+    /// Hands `f` each resident stretch of `pages`, in order, cut into a run
+    /// of its own; appends the pages between to `missing` when given.
+    fn each_run(
+        &mut self,
+        pages: PageRange,
+        mut missing: Option<&mut Vec<u64>>,
+        mut f: impl FnMut(&mut Self, u32),
+    ) {
+        let mut page = pages.first;
+        while let Some(mut i) = self.index.first_in(page, pages.end) {
+            if self.runs[i as usize].pages.first < page {
+                i = self.split(i, page).1;
+            }
+            if self.runs[i as usize].pages.end > pages.end {
+                i = self.split(i, pages.end).0;
+            }
+            let run = self.runs[i as usize].pages;
+            if let Some(log) = missing.as_deref_mut() {
+                log.extend(page..run.first);
+            }
+            page = run.end;
+            f(self, i);
+        }
+        if let Some(log) = missing {
+            log.extend(page..pages.end);
+        }
         self.check_invariants();
-        true
     }
 
-    /// Evicts least-recently-used unpinned pages until `need_bytes` fit in
-    /// the budget. Returns how many pages went and how many bytes need
-    /// write-back (`WRITEBACK_FRACTION` of each page not marked
-    /// read-mostly).
-    #[cfg(test)]
-    pub(crate) fn make_room(&mut self, need_bytes: u64) -> EvictResult {
-        self.make_room_logged(need_bytes, None)
+    /// Touches each page of `pages` in turn, one splice per run: the
+    /// resident ones become the most recent, the others go to `missing`.
+    pub(crate) fn touch_range(&mut self, pages: PageRange, missing: &mut Vec<u64>) {
+        self.each_run(pages, Some(missing), |st, i| {
+            if i != st.tail {
+                st.unlink(i);
+                st.link(i, st.tail);
+            }
+            st.join(st.runs[i as usize].prev, i);
+        });
     }
 
-    /// Like [`DeviceState::make_room`], additionally appending each
-    /// evicted page index to `victims` when given. The shared-range
-    /// coherence path needs the identities to deregister evicted
-    /// duplicates from the directory; the private path passes `None` and
-    /// pays nothing.
-    pub(crate) fn make_room_logged(
+    /// Sets the `mask` bits of the advice of the resident pages of `pages`
+    /// to `bits`, and appends the pages that are not resident to
+    /// `missing` when given.
+    pub(crate) fn set_advice(
+        &mut self,
+        pages: PageRange,
+        mask: u8,
+        bits: u8,
+        missing: Option<&mut Vec<u64>>,
+    ) {
+        self.each_run(pages, missing, |st, i| {
+            let run = &mut st.runs[i as usize];
+            run.advice = run.advice & !mask | bits;
+            let prev = run.prev;
+            let i = st.join(prev, i);
+            st.join(i, st.runs[i as usize].next);
+        });
+    }
+
+    /// Drops the resident pages of `pages` outright (allocation freed),
+    /// without write-back, logging them as runs to `removed` when given.
+    /// Returns how many went.
+    pub(crate) fn remove_range(
+        &mut self,
+        pages: PageRange,
+        mut removed: Option<&mut Vec<PageRange>>,
+    ) -> u64 {
+        let mut count = 0;
+        self.each_run(pages, None, |st, i| {
+            let gone = st.runs[i as usize].pages;
+            st.index.write(gone, NIL, -1);
+            st.release(i);
+            st.resident -= gone.count();
+            #[cfg(debug_assertions)]
+            {
+                st.dropped += gone.count();
+            }
+            count += gone.count();
+            if let Some(log) = removed.as_deref_mut() {
+                log.push(gone);
+            }
+        });
+        count
+    }
+
+    /// Drops one page outright. Returns whether it was resident.
+    pub(crate) fn remove(&mut self, page: u64) -> bool {
+        let end = page + 1;
+        self.remove_range(PageRange { first: page, end }, None) > 0
+    }
+
+    /// Appends `pages`, none of them resident, at the tail in page order,
+    /// with `advice`.
+    fn append(&mut self, pages: PageRange, advice: u8) {
+        debug_assert!(self.index.first_in(pages.first, pages.end).is_none());
+        let tail = self.tail;
+        let slot = match self.runs.get(tail as usize) {
+            Some(t) if t.pages.end == pages.first && t.advice == advice => tail,
+            _ => self.alloc(
+                PageRange {
+                    end: pages.first,
+                    ..pages
+                },
+                advice,
+                tail,
+            ),
+        };
+        self.runs[slot as usize].pages.end = pages.end;
+        self.index.write(pages, slot, 1);
+        self.resident += pages.count();
+    }
+
+    /// Evicts least-recently-used unpinned pages until `need_bytes` fit,
+    /// adding them to `evicted` (write-back: `WRITEBACK_FRACTION` of each
+    /// page not read-mostly) and, as runs in eviction order, to `victims`.
+    fn make_room(
         &mut self,
         need_bytes: u64,
-        mut victims: Option<&mut Vec<u64>>,
-    ) -> EvictResult {
-        let mut result = EvictResult::default();
+        mut victims: Option<&mut Vec<PageRange>>,
+        evicted: &mut EvictResult,
+    ) {
         // When the kernel's own working set exceeds the budget
         // (`need_bytes > self.budget`) this evicts everything evictable
         // and intra-kernel thrashing follows.
         let mut cursor = self.head;
         while self.resident_bytes() + need_bytes > self.budget {
-            // Oldest unpinned page: pinned slots stay where they are, so
+            // Oldest unpinned run: pinned runs stay where they are, so
             // the walk resumes behind them rather than at the head.
-            while cursor != NIL && self.slots[cursor as usize].pinned {
-                cursor = self.slots[cursor as usize].next;
+            while cursor != NIL && self.runs[cursor as usize].advice & PINNED != 0 {
+                cursor = self.runs[cursor as usize].next;
             }
             if cursor == NIL {
                 break; // everything left is pinned
             }
-            let victim = self.slots[cursor as usize];
-            self.index.remove(&victim.page);
-            self.release(cursor);
-            cursor = victim.next;
-            result.pages += 1;
-            if !victim.read_mostly {
-                result.writeback_bytes += (PAGE_SIZE as f64 * WRITEBACK_FRACTION) as u64;
+            let run = self.runs[cursor as usize];
+            let over = (self.resident_bytes() + need_bytes - self.budget).div_ceil(PAGE_SIZE);
+            let end = run.pages.end.min(run.pages.first + over);
+            let gone = PageRange { end, ..run.pages };
+            self.index.write(gone, NIL, -1);
+            self.resident -= gone.count();
+            if end == run.pages.end {
+                self.release(cursor);
+                cursor = run.next;
+            } else {
+                self.runs[cursor as usize].pages.first = end;
+            }
+            evicted.pages += gone.count();
+            if run.advice & READ_MOSTLY == 0 {
+                evicted.writeback_bytes +=
+                    gone.count() * (PAGE_SIZE as f64 * WRITEBACK_FRACTION) as u64;
             }
             if let Some(log) = victims.as_deref_mut() {
-                log.push(victim.page);
+                log.push(gone);
             }
         }
-        debug_assert!(
-            self.resident_bytes() <= self.budget || self.iter().all(|s| s.pinned),
-            "an unpinned page survived an eviction pass that left the budget exceeded"
-        );
-        self.check_invariants();
-        result
     }
 
-    /// The resident slots, least recently used first.
-    fn iter(&self) -> impl Iterator<Item = &Slot> {
-        let mut at = self.head;
-        std::iter::from_fn(move || {
-            let slot = self.slots.get(at as usize)?;
-            at = slot.next;
-            Some(slot)
-        })
+    /// Faults `missing` (ascending, none resident) in with `advice` as if
+    /// one page at a time, each making room before it lands: a range over
+    /// budget evicts its own head (the thrashing behind the paper's Fig.
+    /// 12). A stretch lands whole when older pages make room for all of
+    /// it; those go first either way, in the same order.
+    pub(crate) fn page_in(
+        &mut self,
+        missing: &[u64],
+        advice: u8,
+        mut victims: Option<&mut Vec<PageRange>>,
+    ) -> EvictResult {
+        let mut evicted = EvictResult::default();
+        for stretch in missing.chunk_by(|a, b| a + 1 == *b) {
+            let (first, end) = (stretch[0], stretch[0] + stretch.len() as u64);
+            let bytes = (end - first) * PAGE_SIZE;
+            self.make_room(bytes, victims.as_deref_mut(), &mut evicted);
+            if self.resident_bytes() + bytes <= self.budget {
+                self.append(PageRange { first, end }, advice);
+                continue;
+            }
+            // Every older unpinned page is gone: the stretch evicts its
+            // own head as it lands.
+            for page in first..end {
+                self.make_room(PAGE_SIZE, victims.as_deref_mut(), &mut evicted);
+                let end = page + 1;
+                self.append(PageRange { first: page, end }, advice);
+            }
+        }
+        self.check_invariants();
+        evicted
     }
 
     /// Debug builds check the structure as it mutates — amortized: once
-    /// per as many membership changes as there are resident pages, a full
-    /// walk must find every indexed page exactly once, links consistent
-    /// in both directions, and the slab split exactly into listed and
-    /// free slots.
+    /// per as many mutations as there are resident pages, a full walk
+    /// must find links consistent both ways, every run non-empty and
+    /// indexed page by page, and the index holding nothing else.
     #[cfg(debug_assertions)]
     fn check_invariants(&mut self) {
         self.unwalked += 1;
-        if self.unwalked <= self.index.len() {
+        if self.unwalked <= self.resident {
             return;
         }
         self.unwalked = 0;
-        let mut listed = 0usize;
-        let mut prev = NIL;
-        let mut at = self.head;
+        let (mut listed, mut pages, mut prev, mut at) = (0, 0, NIL, self.head);
         while at != NIL {
-            let slot = self.slots[at as usize];
-            assert_eq!(slot.prev, prev, "back link of slot {at}");
-            assert_eq!(
-                self.index.get(&slot.page),
-                Some(&at),
-                "page {} listed in slot {at} but indexed elsewhere",
-                slot.page
+            let run = self.runs[at as usize];
+            let fits = listed < self.runs.len(); // else the list cycles
+            assert!(
+                fits && run.prev == prev && run.pages.count() > 0,
+                "run {at}"
             );
-            listed += 1;
-            assert!(listed <= self.index.len(), "LRU list longer than the index");
-            prev = at;
-            at = slot.next;
+            for p in run.pages.iter() {
+                let slot = self.index.first_in(p, p + 1);
+                assert_eq!(slot, Some(at), "page {p} of run {at} indexed elsewhere");
+            }
+            (listed, pages, prev, at) = (listed + 1, pages + run.pages.count(), at, run.next);
         }
-        assert_eq!(self.tail, prev, "tail is the last slot reached");
-        assert_eq!(listed, self.index.len(), "list length == map length");
-        let mut free = 0usize;
-        let mut at = self.free;
-        while at != NIL {
-            free += 1;
-            assert!(free <= self.slots.len(), "free chain cycles");
-            at = self.slots[at as usize].next;
-        }
-        assert_eq!(listed + free, self.slots.len(), "slab = listed + free");
+        assert_eq!((self.tail, pages), (prev, self.resident), "tail and count");
+        let counted = self.index.live.iter().map(|(_, n, slots)| {
+            assert_eq!(slots.iter().filter(|&&s| s != NIL).count(), *n as usize);
+            u64::from(*n)
+        });
+        assert_eq!(
+            counted.sum::<u64>(),
+            pages,
+            "the index holds only resident pages"
+        );
     }
 
     #[cfg(not(debug_assertions))]
@@ -371,20 +531,84 @@ impl DeviceState {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, HashMap};
 
     fn state(pages: u64) -> DeviceState {
         DeviceState::new(pages * PAGE_SIZE, 24.0, 25_000)
     }
 
+    fn one(page: u64) -> PageRange {
+        PageRange {
+            first: page,
+            end: page + 1,
+        }
+    }
+
+    /// Touches one page; returns whether it was resident.
+    fn touch(s: &mut DeviceState, page: u64) -> bool {
+        let mut missing = Vec::new();
+        s.touch_range(one(page), &mut missing);
+        missing.is_empty()
+    }
+
+    fn pin(s: &mut DeviceState, page: u64) {
+        s.set_advice(one(page), PINNED, PINNED, None);
+    }
+
+    /// The advice bits of a page faulted in clean or not.
+    fn clean(read_mostly: bool) -> u8 {
+        if read_mostly {
+            READ_MOSTLY
+        } else {
+            0
+        }
+    }
+
+    fn pages(runs: &[PageRange]) -> Vec<u64> {
+        runs.iter().flat_map(|r| r.iter()).collect()
+    }
+
+    impl DeviceState {
+        /// Re-inserting a resident page resets its advice.
+        fn insert(&mut self, page: u64, read_mostly: bool) {
+            self.remove(page);
+            self.append(one(page), clean(read_mostly));
+        }
+
+        fn is_pinned(&self, page: u64) -> bool {
+            let run = self.index.first_in(page, page + 1);
+            run.is_some_and(|i| self.runs[i as usize].advice & PINNED != 0)
+        }
+
+        fn make_room_logged(
+            &mut self,
+            need: u64,
+            victims: Option<&mut Vec<PageRange>>,
+        ) -> EvictResult {
+            let mut evicted = EvictResult::default();
+            self.make_room(need, victims, &mut evicted);
+            self.check_invariants();
+            evicted
+        }
+
+        fn resident_pages(&self) -> u64 {
+            self.resident
+        }
+
+        fn run_count(&self) -> usize {
+            let mut at = self.head;
+            std::iter::from_fn(|| (at != NIL).then(|| at = self.runs[at as usize].next)).count()
+        }
+    }
+
     #[test]
     fn insert_touch_remove_round_trip() {
         let mut s = state(4);
-        s.insert(10);
+        s.insert(10, false);
         assert!(s.is_resident(10));
         assert_eq!(s.resident_bytes(), PAGE_SIZE);
-        s.touch(10);
-        s.remove(10);
+        assert!(touch(&mut s, 10));
+        assert!(s.remove(10));
         assert!(!s.is_resident(10));
         assert_eq!(s.resident_bytes(), 0);
     }
@@ -392,11 +616,11 @@ mod tests {
     #[test]
     fn lru_evicts_oldest_first() {
         let mut s = state(2);
-        s.insert(1);
-        s.insert(2);
+        s.insert(1, false);
+        s.insert(2, false);
         // Touch page 1 so page 2 becomes the LRU victim.
-        s.touch(1);
-        let r = s.make_room(PAGE_SIZE);
+        touch(&mut s, 1);
+        let r = s.make_room_logged(PAGE_SIZE, None);
         assert_eq!(r.pages, 1);
         assert!(s.is_resident(1), "recently-touched page survives");
         assert!(!s.is_resident(2), "LRU page evicted");
@@ -405,10 +629,10 @@ mod tests {
     #[test]
     fn pinned_pages_survive_eviction() {
         let mut s = state(2);
-        s.insert(1);
-        s.insert(2);
-        s.set_pinned(1, true);
-        let r = s.make_room(PAGE_SIZE);
+        s.insert(1, false);
+        s.insert(2, false);
+        pin(&mut s, 1);
+        let r = s.make_room_logged(PAGE_SIZE, None);
         assert_eq!(r.pages, 1);
         assert!(s.is_resident(1));
         assert!(!s.is_resident(2));
@@ -417,9 +641,8 @@ mod tests {
     #[test]
     fn read_mostly_pages_skip_writeback() {
         let mut s = state(1);
-        s.insert(1);
-        s.set_read_mostly(1, true);
-        let r = s.make_room(PAGE_SIZE);
+        s.insert(1, true);
+        let r = s.make_room_logged(PAGE_SIZE, None);
         assert_eq!(r.pages, 1);
         assert_eq!(r.writeback_bytes, 0);
     }
@@ -427,16 +650,16 @@ mod tests {
     #[test]
     fn writeback_fraction_applies() {
         let mut s = state(1);
-        s.insert(1);
-        let r = s.make_room(PAGE_SIZE);
+        s.insert(1, false);
+        let r = s.make_room_logged(PAGE_SIZE, None);
         assert_eq!(r.writeback_bytes, PAGE_SIZE / 2);
     }
 
     #[test]
     fn make_room_is_noop_when_space_exists() {
         let mut s = state(10);
-        s.insert(1);
-        let r = s.make_room(PAGE_SIZE);
+        s.insert(1, false);
+        let r = s.make_room_logged(PAGE_SIZE, None);
         assert_eq!(r.pages, 0);
         assert!(s.is_resident(1));
     }
@@ -444,43 +667,133 @@ mod tests {
     #[test]
     fn all_pinned_stops_eviction() {
         let mut s = state(1);
-        s.insert(1);
-        s.set_pinned(1, true);
-        let r = s.make_room(PAGE_SIZE);
+        s.insert(1, false);
+        pin(&mut s, 1);
+        let r = s.make_room_logged(PAGE_SIZE, None);
         assert_eq!(r.pages, 0, "pinned page may not be evicted");
         assert!(s.is_resident(1));
     }
 
     #[test]
-    fn make_room_logged_reports_victim_identities() {
-        let mut s = state(2);
-        s.insert(3);
-        s.insert(9);
+    fn make_room_logged_reports_victim_runs() {
+        let mut s = state(3);
+        s.insert(3, false);
+        s.insert(4, false);
+        s.insert(9, false);
         let mut victims = Vec::new();
-        let r = s.make_room_logged(2 * PAGE_SIZE, Some(&mut victims));
-        assert_eq!(r.pages, 2);
-        assert_eq!(victims, vec![3, 9], "LRU order, oldest first");
+        let r = s.make_room_logged(3 * PAGE_SIZE, Some(&mut victims));
+        assert_eq!(r.pages, 3);
+        assert_eq!(
+            victims,
+            vec![PageRange { first: 3, end: 5 }, one(9)],
+            "LRU order, oldest first, consecutive pages as one run"
+        );
         // The unlogged variant is byte-identical in effect.
-        let mut t = state(2);
-        t.insert(3);
-        t.insert(9);
-        assert_eq!(t.make_room(2 * PAGE_SIZE), r);
+        let mut t = state(3);
+        for p in [3, 4, 9] {
+            t.insert(p, false);
+        }
+        assert_eq!(t.make_room_logged(3 * PAGE_SIZE, None), r);
     }
 
     #[test]
     fn reinsert_updates_stamp_without_duplicating() {
         let mut s = state(4);
-        s.insert(7);
-        s.insert(7);
+        s.insert(7, false);
+        s.insert(7, false);
         assert_eq!(s.resident_pages(), 1);
         // The old stamp must be gone from the LRU index.
-        let r = s.make_room(4 * PAGE_SIZE);
+        let r = s.make_room_logged(4 * PAGE_SIZE, None);
         assert_eq!(r.pages, 1);
+    }
+
+    #[test]
+    fn a_resident_range_in_lru_order_is_one_run() {
+        let mut s = state(64);
+        let range = PageRange {
+            first: 100,
+            end: 140,
+        };
+        let mut missing = Vec::new();
+        s.touch_range(range, &mut missing);
+        assert_eq!(missing, range.iter().collect::<Vec<_>>());
+        s.page_in(&missing, 0, None);
+        assert_eq!(s.run_count(), 1, "faulted in page order: one run");
+        // Touching a middle stretch cuts the run in three; touching the
+        // whole range again splices the pieces back into one.
+        missing.clear();
+        s.touch_range(
+            PageRange {
+                first: 110,
+                end: 120,
+            },
+            &mut missing,
+        );
+        assert_eq!(s.run_count(), 3);
+        s.touch_range(range, &mut missing);
+        assert!(missing.is_empty());
+        assert_eq!(s.run_count(), 1);
+    }
+
+    #[test]
+    fn the_index_spans_chunks_and_returns_their_tables() {
+        let mut s = state(8);
+        let far = 1 << 40;
+        for p in [CHUNK_PAGES - 1, CHUNK_PAGES, far] {
+            s.insert(p, false);
+        }
+        assert_eq!(s.index.live.len(), 3, "one table per chunk in use");
+        let straddle = PageRange {
+            first: CHUNK_PAGES - 1,
+            end: CHUNK_PAGES + 1,
+        };
+        let got: Vec<PageRange> = s.resident_in(straddle).collect();
+        assert_eq!(got, vec![straddle], "one run across the chunk boundary");
+        assert_eq!(
+            s.remove_range(
+                PageRange {
+                    first: 0,
+                    end: far + 1
+                },
+                None
+            ),
+            3
+        );
+        assert!(s.index.live.is_empty());
+        assert_eq!(s.index.spare.len(), 3, "emptied tables are kept for reuse");
+        s.insert(far, false);
+        assert_eq!(s.index.spare.len(), 2, "and reused");
+    }
+
+    #[test]
+    fn many_live_chunks_are_found() {
+        let mut s = state(64);
+        let chunks: Vec<u64> = (0..20)
+            .map(|i| (i * 7 % 20) * CHUNK_PAGES * 3 + i)
+            .collect();
+        for &p in &chunks {
+            s.insert(p, false);
+        }
+        assert_eq!(s.index.live.len(), 20);
+        for &p in &chunks {
+            assert!(s.is_resident(p) && !s.is_resident(p + 1));
+        }
+        let all = PageRange {
+            first: 0,
+            end: 60 * CHUNK_PAGES,
+        };
+        let mut sorted = chunks.clone();
+        sorted.sort_unstable();
+        assert_eq!(pages(&s.resident_in(all).collect::<Vec<_>>()), sorted);
+        for &p in chunks.iter().rev() {
+            assert!(s.remove(p));
+        }
+        assert!(s.index.live.is_empty());
     }
 
     /// The `HashMap` + `BTreeMap` residency this module used to be — an
     /// explicit stamp per page, the LRU order a B-tree over the stamps —
-    /// kept as the oracle the slab is checked against.
+    /// kept as the oracle the runs are checked against, page by page.
     #[derive(Default)]
     struct StampedState {
         budget: u64,
@@ -497,9 +810,9 @@ mod tests {
             self.clock
         }
 
-        fn insert(&mut self, page: u64) {
+        fn insert(&mut self, page: u64, read_mostly: bool) {
             let seq = self.stamp();
-            if let Some((old, ..)) = self.resident.insert(page, (seq, false, false)) {
+            if let Some((old, ..)) = self.resident.insert(page, (seq, false, read_mostly)) {
                 self.lru.remove(&old);
             }
             self.lru.insert(seq, page);
@@ -524,12 +837,12 @@ mod tests {
             true
         }
 
-        fn make_room_logged(
-            &mut self,
-            need_bytes: u64,
-            writeback_fraction: f64,
-            victims: &mut Vec<u64>,
-        ) -> EvictResult {
+        /// The most recently used page.
+        fn tail(&self) -> Option<u64> {
+            self.lru.values().next_back().copied()
+        }
+
+        fn make_room_logged(&mut self, need_bytes: u64, victims: &mut Vec<u64>) -> EvictResult {
             let mut result = EvictResult::default();
             while self.resident.len() as u64 * PAGE_SIZE + need_bytes > self.budget {
                 let victim = self.lru.values().copied().find(|p| !self.resident[p].1);
@@ -540,7 +853,7 @@ mod tests {
                 self.lru.remove(&seq);
                 result.pages += 1;
                 if !read_mostly {
-                    result.writeback_bytes += (PAGE_SIZE as f64 * writeback_fraction) as u64;
+                    result.writeback_bytes += (PAGE_SIZE as f64 * WRITEBACK_FRACTION) as u64;
                 }
                 victims.push(page);
             }
@@ -551,17 +864,23 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Any sequence of residency operations leaves the slab and the
-        /// stamped reference with the same residents, the same flags and
-        /// the same eviction order — budgets of one page (everything
-        /// pinned, a need larger than the budget) and re-inserts of
-        /// resident pages included.
+        /// Any sequence of residency operations leaves the runs and the
+        /// stamped reference, driven page by page, with the same
+        /// residents, the same flags, the same missing pages and the same
+        /// eviction order. Ranges straddle resident and missing pages,
+        /// pinned and read-mostly ones, end at the LRU tail, and cross an
+        /// index chunk boundary; budgets go down to one page (everything
+        /// pinned, a need larger than the budget) and resident pages are
+        /// re-inserted.
         #[test]
         fn slab_lru_matches_the_stamped_reference(
             budget_pages in 1u64..17,
-            ops in prop::collection::vec((0u8..7, 0u64..24, any::<bool>()), 1..160)
+            ops in prop::collection::vec((0u8..10, 0u64..24, 1u64..9, any::<bool>()), 1..160)
         ) {
-            const PAGES: u64 = 24;
+            // 32 pages, the middle of them on either side of a chunk
+            // boundary.
+            const LO: u64 = CHUNK_PAGES - 16;
+            const PAGES: u64 = 32;
             let mut slab = state(budget_pages);
             let mut reference = StampedState {
                 budget: budget_pages * PAGE_SIZE,
@@ -570,37 +889,85 @@ mod tests {
             let evict = |slab: &mut DeviceState, reference: &mut StampedState, need: u64| {
                 let (mut got, mut want) = (Vec::new(), Vec::new());
                 let a = slab.make_room_logged(need, Some(&mut got));
-                let b = reference.make_room_logged(need, WRITEBACK_FRACTION, &mut want);
-                (a, got, b, want)
+                let b = reference.make_room_logged(need, &mut want);
+                (a, pages(&got), b, want)
             };
-            for &(op, page, flag) in &ops {
+            for &(op, at, len, flag) in &ops {
+                let page = LO + at;
+                let range = PageRange { first: page, end: page + len };
+                let (mut got, mut want) = (Vec::new(), Vec::new());
                 match op {
-                    0 | 1 => {
-                        slab.insert(page);
-                        reference.insert(page);
+                    0 => {
+                        slab.insert(page, flag);
+                        reference.insert(page, flag);
                     }
-                    2 => prop_assert_eq!(slab.touch(page), reference.touch(page)),
-                    3 => prop_assert_eq!(slab.remove(page), reference.remove(page)),
-                    4 => {
-                        slab.set_pinned(page, flag);
-                        if let Some(info) = reference.resident.get_mut(&page) {
-                            info.1 = flag;
+                    1 | 2 => {
+                        // 2: a range that ends at the LRU tail.
+                        let range = match (op, reference.tail()) {
+                            (2, Some(t)) => PageRange { first: (t + 1 - len).max(LO), end: t + 1 },
+                            _ => range,
+                        };
+                        slab.touch_range(range, &mut got);
+                        want.extend(range.iter().filter(|&p| !reference.touch(p)));
+                        prop_assert_eq!(&got, &want, "missing pages");
+                    }
+                    3 => {
+                        let mut removed = Vec::new();
+                        let n = slab.remove_range(range, Some(&mut removed));
+                        want.extend(range.iter().filter(|&p| reference.remove(p)));
+                        prop_assert_eq!(pages(&removed), want.clone(), "removed pages");
+                        prop_assert_eq!(n, want.len() as u64);
+                    }
+                    4..=6 => {
+                        let (pinned, read_mostly) = match op {
+                            4 => (Some(flag), None),
+                            5 => (None, Some(flag)),
+                            _ => (Some(flag), Some(flag)),
+                        };
+                        // (mask, bits) of one flag the op sets, or leaves.
+                        let bit = |set: Option<bool>, b: u8| set.map_or((0, 0), |on| (b, b * u8::from(on)));
+                        let ((pm, pb), (rm, rb)) = (bit(pinned, PINNED), bit(read_mostly, READ_MOSTLY));
+                        slab.set_advice(range, pm | rm, pb | rb, Some(&mut got));
+                        for p in range.iter() {
+                            match reference.resident.get_mut(&p) {
+                                Some(info) => {
+                                    info.1 = pinned.unwrap_or(info.1);
+                                    info.2 = read_mostly.unwrap_or(info.2);
+                                }
+                                None => want.push(p),
+                            }
                         }
+                        prop_assert_eq!(&got, &want, "pages not resident");
                     }
-                    5 => {
-                        let known = reference.resident.get_mut(&page).map(|info| info.2 = flag);
-                        prop_assert_eq!(slab.set_read_mostly(page, flag), known.is_some());
+                    7 => {
+                        // The pager's fault: touch, then page the rest in.
+                        let mut missing = Vec::new();
+                        slab.touch_range(range, &mut missing);
+                        let mut victims = Vec::new();
+                        let a = slab.page_in(&missing, clean(flag), Some(&mut victims));
+                        let mut b = EvictResult::default();
+                        let absent: Vec<u64> = range.iter().filter(|&p| !reference.touch(p)).collect();
+                        prop_assert_eq!(&missing, &absent, "missing pages");
+                        for p in absent {
+                            let e = reference.make_room_logged(PAGE_SIZE, &mut want);
+                            b.pages += e.pages;
+                            b.writeback_bytes += e.writeback_bytes;
+                            reference.insert(p, flag);
+                        }
+                        prop_assert_eq!(pages(&victims), want, "victim order");
+                        prop_assert_eq!(a, b);
                     }
+                    8 => prop_assert_eq!(slab.remove(page), reference.remove(page)),
                     _ => {
                         // Room for 0..3 pages, or for more than the budget.
-                        let need = if flag { page % 4 } else { budget_pages + 1 } * PAGE_SIZE;
+                        let need = if flag { at % 4 } else { budget_pages + 1 } * PAGE_SIZE;
                         let (a, got, b, want) = evict(&mut slab, &mut reference, need);
                         prop_assert_eq!(got, want, "victim order");
                         prop_assert_eq!(a, b);
                     }
                 }
-                prop_assert_eq!(slab.resident_pages(), reference.resident.len());
-                for p in 0..PAGES {
+                prop_assert_eq!(slab.resident_pages(), reference.resident.len() as u64);
+                for p in LO..LO + PAGES {
                     let info = reference.resident.get(&p);
                     prop_assert_eq!(slab.is_resident(p), info.is_some());
                     prop_assert_eq!(slab.is_pinned(p), info.is_some_and(|i| i.1));
@@ -609,11 +976,9 @@ mod tests {
             // Drain one page at a time: the whole LRU order, and through
             // the write-back each victim does or does not need, every
             // read-mostly flag.
-            for p in 0..PAGES {
-                slab.set_pinned(p, false);
-                if let Some(info) = reference.resident.get_mut(&p) {
-                    info.1 = false;
-                }
+            slab.set_advice(PageRange { first: LO, end: LO + PAGES }, PINNED, 0, None);
+            for info in reference.resident.values_mut() {
+                info.1 = false;
             }
             while slab.resident_pages() > 0 {
                 slab.budget = slab.resident_bytes() - PAGE_SIZE;

@@ -8,7 +8,8 @@
 //!   `addr2line -f -C -i`, and prints self shares, inclusive shares, and
 //!   the inclusive share under a fixed list of frames — the caching
 //!   allocator, `BTreeMap`, `format!`, SipHash, the heap, `Hub::process`,
-//!   the tool bodies, hotness' tracker, the vendor runtime's `emit` —
+//!   the tool bodies, hotness' tracker, the UVM residency LRU, the vendor
+//!   runtime's `emit` —
 //!   alone and by the module that called them. `sample-bare` samples the
 //!   op's bare run. Line tables name inlined frames: the root release
 //!   profile keeps them; under another profile build with
@@ -550,6 +551,11 @@ mod sampler {
         Share {
             label: "uvm_sim::hotness:: (HotnessTool's tracker)",
             inner: &["uvm_sim::hotness::"],
+            from: &[],
+        },
+        Share {
+            label: "uvm_sim::state:: (residency LRU)",
+            inner: &["uvm_sim::state::"],
             from: &[],
         },
         Share {
