@@ -53,7 +53,7 @@ impl EventClass {
     ];
 
     /// Dense index of this class into [`EventClass::ALL`].
-    pub fn index(self) -> usize {
+    pub const fn index(self) -> usize {
         match self {
             EventClass::HostApi => 0,
             EventClass::Kernel => 1,

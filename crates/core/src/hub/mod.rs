@@ -33,10 +33,10 @@
 //! cooperating mechanisms:
 //!
 //! 1. **Interest gate** — at kernel begin the sink caches the launch's
-//!    [`ProbeConfig`] together with the shard's per-class tool
-//!    subscriptions in a `LaunchGate`; `on_batches`/`on_barriers`/
-//!    `on_blocks`/`on_instructions` return *before* taking any lock or
-//!    constructing an [`Event`] when nothing downstream wants the class.
+//!    [`ProbeConfig`], the armed tools' union, in a `LaunchGate`;
+//!    `on_batches`/`on_barriers`/`on_blocks`/`on_instructions` return
+//!    *before* taking any lock or constructing an [`Event`] when no probe
+//!    of theirs is armed.
 //! 2. **Interned names** — [`TraceCtx::name`] is a [`Symbol`], so events
 //!    carry a `Copy` handle instead of a fresh `String` per event.
 //! 3. **Per-class spill buffers** — admitted events accumulate in
@@ -85,8 +85,6 @@ use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
 use std::sync::Arc;
 
 mod sink;
-#[cfg(test)]
-mod tests;
 
 pub use sink::HubSink;
 
@@ -644,3 +642,6 @@ fn merge_all_tools(procs: &[&EventProcessor], max_threads: usize) -> Vec<Box<dyn
         (0..n).map(|i| move || merge_tool_index(procs, i, 1)),
     )
 }
+
+#[cfg(test)]
+mod tests;

@@ -15,30 +15,10 @@ struct LaunchGate {
     /// independently, so launch ids alone can collide across devices —
     /// the gate must never answer for another device's launch.
     device: DeviceId,
-    /// Probe configuration the shard returned for this launch.
+    /// Probe configuration the shard returned for this launch: the armed
+    /// tools' union, so a probe it enables always has a tool reading its
+    /// class.
     config: ProbeConfig,
-    /// Some tool subscribed to [`EventClass::DeviceAccess`].
-    access_tools: bool,
-    /// Some tool subscribed to [`EventClass::DeviceControl`].
-    control_tools: bool,
-}
-
-impl LaunchGate {
-    fn wants_batches(&self) -> bool {
-        self.access_tools && (self.config.global_accesses || self.config.shared_accesses)
-    }
-
-    fn wants_barriers(&self) -> bool {
-        self.control_tools && self.config.barriers
-    }
-
-    fn wants_blocks(&self) -> bool {
-        self.control_tools && self.config.block_boundaries
-    }
-
-    fn wants_instructions(&self) -> bool {
-        self.control_tools && self.config.instructions
-    }
 }
 
 /// The device-trace sink that feeds fine-grained events into the hub.
@@ -227,8 +207,6 @@ impl HubSink {
             launch: ctx.launch,
             device: ctx.device,
             config: processor.probe_config_for(ctx.launch),
-            access_tools: processor.class_wanted(EventClass::DeviceAccess),
-            control_tools: processor.class_wanted(EventClass::DeviceControl),
         };
         drop(processor);
         self.gate = Some(gate);
@@ -306,7 +284,8 @@ impl DeviceTraceSink for HubSink {
     }
 
     fn on_batches(&mut self, ctx: &TraceCtx, batches: &[AccessBatch]) {
-        if !self.gate_for(ctx).wants_batches() {
+        let config = self.gate_for(ctx).config;
+        if !(config.global_accesses || config.shared_accesses) {
             return; // no lock taken, no event constructed
         }
         let capacity = self.config.batch_events.max(1);
@@ -339,7 +318,7 @@ impl DeviceTraceSink for HubSink {
     }
 
     fn on_barriers(&mut self, ctx: &TraceCtx, count: u64) {
-        if !self.gate_for(ctx).wants_barriers() {
+        if !self.gate_for(ctx).config.barriers {
             return;
         }
         self.push_control(Event::Barrier {
@@ -350,7 +329,7 @@ impl DeviceTraceSink for HubSink {
     }
 
     fn on_blocks(&mut self, ctx: &TraceCtx, count: u64) {
-        if !self.gate_for(ctx).wants_blocks() {
+        if !self.gate_for(ctx).config.block_boundaries {
             return;
         }
         self.push_control(Event::BlockBoundary {
@@ -360,7 +339,7 @@ impl DeviceTraceSink for HubSink {
     }
 
     fn on_instructions(&mut self, ctx: &TraceCtx, count: u64) {
-        if !self.gate_for(ctx).wants_instructions() {
+        if !self.gate_for(ctx).config.instructions {
             return;
         }
         self.push_control(Event::Instructions {

@@ -3,6 +3,7 @@
 use super::*;
 use crate::event::EventClass;
 use crate::spine::{SpineConfig, SpineMode};
+use crate::tool::Interest;
 use accel_sim::instrument::{DeviceTraceSink, TraceCtx};
 use accel_sim::{
     AccessBatch, AccessKind, AccessPattern, Dim3, KernelTraceSummary, LaunchId, MemSpace, Symbol,
@@ -144,6 +145,51 @@ fn coarse_tools_never_see_device_batches() {
     sink.on_kernel_end(&ctx(), &KernelTraceSummary::default());
     // KernelLaunchBegin + KernelTrace only.
     assert_eq!(hub.events_processed(), 2);
+
+    // Each device ask on its own builds exactly what it asks for: an
+    // access ask both batches, whatever their space, and no control
+    // event; a control ask its own count alone (barriers, blocks,
+    // instructions).
+    struct Asks(Interest);
+    impl Tool for Asks {
+        fn name(&self) -> &str {
+            "asks"
+        }
+        fn interest(&self) -> Interest {
+            self.0
+        }
+    }
+    for (ask, accesses, control) in [
+        (Interest::GLOBAL_ACCESSES, 2, [0, 0, 0]),
+        (Interest::SHARED_ACCESSES, 2, [0, 0, 0]),
+        (Interest::BARRIERS, 0, [1, 0, 0]),
+        (Interest::BLOCK_BOUNDARIES, 0, [0, 1, 0]),
+        (Interest::INSTRUCTIONS, 0, [0, 0, 1]),
+        (Interest::coarse(), 0, [0, 0, 0]),
+    ] {
+        let mut processor = EventProcessor::new();
+        processor.tools.register(Box::new(Asks(ask)));
+        let mut sink = HubSink::new(new_shared(processor));
+        sink.on_kernel_begin(&ctx());
+        sink.on_batch(&ctx(), &batch(MemSpace::Global));
+        sink.on_batch(&ctx(), &batch(MemSpace::Shared));
+        sink.on_barriers(&ctx(), 8);
+        sink.on_blocks(&ctx(), 8);
+        sink.on_instructions(&ctx(), 1_000);
+        let built = sink.control_buf.iter().fold([0; 3], |mut n, event| {
+            n[match event {
+                Event::Barrier { .. } => 0,
+                Event::BlockBoundary { .. } => 1,
+                _ => 2,
+            }] += 1;
+            n
+        });
+        assert_eq!(
+            (sink.access_buf.len(), built),
+            (accesses, control),
+            "{ask:?}"
+        );
+    }
 }
 
 #[test]

@@ -10,7 +10,7 @@ use crate::callstack::StackCapture;
 use crate::event::{Event, EventClass};
 use crate::knob::{Knob, KnobSet};
 use crate::range::RangeFilter;
-use crate::tool::ToolCollection;
+use crate::tool::{Interest, ToolCollection};
 use accel_sim::{LaunchId, ProbeConfig, Symbol};
 
 /// Observes every event a processor counts, in processing order — the
@@ -128,9 +128,8 @@ impl EventProcessor {
         if self.recorder.is_some() {
             return HostGate::OPEN;
         }
-        let mut bits = u16::from(self.tools.wanted_classes())
-            | 1 << EventClass::Kernel.index()
-            | 1 << EventClass::Annotation.index();
+        let reads = self.tools.interest() | Interest::KERNEL_LAUNCHES | Interest::ANNOTATIONS;
+        let mut bits = u16::from(reads.classes());
         if self.capture_knob.is_some() {
             bits |= HostGate::OP_START;
         }
@@ -156,13 +155,6 @@ impl EventProcessor {
             .interest()
             .probe_config()
             .with_sampling(self.sampling_rate)
-    }
-
-    /// True when some registered tool subscribes to `class` — the O(1)
-    /// answer the sink's interest gate consults when deciding whether a
-    /// fine-grained event is worth constructing at all.
-    pub(crate) fn class_wanted(&self, class: EventClass) -> bool {
-        self.tools.wants_class(class)
     }
 
     /// Attaches a trace recorder; replaces any previous one.

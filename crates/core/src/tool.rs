@@ -3,141 +3,117 @@
 //! A [`Tool`] is "a customized analysis built by overriding functions in
 //! the PASTA tool collection template" (paper §III-B). Every callback has
 //! a no-op default; a tool overrides only what it needs and declares its
-//! [`Interest`]s so the framework instruments no more than necessary.
+//! [`Interest`] so the framework instruments no more than necessary.
 
 use crate::event::{Event, EventClass};
 use crate::report::{ToolQuarantine, ToolReport};
-use accel_sim::{panic_message, AccessBatch, KernelTraceSummary, LaunchId, ProbeConfig, Symbol};
+use accel_sim::{panic_message, ProbeConfig};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Event classes a tool wants delivered.
+/// What a tool wants delivered: a bit set built from the leaf asks below
+/// with `|`. The low 8 bits are [`EventClass`] bits, bit
+/// [`EventClass::index`] each — the classes the dispatch rows and the host
+/// gate open — and the 5 bits above them are the device probes to arm.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Interest {
-    /// Global-memory access batches (fine-grained, device-side).
-    pub global_accesses: bool,
-    /// Shared-memory access batches.
-    pub shared_accesses: bool,
-    /// Barrier executions.
-    pub barriers: bool,
-    /// Thread-block boundaries.
-    pub block_boundaries: bool,
-    /// Dynamic-instruction counts (requires a full-coverage backend).
-    pub instructions: bool,
-    /// Every coarse host class at once — API calls, kernel launches,
-    /// memory operations and syncs. A tool that reads one of them names
-    /// that one below instead, so the host gate can turn the rest away.
-    pub host_events: bool,
-    /// Both DL-framework classes at once — ops/tensors/passes and
-    /// annotations.
-    pub framework_events: bool,
-    /// Driver/runtime API entries alone ([`EventClass::HostApi`]).
-    pub api_calls: bool,
-    /// Kernel launch begin/end alone ([`EventClass::Kernel`]).
-    pub kernel_launches: bool,
-    /// Allocations, frees, copies, sets, batch ops and UVM traffic alone
-    /// ([`EventClass::Memory`]).
-    pub memory_ops: bool,
-    /// Synchronization alone ([`EventClass::Sync`]).
-    pub syncs: bool,
-    /// Operators, tensors and pass boundaries alone
-    /// ([`EventClass::Framework`]).
-    pub framework_ops: bool,
-    /// Layer boundaries and `pasta.start()`/`pasta.stop()` regions alone
-    /// ([`EventClass::Annotation`]).
-    pub annotations: bool,
+pub struct Interest(u16);
+
+/// The bit of `class` in an [`Interest`].
+const fn bit(class: EventClass) -> u16 {
+    1 << class.index()
 }
 
+/// A device-probe ask: probe bit `probe` (above the class byte) and the
+/// classes its events arrive in.
+const fn probe(probe: u16, classes: u16) -> Interest {
+    Interest(1 << (8 + probe) | classes)
+}
+
+/// An access ask's classes: the kernel trace summary
+/// ([`EventClass::DeviceControl`]) rides along with the accesses.
+const ACCESS: u16 = bit(EventClass::DeviceAccess) | bit(EventClass::DeviceControl);
+const CONTROL: u16 = bit(EventClass::DeviceControl);
+/// Every probe bit.
+const PROBES: u16 = 0x1f << 8;
+
 impl Interest {
+    /// Global-memory access batches (fine-grained, device-side).
+    pub const GLOBAL_ACCESSES: Interest = probe(0, ACCESS);
+    /// Shared-memory access batches.
+    pub const SHARED_ACCESSES: Interest = probe(1, ACCESS);
+    /// Barrier executions.
+    pub const BARRIERS: Interest = probe(2, CONTROL);
+    /// Thread-block boundaries.
+    pub const BLOCK_BOUNDARIES: Interest = probe(3, CONTROL);
+    /// Dynamic-instruction counts (requires a full-coverage backend).
+    pub const INSTRUCTIONS: Interest = probe(4, CONTROL);
+    /// Driver/runtime API entries ([`EventClass::HostApi`]).
+    pub const API_CALLS: Interest = Interest(bit(EventClass::HostApi));
+    /// Kernel launch begin/end ([`EventClass::Kernel`]).
+    pub const KERNEL_LAUNCHES: Interest = Interest(bit(EventClass::Kernel));
+    /// Allocations, frees, copies, sets, batch ops and UVM traffic
+    /// ([`EventClass::Memory`]).
+    pub const MEMORY_OPS: Interest = Interest(bit(EventClass::Memory));
+    /// Synchronization ([`EventClass::Sync`]).
+    pub const SYNCS: Interest = Interest(bit(EventClass::Sync));
+    /// Operators, tensors and pass boundaries ([`EventClass::Framework`]).
+    pub const FRAMEWORK_OPS: Interest = Interest(bit(EventClass::Framework));
+    /// Layer boundaries and `pasta.start()`/`pasta.stop()` regions
+    /// ([`EventClass::Annotation`]).
+    pub const ANNOTATIONS: Interest = Interest(bit(EventClass::Annotation));
+    /// Every coarse host class at once. A tool that reads one of them
+    /// names that one instead, so the host gate can turn the rest away.
+    pub const HOST_EVENTS: Interest =
+        Interest(Self::API_CALLS.0 | Self::KERNEL_LAUNCHES.0 | Self::MEMORY_OPS.0 | Self::SYNCS.0);
+    /// Both DL-framework classes at once.
+    pub const FRAMEWORK_EVENTS: Interest = Interest(Self::FRAMEWORK_OPS.0 | Self::ANNOTATIONS.0);
+
     /// Host + framework events only — the cheap default.
     pub fn coarse() -> Self {
-        Interest {
-            host_events: true,
-            framework_events: true,
-            ..Interest::default()
-        }
+        Self::HOST_EVENTS | Self::FRAMEWORK_EVENTS
     }
 
     /// Everything, including fine-grained device events.
     pub fn all() -> Self {
-        Interest {
-            global_accesses: true,
-            shared_accesses: true,
-            barriers: true,
-            block_boundaries: true,
-            instructions: true,
-            host_events: true,
-            framework_events: true,
-            api_calls: true,
-            kernel_launches: true,
-            memory_ops: true,
-            syncs: true,
-            framework_ops: true,
-            annotations: true,
-        }
-    }
-
-    /// Union of two interest sets.
-    pub(crate) fn union(self, o: Interest) -> Interest {
-        Interest {
-            global_accesses: self.global_accesses || o.global_accesses,
-            shared_accesses: self.shared_accesses || o.shared_accesses,
-            barriers: self.barriers || o.barriers,
-            block_boundaries: self.block_boundaries || o.block_boundaries,
-            instructions: self.instructions || o.instructions,
-            host_events: self.host_events || o.host_events,
-            framework_events: self.framework_events || o.framework_events,
-            api_calls: self.api_calls || o.api_calls,
-            kernel_launches: self.kernel_launches || o.kernel_launches,
-            memory_ops: self.memory_ops || o.memory_ops,
-            syncs: self.syncs || o.syncs,
-            framework_ops: self.framework_ops || o.framework_ops,
-            annotations: self.annotations || o.annotations,
-        }
+        Interest(u16::from(u8::MAX) | PROBES)
     }
 
     /// Device-side probe configuration implied by this interest set.
     pub(crate) fn probe_config(self) -> ProbeConfig {
+        let on = |ask: Interest| self.0 & ask.0 & PROBES != 0;
         let mut c = ProbeConfig::disabled();
-        c.global_accesses = self.global_accesses;
-        c.shared_accesses = self.shared_accesses;
-        c.barriers = self.barriers;
-        c.block_boundaries = self.block_boundaries;
-        c.instructions = self.instructions;
+        c.global_accesses = on(Self::GLOBAL_ACCESSES);
+        c.shared_accesses = on(Self::SHARED_ACCESSES);
+        c.barriers = on(Self::BARRIERS);
+        c.block_boundaries = on(Self::BLOCK_BOUNDARIES);
+        c.instructions = on(Self::INSTRUCTIONS);
         c
     }
 
     /// True when any fine-grained device class is requested.
     pub fn wants_device_events(self) -> bool {
-        self.global_accesses
-            || self.shared_accesses
-            || self.barriers
-            || self.block_boundaries
-            || self.instructions
+        self.0 & PROBES != 0
     }
 
     /// Whether events of `class` should be delivered to a tool with this
-    /// interest set — the single source of truth behind the dispatch table.
+    /// interest set — the single source of truth behind the dispatch
+    /// table and the host gate.
     pub(crate) fn wants_class(self, class: EventClass) -> bool {
-        match class {
-            EventClass::DeviceAccess => self.global_accesses || self.shared_accesses,
-            EventClass::DeviceControl => {
-                // Kernel trace summaries ride along for access-interested
-                // tools (global or shared) even when they never asked for
-                // barriers.
-                self.barriers
-                    || self.block_boundaries
-                    || self.instructions
-                    || self.global_accesses
-                    || self.shared_accesses
-            }
-            EventClass::HostApi => self.host_events || self.api_calls,
-            EventClass::Kernel => self.host_events || self.kernel_launches,
-            EventClass::Memory => self.host_events || self.memory_ops,
-            EventClass::Sync => self.host_events || self.syncs,
-            EventClass::Framework => self.framework_events || self.framework_ops,
-            EventClass::Annotation => self.framework_events || self.annotations,
-        }
+        self.0 & bit(class) != 0
+    }
+
+    /// The classes this set opens, bit [`EventClass::index`] each.
+    pub(crate) fn classes(self) -> u8 {
+        self.0 as u8
+    }
+}
+
+/// The union of two interest sets.
+impl std::ops::BitOr for Interest {
+    type Output = Interest;
+
+    fn bitor(self, other: Interest) -> Interest {
+        Interest(self.0 | other.0)
     }
 }
 
@@ -158,7 +134,7 @@ impl Interest {
 ///         "launches"
 ///     }
 ///     fn interest(&self) -> Interest {
-///         Interest { kernel_launches: true, ..Interest::default() }
+///         Interest::KERNEL_LAUNCHES
 ///     }
 ///     fn on_event(&mut self, event: &Event) {
 ///         if matches!(event, Event::KernelLaunchEnd { .. }) {
@@ -210,42 +186,9 @@ pub trait Tool: Any + Send + Sync {
         Interest::coarse()
     }
 
-    /// Generic event delivery; the default demultiplexes to the typed
-    /// handlers below, so tools can override either granularity.
+    /// Delivers one event of a class [`Tool::interest`] opens.
     fn on_event(&mut self, event: &Event) {
-        match event {
-            Event::GlobalAccess {
-                launch,
-                kernel,
-                batch,
-            } => self.on_global_access(*launch, kernel, batch),
-            Event::SharedAccess {
-                launch,
-                kernel,
-                batch,
-            } => self.on_shared_access(*launch, kernel, batch),
-            Event::KernelTrace {
-                launch,
-                kernel,
-                summary,
-            } => self.on_kernel_trace(*launch, kernel, summary),
-            _ => {}
-        }
-    }
-
-    /// One batch of global-memory access records.
-    fn on_global_access(&mut self, launch: LaunchId, kernel: &Symbol, batch: &AccessBatch) {
-        let _ = (launch, kernel, batch);
-    }
-
-    /// One batch of shared-memory access records.
-    fn on_shared_access(&mut self, launch: LaunchId, kernel: &Symbol, batch: &AccessBatch) {
-        let _ = (launch, kernel, batch);
-    }
-
-    /// End-of-kernel trace summary.
-    fn on_kernel_trace(&mut self, launch: LaunchId, kernel: &Symbol, summary: &KernelTraceSummary) {
-        let _ = (launch, kernel, summary);
+        let _ = event;
     }
 
     /// Produces the tool's report.
@@ -321,10 +264,11 @@ impl dyn Tool {
 /// Dispatch is driven by a per-[`EventClass`] table precomputed from each
 /// tool's [`Tool::interest`] at registration (and rebuilt on
 /// [`ToolCollection::reset`]): delivering an event touches only the tools
-/// subscribed to its class, and `ToolCollection::wants_class` answers
-/// "does anyone care?" in O(1) so the sink can drop uninteresting device
-/// events before they are ever constructed. Interests are therefore
-/// sampled at registration/reset, not per event.
+/// subscribed to its class, and the armed tools' union,
+/// [`ToolCollection::interest`], answers "does anyone care?" in O(1), so
+/// the gates can drop uninteresting events before they are ever
+/// constructed. Interests are therefore sampled at registration/reset, not
+/// per event.
 /// Panic containment: a tool whose callback panics is caught at the
 /// dispatch boundary, removed from every dispatch row (the unquarantined
 /// hot path pays nothing afterwards) and reported as a
@@ -337,8 +281,6 @@ pub struct ToolCollection {
     tools: Vec<Box<dyn Tool>>,
     /// `class_tools[class.index()]` = indices of tools wanting that class.
     class_tools: [Vec<usize>; EventClass::ALL.len()],
-    /// Bit `class.index()` is set when that row is not empty.
-    wanted: u8,
     /// Union of the armed tools' interests, as sampled by the last
     /// rebuild.
     interest: Interest,
@@ -390,38 +332,21 @@ impl ToolCollection {
     /// Quarantined tools are left out of every row, so the hot path never
     /// revisits them.
     fn rebuild_dispatch(&mut self) {
-        self.wanted = 0;
-        self.interest = self
-            .tools
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.is_quarantined(*i))
-            .fold(Interest::default(), |acc, (_, t)| acc.union(t.interest()));
-        for class in EventClass::ALL {
-            let row = &mut self.class_tools[class.index()];
-            row.clear();
-            let quarantined = &self.quarantined;
-            row.extend(
-                self.tools
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, t)| {
-                        quarantined.iter().all(|&(q, _)| q != *i) && t.interest().wants_class(class)
-                    })
-                    .map(|(i, _)| i),
-            );
-            self.wanted |= u8::from(!row.is_empty()) << class.index();
+        self.interest = Interest::default();
+        self.class_tools.iter_mut().for_each(Vec::clear);
+        for (i, tool) in self.tools.iter().enumerate() {
+            if self.is_quarantined(i) {
+                continue;
+            }
+            let interest = tool.interest();
+            self.interest = self.interest | interest;
+            for class in EventClass::ALL
+                .into_iter()
+                .filter(|&c| interest.wants_class(c))
+            {
+                self.class_tools[class.index()].push(i);
+            }
         }
-    }
-
-    /// True when at least one armed tool wants events of `class`.
-    pub(crate) fn wants_class(&self, class: EventClass) -> bool {
-        self.wanted & (1 << class.index()) != 0
-    }
-
-    /// The classes some armed tool wants, bit [`EventClass::index`] each.
-    pub(crate) fn wanted_classes(&self) -> u8 {
-        self.wanted
     }
 
     /// Number of registered tools.
@@ -653,10 +578,7 @@ impl Tool for LaunchCounter {
     }
 
     fn interest(&self) -> Interest {
-        Interest {
-            kernel_launches: true,
-            ..Interest::default()
-        }
+        Interest::KERNEL_LAUNCHES
     }
 
     fn on_event(&mut self, event: &Event) {
@@ -687,7 +609,7 @@ impl Tool for LaunchCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accel_sim::{DeviceId, SimTime};
+    use accel_sim::{AccessBatch, DeviceId, LaunchId, SimTime};
 
     fn launch_end() -> Event {
         Event::KernelLaunchEnd {
@@ -699,79 +621,65 @@ mod tests {
         }
     }
 
-    #[test]
-    fn interest_union_and_probe_config() {
-        let a = Interest {
-            global_accesses: true,
-            ..Interest::default()
-        };
-        let b = Interest {
-            barriers: true,
-            host_events: true,
-            ..Interest::default()
-        };
-        let u = a.union(b);
-        assert!(u.global_accesses && u.barriers && u.host_events);
-        assert!(u.wants_device_events());
-        let pc = u.probe_config();
-        assert!(pc.global_accesses && pc.barriers);
-        assert!(!pc.shared_accesses);
-        assert!(!Interest::coarse().wants_device_events());
+    /// The classes `interest` opens, in [`EventClass::ALL`] order.
+    fn opened(interest: Interest) -> Vec<EventClass> {
+        EventClass::ALL
+            .into_iter()
+            .filter(|class| interest.wants_class(*class))
+            .collect()
     }
 
     #[test]
-    fn interest_union_is_commutative_and_idempotent() {
-        let a = Interest {
-            shared_accesses: true,
-            instructions: true,
-            ..Interest::default()
-        };
-        let b = Interest {
-            block_boundaries: true,
-            framework_events: true,
-            ..Interest::default()
-        };
-        assert_eq!(a.union(b), b.union(a));
-        assert_eq!(a.union(a), a);
-        // The empty interest is the identity element.
-        assert_eq!(a.union(Interest::default()), a);
-        // `all` absorbs everything.
-        assert_eq!(a.union(Interest::all()), Interest::all());
-    }
-
-    #[test]
-    fn coarse_classes_are_named_one_by_one_and_the_umbrellas_keep_their_meaning() {
+    fn each_leaf_opens_its_classes_and_arms_its_probe() {
         use EventClass::*;
-        let none = Interest::default();
-        let wanted = |interest: Interest| -> Vec<EventClass> {
-            EventClass::ALL
-                .into_iter()
-                .filter(|class| interest.wants_class(*class))
-                .collect()
-        };
-        let host = [HostApi, Kernel, Memory, Sync];
-        let coarse = [HostApi, Kernel, Memory, Sync, Framework, Annotation];
+        let off = ProbeConfig::disabled();
+        // An access ask opens DeviceControl too: the kernel trace summary
+        // rides along with the accesses.
         #[rustfmt::skip]
-        let table: [(Interest, &[EventClass]); 11] = [
-            (none, &[]),
-            (Interest { api_calls: true, ..none }, &[HostApi]),
-            (Interest { kernel_launches: true, ..none }, &[Kernel]),
-            (Interest { memory_ops: true, ..none }, &[Memory]),
-            (Interest { syncs: true, ..none }, &[Sync]),
-            (Interest { framework_ops: true, ..none }, &[Framework]),
-            (Interest { annotations: true, ..none }, &[Annotation]),
-            (Interest { host_events: true, ..none }, &host),
-            (Interest { framework_events: true, ..none }, &[Framework, Annotation]),
-            (Interest::coarse(), &coarse),
-            (Interest::all(), &EventClass::ALL),
+        let leaves: [(Interest, &[EventClass], ProbeConfig); 11] = [
+            (Interest::GLOBAL_ACCESSES, &[DeviceAccess, DeviceControl], ProbeConfig { global_accesses: true, ..off }),
+            (Interest::SHARED_ACCESSES, &[DeviceAccess, DeviceControl], ProbeConfig { shared_accesses: true, ..off }),
+            (Interest::BARRIERS, &[DeviceControl], ProbeConfig { barriers: true, ..off }),
+            (Interest::BLOCK_BOUNDARIES, &[DeviceControl], ProbeConfig { block_boundaries: true, ..off }),
+            (Interest::INSTRUCTIONS, &[DeviceControl], ProbeConfig { instructions: true, ..off }),
+            (Interest::API_CALLS, &[HostApi], off),
+            (Interest::KERNEL_LAUNCHES, &[Kernel], off),
+            (Interest::MEMORY_OPS, &[Memory], off),
+            (Interest::SYNCS, &[Sync], off),
+            (Interest::FRAMEWORK_OPS, &[Framework], off),
+            (Interest::ANNOTATIONS, &[Annotation], off),
         ];
-        for (interest, classes) in table {
-            assert_eq!(wanted(interest), classes, "{interest:?}");
-            assert!(
-                !interest.wants_device_events() || interest == Interest::all(),
-                "a coarse class never enables a probe: {interest:?}"
-            );
+        let mut union = Interest::default();
+        for (leaf, classes, probes) in leaves {
+            assert_eq!(opened(leaf), classes, "{leaf:?}");
+            assert_eq!(leaf.probe_config(), probes, "{leaf:?}");
+            assert_eq!(leaf.wants_device_events(), !probes.is_disabled());
+            // `|` is commutative and idempotent, with the empty set as
+            // its identity.
+            assert_eq!(union | leaf, leaf | union);
+            assert_eq!(leaf | leaf, leaf);
+            assert_eq!(leaf | Interest::default(), leaf);
+            union = union | leaf;
         }
+
+        // The umbrellas are the OR of their leaves; all 11 together are
+        // `all()`, which opens every class and arms every probe.
+        let [.., api, launches, memory, syncs, ops, annotations] = leaves.map(|(leaf, ..)| leaf);
+        assert_eq!(Interest::HOST_EVENTS, api | launches | memory | syncs);
+        assert_eq!(Interest::FRAMEWORK_EVENTS, ops | annotations);
+        let coarse = Interest::HOST_EVENTS | Interest::FRAMEWORK_EVENTS;
+        assert_eq!(Interest::coarse(), coarse);
+        assert_eq!(
+            opened(coarse),
+            [HostApi, Kernel, Memory, Sync, Framework, Annotation]
+        );
+        assert_eq!(coarse.probe_config(), off);
+        assert!(!coarse.wants_device_events());
+        assert_eq!(union, Interest::all());
+        assert_eq!(opened(Interest::all()), EventClass::ALL);
+        assert_eq!(Interest::all().probe_config(), ProbeConfig::all());
+        assert!(opened(Interest::default()).is_empty());
+        assert_eq!(Interest::default().probe_config(), off);
 
         // A tool that overrides `on_event` alone declares nothing and is
         // still sent every host and framework event.
@@ -784,34 +692,7 @@ mod tests {
         }
         let mut c = ToolCollection::new();
         c.register(Box::new(OnEventOnly));
-        assert_eq!(wanted(c.interest()), coarse);
-        let bits = coarse
-            .iter()
-            .fold(0, |bits, class| bits | 1 << class.index());
-        assert_eq!(c.wanted_classes(), bits);
-    }
-
-    #[test]
-    fn probe_config_covers_exactly_the_device_access_classes() {
-        // Every device class maps through — instruction counts included:
-        // a tool that wants nothing else must still get its launches
-        // walked — and the host/framework classes never enable a probe.
-        assert_eq!(Interest::all().probe_config(), ProbeConfig::all());
-        let instructions_only = Interest {
-            instructions: true,
-            ..Interest::coarse()
-        }
-        .probe_config();
-        assert!(instructions_only.instructions && !instructions_only.is_disabled());
-        assert_eq!(
-            ProbeConfig {
-                instructions: false,
-                ..instructions_only
-            },
-            ProbeConfig::disabled()
-        );
-        assert_eq!(Interest::coarse().probe_config(), ProbeConfig::disabled());
-        assert_eq!(Interest::default().probe_config(), ProbeConfig::disabled());
+        assert_eq!(c.interest(), coarse);
     }
 
     #[test]
@@ -854,10 +735,7 @@ mod tests {
                 "fw-only"
             }
             fn interest(&self) -> Interest {
-                Interest {
-                    framework_events: true,
-                    ..Interest::default()
-                }
+                Interest::FRAMEWORK_EVENTS
             }
             fn on_event(&mut self, event: &Event) {
                 match event.class() {
@@ -925,7 +803,7 @@ mod tests {
         let mut c = ToolCollection::new();
         c.register(Box::<CoarseSpy>::default());
         c.register(Box::<Hungry>::default());
-        assert!(c.wants_class(EventClass::DeviceAccess));
+        assert!(c.interest().wants_class(EventClass::DeviceAccess));
         let access = Event::GlobalAccess {
             launch: LaunchId(0),
             kernel: "k".into(),
@@ -955,20 +833,6 @@ mod tests {
             .with_tool_mut("hungry", |t: &mut Hungry| t.device_access)
             .unwrap();
         assert_eq!(hungry_da, 1, "the interested tool still gets it");
-    }
-
-    #[test]
-    fn shared_access_interest_gets_kernel_trace_ride_along() {
-        // KernelTrace (DeviceControl class) carries the shared_records
-        // totals a shared-accesses tool aggregates — it must ride along
-        // exactly as it does for global-accesses tools.
-        let shared_only = Interest {
-            shared_accesses: true,
-            ..Interest::default()
-        };
-        assert!(shared_only.wants_class(EventClass::DeviceAccess));
-        assert!(shared_only.wants_class(EventClass::DeviceControl));
-        assert!(!shared_only.wants_class(EventClass::HostApi));
     }
 
     /// Panics on the `n`th delivered event (0-based); counts deliveries.
@@ -1050,7 +914,7 @@ mod tests {
         }
         let mut c = ToolCollection::new();
         c.register(Box::new(HungryPanicker));
-        assert!(c.interest().global_accesses);
+        assert!(c.interest().wants_device_events());
         c.dispatch(&launch_end());
         assert!(c.is_quarantined(0));
         assert_eq!(
@@ -1058,7 +922,10 @@ mod tests {
             Interest::default(),
             "quarantined tool's interest withdrawn"
         );
-        assert!(!c.wants_class(EventClass::Kernel), "out of every row");
+        assert!(
+            !c.interest().wants_class(EventClass::Kernel),
+            "out of every row"
+        );
     }
 
     #[test]
@@ -1070,7 +937,10 @@ mod tests {
         assert_eq!(c.quarantines().count(), 1);
         c.reset();
         assert!(!c.is_quarantined(0), "clean reset re-arms the tool");
-        assert!(c.wants_class(EventClass::Kernel), "back in the table");
+        assert!(
+            c.interest().wants_class(EventClass::Kernel),
+            "back in the table"
+        );
     }
 
     #[test]
@@ -1100,18 +970,18 @@ mod tests {
     #[test]
     fn dispatch_table_tracks_registration_and_reset() {
         let mut c = ToolCollection::new();
-        assert!(!c.wants_class(EventClass::Kernel));
+        assert!(!c.interest().wants_class(EventClass::Kernel));
         c.register(Box::<LaunchCounter>::default());
-        assert!(c.wants_class(EventClass::Kernel));
+        assert!(c.interest().wants_class(EventClass::Kernel));
         assert!(
-            !c.wants_class(EventClass::HostApi),
+            !c.interest().wants_class(EventClass::HostApi),
             "a launch counter reads launches alone"
         );
-        assert!(!c.wants_class(EventClass::DeviceAccess));
-        assert!(!c.wants_class(EventClass::DeviceControl));
+        assert!(!c.interest().wants_class(EventClass::DeviceAccess));
+        assert!(!c.interest().wants_class(EventClass::DeviceControl));
         c.reset();
         assert!(
-            c.wants_class(EventClass::Kernel),
+            c.interest().wants_class(EventClass::Kernel),
             "reset rebuilds, not clears, the table"
         );
     }

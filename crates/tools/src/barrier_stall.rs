@@ -76,11 +76,7 @@ impl Tool for BarrierStallTool {
     }
 
     fn interest(&self) -> Interest {
-        Interest {
-            barriers: true,
-            kernel_launches: true,
-            ..Interest::default()
-        }
+        Interest::BARRIERS | Interest::KERNEL_LAUNCHES
     }
 
     fn on_event(&mut self, event: &Event) {

@@ -55,10 +55,7 @@ impl Tool for HotnessTool {
     }
 
     fn interest(&self) -> Interest {
-        Interest {
-            global_accesses: true,
-            ..Interest::default()
-        }
+        Interest::GLOBAL_ACCESSES
     }
 
     fn on_event(&mut self, event: &Event) {

@@ -61,10 +61,7 @@ impl Tool for KernelFrequencyTool {
     }
 
     fn interest(&self) -> Interest {
-        Interest {
-            kernel_launches: true,
-            ..Interest::default()
-        }
+        Interest::KERNEL_LAUNCHES
     }
 
     fn on_event(&mut self, event: &Event) {

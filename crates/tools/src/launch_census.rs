@@ -49,11 +49,7 @@ impl Tool for LaunchCensusTool {
     }
 
     fn interest(&self) -> Interest {
-        Interest {
-            kernel_launches: true,
-            block_boundaries: true,
-            ..Interest::default()
-        }
+        Interest::KERNEL_LAUNCHES | Interest::BLOCK_BOUNDARIES
     }
 
     fn on_event(&mut self, event: &Event) {

@@ -131,12 +131,8 @@ impl Tool for MemoryTimelineTool {
     }
 
     fn interest(&self) -> Interest {
-        Interest {
-            framework_ops: true,
-            // Host memory events carry the UVM fault/migration stream.
-            memory_ops: true,
-            ..Interest::default()
-        }
+        // Host memory events carry the UVM fault/migration stream.
+        Interest::FRAMEWORK_OPS | Interest::MEMORY_OPS
     }
 
     fn on_event(&mut self, event: &Event) {

@@ -126,13 +126,8 @@ impl Tool for MemoryCharacteristicsTool {
     }
 
     fn interest(&self) -> Interest {
-        Interest {
-            global_accesses: true,
-            // Host memory events carry the UVM fault/migration stream.
-            memory_ops: true,
-            framework_ops: true,
-            ..Interest::default()
-        }
+        // Host memory events carry the UVM fault/migration stream.
+        Interest::GLOBAL_ACCESSES | Interest::MEMORY_OPS | Interest::FRAMEWORK_OPS
     }
 
     fn on_event(&mut self, event: &Event) {

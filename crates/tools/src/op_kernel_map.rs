@@ -81,11 +81,7 @@ impl Tool for OpKernelMapTool {
     }
 
     fn interest(&self) -> Interest {
-        Interest {
-            kernel_launches: true,
-            framework_ops: true,
-            ..Interest::default()
-        }
+        Interest::KERNEL_LAUNCHES | Interest::FRAMEWORK_OPS
     }
 
     fn on_event(&mut self, event: &Event) {

@@ -68,12 +68,7 @@ impl Tool for OverflowSanitizerTool {
     }
 
     fn interest(&self) -> Interest {
-        Interest {
-            instructions: true,
-            global_accesses: true,
-            kernel_launches: true,
-            ..Interest::default()
-        }
+        Interest::INSTRUCTIONS | Interest::GLOBAL_ACCESSES | Interest::KERNEL_LAUNCHES
     }
 
     fn on_event(&mut self, event: &Event) {
@@ -183,6 +178,10 @@ mod tests {
     #[test]
     fn requires_instruction_coverage() {
         let t = OverflowSanitizerTool::new();
-        assert!(t.interest().instructions, "needs the NVBit-style backend");
+        assert_eq!(
+            t.interest() | Interest::INSTRUCTIONS,
+            t.interest(),
+            "needs the NVBit-style backend"
+        );
     }
 }

@@ -55,10 +55,7 @@ impl Tool for TransferTool {
     }
 
     fn interest(&self) -> Interest {
-        Interest {
-            memory_ops: true,
-            ..Interest::default()
-        }
+        Interest::MEMORY_OPS
     }
 
     fn on_event(&mut self, event: &Event) {

@@ -172,12 +172,7 @@ impl Tool for UvmPrefetchAdvisor {
     }
 
     fn interest(&self) -> Interest {
-        Interest {
-            global_accesses: true,
-            memory_ops: true,
-            framework_ops: true,
-            ..Interest::default()
-        }
+        Interest::GLOBAL_ACCESSES | Interest::MEMORY_OPS | Interest::FRAMEWORK_OPS
     }
 
     fn on_event(&mut self, event: &Event) {

@@ -86,8 +86,6 @@
 
 mod codec;
 mod error;
-#[cfg(test)]
-mod read_path_tests;
 mod reader;
 mod replay;
 mod wire;
@@ -97,3 +95,6 @@ pub use error::TraceError;
 pub use reader::{ShardSummary, TraceReader, TraceShard, TraceSummary};
 pub use replay::{replay, replay_decoded};
 pub use writer::{Trace, TraceWriter, FORMAT_VERSION};
+
+#[cfg(test)]
+mod read_path_tests;

@@ -571,10 +571,7 @@ impl Tool for KernelNames {
         "kernel-names"
     }
     fn interest(&self) -> Interest {
-        Interest {
-            kernel_launches: true,
-            ..Interest::default()
-        }
+        Interest::KERNEL_LAUNCHES
     }
     fn on_event(&mut self, event: &Event) {
         if let Event::KernelLaunchEnd { name, .. } = event {
@@ -868,26 +865,22 @@ impl Spy {
     /// The six coarse classes from the low bits of `classes`, or one of
     /// the two umbrellas, or `Interest::coarse()` whole, by `flavour`.
     fn generated(name: &'static str, classes: u16, flavour: u8, panic: u8) -> Spy {
-        let bit = |b: u16| classes & (1 << b) != 0;
-        let named = Interest {
-            api_calls: bit(0),
-            kernel_launches: bit(1),
-            memory_ops: bit(2),
-            syncs: bit(3),
-            framework_ops: bit(4),
-            annotations: bit(5),
-            ..Interest::default()
-        };
+        let named = [
+            Interest::API_CALLS,
+            Interest::KERNEL_LAUNCHES,
+            Interest::MEMORY_OPS,
+            Interest::SYNCS,
+            Interest::FRAMEWORK_OPS,
+            Interest::ANNOTATIONS,
+        ]
+        .into_iter()
+        .enumerate()
+        .filter(|&(b, _)| classes & (1 << b) != 0)
+        .fold(Interest::default(), |acc, (_, leaf)| acc | leaf);
         let interest = match flavour {
             0 => Interest::coarse(),
-            1 => Interest {
-                host_events: true,
-                ..named
-            },
-            2 => Interest {
-                framework_events: true,
-                ..named
-            },
+            1 => Interest::HOST_EVENTS | named,
+            2 => Interest::FRAMEWORK_EVENTS | named,
             _ => named,
         };
         Spy {
@@ -1244,10 +1237,7 @@ proptest! {
 /// shut on one side and open on the other.
 fn launch_reader(narrow: bool, forks: bool) -> Spy {
     let interest = if narrow {
-        Interest {
-            kernel_launches: true,
-            ..Interest::default()
-        }
+        Interest::KERNEL_LAUNCHES
     } else {
         Interest::coarse()
     };

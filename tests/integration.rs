@@ -433,12 +433,13 @@ impl pasta::core::Tool for InstructionCounter {
         "instruction-counter"
     }
     fn interest(&self) -> pasta::core::tool::Interest {
-        pasta::core::tool::Interest {
-            instructions: true,
-            host_events: true,
-            block_boundaries: self.also_blocks,
-            ..Default::default()
-        }
+        use pasta::core::tool::Interest;
+        let blocks = if self.also_blocks {
+            Interest::BLOCK_BOUNDARIES
+        } else {
+            Interest::default()
+        };
+        Interest::INSTRUCTIONS | Interest::HOST_EVENTS | blocks
     }
     fn on_event(&mut self, event: &pasta::core::Event) {
         match event {

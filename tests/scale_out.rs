@@ -367,10 +367,7 @@ impl Tool for MergeWatch {
         "merge-watch"
     }
     fn interest(&self) -> Interest {
-        Interest {
-            kernel_launches: true,
-            ..Interest::default()
-        }
+        Interest::KERNEL_LAUNCHES
     }
     fn on_event(&mut self, event: &pasta::core::Event) {
         if matches!(event, pasta::core::Event::KernelLaunchEnd { .. }) {

@@ -420,18 +420,18 @@ impl Tool for Wants {
 fn interest_variant(i: u8) -> Interest {
     match i {
         0 => Interest::all(),
-        1 => Interest {
-            global_accesses: true,
-            shared_accesses: true,
-            instructions: true,
-            ..Interest::coarse()
-        },
-        2 => Interest {
-            barriers: true,
-            block_boundaries: true,
-            instructions: true,
-            ..Interest::coarse()
-        },
+        1 => {
+            Interest::coarse()
+                | Interest::GLOBAL_ACCESSES
+                | Interest::SHARED_ACCESSES
+                | Interest::INSTRUCTIONS
+        }
+        2 => {
+            Interest::coarse()
+                | Interest::BARRIERS
+                | Interest::BLOCK_BOUNDARIES
+                | Interest::INSTRUCTIONS
+        }
         _ => Interest::coarse(),
     }
 }
@@ -478,6 +478,7 @@ fn drive_calls(
     let mut open: [Option<u64>; 2] = [None, None];
     let mut next_launch = 0u64;
     let mut admitted = 0u64;
+    let asks = |leaf: Interest| interest | leaf == interest;
     for &(kind, device, n) in calls {
         let slot = device as usize;
         let launch = match open[slot] {
@@ -502,21 +503,21 @@ fn drive_calls(
                     })
                     .collect();
                 sink.on_batches(&c, &batches);
-                if interest.global_accesses || interest.shared_accesses {
+                if asks(Interest::GLOBAL_ACCESSES) || asks(Interest::SHARED_ACCESSES) {
                     admitted += n;
                 }
             }
             2 => {
                 sink.on_barriers(&c, 1 + n);
-                admitted += u64::from(interest.barriers);
+                admitted += u64::from(asks(Interest::BARRIERS));
             }
             3 => {
                 sink.on_blocks(&c, 1 + n);
-                admitted += u64::from(interest.block_boundaries);
+                admitted += u64::from(asks(Interest::BLOCK_BOUNDARIES));
             }
             4 => {
                 sink.on_instructions(&c, 1_000 + n);
-                admitted += u64::from(interest.instructions);
+                admitted += u64::from(asks(Interest::INSTRUCTIONS));
             }
             5 => sink.flush(),
             _ => {
