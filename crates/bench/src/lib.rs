@@ -4,14 +4,15 @@
 //! `run()` that regenerates the result and a `render()` producing the rows
 //! the paper reports. [`ARTIFACTS`] names them; the one binary,
 //! `experiments [NAME…]`, prints the named ones (all of them by default).
-//! The framework's own timings are the repository's `benchmark/`
-//! package; `benches/` keeps the settings ablations and the four cuts
-//! that package has no metric for yet (`docs/perf-log/ISSUE-23.md`).
+//! One more row, `ablations`, sweeps the profiling settings the paper's
+//! design turns on. The framework's own timings are the repository's
+//! `benchmark/` package.
 //!
 //! Experiment scale comes from [`scale::ExpScale`]: `PASTA_SCALE=quick`
 //! shrinks batch sizes and step counts for smoke runs, the default `full`
 //! uses the paper's batch sizes (Table IV).
 
+mod ablations;
 mod fig11_12;
 mod fig13;
 mod fig14;
@@ -30,9 +31,10 @@ use pasta_core::PastaError;
 /// regenerates it and renders the rows the paper reports.
 pub(crate) type Artifact = (&'static str, fn(ExpScale) -> Result<String, PastaError>);
 
-/// Every artifact of the evaluation, in the paper's order. Every entry
-/// stands alone, so `fig9` and `fig10` each take the measurement they
-/// share — a quarter-second at full scale, and deterministic.
+/// Every artifact of the evaluation, in the paper's order, then the
+/// settings ablations. Every entry stands alone, so `fig9` and `fig10`
+/// each take the measurement they share — a quarter-second at full
+/// scale, and deterministic.
 pub const ARTIFACTS: &[Artifact] = &[
     ("fig4", |s| Ok(fig4::render(&fig4::run(s)?))),
     ("fig7", |s| Ok(fig7::render(&fig7::run(s)?))),
@@ -48,6 +50,7 @@ pub const ARTIFACTS: &[Artifact] = &[
     ("fig13", |s| Ok(fig13::render(&fig13::run(s)?))),
     ("fig14", |s| Ok(fig14::render(&fig14::run(s)?))),
     ("fig15", |s| Ok(fig15::render(&fig15::run(s)?))),
+    ("ablations", ablations::run),
 ];
 
 /// Resolves command-line names against [`ARTIFACTS`], in the order given.

@@ -21,7 +21,8 @@ impl ExpScale {
         }
     }
 
-    /// A smoke-test scale for CI and Criterion.
+    /// A smoke-test scale: CI's experiments smoke and the tier-1 artifact
+    /// digests run at it.
     pub fn quick() -> Self {
         ExpScale {
             batch_divisor: 8,
@@ -30,11 +31,24 @@ impl ExpScale {
         }
     }
 
-    /// Reads `PASTA_SCALE` (`full`/`quick`), defaulting to `full`.
-    pub fn from_env() -> Self {
-        match std::env::var("PASTA_SCALE").as_deref() {
-            Ok("quick") => ExpScale::quick(),
-            _ => ExpScale::full(),
+    /// Reads `PASTA_SCALE`: `full` or unset is [`ExpScale::full`],
+    /// `quick` is [`ExpScale::quick`].
+    ///
+    /// # Errors
+    ///
+    /// Any other value, as given, so a mistyped scale is never run as
+    /// `full`.
+    pub fn from_env() -> Result<Self, String> {
+        std::env::var_os("PASTA_SCALE").map_or(Ok(ExpScale::full()), |value| {
+            ExpScale::named(&value.to_string_lossy())
+        })
+    }
+
+    fn named(name: &str) -> Result<Self, String> {
+        match name {
+            "full" => Ok(ExpScale::full()),
+            "quick" => Ok(ExpScale::quick()),
+            other => Err(other.to_owned()),
         }
     }
 }
@@ -53,5 +67,14 @@ mod tests {
     fn scales_differ() {
         assert!(ExpScale::quick().batch_divisor > ExpScale::full().batch_divisor);
         assert_eq!(ExpScale::full().batch_divisor, 1);
+    }
+
+    #[test]
+    fn only_full_and_quick_name_a_scale() {
+        assert_eq!(ExpScale::named("full"), Ok(ExpScale::full()));
+        assert_eq!(ExpScale::named("quick"), Ok(ExpScale::quick()));
+        for bad in ["Quick", "qiuck", "", "full "] {
+            assert_eq!(ExpScale::named(bad), Err(bad.to_owned()));
+        }
     }
 }
