@@ -7,21 +7,30 @@
 //! schedule that reproduces real frameworks' memory curves (eager freeing
 //! in inference; free-as-you-backprop in training, which produces the
 //! ramp-up/peak/ramp-down of the paper's Fig. 14).
+//!
+//! Whatever owns parameters — a layer, a `Sequential`, a model —
+//! implements `Params`: one walk over its `Param`s in optimizer-step
+//! order. The Adam step, `destroy` (saved activations, then every
+//! parameter with its gradient and moments) and `param_bytes` are that
+//! walk, written once as the trait's provided methods.
 
 use crate::dtype::DType;
-use crate::ops::{self, Act, Conv2dCfg};
+use crate::ops::{self, Act, Attention, AttnGrad, AttnTiles, Conv2dCfg};
 use crate::session::Session;
 use crate::tensor::Tensor;
-use accel_sim::AccelError;
+use accel_sim::{AccelError, AccessSpec, Dim3, KernelBody, KernelDesc};
+use std::cell::Cell;
 
 /// A trainable parameter with lazily-created gradient and Adam moments.
-#[derive(Debug)]
+///
+/// The gradient and the moments sit in cells, so the one `&self` walk
+/// ([`Params::params`]) serves the optimizer and `destroy` as well as
+/// `param_bytes`.
 pub(crate) struct Param {
     /// The parameter tensor.
     pub tensor: Tensor,
-    grad: Option<Tensor>,
-    m: Option<Tensor>,
-    v: Option<Tensor>,
+    grad: Cell<Option<Tensor>>,
+    moments: Cell<Option<(Tensor, Tensor)>>,
 }
 
 impl Param {
@@ -33,9 +42,8 @@ impl Param {
     pub fn new(s: &mut Session<'_>, shape: &[usize]) -> Result<Self, AccelError> {
         Ok(Param {
             tensor: s.alloc_tensor(shape, DType::F32)?,
-            grad: None,
-            m: None,
-            v: None,
+            grad: Cell::new(None),
+            moments: Cell::new(None),
         })
     }
 
@@ -44,58 +52,101 @@ impl Param {
     /// # Errors
     ///
     /// Propagates launch failures from the accumulation kernel.
-    pub(crate) fn set_grad(&mut self, s: &mut Session<'_>, grad: Tensor) -> Result<(), AccelError> {
-        match &self.grad {
-            None => self.grad = Some(grad),
-            Some(existing) => {
-                // Accumulate: existing += grad, then drop the new tensor.
-                let e = existing.clone();
-                ops::elementwise_inplace(s, "at::native::vectorized_elementwise_kernel<add>", &e)?;
-                s.free_tensor(&grad);
-            }
-        }
+    pub(crate) fn set_grad(&self, s: &mut Session<'_>, grad: Tensor) -> Result<(), AccelError> {
+        let Some(existing) = self.grad.take() else {
+            self.grad.set(Some(grad));
+            return Ok(());
+        };
+        // Accumulate: existing += grad, then drop the new tensor.
+        self.grad.set(Some(existing.clone()));
+        ops::elementwise_inplace(
+            s,
+            "at::native::vectorized_elementwise_kernel<add>",
+            &existing,
+        )?;
+        s.free_tensor(&grad);
         Ok(())
     }
 
-    /// Applies one fused Adam step and frees the gradient.
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocation/launch failures.
-    pub fn step(&mut self, s: &mut Session<'_>) -> Result<(), AccelError> {
+    /// Applies one fused Adam step (allocating the moments on first use)
+    /// and frees the gradient.
+    fn adam(&self, s: &mut Session<'_>) -> Result<(), AccelError> {
         let Some(grad) = self.grad.take() else {
             return Ok(());
         };
-        if self.m.is_none() {
-            self.m = Some(s.alloc_tensor(&self.tensor.shape, DType::F32)?);
-            self.v = Some(s.alloc_tensor(&self.tensor.shape, DType::F32)?);
-        }
-        let (m, v) = (
-            self.m.clone().expect("moment m"),
-            self.v.clone().expect("moment v"),
-        );
+        let (m, v) = match self.moments.take() {
+            Some(moments) => moments,
+            None => (
+                s.alloc_tensor(&self.tensor.shape, DType::F32)?,
+                s.alloc_tensor(&self.tensor.shape, DType::F32)?,
+            ),
+        };
+        self.moments.set(Some((m.clone(), v.clone())));
         ops::adam_step(s, &self.tensor, &grad, &m, &v)?;
         s.free_tensor(&grad);
         Ok(())
     }
 
-    /// Frees the parameter, moments and any pending gradient.
-    pub(crate) fn destroy(&mut self, s: &mut Session<'_>) {
+    /// Frees any pending gradient, the moments and the parameter.
+    fn free(&self, s: &mut Session<'_>) {
         if let Some(g) = self.grad.take() {
             s.free_tensor(&g);
         }
-        if let Some(m) = self.m.take() {
+        if let Some((m, v)) = self.moments.take() {
             s.free_tensor(&m);
-        }
-        if let Some(v) = self.v.take() {
             s.free_tensor(&v);
         }
         s.free_tensor(&self.tensor);
     }
+}
 
-    /// Parameter bytes (excluding moments).
-    pub fn bytes(&self) -> u64 {
-        self.tensor.bytes
+/// Whatever owns parameters: one walk over them, from which the optimizer
+/// step, `destroy` and `param_bytes` follow.
+pub(crate) trait Params {
+    /// Visits every parameter, in optimizer-step order. Default: none.
+    fn params(&self, f: &mut dyn FnMut(&Param)) {
+        let _ = f;
+    }
+
+    /// Frees any internally-saved activations that backward did not
+    /// consume.
+    fn release_saved(&mut self, s: &mut Session<'_>) {
+        let _ = s;
+    }
+
+    /// One Adam step over every parameter, stopping at the first failure.
+    ///
+    /// # Errors
+    ///
+    /// Propagates allocation/launch failures.
+    fn step(&mut self, s: &mut Session<'_>) -> Result<(), AccelError> {
+        let mut result = Ok(());
+        self.params(&mut |p| {
+            if result.is_ok() {
+                result = p.adam(s);
+            }
+        });
+        result
+    }
+
+    /// Frees saved activations, then every parameter and its moments.
+    fn destroy(&mut self, s: &mut Session<'_>) {
+        self.release_saved(s);
+        self.params(&mut |p| p.free(s));
+    }
+
+    /// Total parameter bytes (moments excluded).
+    fn param_bytes(&self) -> u64 {
+        let mut bytes = 0;
+        self.params(&mut |p| bytes += p.tensor.bytes);
+        bytes
+    }
+}
+
+/// A bare parameter walks itself.
+impl Params for Param {
+    fn params(&self, f: &mut dyn FnMut(&Param)) {
+        f(self);
     }
 }
 
@@ -104,10 +155,7 @@ impl Param {
 /// Contract: `forward`/`backward` never free their *arguments*; tensors a
 /// layer allocates internally and keeps for backward are freed by
 /// `backward` or `release_saved`.
-pub(crate) trait Layer: Send {
-    /// Human-readable label (used for layer-boundary events).
-    fn label(&self) -> String;
-
+pub(crate) trait Layer: Params + Send {
     /// Computes the layer output. With `train`, keeps what backward needs.
     ///
     /// # Errors
@@ -132,29 +180,25 @@ pub(crate) trait Layer: Send {
         x: &Tensor,
         grad_out: &Tensor,
     ) -> Result<Tensor, AccelError>;
+}
 
-    /// Frees any internally-saved activations that backward did not consume.
-    fn release_saved(&mut self, s: &mut Session<'_>) {
-        let _ = s;
+/// Frees every tensor in `saved`.
+pub(crate) fn free_all(s: &mut Session<'_>, saved: impl IntoIterator<Item = Tensor>) {
+    for t in saved {
+        s.free_tensor(&t);
     }
+}
 
-    /// Optimizer step over this layer's parameters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocation/launch failures.
-    fn step(&mut self, s: &mut Session<'_>) -> Result<(), AccelError> {
-        let _ = s;
-        Ok(())
+/// The fused activation's backward, in place on the output gradient.
+fn act_backward(s: &mut Session<'_>, act: Act, grad_out: &Tensor) -> Result<(), AccelError> {
+    if act == Act::None {
+        return Ok(());
     }
-
-    /// Frees parameters and moments.
-    fn destroy(&mut self, s: &mut Session<'_>);
-
-    /// Total parameter bytes.
-    fn param_bytes(&self) -> u64 {
-        0
-    }
+    ops::elementwise_inplace(
+        s,
+        "at::native::vectorized_elementwise_kernel<act_backward>",
+        grad_out,
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -162,9 +206,7 @@ pub(crate) trait Layer: Send {
 // ---------------------------------------------------------------------------
 
 /// Fully-connected layer with optional fused activation.
-#[derive(Debug)]
 pub(crate) struct Linear {
-    name: String,
     w: Param,
     b: Option<Param>,
     act: Act,
@@ -178,14 +220,12 @@ impl Linear {
     /// Propagates allocator out-of-memory.
     pub fn new(
         s: &mut Session<'_>,
-        name: impl Into<String>,
         in_f: usize,
         out_f: usize,
         bias: bool,
         act: Act,
     ) -> Result<Self, AccelError> {
         Ok(Linear {
-            name: name.into(),
             w: Param::new(s, &[out_f, in_f])?,
             b: if bias {
                 Some(Param::new(s, &[out_f])?)
@@ -197,19 +237,24 @@ impl Linear {
     }
 }
 
-impl Layer for Linear {
-    fn label(&self) -> String {
-        self.name.clone()
+impl Params for Linear {
+    fn params(&self, f: &mut dyn FnMut(&Param)) {
+        f(&self.w);
+        if let Some(b) = &self.b {
+            f(b);
+        }
     }
+}
 
+impl Layer for Linear {
     fn forward(
         &mut self,
         s: &mut Session<'_>,
         x: &Tensor,
         _train: bool,
     ) -> Result<Tensor, AccelError> {
-        let b = self.b.as_ref().map(|p| p.tensor.clone());
-        ops::linear(s, x, &self.w.tensor, b.as_ref(), self.act)
+        let b = self.b.as_ref().map(|p| &p.tensor);
+        ops::linear(s, x, &self.w.tensor, b, self.act)
     }
 
     fn backward(
@@ -218,39 +263,13 @@ impl Layer for Linear {
         x: &Tensor,
         grad_out: &Tensor,
     ) -> Result<Tensor, AccelError> {
-        // Activation backward first (elementwise on the output gradient).
-        if self.act != Act::None {
-            ops::elementwise_inplace(
-                s,
-                "at::native::vectorized_elementwise_kernel<act_backward>",
-                grad_out,
-            )?;
-        }
+        act_backward(s, self.act, grad_out)?;
         let (gx, gw, gb) = ops::linear_backward(s, x, &self.w.tensor, grad_out, self.b.is_some())?;
         self.w.set_grad(s, gw)?;
-        if let (Some(bp), Some(gb)) = (self.b.as_mut(), gb) {
+        if let (Some(bp), Some(gb)) = (&self.b, gb) {
             bp.set_grad(s, gb)?;
         }
         Ok(gx)
-    }
-
-    fn step(&mut self, s: &mut Session<'_>) -> Result<(), AccelError> {
-        self.w.step(s)?;
-        if let Some(b) = self.b.as_mut() {
-            b.step(s)?;
-        }
-        Ok(())
-    }
-
-    fn destroy(&mut self, s: &mut Session<'_>) {
-        self.w.destroy(s);
-        if let Some(mut b) = self.b.take() {
-            b.destroy(s);
-        }
-    }
-
-    fn param_bytes(&self) -> u64 {
-        self.w.bytes() + self.b.as_ref().map_or(0, Param::bytes)
     }
 }
 
@@ -259,9 +278,7 @@ impl Layer for Linear {
 // ---------------------------------------------------------------------------
 
 /// 2-D convolution with optional fused activation.
-#[derive(Debug)]
 pub(crate) struct Conv2d {
-    name: String,
     w: Param,
     b: Param,
     cfg: Conv2dCfg,
@@ -274,14 +291,8 @@ impl Conv2d {
     /// # Errors
     ///
     /// Propagates allocator out-of-memory.
-    pub fn new(
-        s: &mut Session<'_>,
-        name: impl Into<String>,
-        cfg: Conv2dCfg,
-        act: Act,
-    ) -> Result<Self, AccelError> {
+    pub fn new(s: &mut Session<'_>, cfg: Conv2dCfg, act: Act) -> Result<Self, AccelError> {
         Ok(Conv2d {
-            name: name.into(),
             w: Param::new(s, &[cfg.cout, cfg.cin * cfg.k * cfg.k])?,
             b: Param::new(s, &[cfg.cout])?,
             cfg,
@@ -290,19 +301,22 @@ impl Conv2d {
     }
 }
 
-impl Layer for Conv2d {
-    fn label(&self) -> String {
-        self.name.clone()
+impl Params for Conv2d {
+    fn params(&self, f: &mut dyn FnMut(&Param)) {
+        f(&self.w);
+        f(&self.b);
     }
+}
 
+impl Layer for Conv2d {
     fn forward(
         &mut self,
         s: &mut Session<'_>,
         x: &Tensor,
         _train: bool,
     ) -> Result<Tensor, AccelError> {
-        let b = self.b.tensor.clone();
-        ops::conv2d(s, x, &self.w.tensor, Some(&b), self.cfg, self.act)
+        let b = Some(&self.b.tensor);
+        ops::conv2d(s, x, &self.w.tensor, b, self.cfg, self.act)
     }
 
     fn backward(
@@ -311,31 +325,11 @@ impl Layer for Conv2d {
         x: &Tensor,
         grad_out: &Tensor,
     ) -> Result<Tensor, AccelError> {
-        if self.act != Act::None {
-            ops::elementwise_inplace(
-                s,
-                "at::native::vectorized_elementwise_kernel<act_backward>",
-                grad_out,
-            )?;
-        }
+        act_backward(s, self.act, grad_out)?;
         let (gx, gw, gb) = ops::conv2d_backward(s, x, &self.w.tensor, grad_out, self.cfg)?;
         self.w.set_grad(s, gw)?;
         self.b.set_grad(s, gb)?;
         Ok(gx)
-    }
-
-    fn step(&mut self, s: &mut Session<'_>) -> Result<(), AccelError> {
-        self.w.step(s)?;
-        self.b.step(s)
-    }
-
-    fn destroy(&mut self, s: &mut Session<'_>) {
-        self.w.destroy(s);
-        self.b.destroy(s);
-    }
-
-    fn param_bytes(&self) -> u64 {
-        self.w.bytes() + self.b.bytes()
     }
 }
 
@@ -344,9 +338,7 @@ impl Layer for Conv2d {
 // ---------------------------------------------------------------------------
 
 /// 2-D batch normalization.
-#[derive(Debug)]
 pub(crate) struct BatchNorm2d {
-    name: String,
     gamma: Param,
     beta: Param,
 }
@@ -357,32 +349,29 @@ impl BatchNorm2d {
     /// # Errors
     ///
     /// Propagates allocator out-of-memory.
-    pub fn new(
-        s: &mut Session<'_>,
-        name: impl Into<String>,
-        channels: usize,
-    ) -> Result<Self, AccelError> {
+    pub fn new(s: &mut Session<'_>, channels: usize) -> Result<Self, AccelError> {
         Ok(BatchNorm2d {
-            name: name.into(),
             gamma: Param::new(s, &[channels])?,
             beta: Param::new(s, &[channels])?,
         })
     }
 }
 
-impl Layer for BatchNorm2d {
-    fn label(&self) -> String {
-        self.name.clone()
+impl Params for BatchNorm2d {
+    fn params(&self, f: &mut dyn FnMut(&Param)) {
+        f(&self.gamma);
+        f(&self.beta);
     }
+}
 
+impl Layer for BatchNorm2d {
     fn forward(
         &mut self,
         s: &mut Session<'_>,
         x: &Tensor,
         _train: bool,
     ) -> Result<Tensor, AccelError> {
-        let (g, b) = (self.gamma.tensor.clone(), self.beta.tensor.clone());
-        ops::batchnorm2d(s, x, &g, &b)
+        ops::batchnorm2d(s, x, &self.gamma.tensor, &self.beta.tensor)
     }
 
     fn backward(
@@ -396,20 +385,6 @@ impl Layer for BatchNorm2d {
         self.beta.set_grad(s, gb)?;
         Ok(gx)
     }
-
-    fn step(&mut self, s: &mut Session<'_>) -> Result<(), AccelError> {
-        self.gamma.step(s)?;
-        self.beta.step(s)
-    }
-
-    fn destroy(&mut self, s: &mut Session<'_>) {
-        self.gamma.destroy(s);
-        self.beta.destroy(s);
-    }
-
-    fn param_bytes(&self) -> u64 {
-        self.gamma.bytes() + self.beta.bytes()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -417,29 +392,21 @@ impl Layer for BatchNorm2d {
 // ---------------------------------------------------------------------------
 
 /// Max pooling (no parameters).
-#[derive(Debug)]
 pub(crate) struct MaxPool2d {
-    name: String,
     k: usize,
     stride: usize,
 }
 
 impl MaxPool2d {
     /// Creates a pooling layer.
-    pub fn new(name: impl Into<String>, k: usize, stride: usize) -> Self {
-        MaxPool2d {
-            name: name.into(),
-            k,
-            stride,
-        }
+    pub fn new(k: usize, stride: usize) -> Self {
+        MaxPool2d { k, stride }
     }
 }
 
-impl Layer for MaxPool2d {
-    fn label(&self) -> String {
-        self.name.clone()
-    }
+impl Params for MaxPool2d {}
 
+impl Layer for MaxPool2d {
     fn forward(
         &mut self,
         s: &mut Session<'_>,
@@ -457,8 +424,6 @@ impl Layer for MaxPool2d {
     ) -> Result<Tensor, AccelError> {
         ops::maxpool2d_backward(s, x, grad_out)
     }
-
-    fn destroy(&mut self, _s: &mut Session<'_>) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -468,23 +433,11 @@ impl Layer for MaxPool2d {
 /// Flattens `[n, …]` to `[n, rest]` via a contiguous copy
 /// (`aten::contiguous` launches a real copy kernel in NCHW → FC
 /// transitions, which is what this models).
-#[derive(Debug)]
-pub(crate) struct Flatten {
-    name: String,
-}
+pub(crate) struct Flatten;
 
-impl Flatten {
-    /// Creates a flatten layer.
-    pub fn new(name: impl Into<String>) -> Self {
-        Flatten { name: name.into() }
-    }
-}
+impl Params for Flatten {}
 
 impl Layer for Flatten {
-    fn label(&self) -> String {
-        self.name.clone()
-    }
-
     fn forward(
         &mut self,
         s: &mut Session<'_>,
@@ -504,8 +457,6 @@ impl Layer for Flatten {
     ) -> Result<Tensor, AccelError> {
         ops::elementwise(s, "at::native::copy_kernel", &[grad_out], &x.shape)
     }
-
-    fn destroy(&mut self, _s: &mut Session<'_>) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -513,23 +464,11 @@ impl Layer for Flatten {
 // ---------------------------------------------------------------------------
 
 /// Adaptive average pooling to a 1×1 spatial output (ResNet's final pool).
-#[derive(Debug)]
-pub(crate) struct GlobalAvgPool {
-    name: String,
-}
+pub(crate) struct GlobalAvgPool;
 
-impl GlobalAvgPool {
-    /// Creates the pool.
-    pub fn new(name: impl Into<String>) -> Self {
-        GlobalAvgPool { name: name.into() }
-    }
-}
+impl Params for GlobalAvgPool {}
 
 impl Layer for GlobalAvgPool {
-    fn label(&self) -> String {
-        self.name.clone()
-    }
-
     fn forward(
         &mut self,
         s: &mut Session<'_>,
@@ -562,8 +501,6 @@ impl Layer for GlobalAvgPool {
             )
         })
     }
-
-    fn destroy(&mut self, _s: &mut Session<'_>) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -571,9 +508,7 @@ impl Layer for GlobalAvgPool {
 // ---------------------------------------------------------------------------
 
 /// Layer normalization over the last dimension.
-#[derive(Debug)]
 pub(crate) struct LayerNorm {
-    name: String,
     gamma: Param,
     beta: Param,
     width: usize,
@@ -585,13 +520,8 @@ impl LayerNorm {
     /// # Errors
     ///
     /// Propagates allocator out-of-memory.
-    pub fn new(
-        s: &mut Session<'_>,
-        name: impl Into<String>,
-        width: usize,
-    ) -> Result<Self, AccelError> {
+    pub fn new(s: &mut Session<'_>, width: usize) -> Result<Self, AccelError> {
         Ok(LayerNorm {
-            name: name.into(),
             gamma: Param::new(s, &[width])?,
             beta: Param::new(s, &[width])?,
             width,
@@ -599,19 +529,21 @@ impl LayerNorm {
     }
 }
 
-impl Layer for LayerNorm {
-    fn label(&self) -> String {
-        self.name.clone()
+impl Params for LayerNorm {
+    fn params(&self, f: &mut dyn FnMut(&Param)) {
+        f(&self.gamma);
+        f(&self.beta);
     }
+}
 
+impl Layer for LayerNorm {
     fn forward(
         &mut self,
         s: &mut Session<'_>,
         x: &Tensor,
         _train: bool,
     ) -> Result<Tensor, AccelError> {
-        let (g, b) = (self.gamma.tensor.clone(), self.beta.tensor.clone());
-        ops::layernorm(s, x, &g, &b)
+        ops::layernorm(s, x, &self.gamma.tensor, &self.beta.tensor)
     }
 
     fn backward(
@@ -625,70 +557,44 @@ impl Layer for LayerNorm {
         self.beta.set_grad(s, gb)?;
         Ok(gx)
     }
-
-    fn step(&mut self, s: &mut Session<'_>) -> Result<(), AccelError> {
-        self.gamma.step(s)?;
-        self.beta.step(s)
-    }
-
-    fn destroy(&mut self, s: &mut Session<'_>) {
-        self.gamma.destroy(s);
-        self.beta.destroy(s);
-    }
-
-    fn param_bytes(&self) -> u64 {
-        self.gamma.bytes() + self.beta.bytes()
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Multi-head attention
 // ---------------------------------------------------------------------------
 
+/// Self-attention's GEMM tiles.
+const ATTN: AttnTiles = AttnTiles {
+    qk: "64x64_attn_qk",
+    pv: "64x64_attn_pv",
+    recompute: "64x64_attn_qk_recompute",
+    bwd: "64x64_attn_bwd",
+};
+
 /// Multi-head self-attention (fused QKV projection).
-///
-/// Supports Megatron-style tensor-parallel sharding: a shard keeps
-/// `heads/shard` heads and a `dim/shard`-wide projection, while the output
-/// projection restores the full model width.
-#[derive(Debug)]
 pub(crate) struct MultiHeadAttention {
-    name: String,
     wqkv: Param,
     wo: Param,
-    /// Local projection width (`dim / shard`).
-    width: usize,
-    /// Local head count.
-    heads: usize,
+    attn: Attention,
     /// Internally-allocated activations kept for backward.
     saved: Vec<Tensor>,
 }
 
 impl MultiHeadAttention {
-    /// Creates one tensor-parallel shard: `heads/shard` local heads over a
-    /// `dim/shard` projection width.
+    /// Creates `heads`-head attention over width `dim`.
     ///
     /// # Errors
     ///
     /// Propagates allocator out-of-memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard` does not divide `heads` and `dim`.
-    pub(crate) fn new_sharded(
-        s: &mut Session<'_>,
-        name: impl Into<String>,
-        dim: usize,
-        heads: usize,
-        shard: usize,
-    ) -> Result<Self, AccelError> {
-        assert!(shard >= 1 && heads.is_multiple_of(shard) && dim.is_multiple_of(shard));
-        let width = dim / shard;
+    pub(crate) fn new(s: &mut Session<'_>, dim: usize, heads: usize) -> Result<Self, AccelError> {
         Ok(MultiHeadAttention {
-            name: name.into(),
-            wqkv: Param::new(s, &[3 * width, dim])?,
-            wo: Param::new(s, &[dim, width])?,
-            width,
-            heads: heads / shard,
+            wqkv: Param::new(s, &[3 * dim, dim])?,
+            wo: Param::new(s, &[dim, dim])?,
+            attn: Attention {
+                tiles: ATTN,
+                heads,
+                d: dim,
+            },
             saved: Vec::new(),
         })
     }
@@ -699,128 +605,70 @@ impl MultiHeadAttention {
     /// transients that real SDPA implementations do not allocate).
     const FLASH_SEQ_THRESHOLD: usize = 1280;
 
-    fn attention_core(
-        &mut self,
-        s: &mut Session<'_>,
-        qkv: &Tensor,
-        batch: usize,
-        seq: usize,
-        train: bool,
-    ) -> Result<Tensor, AccelError> {
-        let d = self.width;
-        let h = self.heads;
+    /// The attention core over the fused QKV: flash for long sequences,
+    /// otherwise the shared op of [`ops::Attention`].
+    fn core(&mut self, s: &mut Session<'_>, qkv: &Tensor) -> Result<Tensor, AccelError> {
+        let (batch, seq) = (qkv.shape[0], qkv.shape[1]);
         if seq >= Self::FLASH_SEQ_THRESHOLD {
-            return self.flash_core(s, qkv, batch, seq, train);
+            return self.flash_core(s, qkv);
         }
         // Backends without fused attention paths (MIOpen/rocBLAS)
         // materialize separate Q/K/V tensors before the batched GEMMs —
         // three extra transient tensors and three copy kernels per
         // attention, part of the AMD "more alloc/dealloc events" pattern
         // of the paper's Fig. 14.
-        let split = if !s.backend().fused_epilogue {
-            let mut parts = Vec::with_capacity(3);
-            for part in ["q", "k", "v"] {
-                let t = s.alloc_tensor(&[batch, seq, d], crate::dtype::DType::F32)?;
-                let (g, blk) = {
-                    let work = t.numel() / 4;
-                    (
-                        accel_sim::Dim3::linear((work.max(1)).div_ceil(256).max(1) as u32),
-                        accel_sim::Dim3::linear(256),
-                    )
-                };
-                let desc = accel_sim::KernelDesc::new(
-                    format!("at::native::copy_kernel<split_{part}>"),
-                    g,
-                    blk,
-                )
-                .arg(qkv.ptr, qkv.bytes)
-                .arg(t.ptr, t.bytes)
-                .body(
-                    accel_sim::KernelBody::default()
-                        .access(accel_sim::AccessSpec::load(0, qkv.bytes / 3))
-                        .access(accel_sim::AccessSpec::store(1, t.bytes)),
-                );
+        let mut parts = Vec::new();
+        if !s.backend().fused_epilogue {
+            for name in [
+                "at::native::copy_kernel<split_q>",
+                "at::native::copy_kernel<split_k>",
+                "at::native::copy_kernel<split_v>",
+            ] {
+                let t = s.alloc_tensor(&[batch, seq, self.attn.d], DType::F32)?;
+                let blocks = (t.numel() / 4).max(1).div_ceil(256).max(1) as u32;
+                let desc = KernelDesc::new(name, Dim3::linear(blocks), Dim3::linear(256))
+                    .arg(qkv.ptr, qkv.bytes)
+                    .arg(t.ptr, t.bytes)
+                    .body(
+                        KernelBody::default()
+                            .access(AccessSpec::load(0, qkv.bytes / 3))
+                            .access(AccessSpec::store(1, t.bytes)),
+                    );
                 s.launch(desc)?;
                 parts.push(t);
             }
-            Some(parts)
-        } else {
-            None
-        };
-        // scores[b*h, s, s] = Q × Kᵀ.
-        let scores = s.alloc_tensor(&[batch * h, seq, seq], DType::F32)?;
-        ops::gemm_kernel(
-            s,
-            "64x64_attn_qk",
-            qkv,
-            qkv,
-            &scores,
-            (batch * h * seq) as u64,
-            seq as u64,
-            (d / h) as u64,
-            None,
-            Act::None,
-        )?;
-        let probs = ops::softmax(s, &scores)?;
-        s.free_tensor(&scores);
-        // ctx[b, s, d] = probs × V.
-        let ctx = s.alloc_tensor(&[batch, seq, d], DType::F32)?;
-        ops::gemm_kernel(
-            s,
-            "64x64_attn_pv",
-            &probs,
-            qkv,
-            &ctx,
-            (batch * h * seq) as u64,
-            (d / h) as u64,
-            seq as u64,
-            None,
-            Act::None,
-        )?;
-        // Memory-efficient attention: the probability matrix is never kept
-        // for backward — it is recomputed there (as PyTorch's SDPA does).
-        // Keeping it would add O(heads x seq^2) per block to the training
-        // footprint and blow Table V's training rows far past the paper's.
-        s.free_tensor(&probs);
-        if let Some(parts) = split {
-            for t in parts {
-                s.free_tensor(&t);
-            }
         }
+        let (probs, ctx) = self.attn.forward(s, qkv, qkv)?;
+        s.free_tensor(&probs);
+        free_all(s, parts);
         Ok(ctx)
     }
 
     /// Tiled flash-attention forward: one fused kernel, no materialized
     /// score/probability tensors. Backward runs the matching fused
-    /// gradient kernel (see [`MultiHeadAttention::backward`]).
-    fn flash_core(
-        &mut self,
-        s: &mut Session<'_>,
-        qkv: &Tensor,
-        batch: usize,
-        seq: usize,
-        _train: bool,
-    ) -> Result<Tensor, AccelError> {
-        let (d, h) = (self.width, self.heads);
+    /// gradient kernel ([`MultiHeadAttention::flash_backward`]).
+    fn flash_core(&mut self, s: &mut Session<'_>, qkv: &Tensor) -> Result<Tensor, AccelError> {
+        let (batch, seq) = (qkv.shape[0], qkv.shape[1]);
+        let (d, h) = (self.attn.d, self.attn.heads);
         let ctx = s.alloc_tensor(&[batch, seq, d], DType::F32)?;
-        let grid = accel_sim::Dim3::plane(seq.div_ceil(128) as u32, (batch * h) as u32);
-        let desc = accel_sim::KernelDesc::new(
+        let grid = Dim3::plane(seq.div_ceil(128) as u32, (batch * h) as u32);
+        let desc = KernelDesc::new(
             "flash_fwd_kernel<128, 128, softmax_scale>",
             grid,
-            accel_sim::Dim3::linear(256),
+            Dim3::linear(256),
         )
         .arg(qkv.ptr, qkv.bytes)
         .arg(ctx.ptr, ctx.bytes)
         .body(
-            accel_sim::KernelBody::default()
+            KernelBody::default()
                 .with_flops(4 * (batch * h * seq * seq) as u64 * (d / h) as u64)
                 .with_barriers((seq / 64).max(1) as u32)
                 .with_shared_mem(96 << 10)
                 .access(
-                    accel_sim::AccessSpec::load(0, qkv.bytes)
+                    AccessSpec::load(0, qkv.bytes)
                         .with_bytes(qkv.bytes * ((seq / 128).max(1) as u64)),
                 )
-                .access(accel_sim::AccessSpec::store(1, ctx.bytes)),
+                .access(AccessSpec::store(1, ctx.bytes)),
         );
         s.launch(desc)?;
         Ok(ctx)
@@ -833,85 +681,62 @@ impl MultiHeadAttention {
         qkv: &Tensor,
         g_qkv: &Tensor,
         g_ctx: &Tensor,
-        batch: usize,
-        seq: usize,
     ) -> Result<(), AccelError> {
-        let (d, h) = (self.width, self.heads);
-        let grid = accel_sim::Dim3::plane(seq.div_ceil(128) as u32, (batch * h) as u32);
-        let desc = accel_sim::KernelDesc::new(
+        let (batch, seq) = (qkv.shape[0], qkv.shape[1]);
+        let (d, h) = (self.attn.d, self.attn.heads);
+        let grid = Dim3::plane(seq.div_ceil(128) as u32, (batch * h) as u32);
+        let desc = KernelDesc::new(
             "flash_bwd_kernel<128, 128, softmax_scale>",
             grid,
-            accel_sim::Dim3::linear(256),
+            Dim3::linear(256),
         )
         .arg(qkv.ptr, qkv.bytes)
         .arg(g_qkv.ptr, g_qkv.bytes)
         .arg(g_ctx.ptr, g_ctx.bytes)
         .body(
-            accel_sim::KernelBody::default()
+            KernelBody::default()
                 .with_flops(8 * (batch * h * seq * seq) as u64 * (d / h) as u64)
                 .with_barriers((seq / 64).max(1) as u32)
                 .with_shared_mem(96 << 10)
                 .access(
-                    accel_sim::AccessSpec::load(0, qkv.bytes)
+                    AccessSpec::load(0, qkv.bytes)
                         .with_bytes(qkv.bytes * 2 * ((seq / 128).max(1) as u64)),
                 )
-                .access(accel_sim::AccessSpec::store(1, g_qkv.bytes))
-                .access(accel_sim::AccessSpec::load(2, g_ctx.bytes)),
+                .access(AccessSpec::store(1, g_qkv.bytes))
+                .access(AccessSpec::load(2, g_ctx.bytes)),
         );
         s.launch(desc)?;
         Ok(())
     }
+}
 
-    /// Recomputes the softmax probabilities from the saved QKV (the
-    /// backward half of memory-efficient attention).
-    fn recompute_probs(
-        &mut self,
-        s: &mut Session<'_>,
-        qkv: &Tensor,
-        batch: usize,
-        seq: usize,
-    ) -> Result<Tensor, AccelError> {
-        let (d, h) = (self.width, self.heads);
-        let scores = s.alloc_tensor(&[batch * h, seq, seq], DType::F32)?;
-        ops::gemm_kernel(
-            s,
-            "64x64_attn_qk_recompute",
-            qkv,
-            qkv,
-            &scores,
-            (batch * h * seq) as u64,
-            seq as u64,
-            (d / h) as u64,
-            None,
-            Act::None,
-        )?;
-        let probs = ops::softmax(s, &scores)?;
-        s.free_tensor(&scores);
-        Ok(probs)
+impl Params for MultiHeadAttention {
+    fn params(&self, f: &mut dyn FnMut(&Param)) {
+        f(&self.wqkv);
+        f(&self.wo);
+    }
+
+    fn release_saved(&mut self, s: &mut Session<'_>) {
+        free_all(s, self.saved.drain(..));
     }
 }
 
 impl Layer for MultiHeadAttention {
-    fn label(&self) -> String {
-        self.name.clone()
-    }
-
     fn forward(
         &mut self,
         s: &mut Session<'_>,
         x: &Tensor,
         train: bool,
     ) -> Result<Tensor, AccelError> {
-        let (batch, seq) = (x.shape[0], x.shape[1]);
         s.with_op("aten::scaled_dot_product_attention", |s| {
-            let qkv = ops::linear(s, x, &self.wqkv.tensor.clone(), None, Act::None)?;
-            let ctx = self.attention_core(s, &qkv, batch, seq, train)?;
+            let qkv = ops::linear(s, x, &self.wqkv.tensor, None, Act::None)?;
+            let ctx = self.core(s, &qkv)?;
             if train {
                 self.saved.push(qkv);
             } else {
                 s.free_tensor(&qkv);
             }
-            let out = ops::linear(s, &ctx, &self.wo.tensor.clone(), None, Act::None)?;
+            let out = ops::linear(s, &ctx, &self.wo.tensor, None, Act::None)?;
             if train {
                 self.saved.push(ctx);
             } else {
@@ -930,7 +755,6 @@ impl Layer for MultiHeadAttention {
         // Saved (in push order): qkv, ctx.
         let ctx = self.saved.pop().expect("ctx saved");
         let qkv = self.saved.pop().expect("qkv saved");
-        let (batch, seq) = (x.shape[0], x.shape[1]);
 
         // dCtx through the output projection.
         let (g_ctx, g_wo, _) = ops::linear_backward(s, &ctx, &self.wo.tensor, grad_out, false)?;
@@ -938,30 +762,12 @@ impl Layer for MultiHeadAttention {
         s.free_tensor(&ctx);
 
         let g_qkv = s.alloc_tensor(&qkv.shape, DType::F32)?;
-        if seq >= Self::FLASH_SEQ_THRESHOLD {
-            self.flash_backward(s, &qkv, &g_qkv, &g_ctx, batch, seq)?;
+        if qkv.shape[1] >= Self::FLASH_SEQ_THRESHOLD {
+            self.flash_backward(s, &qkv, &g_qkv, &g_ctx)?;
             s.free_tensor(&g_ctx);
         } else {
-            // Memory-efficient attention recomputes the probabilities here.
-            let probs = self.recompute_probs(s, &qkv, batch, seq)?;
-            // Through the attention core: dProbs, dV (into dQKV), dQ/dK.
-            let g_probs = ops::softmax_backward(s, &probs, &g_ctx)?;
-            s.free_tensor(&probs);
-            s.free_tensor(&g_ctx);
-            let (bh, sq) = (g_probs.shape[0] * g_probs.shape[1], g_probs.shape[2]);
-            ops::gemm_kernel(
-                s,
-                "64x64_attn_bwd",
-                &g_probs,
-                &qkv,
-                &g_qkv,
-                bh as u64,
-                (self.width / self.heads) as u64,
-                sq as u64,
-                None,
-                Act::None,
-            )?;
-            s.free_tensor(&g_probs);
+            self.attn
+                .backward(s, &qkv, &qkv, g_ctx, AttnGrad::Qkv(&g_qkv))?;
         }
 
         // Back through the QKV projection.
@@ -971,27 +777,6 @@ impl Layer for MultiHeadAttention {
         s.free_tensor(&qkv);
         Ok(gx)
     }
-
-    fn release_saved(&mut self, s: &mut Session<'_>) {
-        for t in self.saved.drain(..) {
-            s.free_tensor(&t);
-        }
-    }
-
-    fn step(&mut self, s: &mut Session<'_>) -> Result<(), AccelError> {
-        self.wqkv.step(s)?;
-        self.wo.step(s)
-    }
-
-    fn destroy(&mut self, s: &mut Session<'_>) {
-        self.release_saved(s);
-        self.wqkv.destroy(s);
-        self.wo.destroy(s);
-    }
-
-    fn param_bytes(&self) -> u64 {
-        self.wqkv.bytes() + self.wo.bytes()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1000,14 +785,13 @@ impl Layer for MultiHeadAttention {
 
 /// Pre-norm transformer block: `x + attn(ln1(x))`, then `x + mlp(ln2(x))`.
 pub(crate) struct TransformerBlock {
-    name: String,
     ln1: LayerNorm,
     attn: MultiHeadAttention,
     ln2: LayerNorm,
     fc1: Linear,
     fc2: Linear,
     /// Internal activations saved for backward, in creation order:
-    /// `[h1, a, x1, h2, m1]`.
+    /// `[h1, a, x1, h2, m0, m1]`.
     saved: Vec<Tensor>,
 }
 
@@ -1019,62 +803,37 @@ impl TransformerBlock {
     /// Propagates allocator out-of-memory.
     pub fn new(
         s: &mut Session<'_>,
-        name: impl Into<String>,
         dim: usize,
         heads: usize,
         ffn: usize,
     ) -> Result<Self, AccelError> {
-        Self::new_sharded(s, name, dim, heads, ffn, 1)
-    }
-
-    /// Creates one tensor-parallel shard of a block: attention heads and
-    /// the feed-forward hidden width are divided by `shard` (Megatron-LM's
-    /// column/row-parallel split), while layer norms keep the full width.
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocator out-of-memory.
-    pub(crate) fn new_sharded(
-        s: &mut Session<'_>,
-        name: impl Into<String>,
-        dim: usize,
-        heads: usize,
-        ffn: usize,
-        shard: usize,
-    ) -> Result<Self, AccelError> {
-        let name = name.into();
-        let ffn_local = ffn / shard.max(1);
         Ok(TransformerBlock {
-            ln1: LayerNorm::new(s, format!("{name}.ln1"), dim)?,
-            attn: MultiHeadAttention::new_sharded(s, format!("{name}.attn"), dim, heads, shard)?,
-            ln2: LayerNorm::new(s, format!("{name}.ln2"), dim)?,
-            fc1: Linear::new(
-                s,
-                format!("{name}.mlp.fc1"),
-                dim,
-                ffn_local,
-                true,
-                Act::Gelu,
-            )?,
-            fc2: Linear::new(
-                s,
-                format!("{name}.mlp.fc2"),
-                ffn_local,
-                dim,
-                true,
-                Act::None,
-            )?,
-            name,
+            ln1: LayerNorm::new(s, dim)?,
+            attn: MultiHeadAttention::new(s, dim, heads)?,
+            ln2: LayerNorm::new(s, dim)?,
+            fc1: Linear::new(s, dim, ffn, true, Act::Gelu)?,
+            fc2: Linear::new(s, ffn, dim, true, Act::None)?,
             saved: Vec::new(),
         })
     }
 }
 
-impl Layer for TransformerBlock {
-    fn label(&self) -> String {
-        self.name.clone()
+impl Params for TransformerBlock {
+    fn params(&self, f: &mut dyn FnMut(&Param)) {
+        self.ln1.params(f);
+        self.attn.params(f);
+        self.ln2.params(f);
+        self.fc1.params(f);
+        self.fc2.params(f);
     }
 
+    fn release_saved(&mut self, s: &mut Session<'_>) {
+        free_all(s, self.saved.drain(..));
+        self.attn.release_saved(s);
+    }
+}
+
+impl Layer for TransformerBlock {
     fn forward(
         &mut self,
         s: &mut Session<'_>,
@@ -1098,13 +857,12 @@ impl Layer for TransformerBlock {
             &[&x1, &m1],
             &x1.shape,
         )?;
+        let saved = [h1, a, x1, h2, m0, m1];
         if train {
             // m0 is consumed by fc2's backward as its input activation.
-            self.saved = vec![h1, a, x1, h2, m0, m1];
+            self.saved = saved.into();
         } else {
-            for t in [h1, a, x1, h2, m0, m1] {
-                s.free_tensor(&t);
-            }
+            free_all(s, saved);
         }
         Ok(y)
     }
@@ -1123,8 +881,7 @@ impl Layer for TransformerBlock {
         let h1 = self.saved.pop().expect("h1");
 
         // Residual 2: grad flows to both the MLP branch and x1.
-        let g_m1 = grad_out.clone(); // same gradient tensor feeds the branch
-        let g_m0 = self.fc2.backward(s, &m0, &g_m1)?;
+        let g_m0 = self.fc2.backward(s, &m0, grad_out)?;
         s.free_tensor(&m1);
         s.free_tensor(&m0);
         let g_h2 = self.fc1.backward(s, &h2, &g_m0)?;
@@ -1143,8 +900,7 @@ impl Layer for TransformerBlock {
         s.free_tensor(&x1);
 
         // Residual 1: through attention and ln1.
-        let g_a = g_x1.clone();
-        let g_h1 = self.attn.backward(s, &h1, &g_a)?;
+        let g_h1 = self.attn.backward(s, &h1, &g_x1)?;
         s.free_tensor(&a);
         let g_x_attn = self.ln1.backward(s, x, &g_h1)?;
         s.free_tensor(&g_h1);
@@ -1159,38 +915,6 @@ impl Layer for TransformerBlock {
         s.free_tensor(&g_x_attn);
         Ok(gx)
     }
-
-    fn release_saved(&mut self, s: &mut Session<'_>) {
-        for t in self.saved.drain(..) {
-            s.free_tensor(&t);
-        }
-        self.attn.release_saved(s);
-    }
-
-    fn step(&mut self, s: &mut Session<'_>) -> Result<(), AccelError> {
-        self.ln1.step(s)?;
-        self.attn.step(s)?;
-        self.ln2.step(s)?;
-        self.fc1.step(s)?;
-        self.fc2.step(s)
-    }
-
-    fn destroy(&mut self, s: &mut Session<'_>) {
-        self.release_saved(s);
-        self.ln1.destroy(s);
-        self.attn.destroy(s);
-        self.ln2.destroy(s);
-        self.fc1.destroy(s);
-        self.fc2.destroy(s);
-    }
-
-    fn param_bytes(&self) -> u64 {
-        self.ln1.param_bytes()
-            + self.attn.param_bytes()
-            + self.ln2.param_bytes()
-            + self.fc1.param_bytes()
-            + self.fc2.param_bytes()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1200,7 +924,6 @@ impl Layer for TransformerBlock {
 /// ResNet basic block: two 3×3 convolutions with batch norm and an
 /// identity (or 1×1 projection) shortcut.
 pub(crate) struct BasicBlock {
-    name: String,
     conv1: Conv2d,
     bn1: BatchNorm2d,
     conv2: Conv2d,
@@ -1217,59 +940,30 @@ impl BasicBlock {
     /// Propagates allocator out-of-memory.
     pub fn new(
         s: &mut Session<'_>,
-        name: impl Into<String>,
         cin: usize,
         cout: usize,
         stride: usize,
     ) -> Result<Self, AccelError> {
-        let name = name.into();
-        let conv1 = Conv2d::new(
-            s,
-            format!("{name}.conv1"),
-            Conv2dCfg {
+        let conv = |s: &mut Session<'_>, cin, k, stride, pad| {
+            let cfg = Conv2dCfg {
                 cin,
                 cout,
-                k: 3,
+                k,
                 stride,
-                pad: 1,
-            },
-            Act::None,
-        )?;
-        let bn1 = BatchNorm2d::new(s, format!("{name}.bn1"), cout)?;
-        let conv2 = Conv2d::new(
-            s,
-            format!("{name}.conv2"),
-            Conv2dCfg {
-                cin: cout,
-                cout,
-                k: 3,
-                stride: 1,
-                pad: 1,
-            },
-            Act::None,
-        )?;
-        let bn2 = BatchNorm2d::new(s, format!("{name}.bn2"), cout)?;
+                pad,
+            };
+            Conv2d::new(s, cfg, Act::None)
+        };
+        let conv1 = conv(s, cin, 3, stride, 1)?;
+        let bn1 = BatchNorm2d::new(s, cout)?;
+        let conv2 = conv(s, cout, 3, 1, 1)?;
+        let bn2 = BatchNorm2d::new(s, cout)?;
         let shortcut = if stride != 1 || cin != cout {
-            Some((
-                Conv2d::new(
-                    s,
-                    format!("{name}.downsample.conv"),
-                    Conv2dCfg {
-                        cin,
-                        cout,
-                        k: 1,
-                        stride,
-                        pad: 0,
-                    },
-                    Act::None,
-                )?,
-                BatchNorm2d::new(s, format!("{name}.downsample.bn"), cout)?,
-            ))
+            Some((conv(s, cin, 1, stride, 0)?, BatchNorm2d::new(s, cout)?))
         } else {
             None
         };
         Ok(BasicBlock {
-            name,
             conv1,
             bn1,
             conv2,
@@ -1280,11 +974,24 @@ impl BasicBlock {
     }
 }
 
-impl Layer for BasicBlock {
-    fn label(&self) -> String {
-        self.name.clone()
+impl Params for BasicBlock {
+    fn params(&self, f: &mut dyn FnMut(&Param)) {
+        self.conv1.params(f);
+        self.bn1.params(f);
+        self.conv2.params(f);
+        self.bn2.params(f);
+        if let Some((conv, bn)) = &self.shortcut {
+            conv.params(f);
+            bn.params(f);
+        }
     }
 
+    fn release_saved(&mut self, s: &mut Session<'_>) {
+        free_all(s, self.saved.drain(..));
+    }
+}
+
+impl Layer for BasicBlock {
     fn forward(
         &mut self,
         s: &mut Session<'_>,
@@ -1307,20 +1014,13 @@ impl Layer for BasicBlock {
             }
             None => None,
         };
-        let y = match &sc {
-            Some((_, u)) => ops::elementwise(
-                s,
-                "at::native::vectorized_elementwise_kernel<add_relu>",
-                &[&b2, u],
-                &b2.shape,
-            )?,
-            None => ops::elementwise(
-                s,
-                "at::native::vectorized_elementwise_kernel<add_relu>",
-                &[&b2, x],
-                &b2.shape,
-            )?,
-        };
+        let residual = sc.as_ref().map_or(x, |(_, u)| u);
+        let y = ops::elementwise(
+            s,
+            "at::native::vectorized_elementwise_kernel<add_relu>",
+            &[&b2, residual],
+            &b2.shape,
+        )?;
         if train {
             self.saved.extend([c1, b1, c2, b2]);
             if let Some((t, u)) = sc {
@@ -1328,12 +1028,9 @@ impl Layer for BasicBlock {
                 self.saved.push(t);
             }
         } else {
-            for t in [c1, b1, c2, b2] {
-                s.free_tensor(&t);
-            }
+            free_all(s, [c1, b1, c2, b2]);
             if let Some((t, u)) = sc {
-                s.free_tensor(&t);
-                s.free_tensor(&u);
+                free_all(s, [t, u]);
             }
         }
         Ok(y)
@@ -1368,77 +1065,24 @@ impl Layer for BasicBlock {
         s.free_tensor(&g_b1);
         s.free_tensor(&c1);
 
-        // Shortcut path.
+        // Shortcut path (the identity shortcut adds grad_out itself).
+        let add = "at::native::vectorized_elementwise_kernel<add>";
         let gx = match (self.shortcut.as_mut(), sc_in) {
             (Some((conv, bn)), Some(sc_in)) => {
                 let g_bn = bn.backward(s, &sc_in, grad_out)?;
                 let g_sc = conv.backward(s, x, &g_bn)?;
-                s.free_tensor(&g_bn);
-                s.free_tensor(&sc_in);
-                let sum = ops::elementwise(
-                    s,
-                    "at::native::vectorized_elementwise_kernel<add>",
-                    &[&g_main, &g_sc],
-                    &g_main.shape,
-                )?;
-                s.free_tensor(&g_main);
-                s.free_tensor(&g_sc);
+                free_all(s, [g_bn, sc_in]);
+                let sum = ops::elementwise(s, add, &[&g_main, &g_sc], &g_main.shape)?;
+                free_all(s, [g_main, g_sc]);
                 sum
             }
             _ => {
-                // Identity shortcut: add grad_out into the main gradient.
-                let sum = ops::elementwise(
-                    s,
-                    "at::native::vectorized_elementwise_kernel<add>",
-                    &[&g_main, grad_out],
-                    &g_main.shape,
-                )?;
+                let sum = ops::elementwise(s, add, &[&g_main, grad_out], &g_main.shape)?;
                 s.free_tensor(&g_main);
                 sum
             }
         };
         Ok(gx)
-    }
-
-    fn release_saved(&mut self, s: &mut Session<'_>) {
-        for t in self.saved.drain(..) {
-            s.free_tensor(&t);
-        }
-    }
-
-    fn step(&mut self, s: &mut Session<'_>) -> Result<(), AccelError> {
-        self.conv1.step(s)?;
-        self.bn1.step(s)?;
-        self.conv2.step(s)?;
-        self.bn2.step(s)?;
-        if let Some((conv, bn)) = self.shortcut.as_mut() {
-            conv.step(s)?;
-            bn.step(s)?;
-        }
-        Ok(())
-    }
-
-    fn destroy(&mut self, s: &mut Session<'_>) {
-        self.release_saved(s);
-        self.conv1.destroy(s);
-        self.bn1.destroy(s);
-        self.conv2.destroy(s);
-        self.bn2.destroy(s);
-        if let Some((mut conv, mut bn)) = self.shortcut.take() {
-            conv.destroy(s);
-            bn.destroy(s);
-        }
-    }
-
-    fn param_bytes(&self) -> u64 {
-        self.conv1.param_bytes()
-            + self.bn1.param_bytes()
-            + self.conv2.param_bytes()
-            + self.bn2.param_bytes()
-            + self
-                .shortcut
-                .as_ref()
-                .map_or(0, |(c, b)| c.param_bytes() + b.param_bytes())
     }
 }
 
@@ -1446,48 +1090,27 @@ impl Layer for BasicBlock {
 // Sequential container
 // ---------------------------------------------------------------------------
 
-/// An owning sequence of layers with activation-lifetime management.
+/// An owning sequence of named layers with activation-lifetime
+/// management. A layer's name is what its layer-boundary event carries.
+#[derive(Default)]
 pub(crate) struct Sequential {
-    label: String,
-    layers: Vec<Box<dyn Layer>>,
+    layers: Vec<(String, Box<dyn Layer>)>,
     /// Training-mode activations: `acts[i]` is the *input* of layer `i`.
     acts: Vec<Tensor>,
 }
 
-impl std::fmt::Debug for Sequential {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Sequential")
-            .field("label", &self.label)
-            .field("layers", &self.layers.len())
-            .field("live_acts", &self.acts.len())
-            .finish()
-    }
-}
-
 impl Sequential {
-    /// Creates an empty container.
-    pub fn new(label: impl Into<String>) -> Self {
-        Sequential {
-            label: label.into(),
-            layers: Vec::new(),
-            acts: Vec::new(),
-        }
+    /// Appends `layer` under `name`.
+    pub fn push(&mut self, name: impl Into<String>, layer: impl Layer + 'static) {
+        self.layers.push((name.into(), Box::new(layer)));
     }
 
-    /// Appends a layer.
-    pub fn push(&mut self, layer: Box<dyn Layer>) {
-        self.layers.push(layer);
-    }
-
-    /// Mutable access to the layers (models with non-sequential dataflow,
-    /// e.g. Whisper's cross-attention decoder, drive layers directly).
-    pub(crate) fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
-        &mut self.layers
-    }
-
-    /// Number of layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
+    /// The layers, in order (models with non-sequential dataflow, e.g.
+    /// Whisper's cross-attention decoder, drive layers directly).
+    pub(crate) fn layers_mut(
+        &mut self,
+    ) -> impl DoubleEndedIterator<Item = &mut Box<dyn Layer>> + ExactSizeIterator {
+        self.layers.iter_mut().map(|(_, layer)| layer)
     }
 
     /// Runs the forward pass, taking ownership of `input`. In inference
@@ -1505,8 +1128,8 @@ impl Sequential {
     ) -> Result<Tensor, AccelError> {
         assert!(self.acts.is_empty(), "forward called with pending backward");
         let mut x = input;
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            s.layer_boundary(&layer.label(), i);
+        for (i, (name, layer)) in self.layers.iter_mut().enumerate() {
+            s.layer_boundary(name, i);
             let y = layer.forward(s, &x, train)?;
             if train {
                 self.acts.push(x);
@@ -1539,43 +1162,29 @@ impl Sequential {
             "backward requires a training-mode forward first"
         );
         let mut grad = grad_output;
-        for i in (0..self.layers.len()).rev() {
+        for (_, layer) in self.layers.iter_mut().rev() {
             let x = self.acts.pop().expect("activation");
-            let g_in = self.layers[i].backward(s, &x, &grad)?;
+            let g_in = layer.backward(s, &x, &grad)?;
             s.free_tensor(&grad);
             s.free_tensor(&x);
             grad = g_in;
         }
         Ok(grad)
     }
+}
 
-    /// Optimizer step over every layer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocation/launch failures.
-    pub fn step(&mut self, s: &mut Session<'_>) -> Result<(), AccelError> {
-        for layer in &mut self.layers {
-            layer.step(s)?;
+impl Params for Sequential {
+    fn params(&self, f: &mut dyn FnMut(&Param)) {
+        for (_, layer) in &self.layers {
+            layer.params(f);
         }
-        Ok(())
     }
 
-    /// Frees all parameters and any dangling activations.
-    pub(crate) fn destroy(&mut self, s: &mut Session<'_>) {
-        for t in self.acts.drain(..) {
-            s.free_tensor(&t);
-        }
-        for layer in &mut self.layers {
+    fn release_saved(&mut self, s: &mut Session<'_>) {
+        free_all(s, self.acts.drain(..));
+        for (_, layer) in &mut self.layers {
             layer.release_saved(s);
-            layer.destroy(s);
         }
-        self.layers.clear();
-    }
-
-    /// Total parameter bytes.
-    pub fn param_bytes(&self) -> u64 {
-        self.layers.iter().map(|l| l.param_bytes()).sum()
     }
 }
 
@@ -1593,13 +1202,15 @@ mod tests {
     fn linear_train_round_trip_frees_everything() {
         let mut rt = rt();
         let mut s = Session::new(&mut rt);
-        let mut seq = Sequential::new("mlp");
-        seq.push(Box::new(
-            Linear::new(&mut s, "fc1", 512, 256, true, Act::Relu).unwrap(),
-        ));
-        seq.push(Box::new(
-            Linear::new(&mut s, "fc2", 256, 10, true, Act::None).unwrap(),
-        ));
+        let mut seq = Sequential::default();
+        seq.push(
+            "fc1",
+            Linear::new(&mut s, 512, 256, true, Act::Relu).unwrap(),
+        );
+        seq.push(
+            "fc2",
+            Linear::new(&mut s, 256, 10, true, Act::None).unwrap(),
+        );
         let params = s.allocator_stats().allocated;
 
         let input = s.alloc_tensor(&[32, 512], DType::F32).unwrap();
@@ -1622,11 +1233,12 @@ mod tests {
     fn inference_frees_intermediates_eagerly() {
         let mut rt = rt();
         let mut s = Session::new(&mut rt);
-        let mut seq = Sequential::new("m");
+        let mut seq = Sequential::default();
         for i in 0..4 {
-            seq.push(Box::new(
-                Linear::new(&mut s, format!("fc{i}"), 256, 256, true, Act::Relu).unwrap(),
-            ));
+            seq.push(
+                format!("fc{i}"),
+                Linear::new(&mut s, 256, 256, true, Act::Relu).unwrap(),
+            );
         }
         let base = s.allocator_stats().allocated;
         let input = s.alloc_tensor(&[8, 256], DType::F32).unwrap();
@@ -1643,10 +1255,11 @@ mod tests {
     fn transformer_block_train_cycle() {
         let mut rt = rt();
         let mut s = Session::new(&mut rt);
-        let mut seq = Sequential::new("tiny-transformer");
-        seq.push(Box::new(
-            TransformerBlock::new(&mut s, "block0", 128, 4, 512).unwrap(),
-        ));
+        let mut seq = Sequential::default();
+        seq.push(
+            "block0",
+            TransformerBlock::new(&mut s, 128, 4, 512).unwrap(),
+        );
         let params = s.allocator_stats().allocated;
         let input = s.alloc_tensor(&[2, 16, 128], DType::F32).unwrap();
         let out = seq.forward(&mut s, input, true).unwrap();
@@ -1666,10 +1279,8 @@ mod tests {
     fn basic_block_with_downsample_train_cycle() {
         let mut rt = rt();
         let mut s = Session::new(&mut rt);
-        let mut seq = Sequential::new("res");
-        seq.push(Box::new(
-            BasicBlock::new(&mut s, "layer1.0", 64, 128, 2).unwrap(),
-        ));
+        let mut seq = Sequential::default();
+        seq.push("layer1.0", BasicBlock::new(&mut s, 64, 128, 2).unwrap());
         let params = s.allocator_stats().allocated;
         let input = s.alloc_tensor(&[4, 64, 56, 56], DType::F32).unwrap();
         let out = seq.forward(&mut s, input, true).unwrap();
@@ -1689,7 +1300,7 @@ mod tests {
     fn param_bytes_counts_weights() {
         let mut rt = rt();
         let mut s = Session::new(&mut rt);
-        let l = Linear::new(&mut s, "fc", 100, 10, true, Act::None).unwrap();
+        let l = Linear::new(&mut s, 100, 10, true, Act::None).unwrap();
         assert_eq!(l.param_bytes(), 100 * 10 * 4 + 10 * 4);
     }
 
@@ -1698,10 +1309,8 @@ mod tests {
     fn forward_twice_without_backward_panics() {
         let mut rt = rt();
         let mut s = Session::new(&mut rt);
-        let mut seq = Sequential::new("m");
-        seq.push(Box::new(
-            Linear::new(&mut s, "fc", 64, 64, false, Act::None).unwrap(),
-        ));
+        let mut seq = Sequential::default();
+        seq.push("fc", Linear::new(&mut s, 64, 64, false, Act::None).unwrap());
         let a = s.alloc_tensor(&[1, 64], DType::F32).unwrap();
         let b = s.alloc_tensor(&[1, 64], DType::F32).unwrap();
         let _o1 = seq.forward(&mut s, a, true).unwrap();

@@ -1,9 +1,9 @@
 //! Convolutional models: AlexNet and ResNet-18/34.
 
-use super::{ModelKind, ModelSpec, Workload};
+use super::{ModelSpec, ModelZoo, Workload};
 use crate::dtype::DType;
 use crate::layers::{
-    BasicBlock, BatchNorm2d, Conv2d, Flatten, GlobalAvgPool, Linear, MaxPool2d, Sequential,
+    BasicBlock, BatchNorm2d, Conv2d, Flatten, GlobalAvgPool, Linear, MaxPool2d, Params, Sequential,
 };
 use crate::ops::{self, Act, Conv2dCfg};
 use crate::pycall::PyFrame;
@@ -16,15 +16,6 @@ pub(crate) struct CnnModel {
     body: Sequential,
     input_shape: Vec<usize>,
     py_file: &'static str,
-}
-
-impl std::fmt::Debug for CnnModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CnnModel")
-            .field("spec", &self.spec)
-            .field("layers", &self.body.len())
-            .finish()
-    }
 }
 
 impl CnnModel {
@@ -73,67 +64,48 @@ impl Workload for CnnModel {
     }
 }
 
+/// A square convolution layer.
+fn conv(
+    s: &mut Session<'_>,
+    [cin, cout, k, stride, pad]: [usize; 5],
+    act: Act,
+) -> Result<Conv2d, AccelError> {
+    let cfg = Conv2dCfg {
+        cin,
+        cout,
+        k,
+        stride,
+        pad,
+    };
+    Conv2d::new(s, cfg, act)
+}
+
 /// Builds AlexNet (Krizhevsky et al.) with the paper's batch size of 128.
 ///
 /// # Errors
 ///
 /// Propagates allocator out-of-memory while creating parameters.
 pub(crate) fn alexnet(s: &mut Session<'_>, batch: usize) -> Result<CnnModel, AccelError> {
-    let mut body = Sequential::new("alexnet");
-    let conv = |s: &mut Session<'_>, name: &str, cin, cout, k, stride, pad| {
-        Conv2d::new(
-            s,
-            name,
-            Conv2dCfg {
-                cin,
-                cout,
-                k,
-                stride,
-                pad,
-            },
-            Act::Relu,
-        )
-    };
-    body.push(Box::new(conv(s, "features.0", 3, 64, 11, 4, 2)?));
-    body.push(Box::new(MaxPool2d::new("features.2", 3, 2)));
-    body.push(Box::new(conv(s, "features.3", 64, 192, 5, 1, 2)?));
-    body.push(Box::new(MaxPool2d::new("features.5", 3, 2)));
-    body.push(Box::new(conv(s, "features.6", 192, 384, 3, 1, 1)?));
-    body.push(Box::new(conv(s, "features.8", 384, 256, 3, 1, 1)?));
-    body.push(Box::new(conv(s, "features.10", 256, 256, 3, 1, 1)?));
-    body.push(Box::new(MaxPool2d::new("features.12", 3, 2)));
-    body.push(Box::new(Flatten::new("flatten")));
-    body.push(Box::new(Linear::new(
-        s,
+    let mut body = Sequential::default();
+    body.push("features.0", conv(s, [3, 64, 11, 4, 2], Act::Relu)?);
+    body.push("features.2", MaxPool2d::new(3, 2));
+    body.push("features.3", conv(s, [64, 192, 5, 1, 2], Act::Relu)?);
+    body.push("features.5", MaxPool2d::new(3, 2));
+    body.push("features.6", conv(s, [192, 384, 3, 1, 1], Act::Relu)?);
+    body.push("features.8", conv(s, [384, 256, 3, 1, 1], Act::Relu)?);
+    body.push("features.10", conv(s, [256, 256, 3, 1, 1], Act::Relu)?);
+    body.push("features.12", MaxPool2d::new(3, 2));
+    body.push("flatten", Flatten);
+    body.push(
         "classifier.1",
-        256 * 6 * 6,
-        4096,
-        true,
-        Act::Relu,
-    )?));
-    body.push(Box::new(Linear::new(
-        s,
-        "classifier.4",
-        4096,
-        4096,
-        true,
-        Act::Relu,
-    )?));
-    body.push(Box::new(Linear::new(
-        s,
-        "classifier.6",
-        4096,
-        1000,
-        true,
-        Act::None,
-    )?));
+        Linear::new(s, 256 * 6 * 6, 4096, true, Act::Relu)?,
+    );
+    body.push("classifier.4", Linear::new(s, 4096, 4096, true, Act::Relu)?);
+    body.push("classifier.6", Linear::new(s, 4096, 1000, true, Act::None)?);
     Ok(CnnModel {
         spec: ModelSpec {
-            name: "AlexNet",
-            abbr: "AN",
-            kind: ModelKind::Cnn,
-            layers: 8,
             batch,
+            ..ModelZoo::AlexNet.spec()
         },
         body,
         input_shape: vec![batch, 3, 224, 224],
@@ -153,51 +125,32 @@ pub(crate) fn resnet(
     blocks: &[usize; 4],
     name: &'static str,
 ) -> Result<CnnModel, AccelError> {
-    let mut body = Sequential::new(name);
-    body.push(Box::new(Conv2d::new(
-        s,
-        "conv1",
-        Conv2dCfg {
-            cin: 3,
-            cout: 64,
-            k: 7,
-            stride: 2,
-            pad: 3,
-        },
-        Act::None,
-    )?));
-    body.push(Box::new(BatchNorm2d::new(s, "bn1", 64)?));
-    body.push(Box::new(MaxPool2d::new("maxpool", 3, 2)));
+    let mut body = Sequential::default();
+    body.push("conv1", conv(s, [3, 64, 7, 2, 3], Act::None)?);
+    body.push("bn1", BatchNorm2d::new(s, 64)?);
+    body.push("maxpool", MaxPool2d::new(3, 2));
     let widths = [64usize, 128, 256, 512];
     let mut cin = 64;
     for (stage, (&n_blocks, &width)) in blocks.iter().zip(widths.iter()).enumerate() {
         for b in 0..n_blocks {
             let stride = if stage > 0 && b == 0 { 2 } else { 1 };
-            body.push(Box::new(BasicBlock::new(
-                s,
-                format!("layer{}.{b}", stage + 1),
-                cin,
-                width,
-                stride,
-            )?));
+            let block = BasicBlock::new(s, cin, width, stride)?;
+            body.push(format!("layer{}.{b}", stage + 1), block);
             cin = width;
         }
     }
-    body.push(Box::new(GlobalAvgPool::new("avgpool")));
-    body.push(Box::new(Flatten::new("flatten")));
-    body.push(Box::new(Linear::new(s, "fc", 512, 1000, true, Act::None)?));
-    let layers = 2 + 2 * blocks.iter().sum::<usize>(); // paper counts conv+fc
+    body.push("avgpool", GlobalAvgPool);
+    body.push("flatten", Flatten);
+    body.push("fc", Linear::new(s, 512, 1000, true, Act::None)?);
+    let zoo = if name == "ResNet18" {
+        ModelZoo::ResNet18
+    } else {
+        ModelZoo::ResNet34
+    };
     Ok(CnnModel {
         spec: ModelSpec {
-            name: if name == "ResNet18" {
-                "ResNet18"
-            } else {
-                "ResNet34"
-            },
-            abbr: if name == "ResNet18" { "RN-18" } else { "RN-34" },
-            kind: ModelKind::Cnn,
-            layers,
             batch,
+            ..zoo.spec()
         },
         body,
         input_shape: vec![batch, 3, 224, 224],

@@ -21,15 +21,6 @@ pub mod transformer;
 use crate::session::Session;
 use accel_sim::AccelError;
 
-/// Model family, as listed in Table IV.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum ModelKind {
-    /// Convolutional network.
-    Cnn,
-    /// Transformer.
-    Transformer,
-}
-
 /// Whether a run is inference or training.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RunKind {
@@ -56,8 +47,6 @@ pub struct ModelSpec {
     pub name: &'static str,
     /// Paper abbreviation (`AN`, `RN-18`, …).
     pub abbr: &'static str,
-    /// Family.
-    pub(crate) kind: ModelKind,
     /// Layer count as the paper counts it.
     pub layers: usize,
     /// Batch size used in the evaluation.
@@ -121,53 +110,42 @@ impl ModelZoo {
         ]
     }
 
-    /// Convenience constructor naming parity with the paper.
-    pub fn bert() -> ModelZoo {
-        ModelZoo::Bert
-    }
-
     /// Table IV metadata without building the model.
     pub fn spec(self) -> ModelSpec {
         match self {
             ModelZoo::AlexNet => ModelSpec {
                 name: "AlexNet",
                 abbr: "AN",
-                kind: ModelKind::Cnn,
                 layers: 8,
                 batch: 128,
             },
             ModelZoo::ResNet18 => ModelSpec {
                 name: "ResNet18",
                 abbr: "RN-18",
-                kind: ModelKind::Cnn,
                 layers: 18,
                 batch: 32,
             },
             ModelZoo::ResNet34 => ModelSpec {
                 name: "ResNet34",
                 abbr: "RN-34",
-                kind: ModelKind::Cnn,
                 layers: 34,
                 batch: 32,
             },
             ModelZoo::Gpt2 => ModelSpec {
                 name: "GPT-2",
                 abbr: "GPT-2",
-                kind: ModelKind::Transformer,
                 layers: 12,
                 batch: 8,
             },
             ModelZoo::Bert => ModelSpec {
                 name: "BERT",
                 abbr: "BERT",
-                kind: ModelKind::Transformer,
                 layers: 12,
                 batch: 16,
             },
             ModelZoo::Whisper => ModelSpec {
                 name: "Whisper (small)",
                 abbr: "Whisper",
-                kind: ModelKind::Transformer,
                 layers: 12,
                 batch: 16,
             },

@@ -69,22 +69,41 @@ fn launch_cfg(work: u64) -> (Dim3, Dim3) {
 /// GEMM tile edge used for reuse estimates.
 const TILE: u64 = 128;
 
-/// Launches a GEMM kernel `C[m,n] = A[m,k] × B[k,n]`, with optional fused
-/// bias/activation epilogue. Memory traffic uses the tiled-reuse estimate:
-/// A is streamed `⌈n/T⌉` times, B `⌈m/T⌉` times.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_kernel(
+/// One GEMM launch, `C[m,n] = A[m,k] × B[k,n]`, on tile `tile`.
+pub(crate) struct Gemm {
+    /// Tile label in the kernel name (`128x64`, `64x64_attn_qk`, …).
+    pub tile: &'static str,
+    pub m: u64,
+    pub n: u64,
+    pub k: u64,
+}
+
+impl Gemm {
+    /// Launches the GEMM with no epilogue.
+    pub(crate) fn run(
+        self,
+        s: &mut Session<'_>,
+        a: &Tensor,
+        b: &Tensor,
+        c: &Tensor,
+    ) -> Result<(), AccelError> {
+        gemm_with_epilogue(s, self, a, b, c, None, Act::None)
+    }
+}
+
+/// Launches `gemm` with an optional bias/activation epilogue (only
+/// [`linear`] and [`conv2d`] attach one). Memory traffic uses the
+/// tiled-reuse estimate: A is streamed `⌈n/T⌉` times, B `⌈m/T⌉` times.
+fn gemm_with_epilogue(
     s: &mut Session<'_>,
-    tile_label: &str,
+    gemm: Gemm,
     a: &Tensor,
     b: &Tensor,
     c: &Tensor,
-    m: u64,
-    n: u64,
-    k: u64,
     bias: Option<&Tensor>,
     act: Act,
 ) -> Result<(), AccelError> {
+    let Gemm { tile, m, n, k } = gemm;
     let a_bytes = m * k * 4 * ceil_div(n, TILE).max(1);
     let b_bytes = k * n * 4 * ceil_div(m, TILE).max(1);
     let c_bytes = m * n * 4;
@@ -99,7 +118,7 @@ pub(crate) fn gemm_kernel(
         None
     };
     let epilogue = if fused { act } else { Act::None };
-    let name = s.backend().gemm_kernel(tile_label, epilogue.gemm_suffix());
+    let name = s.backend().gemm_kernel(tile, epilogue.gemm_suffix());
     let grid = Dim3::plane(
         ceil_div(n, TILE).max(1) as u32,
         ceil_div(m, 64).max(1) as u32,
@@ -265,18 +284,13 @@ pub fn linear(
     *out_shape.last_mut().expect("shape non-empty") = out_f;
     s.with_op("aten::linear", |s| {
         let y = s.alloc_tensor(&out_shape, DType::F32)?;
-        gemm_kernel(
-            s,
-            "128x64",
-            x,
-            w,
-            &y,
+        let gemm = Gemm {
+            tile: "128x64",
             m,
-            out_f as u64,
-            in_f as u64,
-            bias,
-            act,
-        )?;
+            n: out_f as u64,
+            k: in_f as u64,
+        };
+        gemm_with_epilogue(s, gemm, x, w, &y, bias, act)?;
         Ok(y)
     })
 }
@@ -295,52 +309,48 @@ pub(crate) fn linear_backward(
     s.with_op("aten::linear_backward", |s| {
         // dX[m,k] = dY[m,n] × W[n,k]  (data-grad GEMM, "nt" flavour).
         let grad_x = s.alloc_tensor(&x.shape, DType::F32)?;
-        gemm_kernel(
-            s,
-            "128x64_dgrad",
-            grad_out,
-            w,
-            &grad_x,
+        Gemm {
+            tile: "128x64_dgrad",
             m,
-            in_f,
-            out_f,
-            None,
-            Act::None,
-        )?;
+            n: in_f,
+            k: out_f,
+        }
+        .run(s, grad_out, w, &grad_x)?;
         // dW[n,k] = dYᵀ[n,m] × X[m,k]  (weight-grad GEMM, "nn" flavour).
         let grad_w = s.alloc_tensor(&w.shape, DType::F32)?;
-        gemm_kernel(
-            s,
-            "128x64_wgrad",
-            grad_out,
-            x,
-            &grad_w,
-            out_f,
-            in_f,
-            m,
-            None,
-            Act::None,
-        )?;
+        Gemm {
+            tile: "128x64_wgrad",
+            m: out_f,
+            n: in_f,
+            k: m,
+        }
+        .run(s, grad_out, x, &grad_w)?;
         // db = column-reduce dY.
         let grad_b = if want_bias {
             let gb = s.alloc_tensor(&[out_f as usize], DType::F32)?;
-            let (g, blk) = launch_cfg(out_f);
-            let desc = KernelDesc::new("at::native::reduce_kernel<512, ReduceAdd>", g, blk)
-                .arg(grad_out.ptr, grad_out.bytes)
-                .arg(gb.ptr, gb.bytes)
-                .body(
-                    KernelBody::default()
-                        .with_flops(grad_out.numel())
-                        .access(AccessSpec::load(0, grad_out.bytes))
-                        .access(AccessSpec::store(1, gb.bytes)),
-                );
-            s.launch(desc)?;
+            bias_grad(s, grad_out, &gb)?;
             Some(gb)
         } else {
             None
         };
         Ok((grad_x, grad_w, grad_b))
     })
+}
+
+/// The bias gradient: `grad_out` column-reduced into `gb`.
+fn bias_grad(s: &mut Session<'_>, grad_out: &Tensor, gb: &Tensor) -> Result<(), AccelError> {
+    let (g, blk) = launch_cfg(gb.numel());
+    let desc = KernelDesc::new("at::native::reduce_kernel<512, ReduceAdd>", g, blk)
+        .arg(grad_out.ptr, grad_out.bytes)
+        .arg(gb.ptr, gb.bytes)
+        .body(
+            KernelBody::default()
+                .with_flops(grad_out.numel())
+                .access(AccessSpec::load(0, grad_out.bytes))
+                .access(AccessSpec::store(1, gb.bytes)),
+        );
+    s.launch(desc)?;
+    Ok(())
 }
 
 /// Convolution configuration.
@@ -403,7 +413,13 @@ pub(crate) fn conv2d(
                         .access(AccessSpec::store(1, col.bytes)),
                 );
             s.launch(desc)?;
-            gemm_kernel(s, "128x64", w, &col, &y, m, nn, kk, bias, act)?;
+            let gemm = Gemm {
+                tile: "128x64",
+                m,
+                n: nn,
+                k: kk,
+            };
+            gemm_with_epilogue(s, gemm, w, &col, &y, bias, act)?;
             s.free_tensor(&col);
         } else {
             // Implicit GEMM with a cuDNN-style workspace whose size depends
@@ -469,18 +485,13 @@ pub(crate) fn conv2d_backward(
         let grad_w = s.alloc_tensor(&w.shape, DType::F32)?;
         let grad_b = s.alloc_tensor(&[cfg.cout], DType::F32)?;
         // dgrad: dX = Wᵀ ⊛ dY (col2im path for the large-kernel flavour).
-        gemm_kernel(
-            s,
-            "128x64_dgrad",
-            w,
-            grad_out,
-            &grad_x,
-            kk,
-            nn,
-            m,
-            None,
-            Act::None,
-        )?;
+        Gemm {
+            tile: "128x64_dgrad",
+            m: kk,
+            n: nn,
+            k: m,
+        }
+        .run(s, w, grad_out, &grad_x)?;
         if cfg.k >= 5 {
             let (g, blk) = launch_cfg(grad_x.numel() / 4);
             let desc = KernelDesc::new("at::native::col2im_kernel", g, blk)
@@ -494,30 +505,14 @@ pub(crate) fn conv2d_backward(
             s.launch(desc)?;
         }
         // wgrad: dW = dY × Xᵀ.
-        gemm_kernel(
-            s,
-            "128x64_wgrad",
-            grad_out,
-            x,
-            &grad_w,
+        Gemm {
+            tile: "128x64_wgrad",
             m,
-            kk,
-            nn,
-            None,
-            Act::None,
-        )?;
-        // bias grad.
-        let (g, blk) = launch_cfg(m);
-        let desc = KernelDesc::new("at::native::reduce_kernel<512, ReduceAdd>", g, blk)
-            .arg(grad_out.ptr, grad_out.bytes)
-            .arg(grad_b.ptr, grad_b.bytes)
-            .body(
-                KernelBody::default()
-                    .with_flops(grad_out.numel())
-                    .access(AccessSpec::load(0, grad_out.bytes))
-                    .access(AccessSpec::store(1, grad_b.bytes)),
-            );
-        s.launch(desc)?;
+            n: kk,
+            k: nn,
+        }
+        .run(s, grad_out, x, &grad_w)?;
+        bias_grad(s, grad_out, &grad_b)?;
         Ok((grad_x, grad_w, grad_b))
     })
 }
@@ -769,6 +764,120 @@ pub(crate) fn softmax_backward(
         s.launch(desc)?;
         Ok(grad_x)
     })
+}
+
+/// The GEMM tiles one attention flavour launches, by role: each caller
+/// passes its own `const` set (`attn_*`, `xattn_*`), so kernel names are
+/// never built per call.
+pub(crate) struct AttnTiles {
+    /// `scores = Q × Kᵀ`.
+    pub qk: &'static str,
+    /// `ctx = probs × V`.
+    pub pv: &'static str,
+    /// The scores again, in backward (memory-efficient attention).
+    pub recompute: &'static str,
+    /// The input gradient from the probability gradient.
+    pub bwd: &'static str,
+}
+
+/// Where [`Attention::backward`]'s gradient GEMM writes.
+pub(crate) enum AttnGrad<'a> {
+    /// Self-attention's fused QKV gradient, allocated by the caller before
+    /// the recompute: one GEMM row per head and query.
+    Qkv(&'a Tensor),
+    /// Cross-attention's query gradient, allocated once the probabilities
+    /// are gone: one GEMM row per query.
+    Query,
+}
+
+/// The score → softmax → context core both attention flavours share:
+/// `Q: [b, sq, ·]` against `K/V: [b, sk, ·]`, `heads` heads over width
+/// `d`. The probabilities are never kept for backward; backward
+/// recomputes them, as PyTorch's memory-efficient SDPA does (keeping them
+/// would add O(heads × sq × sk) per block to the training footprint).
+pub(crate) struct Attention {
+    pub tiles: AttnTiles,
+    pub heads: usize,
+    pub d: usize,
+}
+
+impl Attention {
+    /// Scores on tile `tile`, softmax, and the scores freed: the
+    /// probabilities `[b·h, sq, sk]`.
+    fn probs(
+        &self,
+        s: &mut Session<'_>,
+        tile: &'static str,
+        q: &Tensor,
+        kv: &Tensor,
+    ) -> Result<Tensor, AccelError> {
+        let (b, sq, sk) = (q.shape[0], q.shape[1], kv.shape[1]);
+        let scores = s.alloc_tensor(&[b * self.heads, sq, sk], DType::F32)?;
+        Gemm {
+            tile,
+            m: (b * self.heads * sq) as u64,
+            n: sk as u64,
+            k: (self.d / self.heads) as u64,
+        }
+        .run(s, q, kv, &scores)?;
+        let probs = softmax(s, &scores)?;
+        s.free_tensor(&scores);
+        Ok(probs)
+    }
+
+    /// The forward core: returns `(probs, ctx)`; the caller frees `probs`
+    /// once it no longer needs them.
+    pub(crate) fn forward(
+        &self,
+        s: &mut Session<'_>,
+        q: &Tensor,
+        kv: &Tensor,
+    ) -> Result<(Tensor, Tensor), AccelError> {
+        let probs = self.probs(s, self.tiles.qk, q, kv)?;
+        let (b, sq, sk) = (q.shape[0], q.shape[1], kv.shape[1]);
+        let ctx = s.alloc_tensor(&[b, sq, self.d], DType::F32)?;
+        Gemm {
+            tile: self.tiles.pv,
+            m: (b * self.heads * sq) as u64,
+            n: (self.d / self.heads) as u64,
+            k: sk as u64,
+        }
+        .run(s, &probs, kv, &ctx)?;
+        Ok((probs, ctx))
+    }
+
+    /// The backward core: recomputes the probabilities, runs softmax
+    /// backward against `g_ctx` (freed here), then the gradient GEMM into
+    /// `grad`. Returns the gradient it wrote.
+    pub(crate) fn backward(
+        &self,
+        s: &mut Session<'_>,
+        q: &Tensor,
+        kv: &Tensor,
+        g_ctx: Tensor,
+        grad: AttnGrad<'_>,
+    ) -> Result<Tensor, AccelError> {
+        let probs = self.probs(s, self.tiles.recompute, q, kv)?;
+        let g_probs = softmax_backward(s, &probs, &g_ctx)?;
+        s.free_tensor(&probs);
+        s.free_tensor(&g_ctx);
+        let (g_in, rows) = match grad {
+            AttnGrad::Qkv(g) => (g.clone(), g_probs.shape[0] * g_probs.shape[1]),
+            AttnGrad::Query => (
+                s.alloc_tensor(&q.shape, DType::F32)?,
+                q.shape[0] * q.shape[1],
+            ),
+        };
+        Gemm {
+            tile: self.tiles.bwd,
+            m: rows as u64,
+            n: (self.d / self.heads) as u64,
+            k: g_probs.shape[2] as u64,
+        }
+        .run(s, &g_probs, kv, &g_in)?;
+        s.free_tensor(&g_probs);
+        Ok(g_in)
+    }
 }
 
 /// `aten::embedding`: gather rows of `table[vocab, dim]` for

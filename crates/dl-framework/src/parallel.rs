@@ -36,9 +36,9 @@
 use crate::callbacks::Pass;
 use crate::dtype::DType;
 use crate::lane_exec::{self, drive_lanes, LaneSchedule};
-use crate::layers::{Layer, LayerNorm, Param, Sequential, TransformerBlock};
-use crate::models::transformer::{custom_lm, LmDims};
-use crate::models::{ModelKind, ModelSpec, Workload};
+use crate::layers::{LayerNorm, Param};
+use crate::models::transformer::{block_stack, build_lm, head, loss_backward, Embedding, LmDims};
+use crate::models::{ModelSpec, Workload};
 use crate::ops::{self, Act};
 use crate::session::Session;
 use accel_sim::{AccelError, AccessSpec, DeviceId, Dim3, KernelBody, KernelDesc};
@@ -203,7 +203,6 @@ fn megatron_spec() -> ModelSpec {
     ModelSpec {
         name: "Megatron GPT-2 345M",
         abbr: "GPT2-345M",
-        kind: ModelKind::Transformer,
         layers: 24,
         batch: 4,
     }
@@ -228,7 +227,7 @@ fn data_parallel(
     let dims = megatron_345m_dims();
     let stats = drive_lanes(lanes, schedule, None, |_i, lane| {
         let s = &mut lane.session;
-        let mut replica = custom_lm(s, megatron_spec(), dims, batch, "megatron/pretrain_gpt2.py")?;
+        let mut replica = build_lm(s, megatron_spec(), dims, batch, "megatron/pretrain_gpt2.py")?;
         // Persistent DDP gradient bucket (the long-lived communication
         // tensor the paper notes in §V-D2).
         let bucket_elems = (32 << 20) / 4; // 32 MiB buckets
@@ -272,7 +271,7 @@ fn tensor_parallel(
         .expect("lane count checked above");
     let stats = drive_lanes(lanes, schedule, None, |_i, lane| {
         let s = &mut lane.session;
-        let mut shard = custom_lm(
+        let mut shard = build_lm(
             s,
             megatron_spec(),
             shard_dims,
@@ -377,7 +376,6 @@ fn moe_spec(layers: usize, batch: usize) -> ModelSpec {
     ModelSpec {
         name: "Megatron MoE GPT-2",
         abbr: "GPT2-MoE",
-        kind: ModelKind::Transformer,
         layers,
         batch,
     }
@@ -442,7 +440,7 @@ fn expert_parallel(
     let experts_total = world * cfg.experts_per_lane;
     let stats = drive_lanes(lanes, schedule, None, |_i, lane| {
         let s = &mut lane.session;
-        let mut replica = custom_lm(
+        let mut replica = build_lm(
             s,
             moe_spec(dims.layers, batch),
             dims,
@@ -481,99 +479,23 @@ fn expert_parallel(
     Ok(report(Parallelism::Expert, stats))
 }
 
-/// One pipeline stage: either the front (embeddings + first half of the
-/// blocks) or the back (second half + final norm + logits head).
-struct PipelineStage {
-    wte: Option<Param>,
-    wpe: Option<Param>,
-    blocks: Sequential,
-    ln_f: Option<LayerNorm>,
-    head: Option<Param>,
-}
-
-impl PipelineStage {
-    fn destroy(&mut self, s: &mut Session<'_>) {
-        if let Some(mut p) = self.wte.take() {
-            p.destroy(s);
-        }
-        if let Some(mut p) = self.wpe.take() {
-            p.destroy(s);
-        }
-        self.blocks.destroy(s);
-        if let Some(mut l) = self.ln_f.take() {
-            l.destroy(s);
-        }
-        if let Some(mut p) = self.head.take() {
-            p.destroy(s);
-        }
-    }
-
-    fn step(&mut self, s: &mut Session<'_>) -> Result<(), AccelError> {
-        if let Some(p) = self.wte.as_mut() {
-            p.step(s)?;
-        }
-        if let Some(p) = self.wpe.as_mut() {
-            p.step(s)?;
-        }
-        self.blocks.step(s)?;
-        if let Some(l) = self.ln_f.as_mut() {
-            l.step(s)?;
-        }
-        if let Some(p) = self.head.as_mut() {
-            p.step(s)?;
-        }
-        Ok(())
-    }
-}
-
-/// The front pipeline stage: blocks 0–11 plus the embeddings.
+/// The front pipeline stage: the embeddings plus blocks 0–11.
 fn pipeline_stage0(
     lane: &mut DeviceLane<'_>,
     batch: usize,
     fwd_sent: mpsc::Sender<()>,
     bwd_ready: mpsc::Receiver<()>,
 ) -> Result<LaneStats, AccelError> {
+    use crate::layers::Params;
     let dims = megatron_345m_dims();
-    let half = dims.layers / 2;
     let s = &mut lane.session;
-    let mut stage = PipelineStage {
-        wte: Some(Param::new(s, &[dims.vocab, dims.d])?),
-        wpe: Some(Param::new(s, &[dims.seq, dims.d])?),
-        blocks: {
-            let mut b = Sequential::new("pp.stage0");
-            for i in 0..half {
-                b.push(Box::new(TransformerBlock::new(
-                    s,
-                    format!("h.{i}"),
-                    dims.d,
-                    dims.heads,
-                    dims.ffn,
-                )?));
-            }
-            b
-        },
-        ln_f: None,
-        head: None,
-    };
+    let mut emb = Embedding::new(s, &dims)?;
+    let mut blocks = block_stack(s, "h", 0..dims.layers / 2, &dims)?;
 
     // ---- Forward ---------------------------------------------------------
-    // Audited expects (here and through the backward pass): each stage
-    // struct is built a few lines up with exactly the fields its stage
-    // owns populated — stage 0 carries wte/wpe, stage 1 carries
-    // ln_f/head. No caller input reaches these Options.
     s.pass_boundary(Pass::Forward);
-    let idx = s.alloc_tensor(&[batch, dims.seq], DType::I64)?;
-    let wte0 = stage.wte.as_ref().expect("stage0 wte").tensor.clone();
-    let emb = ops::embedding(s, &wte0, &idx)?;
-    let wpe0 = stage.wpe.as_ref().expect("stage0 wpe").tensor.clone();
-    let x0 = ops::elementwise(
-        s,
-        "at::native::vectorized_elementwise_kernel<add_pos>",
-        &[&emb, &wpe0],
-        &[batch, dims.seq, dims.d],
-    )?;
-    s.free_tensor(&emb);
-    let boundary = stage.blocks.forward(s, x0, true)?;
+    let (idx, x0) = emb.embed(s, batch)?;
+    let boundary = blocks.forward(s, x0, true)?;
     ops::send_recv(s, &boundary)?;
     // Activation handed to stage 1; its backward will signal us back.
     let _ = fwd_sent.send(());
@@ -584,26 +506,18 @@ fn pipeline_stage0(
         .map_err(|_| AccelError::Config("pipeline peer vanished before backward".into()))?;
     let g_recv = s.alloc_tensor(&[batch, dims.seq, dims.d], DType::F32)?;
     ops::send_recv(s, &g_recv)?;
-    let g_x0 = stage.blocks.backward(s, g_recv)?;
+    let g_x0 = blocks.backward(s, g_recv)?;
     s.free_tensor(&boundary);
-    let g_wpe = ops::elementwise(
-        s,
-        "at::native::reduce_kernel<512, ReduceAdd>",
-        &[&g_x0],
-        &[dims.seq, dims.d],
-    )?;
-    stage.wpe.as_mut().expect("wpe").set_grad(s, g_wpe)?;
-    let g_wte = ops::embedding_backward(s, &stage.wte.as_ref().expect("wte").tensor, &idx, &g_x0)?;
-    stage.wte.as_mut().expect("wte").set_grad(s, g_wte)?;
-    s.free_tensor(&g_x0);
-    s.free_tensor(&idx);
+    emb.backward(s, idx, g_x0)?;
 
     // ---- Optimizer --------------------------------------------------------
     s.pass_boundary(Pass::Optimizer);
-    stage.step(s)?;
+    emb.step(s)?;
+    blocks.step(s)?;
 
     let stats = lane_stats(lane);
-    stage.destroy(&mut lane.session);
+    emb.destroy(&mut lane.session);
+    blocks.destroy(&mut lane.session);
     Ok(stats)
 }
 
@@ -615,28 +529,12 @@ fn pipeline_stage1(
     fwd_ready: mpsc::Receiver<()>,
     bwd_sent: mpsc::Sender<()>,
 ) -> Result<LaneStats, AccelError> {
+    use crate::layers::Params;
     let dims = megatron_345m_dims();
-    let half = dims.layers / 2;
     let s = &mut lane.session;
-    let mut stage = PipelineStage {
-        wte: None,
-        wpe: None,
-        blocks: {
-            let mut b = Sequential::new("pp.stage1");
-            for i in half..dims.layers {
-                b.push(Box::new(TransformerBlock::new(
-                    s,
-                    format!("h.{i}"),
-                    dims.d,
-                    dims.heads,
-                    dims.ffn,
-                )?));
-            }
-            b
-        },
-        ln_f: Some(LayerNorm::new(s, "ln_f", dims.d)?),
-        head: Some(Param::new(s, &[dims.vocab, dims.d])?),
-    };
+    let mut blocks = block_stack(s, "h", dims.layers / 2..dims.layers, &dims)?;
+    let mut ln_f = LayerNorm::new(s, dims.d)?;
+    let mut head_w = Param::new(s, &[dims.vocab, dims.d])?;
 
     // ---- Forward + loss + backward (gated on stage 0's activation) -------
     fwd_ready
@@ -644,29 +542,10 @@ fn pipeline_stage1(
         .map_err(|_| AccelError::Config("pipeline peer vanished before forward".into()))?;
     let recv = s.alloc_tensor(&[batch, dims.seq, dims.d], DType::F32)?;
     ops::send_recv(s, &recv)?;
-    let h1 = stage.blocks.forward(s, recv, true)?;
-    let ln = stage.ln_f.as_mut().expect("stage1 ln_f");
-    let hl = ln.forward(s, &h1, true)?;
-    let head_w = stage.head.as_ref().expect("stage1 head").tensor.clone();
-    let logits = ops::linear(s, &hl, &head_w, None, Act::None)?;
-    let loss = ops::cross_entropy(s, &logits)?;
-    s.free_tensor(&loss);
-    s.pass_boundary(Pass::Backward);
-    let g_logits = ops::cross_entropy_backward(s, &logits)?;
-    let (g_hl, g_head, _) = ops::linear_backward(
-        s,
-        &hl,
-        &stage.head.as_ref().expect("head").tensor,
-        &g_logits,
-        false,
-    )?;
-    stage.head.as_mut().expect("head").set_grad(s, g_head)?;
-    s.free_tensor(&g_logits);
-    s.free_tensor(&logits);
-    let g_h1 = stage.ln_f.as_mut().expect("ln_f").backward(s, &h1, &g_hl)?;
-    s.free_tensor(&g_hl);
-    s.free_tensor(&hl);
-    let g_boundary = stage.blocks.backward(s, g_h1)?;
+    let h1 = blocks.forward(s, recv, true)?;
+    let (hl, logits) = head(s, &mut ln_f, &head_w, &h1, true)?;
+    let g_h1 = loss_backward(s, &mut ln_f, &head_w, &h1, hl, logits)?;
+    let g_boundary = blocks.backward(s, g_h1)?;
     s.free_tensor(&h1);
     ops::send_recv(s, &g_boundary)?;
     s.free_tensor(&g_boundary);
@@ -674,10 +553,14 @@ fn pipeline_stage1(
     let _ = bwd_sent.send(());
 
     // ---- Optimizer --------------------------------------------------------
-    stage.step(s)?;
+    blocks.step(s)?;
+    ln_f.step(s)?;
+    head_w.step(s)?;
 
     let stats = lane_stats(lane);
-    stage.destroy(&mut lane.session);
+    blocks.destroy(&mut lane.session);
+    ln_f.destroy(&mut lane.session);
+    head_w.destroy(&mut lane.session);
     Ok(stats)
 }
 
