@@ -20,7 +20,12 @@
 //!   shapes and memory traffic derived from tensor shapes;
 //! * [`layers`] + [`models`] — the six paper models (Table IV): AlexNet,
 //!   ResNet-18/34, GPT-2, BERT, Whisper-small, each with forward and
-//!   backward passes;
+//!   backward passes. Everything that owns parameters walks them once
+//!   (`layers::Params`), and the optimizer step, teardown and parameter
+//!   bytes are that walk; the transformers and the pipeline stages are
+//!   built from one embedding, one block-stack builder and one head +
+//!   loss (`models::transformer`), and self- and cross-attention share
+//!   one op pair (`ops::Attention`);
 //! * [`pycall`] — the simulated Python frame stack + native frames that
 //!   feed PASTA's cross-layer call stacks (Fig. 4);
 //! * [`parallel`] — data/tensor/pipeline-parallel training of Megatron

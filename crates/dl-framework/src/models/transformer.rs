@@ -66,7 +66,7 @@ impl LmDims {
 /// Token + positional embedding tables.
 pub(crate) struct Embedding {
     /// Token table `[vocab, d]`, also the tied logits projection.
-    pub wte: Param,
+    pub(crate) wte: Param,
     /// Positional table `[seq, d]`.
     wpe: Param,
 }

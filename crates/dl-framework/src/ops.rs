@@ -72,10 +72,10 @@ const TILE: u64 = 128;
 /// One GEMM launch, `C[m,n] = A[m,k] × B[k,n]`, on tile `tile`.
 pub(crate) struct Gemm {
     /// Tile label in the kernel name (`128x64`, `64x64_attn_qk`, …).
-    pub tile: &'static str,
-    pub m: u64,
-    pub n: u64,
-    pub k: u64,
+    pub(crate) tile: &'static str,
+    pub(crate) m: u64,
+    pub(crate) n: u64,
+    pub(crate) k: u64,
 }
 
 impl Gemm {
@@ -771,13 +771,13 @@ pub(crate) fn softmax_backward(
 /// never built per call.
 pub(crate) struct AttnTiles {
     /// `scores = Q × Kᵀ`.
-    pub qk: &'static str,
+    pub(crate) qk: &'static str,
     /// `ctx = probs × V`.
-    pub pv: &'static str,
+    pub(crate) pv: &'static str,
     /// The scores again, in backward (memory-efficient attention).
-    pub recompute: &'static str,
+    pub(crate) recompute: &'static str,
     /// The input gradient from the probability gradient.
-    pub bwd: &'static str,
+    pub(crate) bwd: &'static str,
 }
 
 /// Where [`Attention::backward`]'s gradient GEMM writes.
@@ -796,9 +796,9 @@ pub(crate) enum AttnGrad<'a> {
 /// recomputes them, as PyTorch's memory-efficient SDPA does (keeping them
 /// would add O(heads × sq × sk) per block to the training footprint).
 pub(crate) struct Attention {
-    pub tiles: AttnTiles,
-    pub heads: usize,
-    pub d: usize,
+    pub(crate) tiles: AttnTiles,
+    pub(crate) heads: usize,
+    pub(crate) d: usize,
 }
 
 impl Attention {
