@@ -486,6 +486,8 @@ fn pipeline_stage0(
     fwd_sent: mpsc::Sender<()>,
     bwd_ready: mpsc::Receiver<()>,
 ) -> Result<LaneStats, AccelError> {
+    // Imported per stage: at module scope its `destroy` and `param_bytes`
+    // would clash with `Workload`'s on the replicas above.
     use crate::layers::Params;
     let dims = megatron_345m_dims();
     let s = &mut lane.session;
