@@ -130,8 +130,8 @@ mod tests {
             .starts_with("rcclDevKernel"));
     }
 
-    /// Every tile label the operators, layers and models pass to
-    /// `ops::gemm_kernel`.
+    /// Every tile label the operators, layers and models give an
+    /// `ops::Gemm`.
     const TILES: [&str; 11] = [
         "128x64",
         "128x64_dgrad",
@@ -151,8 +151,8 @@ mod tests {
         for backend in [BackendProfile::nvidia(), BackendProfile::amd()] {
             for tile in TILES {
                 for act in ["", "_relu", "_gelu"] {
-                    // What `ops::gemm_kernel`'s three nested `format!`s
-                    // (`{tile}_tn`, `{prefix}_{..}`, `{..}{act}`) built.
+                    // What three nested `format!`s (`{tile}_tn`,
+                    // `{prefix}_{..}`, `{..}{act}`) build.
                     let expected = format!("{}_{tile}_tn{act}", backend.gemm_prefix);
                     let name = backend.gemm_kernel(tile, &format!("_tn{act}"));
                     assert_eq!(name.as_str(), expected);
