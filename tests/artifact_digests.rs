@@ -10,6 +10,10 @@
 use pasta_bench::{ExpScale, ARTIFACTS};
 use std::path::Path;
 
+/// The rows of [`ARTIFACTS`], in order: dropping or reordering one
+/// changes `experiments all` output, so it fails here too.
+const ROWS: &str = "fig4 fig7 table5 fig9 fig10 fig11 fig12 fig13 fig14 fig15 ablations";
+
 /// Where `text` first departs from `golden`: the 1-based line number and
 /// both lines (`<end of text>` past either's last line).
 fn first_difference(golden: &str, text: &str) -> Option<(usize, String, String)> {
@@ -29,6 +33,8 @@ fn first_difference(golden: &str, text: &str) -> Option<(usize, String, String)>
 
 #[test]
 fn every_artifact_reproduces_its_pinned_digest_at_quick_scale() {
+    let names: Vec<&str> = ARTIFACTS.iter().map(|(name, _)| *name).collect();
+    assert_eq!(names, ROWS.split(' ').collect::<Vec<_>>());
     let golden_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     let mut failures = Vec::new();
     for (name, run) in ARTIFACTS {
