@@ -1,6 +1,6 @@
 //! Convolutional models: AlexNet and ResNet-18/34.
 
-use super::{ModelSpec, ModelZoo, Workload};
+use super::{ModelSpec, Workload};
 use crate::dtype::DType;
 use crate::layers::{
     BasicBlock, BatchNorm2d, Conv2d, Flatten, GlobalAvgPool, Linear, MaxPool2d, Params, Sequential,
@@ -80,12 +80,13 @@ fn conv(
     Conv2d::new(s, cfg, act)
 }
 
-/// Builds AlexNet (Krizhevsky et al.) with the paper's batch size of 128.
+/// Builds AlexNet (Krizhevsky et al.) at `spec`'s batch size (the
+/// paper's is 128).
 ///
 /// # Errors
 ///
 /// Propagates allocator out-of-memory while creating parameters.
-pub(crate) fn alexnet(s: &mut Session<'_>, batch: usize) -> Result<CnnModel, AccelError> {
+pub(crate) fn alexnet(s: &mut Session<'_>, spec: ModelSpec) -> Result<CnnModel, AccelError> {
     let mut body = Sequential::default();
     body.push("features.0", conv(s, [3, 64, 11, 4, 2], Act::Relu)?);
     body.push("features.2", MaxPool2d::new(3, 2));
@@ -103,12 +104,9 @@ pub(crate) fn alexnet(s: &mut Session<'_>, batch: usize) -> Result<CnnModel, Acc
     body.push("classifier.4", Linear::new(s, 4096, 4096, true, Act::Relu)?);
     body.push("classifier.6", Linear::new(s, 4096, 1000, true, Act::None)?);
     Ok(CnnModel {
-        spec: ModelSpec {
-            batch,
-            ..ModelZoo::AlexNet.spec()
-        },
+        input_shape: vec![spec.batch, 3, 224, 224],
+        spec,
         body,
-        input_shape: vec![batch, 3, 224, 224],
         py_file: "models/alexnet/run_alexnet.py",
     })
 }
@@ -121,9 +119,8 @@ pub(crate) fn alexnet(s: &mut Session<'_>, batch: usize) -> Result<CnnModel, Acc
 /// Propagates allocator out-of-memory while creating parameters.
 pub(crate) fn resnet(
     s: &mut Session<'_>,
-    batch: usize,
+    spec: ModelSpec,
     blocks: &[usize; 4],
-    name: &'static str,
 ) -> Result<CnnModel, AccelError> {
     let mut body = Sequential::default();
     body.push("conv1", conv(s, [3, 64, 7, 2, 3], Act::None)?);
@@ -142,18 +139,10 @@ pub(crate) fn resnet(
     body.push("avgpool", GlobalAvgPool);
     body.push("flatten", Flatten);
     body.push("fc", Linear::new(s, 512, 1000, true, Act::None)?);
-    let zoo = if name == "ResNet18" {
-        ModelZoo::ResNet18
-    } else {
-        ModelZoo::ResNet34
-    };
     Ok(CnnModel {
-        spec: ModelSpec {
-            batch,
-            ..zoo.spec()
-        },
+        input_shape: vec![spec.batch, 3, 224, 224],
+        spec,
         body,
-        input_shape: vec![batch, 3, 224, 224],
         py_file: "models/resnet/run_resnet.py",
     })
 }
@@ -161,6 +150,7 @@ pub(crate) fn resnet(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::ModelZoo;
     use accel_sim::DeviceSpec;
     use vendor_nv::CudaContext;
 
@@ -170,10 +160,17 @@ mod tests {
         f(&mut s)
     }
 
+    fn at(zoo: ModelZoo, batch: usize) -> ModelSpec {
+        ModelSpec {
+            batch,
+            ..zoo.spec()
+        }
+    }
+
     #[test]
     fn alexnet_inference_runs_and_cleans_up() {
         with_session(|s| {
-            let mut m = alexnet(s, 8).unwrap();
+            let mut m = alexnet(s, at(ModelZoo::AlexNet, 8)).unwrap();
             let params = s.allocator_stats().allocated;
             assert!(params > 200 << 20, "AlexNet has ~244 MB of parameters");
             m.inference_batch(s).unwrap();
@@ -192,7 +189,7 @@ mod tests {
     #[test]
     fn alexnet_training_iter_cleans_up() {
         with_session(|s| {
-            let mut m = alexnet(s, 4).unwrap();
+            let mut m = alexnet(s, at(ModelZoo::AlexNet, 4)).unwrap();
             let params = s.allocator_stats().allocated;
             m.training_iter(s).unwrap();
             s.release_workspaces();
@@ -208,7 +205,7 @@ mod tests {
     #[test]
     fn resnet18_has_eight_blocks_and_runs() {
         with_session(|s| {
-            let mut m = resnet(s, 2, &[2, 2, 2, 2], "ResNet18").unwrap();
+            let mut m = resnet(s, at(ModelZoo::ResNet18, 2), &[2, 2, 2, 2]).unwrap();
             assert_eq!(m.spec().layers, 18);
             m.inference_batch(s).unwrap();
             let k18 = s.kernels_launched();
@@ -220,14 +217,14 @@ mod tests {
     #[test]
     fn resnet34_launches_more_kernels_than_resnet18() {
         let k18 = with_session(|s| {
-            let mut m = resnet(s, 2, &[2, 2, 2, 2], "ResNet18").unwrap();
+            let mut m = resnet(s, at(ModelZoo::ResNet18, 2), &[2, 2, 2, 2]).unwrap();
             m.inference_batch(s).unwrap();
             let k = s.kernels_launched();
             m.destroy(s);
             k
         });
         let k34 = with_session(|s| {
-            let mut m = resnet(s, 2, &[3, 4, 6, 3], "ResNet34").unwrap();
+            let mut m = resnet(s, at(ModelZoo::ResNet34, 2), &[3, 4, 6, 3]).unwrap();
             m.inference_batch(s).unwrap();
             let k = s.kernels_launched();
             m.destroy(s);
@@ -242,7 +239,7 @@ mod tests {
     #[test]
     fn resnet_training_cleans_up() {
         with_session(|s| {
-            let mut m = resnet(s, 2, &[2, 2, 2, 2], "ResNet18").unwrap();
+            let mut m = resnet(s, at(ModelZoo::ResNet18, 2), &[2, 2, 2, 2]).unwrap();
             let params = s.allocator_stats().allocated;
             m.training_iter(s).unwrap();
             s.release_workspaces();

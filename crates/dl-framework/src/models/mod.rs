@@ -172,15 +172,18 @@ impl ModelZoo {
         s: &mut Session<'_>,
         divisor: usize,
     ) -> Result<Box<dyn Workload>, AccelError> {
-        let spec = self.spec();
-        let batch = (spec.batch / divisor.max(1)).max(1);
+        let paper = self.spec();
+        let spec = ModelSpec {
+            batch: (paper.batch / divisor.max(1)).max(1),
+            ..paper
+        };
         Ok(match self {
-            ModelZoo::AlexNet => Box::new(cnn::alexnet(s, batch)?),
-            ModelZoo::ResNet18 => Box::new(cnn::resnet(s, batch, &[2, 2, 2, 2], "ResNet18")?),
-            ModelZoo::ResNet34 => Box::new(cnn::resnet(s, batch, &[3, 4, 6, 3], "ResNet34")?),
-            ModelZoo::Gpt2 => Box::new(transformer::gpt2(s, batch)?),
-            ModelZoo::Bert => Box::new(transformer::bert(s, batch)?),
-            ModelZoo::Whisper => Box::new(transformer::whisper_small(s, batch)?),
+            ModelZoo::AlexNet => Box::new(cnn::alexnet(s, spec)?),
+            ModelZoo::ResNet18 => Box::new(cnn::resnet(s, spec, &[2, 2, 2, 2])?),
+            ModelZoo::ResNet34 => Box::new(cnn::resnet(s, spec, &[3, 4, 6, 3])?),
+            ModelZoo::Gpt2 => Box::new(transformer::gpt2(s, spec)?),
+            ModelZoo::Bert => Box::new(transformer::bert(s, spec)?),
+            ModelZoo::Whisper => Box::new(transformer::whisper_small(s, spec)?),
         })
     }
 }

@@ -12,7 +12,7 @@
 //! * `head` and `loss_backward` — the final layer norm and logits
 //!   projection, then cross-entropy and the backward through both.
 
-use super::{ModelSpec, ModelZoo, Workload};
+use super::{ModelSpec, Workload};
 use crate::callbacks::Pass;
 use crate::dtype::DType;
 use crate::layers::{
@@ -583,11 +583,8 @@ fn base_dims(vocab: usize, seq: usize) -> LmDims {
 /// # Errors
 ///
 /// Propagates allocator out-of-memory.
-pub(crate) fn gpt2(s: &mut Session<'_>, batch: usize) -> Result<TransformerLm, AccelError> {
-    let spec = ModelSpec {
-        batch,
-        ..ModelZoo::Gpt2.spec()
-    };
+pub(crate) fn gpt2(s: &mut Session<'_>, spec: ModelSpec) -> Result<TransformerLm, AccelError> {
+    let batch = spec.batch;
     build_lm(
         s,
         spec,
@@ -602,11 +599,8 @@ pub(crate) fn gpt2(s: &mut Session<'_>, batch: usize) -> Result<TransformerLm, A
 /// # Errors
 ///
 /// Propagates allocator out-of-memory.
-pub(crate) fn bert(s: &mut Session<'_>, batch: usize) -> Result<TransformerLm, AccelError> {
-    let spec = ModelSpec {
-        batch,
-        ..ModelZoo::Bert.spec()
-    };
+pub(crate) fn bert(s: &mut Session<'_>, spec: ModelSpec) -> Result<TransformerLm, AccelError> {
+    let batch = spec.batch;
     build_lm(
         s,
         spec,
@@ -622,12 +616,8 @@ pub(crate) fn bert(s: &mut Session<'_>, batch: usize) -> Result<TransformerLm, A
 /// # Errors
 ///
 /// Propagates allocator out-of-memory.
-pub(crate) fn whisper_small(s: &mut Session<'_>, batch: usize) -> Result<Whisper, AccelError> {
-    let spec = ModelSpec {
-        batch,
-        ..ModelZoo::Whisper.spec()
-    };
-    let dims = base_dims(51865, 128);
+pub(crate) fn whisper_small(s: &mut Session<'_>, spec: ModelSpec) -> Result<Whisper, AccelError> {
+    let (dims, batch) = (base_dims(51865, 128), spec.batch);
     let lm = build_lm(s, spec, dims, batch, "models/whisper/run_whisper.py")?;
     let blocks = block_stack(s, "enc", 0..dims.layers, &dims)?;
     let cross = (0..dims.layers)
@@ -647,7 +637,8 @@ pub(crate) fn whisper_small(s: &mut Session<'_>, batch: usize) -> Result<Whisper
 
 #[cfg(test)]
 mod tests {
-    use super::{bert, gpt2, whisper_small, Session, Workload};
+    use super::{bert, gpt2, whisper_small, ModelSpec, Session, Workload};
+    use crate::models::ModelZoo;
     use accel_sim::DeviceSpec;
     use vendor_nv::CudaContext;
 
@@ -657,10 +648,17 @@ mod tests {
         f(&mut s)
     }
 
+    fn at(zoo: ModelZoo, batch: usize) -> ModelSpec {
+        ModelSpec {
+            batch,
+            ..zoo.spec()
+        }
+    }
+
     #[test]
     fn bert_inference_cleans_up() {
         with_session(|s| {
-            let mut m = bert(s, 2).unwrap();
+            let mut m = bert(s, at(ModelZoo::Bert, 2)).unwrap();
             let params = s.allocator_stats().allocated;
             assert!(
                 params > 300 << 20,
@@ -677,7 +675,7 @@ mod tests {
     #[test]
     fn gpt2_training_iter_cleans_up() {
         with_session(|s| {
-            let mut m = gpt2(s, 1).unwrap();
+            let mut m = gpt2(s, at(ModelZoo::Gpt2, 1)).unwrap();
             let params = s.allocator_stats().allocated;
             m.training_iter(s).unwrap();
             s.release_workspaces();
@@ -690,7 +688,7 @@ mod tests {
     #[test]
     fn whisper_inference_runs_encoder_and_decoder() {
         with_session(|s| {
-            let mut m = whisper_small(s, 1).unwrap();
+            let mut m = whisper_small(s, at(ModelZoo::Whisper, 1)).unwrap();
             let params = s.allocator_stats().allocated;
             assert!(
                 params > 700 << 20,
@@ -710,7 +708,7 @@ mod tests {
     #[test]
     fn gpt2_footprint_dominated_by_logits() {
         with_session(|s| {
-            let mut m = gpt2(s, 1).unwrap();
+            let mut m = gpt2(s, at(ModelZoo::Gpt2, 1)).unwrap();
             m.inference_batch(s).unwrap();
             let peak = s.allocator_stats().peak_allocated;
             // Logits for batch 1 are 1×1024×50257×4 ≈ 206 MB on top of
