@@ -339,6 +339,7 @@ impl DeviceProbe for TraceProfiler {
         let mut costs = ProbeCosts::FREE;
         let device = ctx.device.index();
         let meter = &self.meter;
+        let mut shared = self.shared.lock();
 
         // NVBit pays a one-time SASS dump+parse per unique kernel symbol.
         if meter.costs.sass_parse_ns_per_kernel > 0
@@ -347,7 +348,7 @@ impl DeviceProbe for TraceProfiler {
                 .update(&ctx.name, |parsed| std::mem::replace(parsed, true))
         {
             costs.host_ns += meter.costs.sass_parse_ns_per_kernel;
-            self.shared.lock().breakdown.setup_ns += meter.costs.sass_parse_ns_per_kernel;
+            shared.breakdown.setup_ns += meter.costs.sass_parse_ns_per_kernel;
         }
 
         match meter.mode {
@@ -355,7 +356,7 @@ impl DeviceProbe for TraceProfiler {
                 // Ship the small result buffer back at kernel end.
                 let xfer = (meter.costs.result_buffer_bytes as f64 / meter.link_bw(device)) as u64;
                 costs.device_ns += xfer;
-                self.shared.lock().breakdown.transfer_ns += xfer;
+                shared.breakdown.transfer_ns += xfer;
             }
             AnalysisMode::CpuPostProcess => {
                 // Final partial buffer drains after the kernel completes; the
@@ -364,11 +365,10 @@ impl DeviceProbe for TraceProfiler {
                     meter.cur_records - meter.cur_flushes * meter.costs.buffer.capacity_records;
                 let xfer = (leftover * TRACE_RECORD_BYTES) as f64 / meter.link_bw(device);
                 costs.host_ns += xfer as u64;
-                self.shared.lock().breakdown.transfer_ns += xfer as u64;
+                shared.breakdown.transfer_ns += xfer as u64;
             }
         }
 
-        let mut shared = self.shared.lock();
         if let Some(sink) = shared.sink.as_mut() {
             if self.coverage == InstrCoverage::AllInstructions {
                 sink.on_instructions(ctx, summary.instructions);

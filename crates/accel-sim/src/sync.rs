@@ -7,6 +7,24 @@
 //! every step of an update, so [`Mutex::lock`] recovers the guard instead
 //! and the shard stays usable.
 
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+/// Successful acquisitions of any [`Mutex`] (debug builds count them).
+static ACQUIRED: AtomicU64 = AtomicU64::new(0);
+
+/// Successful [`Mutex::lock`] and [`Mutex::try_lock`] calls in this
+/// process so far; `None` in a release build, which does not count.
+pub fn acquisitions() -> Option<u64> {
+    cfg!(debug_assertions).then(|| ACQUIRED.load(Relaxed))
+}
+
+fn counted<G>(guard: G) -> G {
+    if cfg!(debug_assertions) {
+        ACQUIRED.fetch_add(1, Relaxed);
+    }
+    guard
+}
+
 /// Mutual exclusion over `std::sync::Mutex` with poisoning recovered.
 #[derive(Debug, Default)]
 pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
@@ -31,16 +49,14 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        self.0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        counted(self.0.lock()).unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Acquires the lock if nobody holds it.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.0.try_lock() {
-            Ok(guard) => Some(guard),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Ok(guard) => Some(counted(guard)),
+            Err(std::sync::TryLockError::Poisoned(e)) => Some(counted(e.into_inner())),
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
     }

@@ -49,18 +49,17 @@
 //!    of its own flush window.
 //! 4. **Batched flushes** — a full buffer (or kernel end) spills the
 //!    whole window at once instead of handing off event-by-event.
-//! 5. **The lock-free spine** ([`crate::spine`]) — in the default
-//!    [`SpineMode::Ring`], a spill *pushes* the batch onto a bounded SPSC
-//!    ring instead of running tool dispatch under the shard mutex; the
-//!    shard side (a background [`crate::spine::SpineDrainer`], a
-//!    backpressured producer, or the next harvest) drains it off the
-//!    emission critical path. [`SpineMode::Inline`] consumes the same
-//!    message under the shard lock on the spot — the differential
-//!    reference; the sink reads the mode in one function and is otherwise
-//!    one body. Every acquisition through [`DeviceShard::lock`] drains
-//!    pending rings first, so reports, recorders and resets observe every
-//!    pushed event exactly once — [`Hub::quiesce`] is the explicit entry
-//!    point.
+//! 5. **One delivery per launch edge** — a kernel begin or end, or a full
+//!    spill buffer, reaches the shard as one delivery. The session's own
+//!    context consumes it under one shard lock ([`SpineMode::Inline`]). A
+//!    parallel lane ([`SpineMode::Ring`], [`crate::spine`]) *pushes* it
+//!    onto a bounded SPSC ring instead; the region's drainer or pool sweep
+//!    (or a backpressured producer, or the next harvest) runs dispatch off
+//!    the emission critical path. The sink reads the mode in one function
+//!    and is otherwise one body. Every acquisition through
+//!    [`DeviceShard::lock`] drains pending rings first, so reports,
+//!    recorders and resets observe every pushed event exactly once —
+//!    [`Hub::quiesce`] is the explicit entry point.
 //!
 //! The shards, the host gate, routing, recorders and the merge live in
 //! this file; the launch gate and the sink in `sink.rs`.

@@ -27,19 +27,19 @@ struct LaunchGate {
 /// it buffers reaches that shard. Per-device profilers (one per parallel
 /// lane) therefore emit into disjoint shards and never contend.
 ///
-/// The sink has one body. Every callback rebinds to its launch's device,
-/// spills what is buffered and hands a [`SpineMsg`] to `deliver`, the only
-/// place the [`SpineMode`] is read. In the default [`SpineMode::Ring`] the
-/// sink owns one SPSC [`EventRing`] per device it has visited and
-/// `deliver` *pushes* onto the bound device's ring and returns, leaving
-/// tool dispatch to the shard side; a full ring (or an empty buffer pool)
+/// The sink has one body. Every callback rebinds to its launch's device;
+/// a launch edge (begin, end, a full spill buffer) goes to `deliver`, the
+/// only place the [`SpineMode`] is read, as its spilled batches and then
+/// its marker event. [`SpineMode::Inline`] (a session's own context)
+/// consumes the edge under one shard lock. Under [`SpineMode::Ring`] (a
+/// parallel lane's) the sink owns one SPSC [`EventRing`] per device it has
+/// visited and pushes each [`SpineMsg`] onto it, leaving tool dispatch to
+/// the lane's drainer or pool sweep; a full ring (or an empty buffer pool)
 /// triggers the lossless backpressure path — the sink takes the shard
 /// lock, which drains every pending ring (its own older messages first),
-/// and consumes the overflow there. Under [`SpineMode::Inline`] `deliver`
-/// takes the shard lock and consumes the message on the emission path —
-/// the pre-spine behaviour. Both modes therefore cut batches at identical
-/// stream offsets and deliver the identical event sequence to the shard's
-/// processor, which is what the ring-vs-inline byte-identity suites pin.
+/// and consumes the overflow there. Both modes therefore cut batches at
+/// identical stream offsets and deliver the identical event sequence to the
+/// shard's processor, which is what the ring-vs-inline suites pin.
 #[derive(Debug)]
 pub struct HubSink {
     hub: SharedHub,
@@ -64,9 +64,9 @@ impl HubSink {
         Self::with_spine(hub, SpineMode::Ring, SpineConfig::default())
     }
 
-    /// Creates a sink that drains under the shard lock on the emission
-    /// path — the pre-spine reference used by differential tests and the
-    /// bench decompositions.
+    /// Creates a sink that delivers under the shard lock on the emission
+    /// path, as a session's own context does — the differential tests'
+    /// reference and the bench decompositions' inline twin.
     pub fn inline_spine(hub: SharedHub) -> Self {
         Self::with_spine(hub, SpineMode::Inline, SpineConfig::default())
     }
@@ -100,8 +100,9 @@ impl HubSink {
     /// shard's next drain; an inline sink's are processed before this
     /// returns.
     pub fn flush(&mut self) {
-        self.spill_class(EventClass::DeviceAccess);
-        self.spill_class(EventClass::DeviceControl);
+        if !(self.access_buf.is_empty() && self.control_buf.is_empty()) {
+            self.deliver(None, None);
+        }
     }
 
     fn spill_buf(&mut self, class: EventClass) -> &mut Vec<Event> {
@@ -111,41 +112,56 @@ impl HubSink {
         }
     }
 
-    /// Moves one class's spill buffer to the bound shard as a batch and
-    /// installs the empty buffer `deliver` hands back in its place.
-    fn spill_class(&mut self, class: EventClass) {
-        if self.spill_buf(class).is_empty() {
-            return;
-        }
-        let full = std::mem::take(self.spill_buf(class));
-        if let Some(spare) = self.deliver(SpineMsg::Batch(class, full)) {
-            *self.spill_buf(class) = spare;
+    /// Hands the bound shard one launch edge — the spill buffers as one
+    /// batch per class, accesses first, then `marker` — and reads the probe
+    /// config of `gate`'s launch: inline under one shard lock; over the ring
+    /// by pushing the same messages, then reading under the raw lock, which
+    /// suffices because the config depends only on tool interests and
+    /// region state, which the host path delivers synchronously.
+    fn deliver(&mut self, marker: Option<Event>, gate: Option<LaunchId>) -> Option<ProbeConfig> {
+        let classes = [EventClass::DeviceAccess, EventClass::DeviceControl];
+        match self.mode {
+            SpineMode::Inline => {
+                let mut shard = self.hub.lock_device(self.bound);
+                let bufs = [&mut self.access_buf, &mut self.control_buf];
+                for (class, buf) in classes.into_iter().zip(bufs) {
+                    if !buf.is_empty() {
+                        shard.process_class_batch(class, buf);
+                        buf.clear();
+                    }
+                }
+                if let Some(event) = marker {
+                    shard.process(&event);
+                }
+                gate.map(|launch| shard.probe_config_for(launch))
+            }
+            SpineMode::Ring => {
+                let ring = self.ensure_ring(self.bound);
+                for class in classes {
+                    if !self.spill_buf(class).is_empty() {
+                        let spare = self.take_or_reclaim_buffer(&ring);
+                        let full = std::mem::replace(self.spill_buf(class), spare);
+                        self.push(&ring, SpineMsg::Batch(class, full));
+                    }
+                }
+                if let Some(event) = marker {
+                    self.push(&ring, SpineMsg::One(event));
+                }
+                let shard = self.hub.shard_for(self.bound);
+                gate.map(|launch| shard.lock_raw().probe_config_for(launch))
+            }
         }
     }
 
-    /// Hands `msg` to the bound shard — the one place the spine mode is
-    /// read — and returns the empty buffer that takes a batch's place:
-    /// the batch's own, consumed under the lock, or the ring pool's next.
-    fn deliver(&mut self, msg: SpineMsg) -> Option<Vec<Event>> {
-        match self.mode {
-            SpineMode::Inline => crate::spine::consume(msg, &mut self.hub.lock_device(self.bound)),
-            SpineMode::Ring => {
-                let ring = self.ensure_ring(self.bound);
-                let spare =
-                    matches!(msg, SpineMsg::Batch(..)).then(|| self.take_or_reclaim_buffer(&ring));
-                // Lossless backpressure on a full ring: take the shard
-                // lock (the drain-first acquisition empties every pending
-                // ring — this sink's older messages first, so per-ring
-                // FIFO holds) and consume the overflow as the consumer.
-                if let Err(msg) = ring.push(msg) {
-                    let mut processor = self.hub.shard_for(self.bound).lock();
-                    if let Some(buf) = crate::spine::consume(msg, &mut processor) {
-                        // Still holding the shard lock: recycling is a
-                        // consumer-role operation on the free ring.
-                        ring.recycle(buf);
-                    }
-                }
-                spare
+    /// Pushes `msg` onto `ring`, or, when it is full, consumes it under the
+    /// shard lock, whose drain takes this sink's older messages first.
+    fn push(&self, ring: &EventRing, msg: SpineMsg) {
+        if let Err(msg) = ring.push(msg) {
+            let mut processor = self.hub.shard_for(self.bound).lock();
+            if let Some(buf) = crate::spine::consume(msg, &mut processor) {
+                // Still holding the shard lock: recycling is a
+                // consumer-role operation on the free ring.
+                ring.recycle(buf);
             }
         }
     }
@@ -189,26 +205,20 @@ impl HubSink {
     fn gate_for(&mut self, ctx: &TraceCtx) -> LaunchGate {
         match self.gate {
             Some(gate) if gate.launch == ctx.launch && gate.device == ctx.device => gate,
-            _ => {
-                self.rebind(ctx.device);
-                self.open_gate(ctx)
-            }
+            _ => self.open_gate(ctx, None),
         }
     }
 
-    /// Builds and caches the gate for `ctx`'s launch under its shard's
-    /// raw (non-draining) lock, which suffices: probe configs depend only
-    /// on tool interests and region state, never on spine-carried state,
-    /// and region events arrive on the host path, which drains
-    /// synchronously.
-    fn open_gate(&mut self, ctx: &TraceCtx) -> LaunchGate {
-        let processor = self.hub.shard_for(ctx.device).lock_raw();
+    /// Opens and caches the gate for `ctx`'s launch on its device's shard.
+    /// Leftovers from a launch whose end never reached us are delivered
+    /// first, then `marker`, preserving cross-launch order.
+    fn open_gate(&mut self, ctx: &TraceCtx, marker: Option<Event>) -> LaunchGate {
+        self.rebind(ctx.device);
         let gate = LaunchGate {
             launch: ctx.launch,
             device: ctx.device,
-            config: processor.probe_config_for(ctx.launch),
+            config: self.deliver(marker, Some(ctx.launch)).unwrap_or_default(),
         };
-        drop(processor);
         self.gate = Some(gate);
         gate
     }
@@ -264,19 +274,15 @@ impl Drop for HubSink {
 
 impl DeviceTraceSink for HubSink {
     fn on_kernel_begin(&mut self, ctx: &TraceCtx) -> ProbeConfig {
-        self.rebind(ctx.device);
-        // Leftovers from a launch whose end never reached us precede this
-        // launch's begin, preserving cross-launch order.
-        self.flush();
-        self.deliver(SpineMsg::One(Event::KernelLaunchBegin {
+        let begin = Event::KernelLaunchBegin {
             launch: ctx.launch,
             device: ctx.device,
             stream: ctx.stream,
             name: ctx.name,
             grid: ctx.grid,
             block: ctx.block,
-        }));
-        self.open_gate(ctx).config
+        };
+        self.open_gate(ctx, Some(begin)).config
     }
 
     fn on_batch(&mut self, ctx: &TraceCtx, batch: &AccessBatch) {
@@ -351,15 +357,15 @@ impl DeviceTraceSink for HubSink {
     fn on_kernel_end(&mut self, ctx: &TraceCtx, summary: &KernelTraceSummary) {
         // The launch's buffered events precede its trace summary, which
         // always flows (the knob aggregates feed on it even when no tool
-        // subscribed). Over the ring no lock is taken here at all in the
-        // common case: spill + push and the emitter is done with the launch.
+        // subscribed). Inline that is one shard lock; over the ring no lock
+        // is taken here at all in the common case.
         self.rebind(ctx.device);
-        self.flush();
-        self.deliver(SpineMsg::One(Event::KernelTrace {
+        let trace = Event::KernelTrace {
             launch: ctx.launch,
             kernel: ctx.name,
             summary: summary.clone(),
-        }));
+        };
+        self.deliver(Some(trace), None);
         self.gate = None;
     }
 }

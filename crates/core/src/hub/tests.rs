@@ -9,6 +9,13 @@ use accel_sim::{
     AccessBatch, AccessKind, AccessPattern, Dim3, KernelTraceSummary, LaunchId, MemSpace, Symbol,
 };
 
+impl DeviceShard {
+    /// Rings feeding this shard, registered and not yet pruned.
+    pub(crate) fn rings(&self) -> usize {
+        self.spine.rings()
+    }
+}
+
 #[test]
 fn shards_never_share_a_cache_line_pair() {
     assert!(std::mem::align_of::<DeviceShard>() >= 128);

@@ -275,19 +275,20 @@ impl PastaBuilder {
         self
     }
 
-    /// How sinks hand fine-grained events to their shard:
+    /// How parallel lanes' sinks hand fine-grained events to their shard:
     /// [`SpineMode::Ring`] (the default lock-free SPSC spine) or
-    /// [`SpineMode::Inline`] (the mutex-spine reference — kept for
-    /// differential byte-identity tests and bench decompositions).
+    /// [`SpineMode::Inline`] (under the shard lock). The session's own
+    /// context always delivers inline: nothing else drains its shard.
     pub fn spine_mode(mut self, mode: SpineMode) -> Self {
         self.spine_mode = mode;
         self
     }
 
     /// Ring geometry for the event spine (slots per ring, preallocated
-    /// batch buffers, events per batch). Applies to the session's own
-    /// sink and to every per-lane sink `run_parallel` creates. Validated
-    /// at [`PastaBuilder::build`]: rings need at least 2 slots.
+    /// batch buffers, events per batch) of every per-lane sink
+    /// `run_parallel` creates; `batch_events` is also the flush threshold
+    /// of the session's own, inline sink. Validated at
+    /// [`PastaBuilder::build`]: rings need at least 2 slots.
     pub fn spine_config(mut self, config: SpineConfig) -> Self {
         self.spine_config = config;
         self
@@ -411,7 +412,7 @@ impl PastaBuilder {
                 .uvm
                 .is_some_and(|uvm_setup| uvm_setup.managed_allocator),
         };
-        let (runtime, profiler) = recipe.build(&hub, DeviceId(0), None, uvm)?;
+        let (runtime, profiler) = recipe.build(&hub, DeviceId(0), None, uvm, SpineMode::Inline)?;
 
         Ok(PastaSession {
             runtime,
@@ -440,9 +441,9 @@ pub(super) struct ContextRecipe {
     /// backend choice instruments the device and a tool wants its events.
     backend: Option<(InstrCoverage, AnalysisMode, BackendCosts)>,
     pub(super) wants_device: bool,
-    /// How the session's sinks hand events to their shards.
+    /// How parallel lanes' sinks hand events to their shards.
     pub(super) spine_mode: SpineMode,
-    /// Ring geometry for every sink the session creates.
+    /// Ring geometry for every ring-mode sink the session creates.
     spine_config: SpineConfig,
     /// Whether the framework's caching allocator hands out managed
     /// memory ([`UvmSetup::managed_allocator`]).
@@ -452,8 +453,8 @@ pub(super) struct ContextRecipe {
 impl ContextRecipe {
     /// A context over the full device list, pinned to `device`: host
     /// callbacks normalized into `hub`, `uvm` as the residency model and,
-    /// when tools want device events, the backend's profiler with a sink
-    /// wired into `hub`. `home` is `Some(device)` only for a lane of a
+    /// when tools want device events, the backend's profiler with a `mode`
+    /// sink into `hub`. `home` is `Some(device)` only for a lane of a
     /// sharded hub: its host callbacks then tally what its own shard turns
     /// away without a locked add (`DeviceShard::count_gated`).
     pub(super) fn build(
@@ -462,6 +463,7 @@ impl ContextRecipe {
         device: DeviceId,
         home: Option<DeviceId>,
         uvm: Option<UvmManager>,
+        mode: SpineMode,
     ) -> Result<(Box<dyn SessionRuntime>, Option<ProfilerHandle>), PastaError> {
         let (mut runtime, profiler) = match self.specs[0].vendor {
             Vendor::Amd => self.context(hub, home, class_of_roc, normalize_roc)?,
@@ -474,7 +476,7 @@ impl ContextRecipe {
         if let Some(handle) = &profiler {
             handle.set_sink(Box::new(HubSink::with_spine(
                 Arc::clone(hub),
-                self.spine_mode,
+                mode,
                 self.spine_config,
             )));
         }
@@ -630,13 +632,30 @@ mod tests {
     }
 
     #[test]
-    fn device_tools_attach_profiler() {
-        let session = Pasta::builder()
+    fn device_tools_attach_profiler_and_only_lanes_deliver_over_rings() {
+        use crate::workload::KernelSweepWorkload;
+        use accel_sim::{Dim3, KernelBody, KernelDesc};
+        let mut session = Pasta::builder()
             .rtx_3060()
             .tool(DeviceHungry)
+            .spine_mode(SpineMode::Ring)
             .build()
             .unwrap();
         assert!(session.profiler.is_some());
+        let kernel = KernelDesc::new("ringless", Dim3::linear(8), Dim3::linear(64))
+            .body(KernelBody::compute(1 << 16));
+        let mut sweep = KernelSweepWorkload::new("sweep").kernel(kernel.clone());
+        session.run(&mut sweep).unwrap();
+        let hub = Arc::clone(&session.hub);
+        let rings = || hub.shards().iter().map(|s| s.rings()).sum::<usize>();
+        assert_eq!(rings(), 0, "the session's own context delivers inline");
+        session
+            .run_parallel(&[DeviceId(0)], |lanes| {
+                lanes[0].session.launch(kernel)?;
+                assert_eq!(rings(), 1, "a lane delivers over the ring mode asks for");
+                Ok(())
+            })
+            .unwrap();
     }
 
     #[test]

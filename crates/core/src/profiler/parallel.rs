@@ -122,6 +122,7 @@ impl PastaSession {
         let home = |device| self.hub.is_sharded().then_some(device);
         let mut contexts = Vec::with_capacity(devices.len());
         let mut handles = Vec::new();
+        let (recipe, mode) = (&self.recipe, self.recipe.spine_mode);
         for &device in devices {
             // A UVM session replicates into its lanes: each lane carries a
             // manager forked from the session's (same budgets and
@@ -130,7 +131,7 @@ impl PastaSession {
             // no lock shared across lanes. Lane state merges back into
             // the session manager when `f` returns.
             let uvm = self.runtime.uvm_manager().map(|m| m.fork(device));
-            let (ctx, handle) = self.recipe.build(&self.hub, device, home(device), uvm)?;
+            let (ctx, handle) = recipe.build(&self.hub, device, home(device), uvm, mode)?;
             contexts.push(ctx);
             handles.extend(handle);
         }

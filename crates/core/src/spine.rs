@@ -2,10 +2,10 @@
 //!
 //! ISSUE 3's and ISSUE 8's serialization decompositions showed the
 //! under-mutex drain (`process_class_batch` under each shard's lock) at
-//! 80–94% of an instrumented launch. Sinks are per-launch and shards
-//! are per-device, so every sink→shard pair is single-producer /
-//! single-consumer *by construction* — the mutex on the emission path was
-//! pure overhead. This module replaces it:
+//! 80–94% of an instrumented launch. A parallel region's lanes hand that
+//! work to another thread (a drainer, an idle pool worker) over these
+//! rings, single-producer / single-consumer *by construction*; a session's
+//! own context, whose shard nothing else drains, delivers inline instead.
 //!
 //! * [`EventRing`] — a bounded lock-free SPSC ring of [`SpineMsg`]s
 //!   (single events or whole per-class batches), paired with a reverse
@@ -15,9 +15,9 @@
 //!   are drained **only while holding the shard's processor lock** (the
 //!   "consumer = lock holder" protocol), which serializes consumers
 //!   without adding any atomics beyond the ring's own head/tail.
-//! * [`SpineDrainer`] — background threads that keep shards drained
-//!   during [`crate::PastaSession::run_parallel`], taking tool dispatch
-//!   off the emitters' critical path.
+//! * [`SpineDrainer`] — background threads that keep lane shards drained
+//!   during [`crate::PastaSession::run_parallel`] (idle pool workers do it
+//!   in `run_parallel_each`), taking dispatch off the emitters' path.
 //!
 //! **Backpressure is explicit and lossless.** A producer that finds its
 //! ring full (or the buffer pool empty) takes the shard lock itself,
@@ -43,17 +43,17 @@ use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// How a [`crate::hub::HubSink`] hands events to its shard.
+/// How a parallel lane's [`crate::hub::HubSink`] hands events to its
+/// shard; the session's own context always delivers [`SpineMode::Inline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpineMode {
     /// Bounded lock-free SPSC ring per sink→shard pair: emission pushes
-    /// and returns; the shard side (a [`SpineDrainer`], a backpressured
-    /// producer, or the next harvest) runs tool dispatch. The default.
+    /// and returns; the region's [`SpineDrainer`] or pool sweep (or a
+    /// backpressured producer, or the next harvest) runs tool dispatch.
     Ring,
-    /// The pre-spine reference: drain into the shard's `EventProcessor`
-    /// under its mutex on the emission path. Kept selectable so the
-    /// differential byte-identity tests and the bench decompositions can
-    /// price the ring against it.
+    /// Each launch edge consumed into the shard's `EventProcessor` under
+    /// one lock on the emission path. Selectable for lanes as the
+    /// differential reference the byte-identity tests hold the ring to.
     Inline,
 }
 
@@ -329,10 +329,10 @@ impl EventRing {
 }
 
 /// Consumes one message into `processor` — the only place a message is
-/// taken apart, whoever the consumer is (a drain, a backpressured
-/// producer, an inline sink). A batch goes through one dispatch-row
-/// lookup and its buffer comes back emptied, for the caller to recycle to
-/// wherever the producer draws its next one from.
+/// taken apart, whoever the consumer is (a drain or a backpressured
+/// producer). A batch goes through one dispatch-row lookup and its buffer
+/// comes back emptied, for the caller to recycle to wherever the producer
+/// draws its next one from.
 pub(crate) fn consume(msg: SpineMsg, processor: &mut EventProcessor) -> Option<Vec<Event>> {
     match msg {
         SpineMsg::One(event) => {
@@ -498,6 +498,13 @@ pub(crate) fn sweep(hub: &Hub, devices: &[DeviceId]) -> bool {
 mod tests {
     use super::*;
     use accel_sim::LaunchId;
+
+    impl ShardSpine {
+        /// Rings registered and not yet pruned.
+        pub(crate) fn rings(&self) -> usize {
+            self.rings.lock().len()
+        }
+    }
 
     fn event(i: u64) -> Event {
         Event::Instructions {

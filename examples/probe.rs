@@ -9,7 +9,7 @@
 //!   the inclusive share under a fixed list of frames — the caching
 //!   allocator, `BTreeMap`, `format!`, SipHash, the heap, `Hub::process`,
 //!   the tool bodies, hotness' tracker, the UVM residency LRU, the vendor
-//!   runtime's `emit` —
+//!   runtime's `emit`, the `std` mutex under `accel_sim::sync::Mutex` —
 //!   alone and by the module that called them. `sample-bare` samples the
 //!   op's bare run. Line tables name inlined frames: the root release
 //!   profile keeps them; under another profile build with
@@ -458,7 +458,7 @@ mod sampler {
     /// A row of the fixed table: samples with a frame naming one of
     /// `inner`; with `from` set, only those where the nearest frame of this
     /// workspace further out names one of `from` — the caller, past
-    /// whatever standard-library frames lie between.
+    /// whatever standard-library frames (and `LOCK`'s) lie between.
     struct Share {
         label: &'static str,
         inner: &'static [&'static str],
@@ -491,6 +491,9 @@ mod sampler {
         "__rdl_",
     ];
     const SIPHASH: &[&str] = &["make_hash", "hash_one", "core::hash::sip"];
+    /// The workspace's one lock type, which a "called from" row looks past.
+    const LOCK: &str = "accel_sim::sync::";
+    const MUTEX: &[&str] = &["std::sys::sync::mutex"];
 
     const SHARES: &[Share] = &[
         Share {
@@ -566,6 +569,31 @@ mod sampler {
             ],
             from: &[],
         },
+        Share {
+            label: "std::sys::sync::mutex",
+            inner: MUTEX,
+            from: &[],
+        },
+        Share {
+            label: "  … called from pasta_core::",
+            inner: MUTEX,
+            from: &["pasta_core::"],
+        },
+        Share {
+            label: "  … called from pasta_core::hub::",
+            inner: MUTEX,
+            from: &["pasta_core::hub::"],
+        },
+        Share {
+            label: "  … called from pasta_core::spine::",
+            inner: MUTEX,
+            from: &["pasta_core::spine::"],
+        },
+        Share {
+            label: "  … called from accel_sim::instrument::",
+            inner: MUTEX,
+            from: &["accel_sim::instrument::"],
+        },
     ];
 
     fn names_any(frame: &str, patterns: &[&str]) -> bool {
@@ -579,7 +607,9 @@ mod sampler {
                 let Some(at) = stack.iter().position(|f| names_any(f, share.inner)) else {
                     return false;
                 };
-                let caller = stack[at + 1..].iter().find(|f| names_any(f, WORKSPACE));
+                let caller = stack[at + 1..]
+                    .iter()
+                    .find(|f| names_any(f, WORKSPACE) && !f.contains(LOCK));
                 share.from.is_empty() || caller.is_some_and(|f| names_any(f, share.from))
             })
             .count()

@@ -18,12 +18,14 @@ use pasta::core::hub::{Hub, HubSink, SharedHub};
 use pasta::core::processor::{EventProcessor, EventRecorder};
 use pasta::core::report::MergedReport;
 use pasta::core::spine::{SpineConfig, SpineDrainer, SpineMode};
-use pasta::core::tool::{Interest, LaunchCounter, Tool};
+use pasta::core::tool::{Interest, Tool};
 use pasta::core::{Event, Pasta, PastaSession};
+use pasta::dl::parallel::DeviceLane;
 use pasta::prelude::*;
 use pasta::sim::instrument::{DeviceTraceSink, TraceCtx};
 use pasta::sim::{
-    AccessBatch, AccessKind, AccessPattern, DeviceId, KernelTraceSummary, LaunchId, MemSpace,
+    AccelError, AccessBatch, AccessKind, AccessPattern, DeviceId, KernelTraceSummary, LaunchId,
+    MemSpace,
 };
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -579,36 +581,64 @@ proptest! {
 fn parallel_session(mode: SpineMode) -> PastaSession {
     Pasta::builder()
         .a100_x2()
-        .tool(LaunchCounter::default())
+        .tool(FineAggregator::default())
         .spine_mode(mode)
         .build()
         .expect("session builds")
 }
 
-fn run_lanes(session: &mut PastaSession) -> MergedReport {
+/// Lane `i`'s share of a region: `2 + i` streaming launches over a
+/// tensor of its own, so every lane's sink carries global accesses.
+fn lane_work(i: usize, lane: &mut DeviceLane<'_>) -> Result<(), AccelError> {
+    let s = &mut lane.session;
+    let t = s.alloc_tensor(&[1 << 16], pasta::dl::dtype::DType::F32)?;
+    for _ in 0..(2 + i) {
+        let desc = KernelDesc::new("spine_lane", Dim3::linear(8), Dim3::linear(64))
+            .arg(t.ptr, t.bytes)
+            .body(KernelBody::streaming(t.bytes / 2, t.bytes / 2));
+        s.launch(desc)?;
+    }
+    s.free_tensor(&t);
+    Ok(())
+}
+
+/// The merged report of one two-lane region: on the lane pool, whose
+/// idle workers sweep the rings, or one thread per lane under
+/// `run_parallel`'s background drainers.
+fn run_lanes(session: &mut PastaSession, pooled: bool) -> MergedReport {
     let devices = [DeviceId(0), DeviceId(1)];
-    session
-        .run_parallel_each(&devices, |i, lane| {
-            let s = &mut lane.session;
-            let t = s.alloc_tensor(&[1 << 16], pasta::dl::dtype::DType::F32)?;
-            for _ in 0..(2 + i) {
-                let desc = KernelDesc::new("spine_lane", Dim3::linear(8), Dim3::linear(64))
-                    .arg(t.ptr, t.bytes)
-                    .body(KernelBody::streaming(t.bytes / 2, t.bytes / 2));
-                s.launch(desc)?;
-            }
-            s.free_tensor(&t);
-            Ok(())
+    let run = if pooled {
+        session.run_parallel_each(&devices, lane_work)
+    } else {
+        session.run_parallel(&devices, |lanes| {
+            std::thread::scope(|scope| {
+                let threads: Vec<_> = (lanes.iter_mut().enumerate())
+                    .map(|(i, lane)| scope.spawn(move || lane_work(i, lane)))
+                    .collect();
+                threads
+                    .into_iter()
+                    .try_for_each(|t| t.join().expect("a lane thread"))
+            })
         })
-        .expect("parallel run succeeds");
+    };
+    run.expect("parallel run succeeds");
     session.merged_report()
 }
 
-/// The tentpole oracle: `run_parallel` merged reports over the ring spine
-/// are byte-identical to the mutex-spine reference.
+/// The lanes' oracle: merged reports over the ring spine — drained by
+/// `run_parallel`'s drainers and by `run_parallel_each`'s pool sweep —
+/// are byte-identical to the mutex-spine reference, and the access
+/// events the rings carried reached the tool.
 #[test]
 fn run_parallel_ring_spine_matches_mutex_reference() {
-    let reference = run_lanes(&mut parallel_session(SpineMode::Inline));
-    let ringed = run_lanes(&mut parallel_session(SpineMode::Ring));
-    assert_eq!(ringed, reference);
+    for pooled in [false, true] {
+        let reference = run_lanes(&mut parallel_session(SpineMode::Inline), pooled);
+        let ringed = run_lanes(&mut parallel_session(SpineMode::Ring), pooled);
+        assert_eq!(ringed, reference, "pooled: {pooled}");
+        let batches = ringed.tools[0].get("batches").expect("a batch count");
+        assert!(
+            batches > 0.0,
+            "no access reached the tool (pooled: {pooled})"
+        );
+    }
 }
