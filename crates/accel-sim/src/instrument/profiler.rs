@@ -235,10 +235,7 @@ impl TraceProfiler {
         forward: impl FnOnce(&mut dyn DeviceTraceSink),
     ) -> ProbeCosts {
         let mut shared = self.shared.lock();
-        let device = ctx.device.index();
-        let costs = records.into_iter().fold(ProbeCosts::FREE, |costs, n| {
-            costs.merge(self.meter.charge(&mut shared, device, n))
-        });
+        let costs = self.meter.charge(&mut shared, ctx.device.index(), records);
         if let Some(sink) = shared.sink.as_deref_mut() {
             forward(sink);
         }
@@ -246,11 +243,29 @@ impl TraceProfiler {
     }
 }
 
+/// 2^63: below it an `f64` truncates and converts through `i64`.
+const I64_END: f64 = 9_223_372_036_854_775_808.0;
+
+/// `v as f64`, through the signed conversion — one instruction on the
+/// baseline x86-64 target, where the unsigned one is a branchy sequence —
+/// whenever `v` fits an `i64`. Equal to `v as f64` for every `v`.
+fn to_f64(v: u64) -> f64 {
+    match i64::try_from(v) {
+        Ok(v) => v as f64,
+        Err(_) => v as f64,
+    }
+}
+
 /// `x.ceil() as u64` without the call into libm the baseline x86-64
 /// target makes of `ceil`: truncate, then add one when that dropped a
-/// fraction. Equal for every `f64` — NaN and negatives give 0, and past
-/// `u64::MAX` both saturate.
+/// fraction — through `i64` below 2^63, where both conversions are one
+/// instruction. Equal for every `f64` — NaN and negatives give 0, and
+/// past `u64::MAX` both saturate.
 fn ceil_u64(x: f64) -> u64 {
+    if (0.0..I64_END).contains(&x) {
+        let floor = x as i64;
+        return floor as u64 + u64::from((floor as f64) < x);
+    }
     let floor = x as u64;
     floor.saturating_add(u64::from((floor as f64) < x))
 }
@@ -260,48 +275,52 @@ impl Meter {
         self.link_bw.get(device).copied().unwrap_or(16.0)
     }
 
-    /// Cost of one batch in the current mode; also updates the breakdown.
-    fn charge(&mut self, shared: &mut ProfilerShared, device: usize, records: u64) -> ProbeCosts {
-        let callback = ceil_u64(records as f64 * self.costs.device_callback_ns_per_record);
-        let mut costs = ProbeCosts {
-            device_ns: callback,
-            host_ns: 0,
-        };
-        shared.breakdown.collection_ns += callback;
-        shared.records_total += records;
-        match self.mode {
-            AnalysisMode::GpuResident => {
-                let analyze = ceil_u64(
-                    records as f64 * self.costs.gpu_analysis_ns_per_record
-                        / self.costs.gpu_analysis_threads as f64,
-                );
-                costs.device_ns += analyze;
-                // Fused collect-and-analyze: the paper reports both under
-                // "collection" for the GPU-resident variant.
-                shared.breakdown.collection_ns += analyze;
-            }
-            AnalysisMode::CpuPostProcess => {
-                self.cur_records += records;
-                let flushes_now = self.costs.buffer.stall_flushes(self.cur_records);
-                let new_flushes = flushes_now - self.cur_flushes;
-                self.cur_flushes = flushes_now;
-                if new_flushes > 0 {
-                    let bytes_per_flush = self.costs.buffer.capacity_records * TRACE_RECORD_BYTES;
-                    let xfer = (bytes_per_flush as f64 / self.link_bw(device)) as u64;
-                    let stall = new_flushes * (self.costs.buffer_flush_latency_ns + xfer);
-                    costs.device_ns += stall;
-                    shared.breakdown.transfer_ns += stall;
+    /// Cost of one callback's batches in the current mode, each batch
+    /// rounded as if it were charged alone; the breakdown takes the sums
+    /// once.
+    fn charge(
+        &mut self,
+        shared: &mut ProfilerShared,
+        device: usize,
+        batches: impl IntoIterator<Item = u64>,
+    ) -> ProbeCosts {
+        let costs = &self.costs;
+        let threads = to_f64(costs.gpu_analysis_threads);
+        let host_rate = costs.cpu_drain_ns_per_record + costs.cpu_analysis_ns_per_record;
+        let (mut records_total, mut collection, mut transfer, mut analysis) = (0, 0, 0, 0);
+        for records in batches {
+            let n = to_f64(records);
+            records_total += records;
+            collection += ceil_u64(n * costs.device_callback_ns_per_record);
+            match self.mode {
+                AnalysisMode::GpuResident => {
+                    // Fused collect-and-analyze: the paper reports both under
+                    // "collection" for the GPU-resident variant.
+                    collection += ceil_u64(n * costs.gpu_analysis_ns_per_record / threads);
                 }
-                let host = ceil_u64(
-                    records as f64
-                        * (self.costs.cpu_drain_ns_per_record
-                            + self.costs.cpu_analysis_ns_per_record),
-                );
-                costs.host_ns += host;
-                shared.breakdown.analysis_ns += host;
+                AnalysisMode::CpuPostProcess => {
+                    self.cur_records += records;
+                    let flushes_now = costs.buffer.stall_flushes(self.cur_records);
+                    let new_flushes = flushes_now - self.cur_flushes;
+                    self.cur_flushes = flushes_now;
+                    if new_flushes > 0 {
+                        let bytes_per_flush = costs.buffer.capacity_records * TRACE_RECORD_BYTES;
+                        let xfer = (to_f64(bytes_per_flush) / self.link_bw(device)) as u64;
+                        transfer += new_flushes * (costs.buffer_flush_latency_ns + xfer);
+                    }
+                    analysis += ceil_u64(n * host_rate);
+                }
             }
         }
-        costs
+        shared.records_total += records_total;
+        shared.breakdown.collection_ns += collection;
+        shared.breakdown.transfer_ns += transfer;
+        shared.breakdown.analysis_ns += analysis;
+        // The kernel stalls for collection and flushes; the host analyzes.
+        ProbeCosts {
+            device_ns: collection + transfer,
+            host_ns: analysis,
+        }
     }
 }
 
@@ -633,23 +652,26 @@ mod tests {
 
         /// Every product `Meter::charge` rounds: a record count times a
         /// shipped per-record constant (or a random positive rate), also
-        /// past 2^53 where `f64` holds integers only and past 2^64 where
-        /// the cast saturates.
+        /// past 2^53 where `f64` holds integers only, past 2^63 where the
+        /// conversions leave `i64`, and past 2^64 where the cast
+        /// saturates. `to_f64` is `as f64` on the counts and on any word.
         #[test]
         fn ceil_u64_is_f64_ceil(
             records in 0u64..(1 << 52) + 1,
             shift in 0u32..53,
             rate_bits in proptest::any::<u64>(),
         ) {
+            proptest::prop_assert_eq!(to_f64(rate_bits), rate_bits as f64);
             let rate = (rate_bits >> 11) as f64 / (1u64 << 53) as f64 * 50_000.0;
             // Small counts are the common case; `shift` reaches them.
             for records in [records, records >> shift] {
-                let n = records as f64;
-                let mut products = vec![n * rate, n * rate / 4_096.0];
+                let n = to_f64(records);
+                proptest::prop_assert_eq!(n, records as f64);
+                let mut products = vec![n * rate, n * rate / 4_096.0, n * rate * 4_096.0];
                 for c in [BackendCosts::sanitizer(), BackendCosts::nvbit()] {
                     products.extend([
                         n * c.device_callback_ns_per_record,
-                        n * c.gpu_analysis_ns_per_record / c.gpu_analysis_threads as f64,
+                        n * c.gpu_analysis_ns_per_record / to_f64(c.gpu_analysis_threads),
                         n * (c.cpu_drain_ns_per_record + c.cpu_analysis_ns_per_record),
                     ]);
                 }
@@ -671,6 +693,10 @@ mod tests {
             1.0,
             (1u64 << 53) as f64 - 0.5,
             (1u64 << 53) as f64,
+            // Either side of 2^63, where `ceil_u64` leaves `i64`.
+            f64::from_bits(I64_END.to_bits() - 1),
+            I64_END,
+            f64::from_bits(I64_END.to_bits() + 1),
             u64::MAX as f64,
             1e30,
             f64::INFINITY,
@@ -678,6 +704,9 @@ mod tests {
             f64::NAN,
         ] {
             assert_eq!(ceil_u64(x), x.ceil() as u64, "{x}");
+        }
+        for v in [0, 1, i64::MAX as u64, 1 << 63, u64::MAX - 1, u64::MAX] {
+            assert_eq!(to_f64(v), v as f64, "{v}");
         }
     }
 

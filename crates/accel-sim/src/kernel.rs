@@ -133,8 +133,16 @@ impl AccessSpec {
     /// Number of warp-level access records this stream emits when
     /// instrumented: one record per 32-lane coalesced access instruction.
     pub fn record_count(&self) -> u64 {
-        let per_warp = self.elem_size as u64 * 32;
-        self.bytes.div_ceil(per_warp.max(1)).max(1)
+        let per_warp = (self.elem_size as u64 * 32).max(1);
+        // Element sizes are powers of two in practice: a shift, not a divide.
+        let records = match per_warp.is_power_of_two() {
+            true => {
+                (self.bytes >> per_warp.trailing_zeros())
+                    + u64::from(self.bytes & (per_warp - 1) != 0)
+            }
+            false => self.bytes.div_ceil(per_warp),
+        };
+        records.max(1)
     }
 }
 
@@ -341,6 +349,32 @@ mod tests {
     #[test]
     fn record_count_never_zero() {
         assert_eq!(AccessSpec::load(0, 1).record_count(), 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        /// The shift is the division it replaces, for element sizes of
+        /// zero, powers of two and anything else, and every byte count.
+        #[test]
+        fn record_count_is_the_warp_division(
+            bytes in proptest::any::<u64>(),
+            shift in 0u32..64,
+            elem_pick in 0u32..4,
+            elem_any in proptest::any::<u32>(),
+        ) {
+            let elem_size = match elem_pick {
+                0 => 0,
+                1 => 1 << (elem_any % 27),
+                2 => 3 * (1 + elem_any % 100),
+                _ => elem_any,
+            };
+            for bytes in [bytes, bytes >> shift] {
+                let spec = AccessSpec { bytes, elem_size, ..AccessSpec::load(0, 4096) };
+                let want = bytes.div_ceil((elem_size as u64 * 32).max(1)).max(1);
+                proptest::prop_assert_eq!(spec.record_count(), want, "{} / {}", bytes, elem_size);
+            }
+        }
     }
 
     #[test]

@@ -1,60 +1,51 @@
-//! The per-shard record codec.
+//! The per-shard record codec (format v2; the layout table is in the
+//! crate docs).
 //!
-//! One [`ShardEncoder`] serializes one device shard's event stream, in
-//! processing order, into a compact byte payload:
-//!
-//! * every string (kernel symbols, API names, Python frames) is replaced
-//!   by a small integer id into a per-shard dictionary, snapshotted next
-//!   to the payload so names round-trip without carrying bytes per event;
-//! * timestamps (`at`/`start`/`end`) and launch ids are delta-encoded
-//!   against the previous value in the stream, zigzag-mapped, and written
-//!   as LEB128 varints — both with *wrapping* arithmetic, so arbitrary
-//!   (even non-monotone) `u64` sequences survive losslessly;
-//! * each record starts with a one-byte variant tag; fixed enums
-//!   (`AccessKind`, `CopyDirection`, …) are single bytes.
-//!
-//! The record layout is the event table's (`pasta_core::event_table!`):
-//! its wire tag, then every field in declaration order, each encoded as
-//! its Rust type says ([`Field`]). Encoder and decoder are both generated
-//! from that table, so a new variant is one row there — and a row whose
-//! field type has no encoding here does not compile.
+//! A record is its event-table row (`pasta_core::event_table!`): the wire
+//! tag, then every field in declaration order at the fixed width its Rust
+//! type says ([`Field`]), so the tag fixes the width and a reader takes a
+//! record with one bounds check. Only `OpStart`'s Python stack adds a
+//! counted tail, and only an [`AccessBatch`] that differs from what a live
+//! stream repeats (its launch is the record's, its spec index fits a
+//! `u32`, its pattern is not strided) adds the 20 bytes [`FULL`] marks.
+//! Encoder and decoder are both generated from the table, so a new variant
+//! is one row there — and a row whose field type has no encoding here
+//! does not compile.
 
 use crate::error::TraceError;
-use crate::wire::{corrupt, put_varint, unzigzag, zigzag, Cursor, Scratch};
+use crate::wire::{corrupt, Cursor};
 use accel_sim::{
     AccessBatch, AccessKind, AccessPattern, CopyDirection, DeviceId, Dim3, KernelTraceSummary,
-    LaunchId, MemSpace, SimTime, Symbol,
+    LaunchId, MemSpace, SimTime, StreamId, Symbol,
 };
 use dl_framework::callbacks::Pass;
 use dl_framework::pycall::PyFrame;
 use dl_framework::tensor::TensorId;
-use pasta_core::report::UvmReport;
 use pasta_core::Event;
 use std::collections::HashMap;
 use std::sync::Arc;
-use uvm_sim::UvmStats;
 
-/// A fieldless enum that travels as one code byte.
-trait Code: Copy {
-    fn code(self) -> u8;
-    fn from_code(b: u8, offset: usize) -> Result<Self, TraceError>;
-}
+/// Set on a record's tag when its access batch is in full form.
+const FULL: u8 = 0x80;
 
+/// Bytes of one Python frame in `OpStart`'s tail.
+const FRAME_BYTES: usize = 12;
+
+/// Fieldless enums travel as one code byte.
 macro_rules! code_bytes {
     ($($ty:ident { $($variant:ident = $code:literal),* })*) => {$(
-        impl Code for $ty {
-            #[inline]
-            fn code(self) -> u8 {
-                match self {
-                    $($ty::$variant => $code,)*
-                }
+        impl Field for $ty {
+            const WIDTH: usize = 1;
+
+            fn put(&self, rec: &mut Rec, _: &mut ShardEncoder) {
+                rec.put([match self { $($ty::$variant => $code,)* }]);
             }
 
-            #[inline]
-            fn from_code(b: u8, offset: usize) -> Result<Self, TraceError> {
-                match b {
-                    $($code => Ok($ty::$variant),)*
-                    _ => Err(corrupt(offset, format_args!(concat!("bad ", stringify!($ty), " code {}"), b))),
+            fn get(rec: &mut Get<'_, '_>) -> Result<Self, TraceError> {
+                let at = rec.offset();
+                match rec.bytes() {
+                    $([$code] => Ok($ty::$variant),)*
+                    [b] => Err(corrupt(at, format_args!(concat!("bad ", stringify!($ty), " code {}"), b))),
                 }
             }
         }
@@ -68,46 +59,40 @@ code_bytes! {
     Pass { Forward = 0, Backward = 1, Optimizer = 2 }
 }
 
-/// A varint that must fit a `u32` (dimensions, streams, line numbers).
-#[inline]
-fn u32v(cur: &mut Cursor<'_>) -> Result<u32, TraceError> {
-    let v = cur.varint()?;
-    u32::try_from(v).map_err(|_| corrupt(cur.pos(), format_args!("value {v} exceeds u32")))
-}
-
-#[inline]
-fn device(cur: &mut Cursor<'_>) -> Result<DeviceId, TraceError> {
-    let v = cur.varint()?;
-    u32::try_from(v)
-        .map(DeviceId)
-        .map_err(|_| corrupt(cur.pos(), format_args!("device id {v} exceeds u32")))
-}
-
-/// Encodes one shard's event stream. Holds only growable in-memory
-/// buffers — the hot [`ShardEncoder::encode`] path never touches the
-/// filesystem (all I/O happens in [`crate::Trace::save`], after capture).
+/// Encodes one shard's event stream into memory: the hot
+/// [`ShardEncoder::encode`] path never touches the filesystem.
 #[derive(Debug)]
 pub(crate) struct ShardEncoder {
     pub(crate) device: DeviceId,
-    /// Dictionary, in first-appearance order; snapshotted into the shard
-    /// header so ids resolve on read.
+    /// Dictionary, in first-appearance order, for the shard header.
     symbols: Vec<String>,
-    /// Content → id. Python-frame strings always resolve here; an interned
-    /// name does once, on first sight of its address, so symbols of
-    /// different tables with one content still share an id.
-    ids: HashMap<String, u64>,
-    /// Address → id of every interned name seen before: the per-event
-    /// lookup hashes one word, not a 30–60-byte kernel name. Interned text
-    /// is immortal, so an address never comes to mean another name.
-    seen: HashMap<usize, u64>,
-    /// The last `(address, id)` answered from `seen`: a launch's events all
-    /// carry its kernel's name, so a run of them hashes it once. No text
-    /// lives at address 0, so the initial entry matches nothing.
-    last_sym: (usize, u64),
+    /// Content → id: Python-frame strings, and an interned name on first
+    /// sight of its address, so equal names of two tables share an id.
+    ids: HashMap<String, u32>,
+    /// Address → id of every interned name seen: a lookup hashes one word,
+    /// not the name. Interned text is immortal, so addresses stay unique.
+    seen: HashMap<usize, u32>,
+    /// The last `(address, id)`: a launch's events all carry its kernel's
+    /// name, so a run of them hashes it once. No text lives at address 0.
+    last_sym: (usize, u32),
     payload: Vec<u8>,
-    records: u64,
-    last_time: u64,
-    last_launch: u64,
+    pub(crate) records: u64,
+}
+
+/// A record being written, on the stack: appended in one copy.
+struct Rec {
+    bytes: [u8; MAX_RECORD_BYTES],
+    len: usize,
+    launch: u64,
+    full: bool,
+}
+
+impl Rec {
+    #[inline(always)]
+    fn put<const N: usize>(&mut self, field: [u8; N]) {
+        self.bytes[self.len..self.len + N].copy_from_slice(&field);
+        self.len += N;
+    }
 }
 
 impl ShardEncoder {
@@ -120,376 +105,320 @@ impl ShardEncoder {
             last_sym: (0, 0),
             payload: Vec::new(),
             records: 0,
-            last_time: 0,
-            last_launch: 0,
         }
-    }
-
-    pub(crate) fn records(&self) -> u64 {
-        self.records
     }
 
     pub(crate) fn into_parts(self) -> (DeviceId, Vec<String>, u64, Vec<u8>) {
         (self.device, self.symbols, self.records, self.payload)
     }
 
-    fn v(&mut self, v: u64) {
-        put_varint(&mut self.payload, v);
+    /// The id of an interned name at `addr`, through `seen`.
+    #[inline(never)]
+    fn seen_id(&mut self, name: &str, addr: usize) -> u32 {
+        if let Some(&id) = self.seen.get(&addr) {
+            return id;
+        }
+        let id = self.id_of(name);
+        self.seen.insert(addr, id);
+        id
     }
 
     /// The dictionary id of `s`, assigned in first-appearance order.
-    fn id_of(&mut self, s: &str) -> u64 {
-        match self.ids.get(s) {
-            Some(&id) => id,
-            None => {
-                let id = self.symbols.len() as u64;
-                self.symbols.push(s.to_owned());
-                self.ids.insert(s.to_owned(), id);
-                id
+    fn id_of(&mut self, s: &str) -> u32 {
+        if let Some(&id) = self.ids.get(s) {
+            return id;
+        }
+        let id = u32::try_from(self.symbols.len()).expect("under 2^32 names a shard");
+        self.symbols.push(s.to_owned());
+        self.ids.insert(s.to_owned(), id);
+        id
+    }
+}
+
+/// A record being read: its bytes past the tag, which the decoder took
+/// whole, not yet read, and what its fields need besides.
+struct Get<'r, 'a> {
+    rec: &'a [u8],
+    launch: u64,
+    full: bool,
+    symbols: &'r [Symbol],
+    /// The input after the record: where a counted tail lies.
+    tail: &'r mut Cursor<'a>,
+}
+
+impl<'r, 'a> Get<'r, 'a> {
+    fn new(rec: &'a [u8], full: bool, symbols: &'r [Symbol], tail: &'r mut Cursor<'a>) -> Self {
+        let launch = 0;
+        Get {
+            rec,
+            launch,
+            full,
+            symbols,
+            tail,
+        }
+    }
+
+    /// The next `N` bytes of the record. The record's width covers every
+    /// field, so this never fails; at a constant offset into a record of
+    /// constant width it compiles to a load.
+    #[inline(always)]
+    fn bytes<const N: usize>(&mut self) -> [u8; N] {
+        let (field, rest) = self.rec.split_first_chunk().expect("width covers fields");
+        self.rec = rest;
+        *field
+    }
+
+    /// Input offset of the next field: the record ends where the tail starts.
+    fn offset(&self) -> usize {
+        self.tail.pos() - self.rec.len()
+    }
+}
+
+/// An event field's wire encoding, picked by its Rust type: `WIDTH`
+/// bytes in its record, `FULL_EXTRA` more in a full-form one.
+trait Field: Sized {
+    const WIDTH: usize;
+    const FULL_EXTRA: usize = 0;
+    fn put(&self, rec: &mut Rec, enc: &mut ShardEncoder);
+    /// Writes what follows the record: a counted tail, for the one field
+    /// that has one.
+    fn put_tail(&self, _enc: &mut ShardEncoder) {}
+    fn get(rec: &mut Get<'_, '_>) -> Result<Self, TraceError>;
+}
+
+macro_rules! int_fields {
+    ($($ty:ty)*) => {$(
+        impl Field for $ty {
+            const WIDTH: usize = std::mem::size_of::<$ty>();
+
+            fn put(&self, rec: &mut Rec, _: &mut ShardEncoder) {
+                rec.put(self.to_le_bytes());
+            }
+
+            fn get(rec: &mut Get<'_, '_>) -> Result<Self, TraceError> {
+                Ok(<$ty>::from_le_bytes(rec.bytes()))
             }
         }
-    }
-
-    /// The zigzag-mapped step from the previous launch id to `l`.
-    fn launch_delta(&mut self, l: LaunchId) -> u64 {
-        let delta = l.0.wrapping_sub(self.last_launch) as i64;
-        self.last_launch = l.0;
-        zigzag(delta)
-    }
+    )*};
 }
 
-/// Bytes of the shortest record: a tag and two one-byte fields (`Sync`,
-/// `BlockBoundary`, `PassBoundary`, …). A shard holds at most its payload
-/// length over this many records.
-pub(crate) const MIN_RECORD_BYTES: usize = 3;
+int_fields! { u64 u32 }
 
-/// Decodes one shard's payload back into events, resolving dictionary ids
-/// through the shard's interned dictionary.
-pub(crate) struct ShardDecoder<'a> {
-    symbols: &'a [Symbol],
-    last_time: u64,
-    last_launch: u64,
-}
+/// Structs travel as their fields, in order; newtypes as what they wrap.
+macro_rules! struct_fields {
+    ($($ty:ident $({ $($field:ident: $fty:ty),* })? $(($inner:ty))?)*) => {$(
+        impl Field for $ty {
+            const WIDTH: usize = 0 $($(+ <$fty as Field>::WIDTH)*)? $(+ <$inner as Field>::WIDTH)?;
 
-impl<'a> ShardDecoder<'a> {
-    pub(crate) fn new(symbols: &'a [Symbol]) -> Self {
-        ShardDecoder {
-            symbols,
-            last_time: 0,
-            last_launch: 0,
+            fn put(&self, rec: &mut Rec, enc: &mut ShardEncoder) {
+                $($(self.$field.put(rec, enc);)*)?
+                $(<$inner as Field>::put(&self.0, rec, enc);)?
+            }
+
+            fn get(rec: &mut Get<'_, '_>) -> Result<Self, TraceError> {
+                $(Ok($ty { $($field: Field::get(rec)?),* }))?
+                $(<$inner>::get(rec).map($ty))?
+            }
         }
-    }
+    )*};
+}
 
-    /// Decodes the next `max` records onto the end of `out`. On an error
-    /// `out` holds every record before the bad one.
-    pub(crate) fn decode_batch(
-        &mut self,
-        cur: &mut Cursor<'_>,
-        out: &mut Vec<Event>,
-        max: usize,
-    ) -> Result<(), TraceError> {
-        for _ in 0..max {
-            self.decode_onto(cur, out)?;
-        }
-        Ok(())
+struct_fields! {
+    SimTime(u64)
+    DeviceId(u32)
+    TensorId(u64)
+    Dim3 { x: u32, y: u32, z: u32 }
+    KernelTraceSummary {
+        global_records: u64, shared_records: u64, barriers: u64,
+        blocks: u64, instructions: u64, global_bytes: u64
     }
 }
 
-/// An event field's wire encoding, picked by its Rust type.
-trait Field: Sized {
-    fn put(&self, enc: &mut ShardEncoder);
-    fn get(dec: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError>;
-}
-
-/// Delta time: the zigzag step from the stream's previous timestamp.
-impl Field for SimTime {
-    #[inline]
-    fn put(&self, enc: &mut ShardEncoder) {
-        let delta = self.0.wrapping_sub(enc.last_time) as i64;
-        enc.last_time = self.0;
-        enc.v(zigzag(delta));
-    }
-
-    #[inline]
-    fn get(dec: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
-        let delta = unzigzag(cur.varint()?);
-        dec.last_time = dec.last_time.wrapping_add(delta as u64);
-        Ok(SimTime(dec.last_time))
-    }
-}
-
-/// Delta launch: the zigzag step from the stream's previous launch id.
+/// Eight bytes, remembered as the record's launch.
 impl Field for LaunchId {
-    #[inline]
-    fn put(&self, enc: &mut ShardEncoder) {
-        let delta = enc.launch_delta(*self);
-        enc.v(delta);
+    const WIDTH: usize = 8;
+
+    fn put(&self, rec: &mut Rec, enc: &mut ShardEncoder) {
+        rec.launch = self.0;
+        self.0.put(rec, enc);
     }
 
-    #[inline]
-    fn get(dec: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
-        let delta = unzigzag(cur.varint()?);
-        dec.last_launch = dec.last_launch.wrapping_add(delta as u64);
-        Ok(LaunchId(dec.last_launch))
+    fn get(rec: &mut Get<'_, '_>) -> Result<Self, TraceError> {
+        rec.launch = u64::get(rec)?;
+        Ok(LaunchId(rec.launch))
     }
 }
 
-/// Dictionary id.
+/// Eight bytes, checked to fit the platform `usize` on read.
+impl Field for usize {
+    const WIDTH: usize = 8;
+
+    fn put(&self, rec: &mut Rec, enc: &mut ShardEncoder) {
+        (*self as u64).put(rec, enc);
+    }
+
+    fn get(rec: &mut Get<'_, '_>) -> Result<Self, TraceError> {
+        let at = rec.offset();
+        let v = u64::get(rec)?;
+        usize::try_from(v).map_err(|_| corrupt(at, format_args!("{v} does not fit usize")))
+    }
+}
+
+/// Dictionary id, a `u32`.
 impl Field for Symbol {
-    #[inline]
-    fn put(&self, enc: &mut ShardEncoder) {
+    const WIDTH: usize = 4;
+
+    #[inline(always)]
+    fn put(&self, rec: &mut Rec, enc: &mut ShardEncoder) {
         let addr = self.as_str().as_ptr() as usize;
         if addr != enc.last_sym.0 {
-            let id = match enc.seen.get(&addr) {
-                Some(&id) => id,
-                None => {
-                    let id = enc.id_of(self);
-                    enc.seen.insert(addr, id);
-                    id
-                }
-            };
-            enc.last_sym = (addr, id);
+            enc.last_sym = (addr, enc.seen_id(self, addr));
         }
-        enc.v(enc.last_sym.1);
+        rec.put(enc.last_sym.1.to_le_bytes());
     }
 
-    #[inline]
-    fn get(dec: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
-        let id = cur.varint_usize()?;
-        dec.symbols.get(id).copied().ok_or_else(|| {
-            corrupt(
-                cur.pos(),
-                format_args!(
-                    "symbol id {id} out of range (dictionary has {})",
-                    dec.symbols.len()
-                ),
-            )
-        })
-    }
-}
-
-/// Varint, checked to fit a `u32` on read.
-impl Field for DeviceId {
-    #[inline]
-    fn put(&self, enc: &mut ShardEncoder) {
-        enc.v(self.0.into());
-    }
-
-    #[inline]
-    fn get(_: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
-        device(cur)
-    }
-}
-
-/// Varint, checked to fit a `u32` on read (`StreamId` is one).
-impl Field for u32 {
-    #[inline]
-    fn put(&self, enc: &mut ShardEncoder) {
-        enc.v((*self).into());
-    }
-
-    #[inline]
-    fn get(_: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
-        u32v(cur)
-    }
-}
-
-impl Field for u64 {
-    #[inline]
-    fn put(&self, enc: &mut ShardEncoder) {
-        enc.v(*self);
-    }
-
-    #[inline]
-    fn get(_: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
-        cur.varint()
-    }
-}
-
-/// Varint, checked to fit the platform `usize` on read.
-impl Field for usize {
-    #[inline]
-    fn put(&self, enc: &mut ShardEncoder) {
-        enc.v(*self as u64);
-    }
-
-    #[inline]
-    fn get(_: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
-        cur.varint_usize()
+    fn get(rec: &mut Get<'_, '_>) -> Result<Self, TraceError> {
+        let at = rec.offset();
+        let id = u32::get(rec)?;
+        let names = rec.symbols.len();
+        let bad = || corrupt(at, format_args!("symbol id {id} past {names} names"));
+        rec.symbols.get(id as usize).copied().ok_or_else(bad)
     }
 }
 
 /// One byte, 0 or 1.
 impl Field for bool {
-    #[inline]
-    fn put(&self, enc: &mut ShardEncoder) {
-        enc.payload.push(u8::from(*self));
+    const WIDTH: usize = 1;
+
+    fn put(&self, rec: &mut Rec, _: &mut ShardEncoder) {
+        rec.put([u8::from(*self)]);
     }
 
-    #[inline]
-    fn get(_: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
-        match cur.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(corrupt(cur.pos(), format_args!("bad bool byte {b}"))),
+    fn get(rec: &mut Get<'_, '_>) -> Result<Self, TraceError> {
+        let at = rec.offset();
+        match rec.bytes() {
+            [0] => Ok(false),
+            [1] => Ok(true),
+            [b] => Err(corrupt(at, format_args!("bad bool byte {b}"))),
         }
     }
 }
 
-/// One code byte.
-impl<T: Code> Field for T {
-    #[inline]
-    fn put(&self, enc: &mut ShardEncoder) {
-        enc.payload.push(self.code());
-    }
-
-    #[inline]
-    fn get(_: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
-        let b = cur.u8()?;
-        T::from_code(b, cur.pos())
-    }
-}
-
-/// Three `u32` varints.
-impl Field for Dim3 {
-    #[inline]
-    fn put(&self, enc: &mut ShardEncoder) {
-        [self.x, self.y, self.z].iter().for_each(|d| d.put(enc));
-    }
-
-    #[inline]
-    fn get(_: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
-        Ok(Dim3 {
-            x: u32v(cur)?,
-            y: u32v(cur)?,
-            z: u32v(cur)?,
-        })
-    }
-}
-
-impl Field for TensorId {
-    #[inline]
-    fn put(&self, enc: &mut ShardEncoder) {
-        enc.v(self.0);
-    }
-
-    #[inline]
-    fn get(_: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
-        Ok(TensorId(cur.varint()?))
-    }
-}
-
-/// Delta launch, seven varints (one a `usize`, one a `u32`), kind and
-/// space code bytes, then the pattern's code byte and its stride.
+/// Short form: the spec index's low `u32`; base, len, records and bytes;
+/// the element size; kind, space and pattern codes. Full form appends the
+/// batch's launch, the spec index's high `u32` and the stride.
 impl Field for AccessBatch {
-    #[inline]
-    fn put(&self, enc: &mut ShardEncoder) {
-        let mut rec = Scratch::<{ 7 * 10 + 5 + 3 }>::new();
-        rec.varint(enc.launch_delta(self.launch));
-        rec.varint(self.spec_index as u64);
-        rec.varint(self.base);
-        rec.varint(self.len);
-        rec.varint(self.records);
-        rec.varint(self.bytes);
-        rec.varint(self.elem_size.into());
-        rec.byte(self.kind.code());
-        rec.byte(self.space.code());
-        match self.pattern {
-            AccessPattern::Sequential => rec.byte(0),
-            AccessPattern::Strided { stride } => {
-                rec.byte(1);
-                rec.varint(stride);
-            }
-            AccessPattern::Random => rec.byte(2),
+    const WIDTH: usize = 4 + 4 * 8 + 4 + 3;
+    const FULL_EXTRA: usize = 8 + 4 + 8;
+
+    #[inline(always)]
+    fn put(&self, rec: &mut Rec, enc: &mut ShardEncoder) {
+        let spec = self.spec_index as u64;
+        (spec as u32).put(rec, enc);
+        [self.base, self.len, self.records, self.bytes]
+            .iter()
+            .for_each(|v| v.put(rec, enc));
+        self.elem_size.put(rec, enc);
+        self.kind.put(rec, enc);
+        self.space.put(rec, enc);
+        let (pattern, stride) = match self.pattern {
+            AccessPattern::Sequential => (0, 0),
+            AccessPattern::Strided { stride } => (1, stride),
+            AccessPattern::Random => (2, 0),
+        };
+        rec.put([pattern]);
+        if self.launch.0 != rec.launch || spec >> 32 != 0 || pattern == 1 {
+            rec.full = true;
+            self.launch.0.put(rec, enc);
+            ((spec >> 32) as u32).put(rec, enc);
+            stride.put(rec, enc);
         }
-        enc.payload.extend_from_slice(rec.as_slice());
     }
 
-    #[inline]
-    fn get(dec: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
+    #[inline(always)]
+    fn get(rec: &mut Get<'_, '_>) -> Result<Self, TraceError> {
+        let spec = u32::get(rec)?;
+        let [base, len, records, bytes] = [(); 4].map(|()| u64::from_le_bytes(rec.bytes()));
+        let (elem_size, kind, space) = (u32::get(rec)?, Field::get(rec)?, Field::get(rec)?);
+        let at = rec.offset();
+        let [pattern] = rec.bytes();
+        let (launch, high, stride) = match rec.full {
+            true => (u64::get(rec)?, u32::get(rec)?, u64::get(rec)?),
+            false => (rec.launch, 0, 0),
+        };
+        let spec = u64::from(high) << 32 | u64::from(spec);
+        let bad = || corrupt(at, format_args!("pattern {pattern}, stride {stride}"));
+        let pattern = match (pattern, stride, rec.full) {
+            (0, 0, _) => AccessPattern::Sequential,
+            (1, stride, true) => AccessPattern::Strided { stride },
+            (2, 0, _) => AccessPattern::Random,
+            _ => return Err(bad()),
+        };
         Ok(AccessBatch {
-            launch: LaunchId::get(dec, cur)?,
-            spec_index: cur.varint_usize()?,
-            base: cur.varint()?,
-            len: cur.varint()?,
-            records: cur.varint()?,
-            bytes: cur.varint()?,
-            elem_size: u32v(cur)?,
-            kind: AccessKind::from_code(cur.u8()?, cur.pos())?,
-            space: MemSpace::from_code(cur.u8()?, cur.pos())?,
-            pattern: match cur.u8()? {
-                0 => AccessPattern::Sequential,
-                1 => AccessPattern::Strided {
-                    stride: cur.varint()?,
-                },
-                2 => AccessPattern::Random,
-                b => {
-                    return Err(corrupt(
-                        cur.pos(),
-                        format_args!("bad AccessPattern code {b}"),
-                    ))
-                }
-            },
+            launch: LaunchId(launch),
+            spec_index: usize::try_from(spec)
+                .map_err(|_| corrupt(at, format_args!("spec index {spec} does not fit usize")))?,
+            base,
+            len,
+            records,
+            bytes,
+            elem_size,
+            kind,
+            space,
+            pattern,
         })
     }
 }
 
-/// Six varints, in declaration order.
-impl Field for KernelTraceSummary {
-    #[inline]
-    fn put(&self, enc: &mut ShardEncoder) {
-        for v in [
-            self.global_records,
-            self.shared_records,
-            self.barriers,
-            self.blocks,
-            self.instructions,
-            self.global_bytes,
-        ] {
-            enc.v(v);
-        }
-    }
-
-    #[inline]
-    fn get(_: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
-        Ok(KernelTraceSummary {
-            global_records: cur.varint()?,
-            shared_records: cur.varint()?,
-            barriers: cur.varint()?,
-            blocks: cur.varint()?,
-            instructions: cur.varint()?,
-            global_bytes: cur.varint()?,
-        })
-    }
-}
-
-/// A frame count, then each frame's file and function as dictionary ids
-/// around its line as a `u32` varint.
+/// A `u32` frame count in the record; the frames — file id, line and
+/// function id — follow it as a tail.
 impl Field for Arc<[PyFrame]> {
-    fn put(&self, enc: &mut ShardEncoder) {
-        enc.v(self.len() as u64);
+    const WIDTH: usize = 4;
+
+    fn put(&self, rec: &mut Rec, enc: &mut ShardEncoder) {
+        let frames = u32::try_from(self.len()).expect("under 2^32 frames");
+        frames.put(rec, enc);
+    }
+
+    fn put_tail(&self, enc: &mut ShardEncoder) {
         for frame in self.iter() {
-            let file = enc.id_of(&frame.file);
-            enc.v(file);
-            enc.v(frame.line.into());
-            let func = enc.id_of(&frame.func);
-            enc.v(func);
+            let (file, func) = (enc.id_of(&frame.file), enc.id_of(&frame.func));
+            for v in [file, frame.line, func] {
+                enc.payload.extend_from_slice(&v.to_le_bytes());
+            }
         }
     }
 
-    #[inline]
-    fn get(dec: &mut ShardDecoder<'_>, cur: &mut Cursor<'_>) -> Result<Self, TraceError> {
-        let frames = cur.varint_usize()?;
-        let mut py_stack = Vec::new();
-        for _ in 0..frames {
-            py_stack.push(PyFrame {
-                file: Symbol::get(dec, cur)?.as_str().to_owned(),
-                line: u32v(cur)?,
-                func: Symbol::get(dec, cur)?.as_str().to_owned(),
-            });
-        }
-        Ok(py_stack.into())
+    fn get(rec: &mut Get<'_, '_>) -> Result<Self, TraceError> {
+        let frames = u32::get(rec)? as usize;
+        // Fewer frames in the input than the count says: refused before
+        // the count sizes anything.
+        let frames_bytes = rec.tail.take(frames.saturating_mul(FRAME_BYTES))?;
+        let mut tail = Get::new(frames_bytes, false, rec.symbols, rec.tail);
+        let name = |tail: &mut Get<'_, '_>| Symbol::get(tail).map(|s| s.as_str().to_owned());
+        (0..frames)
+            .map(|_| {
+                Ok(PyFrame {
+                    file: name(&mut tail)?,
+                    line: u32::get(&mut tail)?,
+                    func: name(&mut tail)?,
+                })
+            })
+            .collect()
     }
+}
+
+/// The smallest and the largest of `widths`, in constants.
+const fn bounds(widths: &[usize]) -> (usize, usize) {
+    let (mut i, mut min, mut max) = (0, usize::MAX, 0);
+    while i < widths.len() {
+        (min, max) = (
+            if widths[i] < min { widths[i] } else { min },
+            if widths[i] > max { widths[i] } else { max },
+        );
+        i += 1;
+    }
+    (min, max)
 }
 
 macro_rules! wire_codec {
@@ -499,129 +428,83 @@ macro_rules! wire_codec {
             $($(#[$field_doc:meta])* $field:ident: $ty:ty,)*
         }
     )*) => {
+        const _: () = assert!($($tag < FULL &&)* true, "a wire tag leaves the FULL bit clear");
+
+        /// Bytes of the shortest record: no shard of `n` payload bytes
+        /// holds more than `n / MIN_RECORD_BYTES` records.
+        pub(crate) const MIN_RECORD_BYTES: usize = bounds(&[$(1 $(+ <$ty as Field>::WIDTH)*),*]).0;
+
+        /// Bytes of the longest record short of a tail, full form included.
+        const MAX_RECORD_BYTES: usize =
+            bounds(&[$(1 $(+ <$ty as Field>::WIDTH + <$ty as Field>::FULL_EXTRA)*),*]).1;
+
         impl ShardEncoder {
-            /// Appends one event: its tag, then its fields in declaration
-            /// order, each as its type's [`Field`] encoding.
+            /// Appends one event: its record — tag, then its fields in
+            /// declaration order — in one copy, then any tail.
             pub(crate) fn encode(&mut self, event: &Event) {
                 self.records += 1;
                 match event {
                     $(Event::$variant { $($field),* } => {
-                        self.payload.push($tag);
-                        $(Field::put($field, self);)*
+                        let mut rec = Rec { bytes: [0; MAX_RECORD_BYTES], len: 1, launch: 0, full: false };
+                        rec.bytes[0] = $tag;
+                        $(Field::put($field, &mut rec, self);)*
+                        const WIDTH: usize = 1 $(+ <$ty as Field>::WIDTH)*;
+                        match rec.full {
+                            false => self.payload.extend_from_slice(&rec.bytes[..WIDTH]),
+                            true => {
+                                rec.bytes[0] |= FULL;
+                                self.payload.extend_from_slice(&rec.bytes[..WIDTH $(+ <$ty as Field>::FULL_EXTRA)*])
+                            }
+                        }
+                        $(Field::put_tail($field, self);)*
                     })*
                 }
             }
         }
 
-        impl ShardDecoder<'_> {
-            /// Decodes the next record onto the end of `out`. Each arm reads
-            /// its fields and pushes the event they make, so the event is
-            /// written once, into the vector's spare capacity — it is never
-            /// returned by value.
-            #[inline(always)]
-            fn decode_onto(
-                &mut self,
-                cur: &mut Cursor<'_>,
-                out: &mut Vec<Event>,
-            ) -> Result<(), TraceError> {
-                match cur.u8()? {
-                    $($tag => out.push(Event::$variant { $($field: Field::get(self, cur)?),* }),)*
-                    t => return Err(corrupt(cur.pos(), format_args!("unknown event tag {t}"))),
+        /// Decodes a shard's next `n` records onto `out` — each its tag, then
+        /// the rest of its width in one bounds check, pushed as one event.
+        /// On an error `out` holds every record before the bad one.
+        pub(crate) fn decode(
+            symbols: &[Symbol],
+            cur: &mut Cursor<'_>,
+            out: &mut Vec<Event>,
+            n: usize,
+        ) -> Result<(), TraceError> {
+            for _ in 0..n {
+                let at = cur.pos();
+                let tag = cur.u8()?;
+                let full = tag & FULL != 0;
+                match tag & !FULL {
+                    $($tag if !full || 0 $(+ <$ty as Field>::FULL_EXTRA)* > 0 => {
+                        const WIDTH: usize = 0 $(+ <$ty as Field>::WIDTH)*;
+                        let rec: &[u8] = match full {
+                            false => cur.array::<WIDTH>()?,
+                            true => cur.array::<{ WIDTH $(+ <$ty as Field>::FULL_EXTRA)* }>()?,
+                        };
+                        let mut rec = Get::new(rec, full, symbols, cur);
+                        out.push(Event::$variant { $($field: Field::get(&mut rec)?),* });
+                    })*
+                    _ => return Err(corrupt(at, format_args!("unknown event tag {tag}"))),
                 }
-                Ok(())
             }
+            Ok(())
         }
     };
 }
 
 pasta_core::event_table!(wire_codec);
 
-fn put_stats(buf: &mut Vec<u8>, s: &UvmStats) {
-    for v in [
-        s.fault_groups,
-        s.demand_pages_in,
-        s.prefetch_pages_in,
-        s.pages_evicted,
-        s.fault_stall_ns,
-        s.prefetch_stall_ns,
-        s.evict_stall_ns,
-        s.prefetch_noops,
-        s.peer_pages_in,
-        s.peer_stall_ns,
-        s.duplicates_invalidated,
-    ] {
-        put_varint(buf, v);
-    }
-}
-
-fn stats(cur: &mut Cursor<'_>) -> Result<UvmStats, TraceError> {
-    Ok(UvmStats {
-        fault_groups: cur.varint()?,
-        demand_pages_in: cur.varint()?,
-        prefetch_pages_in: cur.varint()?,
-        pages_evicted: cur.varint()?,
-        fault_stall_ns: cur.varint()?,
-        prefetch_stall_ns: cur.varint()?,
-        evict_stall_ns: cur.varint()?,
-        prefetch_noops: cur.varint()?,
-        peer_pages_in: cur.varint()?,
-        peer_stall_ns: cur.varint()?,
-        duplicates_invalidated: cur.varint()?,
-    })
-}
-
-/// Encodes the UVM footer — the session-layer residency totals that
-/// live *outside* the event stream (the manager overlay, not events), so
-/// replay can restore [`pasta_core::MergedReport::uvm`] exactly.
-pub(crate) fn encode_uvm(buf: &mut Vec<u8>, uvm: &UvmReport) {
-    put_stats(buf, &uvm.stats);
-    put_varint(buf, uvm.per_device.len() as u64);
-    for (dev, s) in &uvm.per_device {
-        put_varint(buf, dev.0.into());
-        put_stats(buf, s);
-    }
-    put_varint(buf, uvm.peer_bytes.len() as u64);
-    for ((src, dst), bytes) in &uvm.peer_bytes {
-        put_varint(buf, src.0.into());
-        put_varint(buf, dst.0.into());
-        put_varint(buf, *bytes);
-    }
-}
-
-/// Inverse of [`encode_uvm`].
-pub(crate) fn decode_uvm(cur: &mut Cursor<'_>) -> Result<UvmReport, TraceError> {
-    let totals = stats(cur)?;
-    let lanes = cur.varint_usize()?;
-    let mut per_device = Vec::new();
-    for _ in 0..lanes {
-        let dev = device(cur)?;
-        per_device.push((dev, stats(cur)?));
-    }
-    let pairs = cur.varint_usize()?;
-    let mut peer_bytes = Vec::new();
-    for _ in 0..pairs {
-        let src = device(cur)?;
-        let dst = device(cur)?;
-        peer_bytes.push(((src, dst), cur.varint()?));
-    }
-    Ok(UvmReport {
-        stats: totals,
-        per_device,
-        peer_bytes,
-    })
-}
-
 #[cfg(test)]
 pub(crate) mod reference {
-    //! The reader this module and `wire.rs` held through PR 20 — a cursor
-    //! that goes through `take(1)` and a `Result` for every byte, a decoder
-    //! that returns each event by value — kept as the reference
-    //! [`ShardDecoder::decode_batch`](super::ShardDecoder::decode_batch) is
+    //! A second v2 reader, written out by hand per variant — a cursor that
+    //! goes through `take` and a `Result` for every field, a decoder that
+    //! returns each event by value, and its own table of record widths —
+    //! kept as the reference the generated [`decode`](super::decode) is
     //! checked against: event for event on well-formed streams, error for
     //! error (variant and offset) on damaged ones.
 
     use crate::error::TraceError;
-    use crate::wire::unzigzag;
     use accel_sim::{
         AccessBatch, AccessKind, AccessPattern, CopyDirection, DeviceId, Dim3, KernelTraceSummary,
         LaunchId, MemSpace, SimTime, Symbol,
@@ -631,9 +514,7 @@ pub(crate) mod reference {
     use dl_framework::tensor::TensorId;
     use pasta_core::Event;
 
-    /// A bounds-checked reading position over an untrusted byte slice. Every
-    /// read either yields bytes or a typed [`TraceError`] carrying the offset
-    /// where input ran out — never a panic, never an out-of-bounds slice.
+    /// A bounds-checked reading position over an untrusted byte slice.
     pub(crate) struct Cursor<'a> {
         bytes: &'a [u8],
         pos: usize,
@@ -649,14 +530,9 @@ pub(crate) mod reference {
             self.pos
         }
 
-        /// Bytes left to read.
-        pub(crate) fn remaining(&self) -> usize {
-            self.bytes.len() - self.pos
-        }
-
         /// Takes the next `n` bytes, or reports where the input ended.
         pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], TraceError> {
-            if self.remaining() < n {
+            if self.bytes.len() - self.pos < n {
                 return Err(TraceError::Truncated {
                     offset: self.bytes.len(),
                 });
@@ -666,127 +542,74 @@ pub(crate) mod reference {
             Ok(slice)
         }
 
-        pub(crate) fn u8(&mut self) -> Result<u8, TraceError> {
+        fn u8(&mut self) -> Result<u8, TraceError> {
             Ok(self.take(1)?[0])
         }
 
-        /// Reads an LEB128 varint. A continuation past 10 bytes cannot encode
-        /// a `u64` and is corruption, not truncation.
-        pub(crate) fn varint(&mut self) -> Result<u64, TraceError> {
-            let mut v: u64 = 0;
-            for i in 0..10 {
-                let byte = self.u8()?;
-                v |= u64::from(byte & 0x7f) << (7 * i);
-                if byte & 0x80 == 0 {
-                    return Ok(v);
-                }
-            }
-            Err(TraceError::Corrupt {
-                offset: self.pos,
-                what: "varint longer than 10 bytes".into(),
-            })
+        fn u32(&mut self) -> Result<u32, TraceError> {
+            let b = self.take(4)?;
+            Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
         }
 
-        /// A varint that must fit the platform `usize` (lengths, counts).
-        pub(crate) fn varint_usize(&mut self) -> Result<usize, TraceError> {
-            let v = self.varint()?;
-            usize::try_from(v).map_err(|_| TraceError::Corrupt {
-                offset: self.pos,
-                what: format!("count {v} does not fit usize"),
-            })
+        fn u64(&mut self) -> Result<u64, TraceError> {
+            let b = self.take(8)?;
+            let mut word = [0u8; 8];
+            word.copy_from_slice(b);
+            Ok(u64::from_le_bytes(word))
         }
     }
 
-    fn kind_from(b: u8, offset: usize) -> Result<AccessKind, TraceError> {
-        match b {
-            0 => Ok(AccessKind::Load),
-            1 => Ok(AccessKind::Store),
-            2 => Ok(AccessKind::Atomic),
-            _ => Err(TraceError::Corrupt {
-                offset,
-                what: format!("bad AccessKind code {b}"),
-            }),
-        }
+    fn bad(offset: usize, what: String) -> TraceError {
+        TraceError::Corrupt { offset, what }
     }
 
-    fn space_from(b: u8, offset: usize) -> Result<MemSpace, TraceError> {
-        match b {
-            0 => Ok(MemSpace::Global),
-            1 => Ok(MemSpace::Shared),
-            2 => Ok(MemSpace::RemoteShared),
-            3 => Ok(MemSpace::Local),
-            _ => Err(TraceError::Corrupt {
-                offset,
-                what: format!("bad MemSpace code {b}"),
-            }),
-        }
+    /// Bytes after the tag byte `t`, tail aside; `None` for no record.
+    fn width(t: u8) -> Option<usize> {
+        Some(match t {
+            0 | 1 => 16,
+            2 => 12,
+            3 => 44,
+            4 => 32,
+            5 => 21,
+            6 | 8 => 28,
+            7 => 29,
+            9 => 32,
+            10 => 52,
+            11 => 56,
+            12 | 16..=21 => 16,
+            13 | 14 => 55,
+            // Access records in full form.
+            0x8d | 0x8e => 75,
+            15 => 17,
+            22 => 60,
+            23 => 20,
+            24 => 16,
+            25 | 26 => 44,
+            27 => 16,
+            28 => 5,
+            29 | 30 => 8,
+            _ => return None,
+        })
     }
 
-    fn direction_from(b: u8, offset: usize) -> Result<CopyDirection, TraceError> {
-        match b {
-            0 => Ok(CopyDirection::HostToDevice),
-            1 => Ok(CopyDirection::DeviceToHost),
-            2 => Ok(CopyDirection::DeviceToDevice),
-            3 => Ok(CopyDirection::HostToHost),
-            _ => Err(TraceError::Corrupt {
-                offset,
-                what: format!("bad CopyDirection code {b}"),
-            }),
-        }
-    }
-
-    fn pass_from(b: u8, offset: usize) -> Result<Pass, TraceError> {
-        match b {
-            0 => Ok(Pass::Forward),
-            1 => Ok(Pass::Backward),
-            2 => Ok(Pass::Optimizer),
-            _ => Err(TraceError::Corrupt {
-                offset,
-                what: format!("bad Pass code {b}"),
-            }),
-        }
-    }
-
-    fn bool_from(b: u8, offset: usize) -> Result<bool, TraceError> {
-        match b {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(TraceError::Corrupt {
-                offset,
-                what: format!("bad bool byte {b}"),
-            }),
-        }
-    }
-
-    /// Decodes one shard's payload back into events, resolving dictionary ids
-    /// through the shard's interned dictionary.
+    /// Decodes one shard's payload back into events, resolving dictionary
+    /// ids through the shard's interned dictionary.
     pub(crate) struct ShardDecoder<'a> {
         symbols: &'a [Symbol],
-        last_time: u64,
-        last_launch: u64,
     }
 
     impl<'a> ShardDecoder<'a> {
         pub(crate) fn new(symbols: &'a [Symbol]) -> Self {
-            ShardDecoder {
-                symbols,
-                last_time: 0,
-                last_launch: 0,
-            }
+            ShardDecoder { symbols }
         }
 
         fn sym(&self, cur: &mut Cursor<'_>) -> Result<Symbol, TraceError> {
-            let id = cur.varint_usize()?;
-            self.symbols
-                .get(id)
-                .copied()
-                .ok_or_else(|| TraceError::Corrupt {
-                    offset: cur.pos(),
-                    what: format!(
-                        "symbol id {id} out of range (dictionary has {})",
-                        self.symbols.len()
-                    ),
-                })
+            let at = cur.pos();
+            let id = cur.u32()? as usize;
+            self.symbols.get(id).copied().ok_or_else(|| {
+                let what = format!("symbol id {id} past {} names", self.symbols.len());
+                bad(at, what)
+            })
         }
 
         fn string(&self, cur: &mut Cursor<'_>) -> Result<String, TraceError> {
@@ -794,69 +617,82 @@ pub(crate) mod reference {
         }
 
         fn device(&self, cur: &mut Cursor<'_>) -> Result<DeviceId, TraceError> {
-            let v = cur.varint()?;
-            u32::try_from(v)
-                .map(DeviceId)
-                .map_err(|_| TraceError::Corrupt {
-                    offset: cur.pos(),
-                    what: format!("device id {v} exceeds u32"),
-                })
+            Ok(DeviceId(cur.u32()?))
         }
 
-        fn u32v(&self, cur: &mut Cursor<'_>) -> Result<u32, TraceError> {
-            let v = cur.varint()?;
-            u32::try_from(v).map_err(|_| TraceError::Corrupt {
-                offset: cur.pos(),
-                what: format!("value {v} exceeds u32"),
-            })
+        fn time(&self, cur: &mut Cursor<'_>) -> Result<SimTime, TraceError> {
+            Ok(SimTime(cur.u64()?))
         }
 
-        fn time(&mut self, cur: &mut Cursor<'_>) -> Result<SimTime, TraceError> {
-            let delta = unzigzag(cur.varint()?);
-            self.last_time = self.last_time.wrapping_add(delta as u64);
-            Ok(SimTime(self.last_time))
-        }
-
-        fn launch(&mut self, cur: &mut Cursor<'_>) -> Result<LaunchId, TraceError> {
-            let delta = unzigzag(cur.varint()?);
-            self.last_launch = self.last_launch.wrapping_add(delta as u64);
-            Ok(LaunchId(self.last_launch))
+        fn launch(&self, cur: &mut Cursor<'_>) -> Result<LaunchId, TraceError> {
+            Ok(LaunchId(cur.u64()?))
         }
 
         fn dim3(&self, cur: &mut Cursor<'_>) -> Result<Dim3, TraceError> {
             Ok(Dim3 {
-                x: self.u32v(cur)?,
-                y: self.u32v(cur)?,
-                z: self.u32v(cur)?,
+                x: cur.u32()?,
+                y: cur.u32()?,
+                z: cur.u32()?,
             })
         }
 
-        fn batch(&mut self, cur: &mut Cursor<'_>) -> Result<AccessBatch, TraceError> {
-            let launch = self.launch(cur)?;
-            let spec_index = cur.varint_usize()?;
-            let base = cur.varint()?;
-            let len = cur.varint()?;
-            let records = cur.varint()?;
-            let bytes = cur.varint()?;
-            let elem_size = self.u32v(cur)?;
-            let kind = kind_from(cur.u8()?, cur.pos())?;
-            let space = space_from(cur.u8()?, cur.pos())?;
-            let pattern = match cur.u8()? {
-                0 => AccessPattern::Sequential,
-                1 => AccessPattern::Strided {
-                    stride: cur.varint()?,
-                },
-                2 => AccessPattern::Random,
-                b => {
-                    return Err(TraceError::Corrupt {
-                        offset: cur.pos(),
-                        what: format!("bad AccessPattern code {b}"),
-                    })
+        /// A code byte below `n`, named `what` when it is not.
+        fn code(&self, cur: &mut Cursor<'_>, n: u8, what: &str) -> Result<u8, TraceError> {
+            let at = cur.pos();
+            match cur.u8()? {
+                b if b < n => Ok(b),
+                b => Err(bad(at, format!("bad {what} code {b}"))),
+            }
+        }
+
+        fn flag(&self, cur: &mut Cursor<'_>) -> Result<bool, TraceError> {
+            let at = cur.pos();
+            match cur.u8()? {
+                0 => Ok(false),
+                1 => Ok(true),
+                b => Err(bad(at, format!("bad bool byte {b}"))),
+            }
+        }
+
+        fn batch(
+            &self,
+            cur: &mut Cursor<'_>,
+            record_launch: LaunchId,
+            full: bool,
+        ) -> Result<AccessBatch, TraceError> {
+            let spec_low = cur.u32()?;
+            let base = cur.u64()?;
+            let len = cur.u64()?;
+            let records = cur.u64()?;
+            let bytes = cur.u64()?;
+            let elem_size = cur.u32()?;
+            let kind = [AccessKind::Load, AccessKind::Store, AccessKind::Atomic]
+                [self.code(cur, 3, "AccessKind")? as usize];
+            let space = [
+                MemSpace::Global,
+                MemSpace::Shared,
+                MemSpace::RemoteShared,
+                MemSpace::Local,
+            ][self.code(cur, 4, "MemSpace")? as usize];
+            let pattern_at = cur.pos();
+            let pattern = cur.u8()?;
+            let (launch, spec_high, stride) = if full {
+                (LaunchId(cur.u64()?), cur.u32()?, cur.u64()?)
+            } else {
+                (record_launch, 0, 0)
+            };
+            let pattern = match (pattern, stride) {
+                (0, 0) => AccessPattern::Sequential,
+                (1, stride) if full => AccessPattern::Strided { stride },
+                (2, 0) => AccessPattern::Random,
+                _ => {
+                    let what = format!("pattern {pattern}, stride {stride}");
+                    return Err(bad(pattern_at, what));
                 }
             };
             Ok(AccessBatch {
                 launch,
-                spec_index,
+                spec_index: (u64::from(spec_high) << 32 | u64::from(spec_low)) as usize,
                 base,
                 len,
                 records,
@@ -870,8 +706,19 @@ pub(crate) mod reference {
 
         /// Decodes the next record.
         pub(crate) fn decode(&mut self, cur: &mut Cursor<'_>) -> Result<Event, TraceError> {
+            let at = cur.pos();
             let t = cur.u8()?;
-            let event = match t {
+            let Some(width) = width(t) else {
+                return Err(bad(at, format!("unknown event tag {t}")));
+            };
+            // The record is there whole before any field of it is read.
+            let start = cur.pos();
+            cur.take(width)?;
+            *cur = Cursor {
+                bytes: cur.bytes,
+                pos: start,
+            };
+            let event = match t & 0x7f {
                 0 => Event::DriverApi {
                     name: self.sym(cur)?,
                     device: self.device(cur)?,
@@ -889,7 +736,7 @@ pub(crate) mod reference {
                 3 => Event::KernelLaunchBegin {
                     launch: self.launch(cur)?,
                     device: self.device(cur)?,
-                    stream: self.u32v(cur)?,
+                    stream: cur.u32()?,
                     name: self.sym(cur)?,
                     grid: self.dim3(cur)?,
                     block: self.dim3(cur)?,
@@ -903,120 +750,136 @@ pub(crate) mod reference {
                 },
                 5 => Event::MemCopy {
                     device: self.device(cur)?,
-                    direction: direction_from(cur.u8()?, cur.pos())?,
-                    bytes: cur.varint()?,
+                    direction: [
+                        CopyDirection::HostToDevice,
+                        CopyDirection::DeviceToHost,
+                        CopyDirection::DeviceToDevice,
+                        CopyDirection::HostToHost,
+                    ][self.code(cur, 4, "CopyDirection")? as usize],
+                    bytes: cur.u64()?,
                     at: self.time(cur)?,
                 },
                 6 => Event::MemSet {
                     device: self.device(cur)?,
-                    addr: cur.varint()?,
-                    bytes: cur.varint()?,
+                    addr: cur.u64()?,
+                    bytes: cur.u64()?,
                     at: self.time(cur)?,
                 },
                 7 => Event::ResourceAlloc {
                     device: self.device(cur)?,
-                    addr: cur.varint()?,
-                    bytes: cur.varint()?,
-                    managed: bool_from(cur.u8()?, cur.pos())?,
+                    addr: cur.u64()?,
+                    bytes: cur.u64()?,
+                    managed: self.flag(cur)?,
                     at: self.time(cur)?,
                 },
                 8 => Event::ResourceFree {
                     device: self.device(cur)?,
-                    addr: cur.varint()?,
-                    bytes: cur.varint()?,
+                    addr: cur.u64()?,
+                    bytes: cur.u64()?,
                     at: self.time(cur)?,
                 },
                 9 => Event::BatchMemOp {
                     device: self.device(cur)?,
                     op: self.sym(cur)?,
-                    addr: cur.varint()?,
-                    bytes: cur.varint()?,
+                    addr: cur.u64()?,
+                    bytes: cur.u64()?,
                     at: self.time(cur)?,
                 },
                 10 => Event::UvmFault {
                     launch: self.launch(cur)?,
                     device: self.device(cur)?,
-                    groups: cur.varint()?,
-                    migrated_bytes: cur.varint()?,
-                    evicted_bytes: cur.varint()?,
-                    stall_ns: cur.varint()?,
+                    groups: cur.u64()?,
+                    migrated_bytes: cur.u64()?,
+                    evicted_bytes: cur.u64()?,
+                    stall_ns: cur.u64()?,
                     at: self.time(cur)?,
                 },
                 11 => Event::UvmPeerMigrate {
                     launch: self.launch(cur)?,
                     src: self.device(cur)?,
                     dst: self.device(cur)?,
-                    duplicated_pages: cur.varint()?,
-                    invalidated_pages: cur.varint()?,
-                    bytes: cur.varint()?,
-                    stall_ns: cur.varint()?,
+                    duplicated_pages: cur.u64()?,
+                    invalidated_pages: cur.u64()?,
+                    bytes: cur.u64()?,
+                    stall_ns: cur.u64()?,
                     at: self.time(cur)?,
                 },
                 12 => Event::BlockBoundary {
                     launch: self.launch(cur)?,
-                    count: cur.varint()?,
+                    count: cur.u64()?,
                 },
-                13 => Event::GlobalAccess {
-                    launch: self.launch(cur)?,
-                    kernel: self.sym(cur)?,
-                    batch: self.batch(cur)?,
-                },
-                14 => Event::SharedAccess {
-                    launch: self.launch(cur)?,
-                    kernel: self.sym(cur)?,
-                    batch: self.batch(cur)?,
-                },
+                13 => {
+                    let launch = self.launch(cur)?;
+                    Event::GlobalAccess {
+                        launch,
+                        kernel: self.sym(cur)?,
+                        batch: self.batch(cur, launch, t & 0x80 != 0)?,
+                    }
+                }
+                14 => {
+                    let launch = self.launch(cur)?;
+                    Event::SharedAccess {
+                        launch,
+                        kernel: self.sym(cur)?,
+                        batch: self.batch(cur, launch, t & 0x80 != 0)?,
+                    }
+                }
                 15 => Event::Barrier {
                     launch: self.launch(cur)?,
-                    count: cur.varint()?,
-                    cluster: bool_from(cur.u8()?, cur.pos())?,
+                    count: cur.u64()?,
+                    cluster: self.flag(cur)?,
                 },
                 16 => Event::DeviceFuncCall {
                     launch: self.launch(cur)?,
-                    count: cur.varint()?,
+                    count: cur.u64()?,
                 },
                 17 => Event::DeviceMalloc {
                     launch: self.launch(cur)?,
-                    bytes: cur.varint()?,
+                    bytes: cur.u64()?,
                 },
                 18 => Event::DeviceFree {
                     launch: self.launch(cur)?,
-                    bytes: cur.varint()?,
+                    bytes: cur.u64()?,
                 },
                 19 => Event::GlobalToSharedCopy {
                     launch: self.launch(cur)?,
-                    bytes: cur.varint()?,
+                    bytes: cur.u64()?,
                 },
                 20 => Event::PipelineOp {
                     launch: self.launch(cur)?,
-                    count: cur.varint()?,
+                    count: cur.u64()?,
                 },
                 21 => Event::Instructions {
                     launch: self.launch(cur)?,
-                    count: cur.varint()?,
+                    count: cur.u64()?,
                 },
                 22 => Event::KernelTrace {
                     launch: self.launch(cur)?,
                     kernel: self.sym(cur)?,
                     summary: KernelTraceSummary {
-                        global_records: cur.varint()?,
-                        shared_records: cur.varint()?,
-                        barriers: cur.varint()?,
-                        blocks: cur.varint()?,
-                        instructions: cur.varint()?,
-                        global_bytes: cur.varint()?,
+                        global_records: cur.u64()?,
+                        shared_records: cur.u64()?,
+                        barriers: cur.u64()?,
+                        blocks: cur.u64()?,
+                        instructions: cur.u64()?,
+                        global_bytes: cur.u64()?,
                     },
                 },
                 23 => {
-                    let seq = cur.varint()?;
+                    let seq = cur.u64()?;
                     let name = self.sym(cur)?;
                     let device = self.device(cur)?;
-                    let frames = cur.varint_usize()?;
+                    let frames = cur.u32()? as usize;
+                    cur.take(frames * 12)?;
+                    *cur = Cursor {
+                        bytes: cur.bytes,
+                        pos: cur.pos() - frames * 12,
+                    };
                     let mut py_stack = Vec::new();
                     for _ in 0..frames {
                         py_stack.push(PyFrame {
                             file: self.string(cur)?,
-                            line: self.u32v(cur)?,
+                            line: cur.u32()?,
                             func: self.string(cur)?,
                         });
                     }
@@ -1028,33 +891,34 @@ pub(crate) mod reference {
                     }
                 }
                 24 => Event::OpEnd {
-                    seq: cur.varint()?,
+                    seq: cur.u64()?,
                     name: self.sym(cur)?,
                     device: self.device(cur)?,
                 },
                 25 => Event::TensorAlloc {
-                    tensor: TensorId(cur.varint()?),
-                    addr: cur.varint()?,
-                    bytes: cur.varint()?,
-                    allocated_total: cur.varint()?,
-                    reserved_total: cur.varint()?,
+                    tensor: TensorId(cur.u64()?),
+                    addr: cur.u64()?,
+                    bytes: cur.u64()?,
+                    allocated_total: cur.u64()?,
+                    reserved_total: cur.u64()?,
                     device: self.device(cur)?,
                 },
                 26 => Event::TensorFree {
-                    tensor: TensorId(cur.varint()?),
-                    addr: cur.varint()?,
-                    bytes: cur.varint()?,
-                    allocated_total: cur.varint()?,
-                    reserved_total: cur.varint()?,
+                    tensor: TensorId(cur.u64()?),
+                    addr: cur.u64()?,
+                    bytes: cur.u64()?,
+                    allocated_total: cur.u64()?,
+                    reserved_total: cur.u64()?,
                     device: self.device(cur)?,
                 },
                 27 => Event::LayerBoundary {
                     name: self.sym(cur)?,
-                    index: cur.varint_usize()?,
+                    index: cur.u64()? as usize,
                     device: self.device(cur)?,
                 },
                 28 => Event::PassBoundary {
-                    pass: pass_from(cur.u8()?, cur.pos())?,
+                    pass: [Pass::Forward, Pass::Backward, Pass::Optimizer]
+                        [self.code(cur, 3, "Pass")? as usize],
                     device: self.device(cur)?,
                 },
                 29 => Event::RegionStart {
@@ -1065,12 +929,7 @@ pub(crate) mod reference {
                     label: self.sym(cur)?,
                     device: self.device(cur)?,
                 },
-                _ => {
-                    return Err(TraceError::Corrupt {
-                        offset: cur.pos(),
-                        what: format!("unknown event tag {t}"),
-                    })
-                }
+                _ => unreachable!("`width` knows every tag"),
             };
             Ok(event)
         }
@@ -1080,6 +939,43 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn access(launch: u64, kernel: Symbol, batch: AccessBatch) -> Event {
+        Event::GlobalAccess {
+            launch: LaunchId(launch),
+            kernel,
+            batch,
+        }
+    }
+
+    fn batch(launch: u64, spec_index: usize, pattern: AccessPattern) -> AccessBatch {
+        AccessBatch {
+            launch: LaunchId(launch),
+            spec_index,
+            base: 0x1000 * launch,
+            len: 4096,
+            records: 32,
+            bytes: 4096,
+            elem_size: 4,
+            kind: AccessKind::Load,
+            space: MemSpace::Global,
+            pattern,
+        }
+    }
+
+    fn payload_of(events: &[Event]) -> Vec<u8> {
+        let mut enc = ShardEncoder::new(DeviceId(0));
+        events.iter().for_each(|e| enc.encode(e));
+        enc.into_parts().3
+    }
+
+    fn decoded(payload: &[u8], symbols: &[Symbol], n: usize) -> Result<Vec<Event>, TraceError> {
+        let mut out = Vec::new();
+        let mut cur = Cursor::new(payload);
+        decode(symbols, &mut cur, &mut out, n)?;
+        assert_eq!(cur.remaining(), 0, "the records fill the payload");
+        Ok(out)
+    }
 
     #[test]
     fn symbols_dedup_into_one_dictionary_slot() {
@@ -1112,21 +1008,9 @@ mod tests {
 
     #[test]
     fn symbol_memo_changes_no_byte() {
-        let access = |launch: u64, kernel: Symbol| Event::GlobalAccess {
-            launch: LaunchId(launch),
-            kernel,
-            batch: AccessBatch {
-                launch: LaunchId(launch),
-                spec_index: launch as usize,
-                base: 0x1000 * launch,
-                len: 4096,
-                records: 32,
-                bytes: 4096,
-                elem_size: 4,
-                kind: AccessKind::Load,
-                space: MemSpace::Global,
-                pattern: AccessPattern::Strided { stride: 1 << 40 },
-            },
+        let strided = AccessPattern::Strided { stride: 1 << 40 };
+        let access = |launch: u64, kernel: Symbol| {
+            access(launch, kernel, batch(launch, launch as usize, strided))
         };
         // Equal text at other addresses: the memo may not mistake either
         // for a new name, nor a new name for the one it holds.
@@ -1166,92 +1050,106 @@ mod tests {
         assert_eq!((symbols, payload), encode_without_memo(&events));
     }
 
-    /// Every variant of the table, decoded from a record of zeros — each
-    /// field zero or empty — and encoded again. A record shorter than
-    /// `MIN_RECORD_BYTES` would make `parse` refuse valid traces of it.
+    macro_rules! count_rows {
+        ($($(#[$doc:meta])* $variant:ident [$($columns:tt)*] { $($fields:tt)* })*) => {
+            [$(stringify!($variant)),*].len()
+        };
+    }
+
+    /// Every tag byte, before a record of zeros: each variant's record —
+    /// and each full form — decodes at its own width and no other byte
+    /// does; a short record encodes back to its bytes, a full one of zeros
+    /// to the same event as its short form. The shortest is
+    /// `MIN_RECORD_BYTES`, which `parse` bounds a shard's record count by.
     #[test]
-    fn no_record_is_shorter_than_min_record_bytes() {
-        macro_rules! count_rows {
-            ($($(#[$doc:meta])* $variant:ident [$($columns:tt)*] { $($fields:tt)* })*) => {
-                [$(stringify!($variant)),*].len()
-            };
-        }
+    fn every_tag_fixes_its_record_width() {
         let symbols = [Symbol::intern("")];
-        let mut variants = 0;
+        let (mut short, mut full, mut widths) = (0, 0, Vec::new());
         for tag in 0..=u8::MAX {
-            let mut record = [0u8; 64];
+            let mut record = [0u8; 128];
             record[0] = tag;
             let mut cur = Cursor::new(&record);
             let mut events = Vec::new();
-            let mut dec = ShardDecoder::new(&symbols);
-            if dec.decode_onto(&mut cur, &mut events).is_err() {
+            if decode(&symbols, &mut cur, &mut events, 1).is_err() {
                 continue;
             }
-            variants += 1;
-            let mut enc = ShardEncoder::new(DeviceId(0));
-            enc.encode(&events[0]);
-            let (_, _, _, payload) = enc.into_parts();
-            assert_eq!(payload, record[..cur.pos()], "{:?}", events[0]);
-            assert!(
-                payload.len() >= MIN_RECORD_BYTES,
-                "{:?} is a {}-byte record",
-                events[0],
-                payload.len()
-            );
+            let width = cur.pos();
+            if tag & FULL == 0 {
+                short += 1;
+                widths.push(width);
+                assert_eq!(payload_of(&events), record[..width], "{:?}", events[0]);
+            } else {
+                full += 1;
+                let short_form = decoded(&payload_of(&events), &symbols, 1).unwrap();
+                assert_eq!(short_form, events, "tag {tag:#x}");
+                assert_eq!(width, payload_of(&events).len() + AccessBatch::FULL_EXTRA);
+            }
         }
-        assert_eq!(variants, pasta_core::event_table!(count_rows));
+        assert_eq!(short, pasta_core::event_table!(count_rows));
+        assert_eq!(full, 2, "GlobalAccess and SharedAccess have a full form");
+        assert_eq!(widths.iter().min(), Some(&MIN_RECORD_BYTES));
+        assert_eq!(MIN_RECORD_BYTES, 6, "PassBoundary: tag, pass, device");
     }
 
     #[test]
-    fn delta_coding_keeps_steady_streams_tiny() {
-        // 100 launch-end records with monotone ids and times: the ids and
-        // timestamps should cost ~1-2 bytes each, not 8.
-        let mut enc = ShardEncoder::new(DeviceId(0));
-        for launch in 0..100u64 {
-            enc.encode(&Event::KernelLaunchEnd {
-                launch: LaunchId(launch),
-                device: DeviceId(0),
-                name: "k".into(),
-                start: SimTime(1_000_000 + launch * 500),
-                end: SimTime(1_000_000 + launch * 500 + 450),
-            });
-        }
-        let (_, _, records, payload) = enc.into_parts();
-        assert_eq!(records, 100);
-        let per_event = payload.len() as f64 / 100.0;
-        assert!(
-            per_event < 12.0,
-            "steady kernel stream should encode well under 12 B/event, got {per_event}"
-        );
-    }
-
-    #[test]
-    fn uvm_footer_round_trips() {
-        let report = UvmReport {
-            stats: UvmStats {
-                fault_groups: 7,
-                demand_pages_in: 1 << 40,
-                peer_pages_in: 32,
-                duplicates_invalidated: 3,
-                ..UvmStats::default()
-            },
-            per_device: vec![
-                (DeviceId(0), UvmStats::default()),
-                (
-                    DeviceId(1),
-                    UvmStats {
-                        peer_stall_ns: 9_999,
-                        ..UvmStats::default()
-                    },
-                ),
-            ],
-            peer_bytes: vec![((DeviceId(0), DeviceId(1)), 1 << 21)],
+    fn a_record_is_as_wide_whatever_its_values() {
+        let end = |v: u64| Event::KernelLaunchEnd {
+            launch: LaunchId(v),
+            device: DeviceId(v as u32),
+            name: "k".into(),
+            start: SimTime(v),
+            end: SimTime(v.wrapping_mul(3)),
         };
-        let mut buf = Vec::new();
-        encode_uvm(&mut buf, &report);
-        let mut cur = Cursor::new(&buf);
-        let back = decode_uvm(&mut cur).unwrap();
-        assert_eq!(back, report);
-        assert_eq!(cur.remaining(), 0);
+        for v in [0, 1, 1 << 20, u64::MAX] {
+            assert_eq!(payload_of(&[end(v)]).len(), 33, "{v}");
+        }
+        // A live access batch is short: its launch the record's, its spec
+        // index a `u32`, its pattern not strided.
+        let live = access(7, "k".into(), batch(7, 3, AccessPattern::Random));
+        assert_eq!(payload_of(&[live]).len(), 56);
+    }
+
+    #[test]
+    fn the_full_form_carries_what_the_short_one_leaves_out() {
+        let symbols = [Symbol::intern("k")];
+        let sequential = AccessPattern::Sequential;
+        for b in [
+            batch(8, 3, sequential),
+            batch(7, 1 << 32, sequential),
+            batch(7, usize::MAX, sequential),
+            batch(7, 3, AccessPattern::Strided { stride: 0 }),
+            batch(7, 3, AccessPattern::Strided { stride: u64::MAX }),
+        ] {
+            let event = access(7, symbols[0], b.clone());
+            let payload = payload_of(std::slice::from_ref(&event));
+            assert_eq!(payload.len(), 76, "{b:?}");
+            assert_eq!(payload[0], 13 | FULL);
+            assert_eq!(decoded(&payload, &symbols, 1).unwrap(), [event]);
+        }
+    }
+
+    /// A record that stops short of its width — anywhere inside a field —
+    /// is truncated at the end of the input, and a stride on a pattern
+    /// that has none is corrupt at the pattern's byte.
+    #[test]
+    fn a_cut_record_and_a_stray_stride_are_typed_errors() {
+        let symbols = [Symbol::intern("k")];
+        let event = access(7, symbols[0], batch(8, 3, AccessPattern::Random));
+        let payload = payload_of(&[event]);
+        for cut in 1..payload.len() {
+            assert!(matches!(
+                decoded(&payload[..cut], &symbols, 1),
+                Err(TraceError::Truncated { offset }) if offset == cut
+            ));
+        }
+        let mut stray = payload.clone();
+        *stray.last_mut().unwrap() = 1;
+        match decoded(&stray, &symbols, 1) {
+            Err(TraceError::Corrupt { offset, what }) => {
+                assert_eq!(offset, 55, "the pattern byte of the batch");
+                assert!(what.contains("stride 72057594037927936"), "{what}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 }

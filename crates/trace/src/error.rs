@@ -1,6 +1,6 @@
 //! Typed trace failures.
 //!
-//! Every malformed input — wrong magic, future format version, a file cut
+//! Every malformed input — wrong magic, another format version, a file cut
 //! off mid-record, a corrupt enum byte — surfaces as a [`TraceError`]
 //! value. Parsing never panics: the reader treats the byte stream as
 //! untrusted input end to end.
@@ -16,8 +16,8 @@ pub enum TraceError {
         /// The bytes actually found.
         found: [u8; 8],
     },
-    /// The file is a pasta trace, but written by a newer (or unknown)
-    /// format revision this reader does not understand.
+    /// The file is a pasta trace, but of a format revision this build does
+    /// not read: an older one (version 1's varint records) or a newer one.
     UnsupportedVersion {
         /// Version stamped in the file header.
         found: u32,

@@ -11,31 +11,53 @@
 //! what the live session produced: same tool reports, same per-device
 //! breakdown, same event counts, same UVM slice.
 //!
-//! ## On-disk format (version 1)
+//! ## On-disk format (version 2)
+//!
+//! Every integer is fixed-width little-endian; there are no varints.
 //!
 //! ```text
 //! "PASTATRC"  magic, 8 bytes
-//! version     u32 LE (= 1)
-//! shard_count u32 LE
+//! version     u32 (= 2; any other is UnsupportedVersion)
+//! shard_count u32
 //! per shard (ascending device id):
-//!   device        u32 LE
-//!   symbol_count  varint          ── per-shard dictionary snapshot
-//!   symbols       (len varint, utf-8 bytes) × symbol_count
-//!   record_count  varint
-//!   payload_len   varint
-//!   payload       records: tag u8, then per-variant fields —
-//!                 strings as dictionary ids, timestamps and launch ids
-//!                 zigzag-delta varints, enums as single bytes
-//! uvm_flag    u8 (0|1), then the UVM footer when 1
+//!   device        u32
+//!   symbol_count  u32             ── per-shard dictionary snapshot
+//!   symbols       (len u32, utf-8 bytes) × symbol_count
+//!   record_count  u64
+//!   payload_len   u64
+//!   payload       records, back to back
+//! uvm_flag    u8 (0|1), then the UVM footer when 1:
+//!   totals 11 × u64, device count u32, (device u32, 11 × u64) × count,
+//!   pair count u32, (src u32, dst u32, bytes u64) × count
 //! "PTRCEND\0" end marker, 8 bytes
 //! ```
 //!
-//! All integers outside the fixed header are LEB128 varints; timestamp
-//! and launch-id deltas use wrapping arithmetic, so arbitrary — even
-//! non-monotone — `u64` sequences round-trip losslessly. The UVM footer
-//! exists because the session's residency totals are a *manager overlay*,
-//! not events: they cannot be reconstructed from the stream, so the
-//! writer snapshots them at [`TraceWriter::finish`].
+//! A record is its variant's row of the event table: a tag byte, then
+//! each field in declaration order at a fixed width.
+//!
+//! | field type | bytes |
+//! |---|---|
+//! | `SimTime`, `LaunchId`, `u64`, `usize`, `TensorId` | 8, absolute |
+//! | `Symbol` (a name) | 4, an id into the shard's dictionary |
+//! | `DeviceId`, `StreamId` (`u32`) | 4 |
+//! | `Dim3` | 12 |
+//! | `KernelTraceSummary` | 48 |
+//! | enums (`AccessKind`, `MemSpace`, `CopyDirection`, `Pass`), `bool` | 1 code byte |
+//! | `AccessBatch` | 43: spec index low `u32`, base, len, records, bytes, elem size, kind, space, pattern |
+//! | `Arc<[PyFrame]>` | 4, a frame count; the frames follow the record as a 12-byte-each tail (file id, line, function id) |
+//!
+//! So the tag fixes the width: `PassBoundary` is the shortest record (6
+//! bytes), a flood's access record is 56. An access batch whose launch is
+//! not its record's, whose spec index needs more than 32 bits or whose
+//! pattern is strided is written in full: the tag gets bit `0x80` and the
+//! batch 20 bytes more (its launch, the index's high `u32`, the stride), so
+//! arbitrary events round-trip while a live stream pays only for what it
+//! carries. The UVM footer exists because the session's residency totals
+//! are a *manager overlay*, not events: they cannot be reconstructed from
+//! the stream, so the writer snapshots them at [`TraceWriter::finish`].
+//! A version-1 file (per-field varints and zigzag time deltas) is
+//! refused with [`TraceError::UnsupportedVersion`]; no reader of it is
+//! kept.
 //!
 //! ## Capture cost
 //!
@@ -86,6 +108,7 @@
 
 mod codec;
 mod error;
+mod footer;
 mod reader;
 mod replay;
 mod wire;

@@ -1,12 +1,12 @@
 //! The read path against its oracles (ISSUE 21).
 //!
-//! * **Differential.** [`ShardDecoder::decode_batch`] against
-//!   `codec::reference` — the per-byte cursor and by-value decoder it
-//!   replaced — event for event over generated streams (every `Event`
-//!   variant, non-monotone clocks, ten-byte varints, multi-frame Python
-//!   stacks), and error for error (variant and offset) over every
-//!   truncation and every single-bit flip of two traces, under a cap on
-//!   the largest allocation.
+//! * **Differential.** The generated [`decode`] against
+//!   `codec::reference` — a per-field cursor and by-value decoder written
+//!   out by hand per variant — event for event over generated streams
+//!   (every `Event` variant, non-monotone clocks, full-form access batches,
+//!   multi-frame Python stacks), and error for error (variant and offset)
+//!   over every truncation and every single-bit flip of two traces, under
+//!   a cap on the largest allocation.
 //! * **Identity.** Fused [`replay`](crate::replay) at batch sizes 1, 7 and
 //!   past the shard == `parse` + `replay_decoded` == the live session's
 //!   `merged_report()`, byte for byte; a tool that panics mid-stream gives
@@ -18,7 +18,7 @@
 //! per thread, so tests running side by side do not read each other's
 //! requests.
 //!
-//! [`ShardDecoder::decode_batch`]: crate::codec::ShardDecoder::decode_batch
+//! [`decode`]: crate::codec::decode
 
 use crate::codec::reference;
 use crate::reader::Framed;
@@ -145,7 +145,7 @@ impl Words {
         self.next() % n
     }
 
-    /// A word of any width: as often one varint byte as ten.
+    /// A word of any width: as often one significant byte as eight.
     fn wide(&mut self) -> u64 {
         let bits = self.below(65);
         if bits == 64 {
@@ -211,7 +211,7 @@ fn flood_under(
     (trace, session.merged_report())
 }
 
-/// `tests/trace_errors.rs`'s fixture: two shards, symbols, deltas, a UVM
+/// `tests/trace_errors.rs`'s fixture: two shards, symbols, clocks, a UVM
 /// footer.
 fn errors_fixture() -> Trace {
     let shard0 = [
@@ -280,7 +280,7 @@ fn reference_parse(bytes: &[u8]) -> Result<Vec<Vec<Event>>, TraceError> {
     let framed = Framed::read(bytes)?;
     let mut shards = Vec::new();
     for (shard, names) in framed.dictionaries() {
-        let mut cur = reference::Cursor::new(bytes);
+        let mut cur = reference::Cursor::new(&bytes[..shard.payload.end]);
         cur.take(shard.payload.start).expect("the framing held");
         let mut decoder = reference::ShardDecoder::new(names);
         let mut events = Vec::new();
@@ -323,7 +323,7 @@ fn assert_decoders_agree(bytes: &[u8], case: &dyn Fn() -> String) {
         }
         (Err(new), Err(old)) => assert_eq!(failure(new), failure(old), "{}", case()),
         _ => panic!(
-            "{}: decode_batch says {:?}, the reference {:?}",
+            "{}: decode says {:?}, the reference {:?}",
             case(),
             new.as_ref().map(|_| "ok"),
             old.as_ref().map(|_| "ok")
@@ -572,7 +572,7 @@ fn any_event(variant: u64, w: &mut Words) -> Event {
 }
 
 #[test]
-fn decode_batch_matches_the_reference_event_for_event() {
+fn decode_matches_the_reference_event_for_event() {
     for seed in 0..96 {
         let mut w = Words(seed);
         let nshards = 1 + w.below(3) as usize;
@@ -832,7 +832,7 @@ fn a_tool_that_panics_mid_stream_reads_the_same_live_decoded_and_fused() {
 
 #[test]
 fn a_corrupt_record_hands_back_the_analysed_prefix() {
-    // Nine launches, then a three-byte record (tag, pass, device) whose tag
+    // Nine launches, then a six-byte record (tag, pass, device) whose tag
     // gets smashed: the framing still holds, and every event before the
     // bad record is sound.
     let mut events: Vec<Event> = (0..9)
@@ -853,9 +853,9 @@ fn a_corrupt_record_hands_back_the_analysed_prefix() {
         .payload
         .clone();
     let mut bytes = trace.as_bytes().to_vec();
-    bytes[payload.end - 3] = 0xee;
+    bytes[payload.end - 6] = 0xee;
     let parse_error = TraceReader::parse(&bytes).expect_err("the record is corrupt");
-    assert_eq!(failure(&parse_error), ("corrupt", payload.end - 2));
+    assert_eq!(failure(&parse_error), ("corrupt", payload.end - 6));
 
     let counter = || collection(vec![Box::<LaunchCounter>::default()]);
     for batch in [1, 7, events.len() + 1] {

@@ -13,10 +13,11 @@
 //! name is pointer-equal to its live original, and parsing the same
 //! trace again interns nothing.
 
-use crate::codec::{decode_uvm, ShardDecoder, MIN_RECORD_BYTES};
+use crate::codec::{decode, MIN_RECORD_BYTES};
 use crate::error::TraceError;
+use crate::footer::decode_uvm;
 use crate::wire::{corrupt, Cursor};
-use crate::writer::{END_MAGIC, FORMAT_VERSION, MAGIC};
+use crate::writer::{END_MAGIC, FORMAT_VERSION, MAGIC, SHARD_FRAME_BYTES};
 use accel_sim::{DeviceId, Symbol};
 use pasta_core::report::UvmReport;
 use pasta_core::Event;
@@ -61,10 +62,6 @@ impl TraceSummary {
     }
 }
 
-/// Bytes of the shortest shard frame: a `u32` device, then a dictionary
-/// size, a record count and a payload length of one byte each.
-const MIN_SHARD_BYTES: usize = 4 + 3;
-
 /// Events [`TraceReader::parse`] reserves room for before it has decoded
 /// any: a shard grows past this with what its payload really holds.
 const RESERVE_EVENTS: usize = 1 << 13;
@@ -87,14 +84,14 @@ fn frames(
         found.copy_from_slice(magic);
         return Err(TraceError::BadMagic { found });
     }
-    let version = cur.u32_le()?;
+    let version = cur.u32()?;
     if version != FORMAT_VERSION {
         return Err(TraceError::UnsupportedVersion {
             found: version,
             supported: FORMAT_VERSION,
         });
     }
-    let shard_count = cur.u32_le()?;
+    let shard_count = cur.u32()?;
     if shard_count == 0 {
         return Err(corrupt(cur.pos(), format_args!("trace has no shards")));
     }
@@ -105,16 +102,17 @@ fn frames(
         ));
     }
 
-    let fit = cur.remaining() / MIN_SHARD_BYTES;
+    let fit = cur.remaining() / SHARD_FRAME_BYTES;
     let mut shards = Vec::with_capacity(fit.min(shard_count as usize));
     for _ in 0..shard_count {
-        let device = DeviceId(cur.u32_le()?);
-        let symbols = cur.varint_usize()?;
+        let device = DeviceId(cur.u32()?);
+        let symbols = cur.count()?;
         if let Some(dictionary) = &mut dictionary {
-            dictionary.reserve(symbols.min(cur.remaining()).min(RESERVE_NAMES));
+            // Every name takes at least its four length bytes.
+            dictionary.reserve(symbols.min(cur.remaining() / 4).min(RESERVE_NAMES));
         }
         for _ in 0..symbols {
-            let len = cur.varint_usize()?;
+            let len = cur.count()?;
             let raw = cur.take(len)?;
             let name = std::str::from_utf8(raw)
                 .map_err(|e| corrupt(cur.pos(), format_args!("symbol is not utf-8: {e}")))?;
@@ -122,8 +120,9 @@ fn frames(
                 dictionary.push(Symbol::intern(name));
             }
         }
-        let records = cur.varint()?;
-        let payload_len = cur.varint_usize()?;
+        let records = cur.u64()?;
+        // A length past what `usize` holds is past the input too.
+        let payload_len = usize::try_from(cur.u64()?).unwrap_or(usize::MAX);
         let payload_start = cur.pos();
         cur.take(payload_len)?;
         // No record is shorter than `MIN_RECORD_BYTES`, so a count past
@@ -200,8 +199,8 @@ impl<'a> Framed<'a> {
     pub(crate) fn shards(&self) -> impl Iterator<Item = ShardRecords<'_>> {
         self.dictionaries().map(|(shard, names)| ShardRecords {
             device: shard.device,
-            decoder: ShardDecoder::new(names),
-            cur: Cursor::at(self.bytes, shard.payload.start),
+            symbols: names,
+            cur: Cursor::at(&self.bytes[..shard.payload.end], shard.payload.start),
             left: shard.records,
             payload: shard.payload.clone(),
         })
@@ -209,10 +208,11 @@ impl<'a> Framed<'a> {
 }
 
 /// The records of one shard, not yet decoded. The cursor runs over the
-/// whole trace, so offsets in errors are offsets into the file.
+/// trace up to the payload's end — a record cut there is truncated — so
+/// offsets in errors are offsets into the file.
 pub(crate) struct ShardRecords<'a> {
     pub(crate) device: DeviceId,
-    decoder: ShardDecoder<'a>,
+    symbols: &'a [Symbol],
     cur: Cursor<'a>,
     left: usize,
     payload: Range<usize>,
@@ -231,7 +231,7 @@ impl ShardRecords<'_> {
     pub(crate) fn decode(&mut self, out: &mut Vec<Event>, max: usize) -> Result<bool, TraceError> {
         debug_assert!(max > 0, "a zero batch would never finish the shard");
         let n = self.left.min(max);
-        self.decoder.decode_batch(&mut self.cur, out, n)?;
+        decode(self.symbols, &mut self.cur, out, n)?;
         self.left -= n;
         if self.left > 0 {
             return Ok(true);

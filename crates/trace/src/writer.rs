@@ -7,9 +7,9 @@
 //! lock it already holds — no file descriptor, no syscall, no extra
 //! locking; all I/O happens once, in [`Trace::save`], after capture.
 
-use crate::codec::{encode_uvm, ShardEncoder};
+use crate::codec::ShardEncoder;
 use crate::error::TraceError;
-use crate::wire::{put_varint, varint_len};
+use crate::footer::encode_uvm;
 use accel_sim::sync::Mutex;
 use accel_sim::DeviceId;
 use pasta_core::hub::SharedHub;
@@ -27,7 +27,15 @@ pub(crate) const MAGIC: [u8; 8] = *b"PASTATRC";
 /// Trailing end marker — proves the writer finished the file.
 pub(crate) const END_MAGIC: [u8; 8] = *b"PTRCEND\0";
 /// The on-disk format revision this build reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
+/// Bytes of a shard's framing besides its names and records: device id,
+/// dictionary size (`u32`s), record count and payload length (`u64`s).
+pub(crate) const SHARD_FRAME_BYTES: usize = 4 + 4 + 8 + 8;
+
+/// A count or length the `u32` header field it goes into can hold.
+fn len_u32(n: usize) -> u32 {
+    u32::try_from(n).expect("under 2^32 shards, names and bytes per name")
+}
 
 /// The per-shard [`EventRecorder`] the writer installs: a thin handle to
 /// that shard's encoder. `record` runs under the shard lock, so the inner
@@ -39,7 +47,7 @@ struct ShardRecorder {
 
 impl fmt::Debug for ShardRecorder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ShardRecorder({} records)", self.enc.lock().records())
+        write!(f, "ShardRecorder({} records)", self.enc.lock().records)
     }
 }
 
@@ -109,7 +117,7 @@ impl TraceWriter {
 
     /// Events captured so far, across all shards.
     pub fn events_captured(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().records()).sum()
+        self.shards.iter().map(|s| s.lock().records).sum()
     }
 
     /// Takes ownership of every shard encoder, leaving the writer empty
@@ -173,41 +181,47 @@ impl Trace {
         // Deterministic layout: shards in ascending device order, the same
         // order the hub merges in.
         encoders.sort_by_key(|e| e.device);
-        let shards: Vec<_> = encoders.into_iter().map(ShardEncoder::into_parts).collect();
+        let mut shards = encoders.into_iter().map(ShardEncoder::into_parts);
         let mut footer = vec![u8::from(uvm.is_some())];
         if let Some(report) = uvm {
             encode_uvm(&mut footer, report);
         }
-        // The payloads are most of a trace: size the buffer for all of it
-        // up front instead of regrowing it under them.
-        let shard_bytes: usize = shards
-            .iter()
-            .map(|(_, symbols, records, payload)| {
-                let names: usize = symbols
-                    .iter()
-                    .map(|name| varint_len(name.len() as u64) + name.len())
-                    .sum();
-                4 + varint_len(symbols.len() as u64)
-                    + names
-                    + varint_len(*records)
-                    + varint_len(payload.len() as u64)
-                    + payload.len()
-            })
-            .sum();
-        let total = MAGIC.len() + 4 + 4 + shard_bytes + footer.len() + END_MAGIC.len();
-        let mut bytes = Vec::with_capacity(total);
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(shards.len() as u32).to_le_bytes());
-        for (device, symbols, records, payload) in shards {
+        let frame = |bytes: &mut Vec<u8>, device: DeviceId, symbols: &[String], records: u64| {
             bytes.extend_from_slice(&device.0.to_le_bytes());
-            put_varint(&mut bytes, symbols.len() as u64);
-            for name in &symbols {
-                put_varint(&mut bytes, name.len() as u64);
+            bytes.extend_from_slice(&len_u32(symbols.len()).to_le_bytes());
+            for name in symbols {
+                bytes.extend_from_slice(&len_u32(name.len()).to_le_bytes());
                 bytes.extend_from_slice(name.as_bytes());
             }
-            put_varint(&mut bytes, records);
-            put_varint(&mut bytes, payload.len() as u64);
+            bytes.extend_from_slice(&records.to_le_bytes());
+        };
+        let mut head = Vec::new();
+        head.extend_from_slice(&MAGIC);
+        head.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        head.extend_from_slice(&len_u32(shards.len()).to_le_bytes());
+        // The first shard's payload is most of a trace: it becomes the
+        // trace's buffer, with the header moved in ahead of it, so no
+        // payload is ever held twice.
+        let mut bytes = Vec::new();
+        if let Some((device, symbols, records, payload)) = shards.next() {
+            frame(&mut head, device, &symbols, records);
+            head.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            bytes = payload;
+        }
+        let rest: Vec<_> = shards.collect();
+        let rest_bytes: usize = rest
+            .iter()
+            .map(|(_, symbols, _, payload)| {
+                let names: usize = symbols.iter().map(|name| 4 + name.len()).sum();
+                SHARD_FRAME_BYTES + names + payload.len()
+            })
+            .sum();
+        let total = head.len() + bytes.len() + rest_bytes + footer.len() + END_MAGIC.len();
+        bytes.reserve_exact(total - bytes.len());
+        bytes.splice(0..0, head);
+        for (device, symbols, records, payload) in rest {
+            frame(&mut bytes, device, &symbols, records);
+            bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
             bytes.extend_from_slice(&payload);
         }
         bytes.extend_from_slice(&footer);

@@ -26,6 +26,9 @@
 //!   at a time or pooled, with `width` lane and merge workers. Interleaved
 //!   in one process the two disturbed each other, so the speed-up is two
 //!   medians divided by hand (`docs/perf-log/ISSUE-16.md`).
+//!   First it prints the cores the box really gives: two threads spinning
+//!   on equal work against one, as `available_parallelism` can promise two
+//!   cores a shared host then time-slices.
 //!
 //! ```sh
 //! cargo run --release --example probe -- scale_out_moe sample 5 80
@@ -185,6 +188,12 @@ fn scale(
         max_merge_threads: width,
         ..PARALLEL
     };
+    let (one, two) = spin_walls();
+    println!(
+        "capacity: two spinning threads {:.2}x the wall of one: {:.2} cores",
+        two / one,
+        2.0 * one / two
+    );
     let mut walls = Vec::with_capacity(rounds);
     let mut events = 0;
     // Round 0 warms the symbol table, the allocator and the page cache.
@@ -206,6 +215,31 @@ fn scale(
         println!("  one core: this wall says nothing about parallel speed-up");
     }
     Ok(())
+}
+
+/// Median walls, seconds, of one thread and of two threads side by side
+/// spinning through the same fixed work, over seven rounds.
+fn spin_walls() -> (f64, f64) {
+    fn spin() {
+        let mut x = 0u64;
+        for i in 0..20_000_000u64 {
+            x = std::hint::black_box(x.wrapping_mul(31).wrapping_add(i));
+        }
+    }
+    let mut walls = [Vec::new(), Vec::new()];
+    for _ in 0..7 {
+        for (threads, walls) in walls.iter_mut().enumerate() {
+            let started = Instant::now();
+            std::thread::scope(|s| {
+                for _ in 0..=threads {
+                    s.spawn(spin);
+                }
+            });
+            walls.push(started.elapsed());
+        }
+    }
+    let [one, two] = walls.map(|mut w| median_us(&mut w) / 1e6);
+    (one, two)
 }
 
 #[cfg(all(target_os = "linux", target_env = "gnu"))]

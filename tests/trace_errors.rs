@@ -1,14 +1,18 @@
 //! Malformed-trace regression suite (ISSUE 6, satellite 1).
 //!
-//! Readers treat trace bytes as untrusted input: wrong magic, a future
-//! format version, truncation at *any* byte offset, a smashed end
-//! marker, trailing garbage — each yields a typed [`TraceError`], never
-//! a panic. The truncation loop cuts a valid trace at every single byte
-//! offset, which subsumes "several offsets" and pins every mid-record
-//! and mid-header cut at once.
+//! Readers treat trace bytes as untrusted input: wrong magic, a format
+//! version other than this build's (a v1 trace included), truncation at
+//! *any* byte offset, a smashed end marker, trailing garbage, a bad tag,
+//! enum code or symbol id, a record its payload cuts short — each yields
+//! a typed [`TraceError`], never a panic. The truncation loop cuts a
+//! valid trace at every single byte offset, which subsumes "several
+//! offsets" and pins every mid-record and mid-header cut at once. Format
+//! v2's records are fixed-width, so the damage cases below find their
+//! bytes by arithmetic from [`TraceReader::scan`]'s payload ranges.
 
 use pasta::core::report::UvmReport;
 use pasta::core::{Event, ToolCollection};
+use pasta::dl::callbacks::Pass;
 use pasta::sim::{
     AccessBatch, AccessKind, AccessPattern, DeviceId, Dim3, LaunchId, MemSpace, SimTime,
 };
@@ -50,7 +54,7 @@ unsafe impl GlobalAlloc for LargestRequest {
 #[global_allocator]
 static GLOBAL: LargestRequest = LargestRequest;
 
-/// A small but representative trace: two shards, symbols, deltas, a UVM
+/// A small but representative trace: two shards, symbols, clocks, a UVM
 /// footer.
 fn valid_trace() -> Trace {
     let shard0 = vec![
@@ -155,43 +159,33 @@ fn future_format_version_is_rejected() {
     }
 }
 
-/// `bytes` with the first shard's record count (one varint byte in the
-/// fixture) replaced by `records`; also returns where its payload starts.
+/// Where shard `shard`'s records lie in `bytes`.
+fn payload(bytes: &[u8], shard: usize) -> std::ops::Range<usize> {
+    let summary = TraceReader::scan(bytes).expect("the fixture scans");
+    summary.shards[shard].payload.clone()
+}
+
+/// `bytes` with the first shard's record count replaced by `records`; also
+/// returns where its payload starts. The count and the payload length are
+/// the two `u64`s just ahead of the payload.
 fn with_record_count(bytes: &[u8], records: u64) -> (Vec<u8>, usize) {
-    // magic, version, shard count, device id; then the dictionary, every
-    // count and length in it a single varint byte.
-    let mut at = 8 + 4 + 4 + 4;
-    let symbols = bytes[at];
-    at += 1;
-    for _ in 0..symbols {
-        assert!(bytes[at] < 0x80, "fixture symbols are short");
-        at += 1 + bytes[at] as usize;
-    }
-    assert_eq!(bytes[at], 3, "shard 0 of the fixture holds three records");
-    assert!(bytes[at + 1] < 0x80, "and a payload under 128 bytes");
-    let mut out = bytes[..at].to_vec();
-    let mut v = records;
-    while v >= 0x80 {
-        out.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-    let payload_start = out.len() + 1;
-    out.extend_from_slice(&bytes[at + 1..]);
-    (out, payload_start)
+    let start = payload(bytes, 0).start;
+    let mut out = bytes.to_vec();
+    out[start - 16..start - 8].copy_from_slice(&records.to_le_bytes());
+    (out, start)
 }
 
 #[test]
 fn inflated_record_count_is_corruption_and_sizes_nothing() {
     let bytes = valid_trace().into_bytes();
-    let (same, payload_start) = with_record_count(&bytes, 3);
-    assert_eq!(same, bytes, "the helper rewrites the right byte");
-    let payload_len = u64::from(bytes[payload_start - 1]);
+    let (same, _) = with_record_count(&bytes, 3);
+    assert_eq!(same, bytes, "shard 0 of the fixture holds three records");
+    let payload_len = payload(&bytes, 0).len() as u64;
     // From one record too many for the payload to hold — no record is
-    // shorter than three bytes — up to counts whose reservation alone
-    // would abort the process.
+    // shorter than six bytes (`PassBoundary`: tag, pass, device) — up to
+    // counts whose reservation alone would abort the process.
     for records in [
-        payload_len / 3 + 1,
+        payload_len / 6 + 1,
         payload_len,
         payload_len + 1,
         1 << 40,
@@ -211,6 +205,150 @@ fn inflated_record_count_is_corruption_and_sizes_nothing() {
         largest < 1 << 20,
         "a {largest}-byte allocation was requested"
     );
+}
+
+/// A format-1 trace — the version field set back to 1 — is refused by
+/// every reader before it reads anything else, with the typed error that
+/// names both versions.
+#[test]
+fn a_version_1_trace_is_refused_by_every_reader() {
+    let mut bytes = valid_trace().into_bytes();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let refused = |e: TraceError| match e {
+        TraceError::UnsupportedVersion {
+            found: 1,
+            supported,
+        } => {
+            assert_eq!(supported, FORMAT_VERSION);
+            assert_eq!(supported, 2);
+            e.to_string()
+        }
+        other => panic!("expected UnsupportedVersion {{ found: 1 }}, got {other:?}"),
+    };
+    let parse = refused(TraceReader::parse(&bytes).expect_err("v1 is refused"));
+    let scan = refused(TraceReader::scan(&bytes).expect_err("v1 is refused"));
+    let trace = Trace::from_shards([(DeviceId(0), &[][..])], None);
+    let mut v1 = trace.into_bytes();
+    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let dir = std::env::temp_dir().join(format!("pasta-v1-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("v1.pastatrace");
+    std::fs::write(&path, &v1).expect("writes");
+    let loaded = Trace::load(&path).expect("loading reads bytes only");
+    std::fs::remove_dir_all(&dir).expect("cleans up");
+    let mut tools: ToolCollection = standard_suite().into_iter().collect();
+    let replayed = refused(replay(&loaded, &mut tools).expect_err("v1 is refused"));
+    for message in [parse, scan, replayed] {
+        assert!(message.contains("version 1"), "{message}");
+    }
+}
+
+/// The fixture's first record, `KernelLaunchBegin` (tag 3): a tag no
+/// variant has, and the full-form flag on a variant with no full form,
+/// are corrupt at the tag's own byte.
+#[test]
+fn a_bad_tag_is_corruption_at_the_tag() {
+    let bytes = valid_trace().into_bytes();
+    let at = payload(&bytes, 0).start;
+    assert_eq!(bytes[at], 3);
+    for tag in [31, 0x7f, 3 | 0x80, 0xff] {
+        let mut bad = bytes.clone();
+        bad[at] = tag;
+        match TraceReader::parse(&bad) {
+            Err(TraceError::Corrupt { offset, what }) => {
+                assert_eq!(offset, at, "{what}");
+                assert!(what.contains(&format!("unknown event tag {tag}")), "{what}");
+            }
+            other => panic!("tag {tag}: expected Corrupt, got {other:?}"),
+        }
+    }
+}
+
+/// A code byte past its enum's codes, and a bool byte past 1, are corrupt
+/// at that byte.
+#[test]
+fn a_bad_enum_code_is_corruption_at_its_byte() {
+    let events = [Event::PassBoundary {
+        pass: Pass::Backward,
+        device: DeviceId(0),
+    }];
+    let trace = Trace::from_shards([(DeviceId(0), &events[..])], None);
+    let mut bytes = trace.into_bytes();
+    let pass_at = payload(&bytes, 0).start + 1;
+    assert_eq!(bytes[pass_at], 1, "Backward");
+    bytes[pass_at] = 3;
+    match TraceReader::parse(&bytes) {
+        Err(TraceError::Corrupt { offset, what }) => {
+            assert_eq!(offset, pass_at);
+            assert!(what.contains("bad Pass code 3"), "{what}");
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+    // The fixture's `Barrier` (tag, launch, count, then `cluster`) follows
+    // the 45-byte `KernelLaunchBegin`.
+    let mut bytes = valid_trace().into_bytes();
+    let cluster_at = payload(&bytes, 0).start + 45 + 17;
+    assert_eq!(bytes[cluster_at], 0, "cluster: false");
+    bytes[cluster_at] = 2;
+    match TraceReader::parse(&bytes) {
+        Err(TraceError::Corrupt { offset, what }) => {
+            assert_eq!(offset, cluster_at);
+            assert!(what.contains("bad bool byte 2"), "{what}");
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
+/// `KernelLaunchBegin`'s name id (after tag, launch, device and stream)
+/// pointing one past shard 0's one-name dictionary is corrupt at the id.
+#[test]
+fn a_symbol_id_past_the_dictionary_is_corruption_at_the_id() {
+    let mut bytes = valid_trace().into_bytes();
+    let at = payload(&bytes, 0).start + 1 + 8 + 4 + 4;
+    assert_eq!(bytes[at..at + 4], 0u32.to_le_bytes());
+    bytes[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
+    assert!(TraceReader::scan(&bytes).is_ok(), "the framing still holds");
+    match TraceReader::parse(&bytes) {
+        Err(TraceError::Corrupt { offset, what }) => {
+            assert_eq!(offset, at);
+            assert!(what.contains("symbol id 1 past 1 names"), "{what}");
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
+/// Shard 0's payload shortened by three bytes, and its length field with
+/// it: the framing holds, and the last record — `KernelLaunchEnd`, cut
+/// inside its `end` field — is truncated where the payload now ends, by
+/// `parse` and by the fused `replay` alike.
+#[test]
+fn a_record_cut_mid_field_is_truncated_at_its_payload_end() {
+    let bytes = valid_trace().into_bytes();
+    let shard0 = payload(&bytes, 0);
+    let mut cut = bytes[..shard0.end - 3].to_vec();
+    cut.extend_from_slice(&bytes[shard0.end..]);
+    let len = shard0.len() as u64 - 3;
+    cut[shard0.start - 8..shard0.start].copy_from_slice(&len.to_le_bytes());
+    let end = shard0.end - 3;
+    assert_eq!(payload(&cut, 0), shard0.start..end, "the framing holds");
+    assert!(matches!(
+        TraceReader::parse(&cut),
+        Err(TraceError::Truncated { offset }) if offset == end
+    ));
+    let trace = {
+        let dir = std::env::temp_dir().join(format!("pasta-cut-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("cut.pastatrace");
+        std::fs::write(&path, &cut).expect("writes");
+        let trace = Trace::load(&path).expect("loads");
+        std::fs::remove_dir_all(&dir).expect("cleans up");
+        trace
+    };
+    let mut tools: ToolCollection = standard_suite().into_iter().collect();
+    assert!(matches!(
+        replay(&trace, &mut tools),
+        Err(TraceError::Truncated { offset }) if offset == end
+    ));
 }
 
 #[test]
@@ -243,7 +381,7 @@ fn empty_input_is_truncated_not_bad_magic() {
 }
 
 /// A well-formed record can still carry a hostile range: one ending past
-/// `u64::MAX` decodes (the codec reads plain varints), and the tools that
+/// `u64::MAX` decodes (the codec reads plain `u64`s), and the tools that
 /// measure ranges — memchar's working set and hotness — clamp its end at
 /// the top of the address space instead of overflowing. Unclamped, a
 /// debug build panicked (the tool was quarantined) and a release build
@@ -302,11 +440,11 @@ fn a_range_past_the_address_space_replays_through_the_suite() {
 #[test]
 fn errors_render_human_readable_messages() {
     let display = TraceError::UnsupportedVersion {
-        found: 2,
-        supported: 1,
+        found: 1,
+        supported: 2,
     }
     .to_string();
-    assert!(display.contains("version 2"), "{display}");
+    assert!(display.contains("version 1"), "{display}");
     let display = TraceError::Truncated { offset: 42 }.to_string();
     assert!(display.contains("42"), "{display}");
 }

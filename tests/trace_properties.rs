@@ -20,6 +20,7 @@ use pasta::core::Event;
 use pasta::dl::callbacks::Pass;
 use pasta::dl::pycall::PyFrame;
 use pasta::dl::tensor::TensorId;
+use pasta::prelude::{FnWorkload, Pasta, WorkloadStats};
 use pasta::scenarios::fnv1a;
 use pasta::sim::{
     AccessBatch, AccessKind, AccessPattern, DeviceId, Dim3, KernelTraceSummary, LaunchId, MemSpace,
@@ -347,9 +348,8 @@ fn replayed_symbols_are_the_live_interned_ones() {
 }
 
 /// The wire golden: trace *bytes*, not just a round trip an encoder and
-/// decoder could agree on while both drift. The digests were taken before
-/// the codec was generated from the event table; a change to any tag,
-/// field order or field encoding moves one of them.
+/// decoder could agree on while both drift. The digests are format v2's;
+/// a change to any tag, field order or field width moves one of them.
 #[test]
 fn trace_bytes_match_the_wire_golden() {
     // Every variant twice, with words that step times and launch ids both
@@ -375,7 +375,49 @@ fn trace_bytes_match_the_wire_golden() {
 
     assert_eq!(
         (fnv1a(synthetic.as_bytes()), fnv1a(live.as_bytes())),
-        (0x5131_973e_a9ae_ad0a, 0x2af3_af64_1853_d618),
+        (0xa95b_7dc1_937c_c630, 0x70e6_217d_7d54_4f28),
         "trace bytes moved"
     );
+}
+
+/// Format v2's size ceiling, on the benchmark's own input: the seed-1
+/// flood captured under the six-tool suite — ~6.3k events, nearly all of
+/// them access batches, whose short record is 56 bytes — takes at most 56
+/// bytes an event, framing and dictionary included. A wider record, or
+/// live batches falling into the 76-byte full form, breaks this.
+#[test]
+fn the_seed_1_flood_trace_stays_within_56_bytes_per_event() {
+    use pasta::tools::{
+        BarrierStallTool, HotnessTool, KernelFrequencyTool, MemoryCharacteristicsTool,
+        MemoryTimelineTool, OpKernelMapTool,
+    };
+    let mut session = Pasta::builder()
+        .rtx_3060()
+        .tool(KernelFrequencyTool::new())
+        .tool(BarrierStallTool::new())
+        .tool(HotnessTool::new(64))
+        .tool(OpKernelMapTool::new())
+        .tool(MemoryCharacteristicsTool::new())
+        .tool(MemoryTimelineTool::new())
+        .build()
+        .expect("session builds");
+    let kernels = pasta::scenarios::flood_kernels(1);
+    let writer = TraceWriter::attach(&session);
+    let mut flood = FnWorkload::new("flood", |cx| {
+        let s = cx.session();
+        let t = s.alloc_tensor(&[(16 << 20) / 4], pasta::dl::DType::F32)?;
+        for k in &kernels {
+            s.launch(k.clone().arg(t.ptr, t.bytes))?;
+        }
+        s.free_tensor(&t);
+        Ok(WorkloadStats::new(kernels.len() as u64))
+    });
+    session.run(&mut flood).expect("the flood runs");
+    let trace = writer.finish(&session);
+    let events = TraceReader::scan(trace.as_bytes())
+        .expect("scans")
+        .events_total();
+    assert!(events > 6_000, "{events} events");
+    let per_event = trace.len() as f64 / events as f64;
+    assert!(per_event <= 56.0, "{per_event:.2} bytes per event");
 }
