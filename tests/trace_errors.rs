@@ -227,13 +227,10 @@ fn a_version_1_trace_is_refused_by_every_reader() {
     };
     let parse = refused(TraceReader::parse(&bytes).expect_err("v1 is refused"));
     let scan = refused(TraceReader::scan(&bytes).expect_err("v1 is refused"));
-    let trace = Trace::from_shards([(DeviceId(0), &[][..])], None);
-    let mut v1 = trace.into_bytes();
-    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
     let dir = std::env::temp_dir().join(format!("pasta-v1-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("v1.pastatrace");
-    std::fs::write(&path, &v1).expect("writes");
+    std::fs::write(&path, &bytes).expect("writes");
     let loaded = Trace::load(&path).expect("loading reads bytes only");
     std::fs::remove_dir_all(&dir).expect("cleans up");
     let mut tools: ToolCollection = standard_suite().into_iter().collect();
