@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use uvm_sim::runtime::{Context, Vocabulary};
-use uvm_sim::{PrefetchPlan, UvmConfig, UvmManager};
+use uvm_sim::{PrefetchPlan, UvmConfig, UvmManager, PAGE_SIZE};
 use vendor_amd::rocprofiler::RocProfilerConfig;
 use vendor_nv::sanitizer::SanitizerConfig;
 
@@ -84,7 +84,8 @@ impl BackendChoice {
 pub struct UvmSetup {
     /// Managed-memory budget per device; `None` = full usable capacity.
     /// Setting this below the workload footprint creates oversubscription
-    /// (paper §V-A methodology).
+    /// (paper §V-A methodology). A budget below one 64 KiB page holds no
+    /// page at all and fails the build.
     pub budget_bytes: Option<u64>,
     /// Back the DL framework's caching allocator with
     /// `cudaMallocManaged` so every tensor lives in managed memory.
@@ -307,8 +308,8 @@ impl PastaBuilder {
     ///
     /// [`PastaError::Config`] on an explicitly empty device list, mixed
     /// vendors, duplicate tool names, a backend/vendor mismatch, a trace
-    /// buffer smaller than one record, or an invalid spine geometry (rings
-    /// need ≥ 2 slots).
+    /// buffer smaller than one record, a UVM budget smaller than one page,
+    /// or an invalid spine geometry (rings need ≥ 2 slots).
     /// (No device selection at all defaults to one A100.)
     pub fn build(self) -> Result<PastaSession, PastaError> {
         if self.spine_config.ring_slots < 2 {
@@ -322,6 +323,14 @@ impl PastaBuilder {
             return Err(PastaError::Config(
                 "spine batch_events must be at least 1".into(),
             ));
+        }
+        if let Some(budget) = self.uvm.as_ref().and_then(|u| u.budget_bytes) {
+            if budget < PAGE_SIZE {
+                return Err(PastaError::Config(format!(
+                    "UvmSetup budget_bytes must hold at least one {PAGE_SIZE}-byte page \
+                     (got {budget})"
+                )));
+            }
         }
         let specs = match self.specs {
             None => vec![DeviceSpec::a100_80gb()],
@@ -596,13 +605,13 @@ mod tests {
     }
 
     #[test]
-    fn no_amd_backend_or_uvm_setup_a_caller_can_write_fails_the_build() {
+    fn the_extremes_of_an_amd_backend_and_a_uvm_setup_build() {
         // `RocProfilerConfig` carries a mode and `UvmSetup` a budget and
         // an allocator flag; the buffer and the UVM cost model are
         // constants checked at compile time, so the extremes of what is
-        // left build.
+        // left build: a budget of one page up to the largest.
         for (mode, budget) in [
-            (AnalysisMode::GpuResident, 0),
+            (AnalysisMode::GpuResident, PAGE_SIZE),
             (AnalysisMode::CpuPostProcess, u64::MAX),
         ] {
             let session = Pasta::builder()
@@ -616,6 +625,26 @@ mod tests {
                 .build();
             assert!(session.is_ok_and(|s| s.profiler.is_some()));
         }
+    }
+
+    #[test]
+    fn a_uvm_budget_below_one_page_is_a_config_error_naming_the_field() {
+        let build = |budget| {
+            Pasta::builder()
+                .uvm(UvmSetup {
+                    budget_bytes: Some(budget),
+                    ..UvmSetup::default()
+                })
+                .build()
+        };
+        for budget in [0, 65_535] {
+            let Err(PastaError::Config(msg)) = build(budget) else {
+                panic!("a budget of {budget} bytes must be a config error");
+            };
+            assert!(msg.contains("budget_bytes"), "unhelpful message: {msg}");
+        }
+        assert_eq!(PAGE_SIZE, 65_536);
+        assert!(build(PAGE_SIZE).is_ok(), "one page is a budget");
     }
 
     #[test]

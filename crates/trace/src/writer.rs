@@ -283,8 +283,12 @@ impl Trace {
     /// Reads a trace file back. The bytes are not validated until
     /// [`crate::TraceReader::parse`].
     pub fn load(path: impl AsRef<Path>) -> Result<Trace, TraceError> {
-        Ok(Trace {
-            bytes: fs::read(path)?,
-        })
+        Ok(Trace::from_bytes(fs::read(path)?))
+    }
+
+    /// Wraps bytes read or built elsewhere as a trace, unvalidated like
+    /// [`Trace::load`].
+    pub fn from_bytes(bytes: Vec<u8>) -> Trace {
+        Trace { bytes }
     }
 }

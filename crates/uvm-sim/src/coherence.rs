@@ -13,9 +13,13 @@
 //!   `register_shared`/`unregister_shared` (rare, setup-time);
 //! * each shared range carries its **own** lock ([`RangeDirectory`]), so
 //!   two lanes touching different shared ranges never contend;
-//! * private ranges never reach the directory at all — the residency hot
-//!   path for private ranges stays lock-free (measured by the
-//!   `uvm_parallel` / `uvm_p2p` benches).
+//! * inside a range, each device's holder bits sit in cache lines of
+//!   their own, so lanes taking turns at the lock write disjoint lines;
+//! * a private access reaches the directory only when its faults evict
+//!   pages of a shared range's span (one budget per device, so a private
+//!   fault can push out a shared duplicate), and then only to drop them
+//!   from that range's holders; a private access that evicts nothing
+//!   shared takes no lock.
 //!
 //! What the directory tracks, per shared range:
 //!
@@ -31,7 +35,7 @@
 //!   ever *served*: the directory's holder set is the source of truth,
 //!   and it is updated under the range lock at write time.
 
-use crate::page::{page_range, PageRange};
+use crate::page::{page_range, runs_of, PageRange};
 use accel_sim::sync::Mutex;
 use accel_sim::DeviceId;
 use std::collections::BTreeMap;
@@ -54,86 +58,28 @@ pub struct RangeDirectory {
     state: Mutex<RangeState>,
 }
 
-#[derive(Debug)]
+/// One cache line of holder bits.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(align(64))]
+struct Line([u64; 8]);
+
+/// Holder bits per line.
+const LINE_BITS: usize = 512;
+
+/// What a range's lock guards, device-major.
+#[derive(Debug, Default)]
 struct RangeState {
-    holders: Holders,
-    /// device → stale pages it must drop before trusting its residency.
-    pending: BTreeMap<DeviceId, Vec<u64>>,
-}
-
-/// Which devices hold a duplicate of each page of the range (the owner's
-/// copy included): one bitset row per page, indexed by the page's offset
-/// from the range's first page, bit `d` standing for `DeviceId(d)`. No
-/// node per page and none per holder; the rows are allocated when the
-/// first holder registers and widened when a device id outgrows them.
-#[derive(Debug)]
-struct Holders {
-    /// Rows: the pages the range overlaps.
-    pages: usize,
-    /// 64-bit words per row.
-    words: usize,
-    bits: Vec<u64>,
-}
-
-impl Holders {
-    fn new(pages: usize) -> Self {
-        Holders {
-            pages,
-            words: 0,
-            bits: Vec::new(),
-        }
-    }
-
-    fn row(&self, slot: usize) -> &[u64] {
-        &self.bits[slot * self.words..(slot + 1) * self.words]
-    }
-
-    fn row_mut(&mut self, slot: usize) -> &mut [u64] {
-        &mut self.bits[slot * self.words..(slot + 1) * self.words]
-    }
-
-    /// Sets `device`'s bit in row `slot`, allocating or widening the rows
-    /// first when the id outgrows them.
-    fn insert(&mut self, slot: usize, device: DeviceId) {
-        let words = device.index() / 64 + 1;
-        if words > self.words {
-            let mut bits = vec![0u64; self.pages * words];
-            if self.words > 0 {
-                for slot in 0..self.pages {
-                    bits[slot * words..slot * words + self.words].copy_from_slice(self.row(slot));
-                }
-            }
-            self.words = words;
-            self.bits = bits;
-        }
-        self.row_mut(slot)[device.index() / 64] |= 1 << (device.index() % 64);
-    }
-
-    fn remove(&mut self, slot: usize, device: DeviceId) {
-        if let Some(word) = self.row_mut(slot).get_mut(device.index() / 64) {
-            *word &= !(1 << (device.index() % 64));
-        }
-    }
-
-    fn contains(&self, slot: usize, device: DeviceId) -> bool {
-        self.row(slot)
-            .get(device.index() / 64)
-            .is_some_and(|word| word >> (device.index() % 64) & 1 == 1)
-    }
-
-    /// The holders of one page, ascending.
-    fn devices(&self, slot: usize) -> impl Iterator<Item = DeviceId> + '_ {
-        self.row(slot).iter().enumerate().flat_map(|(w, &word)| {
-            let mut rest = word;
-            std::iter::from_fn(move || {
-                (rest != 0).then(|| {
-                    let bit = rest.trailing_zeros();
-                    rest &= rest - 1;
-                    DeviceId(w as u32 * 64 + bit)
-                })
-            })
-        })
-    }
+    /// Which pages each device holds a duplicate of (the owner's copy
+    /// included): device `d`'s bitset is the `d`-th run of `lines()`
+    /// lines, bit `s` standing for the range's `s`-th page. No device's
+    /// bits share a line with another's, and claiming or dropping a run
+    /// of pages is a word mask per 64 of them. The bitsets reach as far
+    /// as the highest device that has claimed a page, so a write checks
+    /// no device beyond it.
+    held: Vec<Line>,
+    /// Per device, indexed by id: the stale pages it must drop before
+    /// trusting its residency (grown by the first write that queues one).
+    pending: Vec<Vec<u64>>,
 }
 
 impl RangeDirectory {
@@ -172,93 +118,126 @@ impl RangeDirectory {
         self.owner
     }
 
-    /// Row index of `page`, if the range overlaps it.
+    /// The slots `[from, to)` of the pages of `run` the range overlaps,
+    /// if any.
+    fn slots(&self, run: PageRange) -> Option<(usize, usize)> {
+        let first = run.first.max(self.pages.first);
+        let end = run.end.min(self.pages.end);
+        let slot = |page: u64| (page - self.pages.first) as usize;
+        (first < end).then(|| (slot(first), slot(end)))
+    }
+
+    /// Slot of `page`, if the range overlaps it.
     fn slot(&self, page: u64) -> Option<usize> {
-        self.pages
-            .contains(page)
-            .then(|| (page - self.pages.first) as usize)
+        self.slots(one(page)).map(|(slot, _)| slot)
     }
 
-    /// Records that `device` now holds a duplicate of `page`.
-    #[cfg(test)]
-    pub(crate) fn add_holder(&self, page: u64, device: DeviceId) {
-        self.add_holders(std::iter::once(page), device);
+    /// Lines in one device's bitset.
+    fn lines(&self) -> usize {
+        (self.pages.count() as usize).div_ceil(LINE_BITS).max(1)
     }
 
-    /// Records `device` as a holder of every page in `pages` under one
-    /// range-lock acquisition (the fault path registers whole batches).
-    pub(crate) fn add_holders(&self, pages: impl IntoIterator<Item = u64>, device: DeviceId) {
-        let mut st = self.state.lock();
-        for slot in pages.into_iter().filter_map(|p| self.slot(p)) {
-            st.holders.insert(slot, device);
+    /// `device`'s bitset, if the bitsets reach it.
+    fn bits<'a>(&self, held: &'a [Line], device: DeviceId) -> Option<&'a [Line]> {
+        let lines = self.lines();
+        held.get(device.index() * lines..(device.index() + 1) * lines)
+    }
+
+    /// Sets (`held`) or clears `device`'s bits of `slots`, each `[from,
+    /// to)`. Setting bits for a device the bitsets do not reach yet
+    /// widens them first.
+    fn mark(
+        &self,
+        state: &mut RangeState,
+        device: DeviceId,
+        slots: impl Iterator<Item = (usize, usize)>,
+        held: bool,
+    ) {
+        let lines = self.lines();
+        let at = device.index() * lines;
+        if state.held.len() <= at {
+            if !held {
+                return;
+            }
+            state.held.resize(at + lines, Line::default());
+        }
+        let bits = &mut state.held[at..at + lines];
+        for (from, to) in slots {
+            let mut at = from;
+            while at < to {
+                let hi = to.min(at / 64 * 64 + 64);
+                let mask = u64::MAX >> (64 - (hi - at)) << (at % 64);
+                let word = &mut bits[at / LINE_BITS].0[at / 64 % 8];
+                *word = if held { *word | mask } else { *word & !mask };
+                at = hi;
+            }
         }
     }
 
-    /// Removes `device` from `page`'s holder set (duplicate evicted).
-    #[cfg(test)]
-    pub(crate) fn remove_holder(&self, page: u64, device: DeviceId) {
-        self.remove_holders(&[page], device);
-    }
-
-    /// Removes `device` from the holder set of every page in `pages`
-    /// under one range-lock acquisition — an access's evicted duplicates
-    /// leave in one batch.
-    pub(crate) fn remove_holders(&self, pages: &[u64], device: DeviceId) {
-        let mut st = self.state.lock();
-        for slot in pages.iter().filter_map(|&p| self.slot(p)) {
-            st.holders.remove(slot, device);
+    /// Marks `device` as holding (`held`) or not holding every page of
+    /// `runs` the range overlaps, under one range-lock acquisition (a
+    /// fault's claims and an access's evicted duplicates each go in one
+    /// batch), and none when it overlaps none of them.
+    pub(crate) fn set_holder(
+        &self,
+        runs: impl IntoIterator<Item = PageRange>,
+        device: DeviceId,
+        held: bool,
+    ) {
+        let slots = runs.into_iter().filter_map(|r| self.slots(r));
+        let mut slots = slots.peekable();
+        if slots.peek().is_some() {
+            self.mark(&mut self.state.lock(), device, slots, held);
         }
     }
 
     /// Devices currently holding `page`, ascending.
     pub fn holders(&self, page: u64) -> Vec<DeviceId> {
-        let st = self.state.lock();
-        self.slot(page)
-            .map(|slot| st.holders.devices(slot).collect())
-            .unwrap_or_default()
+        let state = self.state.lock();
+        let Some(slot) = self.slot(page) else {
+            return Vec::new();
+        };
+        let devices = state.held.chunks(self.lines()).enumerate();
+        let held = devices.filter(|(_, bits)| has(bits, slot));
+        held.map(|(d, _)| DeviceId(d as u32)).collect()
     }
 
     /// True when the directory lists `device` as a holder of `page`.
     pub(crate) fn is_holder(&self, page: u64, device: DeviceId) -> bool {
-        let st = self.state.lock();
-        self.slot(page)
-            .is_some_and(|slot| st.holders.contains(slot, device))
+        let state = self.state.lock();
+        let bits = self.bits(&state.held, device);
+        let slot = self.slot(page);
+        bits.zip(slot).is_some_and(|(bits, slot)| has(bits, slot))
     }
 
-    /// A write by `writer` to `page`: every *other* holder is removed
-    /// from the directory and queued on its pending-invalidation list;
-    /// `writer` becomes the sole holder. Returns the victims (ascending
-    /// device id), so the caller can count invalidations and log the
-    /// src→dst coherence events.
-    pub fn write(&self, page: u64, writer: DeviceId) -> Vec<DeviceId> {
-        self.write_range(std::iter::once(page), writer)
-            .into_iter()
-            .map(|(v, _)| v)
-            .collect()
-    }
-
-    /// Batched form of [`RangeDirectory::write`]: one lock acquisition
-    /// over the whole written page range. Returns `(victim, page)` pairs
-    /// in page order (victims ascending within a page).
-    pub(crate) fn write_range(
-        &self,
-        pages: impl IntoIterator<Item = u64>,
-        writer: DeviceId,
-    ) -> Vec<(DeviceId, u64)> {
-        let mut st = self.state.lock();
-        let RangeState { holders, pending } = &mut *st;
+    /// A write by `writer` to `pages`: every *other* holder of each page
+    /// is removed from the directory and queued on its
+    /// pending-invalidation list, and `writer` becomes the sole holder,
+    /// under one lock acquisition. Returns `(victim, page)` pairs in page
+    /// order (victims ascending within a page), so the caller can count
+    /// invalidations and log the src→dst coherence events.
+    pub(crate) fn write_range(&self, pages: PageRange, writer: DeviceId) -> Vec<(DeviceId, u64)> {
+        let mut state = self.state.lock();
         let mut victims = Vec::new();
-        for page in pages {
-            let Some(slot) = self.slot(page) else {
-                continue;
-            };
-            for v in holders.devices(slot).filter(|&d| d != writer) {
-                pending.entry(v).or_default().push(page);
-                victims.push((v, page));
+        let Some((from, to)) = self.slots(pages) else {
+            return victims;
+        };
+        let RangeState { held, pending } = &mut *state;
+        for slot in from..to {
+            let page = self.pages.first + slot as u64;
+            let devices = held.chunks_mut(self.lines()).enumerate();
+            for (d, bits) in devices.filter(|&(d, _)| d != writer.index()) {
+                if has(bits, slot) {
+                    bits[slot / LINE_BITS].0[slot / 64 % 8] &= !(1 << (slot % 64));
+                    if pending.len() <= d {
+                        pending.resize_with(d + 1, Vec::new);
+                    }
+                    pending[d].push(page);
+                    victims.push((DeviceId(d as u32), page));
+                }
             }
-            holders.row_mut(slot).fill(0);
-            holders.insert(slot, writer);
         }
+        self.mark(&mut state, writer, std::iter::once((from, to)), true);
         victims
     }
 
@@ -276,19 +255,20 @@ impl RangeDirectory {
     /// `missing` arrives holding the pages of `accessed` the caller's
     /// own residency denies, in page order — residency is lane-local, so
     /// that scan needs no lock and the critical section costs
-    /// O(missing + stale) whatever the access spans. It leaves holding
-    /// the pages to fetch (claimed, in page order): the same, plus the
-    /// drained stale pages that lie in `accessed`. Returns `stale`:
-    /// every drained pending-invalid page (accessed or not — drop them
-    /// all locally).
+    /// O(missing runs + stale) whatever the access spans. It leaves
+    /// holding the pages to fetch (claimed, in page order): the same,
+    /// plus the drained stale pages that lie in `accessed`. Returns
+    /// `stale`: every drained pending-invalid page (accessed or not —
+    /// drop them all locally).
     pub(crate) fn claim_read(
         &self,
         device: DeviceId,
         accessed: PageRange,
         missing: &mut Vec<u64>,
     ) -> Vec<u64> {
-        let mut st = self.state.lock();
-        let stale: Vec<u64> = st.pending.remove(&device).unwrap_or_default();
+        let mut state = self.state.lock();
+        let stale = state.pending.get_mut(device.index()).map(std::mem::take);
+        let stale = stale.unwrap_or_default();
         let denied = missing.len();
         missing.extend(stale.iter().copied().filter(|&p| accessed.contains(p)));
         if missing.len() > denied {
@@ -297,42 +277,48 @@ impl RangeDirectory {
             missing.sort_unstable();
             missing.dedup();
         }
-        for slot in missing.iter().filter_map(|&p| self.slot(p)) {
-            st.holders.insert(slot, device);
-        }
+        let slots = runs_of(missing).filter_map(|r| self.slots(r));
+        self.mark(&mut state, device, slots, true);
         stale
     }
 
     /// Drains `device`'s pending stale pages (set by remote writes since
     /// the last drain). The caller drops them from its local residency.
     pub(crate) fn drain_pending(&self, device: DeviceId) -> Vec<u64> {
-        self.state
-            .lock()
-            .pending
-            .remove(&device)
-            .unwrap_or_default()
+        let mut state = self.state.lock();
+        let stale = state.pending.get_mut(device.index());
+        stale.map(std::mem::take).unwrap_or_default()
     }
 
     /// Pages `device` currently holds in this range, ascending — one
     /// lock acquisition (the merge reconciliation's batch query).
     pub fn pages_held_by(&self, device: DeviceId) -> Vec<u64> {
-        let st = self.state.lock();
-        self.pages
-            .iter()
-            .enumerate()
-            .filter(|&(slot, _)| st.holders.contains(slot, device))
-            .map(|(_, p)| p)
-            .collect()
+        let state = self.state.lock();
+        let Some(bits) = self.bits(&state.held, device) else {
+            return Vec::new();
+        };
+        let held = self.pages.iter().enumerate().filter(|&(s, _)| has(bits, s));
+        held.map(|(_, p)| p).collect()
     }
 
     /// Total duplicate entries across all pages (testing/reporting).
     pub fn holder_entries(&self) -> u64 {
-        let st = self.state.lock();
-        st.holders
-            .bits
-            .iter()
-            .map(|w| u64::from(w.count_ones()))
-            .sum()
+        let state = self.state.lock();
+        let words = state.held.iter().flat_map(|line| line.0);
+        words.map(|w| u64::from(w.count_ones())).sum()
+    }
+}
+
+/// Whether slot `slot`'s bit is set in `bits`.
+fn has(bits: &[Line], slot: usize) -> bool {
+    bits[slot / LINE_BITS].0[slot / 64 % 8] >> (slot % 64) & 1 == 1
+}
+
+/// The one-page run of `page`.
+fn one(page: u64) -> PageRange {
+    PageRange {
+        first: page,
+        end: page + 1,
     }
 }
 
@@ -363,10 +349,7 @@ impl CoherenceDirectory {
                 pages,
                 owner,
                 registrants: AtomicUsize::new(0),
-                state: Mutex::new(RangeState {
-                    holders: Holders::new(pages.count() as usize),
-                    pending: BTreeMap::new(),
-                }),
+                state: Mutex::new(RangeState::default()),
             })
         }));
         entry.registrants.fetch_add(1, Ordering::AcqRel);
@@ -407,17 +390,36 @@ impl CoherenceDirectory {
     pub fn remove(&self, base: u64) -> Option<Arc<RangeDirectory>> {
         self.ranges.lock().remove(&base)
     }
-
-    /// Number of registered shared ranges.
-    #[cfg(test)]
-    pub(crate) fn range_count(&self) -> usize {
-        self.ranges.lock().len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::PAGE_SIZE;
+    use proptest::TestRng;
+    use std::collections::BTreeSet;
+
+    impl RangeDirectory {
+        fn add_holder(&self, page: u64, device: DeviceId) {
+            self.set_holder([one(page)], device, true);
+        }
+
+        fn remove_holder(&self, page: u64, device: DeviceId) {
+            self.set_holder([one(page)], device, false);
+        }
+
+        /// A write to one page; the victims, ascending.
+        fn write(&self, page: u64, writer: DeviceId) -> Vec<DeviceId> {
+            let victims = self.write_range(one(page), writer).into_iter();
+            victims.map(|(v, _)| v).collect()
+        }
+    }
+
+    impl CoherenceDirectory {
+        fn range_count(&self) -> usize {
+            self.ranges.lock().len()
+        }
+    }
 
     #[test]
     fn ensure_is_idempotent_across_registrants() {
@@ -505,7 +507,7 @@ mod tests {
         r.add_holder(1, DeviceId(1));
         r.add_holder(2, DeviceId(1));
         r.add_holder(2, DeviceId(2));
-        let victims = r.write_range(1..4, DeviceId(0));
+        let victims = r.write_range(PageRange { first: 1, end: 4 }, DeviceId(0));
         assert_eq!(
             victims,
             vec![(DeviceId(1), 1), (DeviceId(1), 2), (DeviceId(2), 2)]
@@ -523,5 +525,94 @@ mod tests {
         let r = dir.ensure(0, 1 << 20, DeviceId(0));
         assert!(r.write(3, DeviceId(1)).is_empty());
         assert_eq!(r.holders(3), vec![DeviceId(1)]);
+    }
+
+    /// The directory as sets: page → holders, device → queued stale pages.
+    #[derive(Default)]
+    struct Reference {
+        holders: BTreeMap<u64, BTreeSet<DeviceId>>,
+        pending: BTreeMap<DeviceId, Vec<u64>>,
+    }
+
+    /// A run of up to 9 pages starting up to 2 pages outside `span`.
+    fn run_near(rng: &mut TestRng, span: PageRange) -> PageRange {
+        let first = span.first - 2 + rng.next_u64() % (span.count() + 4);
+        let end = first + 1 + rng.next_u64() % 9;
+        PageRange { first, end }
+    }
+
+    /// Random `claim_read`, `set_holder` (dropping), `write_range` and
+    /// `drain_pending` calls against the set reference, over up to 70
+    /// devices (the bitsets widen past 64) and ranges whose page count is
+    /// no multiple of 64, comparing every page's holders, every device's
+    /// pages and whatever is drained after each call.
+    #[test]
+    fn device_major_bitsets_match_a_set_reference() {
+        let cases = [(1, 70), (3, 2), (63, 65), (65, 7), (130, 70), (577, 40)];
+        for (case, (pages, devices)) in cases.into_iter().enumerate() {
+            let mut rng = TestRng::seeded(&format!("directory-{case}"));
+            let base = (64 + case as u64) * PAGE_SIZE;
+            let dir = CoherenceDirectory::new();
+            let r = dir.ensure(base, pages * PAGE_SIZE - 256, DeviceId(0));
+            let span = r.pages();
+            assert_eq!(span.count(), pages);
+            let mut reference = Reference::default();
+            for step in 0..200 {
+                let device = DeviceId((rng.next_u64() % devices) as u32);
+                let run = run_near(&mut rng, span);
+                let inside = move |p: &u64| span.contains(*p);
+                match rng.next_u64() % 4 {
+                    0 => {
+                        let mut missing: Vec<u64> = run
+                            .iter()
+                            .filter(|_| !rng.next_u64().is_multiple_of(3))
+                            .collect();
+                        let stale = reference.pending.remove(&device).unwrap_or_default();
+                        let mut want = missing.clone();
+                        want.extend(stale.iter().copied().filter(|&p| run.contains(p)));
+                        want.sort_unstable();
+                        want.dedup();
+                        for p in want.iter().copied().filter(inside) {
+                            reference.holders.entry(p).or_default().insert(device);
+                        }
+                        assert_eq!(r.claim_read(device, run, &mut missing), stale);
+                        assert_eq!(missing, want, "case {case} step {step}");
+                    }
+                    1 => {
+                        let runs = [run, run_near(&mut rng, span)];
+                        for p in runs.iter().flat_map(|r| r.iter()).filter(inside) {
+                            reference.holders.entry(p).or_default().remove(&device);
+                        }
+                        r.set_holder(runs, device, false);
+                    }
+                    2 => {
+                        let mut want = Vec::new();
+                        for p in run.iter().filter(inside) {
+                            let held = reference.holders.entry(p).or_default();
+                            for &v in held.iter().filter(|&&v| v != device) {
+                                reference.pending.entry(v).or_default().push(p);
+                                want.push((v, p));
+                            }
+                            *held = BTreeSet::from([device]);
+                        }
+                        assert_eq!(r.write_range(run, device), want, "case {case} step {step}");
+                    }
+                    _ => {
+                        let stale = reference.pending.remove(&device).unwrap_or_default();
+                        assert_eq!(r.drain_pending(device), stale, "case {case} step {step}");
+                    }
+                }
+                for p in span.first - 1..span.end + 1 {
+                    let held = reference.holders.get(&p).into_iter().flatten();
+                    let held: Vec<DeviceId> = held.copied().collect();
+                    assert_eq!(r.holders(p), held, "case {case} step {step} page {p}");
+                }
+                for d in (0..devices as u32).map(DeviceId) {
+                    let held = reference.holders.iter().filter(|(_, h)| h.contains(&d));
+                    let held: Vec<u64> = held.map(|(&p, _)| p).collect();
+                    assert_eq!(r.pages_held_by(d), held, "case {case} step {step} {d:?}");
+                }
+            }
+        }
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::coherence::CoherenceDirectory;
 use crate::config::UvmConfig;
-use crate::page::{page_of_addr, page_range, PageRange};
+use crate::page::{page_of_addr, page_range};
 use crate::pager::{
     deregister_evicted, for_each_segment, ranges_spanning, Pager, SharedEntry, SharedMap,
 };
@@ -56,8 +56,9 @@ use std::sync::Arc;
 ///   contract; drive them through the sequential reference schedule
 ///   when exact reproducibility is required.
 ///
-/// Private ranges never touch the directory — their residency hot path
-/// stays lock-free.
+/// A private access reaches the directory only when its faults evict
+/// pages of a shared range (one budget per device), to drop them from
+/// that range's holders; one that evicts nothing shared takes no lock.
 #[derive(Debug)]
 pub struct UvmManager {
     /// Registered managed allocations, (base, length) ascending by base.
@@ -220,10 +221,9 @@ impl UvmManager {
             .map(|(&rbase, e)| (rbase, e.clone()))
             .collect();
         for (rbase, e) in imported {
-            let range = page_range(rbase, e.len);
             for (i, st) in self.pager.devices.iter_mut().enumerate() {
                 let device = DeviceId(i as u32);
-                for p in range.iter() {
+                for p in e.pages.iter() {
                     if st.is_resident(p) && !e.dir.is_holder(p, device) {
                         st.remove(p);
                     }
@@ -401,19 +401,10 @@ impl ResidencyModel for UvmManager {
         // accesses become tracked duplicates, so a later write can
         // invalidate them — otherwise the old copies would survive as
         // served-stale data the directory never knew about.
-        let range = page_range(dir.base(), dir.len());
         for (i, st) in self.pager.devices.iter().enumerate() {
-            let held = st.resident_in(range).flat_map(PageRange::iter);
-            dir.add_holders(held, DeviceId(i as u32));
+            dir.set_holder(st.resident_in(dir.pages()), DeviceId(i as u32), true);
         }
-        self.shared.insert(
-            dir.base(),
-            SharedEntry {
-                len: dir.len(),
-                owner: dir.owner(),
-                dir,
-            },
-        );
+        self.shared.insert(dir.base(), SharedEntry::new(dir));
     }
 
     fn unregister_shared(&mut self, base: u64) {
@@ -494,15 +485,14 @@ impl ResidencyModel for UvmManager {
                 // (a range larger than the budget evicted its own head;
                 // those pages are not held).
                 for e in ranges_spanning(shared, range) {
-                    e.dir
-                        .add_holders(st.resident_in(range).flat_map(PageRange::iter), device);
+                    e.dir.set_holder(st.resident_in(range), device, true);
                 }
             }
             ResidencyAdvice::PreferHost => {
                 st.remove_range(range, Some(&mut pager.victims));
                 // Dropped shared duplicates leave the holder set, so the
                 // directory census keeps matching actual residency.
-                deregister_evicted(shared, device, &pager.victims, &mut pager.missing);
+                deregister_evicted(shared, device, &pager.victims);
                 pager.victims.clear();
             }
             ResidencyAdvice::ReadMostly => st.set_advice(range, READ_MOSTLY, READ_MOSTLY, None),

@@ -8,7 +8,7 @@
 //! model's constants live here, beside the code that reads them.
 
 use crate::coherence::RangeDirectory;
-use crate::page::{page_range, PageRange, PAGE_SIZE};
+use crate::page::{page_range, runs_of, PageRange, PAGE_SIZE};
 use crate::state::{DeviceState, EvictResult, READ_MOSTLY};
 use crate::stats::UvmStats;
 use accel_sim::{AccessKind, AccessOutcome, DeviceId, PeerTransfer};
@@ -16,14 +16,27 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One shared-range registration as a lane manager caches it: the static
-/// facts (extent, owner) read lock-free on every access, plus the `Arc`
-/// of the range's directory, touched only when shared pages actually
-/// move.
+/// facts (extent, page span, owner) read on every access without
+/// touching the directory other lanes lock, plus the `Arc` of the range's
+/// directory, touched only when shared pages actually move.
 #[derive(Debug, Clone)]
 pub(crate) struct SharedEntry {
     pub(crate) len: u64,
+    pub(crate) pages: PageRange,
     pub(crate) owner: DeviceId,
     pub(crate) dir: Arc<RangeDirectory>,
+}
+
+impl SharedEntry {
+    pub(crate) fn new(dir: Arc<RangeDirectory>) -> Self {
+        let (len, pages, owner) = (dir.len(), dir.pages(), dir.owner());
+        SharedEntry {
+            len,
+            pages,
+            owner,
+            dir,
+        }
+    }
 }
 
 /// The manager's lock-free cache of shared registrations, by base address.
@@ -41,9 +54,11 @@ pub(crate) fn range_containing(shared: &SharedMap, addr: u64) -> Option<(u64, &S
 /// Hands `f` the maximal private (`None`) and shared (`Some(entry)`)
 /// segments of `[base, base+len)` in address order — the one place the
 /// straddling-access semantics live, shared by `on_kernel_access` and
-/// `prefetch`. One lookup settles an access lying wholly in private
-/// territory (an empty map included) or wholly in one shared range; only
-/// an access that straddles a boundary walks.
+/// `prefetch`. An access below the first shared range or past the last
+/// (an empty map included) is private by the map's first and last
+/// entries alone, with no search. One lookup settles an access lying
+/// wholly in private territory between ranges or wholly in one shared
+/// range; only an access that straddles a boundary walks.
 pub(crate) fn for_each_segment(
     shared: &SharedMap,
     base: u64,
@@ -51,6 +66,10 @@ pub(crate) fn for_each_segment(
     mut f: impl FnMut(Option<&SharedEntry>, u64, u64),
 ) {
     let end = base + len;
+    let last = shared.last_key_value().map_or(0, |(&b, e)| b + e.len);
+    if last <= base || shared.first_key_value().is_some_and(|(&b, _)| end <= b) {
+        return f(None, base, len);
+    }
     match shared.range(..end).next_back() {
         Some((&sbase, e)) if sbase + e.len > base => {
             if sbase <= base && end <= sbase + e.len {
@@ -90,35 +109,25 @@ pub(crate) fn ranges_spanning(
         .range(..pages.end * PAGE_SIZE)
         .rev()
         .map(|(_, e)| e)
-        .take_while(move |e| e.dir.pages().end > pages.first)
+        .take_while(move |e| e.pages.end > pages.first)
 }
 
 /// Deregisters evicted (or dropped) pages, given as runs, from the
 /// directories of the shared ranges spanning them, so no directory lists
 /// a holder whose copy is gone — one range-lock acquisition per range
-/// that lost pages, however many, and none when no shared range spans a
-/// victim. `pages` is scratch, left empty.
-pub(crate) fn deregister_evicted(
-    shared: &SharedMap,
-    device: DeviceId,
-    victims: &[PageRange],
-    pages: &mut Vec<u64>,
-) {
-    let Some(first) = victims.iter().map(|r| r.first).min() else {
+/// that lost pages, however many. Victims below the first shared span or
+/// above the last (a private fault's, mostly) return before any search
+/// of the map, and a range that lost none of its pages takes no lock.
+pub(crate) fn deregister_evicted(shared: &SharedMap, device: DeviceId, victims: &[PageRange]) {
+    let low = shared.first_key_value().map_or(0, |e| e.1.pages.first);
+    let high = shared.last_key_value().map_or(0, |e| e.1.pages.end);
+    if victims.iter().all(|r| r.end <= low || high <= r.first) {
         return;
-    };
+    }
+    let first = victims.iter().map(|r| r.first).min().unwrap_or(0);
     let end = victims.iter().map(|r| r.end).max().unwrap_or(0);
     for e in ranges_spanning(shared, PageRange { first, end }) {
-        let span = e.dir.pages();
-        pages.extend(
-            victims
-                .iter()
-                .flat_map(|r| r.first.max(span.first)..r.end.min(span.end)),
-        );
-        if !pages.is_empty() {
-            e.dir.remove_holders(pages, device);
-            pages.clear();
-        }
+        e.dir.set_holder(victims.iter().copied(), device, false);
     }
     debug_assert!(
         victims.iter().all(|&run| ranges_spanning(shared, run)
@@ -266,7 +275,7 @@ impl Pager {
         let pages = missing.len() as u64;
         let groups = pages.div_ceil(FAULT_GROUP_PAGES);
         missing.clear();
-        deregister_evicted(shared, device, victims, missing);
+        deregister_evicted(shared, device, victims);
         victims.clear();
         (pages, evict, groups)
     }
@@ -396,7 +405,7 @@ impl Pager {
         // must end up out of the holder set again.
         let pages = missing.len() as u64;
         missing.clear();
-        deregister_evicted(shared, device, victims, missing);
+        deregister_evicted(shared, device, victims);
         victims.clear();
 
         let groups = pages.div_ceil(FAULT_GROUP_PAGES);
@@ -447,7 +456,7 @@ impl Pager {
         //    later re-duplication faults).
         if kind != AccessKind::Load {
             let mut victim_pages: BTreeMap<DeviceId, u64> = BTreeMap::new();
-            let invalidated = dir.write_range(range.iter(), device);
+            let invalidated = dir.write_range(range, device);
             // One victim's consecutive pages come as one run of pairs.
             for w in invalidated.chunk_by(|a, b| a.0 == b.0 && a.1 + 1 == b.1) {
                 let (v, first) = w[0];
@@ -464,10 +473,8 @@ impl Pager {
             // Everything still resident is now dirty.
             let unclaim = &mut self.missing;
             self.devices[device.index()].set_advice(range, READ_MOSTLY, 0, Some(unclaim));
-            if !unclaim.is_empty() {
-                dir.remove_holders(unclaim, device);
-                unclaim.clear();
-            }
+            dir.set_holder(runs_of(unclaim), device, false);
+            unclaim.clear();
             if self.home.is_none() {
                 for &v in victim_pages.keys() {
                     // Consume the pending entries the directory queued —

@@ -11,7 +11,7 @@
 //! among the live chunks' numbers. Its memory follows the resident pages,
 //! not the managed window, and emptied tables are reused.
 
-use crate::page::{PageRange, PAGE_SIZE};
+use crate::page::{runs_of, PageRange, PAGE_SIZE};
 
 /// "No slot": the list's end, an empty list's head/tail, a missing page.
 const NIL: u32 = u32::MAX;
@@ -47,19 +47,24 @@ struct PageIndex {
     live: Vec<(u64, u32, Table)>,
     /// Tables no live chunk uses (every slot `NIL`).
     spare: Vec<Table>,
-    /// Where in `live` the last lookup landed; the next mostly lands there.
-    last: std::cell::Cell<usize>,
+    /// Where in `live` the last two lookups landed, latest first. A
+    /// faulting access looks its pages up as it touches them and again
+    /// as they land, with the eviction of the LRU head, in an older
+    /// chunk, between the two; each lookup mostly lands on one of these.
+    last: std::cell::Cell<[usize; 2]>,
 }
 
 impl PageIndex {
     /// Where `chunk` is in `live`, or where it would go.
     fn find(&self, chunk: u64) -> Result<usize, usize> {
-        let k = self.last.get();
-        if self.live.get(k).is_some_and(|e| e.0 == chunk) {
-            return Ok(k);
-        }
-        let found = self.live.binary_search_by_key(&chunk, |e| e.0);
-        self.last.set(found.unwrap_or(k));
+        let [a, b] = self.last.get();
+        let at = |k: usize| self.live.get(k).is_some_and(|e| e.0 == chunk);
+        let found = match (at(a), at(b)) {
+            (true, _) => return Ok(a),
+            (_, true) => Ok(b),
+            _ => self.live.binary_search_by_key(&chunk, |e| e.0),
+        };
+        self.last.set([found.unwrap_or(a), a]);
         found
     }
 
@@ -225,8 +230,8 @@ impl DeviceState {
         (self.runs[i as usize].prev, self.runs[i as usize].next) = (prev, next);
     }
 
-    /// A new run of `pages` with `advice`, linked behind `prev`, its
-    /// pages indexed.
+    /// A new run of `pages` with `advice`, linked behind `prev`; the
+    /// caller indexes its pages.
     fn alloc(&mut self, pages: PageRange, advice: u8, prev: u32) -> u32 {
         let run = Run {
             pages,
@@ -245,7 +250,6 @@ impl DeviceState {
             }
         };
         self.link(i, prev);
-        self.index.write(pages, i, 0);
         i
     }
 
@@ -266,10 +270,14 @@ impl DeviceState {
         );
         if below.count() < above.count() {
             self.runs[i as usize].pages = above;
-            (self.alloc(below, advice, self.runs[i as usize].prev), i)
+            let j = self.alloc(below, advice, self.runs[i as usize].prev);
+            self.index.write(below, j, 0);
+            (j, i)
         } else {
             self.runs[i as usize].pages = below;
-            (i, self.alloc(above, advice, i))
+            let j = self.alloc(above, advice, i);
+            self.index.write(above, j, 0);
+            (i, j)
         }
     }
 
@@ -393,18 +401,13 @@ impl DeviceState {
     fn append(&mut self, pages: PageRange, advice: u8) {
         debug_assert!(self.index.first_in(pages.first, pages.end).is_none());
         let tail = self.tail;
-        let slot = match self.runs.get(tail as usize) {
-            Some(t) if t.pages.end == pages.first && t.advice == advice => tail,
-            _ => self.alloc(
-                PageRange {
-                    end: pages.first,
-                    ..pages
-                },
-                advice,
-                tail,
-            ),
+        let slot = match self.runs.get_mut(tail as usize) {
+            Some(t) if t.pages.end == pages.first && t.advice == advice => {
+                t.pages.end = pages.end;
+                tail
+            }
+            _ => self.alloc(pages, advice, tail),
         };
-        self.runs[slot as usize].pages.end = pages.end;
         self.index.write(pages, slot, 1);
         self.resident += pages.count();
     }
@@ -466,8 +469,7 @@ impl DeviceState {
         mut victims: Option<&mut Vec<PageRange>>,
     ) -> EvictResult {
         let mut evicted = EvictResult::default();
-        for stretch in missing.chunk_by(|a, b| a + 1 == *b) {
-            let (first, end) = (stretch[0], stretch[0] + stretch.len() as u64);
+        for PageRange { first, end } in runs_of(missing) {
             let bytes = (end - first) * PAGE_SIZE;
             self.make_room(bytes, victims.as_deref_mut(), &mut evicted);
             if self.resident_bytes() + bytes <= self.budget {

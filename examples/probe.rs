@@ -8,7 +8,8 @@
 //!   `addr2line -f -C -i`, and prints self shares, inclusive shares, and
 //!   the inclusive share under a fixed list of frames — the caching
 //!   allocator, `BTreeMap`, `format!`, SipHash, the heap, `Hub::process`,
-//!   the tool bodies, hotness' tracker, the UVM residency LRU, the vendor
+//!   the tool bodies, hotness' tracker, the UVM residency LRU, the
+//!   shared-range directory and `deregister_evicted`, the vendor
 //!   runtime's `emit`, the `std` mutex under `accel_sim::sync::Mutex` —
 //!   alone and by the module that called them. `sample-bare` samples the
 //!   op's bare run. Line tables name inlined frames: the root release
@@ -596,6 +597,16 @@ mod sampler {
             from: &[],
         },
         Share {
+            label: "uvm_sim::coherence:: (shared-range directory)",
+            inner: &["uvm_sim::coherence::"],
+            from: &[],
+        },
+        Share {
+            label: "uvm_sim::pager::deregister_evicted",
+            inner: &["uvm_sim::pager::deregister_evicted"],
+            from: &[],
+        },
+        Share {
             label: "uvm_sim::runtime::Context::emit",
             inner: &[
                 "uvm_sim::runtime::Context<C>::emit",
@@ -627,6 +638,11 @@ mod sampler {
             label: "  … called from accel_sim::instrument::",
             inner: MUTEX,
             from: &["accel_sim::instrument::"],
+        },
+        Share {
+            label: "  … called from uvm_sim::coherence::",
+            inner: MUTEX,
+            from: &["uvm_sim::coherence::"],
         },
     ];
 

@@ -227,12 +227,7 @@ fn a_version_1_trace_is_refused_by_every_reader() {
     };
     let parse = refused(TraceReader::parse(&bytes).expect_err("v1 is refused"));
     let scan = refused(TraceReader::scan(&bytes).expect_err("v1 is refused"));
-    let dir = std::env::temp_dir().join(format!("pasta-v1-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("v1.pastatrace");
-    std::fs::write(&path, &bytes).expect("writes");
-    let loaded = Trace::load(&path).expect("loading reads bytes only");
-    std::fs::remove_dir_all(&dir).expect("cleans up");
+    let loaded = Trace::from_bytes(bytes);
     let mut tools: ToolCollection = standard_suite().into_iter().collect();
     let replayed = refused(replay(&loaded, &mut tools).expect_err("v1 is refused"));
     for message in [parse, scan, replayed] {
@@ -332,15 +327,7 @@ fn a_record_cut_mid_field_is_truncated_at_its_payload_end() {
         TraceReader::parse(&cut),
         Err(TraceError::Truncated { offset }) if offset == end
     ));
-    let trace = {
-        let dir = std::env::temp_dir().join(format!("pasta-cut-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("cut.pastatrace");
-        std::fs::write(&path, &cut).expect("writes");
-        let trace = Trace::load(&path).expect("loads");
-        std::fs::remove_dir_all(&dir).expect("cleans up");
-        trace
-    };
+    let trace = Trace::from_bytes(cut);
     let mut tools: ToolCollection = standard_suite().into_iter().collect();
     assert!(matches!(
         replay(&trace, &mut tools),
