@@ -108,6 +108,11 @@ impl ShardEncoder {
         }
     }
 
+    /// Room for `bytes` of payload before the first record grows it.
+    pub(crate) fn reserve(&mut self, bytes: usize) {
+        self.payload.reserve_exact(bytes);
+    }
+
     pub(crate) fn into_parts(self) -> (DeviceId, Vec<String>, u64, Vec<u8>) {
         (self.device, self.symbols, self.records, self.payload)
     }

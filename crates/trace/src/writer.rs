@@ -20,6 +20,7 @@ use std::fmt;
 use std::fs;
 use std::io::{BufWriter, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// First bytes of every trace file.
@@ -31,6 +32,14 @@ pub const FORMAT_VERSION: u32 = 2;
 /// Bytes of a shard's framing besides its names and records: device id,
 /// dictionary size (`u32`s), record count and payload length (`u64`s).
 pub(crate) const SHARD_FRAME_BYTES: usize = 4 + 4 + 8 + 8;
+
+/// Bytes of the last trace assembled in this process. A writer reserves
+/// an even share of them for each shard it attaches, so capturing the
+/// same work again writes its records without regrowing a buffer: each
+/// regrowth copies the records so far and frees the old block, and where
+/// those blocks land decides whether glibc hands the heap's top back to
+/// the kernel, for the next capture to fault in again.
+static LAST_TRACE_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 /// A count or length the `u32` header field it goes into can hold.
 fn len_u32(n: usize) -> u32 {
@@ -104,8 +113,11 @@ impl TraceWriter {
     /// counted.
     pub fn attach(session: &PastaSession) -> TraceWriter {
         let mut shards = Vec::new();
+        let share = LAST_TRACE_BYTES.load(Ordering::Relaxed) / session.hub().shards().len().max(1);
         session.attach_event_recorders(|device| {
-            let enc = Arc::new(Mutex::new(ShardEncoder::new(device)));
+            let mut enc = ShardEncoder::new(device);
+            enc.reserve(share);
+            let enc = Arc::new(Mutex::new(enc));
             shards.push(Arc::clone(&enc));
             Box::new(ShardRecorder { enc }) as Box<dyn EventRecorder>
         });
@@ -217,6 +229,7 @@ impl Trace {
             })
             .sum();
         let total = head.len() + bytes.len() + rest_bytes + footer.len() + END_MAGIC.len();
+        LAST_TRACE_BYTES.store(total, Ordering::Relaxed);
         bytes.reserve_exact(total - bytes.len());
         bytes.splice(0..0, head);
         for (device, symbols, records, payload) in rest {
