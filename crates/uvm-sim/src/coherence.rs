@@ -13,13 +13,11 @@
 //!   `register_shared`/`unregister_shared` (rare, setup-time);
 //! * each shared range carries its **own** lock ([`RangeDirectory`]), so
 //!   two lanes touching different shared ranges never contend;
-//! * inside a range, each device's holder bits sit in cache lines of
-//!   their own, so lanes taking turns at the lock write disjoint lines;
-//! * a private access reaches the directory only when its faults evict
-//!   pages of a shared range's span (one budget per device, so a private
-//!   fault can push out a shared duplicate), and then only to drop them
-//!   from that range's holders; a private access that evicts nothing
-//!   shared takes no lock.
+//! * inside a range, each device's holder bits are atomic words in cache
+//!   lines of their own, allocated once and never moved: a lane dropping
+//!   the pages it evicted clears its own bits with no lock, so a fault
+//!   that pushes out shared duplicates (one budget per device, so a
+//!   private fault can too) never waits for another lane's claim.
 //!
 //! What the directory tracks, per shared range:
 //!
@@ -33,14 +31,15 @@
 //!   pages then; an unforked (single) manager owns every `DeviceState`
 //!   and invalidates eagerly instead. Either way no stale duplicate is
 //!   ever *served*: the directory's holder set is the source of truth,
-//!   and it is updated under the range lock at write time.
+//!   and a write clears the other holders and queues their pending pages
+//!   under the range lock, which every read's claim takes too.
 
 use crate::page::{page_range, runs_of, PageRange};
 use accel_sim::sync::Mutex;
 use accel_sim::DeviceId;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Directory state of one shared managed range.
 #[derive(Debug)]
@@ -55,32 +54,29 @@ pub struct RangeDirectory {
     /// range when the count reaches zero (see
     /// [`CoherenceDirectory::release`]).
     registrants: AtomicUsize,
-    state: Mutex<RangeState>,
+    /// Which pages each device holds a duplicate of (the owner's copy
+    /// included), device-major: segment `k` holds the bitsets of devices
+    /// `8(2^k - 1) .. 8(2^(k+1) - 1)`, `lines()` lines each, bit `s`
+    /// standing for the range's `s`-th page. A segment is allocated by
+    /// its devices' first claim and never moves, so a lane clears its own
+    /// bits with no lock; no device's bits share a line with another's.
+    /// Words are read and written `Relaxed`: a bit publishes no other
+    /// data, and the range lock orders claims against writes.
+    held: [OnceLock<Box<[Line]>>; 30],
+    /// Per device, indexed by id: the stale pages it must drop before
+    /// trusting its residency (grown by the first write that queues one).
+    /// Its lock also orders every read's claim against every write, on a
+    /// cache line of its own so a claim does not evict what drops read.
+    pending: Line<Mutex<Vec<Vec<u64>>>>,
 }
 
-/// One cache line of holder bits.
-#[derive(Debug, Clone, Copy, Default)]
+/// One cache line: of holder bits, or of the range's lock.
+#[derive(Debug, Default)]
 #[repr(align(64))]
-struct Line([u64; 8]);
+struct Line<T = [AtomicU64; 8]>(T);
 
 /// Holder bits per line.
 const LINE_BITS: usize = 512;
-
-/// What a range's lock guards, device-major.
-#[derive(Debug, Default)]
-struct RangeState {
-    /// Which pages each device holds a duplicate of (the owner's copy
-    /// included): device `d`'s bitset is the `d`-th run of `lines()`
-    /// lines, bit `s` standing for the range's `s`-th page. No device's
-    /// bits share a line with another's, and claiming or dropping a run
-    /// of pages is a word mask per 64 of them. The bitsets reach as far
-    /// as the highest device that has claimed a page, so a write checks
-    /// no device beyond it.
-    held: Vec<Line>,
-    /// Per device, indexed by id: the stale pages it must drop before
-    /// trusting its residency (grown by the first write that queues one).
-    pending: Vec<Vec<u64>>,
-}
 
 impl RangeDirectory {
     /// Base address of the shared range.
@@ -137,75 +133,71 @@ impl RangeDirectory {
         (self.pages.count() as usize).div_ceil(LINE_BITS).max(1)
     }
 
-    /// `device`'s bitset, if the bitsets reach it.
-    fn bits<'a>(&self, held: &'a [Line], device: DeviceId) -> Option<&'a [Line]> {
-        let lines = self.lines();
-        held.get(device.index() * lines..(device.index() + 1) * lines)
+    /// `device`'s bitset, if its segment is allocated; `grow` allocates
+    /// the segment first.
+    fn bits(&self, device: DeviceId, grow: bool) -> Option<&[Line]> {
+        let (d, lines) = (device.index(), self.lines());
+        let k = (d / 8 + 1).ilog2() as usize;
+        let new = || (0..(lines * 8) << k).map(|_| Line::default()).collect();
+        let segment = match grow {
+            true => self.held[k].get_or_init(new),
+            false => self.held[k].get()?,
+        };
+        let at = (d - 8 * ((1 << k) - 1)) * lines;
+        Some(&segment[at..at + lines])
     }
 
-    /// Sets (`held`) or clears `device`'s bits of `slots`, each `[from,
-    /// to)`. Setting bits for a device the bitsets do not reach yet
-    /// widens them first.
-    fn mark(
-        &self,
-        state: &mut RangeState,
-        device: DeviceId,
-        slots: impl Iterator<Item = (usize, usize)>,
-        held: bool,
-    ) {
-        let lines = self.lines();
-        let at = device.index() * lines;
-        if state.held.len() <= at {
-            if !held {
-                return;
-            }
-            state.held.resize(at + lines, Line::default());
-        }
-        let bits = &mut state.held[at..at + lines];
-        for (from, to) in slots {
-            let mut at = from;
-            while at < to {
-                let hi = to.min(at / 64 * 64 + 64);
-                let mask = u64::MAX >> (64 - (hi - at)) << (at % 64);
-                let word = &mut bits[at / LINE_BITS].0[at / 64 % 8];
-                *word = if held { *word | mask } else { *word & !mask };
-                at = hi;
-            }
-        }
+    /// Every device of an allocated segment, ascending, with its bitset.
+    fn bitsets(&self) -> impl Iterator<Item = (DeviceId, &[Line])> {
+        let segments = self.held.iter().enumerate();
+        let segments = segments.filter_map(|(k, s)| Some((8 * ((1usize << k) - 1), s.get()?)));
+        let devices = segments.flat_map(move |(first, s)| s.chunks(self.lines()).zip(first..));
+        devices.map(|(bits, d)| (DeviceId(d as u32), bits))
     }
 
     /// Marks `device` as holding (`held`) or not holding every page of
-    /// `runs` the range overlaps, under one range-lock acquisition (a
-    /// fault's claims and an access's evicted duplicates each go in one
-    /// batch), and none when it overlaps none of them.
+    /// `runs` the range overlaps, a word of 64 pages at a time and with
+    /// no lock: only `device`'s words change, and a write clears them by
+    /// atomic read-modify-write too, so it queues a dropped page as stale
+    /// only if the drop has not landed — the race it ran when drops took
+    /// the lock. A missing segment is allocated before bits are set.
     pub(crate) fn set_holder(
         &self,
         runs: impl IntoIterator<Item = PageRange>,
         device: DeviceId,
         held: bool,
     ) {
-        let slots = runs.into_iter().filter_map(|r| self.slots(r));
-        let mut slots = slots.peekable();
-        if slots.peek().is_some() {
-            self.mark(&mut self.state.lock(), device, slots, held);
+        let mut bits = None;
+        for (from, to) in runs.into_iter().filter_map(|r| self.slots(r)) {
+            let Some(bits) = *bits.get_or_insert_with(|| self.bits(device, held)) else {
+                return;
+            };
+            let mut at = from;
+            while at < to {
+                let hi = to.min(at / 64 * 64 + 64);
+                let mask = u64::MAX >> (64 - (hi - at)) << (at % 64);
+                let word = &bits[at / LINE_BITS].0[at / 64 % 8];
+                match held {
+                    true => word.fetch_or(mask, Ordering::Relaxed),
+                    false => word.fetch_and(!mask, Ordering::Relaxed),
+                };
+                at = hi;
+            }
         }
     }
 
     /// Devices currently holding `page`, ascending.
     pub fn holders(&self, page: u64) -> Vec<DeviceId> {
-        let state = self.state.lock();
         let Some(slot) = self.slot(page) else {
             return Vec::new();
         };
-        let devices = state.held.chunks(self.lines()).enumerate();
-        let held = devices.filter(|(_, bits)| has(bits, slot));
-        held.map(|(d, _)| DeviceId(d as u32)).collect()
+        let held = self.bitsets().filter(|(_, bits)| has(bits, slot));
+        held.map(|(d, _)| d).collect()
     }
 
     /// True when the directory lists `device` as a holder of `page`.
     pub(crate) fn is_holder(&self, page: u64, device: DeviceId) -> bool {
-        let state = self.state.lock();
-        let bits = self.bits(&state.held, device);
+        let bits = self.bits(device, false);
         let slot = self.slot(page);
         bits.zip(slot).is_some_and(|(bits, slot)| has(bits, slot))
     }
@@ -217,27 +209,30 @@ impl RangeDirectory {
     /// order (victims ascending within a page), so the caller can count
     /// invalidations and log the src→dst coherence events.
     pub(crate) fn write_range(&self, pages: PageRange, writer: DeviceId) -> Vec<(DeviceId, u64)> {
-        let mut state = self.state.lock();
+        let mut pending = self.pending.0.lock();
         let mut victims = Vec::new();
         let Some((from, to)) = self.slots(pages) else {
             return victims;
         };
-        let RangeState { held, pending } = &mut *state;
-        for slot in from..to {
-            let page = self.pages.first + slot as u64;
-            let devices = held.chunks_mut(self.lines()).enumerate();
-            for (d, bits) in devices.filter(|&(d, _)| d != writer.index()) {
-                if has(bits, slot) {
-                    bits[slot / LINE_BITS].0[slot / 64 % 8] &= !(1 << (slot % 64));
-                    if pending.len() <= d {
-                        pending.resize_with(d + 1, Vec::new);
+        for (d, bits) in self.bitsets().filter(|&(d, _)| d != writer) {
+            for slot in from..to {
+                let (word, bit) = (&bits[slot / LINE_BITS].0[slot / 64 % 8], 1 << (slot % 64));
+                // The clear is what decides: the holder's own drop may
+                // land between a load and it.
+                if word.load(Ordering::Relaxed) & bit != 0
+                    && word.fetch_and(!bit, Ordering::Relaxed) & bit != 0
+                {
+                    if pending.len() <= d.index() {
+                        pending.resize_with(d.index() + 1, Vec::new);
                     }
-                    pending[d].push(page);
-                    victims.push((DeviceId(d as u32), page));
+                    let page = self.pages.first + slot as u64;
+                    pending[d.index()].push(page);
+                    victims.push((d, page));
                 }
             }
         }
-        self.mark(&mut state, writer, std::iter::once((from, to)), true);
+        victims.sort_unstable_by_key(|&(d, page)| (page, d));
+        self.set_holder([pages], writer, true);
         victims
     }
 
@@ -266,8 +261,8 @@ impl RangeDirectory {
         accessed: PageRange,
         missing: &mut Vec<u64>,
     ) -> Vec<u64> {
-        let mut state = self.state.lock();
-        let stale = state.pending.get_mut(device.index()).map(std::mem::take);
+        let mut pending = self.pending.0.lock();
+        let stale = pending.get_mut(device.index()).map(std::mem::take);
         let stale = stale.unwrap_or_default();
         let denied = missing.len();
         missing.extend(stale.iter().copied().filter(|&p| accessed.contains(p)));
@@ -277,24 +272,22 @@ impl RangeDirectory {
             missing.sort_unstable();
             missing.dedup();
         }
-        let slots = runs_of(missing).filter_map(|r| self.slots(r));
-        self.mark(&mut state, device, slots, true);
+        self.set_holder(runs_of(missing), device, true);
         stale
     }
 
     /// Drains `device`'s pending stale pages (set by remote writes since
     /// the last drain). The caller drops them from its local residency.
     pub(crate) fn drain_pending(&self, device: DeviceId) -> Vec<u64> {
-        let mut state = self.state.lock();
-        let stale = state.pending.get_mut(device.index());
+        let mut pending = self.pending.0.lock();
+        let stale = pending.get_mut(device.index());
         stale.map(std::mem::take).unwrap_or_default()
     }
 
-    /// Pages `device` currently holds in this range, ascending — one
-    /// lock acquisition (the merge reconciliation's batch query).
+    /// Pages `device` currently holds in this range, ascending (the
+    /// merge reconciliation's batch query).
     pub fn pages_held_by(&self, device: DeviceId) -> Vec<u64> {
-        let state = self.state.lock();
-        let Some(bits) = self.bits(&state.held, device) else {
+        let Some(bits) = self.bits(device, false) else {
             return Vec::new();
         };
         let held = self.pages.iter().enumerate().filter(|&(s, _)| has(bits, s));
@@ -303,15 +296,17 @@ impl RangeDirectory {
 
     /// Total duplicate entries across all pages (testing/reporting).
     pub fn holder_entries(&self) -> u64 {
-        let state = self.state.lock();
-        let words = state.held.iter().flat_map(|line| line.0);
+        let lines = self.bitsets().flat_map(|(_, bits)| bits);
+        let words = lines
+            .flat_map(|line| &line.0)
+            .map(|w| w.load(Ordering::Relaxed));
         words.map(|w| u64::from(w.count_ones())).sum()
     }
 }
 
 /// Whether slot `slot`'s bit is set in `bits`.
 fn has(bits: &[Line], slot: usize) -> bool {
-    bits[slot / LINE_BITS].0[slot / 64 % 8] >> (slot % 64) & 1 == 1
+    bits[slot / LINE_BITS].0[slot / 64 % 8].load(Ordering::Relaxed) >> (slot % 64) & 1 == 1
 }
 
 /// The one-page run of `page`.
@@ -349,7 +344,8 @@ impl CoherenceDirectory {
                 pages,
                 owner,
                 registrants: AtomicUsize::new(0),
-                state: Mutex::new(RangeState::default()),
+                held: [const { OnceLock::new() }; 30],
+                pending: Line::default(),
             })
         }));
         entry.registrants.fetch_add(1, Ordering::AcqRel);
@@ -396,6 +392,7 @@ impl CoherenceDirectory {
 mod tests {
     use super::*;
     use crate::page::PAGE_SIZE;
+    use proptest::prelude::*;
     use proptest::TestRng;
     use std::collections::BTreeSet;
 
@@ -406,6 +403,12 @@ mod tests {
 
         fn remove_holder(&self, page: u64, device: DeviceId) {
             self.set_holder([one(page)], device, false);
+        }
+
+        /// `device`'s queued stale pages, left queued.
+        pub(crate) fn pending_of(&self, device: DeviceId) -> Vec<u64> {
+            let pending = self.pending.0.lock();
+            pending.get(device.index()).cloned().unwrap_or_default()
         }
 
         /// A write to one page; the victims, ascending.
@@ -611,6 +614,73 @@ mod tests {
                     let held = reference.holders.iter().filter(|(_, h)| h.contains(&d));
                     let held: Vec<u64> = held.map(|(&p, _)| p).collect();
                     assert_eq!(r.pages_held_by(d), held, "case {case} step {step} {d:?}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The lock-free drop beside the locked claim and write on 1–4
+        /// devices: after every call each page's holders and each
+        /// device's queued stale pages (read without draining them) equal
+        /// the set reference's, and so does what a claim drains.
+        #[test]
+        fn drops_claims_and_writes_keep_holders_and_pending_exact(
+            devices in 1u32..5,
+            ops in prop::collection::vec(((0u8..3, 0u32..4), (0u64..26, 1u64..8, any::<u64>())), 1..80)
+        ) {
+            let dir = CoherenceDirectory::new();
+            let r = dir.ensure(64 * PAGE_SIZE + 256, 20 * PAGE_SIZE, DeviceId(0));
+            let span = r.pages();
+            let inside = move |p: &u64| span.contains(*p);
+            let mut reference = Reference::default();
+            for ((kind, device), (first, pages, mask)) in ops {
+                let device = DeviceId(device % devices);
+                let first = span.first - 2 + first;
+                let run = PageRange { first, end: first + pages };
+                match kind {
+                    0 => {
+                        let at = |p: u64| mask >> (p - first) & 1 == 1;
+                        let mut missing: Vec<u64> = run.iter().filter(|&p| at(p)).collect();
+                        let stale = reference.pending.remove(&device).unwrap_or_default();
+                        let mut want = missing.clone();
+                        want.extend(stale.iter().copied().filter(|&p| run.contains(p)));
+                        want.sort_unstable();
+                        want.dedup();
+                        for p in want.iter().copied().filter(inside) {
+                            reference.holders.entry(p).or_default().insert(device);
+                        }
+                        prop_assert_eq!(r.claim_read(device, run, &mut missing), stale);
+                        prop_assert_eq!(missing, want);
+                    }
+                    1 => {
+                        for p in run.iter().filter(inside) {
+                            reference.holders.entry(p).or_default().remove(&device);
+                        }
+                        r.set_holder([run], device, false);
+                    }
+                    _ => {
+                        let mut want = Vec::new();
+                        for p in run.iter().filter(inside) {
+                            let held = reference.holders.entry(p).or_default();
+                            for &v in held.iter().filter(|&&v| v != device) {
+                                reference.pending.entry(v).or_default().push(p);
+                                want.push((v, p));
+                            }
+                            *held = BTreeSet::from([device]);
+                        }
+                        prop_assert_eq!(r.write_range(run, device), want);
+                    }
+                }
+                for p in span.first - 1..span.end + 1 {
+                    let held = reference.holders.get(&p).into_iter().flatten().copied();
+                    prop_assert_eq!(r.holders(p), held.collect::<Vec<_>>(), "page {}", p);
+                }
+                for d in (0..devices).map(DeviceId) {
+                    let pending = reference.pending.get(&d).cloned().unwrap_or_default();
+                    prop_assert_eq!(r.pending_of(d), pending, "{:?}", d);
                 }
             }
         }

@@ -4,7 +4,7 @@ use crate::coherence::CoherenceDirectory;
 use crate::config::UvmConfig;
 use crate::page::{page_of_addr, page_range};
 use crate::pager::{
-    deregister_evicted, for_each_segment, ranges_spanning, Pager, SharedEntry, SharedMap,
+    cache, deregister_evicted, for_each_segment, ranges_spanning, Pager, SharedEntry, SharedMap,
 };
 use crate::state::{DeviceState, PINNED, READ_MOSTLY};
 use crate::stats::UvmStats;
@@ -12,7 +12,6 @@ use accel_sim::{
     AccessKind, AccessOutcome, DeviceId, PeerTransfer, ResidencyAdvice, ResidencyModel,
 };
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The unified-virtual-memory manager.
@@ -57,15 +56,16 @@ use std::sync::Arc;
 ///   when exact reproducibility is required.
 ///
 /// A private access reaches the directory only when its faults evict
-/// pages of a shared range (one budget per device), to drop them from
-/// that range's holders; one that evicts nothing shared takes no lock.
+/// pages of a shared range (one budget per device), to clear its own
+/// holder bits for them; neither that nor a lookup takes a lock.
 #[derive(Debug)]
 pub struct UvmManager {
     /// Registered managed allocations, (base, length) ascending by base.
     allocs: Vec<(u64, u64)>,
-    /// Where in `allocs` the last lookup landed: the next mostly lands
-    /// there or one further.
-    last_alloc: Cell<usize>,
+    /// The same, each in the slot its base hashes to (the latest wins):
+    /// an access starting where an allocation does finds it with no
+    /// search, though decode's KV pages are not neighbours in `allocs`.
+    by_base: [Cell<(u64, u64)>; 256],
     /// Shared-range cache: base → (len, owner, range directory). Read
     /// lock-free on the access path; empty unless sharing is in use.
     shared: SharedMap,
@@ -81,8 +81,8 @@ impl UvmManager {
     pub fn new(_config: UvmConfig) -> Self {
         UvmManager {
             allocs: Vec::new(),
-            last_alloc: Cell::new(0),
-            shared: BTreeMap::new(),
+            by_base: [const { Cell::new((0, 0)) }; 256],
+            shared: Vec::new(),
             directory: Arc::new(CoherenceDirectory::new()),
             pager: Pager::new(Vec::new(), None),
         }
@@ -165,7 +165,7 @@ impl UvmManager {
             .collect();
         UvmManager {
             allocs: self.allocs.clone(),
-            last_alloc: Cell::new(0),
+            by_base: self.by_base.clone(),
             // Shared ranges and the coherence directory are the one thing
             // lanes genuinely share: the cached entries clone their Arcs
             // and the directory handle is the rendezvous for ranges a
@@ -175,11 +175,8 @@ impl UvmManager {
             // lane dropped without unregistering leaks its count; the
             // allocation-free force-removal is the backstop.)
             shared: {
-                let shared = self.shared.clone();
-                for e in shared.values() {
-                    e.dir.retain();
-                }
-                shared
+                self.shared.iter().for_each(|(_, e)| e.dir.retain());
+                self.shared.clone()
             },
             directory: Arc::clone(&self.directory),
             pager: Pager::new(devices, Some(device)),
@@ -217,8 +214,8 @@ impl UvmManager {
         let imported: Vec<(u64, SharedEntry)> = other
             .shared
             .iter()
-            .filter(|(rbase, _)| !self.shared.contains_key(rbase))
-            .map(|(&rbase, e)| (rbase, e.clone()))
+            .filter(|(rbase, _)| self.shared.iter().all(|e| e.0 != *rbase))
+            .cloned()
             .collect();
         for (rbase, e) in imported {
             for (i, st) in self.pager.devices.iter_mut().enumerate() {
@@ -230,7 +227,7 @@ impl UvmManager {
                 }
             }
             e.dir.retain();
-            self.shared.insert(rbase, e);
+            cache(&mut self.shared, rbase, e);
         }
         // Any coherence operations a lane performed after its last
         // launch drain (normally none) surface through the parent.
@@ -295,16 +292,24 @@ impl UvmManager {
 
     /// The registered allocation containing `addr`, as (base, length).
     fn alloc_containing(&self, addr: u64) -> Option<(u64, u64)> {
-        // The one with the greatest base at or below `addr`.
-        let at = |i: usize| {
-            self.allocs.get(i).is_some_and(|a| a.0 <= addr)
-                && self.allocs.get(i + 1).is_none_or(|a| addr < a.0)
-        };
-        let i = (0..2).map(|d| self.last_alloc.get() + d).find(|&i| at(i));
-        let i = i.or_else(|| self.allocs.partition_point(|a| a.0 <= addr).checked_sub(1))?;
-        self.last_alloc.set(i);
-        let (base, len) = self.allocs[i];
+        let slot = self.slot(addr);
+        if slot.get().0 == addr && slot.get().1 > 0 {
+            return Some(slot.get());
+        }
+        // Inside one, or its slot taken: the one with the greatest base
+        // at or below `addr`.
+        let i = self.allocs.partition_point(|a| a.0 <= addr);
+        let (base, len) = self.allocs[i.checked_sub(1)?];
+        if base == addr {
+            slot.set((base, len));
+        }
         (addr < base + len).then_some((base, len))
+    }
+
+    /// The `by_base` slot of `base`: the product's top bits (bases are
+    /// 256-byte aligned, so the low bits carry nothing).
+    fn slot(&self, base: u64) -> &Cell<(u64, u64)> {
+        &self.by_base[(base.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as usize]
     }
 
     /// Clamps `[base, len)` to the registered allocation containing `base`.
@@ -356,6 +361,7 @@ impl ResidencyModel for UvmManager {
 
     fn register(&mut self, base: u64, len: u64) {
         if len > 0 {
+            self.slot(base).set((base, len));
             match self.allocs.binary_search_by_key(&base, |a| a.0) {
                 Ok(i) => self.allocs[i].1 = len,
                 Err(i) => self.allocs.insert(i, (base, len)),
@@ -366,6 +372,7 @@ impl ResidencyModel for UvmManager {
     fn unregister(&mut self, base: u64) {
         if let Ok(i) = self.allocs.binary_search_by_key(&base, |a| a.0) {
             let (_, len) = self.allocs.remove(i);
+            self.slot(base).take();
             let range = page_range(base, len);
             for st in &mut self.pager.devices {
                 st.remove_range(range, None);
@@ -375,15 +382,11 @@ impl ResidencyModel for UvmManager {
             // force-removed from the directory regardless of registrant
             // count, because the backing address range is gone and may
             // be reused.
-            let inside: Vec<u64> = self
-                .shared
-                .range(base..base + len)
-                .map(|(&b, _)| b)
-                .collect();
-            for b in inside {
-                self.shared.remove(&b);
-                self.directory.remove(b);
+            let inside = |b: &u64| (base..base + len).contains(b);
+            for (b, _) in self.shared.iter().filter(|(b, _)| inside(b)) {
+                self.directory.remove(*b);
             }
+            self.shared.retain(|(b, _)| !inside(b));
         }
     }
 
@@ -404,7 +407,7 @@ impl ResidencyModel for UvmManager {
         for (i, st) in self.pager.devices.iter().enumerate() {
             dir.set_holder(st.resident_in(dir.pages()), DeviceId(i as u32), true);
         }
-        self.shared.insert(dir.base(), SharedEntry::new(dir));
+        cache(&mut self.shared, base, SharedEntry::new(dir));
     }
 
     fn unregister_shared(&mut self, base: u64) {
@@ -414,7 +417,8 @@ impl ResidencyModel for UvmManager {
         // cache entry *is* this manager's registration, so only its
         // actual removal releases a count — calling twice cannot release
         // a sibling's registration.
-        if self.shared.remove(&base).is_some() {
+        if let Some(i) = self.shared.iter().position(|e| e.0 == base) {
+            self.shared.remove(i);
             self.directory.release(base);
         }
     }
@@ -506,6 +510,7 @@ impl ResidencyModel for UvmManager {
 mod tests {
     use super::*;
     use crate::page::PAGE_SIZE;
+    use std::collections::BTreeMap;
 
     impl UvmManager {
         /// Shrinks or grows a device's managed budget (oversubscription
@@ -527,7 +532,10 @@ mod tests {
 
         /// The owner of the shared range containing `addr`, if any.
         fn shared_owner(&self, addr: u64) -> Option<DeviceId> {
-            crate::pager::range_containing(&self.shared, addr).map(|(_, e)| e.owner)
+            let mut shared = self.shared.iter();
+            shared
+                .find(|(b, e)| *b <= addr && addr < b + e.len)
+                .map(|(_, e)| e.owner)
         }
     }
 
@@ -580,28 +588,45 @@ mod tests {
         );
     }
 
+    /// Lookups against a search of the registered set, at every base,
+    /// inside, past the end and in the gaps, over 600 allocations (more
+    /// than the 256 `by_base` slots, so bases share slots), then after
+    /// every third is unregistered and every fifth re-registered at a new
+    /// length (a slot must never answer for a base that moved on).
     #[test]
-    fn alloc_lookups_agree_with_a_search_wherever_the_hint_sits() {
+    fn alloc_lookups_agree_with_a_search_whatever_the_slots_hold() {
         let mut m = manager(64);
-        let allocs =
-            [(0, MB), (2, MB), (3, 2 * MB), (8, MB)].map(|(at, len)| (BASE + at * MB, len));
-        for (base, len) in allocs {
+        let mut live: BTreeMap<u64, u64> = BTreeMap::new();
+        for i in 0..600u64 {
+            let (base, len) = (BASE + i * 3 * 256, 256 * (1 + i % 2));
             m.register(base, len);
+            live.insert(base, len);
         }
-        let want = |addr: u64| allocs.into_iter().find(|&(b, l)| b <= addr && addr < b + l);
-        // Probe pairs in every order, so the hint sits before, on, just
-        // behind and far from each answer, and on gaps between them.
-        let probes: Vec<u64> = (0..24)
-            .map(|i| BASE + i * MB / 2)
-            .chain([0, BASE - 1])
-            .collect();
-        for &a in &probes {
-            for &b in &probes {
-                for addr in [a, b] {
+        let check = |m: &UvmManager, live: &BTreeMap<u64, u64>| {
+            let want = |addr: u64| {
+                let (&b, &l) = live.range(..=addr).next_back()?;
+                (addr < b + l).then_some((b, l))
+            };
+            for i in 0..600 * 3 + 2 {
+                for addr in [BASE + i * 256, BASE + i * 256 + 255, BASE - 1, 0] {
+                    // Twice: the first lookup may refill the slot.
+                    assert_eq!(m.alloc_containing(addr), want(addr), "{addr:#x}");
                     assert_eq!(m.alloc_containing(addr), want(addr), "{addr:#x}");
                 }
             }
+        };
+        check(&m, &live);
+        for i in 0..600u64 {
+            let base = BASE + i * 3 * 256;
+            if i % 3 == 0 {
+                m.unregister(base);
+                live.remove(&base);
+            } else if i % 5 == 0 {
+                m.register(base, 512 + 256 - live[&base]);
+                live.insert(base, 512 + 256 - live[&base]);
+            }
         }
+        check(&m, &live);
     }
 
     #[test]
@@ -1262,5 +1287,140 @@ mod tests {
         // Lane residency is private and never imported.
         assert_eq!(parent.resident_bytes(DeviceId(0)), 0);
         assert_eq!(parent.resident_bytes(DeviceId(1)), 0);
+    }
+
+    use std::panic::AssertUnwindSafe;
+
+    /// One lane's stream over the stress layout: (address, bytes, kind).
+    type Stream = Vec<(u64, u64, AccessKind)>;
+
+    /// Weights: 32 shared pages at `BASE`, owned by device 0; a private
+    /// 32-page range above them; budgets of 24 pages. Lane 1 reads a
+    /// weights slice and then private pages that push weights pages out
+    /// (each drop clears its holder bits with no lock); lane 0 reads and
+    /// writes weights slices.
+    fn stress_layout() -> (UvmManager, [Stream; 2]) {
+        let mut m = UvmManager::new(UvmConfig);
+        for _ in 0..2 {
+            m.add_device(24 * PAGE_SIZE, 24.0, 25_000);
+        }
+        let private = BASE + 32 * PAGE_SIZE;
+        m.register(BASE, 32 * PAGE_SIZE);
+        m.register(private, 32 * PAGE_SIZE);
+        m.register_shared(BASE, 32 * PAGE_SIZE, DeviceId(0));
+        let slice = |i: u64, pages: u64| (BASE + i % 24 * PAGE_SIZE, pages * PAGE_SIZE);
+        let (mut writer, mut evicter) = (Stream::new(), Stream::new());
+        for i in 0..48 {
+            let (read, write) = (slice(i * 5, 8), slice(i * 7 + 3, 4));
+            writer.push((read.0, read.1, AccessKind::Load));
+            writer.push((write.0, write.1, AccessKind::Store));
+            let weights = slice(i * 3, 12);
+            evicter.push((weights.0, weights.1, AccessKind::Load));
+            let at = private + i * 5 % 16 * PAGE_SIZE;
+            evicter.push((at, 16 * PAGE_SIZE, AccessKind::Load));
+        }
+        (m, [writer, evicter])
+    }
+
+    fn drive(m: &mut UvmManager, device: DeviceId, stream: &[(u64, u64, AccessKind)]) {
+        for &(addr, len, kind) in stream {
+            m.on_kernel_access(device, addr, len, len, kind);
+        }
+    }
+
+    /// One lane evicts weights pages, dropping its holder bits with no
+    /// lock, while the other reads and writes the weights, both lanes
+    /// released into each step together by a barrier. After they join
+    /// (and one last write over pages lane 1 holds), each lane holds no
+    /// duplicate it is not listed for unless that copy waits in its
+    /// pending list, and lists none it lacks. Run lane at a time, in
+    /// either order, the merged counts equal the unforked manager's over
+    /// the same streams in the same order.
+    #[test]
+    fn lock_free_drops_under_concurrent_writes_serve_no_stale_duplicate() {
+        let (parent, streams) = stress_layout();
+        let lanes = [0, 1].map(|d| parent.fork(DeviceId(d)));
+        let step = std::sync::Barrier::new(2);
+        let mut lanes: Vec<UvmManager> = std::thread::scope(|s| {
+            let threads: Vec<_> = lanes
+                .into_iter()
+                .zip(&streams)
+                .enumerate()
+                .map(|(d, (mut lane, stream))| {
+                    let step = &step;
+                    s.spawn(move || {
+                        // A failed step still meets the barrier, so the
+                        // other lane finishes and the failure surfaces.
+                        let mut failed = None;
+                        for pair in stream.chunks(2) {
+                            step.wait();
+                            let access = || drive(&mut lane, DeviceId(d as u32), pair);
+                            if failed.is_none() {
+                                failed = std::panic::catch_unwind(AssertUnwindSafe(access)).err();
+                            }
+                        }
+                        if let Some(panic) = failed {
+                            std::panic::resume_unwind(panic);
+                        }
+                        lane
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .map(|t| t.join().expect("lane"))
+                .collect()
+        });
+        // Then, one at a time, a write over a slice lane 1 just read: its
+        // copy is stale, and only its pending list may still name it.
+        let slice = [(BASE, 8 * PAGE_SIZE, AccessKind::Load)];
+        drive(&mut lanes[1], DeviceId(1), &slice);
+        drive(
+            &mut lanes[0],
+            DeviceId(0),
+            &[(BASE, 8 * PAGE_SIZE, AccessKind::Store)],
+        );
+        let dir = parent.directory().range_containing(BASE).expect("shared");
+        for (d, lane) in lanes.iter().enumerate() {
+            let device = DeviceId(d as u32);
+            let stale = dir.pending_of(device);
+            let held = dir.pages_held_by(device);
+            for p in dir.pages().iter() {
+                let resident = lane.page_resident(device, p * PAGE_SIZE);
+                assert!(
+                    !held.contains(&p) || resident,
+                    "{device:?} listed for {p}, gone"
+                );
+                assert!(
+                    !resident || held.contains(&p) || stale.contains(&p),
+                    "{device:?} holds {p} unlisted and not pending: a stale duplicate"
+                );
+            }
+        }
+
+        for order in [[0, 1], [1, 0]] {
+            let (parent, streams) = stress_layout();
+            let mut lanes = [0, 1].map(|d| parent.fork(DeviceId(d)));
+            let (mut reference, _) = stress_layout();
+            for d in order {
+                drive(&mut lanes[d], DeviceId(d as u32), &streams[d]);
+                drive(&mut reference, DeviceId(d as u32), &streams[d]);
+            }
+            let mut merged = parent;
+            for lane in &lanes {
+                merged.merge(lane);
+            }
+            let invalidated = merged.stats().duplicates_invalidated;
+            assert!(
+                order[0] == 0 || invalidated > 0,
+                "writes met lane 1's copies"
+            );
+            assert_eq!(
+                merged.stats(),
+                reference.stats(),
+                "lanes in order {order:?}"
+            );
+            assert_eq!(merged.peer_matrix(), reference.peer_matrix());
+        }
     }
 }

@@ -39,16 +39,22 @@ impl SharedEntry {
     }
 }
 
-/// The manager's lock-free cache of shared registrations, by base address.
-pub(crate) type SharedMap = BTreeMap<u64, SharedEntry>;
+/// The manager's lock-free cache of shared registrations, (base,
+/// entry) ascending by base: a handful at most, so a sorted vector, whose
+/// first and last entries every access reads with no search.
+pub(crate) type SharedMap = Vec<(u64, SharedEntry)>;
 
-/// The cached shared range containing `addr`, if any, with its base.
-pub(crate) fn range_containing(shared: &SharedMap, addr: u64) -> Option<(u64, &SharedEntry)> {
-    shared
-        .range(..=addr)
-        .next_back()
-        .filter(|&(&base, e)| addr < base + e.len)
-        .map(|(&base, e)| (base, e))
+/// How many cached ranges start below `addr`.
+fn starting_before(shared: &SharedMap, addr: u64) -> usize {
+    shared.partition_point(|&(base, _)| base < addr)
+}
+
+/// Caches `entry` for the range at `base`, in place of any entry there.
+pub(crate) fn cache(shared: &mut SharedMap, base: u64, entry: SharedEntry) {
+    match shared.binary_search_by_key(&base, |e| e.0) {
+        Ok(i) => shared[i].1 = entry,
+        Err(i) => shared.insert(i, (base, entry)),
+    }
 }
 
 /// Hands `f` the maximal private (`None`) and shared (`Some(entry)`)
@@ -56,9 +62,8 @@ pub(crate) fn range_containing(shared: &SharedMap, addr: u64) -> Option<(u64, &S
 /// straddling-access semantics live, shared by `on_kernel_access` and
 /// `prefetch`. An access below the first shared range or past the last
 /// (an empty map included) is private by the map's first and last
-/// entries alone, with no search. One lookup settles an access lying
-/// wholly in private territory between ranges or wholly in one shared
-/// range; only an access that straddles a boundary walks.
+/// entries alone, with no search; any other takes one search, then
+/// walks the ranges it meets.
 pub(crate) fn for_each_segment(
     shared: &SharedMap,
     base: u64,
@@ -66,29 +71,26 @@ pub(crate) fn for_each_segment(
     mut f: impl FnMut(Option<&SharedEntry>, u64, u64),
 ) {
     let end = base + len;
-    let last = shared.last_key_value().map_or(0, |(&b, e)| b + e.len);
-    if last <= base || shared.first_key_value().is_some_and(|(&b, _)| end <= b) {
+    let last = shared.last().map_or(0, |(b, e)| b + e.len);
+    if last <= base || shared.first().is_some_and(|&(b, _)| end <= b) {
         return f(None, base, len);
     }
-    match shared.range(..end).next_back() {
-        Some((&sbase, e)) if sbase + e.len > base => {
-            if sbase <= base && end <= sbase + e.len {
-                return f(Some(e), base, len);
-            }
-        }
-        // Ranges are disjoint: the last one starting before `end` ends
-        // before `base`, so every earlier one does too.
-        _ => return f(None, base, len),
-    }
-    let mut cur = base;
+    // Ranges are disjoint and ascend: from the last one starting at or
+    // below `base`, each range is passed, entered or waited for in turn.
+    let mut ranges = shared[starting_before(shared, base + 1).saturating_sub(1)..].iter();
+    let (mut next, mut cur) = (ranges.next(), base);
     while cur < end {
-        let containing = range_containing(shared, cur);
-        let seg_end = match containing {
-            Some((sbase, e)) => (sbase + e.len).min(end),
+        let (seg_end, entry) = match next {
+            Some((b, e)) if b + e.len <= cur => {
+                next = ranges.next();
+                continue;
+            }
+            Some((b, e)) if *b <= cur => ((b + e.len).min(end), Some(e)),
             // Private up to the next shared range (or the end).
-            None => shared.range(cur..end).next().map_or(end, |(&b, _)| b),
+            Some((b, _)) => ((*b).min(end), None),
+            None => (end, None),
         };
-        f(containing.map(|(_, e)| e), cur, seg_end - cur);
+        f(entry, cur, seg_end - cur);
         cur = seg_end;
     }
 }
@@ -105,29 +107,26 @@ pub(crate) fn ranges_spanning(
     // Disjoint ranges ascend by base and by end alike, so walking back
     // from the last one that starts before the span's end can stop at
     // the first that ends before the span's start.
-    shared
-        .range(..pages.end * PAGE_SIZE)
-        .rev()
-        .map(|(_, e)| e)
-        .take_while(move |e| e.pages.end > pages.first)
+    let before = &shared[..starting_before(shared, pages.end * PAGE_SIZE)];
+    let ranges = before.iter().rev().map(|(_, e)| e);
+    ranges.take_while(move |e| e.pages.end > pages.first)
 }
 
 /// Deregisters evicted (or dropped) pages, given as runs, from the
 /// directories of the shared ranges spanning them, so no directory lists
-/// a holder whose copy is gone — one range-lock acquisition per range
-/// that lost pages, however many. Victims below the first shared span or
-/// above the last (a private fault's, mostly) return before any search
-/// of the map, and a range that lost none of its pages takes no lock.
+/// a holder whose copy is gone. A run below the first shared span or
+/// above the last (a private fault's, mostly) returns before any search
+/// of the map, and a drop clears this device's own holder bits with no
+/// lock (see [`crate::coherence`]).
 pub(crate) fn deregister_evicted(shared: &SharedMap, device: DeviceId, victims: &[PageRange]) {
-    let low = shared.first_key_value().map_or(0, |e| e.1.pages.first);
-    let high = shared.last_key_value().map_or(0, |e| e.1.pages.end);
-    if victims.iter().all(|r| r.end <= low || high <= r.first) {
+    let (Some((_, first)), Some((_, last))) = (shared.first(), shared.last()) else {
         return;
-    }
-    let first = victims.iter().map(|r| r.first).min().unwrap_or(0);
-    let end = victims.iter().map(|r| r.end).max().unwrap_or(0);
-    for e in ranges_spanning(shared, PageRange { first, end }) {
-        e.dir.set_holder(victims.iter().copied(), device, false);
+    };
+    let (low, high) = (first.pages.first, last.pages.end);
+    for &run in victims.iter().filter(|r| low < r.end && r.first < high) {
+        for e in ranges_spanning(shared, run) {
+            e.dir.set_holder([run], device, false);
+        }
     }
     debug_assert!(
         victims.iter().all(|&run| ranges_spanning(shared, run)

@@ -9,7 +9,9 @@
 //!   the inclusive share under a fixed list of frames — the caching
 //!   allocator, `BTreeMap`, `format!`, SipHash, the heap, `Hub::process`,
 //!   the tool bodies, hotness' tracker, the UVM residency LRU, the
-//!   shared-range directory and `deregister_evicted`, the vendor
+//!   shared-range directory, `deregister_evicted`, the directory's
+//!   `set_holder` (alone and from `deregister_evicted`), the managed
+//!   allocation lookup `alloc_containing`, the vendor
 //!   runtime's `emit`, the `std` mutex under `accel_sim::sync::Mutex` —
 //!   alone and by the module that called them. `sample-bare` samples the
 //!   op's bare run. Line tables name inlined frames: the root release
@@ -607,6 +609,21 @@ mod sampler {
             from: &[],
         },
         Share {
+            label: "uvm_sim::coherence::RangeDirectory::set_holder",
+            inner: &["uvm_sim::coherence::RangeDirectory::set_holder"],
+            from: &[],
+        },
+        Share {
+            label: "  … called from uvm_sim::pager::deregister_evicted",
+            inner: &["uvm_sim::coherence::RangeDirectory::set_holder"],
+            from: &["uvm_sim::pager::deregister_evicted"],
+        },
+        Share {
+            label: "uvm_sim::manager::UvmManager::alloc_containing",
+            inner: &["uvm_sim::manager::UvmManager::alloc_containing"],
+            from: &[],
+        },
+        Share {
             label: "uvm_sim::runtime::Context::emit",
             inner: &[
                 "uvm_sim::runtime::Context<C>::emit",
@@ -657,9 +674,11 @@ mod sampler {
                 let Some(at) = stack.iter().position(|f| names_any(f, share.inner)) else {
                     return false;
                 };
-                let caller = stack[at + 1..]
-                    .iter()
-                    .find(|f| names_any(f, WORKSPACE) && !f.contains(LOCK));
+                // The share's own frames (a closure inside it) are not
+                // its caller.
+                let caller = stack[at + 1..].iter().find(|f| {
+                    names_any(f, WORKSPACE) && !f.contains(LOCK) && !names_any(f, share.inner)
+                });
                 share.from.is_empty() || caller.is_some_and(|f| names_any(f, share.from))
             })
             .count()

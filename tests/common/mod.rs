@@ -9,6 +9,7 @@ use pasta::core::{Event, Pasta, PastaSession, UvmSetup};
 use pasta::dl::parallel::{self, Parallelism};
 use pasta::sim::DeviceId;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -16,7 +17,8 @@ use std::sync::Arc;
 /// system allocator, and keeps the largest single request. The counters
 /// are process-global once a suite installs one as its
 /// `#[global_allocator]`, which is why such a suite keeps its phases in
-/// one `#[test]`.
+/// one `#[test]`; [`CountingAlloc::thread_allocs`] counts the calling
+/// thread's alone.
 pub struct CountingAlloc {
     allocs: AtomicU64,
     largest: AtomicUsize,
@@ -35,6 +37,16 @@ impl CountingAlloc {
         self.allocs.load(Ordering::Relaxed)
     }
 
+    /// Allocations the calling thread made so far: the count for a pin
+    /// whose measured work all runs on the test's thread. libtest's main
+    /// thread allocates its bookkeeping for the test (a map entry, a
+    /// timeout entry, a channel context) after it spawns the test's
+    /// thread, so on a loaded box those can land inside a window the
+    /// process-global count reads.
+    pub fn thread_allocs(&self) -> u64 {
+        THREAD_ALLOCS.with(Cell::get)
+    }
+
     /// The largest request, in bytes, an allocation or reallocation made
     /// since the previous call; restarts the high-water at 0.
     pub fn take_largest(&self) -> usize {
@@ -42,8 +54,19 @@ impl CountingAlloc {
     }
 }
 
+thread_local! {
+    /// This thread's count: constant-initialized and without a destructor,
+    /// so reading it from inside the allocator allocates nothing.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_thread_alloc() {
+    THREAD_ALLOCS.with(|n| n.set(n.get() + 1));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_thread_alloc();
         self.allocs.fetch_add(1, Ordering::Relaxed);
         self.largest.fetch_max(layout.size(), Ordering::Relaxed);
         System.alloc(layout)
@@ -54,6 +77,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_thread_alloc();
         self.allocs.fetch_add(1, Ordering::Relaxed);
         self.largest.fetch_max(new_size, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)

@@ -5,7 +5,8 @@
 //! that holds them. Once the tool has closed a launch as wide as the
 //! next, closing one more must allocate nothing: the range buffer (radix
 //! half included) and the per-kernel list reuse what they grew. A
-//! counting allocator pins that. One `#[test]`, because the counter is
+//! counting allocator pins that, reading the test thread's own count:
+//! the tool runs on it. One `#[test]`, because the allocator is
 //! process-global.
 
 mod common;
@@ -55,13 +56,13 @@ fn a_warm_memchar_closes_a_wide_launch_without_allocating() {
     tool.characteristics();
     tool.reset();
 
-    let before = GLOBAL.allocs();
+    let before = GLOBAL.thread_allocs();
     // Launches 4..=6 each close when the next one's first event arrives.
     for events in &launches[4..] {
         events.iter().for_each(|e| tool.on_event(e));
     }
     assert_eq!(
-        GLOBAL.allocs() - before,
+        GLOBAL.thread_allocs() - before,
         0,
         "closing a launch of {RANGES} ranges allocated"
     );

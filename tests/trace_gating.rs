@@ -9,9 +9,10 @@
 //! the benchmark's `event_flood_gated` workload and its
 //! `core.hub.gate_reject_ns_per_callback` row.
 //!
-//! Everything lives in one `#[test]` because the allocation counter is
-//! process-global: parallel test threads would attribute each other's
-//! allocations to the wrong phase.
+//! Everything lives in one `#[test]` because the counting allocator is
+//! process-global; the phases read the test thread's own count, since
+//! all the work they measure runs on it and libtest's main thread may
+//! still be allocating its bookkeeping as the test starts.
 
 mod common;
 
@@ -33,7 +34,7 @@ use std::sync::Arc;
 static GLOBAL: CountingAlloc = CountingAlloc::new();
 
 fn allocs() -> u64 {
-    GLOBAL.allocs()
+    GLOBAL.thread_allocs()
 }
 
 /// A recorder that buffers events the simplest possible way — enough to
