@@ -6,22 +6,81 @@
 //! lock to everyone afterwards; every structure guarded here is valid at
 //! every step of an update, so [`Mutex::lock`] recovers the guard instead
 //! and the shard stays usable.
+//!
+//! Beside it, the work counts: debug builds count each unit of work at a
+//! fixed [`Site`] (lock acquisitions among them) in one process-wide
+//! table, which `probe -- <scenario> counts` prints for one warm op and
+//! the allocation suites pin.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// Successful acquisitions of any [`Mutex`] (debug builds count them).
-static ACQUIRED: AtomicU64 = AtomicU64::new(0);
+/// Declares [`Site`], its rows in table order and their names.
+macro_rules! sites {
+    ($($(#[$doc:meta])* $site:ident = $name:literal,)*) => {
+        /// A place whose work debug builds count, one row of [`count`]'s table.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Site {
+            $($(#[$doc])* $site,)*
+        }
 
-/// Successful [`Mutex::lock`] and [`Mutex::try_lock`] calls in this
-/// process so far; `None` in a release build, which does not count.
-pub fn acquisitions() -> Option<u64> {
-    cfg!(debug_assertions).then(|| ACQUIRED.load(Relaxed))
+        impl Site {
+            /// Every site, in table order.
+            pub const ALL: &[Site] = &[$(Site::$site),*];
+
+            /// The row's name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Site::$site => $name,)*
+                }
+            }
+        }
+    };
 }
 
-fn counted<G>(guard: G) -> G {
+sites! {
+    /// A successful [`Mutex::lock`] or [`Mutex::try_lock`].
+    Lock = "lock",
+    /// A residency index write for pages arriving on a device.
+    IndexArrival = "index.arrival",
+    /// A residency index write for pages whose run split or joined.
+    IndexRelabel = "index.relabel",
+    /// A residency index write for evicted pages.
+    IndexEviction = "index.eviction",
+    /// A residency index write for pages removed outright.
+    IndexRemoval = "index.removal",
+    /// The residency index grown or merged over arriving pages.
+    WindowGrow = "window.grow",
+    /// The residency index rebuilt around the resident pages.
+    WindowRebuild = "window.rebuild",
+    /// A managed allocation looked up by search, not by its base.
+    AllocSearch = "alloc.search",
+    /// A coherence-directory read claim.
+    DirClaim = "directory.claim",
+    /// Holder bits dropped from a coherence directory.
+    DirDrop = "directory.drop",
+    /// A coherence-directory write.
+    DirWrite = "directory.write",
+}
+
+/// One count per [`Site`], process-wide.
+static COUNTS: [AtomicU64; Site::ALL.len()] = [const { AtomicU64::new(0) }; Site::ALL.len()];
+
+/// Counts one unit of work at `site`; a release build counts nothing.
+#[inline]
+pub fn count(site: Site) {
     if cfg!(debug_assertions) {
-        ACQUIRED.fetch_add(1, Relaxed);
+        COUNTS[site as usize].fetch_add(1, Relaxed);
     }
+}
+
+/// The work counted at `site` in this process so far; `None` in a
+/// release build, which does not count.
+pub fn counted(site: Site) -> Option<u64> {
+    cfg!(debug_assertions).then(|| COUNTS[site as usize].load(Relaxed))
+}
+
+fn counted_guard<G>(guard: G) -> G {
+    count(Site::Lock);
     guard
 }
 
@@ -49,14 +108,14 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        counted(self.0.lock()).unwrap_or_else(std::sync::PoisonError::into_inner)
+        counted_guard(self.0.lock()).unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Acquires the lock if nobody holds it.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.0.try_lock() {
-            Ok(guard) => Some(counted(guard)),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(counted(e.into_inner())),
+            Ok(guard) => Some(counted_guard(guard)),
+            Err(std::sync::TryLockError::Poisoned(e)) => Some(counted_guard(e.into_inner())),
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
     }

@@ -34,8 +34,8 @@
 //!   and a write clears the other holders and queues their pending pages
 //!   under the range lock, which every read's claim takes too.
 
-use crate::page::{page_range, runs_of, PageRange};
-use accel_sim::sync::Mutex;
+use crate::page::{page_range, PageRange};
+use accel_sim::sync::{count, Mutex, Site};
 use accel_sim::DeviceId;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -167,6 +167,9 @@ impl RangeDirectory {
         device: DeviceId,
         held: bool,
     ) {
+        if !held {
+            count(Site::DirDrop);
+        }
         let mut bits = None;
         for (from, to) in runs.into_iter().filter_map(|r| self.slots(r)) {
             let Some(bits) = *bits.get_or_insert_with(|| self.bits(device, held)) else {
@@ -209,6 +212,7 @@ impl RangeDirectory {
     /// order (victims ascending within a page), so the caller can count
     /// invalidations and log the src→dst coherence events.
     pub(crate) fn write_range(&self, pages: PageRange, writer: DeviceId) -> Vec<(DeviceId, u64)> {
+        count(Site::DirWrite);
         let mut pending = self.pending.0.lock();
         let mut victims = Vec::new();
         let Some((from, to)) = self.slots(pages) else {
@@ -247,32 +251,37 @@ impl RangeDirectory {
     /// the holder entry and queues a pending invalidation the reader
     /// will drain on its next visit.
     ///
-    /// `missing` arrives holding the pages of `accessed` the caller's
-    /// own residency denies, in page order — residency is lane-local, so
-    /// that scan needs no lock and the critical section costs
-    /// O(missing runs + stale) whatever the access spans. It leaves
-    /// holding the pages to fetch (claimed, in page order): the same,
-    /// plus the drained stale pages that lie in `accessed`. Returns
-    /// `stale`: every drained pending-invalid page (accessed or not —
-    /// drop them all locally).
+    /// `missing` arrives holding the runs of `accessed` the caller's own
+    /// residency denies, in page order — residency is lane-local, so that
+    /// scan needs no lock and the critical section costs O(missing runs +
+    /// stale) whatever the access spans. It leaves holding the runs to
+    /// fetch (claimed, in page order): the same, merged with the drained
+    /// stale pages that lie in `accessed`. Returns `stale`: every drained
+    /// pending-invalid page (accessed or not — drop them all locally).
     pub(crate) fn claim_read(
         &self,
         device: DeviceId,
         accessed: PageRange,
-        missing: &mut Vec<u64>,
+        missing: &mut Vec<PageRange>,
     ) -> Vec<u64> {
+        count(Site::DirClaim);
         let mut pending = self.pending.0.lock();
         let stale = pending.get_mut(device.index()).map(std::mem::take);
         let stale = stale.unwrap_or_default();
-        let denied = missing.len();
-        missing.extend(stale.iter().copied().filter(|&p| accessed.contains(p)));
-        if missing.len() > denied {
-            // A stale page may also be one the caller already denied,
-            // and a page invalidated twice is queued twice.
-            missing.sort_unstable();
-            missing.dedup();
-        }
-        self.set_holder(runs_of(missing), device, true);
+        // A stale page may also be one the caller already denied, and a
+        // page invalidated twice is queued twice: runs that meet merge.
+        let fetch = stale.iter().filter(|&&p| accessed.contains(p));
+        missing.extend(fetch.map(|&first| PageRange {
+            first,
+            end: first + 1,
+        }));
+        missing.sort_unstable_by_key(|r| r.first);
+        missing.dedup_by(|b, a| {
+            (b.first <= a.end)
+                .then(|| a.end = a.end.max(b.end))
+                .is_some()
+        });
+        self.set_holder(missing.iter().copied(), device, true);
         stale
     }
 
@@ -391,6 +400,15 @@ impl CoherenceDirectory {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The maximal runs of consecutive pages in ascending `pages`.
+    fn runs_of(pages: &[u64]) -> impl Iterator<Item = PageRange> + '_ {
+        let run = |r: &[u64]| PageRange {
+            first: r[0],
+            end: r[0] + r.len() as u64,
+        };
+        pages.chunk_by(|a, b| a + 1 == *b).map(run)
+    }
     use crate::page::PAGE_SIZE;
     use proptest::prelude::*;
     use proptest::TestRng;
@@ -486,10 +504,16 @@ mod tests {
         // Device 1 re-reads pages 4..6: page 4 is locally present but
         // stale, pages 5 is absent, page 3 is validly resident.
         let accessed = PageRange { first: 3, end: 6 };
-        let mut missing = vec![5]; // what device 1's own residency denies
+        // What device 1's own residency denies.
+        let mut missing = vec![PageRange { first: 5, end: 6 }];
         let stale = r.claim_read(DeviceId(1), accessed, &mut missing);
         assert_eq!(stale, vec![4], "the drained pending page");
-        assert_eq!(missing, vec![4, 5], "stale counts as missing");
+        let merged = PageRange { first: 4, end: 6 };
+        assert_eq!(
+            missing,
+            vec![merged],
+            "stale counts as missing, merged into runs"
+        );
         // The claim registered device 1 before any data moved.
         assert_eq!(r.holders(4), vec![DeviceId(0), DeviceId(1)]);
         assert_eq!(r.holders(5), vec![DeviceId(1)]);
@@ -566,7 +590,7 @@ mod tests {
                 let inside = move |p: &u64| span.contains(*p);
                 match rng.next_u64() % 4 {
                     0 => {
-                        let mut missing: Vec<u64> = run
+                        let missing: Vec<u64> = run
                             .iter()
                             .filter(|_| !rng.next_u64().is_multiple_of(3))
                             .collect();
@@ -578,7 +602,9 @@ mod tests {
                         for p in want.iter().copied().filter(inside) {
                             reference.holders.entry(p).or_default().insert(device);
                         }
+                        let mut missing: Vec<PageRange> = runs_of(&missing).collect();
                         assert_eq!(r.claim_read(device, run, &mut missing), stale);
+                        let want: Vec<PageRange> = runs_of(&want).collect();
                         assert_eq!(missing, want, "case {case} step {step}");
                     }
                     1 => {
@@ -643,7 +669,7 @@ mod tests {
                 match kind {
                     0 => {
                         let at = |p: u64| mask >> (p - first) & 1 == 1;
-                        let mut missing: Vec<u64> = run.iter().filter(|&p| at(p)).collect();
+                        let missing: Vec<u64> = run.iter().filter(|&p| at(p)).collect();
                         let stale = reference.pending.remove(&device).unwrap_or_default();
                         let mut want = missing.clone();
                         want.extend(stale.iter().copied().filter(|&p| run.contains(p)));
@@ -652,8 +678,9 @@ mod tests {
                         for p in want.iter().copied().filter(inside) {
                             reference.holders.entry(p).or_default().insert(device);
                         }
+                        let mut missing: Vec<PageRange> = runs_of(&missing).collect();
                         prop_assert_eq!(r.claim_read(device, run, &mut missing), stale);
-                        prop_assert_eq!(missing, want);
+                        prop_assert_eq!(missing, runs_of(&want).collect::<Vec<_>>());
                     }
                     1 => {
                         for p in run.iter().filter(inside) {

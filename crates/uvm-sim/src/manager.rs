@@ -8,6 +8,7 @@ use crate::pager::{
 };
 use crate::state::{DeviceState, PINNED, READ_MOSTLY};
 use crate::stats::UvmStats;
+use accel_sim::sync::{count, Site};
 use accel_sim::{
     AccessKind, AccessOutcome, DeviceId, PeerTransfer, ResidencyAdvice, ResidencyModel,
 };
@@ -298,6 +299,7 @@ impl UvmManager {
         }
         // Inside one, or its slot taken: the one with the greatest base
         // at or below `addr`.
+        count(Site::AllocSearch);
         let i = self.allocs.partition_point(|a| a.0 <= addr);
         let (base, len) = self.allocs[i.checked_sub(1)?];
         if base == addr {
@@ -375,7 +377,10 @@ impl ResidencyModel for UvmManager {
             self.slot(base).take();
             let range = page_range(base, len);
             for st in &mut self.pager.devices {
-                st.remove_range(range, None);
+                // A device holding no pages has none of these to drop.
+                if st.resident_bytes() > 0 {
+                    st.remove_range(range, None);
+                }
             }
             self.pager.check_conservation();
             // Shared subranges die with the allocation that held them —

@@ -51,15 +51,6 @@ impl PageRange {
     }
 }
 
-/// The maximal runs of consecutive pages in ascending `pages`.
-pub(crate) fn runs_of(pages: &[u64]) -> impl Iterator<Item = PageRange> + '_ {
-    let run = |r: &[u64]| PageRange {
-        first: r[0],
-        end: r[0] + r.len() as u64,
-    };
-    pages.chunk_by(|a, b| a + 1 == *b).map(run)
-}
-
 /// Pages overlapping the byte range `[base, base + len)`.
 ///
 /// A zero-length range covers no pages.

@@ -8,7 +8,7 @@
 //! model's constants live here, beside the code that reads them.
 
 use crate::coherence::RangeDirectory;
-use crate::page::{page_range, runs_of, PageRange, PAGE_SIZE};
+use crate::page::{page_range, PageRange, PAGE_SIZE};
 use crate::state::{DeviceState, EvictResult, READ_MOSTLY};
 use crate::stats::UvmStats;
 use accel_sim::{AccessKind, AccessOutcome, DeviceId, PeerTransfer};
@@ -151,9 +151,9 @@ pub(crate) struct Pager {
     /// The device a forked lane manager serves (`None` for the session's
     /// shared manager).
     pub(crate) home: Option<DeviceId>,
-    /// Scratch for one access's missing pages and its eviction victims
-    /// (as runs); empty between calls, capacity kept.
-    pub(crate) missing: Vec<u64>,
+    /// Scratch for one access's missing pages and its eviction victims,
+    /// both as runs; empty between calls, capacity kept.
+    pub(crate) missing: Vec<PageRange>,
     pub(crate) victims: Vec<PageRange>,
     /// Debug builds: pages in and out that no counter saw (a pin's fault,
     /// a merged lane), beside each device's `dropped`.
@@ -215,7 +215,9 @@ impl Pager {
             peer_bytes: BTreeMap::new(),
             stats: UvmStats::default(),
             home,
-            missing: Vec::new(),
+            // A lane is forked per run: room for the most runs one
+            // access of the serving op misses (7) spares it the growth.
+            missing: Vec::with_capacity(8),
             victims: Vec::new(),
             #[cfg(debug_assertions)]
             unseen: (0, 0),
@@ -271,7 +273,7 @@ impl Pager {
         // lock-free.
         let track_victims = (!shared.is_empty()).then_some(&mut *victims);
         let evict = st.page_in(missing, 0, track_victims);
-        let pages = missing.len() as u64;
+        let pages = missing.iter().map(|r| r.count()).sum::<u64>();
         let groups = pages.div_ceil(FAULT_GROUP_PAGES);
         missing.clear();
         deregister_evicted(shared, device, victims);
@@ -402,7 +404,7 @@ impl Pager {
         // Holder claims were registered up front; an access larger than
         // the budget evicts its own earliest pages mid-loop, and those
         // must end up out of the holder set again.
-        let pages = missing.len() as u64;
+        let pages = missing.iter().map(|r| r.count()).sum::<u64>();
         missing.clear();
         deregister_evicted(shared, device, victims);
         victims.clear();
@@ -472,7 +474,7 @@ impl Pager {
             // Everything still resident is now dirty.
             let unclaim = &mut self.missing;
             self.devices[device.index()].set_advice(range, READ_MOSTLY, 0, Some(unclaim));
-            dir.set_holder(runs_of(unclaim), device, false);
+            dir.set_holder(unclaim.iter().copied(), device, false);
             unclaim.clear();
             if self.home.is_none() {
                 for &v in victim_pages.keys() {

@@ -7,17 +7,26 @@
 //! the oldest unpinned run from its front. Each operation leaves the
 //! order, flags and victims a page-by-page one would (the tests' stamped
 //! reference checks it). The **index** maps a page to its run without
-//! hashing: a table of run slots per live 512-page (32 MiB) chunk, found
-//! among the live chunks' numbers. Its memory follows the resident pages,
-//! not the managed window, and emptied tables are reused.
+//! hashing: dense windows of run slots over whole 512-page (32 MiB)
+//! chunks, few because windows `MERGE_GAP` chunks apart merge. A slot
+//! counts only while its run holds the page: a page's slot is written
+//! when it arrives and when its run splits or joins, so eviction and
+//! removal write none (a free run holds no pages). Windows open only
+//! where pages land and are rebuilt around the resident runs past
+//! `SLOTS_PER_PAGE` slots per page of the resident high water.
 
-use crate::page::{runs_of, PageRange, PAGE_SIZE};
+use crate::page::{PageRange, PAGE_SIZE};
+use accel_sim::sync::{count, Site};
 
-/// "No slot": the list's end, an empty list's head/tail, a missing page.
+/// "No slot": the list's end, an empty list's head/tail, a page never indexed.
 const NIL: u32 = u32::MAX;
-
-/// Pages per index chunk: one table is 2 KiB and covers 32 MiB.
+/// Pages per index chunk: windows start and end on chunks.
 const CHUNK_PAGES: u64 = 512;
+/// Windows at most this many chunks apart merge into one.
+const MERGE_GAP: u64 = 4;
+/// Twice the slots a rebuild needs per resident page, at worst one page
+/// per chunk, `MERGE_GAP` chunks apart.
+const SLOTS_PER_PAGE: u64 = 2 * (1 + MERGE_GAP) * CHUNK_PAGES;
 
 /// Advice flag: pinned pages are never evicted (`cudaMemAdvise` preferred location).
 pub(crate) const PINNED: u8 = 1;
@@ -27,6 +36,7 @@ pub(crate) const READ_MOSTLY: u8 = 2;
 /// Resident pages consecutive in address and in LRU order, one advice.
 #[derive(Debug, Clone, Copy)]
 struct Run {
+    /// Empty while the slot is free.
     pages: PageRange,
     /// Neighbour towards the head (older); `NIL` at the head.
     prev: u32,
@@ -37,80 +47,98 @@ struct Run {
     advice: u8,
 }
 
-/// One chunk's run slots, `NIL` where a page is not resident.
-type Table = Box<[u32; CHUNK_PAGES as usize]>;
-
-/// Page → run slot (see the module doc).
-#[derive(Debug, Default)]
-struct PageIndex {
-    /// (chunk number, resident pages, table) per live chunk, ascending.
-    live: Vec<(u64, u32, Table)>,
-    /// Tables no live chunk uses (every slot `NIL`).
-    spare: Vec<Table>,
-    /// Where in `live` the last two lookups landed, latest first. A
-    /// faulting access looks its pages up as it touches them and again
-    /// as they land, with the eviction of the LRU head, in an older
-    /// chunk, between the two; each lookup mostly lands on one of these.
-    last: std::cell::Cell<[usize; 2]>,
+/// The run slots of the pages `first..first + slots.len()`, whole chunks.
+#[derive(Debug)]
+struct Window {
+    first: u64,
+    slots: Vec<u32>,
 }
 
-impl PageIndex {
-    /// Where `chunk` is in `live`, or where it would go.
-    fn find(&self, chunk: u64) -> Result<usize, usize> {
-        let [a, b] = self.last.get();
-        let at = |k: usize| self.live.get(k).is_some_and(|e| e.0 == chunk);
-        let found = match (at(a), at(b)) {
-            (true, _) => return Ok(a),
-            (_, true) => Ok(b),
-            _ => self.live.binary_search_by_key(&chunk, |e| e.0),
-        };
-        self.last.set([found.unwrap_or(a), a]);
-        found
+impl Window {
+    fn end(&self) -> u64 {
+        self.first + self.slots.len() as u64
     }
 
-    /// The run slot of the first resident page in `[page, end)`.
-    fn first_in(&self, mut page: u64, end: u64) -> Option<u32> {
-        while page < end {
-            let (chunk, base) = (page / CHUNK_PAGES, page / CHUNK_PAGES * CHUNK_PAGES);
-            match self.find(chunk) {
-                Ok(k) => {
-                    let hi = (end - base).min(CHUNK_PAGES) as usize;
-                    let slots = &self.live[k].2[(page - base) as usize..hi];
-                    if let Some(&slot) = slots.iter().find(|&&s| s != NIL) {
-                        return Some(slot);
-                    }
-                    page = base + CHUNK_PAGES;
-                }
-                Err(k) => page = self.live.get(k)?.0 * CHUNK_PAGES,
+    /// The slots of `[first, end)`, or `None` unless the window holds them.
+    fn of(&mut self, PageRange { first, end }: PageRange) -> Option<&mut [u32]> {
+        let at = first.checked_sub(self.first)? as usize;
+        self.slots.get_mut(at..at + (end - first) as usize)
+    }
+}
+
+/// Page → run slot (see the module doc): windows ascending, each more
+/// than `MERGE_GAP` chunks from the next, and the one last found.
+#[derive(Debug, Default)]
+struct PageIndex(Vec<Window>, std::cell::Cell<usize>);
+
+impl PageIndex {
+    /// The first window that ends above `page`: the one last found when
+    /// it holds `page`, else by search.
+    fn at(&self, page: u64) -> usize {
+        let holds = |w: &Window| w.first <= page && page < w.end();
+        if !self.0.get(self.1.get()).is_some_and(holds) {
+            self.1.set(self.0.partition_point(|w| w.end() <= page));
+        }
+        self.1.get()
+    }
+
+    /// The run slot of the first page in `[page, end)` that its slot's
+    /// run holds.
+    fn first_in(&self, runs: &[Run], page: u64, end: u64) -> Option<u32> {
+        let held = |w: &Window, lo: u64, hi: u64| {
+            let slots = &w.slots[(lo - w.first) as usize..(hi - w.first) as usize];
+            // `NIL` is past the slab's end.
+            let held =
+                |(p, &s): (u64, &u32)| runs.get(s as usize).is_some_and(|r| r.pages.contains(p));
+            (lo..hi).zip(slots).find(|&x| held(x)).map(|(_, &s)| s)
+        };
+        // Mostly inside the window last found: one scan.
+        match self.0.get(self.1.get()) {
+            Some(w) if w.first <= page && end <= w.end() => return held(w, page, end),
+            _ => {}
+        }
+        for w in &self.0[self.at(page)..] {
+            let (lo, hi) = (page.max(w.first), end.min(w.end()));
+            if lo >= hi {
+                break; // the window starts at or past `end`
+            }
+            if let Some(s) = held(w, lo, hi) {
+                return Some(s);
             }
         }
         None
     }
 
-    /// Points every page of `pages` at `slot`, moving each chunk's count
-    /// by `delta` per page: +1 arriving, −1 leaving (`slot` = `NIL`), 0
-    /// relabelling.
-    fn write(&mut self, pages: PageRange, slot: u32, delta: i32) {
-        let mut page = pages.first;
-        while page < pages.end {
-            let chunk = page / CHUNK_PAGES;
-            let base = chunk * CHUNK_PAGES;
-            let hi = pages.end.min(base + CHUNK_PAGES);
-            let k = self.find(chunk);
-            let k = k.unwrap_or_else(|k| {
-                let table = self.spare.pop();
-                let table = table.unwrap_or_else(|| Box::new([NIL; CHUNK_PAGES as usize]));
-                self.live.insert(k, (chunk, 0, table));
-                k
-            });
-            let (_, resident, slots) = &mut self.live[k];
-            slots[(page - base) as usize..(hi - base) as usize].fill(slot);
-            *resident = resident.wrapping_add_signed(delta * (hi - page) as i32);
-            if *resident == 0 {
-                self.spare.push(self.live.remove(k).2);
-            }
-            page = hi;
+    /// Points every page of `pages` at `slot`; false, writing nothing,
+    /// when no one window holds them all.
+    fn write(&mut self, pages: PageRange, slot: u32) -> bool {
+        let k = self.at(pages.first);
+        let slots = self.0.get_mut(k).and_then(|w| w.of(pages));
+        slots.map(|s| s.fill(slot)).is_some()
+    }
+
+    /// Widens the windows over `pages`' chunks, merged with every window
+    /// within `MERGE_GAP` chunks of them.
+    fn cover(&mut self, pages: PageRange) {
+        let gap = MERGE_GAP * CHUNK_PAGES;
+        let first = pages.first / CHUNK_PAGES * CHUNK_PAGES;
+        let end = pages.end.div_ceil(CHUNK_PAGES) * CHUNK_PAGES;
+        let lo = self.0.partition_point(|w| w.end() + gap < first);
+        let hi = self.0.partition_point(|w| w.first <= end + gap);
+        let first = self.0[lo..hi].first().map_or(first, |w| w.first.min(first));
+        let end = self.0[lo..hi].last().map_or(end, |w| w.end().max(end));
+        let mut slots = Vec::with_capacity((end - first) as usize);
+        for w in self.0.drain(lo..hi) {
+            slots.resize((w.first - first) as usize, NIL);
+            slots.extend_from_slice(&w.slots);
         }
+        slots.resize((end - first) as usize, NIL);
+        self.0.insert(lo, Window { first, slots });
+    }
+
+    /// Slots over all windows.
+    fn slots(&self) -> u64 {
+        self.0.iter().map(|w| w.slots.len() as u64).sum()
     }
 }
 
@@ -131,8 +159,8 @@ pub(crate) struct EvictResult {
 /// Residency and LRU bookkeeping for one device: a slab of runs on an
 /// intrusive doubly-linked list, least recently used at the head, whose
 /// order *is* recency order (no stamps). Invariant: the listed runs are
-/// non-empty, disjoint and hold `resident` pages, and `index` maps exactly
-/// those pages, each to its run.
+/// non-empty, disjoint and hold `resident` pages, free runs hold none,
+/// and `index` maps each resident page to its run.
 #[derive(Debug)]
 pub(crate) struct DeviceState {
     /// Memory budget for managed pages, bytes.
@@ -154,6 +182,8 @@ pub(crate) struct DeviceState {
     free: u32,
     /// Pages resident.
     resident: u64,
+    /// The most pages ever resident at once.
+    high_water: u64,
     /// Debug builds: pages removed outright, not evicted.
     #[cfg(debug_assertions)]
     pub(crate) dropped: u64,
@@ -176,6 +206,7 @@ impl DeviceState {
             tail: NIL,
             free: NIL,
             resident: 0,
+            high_water: 0,
             #[cfg(debug_assertions)]
             dropped: 0,
             #[cfg(debug_assertions)]
@@ -190,14 +221,15 @@ impl DeviceState {
 
     /// True when `page` is resident on this device.
     pub(crate) fn is_resident(&self, page: u64) -> bool {
-        self.index.first_in(page, page + 1).is_some()
+        self.index.first_in(&self.runs, page, page + 1).is_some()
     }
 
     /// The resident stretches of `pages`, ascending.
     pub(crate) fn resident_in(&self, pages: PageRange) -> impl Iterator<Item = PageRange> + '_ {
         let mut first = pages.first;
         std::iter::from_fn(move || {
-            let run = self.runs[self.index.first_in(first, pages.end)? as usize].pages;
+            let run = self.index.first_in(&self.runs, first, pages.end)?;
+            let run = self.runs[run as usize].pages;
             let (at, end) = (run.first.max(first), run.end.min(pages.end));
             first = end;
             Some(PageRange { first: at, end })
@@ -253,10 +285,13 @@ impl DeviceState {
         i
     }
 
-    /// Unlinks run `i` and returns its slot to the free chain.
+    /// Unlinks run `i`, empties it and returns its slot to the free
+    /// chain: what the index says of its pages no longer counts.
     fn release(&mut self, i: u32) {
         self.unlink(i);
-        self.runs[i as usize].next = std::mem::replace(&mut self.free, i);
+        let run = &mut self.runs[i as usize];
+        run.pages.end = run.pages.first;
+        run.next = std::mem::replace(&mut self.free, i);
     }
 
     /// Cuts run `i` at `at`, strictly inside it, into two runs adjacent in
@@ -271,12 +306,12 @@ impl DeviceState {
         if below.count() < above.count() {
             self.runs[i as usize].pages = above;
             let j = self.alloc(below, advice, self.runs[i as usize].prev);
-            self.index.write(below, j, 0);
+            self.relabel(below, j);
             (j, i)
         } else {
             self.runs[i as usize].pages = below;
             let j = self.alloc(above, advice, i);
-            self.index.write(above, j, 0);
+            self.relabel(above, j);
             (i, j)
         }
     }
@@ -295,8 +330,8 @@ impl DeviceState {
             true => (a, b),
             false => (b, a),
         };
+        self.relabel(self.runs[gone as usize].pages, keep);
         self.release(gone);
-        self.index.write(self.runs[gone as usize].pages, keep, 0);
         self.runs[keep as usize].pages = PageRange {
             end: rb.pages.end,
             ..ra.pages
@@ -304,16 +339,31 @@ impl DeviceState {
         keep
     }
 
+    /// Points the index's slots of `pages`, which run `slot` now holds,
+    /// at it.
+    fn relabel(&mut self, pages: PageRange, slot: u32) {
+        count(Site::IndexRelabel);
+        let written = self.index.write(pages, slot);
+        debug_assert!(written, "a resident page outside the windows");
+    }
+
     /// Hands `f` each resident stretch of `pages`, in order, cut into a run
-    /// of its own; appends the pages between to `missing` when given.
+    /// of its own; appends the stretches between to `missing` when given.
     fn each_run(
         &mut self,
         pages: PageRange,
-        mut missing: Option<&mut Vec<u64>>,
+        mut missing: Option<&mut Vec<PageRange>>,
         mut f: impl FnMut(&mut Self, u32),
     ) {
+        let mut gap = |first, end| match missing.as_deref_mut() {
+            Some(log) if first < end => log.push(PageRange { first, end }),
+            _ => {}
+        };
         let mut page = pages.first;
-        while let Some(mut i) = self.index.first_in(page, pages.end) {
+        while page < pages.end {
+            let Some(mut i) = self.index.first_in(&self.runs, page, pages.end) else {
+                break;
+            };
             if self.runs[i as usize].pages.first < page {
                 i = self.split(i, page).1;
             }
@@ -321,21 +371,25 @@ impl DeviceState {
                 i = self.split(i, pages.end).0;
             }
             let run = self.runs[i as usize].pages;
-            if let Some(log) = missing.as_deref_mut() {
-                log.extend(page..run.first);
-            }
+            gap(page, run.first);
             page = run.end;
             f(self, i);
         }
-        if let Some(log) = missing {
-            log.extend(page..pages.end);
-        }
+        gap(page, pages.end);
         self.check_invariants();
     }
 
     /// Touches each page of `pages` in turn, one splice per run: the
-    /// resident ones become the most recent, the others go to `missing`.
-    pub(crate) fn touch_range(&mut self, pages: PageRange, missing: &mut Vec<u64>) {
+    /// resident ones become the most recent, the others go to `missing`,
+    /// as runs.
+    pub(crate) fn touch_range(&mut self, mut pages: PageRange, missing: &mut Vec<PageRange>) {
+        // Touching the tail run's last pages leaves it as it is: cutting
+        // them off would only join them back.
+        if let Some(t) = self.runs.get(self.tail as usize) {
+            if t.pages.contains(pages.first) && t.pages.end <= pages.end {
+                pages.first = t.pages.end;
+            }
+        }
         self.each_run(pages, Some(missing), |st, i| {
             if i != st.tail {
                 st.unlink(i);
@@ -347,13 +401,13 @@ impl DeviceState {
 
     /// Sets the `mask` bits of the advice of the resident pages of `pages`
     /// to `bits`, and appends the pages that are not resident to
-    /// `missing` when given.
+    /// `missing`, as runs, when given.
     pub(crate) fn set_advice(
         &mut self,
         pages: PageRange,
         mask: u8,
         bits: u8,
-        missing: Option<&mut Vec<u64>>,
+        missing: Option<&mut Vec<PageRange>>,
     ) {
         self.each_run(pages, missing, |st, i| {
             let run = &mut st.runs[i as usize];
@@ -375,7 +429,6 @@ impl DeviceState {
         let mut count = 0;
         self.each_run(pages, None, |st, i| {
             let gone = st.runs[i as usize].pages;
-            st.index.write(gone, NIL, -1);
             st.release(i);
             st.resident -= gone.count();
             #[cfg(debug_assertions)]
@@ -399,7 +452,10 @@ impl DeviceState {
     /// Appends `pages`, none of them resident, at the tail in page order,
     /// with `advice`.
     fn append(&mut self, pages: PageRange, advice: u8) {
-        debug_assert!(self.index.first_in(pages.first, pages.end).is_none());
+        debug_assert!(self
+            .index
+            .first_in(&self.runs, pages.first, pages.end)
+            .is_none());
         let tail = self.tail;
         let slot = match self.runs.get_mut(tail as usize) {
             Some(t) if t.pages.end == pages.first && t.advice == advice => {
@@ -408,8 +464,32 @@ impl DeviceState {
             }
             _ => self.alloc(pages, advice, tail),
         };
-        self.index.write(pages, slot, 1);
         self.resident += pages.count();
+        self.high_water = self.high_water.max(self.resident);
+        count(Site::IndexArrival);
+        if !self.index.write(pages, slot) {
+            count(Site::WindowGrow);
+            self.index.cover(pages);
+            if self.index.slots() > SLOTS_PER_PAGE * self.high_water {
+                self.rebuild_index();
+            }
+            self.index.write(pages, slot);
+        }
+    }
+
+    /// Makes the windows anew over the resident runs alone.
+    fn rebuild_index(&mut self) {
+        count(Site::WindowRebuild);
+        self.index.0.clear();
+        let mut at = self.head;
+        while at != NIL {
+            let run = self.runs[at as usize].pages;
+            if !self.index.write(run, at) {
+                self.index.cover(run);
+                self.index.write(run, at);
+            }
+            at = self.runs[at as usize].next;
+        }
     }
 
     /// Evicts least-recently-used unpinned pages until `need_bytes` fit,
@@ -425,7 +505,10 @@ impl DeviceState {
         // (`need_bytes > self.budget`) this evicts everything evictable
         // and intra-kernel thrashing follows.
         let mut cursor = self.head;
-        while self.resident_bytes() + need_bytes > self.budget {
+        // Pages to evict: each one evicted takes `PAGE_SIZE` off the excess.
+        let excess = (self.resident_bytes() + need_bytes).saturating_sub(self.budget);
+        let mut over = excess.div_ceil(PAGE_SIZE);
+        while over > 0 {
             // Oldest unpinned run: pinned runs stay where they are, so
             // the walk resumes behind them rather than at the head.
             while cursor != NIL && self.runs[cursor as usize].advice & PINNED != 0 {
@@ -435,11 +518,10 @@ impl DeviceState {
                 break; // everything left is pinned
             }
             let run = self.runs[cursor as usize];
-            let over = (self.resident_bytes() + need_bytes - self.budget).div_ceil(PAGE_SIZE);
             let end = run.pages.end.min(run.pages.first + over);
             let gone = PageRange { end, ..run.pages };
-            self.index.write(gone, NIL, -1);
             self.resident -= gone.count();
+            over -= gone.count();
             if end == run.pages.end {
                 self.release(cursor);
                 cursor = run.next;
@@ -464,12 +546,12 @@ impl DeviceState {
     /// it; those go first either way, in the same order.
     pub(crate) fn page_in(
         &mut self,
-        missing: &[u64],
+        missing: &[PageRange],
         advice: u8,
         mut victims: Option<&mut Vec<PageRange>>,
     ) -> EvictResult {
         let mut evicted = EvictResult::default();
-        for PageRange { first, end } in runs_of(missing) {
+        for &PageRange { first, end } in missing {
             let bytes = (end - first) * PAGE_SIZE;
             self.make_room(bytes, victims.as_deref_mut(), &mut evicted);
             if self.resident_bytes() + bytes <= self.budget {
@@ -491,7 +573,8 @@ impl DeviceState {
     /// Debug builds check the structure as it mutates — amortized: once
     /// per as many mutations as there are resident pages, a full walk
     /// must find links consistent both ways, every run non-empty and
-    /// indexed page by page, and the index holding nothing else.
+    /// indexed page by page, every free run empty, and the windows
+    /// ascending, apart and within their bound.
     #[cfg(debug_assertions)]
     fn check_invariants(&mut self) {
         self.unwalked += 1;
@@ -508,21 +591,29 @@ impl DeviceState {
                 "run {at}"
             );
             for p in run.pages.iter() {
-                let slot = self.index.first_in(p, p + 1);
+                let slot = self.index.first_in(&self.runs, p, p + 1);
                 assert_eq!(slot, Some(at), "page {p} of run {at} indexed elsewhere");
             }
             (listed, pages, prev, at) = (listed + 1, pages + run.pages.count(), at, run.next);
         }
         assert_eq!((self.tail, pages), (prev, self.resident), "tail and count");
-        let counted = self.index.live.iter().map(|(_, n, slots)| {
-            assert_eq!(slots.iter().filter(|&&s| s != NIL).count(), *n as usize);
-            u64::from(*n)
-        });
-        assert_eq!(
-            counted.sum::<u64>(),
-            pages,
-            "the index holds only resident pages"
-        );
+        let mut free = self.free;
+        while let Some(run) = self.runs.get(free as usize) {
+            assert_eq!(run.pages.count(), 0, "free run {free} holds pages");
+            free = run.next;
+        }
+        // Windows: whole chunks, ascending, apart.
+        let mut last = 0;
+        for w in &self.index.0 {
+            let whole = w.first.is_multiple_of(CHUNK_PAGES) && w.end().is_multiple_of(CHUNK_PAGES);
+            assert!(
+                whole && w.first >= last && w.first < w.end(),
+                "window at {}",
+                w.first
+            );
+            last = w.end() + MERGE_GAP * CHUNK_PAGES + 1;
+        }
+        assert!(self.index.slots() <= SLOTS_PER_PAGE * self.high_water);
     }
 
     #[cfg(not(debug_assertions))]
@@ -578,7 +669,7 @@ mod tests {
         }
 
         fn is_pinned(&self, page: u64) -> bool {
-            let run = self.index.first_in(page, page + 1);
+            let run = self.index.first_in(&self.runs, page, page + 1);
             run.is_some_and(|i| self.runs[i as usize].advice & PINNED != 0)
         }
 
@@ -718,7 +809,7 @@ mod tests {
         };
         let mut missing = Vec::new();
         s.touch_range(range, &mut missing);
-        assert_eq!(missing, range.iter().collect::<Vec<_>>());
+        assert_eq!(missing, vec![range]);
         s.page_in(&missing, 0, None);
         assert_eq!(s.run_count(), 1, "faulted in page order: one run");
         // Touching a middle stretch cuts the run in three; touching the
@@ -738,51 +829,64 @@ mod tests {
     }
 
     #[test]
-    fn the_index_spans_chunks_and_returns_their_tables() {
+    fn windows_open_where_pages_land_and_merge_when_near() {
         let mut s = state(8);
         let far = 1 << 40;
         for p in [CHUNK_PAGES - 1, CHUNK_PAGES, far] {
             s.insert(p, false);
         }
-        assert_eq!(s.index.live.len(), 3, "one table per chunk in use");
+        let spans = |s: &DeviceState| -> Vec<(u64, u64)> {
+            s.index.0.iter().map(|w| (w.first, w.end())).collect()
+        };
+        let near = (0, 2 * CHUNK_PAGES);
+        assert_eq!(spans(&s), [near, (far, far + CHUNK_PAGES)]);
         let straddle = PageRange {
             first: CHUNK_PAGES - 1,
             end: CHUNK_PAGES + 1,
         };
         let got: Vec<PageRange> = s.resident_in(straddle).collect();
         assert_eq!(got, vec![straddle], "one run across the chunk boundary");
+        // A page `MERGE_GAP` chunks past a window joins it; one further
+        // out opens a window of its own, and a page between joins both.
+        let joined = (2 + MERGE_GAP) * CHUNK_PAGES;
+        s.insert(joined, false);
+        assert_eq!(spans(&s)[0], (0, joined + CHUNK_PAGES));
+        let apart = joined + (2 + MERGE_GAP) * CHUNK_PAGES;
+        s.insert(apart, false);
+        assert_eq!(spans(&s).len(), 3);
+        s.insert(apart - CHUNK_PAGES, false);
         assert_eq!(
-            s.remove_range(
-                PageRange {
-                    first: 0,
-                    end: far + 1
-                },
-                None
-            ),
-            3
+            spans(&s)[..2],
+            [(0, apart + CHUNK_PAGES), (far, far + CHUNK_PAGES)]
         );
-        assert!(s.index.live.is_empty());
-        assert_eq!(s.index.spare.len(), 3, "emptied tables are kept for reuse");
+        // Removal and eviction write nothing: the slots stay, and no
+        // lookup believes them.
+        let all = PageRange {
+            first: 0,
+            end: far + 1,
+        };
+        assert_eq!(s.remove_range(all, None), 6);
+        assert_eq!(s.resident_in(all).count(), 0);
+        assert_eq!(spans(&s).len(), 2);
         s.insert(far, false);
-        assert_eq!(s.index.spare.len(), 2, "and reused");
+        assert_eq!(spans(&s).len(), 2, "a page lands in the window it left");
     }
 
     #[test]
-    fn many_live_chunks_are_found() {
+    fn many_windows_are_found() {
         let mut s = state(64);
-        let chunks: Vec<u64> = (0..20)
-            .map(|i| (i * 7 % 20) * CHUNK_PAGES * 3 + i)
-            .collect();
+        let stride = (2 + MERGE_GAP) * CHUNK_PAGES;
+        let chunks: Vec<u64> = (0..20).map(|i| (i * 7 % 20) * stride + i).collect();
         for &p in &chunks {
             s.insert(p, false);
         }
-        assert_eq!(s.index.live.len(), 20);
+        assert_eq!(s.index.0.len(), 20);
         for &p in &chunks {
             assert!(s.is_resident(p) && !s.is_resident(p + 1));
         }
         let all = PageRange {
             first: 0,
-            end: 60 * CHUNK_PAGES,
+            end: 20 * stride,
         };
         let mut sorted = chunks.clone();
         sorted.sort_unstable();
@@ -790,7 +894,42 @@ mod tests {
         for &p in chunks.iter().rev() {
             assert!(s.remove(p));
         }
-        assert!(s.index.live.is_empty());
+        assert_eq!(s.resident_in(all).count(), 0);
+    }
+
+    /// Single pages walk the engine's 6 TiB managed window under a 4-page
+    /// budget, each in a chunk of its own: windows open behind them, and
+    /// rebuilds keep their slots within the stated multiple of the
+    /// resident high water.
+    #[test]
+    fn windows_stay_within_their_bound_across_the_managed_window() {
+        const WINDOW_PAGES: u64 = (6 << 40) / PAGE_SIZE;
+        const STEPS: u64 = 1000;
+        let bound = SLOTS_PER_PAGE * 4;
+        let mut s = state(4);
+        let mut walked = Vec::new();
+        for i in 0..STEPS {
+            // A scattered order over the window, a different page offset
+            // inside each chunk.
+            let page = i * 389 % STEPS * (WINDOW_PAGES / STEPS) + i % CHUNK_PAGES;
+            let (mut missing, at) = (Vec::new(), one(page));
+            s.touch_range(at, &mut missing);
+            assert_eq!(missing, [at]);
+            s.page_in(&missing, 0, None);
+            walked.push(page);
+            assert!(
+                s.index.slots() <= bound,
+                "step {i}: {} slots",
+                s.index.slots()
+            );
+            for (k, &p) in walked.iter().rev().enumerate() {
+                assert_eq!(s.is_resident(p), k < 4, "step {i}, page {p}");
+            }
+            if walked.len() > 8 {
+                walked.remove(0);
+            }
+        }
+        assert!(s.index.0.len() <= (bound / CHUNK_PAGES) as usize);
     }
 
     /// The `HashMap` + `BTreeMap` residency this module used to be — an
@@ -871,17 +1010,20 @@ mod tests {
         /// residents, the same flags, the same missing pages and the same
         /// eviction order. Ranges straddle resident and missing pages,
         /// pinned and read-mostly ones, end at the LRU tail, and cross an
-        /// index chunk boundary; budgets go down to one page (everything
-        /// pinned, a need larger than the budget) and resident pages are
-        /// re-inserted.
+        /// index chunk boundary, in two regions 2^40 pages apart (windows
+        /// open in either order, grow at either end and merge, and run
+        /// slots are reused over slots stale from an earlier run);
+        /// budgets go down to one page (everything pinned, a need larger
+        /// than the budget) and resident pages are re-inserted.
         #[test]
         fn slab_lru_matches_the_stamped_reference(
             budget_pages in 1u64..17,
-            ops in prop::collection::vec((0u8..10, 0u64..24, 1u64..9, any::<bool>()), 1..160)
+            ops in prop::collection::vec((0u8..10, 0u64..48, 1u64..9, any::<bool>()), 1..160)
         ) {
-            // 32 pages, the middle of them on either side of a chunk
-            // boundary.
+            // Two regions of 32 pages, the middle of each on either side
+            // of a chunk boundary.
             const LO: u64 = CHUNK_PAGES - 16;
+            const FAR: u64 = 1 << 40;
             const PAGES: u64 = 32;
             let mut slab = state(budget_pages);
             let mut reference = StampedState {
@@ -895,7 +1037,9 @@ mod tests {
                 (a, pages(&got), b, want)
             };
             for &(op, at, len, flag) in &ops {
-                let page = LO + at;
+                // `at` past 23: the far region.
+                let (lo, at) = (LO + FAR * (at / 24), at % 24);
+                let page = lo + at;
                 let range = PageRange { first: page, end: page + len };
                 let (mut got, mut want) = (Vec::new(), Vec::new());
                 match op {
@@ -906,12 +1050,15 @@ mod tests {
                     1 | 2 => {
                         // 2: a range that ends at the LRU tail.
                         let range = match (op, reference.tail()) {
-                            (2, Some(t)) => PageRange { first: (t + 1 - len).max(LO), end: t + 1 },
+                            (2, Some(t)) => {
+                                let lo = if t >= FAR { LO + FAR } else { LO };
+                                PageRange { first: (t + 1 - len).max(lo), end: t + 1 }
+                            }
                             _ => range,
                         };
                         slab.touch_range(range, &mut got);
                         want.extend(range.iter().filter(|&p| !reference.touch(p)));
-                        prop_assert_eq!(&got, &want, "missing pages");
+                        prop_assert_eq!(pages(&got), want, "missing pages");
                     }
                     3 => {
                         let mut removed = Vec::new();
@@ -939,7 +1086,7 @@ mod tests {
                                 None => want.push(p),
                             }
                         }
-                        prop_assert_eq!(&got, &want, "pages not resident");
+                        prop_assert_eq!(pages(&got), want, "pages not resident");
                     }
                     7 => {
                         // The pager's fault: touch, then page the rest in.
@@ -949,7 +1096,7 @@ mod tests {
                         let a = slab.page_in(&missing, clean(flag), Some(&mut victims));
                         let mut b = EvictResult::default();
                         let absent: Vec<u64> = range.iter().filter(|&p| !reference.touch(p)).collect();
-                        prop_assert_eq!(&missing, &absent, "missing pages");
+                        prop_assert_eq!(pages(&missing), absent.clone(), "missing pages");
                         for p in absent {
                             let e = reference.make_room_logged(PAGE_SIZE, &mut want);
                             b.pages += e.pages;
@@ -969,7 +1116,7 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(slab.resident_pages(), reference.resident.len() as u64);
-                for p in LO..LO + PAGES {
+                for p in (LO..LO + PAGES).chain(LO + FAR..LO + FAR + PAGES) {
                     let info = reference.resident.get(&p);
                     prop_assert_eq!(slab.is_resident(p), info.is_some());
                     prop_assert_eq!(slab.is_pinned(p), info.is_some_and(|i| i.1));
@@ -978,7 +1125,9 @@ mod tests {
             // Drain one page at a time: the whole LRU order, and through
             // the write-back each victim does or does not need, every
             // read-mostly flag.
-            slab.set_advice(PageRange { first: LO, end: LO + PAGES }, PINNED, 0, None);
+            for lo in [LO, LO + FAR] {
+                slab.set_advice(PageRange { first: lo, end: lo + PAGES }, PINNED, 0, None);
+            }
             for info in reference.resident.values_mut() {
                 info.1 = false;
             }

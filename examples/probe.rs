@@ -32,11 +32,17 @@
 //!   First it prints the cores the box really gives: two threads spinning
 //!   on equal work against one, as `available_parallelism` can promise two
 //!   cores a shared host then time-slices.
+//! * `counts` — what one warm op does, counted: the rows of
+//!   `pasta::sim::sync::Site` (lock acquisitions, residency index writes
+//!   by kind, index windows grown and rebuilt, managed allocations found
+//!   by search, directory claims, drops and writes) over the third op of
+//!   slot 0. Only a debug build counts; a release build exits 2.
 //!
 //! ```sh
 //! cargo run --release --example probe -- scale_out_moe sample 5 80
 //! cargo run --release --example probe -- scale_out_moe overhead
 //! cargo run --release --example probe -- scale_out_moe scale pool 2
+//! cargo run --example probe -- serve_oversub counts
 //! ```
 
 use pasta::prelude::ParallelConfig;
@@ -51,7 +57,8 @@ use std::time::{Duration, Instant};
 const SEED: u64 = 1;
 const USAGE: &str = "usage: probe <scenario> sample|sample-bare [seconds] [rows]
        probe <scenario> overhead [rounds]
-       probe <scenario> scale seq|pool [width] [rounds]";
+       probe <scenario> scale seq|pool [width] [rounds]
+       probe <scenario> counts";
 
 /// Counts heap allocations while `COUNTING` is set (`overhead` only, so
 /// the other modes' pool workers do not share the counter's cache line).
@@ -111,6 +118,7 @@ fn main() -> Result<ExitCode, Box<dyn Error>> {
             sampler::sample(&format!("{name} {mode}"), &mut op, seconds, rows)?;
         }
         ("overhead", _) => overhead(&scenario, number(2, 21)?)?,
+        ("counts", _) => return counts(&scenario),
         ("scale", Some("seq")) => scale(
             &scenario,
             Schedule::Sequential,
@@ -177,6 +185,30 @@ fn overhead(scenario: &Scenario, rounds: usize) -> Result<(), Box<dyn Error>> {
         100.0 * allocs[0] as f64 / allocs[1] as f64,
     );
     Ok(())
+}
+
+/// The work counts of one warm op, one row per site.
+fn counts(scenario: &Scenario) -> Result<ExitCode, Box<dyn Error>> {
+    use pasta::sim::sync::{counted, Site};
+    if counted(Site::Lock).is_none() {
+        eprintln!("counts: a release build counts nothing; build without --release");
+        return Ok(ExitCode::from(2));
+    }
+    // Two ops warm the symbol table, the allocator and the lanes' pools.
+    for _ in 0..2 {
+        scenario.op(0)?;
+    }
+    let before: Vec<Option<u64>> = Site::ALL.iter().map(|&s| counted(s)).collect();
+    scenario.op(0)?;
+    println!(
+        "{} counts: one warm op (slot 0, seed {SEED})",
+        scenario.name()
+    );
+    for (&site, before) in Site::ALL.iter().zip(before) {
+        let n = counted(site).zip(before).map_or(0, |(now, was)| now - was);
+        println!("  {:<16} {n:>8}", site.name());
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// One schedule's median wall over `rounds` whole ops.

@@ -13,7 +13,7 @@ mod common;
 
 use common::CountingAlloc;
 use pasta::scenarios::Scenario;
-use pasta::sim::sync::acquisitions;
+use pasta::sim::sync::{counted, Site};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc::new();
@@ -35,10 +35,10 @@ fn a_warm_profile_fine_op_has_no_large_request_542_allocs_4349_locks() {
         scenario.op(0).expect("a warm-up op");
     }
     GLOBAL.take_largest();
-    let (before, locks_before) = (GLOBAL.allocs(), acquisitions());
+    let (before, locks_before) = (GLOBAL.allocs(), counted(Site::Lock));
     let out = scenario.op(0).expect("the counted op");
     let allocs = GLOBAL.allocs() - before;
-    let locks = acquisitions().zip(locks_before).map(|(a, b)| a - b);
+    let locks = counted(Site::Lock).zip(locks_before).map(|(a, b)| a - b);
     let largest = GLOBAL.take_largest();
     out.checks().expect("the op's own checks");
     assert!(

@@ -1,4 +1,4 @@
-//! Allocation and lock pin for the UVM serving op.
+//! Allocation, lock and index-write pin for the UVM serving op.
 //!
 //! Warm `serve_oversub` ops (seed 1, slot 0), as the benchmark runs
 //! them: 4 lanes on the 2-worker pool, the UVM budget at 9/8 of the
@@ -16,44 +16,61 @@
 //! `deregister_evicted`'s debug-only `is_holder` sweep, now lock-free
 //! reads too.
 //!
-//! The fewest allocations of three ops must be at most 720. An op's count
-//! is not fixed: now and then one makes 722 (1 op of 36 over twelve
-//! processes), while an allocation added to the op's path shows in every
-//! op. One `#[test]`, because the counters are process-global.
+//! Each must also write the residency index exactly 8893 times for
+//! arriving pages and 4363 times for pages whose run split or joined,
+//! and never for an evicted or removed page: a slot counts only while its
+//! run holds the page. Before, the same op wrote 12091 slots on eviction,
+//! 312 on removal and 4839 on relabels, among them cuts of the tail run
+//! that a join undid at once.
+//!
+//! The fewest allocations of three ops must be at most 717. An op's
+//! count is not fixed: now and then (5 ops of 216 over eighteen
+//! processes) one makes 2 more, when both workers' first lanes release
+//! the shared weights range before either next lane registers it, so the
+//! range's directory is dropped and made again (the `RangeDirectory` and
+//! its first holder segment). An allocation added to the op's path shows
+//! in every op. One `#[test]`, because the counters are process-global.
 
 mod common;
 
 use common::CountingAlloc;
 use pasta::scenarios::Scenario;
-use pasta::sim::sync::acquisitions;
+use pasta::sim::sync::{counted, Site};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc::new();
 
-/// The most the leanest of three warm ops may allocate: the 720 one
+/// The most the leanest of three warm ops may allocate: the 717 one
 /// makes under the test harness's output capture, which the op's pool
-/// threads inherit at 4 allocations an op (716 with `--nocapture`), so
+/// threads inherit at 4 allocations an op (713 with `--nocapture`), so
 /// one more allocation on the op's path fails here.
-const ALLOCS_MAX: u64 = 720;
-/// The lock acquisitions a warm op makes (debug builds count them): one
-/// more on the op's path, or one fewer left unrecorded, fails here.
-const LOCKS: u64 = 3715;
+const ALLOCS_MAX: u64 = 717;
+/// What a warm op does at each counted site (debug builds count them):
+/// one more on the op's path, or one fewer left unrecorded, fails here.
+const COUNTS: [(Site, u64); 5] = [
+    (Site::Lock, 3715),
+    (Site::IndexArrival, 8893),
+    (Site::IndexRelabel, 4363),
+    (Site::IndexEviction, 0),
+    (Site::IndexRemoval, 0),
+];
 
 #[test]
-fn a_warm_serve_oversub_op_makes_720_allocs_3715_locks() {
+fn a_warm_serve_oversub_op_makes_717_allocs_3715_locks_no_eviction_writes() {
     let scenario = Scenario::setup("serve_oversub", 1).expect("set-up");
     // Two ops warm the symbol table, the allocator and the lanes' pools.
     for _ in 0..2 {
         scenario.op(0).expect("a warm-up op");
     }
-    let counted: Vec<(u64, Option<u64>)> = (0..3)
+    let counted: Vec<(u64, [Option<u64>; 5])> = (0..3)
         .map(|_| {
-            let (before, locks_before) = (GLOBAL.allocs(), acquisitions());
+            let (before, counts_before) = (GLOBAL.allocs(), COUNTS.map(|c| counted(c.0)));
             let out = scenario.op(0).expect("a counted op");
             let allocs = GLOBAL.allocs() - before;
-            let locks = acquisitions().zip(locks_before).map(|(a, b)| a - b);
+            let counts = COUNTS.map(|c| counted(c.0));
+            let counts = std::array::from_fn(|k| Some(counts[k]? - counts_before[k]?));
             out.checks().expect("the op's own checks");
-            (allocs, locks)
+            (allocs, counts)
         })
         .collect();
     let fewest = counted.iter().map(|c| c.0).min().expect("three ops");
@@ -61,9 +78,11 @@ fn a_warm_serve_oversub_op_makes_720_allocs_3715_locks() {
         fewest <= ALLOCS_MAX,
         "{fewest} allocations at fewest, above {ALLOCS_MAX}: {counted:?}"
     );
-    for (_, locks) in &counted {
-        if let Some(locks) = *locks {
-            assert_eq!(locks, LOCKS, "lock acquisitions of a warm op: {counted:?}");
+    for (_, counts) in &counted {
+        for ((site, want), got) in COUNTS.iter().zip(counts) {
+            if let Some(got) = *got {
+                assert_eq!(got, *want, "{} of a warm op: {counted:?}", site.name());
+            }
         }
     }
 }

@@ -6,10 +6,11 @@
 //! every access faults pages in and evicts others, the runs, the page
 //! index and the scratch lists reach their high water and stay there.
 //! Both hold on the session's manager and on a lane forked from it, which
-//! keeps nothing per access for the merge either, and the page index
-//! grows with the resident pages, not with the managed window. A counting
-//! allocator pins all three. One `#[test]`, because its counters are
-//! process-global.
+//! keeps nothing per access for the merge either. The page index is
+//! windows of run slots over the chunks where pages landed, never over
+//! the managed window: two pages at the ends of a 6 TiB registration
+//! open two small windows. A counting allocator pins all three. One
+//! `#[test]`, because its counters are process-global.
 
 mod common;
 
