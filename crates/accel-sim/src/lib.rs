@@ -83,5 +83,5 @@ pub use probe::{AnalysisMode, DeviceProbe, InstrCoverage, ProbeConfig, ProbeCost
 pub use residency::{AccessOutcome, PeerTransfer, ResidencyAdvice, ResidencyModel};
 pub use runtime::{CopyDirection, DeviceRuntime, LaunchRecord, RuntimeStats};
 pub use symbol::{Symbol, SymbolMap, SymbolTable};
-pub use threads::{contain, idle_until, resolve_threads, run_pool, PoolRun, PoolTask};
+pub use threads::{contain, resolve_threads, run_pool, PoolRun, PoolTask};
 pub use trace::{AccessBatch, KernelTraceSummary};

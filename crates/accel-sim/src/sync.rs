@@ -38,7 +38,7 @@ macro_rules! sites {
 }
 
 sites! {
-    /// A successful [`Mutex::lock`] or [`Mutex::try_lock`].
+    /// A [`Mutex::lock`].
     Lock = "lock",
     /// A residency index write for pages arriving on a device.
     IndexArrival = "index.arrival",
@@ -79,11 +79,6 @@ pub fn counted(site: Site) -> Option<u64> {
     cfg!(debug_assertions).then(|| COUNTS[site as usize].load(Relaxed))
 }
 
-fn counted_guard<G>(guard: G) -> G {
-    count(Site::Lock);
-    guard
-}
-
 /// Mutual exclusion over `std::sync::Mutex` with poisoning recovered.
 #[derive(Debug, Default)]
 pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
@@ -108,16 +103,10 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, blocking until available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        counted_guard(self.0.lock()).unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Acquires the lock if nobody holds it.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(guard) => Some(counted_guard(guard)),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(counted_guard(e.into_inner())),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
+        count(Site::Lock);
+        self.0
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -135,10 +124,6 @@ mod tests {
         }));
         assert!(unwound.is_err());
         m.lock().push(3);
-        assert_eq!(*m.try_lock().expect("free and recovered"), vec![1, 2, 3]);
-        let held = m.lock();
-        assert!(m.try_lock().is_none(), "held: would block");
-        drop(held);
         assert_eq!(m.into_inner(), vec![1, 2, 3]);
     }
 }

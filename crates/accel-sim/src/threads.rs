@@ -1,13 +1,10 @@
-//! The one worker pool, its thread-budget rule and its idle backoff.
+//! The one worker pool and its thread-budget rule.
 //!
-//! Every PASTA thread outside the spine's background drainers is a worker
-//! of [`run_pool`]: the lanes of a parallel region
-//! (`dl_framework::lane_exec`, workers `lane-dev{N}`), the two pipeline
-//! stages, and the session-end merge (`pasta_core::merge`, workers
-//! `merge-{k}`). The `0 = available parallelism` rule ([`resolve_threads`])
-//! appears on every knob of `ParallelConfig`, and the idle backoff
-//! ([`idle_until`]) drives both the pool's idle workers and the spine's
-//! drainers.
+//! Every PASTA thread is a worker of [`run_pool`]: the lanes of a parallel
+//! region (`dl_framework::lane_exec`, workers `lane-dev{N}`), the two
+//! pipeline stages, and the session-end merge (`pasta_core::merge`,
+//! workers `merge-{k}`). The `0 = available parallelism` rule
+//! ([`resolve_threads`]) appears on every knob of `ParallelConfig`.
 //!
 //! **Bounded pool.** [`run_pool`] multiplexes tasks onto at most
 //! `max_threads` workers, each seeded with one task and then claiming
@@ -24,15 +21,6 @@
 //! a thread bearing its own number — the configuration the
 //! fault-containment name test pins.
 //!
-//! **Idle duty**: a worker that finds the queue empty while siblings are
-//! still running calls the caller's `idle` hook under [`idle_until`]'s
-//! backoff — this is how `run_parallel_each` folds spine-drainer duty into
-//! the pool instead of spawning drainer threads. The hook is contained
-//! like a task: a panicking `idle` is caught, the hook is disarmed for the
-//! remainder of that pool, and the first payload is reported in
-//! [`PoolRun::idle_panic`] — it never unwinds a worker, so it cannot
-//! abort sibling tasks.
-//!
 //! **Scheduling caveat**: tasks on a bounded pool must not block on each
 //! other — with fewer workers than tasks, a task waiting for one that has
 //! not been scheduled yet deadlocks.
@@ -41,8 +29,7 @@ use crate::error::{panic_message, AccelError};
 use crate::id::DeviceId;
 use crate::sync::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Resolves a thread budget: `0` means "available parallelism" (1 if the
 /// OS will not say), any other value is taken literally.
@@ -51,26 +38,6 @@ pub fn resolve_threads(max_threads: usize) -> usize {
         max_threads
     } else {
         std::thread::available_parallelism().map_or(1, |n| n.get())
-    }
-}
-
-/// Runs `work` until `done()` holds, backing off while it finds nothing:
-/// 16 consecutive empty beats yield the thread, every later one sleeps
-/// 50 µs, and a beat that finds work (`work` returns `true`) starts the
-/// count over.
-pub fn idle_until(done: impl Fn() -> bool, mut work: impl FnMut() -> bool) {
-    let mut idle_beats = 0u32;
-    while !done() {
-        if work() {
-            idle_beats = 0;
-            continue;
-        }
-        idle_beats = idle_beats.saturating_add(1);
-        if idle_beats < 16 {
-            std::thread::yield_now();
-        } else {
-            std::thread::sleep(Duration::from_micros(50));
-        }
     }
 }
 
@@ -93,7 +60,7 @@ impl<T> std::fmt::Debug for PoolTask<'_, T> {
 }
 
 /// What one [`run_pool`] call produced: the per-task results plus the
-/// pool's own concurrency and fault diagnostics.
+/// pool's own concurrency diagnostic.
 #[derive(Debug)]
 pub struct PoolRun<T> {
     /// Per-task results, **in task order**, regardless of which worker
@@ -102,11 +69,6 @@ pub struct PoolRun<T> {
     /// Peak number of *this pool's* tasks that ran concurrently; other
     /// pools running in parallel cannot contaminate it.
     pub high_water: usize,
-    /// Payload of the first `idle`-hook panic, if any. The panic was
-    /// contained and the hook disarmed for the remainder of the pool
-    /// (idle workers fell back to plain backoff); task results are
-    /// unaffected.
-    pub idle_panic: Option<String>,
 }
 
 /// Contains a panic at the task boundary: `f`'s panic becomes a typed
@@ -133,27 +95,20 @@ pub fn contain<T>(
 /// the calling thread as worker 0, the others spawned for this call and
 /// joined before it returns. Worker `w` is seeded with task `w`, and a
 /// spawned one is named `{role}{N}` after that task's device; exhausted
-/// workers claim remaining tasks in index order, then run `idle` (if any)
-/// until every task has finished — `idle` returns whether it found work,
-/// driving [`idle_until`]'s backoff.
+/// workers claim remaining tasks in index order.
 ///
 /// A panicking task is contained at the task boundary and surfaces as
 /// [`AccelError::LanePanic`] for its device; remaining tasks still run.
-/// A panicking `idle` hook is likewise contained: the hook is disarmed
-/// for the rest of this pool and the first payload is reported in
-/// [`PoolRun::idle_panic`] instead of unwinding the pool scope.
 pub fn run_pool<'a, T: Send>(
     role: &str,
     max_threads: usize,
     tasks: Vec<PoolTask<'a, T>>,
-    idle: Option<&(dyn Fn() -> bool + Sync)>,
 ) -> PoolRun<T> {
     let n = tasks.len();
     if n == 0 {
         return PoolRun {
             results: Vec::new(),
             high_water: 0,
-            idle_panic: None,
         };
     }
     let workers = resolve_threads(max_threads).min(n);
@@ -163,11 +118,8 @@ pub fn run_pool<'a, T: Send>(
     let results: Vec<Mutex<Option<Result<T, AccelError>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(workers);
-    let done = AtomicUsize::new(0);
     let live = AtomicUsize::new(0);
     let pool_high = AtomicUsize::new(0);
-    let idle_armed = AtomicBool::new(true);
-    let idle_panic: Mutex<Option<String>> = Mutex::new(None);
 
     let run_task = |i: usize| {
         let Some(task) = slots[i].lock().take() else {
@@ -178,27 +130,8 @@ pub fn run_pool<'a, T: Send>(
         let result = contain(task.device, task.run);
         live.fetch_sub(1, Ordering::SeqCst);
         *results[i].lock() = Some(result);
-        done.fetch_add(1, Ordering::Release);
     };
-    // One idle beat: the hook under its own catch_unwind — a panic here
-    // would otherwise unwind the worker and abort the whole pool
-    // scope, taking sibling tasks down with it. The first panic disarms
-    // the hook for this pool; the spine's producer-side drain keeps the
-    // path lossless without it.
-    let idle_beat = |idle: &(dyn Fn() -> bool + Sync)| {
-        idle_armed.load(Ordering::Acquire)
-            && catch_unwind(AssertUnwindSafe(idle)).unwrap_or_else(|payload| {
-                idle_armed.store(false, Ordering::Release);
-                idle_panic
-                    .lock()
-                    .get_or_insert_with(|| panic_message(payload.as_ref()));
-                false
-            })
-    };
-
-    // Worker `w`: its seed task, then claims in task order, then — queue
-    // exhausted — idle duty (spine draining) until the last sibling
-    // finishes.
+    // Worker `w`: its seed task, then claims in task order.
     let worker = |w: usize| {
         run_task(w);
         loop {
@@ -207,9 +140,6 @@ pub fn run_pool<'a, T: Send>(
                 break;
             }
             run_task(claim);
-        }
-        if let Some(idle) = idle {
-            idle_until(|| done.load(Ordering::Acquire) >= n, || idle_beat(idle));
         }
     };
     std::thread::scope(|scope| {
@@ -243,13 +173,13 @@ pub fn run_pool<'a, T: Send>(
     PoolRun {
         results,
         high_water: pool_high.into_inner(),
-        idle_panic: idle_panic.into_inner(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn explicit_budget_is_literal_and_zero_asks_the_os() {
@@ -273,7 +203,7 @@ mod tests {
         for threads in [1, 2, 3, 16] {
             let tasks: Vec<PoolTask<'_, u32>> =
                 (0..7).map(|i| task(i, move || Ok(i * 10))).collect();
-            let out = run_pool("t-", threads, tasks, None);
+            let out = run_pool("t-", threads, tasks);
             let values: Vec<u32> = out.results.into_iter().map(|r| r.unwrap()).collect();
             assert_eq!(values, vec![0, 10, 20, 30, 40, 50, 60], "threads={threads}");
         }
@@ -286,7 +216,7 @@ mod tests {
             task(1, || panic!("fault-injection: pooled lane dies")),
             task(2, || Ok(3)),
         ];
-        let out = run_pool("t-", 1, tasks, None).results;
+        let out = run_pool("t-", 1, tasks).results;
         assert_eq!(*out[0].as_ref().unwrap(), 1);
         match &out[1] {
             Err(AccelError::LanePanic { device, payload }) => {
@@ -307,7 +237,7 @@ mod tests {
                 run: Box::new(move || Ok(name())),
             })
             .collect();
-        let names: Vec<String> = run_pool("merge-", 3, tasks, None)
+        let names: Vec<String> = run_pool("merge-", 3, tasks)
             .results
             .into_iter()
             .map(Result::unwrap)
@@ -331,7 +261,7 @@ mod tests {
                 })
             })
             .collect();
-        let out = run_pool("t-", 3, tasks, None);
+        let out = run_pool("t-", 3, tasks);
         assert!(out.results.iter().all(Result::is_ok));
         assert!(max.load(Ordering::SeqCst) <= 3, "budget exceeded");
         assert!(
@@ -361,7 +291,7 @@ mod tests {
                                 })
                             })
                             .collect();
-                        run_pool("t-", 2, tasks, None)
+                        run_pool("t-", 2, tasks)
                     })
                 })
                 .collect();
@@ -375,61 +305,5 @@ mod tests {
                 run.high_water
             );
         }
-    }
-
-    #[test]
-    fn idle_hook_runs_while_stragglers_finish() {
-        let idle_calls = AtomicUsize::new(0);
-        let tasks = vec![
-            task(0, || {
-                std::thread::sleep(Duration::from_millis(5));
-                Ok(0)
-            }),
-            task(1, || Ok(1)),
-        ];
-        let hook = || {
-            idle_calls.fetch_add(1, Ordering::SeqCst);
-            false
-        };
-        let out = run_pool("t-", 2, tasks, Some(&hook));
-        assert!(out.results.iter().all(Result::is_ok));
-        assert!(
-            idle_calls.load(Ordering::SeqCst) > 0,
-            "idle worker never drained"
-        );
-        assert_eq!(out.idle_panic, None);
-    }
-
-    /// Regression: a panicking idle hook used to unwind the scoped worker
-    /// and abort the whole pool scope, killing sibling tasks that were
-    /// mid-flight. Now the panic is contained, the hook is disarmed for
-    /// the rest of the pool, and every task result survives.
-    #[test]
-    fn idle_hook_panic_is_contained_and_disarms_the_hook() {
-        let idle_calls = AtomicUsize::new(0);
-        let tasks = vec![
-            task(0, || {
-                std::thread::sleep(Duration::from_millis(10));
-                Ok(0)
-            }),
-            task(1, || Ok(1)),
-        ];
-        let hook = || -> bool {
-            idle_calls.fetch_add(1, Ordering::SeqCst);
-            panic!("fault-injection: idle drain dies");
-        };
-        let out = run_pool("t-", 2, tasks, Some(&hook));
-        assert!(
-            out.results.iter().all(Result::is_ok),
-            "task results must survive an idle-hook panic: {:?}",
-            out.results
-        );
-        assert_eq!(
-            idle_calls.load(Ordering::SeqCst),
-            1,
-            "first panic must disarm the hook for the rest of the pool"
-        );
-        let payload = out.idle_panic.expect("idle panic reported");
-        assert!(payload.contains("idle drain dies"), "{payload}");
     }
 }

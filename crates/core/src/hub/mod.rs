@@ -50,13 +50,12 @@
 //! 4. **Batched flushes** — a full buffer (or kernel end) spills the
 //!    whole window at once instead of handing off event-by-event.
 //! 5. **One delivery per launch edge** — a kernel begin or end, or a full
-//!    spill buffer, reaches the shard as one delivery. The session's own
-//!    context consumes it under one shard lock ([`SpineMode::Inline`]). A
-//!    parallel lane ([`SpineMode::Ring`], [`crate::spine`]) *pushes* it
-//!    onto a bounded SPSC ring instead; the region's drainer or pool sweep
-//!    (or a backpressured producer, or the next harvest) runs dispatch off
-//!    the emission critical path. The sink reads the mode in one function
-//!    and is otherwise one body. Every acquisition through
+//!    spill buffer, reaches the shard as one delivery, consumed under one
+//!    shard lock on the emitting thread ([`SpineMode::Inline`]) by every
+//!    sink a session builds, its own context's and each parallel lane's.
+//!    A sink built over the ring ([`SpineMode::Ring`], [`crate::spine`])
+//!    *pushes* it onto a bounded SPSC ring instead. The sink reads the mode
+//!    in one function and is otherwise one body. Every acquisition through
 //!    [`DeviceShard::lock`] drains pending rings first, so reports,
 //!    recorders and resets observe every pushed event exactly once —
 //!    [`Hub::quiesce`] is the explicit entry point.
@@ -224,17 +223,6 @@ impl DeviceShard {
     /// reads off the drain path.
     pub(crate) fn lock_raw(&self) -> MutexGuard<'_, EventProcessor> {
         self.processor.lock()
-    }
-
-    /// Opportunistically drains this shard's rings: a no-op (returning 0)
-    /// when someone else holds the processor lock — they will drain.
-    /// Returns the number of events drained. The [`crate::spine::SpineDrainer`]
-    /// heartbeat.
-    pub(crate) fn try_drain(&self) -> u64 {
-        match self.processor.try_lock() {
-            Some(mut guard) => self.spine.drain(&mut guard),
-            None => 0,
-        }
     }
 
     /// Registers a sink's ring as feeding this shard.
@@ -405,7 +393,7 @@ impl Hub {
     /// views are quiescent by construction. Call `quiesce` directly when
     /// pending ring-mode events must become visible *without* taking any
     /// further action — e.g. before comparing `events_processed` across
-    /// hubs, or after a parallel region whose drainers were stopped.
+    /// hubs.
     ///
     /// Events pushed before this call are processed when it returns;
     /// producers still running may of course push more afterwards.

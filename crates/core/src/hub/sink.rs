@@ -30,16 +30,17 @@ struct LaunchGate {
 /// The sink has one body. Every callback rebinds to its launch's device;
 /// a launch edge (begin, end, a full spill buffer) goes to `deliver`, the
 /// only place the [`SpineMode`] is read, as its spilled batches and then
-/// its marker event. [`SpineMode::Inline`] (a session's own context)
-/// consumes the edge under one shard lock. Under [`SpineMode::Ring`] (a
-/// parallel lane's) the sink owns one SPSC [`EventRing`] per device it has
-/// visited and pushes each [`SpineMsg`] onto it, leaving tool dispatch to
-/// the lane's drainer or pool sweep; a full ring (or an empty buffer pool)
-/// triggers the lossless backpressure path — the sink takes the shard
-/// lock, which drains every pending ring (its own older messages first),
-/// and consumes the overflow there. Both modes therefore cut batches at
-/// identical stream offsets and deliver the identical event sequence to the
-/// shard's processor, which is what the ring-vs-inline suites pin.
+/// its marker event. [`SpineMode::Inline`] (every sink a session builds)
+/// consumes the edge under one shard lock. Under [`SpineMode::Ring`]
+/// (only [`HubSink::new`] and [`HubSink::with_spine`] ask for it) the sink
+/// owns one SPSC [`EventRing`] per device it has visited and pushes each
+/// [`SpineMsg`] onto it, leaving tool dispatch to the next shard lock; a
+/// full ring (or an empty buffer pool) triggers the lossless backpressure
+/// path — the sink takes the shard lock, which drains every pending ring
+/// (its own older messages first), and consumes the overflow there. Both
+/// modes therefore cut batches at identical stream offsets and deliver the
+/// identical event sequence to the shard's processor, which is what the
+/// ring-vs-inline suites pin.
 #[derive(Debug)]
 pub struct HubSink {
     hub: SharedHub,
@@ -65,8 +66,8 @@ impl HubSink {
     }
 
     /// Creates a sink that delivers under the shard lock on the emission
-    /// path, as a session's own context does — the differential tests'
-    /// reference and the bench decompositions' inline twin.
+    /// path: the sink every session context builds, and the reference the
+    /// ring-vs-inline tests hold the ring to.
     pub fn inline_spine(hub: SharedHub) -> Self {
         Self::with_spine(hub, SpineMode::Inline, SpineConfig::default())
     }

@@ -87,7 +87,7 @@ pub use processor::{EventProcessor, EventRecorder};
 pub use profiler::{BackendChoice, ParallelConfig, Pasta, PastaBuilder, PastaSession, UvmSetup};
 pub use range::RangeFilter;
 pub use report::{MergedReport, SessionReport, ToolQuarantine, ToolReport, UvmReport};
-pub use spine::{EventRing, SpineConfig, SpineDrainer, SpineMode, SpineMsg};
+pub use spine::{EventRing, SpineConfig, SpineMode, SpineMsg};
 pub use tool::{Interest, Tool, ToolCollection};
 pub use workload::{
     FnWorkload, KernelSweepWorkload, ModelWorkload, Workload, WorkloadCx, WorkloadStats,

@@ -88,7 +88,7 @@ pub(crate) fn on_pool<'a, T: Send + 'a>(
             run: Box::new(move || Ok(job())),
         })
         .collect();
-    run_pool("merge-", max_threads, tasks, None)
+    run_pool("merge-", max_threads, tasks)
         .results
         .into_iter()
         .map(|result| {

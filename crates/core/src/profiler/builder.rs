@@ -13,7 +13,6 @@ use crate::knob::Knob;
 use crate::normalize::{class_of_nv, class_of_roc, normalize_nv, normalize_roc};
 use crate::processor::EventProcessor;
 use crate::range::RangeFilter;
-use crate::spine::{SpineConfig, SpineMode};
 use crate::tool::Tool;
 use accel_sim::instrument::{BackendCosts, ProfilerHandle};
 use accel_sim::{
@@ -153,8 +152,6 @@ pub struct PastaBuilder {
     range: RangeFilter,
     capture_knob: Option<Knob>,
     uvm: Option<UvmSetup>,
-    spine_mode: SpineMode,
-    spine_config: SpineConfig,
     parallel: ParallelConfig,
 }
 
@@ -169,8 +166,6 @@ impl Default for PastaBuilder {
             range: RangeFilter::all(),
             capture_knob: Some(Knob::MaxMemReferencedKernel),
             uvm: None,
-            spine_mode: SpineMode::Ring,
-            spine_config: SpineConfig::default(),
             parallel: ParallelConfig::default(),
         }
     }
@@ -276,25 +271,6 @@ impl PastaBuilder {
         self
     }
 
-    /// How parallel lanes' sinks hand fine-grained events to their shard:
-    /// [`SpineMode::Ring`] (the default lock-free SPSC spine) or
-    /// [`SpineMode::Inline`] (under the shard lock). The session's own
-    /// context always delivers inline: nothing else drains its shard.
-    pub fn spine_mode(mut self, mode: SpineMode) -> Self {
-        self.spine_mode = mode;
-        self
-    }
-
-    /// Ring geometry for the event spine (slots per ring, preallocated
-    /// batch buffers, events per batch) of every per-lane sink
-    /// `run_parallel` creates; `batch_events` is also the flush threshold
-    /// of the session's own, inline sink. Validated at
-    /// [`PastaBuilder::build`]: rings need at least 2 slots.
-    pub fn spine_config(mut self, config: SpineConfig) -> Self {
-        self.spine_config = config;
-        self
-    }
-
     /// Thread budgets for parallel regions and the session-end merge —
     /// see [`ParallelConfig`].
     pub fn parallel(mut self, config: ParallelConfig) -> Self {
@@ -308,22 +284,10 @@ impl PastaBuilder {
     ///
     /// [`PastaError::Config`] on an explicitly empty device list, mixed
     /// vendors, duplicate tool names, a backend/vendor mismatch, a trace
-    /// buffer smaller than one record, a UVM budget smaller than one page,
-    /// or an invalid spine geometry (rings need ≥ 2 slots).
+    /// buffer smaller than one record, or a UVM budget smaller than one
+    /// page.
     /// (No device selection at all defaults to one A100.)
     pub fn build(self) -> Result<PastaSession, PastaError> {
-        if self.spine_config.ring_slots < 2 {
-            return Err(PastaError::Config(format!(
-                "spine ring_slots must be at least 2 (got {}): a 1-slot ring \
-                 cannot distinguish full from empty",
-                self.spine_config.ring_slots
-            )));
-        }
-        if self.spine_config.batch_events == 0 {
-            return Err(PastaError::Config(
-                "spine batch_events must be at least 1".into(),
-            ));
-        }
         if let Some(budget) = self.uvm.as_ref().and_then(|u| u.budget_bytes) {
             if budget < PAGE_SIZE {
                 return Err(PastaError::Config(format!(
@@ -414,14 +378,11 @@ impl PastaBuilder {
         let recipe = ContextRecipe {
             specs,
             backend: backend.resolve(vendor)?.filter(|_| wants_device),
-            wants_device,
-            spine_mode: self.spine_mode,
-            spine_config: self.spine_config,
             managed_allocator: self
                 .uvm
                 .is_some_and(|uvm_setup| uvm_setup.managed_allocator),
         };
-        let (runtime, profiler) = recipe.build(&hub, DeviceId(0), None, uvm, SpineMode::Inline)?;
+        let (runtime, profiler) = recipe.build(&hub, DeviceId(0), None, uvm)?;
 
         Ok(PastaSession {
             runtime,
@@ -449,11 +410,6 @@ pub(super) struct ContextRecipe {
     /// What a context attaches — coverage, analysis mode, costs — when the
     /// backend choice instruments the device and a tool wants its events.
     backend: Option<(InstrCoverage, AnalysisMode, BackendCosts)>,
-    pub(super) wants_device: bool,
-    /// How parallel lanes' sinks hand events to their shards.
-    pub(super) spine_mode: SpineMode,
-    /// Ring geometry for every ring-mode sink the session creates.
-    spine_config: SpineConfig,
     /// Whether the framework's caching allocator hands out managed
     /// memory ([`UvmSetup::managed_allocator`]).
     pub(super) managed_allocator: bool,
@@ -462,7 +418,7 @@ pub(super) struct ContextRecipe {
 impl ContextRecipe {
     /// A context over the full device list, pinned to `device`: host
     /// callbacks normalized into `hub`, `uvm` as the residency model and,
-    /// when tools want device events, the backend's profiler with a `mode`
+    /// when tools want device events, the backend's profiler with an inline
     /// sink into `hub`. `home` is `Some(device)` only for a lane of a
     /// sharded hub: its host callbacks then tally what its own shard turns
     /// away without a locked add (`DeviceShard::count_gated`).
@@ -472,7 +428,6 @@ impl ContextRecipe {
         device: DeviceId,
         home: Option<DeviceId>,
         uvm: Option<UvmManager>,
-        mode: SpineMode,
     ) -> Result<(Box<dyn SessionRuntime>, Option<ProfilerHandle>), PastaError> {
         let (mut runtime, profiler) = match self.specs[0].vendor {
             Vendor::Amd => self.context(hub, home, class_of_roc, normalize_roc)?,
@@ -483,11 +438,7 @@ impl ContextRecipe {
             runtime.engine_mut().set_residency(Box::new(uvm));
         }
         if let Some(handle) = &profiler {
-            handle.set_sink(Box::new(HubSink::with_spine(
-                Arc::clone(hub),
-                mode,
-                self.spine_config,
-            )));
+            handle.set_sink(Box::new(HubSink::inline_spine(Arc::clone(hub))));
         }
         Ok((runtime, profiler))
     }
@@ -661,13 +612,12 @@ mod tests {
     }
 
     #[test]
-    fn device_tools_attach_profiler_and_only_lanes_deliver_over_rings() {
+    fn device_tools_attach_profiler_and_every_context_delivers_inline() {
         use crate::workload::KernelSweepWorkload;
         use accel_sim::{Dim3, KernelBody, KernelDesc};
         let mut session = Pasta::builder()
             .rtx_3060()
             .tool(DeviceHungry)
-            .spine_mode(SpineMode::Ring)
             .build()
             .unwrap();
         assert!(session.profiler.is_some());
@@ -681,7 +631,7 @@ mod tests {
         session
             .run_parallel(&[DeviceId(0)], |lanes| {
                 lanes[0].session.launch(kernel)?;
-                assert_eq!(rings(), 1, "a lane delivers over the ring mode asks for");
+                assert_eq!(rings(), 0, "a lane delivers inline too");
                 Ok(())
             })
             .unwrap();

@@ -1,13 +1,13 @@
 //! The parallel regions of a [`PastaSession`]: one lane per device, built
 //! from the session's `ContextRecipe`, driven by the caller's closure
 //! ([`PastaSession::run_parallel`]) or the bounded lane pool
-//! ([`PastaSession::run_parallel_each`]), drained per `DrainPolicy`, then
-//! harvested — lane UVM managers, overhead and records fold back into the
-//! session, and a contained panic is salvaged.
+//! ([`PastaSession::run_parallel_each`]), each lane's sink delivering
+//! inline on the thread that drives it, then harvested — lane UVM managers,
+//! overhead and records fold back into the session, and a contained panic
+//! is salvaged.
 
 use super::session::PastaSession;
 use crate::error::{LaneFailure, PastaError};
-use crate::spine::{self, SpineDrainer, SpineMode};
 use accel_sim::{panic_message, AccelError, DeviceId};
 use dl_framework::lane_exec::{self, LaneSchedule};
 use dl_framework::parallel::DeviceLane;
@@ -40,16 +40,15 @@ pub struct ParallelConfig {
     /// Lane worker threads for `run_parallel`/`run_parallel_each`: lanes
     /// are multiplexed onto at most this many pooled workers (the calling
     /// thread plus threads named `lane-dev{N}` after their first lane)
-    /// instead of one thread per device. Idle workers absorb spine-drain
-    /// duty.
+    /// instead of one thread per device.
     pub max_lane_threads: usize,
     /// Worker threads for the session-end merge (tool folds across
     /// shards, forked UVM managers) — the tree reduction in
     /// [`crate::merge`], on workers of the lanes' pool named `merge-{k}`.
     pub max_merge_threads: usize,
-    /// Background spine-drainer threads for `run_parallel` (named
-    /// `drain-dev{N}`); each services an interleaved slice of the lane
-    /// devices instead of one thread per device.
+    /// Read by nothing: every lane delivers inline, so no region starts a
+    /// drainer thread. Kept so that `ParallelConfig` literals naming it
+    /// still compile; it goes with the ring.
     pub max_drain_threads: usize,
 }
 
@@ -85,15 +84,6 @@ impl PastaSession {
         devices: &[DeviceId],
         f: impl FnOnce(&mut [DeviceLane<'_>]) -> Result<R, AccelError>,
     ) -> Result<R, PastaError> {
-        self.run_parallel_impl(devices, DrainPolicy::Background, f)
-    }
-
-    fn run_parallel_impl<R>(
-        &mut self,
-        devices: &[DeviceId],
-        drain_policy: DrainPolicy,
-        f: impl FnOnce(&mut [DeviceLane<'_>]) -> Result<R, AccelError>,
-    ) -> Result<R, PastaError> {
         if devices.is_empty() {
             return Err(PastaError::Config(
                 "parallel device list is empty: pass at least one DeviceId".into(),
@@ -122,7 +112,7 @@ impl PastaSession {
         let home = |device| self.hub.is_sharded().then_some(device);
         let mut contexts = Vec::with_capacity(devices.len());
         let mut handles = Vec::new();
-        let (recipe, mode) = (&self.recipe, self.recipe.spine_mode);
+        let recipe = &self.recipe;
         for &device in devices {
             // A UVM session replicates into its lanes: each lane carries a
             // manager forked from the session's (same budgets and
@@ -131,7 +121,7 @@ impl PastaSession {
             // no lock shared across lanes. Lane state merges back into
             // the session manager when `f` returns.
             let uvm = self.runtime.uvm_manager().map(|m| m.fork(device));
-            let (ctx, handle) = recipe.build(&self.hub, device, home(device), uvm, mode)?;
+            let (ctx, handle) = recipe.build(&self.hub, device, home(device), uvm)?;
             contexts.push(ctx);
             handles.extend(handle);
         }
@@ -158,22 +148,6 @@ impl PastaSession {
             })
             .collect::<Result<_, _>>()?;
 
-        // Lane drain scheduling: with the ring spine, a bounded set of
-        // background drainers (at most `max_drain_threads`, `0` = the
-        // machine's parallelism — never more than one per device) keeps
-        // the lane shards' rings drained while the emitters run, so tool
-        // dispatch leaves the emission critical path. Pool-idle regions
-        // ([`PastaSession::run_parallel_each`]) skip the threads entirely
-        // — their idle lane workers sweep the shards instead. Inline-spine
-        // (or host-only) sessions also skip them: there is nothing to
-        // drain off-path. Either way the spine's producer-side
-        // backpressure keeps the path lossless without any drainer.
-        let drain_width = accel_sim::resolve_threads(self.parallel.max_drain_threads);
-        let drainer = (self.recipe.wants_device
-            && self.recipe.spine_mode == SpineMode::Ring
-            && drain_policy == DrainPolicy::Background)
-            .then(|| SpineDrainer::start_bounded(Arc::clone(&self.hub), devices, drain_width));
-
         // The orchestration closure is contained like a lane: a panic
         // unwinding out of it (or out of an unguarded thread it joined)
         // becomes a typed failure, and the harvest below still runs so the
@@ -191,16 +165,6 @@ impl PastaSession {
             lane.session.synchronize();
         }
         drop(lanes);
-        // Stop the drainers, then make every pushed event visible before
-        // the harvest below — lane sinks were dropped with the contexts
-        // further down, but their rings stay registered until drained
-        // empty, so a panicked lane's events still reach the salvaged
-        // report. (Contexts drop after the quiesce-on-lock harvest paths
-        // run; the explicit quiesce here covers everything pushed so far.)
-        if let Some(drainer) = drainer {
-            drainer.stop();
-        }
-        self.hub.quiesce();
         // Harvest the lane UVM managers and fold them into the session
         // manager in ascending device id — the same deterministic order
         // as the session-end tool merge, regardless of the order the
@@ -245,12 +209,11 @@ impl PastaSession {
             self.lane_overhead = self.lane_overhead.merge(handle.breakdown());
             self.lane_records += handle.records_total();
         }
-        // Lane sinks die with their contexts; a ring-mode sink's Drop
-        // spills partial spill buffers onto its rings (even for a lane
-        // that panicked mid-launch). Quiesce afterwards so that tail is
-        // visible to the salvaged report `salvage` may build below.
+        // Lane sinks die with their contexts; a sink's Drop delivers its
+        // partial spill buffers (even for a lane that panicked
+        // mid-launch), so that tail reaches the salvaged report `salvage`
+        // may build below.
         drop(contexts);
-        self.hub.quiesce();
         result.map_err(|e| self.salvage(e))
     }
 
@@ -262,11 +225,9 @@ impl PastaSession {
     /// Lanes are multiplexed onto at most
     /// [`ParallelConfig::max_lane_threads`] pooled workers (the caller and
     /// threads named `lane-dev{N}` after their first lane), so a 256-device
-    /// region costs a handful of OS threads, not 256. No background
-    /// drainer threads are spawned either: a pool worker that runs out of
-    /// lanes sweeps the lane shards' spine rings until the stragglers
-    /// finish, and the spine's producer-side backpressure covers the rest
-    /// — losslessly, so thread budgets never change the merged bytes.
+    /// region costs a handful of OS threads, not 256. Each lane's sink
+    /// delivers inline on the worker that drives the lane, so thread
+    /// budgets never change the merged bytes.
     ///
     /// `work` receives the lane's index into `devices` and the lane
     /// itself. A panicking lane becomes a [`LaneFailure`] attributed to
@@ -287,26 +248,10 @@ impl PastaSession {
         devices: &[DeviceId],
         work: impl Fn(usize, &mut DeviceLane<'_>) -> Result<(), AccelError> + Sync,
     ) -> Result<(), PastaError> {
-        let hub = Arc::clone(&self.hub);
-        let rings = self.recipe.wants_device && self.recipe.spine_mode == SpineMode::Ring;
-        self.run_parallel_impl(devices, DrainPolicy::PoolIdle, |lanes| {
-            let sweep = || spine::sweep(&hub, devices);
-            let idle = rings.then_some(&sweep as &(dyn Fn() -> bool + Sync));
-            lane_exec::drive_lanes(lanes, LaneSchedule::Threaded, idle, work).map(drop)
+        self.run_parallel(devices, |lanes| {
+            lane_exec::drive_lanes(lanes, LaneSchedule::Threaded, work).map(drop)
         })
     }
-}
-
-/// Who keeps the spine rings drained while a parallel region's lanes run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DrainPolicy {
-    /// A bounded set of dedicated drainer threads
-    /// ([`SpineDrainer::start_bounded`]) — for [`PastaSession::run_parallel`],
-    /// whose orchestration closure is opaque to the session.
-    Background,
-    /// No drainer threads: the caller's lane pool sweeps the shards from
-    /// idle workers ([`PastaSession::run_parallel_each`]).
-    PoolIdle,
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! The lock-free event spine: bounded SPSC rings between sinks and shards.
 //!
-//! ISSUE 3's and ISSUE 8's serialization decompositions showed the
-//! under-mutex drain (`process_class_batch` under each shard's lock) at
-//! 80–94% of an instrumented launch. A parallel region's lanes hand that
-//! work to another thread (a drainer, an idle pool worker) over these
-//! rings, single-producer / single-consumer *by construction*; a session's
-//! own context, whose shard nothing else drains, delivers inline instead.
+//! Every sink a session builds — its own context's and each parallel
+//! lane's — delivers [`SpineMode::Inline`]: a launch edge is consumed
+//! under its shard's lock on the emitting thread. The ring is the other
+//! mode, reachable only through `HubSink::new` and `HubSink::with_spine`;
+//! nothing drains it in the background, so its messages wait for the next
+//! shard lock.
 //!
 //! * [`EventRing`] — a bounded lock-free SPSC ring of [`SpineMsg`]s
 //!   (single events or whole per-class batches), paired with a reverse
@@ -15,9 +15,6 @@
 //!   are drained **only while holding the shard's processor lock** (the
 //!   "consumer = lock holder" protocol), which serializes consumers
 //!   without adding any atomics beyond the ring's own head/tail.
-//! * [`SpineDrainer`] — background threads that keep lane shards drained
-//!   during [`crate::PastaSession::run_parallel`] (idle pool workers do it
-//!   in `run_parallel_each`), taking dispatch off the emitters' path.
 //!
 //! **Backpressure is explicit and lossless.** A producer that finds its
 //! ring full (or the buffer pool empty) takes the shard lock itself,
@@ -29,31 +26,27 @@
 //!
 //! **Ordering.** Within one ring, messages pop in push order; a sink's
 //! event stream therefore reaches its shard's `EventProcessor` in exactly
-//! the order the old inline drain delivered it, which is why the merged
-//! reports stay byte-identical to the mutex-spine reference (the
-//! `concurrency`/`uvm_p2p`/`fault_containment` suites pin this).
+//! the order the inline delivery gives it, which is what `tests/spine.rs`
+//! pins.
 
 use crate::event::{Event, EventClass};
-use crate::hub::{Hub, SharedHub};
 use crate::processor::EventProcessor;
 use accel_sim::sync::Mutex;
-use accel_sim::DeviceId;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// How a parallel lane's [`crate::hub::HubSink`] hands events to its
-/// shard; the session's own context always delivers [`SpineMode::Inline`].
+/// How a [`crate::hub::HubSink`] hands events to its shard. Every sink a
+/// session builds delivers [`SpineMode::Inline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpineMode {
     /// Bounded lock-free SPSC ring per sink→shard pair: emission pushes
-    /// and returns; the region's [`SpineDrainer`] or pool sweep (or a
-    /// backpressured producer, or the next harvest) runs tool dispatch.
+    /// and returns; a backpressured producer or the next shard lock runs
+    /// tool dispatch.
     Ring,
     /// Each launch edge consumed into the shard's `EventProcessor` under
-    /// one lock on the emission path. Selectable for lanes as the
-    /// differential reference the byte-identity tests hold the ring to.
+    /// one lock on the emission path.
     Inline,
 }
 
@@ -370,11 +363,11 @@ fn drain_ring(ring: &EventRing, processor: &mut EventProcessor) -> u64 {
 pub(crate) struct ShardSpine {
     rings: Mutex<Vec<Arc<EventRing>>>,
     /// `rings.len()`, readable without the registry mutex: every shard
-    /// lock drains first, and a session whose tools want no device events
-    /// never registers a ring. Written under the registry mutex. The
-    /// release store in `register` pairs with the acquire load in `drain`:
-    /// a drain ordered after a push (same thread, a join, the shard lock)
-    /// is ordered after the registration that preceded the push.
+    /// lock drains first, and no sink a session builds registers a ring.
+    /// Written under the registry mutex. The release store in `register`
+    /// pairs with the acquire load in `drain`: a drain ordered after a
+    /// push (same thread, a join, the shard lock) is ordered after the
+    /// registration that preceded the push.
     live: AtomicUsize,
 }
 
@@ -404,94 +397,6 @@ impl ShardSpine {
         self.live.store(rings.len(), Ordering::Release);
         drained
     }
-}
-
-/// Background shard drainers for parallel regions: a bounded set of
-/// threads (at most one per lane device, fewer under
-/// [`SpineDrainer::start_bounded`]) keeps the lane shards' rings drained
-/// while emitters run, so tool dispatch (80–94% of an instrumented
-/// launch) leaves the emission critical path. Emitters that outrun a
-/// drainer fall back to the lossless backpressure path; a stopped (or
-/// never-started) drainer costs correctness nothing — the next harvest
-/// drains.
-///
-/// `stop` is cooperative: the drainer finishes its sweep, and
-/// [`SpineDrainer::stop`] (also run on drop) joins the threads. The
-/// final sweep is not relied upon — harvest paths quiesce regardless.
-#[derive(Debug)]
-pub struct SpineDrainer {
-    stop: Arc<AtomicBool>,
-    threads: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl SpineDrainer {
-    /// Spawns at most `max_threads` drainer threads, never more than one
-    /// per device, each servicing an interleaved slice of `devices`:
-    /// thread `j` sweeps `devices[j], devices[j + W], …`, so at 256 lanes
-    /// the drain side costs `max_drain_threads` OS threads instead of 256.
-    /// Threads are named `drain-dev{N}` after the first device they
-    /// service. Spawn failures are tolerated silently — the spine is
-    /// correct without drainers, just slower under contention.
-    pub fn start_bounded(hub: SharedHub, devices: &[DeviceId], max_threads: usize) -> SpineDrainer {
-        let stop = Arc::new(AtomicBool::new(false));
-        let width = max_threads.min(devices.len());
-        let threads = (0..width)
-            .filter_map(|j| {
-                let slice: Vec<DeviceId> = devices
-                    .iter()
-                    .copied()
-                    .skip(j)
-                    .step_by(width.max(1))
-                    .collect();
-                let first = *slice.first()?;
-                let hub: Arc<Hub> = Arc::clone(&hub);
-                let stop = Arc::clone(&stop);
-                std::thread::Builder::new()
-                    .name(format!("drain-dev{}", first.index()))
-                    .spawn(move || drain_loop(&hub, &slice, &stop))
-                    .ok()
-            })
-            .collect();
-        SpineDrainer { stop, threads }
-    }
-
-    /// Signals the drainers to finish and joins them.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        for t in self.threads.drain(..) {
-            // A drainer that panicked (it runs no tool code, so this is
-            // defensive) is simply gone; harvests still quiesce.
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for SpineDrainer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// One drainer thread's loop: sweep the assigned shards under the shared
-/// idle backoff until stopped.
-fn drain_loop(hub: &Hub, devices: &[DeviceId], stop: &AtomicBool) {
-    accel_sim::idle_until(|| stop.load(Ordering::Acquire), || sweep(hub, devices));
-}
-
-/// One opportunistic sweep of `devices`' shards (skipping shards where an
-/// emitter or harvest holds the lock); whether it drained anything. The
-/// beat of both the background drainers and the lane pool's idle workers
-/// (`PastaSession::run_parallel_each`).
-pub(crate) fn sweep(hub: &Hub, devices: &[DeviceId]) -> bool {
-    devices
-        .iter()
-        .map(|&device| hub.shard_for(device).try_drain())
-        .sum::<u64>()
-        > 0
 }
 
 #[cfg(test)]

@@ -12,12 +12,9 @@
 //!
 //! **One pool.** Pooled lanes ride [`accel_sim::run_pool`], the worker
 //! pool the session-end merge shares, through [`run_pool`]: the calling
-//! thread runs the first lane's seat, the spawned workers are named
-//! `lane-dev{N}` after the device of the first lane they run, and a
-//! worker that finds the queue empty runs the caller's `idle` hook
-//! (spine draining in `run_parallel_each`). Emitters that outrun the idle
-//! drainers fall back to the spine's lossless producer-side drain, so a
-//! pool with no idle capacity costs correctness nothing.
+//! thread runs the first lane's seat, and the spawned workers are named
+//! `lane-dev{N}` after the device of the first lane they run. A lane's
+//! events reach its shard on the worker that drives it.
 //!
 //! **Scheduling caveat**: lanes on a bounded pool must not block on each
 //! other — with fewer workers than lanes, a lane waiting for a lane that
@@ -42,11 +39,10 @@ pub enum LaneSchedule {
 }
 
 /// Runs `work` once per lane — on the bounded lane pool ([`run_pool`],
-/// at most the lanes' pool limit worker threads live at once, with
-/// `idle` as the idle workers' hook) or lane-at-a-time on the calling
-/// thread, per `schedule` — and returns the per-lane results in lane
-/// order. A pooled run folds its high water into the lanes' stamped
-/// watermark.
+/// at most the lanes' pool limit worker threads live at once) or
+/// lane-at-a-time on the calling thread, per `schedule` — and returns
+/// the per-lane results in lane order. A pooled run folds its high water
+/// into the lanes' stamped watermark.
 ///
 /// Lanes driven here must be independent (no cross-lane blocking), which
 /// is what makes the bounded pool deadlock-free at any worker count.
@@ -59,7 +55,6 @@ pub enum LaneSchedule {
 pub fn drive_lanes<T, F>(
     lanes: &mut [DeviceLane<'_>],
     schedule: LaneSchedule,
-    idle: Option<&(dyn Fn() -> bool + Sync)>,
     work: F,
 ) -> Result<Vec<T>, AccelError>
 where
@@ -88,14 +83,10 @@ where
             run: Box::new(move || work(i, lane)),
         })
         .collect();
-    let run = run_pool(limit, tasks, idle);
+    let run = run_pool(limit, tasks, None);
     if let Some(watermark) = lanes.iter().find_map(DeviceLane::pool_watermark) {
         watermark.fetch_max(run.high_water, Ordering::AcqRel);
     }
-    // An idle-hook panic (`run.idle_panic`) was contained inside the pool
-    // and the hook disarmed; correctness needs nothing more — the spine's
-    // producer-side backpressure plus the session's final quiesce drain
-    // every ring the disarmed sweeper abandoned.
     settle(run.results)
 }
 
@@ -113,11 +104,13 @@ pub(crate) fn settle<T>(results: Vec<Result<T, AccelError>>) -> Result<Vec<T>, A
 }
 
 /// The lane pool: [`accel_sim::run_pool`] with spawned workers named
-/// `lane-dev{N}` after the device of the first lane each runs.
+/// `lane-dev{N}` after the device of the first lane each runs. `_idle`
+/// can only be `None`: the pool has no idle hook, and the parameter stays
+/// so that callers written against the three-argument form compile.
 pub fn run_pool<'a, T: Send>(
     max_threads: usize,
     tasks: Vec<PoolTask<'a, T>>,
-    idle: Option<&(dyn Fn() -> bool + Sync)>,
+    _idle: Option<std::convert::Infallible>,
 ) -> PoolRun<T> {
-    accel_sim::run_pool("lane-dev", max_threads, tasks, idle)
+    accel_sim::run_pool("lane-dev", max_threads, tasks)
 }

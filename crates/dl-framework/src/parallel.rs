@@ -225,7 +225,7 @@ fn data_parallel(
 ) -> Result<ParallelReport, AccelError> {
     require_lanes(lanes, 2, "data parallelism")?;
     let dims = megatron_345m_dims();
-    let stats = drive_lanes(lanes, schedule, None, |_i, lane| {
+    let stats = drive_lanes(lanes, schedule, |_i, lane| {
         let s = &mut lane.session;
         let mut replica = build_lm(s, megatron_spec(), dims, batch, "megatron/pretrain_gpt2.py")?;
         // Persistent DDP gradient bucket (the long-lived communication
@@ -269,7 +269,7 @@ fn tensor_parallel(
         .map(DeviceLane::device)
         .min()
         .expect("lane count checked above");
-    let stats = drive_lanes(lanes, schedule, None, |_i, lane| {
+    let stats = drive_lanes(lanes, schedule, |_i, lane| {
         let s = &mut lane.session;
         let mut shard = build_lm(
             s,
@@ -438,7 +438,7 @@ fn expert_parallel(
     let world = lanes.len();
     let dims = cfg.dims;
     let experts_total = world * cfg.experts_per_lane;
-    let stats = drive_lanes(lanes, schedule, None, |_i, lane| {
+    let stats = drive_lanes(lanes, schedule, |_i, lane| {
         let s = &mut lane.session;
         let mut replica = build_lm(
             s,
@@ -886,7 +886,7 @@ mod tests {
         use std::sync::atomic::Ordering;
         let ran = AtomicUsize::new(0);
         let result = two_lanes(|lanes| {
-            drive_lanes(lanes, schedule, None, |i, _lane| {
+            drive_lanes(lanes, schedule, |i, _lane| {
                 ran.fetch_add(1, Ordering::SeqCst);
                 if i == 0 {
                     return Err(AccelError::Config("lane 0 fails first".into()));

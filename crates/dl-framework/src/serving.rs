@@ -567,7 +567,7 @@ fn dispatch(
         .min()
         .expect("lane count checked above");
     let shards: Vec<Vec<Request>> = (0..n).map(|i| trace.lane_requests(i, n)).collect();
-    let lanes = drive_lanes(lanes, schedule, None, |i, lane| {
+    let lanes = drive_lanes(lanes, schedule, |i, lane| {
         serve_lane(lane, &shards[i], cfg, weight_owner)
     })?;
     Ok(ServingRun { lanes })

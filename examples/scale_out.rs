@@ -3,8 +3,8 @@
 //!
 //! Before ISSUE 9 this run would have spawned 512 OS threads (one lane
 //! plus one spine drainer per device); here at most `max_lane_threads`
-//! lane workers are ever live, drain duty rides the same pool, and the
-//! session-end merge folds the 256 shards as a pairwise tree.
+//! lane workers are ever live, each delivering its lanes' events inline,
+//! and the session-end merge folds the 256 shards as a pairwise tree.
 //!
 //! ```sh
 //! cargo run --release --example scale_out
@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let parallel_cfg = ParallelConfig {
         max_lane_threads: 4,
         max_merge_threads: 4,
-        max_drain_threads: 2,
+        ..ParallelConfig::default()
     };
     let mut session = Pasta::builder()
         .devices(vec![DeviceSpec::a100_80gb(); LANES as usize])

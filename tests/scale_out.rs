@@ -26,7 +26,8 @@ use std::sync::Mutex;
 use pasta::core::merge::tree_reduce;
 use pasta::core::tool::LaunchCounter;
 use pasta::core::{LaneFailure, Pasta, PastaError, PastaSession};
-use pasta::dl::parallel::{self, MoeConfig, Parallelism};
+use pasta::dl::lane_exec::{self, LaneSchedule};
+use pasta::dl::parallel::{self, DeviceLane, MoeConfig, Parallelism};
 use pasta::prelude::*;
 use pasta::uvm::{BlockHotness, UvmStats};
 use proptest::prelude::*;
@@ -138,15 +139,15 @@ fn scale_session(n: usize, cfg: ParallelConfig) -> PastaSession {
 }
 
 /// 256 lanes of per-device kernel work through `run_parallel_each` on a
-/// 4-worker pool: no thread-per-device, no per-device drainers — the
-/// high-water mark proves at most `max_lane_threads` lanes ran at once,
-/// and the merged report still covers all 256 shards.
+/// 4-worker pool, not a thread per device: the high-water mark proves at
+/// most `max_lane_threads` lanes ran at once, and the merged report still
+/// covers all 256 shards.
 #[test]
 fn run_parallel_each_bounds_workers_at_256_devices() {
     let cfg = ParallelConfig {
         max_lane_threads: 4,
         max_merge_threads: 4,
-        max_drain_threads: 2,
+        ..ParallelConfig::default()
     };
     let mut session = scale_session(256, cfg);
     session
@@ -189,7 +190,7 @@ fn moe_256_lanes_complete_on_bounded_pool() {
     let cfg = ParallelConfig {
         max_lane_threads: 4,
         max_merge_threads: 4,
-        max_drain_threads: 2,
+        ..ParallelConfig::default()
     };
     let mut session = scale_session(256, cfg);
     let moe = MoeConfig::tiny();
@@ -356,9 +357,12 @@ impl WatchProbe {
 
 /// A forkable launch counter whose instances share one probe: every
 /// thread that runs its code, and how many of its merges run at once
-/// (each merge sleeps, so merges the pool could overlap do overlap).
+/// (each merge sleeps, so merges the pool could overlap do overlap). With
+/// `device` set it also reads barriers, so its lanes attach a profiler
+/// whose sink delivers the launch begins and barriers.
 struct MergeWatch {
     launches: u64,
+    device: bool,
     probe: std::sync::Arc<WatchProbe>,
 }
 
@@ -367,14 +371,17 @@ impl Tool for MergeWatch {
         "merge-watch"
     }
     fn interest(&self) -> Interest {
-        Interest::KERNEL_LAUNCHES
+        match self.device {
+            true => Interest::KERNEL_LAUNCHES | Interest::BARRIERS,
+            false => Interest::KERNEL_LAUNCHES,
+        }
     }
     fn on_event(&mut self, event: &pasta::core::Event) {
         if matches!(event, pasta::core::Event::KernelLaunchEnd { .. }) {
             self.launches += 1;
-            self.probe
-                .saw(std::thread::current().name().unwrap_or("unnamed"));
         }
+        self.probe
+            .saw(std::thread::current().name().unwrap_or("unnamed"));
     }
     fn report(&self) -> ToolReport {
         ToolReport::new(self.name()).metric("launches", self.launches as f64)
@@ -382,6 +389,7 @@ impl Tool for MergeWatch {
     fn fork(&self) -> Option<Box<dyn Tool>> {
         Some(Box::new(MergeWatch {
             launches: 0,
+            device: self.device,
             probe: std::sync::Arc::clone(&self.probe),
         }))
     }
@@ -403,34 +411,42 @@ impl Tool for MergeWatch {
 /// one pool — `lane-dev{N}` for the lanes, `merge-{k}` for the
 /// session-end merge — or the caller; at most `max_lane_threads` lanes
 /// and `max_merge_threads` merges run at once; and the merged report is
-/// the same at every merge budget.
+/// the same at every merge budget. The last region reads device events
+/// under `run_parallel`: its lanes' sinks deliver on the lane workers too.
 #[test]
 fn lanes_and_the_merge_run_on_the_pool_within_their_budgets() {
+    let launch = |lane: &mut DeviceLane<'_>| {
+        lane.session.launch(
+            KernelDesc::new("budget_probe", Dim3::linear(2), Dim3::linear(64))
+                .body(KernelBody::compute(1 << 10).with_barriers(2)),
+        )?;
+        Ok(())
+    };
     let mut reports = Vec::new();
-    for merge_threads in [1, 2, 4] {
+    for (merge_threads, device) in [(1, false), (2, false), (4, false), (2, true)] {
         let probe = std::sync::Arc::new(WatchProbe::default());
         let mut session = Pasta::builder()
             .devices(vec![DeviceSpec::a100_80gb(); 64])
             .tool(MergeWatch {
                 launches: 0,
+                device,
                 probe: std::sync::Arc::clone(&probe),
             })
             .parallel(ParallelConfig {
                 max_lane_threads: 3,
                 max_merge_threads: merge_threads,
-                max_drain_threads: 1,
+                ..ParallelConfig::default()
             })
             .build()
             .expect("session builds");
-        session
-            .run_parallel_each(&devices(64), |_i, lane| {
-                lane.session.launch(
-                    KernelDesc::new("budget_probe", Dim3::linear(2), Dim3::linear(64))
-                        .body(KernelBody::compute(1 << 10)),
-                )?;
-                Ok(())
-            })
-            .expect("64-lane run completes");
+        let run = match device {
+            true => session.run_parallel(&devices(64), |lanes| {
+                lane_exec::drive_lanes(lanes, LaneSchedule::Threaded, |_i, lane| launch(lane))
+                    .map(drop)
+            }),
+            false => session.run_parallel_each(&devices(64), |_i, lane| launch(lane)),
+        };
+        run.expect("64-lane run completes");
         let report = session.merged_report();
 
         let lanes = session.pool_high_water();
@@ -447,87 +463,24 @@ fn lanes_and_the_merge_run_on_the_pool_within_their_budgets() {
         for thread in probe.threads.lock().unwrap().iter() {
             assert!(
                 thread.starts_with("lane-dev") || thread.starts_with("merge-") || *thread == caller,
-                "tool code ran on `{thread}`, outside the pool (budget {merge_threads})"
+                "tool code ran on `{thread}`, outside the pool \
+                 (budget {merge_threads}, device events {device})"
             );
         }
-        reports.push(report);
+        let launches = (report.tools.iter())
+            .find(|r| r.tool == "merge-watch")
+            .and_then(|r| r.get("launches"));
+        assert_eq!(
+            launches,
+            Some(64.0),
+            "one launch per lane survived the merge (device events {device})"
+        );
+        if !device {
+            reports.push(report);
+        }
     }
     assert!(
         reports.windows(2).all(|w| w[0] == w[1]),
         "the merge budget moved the merged report"
     );
-    let launches = reports[0]
-        .tools
-        .iter()
-        .find(|r| r.tool == "merge-watch")
-        .and_then(|r| r.get("launches"));
-    assert_eq!(
-        launches,
-        Some(64.0),
-        "one launch per lane survived the merge"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// SpineConfig through the builder.
-// ---------------------------------------------------------------------------
-
-/// `SpineConfig` is now a first-class builder knob: degenerate capacities
-/// are rejected at `build()` with a typed error, and a minimal legal
-/// config still produces a working session.
-#[test]
-fn builder_validates_spine_config() {
-    let err = Pasta::builder()
-        .a100()
-        .spine_config(SpineConfig {
-            ring_slots: 1,
-            ..SpineConfig::default()
-        })
-        .build()
-        .expect_err("1-slot ring must be rejected");
-    assert!(matches!(err, PastaError::Config(_)), "{err:?}");
-    assert!(err.to_string().contains("ring_slots"), "{err}");
-
-    let err = Pasta::builder()
-        .a100()
-        .spine_config(SpineConfig {
-            batch_events: 0,
-            ..SpineConfig::default()
-        })
-        .build()
-        .expect_err("0-event batches must be rejected");
-    assert!(err.to_string().contains("batch_events"), "{err}");
-
-    // The minimal legal spine (2 slots, 1-event batches) still drains.
-    let mut session = Pasta::builder()
-        .a100_x2()
-        .tool(LaunchCounter::default())
-        .spine_config(SpineConfig {
-            ring_slots: 2,
-            pool_buffers: 1,
-            batch_events: 1,
-        })
-        .build()
-        .expect("minimal spine builds");
-    session
-        .run_parallel_each(&devices(2), |_i, lane| {
-            let s = &mut lane.session;
-            let t = s.alloc_tensor(&[1024], pasta::dl::dtype::DType::F32)?;
-            s.launch(
-                KernelDesc::new("tiny_spine", Dim3::linear(2), Dim3::linear(64))
-                    .arg(t.ptr, t.bytes)
-                    .body(KernelBody::streaming(t.bytes, 0)),
-            )?;
-            s.free_tensor(&t);
-            Ok(())
-        })
-        .expect("minimal spine run completes");
-    let launches = session
-        .merged_report()
-        .tools
-        .iter()
-        .find(|r| r.tool == "launch-counter")
-        .and_then(|r| r.get("launches"))
-        .expect("counter merged");
-    assert_eq!(launches, 2.0);
 }

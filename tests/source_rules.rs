@@ -47,7 +47,7 @@ struct Rule {
     allowed: &'static [(&'static str, usize)],
 }
 
-const RULES: [Rule; 6] = [
+const RULES: [Rule; 7] = [
     Rule {
         name: "One lock type",
         why: "accel_sim::sync::Mutex is the one lock: no manifest or `use` names parking_lot",
@@ -59,15 +59,22 @@ const RULES: [Rule; 6] = [
     },
     Rule {
         name: "One worker pool",
-        why: "threads are accel_sim::threads::run_pool's workers, and the spine's drainer",
+        why: "threads are accel_sim::threads::run_pool's workers",
         needles: "thread::scope|thread::spawn|thread::Builder|spawn_scoped",
         then: |_| true,
         scope: &["crates/*/src/", "src/"],
         test_code: false,
-        allowed: &[
-            ("crates/accel-sim/src/threads.rs", 3),
-            ("crates/core/src/spine.rs", 1),
-        ],
+        allowed: &[("crates/accel-sim/src/threads.rs", 3)],
+    },
+    Rule {
+        name: "One lane delivery",
+        why: "every sink a session builds delivers inline: only HubSink's own \
+              constructors name the ring",
+        needles: "SpineMode::Ring",
+        then: |c| !c.is_some_and(is_ident),
+        scope: &["crates/*/src/", "src/", "examples/"],
+        test_code: false,
+        allowed: &[("crates/core/src/hub/sink.rs", 2)],
     },
     Rule {
         name: "One event schema",

@@ -6,7 +6,10 @@
 //! throughout is the mutex-spine (`SpineMode::Inline`) reference: same
 //! input stream, byte-identical merged reports, and — for the recorder
 //! tests — the *exact same event sequence* delivered to each shard's
-//! processor, each event exactly once.
+//! processor, each event exactly once. Sessions never build a ring sink
+//! (every lane delivers inline), so the rings are driven through
+//! `HubSink::with_spine` directly; the last test holds a session's two
+//! lane schedules to each other.
 //!
 //! Run with `--test-threads=1` in CI: the stress tests spawn their own
 //! emitter threads and time-share poorly with sibling tests.
@@ -17,7 +20,7 @@ use common::{sharded_hub, FineAggregator};
 use pasta::core::hub::{Hub, HubSink, SharedHub};
 use pasta::core::processor::{EventProcessor, EventRecorder};
 use pasta::core::report::MergedReport;
-use pasta::core::spine::{SpineConfig, SpineDrainer, SpineMode};
+use pasta::core::spine::{SpineConfig, SpineMode};
 use pasta::core::tool::{Interest, Tool};
 use pasta::core::{Event, Pasta, PastaSession};
 use pasta::dl::parallel::DeviceLane;
@@ -111,9 +114,9 @@ fn merged_after(
     hub.merged_report()
 }
 
-/// Full-ring backpressure + pool exhaustion under concurrency, with no
-/// background drainer: producers must fall back to draining their own
-/// shard (lossless, never dropping) and still match the mutex reference.
+/// Full-ring backpressure + pool exhaustion under racing emitters, with
+/// nobody else draining: producers must fall back to draining their own
+/// shard (lossless, never dropping) and still match the inline reference.
 #[test]
 fn tiny_ring_wraparound_matches_inline_reference() {
     let reference = merged_after(2, 12, SpineMode::Inline, SpineConfig::default(), false);
@@ -162,25 +165,6 @@ fn drop_mid_stream_events_surface_after_quiesce() {
     assert_eq!(agg.get("batches"), Some(7.0), "no event lost at drop");
     // The closed, drained ring is pruned; later harvests see a quiet hub.
     assert_eq!(hub.quiesce(), 0, "nothing left after the first quiesce");
-}
-
-/// Background drainers (the `run_parallel` scheduling) racing concurrent
-/// producers: merged output still byte-identical to the reference.
-#[test]
-fn background_drainer_matches_inline_reference() {
-    let reference = merged_after(2, 12, SpineMode::Inline, SpineConfig::default(), false);
-    let hub = sharded_hub(2);
-    let devices = [DeviceId(0), DeviceId(1)];
-    let drainer = SpineDrainer::start_bounded(Arc::clone(&hub), &devices, devices.len());
-    std::thread::scope(|scope| {
-        for d in 0..2 {
-            let hub = &hub;
-            scope.spawn(move || drive_device(hub, SpineMode::Ring, tiny(), d, 12));
-        }
-    });
-    drainer.stop();
-    hub.quiesce();
-    assert_eq!(hub.merged_report(), reference);
 }
 
 /// Records every event a shard's processor observes, in order.
@@ -578,11 +562,10 @@ proptest! {
     }
 }
 
-fn parallel_session(mode: SpineMode) -> PastaSession {
+fn parallel_session() -> PastaSession {
     Pasta::builder()
         .a100_x2()
         .tool(FineAggregator::default())
-        .spine_mode(mode)
         .build()
         .expect("session builds")
 }
@@ -602,9 +585,8 @@ fn lane_work(i: usize, lane: &mut DeviceLane<'_>) -> Result<(), AccelError> {
     Ok(())
 }
 
-/// The merged report of one two-lane region: on the lane pool, whose
-/// idle workers sweep the rings, or one thread per lane under
-/// `run_parallel`'s background drainers.
+/// The merged report of one two-lane region: on the lane pool, or one
+/// thread per lane under `run_parallel`.
 fn run_lanes(session: &mut PastaSession, pooled: bool) -> MergedReport {
     let devices = [DeviceId(0), DeviceId(1)];
     let run = if pooled {
@@ -625,20 +607,14 @@ fn run_lanes(session: &mut PastaSession, pooled: bool) -> MergedReport {
     session.merged_report()
 }
 
-/// The lanes' oracle: merged reports over the ring spine — drained by
-/// `run_parallel`'s drainers and by `run_parallel_each`'s pool sweep —
-/// are byte-identical to the mutex-spine reference, and the access
-/// events the rings carried reached the tool.
+/// The lanes' oracle: `run_parallel` driving each lane from a thread of
+/// its own merges byte-identically to `run_parallel_each` on the lane
+/// pool, and the access events the lanes delivered reached the tool.
 #[test]
-fn run_parallel_ring_spine_matches_mutex_reference() {
-    for pooled in [false, true] {
-        let reference = run_lanes(&mut parallel_session(SpineMode::Inline), pooled);
-        let ringed = run_lanes(&mut parallel_session(SpineMode::Ring), pooled);
-        assert_eq!(ringed, reference, "pooled: {pooled}");
-        let batches = ringed.tools[0].get("batches").expect("a batch count");
-        assert!(
-            batches > 0.0,
-            "no access reached the tool (pooled: {pooled})"
-        );
-    }
+fn threaded_run_parallel_matches_pooled_run_parallel_each() {
+    let threaded = run_lanes(&mut parallel_session(), false);
+    let pooled = run_lanes(&mut parallel_session(), true);
+    assert_eq!(threaded, pooled);
+    let batches = pooled.tools[0].get("batches").expect("a batch count");
+    assert!(batches > 0.0, "no access reached the tool");
 }
