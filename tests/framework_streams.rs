@@ -10,8 +10,16 @@
 //! the runtime receives them, every vendor callback, and the run's report
 //! (`param_bytes` included). Aggregate tables keep counts and peaks; these
 //! digests also move when the same kernels are merely reordered.
-//! The pins were taken before the framework's layers, ops and models were
-//! last restructured, and a restructuring must leave them unchanged.
+//!
+//! A second digest per row covers every launch's `KernelBody` in launch
+//! order: its FLOPs, barriers and shared memory, and every field of each
+//! `AccessSpec` (argument index, range, bytes, kind, space, pattern,
+//! element size) in the order the kernel lists them. A kernel that drops,
+//! reorders or re-indexes an access moves it.
+//!
+//! Both sets of pins were taken before the framework's layers, ops and
+//! models were last restructured, and a restructuring must leave them
+//! unchanged.
 
 use pasta::dl::parallel::{self, DeviceLane, MoeConfig, Parallelism};
 use pasta::dl::runner::run_model;
@@ -30,7 +38,7 @@ use std::sync::Arc;
 /// The batch divisor `tests/integration.rs` runs the model zoo at.
 const DIV: usize = 8;
 
-/// `(row, digest)`, in [`rows`] order.
+/// `(row, stream digest)`, in [`rows`] order.
 const PINNED: [(&str, &str); 28] = [
     ("nv AN inference", "53c236d48fe3e165"),
     ("nv AN train", "08dec6a7f9606fd3"),
@@ -62,6 +70,38 @@ const PINNED: [(&str, &str); 28] = [
     ("expert-parallel tiny", "754d30286434fe71"),
 ];
 
+/// `(row, body digest)`, in [`rows`] order.
+const BODIES: [(&str, &str); 28] = [
+    ("nv AN inference", "7ec8ae23f05876f5"),
+    ("nv AN train", "055573534f3a263e"),
+    ("nv RN-18 inference", "487124e01313cefd"),
+    ("nv RN-18 train", "7d6e6dcdf0dc0620"),
+    ("nv RN-34 inference", "ebe643735a2068fd"),
+    ("nv RN-34 train", "3ba11408e5379b5e"),
+    ("nv GPT-2 inference", "bf623cff7bfe5126"),
+    ("nv GPT-2 train", "9be7e6807e6384bc"),
+    ("nv BERT inference", "205946c7a8386c1f"),
+    ("nv BERT train", "a0c27bf7b9f77cf5"),
+    ("nv Whisper inference", "942479d1df5d628b"),
+    ("nv Whisper train", "c3d679e501b981e7"),
+    ("amd AN inference", "9f3b578a74c9f849"),
+    ("amd AN train", "282a28dff475cd75"),
+    ("amd RN-18 inference", "50deecc00d8785a5"),
+    ("amd RN-18 train", "528480887423742b"),
+    ("amd RN-34 inference", "9c74d518108d5445"),
+    ("amd RN-34 train", "8a8e9f60556acee1"),
+    ("amd GPT-2 inference", "7818fbe7c168c227"),
+    ("amd GPT-2 train", "7d2690cdcde1d2a5"),
+    ("amd BERT inference", "58381301fcd6c49f"),
+    ("amd BERT train", "e23e51c160dde549"),
+    ("amd Whisper inference", "b684528e0b9854f5"),
+    ("amd Whisper train", "f6462ea8a0703317"),
+    ("data-parallel", "7e44fbc66fb3c299"),
+    ("tensor-parallel", "5017d0e716342a2f"),
+    ("pipeline-parallel", "d9fb03c5c2c5a45d"),
+    ("expert-parallel tiny", "096ed76796d483cb"),
+];
+
 /// FNV-1a over everything written into it, so a stream is digested as
 /// it runs rather than kept.
 struct Digest(u64);
@@ -85,21 +125,43 @@ fn record(log: &Log, item: &dyn Debug) {
     writeln!(log.lock(), "{item:?}").expect("digesting cannot fail");
 }
 
-/// A vendor context whose callbacks land in `log`, behind a runtime that
-/// writes each launch's name, grid, block and arguments there first.
+/// A row's two digests: the stream and the launch bodies.
+struct Logs {
+    stream: Log,
+    bodies: Log,
+}
+
+fn logs() -> Logs {
+    Logs {
+        stream: log(),
+        bodies: log(),
+    }
+}
+
+impl Logs {
+    fn digests(&self) -> (u64, u64) {
+        (self.stream.lock().0, self.bodies.lock().0)
+    }
+}
+
+/// A vendor context whose callbacks land in the stream log, behind a
+/// runtime that writes each launch's name, grid, block and arguments
+/// there first, and its body into the body log.
 struct Tap<C: Vocabulary> {
     ctx: Context<C>,
     log: Log,
+    bodies: Log,
 }
 
 impl<C: Vocabulary + Debug + Send> Tap<C> {
-    fn new(specs: Vec<DeviceSpec>, log: &Log) -> Self {
+    fn new(specs: Vec<DeviceSpec>, logs: &Logs) -> Self {
         let mut ctx = Context::<C>::new(specs);
-        let sink = Arc::clone(log);
+        let sink = Arc::clone(&logs.stream);
         ctx.subscribe(Box::new(move |cb: &C| record(&sink, cb)));
         Tap {
             ctx,
-            log: Arc::clone(log),
+            log: Arc::clone(&logs.stream),
+            bodies: Arc::clone(&logs.bodies),
         }
     }
 }
@@ -148,6 +210,7 @@ impl<C: Vocabulary + Send> DeviceRuntime for Tap<C> {
             &self.log,
             &(stream, &desc.name, desc.grid, desc.block, args),
         );
+        record(&self.bodies, &desc.body);
         self.ctx.launch_on(stream, desc)
     }
     fn synchronize(&mut self) {
@@ -189,48 +252,49 @@ fn session<'rt>(rt: &'rt mut dyn DeviceRuntime, log: &Log) -> Session<'rt> {
     s
 }
 
-/// One model row on one vendor's context.
+/// One model row on one vendor's context: its stream and body digests.
 fn model_row<C: Vocabulary + Debug + Send>(
     spec: DeviceSpec,
     model: ModelZoo,
     kind: RunKind,
-) -> u64 {
-    let log = log();
-    let mut rt = Tap::<C>::new(vec![spec], &log);
-    let mut s = session(&mut rt, &log);
+) -> (u64, u64) {
+    let logs = logs();
+    let mut rt = Tap::<C>::new(vec![spec], &logs);
+    let mut s = session(&mut rt, &logs.stream);
     let report = run_model(&mut s, model, kind, 2, DIV).expect("the model runs");
-    record(&log, &report);
+    record(&logs.stream, &report);
     drop(s);
-    let digest = log.lock().0;
-    digest
+    logs.digests()
 }
 
-/// One two-lane parallel row: each lane digests its own stream, and the
-/// row digests both lanes' digests and the report, in lane order.
+/// One two-lane parallel row: each lane digests its own stream and
+/// bodies; the row's stream digest covers both lanes' stream digests and
+/// the report, its body digest both lanes' body digests, in lane order.
 fn parallel_row(
     run: impl FnOnce(&mut [DeviceLane<'_>]) -> Result<parallel::ParallelReport, AccelError>,
-) -> u64 {
+) -> (u64, u64) {
     let specs = vec![DeviceSpec::a100_80gb(), DeviceSpec::a100_80gb()];
-    let logs = [log(), log()];
-    let mut rt0 = Tap::<pasta::nv::NvCallback>::new(specs.clone(), &logs[0]);
-    let mut rt1 = Tap::<pasta::nv::NvCallback>::new(specs, &logs[1]);
+    let lane_logs = [logs(), logs()];
+    let mut rt0 = Tap::<pasta::nv::NvCallback>::new(specs.clone(), &lane_logs[0]);
+    let mut rt1 = Tap::<pasta::nv::NvCallback>::new(specs, &lane_logs[1]);
     let mut lanes = [
-        DeviceLane::pin(DeviceId(0), session(&mut rt0, &logs[0])).expect("device 0"),
-        DeviceLane::pin(DeviceId(1), session(&mut rt1, &logs[1])).expect("device 1"),
+        DeviceLane::pin(DeviceId(0), session(&mut rt0, &lane_logs[0].stream)).expect("device 0"),
+        DeviceLane::pin(DeviceId(1), session(&mut rt1, &lane_logs[1].stream)).expect("device 1"),
     ];
     let report = run(&mut lanes).expect("the strategy runs");
     drop(lanes);
-    let row = log();
-    for lane in &logs {
-        record(&row, &lane.lock().0);
+    let row = logs();
+    for lane in &lane_logs {
+        let (stream, bodies) = lane.digests();
+        record(&row.stream, &stream);
+        record(&row.bodies, &bodies);
     }
-    record(&row, &report);
-    let digest = row.lock().0;
-    digest
+    record(&row.stream, &report);
+    row.digests()
 }
 
-/// Every row's name and digest, in [`PINNED`] order.
-fn rows() -> Vec<(String, u64)> {
+/// Every row's name, stream digest and body digest, in [`PINNED`] order.
+fn rows() -> Vec<(String, (u64, u64))> {
     let mut rows = Vec::new();
     for (vendor, spec) in [
         ("nv", DeviceSpec::a100_80gb()),
@@ -267,12 +331,18 @@ fn every_framework_stream_reproduces_its_pinned_digest() {
     let rows = rows();
     let names: Vec<&str> = rows.iter().map(|(name, _)| name.as_str()).collect();
     assert_eq!(names, PINNED.map(|(name, _)| name));
+    assert_eq!(names, BODIES.map(|(name, _)| name));
     let failures: Vec<String> = rows
         .iter()
-        .zip(PINNED)
-        .map(|((name, digest), (_, pinned))| (name, format!("{digest:016x}"), pinned))
-        .filter(|(_, digest, pinned)| digest != pinned)
-        .map(|(name, digest, pinned)| format!("{name}: digest {digest}, pinned {pinned}"))
+        .zip(PINNED.iter().zip(BODIES))
+        .flat_map(|((name, (stream, bodies)), ((_, pin), (_, body_pin)))| {
+            [("stream", *stream, *pin), ("body", *bodies, body_pin)]
+                .map(|(what, digest, pinned)| (name, what, format!("{digest:016x}"), pinned))
+        })
+        .filter(|(_, _, digest, pinned)| digest != pinned)
+        .map(|(name, what, digest, pinned)| {
+            format!("{name}: {what} digest {digest}, pinned {pinned}")
+        })
         .collect();
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
