@@ -95,7 +95,10 @@ mod tests {
     fn desc(threads: u32, flops: u64, bytes: u64) -> KernelDesc {
         KernelDesc::new("k", Dim3::linear(threads / 256), Dim3::linear(256))
             .arg(DevicePtr(0x100), bytes)
-            .body(KernelBody::streaming(bytes / 2, bytes / 2).with_flops(flops))
+            .body(KernelBody {
+                flops,
+                ..KernelBody::streaming(bytes / 2, bytes / 2)
+            })
     }
 
     #[test]

@@ -194,24 +194,10 @@ impl KernelBody {
         self
     }
 
-    /// Sets FLOPs.
-    #[inline]
-    pub fn with_flops(mut self, flops: u64) -> Self {
-        self.flops = flops;
-        self
-    }
-
     /// Sets barriers per block.
     #[inline]
     pub fn with_barriers(mut self, n: u32) -> Self {
         self.barriers_per_block = n;
-        self
-    }
-
-    /// Sets shared memory per block.
-    #[inline]
-    pub fn with_shared_mem(mut self, bytes: u64) -> Self {
-        self.shared_mem_per_block = bytes;
         self
     }
 
@@ -397,7 +383,10 @@ mod tests {
 
     #[test]
     fn dynamic_instructions_exceed_memory_records() {
-        let body = KernelBody::streaming(1 << 20, 1 << 20).with_flops(1 << 22);
+        let body = KernelBody {
+            flops: 1 << 22,
+            ..KernelBody::streaming(1 << 20, 1 << 20)
+        };
         let records = body.memory_records();
         assert!(body.instructions_given(records) > records);
         let explicit = KernelBody {

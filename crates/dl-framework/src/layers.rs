@@ -15,10 +15,10 @@
 //! walk, written once as the trait's provided methods.
 
 use crate::dtype::DType;
-use crate::ops::{self, Act, Attention, AttnGrad, AttnTiles, Conv2dCfg};
+use crate::ops::{self, Act, Attention, AttnGrad, AttnTiles, Conv2dCfg, Kernel, ADD};
 use crate::session::Session;
 use crate::tensor::Tensor;
-use accel_sim::{AccelError, AccessSpec, Dim3, KernelBody, KernelDesc};
+use accel_sim::{AccelError, Dim3};
 use std::cell::Cell;
 
 /// A trainable parameter with lazily-created gradient and Adam moments.
@@ -59,11 +59,7 @@ impl Param {
         };
         // Accumulate: existing += grad, then drop the new tensor.
         self.grad.set(Some(existing.clone()));
-        ops::elementwise_inplace(
-            s,
-            "at::native::vectorized_elementwise_kernel<add>",
-            &existing,
-        )?;
+        ops::elementwise_inplace(s, ADD, &existing)?;
         s.free_tensor(&grad);
         Ok(())
     }
@@ -625,16 +621,11 @@ impl MultiHeadAttention {
                 "at::native::copy_kernel<split_v>",
             ] {
                 let t = s.alloc_tensor(&[batch, seq, self.attn.d], DType::F32)?;
-                let blocks = (t.numel() / 4).max(1).div_ceil(256).max(1) as u32;
-                let desc = KernelDesc::new(name, Dim3::linear(blocks), Dim3::linear(256))
-                    .arg(qkv.ptr, qkv.bytes)
-                    .arg(t.ptr, t.bytes)
-                    .body(
-                        KernelBody::default()
-                            .access(AccessSpec::load(0, qkv.bytes / 3))
-                            .access(AccessSpec::store(1, t.bytes)),
-                    );
-                s.launch(desc)?;
+                Kernel::new(name, t.numel() / 4)
+                    .load(qkv)
+                    .len(qkv.bytes / 3)
+                    .store(&t)
+                    .launch(s)?;
                 parts.push(t);
             }
         }
@@ -646,67 +637,30 @@ impl MultiHeadAttention {
 
     /// Tiled flash-attention forward: one fused kernel, no materialized
     /// score/probability tensors. Backward runs the matching fused
-    /// gradient kernel ([`MultiHeadAttention::flash_backward`]).
-    fn flash_core(&mut self, s: &mut Session<'_>, qkv: &Tensor) -> Result<Tensor, AccelError> {
-        let (batch, seq) = (qkv.shape[0], qkv.shape[1]);
-        let (d, h) = (self.attn.d, self.attn.heads);
-        let ctx = s.alloc_tensor(&[batch, seq, d], DType::F32)?;
-        let grid = Dim3::plane(seq.div_ceil(128) as u32, (batch * h) as u32);
-        let desc = KernelDesc::new(
-            "flash_fwd_kernel<128, 128, softmax_scale>",
-            grid,
-            Dim3::linear(256),
-        )
-        .arg(qkv.ptr, qkv.bytes)
-        .arg(ctx.ptr, ctx.bytes)
-        .body(
-            KernelBody::default()
-                .with_flops(4 * (batch * h * seq * seq) as u64 * (d / h) as u64)
-                .with_barriers((seq / 64).max(1) as u32)
-                .with_shared_mem(96 << 10)
-                .access(
-                    AccessSpec::load(0, qkv.bytes)
-                        .with_bytes(qkv.bytes * ((seq / 128).max(1) as u64)),
-                )
-                .access(AccessSpec::store(1, ctx.bytes)),
-        );
-        s.launch(desc)?;
+    /// gradient kernel.
+    fn flash_core(&self, s: &mut Session<'_>, qkv: &Tensor) -> Result<Tensor, AccelError> {
+        let ctx = s.alloc_tensor(&[qkv.shape[0], qkv.shape[1], self.attn.d], DType::F32)?;
+        self.flash("flash_fwd_kernel<128, 128, softmax_scale>", 1, qkv)
+            .store(&ctx)
+            .launch(s)?;
         Ok(ctx)
     }
 
-    /// Fused flash-attention backward over the saved QKV.
-    fn flash_backward(
-        &mut self,
-        s: &mut Session<'_>,
-        qkv: &Tensor,
-        g_qkv: &Tensor,
-        g_ctx: &Tensor,
-    ) -> Result<(), AccelError> {
+    /// A flash-attention kernel over `qkv`, bound first: `passes` is 1
+    /// forward and 2 backward, which does twice the work and reads the
+    /// QKV twice as often.
+    fn flash(&self, name: &'static str, passes: u64, qkv: &Tensor) -> Kernel {
         let (batch, seq) = (qkv.shape[0], qkv.shape[1]);
         let (d, h) = (self.attn.d, self.attn.heads);
         let grid = Dim3::plane(seq.div_ceil(128) as u32, (batch * h) as u32);
-        let desc = KernelDesc::new(
-            "flash_bwd_kernel<128, 128, softmax_scale>",
-            grid,
-            Dim3::linear(256),
-        )
-        .arg(qkv.ptr, qkv.bytes)
-        .arg(g_qkv.ptr, g_qkv.bytes)
-        .arg(g_ctx.ptr, g_ctx.bytes)
-        .body(
-            KernelBody::default()
-                .with_flops(8 * (batch * h * seq * seq) as u64 * (d / h) as u64)
-                .with_barriers((seq / 64).max(1) as u32)
-                .with_shared_mem(96 << 10)
-                .access(
-                    AccessSpec::load(0, qkv.bytes)
-                        .with_bytes(qkv.bytes * 2 * ((seq / 128).max(1) as u64)),
-                )
-                .access(AccessSpec::store(1, g_qkv.bytes))
-                .access(AccessSpec::load(2, g_ctx.bytes)),
-        );
-        s.launch(desc)?;
-        Ok(())
+        let mut kernel = Kernel::with_grid(name, grid, Dim3::linear(256));
+        kernel
+            .flops(4 * passes * (batch * h * seq * seq) as u64 * (d / h) as u64)
+            .barriers((seq / 64).max(1) as u32)
+            .shared_mem(96 << 10)
+            .load(qkv)
+            .with_bytes(qkv.bytes * passes * ((seq / 128).max(1) as u64));
+        kernel
     }
 }
 
@@ -763,7 +717,10 @@ impl Layer for MultiHeadAttention {
 
         let g_qkv = s.alloc_tensor(&qkv.shape, DType::F32)?;
         if qkv.shape[1] >= Self::FLASH_SEQ_THRESHOLD {
-            self.flash_backward(s, &qkv, &g_qkv, &g_ctx)?;
+            self.flash("flash_bwd_kernel<128, 128, softmax_scale>", 2, &qkv)
+                .store(&g_qkv)
+                .load(&g_ctx)
+                .launch(s)?;
             s.free_tensor(&g_ctx);
         } else {
             self.attn
@@ -842,21 +799,11 @@ impl Layer for TransformerBlock {
     ) -> Result<Tensor, AccelError> {
         let h1 = self.ln1.forward(s, x, train)?;
         let a = self.attn.forward(s, &h1, train)?;
-        let x1 = ops::elementwise(
-            s,
-            "at::native::vectorized_elementwise_kernel<add>",
-            &[x, &a],
-            &x.shape,
-        )?;
+        let x1 = ops::elementwise(s, ADD, &[x, &a], &x.shape)?;
         let h2 = self.ln2.forward(s, &x1, train)?;
         let m0 = self.fc1.forward(s, &h2, train)?;
         let m1 = self.fc2.forward(s, &m0, train)?;
-        let y = ops::elementwise(
-            s,
-            "at::native::vectorized_elementwise_kernel<add>",
-            &[&x1, &m1],
-            &x1.shape,
-        )?;
+        let y = ops::elementwise(s, ADD, &[&x1, &m1], &x1.shape)?;
         let saved = [h1, a, x1, h2, m0, m1];
         if train {
             // m0 is consumed by fc2's backward as its input activation.
@@ -890,12 +837,7 @@ impl Layer for TransformerBlock {
         s.free_tensor(&g_h2);
         s.free_tensor(&h2);
         // g_x1 = grad_out + g_x1_mlp.
-        let g_x1 = ops::elementwise(
-            s,
-            "at::native::vectorized_elementwise_kernel<add>",
-            &[grad_out, &g_x1_mlp],
-            &grad_out.shape,
-        )?;
+        let g_x1 = ops::elementwise(s, ADD, &[grad_out, &g_x1_mlp], &grad_out.shape)?;
         s.free_tensor(&g_x1_mlp);
         s.free_tensor(&x1);
 
@@ -905,12 +847,7 @@ impl Layer for TransformerBlock {
         let g_x_attn = self.ln1.backward(s, x, &g_h1)?;
         s.free_tensor(&g_h1);
         s.free_tensor(&h1);
-        let gx = ops::elementwise(
-            s,
-            "at::native::vectorized_elementwise_kernel<add>",
-            &[&g_x1, &g_x_attn],
-            &g_x1.shape,
-        )?;
+        let gx = ops::elementwise(s, ADD, &[&g_x1, &g_x_attn], &g_x1.shape)?;
         s.free_tensor(&g_x1);
         s.free_tensor(&g_x_attn);
         Ok(gx)
@@ -1066,18 +1003,17 @@ impl Layer for BasicBlock {
         s.free_tensor(&c1);
 
         // Shortcut path (the identity shortcut adds grad_out itself).
-        let add = "at::native::vectorized_elementwise_kernel<add>";
         let gx = match (self.shortcut.as_mut(), sc_in) {
             (Some((conv, bn)), Some(sc_in)) => {
                 let g_bn = bn.backward(s, &sc_in, grad_out)?;
                 let g_sc = conv.backward(s, x, &g_bn)?;
                 free_all(s, [g_bn, sc_in]);
-                let sum = ops::elementwise(s, add, &[&g_main, &g_sc], &g_main.shape)?;
+                let sum = ops::elementwise(s, ADD, &[&g_main, &g_sc], &g_main.shape)?;
                 free_all(s, [g_main, g_sc]);
                 sum
             }
             _ => {
-                let sum = ops::elementwise(s, add, &[&g_main, grad_out], &g_main.shape)?;
+                let sum = ops::elementwise(s, ADD, &[&g_main, grad_out], &g_main.shape)?;
                 s.free_tensor(&g_main);
                 sum
             }

@@ -6,15 +6,141 @@
 //! the tensor shapes — the population PASTA's tools observe. Kernel names
 //! follow the ATen/cuBLAS conventions visible in the paper's Fig. 4 and
 //! Fig. 7 (`ampere_sgemm_128x64_tn`, `at::native::im2col_kernel`,
-//! `at::native::vectorized_elementwise_kernel`, …).
+//! `at::native::vectorized_elementwise_kernel`, …). Every launch of the
+//! framework, here and in the layers, serving and parallel drivers, is
+//! built by `Kernel`.
 
 use crate::dtype::DType;
 use crate::session::Session;
 use crate::tensor::Tensor;
 use accel_sim::kernel::KernelArg;
 use accel_sim::{
-    AccelError, AccessKind, AccessPattern, AccessSpec, Dim3, KernelBody, KernelDesc, MemSpace,
+    AccelError, AccessKind, AccessPattern, AccessSpec, DevicePtr, Dim3, KernelDesc, LaunchRecord,
+    MemSpace, Symbol,
 };
+
+/// One kernel launch under construction. Each argument is bound together
+/// with its access stream in one call, so no argument index is counted by
+/// hand; a modifier (`len`, `with_bytes`, `with_pattern`, `atomic`,
+/// `shared`) changes the stream pushed last. The [`KernelDesc`] is built
+/// in place, in its own inline argument and access lists, and the calls
+/// take `&mut self`, so building never moves it; `launch` hands it over.
+pub(crate) struct Kernel(Option<KernelDesc>);
+
+impl Kernel {
+    /// A standard 256-thread launch over `work` items.
+    pub(crate) fn new(name: impl Into<Symbol>, work: u64) -> Kernel {
+        let blocks = work.max(1).div_ceil(256).min(u32::MAX as u64) as u32;
+        Kernel::with_grid(name, Dim3::linear(blocks), Dim3::linear(256))
+    }
+
+    /// A launch of `grid` blocks of `block` threads.
+    pub(crate) fn with_grid(name: impl Into<Symbol>, grid: Dim3, block: Dim3) -> Kernel {
+        Kernel(Some(KernelDesc::new(name, grid, block)))
+    }
+
+    fn desc(&mut self) -> &mut KernelDesc {
+        self.0.as_mut().expect("a kernel launches once")
+    }
+
+    /// Binds `t` and reads it whole.
+    pub(crate) fn load(&mut self, t: &Tensor) -> &mut Kernel {
+        self.load_buf(t.ptr, t.bytes)
+    }
+
+    /// Binds `t` and writes it whole.
+    pub(crate) fn store(&mut self, t: &Tensor) -> &mut Kernel {
+        self.store_buf(t.ptr, t.bytes)
+    }
+
+    /// Binds `t`, reads it whole, then writes it whole.
+    pub(crate) fn update(&mut self, t: &Tensor) -> &mut Kernel {
+        let arg = self.desc().args.len();
+        self.load(t).store_arg(arg, t.bytes)
+    }
+
+    /// Binds the `len`-byte buffer at `ptr` and reads it whole.
+    pub(crate) fn load_buf(&mut self, ptr: DevicePtr, len: u64) -> &mut Kernel {
+        let args = &mut self.desc().args;
+        args.push(KernelArg { ptr, len });
+        let arg = args.len() - 1;
+        self.load_arg(arg, len)
+    }
+
+    /// Binds the `len`-byte buffer at `ptr` and writes it whole.
+    pub(crate) fn store_buf(&mut self, ptr: DevicePtr, len: u64) -> &mut Kernel {
+        let args = &mut self.desc().args;
+        args.push(KernelArg { ptr, len });
+        let arg = args.len() - 1;
+        self.store_arg(arg, len)
+    }
+
+    /// A further read of `len` bytes of argument `arg`, already bound.
+    pub(crate) fn load_arg(&mut self, arg: usize, len: u64) -> &mut Kernel {
+        self.desc().body.accesses.push(AccessSpec::load(arg, len));
+        self
+    }
+
+    /// A further write of `len` bytes of argument `arg`, already bound.
+    pub(crate) fn store_arg(&mut self, arg: usize, len: u64) -> &mut Kernel {
+        self.desc().body.accesses.push(AccessSpec::store(arg, len));
+        self
+    }
+
+    fn modify(&mut self, f: impl FnOnce(&mut AccessSpec)) -> &mut Kernel {
+        let last = self.desc().body.accesses.last_mut();
+        f(last.expect("a stream to modify"));
+        self
+    }
+
+    /// The last stream moves the first `len` bytes of its argument, once.
+    pub(crate) fn len(&mut self, len: u64) -> &mut Kernel {
+        self.modify(|a| (a.len, a.bytes) = (len, len))
+    }
+
+    /// The last stream moves `bytes` in all (reuse: `bytes > len`).
+    pub(crate) fn with_bytes(&mut self, bytes: u64) -> &mut Kernel {
+        self.modify(|a| a.bytes = bytes)
+    }
+
+    /// The last stream follows `pattern`.
+    pub(crate) fn with_pattern(&mut self, pattern: AccessPattern) -> &mut Kernel {
+        self.modify(|a| a.pattern = pattern)
+    }
+
+    /// The last stream is a read-modify-write atomic.
+    pub(crate) fn atomic(&mut self) -> &mut Kernel {
+        self.modify(|a| a.kind = AccessKind::Atomic)
+    }
+
+    /// The last stream targets shared memory.
+    pub(crate) fn shared(&mut self) -> &mut Kernel {
+        self.modify(|a| a.space = MemSpace::Shared)
+    }
+
+    /// Sets the FLOPs.
+    pub(crate) fn flops(&mut self, flops: u64) -> &mut Kernel {
+        self.desc().body.flops = flops;
+        self
+    }
+
+    /// Sets the barriers per block.
+    pub(crate) fn barriers(&mut self, n: u32) -> &mut Kernel {
+        self.desc().body.barriers_per_block = n;
+        self
+    }
+
+    /// Sets the shared memory per block.
+    pub(crate) fn shared_mem(&mut self, bytes: u64) -> &mut Kernel {
+        self.desc().body.shared_mem_per_block = bytes;
+        self
+    }
+
+    /// Launches the kernel on `s`.
+    pub(crate) fn launch(&mut self, s: &mut Session<'_>) -> Result<LaunchRecord, AccelError> {
+        s.launch(self.0.take().expect("a kernel launches once"))
+    }
+}
 
 /// Fused activation applied in a GEMM epilogue (when the backend fuses).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,16 +182,6 @@ impl Act {
     }
 }
 
-fn ceil_div(a: u64, b: u64) -> u64 {
-    a.div_ceil(b)
-}
-
-/// Standard 256-thread launch over `work` items.
-fn launch_cfg(work: u64) -> (Dim3, Dim3) {
-    let blocks = ceil_div(work.max(1), 256).min(u32::MAX as u64) as u32;
-    (Dim3::linear(blocks.max(1)), Dim3::linear(256))
-}
-
 /// GEMM tile edge used for reuse estimates.
 const TILE: u64 = 128;
 
@@ -104,8 +220,8 @@ fn gemm_with_epilogue(
     act: Act,
 ) -> Result<(), AccelError> {
     let Gemm { tile, m, n, k } = gemm;
-    let a_bytes = m * k * 4 * ceil_div(n, TILE).max(1);
-    let b_bytes = k * n * 4 * ceil_div(m, TILE).max(1);
+    let a_bytes = m * k * 4 * n.div_ceil(TILE).max(1);
+    let b_bytes = k * n * 4 * m.div_ceil(TILE).max(1);
     let c_bytes = m * n * 4;
     let fused = s.backend().fused_epilogue && (bias.is_some() || act != Act::None);
     // The fused (cuBLASLt) path routes through a session-cached workspace
@@ -119,48 +235,37 @@ fn gemm_with_epilogue(
     };
     let epilogue = if fused { act } else { Act::None };
     let name = s.backend().gemm_kernel(tile, epilogue.gemm_suffix());
-    let grid = Dim3::plane(
-        ceil_div(n, TILE).max(1) as u32,
-        ceil_div(m, 64).max(1) as u32,
-    );
-    let mut desc = KernelDesc::new(name, grid, Dim3::linear(256))
-        .arg(a.ptr, a.bytes)
-        .arg(b.ptr, b.bytes)
-        .arg(c.ptr, c.bytes);
-    let mut body = KernelBody::default()
-        .with_flops(2 * m * n * k)
-        .with_barriers((k / 16).max(1) as u32)
-        .with_shared_mem(48 << 10)
-        .access(AccessSpec::load(0, a.bytes.min(m * k * 4)).with_bytes(a_bytes))
-        .access(AccessSpec::load(1, b.bytes.min(k * n * 4)).with_bytes(b_bytes))
-        .access(AccessSpec::store(2, c_bytes.min(c.bytes)).with_bytes(c_bytes))
+    let grid = Dim3::plane(n.div_ceil(TILE).max(1) as u32, m.div_ceil(64).max(1) as u32);
+    let mut kernel = Kernel::with_grid(name, grid, Dim3::linear(256));
+    kernel
+        .flops(2 * m * n * k)
+        .barriers((k / 16).max(1) as u32)
+        .shared_mem(48 << 10)
+        .load(a)
+        .len(a.bytes.min(m * k * 4))
+        .with_bytes(a_bytes)
+        .load(b)
+        .len(b.bytes.min(k * n * 4))
+        .with_bytes(b_bytes)
+        .store(c)
+        .len(c_bytes.min(c.bytes))
+        .with_bytes(c_bytes)
         // Shared-memory staging traffic for the tiles.
-        .access(
-            AccessSpec::load(0, (TILE * TILE * 4).min(a.bytes))
-                .with_bytes(a_bytes / 2)
-                .in_space(MemSpace::Shared),
-        );
-    if fused {
-        if let Some(bias) = bias {
-            desc.args.push(KernelArg {
-                ptr: bias.ptr,
-                len: bias.bytes,
-            });
-            body.accesses.push(
-                AccessSpec::load(3, bias.bytes).with_bytes(bias.bytes * ceil_div(m, TILE).max(1)),
-            );
-        }
+        .load_arg(0, (TILE * TILE * 4).min(a.bytes))
+        .with_bytes(a_bytes / 2)
+        .shared();
+    if let Some(bias) = bias.filter(|_| fused) {
+        kernel
+            .load(bias)
+            .with_bytes(bias.bytes * m.div_ceil(TILE).max(1));
     }
     if let Some(ws) = &workspace {
-        let idx = desc.args.len();
-        desc.args.push(KernelArg {
-            ptr: ws.ptr,
-            len: ws.bytes,
-        });
-        body.accesses
-            .push(AccessSpec::load(idx, ws.bytes.min(c_bytes)).with_bytes(c_bytes / 8));
+        kernel
+            .load(ws)
+            .len(ws.bytes.min(c_bytes))
+            .with_bytes(c_bytes / 8);
     }
-    s.launch(desc.body(body))?;
+    kernel.launch(s)?;
 
     // Unfused backends run separate bias-add / activation kernels with
     // out-of-place temporaries — more launches and more tensor alloc/free
@@ -183,42 +288,32 @@ fn unfused_epilogue(
 ) -> Result<(), AccelError> {
     if let Some(bias) = bias {
         let tmp = s.alloc_tensor(&c.shape, DType::F32)?;
-        let (g, blk) = launch_cfg(c.numel() / 4);
-        let desc = KernelDesc::new(
+        Kernel::new(
             "at::native::vectorized_elementwise_kernel<add_bias>",
-            g,
-            blk,
+            c.numel() / 4,
         )
-        .arg(c.ptr, c.bytes)
-        .arg(bias.ptr, bias.bytes)
-        .arg(tmp.ptr, tmp.bytes)
-        .body(
-            KernelBody::default()
-                .with_flops(c.numel())
-                .access(AccessSpec::load(0, c.bytes))
-                .access(AccessSpec::load(1, bias.bytes).with_bytes(bias.bytes * 64))
-                .access(AccessSpec::store(2, tmp.bytes)),
-        );
-        s.launch(desc)?;
+        .flops(c.numel())
+        .load(c)
+        .load(bias)
+        .with_bytes(bias.bytes * 64)
+        .store(&tmp)
+        .launch(s)?;
         s.free_tensor(&tmp);
     }
     if act != Act::None {
         let scratch = s.alloc_tensor(&c.shape, DType::F32)?;
-        let (g, blk) = launch_cfg(c.numel() / 4);
-        let desc = KernelDesc::new(act.elementwise_name(), g, blk)
-            .arg(c.ptr, c.bytes)
-            .arg(scratch.ptr, scratch.bytes)
-            .body(
-                KernelBody::default()
-                    .with_flops(c.numel())
-                    .access(AccessSpec::load(0, c.bytes))
-                    .access(AccessSpec::store(1, scratch.bytes)),
-            );
-        s.launch(desc)?;
+        Kernel::new(act.elementwise_name(), c.numel() / 4)
+            .flops(c.numel())
+            .load(c)
+            .store(&scratch)
+            .launch(s)?;
         s.free_tensor(&scratch);
     }
     Ok(())
 }
+
+/// The elementwise sum kernel (residual adds, gradient accumulation).
+pub(crate) const ADD: &str = "at::native::vectorized_elementwise_kernel<add>";
 
 /// In-place elementwise kernel over one tensor (activation, scale, …).
 pub(crate) fn elementwise_inplace(
@@ -226,14 +321,10 @@ pub(crate) fn elementwise_inplace(
     name: &str,
     t: &Tensor,
 ) -> Result<(), AccelError> {
-    let (g, blk) = launch_cfg(t.numel() / 4);
-    let desc = KernelDesc::new(name, g, blk).arg(t.ptr, t.bytes).body(
-        KernelBody::default()
-            .with_flops(t.numel())
-            .access(AccessSpec::load(0, t.bytes))
-            .access(AccessSpec::store(0, t.bytes)),
-    );
-    s.launch(desc)?;
+    Kernel::new(name, t.numel() / 4)
+        .flops(t.numel())
+        .update(t)
+        .launch(s)?;
     Ok(())
 }
 
@@ -246,23 +337,11 @@ pub(crate) fn elementwise(
     shape: &[usize],
 ) -> Result<Tensor, AccelError> {
     let out = s.alloc_tensor(shape, DType::F32)?;
-    let (g, blk) = launch_cfg(out.numel() / 4);
-    let mut desc = KernelDesc::new(name, g, blk);
-    let mut body = KernelBody::default().with_flops(out.numel());
-    for (i, t) in inputs.iter().enumerate() {
-        desc.args.push(KernelArg {
-            ptr: t.ptr,
-            len: t.bytes,
-        });
-        body.accesses.push(AccessSpec::load(i, t.bytes));
+    let mut kernel = Kernel::new(name, out.numel() / 4);
+    for t in inputs {
+        kernel.load(t);
     }
-    desc.args.push(KernelArg {
-        ptr: out.ptr,
-        len: out.bytes,
-    });
-    body.accesses
-        .push(AccessSpec::store(inputs.len(), out.bytes));
-    s.launch(desc.body(body))?;
+    kernel.flops(out.numel()).store(&out).launch(s)?;
     Ok(out)
 }
 
@@ -339,17 +418,11 @@ pub(crate) fn linear_backward(
 
 /// The bias gradient: `grad_out` column-reduced into `gb`.
 fn bias_grad(s: &mut Session<'_>, grad_out: &Tensor, gb: &Tensor) -> Result<(), AccelError> {
-    let (g, blk) = launch_cfg(gb.numel());
-    let desc = KernelDesc::new("at::native::reduce_kernel<512, ReduceAdd>", g, blk)
-        .arg(grad_out.ptr, grad_out.bytes)
-        .arg(gb.ptr, gb.bytes)
-        .body(
-            KernelBody::default()
-                .with_flops(grad_out.numel())
-                .access(AccessSpec::load(0, grad_out.bytes))
-                .access(AccessSpec::store(1, gb.bytes)),
-        );
-    s.launch(desc)?;
+    Kernel::new("at::native::reduce_kernel<512, ReduceAdd>", gb.numel())
+        .flops(grad_out.numel())
+        .load(grad_out)
+        .store(gb)
+        .launch(s)?;
     Ok(())
 }
 
@@ -402,17 +475,12 @@ pub(crate) fn conv2d(
             // transient tensor — exactly the kind of allocation that makes
             // object-level prefetching move dead weight).
             let col = s.alloc_tensor(&[n, cfg.cin * cfg.k * cfg.k, oh * ow], DType::F32)?;
-            let (g, blk) = launch_cfg(col.numel() / 4);
-            let desc = KernelDesc::new("at::native::im2col_kernel", g, blk)
-                .arg(x.ptr, x.bytes)
-                .arg(col.ptr, col.bytes)
-                .body(
-                    KernelBody::default()
-                        .with_flops(col.numel())
-                        .access(AccessSpec::load(0, x.bytes).with_bytes(col.bytes))
-                        .access(AccessSpec::store(1, col.bytes)),
-                );
-            s.launch(desc)?;
+            Kernel::new("at::native::im2col_kernel", col.numel() / 4)
+                .flops(col.numel())
+                .load(x)
+                .with_bytes(col.bytes)
+                .store(&col)
+                .launch(s)?;
             let gemm = Gemm {
                 tile: "128x64",
                 m,
@@ -429,35 +497,27 @@ pub(crate) fn conv2d(
                 ((kk * nn.min(4096) * 4) as f64 * s.backend().conv_workspace_factor) as u64;
             let ws = s.alloc_tensor(&[(ws_bytes / 4) as usize], DType::F32)?;
             let grid = Dim3::plane(
-                ceil_div(nn, TILE).max(1) as u32,
-                ceil_div(m, 64).max(1) as u32,
+                nn.div_ceil(TILE).max(1) as u32,
+                m.div_ceil(64).max(1) as u32,
             );
             let fused = s.backend().fused_epilogue;
             let epilogue = if fused { act } else { Act::None };
-            let name = epilogue.fused_conv_name();
-            let mut desc = KernelDesc::new(name, grid, Dim3::linear(256))
-                .arg(x.ptr, x.bytes)
-                .arg(w.ptr, w.bytes)
-                .arg(y.ptr, y.bytes)
-                .arg(ws.ptr, ws.bytes);
-            let mut body = KernelBody::default()
-                .with_flops(2 * m * nn * kk)
-                .with_barriers((kk / 16).max(1) as u32)
-                .with_shared_mem(32 << 10)
-                .access(AccessSpec::load(0, x.bytes).with_bytes(x.bytes * (cfg.k * cfg.k) as u64))
-                .access(AccessSpec::load(1, w.bytes).with_bytes(w.bytes * ceil_div(nn, TILE)))
-                .access(AccessSpec::store(2, y.bytes))
-                .access(AccessSpec::load(3, ws.bytes).with_bytes(ws.bytes / 2));
-            if fused {
-                if let Some(b) = bias {
-                    desc.args.push(KernelArg {
-                        ptr: b.ptr,
-                        len: b.bytes,
-                    });
-                    body.accesses.push(AccessSpec::load(4, b.bytes));
-                }
+            let mut kernel = Kernel::with_grid(epilogue.fused_conv_name(), grid, Dim3::linear(256));
+            kernel
+                .flops(2 * m * nn * kk)
+                .barriers((kk / 16).max(1) as u32)
+                .shared_mem(32 << 10)
+                .load(x)
+                .with_bytes(x.bytes * (cfg.k * cfg.k) as u64)
+                .load(w)
+                .with_bytes(w.bytes * nn.div_ceil(TILE))
+                .store(&y)
+                .load(&ws)
+                .with_bytes(ws.bytes / 2);
+            if let Some(b) = bias.filter(|_| fused) {
+                kernel.load(b);
             }
-            s.launch(desc.body(body))?;
+            kernel.launch(s)?;
             s.free_tensor(&ws);
             if !fused {
                 unfused_epilogue(s, &y, bias, act)?;
@@ -493,16 +553,10 @@ pub(crate) fn conv2d_backward(
         }
         .run(s, w, grad_out, &grad_x)?;
         if cfg.k >= 5 {
-            let (g, blk) = launch_cfg(grad_x.numel() / 4);
-            let desc = KernelDesc::new("at::native::col2im_kernel", g, blk)
-                .arg(grad_x.ptr, grad_x.bytes)
-                .body(
-                    KernelBody::default()
-                        .with_flops(grad_x.numel())
-                        .access(AccessSpec::load(0, grad_x.bytes))
-                        .access(AccessSpec::store(0, grad_x.bytes)),
-                );
-            s.launch(desc)?;
+            Kernel::new("at::native::col2im_kernel", grad_x.numel() / 4)
+                .flops(grad_x.numel())
+                .update(&grad_x)
+                .launch(s)?;
         }
         // wgrad: dW = dY × Xᵀ.
         Gemm {
@@ -529,21 +583,14 @@ pub(crate) fn maxpool2d(
     let ow = (w - k) / stride + 1;
     s.with_op("aten::max_pool2d", |s| {
         let y = s.alloc_tensor(&[n, c, oh, ow], DType::F32)?;
-        let (g, blk) = launch_cfg(y.numel() / 4);
-        let desc = KernelDesc::new(
+        Kernel::new(
             "at::native::(anonymous namespace)::max_pool_forward_nchw",
-            g,
-            blk,
+            y.numel() / 4,
         )
-        .arg(x.ptr, x.bytes)
-        .arg(y.ptr, y.bytes)
-        .body(
-            KernelBody::default()
-                .with_flops(y.numel() * (k * k) as u64)
-                .access(AccessSpec::load(0, x.bytes))
-                .access(AccessSpec::store(1, y.bytes)),
-        );
-        s.launch(desc)?;
+        .flops(y.numel() * (k * k) as u64)
+        .load(x)
+        .store(&y)
+        .launch(s)?;
         Ok(y)
     })
 }
@@ -556,21 +603,14 @@ pub(crate) fn maxpool2d_backward(
 ) -> Result<Tensor, AccelError> {
     s.with_op("aten::max_pool2d_backward", |s| {
         let grad_x = s.alloc_tensor(&x.shape, DType::F32)?;
-        let (g, blk) = launch_cfg(grad_x.numel() / 4);
-        let desc = KernelDesc::new(
+        Kernel::new(
             "at::native::(anonymous namespace)::max_pool_backward_nchw",
-            g,
-            blk,
+            grad_x.numel() / 4,
         )
-        .arg(grad_out.ptr, grad_out.bytes)
-        .arg(grad_x.ptr, grad_x.bytes)
-        .body(
-            KernelBody::default()
-                .with_flops(grad_x.numel())
-                .access(AccessSpec::load(0, grad_out.bytes))
-                .access(AccessSpec::store(1, grad_x.bytes)),
-        );
-        s.launch(desc)?;
+        .flops(grad_x.numel())
+        .load(grad_out)
+        .store(&grad_x)
+        .launch(s)?;
         Ok(grad_x)
     })
 }
@@ -586,34 +626,25 @@ pub(crate) fn batchnorm2d(
     s.with_op("aten::batch_norm", |s| {
         let y = s.alloc_tensor(&x.shape, DType::F32)?;
         let c = x.shape[1];
-        let (g, blk) = launch_cfg(x.numel() / 8);
-        let stats = KernelDesc::new(
+        Kernel::with_grid(
             "at::native::batch_norm_collect_statistics_kernel",
             Dim3::linear(c as u32),
-            blk,
+            Dim3::linear(256),
         )
-        .arg(x.ptr, x.bytes)
-        .body(
-            KernelBody::default()
-                .with_flops(2 * x.numel())
-                .with_barriers(4)
-                .access(AccessSpec::load(0, x.bytes)),
-        );
-        s.launch(stats)?;
-        let transform = KernelDesc::new("at::native::batch_norm_transform_input_kernel", g, blk)
-            .arg(x.ptr, x.bytes)
-            .arg(y.ptr, y.bytes)
-            .arg(gamma.ptr, gamma.bytes)
-            .arg(beta.ptr, beta.bytes)
-            .body(
-                KernelBody::default()
-                    .with_flops(2 * x.numel())
-                    .access(AccessSpec::load(0, x.bytes))
-                    .access(AccessSpec::store(1, y.bytes))
-                    .access(AccessSpec::load(2, gamma.bytes))
-                    .access(AccessSpec::load(3, beta.bytes)),
-            );
-        s.launch(transform)?;
+        .flops(2 * x.numel())
+        .barriers(4)
+        .load(x)
+        .launch(s)?;
+        Kernel::new(
+            "at::native::batch_norm_transform_input_kernel",
+            x.numel() / 8,
+        )
+        .flops(2 * x.numel())
+        .load(x)
+        .store(&y)
+        .load(gamma)
+        .load(beta)
+        .launch(s)?;
         Ok(y)
     })
 }
@@ -629,24 +660,15 @@ pub(crate) fn batchnorm2d_backward(
         let grad_x = s.alloc_tensor(&x.shape, DType::F32)?;
         let grad_gamma = s.alloc_tensor(&[c], DType::F32)?;
         let grad_beta = s.alloc_tensor(&[c], DType::F32)?;
-        let (g, blk) = launch_cfg(x.numel() / 8);
-        let desc = KernelDesc::new("at::native::batch_norm_backward_kernel", g, blk)
-            .arg(x.ptr, x.bytes)
-            .arg(grad_out.ptr, grad_out.bytes)
-            .arg(grad_x.ptr, grad_x.bytes)
-            .arg(grad_gamma.ptr, grad_gamma.bytes)
-            .arg(grad_beta.ptr, grad_beta.bytes)
-            .body(
-                KernelBody::default()
-                    .with_flops(4 * x.numel())
-                    .with_barriers(4)
-                    .access(AccessSpec::load(0, x.bytes))
-                    .access(AccessSpec::load(1, grad_out.bytes))
-                    .access(AccessSpec::store(2, grad_x.bytes))
-                    .access(AccessSpec::store(3, grad_gamma.bytes))
-                    .access(AccessSpec::store(4, grad_beta.bytes)),
-            );
-        s.launch(desc)?;
+        Kernel::new("at::native::batch_norm_backward_kernel", x.numel() / 8)
+            .flops(4 * x.numel())
+            .barriers(4)
+            .load(x)
+            .load(grad_out)
+            .store(&grad_x)
+            .store(&grad_gamma)
+            .store(&grad_beta)
+            .launch(s)?;
         Ok((grad_x, grad_gamma, grad_beta))
     })
 }
@@ -661,25 +683,20 @@ pub fn layernorm(
     s.with_op("aten::layer_norm", |s| {
         let y = s.alloc_tensor(&x.shape, DType::F32)?;
         let rows = x.numel() / *x.shape.last().expect("rank>0") as u64;
-        let desc = KernelDesc::new(
+        Kernel::with_grid(
             "at::native::(anonymous namespace)::vectorized_layer_norm_kernel",
             Dim3::linear(rows.min(u32::MAX as u64) as u32),
             Dim3::linear(256),
         )
-        .arg(x.ptr, x.bytes)
-        .arg(y.ptr, y.bytes)
-        .arg(gamma.ptr, gamma.bytes)
-        .arg(beta.ptr, beta.bytes)
-        .body(
-            KernelBody::default()
-                .with_flops(4 * x.numel())
-                .with_barriers(2)
-                .access(AccessSpec::load(0, x.bytes))
-                .access(AccessSpec::store(1, y.bytes))
-                .access(AccessSpec::load(2, gamma.bytes).with_bytes(gamma.bytes * rows))
-                .access(AccessSpec::load(3, beta.bytes).with_bytes(beta.bytes * rows)),
-        );
-        s.launch(desc)?;
+        .flops(4 * x.numel())
+        .barriers(2)
+        .load(x)
+        .store(&y)
+        .load(gamma)
+        .with_bytes(gamma.bytes * rows)
+        .load(beta)
+        .with_bytes(beta.bytes * rows)
+        .launch(s)?;
         Ok(y)
     })
 }
@@ -695,24 +712,15 @@ pub(crate) fn layernorm_backward(
         let grad_x = s.alloc_tensor(&x.shape, DType::F32)?;
         let grad_gamma = s.alloc_tensor(&[width], DType::F32)?;
         let grad_beta = s.alloc_tensor(&[width], DType::F32)?;
-        let (g, blk) = launch_cfg(x.numel() / 4);
-        let desc = KernelDesc::new("at::native::layer_norm_grad_input_kernel", g, blk)
-            .arg(x.ptr, x.bytes)
-            .arg(grad_out.ptr, grad_out.bytes)
-            .arg(grad_x.ptr, grad_x.bytes)
-            .arg(grad_gamma.ptr, grad_gamma.bytes)
-            .arg(grad_beta.ptr, grad_beta.bytes)
-            .body(
-                KernelBody::default()
-                    .with_flops(6 * x.numel())
-                    .with_barriers(2)
-                    .access(AccessSpec::load(0, x.bytes))
-                    .access(AccessSpec::load(1, grad_out.bytes))
-                    .access(AccessSpec::store(2, grad_x.bytes))
-                    .access(AccessSpec::store(3, grad_gamma.bytes))
-                    .access(AccessSpec::store(4, grad_beta.bytes)),
-            );
-        s.launch(desc)?;
+        Kernel::new("at::native::layer_norm_grad_input_kernel", x.numel() / 4)
+            .flops(6 * x.numel())
+            .barriers(2)
+            .load(x)
+            .load(grad_out)
+            .store(&grad_x)
+            .store(&grad_gamma)
+            .store(&grad_beta)
+            .launch(s)?;
         Ok((grad_x, grad_gamma, grad_beta))
     })
 }
@@ -722,21 +730,16 @@ pub(crate) fn softmax(s: &mut Session<'_>, x: &Tensor) -> Result<Tensor, AccelEr
     s.with_op("aten::softmax", |s| {
         let y = s.alloc_tensor(&x.shape, DType::F32)?;
         let rows = x.numel() / *x.shape.last().expect("rank>0") as u64;
-        let desc = KernelDesc::new(
+        Kernel::with_grid(
             "at::native::(anonymous namespace)::cunn_SoftMaxForward",
             Dim3::linear(rows.min(u32::MAX as u64).max(1) as u32),
             Dim3::linear(128),
         )
-        .arg(x.ptr, x.bytes)
-        .arg(y.ptr, y.bytes)
-        .body(
-            KernelBody::default()
-                .with_flops(3 * x.numel())
-                .with_barriers(2)
-                .access(AccessSpec::load(0, x.bytes))
-                .access(AccessSpec::store(1, y.bytes)),
-        );
-        s.launch(desc)?;
+        .flops(3 * x.numel())
+        .barriers(2)
+        .load(x)
+        .store(&y)
+        .launch(s)?;
         Ok(y)
     })
 }
@@ -749,19 +752,12 @@ pub(crate) fn softmax_backward(
 ) -> Result<Tensor, AccelError> {
     s.with_op("aten::softmax_backward", |s| {
         let grad_x = s.alloc_tensor(&y.shape, DType::F32)?;
-        let (g, blk) = launch_cfg(y.numel() / 4);
-        let desc = KernelDesc::new("at::native::cunn_SoftMaxBackward", g, blk)
-            .arg(y.ptr, y.bytes)
-            .arg(grad_out.ptr, grad_out.bytes)
-            .arg(grad_x.ptr, grad_x.bytes)
-            .body(
-                KernelBody::default()
-                    .with_flops(3 * y.numel())
-                    .access(AccessSpec::load(0, y.bytes))
-                    .access(AccessSpec::load(1, grad_out.bytes))
-                    .access(AccessSpec::store(2, grad_x.bytes)),
-            );
-        s.launch(desc)?;
+        Kernel::new("at::native::cunn_SoftMaxBackward", y.numel() / 4)
+            .flops(3 * y.numel())
+            .load(y)
+            .load(grad_out)
+            .store(&grad_x)
+            .launch(s)?;
         Ok(grad_x)
     })
 }
@@ -892,28 +888,18 @@ pub(crate) fn embedding(
     out_shape.push(dim);
     s.with_op("aten::embedding", |s| {
         let y = s.alloc_tensor(&out_shape, DType::F32)?;
-        let (g, blk) = launch_cfg(y.numel() / 4);
-        let desc = KernelDesc::new(
+        Kernel::new(
             "at::native::(anonymous namespace)::indexSelectLargeIndex",
-            g,
-            blk,
+            y.numel() / 4,
         )
-        .arg(table.ptr, table.bytes)
-        .arg(indices.ptr, indices.bytes)
-        .arg(y.ptr, y.bytes)
-        .body(
-            KernelBody::default()
-                .with_flops(y.numel())
-                // Gathers over the whole table extent, data-dependent.
-                .access(
-                    AccessSpec::load(0, table.bytes)
-                        .with_bytes(y.bytes)
-                        .with_pattern(AccessPattern::Random),
-                )
-                .access(AccessSpec::load(1, indices.bytes))
-                .access(AccessSpec::store(2, y.bytes)),
-        );
-        s.launch(desc)?;
+        .flops(y.numel())
+        // Gathers over the whole table extent, data-dependent.
+        .load(table)
+        .with_bytes(y.bytes)
+        .with_pattern(AccessPattern::Random)
+        .load(indices)
+        .store(&y)
+        .launch(s)?;
         Ok(y)
     })
 }
@@ -927,26 +913,18 @@ pub(crate) fn embedding_backward(
 ) -> Result<Tensor, AccelError> {
     s.with_op("aten::embedding_dense_backward", |s| {
         let grad_table = s.alloc_tensor(&table.shape, DType::F32)?;
-        let (g, blk) = launch_cfg(grad_out.numel() / 4);
-        let desc = KernelDesc::new("at::native::embedding_backward_kernel", g, blk)
-            .arg(grad_out.ptr, grad_out.bytes)
-            .arg(indices.ptr, indices.bytes)
-            .arg(grad_table.ptr, grad_table.bytes)
-            .body(
-                KernelBody::default()
-                    .with_flops(grad_out.numel())
-                    .access(AccessSpec::load(0, grad_out.bytes))
-                    .access(AccessSpec::load(1, indices.bytes))
-                    .access(
-                        AccessSpec {
-                            kind: AccessKind::Atomic,
-                            ..AccessSpec::store(2, grad_table.bytes)
-                        }
-                        .with_bytes(grad_out.bytes)
-                        .with_pattern(AccessPattern::Random),
-                    ),
-            );
-        s.launch(desc)?;
+        Kernel::new(
+            "at::native::embedding_backward_kernel",
+            grad_out.numel() / 4,
+        )
+        .flops(grad_out.numel())
+        .load(grad_out)
+        .load(indices)
+        .store(&grad_table)
+        .atomic()
+        .with_bytes(grad_out.bytes)
+        .with_pattern(AccessPattern::Random)
+        .launch(s)?;
         Ok(grad_table)
     })
 }
@@ -957,20 +935,16 @@ pub(crate) fn cross_entropy(s: &mut Session<'_>, logits: &Tensor) -> Result<Tens
         let sm = softmax(s, logits)?;
         let loss = s.alloc_tensor(&[1], DType::F32)?;
         let rows = logits.numel() / *logits.shape.last().expect("rank>0") as u64;
-        let desc = KernelDesc::new(
+        Kernel::with_grid(
             "at::native::(anonymous namespace)::nll_loss_forward_reduce_cuda_kernel_2d",
             Dim3::linear(1),
             Dim3::linear(256),
         )
-        .arg(sm.ptr, sm.bytes)
-        .arg(loss.ptr, loss.bytes)
-        .body(
-            KernelBody::default()
-                .with_flops(rows)
-                .access(AccessSpec::load(0, sm.bytes).with_bytes(rows * 4))
-                .access(AccessSpec::store(1, loss.bytes)),
-        );
-        s.launch(desc)?;
+        .flops(rows)
+        .load(&sm)
+        .with_bytes(rows * 4)
+        .store(&loss)
+        .launch(s)?;
         s.free_tensor(&sm);
         Ok(loss)
     })
@@ -983,21 +957,14 @@ pub(crate) fn cross_entropy_backward(
 ) -> Result<Tensor, AccelError> {
     s.with_op("aten::nll_loss_backward", |s| {
         let grad = s.alloc_tensor(&logits.shape, DType::F32)?;
-        let (g, blk) = launch_cfg(grad.numel() / 4);
-        let desc = KernelDesc::new(
+        Kernel::new(
             "at::native::nll_loss_backward_reduce_cuda_kernel_2d",
-            g,
-            blk,
+            grad.numel() / 4,
         )
-        .arg(logits.ptr, logits.bytes)
-        .arg(grad.ptr, grad.bytes)
-        .body(
-            KernelBody::default()
-                .with_flops(grad.numel())
-                .access(AccessSpec::load(0, logits.bytes))
-                .access(AccessSpec::store(1, grad.bytes)),
-        );
-        s.launch(desc)?;
+        .flops(grad.numel())
+        .load(logits)
+        .store(&grad)
+        .launch(s)?;
         Ok(grad)
     })
 }
@@ -1012,28 +979,16 @@ pub fn adam_step(
     v: &Tensor,
 ) -> Result<(), AccelError> {
     s.with_op("aten::_fused_adam_", |s| {
-        let (g, blk) = launch_cfg(param.numel() / 4);
-        let desc = KernelDesc::new(
+        Kernel::new(
             "at::native::(anonymous namespace)::multi_tensor_apply_kernel<adam>",
-            g,
-            blk,
+            param.numel() / 4,
         )
-        .arg(param.ptr, param.bytes)
-        .arg(grad.ptr, grad.bytes)
-        .arg(m.ptr, m.bytes)
-        .arg(v.ptr, v.bytes)
-        .body(
-            KernelBody::default()
-                .with_flops(8 * param.numel())
-                .access(AccessSpec::load(0, param.bytes))
-                .access(AccessSpec::store(0, param.bytes))
-                .access(AccessSpec::load(1, grad.bytes))
-                .access(AccessSpec::load(2, m.bytes))
-                .access(AccessSpec::store(2, m.bytes))
-                .access(AccessSpec::load(3, v.bytes))
-                .access(AccessSpec::store(3, v.bytes)),
-        );
-        s.launch(desc)?;
+        .flops(8 * param.numel())
+        .update(param)
+        .load(grad)
+        .update(m)
+        .update(v)
+        .launch(s)?;
         Ok(())
     })
 }
@@ -1042,15 +997,13 @@ pub fn adam_step(
 pub(crate) fn allreduce(s: &mut Session<'_>, t: &Tensor) -> Result<(), AccelError> {
     let name = s.backend().collective_kernel("AllReduce_RING_LL");
     s.with_op("c10d::allreduce_", |s| {
-        let (g, blk) = launch_cfg(t.numel() / 8);
-        let desc = KernelDesc::new(name, g, blk).arg(t.ptr, t.bytes).body(
-            KernelBody::default()
-                .with_flops(t.numel())
-                // Ring all-reduce moves ~2× the payload per rank.
-                .access(AccessSpec::load(0, t.bytes).with_bytes(2 * t.bytes))
-                .access(AccessSpec::store(0, t.bytes)),
-        );
-        s.launch(desc)?;
+        Kernel::new(name, t.numel() / 8)
+            .flops(t.numel())
+            // Ring all-reduce moves ~2× the payload per rank.
+            .load(t)
+            .with_bytes(2 * t.bytes)
+            .store_arg(0, t.bytes)
+            .launch(s)?;
         Ok(())
     })
 }
@@ -1078,13 +1031,7 @@ pub fn all_to_all(s: &mut Session<'_>, t: &Tensor, world: usize) -> Result<(), A
                 )?;
             }
         }
-        let (g, blk) = launch_cfg(t.numel() / 8);
-        let desc = KernelDesc::new(name, g, blk).arg(t.ptr, t.bytes).body(
-            KernelBody::default()
-                .access(AccessSpec::load(0, t.bytes))
-                .access(AccessSpec::store(0, t.bytes)),
-        );
-        s.launch(desc)?;
+        Kernel::new(name, t.numel() / 8).update(t).launch(s)?;
         Ok(())
     })
 }
@@ -1093,13 +1040,7 @@ pub fn all_to_all(s: &mut Session<'_>, t: &Tensor, world: usize) -> Result<(), A
 pub(crate) fn send_recv(s: &mut Session<'_>, t: &Tensor) -> Result<(), AccelError> {
     let name = s.backend().collective_kernel("SendRecv");
     s.with_op("c10d::send", |s| {
-        let (g, blk) = launch_cfg(t.numel() / 8);
-        let desc = KernelDesc::new(name, g, blk).arg(t.ptr, t.bytes).body(
-            KernelBody::default()
-                .access(AccessSpec::load(0, t.bytes))
-                .access(AccessSpec::store(0, t.bytes)),
-        );
-        s.launch(desc)?;
+        Kernel::new(name, t.numel() / 8).update(t).launch(s)?;
         Ok(())
     })
 }

@@ -39,9 +39,9 @@ use crate::lane_exec::{self, drive_lanes, LaneSchedule};
 use crate::layers::{LayerNorm, Param};
 use crate::models::transformer::{block_stack, build_lm, head, loss_backward, Embedding, LmDims};
 use crate::models::{ModelSpec, Workload};
-use crate::ops::{self, Act};
+use crate::ops::{self, Act, Kernel};
 use crate::session::Session;
-use accel_sim::{AccelError, AccessSpec, DeviceId, Dim3, KernelBody, KernelDesc};
+use accel_sim::{AccelError, DeviceId, Dim3};
 use std::sync::atomic::AtomicUsize;
 use std::sync::{mpsc, Arc};
 
@@ -299,14 +299,13 @@ fn tensor_parallel(
         // entry keyed by a reusable allocator address would wrongly mark
         // a later unrelated allocation as shared.
         let mut iter = |s: &mut Session<'_>| -> Result<(), AccelError> {
-            let read = KernelDesc::new(
+            Kernel::with_grid(
                 "megatron_replicated_param_read",
                 Dim3::linear(64),
                 Dim3::linear(128),
             )
-            .arg(replicated.ptr, replicated.bytes)
-            .body(KernelBody::default().access(AccessSpec::load(0, replicated.bytes)));
-            s.launch(read)?;
+            .load(&replicated)
+            .launch(s)?;
             shard.training_iter(s)?;
             // Activation all-reduces: two per layer (after attention and
             // after the MLP), on [batch, seq, d] activations.

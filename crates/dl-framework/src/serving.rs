@@ -48,9 +48,10 @@
 use crate::dtype::DType;
 use crate::lane_exec::{drive_lanes, LaneSchedule};
 use crate::models::transformer::LmDims;
+use crate::ops::Kernel;
 use crate::parallel::DeviceLane;
-use accel_sim::kernel::KernelArg;
-use accel_sim::{AccelError, AccessSpec, DeviceId, DevicePtr, Dim3, KernelBody, KernelDesc};
+use crate::tensor::Tensor;
+use accel_sim::{AccelError, DeviceId, DevicePtr, Dim3};
 use std::collections::VecDeque;
 
 /// The serving scenario: request mix, arrival process, batching limits
@@ -290,24 +291,16 @@ impl ServingRun {
 
     /// All TTFT samples, sorted ascending (percentile-ready).
     pub fn ttft_sorted(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self
-            .lanes
-            .iter()
-            .flat_map(|l| &l.ttft_ns)
-            .copied()
-            .collect();
-        v.sort_unstable();
-        v
+        self.sorted(|l| &l.ttft_ns)
     }
 
     /// All decode-step samples, sorted ascending (percentile-ready).
     pub fn decode_sorted(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self
-            .lanes
-            .iter()
-            .flat_map(|l| &l.decode_step_ns)
-            .copied()
-            .collect();
+        self.sorted(|l| &l.decode_step_ns)
+    }
+
+    fn sorted(&self, samples: impl Fn(&LaneServing) -> &[u64]) -> Vec<u64> {
+        let mut v: Vec<u64> = self.lanes.iter().flat_map(samples).copied().collect();
         v.sort_unstable();
         v
     }
@@ -324,30 +317,18 @@ struct Slot {
     decoded: u32,
 }
 
-/// Runs one lane's continuous-batching loop over its request shard.
+/// Runs one lane's continuous-batching loop over its request shard,
+/// reading the lane's copy of the shared `weights` once a step.
 fn serve_lane(
     lane: &mut DeviceLane<'_>,
     requests: &[Request],
     cfg: &ServingConfig,
-    weight_owner: DeviceId,
+    weights: &Tensor,
 ) -> Result<LaneServing, AccelError> {
     let device = lane.device();
     let s = &mut lane.session;
     let kv_per_token = cfg.dims.kv_bytes_per_token(cfg.kv_dtype);
     let page_bytes = cfg.kv_page_bytes();
-
-    // The shared weight range is the lane's first allocation, so it
-    // lands at the same managed address on every lane (fresh per-lane
-    // engines allocate in lockstep) and the shared registrations
-    // rendezvous in the coherence directory; the lowest-id lane owns the
-    // home copy, siblings read-duplicate over the peer link. Sessions
-    // without UVM skip the registration and serve out of plain memory.
-    let weight_elems = (cfg.dims.param_bytes(DType::F32) / DType::F32.size_bytes()) as usize;
-    let weights = s.alloc_tensor(&[weight_elems], DType::F32)?;
-    if let Some(res) = s.runtime_mut().residency_mut() {
-        res.register_shared(weights.ptr.addr(), weights.bytes, weight_owner);
-    }
-
     let mut out = LaneServing {
         device,
         completed: 0,
@@ -357,133 +338,114 @@ fn serve_lane(
         kv_peak_bytes: 0,
         kv_pages_allocated: 0,
     };
-    let run =
-        |s: &mut crate::session::Session<'_>, out: &mut LaneServing| -> Result<(), AccelError> {
-            let mut clock_ns = 0u64;
-            let mut kv_live = 0u64;
-            let mut pending: VecDeque<Slot> = VecDeque::new();
-            let mut active: Vec<Slot> = Vec::new();
-            let mut next_arrival = 0usize;
-            let total = requests.len() as u64;
+    let mut clock_ns = 0u64;
+    let mut kv_live = 0u64;
+    let mut pending: VecDeque<Slot> = VecDeque::new();
+    let mut active: Vec<Slot> = Vec::new();
+    let mut next_arrival = 0usize;
+    let total = requests.len() as u64;
 
-            let mut step = 0u64;
-            while out.completed < total {
-                // Arrivals stamp their clock at their arrival step whether or
-                // not a slot is free — the queue wait belongs to TTFT.
-                while next_arrival < requests.len() && requests[next_arrival].arrival_step <= step {
-                    pending.push_back(Slot {
-                        req: requests[next_arrival],
-                        arrive_ns: clock_ns,
-                        pages: Vec::new(),
-                        kv_bytes: 0,
-                        decoded: 0,
-                    });
-                    next_arrival += 1;
-                }
-                let mut admitted: Vec<Slot> = Vec::new();
-                while active.len() + admitted.len() < cfg.max_batch && !pending.is_empty() {
-                    admitted.push(pending.pop_front().expect("checked non-empty"));
-                }
+    let mut step = 0u64;
+    while out.completed < total {
+        // Arrivals stamp their clock at their arrival step whether or
+        // not a slot is free — the queue wait belongs to TTFT.
+        while next_arrival < requests.len() && requests[next_arrival].arrival_step <= step {
+            pending.push_back(Slot {
+                req: requests[next_arrival],
+                arrive_ns: clock_ns,
+                pages: Vec::new(),
+                kv_bytes: 0,
+                decoded: 0,
+            });
+            next_arrival += 1;
+        }
+        let mut admitted: Vec<Slot> = Vec::new();
+        while active.len() + admitted.len() < cfg.max_batch && !pending.is_empty() {
+            admitted.push(pending.pop_front().expect("checked non-empty"));
+        }
 
-                if admitted.is_empty() && active.is_empty() {
-                    // Idle step: nothing runs, no time passes; the next
-                    // arrival defines the next interesting step.
-                    if next_arrival < requests.len() {
-                        step = requests[next_arrival].arrival_step;
-                        continue;
-                    }
-                    break; // defensive: completed-count loop guard covers this
-                }
-
-                // One shared weight read per step — the batch's matmul
-                // traffic. Every token produced this step waits on it.
-                let weights_rec = s.launch(
-                    KernelDesc::new("serving_weights_read", Dim3::linear(32), Dim3::linear(128))
-                        .arg(weights.ptr, weights.bytes)
-                        .body(
-                            KernelBody::default()
-                                .access(AccessSpec::load(0, weights.bytes))
-                                .with_flops(weights.bytes / 2),
-                        ),
-                )?;
-                let weights_ns = weights_rec.end - weights_rec.start;
-                clock_ns += weights_ns;
-
-                // Prefill the admissions, in queue order.
-                for mut slot in admitted {
-                    let prompt_bytes = u64::from(slot.req.prompt_tokens) * kv_per_token;
-                    grow_kv(s, &mut slot, prompt_bytes, page_bytes, &mut kv_live, out)?;
-                    let mut body = KernelBody::default()
-                        .with_flops(u64::from(slot.req.prompt_tokens) * prompt_bytes);
-                    for (i, &(_, used)) in slot.pages.iter().enumerate() {
-                        body.accesses.push(AccessSpec::store(i, used));
-                    }
-                    let mut desc =
-                        KernelDesc::new("serving_prefill", Dim3::linear(8), Dim3::linear(128));
-                    for &(ptr, _) in &slot.pages {
-                        desc.args.push(KernelArg {
-                            ptr,
-                            len: page_bytes,
-                        });
-                    }
-                    let rec = s.launch(desc.body(body))?;
-                    clock_ns += rec.end - rec.start;
-                    out.ttft_ns.push(clock_ns - slot.arrive_ns);
-                    active.push(slot);
-                }
-
-                // Decode one token per active conversation, admission order.
-                // `retain`-style manual loop so retirement can free pages.
-                let mut i = 0;
-                while i < active.len() {
-                    let slot = &mut active[i];
-                    grow_kv(s, slot, kv_per_token, page_bytes, &mut kv_live, out)?;
-                    // Attention reads the whole cache — cold pages of a
-                    // conversation that sat evicted fault back in here — and
-                    // appends this token's KV to the newest page.
-                    let mut body = KernelBody::default().with_flops(slot.kv_bytes);
-                    for (j, &(_, used)) in slot.pages.iter().enumerate() {
-                        body.accesses.push(AccessSpec::load(j, used));
-                    }
-                    let last = slot.pages.len() - 1;
-                    body.accesses.push(AccessSpec::store(last, kv_per_token));
-                    let mut desc =
-                        KernelDesc::new("serving_decode_attn", Dim3::linear(4), Dim3::linear(128));
-                    for &(ptr, _) in &slot.pages {
-                        desc.args.push(KernelArg {
-                            ptr,
-                            len: page_bytes,
-                        });
-                    }
-                    let rec = s.launch(desc.body(body))?;
-                    let attn_ns = rec.end - rec.start;
-                    clock_ns += attn_ns;
-                    out.decode_step_ns.push(weights_ns + attn_ns);
-                    slot.decoded += 1;
-                    if slot.decoded >= slot.req.decode_tokens {
-                        // Conversation over: tear the cache down for real —
-                        // every page unregisters from the residency model.
-                        let slot = active.remove(i);
-                        for (ptr, _) in slot.pages {
-                            s.runtime_mut().free(ptr)?;
-                        }
-                        kv_live -= slot.kv_bytes;
-                        out.completed += 1;
-                    } else {
-                        i += 1;
-                    }
-                }
-                step += 1;
-                out.steps = step;
+        if admitted.is_empty() && active.is_empty() {
+            // Idle step: nothing runs, no time passes; the next
+            // arrival defines the next interesting step.
+            if next_arrival < requests.len() {
+                step = requests[next_arrival].arrival_step;
+                continue;
             }
-            Ok(())
-        };
-    let result = run(s, &mut out);
-    if let Some(res) = s.runtime_mut().residency_mut() {
-        res.unregister_shared(weights.ptr.addr());
+            break; // defensive: completed-count loop guard covers this
+        }
+
+        // One shared weight read per step — the batch's matmul
+        // traffic. Every token produced this step waits on it.
+        let weights_rec =
+            Kernel::with_grid("serving_weights_read", Dim3::linear(32), Dim3::linear(128))
+                .flops(weights.bytes / 2)
+                .load(weights)
+                .launch(s)?;
+        let weights_ns = weights_rec.end - weights_rec.start;
+        clock_ns += weights_ns;
+
+        // Prefill the admissions, in queue order.
+        for mut slot in admitted {
+            let prompt_bytes = u64::from(slot.req.prompt_tokens) * kv_per_token;
+            grow_kv(
+                s,
+                &mut slot,
+                prompt_bytes,
+                page_bytes,
+                &mut kv_live,
+                &mut out,
+            )?;
+            let mut prefill =
+                Kernel::with_grid("serving_prefill", Dim3::linear(8), Dim3::linear(128));
+            for &(ptr, used) in &slot.pages {
+                prefill.store_buf(ptr, page_bytes).len(used);
+            }
+            let rec = prefill
+                .flops(u64::from(slot.req.prompt_tokens) * prompt_bytes)
+                .launch(s)?;
+            clock_ns += rec.end - rec.start;
+            out.ttft_ns.push(clock_ns - slot.arrive_ns);
+            active.push(slot);
+        }
+
+        // Decode one token per active conversation, admission order.
+        // `retain`-style manual loop so retirement can free pages.
+        let mut i = 0;
+        while i < active.len() {
+            let slot = &mut active[i];
+            grow_kv(s, slot, kv_per_token, page_bytes, &mut kv_live, &mut out)?;
+            // Attention reads the whole cache — cold pages of a
+            // conversation that sat evicted fault back in here — and
+            // appends this token's KV to the newest page.
+            let mut attn =
+                Kernel::with_grid("serving_decode_attn", Dim3::linear(4), Dim3::linear(128));
+            for &(ptr, used) in &slot.pages {
+                attn.load_buf(ptr, page_bytes).len(used);
+            }
+            let rec = attn
+                .store_arg(slot.pages.len() - 1, kv_per_token)
+                .flops(slot.kv_bytes)
+                .launch(s)?;
+            let attn_ns = rec.end - rec.start;
+            clock_ns += attn_ns;
+            out.decode_step_ns.push(weights_ns + attn_ns);
+            slot.decoded += 1;
+            if slot.decoded >= slot.req.decode_tokens {
+                // Conversation over: tear the cache down for real —
+                // every page unregisters from the residency model.
+                let slot = active.remove(i);
+                for (ptr, _) in slot.pages {
+                    s.runtime_mut().free(ptr)?;
+                }
+                kv_live -= slot.kv_bytes;
+                out.completed += 1;
+            } else {
+                i += 1;
+            }
+        }
+        step += 1;
+        out.steps = step;
     }
-    s.free_tensor(&weights);
-    result?;
     Ok(out)
 }
 
@@ -566,10 +528,38 @@ fn dispatch(
         .map(DeviceLane::device)
         .min()
         .expect("lane count checked above");
-    let shards: Vec<Vec<Request>> = (0..n).map(|i| trace.lane_requests(i, n)).collect();
-    let lanes = drive_lanes(lanes, schedule, |i, lane| {
-        serve_lane(lane, &shards[i], cfg, weight_owner)
-    })?;
+    // The shared weight range is each lane's first allocation, so it
+    // lands at the same managed address on every lane (fresh per-lane
+    // engines allocate in lockstep) and the shared registrations
+    // rendezvous in the coherence directory; the lowest-id lane owns the
+    // home copy, siblings read-duplicate over the peer link. Every lane
+    // registers before any lane runs and releases after all have run, so
+    // the range's directory lives for the whole op. Sessions without UVM
+    // skip the registration and serve out of plain memory.
+    let weight_elems = (cfg.dims.param_bytes(DType::F32) / DType::F32.size_bytes()) as usize;
+    let mut shards = Vec::with_capacity(n);
+    let registered = lanes.iter_mut().enumerate().try_for_each(|(i, lane)| {
+        let s = &mut lane.session;
+        let weights = s.alloc_tensor(&[weight_elems], DType::F32)?;
+        if let Some(res) = s.runtime_mut().residency_mut() {
+            res.register_shared(weights.ptr.addr(), weights.bytes, weight_owner);
+        }
+        shards.push((trace.lane_requests(i, n), weights));
+        Ok(())
+    });
+    let served = registered.and_then(|()| {
+        drive_lanes(lanes, schedule, |i, lane| {
+            serve_lane(lane, &shards[i].0, cfg, &shards[i].1)
+        })
+    });
+    for (lane, (_, weights)) in lanes.iter_mut().zip(&shards) {
+        let s = &mut lane.session;
+        if let Some(res) = s.runtime_mut().residency_mut() {
+            res.unregister_shared(weights.ptr.addr());
+        }
+        s.free_tensor(weights);
+    }
+    let lanes = served?;
     Ok(ServingRun { lanes })
 }
 

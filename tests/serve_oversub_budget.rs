@@ -26,13 +26,11 @@
 //! 312 on removal and 4839 on relabels, among them cuts of the tail run
 //! that a join undid at once.
 //!
-//! The fewest allocations of three ops must be at most 717. An op's
-//! count is not fixed: now and then (5 ops of 216 over eighteen
-//! processes) one makes 2 more, when both workers' first lanes release
-//! the shared weights range before either next lane registers it, so the
-//! range's directory is dropped and made again (the `RangeDirectory` and
-//! its first holder segment). An allocation added to the op's path shows
-//! in every op. One `#[test]`, because the counters are process-global.
+//! Each of three ops must make at most 717 allocations. Every lane
+//! registers the shared weights range before any lane runs, so the
+//! range's directory lives for the whole op; an allocation added to the
+//! op's path shows in every op. One `#[test]`, because the counters are
+//! process-global.
 
 mod common;
 
@@ -43,10 +41,10 @@ use pasta::sim::sync::{counted, Site};
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc::new();
 
-/// The most the leanest of three warm ops may allocate: the 717 one
-/// makes under the test harness's output capture, which the op's pool
-/// threads inherit at 4 allocations an op (713 with `--nocapture`), so
-/// one more allocation on the op's path fails here.
+/// The most a warm op may allocate: the 717 it makes under the test
+/// harness's output capture, which the op's pool threads inherit at 4
+/// allocations an op (713 with `--nocapture`), so one more allocation on
+/// the op's path fails here.
 const ALLOCS_MAX: u64 = 717;
 /// What a warm op does at each counted site (debug builds count them):
 /// one more on the op's path, or one fewer left unrecorded, fails here.
@@ -76,12 +74,11 @@ fn a_warm_serve_oversub_op_makes_717_allocs_3707_locks_no_eviction_writes() {
             (allocs, counts)
         })
         .collect();
-    let fewest = counted.iter().map(|c| c.0).min().expect("three ops");
-    assert!(
-        fewest <= ALLOCS_MAX,
-        "{fewest} allocations at fewest, above {ALLOCS_MAX}: {counted:?}"
-    );
-    for (_, counts) in &counted {
+    for (allocs, counts) in &counted {
+        assert!(
+            *allocs <= ALLOCS_MAX,
+            "{allocs} allocations, above {ALLOCS_MAX}: {counted:?}"
+        );
         for ((site, want), got) in COUNTS.iter().zip(counts) {
             if let Some(got) = *got {
                 assert_eq!(got, *want, "{} of a warm op: {counted:?}", site.name());

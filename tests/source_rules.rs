@@ -47,7 +47,7 @@ struct Rule {
     allowed: &'static [(&'static str, usize)],
 }
 
-const RULES: [Rule; 7] = [
+const RULES: [Rule; 8] = [
     Rule {
         name: "One lock type",
         why: "accel_sim::sync::Mutex is the one lock: no manifest or `use` names parking_lot",
@@ -107,6 +107,16 @@ const RULES: [Rule; 7] = [
             ("crates/uvm-sim/src/lib.rs", 1),
             ("crates/tools/src/hotness.rs", 4),
         ],
+    },
+    Rule {
+        name: "One kernel builder",
+        why: "a framework launch names each tensor once, through ops::Kernel: no \
+              hand-built descriptor or hand-indexed access stream",
+        needles: "KernelDesc::new|AccessSpec::",
+        then: |_| true,
+        scope: &["crates/dl-framework/src/"],
+        test_code: false,
+        allowed: &[("crates/dl-framework/src/ops.rs", 3)],
     },
     Rule {
         name: "Symbols hash by address",
